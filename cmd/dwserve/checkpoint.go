@@ -1,0 +1,340 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	dwc "dwcomplement"
+	"dwcomplement/internal/chaos"
+	"dwcomplement/internal/journal"
+	"dwcomplement/internal/obs"
+	"dwcomplement/internal/relation"
+	"dwcomplement/internal/replica"
+	"dwcomplement/internal/snapshot"
+	"dwcomplement/internal/trace"
+)
+
+// The commit path and the checkpoint behind it. Every applied update —
+// POST /update, a remote source's report, a record of the leader's
+// stream — goes through commitLocked, which journals it, advances the
+// watermarks, records the refresh in every telemetry series and, every
+// CheckpointEvery acks, starts a checkpoint. The checkpoint does not run
+// on the commit path: under s.mu only a cut is taken (O(#relations)), and
+// a goroutine writes the snapshot from it with no server lock held, then
+// compacts the journal to the records appended since the cut.
+
+// backlogFactor bounds the journal: a commit that finds this many times
+// CheckpointEvery un-checkpointed records while a checkpoint is still in
+// flight waits for it. It caps the journal suffix, recovery's replay and
+// the one warehouse version the checkpointer pins.
+const backlogFactor = 8
+
+// cut is an immutable version of the warehouse and the marks it stands
+// at. Install replaces entries of the live relation map and an installed
+// relation is never mutated again, so a shallow copy of the map pins the
+// version: it can be encoded while commits go on.
+type cut struct {
+	state map[string]*relation.Relation
+	marks map[string]uint64 // source watermarks plus the "~" replication coordinates
+	epoch uint64
+	lsn   uint64
+}
+
+// cutLocked cuts the current version. Caller holds s.mu (read or write).
+func (s *server) cutLocked() cut {
+	live := s.w.State()
+	state := make(map[string]*relation.Relation, len(live))
+	for name, r := range live {
+		state[name] = r
+	}
+	marks := map[string]uint64{httpSource: s.seq}
+	for src, seq := range s.remoteSeq {
+		marks[src] = seq
+	}
+	// The replication coordinates ride the marks map under reserved "~"
+	// keys, so a checkpoint pins the epoch and LSN it was cut at — the
+	// durability promote relies on for fencing.
+	return cut{state: state, marks: replica.WithMetaMarks(marks, s.epoch, s.lsn), epoch: s.epoch, lsn: s.lsn}
+}
+
+// checkpoint is one checkpoint from cut to compaction.
+type checkpoint struct {
+	cut
+	jw         *journal.Writer
+	journalEnd int64 // journal offset at the cut: everything before it is covered
+	acks       int   // acks the cut covers since the previous one
+	records    int   // journal records before journalEnd
+	dur        time.Duration
+}
+
+// lockBacklogBelow takes s.mu for writing once no checkpoint is in
+// flight or fewer than limit journal records await one. A limit of 0
+// therefore waits for any checkpoint in flight: since one only starts
+// under s.mu, none runs while the caller holds the lock.
+func (s *server) lockBacklogBelow(limit int) {
+	for {
+		s.mu.Lock()
+		done := s.ckptDone
+		if done == nil || s.journalRecs < limit {
+			return
+		}
+		s.mu.Unlock()
+		<-done
+	}
+}
+
+// backlogCap is the number of un-checkpointed journal records at which
+// commits wait for the checkpoint in flight.
+func (s *server) backlogCap() int { return backlogFactor * s.cfg.CheckpointEvery }
+
+// lockCommit takes s.mu for a commit, first waiting out a checkpoint the
+// journal has run backlogCap records ahead of.
+func (s *server) lockCommit() { s.lockBacklogBelow(s.backlogCap()) }
+
+// backloggedLocked reports whether lockCommit would wait. Caller holds
+// s.mu.
+func (s *server) backloggedLocked() bool {
+	return s.ckptDone != nil && s.journalRecs >= s.backlogCap()
+}
+
+// drainCheckpoint returns once no checkpoint is in flight.
+func (s *server) drainCheckpoint() {
+	s.lockBacklogBelow(0)
+	s.mu.Unlock()
+}
+
+// commitLocked makes one refreshed update durable and accounted for:
+// journal at commit, watermarks and replication coordinates, the
+// replication log, every refresh series, and the checkpoint trigger. rec
+// carries the coordinates the update commits at — the next LSN under the
+// current epoch on a leader, the leader's own on a follower. emitted is
+// the source's emission time in unix nanos, 0 when the update has none.
+// Caller holds s.mu and has run the refresh.
+//
+// The only error is a failed journal append of an update nobody can send
+// again (the leader's own HTTP API): nothing has been advanced then, and
+// the caller must fail the ack. Reports and stream records are
+// re-fetchable — after a crash the client rewinds to the checkpointed
+// watermark and the sender's retained log refills the hole — so there a
+// failed append only degrades.
+func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc.RefreshStats, emitted int64) error {
+	journaled := true
+	if s.jw != nil {
+		if err := s.jw.AppendContext(ctx, rec); err != nil {
+			s.degraded.Store(true)
+			if s.role == roleLeader && rec.Source == httpSource {
+				return err
+			}
+			journaled = false
+			s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", err)
+		} else {
+			s.journalRecs++
+		}
+	}
+	if rec.Source == httpSource {
+		s.seq = rec.Seq
+	} else {
+		s.remoteSeq[rec.Source] = rec.Seq
+	}
+	s.lsn = rec.LSN
+	s.refreshes++
+	s.sinceCkpt++
+	if s.role == roleLeader {
+		if err := s.rlog.Append(rec); err != nil {
+			// LSNs are assigned under mu, so this cannot misalign; log rather
+			// than fail the acknowledged update.
+			s.log.Error("replication log append failed", "source", rec.Source, "err", err)
+		}
+	}
+
+	// Refresh lag: report emitted at the source → delta visible in the
+	// views (which it now is; mu serializes readers). The histogram sample
+	// carries the trace ID as an exemplar, so a slow bucket links straight
+	// to a full lineage trace.
+	lag := time.Duration(-1)
+	if emitted > 0 {
+		lag = time.Since(time.Unix(0, emitted))
+		exemplar := ""
+		if sp := trace.FromContext(ctx); sp.Recording() {
+			exemplar = sp.Context().TraceID.String()
+			sp.SetAttrInt("lagUs", lag.Microseconds())
+		}
+		s.mRefreshLag.ObserveWithExemplar(lag.Seconds(), exemplar)
+	}
+	s.mRefreshes.Inc()
+	s.mRefreshDur.Observe(stats.Wall.Seconds())
+	s.mRestricted.Add(stats.RestrictedLookups)
+	s.mFullRecon.Add(stats.FullReconstructions)
+	s.observeMaintenance(stats, lag)
+	for name, n := range stats.Changed {
+		if n > 0 {
+			s.reg.Counter("dw_refresh_changes_total",
+				"Warehouse tuples changed by refreshes, per relation.",
+				obs.Labels{"relation": name}).Add(int64(n))
+		}
+	}
+	s.statsMu.Lock()
+	s.refreshWall += stats.Wall
+	if stats.Eval != nil {
+		s.refreshStats.Add(*stats.Eval)
+	}
+	s.lastRefresh = refreshSummary{
+		Spans:               stats.Spans,
+		Changed:             stats.Changed,
+		RestrictedLookups:   stats.RestrictedLookups,
+		FullReconstructions: stats.FullReconstructions,
+		WallNs:              stats.Wall.Nanoseconds(),
+	}
+	s.statsMu.Unlock()
+
+	s.maybeCheckpointLocked()
+	// A failed checkpoint keeps the server degraded until one succeeds;
+	// acks in between are durable (the journal holds them) and do not
+	// clear the flag. Nor does an update the journal does not hold.
+	if journaled && !s.ckptFailed {
+		s.degraded.Store(false)
+	}
+	s.lastGoodNano.Store(time.Now().UnixNano())
+	return nil
+}
+
+// maybeCheckpointLocked starts a background checkpoint when
+// CheckpointEvery acks have accumulated since the last cut. One runs at
+// a time: while it does the trigger is skipped, and fires on the first
+// ack after it has finished. Caller holds s.mu.
+func (s *server) maybeCheckpointLocked() {
+	if s.cfg.SnapshotDir == "" || s.sinceCkpt < s.cfg.CheckpointEvery {
+		return
+	}
+	if s.ckptDone != nil {
+		s.countCheckpoint("skipped_inflight")
+		return
+	}
+	ck, err := s.newCheckpointLocked()
+	if err != nil {
+		s.finishCheckpointLocked(ck, err)
+		return
+	}
+	done := make(chan struct{})
+	s.ckptDone = done
+	go func() {
+		err := s.persist(ck)
+		s.mu.Lock()
+		s.ckptDone = nil
+		s.finishCheckpointLocked(ck, err)
+		s.mu.Unlock()
+		close(done)
+	}()
+}
+
+// checkpointLocked checkpoints synchronously, for the callers that need
+// the state durable before they return: shutdown, promotion, a follower's
+// bootstrap. The journal is left empty. Caller holds s.mu, taken with
+// lockBacklogBelow(0) so that no background checkpoint is in flight.
+func (s *server) checkpointLocked() error {
+	if s.cfg.SnapshotDir == "" {
+		return nil
+	}
+	ck, err := s.newCheckpointLocked()
+	if err == nil {
+		err = s.persist(ck)
+	}
+	s.finishCheckpointLocked(ck, err)
+	return err
+}
+
+// newCheckpointLocked cuts the version a checkpoint will persist and
+// notes where the journal stands. Caller holds s.mu.
+func (s *server) newCheckpointLocked() (*checkpoint, error) {
+	ck := &checkpoint{
+		cut:     s.cutLocked(),
+		jw:      s.jw,
+		acks:    s.sinceCkpt,
+		records: s.journalRecs,
+	}
+	s.sinceCkpt = 0
+	if ck.jw != nil {
+		end, err := ck.jw.Offset()
+		if err != nil {
+			return ck, fmt.Errorf("checkpoint: journal offset: %w", err)
+		}
+		ck.journalEnd = end
+	}
+	return ck, nil
+}
+
+// persist writes the cut's snapshot (temp file → fsync → rename) and the
+// maintenance EWMAs, then compacts the journal to the records appended
+// after the cut. It takes no server lock. A crash at any point leaves the
+// old snapshot with the full journal, the new snapshot with the full
+// journal, or the new snapshot with the suffix; replay skips records at
+// or below the snapshot's marks, so each recovers to exactly the
+// acknowledged updates.
+func (s *server) persist(ck *checkpoint) (err error) {
+	_, sp := s.tracer.Start(context.Background(), "checkpoint")
+	defer sp.End()
+	start := time.Now()
+	defer func() {
+		ck.dur = time.Since(start)
+		if err != nil {
+			sp.SetAttr("outcome", "error")
+		}
+	}()
+	sp.SetAttrInt("lsn", int64(ck.lsn))
+	sp.SetAttrInt("relations", int64(len(ck.state)))
+	st, err := snapshot.SaveFileMarksTimed(checkpointPath(s.cfg.SnapshotDir), ck.state, ck.marks)
+	if err != nil {
+		return fmt.Errorf("checkpoint snapshot: %w", err)
+	}
+	sp.SetAttrInt("bytes", st.Bytes)
+	sp.SetAttrInt("encodeUs", st.Encode.Microseconds())
+	sp.SetAttrInt("fsyncUs", st.Sync.Microseconds())
+	// The maintenance EWMAs ride along; they are advisory (planner input),
+	// so a failed save degrades estimates, not durability.
+	if err := s.mstats.Save(maintstatsPath(s.cfg.SnapshotDir)); err != nil {
+		s.log.Warn("maintenance stats save failed", "err", err)
+	}
+	if ck.jw == nil {
+		return nil
+	}
+	if err := chaos.Point("checkpoint.compact"); err != nil {
+		return err
+	}
+	compactStart := time.Now()
+	if err := ck.jw.DropPrefix(ck.journalEnd); err != nil {
+		return fmt.Errorf("checkpoint journal compaction: %w", err)
+	}
+	sp.SetAttrInt("compactUs", time.Since(compactStart).Microseconds())
+	return nil
+}
+
+// finishCheckpointLocked books a checkpoint's outcome. A failure costs no
+// ack — the journal still holds every record — so it only degrades, and
+// the acks it covered count toward the trigger again: the next one
+// retries. Caller holds s.mu.
+func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
+	s.mCkptDur.Observe(ck.dur.Seconds())
+	if err != nil {
+		s.countCheckpoint("error")
+		s.sinceCkpt += ck.acks
+		s.ckptFailed = true
+		s.degraded.Store(true)
+		s.log.Error("checkpoint failed; journal keeps every record, next trigger retries", "lsn", ck.lsn, "err", err)
+		return
+	}
+	s.countCheckpoint("ok")
+	if s.ckptFailed {
+		s.ckptFailed = false
+		s.degraded.Store(false)
+	}
+	s.journalRecs -= ck.records
+	s.lastCkptLSN = ck.lsn
+	s.lastCkptDur = ck.dur
+}
+
+func (s *server) countCheckpoint(outcome string) {
+	s.reg.Counter("dw_checkpoints_total",
+		"Checkpoints by outcome: ok, error, or skipped_inflight (the trigger fired while one was running).",
+		obs.Labels{"outcome": outcome}).Inc()
+}

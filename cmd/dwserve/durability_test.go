@@ -44,8 +44,24 @@ func newDurableServer(t *testing.T, dir string, every int) (*server, *httptest.S
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.handler())
+	// Registered after the caller's t.TempDir, so a checkpoint still in
+	// flight has finished before the directory is removed.
+	t.Cleanup(srv.drainCheckpoint)
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// crash stops a durable server the way a kill would leave it, minus the
+// timing: no shutdown() and no final checkpoint. Only what the acks
+// already made durable survives; a background checkpoint is allowed to
+// finish first (the crash matrix covers the ones that do not).
+func crash(t *testing.T, srv *server, ts *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	srv.drainCheckpoint()
+	if err := srv.jw.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // soldCount reads the Sold view's tuple count over HTTP.
@@ -77,10 +93,7 @@ func TestJournalRecoveryOverHTTP(t *testing.T) {
 		t.Fatalf("Sold count = %d, want 4", got)
 	}
 	// Crash: no shutdown(), no checkpoint — only the journal survives.
-	ts.Close()
-	if err := srv.jw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, srv, ts)
 
 	srv2, ts2 := newDurableServer(t, dir, 1000)
 	if srv2.replayed != 3 || srv2.seq != 3 {
@@ -95,10 +108,7 @@ func TestJournalRecoveryOverHTTP(t *testing.T) {
 	}
 
 	// A double restart replays the same suffix idempotently.
-	ts2.Close()
-	if err := srv2.jw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, srv2, ts2)
 	srv3, ts3 := newDurableServer(t, dir, 1000)
 	if got := soldCount(t, ts3); got != 4 {
 		t.Fatalf("Sold count after second recovery = %d, want 4", got)
@@ -108,8 +118,9 @@ func TestJournalRecoveryOverHTTP(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompaction: once a checkpoint runs, a restart replays
-// only the journal suffix past its watermark.
+// TestCheckpointCompaction: once a checkpoint runs — in the background;
+// crash waits for it — a restart replays only the journal suffix past
+// its watermark.
 func TestCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newDurableServer(t, dir, 2) // checkpoint every 2 updates
@@ -120,10 +131,7 @@ func TestCheckpointCompaction(t *testing.T) {
 			t.Fatalf("update %d status %d: %v", i, code, out)
 		}
 	}
-	ts.Close()
-	if err := srv.jw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, srv, ts)
 	srv2, ts2 := newDurableServer(t, dir, 2)
 	if srv2.replayed != 1 { // updates 1,2 checkpointed; only 3 replays
 		t.Fatalf("replayed = %d, want 1", srv2.replayed)
@@ -235,10 +243,7 @@ func TestCorruptJournalRefusesBoot(t *testing.T) {
 			t.Fatalf("update status %d", code)
 		}
 	}
-	ts.Close()
-	if err := srv.jw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, srv, ts)
 	corruptFile(t, filepath.Join(dir, "wal.dwj"), 20)
 
 	spec, err := dwc.ParseSpec(testSpec)

@@ -152,6 +152,7 @@ func TestStatsLastRefresh(t *testing.T) {
 	if lr.RestrictedLookups == 0 {
 		t.Errorf("no restricted lookups recorded: %+v", lr)
 	}
+	assertRefreshTelemetry(t, ts.URL, "Sold")
 }
 
 // TestObservabilityHammer drives /query, /update, /stats and /metrics
@@ -225,5 +226,50 @@ func TestObservabilityHammer(t *testing.T) {
 	var m map[string]any
 	if code := getJSON(t, ts.URL+"/query?q="+escape("Sale"), &m); code != 200 {
 		t.Errorf("post-hammer query failed: %d", code)
+	}
+}
+
+// assertRefreshTelemetry checks that a node which has applied at least
+// one update reports it in every refresh series: the /stats totals and
+// last-refresh summary, and the refresh histograms and counters on
+// /metrics. All three apply paths — POST /update, a -source report, a
+// -follow stream record — must look the same here.
+func assertRefreshTelemetry(t *testing.T, baseURL, changedRelation string) {
+	t.Helper()
+	var stats struct {
+		Refreshes     int   `json:"refreshes"`
+		RefreshWallNs int64 `json:"refreshWallNs"`
+		RefreshStats  struct {
+			Scanned int64 `json:"scanned"`
+		} `json:"refreshStats"`
+		LastRefresh struct {
+			Spans             []any `json:"spans"`
+			RestrictedLookups int64 `json:"restrictedLookups"`
+			WallNs            int64 `json:"wallNs"`
+		} `json:"lastRefresh"`
+	}
+	getJSON(t, baseURL+"/stats", &stats)
+	if stats.Refreshes == 0 || stats.RefreshWallNs <= 0 || stats.RefreshStats.Scanned == 0 {
+		t.Errorf("/stats refresh totals not moved: %+v", stats)
+	}
+	if len(stats.LastRefresh.Spans) == 0 || stats.LastRefresh.WallNs <= 0 {
+		t.Errorf("/stats lastRefresh not recorded: %+v", stats.LastRefresh)
+	}
+	_, metrics := getText(t, baseURL+"/metrics")
+	for _, series := range []string{
+		"dw_refresh_duration_seconds_count",
+		"dw_refresh_restricted_lookups_total",
+		"dw_refreshes_total",
+		`dw_refresh_changes_total{relation="` + changedRelation + `"}`,
+	} {
+		moved := false
+		for _, line := range strings.Split(metrics, "\n") {
+			if rest, ok := strings.CutPrefix(line, series+" "); ok && rest != "0" {
+				moved = true
+			}
+		}
+		if !moved {
+			t.Errorf("%s did not move", series)
+		}
 	}
 }

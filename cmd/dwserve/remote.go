@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/journal"
@@ -54,10 +53,9 @@ func (s *server) stopRemotes() {
 
 // applyRemote is the delivery callback for remote source reports: dedup
 // by the per-source watermark (retries, hedges and rewinds all cause
-// benign redelivery), refresh, journal at commit, checkpoint on
-// schedule. A failed refresh rewinds the client so the report is
-// re-fetched later instead of being lost; the warehouse serves stale in
-// the meantime.
+// benign redelivery), refresh, commit. A failed refresh rewinds the
+// client so the report is re-fetched later instead of being lost; the
+// warehouse serves stale in the meantime.
 func (s *server) applyRemote(n source.Notification) {
 	// Report delivery passes admission like everything else, but through
 	// Wait — the never-shed variant. Under overload it is only deferred
@@ -69,7 +67,7 @@ func (s *server) applyRemote(n source.Notification) {
 	if err == nil {
 		defer release()
 	}
-	s.mu.Lock()
+	s.lockCommit()
 	defer s.mu.Unlock()
 	// Continue the report's trace (source.apply → remote.attempt →
 	// here); the refresh.target and journal.append spans below nest
@@ -102,52 +100,11 @@ func (s *server) applyRemote(n source.Notification) {
 		}
 		return
 	}
-	// Journal after the refresh committed. If the append fails the
-	// record is not durable — but unlike HTTP updates, remote reports
-	// are re-fetchable: after a crash the client rewinds to the
-	// checkpointed watermark and the source's retained log refills the
-	// hole. Degraded is still flagged so operators see it. The record
-	// carries its replication coordinates so followers receive remote
-	// reports through the same stream as HTTP updates.
+	// The record carries its replication coordinates so followers receive
+	// remote reports through the same stream as HTTP updates. A report is
+	// re-fetchable, so commitLocked never fails it.
 	rec := journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update, Epoch: s.epoch, LSN: s.lsn + 1}
-	if s.jw != nil {
-		if err := s.jw.AppendContext(ctx, rec); err != nil {
-			s.degraded.Store(true)
-			s.log.Error("remote journal append failed", "source", n.Source, "seq", n.Seq, "err", err)
-		}
-	}
-	s.remoteSeq[n.Source] = n.Seq
-	s.lsn++
-	if err := s.rlog.Append(rec); err != nil {
-		s.log.Error("replication log append failed", "source", n.Source, "err", err)
-	}
-	s.refreshes++
-	s.sinceCkpt++
-	s.mRefreshes.Inc()
-	// Refresh lag: report emitted at the source → delta visible in the
-	// views (which it now is; mu serializes readers). The histogram
-	// sample carries the trace ID as an exemplar, so a slow bucket links
-	// straight to a full lineage trace.
-	lag := time.Duration(-1)
-	if n.EmittedUnixNano > 0 {
-		lag = time.Since(time.Unix(0, n.EmittedUnixNano))
-		exemplar := ""
-		if sp.Recording() {
-			exemplar = sp.Context().TraceID.String()
-		}
-		s.mRefreshLag.ObserveWithExemplar(lag.Seconds(), exemplar)
-		sp.SetAttrInt("lagUs", lag.Microseconds())
-	}
-	s.observeMaintenance(stats, lag)
-	if s.cfg.SnapshotDir != "" && s.sinceCkpt >= s.cfg.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			s.degraded.Store(true)
-			s.log.Error("checkpoint after remote refresh failed", "err", err)
-			return
-		}
-	}
-	s.degraded.Store(false)
-	s.lastGoodNano.Store(time.Now().UnixNano())
+	_ = s.commitLocked(ctx, rec, stats, n.EmittedUnixNano)
 }
 
 // remoteHealth returns every attached client's health view, sorted by

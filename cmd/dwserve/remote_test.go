@@ -133,6 +133,9 @@ func TestRemoteSourcesFeedWarehouse(t *testing.T) {
 	if len(ready.Sources) != 2 {
 		t.Fatalf("readyz reported %d sources, want 2", len(ready.Sources))
 	}
+	// Reports applied through -source count in the same series as POST
+	// /update (they used to be missing from all but dw_refreshes_total).
+	assertRefreshTelemetry(t, rig.ts.URL, "Sold")
 }
 
 // TestQuarantinedSourceDegradesNotUnready: when a remote source goes

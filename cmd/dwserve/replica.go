@@ -95,17 +95,16 @@ func (s *server) observeLag(caughtUp bool, traceID string) {
 // into the marks under their reserved keys. A follower that applies
 // this body and streams from LSN+1 onward reconstructs the leader.
 func (s *server) handleReplicaSnapshot(w http.ResponseWriter, _ *http.Request) {
+	// Only the cut is taken under the lock; encoding it and writing it to
+	// the network must not hold up commits for a whole bootstrap.
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	marks := map[string]uint64{httpSource: s.seq}
-	for src, seq := range s.remoteSeq {
-		marks[src] = seq
-	}
-	w.Header().Set(replica.HeaderEpoch, strconv.FormatUint(s.epoch, 10))
-	w.Header().Set(replica.HeaderLSN, strconv.FormatUint(s.lsn, 10))
-	w.Header().Set(replica.HeaderRole, s.role)
+	c, role := s.cutLocked(), s.role
+	s.mu.RUnlock()
+	w.Header().Set(replica.HeaderEpoch, strconv.FormatUint(c.epoch, 10))
+	w.Header().Set(replica.HeaderLSN, strconv.FormatUint(c.lsn, 10))
+	w.Header().Set(replica.HeaderRole, role)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := snapshot.SaveMarks(w, s.w.State(), replica.WithMetaMarks(marks, s.epoch, s.lsn)); err != nil {
+	if err := snapshot.SaveMarks(w, c.state, c.marks); err != nil {
 		// Headers are gone; all we can do is cut the stream (the client
 		// sees a short body and retries) and log.
 		s.log.Error("snapshot shipping failed", "err", err)
@@ -200,7 +199,9 @@ func (s *server) handlePromote(w http.ResponseWriter, req *http.Request) {
 		}
 		newEpoch = e
 	}
-	s.mu.Lock()
+	// The promotion checkpoint is synchronous, so one in flight is waited
+	// out first.
+	s.lockBacklogBelow(0)
 	if s.role == roleLeader {
 		cur := s.epoch
 		s.mu.Unlock()
@@ -383,7 +384,10 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 	if err := dwc.VerifySnapshot(ship.State, s.comp.Resolver()); err != nil {
 		return err
 	}
-	s.mu.Lock()
+	// LoadState replaces the version a checkpoint in flight was cut from
+	// and the synchronous checkpoint below empties the journal, so that
+	// one finishes first.
+	s.lockBacklogBelow(0)
 	defer s.mu.Unlock()
 	if s.role != roleFollower {
 		return nil // promoted while the shipment was in flight
@@ -403,11 +407,11 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 	c.SetMinEpoch(s.epoch)
 	c.SetCursor(s.lsn)
 	s.rlog.Reset(s.lsn, s.epoch)
-	if err := s.checkpointLocked(); err != nil {
-		s.degraded.Store(true)
-		s.log.Error("post-bootstrap checkpoint failed", "err", err)
+	// A failure is logged and flagged by checkpointLocked; the shipped
+	// state is installed either way and the next trigger retries.
+	if err := s.checkpointLocked(); err == nil {
+		s.degraded.Store(false)
 	}
-	s.degraded.Store(false)
 	s.lastGoodNano.Store(time.Now().UnixNano())
 	s.log.Info("bootstrapped from leader checkpoint", "leader", c.Base(), "epoch", s.epoch, "lsn", s.lsn)
 	return nil
@@ -426,7 +430,7 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 	if sp.Recording() {
 		traceID = sp.Context().TraceID.String()
 	}
-	s.mu.Lock()
+	s.lockCommit()
 	defer s.mu.Unlock()
 	if s.role != roleFollower {
 		return // promoted while the fetch was in flight
@@ -449,6 +453,9 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 		if rec.LSN != s.lsn+1 {
 			break // gap: refetch from the cursor
 		}
+		if s.backloggedLocked() {
+			break // the next round waits in lockCommit, then refetches from the cursor
+		}
 		watermark := s.seq
 		if rec.Source != httpSource {
 			watermark = s.remoteSeq[rec.Source]
@@ -470,43 +477,16 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 			s.log.Error("replica refresh failed; serving stale", "source", rec.Source, "seq", rec.Seq, "err", err)
 			return
 		}
-		// Journal locally with the leader's coordinates, so recovery
-		// resumes the stream from the right LSN. Like remote reports, a
-		// failed append only degrades: the record is re-fetchable.
-		if s.jw != nil {
-			if err := s.jw.AppendContext(actx, rec); err != nil {
-				s.degraded.Store(true)
-				s.log.Error("replica journal append failed", "seq", rec.Seq, "err", err)
-			}
-		}
-		if rec.Source == httpSource {
-			s.seq = rec.Seq
-		} else {
-			s.remoteSeq[rec.Source] = rec.Seq
-		}
-		s.lsn = rec.LSN
-		s.refreshes++
-		s.sinceCkpt++
+		// Committed with the leader's coordinates, so recovery resumes the
+		// stream from the right LSN. A stream record is re-fetchable, so
+		// commitLocked never fails it.
+		_ = s.commitLocked(actx, rec, stats, 0)
 		applied++
-		s.mRefreshes.Inc()
-		s.mRefreshDur.Observe(stats.Wall.Seconds())
-		s.observeMaintenance(stats, -1)
-		if s.cfg.SnapshotDir != "" && s.sinceCkpt >= s.cfg.CheckpointEvery {
-			if err := s.checkpointLocked(); err != nil {
-				s.degraded.Store(true)
-				s.log.Error("replica checkpoint failed", "err", err)
-				return
-			}
-		}
 	}
 	sp.SetAttrInt("applied", int64(applied))
 	sp.SetAttrInt("lsn", int64(s.lsn))
 	c.SetCursor(s.lsn)
 	s.observeLag(s.lsn >= b.Tip && !b.Torn, traceID)
-	if applied > 0 {
-		s.degraded.Store(false)
-		s.lastGoodNano.Store(time.Now().UnixNano())
-	}
 }
 
 // sleepCtx pauses for d or until ctx is done.

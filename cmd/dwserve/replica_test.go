@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/replica"
+	"dwcomplement/internal/snapshot"
 )
 
 // newReplicaNode builds one dwserve instance with its own snapshot
@@ -36,6 +39,7 @@ func newReplicaNode(t *testing.T) (*server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		srv.stopFollower()
+		srv.drainCheckpoint() // before t.TempDir's own cleanup removes the directory
 	})
 	return srv, ts
 }
@@ -174,6 +178,59 @@ func TestFollowerCatchUpAndReadOnly(t *testing.T) {
 	_, metrics := getText(t, fts.URL+"/metrics")
 	if !strings.Contains(metrics, "dw_replica_lag_seconds") {
 		t.Fatal("follower /metrics missing dw_replica_lag_seconds")
+	}
+	// Records applied from the stream count in the same refresh series as
+	// the leader's own updates.
+	assertRefreshTelemetry(t, fts.URL, "Sold")
+	assertRefreshTelemetry(t, lts.URL, "Sold")
+}
+
+// blockingWriter is a ResponseWriter whose first Write parks until
+// released: a follower reading its bootstrap slowly.
+type blockingWriter struct {
+	hdr     http.Header
+	body    bytes.Buffer
+	reached chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *blockingWriter) Header() http.Header { return w.hdr }
+func (w *blockingWriter) WriteHeader(int)     {}
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.reached)
+		<-w.release
+	})
+	return w.body.Write(p)
+}
+
+// TestReplicaSnapshotShipsOffTheLock: GET /replica/snapshot takes its
+// cut under the lock and encodes and writes outside it, so a commit
+// completes while a shipment is stuck mid-write — and the shipment still
+// carries the version it was cut at, not the later one.
+func TestReplicaSnapshotShipsOffTheLock(t *testing.T) {
+	leader, lts := newReplicaNode(t)
+	postUpdate(t, lts.URL, "insert Sale('before', 'Mary')")
+	w := &blockingWriter{hdr: http.Header{}, reached: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		leader.handleReplicaSnapshot(w, httptest.NewRequest(http.MethodGet, "/replica/snapshot", nil))
+	}()
+	<-w.reached
+	postUpdate(t, lts.URL, "insert Sale('during', 'Mary')") // needs the write lock
+	close(w.release)
+	<-done
+	if got := w.hdr.Get(replica.HeaderLSN); got != "1" {
+		t.Fatalf("shipment LSN header %q, want 1", got)
+	}
+	ms, marks, err := snapshot.LoadMarks(&w.body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if marks[httpSource] != 1 || ms["Sold"].Len() != 2 {
+		t.Fatalf("shipment holds seq %d and %d Sold rows, want the cut at seq 1 with 2 rows", marks[httpSource], ms["Sold"].Len())
 	}
 }
 

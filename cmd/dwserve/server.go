@@ -105,9 +105,16 @@ type server struct {
 	w         *dwc.Warehouse
 	refreshes int
 	seq       uint64 // sequence of the last acknowledged update
-	sinceCkpt int    // acknowledged updates since the last checkpoint
+	sinceCkpt int    // acknowledged updates no checkpoint cut covers yet
 	jw        *journal.Writer
-	snapshot  string // legacy markless save path ("" = off)
+	// Checkpoint bookkeeping (checkpoint.go). ckptDone is non-nil while a
+	// background checkpoint is in flight and closed when it has finished.
+	journalRecs int // records in the journal file
+	ckptDone    chan struct{}
+	ckptFailed  bool // the last checkpoint failed; degraded until one succeeds
+	lastCkptLSN uint64
+	lastCkptDur time.Duration
+	snapshot    string // legacy markless save path ("" = off)
 
 	// Remote sources (dwsource processes consumed over the wire). The
 	// remotes map is populated by AttachRemote before the listener
@@ -180,6 +187,7 @@ type server struct {
 	mRestricted *obs.Counter
 	mFullRecon  *obs.Counter
 	mRefreshLag *obs.Histogram
+	mCkptDur    *obs.Histogram
 	mReplLag    *obs.ObservedGauge
 }
 
@@ -230,6 +238,9 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		qcache:    newAnswerCache(answerCacheSize),
 	}
 	if cfg.SnapshotDir != "" {
+		if err := snapshot.SweepTemps(cfg.SnapshotDir); err != nil {
+			return nil, fmt.Errorf("snapshot dir %s: %w", cfg.SnapshotDir, err)
+		}
 		if err := s.mstats.Load(maintstatsPath(cfg.SnapshotDir)); err != nil {
 			return nil, fmt.Errorf("maintenance stats %s: %w", maintstatsPath(cfg.SnapshotDir), err)
 		}
@@ -289,7 +300,7 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 	if cfg.JournalPath != "" {
 		// A torn tail reported by Replay is a crash mid-append of an
 		// unacknowledged update: safe to drop (Open truncates it).
-		_, _, err := journal.Replay(cfg.JournalPath, spec.DB, func(rec journal.Record) error {
+		n, _, err := journal.Replay(cfg.JournalPath, spec.DB, func(rec journal.Record) error {
 			// Every journaled record was acknowledged, so its replication
 			// coordinates are durable facts even when the refresh below is
 			// deduplicated by the checkpoint watermark.
@@ -330,7 +341,7 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		if err != nil {
 			return nil, err
 		}
-		s.jw = jw
+		s.jw, s.journalRecs = jw, n
 	}
 	// The replication log resumes at the recovered coordinates: retained
 	// records start at s.lsn+1, so followers that were caught up before a
@@ -354,6 +365,9 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"Refresh pre-state reads that forced a full base reconstruction.", nil)
 	s.mRefreshLag = s.reg.Histogram("dw_refresh_lag_seconds",
 		"End-to-end refresh lag: report emitted at the source to delta visible in views.",
+		obs.DefLatencyBuckets, nil)
+	s.mCkptDur = s.reg.Histogram("dw_checkpoint_duration_seconds",
+		"Checkpoint duration, cut to journal compaction (off the commit path except at shutdown, promotion and bootstrap).",
 		obs.DefLatencyBuckets, nil)
 	s.reg.GaugeFunc("dw_warehouse_tuples",
 		"Tuples materialized across all warehouse relations.", nil, func() float64 {
@@ -810,7 +824,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
+	s.lockCommit()
 	defer s.mu.Unlock()
 	// Followers are read-only: every mutation flows through the leader,
 	// arrives on the replication stream, and is applied by the follower
@@ -843,7 +857,6 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.refreshes++
 	// Journal at commit: the record is fsync'd before the 200, so an
 	// acknowledged update survives any crash (replayed from the last
 	// checkpoint's watermark). A failed refresh was never appended, which
@@ -851,47 +864,11 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	// record carries its replication coordinates — epoch and the next LSN
 	// — so followers stream it bit-identical to how recovery replays it.
 	rec := journal.Record{Source: httpSource, Seq: s.seq + 1, Update: u, Epoch: s.epoch, LSN: s.lsn + 1}
-	if s.jw != nil {
-		if jerr := s.jw.AppendContext(req.Context(), rec); jerr != nil {
-			s.degraded.Store(true)
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("update applied but journal append failed (do not retry blindly): %w", jerr))
-			return
-		}
+	if jerr := s.commitLocked(req.Context(), rec, stats, 0); jerr != nil {
+		writeError(w, http.StatusInternalServerError,
+			fmt.Errorf("update applied but journal append failed (do not retry blindly): %w", jerr))
+		return
 	}
-	s.seq++
-	s.lsn++
-	s.sinceCkpt++
-	if err := s.rlog.Append(rec); err != nil {
-		// LSNs are assigned under mu, so this cannot misalign; log rather
-		// than fail the acknowledged update.
-		s.log.Error("replication log append failed", "err", err)
-	}
-	s.mRefreshes.Inc()
-	s.mRefreshDur.Observe(stats.Wall.Seconds())
-	s.mRestricted.Add(stats.RestrictedLookups)
-	s.mFullRecon.Add(stats.FullReconstructions)
-	s.observeMaintenance(stats, -1)
-	for name, n := range stats.Changed {
-		if n > 0 {
-			s.reg.Counter("dw_refresh_changes_total",
-				"Warehouse tuples changed by refreshes, per relation.",
-				obs.Labels{"relation": name}).Add(int64(n))
-		}
-	}
-	s.statsMu.Lock()
-	s.refreshWall += stats.Wall
-	if stats.Eval != nil {
-		s.refreshStats.Add(*stats.Eval)
-	}
-	s.lastRefresh = refreshSummary{
-		Spans:               stats.Spans,
-		Changed:             stats.Changed,
-		RestrictedLookups:   stats.RestrictedLookups,
-		FullReconstructions: stats.FullReconstructions,
-		WallNs:              stats.Wall.Nanoseconds(),
-	}
-	s.statsMu.Unlock()
 	if s.snapshot != "" {
 		if err := dwc.SaveSnapshot(s.snapshot, s.w.State()); err != nil {
 			s.degraded.Store(true)
@@ -900,17 +877,6 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	if s.cfg.SnapshotDir != "" && s.sinceCkpt >= s.cfg.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			// The journal still has every record; only compaction failed.
-			s.degraded.Store(true)
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("update applied but checkpoint failed: %w", err))
-			return
-		}
-	}
-	s.degraded.Store(false)
-	s.lastGoodNano.Store(time.Now().UnixNano())
 	changed := map[string]int{}
 	for name, n := range stats.Changed {
 		if n > 0 {
@@ -928,6 +894,12 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	refreshes := s.refreshes
+	ckpt := map[string]any{
+		"lastLsn":        s.lastCkptLSN,
+		"lastDurationNs": s.lastCkptDur.Nanoseconds(),
+		"inFlight":       s.ckptDone != nil,
+		"journalRecords": s.journalRecs,
+	}
 	s.mu.RUnlock()
 	s.statsMu.Lock()
 	body := map[string]any{
@@ -937,6 +909,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"refreshStats":  s.refreshStats,
 		"refreshWallNs": s.refreshWall.Nanoseconds(),
 		"lastRefresh":   s.lastRefresh,
+		"checkpoint":    ckpt,
 	}
 	s.statsMu.Unlock()
 	// Planner-facing maintenance EWMAs (ROADMAP item 3's input contract).
@@ -1040,36 +1013,6 @@ func (s *server) observeMaintenance(stats dwc.RefreshStats, lag time.Duration) {
 	s.mstats.ObserveRefresh(stats.RestrictedLookups, stats.FullReconstructions, stats.Wall, lag)
 }
 
-// checkpointLocked durably saves the warehouse state with the current
-// watermark (atomic temp-file + rename) and compacts the journal: every
-// journaled record is now covered by the snapshot. Caller holds s.mu.
-func (s *server) checkpointLocked() error {
-	if s.cfg.SnapshotDir == "" {
-		return nil
-	}
-	marks := map[string]uint64{httpSource: s.seq}
-	for src, seq := range s.remoteSeq {
-		marks[src] = seq
-	}
-	// The replication coordinates ride the marks map under reserved "~"
-	// keys, so a checkpoint pins the epoch and LSN it was cut at — the
-	// durability promote relies on for fencing.
-	marks = replica.WithMetaMarks(marks, s.epoch, s.lsn)
-	if err := snapshot.SaveFileMarks(checkpointPath(s.cfg.SnapshotDir), s.w.State(), marks); err != nil {
-		return err
-	}
-	// The maintenance EWMAs ride along; they are advisory (planner input),
-	// so a failed save degrades estimates, not durability.
-	if err := s.mstats.Save(maintstatsPath(s.cfg.SnapshotDir)); err != nil {
-		s.log.Warn("maintenance stats save failed", "err", err)
-	}
-	s.sinceCkpt = 0
-	if s.jw != nil {
-		return s.jw.Reset()
-	}
-	return nil
-}
-
 // beginDrain flips /readyz to 503 so load balancers stop routing new
 // traffic while in-flight requests finish.
 func (s *server) beginDrain() { s.draining.Store(true) }
@@ -1081,7 +1024,7 @@ func (s *server) beginDrain() { s.draining.Store(true) }
 func (s *server) shutdown() error {
 	s.stopRemotes()
 	s.stopFollower()
-	s.mu.Lock()
+	s.lockBacklogBelow(0)
 	defer s.mu.Unlock()
 	err := s.checkpointLocked()
 	if s.jw != nil {

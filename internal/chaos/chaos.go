@@ -6,7 +6,8 @@
 //     production they are a single atomic load; under test, Arm makes
 //     the n-th traversal of a point return an injected error, which the
 //     soak tests treat as a process crash followed by recovery from
-//     disk.
+//     disk. Hold parks a traversal instead, so a test can act while a
+//     background goroutine sits inside a durability step.
 //
 //   - FaultyChannel: a seedable wrapper around the source→integrator
 //     delivery function that drops, duplicates, delays, and reorders
@@ -40,6 +41,12 @@ type pointState struct {
 	failAt uint64 // fail on this traversal (0 = never)
 	err    error  // injected error
 	fired  bool
+
+	// Set by Hold: traversals wait for gate to close, and the first to
+	// arrive closes reached.
+	gate    chan struct{}
+	reached chan struct{}
+	arrived bool
 }
 
 // Point marks a crash point in durability code. It returns nil unless a
@@ -57,11 +64,53 @@ func Point(name string) error {
 		return nil
 	}
 	st.hits++
-	if st.failAt != 0 && st.hits == st.failAt && !st.fired {
+	hit := st.hits
+	if gate := st.gate; gate != nil {
+		if !st.arrived {
+			st.arrived = true
+			close(st.reached)
+		}
+		mu.Unlock()
+		<-gate
+		mu.Lock()
+	}
+	if st.failAt != 0 && hit == st.failAt && !st.fired {
 		st.fired = true
 		return st.err
 	}
 	return nil
+}
+
+// Hold makes every traversal of the named point wait until release is
+// called; reached is closed when the first one arrives. It is how a test
+// parks a background goroutine inside a durability step and acts while
+// it is there. Hold keeps a failure armed earlier with Arm: the held
+// traversal returns the injected error once released.
+func Hold(name string) (reached <-chan struct{}, release func()) {
+	mu.Lock()
+	defer mu.Unlock()
+	if points == nil {
+		points = make(map[string]*pointState)
+	}
+	st, ok := points[name]
+	if !ok {
+		st = &pointState{}
+		points[name] = st
+	}
+	gate := make(chan struct{})
+	st.gate, st.reached, st.arrived = gate, make(chan struct{}), false
+	armedAny.Store(true)
+	var once sync.Once
+	return st.reached, func() {
+		once.Do(func() {
+			mu.Lock()
+			if st.gate == gate {
+				st.gate = nil
+			}
+			mu.Unlock()
+			close(gate)
+		})
+	}
 }
 
 // Arm makes the failAt-th traversal of the named point return err

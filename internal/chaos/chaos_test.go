@@ -113,3 +113,29 @@ func TestFaultyChannelRetarget(t *testing.T) {
 		t.Errorf("retarget failed: a=%d b=%d", a, b)
 	}
 }
+
+// TestHold: a held point parks its traversal until released, reports
+// that it arrived, and still returns a failure armed before the hold.
+func TestHold(t *testing.T) {
+	Reset()
+	defer Reset()
+	boom := errors.New("boom")
+	Arm("held", 1, boom)
+	reached, release := Hold("held")
+	got := make(chan error, 1)
+	go func() { got <- Point("held") }()
+	<-reached
+	select {
+	case err := <-got:
+		t.Fatalf("held point returned %v before release", err)
+	default:
+	}
+	release()
+	release() // idempotent
+	if err := <-got; !errors.Is(err, boom) {
+		t.Fatalf("released point returned %v, want the armed error", err)
+	}
+	if err := Point("held"); err != nil {
+		t.Fatalf("point still held or armed after release: %v", err)
+	}
+}

@@ -21,6 +21,13 @@
 // implausible length earlier in the file means real corruption and
 // fails replay with ErrCorrupt.
 //
+// A checkpoint makes a prefix of the journal redundant. Writer.DropPrefix
+// compacts the file to the records appended after the checkpoint's cut
+// (copied byte for byte behind a fresh magic, swapped in by rename), so
+// the checkpoint itself can run beside appends; replay skips records a
+// snapshot's watermarks already cover, so a crash on either side of the
+// swap recovers the same state.
+//
 // The same frame format doubles as the replication wire format: a
 // leader ships journal records to followers as a bare sequence of
 // frames (no magic), read incrementally by StreamReader. Epoch and LSN
@@ -40,6 +47,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -206,6 +214,10 @@ type Writer struct {
 // existing file keeps its records; a torn tail from a previous crash is
 // truncated away so new appends start on a clean record boundary.
 func Open(path string) (*Writer, error) {
+	// A compaction cut short by a crash never reached its rename.
+	if err := os.Remove(path + compactSuffix); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -298,6 +310,10 @@ func (w *Writer) Reset() error {
 	if w.f == nil {
 		return fmt.Errorf("journal: writer is closed")
 	}
+	return w.resetLocked()
+}
+
+func (w *Writer) resetLocked() error {
 	if err := w.f.Truncate(int64(len(magic))); err != nil {
 		return err
 	}
@@ -305,6 +321,91 @@ func (w *Writer) Reset() error {
 		return err
 	}
 	return w.f.Sync()
+}
+
+// Offset returns the journal's current end: the file offset just past
+// the last appended record. A caller that serializes its appends reads
+// it right after one to learn where that record ends; DropPrefix takes
+// such an offset.
+func (w *Writer) Offset() (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return 0, fmt.Errorf("journal: writer is closed")
+	}
+	return w.f.Seek(0, io.SeekCurrent)
+}
+
+// compactSuffix names the temp file DropPrefix builds beside the
+// journal; Open removes one left by a crash.
+const compactSuffix = ".compact"
+
+// DropPrefix compacts the journal to the records appended after off (an
+// earlier Offset): a checkpoint cut at off covers everything before it.
+// The suffix is copied byte for byte behind a fresh magic into a temp
+// file, which is fsync'd and renamed over the journal's path; the
+// writer then continues on the new file. Appends wait on the writer's
+// lock for the swap, so none is lost or written twice, and a crash
+// leaves either the old complete journal or the new one. An empty
+// suffix is a plain Reset. Offsets taken before the call are void
+// after it. The chaos point "journal.compact" models a crash between
+// the temp file's fsync and the rename.
+func (w *Writer) DropPrefix(off int64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return fmt.Errorf("journal: writer is closed")
+	}
+	end, err := w.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	if off < int64(len(magic)) || off > end {
+		return fmt.Errorf("journal: drop prefix at %d outside [%d, %d]", off, len(magic), end)
+	}
+	if off == end {
+		return w.resetLocked()
+	}
+	tmpPath := w.path + compactSuffix
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	swapped := false
+	defer func() {
+		if !swapped {
+			tmp.Close()
+			os.Remove(tmpPath)
+		}
+	}()
+	if _, err := tmp.Write(magic[:]); err != nil {
+		return err
+	}
+	// SectionReader reads with ReadAt, leaving the append offset of w.f
+	// where it is should the compaction fail.
+	if _, err := io.Copy(tmp, io.NewSectionReader(w.f, off, end-off)); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := chaos.Point("journal.compact"); err != nil {
+		return err
+	}
+	if err := os.Rename(tmpPath, w.path); err != nil {
+		return err
+	}
+	// From here on the path names the new file, so appends must go to
+	// it even if the directory fsync (best effort, as in package
+	// snapshot) fails: the old file is no longer reachable by recovery.
+	swapped = true
+	if d, err := os.Open(filepath.Dir(w.path)); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	w.f.Close() // read and fsync'd up to end; nothing of it is needed
+	w.f = tmp
+	return nil
 }
 
 // Path returns the journal's file path.

@@ -464,10 +464,19 @@ func (r *Relation) Tuples() []Tuple {
 // SortedTuples returns all tuples sorted by the total value order, column
 // by column — a deterministic order for printing and golden tests.
 func (r *Relation) SortedTuples() []Tuple {
-	out := make([]Tuple, len(r.rows))
-	for i, t := range r.rows {
+	out := r.SortedRows()
+	for i, t := range out {
 		out[i] = t.Clone()
 	}
+	return out
+}
+
+// SortedRows is SortedTuples without the per-row copy: the slice is
+// fresh but its tuples are the relation's own rows, so the caller may
+// reorder the slice and must not modify a tuple. Encoders that only
+// read the rows use it.
+func (r *Relation) SortedRows() []Tuple {
+	out := append([]Tuple(nil), r.rows...)
 	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
 	return out
 }

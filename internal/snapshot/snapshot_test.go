@@ -2,9 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -244,6 +247,49 @@ func TestWarehouseSnapshotCycle(t *testing.T) {
 		orig, _ := st.Relation(name)
 		if !bases[name].Equal(orig) {
 			t.Errorf("restored warehouse reconstructs %s wrongly", name)
+		}
+	}
+}
+
+// TestEncodedBytesGolden pins the encoded bytes of a fixed state: a
+// single relation (gob walks maps in random order, so only one-entry
+// maps have one encoding) whose rows go in unsorted and cover every
+// value kind, ties on the leading columns included. The digest was
+// recorded before ToWireRelation stopped cloning rows for the sort, so
+// storage_ratio and what a follower is shipped cannot have moved.
+func TestEncodedBytesGolden(t *testing.T) {
+	r := relation.New("k", "f", "s", "b", "n")
+	for i := 40; i > 0; i-- {
+		k := int64(i * 7 % 11)
+		var n relation.Value = relation.Null()
+		if i%3 == 0 {
+			n = relation.Int(int64(i))
+		}
+		r.InsertValues(relation.Int(k), relation.Float(float64(i)/4), relation.String_(strings.Repeat("x", i%5)), relation.Bool(i%2 == 0), n)
+	}
+	var buf bytes.Buffer
+	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": r}, map[string]uint64{"http": 42}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "7ec3100a565c9522f228d05f04b38df9ea16e9644d112030a8b3e52c992d9316"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("snapshot encoding changed: %d bytes, sha256 %s, want %s", buf.Len(), got, want)
+	}
+}
+
+// TestWireValueLayout is the other half of wireRow's soundness check: a
+// tuple is encoded through a []WireValue view of its own memory, so the
+// two value types must agree field by field in kind, size and offset.
+func TestWireValueLayout(t *testing.T) {
+	v, w := reflect.TypeOf(relation.Value{}), reflect.TypeOf(WireValue{})
+	if v.NumField() != w.NumField() {
+		t.Fatalf("relation.Value has %d fields, WireValue %d", v.NumField(), w.NumField())
+	}
+	for i := 0; i < v.NumField(); i++ {
+		vf, wf := v.Field(i), w.Field(i)
+		if vf.Type.Kind() != wf.Type.Kind() || vf.Type.Size() != wf.Type.Size() || vf.Offset != wf.Offset {
+			t.Errorf("field %d: relation.Value.%s is %s at offset %d, WireValue.%s is %s at offset %d",
+				i, vf.Name, vf.Type, vf.Offset, wf.Name, wf.Type, wf.Offset)
 		}
 	}
 }
