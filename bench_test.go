@@ -6,9 +6,12 @@
 package dwc_test
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	dwc "dwcomplement"
 	"dwcomplement/internal/aggregate"
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
@@ -445,6 +448,40 @@ func BenchmarkJoin(b *testing.B) {
 	})
 }
 
+// BenchmarkDeleteCarriedIndex measures what a cached index costs the
+// write path: one Delete plus re-Insert on a 50k-row relation carrying no
+// index, a unique-key index, a foreign-key index with 20-row chains, and
+// an index over a constant column, whose one 50 000-row chain the first
+// delete refuses to walk (the index is dropped, so the rest pay nothing).
+func BenchmarkDeleteCarriedIndex(b *testing.B) {
+	const rows = 50_000
+	for _, c := range []struct {
+		name, attr string
+		carried    int
+	}{{"none", "", 0}, {"unique", "k", 1}, {"chain20", "fk", 1}, {"chain50k", "loc", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := relation.New("k", "fk", "loc")
+			ts := make([]relation.Tuple, rows)
+			for i := range ts {
+				ts[i] = relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i % (rows / 20))), relation.String_("paris")}
+				r.Insert(ts[i])
+			}
+			if c.attr != "" {
+				r.Index(c.attr)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if t := ts[i*7919%rows]; !r.Delete(t) || !r.Insert(t) {
+					b.Fatal("delete + insert of a present row failed")
+				}
+			}
+			if r.IndexCount() != c.carried {
+				b.Fatalf("%d indexes after the deletes, want %d", r.IndexCount(), c.carried)
+			}
+		})
+	}
+}
+
 // BenchmarkRefresh measures one incremental warehouse refresh on the
 // 10k-tuple join workload: Figure 1's schema scaled to 10k tuples per
 // base relation, with small mixed updates applied cumulatively (the state
@@ -479,4 +516,96 @@ func cloneMapState(ms algebra.MapState) algebra.MapState {
 		out[name] = r.Clone()
 	}
 	return out
+}
+
+// section5Spec is the two-site business schema of the paper's Section 5
+// as benchmark/gen.go generates it: FactParis has a provably empty
+// complement, TokyoFR leaves a stored C_Order_tokyo, so a tokyo query
+// reconstructs its base relation through a real union.
+const section5Spec = `
+relation Customer(ckey int, cname string, nation string) key(ckey)
+relation Part(pkey int, pname string, brand string) key(pkey)
+relation Site(loc string, region string) key(loc)
+relation Order_paris(okey int, ckey int, pkey int, loc string, qty int) key(okey)
+relation Order_tokyo(okey int, ckey int, pkey int, loc string, qty int) key(okey)
+fk Order_paris(ckey) -> Customer
+fk Order_tokyo(ckey) -> Customer
+fk Order_paris(pkey) -> Part
+fk Order_tokyo(pkey) -> Part
+fk Order_paris(loc) -> Site
+fk Order_tokyo(loc) -> Site
+domain Order_paris: loc = 'paris'
+domain Order_tokyo: loc = 'tokyo'
+view DimCustomer = Customer
+view DimPart = Part
+view DimSite = Site
+view FactParis = pi{okey, ckey, pkey, loc, qty}(Order_paris)
+view TokyoFR = pi{okey, ckey, pkey, loc, qty, nation}(sigma{nation = 'France'}(Order_tokyo join Customer))
+`
+
+// section5Warehouse materializes the Section-5 warehouse over rows
+// source rows: rows/2 orders per site, rows/20 customers and parts.
+func section5Warehouse(tb testing.TB, rows int) *dwc.Warehouse {
+	tb.Helper()
+	spec, err := dwc.ParseSpec(section5Spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	dims := rows / 20
+	st := spec.State
+	nations := []string{"France", "Japan", "Germany", "Brazil"}
+	for i := 1; i <= dims; i++ {
+		st.MustInsert("Customer", dwc.Int(int64(i)), dwc.Str(fmt.Sprintf("cust-%05d", i)), dwc.Str(nations[rng.Intn(len(nations))]))
+		st.MustInsert("Part", dwc.Int(int64(i)), dwc.Str(fmt.Sprintf("part-%05d", i)), dwc.Str(fmt.Sprintf("brand-%03d", (i-1)/20)))
+	}
+	for _, loc := range []string{"paris", "tokyo"} {
+		st.MustInsert("Site", dwc.Str(loc), dwc.Str("region-"+loc))
+		for k := 1; k <= rows/2; k++ {
+			st.MustInsert("Order_"+loc, dwc.Int(int64(k)), dwc.Int(int64(1+rng.Intn(dims))),
+				dwc.Int(int64(1+rng.Intn(dims))), dwc.Str(loc), dwc.Int(int64(1+rng.Intn(50))))
+		}
+	}
+	w, err := dwc.BuildWarehouse(spec.DB, spec.Views, dwc.Theorem22(), st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// BenchmarkQueryClasses measures the four query shapes of the process
+// benchmark's pool (benchmark/gen.go) on a 100k-row Section-5 star
+// schema, warm: translation and evaluation of a point lookup, a scan, a
+// fact ⋈ dimension lookup and the two-site union, per site where the
+// translation differs (paris is a rename, tokyo a union with C_Order_tokyo).
+// eqall is not in the pool: an equality constant every row satisfies, the
+// adverse shape of a constant probe — it fetches the whole relation through
+// one hash chain where a columnar scan would do.
+func BenchmarkQueryClasses(b *testing.B) {
+	w := section5Warehouse(b, 100_000)
+	for _, c := range []struct{ name, q string }{
+		{"point/paris", "sigma{okey = 4711}(Order_paris)"},
+		{"point/tokyo", "sigma{okey = 4711}(Order_tokyo)"},
+		{"scan/tokyo", "sigma{qty > 49}(Order_tokyo)"},
+		{"join/paris", "sigma{ckey = 17}(Order_paris join Customer)"},
+		{"join/tokyo", "sigma{ckey = 17}(Order_tokyo join Customer)"},
+		{"union", "sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)"},
+		{"eqall/paris", "sigma{loc = 'paris'}(Order_paris)"},
+	} {
+		q := dwc.MustParseExpr(c.q)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N+1; i++ { // iteration 0 warms the index caches
+				if i == 1 {
+					b.ResetTimer()
+				}
+				rows, err := dwc.Answer(context.Background(), w, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows.Len() == 0 {
+					b.Fatalf("%s: empty answer", c.q)
+				}
+			}
+		})
+	}
 }

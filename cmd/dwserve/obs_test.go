@@ -107,6 +107,20 @@ func TestQueryExplainPlan(t *testing.T) {
 		t.Errorf("planText not a tree:\n%s", body.PlanText)
 	}
 
+	// A restricted node says so, with the size of the probe that spared
+	// it a full evaluation — in the tree and in its rendering.
+	body.Plan, body.PlanText = nil, ""
+	if code := getJSON(t, ts.URL+"/query?q="+escape("sigma{clerk = 'Mary'}(Sale)")+"&explain=2", &body); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	leaf := body.Plan[0]
+	for len(leaf.Children) > 0 {
+		leaf = leaf.Children[len(leaf.Children)-1]
+	}
+	if !leaf.Restricted || leaf.ProbeRows != 1 || !strings.Contains(body.PlanText, "⋉probe[1]") {
+		t.Errorf("constant-probe leaf: restricted=%v probeRows=%d, planText:\n%s", leaf.Restricted, leaf.ProbeRows, body.PlanText)
+	}
+
 	// explain=1 keeps the flat stats but no tree.
 	var flat map[string]any
 	getJSON(t, ts.URL+"/query?q="+escape("Sale")+"&explain=1", &flat)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -199,7 +200,8 @@ func (ec *EvalContext) Stats() EvalStats {
 }
 
 // PlanSummary renders the executed plan trees as a compact one-line
-// signature — operator names with emitted cardinalities, children in
+// signature — operator names with emitted cardinalities (and, on
+// restricted nodes, ⋉ and the probe's row count), children in
 // parentheses — bounded to maxLen bytes (0 means 256). It is the form a
 // query's trace span carries: enough to recognize the plan shape from a
 // trace without shipping the full EXPLAIN ANALYZE tree into the span
@@ -239,7 +241,7 @@ func summarizeNode(b *strings.Builder, n *PlanNode, budget int) {
 	}
 	b.WriteString(n.Op)
 	if n.Restricted {
-		b.WriteString("⋉")
+		fmt.Fprintf(b, "⋉%d", n.ProbeRows)
 	}
 	fmt.Fprintf(b, "[emit=%d]", n.Emitted)
 	if len(n.Children) == 0 {
@@ -268,9 +270,10 @@ func (ec *EvalContext) AddWall(d time.Duration) {
 	ec.mu.Unlock()
 }
 
-// newNode allocates a plan node, or nil once the node cap is reached
+// newNode allocates a plan node — restricted, recording the probe's row
+// count, when probe is non-nil — or nil once the node cap is reached
 // (counters still reach the flat totals either way).
-func (ec *EvalContext) newNode(op string, restricted bool) *PlanNode {
+func (ec *EvalContext) newNode(op string, probe *relation.Relation) *PlanNode {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	if ec.planNodes >= maxPlanNodes {
@@ -278,7 +281,11 @@ func (ec *EvalContext) newNode(op string, restricted bool) *PlanNode {
 		return nil
 	}
 	ec.planNodes++
-	return &PlanNode{Op: op, Restricted: restricted}
+	n := &PlanNode{Op: op}
+	if probe != nil {
+		n.Restricted, n.ProbeRows = true, int64(probe.Len())
+	}
+	return n
 }
 
 // addRoot records a finished top-level plan tree, bounded by maxPlanRoots.
@@ -395,7 +402,7 @@ func evalCtxNode(ec *EvalContext, e Expr, st State) (*relation.Relation, *PlanNo
 		return out, nil, err
 	}
 	op := opName(e)
-	n := ec.newNode(op, false)
+	n := ec.newNode(op, nil)
 	start := time.Now()
 	var ops relation.OpStats
 	out, err := evalNode(ec, e, st, &ops, n)
@@ -421,7 +428,17 @@ func evalNode(ec *EvalContext, e Expr, st State, sp *relation.OpStats, pn *PlanN
 	case *Empty:
 		return relation.New(n.Attrs...), nil
 	case *Select:
-		in, err := evalChild(ec, n.Input, st, pn)
+		// The attr = const conjuncts are a one-row probe: the input is
+		// evaluated restricted by it, so a selection that reaches stored
+		// relations probes their indexes instead of scanning them. The
+		// whole condition is re-applied to the (small) restricted value.
+		var in *relation.Relation
+		var err error
+		if probe := constProbe(n.Cond, mustAttrsOf(n.Input, st)); probe != nil {
+			in, err = restrictedChild(ec, n.Input, st, probe, pn)
+		} else {
+			in, err = evalChild(ec, n.Input, st, pn)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -433,18 +450,7 @@ func evalNode(ec *EvalContext, e Expr, st State, sp *relation.OpStats, pn *PlanN
 		}
 		return relation.ProjectStats(in, sp, n.Attrs...), nil
 	case *Join:
-		if len(n.Inputs) == 0 {
-			return nil, fmt.Errorf("algebra: join of zero inputs")
-		}
-		ins := make([]*relation.Relation, len(n.Inputs))
-		for i, in := range n.Inputs {
-			r, err := evalChild(ec, in, st, pn)
-			if err != nil {
-				return nil, err
-			}
-			ins[i] = r
-		}
-		return relation.JoinAllStats(sp, ins...), nil
+		return evalJoin(ec, n.Inputs, st, nil, sp, pn)
 	case *Union:
 		l, r, err := evalBothCtx(ec, n.L, n.R, st, pn)
 		if err != nil {
@@ -495,12 +501,153 @@ func evalBothCtx(ec *EvalContext, l, r Expr, st State, pn *PlanNode) (*relation.
 	return lv, rv, nil
 }
 
+// evalJoin is the one place joins are ordered, for the full and the
+// restricted path alike (probe is nil on the full path and otherwise
+// joins as one more input). Inputs are taken greedily: the one with the
+// fewest stored rows first, then repeatedly the smallest remaining input
+// that shares attributes with the accumulated result, with a Cartesian leg
+// only when nothing shares. Whenever the accumulated result has fewer rows
+// than are stored under the next input, that input is evaluated restricted
+// by π_shared(acc) instead of in full — sideways information passing
+// decided from the cardinalities the evaluation has actually produced, so
+// a union of large stored relations joined with a few selected rows is
+// probed through the leaves' indexes and never materialized. A base leaf
+// is not restricted first: NaturalJoinStats probes its cached index
+// directly, and a semi-join would only copy the matching rows to re-index
+// them. Attribute-set semantics are order-independent, so only the
+// (presentational) column order and the intermediate sizes change.
+func evalJoin(ec *EvalContext, inputs []Expr, st State, probe *relation.Relation, sp *relation.OpStats, pn *PlanNode) (*relation.Relation, error) {
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("algebra: join of zero inputs")
+	}
+	type pending struct {
+		e      Expr
+		attrs  relation.AttrSet
+		stored int
+	}
+	rem := make([]pending, len(inputs))
+	for i, in := range inputs {
+		rem[i] = pending{in, mustAttrsOf(in, st), storedRows(in, st)}
+	}
+	acc, accStored := probe, false
+	for len(rem) > 0 {
+		accAttrs := relation.NewAttrSet()
+		if acc != nil {
+			accAttrs = acc.AttrSet()
+		}
+		pick, pickShares := -1, false
+		for i, p := range rem {
+			sh := !accAttrs.Intersect(p.attrs).IsEmpty()
+			switch {
+			case pick == -1, sh && !pickShares:
+				pick, pickShares = i, sh
+			case sh == pickShares && p.stored < rem[pick].stored:
+				pick = i
+			}
+		}
+		p := rem[pick]
+		rem = append(rem[:pick], rem[pick+1:]...)
+		_, stored := p.e.(*Base)
+		var r *relation.Relation
+		var err error
+		if pickShares && !stored && acc.Len() < p.stored {
+			r, err = restrictedChild(ec, p.e, st, relation.ProjectStats(acc, sp, accAttrs.Intersect(p.attrs).Sorted()...), pn)
+		} else {
+			r, err = evalChild(ec, p.e, st, pn)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if acc == nil {
+			acc, accStored = r, stored
+			continue
+		}
+		var js relation.OpStats
+		acc = relation.NaturalJoinStats(acc, r, &js)
+		if !stored && !accStored {
+			// Neither side outlives this evaluation: the hash table built
+			// on one of them is the join's build phase, not a miss of the
+			// index cache on stored relations.
+			js.IndexBuilds = 0
+		}
+		sp.Add(js)
+		accStored = false
+	}
+	return acc, nil
+}
+
+// storedRows is the number of rows a full evaluation of e has to read:
+// the rows stored under it, not counting what a selection reaches through
+// a constant probe.
+func storedRows(e Expr, st State) int {
+	switch x := e.(type) {
+	case *Base:
+		if r, ok := st.Relation(x.Name); ok {
+			return r.Len()
+		}
+		return 0
+	case *Select:
+		if attrs, _ := constBindings(x.Cond, mustAttrsOf(x.Input, st)); len(attrs) > 0 {
+			return 0 // evaluated through its constant probe
+		}
+	}
+	n := 0
+	for _, c := range children(e) {
+		n += storedRows(c, st)
+	}
+	return n
+}
+
+// constBindings returns the attributes of in that a top-level
+// attr = const conjunct of c fixes, with their constants. An index probe
+// matches by Value.Equal and hash, σ by Value.Compare; the two agree on
+// every pair of values, but only bool, int and string constants are
+// bound: NULL and float constants (whose equality is where the
+// representation subtleties live — NaN, −0, widening) and attr = attr
+// stay with σ alone, which is re-applied in full anyway.
+func constBindings(c Cond, in relation.AttrSet) ([]string, relation.Tuple) {
+	var attrs []string
+	var vals relation.Tuple
+	for _, cj := range Conjuncts(c) {
+		cmp, ok := cj.(*Cmp)
+		if !ok || cmp.Op != OpEq {
+			continue
+		}
+		a, v := cmp.Left, cmp.Right
+		if !a.IsAttr {
+			a, v = v, a
+		}
+		if !a.IsAttr || v.IsAttr || !in.Has(a.Attr) || slices.Contains(attrs, a.Attr) {
+			continue
+		}
+		switch v.Val.Kind() {
+		case relation.KindBool, relation.KindInt, relation.KindString:
+			attrs = append(attrs, a.Attr)
+			vals = append(vals, v.Val)
+		}
+	}
+	return attrs, vals
+}
+
+// constProbe returns constBindings as a one-row probe, or nil when c
+// binds nothing.
+func constProbe(c Cond, in relation.AttrSet) *relation.Relation {
+	attrs, vals := constBindings(c, in)
+	if len(attrs) == 0 {
+		return nil
+	}
+	p := relation.New(attrs...)
+	p.Insert(vals)
+	return p
+}
+
 // EvalRestricted evaluates e under the restricted-value contract of
 // incremental maintenance (see maintain's node.restricted): the result
 // agrees with the full EvalCtx value on every tuple whose projection onto
 // probe's attributes occurs in probe; tuples not matching the probe may or
 // may not appear. Base references become semi-joins against the probe, and
-// the probe is pushed through every operator, so a small probe (a delta)
+// the probe is pushed through every operator, so a small probe — a delta,
+// the constants of a selection, the keys a join has produced so far —
 // touches only matching fractions of the stored relations instead of
 // forcing full reconstructions. The probe's attribute set should be
 // contained in e's; a probe over foreign attributes falls back to the
@@ -529,7 +676,7 @@ func evalRestrictedCtxNode(ec *EvalContext, e Expr, st State, probe *relation.Re
 		return out, nil, err
 	}
 	op := opName(e) + "⋉"
-	n := ec.newNode(opName(e), true)
+	n := ec.newNode(opName(e), probe)
 	start := time.Now()
 	var ops relation.OpStats
 	out, err := evalRestrictedNode(ec, e, st, probe, &ops, n)
@@ -576,26 +723,9 @@ func evalRestrictedNode(ec *EvalContext, e Expr, st State, probe *relation.Relat
 		}
 		return relation.ProjectStats(in, sp, n.Attrs...), nil
 	case *Join:
-		if len(n.Inputs) == 0 {
-			return nil, fmt.Errorf("algebra: join of zero inputs")
-		}
-		probeAttrs := probe.AttrSet()
-		ins := make([]*relation.Relation, len(n.Inputs))
-		for i, in := range n.Inputs {
-			shared := probeAttrs.Intersect(mustAttrsOf(in, st))
-			var r *relation.Relation
-			var err error
-			if shared.IsEmpty() {
-				r, err = evalChild(ec, in, st, pn)
-			} else {
-				r, err = restrictedChild(ec, in, st, relation.ProjectStats(probe, sp, shared.Sorted()...), pn)
-			}
-			if err != nil {
-				return nil, err
-			}
-			ins[i] = r
-		}
-		return relation.JoinAllStats(sp, ins...), nil
+		// The probe is one more join input: E ⋉ probe = E ⋈ probe when
+		// the probe's attributes lie within E's.
+		return evalJoin(ec, n.Inputs, st, probe, sp, pn)
 	case *Union:
 		l, err := restrictedChild(ec, n.L, st, probe, pn)
 		if err != nil {

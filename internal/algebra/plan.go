@@ -22,6 +22,7 @@ import (
 type PlanNode struct {
 	Op          string        `json:"op"`
 	Restricted  bool          `json:"restricted,omitempty"`
+	ProbeRows   int64         `json:"probeRows,omitempty"` // rows of the probe a restricted node was evaluated under
 	Scanned     int64         `json:"scanned"`
 	Probed      int64         `json:"probed"`
 	Emitted     int64         `json:"emitted"`
@@ -58,7 +59,7 @@ func (n *PlanNode) NodeCount() int {
 func (n *PlanNode) line(withTiming bool) string {
 	op := n.Op
 	if n.Restricted {
-		op += " ⋉probe"
+		op += fmt.Sprintf(" ⋉probe[%d]", n.ProbeRows)
 	}
 	s := fmt.Sprintf("%s  rows=%d scanned=%d probed=%d hits=%d builds=%d",
 		op, n.Emitted, n.Scanned, n.Probed, n.IndexHits, n.IndexBuilds)

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"cmp"
 	"strings"
 
 	"dwcomplement/internal/relation"
@@ -339,16 +340,9 @@ func cmpInt(a, b int64) int {
 	}
 }
 
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
+// cmpFloat mirrors Value.Compare on floats: NaN equals NaN and sorts
+// below every number.
+func cmpFloat(a, b float64) int { return cmp.Compare(a, b) }
 
 func cmpBool(a, b bool) int {
 	switch {

@@ -128,8 +128,8 @@ func seedFacts() map[string]*FuncFacts {
 	return map[string]*FuncFacts{
 		// The two invalidation points of the columnar engine: every
 		// mutation path funnels through one of them (relation/index.go).
-		"(*" + rel + ").invalidateDerived": recvMut(),
-		"(*" + rel + ").noteInserted":      recvMut(),
+		"(*" + rel + ").noteDeleted":  recvMut(),
+		"(*" + rel + ").noteInserted": recvMut(),
 		// Public mutators, for runs that see relation only as export data.
 		"(*" + rel + ").Insert":       recvMut(),
 		"(*" + rel + ").InsertValues": recvMut(),

@@ -11,8 +11,11 @@ import (
 // hash — so every probe re-verifies the actual key columns with
 // Value.Equal before treating a row as a match. Indexes are built lazily
 // by the join operators, are cached on the owning relation keyed by the
-// (sorted) attribute set, and are dropped wholesale on any mutation; a
-// handle obtained before a mutation must not be used afterwards.
+// (sorted) attribute set, and follow every mutation in place: an insert
+// appends its row (extend), a delete applies the relation's swap-with-last
+// to the chains (deleteRow) — or drops the index when that would walk a
+// chain longer than maxChainWalk, so a handle must not be kept across a
+// delete. Clone copies them to the new owner.
 type Index struct {
 	owner *Relation
 	attrs []string // indexed attributes, sorted
@@ -20,10 +23,9 @@ type Index struct {
 
 	// The bucket structure is an open-addressed table of chain heads plus
 	// a per-row link array — three flat allocations total, regardless of
-	// how many distinct keys the index holds. A map of bucket slices here
-	// costs one allocation per distinct key, which made the index build
-	// (paid on every refresh, since mutations drop the cache) the single
-	// largest cost of restricted maintenance.
+	// how many distinct keys the index holds (a map of bucket slices costs
+	// one allocation per distinct key). Chains are singly linked: a delete
+	// walks its chain to the row, at most maxChainWalk steps.
 	slots   []int32  // 0 empty, else head row of a hash chain, +1
 	next    []int32  // next[i]: next row with i's key hash, -1 ends the chain
 	keyHash []uint64 // per-row hash of the indexed columns
@@ -170,7 +172,7 @@ func (r *Relation) Index(attrs ...string) (*Index, bool) {
 }
 
 // IndexCount returns the number of cached indexes, for tests asserting
-// the invalidate-on-mutation lifecycle.
+// that mutations carry them.
 func (r *Relation) IndexCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -353,17 +355,92 @@ func (r *Relation) peekIndex(key string) *Index {
 	return r.indexes[key]
 }
 
-// invalidateDerived drops all cached derived structures — hash indexes
-// and column vectors. Called on deletion, which (as everywhere in this
-// package) requires the caller to have exclusive access to the relation.
-// Deletes swap rows around, so row positions baked into an index go
-// stale; insertions only append and go through noteInserted instead.
-func (r *Relation) invalidateDerived() {
-	if r.indexes != nil {
-		r.indexes = nil
+// maxChainWalk bounds what carrying an index may cost a delete. Unlinking a
+// row walks its singly linked chain from the head: a step for a key, ten
+// or twenty for a foreign key, but the whole relation for an index over a
+// constant column. An index on which a delete would walk further than this
+// is dropped instead, and rebuilt by the next operator that asks for it.
+const maxChainWalk = 64
+
+// deleteRow applies the relation's swap-with-last deletion of row i to the
+// index: row i leaves its chain, and the last row — about to be moved into
+// position i — is re-pointed there. Called before the owner truncates. It
+// reports false, leaving the index unusable, when a chain is too long to
+// walk.
+func (ix *Index) deleteRow(i int32) bool {
+	last := int32(len(ix.next) - 1)
+	if !ix.relink(i, ix.next[i]) || (i != last && !ix.relink(last, i)) {
+		return false
 	}
-	r.keyVecs = nil
+	if i != last {
+		ix.next[i] = ix.next[last]
+		ix.keyHash[i] = ix.keyHash[last]
+	}
+	ix.next = ix.next[:last]
+	ix.keyHash = ix.keyHash[:last]
+	if k := len(ix.pos); ix.keyVals != nil {
+		copy(ix.keyVals[int(i)*k:], ix.keyVals[int(last)*k:])
+		ix.keyVals = ix.keyVals[:int(last)*k]
+	}
+	return true
+}
+
+// relink makes whatever points at row i — its chain's slot, or its
+// predecessor in the chain — point at row to instead; to = -1 ends the
+// chain there, which frees the slot when i was its only row. It gives up,
+// reporting false, when the predecessor is more than maxChainWalk rows
+// down the chain.
+func (ix *Index) relink(i, to int32) bool {
+	h := ix.keyHash[i]
+	mask := uint64(len(ix.slots) - 1)
+	s := h & mask
+	for ix.keyHash[ix.slots[s]-1] != h {
+		s = (s + 1) & mask
+	}
+	switch p := ix.slots[s] - 1; {
+	case p != i:
+		for steps := 0; ix.next[p] != i; p = ix.next[p] {
+			if steps++; steps > maxChainWalk {
+				return false
+			}
+		}
+		ix.next[p] = to
+	case to >= 0:
+		ix.slots[s] = to + 1
+	default:
+		// Backward-shift deletion keeps linear probing free of
+		// tombstones: each later entry of the run moves into the hole
+		// unless its home slot lies cyclically after the hole.
+		for j := (s + 1) & mask; ix.slots[j] != 0; j = (j + 1) & mask {
+			if home := ix.keyHash[ix.slots[j]-1] & mask; (j-home)&mask >= (j-s)&mask {
+				ix.slots[s] = ix.slots[j]
+				s = j
+			}
+		}
+		ix.slots[s] = 0
+		ix.keys--
+	}
+	return true
+}
+
+// noteDeleted accounts for Delete's swap-with-last of row i, which is
+// about to be removed from rows: cached indexes and key-hash vectors
+// follow the move instead of being dropped, so the access paths queries
+// and refreshes built survive an update that deletes — all but an index
+// whose chains are too long to walk. The columnar image is still dropped.
+// Like all mutation paths, this requires exclusive access.
+func (r *Relation) noteDeleted(i int32) {
 	r.cols = nil
+	for key, ix := range r.indexes {
+		if !ix.deleteRow(i) {
+			delete(r.indexes, key)
+		}
+	}
+	last := len(r.rows) - 1
+	for _, kv := range r.keyVecs {
+		kv.hashes[i] = kv.hashes[last]
+		kv.hashes = kv.hashes[:last]
+	}
 }
 
 // noteInserted accounts for rows appended at positions [from, len(rows)):
@@ -391,7 +468,7 @@ type OpStats struct {
 	Probed      int64 // hash/index lookups issued
 	Emitted     int64 // tuples produced (before set-semantics dedup)
 	IndexHits   int64 // probes that found at least one matching row
-	IndexBuilds int64 // hash indexes built (index-cache misses)
+	IndexBuilds int64 // hash indexes built and cached on an input (index-cache misses)
 	Batches     int64 // column batches processed by vectorized operators
 }
 

@@ -1,6 +1,10 @@
 package relation
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func indexedPair() (*Relation, *Relation) {
 	l := New("a", "b")
@@ -49,60 +53,144 @@ func TestIndexIsCachedAndAttrOrderCanonical(t *testing.T) {
 	}
 }
 
-func TestIndexLifecycleOnMutation(t *testing.T) {
-	l, r := indexedPair()
-	join := NaturalJoin(l, r) // builds and caches an index on one side
-	if join.Len() != 3 {
-		t.Fatalf("join = %v", join)
+// TestIndexesFollowMutations is the carried-index property: after any
+// sequence of inserts and deletes, every index and key-hash vector cached
+// before or during the sequence answers exactly like one built from
+// scratch on the final rows, and none is dropped along the way. Small
+// value domains make chains long and hash slots shared, so unlinking,
+// re-pointing the swapped-in last row and backward-shift slot deletion are
+// all exercised; a join re-run after every batch of mutations would miss
+// or duplicate tuples on a stale chain.
+func TestIndexesFollowMutations(t *testing.T) {
+	attrSets := [][]string{{"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}}
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		domain := 3 + rng.Intn(12)
+		row := func() Tuple {
+			vals := []Value{Int(int64(rng.Intn(domain))), String_(fmt.Sprint("s", rng.Intn(domain))), Null()}
+			if rng.Intn(3) > 0 {
+				vals[2] = Float(float64(rng.Intn(domain)) / 2)
+			}
+			return Tuple(vals)
+		}
+		r := New("a", "b", "c")
+		for i := 0; i < 40; i++ {
+			r.Insert(row())
+		}
+		probe := New("b", "d")
+		for i := 0; i < domain; i++ {
+			probe.InsertValues(String_(fmt.Sprint("s", i)), Int(int64(i)))
+		}
+		for step := 0; step < 300; step++ {
+			switch {
+			case step%50 == 0: // build access paths at different points of the history
+				as := attrSets[(step/50)%len(attrSets)]
+				r.Index(as...)
+				r.indexFor([]string{"c"}, "c", r.Len()) // hinted: carries a keyVals arena
+				NaturalJoin(probe, r)                   // caches an index on b and a key-hash vector
+				SemiJoin(r, Project(probe, "b"))
+			case rng.Intn(2) == 0 && r.Len() > 0:
+				if !r.Delete(r.rows[rng.Intn(r.Len())].Clone()) {
+					t.Fatal("Delete of a present row failed")
+				}
+			default:
+				r.Insert(row())
+			}
+			if step%10 != 0 {
+				continue
+			}
+			before := r.IndexCount()
+			fresh := New("a", "b", "c")
+			for _, tu := range r.rows {
+				fresh.Insert(tu)
+			}
+			for key, ix := range r.indexes {
+				want, _ := fresh.Index(ix.attrs...)
+				if ix.Keys() != want.Keys() || ix.Unique() != want.Unique() {
+					t.Fatalf("seed %d step %d index %q: keys=%d unique=%v, fresh build has keys=%d unique=%v",
+						seed, step, key, ix.Keys(), ix.Unique(), want.Keys(), want.Unique())
+				}
+				_, _, dup := ix.dupPair()
+				if _, _, wdup := want.dupPair(); dup != wdup {
+					t.Fatalf("seed %d step %d index %q: dupPair=%v, fresh build says %v", seed, step, key, dup, wdup)
+				}
+				for _, tu := range append(append([]Tuple(nil), r.rows...), row(), row()) {
+					vals := make([]Value, len(ix.pos))
+					for i, p := range ix.pos {
+						vals[i] = tu[p]
+					}
+					got, exp := New("a", "b", "c"), New("a", "b", "c")
+					for _, hit := range ix.Lookup(vals...) {
+						if !got.Insert(hit) {
+							t.Fatalf("seed %d step %d index %q: Lookup(%v) returned %v twice", seed, step, key, vals, hit)
+						}
+					}
+					for _, hit := range want.Lookup(vals...) {
+						exp.Insert(hit)
+					}
+					if !got.Equal(exp) {
+						t.Fatalf("seed %d step %d index %q: Lookup(%v) = %v, fresh build gives %v", seed, step, key, vals, got, exp)
+					}
+				}
+			}
+			for key, kv := range r.keyVecs {
+				if len(kv.hashes) != r.Len() {
+					t.Fatalf("seed %d step %d keyVec %q: %d hashes for %d rows", seed, step, key, len(kv.hashes), r.Len())
+				}
+				for i, tu := range r.rows {
+					if kv.hashes[i] != hashCols(tu, kv.pos) {
+						t.Fatalf("seed %d step %d keyVec %q: stale hash at row %d", seed, step, key, i)
+					}
+				}
+			}
+			if got, want := NaturalJoin(probe, r), NaturalJoin(probe, fresh); !got.Equal(want) {
+				t.Fatalf("seed %d step %d: join through carried indexes has %d tuples, fresh relation gives %d", seed, step, got.Len(), want.Len())
+			}
+			if n := r.IndexCount(); n < before {
+				t.Fatalf("seed %d step %d: IndexCount dropped from %d to %d", seed, step, before, n)
+			}
+		}
+		if r.IndexCount() < len(attrSets)+1 || r.indexes["c"].keyVals == nil {
+			t.Fatalf("seed %d: %d indexes survived, want at least %d, one with a keyVals arena", seed, r.IndexCount(), len(attrSets)+1)
+		}
 	}
-	if r.IndexCount()+l.IndexCount() == 0 {
-		t.Fatal("no index cached by NaturalJoin")
-	}
+}
 
-	// Insert: the cached index is extended in place (not dropped), and a
-	// re-run of the join must see the new tuple — a stale index would
-	// miss it.
-	rIndexes, lIndexes := r.IndexCount(), l.IndexCount()
-	r.InsertValues(String_("w"), Int(40))
-	if n := r.IndexCount(); n != rIndexes {
-		t.Errorf("IndexCount after Insert = %d, want %d (kept)", n, rIndexes)
+// TestLongChainIndexIsDroppedOnDelete: carrying an index costs a delete at
+// most maxChainWalk chain steps. An index over a constant column survives
+// deletes at the head of its one chain (the newest rows) and is dropped,
+// not walked, by a delete deep inside it; the next operator rebuilds it.
+func TestLongChainIndexIsDroppedOnDelete(t *testing.T) {
+	r := New("k", "loc")
+	for i := 0; i < 4*maxChainWalk; i++ {
+		r.InsertValues(Int(int64(i)), String_("paris"))
 	}
-	l.InsertValues(Int(4), String_("w"))
-	if n := l.IndexCount(); n != lIndexes {
-		t.Errorf("IndexCount on l after Insert = %d, want %d (kept)", n, lIndexes)
+	r.Index("k")
+	r.Index("loc")
+	newest := r.rows[r.Len()-1].Clone()
+	if r.Delete(newest); r.IndexCount() != 2 {
+		t.Fatalf("deleting the chain's head row dropped an index: %d left", r.IndexCount())
 	}
-	join = NaturalJoin(l, r)
-	want := New("a", "b", "c")
-	want.InsertValues(Int(1), String_("x"), Int(10))
-	want.InsertValues(Int(2), String_("y"), Int(20))
-	want.InsertValues(Int(3), String_("x"), Int(10))
-	want.InsertValues(Int(4), String_("w"), Int(40))
-	if !join.Equal(want) {
-		t.Errorf("join after insert = %v, want %v", join, want)
+	if r.Delete(Tuple{Int(0), String_("paris")}); r.IndexCount() != 1 {
+		t.Fatalf("IndexCount = %d after a delete %d rows down a chain, want the loc index dropped", r.IndexCount(), r.Len())
 	}
+	if ix, _ := r.Index("k"); len(ix.Lookup(Int(0))) != 0 || len(ix.Lookup(Int(1))) != 1 {
+		t.Error("the key index did not follow the delete")
+	}
+	if ix, _ := r.Index("loc"); len(ix.Lookup(String_("paris"))) != r.Len() || ix.Keys() != 1 {
+		t.Errorf("rebuilt loc index finds %d of %d rows", len(ix.Lookup(String_("paris"))), r.Len())
+	}
+}
 
-	// Delete likewise: the dropped tuple must disappear from the result.
-	r.Index("b")
-	if n := r.IndexCount(); n != 1 {
-		t.Fatalf("IndexCount after rebuild = %d, want 1", n)
-	}
-	if !r.Delete(Tuple{String_("x"), Int(10)}) {
-		t.Fatal("Delete failed")
-	}
-	if n := r.IndexCount(); n != 0 {
-		t.Errorf("IndexCount after Delete = %d, want 0", n)
-	}
-	join = NaturalJoin(l, r)
-	if join.Len() != 2 {
-		t.Errorf("join after delete = %v, want 2 tuples", join)
-	}
-
-	// A failed mutation (duplicate insert, missing delete) keeps the cache.
-	r.Index("b")
-	r.InsertValues(String_("w"), Int(40)) // duplicate, no-op
-	r.Delete(Tuple{String_("q"), Int(0)}) // absent, no-op
-	if n := r.IndexCount(); n != 1 {
-		t.Errorf("IndexCount after no-op mutations = %d, want 1", n)
+// TestNoOpMutationsKeepIndexes: a duplicate insert and a delete of an
+// absent tuple touch nothing.
+func TestNoOpMutationsKeepIndexes(t *testing.T) {
+	_, r := indexedPair()
+	ix, _ := r.Index("b")
+	r.InsertValues(String_("x"), Int(10)) // duplicate
+	r.Delete(Tuple{String_("q"), Int(0)}) // absent
+	if again, _ := r.Index("b"); again != ix || r.IndexCount() != 1 || ix.Keys() != 3 {
+		t.Errorf("no-op mutations disturbed the index: count=%d keys=%d", r.IndexCount(), ix.Keys())
 	}
 }
 

@@ -157,14 +157,18 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	// Output tuples are carved out of shared arena chunks, one allocation
 	// per BatchSize rows instead of one per row — the per-row make() was
 	// the join's largest GC cost. Tuples are immutable by package
-	// contract, so aliasing a common backing array is safe.
+	// contract, so aliasing a common backing array is safe. Chunks
+	// start at the smaller input's size and double up to BatchSize rows:
+	// zeroing a full chunk was most of the cost of a join that emits a
+	// dozen rows.
 	width := len(outAttrs)
 	var arena []Value
 	used := 0
+	chunk := max(1, min(l.Len(), r.Len(), BatchSize))
 	emit := func(out *Relation, lt, rt Tuple, h uint64) {
 		if used+width > len(arena) {
-			arena = make([]Value, BatchSize*width)
-			used = 0
+			arena = make([]Value, chunk*width)
+			used, chunk = 0, min(2*chunk, BatchSize)
 		}
 		jt := Tuple(arena[used : used : used+width])
 		used += width
@@ -197,9 +201,9 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 
 	// Pick the build side: an already-cached index wins outright;
 	// otherwise index the larger side so the scan runs over the smaller.
-	// Restricted maintenance joins the same stored relation several times
-	// per refresh, so the build amortizes within a single refresh even
-	// though mutations drop it between updates.
+	// On a stored relation the index is cached and follows its mutations,
+	// so queries and refreshes find it again; on a transient operator
+	// result it is the hash join's build phase and dies with it.
 	key := indexKey(shared)
 	build, probe := r, l
 	switch {
@@ -250,52 +254,6 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	s.probes(probed, hits)
 	s.emitted(out.Len())
 	return out
-}
-
-// JoinAll natural-joins all inputs; with no inputs it panics (the algebra
-// layer never produces empty joins).
-func JoinAll(rels ...*Relation) *Relation {
-	return JoinAllStats(nil, rels...)
-}
-
-// JoinAllStats is JoinAll with operator counters. It orders the joins
-// greedily: start from the smallest input and repeatedly join the
-// smallest remaining relation that shares attributes with the
-// accumulated result, falling back to a Cartesian leg only when nothing
-// shares. Attribute-set semantics are order-independent, so only the
-// (presentational) column order and the intermediate sizes change.
-func JoinAllStats(s *OpStats, rels ...*Relation) *Relation {
-	if len(rels) == 0 {
-		panic("relation: JoinAll of zero relations")
-	}
-	if len(rels) == 1 {
-		return rels[0]
-	}
-	rem := append([]*Relation(nil), rels...)
-	first := 0
-	for i, r := range rem {
-		if r.Len() < rem[first].Len() {
-			first = i
-		}
-	}
-	acc := rem[first]
-	rem = append(rem[:first], rem[first+1:]...)
-	for len(rem) > 0 {
-		accAttrs := acc.AttrSet()
-		pick, pickShares := -1, false
-		for i, r := range rem {
-			sh := !accAttrs.Intersect(r.AttrSet()).IsEmpty()
-			switch {
-			case pick == -1, sh && !pickShares:
-				pick, pickShares = i, sh
-			case sh == pickShares && r.Len() < rem[pick].Len():
-				pick = i
-			}
-		}
-		acc = NaturalJoinStats(acc, rem[pick], s)
-		rem = append(rem[:pick], rem[pick+1:]...)
-	}
-	return acc
 }
 
 // ExtensionJoin returns l ⋈ r where the shared attributes contain a key of

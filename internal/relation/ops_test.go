@@ -108,18 +108,6 @@ func TestNaturalJoinSameSchema(t *testing.T) {
 	}
 }
 
-func TestJoinAll(t *testing.T) {
-	r := mkRel(t, []string{"x", "y"}, []Value{Int(1), Int(2)})
-	s := mkRel(t, []string{"y", "z"}, []Value{Int(2), Int(3)})
-	u := mkRel(t, []string{"z"}, []Value{Int(3)})
-	j := JoinAll(r, s, u)
-	want := mkRel(t, []string{"x", "y", "z"}, []Value{Int(1), Int(2), Int(3)})
-	if !j.Equal(want) {
-		t.Errorf("JoinAll = %v", j)
-	}
-	assertPanics(t, func() { JoinAll() }, "JoinAll of nothing")
-}
-
 func TestExtensionJoin(t *testing.T) {
 	sale, emp := saleEmp(t)
 	got, err := ExtensionJoin(sale, emp, NewAttrSet("clerk"))

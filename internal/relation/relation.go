@@ -71,7 +71,8 @@ func hashCols(t Tuple, pos []int) uint64 {
 // Concurrency: any number of goroutines may read a relation (including
 // building cached indexes and column vectors, which is internally
 // synchronized), but mutation requires exclusive access, as it always has
-// in this package. Mutating drops all cached indexes and columns.
+// in this package. Mutating drops the cached columnar image; cached
+// indexes and key-hash vectors are updated in place.
 type Relation struct {
 	attrs  []string
 	pos    map[string]int
@@ -384,6 +385,7 @@ func (r *Relation) Delete(t Tuple) bool {
 		return false
 	}
 	r.tombstoneSlot(h, i)
+	r.noteDeleted(i)
 	last := int32(len(r.rows) - 1)
 	if i != last {
 		r.rows[i] = r.rows[last]
@@ -395,7 +397,6 @@ func (r *Relation) Delete(t Tuple) bool {
 	if r.dead*3 > len(r.slots) {
 		r.rebuildTable(2 * len(r.rows)) // shed tombstone buildup
 	}
-	r.invalidateDerived()
 	return true
 }
 

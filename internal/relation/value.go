@@ -12,6 +12,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -177,15 +178,10 @@ func (v Value) Compare(o Value) (int, bool) {
 				return 0, true
 			}
 		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
+		// cmp.Compare orders NaN below every number and equal to itself,
+		// so Compare == 0 exactly where Equal holds; a plain </> switch
+		// would call NaN equal to everything.
+		return cmp.Compare(v.AsFloat(), o.AsFloat()), true
 	}
 	if v.kind != o.kind {
 		return 0, false

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,10 @@ func TestValueCompare(t *testing.T) {
 		{"int gt", Int(3), Int(2), 1, true},
 		{"int float eq", Int(2), Float(2.0), 0, true},
 		{"float int lt", Float(1.5), Int(2), -1, true},
+		{"nan nan", Float(math.NaN()), Float(math.NaN()), 0, true},
+		{"nan below int", Float(math.NaN()), Int(5), -1, true},
+		{"float above nan", Float(-1), Float(math.NaN()), 1, true},
+		{"negative zero", Float(math.Copysign(0, -1)), Int(0), 0, true},
 		{"string", String_("a"), String_("b"), -1, true},
 		{"string eq", String_("a"), String_("a"), 0, true},
 		{"bool", Bool(false), Bool(true), -1, true},
@@ -89,6 +94,25 @@ func TestValueCompare(t *testing.T) {
 				t.Errorf("Compare(%v,%v) = (%d,%v), want (%d,%v)", tt.a, tt.b, got, ok, tt.want, tt.wantOK)
 			}
 		})
+	}
+}
+
+// TestCompareZeroIffEqual: σ's equality (Compare == 0) and the hash
+// paths' equality (Equal) are one relation, so an index probe and a
+// selection can stand in for each other.
+func TestCompareZeroIffEqual(t *testing.T) {
+	vals := []Value{Null(), Bool(false), Bool(true), Int(0), Int(2), Int(1<<53 + 1), Float(0), Float(math.Copysign(0, -1)),
+		Float(2), Float(2.5), Float(1 << 53), Float(math.NaN()), Float(math.Inf(1)), String_(""), String_("2")}
+	for _, a := range vals {
+		for _, b := range vals {
+			c, ok := a.Compare(b)
+			if eq := ok && c == 0; eq != a.Equal(b) {
+				t.Errorf("Compare(%v,%v) = (%d,%v) but Equal = %v", a, b, c, ok, a.Equal(b))
+			}
+			if a.Equal(b) && a.hash64() != b.hash64() {
+				t.Errorf("%v equals %v but they hash apart", a, b)
+			}
+		}
 	}
 }
 
