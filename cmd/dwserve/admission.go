@@ -22,7 +22,7 @@ import (
 )
 
 // deliveryWeight is the admission weight of one warehouse refresh
-// (HTTP update or remote report): a refresh holds the write lock and
+// (HTTP update or remote report): a refresh holds the writer lock and
 // touches every affected view, so it counts as more than a point read.
 const deliveryWeight = 2
 
@@ -137,10 +137,12 @@ func (s *server) queryContext(req *http.Request) (context.Context, context.Cance
 const answerCacheSize = 256
 
 // cachedAnswer is one stored query answer: the full response body of a
-// fresh, explain-free 200, plus when it was computed.
+// fresh, explain-free 200, plus when and from which version (its
+// X-DW-Version stamp) it was computed.
 type cachedAnswer struct {
-	body map[string]any
-	at   time.Time
+	body    map[string]any
+	at      time.Time
+	version string
 }
 
 // answerCache is the bounded stale-answer store behind the ladder's
@@ -158,7 +160,7 @@ func newAnswerCache(max int) *answerCache {
 
 // put stores the answer for a query string, evicting the oldest entry
 // past capacity.
-func (c *answerCache) put(key string, body map[string]any) {
+func (c *answerCache) put(key string, body map[string]any, version string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[key]; !exists {
@@ -169,39 +171,37 @@ func (c *answerCache) put(key string, body map[string]any) {
 		}
 		c.order = append(c.order, key)
 	}
-	c.entries[key] = cachedAnswer{body: body, at: time.Now()}
+	c.entries[key] = cachedAnswer{body: body, at: time.Now(), version: version}
 }
 
-// get returns the stored answer and its age.
-func (c *answerCache) get(key string) (map[string]any, time.Duration, bool) {
+// get returns the stored answer.
+func (c *answerCache) get(key string) (cachedAnswer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok {
-		return nil, 0, false
-	}
-	return e.body, time.Since(e.at), true
+	return e, ok
 }
 
 // serveCached answers a query from the stale-answer cache, marking the
-// response with X-DW-Staleness: cache=<seconds>. Reports whether a
-// cached answer was served.
+// response with X-DW-Staleness: cache=<seconds> and the X-DW-Version the
+// answer was cached at. Reports whether a cached answer was served.
 func (s *server) serveCached(w http.ResponseWriter, req *http.Request) bool {
 	src := req.URL.Query().Get("q")
 	if src == "" {
 		return false
 	}
-	body, age, ok := s.qcache.get(src)
+	e, ok := s.qcache.get(src)
 	if !ok {
 		return false
 	}
 	s.reg.Counter("dw_stale_answers_total",
 		"Queries answered from the stale-answer cache under degradation.", nil).Inc()
-	hdr := "cache=" + strconv.FormatFloat(age.Seconds(), 'f', 3, 64)
-	if rest := s.stalenessHeader(); rest != "" {
+	hdr := "cache=" + strconv.FormatFloat(time.Since(e.at).Seconds(), 'f', 3, 64)
+	if rest := s.stalenessHeader(s.cur.Load()); rest != "" {
 		hdr += ", " + rest
 	}
 	w.Header().Set("X-DW-Staleness", hdr)
-	writeJSON(w, http.StatusOK, body)
+	w.Header().Set("X-DW-Version", e.version)
+	writeJSON(w, http.StatusOK, e.body)
 	return true
 }

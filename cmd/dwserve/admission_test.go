@@ -186,10 +186,8 @@ func TestReportDeliveryNeverSheds(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("applyRemote never completed after release")
 	}
-	srv.mu.RLock()
-	defer srv.mu.RUnlock()
-	if srv.remoteSeq["sales"] != 1 || srv.refreshes != 1 {
-		t.Fatalf("report not applied: seq=%d refreshes=%d", srv.remoteSeq["sales"], srv.refreshes)
+	if v := srv.cur.Load(); v.marks["sales"] != 1 || v.refreshes != 1 {
+		t.Fatalf("report not applied: seq=%d refreshes=%d", v.marks["sales"], v.refreshes)
 	}
 }
 
@@ -278,7 +276,9 @@ func TestDegradationLadder(t *testing.T) {
 	}
 
 	// Rung 2: stale. Stale-tolerant queries get the cached answer with
-	// X-DW-Staleness; fresh queries still evaluate.
+	// X-DW-Staleness and the version it was cached at — 0/0, though the
+	// warehouse has moved on to 0/1; fresh queries still evaluate.
+	postUpdate(t, ts.URL, "insert Sale('Radio', 'Paula')")
 	climb(false)
 	if got := srv.adm.Level(); got != admission.LevelStale {
 		t.Fatalf("level = %v, want stale", got)
@@ -293,6 +293,9 @@ func TestDegradationLadder(t *testing.T) {
 	}
 	if hdr := sresp.Header.Get("X-DW-Staleness"); !strings.Contains(hdr, "cache=") {
 		t.Fatalf("X-DW-Staleness = %q, want cache=<age>", hdr)
+	}
+	if got := sresp.Header.Get("X-DW-Version"); got != "0/0" {
+		t.Fatalf("cached answer stamped X-DW-Version %q, want the version it was cached at, 0/0", got)
 	}
 
 	// Rung 3: shed-queries, reached only through sustained stalls.

@@ -9,7 +9,6 @@ import (
 	"dwcomplement/internal/chaos"
 	"dwcomplement/internal/journal"
 	"dwcomplement/internal/obs"
-	"dwcomplement/internal/relation"
 	"dwcomplement/internal/replica"
 	"dwcomplement/internal/snapshot"
 	"dwcomplement/internal/trace"
@@ -20,9 +19,10 @@ import (
 // stream — goes through commitLocked, which journals it, advances the
 // watermarks, records the refresh in every telemetry series and, every
 // CheckpointEvery acks, starts a checkpoint. The checkpoint does not run
-// on the commit path: under s.mu only a cut is taken (O(#relations)), and
-// a goroutine writes the snapshot from it with no server lock held, then
-// compacts the journal to the records appended since the cut.
+// on the commit path: under s.mu only the published version and the
+// journal offset it stands at are noted, and a goroutine writes the
+// snapshot from that version with no server lock held, then compacts the
+// journal to the records appended since.
 
 // backlogFactor bounds the journal: a commit that finds this many times
 // CheckpointEvery un-checkpointed records while a checkpoint is still in
@@ -30,57 +30,36 @@ import (
 // the one warehouse version the checkpointer pins.
 const backlogFactor = 8
 
-// cut is an immutable version of the warehouse and the marks it stands
-// at. Install replaces entries of the live relation map and an installed
-// relation is never mutated again, so a shallow copy of the map pins the
-// version: it can be encoded while commits go on.
-type cut struct {
-	state map[string]*relation.Relation
-	marks map[string]uint64 // source watermarks plus the "~" replication coordinates
-	epoch uint64
-	lsn   uint64
+// snapshotMarks is what a snapshot of v records beside the state: the
+// source watermarks, with the replication coordinates under their reserved
+// "~" keys — so a checkpoint pins the epoch and LSN it stands at, the
+// durability promote relies on for fencing.
+func (v *version) snapshotMarks() map[string]uint64 {
+	return replica.WithMetaMarks(v.marks, v.epoch, v.lsn)
 }
 
-// cutLocked cuts the current version. Caller holds s.mu (read or write).
-func (s *server) cutLocked() cut {
-	live := s.w.State()
-	state := make(map[string]*relation.Relation, len(live))
-	for name, r := range live {
-		state[name] = r
-	}
-	marks := map[string]uint64{httpSource: s.seq}
-	for src, seq := range s.remoteSeq {
-		marks[src] = seq
-	}
-	// The replication coordinates ride the marks map under reserved "~"
-	// keys, so a checkpoint pins the epoch and LSN it was cut at — the
-	// durability promote relies on for fencing.
-	return cut{state: state, marks: replica.WithMetaMarks(marks, s.epoch, s.lsn), epoch: s.epoch, lsn: s.lsn}
-}
-
-// checkpoint is one checkpoint from cut to compaction.
+// checkpoint is one checkpoint of a version, from encode to compaction.
 type checkpoint struct {
-	cut
+	*version
 	jw         *journal.Writer
-	journalEnd int64 // journal offset at the cut: everything before it is covered
-	acks       int   // acks the cut covers since the previous one
-	records    int   // journal records before journalEnd
+	journalEnd int64 // journal offset at the version: everything before it is covered
+	acks       int   // acks the version covers since the previous checkpoint
 	dur        time.Duration
 }
 
-// lockBacklogBelow takes s.mu for writing once no checkpoint is in
-// flight or fewer than limit journal records await one. A limit of 0
-// therefore waits for any checkpoint in flight: since one only starts
-// under s.mu, none runs while the caller holds the lock.
+// lockBacklogBelow takes s.mu once no checkpoint is in flight or fewer
+// than limit journal records await one. A limit of 0 therefore waits for
+// any checkpoint in flight: since one only starts under s.mu, none runs
+// while the caller holds the lock.
 func (s *server) lockBacklogBelow(limit int) {
 	for {
 		s.mu.Lock()
-		done := s.ckptDone
-		if done == nil || s.journalRecs < limit {
+		v := s.cur.Load()
+		if v.ckptDone == nil || v.journalRecs < limit {
 			return
 		}
 		s.mu.Unlock()
-		<-done
+		<-v.ckptDone
 	}
 }
 
@@ -92,10 +71,9 @@ func (s *server) backlogCap() int { return backlogFactor * s.cfg.CheckpointEvery
 // journal has run backlogCap records ahead of.
 func (s *server) lockCommit() { s.lockBacklogBelow(s.backlogCap()) }
 
-// backloggedLocked reports whether lockCommit would wait. Caller holds
-// s.mu.
-func (s *server) backloggedLocked() bool {
-	return s.ckptDone != nil && s.journalRecs >= s.backlogCap()
+// backlogged reports whether lockCommit would wait at v.
+func (s *server) backlogged(v *version) bool {
+	return v.ckptDone != nil && v.journalRecs >= s.backlogCap()
 }
 
 // drainCheckpoint returns once no checkpoint is in flight.
@@ -104,43 +82,60 @@ func (s *server) drainCheckpoint() {
 	s.mu.Unlock()
 }
 
-// commitLocked makes one refreshed update durable and accounted for:
-// journal at commit, watermarks and replication coordinates, the
-// replication log, every refresh series, and the checkpoint trigger. rec
-// carries the coordinates the update commits at — the next LSN under the
-// current epoch on a leader, the leader's own on a follower. emitted is
-// the source's emission time in unix nanos, 0 when the update has none.
-// Caller holds s.mu and has run the refresh.
+// commitLocked makes one refreshed update durable, visible and accounted
+// for: journal at commit, then the next version — the refreshed state,
+// watermarks, replication coordinates and refresh aggregates — published
+// in one step, the replication log, every refresh series, and the
+// checkpoint trigger. Publishing comes after the append, so no reader
+// ever sees a state the journal does not hold; until then readers keep
+// answering from the previous version, which the refresh did not touch.
+// rec carries the coordinates the update commits at — the next LSN under
+// the current epoch on a leader, the leader's own on a follower. emitted
+// is the source's emission time in unix nanos, 0 when the update has
+// none. Caller holds s.mu and has run the refresh.
 //
 // The only error is a failed journal append of an update nobody can send
-// again (the leader's own HTTP API): nothing has been advanced then, and
-// the caller must fail the ack. Reports and stream records are
-// re-fetchable — after a crash the client rewinds to the checkpointed
-// watermark and the sender's retained log refills the hole — so there a
-// failed append only degrades.
+// again (the leader's own HTTP API): the writer's warehouse is put back
+// to the published state, nothing has been advanced, and the caller must
+// fail the ack. Reports and stream records are re-fetchable — after a
+// crash the client rewinds to the checkpointed watermark and the sender's
+// retained log refills the hole — so there a failed append only degrades.
 func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc.RefreshStats, emitted int64) error {
+	prev := s.cur.Load()
 	journaled := true
 	if s.jw != nil {
 		if err := s.jw.AppendContext(ctx, rec); err != nil {
 			s.degraded.Store(true)
-			if s.role == roleLeader && rec.Source == httpSource {
+			if prev.role == roleLeader && rec.Source == httpSource {
+				s.w.LoadState(prev.w.State())
 				return err
 			}
 			journaled = false
 			s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", err)
-		} else {
-			s.journalRecs++
 		}
 	}
-	if rec.Source == httpSource {
-		s.seq = rec.Seq
-	} else {
-		s.remoteSeq[rec.Source] = rec.Seq
-	}
-	s.lsn = rec.LSN
-	s.refreshes++
+	s.publish(func(v *version) {
+		v.w = s.w.Pin()
+		v.marks = withEntry(v.marks, rec.Source, rec.Seq)
+		v.lsn = rec.LSN
+		if s.jw != nil && journaled {
+			v.journalRecs++
+		}
+		v.refreshes++
+		v.refreshWall += stats.Wall
+		if stats.Eval != nil {
+			v.refreshStats.Add(*stats.Eval)
+		}
+		v.lastRefresh = refreshSummary{
+			Spans:               stats.Spans,
+			Changed:             stats.Changed,
+			RestrictedLookups:   stats.RestrictedLookups,
+			FullReconstructions: stats.FullReconstructions,
+			WallNs:              stats.Wall.Nanoseconds(),
+		}
+	})
 	s.sinceCkpt++
-	if s.role == roleLeader {
+	if prev.role == roleLeader {
 		if err := s.rlog.Append(rec); err != nil {
 			// LSNs are assigned under mu, so this cannot misalign; log rather
 			// than fail the acknowledged update.
@@ -149,7 +144,7 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 	}
 
 	// Refresh lag: report emitted at the source → delta visible in the
-	// views (which it now is; mu serializes readers). The histogram sample
+	// views (which it is since the publish above). The histogram sample
 	// carries the trace ID as an exemplar, so a slow bucket links straight
 	// to a full lineage trace.
 	lag := time.Duration(-1)
@@ -174,19 +169,6 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 				obs.Labels{"relation": name}).Add(int64(n))
 		}
 	}
-	s.statsMu.Lock()
-	s.refreshWall += stats.Wall
-	if stats.Eval != nil {
-		s.refreshStats.Add(*stats.Eval)
-	}
-	s.lastRefresh = refreshSummary{
-		Spans:               stats.Spans,
-		Changed:             stats.Changed,
-		RestrictedLookups:   stats.RestrictedLookups,
-		FullReconstructions: stats.FullReconstructions,
-		WallNs:              stats.Wall.Nanoseconds(),
-	}
-	s.statsMu.Unlock()
 
 	s.maybeCheckpointLocked()
 	// A failed checkpoint keeps the server degraded until one succeeds;
@@ -199,44 +181,45 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 	return nil
 }
 
-// maybeCheckpointLocked starts a background checkpoint when
-// CheckpointEvery acks have accumulated since the last cut. One runs at
-// a time: while it does the trigger is skipped, and fires on the first
-// ack after it has finished. Caller holds s.mu.
+// maybeCheckpointLocked starts a background checkpoint of the published
+// version when CheckpointEvery acks have accumulated since the last. One
+// runs at a time: while it does the trigger is skipped, and fires on the
+// first ack after it has finished. Caller holds s.mu.
 func (s *server) maybeCheckpointLocked() {
 	if s.cfg.SnapshotDir == "" || s.sinceCkpt < s.cfg.CheckpointEvery {
 		return
 	}
-	if s.ckptDone != nil {
+	v := s.cur.Load()
+	if v.ckptDone != nil {
 		s.countCheckpoint("skipped_inflight")
 		return
 	}
-	ck, err := s.newCheckpointLocked()
+	ck, err := s.newCheckpointLocked(v)
 	if err != nil {
 		s.finishCheckpointLocked(ck, err)
 		return
 	}
 	done := make(chan struct{})
-	s.ckptDone = done
+	s.publish(func(v *version) { v.ckptDone = done })
 	go func() {
 		err := s.persist(ck)
 		s.mu.Lock()
-		s.ckptDone = nil
 		s.finishCheckpointLocked(ck, err)
 		s.mu.Unlock()
 		close(done)
 	}()
 }
 
-// checkpointLocked checkpoints synchronously, for the callers that need
-// the state durable before they return: shutdown, promotion, a follower's
-// bootstrap. The journal is left empty. Caller holds s.mu, taken with
+// checkpointLocked checkpoints v synchronously, for the callers that need
+// it durable before they return: shutdown, a follower's bootstrap, and
+// promotion — which checkpoints the version it is about to publish. The
+// journal is left empty. Caller holds s.mu, taken with
 // lockBacklogBelow(0) so that no background checkpoint is in flight.
-func (s *server) checkpointLocked() error {
+func (s *server) checkpointLocked(v *version) error {
 	if s.cfg.SnapshotDir == "" {
 		return nil
 	}
-	ck, err := s.newCheckpointLocked()
+	ck, err := s.newCheckpointLocked(v)
 	if err == nil {
 		err = s.persist(ck)
 	}
@@ -244,15 +227,11 @@ func (s *server) checkpointLocked() error {
 	return err
 }
 
-// newCheckpointLocked cuts the version a checkpoint will persist and
-// notes where the journal stands. Caller holds s.mu.
-func (s *server) newCheckpointLocked() (*checkpoint, error) {
-	ck := &checkpoint{
-		cut:     s.cutLocked(),
-		jw:      s.jw,
-		acks:    s.sinceCkpt,
-		records: s.journalRecs,
-	}
+// newCheckpointLocked notes where the journal stands at v, the version
+// the checkpoint will persist: every record in it is covered by v. Caller
+// holds s.mu.
+func (s *server) newCheckpointLocked(v *version) (*checkpoint, error) {
+	ck := &checkpoint{version: v, jw: s.jw, acks: s.sinceCkpt}
 	s.sinceCkpt = 0
 	if ck.jw != nil {
 		end, err := ck.jw.Offset()
@@ -264,9 +243,9 @@ func (s *server) newCheckpointLocked() (*checkpoint, error) {
 	return ck, nil
 }
 
-// persist writes the cut's snapshot (temp file → fsync → rename) and the
-// maintenance EWMAs, then compacts the journal to the records appended
-// after the cut. It takes no server lock. A crash at any point leaves the
+// persist writes the version's snapshot (temp file → fsync → rename) and
+// the maintenance EWMAs, then compacts the journal to the records appended
+// after it. It takes no server lock. A crash at any point leaves the
 // old snapshot with the full journal, the new snapshot with the full
 // journal, or the new snapshot with the suffix; replay skips records at
 // or below the snapshot's marks, so each recovers to exactly the
@@ -282,8 +261,8 @@ func (s *server) persist(ck *checkpoint) (err error) {
 		}
 	}()
 	sp.SetAttrInt("lsn", int64(ck.lsn))
-	sp.SetAttrInt("relations", int64(len(ck.state)))
-	st, err := snapshot.SaveFileMarksTimed(checkpointPath(s.cfg.SnapshotDir), ck.state, ck.marks)
+	sp.SetAttrInt("relations", int64(len(ck.w.State())))
+	st, err := snapshot.SaveFileMarksTimed(checkpointPath(s.cfg.SnapshotDir), ck.w.State(), ck.snapshotMarks())
 	if err != nil {
 		return fmt.Errorf("checkpoint snapshot: %w", err)
 	}
@@ -321,6 +300,7 @@ func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 		s.ckptFailed = true
 		s.degraded.Store(true)
 		s.log.Error("checkpoint failed; journal keeps every record, next trigger retries", "lsn", ck.lsn, "err", err)
+		s.publish(func(v *version) { v.ckptDone = nil })
 		return
 	}
 	s.countCheckpoint("ok")
@@ -328,9 +308,12 @@ func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 		s.ckptFailed = false
 		s.degraded.Store(false)
 	}
-	s.journalRecs -= ck.records
-	s.lastCkptLSN = ck.lsn
-	s.lastCkptDur = ck.dur
+	s.publish(func(v *version) {
+		v.ckptDone = nil
+		v.journalRecs -= ck.journalRecs
+		v.lastCkptLSN = ck.lsn
+		v.lastCkptDur = ck.dur
+	})
 }
 
 func (s *server) countCheckpoint(outcome string) {

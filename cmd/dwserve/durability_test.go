@@ -30,6 +30,9 @@ func corruptFile(t *testing.T, path string, off int64) {
 	}
 }
 
+// httpSeq is the sequence of the last acknowledged HTTP update.
+func httpSeq(s *server) uint64 { return s.cur.Load().marks[httpSource] }
+
 // newDurableServer builds a server in the crash-recoverable regime
 // (-snapshot-dir + journal) and returns both handles: the raw server
 // for white-box checks and the HTTP wrapper for traffic.
@@ -96,8 +99,8 @@ func TestJournalRecoveryOverHTTP(t *testing.T) {
 	crash(t, srv, ts)
 
 	srv2, ts2 := newDurableServer(t, dir, 1000)
-	if srv2.replayed != 3 || srv2.seq != 3 {
-		t.Fatalf("replayed=%d seq=%d, want 3/3", srv2.replayed, srv2.seq)
+	if srv2.replayed != 3 || httpSeq(srv2) != 3 {
+		t.Fatalf("replayed=%d seq=%d, want 3/3", srv2.replayed, httpSeq(srv2))
 	}
 	if got := soldCount(t, ts2); got != 4 {
 		t.Fatalf("Sold count after recovery = %d, want 4", got)
@@ -113,8 +116,8 @@ func TestJournalRecoveryOverHTTP(t *testing.T) {
 	if got := soldCount(t, ts3); got != 4 {
 		t.Fatalf("Sold count after second recovery = %d, want 4", got)
 	}
-	if srv3.seq != 3 {
-		t.Fatalf("seq after second recovery = %d", srv3.seq)
+	if httpSeq(srv3) != 3 {
+		t.Fatalf("seq after second recovery = %d", httpSeq(srv3))
 	}
 }
 
@@ -136,8 +139,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	if srv2.replayed != 1 { // updates 1,2 checkpointed; only 3 replays
 		t.Fatalf("replayed = %d, want 1", srv2.replayed)
 	}
-	if srv2.seq != 3 {
-		t.Fatalf("seq = %d, want 3", srv2.seq)
+	if httpSeq(srv2) != 3 {
+		t.Fatalf("seq = %d, want 3", httpSeq(srv2))
 	}
 	if got := soldCount(t, ts2); got != 4 {
 		t.Fatalf("Sold count = %d, want 4", got)
@@ -166,8 +169,8 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 	if srv2.replayed != 0 {
 		t.Fatalf("replayed = %d after clean shutdown, want 0", srv2.replayed)
 	}
-	if srv2.seq != 1 {
-		t.Fatalf("seq = %d, want 1 (from checkpoint marks)", srv2.seq)
+	if httpSeq(srv2) != 1 {
+		t.Fatalf("seq = %d, want 1 (from checkpoint marks)", httpSeq(srv2))
 	}
 	if got := soldCount(t, ts2); got != 2 {
 		t.Fatalf("Sold count = %d, want 2", got)
@@ -221,7 +224,7 @@ func TestServeStaleOnRefreshFailure(t *testing.T) {
 // TestReadyzFresh: a fresh in-memory server (no durability configured)
 // is immediately ready.
 func TestReadyzFresh(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var ready map[string]any
 	if code := getJSON(t, ts.URL+"/readyz", &ready); code != 200 {
 		t.Fatalf("readyz = %d: %v", code, ready)

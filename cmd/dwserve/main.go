@@ -8,16 +8,16 @@
 // Usage:
 //
 //	dwserve -spec warehouse.dw [-addr :8080] [-prop22] [-force]
-//	        [-state snap.gob] [-save snap.gob]
+//	        [-snapshot-dir dir] [-checkpoint-every 64]
 //	        [-log-level info] [-log-json] [-debug :6060]
 //
 // On startup the spec is statically verified (the dwctl vet checks:
 // view well-formedness, IND acyclicity, cover analysis); a config with
 // error-severity findings is refused unless -force is given.
 //
-// With -save, every successful update persists the warehouse state, so a
-// restarted server (-state) resumes exactly where it stopped — without
-// ever contacting a source.
+// With -snapshot-dir, every update is journaled (fsync) before it is
+// acknowledged and checkpointed in the background, so a restarted server
+// resumes exactly where it stopped — without ever contacting a source.
 //
 // Observability: GET /metrics serves Prometheus text exposition (request,
 // query and refresh counters plus latency histograms), every request is
@@ -71,8 +71,6 @@ func main() {
 	addr := fs.String("addr", ":8080", "listen address")
 	prop22 := fs.Bool("prop22", false, "ignore integrity constraints (Proposition 2.2)")
 	force := fs.Bool("force", false, "serve even if static verification reports errors")
-	statePath := fs.String("state", "", "restore the warehouse state from this snapshot")
-	savePath := fs.String("save", "", "persist the warehouse state here after every update")
 	snapshotDir := fs.String("snapshot-dir", "", "directory for marked checkpoint snapshots (enables crash recovery)")
 	journalPath := fs.String("journal", "", "redo journal path (default <snapshot-dir>/wal.dwj when -snapshot-dir is set)")
 	checkpointEvery := fs.Int("checkpoint-every", 64, "acknowledged updates between checkpoint snapshots")
@@ -150,8 +148,6 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := newServer(spec, opts, serverConfig{
-		StatePath:       *statePath,
-		SavePath:        *savePath,
 		SnapshotDir:     *snapshotDir,
 		JournalPath:     *journalPath,
 		CheckpointEvery: *checkpointEvery,
@@ -178,7 +174,7 @@ func main() {
 		srv.AttachRemote(remote.NewClient(name, url, spec.DB, remote.Config{Seed: int64(h.Sum64())}))
 	}
 	if srv.replayed > 0 {
-		srv.log.Info("journal replayed", "records", srv.replayed, "seq", srv.seq)
+		srv.log.Info("journal replayed", "records", srv.replayed, "seq", srv.cur.Load().marks[httpSource])
 	}
 	if srv.wedgedErr != nil {
 		srv.log.Error("journal replay wedged; serving stale (see /readyz)", "err", srv.wedgedErr)
@@ -247,5 +243,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dwserve: final checkpoint:", err)
 		os.Exit(1)
 	}
-	srv.log.Info("shutdown complete", "seq", srv.seq)
+	srv.log.Info("shutdown complete", "seq", srv.cur.Load().marks[httpSource])
 }

@@ -28,7 +28,7 @@ func getText(t *testing.T, url string) (int, string) {
 // TestMetricsEndpoint drives one query and one update through the server
 // and checks the Prometheus exposition reflects both paths.
 func TestMetricsEndpoint(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var q map[string]any
 	getJSON(t, ts.URL+"/query?q="+escape("Sale join Emp"), &q)
 	var res map[string]any
@@ -68,7 +68,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestQueryExplainPlan checks explain=2: a per-operator plan tree whose
 // node counters sum to the flat totals, plus a rendered text tree.
 func TestQueryExplainPlan(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var body struct {
 		Stats struct {
 			Emitted int64 `json:"emitted"`
@@ -135,7 +135,7 @@ func TestQueryExplainPlan(t *testing.T) {
 // TestStatsLastRefresh: /stats reports the most recent refresh's spans
 // and lookup counters.
 func TestStatsLastRefresh(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var res map[string]any
 	if code := postText(t, ts.URL+"/update", "insert Sale('Radio', 'Paula')", &res); code != 200 {
 		t.Fatalf("update: %v", res)
@@ -171,10 +171,10 @@ func TestStatsLastRefresh(t *testing.T) {
 
 // TestObservabilityHammer drives /query, /update, /stats and /metrics
 // concurrently; run with -race. This is the regression test for the
-// stats-accumulation data race the flat counters used to have (mutation
-// under RLock).
+// stats-accumulation data race the flat counters used to have (readers
+// adding to shared aggregates without statsMu).
 func TestObservabilityHammer(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var wg sync.WaitGroup
 	for wr := 0; wr < 2; wr++ {
 		wg.Add(1)

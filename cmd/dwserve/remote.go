@@ -15,11 +15,10 @@ import (
 // AttachRemote registers a remote source client: its reports flow into
 // the warehouse through the same incremental maintenance (and journal)
 // as HTTP updates, keyed by the source's own sequence numbers. Attach
-// every client before the listener starts (the remotes map is read
-// lock-free by handlers afterwards), then call startRemotes.
+// the clients, then call startRemotes.
 func (s *server) AttachRemote(c *remote.Client) {
 	s.mu.Lock()
-	s.remotes[c.Name()] = c
+	s.publish(func(v *version) { v.remotes = withEntry(v.remotes, c.Name(), c) })
 	s.mu.Unlock()
 	c.SetMetrics(s.reg)
 	c.SetTracer(s.tracer)
@@ -30,23 +29,16 @@ func (s *server) AttachRemote(c *remote.Client) {
 // reports applied before a restart are not re-fetched, and reports
 // after it are) and starts the poll loops.
 func (s *server) startRemotes(ctx context.Context) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for name, c := range s.remotes {
-		c.Rewind(s.remoteSeq[name])
+	v := s.cur.Load()
+	for name, c := range v.remotes {
+		c.Rewind(v.marks[name])
 		c.Start(ctx)
 	}
 }
 
 // stopRemotes stops every poll loop and waits for them to exit.
 func (s *server) stopRemotes() {
-	s.mu.RLock()
-	clients := make([]*remote.Client, 0, len(s.remotes))
-	for _, c := range s.remotes {
-		clients = append(clients, c)
-	}
-	s.mu.RUnlock()
-	for _, c := range clients {
+	for _, c := range s.cur.Load().remotes {
 		c.Close()
 	}
 }
@@ -62,7 +54,7 @@ func (s *server) applyRemote(n source.Notification) {
 	// behind the Delivery-priority queue (which outranks every query),
 	// never refused: shedding maintenance would trade bounded staleness
 	// for unbounded divergence. Acquired BEFORE s.mu so the lock order
-	// (admission → mu) matches the HTTP handlers.
+	// (admission → mu) matches the update handler.
 	release, err := s.adm.Wait(context.Background(), admission.Delivery, deliveryWeight)
 	if err == nil {
 		defer release()
@@ -76,7 +68,8 @@ func (s *server) applyRemote(n source.Notification) {
 	defer sp.End()
 	sp.SetAttr("source", n.Source)
 	sp.SetAttrInt("seq", int64(n.Seq))
-	applied := s.remoteSeq[n.Source]
+	v := s.cur.Load()
+	applied := v.marks[n.Source]
 	if n.Seq <= applied {
 		sp.SetAttr("outcome", "duplicate")
 		return // duplicate redelivery
@@ -85,7 +78,7 @@ func (s *server) applyRemote(n source.Notification) {
 		// Sequence gap (possible after a restart races the poll loop):
 		// rewind so the missing range is re-fetched in order.
 		sp.SetAttr("outcome", "gap")
-		if c := s.remotes[n.Source]; c != nil {
+		if c := v.remotes[n.Source]; c != nil {
 			c.Rewind(applied)
 		}
 		return
@@ -95,7 +88,7 @@ func (s *server) applyRemote(n source.Notification) {
 		sp.SetAttr("outcome", "error")
 		s.degraded.Store(true)
 		s.log.Error("remote refresh failed; serving stale", "source", n.Source, "seq", n.Seq, "err", err)
-		if c := s.remotes[n.Source]; c != nil {
+		if c := v.remotes[n.Source]; c != nil {
 			c.Rewind(n.Seq - 1)
 		}
 		return
@@ -103,22 +96,16 @@ func (s *server) applyRemote(n source.Notification) {
 	// The record carries its replication coordinates so followers receive
 	// remote reports through the same stream as HTTP updates. A report is
 	// re-fetchable, so commitLocked never fails it.
-	rec := journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update, Epoch: s.epoch, LSN: s.lsn + 1}
+	rec := journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update, Epoch: v.epoch, LSN: v.lsn + 1}
 	_ = s.commitLocked(ctx, rec, stats, n.EmittedUnixNano)
 }
 
 // remoteHealth returns every attached client's health view, sorted by
 // name, plus whether any of them is not fully healthy.
-func (s *server) remoteHealth() ([]remote.Health, bool) {
-	s.mu.RLock()
-	clients := make([]*remote.Client, 0, len(s.remotes))
-	for _, c := range s.remotes {
-		clients = append(clients, c)
-	}
-	s.mu.RUnlock()
-	hs := make([]remote.Health, 0, len(clients))
+func (v *version) remoteHealth() ([]remote.Health, bool) {
+	hs := make([]remote.Health, 0, len(v.remotes))
 	anyDegraded := false
-	for _, c := range clients {
+	for _, c := range v.remotes {
 		h := c.Health()
 		if h.State != "healthy" {
 			anyDegraded = true
@@ -133,21 +120,18 @@ func (s *server) remoteHealth() ([]remote.Health, bool) {
 // staleness first (when degraded), then name=seconds for every remote
 // source whose report stream is stale, then leader=seconds on a replica
 // whose leader link is stale. Empty when everything is fresh.
-func (s *server) stalenessHeader() string {
+func (s *server) stalenessHeader(v *version) string {
 	var parts []string
 	if st := s.staleness(); st > 0 {
 		parts = append(parts, strconv.FormatFloat(st.Seconds(), 'f', 3, 64))
 	}
-	hs, _ := s.remoteHealth()
+	hs, _ := v.remoteHealth()
 	for _, h := range hs {
 		if h.StalenessSec > 0 {
 			parts = append(parts, h.Source+"="+strconv.FormatFloat(h.StalenessSec, 'f', 3, 64))
 		}
 	}
-	s.mu.RLock()
-	f := s.follower
-	s.mu.RUnlock()
-	if f != nil {
+	if f := v.follower; f != nil {
 		if h := f.client.Health(); h.StalenessSec > 0 {
 			parts = append(parts, "leader="+strconv.FormatFloat(h.StalenessSec, 'f', 3, 64))
 		}

@@ -49,17 +49,14 @@ type followerState struct {
 // roleView derives the externally reported role: a follower whose
 // leader link is quarantined (breaker open) or fenced is a candidate —
 // alive and serving reads, waiting for a promotion or a repoint.
-func (s *server) roleView() string {
-	s.mu.RLock()
-	role, f := s.role, s.follower
-	s.mu.RUnlock()
-	if role == roleFollower && f != nil {
-		switch f.client.Health().State {
+func (v *version) roleView() string {
+	if v.role == roleFollower && v.follower != nil {
+		switch v.follower.client.Health().State {
 		case "quarantined", "fenced":
 			return roleCandidate
 		}
 	}
-	return role
+	return v.role
 }
 
 // replicaLag is how far this follower trails a healthy leader: zero
@@ -90,21 +87,19 @@ func (s *server) observeLag(caughtUp bool, traceID string) {
 	s.mReplLag.SetWithExemplar(s.replicaLag().Seconds(), traceID)
 }
 
-// handleReplicaSnapshot ships the current checkpoint: the warehouse
+// handleReplicaSnapshot ships the published version: the warehouse
 // state plus every watermark, with the replication coordinates folded
 // into the marks under their reserved keys. A follower that applies
 // this body and streams from LSN+1 onward reconstructs the leader.
+// Encoding and the network write hold up no commit, however long a
+// bootstrap takes.
 func (s *server) handleReplicaSnapshot(w http.ResponseWriter, _ *http.Request) {
-	// Only the cut is taken under the lock; encoding it and writing it to
-	// the network must not hold up commits for a whole bootstrap.
-	s.mu.RLock()
-	c, role := s.cutLocked(), s.role
-	s.mu.RUnlock()
-	w.Header().Set(replica.HeaderEpoch, strconv.FormatUint(c.epoch, 10))
-	w.Header().Set(replica.HeaderLSN, strconv.FormatUint(c.lsn, 10))
-	w.Header().Set(replica.HeaderRole, role)
+	v := s.cur.Load()
+	w.Header().Set(replica.HeaderEpoch, strconv.FormatUint(v.epoch, 10))
+	w.Header().Set(replica.HeaderLSN, strconv.FormatUint(v.lsn, 10))
+	w.Header().Set(replica.HeaderRole, v.role)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := snapshot.SaveMarks(w, c.state, c.marks); err != nil {
+	if err := snapshot.SaveMarks(w, v.w.State(), v.snapshotMarks()); err != nil {
 		// Headers are gone; all we can do is cut the stream (the client
 		// sees a short body and retries) and log.
 		s.log.Error("snapshot shipping failed", "err", err)
@@ -152,7 +147,7 @@ func (s *server) handleReplicaStream(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set(replica.HeaderEpoch, strconv.FormatUint(epoch, 10))
 	w.Header().Set(replica.HeaderTip, strconv.FormatUint(tip, 10))
-	w.Header().Set(replica.HeaderRole, s.roleView())
+	w.Header().Set(replica.HeaderRole, s.cur.Load().roleView())
 	w.Header().Set("Content-Type", "application/octet-stream")
 	for _, e := range entries {
 		if _, err := w.Write(e.Frame); err != nil {
@@ -164,19 +159,17 @@ func (s *server) handleReplicaStream(w http.ResponseWriter, req *http.Request) {
 // handleReplicaStatus reports the replication view: role, coordinates,
 // log tip, and (on a follower) the leader link's health.
 func (s *server) handleReplicaStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	epoch, lsn, seq, f := s.epoch, s.lsn, s.seq, s.follower
-	s.mu.RUnlock()
+	v := s.cur.Load()
 	body := map[string]any{
-		"role":   s.roleView(),
-		"epoch":  epoch,
-		"lsn":    lsn,
-		"seq":    seq,
+		"role":   v.roleView(),
+		"epoch":  v.epoch,
+		"lsn":    v.lsn,
+		"seq":    v.marks[httpSource],
 		"tip":    s.rlog.Tip(),
-		"sealed": s.w.Sealed(),
+		"sealed": v.role == roleFollower,
 	}
-	if f != nil {
-		body["leader"] = f.client.Health()
+	if v.follower != nil {
+		body["leader"] = v.follower.client.Health()
 		body["replicaLagSec"] = s.replicaLag().Seconds()
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -202,49 +195,43 @@ func (s *server) handlePromote(w http.ResponseWriter, req *http.Request) {
 	// The promotion checkpoint is synchronous, so one in flight is waited
 	// out first.
 	s.lockBacklogBelow(0)
-	if s.role == roleLeader {
-		cur := s.epoch
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Errorf("already leader at epoch %d", cur))
+	defer s.mu.Unlock()
+	v := s.cur.Load()
+	if v.role == roleLeader {
+		writeError(w, http.StatusConflict, fmt.Errorf("already leader at epoch %d", v.epoch))
 		return
 	}
 	if newEpoch == 0 {
-		newEpoch = s.epoch + 1
+		newEpoch = v.epoch + 1
 	}
-	if newEpoch <= s.epoch {
-		err := fmt.Errorf("promote to epoch %d refused, current epoch is %d: %w",
-			newEpoch, s.epoch, replica.ErrStaleEpoch)
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, err)
+	if newEpoch <= v.epoch {
+		writeError(w, http.StatusConflict, fmt.Errorf("promote to epoch %d refused, current epoch is %d: %w",
+			newEpoch, v.epoch, replica.ErrStaleEpoch))
 		return
 	}
-	prevRole, prevEpoch := s.role, s.epoch
-	s.role, s.epoch = roleLeader, newEpoch
-	s.w.Unseal()
-	if err := s.checkpointLocked(); err != nil {
-		// Not durable, not promoted: revert so a retry (or a promotion of
-		// a different replica) starts from a clean state.
-		s.role, s.epoch = prevRole, prevEpoch
-		s.w.Seal()
-		s.mu.Unlock()
+	// The term is checkpointed before it is published: a failure leaves
+	// this replica an unchanged follower, so a retry (or a promotion of a
+	// different replica) starts from a clean state.
+	term := func(v *version) { v.role, v.epoch, v.follower = roleLeader, newEpoch, nil }
+	next := *v
+	term(&next)
+	if err := s.checkpointLocked(&next); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("promotion checkpoint failed: %w", err))
 		return
 	}
+	s.w.Unseal()
+	s.publish(term)
 	// The new term starts an empty retained log at the applied LSN:
 	// followers at exactly this LSN stream straight on; anyone behind
 	// gets ErrTrimmed and re-bootstraps from the new lineage's snapshot.
-	s.rlog.Reset(s.lsn, newEpoch)
-	f := s.follower
-	s.follower = nil
-	lsn := s.lsn
-	s.mu.Unlock()
-	if f != nil {
+	s.rlog.Reset(v.lsn, newEpoch)
+	if v.follower != nil {
 		// The loop exits on its canceled context; any in-flight apply
 		// re-checks the role under mu and aborts.
-		f.cancel()
+		v.follower.cancel()
 	}
-	s.log.Info("promoted to leader", "epoch", newEpoch, "lsn", lsn)
-	writeJSON(w, http.StatusOK, map[string]any{"role": roleLeader, "epoch": newEpoch, "lsn": lsn})
+	s.log.Info("promoted to leader", "epoch", newEpoch, "lsn", v.lsn)
+	writeJSON(w, http.StatusOK, map[string]any{"role": roleLeader, "epoch": newEpoch, "lsn": v.lsn})
 }
 
 // handleRepoint re-points a follower at a new leader (after a
@@ -257,15 +244,12 @@ func (s *server) handleRepoint(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("missing leader parameter"))
 		return
 	}
-	s.mu.Lock()
-	if s.role != roleFollower {
-		s.mu.Unlock()
+	v := s.cur.Load()
+	if v.role != roleFollower {
 		writeError(w, http.StatusConflict, errors.New("not a follower (demotion is not supported; restart with -follow)"))
 		return
 	}
-	old := s.follower
-	s.mu.Unlock()
-	if old != nil {
+	if old := v.follower; old != nil {
 		old.cancel()
 		<-old.done
 	}
@@ -284,8 +268,8 @@ func (s *server) StartFollower(ctx context.Context, leaderURL string) {
 		"Follower catch-up lag behind the leader's replication tip.", nil)
 	s.mu.Lock()
 	s.followCtx = ctx
-	s.role = roleFollower
 	s.w.Seal()
+	s.publish(func(v *version) { v.role = roleFollower })
 	s.mu.Unlock()
 	s.startFollowing(leaderURL)
 }
@@ -301,11 +285,12 @@ func (s *server) startFollowing(leaderURL string) {
 		c.SetTransport(s.followTransport)
 	}
 	s.mu.Lock()
-	c.SetMinEpoch(s.epoch)
-	c.SetCursor(s.lsn)
+	v := s.cur.Load()
+	c.SetMinEpoch(v.epoch)
+	c.SetCursor(v.lsn)
 	fctx, cancel := context.WithCancel(s.followCtx)
 	f := &followerState{client: c, cancel: cancel, done: make(chan struct{})}
-	s.follower = f
+	s.publish(func(v *version) { v.follower = f })
 	s.mu.Unlock()
 	go s.followLoop(fctx, f)
 }
@@ -314,8 +299,8 @@ func (s *server) startFollowing(leaderURL string) {
 // no-op on a leader.
 func (s *server) stopFollower() {
 	s.mu.Lock()
-	f := s.follower
-	s.follower = nil
+	f := s.cur.Load().follower
+	s.publish(func(v *version) { v.follower = nil })
 	s.mu.Unlock()
 	if f != nil {
 		f.cancel()
@@ -332,9 +317,7 @@ func (s *server) stopFollower() {
 func (s *server) followLoop(ctx context.Context, f *followerState) {
 	defer close(f.done)
 	c := f.client
-	s.mu.RLock()
-	needBootstrap := s.lsn == 0
-	s.mu.RUnlock()
+	needBootstrap := s.cur.Load().lsn == 0
 	for ctx.Err() == nil {
 		if needBootstrap {
 			if err := s.bootstrapFollower(ctx, c); err != nil {
@@ -348,10 +331,7 @@ func (s *server) followLoop(ctx context.Context, f *followerState) {
 			}
 			needBootstrap = false
 		}
-		s.mu.RLock()
-		from := s.lsn + 1
-		s.mu.RUnlock()
-		batch, err := c.FetchBatch(ctx, from, followPollWait)
+		batch, err := c.FetchBatch(ctx, s.cur.Load().lsn+1, followPollWait)
 		switch {
 		case ctx.Err() != nil:
 			return
@@ -384,36 +364,31 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 	if err := dwc.VerifySnapshot(ship.State, s.comp.Resolver()); err != nil {
 		return err
 	}
-	// LoadState replaces the version a checkpoint in flight was cut from
-	// and the synchronous checkpoint below empties the journal, so that
-	// one finishes first.
+	// The synchronous checkpoint below empties the journal, so one in
+	// flight finishes first.
 	s.lockBacklogBelow(0)
 	defer s.mu.Unlock()
-	if s.role != roleFollower {
+	if s.cur.Load().role != roleFollower {
 		return nil // promoted while the shipment was in flight
 	}
 	s.w.LoadState(ship.State)
-	s.seq = ship.Marks[httpSource]
-	s.remoteSeq = make(map[string]uint64)
-	for src, seq := range ship.Marks {
-		if src != httpSource {
-			s.remoteSeq[src] = seq
-		}
-	}
-	if ship.Epoch > s.epoch {
-		s.epoch = ship.Epoch
-	}
-	s.lsn = ship.LSN
-	c.SetMinEpoch(s.epoch)
-	c.SetCursor(s.lsn)
-	s.rlog.Reset(s.lsn, s.epoch)
+	s.publish(func(v *version) {
+		v.w = s.w.Pin()
+		v.marks = ship.Marks
+		v.epoch = max(v.epoch, ship.Epoch)
+		v.lsn = ship.LSN
+	})
+	v := s.cur.Load()
+	c.SetMinEpoch(v.epoch)
+	c.SetCursor(v.lsn)
+	s.rlog.Reset(v.lsn, v.epoch)
 	// A failure is logged and flagged by checkpointLocked; the shipped
-	// state is installed either way and the next trigger retries.
-	if err := s.checkpointLocked(); err == nil {
+	// state is published either way and the next trigger retries.
+	if err := s.checkpointLocked(v); err == nil {
 		s.degraded.Store(false)
 	}
 	s.lastGoodNano.Store(time.Now().UnixNano())
-	s.log.Info("bootstrapped from leader checkpoint", "leader", c.Base(), "epoch", s.epoch, "lsn", s.lsn)
+	s.log.Info("bootstrapped from leader checkpoint", "leader", c.Base(), "epoch", v.epoch, "lsn", v.lsn)
 	return nil
 }
 
@@ -432,14 +407,14 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 	}
 	s.lockCommit()
 	defer s.mu.Unlock()
-	if s.role != roleFollower {
+	if s.cur.Load().role != roleFollower {
 		return // promoted while the fetch was in flight
 	}
 	// A higher response epoch is a legitimate new term on the same
 	// lineage (our leader was itself promoted): adopt it and raise the
 	// fencing floor so the deposed term can never serve us again.
-	if b.Epoch > s.epoch {
-		s.epoch = b.Epoch
+	if b.Epoch > s.cur.Load().epoch {
+		s.publish(func(v *version) { v.epoch = b.Epoch })
 		c.SetMinEpoch(b.Epoch)
 	}
 	applied := 0
@@ -447,27 +422,23 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 		if ctx.Err() != nil {
 			return
 		}
-		if rec.LSN <= s.lsn {
+		v := s.cur.Load()
+		if rec.LSN <= v.lsn {
 			continue // overlap with already-applied stream
 		}
-		if rec.LSN != s.lsn+1 {
+		if rec.LSN != v.lsn+1 {
 			break // gap: refetch from the cursor
 		}
-		if s.backloggedLocked() {
+		if s.backlogged(v) {
 			break // the next round waits in lockCommit, then refetches from the cursor
 		}
-		watermark := s.seq
-		if rec.Source != httpSource {
-			watermark = s.remoteSeq[rec.Source]
-		}
-		if rec.Seq <= watermark {
+		if rec.Seq <= v.marks[rec.Source] {
 			// Already covered by the shipped checkpoint: advance the
 			// cursor without re-applying — the exactly-once dedup.
-			s.lsn = rec.LSN
+			s.publish(func(v *version) { v.lsn = rec.LSN })
 			continue
 		}
-		// The refresh needs the warehouse writable; mu is held, so no
-		// reader or handler observes the unsealed window.
+		// The refresh needs the writer's warehouse writable.
 		s.w.Unseal()
 		stats, err := s.maintain.RefreshContext(actx, s.w, rec.Update)
 		s.w.Seal()
@@ -483,10 +454,11 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 		_ = s.commitLocked(actx, rec, stats, 0)
 		applied++
 	}
+	lsn := s.cur.Load().lsn
 	sp.SetAttrInt("applied", int64(applied))
-	sp.SetAttrInt("lsn", int64(s.lsn))
-	c.SetCursor(s.lsn)
-	s.observeLag(s.lsn >= b.Tip && !b.Torn, traceID)
+	sp.SetAttrInt("lsn", int64(lsn))
+	c.SetCursor(lsn)
+	s.observeLag(lsn >= b.Tip && !b.Torn, traceID)
 }
 
 // sleepCtx pauses for d or until ctx is done.

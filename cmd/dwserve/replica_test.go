@@ -54,9 +54,8 @@ func follow(t *testing.T, srv *server, leaderURL string) {
 
 // coords reads a server's replication coordinates.
 func coords(s *server) (epoch, lsn, seq uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch, s.lsn, s.seq
+	v := s.cur.Load()
+	return v.epoch, v.lsn, v.marks[httpSource]
 }
 
 // waitLSN blocks until the server's applied LSN reaches want.
@@ -88,13 +87,10 @@ func postUpdate(t *testing.T, baseURL, ops string) {
 // assertSameState compares two warehouses relation by relation.
 func assertSameState(t *testing.T, got, want *server, label string) {
 	t.Helper()
-	got.mu.RLock()
-	defer got.mu.RUnlock()
-	want.mu.RLock()
-	defer want.mu.RUnlock()
-	for _, name := range want.w.Names() {
-		wr, _ := want.w.Relation(name)
-		gr, ok := got.w.Relation(name)
+	gotW, wantW := got.cur.Load().w, want.cur.Load().w
+	for _, name := range wantW.Names() {
+		wr, _ := wantW.Relation(name)
+		gr, ok := gotW.Relation(name)
 		if !ok {
 			t.Fatalf("%s: missing relation %q", label, name)
 		}
@@ -108,10 +104,9 @@ func assertSameState(t *testing.T, got, want *server, label string) {
 // oracle, bitwise per relation.
 func assertOracle(t *testing.T, s *server, oracle map[string]*relation.Relation, label string) {
 	t.Helper()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	w := s.cur.Load().w
 	for name, want := range oracle {
-		got, ok := s.w.Relation(name)
+		got, ok := w.Relation(name)
 		if !ok {
 			t.Fatalf("%s: missing relation %q", label, name)
 		}
@@ -205,10 +200,10 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 	return w.body.Write(p)
 }
 
-// TestReplicaSnapshotShipsOffTheLock: GET /replica/snapshot takes its
-// cut under the lock and encodes and writes outside it, so a commit
-// completes while a shipment is stuck mid-write — and the shipment still
-// carries the version it was cut at, not the later one.
+// TestReplicaSnapshotShipsOffTheLock: GET /replica/snapshot loads the
+// published version and takes no lock, so a commit completes while a
+// shipment is stuck mid-write — and the shipment still carries the
+// version it loaded, not the later one.
 func TestReplicaSnapshotShipsOffTheLock(t *testing.T) {
 	leader, lts := newReplicaNode(t)
 	postUpdate(t, lts.URL, "insert Sale('before', 'Mary')")
@@ -219,7 +214,7 @@ func TestReplicaSnapshotShipsOffTheLock(t *testing.T) {
 		leader.handleReplicaSnapshot(w, httptest.NewRequest(http.MethodGet, "/replica/snapshot", nil))
 	}()
 	<-w.reached
-	postUpdate(t, lts.URL, "insert Sale('during', 'Mary')") // needs the write lock
+	postUpdate(t, lts.URL, "insert Sale('during', 'Mary')") // takes the writer lock
 	close(w.release)
 	<-done
 	if got := w.hdr.Get(replica.HeaderLSN); got != "1" {
@@ -230,7 +225,7 @@ func TestReplicaSnapshotShipsOffTheLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if marks[httpSource] != 1 || ms["Sold"].Len() != 2 {
-		t.Fatalf("shipment holds seq %d and %d Sold rows, want the cut at seq 1 with 2 rows", marks[httpSource], ms["Sold"].Len())
+		t.Fatalf("shipment holds seq %d and %d Sold rows, want the version at seq 1 with 2 rows", marks[httpSource], ms["Sold"].Len())
 	}
 }
 
@@ -295,8 +290,8 @@ func TestPromoteFencing(t *testing.T) {
 	if epoch != 2 {
 		t.Fatalf("promoted epoch = %d", epoch)
 	}
-	if fsrv.roleView() != roleLeader {
-		t.Fatalf("promoted role = %s", fsrv.roleView())
+	if fsrv.cur.Load().roleView() != roleLeader {
+		t.Fatalf("promoted role = %s", fsrv.cur.Load().roleView())
 	}
 
 	// Double promotion with the same (now stale) epoch is refused.

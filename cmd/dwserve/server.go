@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,14 +43,10 @@ type refreshSummary struct {
 	WallNs              int64             `json:"wallNs"`
 }
 
-// serverConfig selects the server's durability regime. The legacy pair
-// (StatePath to restore once, SavePath to dump markless snapshots after
-// every update) still works; SnapshotDir+JournalPath is the
-// crash-recoverable regime: marked snapshots plus a fsync'd redo journal
-// with periodic checkpoint compaction.
+// serverConfig configures the server. SnapshotDir+JournalPath is the
+// durability regime: marked snapshots plus a fsync'd redo journal with
+// periodic checkpoint compaction; without them the server is volatile.
 type serverConfig struct {
-	StatePath       string // restore a (markless) snapshot once at startup
-	SavePath        string // persist a markless snapshot after every update
 	SnapshotDir     string // directory for marked checkpoint snapshots
 	JournalPath     string // redo journal ("" with SnapshotDir: <dir>/wal.dwj)
 	CheckpointEvery int    // updates between checkpoints (default 64)
@@ -101,41 +97,26 @@ type server struct {
 	replayed       int   // journal records applied at startup
 	wedgedErr      error // first replay refresh failure, if any
 
-	mu        sync.RWMutex
-	w         *dwc.Warehouse
-	refreshes int
-	seq       uint64 // sequence of the last acknowledged update
-	sinceCkpt int    // acknowledged updates no checkpoint cut covers yet
-	jw        *journal.Writer
-	// Checkpoint bookkeeping (checkpoint.go). ckptDone is non-nil while a
-	// background checkpoint is in flight and closed when it has finished.
-	journalRecs int // records in the journal file
-	ckptDone    chan struct{}
-	ckptFailed  bool // the last checkpoint failed; degraded until one succeeds
-	lastCkptLSN uint64
-	lastCkptDur time.Duration
-	snapshot    string // legacy markless save path ("" = off)
+	// cur is the published version: the one thing readers see. Every read
+	// route, gauge and the checkpointer Load it and work on what they got,
+	// taking no server lock; only a writer holding mu Stores the next one.
+	cur atomic.Pointer[version]
 
-	// Remote sources (dwsource processes consumed over the wire). The
-	// remotes map is populated by AttachRemote before the listener
-	// starts and read lock-free by handlers afterwards; the per-source
-	// applied watermarks live under mu like seq.
-	remotes   map[string]*remote.Client
-	remoteSeq map[string]uint64
+	// mu orders the writers — update, remote report, follower apply,
+	// promote, repoint, bootstrap, a checkpoint's bookkeeping — and guards
+	// what only they touch. w is the writer's warehouse: ahead of the
+	// published version only inside a commit, between refresh and journal
+	// append.
+	mu         sync.Mutex
+	w          *dwc.Warehouse
+	sinceCkpt  int // acknowledged updates no checkpoint covers yet
+	jw         *journal.Writer
+	ckptFailed bool // the last checkpoint failed; degraded until one succeeds
 
-	// Replication (internal/replica). role decides what the server
-	// accepts: a leader commits updates and owns maintenance; a follower
-	// applies the leader's stream and answers mutating routes with 409.
-	// epoch and lsn are the replication coordinates of the last committed
-	// record, guarded by mu alongside seq; rlog is the retained
-	// replication log streamed to followers. follower holds the stream
-	// client and its loop when running with -follow; followCtx is the
-	// parent context repoints restart the loop under.
-	role      string
-	epoch     uint64
-	lsn       uint64
+	// Replication (internal/replica). rlog is the retained replication log
+	// streamed to followers; followCtx is the parent context repoints
+	// restart the follower loop under.
 	rlog      *replica.Log
-	follower  *followerState
 	followCtx context.Context
 	// followTransport, when set before StartFollower, is installed on
 	// every stream client the follower builds — the chaos tests inject
@@ -156,22 +137,17 @@ type server struct {
 	tracer *trace.Tracer
 	mstats *trace.MaintStats
 
-	// Degradation state, atomic because query handlers (running under
-	// mu.RLock) read and the update path writes.
+	// Degradation state, atomic because handlers read and the writers
+	// write.
 	degraded     atomic.Bool  // last refresh or persistence attempt failed
 	lastGoodNano atomic.Int64 // unix nanos of the last successful refresh
 	draining     atomic.Bool  // graceful shutdown in progress
 
-	// Cumulative engine counters, reported by GET /stats. queries is
-	// atomic and the aggregates live behind their own statsMu because
-	// query handlers run under mu.RLock — they must not mutate anything
-	// the read lock is supposed to protect. statsMu nests inside mu.
-	queries      atomic.Int64
-	statsMu      sync.Mutex
-	queryStats   dwc.EvalStats
-	refreshStats dwc.EvalStats
-	refreshWall  time.Duration
-	lastRefresh  refreshSummary
+	// Cumulative query counters, reported by GET /stats: the one thing
+	// readers write. statsMu is a leaf — nothing is acquired under it.
+	queries    atomic.Int64
+	statsMu    sync.Mutex
+	queryStats dwc.EvalStats
 
 	// Overload protection: the admission controller every non-health
 	// request passes, and the stale-answer cache behind the ladder's
@@ -191,8 +167,8 @@ type server struct {
 	mReplLag    *obs.ObservedGauge
 }
 
-// Replica roles as reported by /readyz and /replica/status. The role
-// field only ever holds leader or follower; candidate is derived — a
+// Replica roles as reported by /readyz and /replica/status. A version's
+// role only ever holds leader or follower; candidate is derived — a
 // follower whose leader link is quarantined or fenced (see roleView).
 const (
 	roleLeader    = "leader"
@@ -200,11 +176,68 @@ const (
 	roleCandidate = "candidate"
 )
 
+// version is one published state of the server, immutable once stored in
+// server.cur: nothing reachable from it is written again, so whoever
+// Loads it — a request, a gauge, the checkpointer — reads one consistent
+// state for as long as it keeps the pointer, and pins no more than the
+// relations that differ from the current version's.
+type version struct {
+	w     *dwc.Warehouse    // the warehouse state, pinned (sealed)
+	marks map[string]uint64 // last applied sequence per update source: httpSource and every remote
+	// epoch and lsn are the replication coordinates of the last committed
+	// record; X-DW-Version stamps every answer with them.
+	epoch uint64
+	lsn   uint64
+	// role decides what the server accepts: a leader commits updates and
+	// owns maintenance; a follower applies the leader's stream and answers
+	// mutating routes with 409. follower is its stream client and loop.
+	role     string
+	follower *followerState
+	// remotes are the attached remote sources (dwsource processes consumed
+	// over the wire), by name.
+	remotes map[string]*remote.Client
+
+	// Cumulative refresh telemetry, as GET /stats reports it.
+	refreshes    int
+	refreshStats dwc.EvalStats
+	refreshWall  time.Duration
+	lastRefresh  refreshSummary
+
+	// Checkpoint bookkeeping (checkpoint.go). ckptDone is non-nil while a
+	// background checkpoint is in flight and closed when it has finished.
+	journalRecs int // records in the journal file
+	ckptDone    chan struct{}
+	lastCkptLSN uint64
+	lastCkptDur time.Duration
+}
+
+// stamp renders the version for the X-DW-Version header.
+func (v *version) stamp() string {
+	return strconv.FormatUint(v.epoch, 10) + "/" + strconv.FormatUint(v.lsn, 10)
+}
+
+// withEntry returns a copy of m with key set to val; the maps a version
+// holds are never written in place.
+func withEntry[V any](m map[string]V, key string, val V) map[string]V {
+	out := make(map[string]V, len(m)+1)
+	maps.Copy(out, m)
+	out[key] = val
+	return out
+}
+
+// publish stores the next version: a copy of the current one with change
+// applied. Caller holds s.mu.
+func (s *server) publish(change func(*version)) {
+	next := *s.cur.Load()
+	change(&next)
+	s.cur.Store(&next)
+}
+
 // checkpointPath is the marked snapshot inside a -snapshot-dir.
 func checkpointPath(dir string) string { return filepath.Join(dir, "state.snap") }
 
 // newServer builds the warehouse from the parsed spec (or durable
-// state: a legacy snapshot, or a marked checkpoint plus journal suffix).
+// state: a checkpoint plus journal suffix).
 // Logging is off by default (tests construct servers directly); main
 // swaps in a real logger.
 func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, error) {
@@ -225,13 +258,9 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		maintain:  dwc.NewMaintainer(comp),
 		cfg:       cfg,
 		w:         w,
-		snapshot:  cfg.SavePath,
 		journalOK: true,
-		role:      roleLeader,
 		log:       obs.NopLogger(),
 		reg:       obs.NewRegistry(),
-		remotes:   make(map[string]*remote.Client),
-		remoteSeq: make(map[string]uint64),
 		tracer:    trace.New(trace.Config{Rate: cfg.TraceSample, Capacity: cfg.TraceBuffer}),
 		mstats:    trace.NewMaintStats(0),
 		adm:       admission.New(cfg.Admission),
@@ -246,8 +275,10 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		}
 	}
 
-	// Materialize: a marked checkpoint wins, then the legacy -state
-	// snapshot, then a fresh initialization from the spec's state.
+	// Materialize: the checkpoint if there is one, else a fresh
+	// initialization from the spec's state. v is the version recovery
+	// arrives at; it is published once the journal has been replayed.
+	v := &version{role: roleLeader, marks: map[string]uint64{}}
 	loaded := false
 	if cfg.SnapshotDir != "" {
 		ms, marks, err := snapshot.LoadFileMarks(checkpointPath(cfg.SnapshotDir))
@@ -259,32 +290,15 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 			w.LoadState(ms)
 			// The marks map carries the per-source watermarks plus the
 			// reserved "~" replication coordinates — split them so meta
-			// marks never pollute the source watermark map.
-			sources, epoch, lsn := replica.SplitMetaMarks(marks)
-			s.seq = sources[httpSource]
-			for src, seq := range sources {
-				if src != httpSource {
-					s.remoteSeq[src] = seq
-				}
-			}
-			s.epoch, s.lsn = epoch, lsn
+			// marks never pollute the source watermark map. A snapshot
+			// written without marks (dwctl snapshot) boots at zero.
+			v.marks, v.epoch, v.lsn = replica.SplitMetaMarks(marks)
 			loaded = true
 		case os.IsNotExist(err):
 			// first boot in this directory
 		default:
 			return nil, err
 		}
-	}
-	if !loaded && cfg.StatePath != "" {
-		ms, err := dwc.LoadSnapshot(cfg.StatePath)
-		if err != nil {
-			return nil, err
-		}
-		if err := dwc.VerifySnapshot(ms, comp.Resolver()); err != nil {
-			return nil, err
-		}
-		w.LoadState(ms)
-		loaded = true
 	}
 	if !loaded {
 		if err := w.Initialize(spec.State); err != nil {
@@ -304,19 +318,11 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 			// Every journaled record was acknowledged, so its replication
 			// coordinates are durable facts even when the refresh below is
 			// deduplicated by the checkpoint watermark.
-			if rec.Epoch > s.epoch {
-				s.epoch = rec.Epoch
-			}
-			if rec.LSN > s.lsn {
-				s.lsn = rec.LSN
-			}
+			v.epoch = max(v.epoch, rec.Epoch)
+			v.lsn = max(v.lsn, rec.LSN)
 			// Records are keyed by their origin: the HTTP API's own
 			// sequence, or a remote source's watermark.
-			applied := s.seq
-			if rec.Source != httpSource {
-				applied = s.remoteSeq[rec.Source]
-			}
-			if rec.Seq <= applied {
+			if rec.Seq <= v.marks[rec.Source] {
 				return nil // already covered by the checkpoint
 			}
 			if _, rerr := s.maintain.RefreshContext(context.Background(), w, rec.Update); rerr != nil {
@@ -326,11 +332,7 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 				s.journalOK = false
 				return nil // keep replaying later records
 			}
-			if rec.Source == httpSource {
-				s.seq = rec.Seq
-			} else {
-				s.remoteSeq[rec.Source] = rec.Seq
-			}
+			v.marks[rec.Source] = rec.Seq
 			s.replayed++
 			return nil
 		})
@@ -341,13 +343,15 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		if err != nil {
 			return nil, err
 		}
-		s.jw, s.journalRecs = jw, n
+		s.jw, v.journalRecs = jw, n
 	}
+	v.w = w.Pin()
+	s.cur.Store(v)
 	// The replication log resumes at the recovered coordinates: retained
-	// records start at s.lsn+1, so followers that were caught up before a
+	// records start at lsn+1, so followers that were caught up before a
 	// restart stream straight through it.
 	s.rlog = replica.NewLog(cfg.ReplicaRetain)
-	s.rlog.Reset(s.lsn, s.epoch)
+	s.rlog.Reset(v.lsn, v.epoch)
 	s.lastGoodNano.Store(time.Now().UnixNano())
 	s.mInFlight = s.reg.Gauge("dw_http_in_flight_requests",
 		"HTTP requests currently being served.", nil)
@@ -367,20 +371,14 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"End-to-end refresh lag: report emitted at the source to delta visible in views.",
 		obs.DefLatencyBuckets, nil)
 	s.mCkptDur = s.reg.Histogram("dw_checkpoint_duration_seconds",
-		"Checkpoint duration, cut to journal compaction (off the commit path except at shutdown, promotion and bootstrap).",
+		"Checkpoint duration, encode to journal compaction (off the commit path except at shutdown, promotion and bootstrap).",
 		obs.DefLatencyBuckets, nil)
 	s.reg.GaugeFunc("dw_warehouse_tuples",
-		"Tuples materialized across all warehouse relations.", nil, func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(s.w.Size())
-		})
+		"Tuples materialized across all warehouse relations.", nil,
+		func() float64 { return float64(s.cur.Load().w.Size()) })
 	s.reg.GaugeFunc("dw_warehouse_relations",
-		"Materialized warehouse relations (views + stored complements).", nil, func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(len(s.w.Names()))
-		})
+		"Materialized warehouse relations (views + stored complements).", nil,
+		func() float64 { return float64(len(s.cur.Load().w.Names())) })
 	s.reg.GaugeFunc("dw_staleness_seconds",
 		"Seconds since the last successful refresh while degraded; 0 when healthy.", nil,
 		func() float64 { return s.staleness().Seconds() })
@@ -519,49 +517,11 @@ func jsonValue(v relation.Value) any {
 	}
 }
 
-// jsonRelation shapes a relation for JSON responses.
-func jsonRelation(r *relation.Relation) map[string]any {
-	rows := make([][]any, 0, r.Len())
-	for _, t := range r.SortedTuples() {
-		row := make([]any, len(t))
-		for i, v := range t {
-			row[i] = jsonValue(v)
-		}
-		rows = append(rows, row)
-	}
-	return map[string]any{
-		"attributes": r.Attrs(),
-		"tuples":     rows,
-		"count":      r.Len(),
-	}
-}
-
-// jsonRows serializes a query answer from its batch cursor: tuples are
-// gathered column-major from the typed vectors, then sorted in the same
-// total value order as jsonRelation for a deterministic wire order.
-func jsonRows(rs *dwc.Rows) map[string]any {
-	attrs := rs.Attrs()
-	tuples := make([]dwc.Tuple, 0, rs.Len())
-	for b := range rs.Batches() {
-		for i := 0; i < b.Len(); i++ {
-			t := make(dwc.Tuple, len(attrs))
-			for c := range attrs {
-				t[c] = b.Value(c, i)
-			}
-			tuples = append(tuples, t)
-		}
-	}
-	sort.Slice(tuples, func(i, j int) bool {
-		a, b := tuples[i], tuples[j]
-		for c := range a {
-			if !a[c].Equal(b[c]) {
-				return a[c].Less(b[c])
-			}
-		}
-		return false
-	})
-	rows := make([][]any, len(tuples))
-	for i, t := range tuples {
+// jsonTuples shapes a relation's attributes and sorted tuples for JSON
+// responses; the total value order makes the wire order deterministic.
+func jsonTuples(attrs []string, sorted []dwc.Tuple) map[string]any {
+	rows := make([][]any, len(sorted))
+	for i, t := range sorted {
 		row := make([]any, len(t))
 		for c, v := range t {
 			row[c] = jsonValue(v)
@@ -571,9 +531,15 @@ func jsonRows(rs *dwc.Rows) map[string]any {
 	return map[string]any{
 		"attributes": attrs,
 		"tuples":     rows,
-		"count":      rs.Len(),
+		"count":      len(sorted),
 	}
 }
+
+func jsonRelation(r *relation.Relation) map[string]any {
+	return jsonTuples(r.Attrs(), r.SortedTuples())
+}
+
+func jsonRows(rs *dwc.Rows) map[string]any { return jsonTuples(rs.Attrs(), rs.Sorted()) }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -586,14 +552,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	v := s.cur.Load()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
-		"relations": len(s.w.Names()),
-		"tuples":    s.w.Size(),
-		"refreshes": s.refreshes,
-		"seq":       s.seq,
+		"relations": len(v.w.Names()),
+		"tuples":    v.w.Size(),
+		"refreshes": v.refreshes,
+		"seq":       v.marks[httpSource],
 		"degraded":  s.degraded.Load(),
 	})
 }
@@ -608,10 +573,8 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // warehouse still answers queries from its last good state (serve
 // stale), so load balancers should keep routing to it.
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	sources, sourcesDegraded := s.remoteHealth()
-	s.mu.RLock()
-	epoch, lsn, f := s.epoch, s.lsn, s.follower
-	s.mu.RUnlock()
+	v := s.cur.Load()
+	sources, sourcesDegraded := v.remoteHealth()
 	body := map[string]any{
 		"snapshotLoaded":  s.snapshotLoaded,
 		"journalReplayed": s.journalOK,
@@ -619,14 +582,14 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		"draining":        s.draining.Load(),
 		"degraded":        s.degraded.Load() || sourcesDegraded,
 		"stalenessSec":    s.staleness().Seconds(),
-		"role":            s.roleView(),
-		"epoch":           epoch,
-		"lsn":             lsn,
+		"role":            v.roleView(),
+		"epoch":           v.epoch,
+		"lsn":             v.lsn,
 	}
-	if f != nil {
+	if v.follower != nil {
 		// The leader link's health (breaker state, staleness, cursor) and
 		// this replica's catch-up lag behind the leader's tip.
-		body["leader"] = f.client.Health()
+		body["leader"] = v.follower.client.Health()
 		body["replicaLagSec"] = s.replicaLag().Seconds()
 	}
 	if len(sources) > 0 {
@@ -674,37 +637,37 @@ func (s *server) handleComplement(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"entries": entries})
 }
 
-// markStale advertises degraded reads: when the last refresh (or its
-// persistence) failed, or a remote source's report stream is stale,
-// answers are still served from the last good state — warehouse-only,
-// per the paper — with the staleness on the X-DW-Staleness header so
-// callers can decide whether to trust them. The header carries the
-// warehouse's own staleness in seconds when its last refresh failed,
-// then name=seconds for each stale remote source (e.g. "sales=2.310").
-func (s *server) markStale(w http.ResponseWriter) {
-	if hdr := s.stalenessHeader(); hdr != "" {
+// read loads the version a read route answers from and stamps the
+// response with it: X-DW-Version says which state the answer was computed
+// from (epoch/lsn of its last committed record), and X-DW-Staleness
+// advertises degraded reads — when the last refresh (or its persistence)
+// failed, or a remote source's report stream is stale, answers are still
+// served from the last good state, warehouse-only, per the paper, and
+// callers decide whether to trust them. That header carries the
+// warehouse's own staleness in seconds when its last refresh failed, then
+// name=seconds for each stale remote source (e.g. "sales=2.310").
+func (s *server) read(w http.ResponseWriter) *version {
+	v := s.cur.Load()
+	w.Header().Set("X-DW-Version", v.stamp())
+	if hdr := s.stalenessHeader(v); hdr != "" {
 		w.Header().Set("X-DW-Staleness", hdr)
 	}
+	return v
 }
 
 func (s *server) handleRelations(w http.ResponseWriter, _ *http.Request) {
-	s.markStale(w)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	v := s.read(w)
 	out := map[string]int{}
-	for _, name := range s.w.Names() {
-		r, _ := s.w.Relation(name)
+	for name, r := range v.w.State() {
 		out[name] = r.Len()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleRelation(w http.ResponseWriter, req *http.Request) {
-	s.markStale(w)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	v := s.read(w)
 	name := req.PathValue("name")
-	r, ok := s.w.Relation(name)
+	r, ok := v.w.Relation(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no warehouse relation %q", name))
 		return
@@ -735,10 +698,8 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.markStale(w)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	qHat, err := s.w.TranslateQuery(q)
+	v := s.read(w)
+	qHat, err := v.w.TranslateQuery(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -753,7 +714,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	qctx, sp := trace.StartSpan(ectx, "query.eval")
 	defer sp.End()
 	sp.SetAttr("query", q.String())
-	rows, err := dwc.EvalExpr(qctx, qHat, s.w)
+	rows, err := dwc.EvalExpr(qctx, qHat, v.w)
 	if err != nil {
 		sp.SetAttr("outcome", "error")
 		s.queries.Add(1)
@@ -782,12 +743,16 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		"result":     jsonRows(rows),
 	}
 	if explain >= 1 {
-		// Flat counters at every explain level; the executed plan tree
+		// Flat counters at every explain level, with the per-source
+		// sequence marks of the version evaluated; the executed plan tree
 		// only at explain=2 (it is per-operator and thus bigger).
 		flat := *stats
 		plan := flat.Plan
 		flat.Plan = nil
-		body["stats"] = flat
+		body["stats"] = struct {
+			dwc.EvalStats
+			Seq map[string]uint64 `json:"seq"`
+		}{flat, v.marks}
 		if explain >= 2 {
 			body["plan"] = plan
 			body["planText"] = dwc.RenderPlan(plan, true)
@@ -795,7 +760,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	} else {
 		// Plain answers feed the stale-answer cache, the degradation
 		// ladder's LevelStale stopgap.
-		s.qcache.put(src, body)
+		s.qcache.put(src, body, v.stamp())
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -826,10 +791,11 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	}
 	s.lockCommit()
 	defer s.mu.Unlock()
+	v := s.cur.Load()
 	// Followers are read-only: every mutation flows through the leader,
 	// arrives on the replication stream, and is applied by the follower
 	// loop — a direct write here would fork the lineage.
-	if s.role != roleLeader {
+	if v.role != roleLeader {
 		writeError(w, http.StatusConflict, warehouse.ErrReadOnlyReplica)
 		return
 	}
@@ -838,7 +804,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	rctx, sp := trace.StartSpan(req.Context(), "refresh")
 	defer sp.End()
 	sp.SetAttr("source", httpSource)
-	sp.SetAttrInt("seq", int64(s.seq+1))
+	sp.SetAttrInt("seq", int64(v.marks[httpSource]+1))
 	// Cancellation is honored only before deltas are applied — the refresh
 	// either happens entirely or not at all, so a 499 means "unchanged".
 	stats, err := s.maintain.RefreshContext(rctx, s.w, u)
@@ -863,19 +829,11 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	// keeps replay exactly the sequence of acknowledged updates. The
 	// record carries its replication coordinates — epoch and the next LSN
 	// — so followers stream it bit-identical to how recovery replays it.
-	rec := journal.Record{Source: httpSource, Seq: s.seq + 1, Update: u, Epoch: s.epoch, LSN: s.lsn + 1}
+	rec := journal.Record{Source: httpSource, Seq: v.marks[httpSource] + 1, Update: u, Epoch: v.epoch, LSN: v.lsn + 1}
 	if jerr := s.commitLocked(req.Context(), rec, stats, 0); jerr != nil {
 		writeError(w, http.StatusInternalServerError,
-			fmt.Errorf("update applied but journal append failed (do not retry blindly): %w", jerr))
+			fmt.Errorf("journal append failed, update withdrawn (it may have reached the disk: do not retry blindly): %w", jerr))
 		return
-	}
-	if s.snapshot != "" {
-		if err := dwc.SaveSnapshot(s.snapshot, s.w.State()); err != nil {
-			s.degraded.Store(true)
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("update applied but snapshot failed: %w", err))
-			return
-		}
 	}
 	changed := map[string]int{}
 	for name, n := range stats.Changed {
@@ -892,29 +850,26 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	refreshes := s.refreshes
-	ckpt := map[string]any{
-		"lastLsn":        s.lastCkptLSN,
-		"lastDurationNs": s.lastCkptDur.Nanoseconds(),
-		"inFlight":       s.ckptDone != nil,
-		"journalRecords": s.journalRecs,
-	}
-	s.mu.RUnlock()
+	v := s.cur.Load()
 	s.statsMu.Lock()
-	body := map[string]any{
-		"queries":       s.queries.Load(),
-		"queryStats":    s.queryStats,
-		"refreshes":     refreshes,
-		"refreshStats":  s.refreshStats,
-		"refreshWallNs": s.refreshWall.Nanoseconds(),
-		"lastRefresh":   s.lastRefresh,
-		"checkpoint":    ckpt,
-	}
+	queryStats := s.queryStats
 	s.statsMu.Unlock()
-	// Planner-facing maintenance EWMAs (ROADMAP item 3's input contract).
-	body["maintenance"] = s.mstats.Snapshot()
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"queries":       s.queries.Load(),
+		"queryStats":    queryStats,
+		"refreshes":     v.refreshes,
+		"refreshStats":  v.refreshStats,
+		"refreshWallNs": v.refreshWall.Nanoseconds(),
+		"lastRefresh":   v.lastRefresh,
+		"checkpoint": map[string]any{
+			"lastLsn":        v.lastCkptLSN,
+			"lastDurationNs": v.lastCkptDur.Nanoseconds(),
+			"inFlight":       v.ckptDone != nil,
+			"journalRecords": v.journalRecs,
+		},
+		// Planner-facing maintenance EWMAs (ROADMAP item 3's input contract).
+		"maintenance": s.mstats.Snapshot(),
+	})
 }
 
 // traceListCap bounds GET /traces responses; the detail endpoint is
@@ -984,10 +939,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no base relation %q", base))
 		return
 	}
-	s.markStale(w)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	bases, err := s.w.ReconstructBases()
+	bases, err := s.read(w).w.ReconstructBases()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -1000,7 +952,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, req *http.Request) {
 // refresh-wide lookup mix and (for remote reports that carried an
 // emission timestamp) the end-to-end refresh lag. Pass lag < 0 when the
 // update had no source emit time (HTTP updates). Caller holds s.mu, so
-// post-refresh view sizes can be read directly.
+// post-refresh view sizes can be read from the writer's warehouse.
 func (s *server) observeMaintenance(stats dwc.RefreshStats, lag time.Duration) {
 	for _, span := range stats.Spans {
 		size := 0
@@ -1026,7 +978,7 @@ func (s *server) shutdown() error {
 	s.stopFollower()
 	s.lockBacklogBelow(0)
 	defer s.mu.Unlock()
-	err := s.checkpointLocked()
+	err := s.checkpointLocked(s.cur.Load())
 	if s.jw != nil {
 		if cerr := s.jw.Close(); err == nil {
 			err = cerr

@@ -1,10 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,18 +21,11 @@ insert Emp('Paula', 32)
 insert Sale('TV set', 'Mary')
 `
 
-func newTestServer(t *testing.T, statePath, savePath string) *httptest.Server {
+// newTestServer serves testSpec; dir is its -snapshot-dir ("" runs it
+// volatile).
+func newTestServer(t *testing.T, dir string) *httptest.Server {
 	t.Helper()
-	spec, err := dwc.ParseSpec(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newServer(spec, dwc.Theorem22(), serverConfig{StatePath: statePath, SavePath: savePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	_, ts := newDurableServer(t, dir, 0)
 	return ts
 }
 
@@ -63,7 +56,7 @@ func postText(t *testing.T, url, body string, out any) int {
 }
 
 func TestHealthAndSchema(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var health map[string]any
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatalf("healthz status %d", code)
@@ -79,7 +72,7 @@ func TestHealthAndSchema(t *testing.T) {
 }
 
 func TestComplementEndpoint(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var body struct {
 		Entries []map[string]any `json:"entries"`
 	}
@@ -96,7 +89,7 @@ func TestComplementEndpoint(t *testing.T) {
 }
 
 func TestQueryEndpoint(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var body struct {
 		Translated string `json:"translated"`
 		Result     struct {
@@ -125,7 +118,7 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 func TestUpdateEndpoint(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var res map[string]any
 	code := postText(t, ts.URL+"/update", "insert Sale('Computer', 'Paula')", &res)
 	if code != 200 {
@@ -152,7 +145,7 @@ func TestUpdateEndpoint(t *testing.T) {
 }
 
 func TestRelationEndpoints(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var sizes map[string]int
 	getJSON(t, ts.URL+"/relations", &sizes)
 	if sizes["Sold"] != 1 || sizes["C_Emp"] != 1 {
@@ -172,7 +165,7 @@ func TestRelationEndpoints(t *testing.T) {
 }
 
 func TestReconstructEndpoint(t *testing.T) {
-	ts := newTestServer(t, "", "")
+	ts := newTestServer(t, "")
 	var rel struct {
 		Count int `json:"count"`
 	}
@@ -185,17 +178,93 @@ func TestReconstructEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnswersCarryTheirVersion: every read route stamps its answer with
+// the epoch/lsn of the version it was computed from, and ?explain=1 adds
+// that version's per-source sequence marks to the stats.
+func TestAnswersCarryTheirVersion(t *testing.T) {
+	ts := newTestServer(t, "")
+	routes := []string{
+		"/query?q=" + escape("Sale"),
+		"/reconstruct/Emp",
+		"/relations",
+		"/relations/Sold",
+	}
+	stamps := func(want string) {
+		t.Helper()
+		for _, route := range routes {
+			resp, err := http.Get(ts.URL + route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if got := resp.Header.Get("X-DW-Version"); got != want {
+				t.Errorf("GET %s: X-DW-Version = %q, want %q", route, got, want)
+			}
+		}
+	}
+	stamps("0/0")
+	var res map[string]any
+	if code := postText(t, ts.URL+"/update", "insert Sale('Radio', 'Paula')", &res); code != 200 {
+		t.Fatalf("update failed: %v", res)
+	}
+	stamps("0/1")
+
+	var explained struct {
+		Stats struct {
+			Seq     map[string]uint64 `json:"seq"`
+			Emitted int64             `json:"emitted"`
+		} `json:"stats"`
+	}
+	getJSON(t, ts.URL+"/query?q="+escape("Sale")+"&explain=1", &explained)
+	if explained.Stats.Seq[httpSource] != 1 || explained.Stats.Emitted == 0 {
+		t.Errorf("explain=1 stats = %+v, want seq[%s] = 1 beside the counters", explained.Stats, httpSource)
+	}
+}
+
+// TestBootsFromMarklessSnapshot: a snapshot written without marks — what
+// `dwctl -save <dir>/state.snap snapshot` produces — boots under
+// -snapshot-dir at sequence zero.
+func TestBootsFromMarklessSnapshot(t *testing.T) {
+	spec := mustSpec(t, testSpec)
+	w, err := dwc.BuildWarehouse(spec.DB, spec.Views, dwc.Theorem22(), spec.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := mustOps(t, spec, "insert Sale('Radio', 'Paula')")
+	if _, err := dwc.Refresh(context.Background(), dwc.NewMaintainer(w.Complement()), w, u); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dwc.SaveSnapshot(checkpointPath(dir), w.State()); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, dir)
+	var q struct {
+		Result struct {
+			Count int `json:"count"`
+		} `json:"result"`
+	}
+	getJSON(t, ts.URL+"/query?q="+escape("sigma{item = 'Radio'}(Sale)"), &q)
+	if q.Result.Count != 1 {
+		t.Errorf("snapshot state not served: %+v", q)
+	}
+	var res map[string]any
+	if code := postText(t, ts.URL+"/update", "insert Sale('Computer', 'Paula')", &res); code != 200 {
+		t.Fatalf("update on a markless snapshot: %v", res)
+	}
+}
+
 func TestPersistenceAcrossRestarts(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "wh.gob")
-	ts := newTestServer(t, "", snap)
+	dir := t.TempDir()
+	ts := newTestServer(t, dir)
 	var res map[string]any
 	if code := postText(t, ts.URL+"/update", "insert Sale('Radio', 'Paula')", &res); code != 200 {
 		t.Fatalf("update failed: %v", res)
 	}
 	ts.Close()
 
-	// Restart from the snapshot: Paula's radio sale must be there.
-	ts2 := newTestServer(t, snap, "")
+	// Restart on the same directory: Paula's radio sale must be there.
+	ts2 := newTestServer(t, dir)
 	var q struct {
 		Result struct {
 			Count int `json:"count"`

@@ -122,30 +122,6 @@ func Refresh(ctx context.Context, m *Maintainer, w *Warehouse, u *Update) (Refre
 	return m.RefreshContext(ctx, w, u)
 }
 
-// AnswerContext answers a source query from the warehouse and returns the
-// bare relation and stats.
-//
-// Deprecated: Answer is the primary form; its Rows cursor carries the
-// same relation and stats plus columnar batch iteration.
-func AnswerContext(ctx context.Context, w *Warehouse, q Expr) (*Relation, *EvalStats, error) {
-	return w.AnswerContext(ctx, q)
-}
-
-// EvalExprContext evaluates an expression and returns the bare relation
-// and stats; unlike EvalExpr it reports the partial stats of a failed
-// evaluation.
-//
-// Deprecated: EvalExpr is the primary form; its Rows cursor carries the
-// same relation and stats plus columnar batch iteration.
-func EvalExprContext(ctx context.Context, e Expr, st algebra.State) (*Relation, *EvalStats, error) {
-	ec := algebra.NewEvalContext(ctx)
-	start := time.Now()
-	r, err := algebra.EvalCtx(ec, e, st)
-	stats := ec.Stats()
-	stats.Wall = time.Since(start)
-	return r, &stats, err
-}
-
 // Option configures complement computation (core.Options) functionally.
 // The zero configuration is Proposition 2.2: no integrity constraints.
 type Option func(*core.Options)

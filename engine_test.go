@@ -52,13 +52,14 @@ func TestNewOptionsPresets(t *testing.T) {
 func TestAnswerContextStats(t *testing.T) {
 	w := figure1Warehouse(t, dwc.Theorem22())
 	q := dwc.MustParseExpr("pi{item, age}(Sale join Emp)")
-	ans, stats, err := dwc.AnswerContext(context.Background(), w, q)
+	ans, err := dwc.Answer(context.Background(), w, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Len() != 3 {
-		t.Errorf("answer = %v", ans)
+		t.Errorf("answer = %v", ans.Relation())
 	}
+	stats := ans.Stats()
 	if stats == nil {
 		t.Fatal("no stats")
 	}
@@ -72,12 +73,12 @@ func TestAnswerContextStats(t *testing.T) {
 
 func TestEvalExprContextStats(t *testing.T) {
 	w := figure1Warehouse(t, dwc.Theorem22())
-	r, stats, err := dwc.EvalExprContext(context.Background(), dwc.MustParseExpr("Sold join Sold"), w)
+	r, err := dwc.EvalExpr(context.Background(), dwc.MustParseExpr("Sold join Sold"), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3 || stats.Scanned == 0 {
-		t.Errorf("r = %v, stats = %+v", r, stats)
+	if r.Len() != 3 || r.Stats().Scanned == 0 {
+		t.Errorf("r = %v, stats = %+v", r.Relation(), r.Stats())
 	}
 }
 
@@ -132,11 +133,6 @@ func TestSentinelErrors(t *testing.T) {
 	if !errors.Is(err, dwc.ErrUnknownRelation) {
 		t.Errorf("unknown relation: err = %v", err)
 	}
-	_, _, err = dwc.EvalExprContext(context.Background(), dwc.MustParseExpr("Nope"), st)
-	if !errors.Is(err, dwc.ErrUnknownRelation) {
-		t.Errorf("unknown relation via context API: err = %v", err)
-	}
-
 	_, err = dwc.EvalExpr(context.Background(), dwc.MustParseExpr("R union S"), st)
 	if !errors.Is(err, dwc.ErrSchemaMismatch) {
 		t.Errorf("schema mismatch: err = %v", err)

@@ -169,11 +169,11 @@ func TestGrandFuzzWithConsumers(t *testing.T) {
 func countBy(r *relation.Relation, attr string) *relation.Relation {
 	counts := map[string]int64{}
 	keys := map[string]relation.Value{}
-	r.Each(func(t relation.Tuple) {
+	for t := range r.All() {
 		v := r.Get(t, attr)
 		counts[v.Literal()]++
 		keys[v.Literal()] = v
-	})
+	}
 	out := relation.New(attr, "count")
 	for k, n := range counts {
 		out.InsertValues(keys[k], relation.Int(n))

@@ -25,12 +25,12 @@ func get(t *testing.T, res *relation.Relation, loc string, agg string) relation.
 	t.Helper()
 	var out relation.Value
 	found := false
-	res.Each(func(tu relation.Tuple) {
+	for tu := range res.All() {
 		if res.Get(tu, "loc").AsString() == loc {
 			out = res.Get(tu, agg)
 			found = true
 		}
-	})
+	}
 	if !found {
 		t.Fatalf("group %q missing in %v", loc, res)
 	}
@@ -224,7 +224,9 @@ func TestConsumeFiltersByTarget(t *testing.T) {
 		t.Error("delta for foreign target consumed")
 	}
 	// Right target: applied.
-	d.Ins.Each(func(tu relation.Tuple) { fact.Insert(tu) })
+	for tu := range d.Ins.All() {
+		fact.Insert(tu)
+	}
 	if err := v.Consume("Orders", d, fact); err != nil {
 		t.Fatal(err)
 	}

@@ -192,11 +192,11 @@ func TestSpanEndCarriesFix(t *testing.T) {
 	}
 }
 
-// TestCatalog: the analyzer catalog covers all eight checks — the
+// TestCatalog: the analyzer catalog covers all seven checks — the
 // interprocedural trio included — so TestRepoClean and CI gate on the
 // full set.
 func TestCatalog(t *testing.T) {
-	want := []string{"batchlife", "evalctx", "goleak", "lockdiscipline", "lockorder", "planops", "senterr", "spanend"}
+	want := []string{"batchlife", "evalctx", "goleak", "lockorder", "planops", "senterr", "spanend"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("catalog has %d analyzers, want %d", len(got), len(want))

@@ -8,60 +8,44 @@ import (
 
 // EvalCtxAnalyzer enforces the repo's facade-vs-library discipline: the
 // context-free convenience wrappers (algebra.Eval, PSJ.Eval,
-// Warehouse.Answer, Maintainer.Refresh, ...) and the deprecated row-copy
-// accessors (Relation.Each, Relation.Tuples) exist for the public facade,
+// Warehouse.Answer, Maintainer.Refresh, ...) exist for the public facade,
 // commands and tests; library code under internal/ must call the
 // context-aware variants so cancellation and instrumentation propagate
-// end to end, and the iterator accessors so the hot paths stay
-// allocation-free.
+// end to end.
 var EvalCtxAnalyzer = &Analyzer{
 	Name: "evalctx",
-	Doc:  "internal/ code must use context-aware Eval/Answer/Refresh variants and non-deprecated accessors, not the facade wrappers",
+	Doc:  "internal/ code must use context-aware Eval/Answer/Refresh variants, not the facade wrappers",
 	Run:  runEvalCtx,
 }
 
-// Why a wrapper is banned from library code; the reason selects the
-// diagnostic wording.
-const (
-	reasonContextFree = "context-free"
-	reasonDeprecated  = "deprecated"
-)
-
 // bannedWrappers lists the forbidden wrappers: defining package path,
-// receiver type name ("" for package-level functions), function name, the
-// alternative to suggest, and the reason wording. An empty reason means
-// context-free.
+// receiver type name ("" for package-level functions), function name and
+// the alternative to suggest.
 var bannedWrappers = []struct {
-	pkg, recv, name, alt, reason string
+	pkg, recv, name, alt string
 }{
-	{"dwcomplement/internal/algebra", "", "Eval", "EvalCtx", reasonContextFree},
-	{"dwcomplement/internal/algebra", "", "MustEval", "EvalCtx", reasonContextFree},
-	{"dwcomplement/internal/view", "PSJ", "Eval", "EvalCtx", reasonContextFree},
-	{"dwcomplement/internal/view", "Set", "Eval", "EvalCtx", reasonContextFree},
-	{"dwcomplement/internal/warehouse", "Warehouse", "Answer", "AnswerContext", reasonContextFree},
-	{"dwcomplement/internal/maintain", "Maintainer", "Refresh", "RefreshContext", reasonContextFree},
-	{"dwcomplement/internal/core", "Complement", "MaterializeWarehouse", "MaterializeWarehouseCtx", reasonContextFree},
-	{"dwcomplement/internal/core", "Complement", "Reconstruct", "ReconstructCtx", reasonContextFree},
-	// Relation.Each and Relation.Tuples predate the iterator and batch
-	// cursors; they survive as thin wrappers for external callers, but
-	// library code must range over All() (row-major, no copies) or
-	// Batches() (column-major).
-	{"dwcomplement/internal/relation", "Relation", "Each", "range All() or Batches()", reasonDeprecated},
-	{"dwcomplement/internal/relation", "Relation", "Tuples", "range All(), or SortedTuples for deterministic copies", reasonDeprecated},
+	{"dwcomplement/internal/algebra", "", "Eval", "EvalCtx"},
+	{"dwcomplement/internal/algebra", "", "MustEval", "EvalCtx"},
+	{"dwcomplement/internal/view", "PSJ", "Eval", "EvalCtx"},
+	{"dwcomplement/internal/view", "Set", "Eval", "EvalCtx"},
+	{"dwcomplement/internal/warehouse", "Warehouse", "Answer", "AnswerContext"},
+	{"dwcomplement/internal/maintain", "Maintainer", "Refresh", "RefreshContext"},
+	{"dwcomplement/internal/core", "Complement", "MaterializeWarehouse", "MaterializeWarehouseCtx"},
+	{"dwcomplement/internal/core", "Complement", "Reconstruct", "ReconstructCtx"},
 	// The net/http convenience calls carry no context, so a remote
 	// source that stops responding would hang library code forever.
 	// internal/remote (and any other internal package talking HTTP)
 	// must build requests with http.NewRequestWithContext so the
 	// per-attempt deadlines and breaker-driven cancellation propagate.
-	{"net/http", "", "Get", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "", "Post", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "", "PostForm", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "", "Head", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "", "NewRequest", "NewRequestWithContext", reasonContextFree},
-	{"net/http", "Client", "Get", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "Client", "Post", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "Client", "PostForm", "NewRequestWithContext + Client.Do", reasonContextFree},
-	{"net/http", "Client", "Head", "NewRequestWithContext + Client.Do", reasonContextFree},
+	{"net/http", "", "Get", "NewRequestWithContext + Client.Do"},
+	{"net/http", "", "Post", "NewRequestWithContext + Client.Do"},
+	{"net/http", "", "PostForm", "NewRequestWithContext + Client.Do"},
+	{"net/http", "", "Head", "NewRequestWithContext + Client.Do"},
+	{"net/http", "", "NewRequest", "NewRequestWithContext"},
+	{"net/http", "Client", "Get", "NewRequestWithContext + Client.Do"},
+	{"net/http", "Client", "Post", "NewRequestWithContext + Client.Do"},
+	{"net/http", "Client", "PostForm", "NewRequestWithContext + Client.Do"},
+	{"net/http", "Client", "Head", "NewRequestWithContext + Client.Do"},
 }
 
 func runEvalCtx(pass *Pass) {
@@ -87,16 +71,9 @@ func runEvalCtx(pass *Pass) {
 					if w.recv != "" {
 						what = w.recv + "." + w.name
 					}
-					switch w.reason {
-					case reasonDeprecated:
-						pass.Reportf(call.Pos(),
-							"call to deprecated %s.%s from library code; use %s",
-							shortPkg(w.pkg), what, w.alt)
-					default:
-						pass.Reportf(call.Pos(),
-							"call to context-free %s.%s from library code; use %s so cancellation and stats propagate",
-							shortPkg(w.pkg), what, w.alt)
-					}
+					pass.Reportf(call.Pos(),
+						"call to context-free %s.%s from library code; use %s so cancellation and stats propagate",
+						shortPkg(w.pkg), what, w.alt)
 					break
 				}
 			}

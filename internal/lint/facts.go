@@ -139,7 +139,7 @@ func seedFacts() map[string]*FuncFacts {
 		// every batch cursor over warehouse state is invalidated.
 		"(*dwcomplement/internal/maintain.Maintainer).RefreshContext": {MutatesStored: true},
 		"(*dwcomplement/internal/maintain.Maintainer).Refresh":        {MutatesStored: true},
-		"(*dwcomplement/internal/warehouse.Warehouse).Install":        {MutatesStored: true},
+		"(*dwcomplement/internal/warehouse.Warehouse).Commit":         {MutatesStored: true},
 		"dwcomplement.Refresh": {MutatesStored: true},
 		// Unstoppable listeners: no handle exists to shut them down, so
 		// a goroutine running one can never be collected. (The *Server

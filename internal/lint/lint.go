@@ -7,8 +7,6 @@
 //
 // The analyzers:
 //
-//   - lockdiscipline: no write to a mutex-guarded struct field while only
-//     the read lock is held (the PR-2 dwserve data-race class);
 //   - evalctx: library code under internal/ must call the context-aware
 //     evaluation entry points, never the context-free wrappers reserved
 //     for the public facade;
@@ -131,7 +129,6 @@ func All() []*Analyzer {
 		BatchLife,
 		EvalCtxAnalyzer,
 		GoLeak,
-		LockDiscipline,
 		LockOrder,
 		PlanOps,
 		SentErr,

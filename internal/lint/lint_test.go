@@ -61,14 +61,13 @@ func testAnalyzer(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
-func TestLockDiscipline(t *testing.T) { testAnalyzer(t, LockDiscipline, "lockdiscipline") }
-func TestEvalCtx(t *testing.T)        { testAnalyzer(t, EvalCtxAnalyzer, "evalctx") }
-func TestPlanOps(t *testing.T)        { testAnalyzer(t, PlanOps, "planops") }
-func TestSentErr(t *testing.T)        { testAnalyzer(t, SentErr, "senterr") }
-func TestSpanEnd(t *testing.T)        { testAnalyzer(t, SpanEnd, "spanend") }
-func TestLockOrder(t *testing.T)      { testAnalyzer(t, LockOrder, "lockorder") }
-func TestGoLeak(t *testing.T)         { testAnalyzer(t, GoLeak, "goleak") }
-func TestBatchLife(t *testing.T)      { testAnalyzer(t, BatchLife, "batchlife") }
+func TestEvalCtx(t *testing.T)   { testAnalyzer(t, EvalCtxAnalyzer, "evalctx") }
+func TestPlanOps(t *testing.T)   { testAnalyzer(t, PlanOps, "planops") }
+func TestSentErr(t *testing.T)   { testAnalyzer(t, SentErr, "senterr") }
+func TestSpanEnd(t *testing.T)   { testAnalyzer(t, SpanEnd, "spanend") }
+func TestLockOrder(t *testing.T) { testAnalyzer(t, LockOrder, "lockorder") }
+func TestGoLeak(t *testing.T)    { testAnalyzer(t, GoLeak, "goleak") }
+func TestBatchLife(t *testing.T) { testAnalyzer(t, BatchLife, "batchlife") }
 
 func TestByName(t *testing.T) {
 	as, err := ByName([]string{"senterr", "planops"})

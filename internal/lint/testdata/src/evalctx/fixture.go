@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"dwcomplement/internal/algebra"
-	"dwcomplement/internal/relation"
 	"dwcomplement/internal/view"
 )
 
@@ -17,21 +16,6 @@ func contextFree(e algebra.Expr, st algebra.State, v *view.PSJ, vs *view.Set) {
 	_ = algebra.MustEval(e, st) // want "context-free algebra.MustEval"
 	_, _ = v.Eval(st)           // want "context-free view.PSJ.Eval"
 	_, _ = vs.Eval(st)          // want "context-free view.Set.Eval"
-}
-
-func deprecatedAccessors(r *relation.Relation) {
-	r.Each(func(t relation.Tuple) {}) // want "deprecated relation.Relation.Each"
-	_ = r.Tuples()                    // want "deprecated relation.Relation.Tuples"
-}
-
-func iteratorAccessors(r *relation.Relation) {
-	for t := range r.All() {
-		_ = t
-	}
-	for b := range r.Batches() {
-		_ = b
-	}
-	_ = r.SortedTuples()
 }
 
 func contextFreeHTTP(c *http.Client) {

@@ -275,9 +275,8 @@ func propagateTraced(ctx context.Context, name string, def algebra.Expr, vst *Vi
 func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *warehouse.Warehouse, u *catalog.Update) (RefreshStats, error) {
 	stats := RefreshStats{Changed: make(map[string]int)}
 	// Fail before any delta work: a sealed warehouse (read-only replica)
-	// would refuse the commit loop below anyway, and checking here keeps
-	// the refusal all-or-nothing — no partially staged refresh, and the
-	// typed error surfaces before any evaluation cost is paid.
+	// would refuse the commit below anyway, and checking here makes the
+	// typed error surface before any evaluation cost is paid.
 	if w.Sealed() {
 		return stats, warehouse.ErrReadOnlyReplica
 	}
@@ -343,7 +342,7 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	}
 	// Apply phase — all deltas or none. Every changed relation is
 	// applied to a copy first (copy-on-write apply set); an error or
-	// cancellation anywhere before the final commit loop discards the
+	// cancellation anywhere before the final commit discards the
 	// copies and leaves the warehouse bitwise unchanged, so a failed
 	// refresh can simply be retried with the same update.
 	stats.Spans = make([]RefreshSpan, 0, len(deltas))
@@ -396,15 +395,15 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 			}
 		}
 	}
+	changed := make(map[string]*relation.Relation)
 	for _, c := range commit {
 		if c.dirty {
-			if err := w.Install(c.name, c.post); err != nil {
-				// Only a seal flipped since the check above can fail here;
-				// the flip is serialized with refreshes by the caller, so
-				// no earlier install of this loop has happened either.
-				return stats, err
-			}
+			changed[c.name] = c.post
 		}
+	}
+	// Only a seal flipped since the check above can fail here.
+	if err := w.Commit(changed); err != nil {
+		return stats, err
 	}
 	stats.RestrictedLookups, stats.FullReconstructions = vst.LookupStats()
 	return stats, nil

@@ -7,7 +7,6 @@ import (
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/core"
-	"dwcomplement/internal/relation"
 	"dwcomplement/internal/workload"
 )
 
@@ -133,18 +132,18 @@ func restrictUpdateTo(t *testing.T, u *catalog.Update, base string, sc workload.
 	t.Helper()
 	out := catalog.NewUpdate()
 	if ins := u.Inserts(base); ins != nil {
-		ins.Each(func(tu relation.Tuple) {
+		for tu := range ins.All() {
 			if err := out.Insert(base, sc.DB, alignTuple(ins, ins, tu)); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
 	}
 	if del := u.Deletes(base); del != nil {
-		del.Each(func(tu relation.Tuple) {
+		for tu := range del.All() {
 			if err := out.Delete(base, sc.DB, alignTuple(del, del, tu)); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
 	}
 	return out
 }

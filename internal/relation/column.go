@@ -1,9 +1,7 @@
 package relation
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -57,16 +55,6 @@ func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// Any reports whether any bit is set; a nil bitmap has none.
-func (b Bitmap) Any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // defaultDictCapacity bounds the per-column string dictionary. Columns
 // whose distinct-string count exceeds it fall back to the ColAny layout.
@@ -308,330 +296,4 @@ func (r *Relation) ColumnsBuilt() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cols != nil
-}
-
-// --- column codec -----------------------------------------------------
-//
-// A compact self-describing binary encoding of one column, used by the
-// snapshot/journal layers to persist columnar images and fuzzed for
-// robustness (FuzzColumnCodec). Layout (all integers little-endian):
-//
-//	u8  kind
-//	u32 row count n
-//	u8  hasNulls; if 1: ceil(n/64) × u64 bitmap words
-//	payload per kind:
-//	  bool:   ceil(n/8) × u8 packed bits
-//	  int:    n × u64 (two's complement)
-//	  float:  n × u64 (IEEE-754 bits)
-//	  string: u32 dict size m; m × (u32 len + bytes); n × u32 codes
-//	  any:    n × (u8 value kind + payload as above, scalar)
-
-// EncodeColumn serializes the column.
-func EncodeColumn(c *Column) []byte {
-	n := c.Len()
-	buf := make([]byte, 0, 16+8*n)
-	buf = append(buf, byte(c.Kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	if c.Nulls.Any() {
-		buf = append(buf, 1)
-		for i := 0; i < (n+63)/64; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, c.Nulls[i])
-		}
-	} else {
-		buf = append(buf, 0)
-	}
-	switch c.Kind {
-	case ColBool:
-		var w byte
-		for i, b := range c.Bools {
-			if b {
-				w |= 1 << (uint(i) & 7)
-			}
-			if i&7 == 7 {
-				buf = append(buf, w)
-				w = 0
-			}
-		}
-		if n&7 != 0 {
-			buf = append(buf, w)
-		}
-	case ColInt:
-		for _, v := range c.Ints {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-	case ColFloat:
-		for _, v := range c.Floats {
-			buf = binary.LittleEndian.AppendUint64(buf, floatBits(v))
-		}
-	case ColString:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Dict.Len()))
-		for _, s := range c.Dict.vals {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		}
-		for _, code := range c.Codes {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(code))
-		}
-	default:
-		for _, v := range c.Any {
-			buf = appendValue(buf, v)
-		}
-	}
-	return buf
-}
-
-func floatBits(f float64) uint64 {
-	// Canonical bits keep encode(decode(x)) byte-stable under fuzzing
-	// (any NaN payload re-encodes identically).
-	return canonicalFloatBits(f)
-}
-
-func appendValue(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.Kind()))
-	switch v.Kind() {
-	case KindNull:
-	case KindBool:
-		if v.AsBool() {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	case KindInt:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.AsInt()))
-	case KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(v.AsFloat()))
-	case KindString:
-		s := v.AsString()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-// colDecoder walks the encoded bytes with bounds checking.
-type colDecoder struct {
-	b   []byte
-	off int
-}
-
-func (d *colDecoder) u8() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, fmt.Errorf("relation: column codec: truncated at byte %d", d.off)
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *colDecoder) u32() (uint32, error) {
-	if d.off+4 > len(d.b) {
-		return 0, fmt.Errorf("relation: column codec: truncated at byte %d", d.off)
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *colDecoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, fmt.Errorf("relation: column codec: truncated at byte %d", d.off)
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *colDecoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.b) {
-		return nil, fmt.Errorf("relation: column codec: truncated at byte %d", d.off)
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v, nil
-}
-
-// DecodeColumn parses an encoded column, validating every length and
-// dictionary code; malformed input yields an error, never a panic.
-func DecodeColumn(data []byte) (*Column, error) {
-	d := &colDecoder{b: data}
-	kb, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	kind := ColKind(kb)
-	if kind > ColString {
-		return nil, fmt.Errorf("relation: column codec: unknown kind %d", kb)
-	}
-	n32, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	const maxRows = 1 << 26 // 64Mi rows: sanity bound against hostile lengths
-	n := int(n32)
-	if n > maxRows {
-		return nil, fmt.Errorf("relation: column codec: row count %d exceeds bound", n)
-	}
-	c := &Column{Kind: kind}
-	hasNulls, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if hasNulls == 1 {
-		c.Nulls = NewBitmap(n)
-		for i := range c.Nulls {
-			if c.Nulls[i], err = d.u64(); err != nil {
-				return nil, err
-			}
-		}
-	} else if hasNulls != 0 {
-		return nil, fmt.Errorf("relation: column codec: bad null marker %d", hasNulls)
-	}
-	// Every layout has a fixed minimum payload cost per row; reject counts
-	// the remaining input cannot possibly back before allocating slices
-	// sized by them (a 4-byte count in an 8-byte input must not reserve
-	// gigabytes).
-	minBytes := n // ColAny: at least a kind byte per value
-	switch kind {
-	case ColBool:
-		minBytes = (n + 7) / 8
-	case ColInt, ColFloat:
-		minBytes = 8 * n
-	case ColString:
-		minBytes = 4 + 4*n
-	}
-	if rem := len(data) - d.off; minBytes > rem {
-		return nil, fmt.Errorf("relation: column codec: row count %d needs %d bytes, %d remain", n, minBytes, rem)
-	}
-	switch kind {
-	case ColBool:
-		packed, err := d.bytes((n + 7) / 8)
-		if err != nil {
-			return nil, err
-		}
-		c.Bools = make([]bool, n)
-		for i := range c.Bools {
-			c.Bools[i] = packed[i>>3]&(1<<(uint(i)&7)) != 0
-		}
-	case ColInt:
-		c.Ints = make([]int64, n)
-		for i := range c.Ints {
-			u, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			c.Ints[i] = int64(u)
-		}
-	case ColFloat:
-		c.Floats = make([]float64, n)
-		for i := range c.Floats {
-			u, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			c.Floats[i] = floatFromBits(u)
-		}
-	case ColString:
-		m32, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		m := int(m32)
-		if m > len(data) { // each entry costs ≥ 4 bytes; cheap hostile-length guard
-			return nil, fmt.Errorf("relation: column codec: dictionary size %d exceeds input", m)
-		}
-		c.Dict = NewDict()
-		for i := 0; i < m; i++ {
-			l, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			sb, err := d.bytes(int(l))
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := c.Dict.Code(string(sb)); dup {
-				return nil, fmt.Errorf("relation: column codec: duplicate dictionary entry %q", sb)
-			}
-			c.Dict.Add(string(sb))
-		}
-		c.Codes = make([]int32, n)
-		for i := range c.Codes {
-			code, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			if !c.IsNull(i) && int(code) >= m {
-				return nil, fmt.Errorf("relation: column codec: code %d out of dictionary range %d", code, m)
-			}
-			if int(code) >= m {
-				code = 0 // NULL rows carry a zero payload
-			}
-			c.Codes[i] = int32(code)
-		}
-	default: // ColAny
-		c.Any = make([]Value, n)
-		for i := range c.Any {
-			v, err := decodeValue(d)
-			if err != nil {
-				return nil, err
-			}
-			c.Any[i] = v
-			if v.IsNull() && !c.IsNull(i) {
-				if c.Nulls == nil {
-					c.Nulls = NewBitmap(n)
-				}
-				c.Nulls.Set(i)
-			}
-		}
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("relation: column codec: %d trailing bytes", len(data)-d.off)
-	}
-	return c, nil
-}
-
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }
-
-func decodeValue(d *colDecoder) (Value, error) {
-	kb, err := d.u8()
-	if err != nil {
-		return Value{}, err
-	}
-	switch Kind(kb) {
-	case KindNull:
-		return Null(), nil
-	case KindBool:
-		b, err := d.u8()
-		if err != nil {
-			return Value{}, err
-		}
-		if b > 1 {
-			return Value{}, fmt.Errorf("relation: column codec: bad bool byte %d", b)
-		}
-		return Bool(b == 1), nil
-	case KindInt:
-		u, err := d.u64()
-		if err != nil {
-			return Value{}, err
-		}
-		return Int(int64(u)), nil
-	case KindFloat:
-		u, err := d.u64()
-		if err != nil {
-			return Value{}, err
-		}
-		return Float(floatFromBits(u)), nil
-	case KindString:
-		l, err := d.u32()
-		if err != nil {
-			return Value{}, err
-		}
-		sb, err := d.bytes(int(l))
-		if err != nil {
-			return Value{}, err
-		}
-		return String_(string(sb)), nil
-	default:
-		return Value{}, fmt.Errorf("relation: column codec: unknown value kind %d", kb)
-	}
 }

@@ -36,7 +36,7 @@ func TestCSVUntypedInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu := r.Tuples()[0]
+	tu := r.SortedTuples()[0]
 	if r.Get(tu, "a").Kind() != KindInt ||
 		r.Get(tu, "b").Kind() != KindFloat ||
 		r.Get(tu, "c").Kind() != KindBool ||
@@ -100,7 +100,7 @@ func TestCSVEmptyRelationAndNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu := withNull.Tuples()[0]
+	tu := withNull.SortedTuples()[0]
 	if !withNull.Get(tu, "b").IsNull() {
 		t.Error("empty cell must be NULL")
 	}

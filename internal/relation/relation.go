@@ -438,30 +438,6 @@ func (r *Relation) All() iter.Seq[Tuple] {
 	}
 }
 
-// Each calls fn for every tuple. The callback must not retain or modify
-// the tuple, and must not mutate the relation.
-//
-// Deprecated: range over All instead (or use Batches for column-major
-// access); Each survives as a thin wrapper for external callers.
-func (r *Relation) Each(fn func(Tuple)) {
-	for t := range r.All() {
-		fn(t)
-	}
-}
-
-// Tuples returns a copy of all tuples, in no particular order.
-//
-// Deprecated: range over All (no copies) or Batches (column-major)
-// instead; Tuples clones every row and survives only as a convenience
-// for external callers and tests.
-func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, len(r.rows))
-	for i, t := range r.rows {
-		out[i] = t.Clone()
-	}
-	return out
-}
-
 // SortedTuples returns all tuples sorted by the total value order, column
 // by column — a deterministic order for printing and golden tests.
 func (r *Relation) SortedTuples() []Tuple {

@@ -246,7 +246,7 @@ func TestSortedTuplesDeterministic(t *testing.T) {
 
 func TestGetAndPos(t *testing.T) {
 	r := mkRel(t, []string{"a", "b"}, []Value{Int(1), Int(2)})
-	tu := r.Tuples()[0]
+	tu := r.SortedTuples()[0]
 	if r.Get(tu, "b").AsInt() != 2 {
 		t.Error("Get by name")
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -36,7 +37,7 @@ type Warehouse struct {
 	comp  *core.Complement
 	state algebra.MapState
 
-	// sealed marks the warehouse read-only: Install (the single commit
+	// sealed marks the warehouse read-only: Commit (the single commit
 	// primitive every refresh funnels through) refuses with
 	// ErrReadOnlyReplica. A follower holds its warehouse sealed except
 	// inside its own serialized replication apply.
@@ -105,25 +106,44 @@ func (w *Warehouse) Relation(name string) (*relation.Relation, bool) {
 }
 
 // State returns the warehouse state. Callers must treat it as read-only;
-// package maintain mutates it through Refresh.
+// package maintain replaces it through Refresh.
 func (w *Warehouse) State() algebra.MapState { return w.state }
 
-// Install replaces one materialized relation. It is the commit
-// primitive of the atomic refresh: package maintain applies every delta
-// to copies first and installs them only once all of them (and all
-// delta consumers) have succeeded, so a failed refresh leaves the
-// warehouse bitwise unchanged. A sealed warehouse refuses with
+// Commit moves the warehouse to its next state: the current relations
+// with every entry of changed replaced. It is the commit primitive of
+// the atomic refresh: package maintain applies every delta to copies
+// first and commits them only once all of them (and all delta consumers)
+// have succeeded, so a failed refresh leaves the warehouse bitwise
+// unchanged. The next state is a fresh map swapped in whole and neither
+// the previous map nor a committed relation is ever written again, so a
+// State() (or a Pin) taken before the call keeps describing the previous
+// state for as long as it is held. A sealed warehouse refuses with
 // ErrReadOnlyReplica — the single-writer guard every mutation path
 // shares, instead of each caller remembering to check a flag.
-func (w *Warehouse) Install(name string, r *relation.Relation) error {
+func (w *Warehouse) Commit(changed map[string]*relation.Relation) error {
 	if w.sealed.Load() {
 		return ErrReadOnlyReplica
 	}
-	w.state[name] = r
+	if len(changed) == 0 {
+		return nil
+	}
+	next := make(algebra.MapState, len(w.state))
+	maps.Copy(next, w.state)
+	maps.Copy(next, changed)
+	w.state = next
 	return nil
 }
 
-// Seal marks the warehouse read-only: every Install fails with
+// Pin returns a sealed warehouse fixed at the current state: it answers
+// and reconstructs like w did at the moment of the call, whatever w
+// commits or loads afterwards, and may be read from any goroutine.
+func (w *Warehouse) Pin() *Warehouse {
+	p := &Warehouse{comp: w.comp, state: w.state}
+	p.sealed.Store(true)
+	return p
+}
+
+// Seal marks the warehouse read-only: every Commit fails with
 // ErrReadOnlyReplica until Unseal. The flag does not protect the state
 // from concurrent access — callers still serialize as before — it
 // protects it from the wrong WRITER: a follower's local update path
@@ -131,8 +151,8 @@ func (w *Warehouse) Install(name string, r *relation.Relation) error {
 func (w *Warehouse) Seal() { w.sealed.Store(true) }
 
 // Unseal lifts the read-only seal. The replication apply path brackets
-// each replayed refresh with Unseal/Seal while holding the same lock
-// that serializes every reader and writer of the warehouse.
+// each replayed refresh with Unseal/Seal while holding the lock that
+// serializes the warehouse's writers; readers work on a Pin.
 func (w *Warehouse) Unseal() { w.sealed.Store(false) }
 
 // Sealed reports whether the warehouse is read-only.

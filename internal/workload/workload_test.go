@@ -112,18 +112,18 @@ func TestGenUpdateNormalized(t *testing.T) {
 	for _, name := range u.Touched() {
 		r := st.MustRelation(name)
 		if ins := u.Inserts(name); ins != nil {
-			ins.Each(func(tu relation.Tuple) {
+			for tu := range ins.All() {
 				if r.ContainsAligned(tu, ins) {
 					t.Errorf("insert of present tuple %v into %s", tu, name)
 				}
-			})
+			}
 		}
 		if del := u.Deletes(name); del != nil {
-			del.Each(func(tu relation.Tuple) {
+			for tu := range del.All() {
 				if !r.ContainsAligned(tu, del) {
 					t.Errorf("delete of absent tuple %v from %s", tu, name)
 				}
-			})
+			}
 		}
 	}
 }

@@ -29,8 +29,8 @@ func naiveNaturalJoin(l, r *relation.Relation) *relation.Relation {
 		}
 	}
 	out := relation.New(attrs...)
-	for _, lt := range l.Tuples() {
-		for _, rt := range r.Tuples() {
+	for lt := range l.All() {
+		for rt := range r.All() {
 			match := true
 			for _, p := range shared {
 				if !lt[p.lp].Equal(rt[p.rp]) {
@@ -59,8 +59,8 @@ func naiveSemiJoin(r, probe *relation.Relation) *relation.Relation {
 		pos = append(pos, p)
 	}
 	out := relation.New(r.Attrs()...)
-	for _, rt := range r.Tuples() {
-		for _, pt := range probe.Tuples() {
+	for rt := range r.All() {
+		for pt := range probe.All() {
 			match := true
 			for i, p := range pos {
 				if !rt[p].Equal(pt[i]) {
@@ -180,7 +180,7 @@ func TestJoinsStayCorrectAcrossMutations(t *testing.T) {
 		l.InsertValues(relation.Int(int64(1000+round)), v)
 		r.InsertValues(v, relation.Int(int64(round)))
 		if round%3 == 0 && r.Len() > 0 {
-			r.Delete(r.Tuples()[0])
+			r.Delete(r.SortedTuples()[0])
 		}
 	}
 }

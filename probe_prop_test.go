@@ -255,7 +255,7 @@ func TestRestrictedContract(t *testing.T) {
 				pattrs = append(pattrs, "zz")
 			}
 			probe := relation.New(pattrs...)
-			rows := relation.Project(full, pattrs...).Tuples()
+			rows := relation.Project(full, pattrs...).SortedTuples()
 			for n := []int{0, 1, 3, 40}[rng.Intn(4)]; n > 0; n-- {
 				if len(rows) > 0 && rng.Intn(3) > 0 {
 					probe.Insert(rows[rng.Intn(len(rows))])
