@@ -609,3 +609,89 @@ func BenchmarkQueryClasses(b *testing.B) {
 		})
 	}
 }
+
+// churnOrder is the order row the refresh benchmarks insert under okey and
+// later delete again: customer and part from the dimensions' upper halves,
+// as benchmark/gen.go draws its churn rows.
+func churnOrder(loc string, okey, dims int) []relation.Value {
+	h := uint64(okey)*0x9e3779b97f4a7c15 + uint64(len(loc))
+	half := dims / 2
+	return []relation.Value{dwc.Int(int64(okey)), dwc.Int(int64(half + 1 + int(h%uint64(dims-half)))),
+		dwc.Int(int64(half + 1 + int((h>>20)%uint64(dims-half)))), dwc.Str(loc), dwc.Int(int64(1 + (h>>44)%49))}
+}
+
+// BenchmarkRefreshScale measures one refresh of the process benchmark's
+// churn shape — an update inserts one order and deletes the one inserted
+// 64 updates earlier, sites alternating — on the Section-5 schema at three
+// sizes, with the indexes the query pool builds already cached on the
+// views. Thm. 4.1's cost model says the three sizes should cost the same:
+// ns/op and B/op are the gate for "refresh is O(delta), not O(view)".
+func BenchmarkRefreshScale(b *testing.B) {
+	const lag = 64
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := section5Warehouse(b, c.rows)
+			ctx := context.Background()
+			for _, q := range []string{
+				"sigma{okey = 4711}(Order_paris)", "sigma{okey = 4711}(Order_tokyo)",
+				"sigma{ckey = 17}(Order_paris join Customer)", "sigma{ckey = 17}(Order_tokyo join Customer)",
+				"sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)",
+			} {
+				if _, err := dwc.Answer(ctx, w, dwc.MustParseExpr(q)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+			update := func(i int) *dwc.Update {
+				loc, j := []string{"paris", "tokyo"}[i%2], c.rows/2+1+i/2
+				u := dwc.NewUpdate().MustInsert("Order_"+loc, db, churnOrder(loc, j, c.rows/20)...)
+				if i/2 >= lag {
+					u.MustDelete("Order_"+loc, db, churnOrder(loc, j-lag, c.rows/20)...)
+				}
+				return u
+			}
+			for i := 0; i < b.N+2*lag; i++ { // the first 2·lag updates only insert
+				if i == 2*lag {
+					b.ReportAllocs()
+					b.ResetTimer()
+				}
+				st, err := dwc.Refresh(ctx, m, w, update(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i >= 2*lag && st.Total() < 2 {
+					b.Fatalf("update %d changed %d warehouse tuples, want an insert and a delete", i, st.Total())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClone measures Relation.Clone of the 50k-row FactParis view,
+// bare and carrying three cached indexes — what every refresh pays per
+// dirty relation before it applies a delta.
+func BenchmarkClone(b *testing.B) {
+	w := section5Warehouse(b, 100_000)
+	fact, _ := w.Relation("FactParis")
+	for _, c := range []struct {
+		name    string
+		indexes [][]string
+	}{{"bare", nil}, {"3idx", [][]string{{"okey"}, {"ckey"}, {"pkey"}}}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := fact.Clone()
+			for _, attrs := range c.indexes {
+				r.Index(attrs...)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r.Clone().Len() != r.Len() {
+					b.Fatal("clone lost rows")
+				}
+			}
+		})
+	}
+}

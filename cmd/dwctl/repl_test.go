@@ -124,7 +124,7 @@ quit
 	// `trace` with no argument renders the MOST RECENT trace — the
 	// refresh, whose tree includes the maintainer's per-target children.
 	_, after, _ := strings.Cut(out, "dw> trace ")
-	if !strings.Contains(after, "refresh.target") {
-		t.Errorf("default trace missing the refresh lineage:\n%s", out)
+	if !strings.Contains(after, "refresh.target") || !strings.Contains(after, "copiedBytes=") {
+		t.Errorf("default trace missing the refresh lineage with its copied bytes:\n%s", out)
 	}
 }

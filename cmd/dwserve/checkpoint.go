@@ -131,6 +131,7 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 			Changed:             stats.Changed,
 			RestrictedLookups:   stats.RestrictedLookups,
 			FullReconstructions: stats.FullReconstructions,
+			CopiedBytes:         stats.CopiedBytes,
 			WallNs:              stats.Wall.Nanoseconds(),
 		}
 	})
@@ -161,6 +162,7 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 	s.mRefreshDur.Observe(stats.Wall.Seconds())
 	s.mRestricted.Add(stats.RestrictedLookups)
 	s.mFullRecon.Add(stats.FullReconstructions)
+	s.mCopied.Add(stats.CopiedBytes)
 	s.observeMaintenance(stats, lag)
 	for name, n := range stats.Changed {
 		if n > 0 {

@@ -259,6 +259,7 @@ func assertRefreshTelemetry(t *testing.T, baseURL, changedRelation string) {
 		LastRefresh struct {
 			Spans             []any `json:"spans"`
 			RestrictedLookups int64 `json:"restrictedLookups"`
+			CopiedBytes       int64 `json:"copiedBytes"`
 			WallNs            int64 `json:"wallNs"`
 		} `json:"lastRefresh"`
 	}
@@ -266,13 +267,14 @@ func assertRefreshTelemetry(t *testing.T, baseURL, changedRelation string) {
 	if stats.Refreshes == 0 || stats.RefreshWallNs <= 0 || stats.RefreshStats.Scanned == 0 {
 		t.Errorf("/stats refresh totals not moved: %+v", stats)
 	}
-	if len(stats.LastRefresh.Spans) == 0 || stats.LastRefresh.WallNs <= 0 {
+	if len(stats.LastRefresh.Spans) == 0 || stats.LastRefresh.WallNs <= 0 || stats.LastRefresh.CopiedBytes <= 0 {
 		t.Errorf("/stats lastRefresh not recorded: %+v", stats.LastRefresh)
 	}
 	_, metrics := getText(t, baseURL+"/metrics")
 	for _, series := range []string{
 		"dw_refresh_duration_seconds_count",
 		"dw_refresh_restricted_lookups_total",
+		"dw_refresh_copied_bytes_total",
 		"dw_refreshes_total",
 		`dw_refresh_changes_total{relation="` + changedRelation + `"}`,
 	} {

@@ -40,6 +40,7 @@ type refreshSummary struct {
 	Changed             map[string]int    `json:"changed"`
 	RestrictedLookups   int64             `json:"restrictedLookups"`
 	FullReconstructions int64             `json:"fullReconstructions"`
+	CopiedBytes         int64             `json:"copiedBytes"`
 	WallNs              int64             `json:"wallNs"`
 }
 
@@ -162,6 +163,7 @@ type server struct {
 	mRefreshDur *obs.Histogram
 	mRestricted *obs.Counter
 	mFullRecon  *obs.Counter
+	mCopied     *obs.Counter
 	mRefreshLag *obs.Histogram
 	mCkptDur    *obs.Histogram
 	mReplLag    *obs.ObservedGauge
@@ -367,6 +369,8 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"Refresh pre-state reads answered by probe-restricted evaluation.", nil)
 	s.mFullRecon = s.reg.Counter("dw_refresh_full_reconstructions_total",
 		"Refresh pre-state reads that forced a full base reconstruction.", nil)
+	s.mCopied = s.reg.Counter("dw_refresh_copied_bytes_total",
+		"Bytes of relation pages refreshes copied to apply their deltas copy-on-write.", nil)
 	s.mRefreshLag = s.reg.Histogram("dw_refresh_lag_seconds",
 		"End-to-end refresh lag: report emitted at the source to delta visible in views.",
 		obs.DefLatencyBuckets, nil)

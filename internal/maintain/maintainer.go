@@ -169,6 +169,11 @@ type RefreshStats struct {
 	// to the delta) versus full reconstruction through W⁻¹.
 	RestrictedLookups   int64
 	FullReconstructions int64
+	// CopiedBytes is what the copy-on-write apply cost in storage: the
+	// bytes of relation pages the dirty relations' clones had to copy (or
+	// re-allocate, when a hash table grew) to take their deltas — a few
+	// pages per changed tuple, whatever the size of the views.
+	CopiedBytes int64
 }
 
 // Total returns the total number of warehouse tuple changes.
@@ -257,19 +262,47 @@ func cancelOr(ec *algebra.EvalContext, err error) error {
 	return err
 }
 
-// propagateTraced runs one target's Propagate under a "refresh.target"
-// span (a no-op without a recording parent in ctx), annotating the
-// propagated delta sizes.
-func propagateTraced(ctx context.Context, name string, def algebra.Expr, vst *VirtualState, nu *catalog.Update) (Delta, error) {
+// staged is one target's share of a refresh: its propagated delta, the
+// exact delta against the live relation, and post — the live relation
+// itself, or, when dirty, a clone of it with the exact delta applied.
+type staged struct {
+	name     string
+	d, exact Delta
+	post     *relation.Relation
+	dirty    bool
+	copied   int64         // bytes of pages the clone copied to take exact
+	wall     time.Duration // propagation time
+}
+
+// stageTarget propagates one target's delta and applies it to a clone of
+// the target's relation, under a "refresh.target" span (a no-op without a
+// recording parent in ctx) annotated with the propagated delta sizes and
+// the bytes of pages the clone copied. The warehouse is only read: the
+// pre-state every other target propagates against stays as it was.
+func stageTarget(ctx context.Context, w *warehouse.Warehouse, name string, def algebra.Expr, vst *VirtualState, nu *catalog.Update) (staged, error) {
 	_, sp := trace.StartSpan(ctx, "refresh.target")
 	defer sp.End()
 	sp.SetAttr("target", name)
+	start := time.Now()
 	d, err := Propagate(def, vst, nu)
-	if err == nil {
-		sp.SetAttrInt("deltaIns", int64(d.Ins.Len()))
-		sp.SetAttrInt("deltaDel", int64(d.Del.Len()))
+	if err != nil {
+		return staged{}, fmt.Errorf("maintain: %s: %w", name, err)
 	}
-	return d, err
+	st := staged{name: name, d: d, wall: time.Since(start)}
+	r, ok := w.Relation(name)
+	if !ok {
+		return st, fmt.Errorf("maintain: warehouse has no relation %q", name)
+	}
+	st.exact, st.post = d.Exact(r), r
+	if st.dirty = st.exact.Size() > 0; st.dirty {
+		st.post = r.Clone()
+		st.exact.ApplyTo(st.post)
+		st.copied = st.post.CopiedBytes()
+	}
+	sp.SetAttrInt("deltaIns", int64(d.Ins.Len()))
+	sp.SetAttrInt("deltaDel", int64(d.Del.Len()))
+	sp.SetAttrInt("copiedBytes", st.copied)
+	return st, nil
 }
 
 func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *warehouse.Warehouse, u *catalog.Update) (RefreshStats, error) {
@@ -299,12 +332,12 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 		targets = append(targets, target{e.Name, e.Def})
 	}
 
-	type pending struct {
-		name string
-		d    Delta
-		wall time.Duration
-	}
-	deltas := make([]pending, len(targets))
+	// All deltas or none. Every changed relation's delta is applied to a
+	// copy that shares the relation's pages (copy-on-write apply set); an
+	// error or cancellation anywhere before the final commit discards the
+	// copies and leaves the warehouse bitwise unchanged, so a failed
+	// refresh can simply be retried with the same update.
+	commit := make([]staged, len(targets))
 	if m.parallel && len(targets) > 1 {
 		var wg sync.WaitGroup
 		errs := make([]error, len(targets))
@@ -312,13 +345,7 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 			wg.Add(1)
 			go func(i int, tg target) {
 				defer wg.Done()
-				start := time.Now()
-				d, err := propagateTraced(ctx, tg.name, tg.def, vst, nu)
-				if err != nil {
-					errs[i] = fmt.Errorf("maintain: %s: %w", tg.name, err)
-					return
-				}
-				deltas[i] = pending{tg.name, d, time.Since(start)}
+				commit[i], errs[i] = stageTarget(ctx, w, tg.name, tg.def, vst, nu)
 			}(i, tg)
 		}
 		wg.Wait()
@@ -332,55 +359,30 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 			if err := ec.Err(); err != nil {
 				return stats, err
 			}
-			start := time.Now()
-			d, err := propagateTraced(ctx, tg.name, tg.def, vst, nu)
-			if err != nil {
-				return stats, cancelOr(ec, fmt.Errorf("maintain: %s: %w", tg.name, err))
+			var err error
+			if commit[i], err = stageTarget(ctx, w, tg.name, tg.def, vst, nu); err != nil {
+				return stats, cancelOr(ec, err)
 			}
-			deltas[i] = pending{tg.name, d, time.Since(start)}
 		}
 	}
-	// Apply phase — all deltas or none. Every changed relation is
-	// applied to a copy first (copy-on-write apply set); an error or
-	// cancellation anywhere before the final commit discards the
-	// copies and leaves the warehouse bitwise unchanged, so a failed
-	// refresh can simply be retried with the same update.
-	stats.Spans = make([]RefreshSpan, 0, len(deltas))
-	type staged struct {
-		name  string
-		post  *relation.Relation // copy with the delta applied
-		exact Delta
-		dirty bool // post differs from the live relation
-	}
-	commit := make([]staged, 0, len(deltas))
-	for _, p := range deltas {
+	stats.Spans = make([]RefreshSpan, 0, len(commit))
+	for _, c := range commit {
 		if err := ec.Err(); err != nil {
 			return stats, err
-		}
-		r, ok := w.Relation(p.name)
-		if !ok {
-			return stats, fmt.Errorf("maintain: warehouse has no relation %q", p.name)
-		}
-		exact := p.d.Exact(r)
-		post := r
-		dirty := exact.Size() > 0
-		if dirty {
-			post = r.Clone()
-			exact.ApplyTo(post)
 		}
 		// Crash point between delta applications: the fault-injection
 		// tests arm it at every position k and assert rollback.
 		if err := chaos.Point("refresh.apply"); err != nil {
-			return stats, fmt.Errorf("maintain: apply %s: %w", p.name, err)
+			return stats, fmt.Errorf("maintain: apply %s: %w", c.name, err)
 		}
-		commit = append(commit, staged{p.name, post, exact, dirty})
-		stats.Changed[p.name] = exact.Size()
+		stats.Changed[c.name] = c.exact.Size()
+		stats.CopiedBytes += c.copied
 		stats.Spans = append(stats.Spans, RefreshSpan{
-			Target:   p.name,
-			DeltaIns: p.d.Ins.Len(),
-			DeltaDel: p.d.Del.Len(),
-			Applied:  exact.Size(),
-			Wall:     p.wall,
+			Target:   c.name,
+			DeltaIns: c.d.Ins.Len(),
+			DeltaDel: c.d.Del.Len(),
+			Applied:  c.exact.Size(),
+			Wall:     c.wall,
 		})
 	}
 	// Consumers see the post-state copies before anything is installed:

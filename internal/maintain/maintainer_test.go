@@ -271,6 +271,9 @@ func TestRefreshStats(t *testing.T) {
 	if stats.Changed["Sold"] != 1 {
 		t.Errorf("Sold delta size = %d", stats.Changed["Sold"])
 	}
+	if stats.CopiedBytes <= 0 {
+		t.Errorf("CopiedBytes = %d after a refresh that changed relations", stats.CopiedBytes)
+	}
 }
 
 func TestRefreshNoOpUpdate(t *testing.T) {
@@ -285,7 +288,7 @@ func TestRefreshNoOpUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.UpdateSize != 0 || stats.Total() != 0 {
+	if stats.UpdateSize != 0 || stats.Total() != 0 || stats.CopiedBytes != 0 {
 		t.Errorf("no-op update produced changes: %+v", stats)
 	}
 	assertTheorem41(t, w, comp, st, catalog.NewUpdate())

@@ -182,31 +182,37 @@ func (cs *Columns) Col(i int) *Column { return &cs.cols[i] }
 // non-null kind gets its typed vector (strings subject to the dictionary
 // capacity); anything mixed falls back to ColAny so the columnar image is
 // always value-exact, never lossy.
-func buildColumn(rows []Tuple, p int, dictCap int) Column {
-	n := len(rows)
+func buildColumn(r *Relation, p int, dictCap int) Column {
+	n := r.Len()
+	pages := r.rows.eachPage() // the per-row loops below run over one page's slice at a time
 	kind := KindNull
 	uniform := true
-	for _, t := range rows {
-		k := t[p].Kind()
-		if k == KindNull {
-			continue
-		}
-		if kind == KindNull {
-			kind = k
-		} else if k != kind {
-			uniform = false
-			break
+kinds:
+	for _, pg := range pages {
+		for _, t := range pg {
+			k := t[p].Kind()
+			if k == KindNull {
+				continue
+			}
+			if kind == KindNull {
+				kind = k
+			} else if k != kind {
+				uniform = false
+				break kinds
+			}
 		}
 	}
 	fallback := func() Column {
 		c := Column{Kind: ColAny, Any: make([]Value, n)}
-		for i, t := range rows {
-			c.Any[i] = t[p]
-			if t[p].IsNull() {
-				if c.Nulls == nil {
-					c.Nulls = NewBitmap(n)
+		for base, pg := range pages {
+			for k, t := range pg {
+				c.Any[base+k] = t[p]
+				if t[p].IsNull() {
+					if c.Nulls == nil {
+						c.Nulls = NewBitmap(n)
+					}
+					c.Nulls.Set(base + k)
 				}
-				c.Nulls.Set(i)
 			}
 		}
 		return c
@@ -226,43 +232,51 @@ func buildColumn(rows []Tuple, p int, dictCap int) Column {
 		c = fallback()
 	case KindBool:
 		c = Column{Kind: ColBool, Bools: make([]bool, n)}
-		for i, t := range rows {
-			if t[p].IsNull() {
-				setNull(i)
-			} else {
-				c.Bools[i] = t[p].AsBool()
+		for base, pg := range pages {
+			for k, t := range pg {
+				if t[p].IsNull() {
+					setNull(base + k)
+				} else {
+					c.Bools[base+k] = t[p].AsBool()
+				}
 			}
 		}
 	case KindInt:
 		c = Column{Kind: ColInt, Ints: make([]int64, n)}
-		for i, t := range rows {
-			if t[p].IsNull() {
-				setNull(i)
-			} else {
-				c.Ints[i] = t[p].AsInt()
+		for base, pg := range pages {
+			for k, t := range pg {
+				if t[p].IsNull() {
+					setNull(base + k)
+				} else {
+					c.Ints[base+k] = t[p].AsInt()
+				}
 			}
 		}
 	case KindFloat:
 		c = Column{Kind: ColFloat, Floats: make([]float64, n)}
-		for i, t := range rows {
-			if t[p].IsNull() {
-				setNull(i)
-			} else {
-				c.Floats[i] = t[p].AsFloat()
+		for base, pg := range pages {
+			for k, t := range pg {
+				if t[p].IsNull() {
+					setNull(base + k)
+				} else {
+					c.Floats[base+k] = t[p].AsFloat()
+				}
 			}
 		}
 	case KindString:
 		c = Column{Kind: ColString, Codes: make([]int32, n), Dict: NewDict()}
-		for i, t := range rows {
-			if t[p].IsNull() {
-				setNull(i)
-				continue
+		for base, pg := range pages {
+			for k, t := range pg {
+				if t[p].IsNull() {
+					setNull(base + k)
+					continue
+				}
+				s := t[p].AsString()
+				if _, ok := c.Dict.Code(s); !ok && c.Dict.Len() >= dictCap {
+					return fallback() // dictionary overflow
+				}
+				c.Codes[base+k] = c.Dict.Add(s)
 			}
-			s := t[p].AsString()
-			if _, ok := c.Dict.Code(s); !ok && c.Dict.Len() >= dictCap {
-				return fallback() // dictionary overflow
-			}
-			c.Codes[i] = c.Dict.Add(s)
 		}
 	}
 	return c
@@ -271,9 +285,9 @@ func buildColumn(rows []Tuple, p int, dictCap int) Column {
 // buildColumns vectorizes every attribute of the relation.
 func buildColumns(r *Relation) *Columns {
 	cap := int(dictCapacity.Load())
-	cs := &Columns{attrs: r.attrs, n: len(r.rows), cols: make([]Column, len(r.attrs))}
+	cs := &Columns{attrs: r.attrs, n: r.Len(), cols: make([]Column, len(r.attrs))}
 	for p := range r.attrs {
-		cs.cols[p] = buildColumn(r.rows, p, cap)
+		cs.cols[p] = buildColumn(r, p, cap)
 	}
 	return cs
 }

@@ -43,7 +43,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 // column is empty or mixed.
 func (r *Relation) columnKind(i int) Kind {
 	kind := KindNull
-	for _, t := range r.rows {
+	for t := range r.All() {
 		k := t[i].Kind()
 		if k == KindNull {
 			continue

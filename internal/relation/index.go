@@ -15,23 +15,23 @@ import (
 // appends its row (extend), a delete applies the relation's swap-with-last
 // to the chains (deleteRow) — or drops the index when that would walk a
 // chain longer than maxChainWalk, so a handle must not be kept across a
-// delete. Clone copies them to the new owner.
+// delete. Clone hands them to the new owner as shared pages.
 type Index struct {
 	owner *Relation
 	attrs []string // indexed attributes, sorted
 	pos   []int    // column positions of attrs in the owning relation
 
 	// The bucket structure is an open-addressed table of chain heads plus
-	// a per-row link array — three flat allocations total, regardless of
-	// how many distinct keys the index holds (a map of bucket slices costs
-	// one allocation per distinct key). Chains are singly linked: a delete
+	// a per-row link array — three paged arrays, regardless of how many
+	// distinct keys the index holds (a map of bucket slices costs one
+	// allocation per distinct key). Chains are singly linked: a delete
 	// walks its chain to the row, at most maxChainWalk steps.
-	slots   []int32  // 0 empty, else head row of a hash chain, +1
-	next    []int32  // next[i]: next row with i's key hash, -1 ends the chain
-	keyHash []uint64 // per-row hash of the indexed columns
-	keys    int      // number of distinct key hashes
+	slots   paged[int32]  // 0 empty, else head row of a hash chain, +1
+	next    paged[int32]  // next.at(i): next row with i's key hash, -1 ends the chain
+	keyHash paged[uint64] // per-row hash of the indexed columns
+	keys    int           // number of distinct key hashes
 
-	// keyVals, when present, holds row i's key values flat at
+	// keyVals, when hasVals, holds row i's key values flat at
 	// [i*k, (i+1)*k), k = len(pos). Hit verification then reads this
 	// contiguous arena instead of chasing the owner's scattered per-row
 	// tuple arrays — the hit path's dominant cost is that cache miss, not
@@ -39,7 +39,8 @@ type Index struct {
 	// it is only materialized when the build-time probe-size hint says
 	// enough probes will amortize it; small-delta probes (the restricted
 	// maintenance shape) verify against the owner rows directly.
-	keyVals []Value
+	keyVals paged[Value]
+	hasVals bool
 }
 
 // head returns the first owner row whose indexed columns hash to h, or -1.
@@ -47,17 +48,20 @@ type Index struct {
 // distinct hashes landing on one slot spill to the following slots, so a
 // probe walks until it finds its hash's chain or an empty slot.
 func (ix *Index) head(h uint64) int32 {
-	mask := uint64(len(ix.slots) - 1)
+	mask := uint64(ix.slots.len() - 1)
 	for s := h & mask; ; s = (s + 1) & mask {
-		v := ix.slots[s]
+		v := ix.slots.at(int(s))
 		if v == 0 {
 			return -1
 		}
-		if ri := v - 1; ix.keyHash[ri] == h {
+		if ri := v - 1; ix.keyHash.at(int(ri)) == h {
 			return ri
 		}
 	}
 }
+
+// after returns the row that follows row ri in its hash chain, or -1.
+func (ix *Index) after(ri int32) int32 { return ix.next.at(int(ri)) }
 
 // Attrs returns the indexed attribute names in sorted order. The caller
 // must not modify the returned slice.
@@ -80,14 +84,16 @@ func (ix *Index) Unique() bool {
 // it may be a hash collision between distinct keys — so chains are
 // re-verified column by column.
 func (ix *Index) dupPair() (int32, int32, bool) {
-	if ix.keys == len(ix.next) { // every chain is a singleton
+	if ix.keys == ix.next.len() { // every chain is a singleton
 		return 0, 0, false
 	}
-	for _, v := range ix.slots {
-		for a := v - 1; a >= 0; a = ix.next[a] {
-			for b := ix.next[a]; b >= 0; b = ix.next[b] {
-				if ix.rowsAgreeOnKey(a, b) {
-					return a, b, true
+	for _, pg := range ix.slots.eachPage() {
+		for _, v := range pg {
+			for a := v - 1; a >= 0; a = ix.after(a) {
+				for b := ix.after(a); b >= 0; b = ix.after(b) {
+					if ix.rowsAgreeOnKey(a, b) {
+						return a, b, true
+					}
 				}
 			}
 		}
@@ -98,7 +104,7 @@ func (ix *Index) dupPair() (int32, int32, bool) {
 // rowsAgreeOnKey reports whether two owner rows hold equal values in every
 // indexed column.
 func (ix *Index) rowsAgreeOnKey(a, b int32) bool {
-	ta, tb := ix.owner.rows[a], ix.owner.rows[b]
+	ta, tb := ix.owner.rows.at(int(a)), ix.owner.rows.at(int(b))
 	for _, p := range ix.pos {
 		if !ta[p].Equal(tb[p]) {
 			return false
@@ -114,16 +120,16 @@ func (ix *Index) rowsAgreeOnKey(a, b int32) bool {
 // key hash already equals the probe's — it is the collision insurance, not
 // the discriminator.
 func (ix *Index) keyEqual(ri int32, t Tuple, tPos []int) bool {
-	if ix.keyVals != nil {
-		kv := ix.keyVals[int(ri)*len(ix.pos):]
+	if ix.hasVals {
+		base := int(ri) * len(ix.pos)
 		for i := range ix.pos {
-			if !kv[i].Equal(t[tPos[i]]) {
+			if !ix.keyVals.at(base + i).Equal(t[tPos[i]]) {
 				return false
 			}
 		}
 		return true
 	}
-	rt := ix.owner.rows[ri]
+	rt := ix.owner.rows.at(int(ri))
 	for i, p := range ix.pos {
 		if !rt[p].Equal(t[tPos[i]]) {
 			return false
@@ -141,9 +147,9 @@ func (ix *Index) Lookup(vals ...Value) []Tuple {
 		identity[i] = i
 	}
 	var out []Tuple
-	for ri := ix.head(t.hash64()); ri >= 0; ri = ix.next[ri] {
+	for ri := ix.head(t.hash64()); ri >= 0; ri = ix.after(ri) {
 		if ix.keyEqual(ri, t, identity) {
-			out = append(out, ix.owner.rows[ri].Clone())
+			out = append(out, ix.owner.rows.at(int(ri)).Clone())
 		}
 	}
 	return out
@@ -195,17 +201,18 @@ func (r *Relation) indexFor(sortedAttrs []string, key string, probeHint int) (*I
 	for i, a := range sortedAttrs {
 		pos[i] = r.pos[a]
 	}
-	n := len(r.rows)
+	n := r.rows.len()
 	ix := &Index{
 		owner:   r,
 		attrs:   append([]string(nil), sortedAttrs...),
 		pos:     pos,
-		slots:   make([]int32, tableSizeFor(n)),
-		next:    make([]int32, 0, n),
-		keyHash: make([]uint64, 0, n),
+		hasVals: probeHint*2 >= n,
 	}
-	if probeHint*2 >= n {
-		ix.keyVals = make([]Value, 0, n*len(pos))
+	ix.slots.alloc(tableSizeFor(n))
+	ix.next.reserve(n)
+	ix.keyHash.reserve(n)
+	if ix.hasVals {
+		ix.keyVals.reserve(n * len(pos))
 	}
 	ix.extend(0)
 	if r.indexes == nil {
@@ -216,41 +223,38 @@ func (r *Relation) indexFor(sortedAttrs []string, key string, probeHint int) (*I
 }
 
 // cloneFor returns a copy of the index owned by owner, which must hold
-// the same rows in the same order as the original's owner.
+// the same rows in the same order as the original's owner. The copy
+// shares the original's pages.
 func (ix *Index) cloneFor(owner *Relation) *Index {
-	c := &Index{
-		owner:   owner,
-		attrs:   ix.attrs,
-		pos:     ix.pos,
-		slots:   append([]int32(nil), ix.slots...),
-		next:    append([]int32(nil), ix.next...),
-		keyHash: append([]uint64(nil), ix.keyHash...),
-		keys:    ix.keys,
-	}
-	if ix.keyVals != nil {
-		c.keyVals = append([]Value(nil), ix.keyVals...)
-	}
+	c := &Index{owner: owner, attrs: ix.attrs, pos: ix.pos, keys: ix.keys, hasVals: ix.hasVals}
+	ix.slots.shareTo(&c.slots)
+	ix.next.shareTo(&c.next)
+	ix.keyHash.shareTo(&c.keyHash)
+	ix.keyVals.shareTo(&c.keyVals)
 	return c
 }
 
 // put chains owner row i (which must be the next unindexed row) under its
 // key hash h.
 func (ix *Index) put(i int, h uint64) {
-	ix.next = append(ix.next, -1)
-	ix.keyHash = append(ix.keyHash, h)
-	mask := uint64(len(ix.slots) - 1)
+	ix.keyHash.append(h)
+	ix.next.append(ix.chain(i, h))
+}
+
+// chain makes row i, whose key hash is h, the head of h's chain in the
+// slot table and returns the row it displaced there, or -1.
+func (ix *Index) chain(i int, h uint64) int32 {
+	mask := uint64(ix.slots.len() - 1)
 	for s := h & mask; ; s = (s + 1) & mask {
-		v := ix.slots[s]
+		v := ix.slots.at(int(s))
 		if v == 0 {
-			ix.slots[s] = int32(i) + 1
+			ix.slots.set(int(s), int32(i)+1)
 			ix.keys++
-			return
+			return -1
 		}
-		if j := v - 1; ix.keyHash[j] == h {
-			// Same key hash: prepend to the chain this slot heads.
-			ix.next[i] = j
-			ix.slots[s] = int32(i) + 1
-			return
+		if j := v - 1; ix.keyHash.at(int(j)) == h {
+			ix.slots.set(int(s), int32(i)+1)
+			return j
 		}
 	}
 }
@@ -258,24 +262,10 @@ func (ix *Index) put(i int, h uint64) {
 // rebuildSlots re-derives the slot table for the rows already indexed,
 // sized for capacity rows.
 func (ix *Index) rebuildSlots(capacity int) {
-	ix.slots = make([]int32, tableSizeFor(capacity))
+	ix.slots.alloc(tableSizeFor(capacity))
 	ix.keys = 0
-	mask := uint64(len(ix.slots) - 1)
-	for i, h := range ix.keyHash {
-		ix.next[i] = -1
-		for s := h & mask; ; s = (s + 1) & mask {
-			v := ix.slots[s]
-			if v == 0 {
-				ix.slots[s] = int32(i) + 1
-				ix.keys++
-				break
-			}
-			if j := v - 1; ix.keyHash[j] == h {
-				ix.next[i] = j
-				ix.slots[s] = int32(i) + 1
-				break
-			}
-		}
+	for i, h := range ix.keyHash.all() {
+		ix.next.set(i, ix.chain(i, h))
 	}
 }
 
@@ -286,22 +276,22 @@ func (ix *Index) rebuildSlots(capacity int) {
 // was the dominant cost of restricted maintenance.
 func (ix *Index) extend(from int) {
 	r := ix.owner
-	n := len(r.rows)
-	if n*3 > len(ix.slots)*2 {
+	n := r.rows.len()
+	if n*3 > ix.slots.len()*2 {
 		ix.rebuildSlots(2 * n)
 	}
 	fullWidth := len(ix.pos) == len(r.attrs)
 	for i := from; i < n; i++ {
-		t := r.rows[i]
-		if ix.keyVals != nil {
+		t := r.rows.at(i)
+		if ix.hasVals {
 			for _, p := range ix.pos {
-				ix.keyVals = append(ix.keyVals, t[p])
+				ix.keyVals.append(t[p])
 			}
 		}
 		// Full-width indexes hash the same columns as the membership
 		// table; reuse the stored row hashes instead of re-hashing.
 		if fullWidth {
-			ix.put(i, r.hashes[i])
+			ix.put(i, r.hashes.at(i))
 		} else {
 			ix.put(i, hashCols(t, ix.pos))
 		}
@@ -315,7 +305,7 @@ func (ix *Index) extend(from int) {
 // row was the probe loop's largest fixed cost.
 type keyVec struct {
 	pos    []int
-	hashes []uint64
+	hashes paged[uint64]
 }
 
 // keyHashesFor returns the per-row hashes of the given sorted attribute
@@ -323,29 +313,31 @@ type keyVec struct {
 // first use. A full-width subset is answered from the stored tuple hashes
 // (tuple hashes are column-order independent). The build costs exactly
 // the hashing pass a caller would otherwise run inline, so cold callers
-// lose nothing. The cache is internally locked, like the index cache.
-func (r *Relation) keyHashesFor(sortedAttrs []string, key string) []uint64 {
+// lose nothing. The cache is internally locked, like the index cache. The
+// vector is as long as r.rows, so it pages like r.rows.
+func (r *Relation) keyHashesFor(sortedAttrs []string, key string) *paged[uint64] {
 	if len(sortedAttrs) == len(r.attrs) {
-		return r.hashes
+		return &r.hashes
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if kv := r.keyVecs[key]; kv != nil {
-		return kv.hashes
+		return &kv.hashes
 	}
 	pos := make([]int, len(sortedAttrs))
 	for i, a := range sortedAttrs {
 		pos[i] = r.pos[a]
 	}
-	kv := &keyVec{pos: pos, hashes: make([]uint64, len(r.rows))}
-	for i, t := range r.rows {
-		kv.hashes[i] = hashCols(t, pos)
+	kv := &keyVec{pos: pos}
+	kv.hashes.reserve(r.rows.len())
+	for t := range r.All() {
+		kv.hashes.append(hashCols(t, pos))
 	}
 	if r.keyVecs == nil {
 		r.keyVecs = make(map[string]*keyVec)
 	}
 	r.keyVecs[key] = kv
-	return kv.hashes
+	return &kv.hashes
 }
 
 // peekIndex returns the cached index for key without building one.
@@ -368,19 +360,22 @@ const maxChainWalk = 64
 // reports false, leaving the index unusable, when a chain is too long to
 // walk.
 func (ix *Index) deleteRow(i int32) bool {
-	last := int32(len(ix.next) - 1)
-	if !ix.relink(i, ix.next[i]) || (i != last && !ix.relink(last, i)) {
+	last := int32(ix.next.len() - 1)
+	if !ix.relink(i, ix.after(i)) || (i != last && !ix.relink(last, i)) {
 		return false
 	}
 	if i != last {
-		ix.next[i] = ix.next[last]
-		ix.keyHash[i] = ix.keyHash[last]
+		ix.next.set(int(i), ix.after(last))
+		ix.keyHash.set(int(i), ix.keyHash.at(int(last)))
 	}
-	ix.next = ix.next[:last]
-	ix.keyHash = ix.keyHash[:last]
-	if k := len(ix.pos); ix.keyVals != nil {
-		copy(ix.keyVals[int(i)*k:], ix.keyVals[int(last)*k:])
-		ix.keyVals = ix.keyVals[:int(last)*k]
+	ix.next.truncate(int(last))
+	ix.keyHash.truncate(int(last))
+	if ix.hasVals {
+		k := len(ix.pos)
+		for j := 0; j < k && i != last; j++ {
+			ix.keyVals.set(int(i)*k+j, ix.keyVals.at(int(last)*k+j))
+		}
+		ix.keyVals.truncate(int(last) * k)
 	}
 	return true
 }
@@ -391,33 +386,31 @@ func (ix *Index) deleteRow(i int32) bool {
 // reporting false, when the predecessor is more than maxChainWalk rows
 // down the chain.
 func (ix *Index) relink(i, to int32) bool {
-	h := ix.keyHash[i]
-	mask := uint64(len(ix.slots) - 1)
+	h := ix.keyHash.at(int(i))
+	mask := uint64(ix.slots.len() - 1)
 	s := h & mask
-	for ix.keyHash[ix.slots[s]-1] != h {
+	p := ix.slots.at(int(s)) - 1
+	for ix.keyHash.at(int(p)) != h {
 		s = (s + 1) & mask
+		p = ix.slots.at(int(s)) - 1
 	}
-	switch p := ix.slots[s] - 1; {
+	switch {
 	case p != i:
-		for steps := 0; ix.next[p] != i; p = ix.next[p] {
-			if steps++; steps > maxChainWalk {
+		for steps := 0; ; steps++ {
+			n := ix.after(p)
+			if n == i {
+				break
+			}
+			if steps == maxChainWalk {
 				return false
 			}
+			p = n
 		}
-		ix.next[p] = to
+		ix.next.set(int(p), to)
 	case to >= 0:
-		ix.slots[s] = to + 1
+		ix.slots.set(int(s), to+1)
 	default:
-		// Backward-shift deletion keeps linear probing free of
-		// tombstones: each later entry of the run moves into the hole
-		// unless its home slot lies cyclically after the hole.
-		for j := (s + 1) & mask; ix.slots[j] != 0; j = (j + 1) & mask {
-			if home := ix.keyHash[ix.slots[j]-1] & mask; (j-home)&mask >= (j-s)&mask {
-				ix.slots[s] = ix.slots[j]
-				s = j
-			}
-		}
-		ix.slots[s] = 0
+		vacate(&ix.slots, &ix.keyHash, s)
 		ix.keys--
 	}
 	return true
@@ -436,10 +429,12 @@ func (r *Relation) noteDeleted(i int32) {
 			delete(r.indexes, key)
 		}
 	}
-	last := len(r.rows) - 1
+	last := r.rows.len() - 1
 	for _, kv := range r.keyVecs {
-		kv.hashes[i] = kv.hashes[last]
-		kv.hashes = kv.hashes[:last]
+		if int(i) != last {
+			kv.hashes.set(int(i), kv.hashes.at(last))
+		}
+		kv.hashes.truncate(last)
 	}
 }
 
@@ -454,8 +449,8 @@ func (r *Relation) noteInserted(from int) {
 		ix.extend(from)
 	}
 	for _, kv := range r.keyVecs {
-		for i := from; i < len(r.rows); i++ {
-			kv.hashes = append(kv.hashes, hashCols(r.rows[i], kv.pos))
+		for i := from; i < r.rows.len(); i++ {
+			kv.hashes.append(hashCols(r.rows.at(i), kv.pos))
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestIndexesFollowMutations(t *testing.T) {
 				NaturalJoin(probe, r)                   // caches an index on b and a key-hash vector
 				SemiJoin(r, Project(probe, "b"))
 			case rng.Intn(2) == 0 && r.Len() > 0:
-				if !r.Delete(r.rows[rng.Intn(r.Len())].Clone()) {
+				if !r.Delete(r.rows.at(rng.Intn(r.Len())).Clone()) {
 					t.Fatal("Delete of a present row failed")
 				}
 			default:
@@ -101,7 +101,7 @@ func TestIndexesFollowMutations(t *testing.T) {
 			}
 			before := r.IndexCount()
 			fresh := New("a", "b", "c")
-			for _, tu := range r.rows {
+			for tu := range r.All() {
 				fresh.Insert(tu)
 			}
 			for key, ix := range r.indexes {
@@ -114,7 +114,7 @@ func TestIndexesFollowMutations(t *testing.T) {
 				if _, _, wdup := want.dupPair(); dup != wdup {
 					t.Fatalf("seed %d step %d index %q: dupPair=%v, fresh build says %v", seed, step, key, dup, wdup)
 				}
-				for _, tu := range append(append([]Tuple(nil), r.rows...), row(), row()) {
+				for _, tu := range append(r.rows.appendTo(nil), row(), row()) {
 					vals := make([]Value, len(ix.pos))
 					for i, p := range ix.pos {
 						vals[i] = tu[p]
@@ -134,11 +134,11 @@ func TestIndexesFollowMutations(t *testing.T) {
 				}
 			}
 			for key, kv := range r.keyVecs {
-				if len(kv.hashes) != r.Len() {
-					t.Fatalf("seed %d step %d keyVec %q: %d hashes for %d rows", seed, step, key, len(kv.hashes), r.Len())
+				if kv.hashes.len() != r.Len() {
+					t.Fatalf("seed %d step %d keyVec %q: %d hashes for %d rows", seed, step, key, kv.hashes.len(), r.Len())
 				}
-				for i, tu := range r.rows {
-					if kv.hashes[i] != hashCols(tu, kv.pos) {
+				for i, tu := range r.rows.all() {
+					if kv.hashes.at(i) != hashCols(tu, kv.pos) {
 						t.Fatalf("seed %d step %d keyVec %q: stale hash at row %d", seed, step, key, i)
 					}
 				}
@@ -150,7 +150,7 @@ func TestIndexesFollowMutations(t *testing.T) {
 				t.Fatalf("seed %d step %d: IndexCount dropped from %d to %d", seed, step, before, n)
 			}
 		}
-		if r.IndexCount() < len(attrSets)+1 || r.indexes["c"].keyVals == nil {
+		if r.IndexCount() < len(attrSets)+1 || !r.indexes["c"].hasVals {
 			t.Fatalf("seed %d: %d indexes survived, want at least %d, one with a keyVals arena", seed, r.IndexCount(), len(attrSets)+1)
 		}
 	}
@@ -167,7 +167,7 @@ func TestLongChainIndexIsDroppedOnDelete(t *testing.T) {
 	}
 	r.Index("k")
 	r.Index("loc")
-	newest := r.rows[r.Len()-1].Clone()
+	newest := r.rows.at(r.Len() - 1).Clone()
 	if r.Delete(newest); r.IndexCount() != 2 {
 		t.Fatalf("deleting the chain's head row dropped an index: %d left", r.IndexCount())
 	}

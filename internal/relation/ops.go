@@ -41,9 +41,12 @@ func Select(r *Relation, pred func(Row) bool) *Relation {
 // subset of a set, so no dedup and no copies.
 func SelectStats(r *Relation, pred func(Row) bool, s *OpStats) *Relation {
 	out := New(r.attrs...)
-	for i, t := range r.rows {
-		if pred(Row{rel: r, t: t}) {
-			out.appendRowNoTable(t, r.hashes[i])
+	for pi := range r.rows.numPages() {
+		hashes := r.hashes.page(pi)
+		for k, t := range r.rows.page(pi) {
+			if pred(Row{rel: r, t: t}) {
+				out.appendRowNoTable(t, hashes[k])
+			}
 		}
 	}
 	s.scanned(r.Len())
@@ -77,7 +80,7 @@ func SelectBatchStats(r *Relation, pred BatchPred, s *OpStats) *Relation {
 		sel = pred(b, sel[:0])
 		for _, li := range sel {
 			i := b.Start() + int(li)
-			out.appendRowNoTable(r.rows[i], r.hashes[i])
+			out.appendRowNoTable(r.rows.at(i), r.hashes.at(i))
 		}
 		nb++
 	}
@@ -109,7 +112,8 @@ func ProjectStats(r *Relation, s *OpStats, attrs ...string) *Relation {
 		idx[i] = p
 	}
 	out := newPresized(attrs, r.Len())
-	for _, t := range r.rows {
+	out.rebuildTable(r.Len()) // the output is probed while it is built
+	for t := range r.All() {
 		h := hashCols(t, idx)
 		if out.findAligned(h, t, idx) >= 0 {
 			continue
@@ -182,13 +186,14 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	if len(shared) == 0 { // Cartesian product: no key to hash on.
 		out := newPresized(outAttrs, l.Len()*r.Len())
 		s.scanned(l.Len() + r.Len())
-		rOnlyHash := make([]uint64, len(r.rows))
-		for ri, rt := range r.rows {
+		rOnlyHash := make([]uint64, r.Len())
+		for ri, rt := range r.rows.all() {
 			rOnlyHash[ri] = hashCols(rt, rOnlyPos)
 		}
-		for li, lt := range l.rows {
-			for ri, rt := range r.rows {
-				emit(out, lt, rt, l.hashes[li]+rOnlyHash[ri])
+		for li, lt := range l.rows.all() {
+			lh := l.hashes.at(li)
+			for ri, rt := range r.rows.all() {
+				emit(out, lt, rt, lh+rOnlyHash[ri])
 			}
 		}
 		s.emitted(out.Len())
@@ -231,24 +236,28 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	// so out = lHash + rHash − sharedHash, where sharedHash is exactly
 	// the probe key hash already computed for the bucket lookup — the
 	// probe path re-hashes nothing and allocates only emitted tuples.
-	for pi, pt := range probe.rows {
-		kh := probeKH[pi]
-		probed++
-		hit := false
-		for bi := ix.head(kh); bi >= 0; bi = ix.next[bi] {
-			if !ix.keyEqual(bi, pt, probePos) {
-				continue // hash collision across distinct keys
+	for pg := range probe.rows.numPages() {
+		khs, hashes := probeKH.page(pg), probe.hashes.page(pg)
+		for k, pt := range probe.rows.page(pg) {
+			kh := khs[k]
+			probed++
+			hit := false
+			for bi := ix.head(kh); bi >= 0; bi = ix.after(bi) {
+				if !ix.keyEqual(bi, pt, probePos) {
+					continue // hash collision across distinct keys
+				}
+				hit = true
+				bt := build.rows.at(int(bi))
+				h := hashes[k] + build.hashes.at(int(bi)) - kh
+				if buildIsR {
+					emit(out, pt, bt, h)
+				} else {
+					emit(out, bt, pt, h)
+				}
 			}
-			hit = true
-			h := probe.hashes[pi] + build.hashes[bi] - kh
-			if buildIsR {
-				emit(out, pt, build.rows[bi], h)
-			} else {
-				emit(out, build.rows[bi], pt, h)
+			if hit {
+				hits++
 			}
-		}
-		if hit {
-			hits++
 		}
 	}
 	s.probes(probed, hits)
@@ -283,7 +292,7 @@ func ExtensionJoinStats(l, r *Relation, rKey AttrSet, s *OpStats) (*Relation, er
 	// key columns.
 	if a, b, dup := ix.dupPair(); dup {
 		return nil, fmt.Errorf("relation: extension join: %v is not a key of the right input (tuples %v and %v agree on it)",
-			rKey, r.rows[b], r.rows[a])
+			rKey, r.rows.at(int(b)), r.rows.at(int(a)))
 	}
 
 	lKeyPos := make([]int, len(keyAttrs))
@@ -312,12 +321,12 @@ func ExtensionJoinStats(l, r *Relation, rKey AttrSet, s *OpStats) (*Relation, er
 	s.scanned(l.Len())
 	s.batches(numBatches(l.Len()))
 	probed, hits := 0, 0
-	for li, lt := range l.rows {
+	for li, lt := range l.rows.all() {
 		probed++
 		var rt Tuple
-		for bi := ix.head(hashCols(lt, lKeyPos)); bi >= 0; bi = ix.next[bi] {
+		for bi := ix.head(hashCols(lt, lKeyPos)); bi >= 0; bi = ix.after(bi) {
 			if ix.keyEqual(bi, lt, lKeyPos) {
-				rt = r.rows[bi]
+				rt = r.rows.at(int(bi))
 				break // the key columns are unique: at most one true match
 			}
 		}
@@ -340,7 +349,7 @@ func ExtensionJoinStats(l, r *Relation, rKey AttrSet, s *OpStats) (*Relation, er
 		for _, p := range rOnlyPos {
 			jt = append(jt, rt[p])
 		}
-		out.appendRowNoTable(jt, l.hashes[li]+hashCols(rt, rOnlyPos))
+		out.appendRowNoTable(jt, l.hashes.at(li)+hashCols(rt, rOnlyPos))
 	}
 	s.probes(probed, hits)
 	s.emitted(out.Len())
@@ -384,13 +393,16 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 		s.scanned(probe.Len())
 		s.batches(numBatches(probe.Len()))
 		probed, hits := 0, 0
-		for pi, pt := range probe.rows {
-			probed++
-			if r.findAligned(probe.hashes[pi], pt, perm) < 0 {
-				continue
+		for pg := range probe.rows.numPages() {
+			hashes := probe.hashes.page(pg)
+			for k, pt := range probe.rows.page(pg) {
+				probed++
+				if r.findAligned(hashes[k], pt, perm) < 0 {
+					continue
+				}
+				hits++
+				out.appendRowNoTable(permute(pt, perm), hashes[k])
 			}
-			hits++
-			out.appendRowNoTable(permute(pt, perm), probe.hashes[pi])
 		}
 		s.probes(probed, hits)
 		s.emitted(out.Len())
@@ -416,18 +428,21 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 		s.scanned(probe.Len())
 		s.batches(numBatches(probe.Len()))
 		probed, hits := 0, 0
-		for pi, pt := range probe.rows {
-			probed++
-			hit := false
-			for bi := ix.head(probeKH[pi]); bi >= 0; bi = ix.next[bi] {
-				if !ix.keyEqual(bi, pt, probePos) {
-					continue
+		for pg := range probe.rows.numPages() {
+			khs := probeKH.page(pg)
+			for k, pt := range probe.rows.page(pg) {
+				probed++
+				hit := false
+				for bi := ix.head(khs[k]); bi >= 0; bi = ix.after(bi) {
+					if !ix.keyEqual(bi, pt, probePos) {
+						continue
+					}
+					hit = true
+					out.appendRowNoTable(r.rows.at(int(bi)), r.hashes.at(int(bi)))
 				}
-				hit = true
-				out.appendRowNoTable(r.rows[bi], r.hashes[bi])
-			}
-			if hit {
-				hits++
+				if hit {
+					hits++
+				}
 			}
 		}
 		s.probes(probed, hits)
@@ -444,13 +459,16 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 	s.scanned(r.Len())
 	s.batches(numBatches(r.Len()))
 	probed, hits := 0, 0
-	for i, t := range r.rows {
-		probed++
-		if probe.findAligned(rKH[i], t, rPos) < 0 {
-			continue
+	for pg := range r.rows.numPages() {
+		khs, hashes := rKH.page(pg), r.hashes.page(pg)
+		for k, t := range r.rows.page(pg) {
+			probed++
+			if probe.findAligned(khs[k], t, rPos) < 0 {
+				continue
+			}
+			hits++
+			out.appendRowNoTable(t, hashes[k])
 		}
-		hits++
-		out.appendRowNoTable(t, r.hashes[i])
 	}
 	s.probes(probed, hits)
 	s.emitted(out.Len())
@@ -502,13 +520,16 @@ func DiffStats(l, r *Relation, s *OpStats) (*Relation, error) {
 	s.scanned(l.Len())
 	s.batches(numBatches(l.Len()))
 	probed, hits := 0, 0
-	for i, t := range l.rows {
-		probed++
-		if r.findAligned(l.hashes[i], t, perm) >= 0 {
-			hits++
-			continue
+	for pg := range l.rows.numPages() {
+		hashes := l.hashes.page(pg)
+		for k, t := range l.rows.page(pg) {
+			probed++
+			if r.findAligned(hashes[k], t, perm) >= 0 {
+				hits++
+				continue
+			}
+			out.appendRowNoTable(t, hashes[k])
 		}
-		out.appendRowNoTable(t, l.hashes[i])
 	}
 	s.probes(probed, hits)
 	s.emitted(out.Len())
@@ -531,13 +552,16 @@ func IntersectStats(l, r *Relation, s *OpStats) (*Relation, error) {
 	s.scanned(l.Len())
 	s.batches(numBatches(l.Len()))
 	probed, hits := 0, 0
-	for i, t := range l.rows {
-		probed++
-		if r.findAligned(l.hashes[i], t, perm) < 0 {
-			continue
+	for pg := range l.rows.numPages() {
+		hashes := l.hashes.page(pg)
+		for k, t := range l.rows.page(pg) {
+			probed++
+			if r.findAligned(hashes[k], t, perm) < 0 {
+				continue
+			}
+			hits++
+			out.appendRowNoTable(t, hashes[k])
 		}
-		hits++
-		out.appendRowNoTable(t, l.hashes[i])
 	}
 	s.probes(probed, hits)
 	s.emitted(out.Len())
@@ -571,12 +595,6 @@ func Rename(r *Relation, mapping map[string]string) (*Relation, error) {
 		seen[a] = true
 	}
 	out := New(newAttrs...)
-	if len(r.rows) > 0 {
-		r.ensureTable() // share a valid table instead of copying a stale one
-		out.rows = append([]Tuple(nil), r.rows...)
-		out.hashes = append([]uint64(nil), r.hashes...)
-		out.slots = append([]int32(nil), r.slots...)
-		out.dead = r.dead
-	}
+	r.shareStorage(out)
 	return out, nil
 }

@@ -1,0 +1,360 @@
+package relation
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// modelRel is a relation over (a, b, c) under test beside the map that says
+// what it must hold, keyed by the a column (the tests keep a unique).
+type modelRel struct {
+	rel   *Relation
+	model map[int64]Tuple
+}
+
+// keyOf is the part of a tuple an index over pos covers, as a map key.
+type keyOf struct {
+	a, c int64
+	b    string
+}
+
+func groupKey(tu Tuple, pos []int) keyOf {
+	var k keyOf
+	for _, p := range pos {
+		switch p {
+		case 0:
+			k.a = tu[0].AsInt()
+		case 1:
+			k.b = tu[1].AsString()
+		case 2:
+			k.c = 1 + tu[2].AsInt()
+		}
+	}
+	return k
+}
+
+func (m *modelRel) clone() *modelRel {
+	c := &modelRel{rel: m.rel.Clone(), model: make(map[int64]Tuple, len(m.model))}
+	for k, tu := range m.model {
+		c.model[k] = tu
+	}
+	return c
+}
+
+// check compares every access path of the relation with the model: Len,
+// All, the membership table, each cached index (Lookup, Unique, Keys is
+// bounded by the distinct keys), each cached key-hash vector and, when
+// asked, the columnar image.
+func (m *modelRel) check(t *testing.T, what string, rng *rand.Rand, image bool) {
+	t.Helper()
+	r := m.rel
+	if r.Len() != len(m.model) {
+		t.Fatalf("%s: Len = %d, model has %d", what, r.Len(), len(m.model))
+	}
+	seen := 0
+	for tu := range r.All() {
+		if mt, ok := m.model[tu[0].AsInt()]; !ok || !tuplesEqual(mt, tu) {
+			t.Fatalf("%s: All yields %v, which the model does not hold", what, tu)
+		}
+		seen++
+	}
+	if seen != len(m.model) {
+		t.Fatalf("%s: All yields %d tuples, model has %d", what, seen, len(m.model))
+	}
+	for _, tu := range m.model {
+		if !r.Contains(tu) {
+			t.Fatalf("%s: Contains(%v) = false for a model tuple", what, tu)
+		}
+	}
+	if ghost := (Tuple{Int(-1), String_("ghost"), Int(-1)}); r.Contains(ghost) {
+		t.Fatalf("%s: Contains(%v) = true", what, ghost)
+	}
+	for key, ix := range r.indexes {
+		groups := make(map[keyOf]int, len(m.model))
+		for _, tu := range m.model {
+			groups[groupKey(tu, ix.pos)]++
+		}
+		unique := true
+		for _, n := range groups {
+			unique = unique && n == 1
+		}
+		if ix.Unique() != unique || ix.Keys() > len(groups) {
+			t.Fatalf("%s index %q: Unique = %v, Keys = %d; model says unique = %v with %d keys", what, key, ix.Unique(), ix.Keys(), unique, len(groups))
+		}
+		probes := 0
+		for _, tu := range m.model { // map order: a random sample
+			vals := make([]Value, len(ix.pos))
+			for i, p := range ix.pos {
+				vals[i] = tu[p]
+			}
+			hits := ix.Lookup(vals...)
+			if want := groups[groupKey(tu, ix.pos)]; len(hits) != want {
+				t.Fatalf("%s index %q: Lookup(%v) returns %d rows, model has %d", what, key, vals, len(hits), want)
+			}
+			for _, h := range hits {
+				if mt, ok := m.model[h[0].AsInt()]; !ok || !tuplesEqual(mt, h) || groupKey(h, ix.pos) != groupKey(tu, ix.pos) {
+					t.Fatalf("%s index %q: Lookup(%v) returns %v", what, key, vals, h)
+				}
+			}
+			if probes++; probes == 8 {
+				break
+			}
+		}
+		if hits := ix.Lookup(make([]Value, len(ix.pos))...); len(hits) != 0 {
+			t.Fatalf("%s index %q: Lookup(NULLs) returns %v", what, key, hits)
+		}
+	}
+	for key, kv := range r.keyVecs {
+		got := r.keyHashesFor(strings.Split(key, "\x00"), key)
+		if got != &kv.hashes || got.len() != r.Len() {
+			t.Fatalf("%s keyVec %q: %d hashes for %d rows", what, key, got.len(), r.Len())
+		}
+		for i, tu := range r.rows.all() {
+			if got.at(i) != hashCols(tu, kv.pos) {
+				t.Fatalf("%s keyVec %q: stale hash at row %d", what, key, i)
+			}
+		}
+	}
+	if !image {
+		return
+	}
+	rows := 0
+	for b := range r.Batches() {
+		for i := 0; i < b.Len(); i++ {
+			tu := r.rows.at(b.Start() + i)
+			for c := range tu {
+				if !b.Value(c, i).Equal(tu[c]) {
+					t.Fatalf("%s: batch value (%d,%d) = %v, row holds %v", what, b.Start()+i, c, b.Value(c, i), tu[c])
+				}
+			}
+			rows++
+		}
+	}
+	if rows != len(m.model) {
+		t.Fatalf("%s: Batches cover %d rows, model has %d", what, rows, len(m.model))
+	}
+}
+
+// TestClonesAreIndependent is the contract of Clone over shared pages: in a
+// random tree of clones under interleaved inserts, bulk inserts, deletes,
+// further clones and lazily built indexes, key-hash vectors and columnar
+// images, every live relation equals its own model after every step —
+// the original after its clone was mutated and the clone after the
+// original was. Start sizes sit below, on and above page boundaries and
+// below a growth of the membership table, so steps cross them both ways.
+func TestClonesAreIndependent(t *testing.T) {
+	attrSets := [][]string{{"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}}
+	dim := New("b", "d") // larger than any relation under test: joins build on it and probe with theirs
+	for i := 0; i < 8*pageLen; i++ {
+		dim.InsertValues(String_(fmt.Sprint("s", i)), Int(int64(i)))
+	}
+	keyVecs, arenas := 0, 0
+	for seed, start := range []int{0, 3, pageLen - 2, pageLen, 1364, 2*pageLen + 1} {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		domain := 40 + rng.Intn(40)
+		next := 0
+		row := func() Tuple {
+			next++
+			return Tuple{Int(int64(next)), String_(fmt.Sprint("s", rng.Intn(domain))), Int(int64(rng.Intn(domain)))}
+		}
+		root := &modelRel{rel: New("a", "b", "c"), model: map[int64]Tuple{}}
+		for i := 0; i < start; i++ {
+			tu := row()
+			root.rel.Insert(tu)
+			root.model[tu[0].AsInt()] = tu
+		}
+		live := []*modelRel{root}
+		for step := 0; step < 100; step++ {
+			m := live[rng.Intn(len(live))]
+			switch op := rng.Intn(10); {
+			case op < 3:
+				tu := row()
+				if rng.Intn(4) == 0 && len(m.model) > 0 { // a duplicate: must be a no-op
+					for _, tu = range m.model {
+						break
+					}
+				}
+				_, had := m.model[tu[0].AsInt()]
+				if m.rel.Insert(tu) == had {
+					t.Fatalf("seed %d step %d: Insert(%v) = %v, model had it: %v", seed, step, tu, !had, had)
+				}
+				m.model[tu[0].AsInt()] = tu
+			case op < 4:
+				batch := New("c", "a", "b") // other column order: InsertAll aligns by name
+				for i := rng.Intn(pageLen / 3); i >= 0; i-- {
+					tu := row()
+					batch.InsertValues(tu[2], tu[0], tu[1])
+					m.model[tu[0].AsInt()] = tu
+				}
+				if added := m.rel.InsertAll(batch); added != batch.Len() {
+					t.Fatalf("seed %d step %d: InsertAll added %d of %d new tuples", seed, step, added, batch.Len())
+				}
+			case op < 7:
+				for n := 1 + rng.Intn(3); n > 0 && len(m.model) > 0; n-- {
+					victim := m.rel.rows.at(rng.Intn(m.rel.Len())).Clone()
+					if !m.rel.Delete(victim) || m.rel.Delete(victim) {
+						t.Fatalf("seed %d step %d: Delete(%v) of a present row must succeed exactly once", seed, step, victim)
+					}
+					delete(m.model, victim[0].AsInt())
+				}
+			case op < 8:
+				if len(live) == 5 {
+					live = append(live[:0], live[1+rng.Intn(2):]...) // forget the oldest: their pages stay shared
+				}
+				live = append(live, m.clone())
+			case op < 9:
+				as := attrSets[rng.Intn(len(attrSets))]
+				if rng.Intn(3) == 0 {
+					m.rel.indexFor([]string{"c"}, "c", m.rel.Len()) // hinted: carries a keyVals arena
+				} else {
+					m.rel.Index(as...)
+				}
+			default:
+				if got := NaturalJoin(m.rel, dim).Len(); got != m.rel.Len() { // caches a key-hash vector over b
+					t.Fatalf("seed %d step %d: join with the dimension has %d rows, want %d", seed, step, got, m.rel.Len())
+				}
+			}
+			for i, l := range live {
+				l.check(t, fmt.Sprintf("seed %d step %d relation %d/%d", seed, step, i, len(live)), rng, step%8 == 0)
+			}
+			keyVecs += len(m.rel.keyVecs)
+			if ix := m.rel.indexes["c"]; ix != nil && ix.hasVals {
+				arenas++
+			}
+		}
+	}
+	if keyVecs == 0 || arenas == 0 {
+		t.Fatalf("the steps carried %d key-hash vectors and %d keyVals arenas through mutations, want both", keyVecs, arenas)
+	}
+}
+
+// TestCloneWriteCopiesOnlyTouchedPages pins the cost model: a clone of a
+// large relation with a carried index copies no page, and an insert plus a
+// delete on it copy a bounded number of pages whatever the relation's size,
+// leaving the original as it was.
+func TestCloneWriteCopiesOnlyTouchedPages(t *testing.T) {
+	var perSize []int64
+	for _, n := range []int{20 * pageLen, 80 * pageLen} {
+		r := New("k", "fk")
+		for i := 0; i < n; i++ {
+			r.InsertValues(Int(int64(i)), Int(int64(i%(n/16))))
+		}
+		r.Index("fk")
+		c := r.Clone()
+		if c.CopiedBytes() != 0 {
+			t.Fatalf("n=%d: a fresh clone reports %d copied bytes", n, c.CopiedBytes())
+		}
+		if !c.Delete(Tuple{Int(7), Int(7)}) || !c.InsertValues(Int(int64(n)), Int(3)) {
+			t.Fatalf("n=%d: delete + insert on the clone failed", n)
+		}
+		// rows, hashes, slots and the index's slots, next, keyHash: a
+		// handful of pages each, of at most pageLen Tuple headers.
+		if got, limit := c.CopiedBytes(), int64(40*pageLen*24); got == 0 || got > limit {
+			t.Fatalf("n=%d: delete + insert copied %d bytes, want within (0, %d]", n, got, limit)
+		}
+		perSize = append(perSize, c.CopiedBytes())
+		if r.Len() != n || !r.Contains(Tuple{Int(7), Int(7)}) || r.Contains(Tuple{Int(int64(n)), Int(3)}) || r.CopiedBytes() < 0 {
+			t.Fatalf("n=%d: the original changed under its clone's writes", n)
+		}
+		ix, _ := r.Index("fk")
+		if got := len(ix.Lookup(Int(7))); got != 16 {
+			t.Fatalf("n=%d: original's index finds %d rows for fk 7, want 16", n, got)
+		}
+	}
+	if perSize[1] > 2*perSize[0] {
+		t.Fatalf("copied bytes grow with the relation: %v", perSize)
+	}
+}
+
+// TestConcurrentReadersOfSharedPages: readers join, probe and scan version
+// k of a relation — and clone it themselves, as a bare Base evaluation does
+// — while the writer clones version k and applies inserts and deletes to
+// version k+1. Every answer must equal the model of the version it was
+// read from; under -race any write to a page a reader can reach fails.
+func TestConcurrentReadersOfSharedPages(t *testing.T) {
+	const fks = 50
+	type version struct {
+		rel   *Relation
+		perFK [fks]int
+	}
+	v0 := &version{rel: New("k", "fk")}
+	next := 0
+	for ; next < 3*pageLen+17; next++ {
+		v0.rel.InsertValues(Int(int64(next)), Int(int64(next%fks)))
+		v0.perFK[next%fks]++
+	}
+	var cur atomic.Pointer[version]
+	cur.Store(v0)
+	var done atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for reader := 0; reader < 3; reader++ {
+		wg.Add(1)
+		go func(reader int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(reader)))
+			for i := 0; !done.Load(); i++ {
+				reads.Add(1)
+				v := cur.Load()
+				fk := rng.Intn(fks)
+				probe := New("fk")
+				probe.InsertValues(Int(int64(fk)))
+				r := v.rel
+				if i%4 == 3 {
+					r = r.Clone()
+				}
+				if got := NaturalJoin(probe, r).Len(); got != v.perFK[fk] {
+					t.Errorf("reader %d: join finds %d rows for fk %d, version holds %d", reader, got, fk, v.perFK[fk])
+					return
+				}
+				if got := SemiJoin(r, probe).Len(); got != v.perFK[fk] {
+					t.Errorf("reader %d: semi-join finds %d rows for fk %d, version holds %d", reader, got, fk, v.perFK[fk])
+					return
+				}
+				ix, _ := r.Index("fk")
+				if got := len(ix.Lookup(Int(int64(fk)))); got != v.perFK[fk] {
+					t.Errorf("reader %d: Lookup finds %d rows for fk %d, version holds %d", reader, got, fk, v.perFK[fk])
+					return
+				}
+				n, want := 0, 0
+				for tu := range r.All() {
+					if !r.Contains(tu) {
+						t.Errorf("reader %d: scanned row %v is not a member", reader, tu)
+						return
+					}
+					n++
+				}
+				for _, c := range v.perFK {
+					want += c
+				}
+				if n != want || r.Len() != want {
+					t.Errorf("reader %d: scan sees %d rows, Len = %d, version holds %d", reader, n, r.Len(), want)
+					return
+				}
+			}
+		}(reader)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for k := 0; k < 100 || reads.Load() < 300; k++ {
+		v := cur.Load()
+		nv := &version{rel: v.rel.Clone(), perFK: v.perFK}
+		for op := 0; op < 6; op++ {
+			if rng.Intn(2) == 0 && nv.rel.Len() > 0 {
+				victim := nv.rel.rows.at(rng.Intn(nv.rel.Len())).Clone()
+				nv.rel.Delete(victim)
+				nv.perFK[victim[1].AsInt()]--
+			} else {
+				nv.rel.InsertValues(Int(int64(next)), Int(int64(next%fks)))
+				nv.perFK[next%fks]++
+				next++
+			}
+		}
+		cur.Store(nv)
+	}
+	done.Store(true)
+	wg.Wait()
+}

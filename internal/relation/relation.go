@@ -65,31 +65,31 @@ func hashCols(t Tuple, pos []int) uint64 {
 // table re-verified by Value.Equal on candidate rows; per-row hashes are
 // retained so the batch operators probe without re-encoding tuples.
 // Tuples are immutable once inserted, which lets relations share tuple
-// backing arrays (Clone and the operators alias rows instead of
-// deep-copying values).
+// backing arrays (the operators alias rows instead of deep-copying
+// values). Rows, hashes and slots are paged arrays (paged.go) whose pages
+// a clone shares until one side writes them.
 //
 // Concurrency: any number of goroutines may read a relation (including
 // building cached indexes and column vectors, which is internally
-// synchronized), but mutation requires exclusive access, as it always has
-// in this package. Mutating drops the cached columnar image; cached
-// indexes and key-hash vectors are updated in place.
+// synchronized, and cloning it), but mutation requires exclusive access,
+// as it always has in this package. Mutating drops the cached columnar
+// image; cached indexes and key-hash vectors are updated in place.
 type Relation struct {
 	attrs  []string
 	pos    map[string]int
-	rows   []Tuple
-	hashes []uint64 // hashes[i] == rows[i].hash64()
+	rows   paged[Tuple]
+	hashes paged[uint64] // hashes.at(i) == rows.at(i).hash64()
 
 	// Open-addressed membership table: slots hold row index + 1, with 0
-	// marking an empty slot and -1 a tombstone left by Delete. The table
-	// is always a power of two, probed linearly from hash & mask; it is
-	// flat (no per-entry allocation) and copied wholesale by Clone.
+	// marking an empty slot. The table is always a power of two, probed
+	// linearly from hash & mask, and deletion shifts the rest of the probe
+	// run back (vacate), so it never holds tombstones.
 	//
 	// Bulk operators appending known-distinct rows skip the table and
 	// mark it stale instead (appendRowNoTable); the first membership
 	// probe rebuilds it in one pass. Join and semi-join outputs that are
 	// only ever scanned never pay for a table at all.
-	slots      []int32
-	dead       int // tombstones in slots
+	slots      paged[int32]
 	tableStale atomic.Bool
 
 	mu      sync.Mutex // guards indexes/cols/keyVecs; rows/slots follow the package-wide contract above
@@ -104,17 +104,16 @@ func New(attrs ...string) *Relation {
 	return newPresized(attrs, 0)
 }
 
-// newPresized creates an empty relation with capacity for n rows, so bulk
-// operators grow neither the row slice nor the membership table.
+// newPresized creates an empty relation about to receive n rows: the first
+// page of row storage and the page tables are allocated up front.
 func newPresized(attrs []string, n int) *Relation {
 	r := &Relation{
 		attrs: append([]string(nil), attrs...),
 		pos:   make(map[string]int, len(attrs)),
 	}
 	if n > 0 {
-		r.rows = make([]Tuple, 0, n)
-		r.hashes = make([]uint64, 0, n)
-		r.slots = make([]int32, tableSizeFor(n))
+		r.rows.reserve(n)
+		r.hashes.reserve(n)
 	}
 	for i, a := range attrs {
 		if a == "" {
@@ -142,10 +141,10 @@ func (r *Relation) AttrSet() AttrSet { return NewAttrSet(r.attrs...) }
 func (r *Relation) Arity() int { return len(r.attrs) }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return r.rows.len() }
 
 // IsEmpty reports whether the relation has no tuples.
-func (r *Relation) IsEmpty() bool { return len(r.rows) == 0 }
+func (r *Relation) IsEmpty() bool { return r.rows.len() == 0 }
 
 // Pos returns the column index of the named attribute and whether it exists.
 func (r *Relation) Pos(attr string) (int, bool) {
@@ -169,21 +168,40 @@ func tableSizeFor(n int) int {
 	return size
 }
 
-// rebuildTable re-derives the slot table from the row hashes, dropping
-// tombstones. Every row is distinct, so no equality checks are needed.
+// rebuildTable re-derives the slot table, sized for capacity rows, from the
+// row hashes. Every row is distinct, so no equality checks are needed.
 func (r *Relation) rebuildTable(capacity int) {
-	size := tableSizeFor(capacity)
-	slots := make([]int32, size)
-	mask := uint64(size - 1)
-	for i, h := range r.hashes {
-		j := h & mask
-		for slots[j] != 0 {
-			j = (j + 1) & mask
+	r.slots.alloc(tableSizeFor(capacity))
+	mask := uint64(r.slots.len() - 1)
+	for base, pg := range r.hashes.eachPage() {
+		for k, h := range pg {
+			j := h & mask
+			for r.slots.at(int(j)) != 0 {
+				j = (j + 1) & mask
+			}
+			r.slots.set(int(j), int32(base+k)+1)
 		}
-		slots[j] = int32(i) + 1
 	}
-	r.slots = slots
-	r.dead = 0
+}
+
+// vacate empties slot s of an open-addressed table whose entries are row
+// index + 1 and whose row i was probed from hashes.at(i). Backward-shift
+// deletion keeps linear probing free of tombstones: each later entry of
+// the run moves into the hole unless its home slot lies cyclically after
+// the hole. The membership table and the index tables share it.
+func vacate(slots *paged[int32], hashes *paged[uint64], s uint64) {
+	mask := uint64(slots.len() - 1)
+	for j := (s + 1) & mask; ; j = (j + 1) & mask {
+		v := slots.at(int(j))
+		if v == 0 {
+			break
+		}
+		if home := hashes.at(int(v-1)) & mask; (j-home)&mask >= (j-s)&mask {
+			slots.set(int(s), v)
+			s = j
+		}
+	}
+	slots.set(int(s), 0)
 }
 
 // appendRowNoTable appends an owned, known-distinct tuple without
@@ -193,8 +211,8 @@ func (r *Relation) rebuildTable(capacity int) {
 // later probed, ensureTable rebuilds the table in one pass, and results
 // that are only ever scanned never pay for a table at all.
 func (r *Relation) appendRowNoTable(t Tuple, h uint64) {
-	r.rows = append(r.rows, t)
-	r.hashes = append(r.hashes, h)
+	r.rows.append(t)
+	r.hashes.append(h)
 	if !r.tableStale.Load() {
 		r.tableStale.Store(true)
 	}
@@ -210,32 +228,36 @@ func (r *Relation) ensureTable() {
 	}
 	r.mu.Lock()
 	if r.tableStale.Load() {
-		r.rebuildTable(len(r.rows))
+		r.rebuildTable(r.rows.len())
 		r.tableStale.Store(false)
 	}
 	r.mu.Unlock()
 }
 
 // findRow returns the index of the row equal to t (in r's column order),
-// or -1. Linear probing from the hash; candidate rows with the same hash
-// are re-verified value by value.
+// or -1.
 func (r *Relation) findRow(h uint64, t Tuple) int32 {
+	_, i := r.findSlot(h, t)
+	return i
+}
+
+// findSlot returns the slot and index of the row equal to t (in r's column
+// order), or row -1. Linear probing from the hash; candidate rows with the
+// same hash are re-verified value by value.
+func (r *Relation) findSlot(h uint64, t Tuple) (uint64, int32) {
 	r.ensureTable()
-	if len(r.slots) == 0 {
-		return -1
+	if r.slots.len() == 0 {
+		return 0, -1
 	}
-	mask := uint64(len(r.slots) - 1)
+	mask := uint64(r.slots.len() - 1)
 	for j := h & mask; ; j = (j + 1) & mask {
-		s := r.slots[j]
+		s := r.slots.at(int(j))
 		if s == 0 {
-			return -1
-		}
-		if s < 0 {
-			continue // tombstone
+			return 0, -1
 		}
 		i := s - 1
-		if r.hashes[i] == h && tuplesEqual(r.rows[i], t) {
-			return i
+		if r.hashes.at(int(i)) == h && tuplesEqual(r.rows.at(int(i)), t) {
+			return j, i
 		}
 	}
 }
@@ -244,23 +266,20 @@ func (r *Relation) findRow(h uint64, t Tuple) int32 {
 // tuple t under perm (row[j] corresponds to t[perm[j]]), or -1.
 func (r *Relation) findAligned(h uint64, t Tuple, perm []int) int32 {
 	r.ensureTable()
-	if len(r.slots) == 0 {
+	if r.slots.len() == 0 {
 		return -1
 	}
-	mask := uint64(len(r.slots) - 1)
+	mask := uint64(r.slots.len() - 1)
 	for j := h & mask; ; j = (j + 1) & mask {
-		s := r.slots[j]
+		s := r.slots.at(int(j))
 		if s == 0 {
 			return -1
 		}
-		if s < 0 {
-			continue
-		}
 		i := s - 1
-		if r.hashes[i] != h {
+		if r.hashes.at(int(i)) != h {
 			continue
 		}
-		row := r.rows[i]
+		row := r.rows.at(int(i))
 		eq := true
 		for k := range row {
 			if !row[k].Equal(t[perm[k]]) {
@@ -289,22 +308,26 @@ func tuplesEqual(a, b Tuple) bool {
 // callers must not mutate it afterwards (tuples are immutable by package
 // contract).
 func (r *Relation) appendRow(t Tuple, h uint64) {
-	if (len(r.rows)+r.dead+1)*3 >= len(r.slots)*2 {
-		r.rebuildTable(2 * (len(r.rows) + 1))
+	n := r.rows.len()
+	if (n+1)*3 >= r.slots.len()*2 {
+		r.rebuildTable(2 * (n + 1))
 	}
-	mask := uint64(len(r.slots) - 1)
+	// The caller guarantees absence, so the first empty slot of the probe
+	// run preserves the set invariant.
+	r.slots.set(int(r.slotOf(h, 0)), int32(n)+1)
+	r.rows.append(t)
+	r.hashes.append(h)
+}
+
+// slotOf returns the first slot of the probe run from hash h that holds v
+// (row index + 1, or 0 for the run's first empty slot).
+func (r *Relation) slotOf(h uint64, v int32) uint64 {
+	mask := uint64(r.slots.len() - 1)
 	j := h & mask
-	for r.slots[j] > 0 {
+	for r.slots.at(int(j)) != v {
 		j = (j + 1) & mask
 	}
-	// The caller guarantees absence, so landing on the first free slot —
-	// empty or tombstone — preserves the set invariant.
-	if r.slots[j] < 0 {
-		r.dead--
-	}
-	r.slots[j] = int32(len(r.rows)) + 1
-	r.rows = append(r.rows, t)
-	r.hashes = append(r.hashes, h)
+	return j
 }
 
 // insertOwned inserts an owned tuple with a precomputed hash, without
@@ -315,7 +338,7 @@ func (r *Relation) insertOwned(t Tuple, h uint64) bool {
 		return false
 	}
 	r.appendRow(t, h)
-	r.noteInserted(len(r.rows) - 1)
+	r.noteInserted(r.rows.len() - 1)
 	return true
 }
 
@@ -331,7 +354,7 @@ func (r *Relation) Insert(t Tuple) bool {
 		return false
 	}
 	r.appendRow(t.Clone(), h)
-	r.noteInserted(len(r.rows) - 1)
+	r.noteInserted(r.rows.len() - 1)
 	return true
 }
 
@@ -345,16 +368,18 @@ func (r *Relation) InsertValues(vals ...Value) bool { return r.Insert(Tuple(vals
 func (r *Relation) InsertAll(o *Relation) int {
 	perm := alignment(o, r)
 	added := 0
-	for i, t := range o.rows {
-		h := o.hashes[i]
-		if r.findAligned(h, t, perm) >= 0 {
-			continue
+	for pi := range o.rows.numPages() {
+		hashes := o.hashes.page(pi)
+		for k, t := range o.rows.page(pi) {
+			if r.findAligned(hashes[k], t, perm) >= 0 {
+				continue
+			}
+			r.appendRow(permute(t, perm), hashes[k])
+			added++
 		}
-		r.appendRow(permute(t, perm), h)
-		added++
 	}
 	if added > 0 {
-		r.noteInserted(len(r.rows) - added)
+		r.noteInserted(r.rows.len() - added)
 	}
 	return added
 }
@@ -379,49 +404,24 @@ func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		return false
 	}
-	h := t.hash64()
-	i := r.findRow(h, t)
+	slot, i := r.findSlot(t.hash64(), t)
 	if i < 0 {
 		return false
 	}
-	r.tombstoneSlot(h, i)
+	// The slot goes first: the backward shift reads the hashes of rows
+	// that are about to move.
+	vacate(&r.slots, &r.hashes, slot)
 	r.noteDeleted(i)
-	last := int32(len(r.rows) - 1)
+	last := int32(r.rows.len() - 1)
 	if i != last {
-		r.rows[i] = r.rows[last]
-		r.hashes[i] = r.hashes[last]
-		r.redirectSlot(r.hashes[last], last, i)
+		lh := r.hashes.at(int(last))
+		r.slots.set(int(r.slotOf(lh, last+1)), i+1)
+		r.rows.set(int(i), r.rows.at(int(last)))
+		r.hashes.set(int(i), lh)
 	}
-	r.rows = r.rows[:last]
-	r.hashes = r.hashes[:last]
-	if r.dead*3 > len(r.slots) {
-		r.rebuildTable(2 * len(r.rows)) // shed tombstone buildup
-	}
+	r.rows.truncate(int(last))
+	r.hashes.truncate(int(last))
 	return true
-}
-
-// tombstoneSlot marks row i's slot (probed from hash h) as deleted.
-func (r *Relation) tombstoneSlot(h uint64, i int32) {
-	mask := uint64(len(r.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		if r.slots[j] == i+1 {
-			r.slots[j] = -1
-			r.dead++
-			return
-		}
-	}
-}
-
-// redirectSlot rewrites row index old to new in the slot probed from h
-// (the swap-with-last fixup of Delete).
-func (r *Relation) redirectSlot(h uint64, old, new int32) {
-	mask := uint64(len(r.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		if r.slots[j] == old+1 {
-			r.slots[j] = new + 1
-			return
-		}
-	}
 }
 
 // All returns an iterator over every tuple, in storage order. The yielded
@@ -430,9 +430,11 @@ func (r *Relation) redirectSlot(h uint64, old, new int32) {
 // the row-major access path; Batches is the column-major one.
 func (r *Relation) All() iter.Seq[Tuple] {
 	return func(yield func(Tuple) bool) {
-		for _, t := range r.rows {
-			if !yield(t) {
-				return
+		for _, pg := range r.rows.eachPage() {
+			for _, t := range pg {
+				if !yield(t) {
+					return
+				}
 			}
 		}
 	}
@@ -453,7 +455,7 @@ func (r *Relation) SortedTuples() []Tuple {
 // reorder the slice and must not modify a tuple. Encoders that only
 // read the rows use it.
 func (r *Relation) SortedRows() []Tuple {
-	out := append([]Tuple(nil), r.rows...)
+	out := r.rows.appendTo(make([]Tuple, 0, r.rows.len()))
 	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
 	return out
 }
@@ -483,27 +485,21 @@ func (r *Relation) Get(t Tuple, attr string) Value {
 	return t[i]
 }
 
-// Clone returns an independent copy of the relation. Row storage and the
-// membership table are copied (the flat slot table is a single memcpy);
-// the immutable tuple backing arrays are shared (values are never mutated
-// in place, so structural mutations of either copy cannot affect the
-// other).
+// Clone returns an independent copy of the relation: a mutation of either
+// side is invisible to the other. It copies page tables, not pages — the
+// copy shares every storage page of the original (rows, hashes, slots and
+// the arrays of every cached index and key-hash vector), and whichever
+// side writes a page first copies that page — so its cost is proportional
+// to rows/pageLen and a later mutation's to the pages it touches. The
+// immutable tuple backing arrays are shared as well. Clone may run beside
+// readers of r and beside other Clones of r.
 func (r *Relation) Clone() *Relation {
-	r.ensureTable() // copy a valid table rather than rebuilding in both copies
-	c := &Relation{
-		attrs: r.attrs,
-		pos:   r.pos,
-	}
-	if len(r.rows) > 0 {
-		c.rows = append([]Tuple(nil), r.rows...)
-		c.hashes = append([]uint64(nil), r.hashes...)
-		c.slots = append([]int32(nil), r.slots...)
-		c.dead = r.dead
-	}
-	// Carry cached indexes over (flat-array copies rebound to the clone):
-	// the warehouse applies refresh deltas to clones (copy-on-write), and
-	// cloning must not cool the indexes that insert-path maintenance keeps
-	// warm across updates.
+	c := &Relation{attrs: r.attrs, pos: r.pos}
+	r.shareStorage(c)
+	// Carry cached indexes over, rebound to the clone: the warehouse
+	// applies refresh deltas to clones (copy-on-write), and cloning must
+	// not cool the indexes that insert-path maintenance keeps warm across
+	// updates.
 	r.mu.Lock()
 	if len(r.indexes) > 0 {
 		c.indexes = make(map[string]*Index, len(r.indexes))
@@ -514,11 +510,42 @@ func (r *Relation) Clone() *Relation {
 	if len(r.keyVecs) > 0 {
 		c.keyVecs = make(map[string]*keyVec, len(r.keyVecs))
 		for k, kv := range r.keyVecs {
-			c.keyVecs[k] = &keyVec{pos: kv.pos, hashes: append([]uint64(nil), kv.hashes...)}
+			ckv := &keyVec{pos: kv.pos}
+			kv.hashes.shareTo(&ckv.hashes)
+			c.keyVecs[k] = ckv
 		}
 	}
 	r.mu.Unlock()
 	return c
+}
+
+// shareStorage gives c, which must hold no rows, r's rows, hashes and
+// membership table as shared pages.
+func (r *Relation) shareStorage(c *Relation) {
+	r.ensureTable() // share a valid table rather than rebuilding in both copies
+	r.rows.shareTo(&c.rows)
+	r.hashes.shareTo(&c.hashes)
+	r.slots.shareTo(&c.slots)
+}
+
+// CopiedBytes returns the bytes of storage pages — rows, hashes,
+// membership table and the arrays of every cached index and key-hash
+// vector — that mutations of r have copied because a clone shared them,
+// or re-allocated because a hash table grew, since r was created or
+// cloned. After a refresh applied a delta to a fresh clone, this is what
+// the copy-on-write apply cost: a few pages per changed tuple,
+// independent of r's size unless a table grew.
+func (r *Relation) CopiedBytes() int64 {
+	n := r.rows.freshBytes() + r.hashes.freshBytes() + r.slots.freshBytes()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ix := range r.indexes {
+		n += ix.slots.freshBytes() + ix.next.freshBytes() + ix.keyHash.freshBytes() + ix.keyVals.freshBytes()
+	}
+	for _, kv := range r.keyVecs {
+		n += kv.hashes.freshBytes()
+	}
+	return n
 }
 
 // Equal reports whether r and o have the same attribute set and the same
@@ -527,16 +554,25 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r == nil || o == nil {
 		return r == o
 	}
-	if len(r.attrs) != len(o.attrs) || len(r.rows) != len(o.rows) {
+	if len(r.attrs) != len(o.attrs) || r.rows.len() != o.rows.len() {
 		return false
 	}
 	if !r.AttrSet().Equal(o.AttrSet()) {
 		return false
 	}
-	perm := alignment(o, r)
-	for i, t := range o.rows {
-		if r.findAligned(o.hashes[i], t, perm) < 0 {
-			return false
+	return o.allIn(r)
+}
+
+// allIn reports whether every tuple of r occurs in o, which must have the
+// same attribute set.
+func (r *Relation) allIn(o *Relation) bool {
+	perm := alignment(r, o)
+	for pi := range r.rows.numPages() {
+		hashes := r.hashes.page(pi)
+		for k, t := range r.rows.page(pi) {
+			if o.findAligned(hashes[k], t, perm) < 0 {
+				return false
+			}
 		}
 	}
 	return true
@@ -548,13 +584,7 @@ func (r *Relation) SubsetOf(o *Relation) bool {
 	if !r.AttrSet().Equal(o.AttrSet()) {
 		return false
 	}
-	perm := alignment(r, o)
-	for i, t := range r.rows {
-		if o.findAligned(r.hashes[i], t, perm) < 0 {
-			return false
-		}
-	}
-	return true
+	return r.allIn(o)
 }
 
 // Fingerprint returns an order-independent canonical encoding of the
@@ -571,8 +601,8 @@ func (r *Relation) Fingerprint() string {
 	for i, a := range attrs {
 		perm[i] = r.pos[a]
 	}
-	keys := make([]string, 0, len(r.rows))
-	for _, t := range r.rows {
+	keys := make([]string, 0, r.rows.len())
+	for t := range r.All() {
 		st := make(Tuple, len(perm))
 		for i, p := range perm {
 			st[i] = t[p]
