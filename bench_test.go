@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	dwc "dwcomplement"
@@ -692,6 +693,62 @@ func BenchmarkClone(b *testing.B) {
 					b.Fatal("clone lost rows")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkScanAfterUpdate measures what an update leaves for the next
+// column-major reader of the FactParis view, at three sizes: each
+// iteration clones the current version (every page image built), applies
+// the process benchmark's churn shape — insert one order, delete the one
+// inserted 64 updates earlier — and drains Batches of the new version.
+// The pages the update wrote are the ones that must be vectorized again,
+// so ns/op, B/op and images/op are the gate for "the image follows the
+// delta, not the view": the same at every size, at most 3 images.
+func BenchmarkScanAfterUpdate(b *testing.B) {
+	const lag = 64
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			fact, _ := section5Warehouse(b, c.rows).Relation("FactParis")
+			order := func(okey int) relation.Tuple { // churnOrder's values in the view's column order
+				vals := churnOrder("paris", okey, c.rows/20)
+				t := make(relation.Tuple, len(vals))
+				for i, a := range []string{"okey", "ckey", "pkey", "loc", "qty"} {
+					p, _ := fact.Pos(a)
+					t[p] = vals[i]
+				}
+				return t
+			}
+			drain := func(r *relation.Relation) (rows int) {
+				for bt := range r.Batches() {
+					rows += bt.Len()
+				}
+				return rows
+			}
+			cur, built := fact.Clone(), 0
+			for i := 0; i < b.N+lag; i++ { // the first lag updates only insert
+				if i == lag {
+					runtime.GC() // the set-up's garbage is not the update's
+					b.ReportAllocs()
+					b.ResetTimer()
+					built = 0
+				}
+				next, okey := cur.Clone(), c.rows/2+1+i
+				changed := next.Insert(order(okey))
+				if i >= lag {
+					changed = next.Delete(order(okey-lag)) && changed
+				}
+				built -= next.PageImages()
+				if rows := drain(next); !changed || rows != next.Len() {
+					b.Fatalf("update %d: changed = %v, Batches cover %d of %d rows", i, changed, rows, next.Len())
+				}
+				built += next.PageImages()
+				cur = next
+			}
+			b.ReportMetric(float64(built)/float64(b.N), "images/op")
 		})
 	}
 }

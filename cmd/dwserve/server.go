@@ -158,6 +158,7 @@ type server struct {
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
+	mImagePages *obs.Counter
 	mQueryDur   *obs.Histogram
 	mRefreshes  *obs.Counter
 	mRefreshDur *obs.Histogram
@@ -359,6 +360,8 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"HTTP requests currently being served.", nil)
 	s.mQueries = s.reg.Counter("dw_queries_total",
 		"Source queries answered through the Theorem 3.1 translation.", nil)
+	s.mImagePages = s.reg.Counter("dw_query_image_pages_built_total",
+		"Page images queries built: row pages a vectorized selection met that an update had written since they were last vectorized.", nil)
 	s.mQueryDur = s.reg.Histogram("dw_query_duration_seconds",
 		"Query evaluation latency (translate + evaluate).", obs.DefLatencyBuckets, nil)
 	s.mRefreshes = s.reg.Counter("dw_refreshes_total",
@@ -539,11 +542,13 @@ func jsonTuples(attrs []string, sorted []dwc.Tuple) map[string]any {
 	}
 }
 
+// jsonRelation encodes from the relation's own rows: jsonTuples only reads
+// them, and what it returns holds boxed values, no tuple.
 func jsonRelation(r *relation.Relation) map[string]any {
-	return jsonTuples(r.Attrs(), r.SortedTuples())
+	return jsonTuples(r.Attrs(), r.SortedRows())
 }
 
-func jsonRows(rs *dwc.Rows) map[string]any { return jsonTuples(rs.Attrs(), rs.Sorted()) }
+func jsonRows(rs *dwc.Rows) map[string]any { return jsonRelation(rs.Relation()) }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -738,6 +743,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	s.queries.Add(1)
 	s.mQueries.Inc()
 	s.mQueryDur.Observe(stats.Wall.Seconds())
+	s.mImagePages.Add(stats.ImagePages)
 	s.statsMu.Lock()
 	s.queryStats.Add(*stats)
 	s.statsMu.Unlock()

@@ -1,10 +1,10 @@
 package dwc_test
 
 // Property tests for the columnar batch engine: on randomized relations —
-// including NULLs, mixed value kinds, and string dictionaries forced into
-// overflow — every hashed/vectorized operator must agree tuple-for-tuple
-// with an independent reference implementation backed by plain Go maps
-// over canonical string encodings. The reference shares no code with the
+// including NULLs and mixed value kinds, which put their pages in the
+// generic (ColAny) layout — every hashed/vectorized operator must agree
+// tuple-for-tuple with an independent reference implementation backed by
+// plain Go maps over canonical string encodings. The reference shares no code with the
 // relation package's membership machinery, so a hashing or batching bug
 // cannot cancel itself out of the comparison.
 
@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"testing"
 
+	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/relation"
 )
 
@@ -101,7 +102,7 @@ func (s *refSet) equalRelation(t *testing.T, label string, r *relation.Relation)
 
 // randomValue draws from a small mixed-kind domain with NULLs, numeric
 // int/float collisions (Int(k) vs Float(k)), negative zero, and strings
-// drawn from a pool wide enough to overflow a tiny dictionary.
+// drawn from a small pool.
 func randomValue(rng *rand.Rand, stringPool int) relation.Value {
 	switch rng.Intn(10) {
 	case 0:
@@ -250,14 +251,37 @@ func refProject(r *relation.Relation, attrs ...string) *refSet {
 	return out
 }
 
-// TestColumnarOpsMatchMapReference drives every hashed operator against
-// the map-backed reference on randomized relations with NULLs and mixed
-// kinds, with the string dictionary capacity forced low enough that some
-// columns overflow into the generic (ColAny) layout.
-func TestColumnarOpsMatchMapReference(t *testing.T) {
-	prev := relation.SetDictCapacity(4) // force dictionary overflow
-	defer relation.SetDictCapacity(prev)
+// refSelectEq keeps the tuples of r whose attribute a equals — by
+// canonical encoding, the reference's notion of Value.Equal — the constant
+// k or, when other is set, the tuple's own attribute other.
+func refSelectEq(r *relation.Relation, a string, k relation.Value, other string) *refSet {
+	out := newRefSet(r.Attrs())
+	p, _ := r.Pos(a)
+	for t := range r.All() {
+		want := canonValue(k)
+		if other != "" {
+			q, _ := r.Pos(other)
+			want = canonValue(t[q])
+		}
+		if canonValue(t[p]) == want {
+			out.addFrom(r, t)
+		}
+	}
+	return out
+}
 
+// checkSelect asserts vectorized σ = scalar σ = reference for one condition.
+func checkSelect(t *testing.T, label string, r *relation.Relation, c algebra.Cond, ref *refSet) {
+	t.Helper()
+	ref.equalRelation(t, label+" scalar", relation.Select(r, func(row relation.Row) bool { return algebra.EvalCond(c, row) }))
+	ref.equalRelation(t, label+" vectorized", relation.SelectBatch(r, algebra.CompileBatchPred(c, r.Attrs())))
+}
+
+// TestColumnarOpsMatchMapReference drives every hashed operator, and the
+// vectorized selection, against the map-backed reference on randomized
+// relations with NULLs and mixed kinds: every column of every page here is
+// in the generic (ColAny) layout.
+func TestColumnarOpsMatchMapReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(120)
@@ -292,6 +316,15 @@ func TestColumnarOpsMatchMapReference(t *testing.T) {
 
 		refProject(l, "b", "a").equalRelation(t, "project", relation.Project(l, "b", "a"))
 
+		for b := range l.Batches() {
+			if k := b.ColKind(0); k != relation.ColAny {
+				t.Fatalf("seed %d: a mixed-kind page is laid out as %v", seed, k)
+			}
+		}
+		k := randomValue(rng, 12)
+		checkSelect(t, "select a = "+k.String(), l, algebra.AttrCmpConst("a", algebra.OpEq, k), refSelectEq(l, "a", k, ""))
+		checkSelect(t, "select a = b", l, algebra.AttrCmpAttr("a", algebra.OpEq, "b"), refSelectEq(l, "a", k, "b"))
+
 		// Membership through the open-addressed table must agree with the
 		// canonical-key reference for present and absent tuples alike.
 		ls := fromRelation(l)
@@ -304,38 +337,76 @@ func TestColumnarOpsMatchMapReference(t *testing.T) {
 	}
 }
 
-// TestColumnarDictOverflowFallback pins the overflow behavior itself: a
-// string column wider than the dictionary capacity must still build a
-// usable columnar image (generic layout) and batch-iterate every value.
-func TestColumnarDictOverflowFallback(t *testing.T) {
-	prev := relation.SetDictCapacity(8)
-	defer relation.SetDictCapacity(prev)
-
-	r := relation.New("s")
-	for i := 0; i < 64; i++ {
-		r.Insert(relation.Tuple{relation.String_("v" + strconv.Itoa(i))})
+// TestPageLayoutIsChosenPerPage pins what replaces the whole-relation
+// image: each page of a relation picks its own layout, null bitmap and
+// string dictionary, so one column can be typed on one page and generic on
+// the next, a dictionary holds the strings of its page alone — at most one
+// per row, so no width of column can overflow it — and a selection over
+// pages of different layouts still agrees with the scalar one.
+func TestPageLayoutIsChosenPerPage(t *testing.T) {
+	const size = relation.BatchSize
+	r := relation.New("id", "v", "s")
+	for i := 0; i < 3*size+100; i++ {
+		var v, s relation.Value
+		switch page := i / size; {
+		case i%97 == 13 && page != 0:
+			v = relation.Null()
+		case page == 0:
+			v = relation.Int(int64(i % 10))
+		case page == 1: // mixed kinds: the generic layout
+			v = []relation.Value{relation.Int(int64(i % 10)), relation.String_("x"), relation.Float(2.5), relation.Bool(true)}[i%4]
+		case page == 2:
+			v = relation.Float(float64(i%10) + 0.5)
+		default:
+			v = relation.String_("v" + strconv.Itoa(i%10))
+		}
+		if i/size == 2 { // a page of pairwise distinct strings
+			s = relation.String_("unique" + strconv.Itoa(i))
+		} else {
+			s = relation.String_("p" + strconv.Itoa(i/size) + "-" + strconv.Itoa(i%7))
+		}
+		r.InsertValues(relation.Int(int64(i)), v, s)
 	}
-	cols := r.Columns()
-	if got := cols.Col(0).Kind; got != relation.ColAny {
-		t.Fatalf("64 distinct strings with capacity 8: column kind = %v, want ColAny fallback", got)
-	}
-	seen := make(map[string]bool)
+	wantKind := []relation.ColKind{relation.ColInt, relation.ColAny, relation.ColFloat, relation.ColString}
+	wantDict := []int{7, 7, size, 7}
+	rows := r.SortedRows() // id order = insertion order = storage order
 	for b := range r.Batches() {
+		page := b.Start() / size
+		if got := b.ColKind(1); got != wantKind[page] {
+			t.Errorf("page %d: column v is laid out as %v, want %v", page, got, wantKind[page])
+		}
+		if got := b.HasNulls(1); got != (page != 0) {
+			t.Errorf("page %d: HasNulls(v) = %v", page, got)
+		}
+		if k, d := b.ColKind(2), b.Dict(2); k != relation.ColString || d.Len() != wantDict[page] {
+			t.Errorf("page %d: column s is %v with a dictionary of %d strings, want %d", page, k, d.Len(), wantDict[page])
+		}
+		if b.Dict(1) != nil && page != 3 {
+			t.Errorf("page %d: a non-string layout carries a dictionary", page)
+		}
 		for i := 0; i < b.Len(); i++ {
-			seen[b.Value(0, i).AsString()] = true
+			for c, want := range rows[b.Start()+i] {
+				if got := b.Value(c, i); !got.Equal(want) {
+					t.Fatalf("row %d column %d decodes to %v, the row holds %v", b.Start()+i, c, got, want)
+				}
+			}
+		}
+		if codes := b.Codes(2); b.Dict(2).Value(codes[0]) != rows[b.Start()][2].AsString() {
+			t.Errorf("page %d: code %d does not decode through the page's own dictionary", page, codes[0])
 		}
 	}
-	if len(seen) != 64 {
-		t.Fatalf("batch iteration saw %d distinct strings, want 64", len(seen))
-	}
-
-	// Under the default capacity the same column dictionary-encodes.
-	relation.SetDictCapacity(prev)
-	r2 := relation.New("s")
-	for i := 0; i < 64; i++ {
-		r2.Insert(relation.Tuple{relation.String_("v" + strconv.Itoa(i))})
-	}
-	if got := r2.Columns().Col(0).Kind; got != relation.ColString {
-		t.Fatalf("default capacity: column kind = %v, want ColString", got)
+	for _, c := range []algebra.Cond{
+		algebra.AttrCmpConst("v", algebra.OpGe, relation.Int(3)),          // int, generic and float pages answer; the string page cannot
+		algebra.AttrCmpConst("v", algebra.OpEq, relation.Null()),          // NULL rows of three pages
+		algebra.AttrCmpConst("s", algebra.OpLe, relation.String_("p1-3")), // a verdict table per page dictionary
+		algebra.AttrCmpAttr("v", algebra.OpLt, "id"),                      // typed × typed, generic × typed
+		&algebra.Not{C: algebra.AttrCmpAttr("v", algebra.OpNe, "s")},      // string × string across two dictionaries
+		&algebra.Or{L: algebra.AttrCmpConst("v", algebra.OpLt, relation.Float(1)), R: algebra.AttrCmpConst("v", algebra.OpEq, relation.String_("v4"))},
+	} {
+		want := relation.Select(r, func(row relation.Row) bool { return algebra.EvalCond(c, row) })
+		got := relation.SelectBatch(r, algebra.CompileBatchPred(c, r.Attrs()))
+		if !got.Equal(want) || want.IsEmpty() || want.Len() == r.Len() {
+			t.Errorf("σ{%v}: vectorized selects %d rows, scalar %d of %d", c, got.Len(), want.Len(), r.Len())
+		}
 	}
 }

@@ -29,7 +29,7 @@
 //
 //	w, err := dwc.BuildWarehouse(db, views, dwc.Theorem22(), initialState)
 //	rows, err := dwc.Answer(ctx, w, dwc.MustParseExpr("pi{clerk}(Sale) union pi{clerk}(Emp)"))
-//	for batch := range rows.Batches() { ... }   // column-major, no copies
+//	for batch := range rows.Batches() { ... }   // column-major, no copies; layout and dictionary are per batch
 //
 //	m := dwc.NewMaintainer(w.Complement())
 //	stats, err := dwc.Refresh(ctx, m, w, update)   // warehouse-only, incremental

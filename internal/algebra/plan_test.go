@@ -226,3 +226,43 @@ func TestPlanSummary(t *testing.T) {
 		t.Errorf("plan-free stats summarized to %q, want empty", got)
 	}
 }
+
+// TestImagePagesFollowTheUpdate: a vectorized σ reports on its own plan
+// node, in the flat totals and in the span summary how many page images it
+// had to build — every page of a relation no one has scanned, none on the
+// next scan, and after an update of a clone only the pages that wrote.
+func TestImagePagesFollowTheUpdate(t *testing.T) {
+	r := relation.New("k", "v")
+	for i := 0; i < 3*relation.BatchSize+5; i++ {
+		r.InsertValues(relation.Int(int64(i)), relation.Int(int64(i%7)))
+	}
+	q := NewSelect(NewBase("R"), AttrCmpConst("v", OpGt, relation.Int(5)))
+	scan := func(r *relation.Relation) (EvalStats, *PlanNode) {
+		t.Helper()
+		ec := NewEvalContext(nil)
+		if _, err := EvalCtx(ec, q, MapState{"R": r}); err != nil {
+			t.Fatal(err)
+		}
+		s := ec.Stats()
+		if len(s.Plan) != 1 || s.Plan[0].Op != "select" {
+			t.Fatalf("plan = %s, want one select root", RenderPlan(s.Plan, false))
+		}
+		return s, s.Plan[0]
+	}
+	s, n := scan(r)
+	if s.ImagePages != 4 || n.ImagePages != 4 || !strings.Contains(s.PlanSummary(0), "images=4") || !strings.Contains(RenderPlan(s.Plan, false), "images=4") {
+		t.Errorf("first scan: %d page images in the totals, %d on the σ node, summary %q", s.ImagePages, n.ImagePages, s.PlanSummary(0))
+	}
+	if s, n = scan(r); s.ImagePages != 0 || n.ImagePages != 0 || strings.Contains(s.PlanSummary(0), "images") {
+		t.Errorf("warm scan: %d page images in the totals, %d on the σ node, summary %q", s.ImagePages, n.ImagePages, s.PlanSummary(0))
+	}
+	next := r.Clone()
+	next.Delete(relation.Tuple{relation.Int(int64(relation.BatchSize + 1)), relation.Int(int64((relation.BatchSize + 1) % 7))})
+	next.InsertValues(relation.Int(-1), relation.Int(6))
+	if s, n = scan(next); s.ImagePages != 2 || n.ImagePages != 2 {
+		t.Errorf("scan after a delete on page 1 and an insert: %d page images in the totals, %d on the σ node, want pages 1 and 3", s.ImagePages, n.ImagePages)
+	}
+	if s, _ = scan(r); s.ImagePages != 0 {
+		t.Errorf("the version the update was cloned from lost %d page images", s.ImagePages)
+	}
+}

@@ -9,9 +9,12 @@ import (
 
 // This file compiles selection conditions to vectorized batch predicates:
 // a Cond becomes a tree of mask evaluators, each filling a boolean mask
-// for one BatchSize window of the input's columnar image with typed inner
-// loops (int64/float64/bool vectors, dictionary-code tables for strings)
-// instead of per-row Value boxing. Compilation preserves EvalCond's
+// for one batch of the input with typed inner loops (int64/float64/bool
+// vectors, dictionary-code tables for strings) instead of per-row Value
+// boxing. A condition is compiled against attribute positions only: the
+// layout of a column is a property of the batch (pages of one relation
+// may differ), so each kernel picks its typed loop when it meets the
+// batch — one switch per BatchSize rows. Compilation preserves EvalCond's
 // semantics bit for bit — incomparable operands and missing attributes
 // evaluate to false, NULL compares equal only to NULL — with a generic
 // per-value fallback for mixed-kind (ColAny) columns, so the vectorized
@@ -19,8 +22,8 @@ import (
 // columnar-vs-reference property tests).
 
 // vectorizeThreshold is the input size below which scalar selection wins:
-// building or consulting the columnar image only pays for itself once the
-// typed inner loops have enough rows to amortize compilation.
+// building or consulting page images only pays for itself once the typed
+// inner loops have enough rows to amortize compilation.
 const vectorizeThreshold = 128
 
 // maskEval fills mask[i] (i batch-local) with the condition's value.
@@ -30,23 +33,25 @@ type maskEval func(b relation.Batch, mask []bool)
 // large inputs and falling back to the scalar row loop for small ones.
 func vectorSelect(in *relation.Relation, c Cond, sp *relation.OpStats) *relation.Relation {
 	if in.Len() >= vectorizeThreshold {
-		if pred := CompileBatchPred(c, in.Columns()); pred != nil {
+		if pred := CompileBatchPred(c, in.Attrs()); pred != nil {
 			return relation.SelectBatchStats(in, pred, sp)
 		}
 	}
 	return relation.SelectStats(in, func(row relation.Row) bool { return EvalCond(c, row) }, sp)
 }
 
-// CompileBatchPred compiles the condition against a columnar image into a
-// batch predicate producing selection vectors. It returns nil only for
-// condition nodes it does not recognize (a foreign Cond implementation);
-// every condition built from this package's constructors compiles.
-func CompileBatchPred(c Cond, cols *relation.Columns) relation.BatchPred {
-	pos := make(map[string]int, len(cols.Attrs()))
-	for i, a := range cols.Attrs() {
+// CompileBatchPred compiles the condition, over a relation with the given
+// attribute order, into a batch predicate producing selection vectors. It
+// returns nil only for condition nodes it does not recognize (a foreign
+// Cond implementation); every condition built from this package's
+// constructors compiles. The predicate keeps scratch between calls: one
+// goroutine at a time.
+func CompileBatchPred(c Cond, attrs []string) relation.BatchPred {
+	pos := make(map[string]int, len(attrs))
+	for i, a := range attrs {
 		pos[a] = i
 	}
-	ev := compileMask(c, cols, pos)
+	ev := compileMask(c, pos)
 	if ev == nil {
 		return nil
 	}
@@ -64,14 +69,14 @@ func CompileBatchPred(c Cond, cols *relation.Columns) relation.BatchPred {
 }
 
 // compileMask compiles one condition node; nil means "unknown node".
-func compileMask(c Cond, cols *relation.Columns, pos map[string]int) maskEval {
+func compileMask(c Cond, pos map[string]int) maskEval {
 	switch n := c.(type) {
 	case True:
 		return constMask(true)
 	case *Cmp:
-		return compileCmp(n, cols, pos)
+		return compileCmp(n, pos)
 	case *And:
-		l, r := compileMask(n.L, cols, pos), compileMask(n.R, cols, pos)
+		l, r := compileMask(n.L, pos), compileMask(n.R, pos)
 		if l == nil || r == nil {
 			return nil
 		}
@@ -85,7 +90,7 @@ func compileMask(c Cond, cols *relation.Columns, pos map[string]int) maskEval {
 			}
 		}
 	case *Or:
-		l, r := compileMask(n.L, cols, pos), compileMask(n.R, cols, pos)
+		l, r := compileMask(n.L, pos), compileMask(n.R, pos)
 		if l == nil || r == nil {
 			return nil
 		}
@@ -99,7 +104,7 @@ func compileMask(c Cond, cols *relation.Columns, pos map[string]int) maskEval {
 			}
 		}
 	case *Not:
-		inner := compileMask(n.C, cols, pos)
+		inner := compileMask(n.C, pos)
 		if inner == nil {
 			return nil
 		}
@@ -166,7 +171,7 @@ func scalarCmp(op CmpOp, l, r relation.Value) bool {
 	return ok && opMatch(op, cmp)
 }
 
-func compileCmp(n *Cmp, cols *relation.Columns, pos map[string]int) maskEval {
+func compileCmp(n *Cmp, pos map[string]int) maskEval {
 	left, op, right := n.Left, n.Op, n.Right
 	// Normalize to attr-op-X by mirroring a constant left operand.
 	if !left.IsAttr && right.IsAttr {
@@ -184,14 +189,15 @@ func compileCmp(n *Cmp, cols *relation.Columns, pos map[string]int) maskEval {
 		if !ok {
 			return constMask(false)
 		}
-		return compileAttrAttr(op, cols, lp, rp)
+		return compileAttrAttr(op, lp, rp)
 	}
-	return compileAttrConst(op, cols, lp, right.Val)
+	return compileAttrConst(op, lp, right.Val)
 }
 
 // compileAttrConst builds the kernel for column lp against a constant.
-func compileAttrConst(op CmpOp, cols *relation.Columns, lp int, cv relation.Value) maskEval {
-	col := cols.Col(lp)
+// The typed loops run over every row — a NULL row's payload slot holds the
+// zero value — and a second pass withdraws the NULL rows' verdicts.
+func compileAttrConst(op CmpOp, lp int, cv relation.Value) maskEval {
 	// NULL constant: only NULL rows compare (equal), per Value.Compare.
 	if cv.IsNull() {
 		match := opMatch(op, 0)
@@ -201,131 +207,110 @@ func compileAttrConst(op CmpOp, cols *relation.Columns, lp int, cv relation.Valu
 			}
 		}
 	}
-	switch col.Kind {
-	case relation.ColInt:
-		switch cv.Kind() {
-		case relation.KindInt:
-			k := cv.AsInt()
-			return nullGuarded(lp, func(b relation.Batch, mask []bool, null func(int) bool) {
-				v := b.Ints(lp)
-				for i := range mask {
-					mask[i] = !null(i) && opMatch(op, cmpInt(v[i], k))
-				}
-			})
-		case relation.KindFloat:
-			k := cv.AsFloat()
-			return nullGuarded(lp, func(b relation.Batch, mask []bool, null func(int) bool) {
-				v := b.Ints(lp)
-				for i := range mask {
-					mask[i] = !null(i) && opMatch(op, cmpFloat(float64(v[i]), k))
-				}
-			})
-		default: // int column vs non-numeric constant: incomparable
-			return constMask(false)
-		}
-	case relation.ColFloat:
-		if !cv.Kind().Numeric() {
-			return constMask(false)
-		}
-		k := cv.AsFloat()
-		return nullGuarded(lp, func(b relation.Batch, mask []bool, null func(int) bool) {
-			v := b.Floats(lp)
-			for i := range mask {
-				mask[i] = !null(i) && opMatch(op, cmpFloat(v[i], k))
+	ck := cv.Kind()
+	ci, cf, cb, cs := cv.AsInt(), cv.AsFloat(), cv.AsBool(), cv.AsString()
+	var verdicts []bool
+	if ck == relation.KindString {
+		verdicts = make([]bool, relation.BatchSize) // a page dictionary holds at most one string per row
+	}
+	return func(b relation.Batch, mask []bool) {
+		switch kind := b.ColKind(lp); {
+		case kind == relation.ColInt && ck == relation.KindInt:
+			for i, v := range b.Ints(lp) {
+				mask[i] = opMatch(op, cmpInt(v, ci))
 			}
-		})
-	case relation.ColBool:
-		if cv.Kind() != relation.KindBool {
-			return constMask(false)
-		}
-		k := cv.AsBool()
-		return nullGuarded(lp, func(b relation.Batch, mask []bool, null func(int) bool) {
-			v := b.Bools(lp)
-			for i := range mask {
-				mask[i] = !null(i) && opMatch(op, cmpBool(v[i], k))
+		case kind == relation.ColInt && ck == relation.KindFloat:
+			for i, v := range b.Ints(lp) {
+				mask[i] = opMatch(op, cmpFloat(float64(v), cf))
 			}
-		})
-	case relation.ColString:
-		if cv.Kind() != relation.KindString {
-			return constMask(false)
-		}
-		// Decide once per dictionary code instead of once per row: the
-		// verdict table turns any comparison into a code-indexed load.
-		s := cv.AsString()
-		verdict := make([]bool, col.Dict.Len())
-		for code := range verdict {
-			verdict[code] = opMatch(op, strings.Compare(col.Dict.Value(int32(code)), s))
-		}
-		return nullGuarded(lp, func(b relation.Batch, mask []bool, null func(int) bool) {
-			v := b.Codes(lp)
-			for i := range mask {
-				mask[i] = !null(i) && verdict[v[i]]
+		case kind == relation.ColFloat && ck.Numeric():
+			for i, v := range b.Floats(lp) {
+				mask[i] = opMatch(op, cmpFloat(v, cf))
 			}
-		})
-	default: // ColAny: generic per-value loop
-		return func(b relation.Batch, mask []bool) {
+		case kind == relation.ColBool && ck == relation.KindBool:
+			for i, v := range b.Bools(lp) {
+				mask[i] = opMatch(op, cmpBool(v, cb))
+			}
+		case kind == relation.ColString && ck == relation.KindString:
+			// Decide once per dictionary code instead of once per row: the
+			// verdict table turns any comparison into a code-indexed load.
+			dict := b.Dict(lp)
+			verdict := verdicts[:dict.Len()]
+			for code := range verdict {
+				verdict[code] = opMatch(op, strings.Compare(dict.Value(int32(code)), cs))
+			}
+			for i, code := range b.Codes(lp) {
+				mask[i] = verdict[code]
+			}
+		case kind == relation.ColAny: // generic per-value loop, NULLs included
 			for i := range mask {
 				mask[i] = scalarCmp(op, b.Value(lp, i), cv)
+			}
+			return
+		default: // typed column vs a constant of an incomparable kind
+			clear(mask)
+			return
+		}
+		if b.HasNulls(lp) {
+			for i := range mask {
+				mask[i] = mask[i] && !b.IsNull(lp, i)
 			}
 		}
 	}
 }
 
 // compileAttrAttr builds the kernel for column lp against column rp.
-func compileAttrAttr(op CmpOp, cols *relation.Columns, lp, rp int) maskEval {
-	lc, rc := cols.Col(lp), cols.Col(rp)
+func compileAttrAttr(op CmpOp, lp, rp int) maskEval {
 	// NULL-vs-NULL rows compare equal; NULL vs non-NULL is incomparable.
 	nullPair := opMatch(op, 0)
-	generic := func(b relation.Batch, mask []bool) {
-		for i := range mask {
-			mask[i] = scalarCmp(op, b.Value(lp, i), b.Value(rp, i))
-		}
-	}
-	kernel := func(cmp func(b relation.Batch, i int) int) maskEval {
-		return func(b relation.Batch, mask []bool) {
-			for i := range mask {
-				ln, rn := b.IsNull(lp, i), b.IsNull(rp, i)
-				if ln || rn {
-					mask[i] = ln && rn && nullPair
-					continue
-				}
-				mask[i] = opMatch(op, cmp(b, i))
-			}
-		}
-	}
-	switch {
-	case lc.Kind == relation.ColInt && rc.Kind == relation.ColInt:
-		return kernel(func(b relation.Batch, i int) int { return cmpInt(b.Ints(lp)[i], b.Ints(rp)[i]) })
-	case lc.Kind == relation.ColInt && rc.Kind == relation.ColFloat:
-		return kernel(func(b relation.Batch, i int) int { return cmpFloat(float64(b.Ints(lp)[i]), b.Floats(rp)[i]) })
-	case lc.Kind == relation.ColFloat && rc.Kind == relation.ColInt:
-		return kernel(func(b relation.Batch, i int) int { return cmpFloat(b.Floats(lp)[i], float64(b.Ints(rp)[i])) })
-	case lc.Kind == relation.ColFloat && rc.Kind == relation.ColFloat:
-		return kernel(func(b relation.Batch, i int) int { return cmpFloat(b.Floats(lp)[i], b.Floats(rp)[i]) })
-	case lc.Kind == relation.ColBool && rc.Kind == relation.ColBool:
-		return kernel(func(b relation.Batch, i int) int { return cmpBool(b.Bools(lp)[i], b.Bools(rp)[i]) })
-	case lc.Kind == relation.ColString && rc.Kind == relation.ColString:
-		ld, rd := lc.Dict, rc.Dict
-		return kernel(func(b relation.Batch, i int) int {
-			return strings.Compare(ld.Value(b.Codes(lp)[i]), rd.Value(b.Codes(rp)[i]))
-		})
-	default:
-		// Mixed typed/ColAny layouts, or typed layouts of incomparable
-		// kinds (where only NULL-NULL rows could match): generic loop.
-		return generic
-	}
-}
-
-// nullGuarded wraps a kernel with the cheapest applicable NULL check: a
-// constant-false closure on dense columns, the bitmap on sparse ones.
-func nullGuarded(p int, body func(b relation.Batch, mask []bool, null func(int) bool)) maskEval {
-	noNull := func(int) bool { return false }
 	return func(b relation.Batch, mask []bool) {
-		if !b.HasNulls(p) {
-			body(b, mask, noNull)
+		switch lk, rk := b.ColKind(lp), b.ColKind(rp); {
+		case lk == relation.ColInt && rk == relation.ColInt:
+			l, r := b.Ints(lp), b.Ints(rp)
+			for i := range mask {
+				mask[i] = opMatch(op, cmpInt(l[i], r[i]))
+			}
+		case lk == relation.ColInt && rk == relation.ColFloat:
+			l, r := b.Ints(lp), b.Floats(rp)
+			for i := range mask {
+				mask[i] = opMatch(op, cmpFloat(float64(l[i]), r[i]))
+			}
+		case lk == relation.ColFloat && rk == relation.ColInt:
+			l, r := b.Floats(lp), b.Ints(rp)
+			for i := range mask {
+				mask[i] = opMatch(op, cmpFloat(l[i], float64(r[i])))
+			}
+		case lk == relation.ColFloat && rk == relation.ColFloat:
+			l, r := b.Floats(lp), b.Floats(rp)
+			for i := range mask {
+				mask[i] = opMatch(op, cmpFloat(l[i], r[i]))
+			}
+		case lk == relation.ColBool && rk == relation.ColBool:
+			l, r := b.Bools(lp), b.Bools(rp)
+			for i := range mask {
+				mask[i] = opMatch(op, cmpBool(l[i], r[i]))
+			}
+		case lk == relation.ColString && rk == relation.ColString:
+			// Two dictionaries: codes do not compare, strings do.
+			l, ld, r, rd := b.Codes(lp), b.Dict(lp), b.Codes(rp), b.Dict(rp)
+			for i := range mask {
+				mask[i] = opMatch(op, strings.Compare(ld.Value(l[i]), rd.Value(r[i])))
+			}
+		default:
+			// Mixed typed/ColAny layouts, or typed layouts of incomparable
+			// kinds (where only NULL-NULL rows could match): generic loop.
+			for i := range mask {
+				mask[i] = scalarCmp(op, b.Value(lp, i), b.Value(rp, i))
+			}
 			return
 		}
-		body(b, mask, func(i int) bool { return b.IsNull(p, i) })
+		if b.HasNulls(lp) || b.HasNulls(rp) {
+			for i := range mask {
+				if ln, rn := b.IsNull(lp, i), b.IsNull(rp, i); ln || rn {
+					mask[i] = ln && rn && nullPair
+				}
+			}
+		}
 	}
 }
 

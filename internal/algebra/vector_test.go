@@ -3,8 +3,9 @@ package algebra
 // Property test for the vectorized selection path: CompileBatchPred must
 // preserve EvalCond's semantics bit for bit on randomized condition trees
 // over randomized relations — including NULL constants, attribute-attribute
-// comparisons, references to missing attributes, and mixed-kind columns
-// that force the generic ColAny fallback.
+// comparisons, references to missing attributes, and columns whose pages
+// are typed (with NULLs) or mixed-kind, the latter forcing the generic
+// ColAny fallback, so one scan meets several layouts of one column.
 
 import (
 	"math"
@@ -35,7 +36,22 @@ func randCondValue(rng *rand.Rand) relation.Value {
 	}
 }
 
-func randRowValue(rng *rand.Rand) relation.Value {
+// randRowValue draws a value for a column whose page holds one kind (plus
+// NULLs), or, for relation.KindNull, any kind.
+func randRowValue(rng *rand.Rand, kind relation.Kind) relation.Value {
+	if kind != relation.KindNull && rng.Intn(6) == 0 {
+		return relation.Null()
+	}
+	switch kind {
+	case relation.KindBool:
+		return relation.Bool(rng.Intn(2) == 0)
+	case relation.KindInt:
+		return relation.Int(int64(rng.Intn(5)))
+	case relation.KindFloat:
+		return relation.Float(float64(rng.Intn(5)) - 1.5)
+	case relation.KindString:
+		return relation.String_("k" + strconv.Itoa(rng.Intn(6)))
+	}
 	switch rng.Intn(9) {
 	case 0:
 		return relation.Null()
@@ -97,20 +113,33 @@ func randCond(rng *rand.Rand, attrs []string, depth int) Cond {
 // batch predicates with the scalar Select+EvalCond loop on relations large
 // enough to span multiple batches.
 func TestVectorizedSelectMatchesEvalCond(t *testing.T) {
-	attrs := []string{"a", "b", "c"}
+	attrs := []string{"a", "b", "c", "id"}
+	layouts := map[relation.ColKind]int{}
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 
 		// Sizes straddle the vectorize threshold and the batch size so
 		// partial final batches and multi-batch inputs are both exercised.
-		n := []int{1, 50, 130, relation.BatchSize, relation.BatchSize + 37, 3 * relation.BatchSize / 2}[rng.Intn(6)]
+		// id keeps the rows distinct; a, b and c draw a kind per page.
+		n := []int{1, 50, 130, relation.BatchSize, relation.BatchSize + 37, 5 * relation.BatchSize / 2}[rng.Intn(6)]
 		in := relation.New(attrs...)
+		var kinds [3]relation.Kind
 		for i := 0; i < n; i++ {
-			tu := make(relation.Tuple, len(attrs))
-			for j := range tu {
-				tu[j] = randRowValue(rng)
+			if i%relation.BatchSize == 0 {
+				for j := range kinds {
+					kinds[j] = relation.Kind(rng.Intn(5))
+				}
+			}
+			tu := relation.Tuple{3: relation.Int(int64(i))}
+			for j, k := range kinds {
+				tu[j] = randRowValue(rng, k)
 			}
 			in.Insert(tu)
+		}
+		for b := range in.Batches() {
+			for c := range kinds {
+				layouts[b.ColKind(c)]++
+			}
 		}
 
 		for trial := 0; trial < 8; trial++ {
@@ -118,7 +147,7 @@ func TestVectorizedSelectMatchesEvalCond(t *testing.T) {
 
 			want := relation.Select(in, func(row relation.Row) bool { return EvalCond(c, row) })
 
-			pred := CompileBatchPred(c, in.Columns())
+			pred := CompileBatchPred(c, in.Attrs())
 			if pred == nil {
 				t.Fatalf("seed %d: CompileBatchPred returned nil for %v", seed, c)
 			}
@@ -136,11 +165,16 @@ func TestVectorizedSelectMatchesEvalCond(t *testing.T) {
 			}
 		}
 	}
+	for k := relation.ColAny; k <= relation.ColString; k++ {
+		if layouts[k] == 0 {
+			t.Errorf("no page was laid out as %v: its kernels went untested", k)
+		}
+	}
 }
 
 // TestVectorSelectDispatch pins the size-based dispatch: under the
-// threshold the scalar path runs (no columnar image is built); at or above
-// it the vectorized path builds one.
+// threshold the scalar path runs (no page image is built); at or above it
+// the vectorized path builds the page's image and says so in its stats.
 func TestVectorSelectDispatch(t *testing.T) {
 	mk := func(n int) *relation.Relation {
 		r := relation.New("a")
@@ -156,16 +190,21 @@ func TestVectorSelectDispatch(t *testing.T) {
 	if out.Len() != small.Len()-2 {
 		t.Fatalf("small: got %d rows, want %d", out.Len(), small.Len()-2)
 	}
-	if small.ColumnsBuilt() {
-		t.Fatal("small input below threshold built a columnar image")
+	if n := small.PageImages(); n != 0 {
+		t.Fatalf("small input below threshold built %d page images", n)
 	}
 
 	large := mk(vectorizeThreshold)
-	out = vectorSelect(large, c, nil)
+	var st relation.OpStats
+	out = vectorSelect(large, c, &st)
 	if out.Len() != large.Len()-2 {
 		t.Fatalf("large: got %d rows, want %d", out.Len(), large.Len()-2)
 	}
-	if !large.ColumnsBuilt() {
-		t.Fatal("large input at threshold did not build a columnar image")
+	if n := large.PageImages(); n != 1 || st.ImagePages != 1 {
+		t.Fatalf("large input at threshold: %d page images cached, %d counted, want 1 and 1", n, st.ImagePages)
+	}
+	st = relation.OpStats{}
+	if vectorSelect(large, c, &st); st.ImagePages != 0 {
+		t.Fatalf("a second selection over an unchanged relation built %d page images", st.ImagePages)
 	}
 }

@@ -8,12 +8,15 @@ import (
 )
 
 // BatchLife flags the PR-6 use-after-invalidate class: a
-// relation.Batch is a zero-copy window into the relation's columnar
-// image, valid only until the next mutation. Ranging X.Batches() while
-// calling anything that — per the cross-package facts — mutates X (or
-// refreshes stored relations wholesale) leaves the iteration reading
-// freed or rebuilt column memory. The same applies to a Batch value
-// that escapes its loop and is used after a later invalidating call.
+// relation.Batch is a zero-copy view of one page image, which describes
+// a row page as it was when the image was built. Ranging X.Batches()
+// while calling anything that — per the cross-package facts — mutates X
+// (or refreshes stored relations wholesale) makes the iteration pair old
+// pages with new ones: a row the mutation moved is seen twice or not at
+// all, and batch positions no longer name the rows they did. A Batch
+// value that escapes its loop and is used after a later mutation reads
+// the page as it was — stale, though no longer rebuilt memory — which
+// the check flags the same way.
 //
 // A mutation of an unrelated relation (the fresh output relation of an
 // operator like SelectBatchStats) is fine: the check requires the
@@ -109,7 +112,7 @@ func checkBatchLife(pass *Pass, u *FuncUnit, facts *FactSet) {
 			for _, org := range active {
 				if cause, ok := invalidates(info, deriv, n, fn, f, org.root); ok {
 					pass.Reportf(n.Pos(),
-						"Batch window invalidated: %s while ranging %s.Batches() — batches are read-only views into the columnar image, valid only until the next mutation; finish the iteration (or copy the rows) first",
+						"Batch window invalidated: %s while ranging %s.Batches() — a batch describes a row page as it was before the mutation, so the iteration would pair old pages with new ones; finish the iteration (or copy the rows) first",
 						cause, objName(org.root))
 					break
 				}

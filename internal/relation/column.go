@@ -1,23 +1,25 @@
 package relation
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// This file implements the columnar image of a relation: one typed vector
-// per attribute, with dictionary-encoded strings and a null bitmap per
-// column. The image is derived — built lazily from the row storage,
-// cached on the relation like the hash indexes, and dropped on mutation —
-// so the row-major API (the algebra's correctness substrate) and the
+// This file implements the columnar image of a relation's rows, kept in
+// per-page pieces: one immutable page image for each page of the row
+// storage (paged.go), holding that page's typed vectors — dictionary-coded
+// strings, a null bitmap per column. An image is derived from the rows it
+// describes, built the first time Batches reaches its page, and never
+// written afterwards, so a clone shares it exactly as it shares the rows;
+// a mutation drops the images of the row pages it wrote and no others.
+// The row-major API (the algebra's correctness substrate) and the
 // column-major API (the batch operators and the facade's Rows cursor)
-// always describe the same tuple set.
+// therefore always describe the same tuple set, and what a reader pays
+// after an update follows the delta, not the relation.
 
 // ColKind is the physical type of a column vector.
 type ColKind uint8
 
-// The physical column layouts. ColAny is the row-value fallback used when
-// a column mixes kinds (beyond NULL) or its string dictionary overflows.
+// The physical column layouts, chosen per page: ColAny is the row-value
+// fallback for a page whose column mixes kinds (beyond NULL) or holds only
+// NULLs.
 const (
 	ColAny ColKind = iota
 	ColBool
@@ -56,258 +58,208 @@ func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-// defaultDictCapacity bounds the per-column string dictionary. Columns
-// whose distinct-string count exceeds it fall back to the ColAny layout.
-const defaultDictCapacity = 1 << 16
+// Dict is the string dictionary of one column of one page image: code i
+// decodes to Value(i). It holds at most BatchSize strings. Codes of
+// different dictionaries are unrelated.
+type Dict struct{ vals []string }
 
-// dictCapacity is the active bound; tests shrink it to exercise overflow.
-var dictCapacity atomic.Int64
-
-func init() { dictCapacity.Store(defaultDictCapacity) }
-
-// SetDictCapacity overrides the per-column dictionary capacity and
-// returns the previous value. It exists for tests that force dictionary
-// overflow on small data; production code leaves the default.
-func SetDictCapacity(n int) int {
-	return int(dictCapacity.Swap(int64(n)))
-}
-
-// Dict is a string dictionary: code i decodes to Values()[i].
-type Dict struct {
-	vals  []string
-	index map[string]int32
-}
-
-// NewDict returns an empty dictionary.
-func NewDict() *Dict { return &Dict{index: make(map[string]int32)} }
-
-// Add returns the code for s, interning it if new.
-func (d *Dict) Add(s string) int32 {
-	if c, ok := d.index[s]; ok {
-		return c
-	}
-	c := int32(len(d.vals))
-	d.vals = append(d.vals, s)
-	d.index[s] = c
-	return c
-}
-
-// Code returns the code for s and whether it is interned.
-func (d *Dict) Code(s string) (int32, bool) {
-	c, ok := d.index[s]
-	return c, ok
-}
-
-// Len returns the number of interned strings.
+// Len returns the number of distinct strings.
 func (d *Dict) Len() int { return len(d.vals) }
 
 // Value decodes a code.
 func (d *Dict) Value(c int32) string { return d.vals[c] }
 
-// Column is one attribute's vector. Exactly one payload slice is
-// populated, selected by Kind; Nulls (which may be nil when no row is
-// NULL) marks rows whose logical value is NULL regardless of the payload
-// slot, which holds the zero value there.
-type Column struct {
-	Kind   ColKind
-	Nulls  Bitmap
-	Bools  []bool
-	Ints   []int64
-	Floats []float64
-	Codes  []int32 // dictionary codes, paired with Dict
-	Dict   *Dict
-	Any    []Value // fallback layout: the values verbatim
+// column is one attribute's vector over one page. Exactly one payload
+// slice is populated, selected by kind; nulls (nil when no row of the page
+// is NULL) marks rows whose logical value is NULL regardless of the
+// payload slot, which holds the zero value there.
+type column struct {
+	kind   ColKind
+	nulls  Bitmap
+	bools  []bool
+	ints   []int64
+	floats []float64
+	codes  []int32 // dictionary codes, paired with dict
+	dict   *Dict
+	any    []Value // fallback layout: the values verbatim
 }
 
-// Len returns the number of rows in the column.
-func (c *Column) Len() int {
-	switch c.Kind {
-	case ColBool:
-		return len(c.Bools)
-	case ColInt:
-		return len(c.Ints)
-	case ColFloat:
-		return len(c.Floats)
-	case ColString:
-		return len(c.Codes)
-	default:
-		return len(c.Any)
-	}
-}
+func (c *column) isNull(i int) bool { return c.nulls != nil && c.nulls.Get(i) }
 
-// IsNull reports whether row i is NULL.
-func (c *Column) IsNull(i int) bool { return c.Nulls != nil && c.Nulls.Get(i) }
-
-// Value materializes row i as a Value. It is the slow generic accessor;
+// value materializes row i as a Value. It is the slow generic accessor;
 // batch loops read the typed payload slices directly.
-func (c *Column) Value(i int) Value {
-	if c.IsNull(i) {
+func (c *column) value(i int) Value {
+	if c.isNull(i) {
 		return Null()
 	}
-	switch c.Kind {
+	switch c.kind {
 	case ColBool:
-		return Bool(c.Bools[i])
+		return Bool(c.bools[i])
 	case ColInt:
-		return Int(c.Ints[i])
+		return Int(c.ints[i])
 	case ColFloat:
-		return Float(c.Floats[i])
+		return Float(c.floats[i])
 	case ColString:
-		return String_(c.Dict.Value(c.Codes[i]))
+		return String_(c.dict.Value(c.codes[i]))
 	default:
-		return c.Any[i]
+		return c.any[i]
 	}
 }
 
-// Columns is the columnar image of a relation: column vectors aligned
-// with the relation's attribute order, all of equal length. It is
-// immutable once built.
-type Columns struct {
-	attrs []string
-	n     int
-	cols  []Column
+// pageImage is the columnar image of one row page: column vectors aligned
+// with the relation's attribute order, all n long. It is immutable once
+// built, and it names no attributes, so the relations that share the page
+// — clones and renamings — share the image without marking it.
+type pageImage struct {
+	n    int
+	cols []column
 }
 
-// Attrs returns the attribute names in column order (shared; read-only).
-func (cs *Columns) Attrs() []string { return cs.attrs }
+// buildPageImage vectorizes the rows of one page.
+func buildPageImage(pg []Tuple, arity int) *pageImage {
+	im := &pageImage{n: len(pg), cols: make([]column, arity)}
+	intern := make(map[string]int32) // scratch of the page's string columns; only the value tables are kept
+	for p := range im.cols {
+		im.cols[p] = buildColumn(pg, p, intern)
+	}
+	return im
+}
 
-// Len returns the number of rows.
-func (cs *Columns) Len() int { return cs.n }
-
-// Col returns column i. The returned pointer aliases the image; callers
-// must not modify it.
-func (cs *Columns) Col(i int) *Column { return &cs.cols[i] }
-
-// buildColumn vectorizes one attribute from row storage. It picks the
-// narrowest layout that represents every value exactly: a uniform
-// non-null kind gets its typed vector (strings subject to the dictionary
-// capacity); anything mixed falls back to ColAny so the columnar image is
-// always value-exact, never lossy.
-func buildColumn(r *Relation, p int, dictCap int) Column {
-	n := r.Len()
-	pages := r.rows.eachPage() // the per-row loops below run over one page's slice at a time
+// buildColumn vectorizes attribute p of one page. It picks the narrowest
+// layout that represents every value of the page exactly: a uniform
+// non-null kind gets its typed vector; anything mixed falls back to ColAny,
+// so an image is always value-exact, never lossy.
+func buildColumn(pg []Tuple, p int, intern map[string]int32) column {
+	n := len(pg)
 	kind := KindNull
-	uniform := true
-kinds:
-	for _, pg := range pages {
-		for _, t := range pg {
-			k := t[p].Kind()
-			if k == KindNull {
-				continue
-			}
-			if kind == KindNull {
-				kind = k
-			} else if k != kind {
-				uniform = false
-				break kinds
-			}
+	for _, t := range pg {
+		k := t[p].kind
+		if k == KindNull || k == kind {
+			continue
 		}
-	}
-	fallback := func() Column {
-		c := Column{Kind: ColAny, Any: make([]Value, n)}
-		for base, pg := range pages {
-			for k, t := range pg {
-				c.Any[base+k] = t[p]
-				if t[p].IsNull() {
-					if c.Nulls == nil {
-						c.Nulls = NewBitmap(n)
-					}
-					c.Nulls.Set(base + k)
-				}
-			}
+		if kind != KindNull {
+			kind = KindNull // mixed
+			break
 		}
-		return c
+		kind = k
 	}
-	if !uniform {
-		return fallback()
-	}
-	var c Column
+	var c column
 	setNull := func(i int) {
-		if c.Nulls == nil {
-			c.Nulls = NewBitmap(n)
+		if c.nulls == nil {
+			c.nulls = NewBitmap(n)
 		}
-		c.Nulls.Set(i)
+		c.nulls.Set(i)
 	}
 	switch kind {
-	case KindNull: // all-NULL column
-		c = fallback()
+	case KindNull: // mixed kinds, or nothing but NULLs
+		c = column{kind: ColAny, any: make([]Value, n)}
+		for i, t := range pg {
+			c.any[i] = t[p]
+			if t[p].IsNull() {
+				setNull(i)
+			}
+		}
 	case KindBool:
-		c = Column{Kind: ColBool, Bools: make([]bool, n)}
-		for base, pg := range pages {
-			for k, t := range pg {
-				if t[p].IsNull() {
-					setNull(base + k)
-				} else {
-					c.Bools[base+k] = t[p].AsBool()
-				}
+		c = column{kind: ColBool, bools: make([]bool, n)}
+		for i, t := range pg {
+			if t[p].IsNull() {
+				setNull(i)
+			} else {
+				c.bools[i] = t[p].b
 			}
 		}
 	case KindInt:
-		c = Column{Kind: ColInt, Ints: make([]int64, n)}
-		for base, pg := range pages {
-			for k, t := range pg {
-				if t[p].IsNull() {
-					setNull(base + k)
-				} else {
-					c.Ints[base+k] = t[p].AsInt()
-				}
+		c = column{kind: ColInt, ints: make([]int64, n)}
+		for i, t := range pg {
+			if t[p].IsNull() {
+				setNull(i)
+			} else {
+				c.ints[i] = t[p].i
 			}
 		}
 	case KindFloat:
-		c = Column{Kind: ColFloat, Floats: make([]float64, n)}
-		for base, pg := range pages {
-			for k, t := range pg {
-				if t[p].IsNull() {
-					setNull(base + k)
-				} else {
-					c.Floats[base+k] = t[p].AsFloat()
-				}
+		c = column{kind: ColFloat, floats: make([]float64, n)}
+		for i, t := range pg {
+			if t[p].IsNull() {
+				setNull(i)
+			} else {
+				c.floats[i] = t[p].f
 			}
 		}
 	case KindString:
-		c = Column{Kind: ColString, Codes: make([]int32, n), Dict: NewDict()}
-		for base, pg := range pages {
-			for k, t := range pg {
-				if t[p].IsNull() {
-					setNull(base + k)
-					continue
-				}
-				s := t[p].AsString()
-				if _, ok := c.Dict.Code(s); !ok && c.Dict.Len() >= dictCap {
-					return fallback() // dictionary overflow
-				}
-				c.Codes[base+k] = c.Dict.Add(s)
+		clear(intern)
+		c = column{kind: ColString, codes: make([]int32, n), dict: &Dict{}}
+		for i, t := range pg {
+			if t[p].IsNull() {
+				setNull(i)
+				continue
 			}
+			s := t[p].s
+			code, ok := intern[s]
+			if !ok {
+				code = int32(len(c.dict.vals))
+				c.dict.vals = append(c.dict.vals, s)
+				intern[s] = code
+			}
+			c.codes[i] = code
 		}
 	}
 	return c
 }
 
-// buildColumns vectorizes every attribute of the relation.
-func buildColumns(r *Relation) *Columns {
-	cap := int(dictCapacity.Load())
-	cs := &Columns{attrs: r.attrs, n: r.Len(), cols: make([]Column, len(r.attrs))}
-	for p := range r.attrs {
-		cs.cols[p] = buildColumn(r, p, cap)
+// pageImage returns the image of row page pi, building it if the page has
+// none. Like index builds, concurrent readers may trigger the build; it
+// runs outside mu — a page is immutable while readers hold the relation —
+// so lookups of cached indexes never wait for it, and when two readers
+// race for a page the first image stored is the one both use.
+func (r *Relation) pageImage(pi int, s *OpStats) *pageImage {
+	r.mu.Lock()
+	var im *pageImage
+	if pi < len(r.images) {
+		im = r.images[pi]
 	}
-	return cs
-}
-
-// Columns returns the relation's cached columnar image, building it on
-// first use. Like index builds, concurrent readers may trigger the build;
-// the cache is internally locked. Mutation drops the image.
-func (r *Relation) Columns() *Columns {
+	r.mu.Unlock()
+	if im != nil {
+		return im
+	}
+	im = buildPageImage(r.rows.page(pi), len(r.attrs))
+	s.imagePages(1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cols == nil {
-		r.cols = buildColumns(r)
+	if n := r.rows.numPages(); len(r.images) < n {
+		r.images = append(r.images, make([]*pageImage, n-len(r.images))...)
 	}
-	return r.cols
+	if r.images[pi] == nil {
+		r.images[pi] = im
+	}
+	return r.images[pi]
 }
 
-// ColumnsBuilt reports whether the columnar image is currently cached,
-// for tests asserting the invalidate-on-mutation lifecycle.
-func (r *Relation) ColumnsBuilt() bool {
+// dropImage forgets the image of row page pi, which is being written.
+func (r *Relation) dropImage(pi int) {
+	if pi < len(r.images) {
+		r.images[pi] = nil
+	}
+}
+
+// dropImagesFrom forgets the images of row page pi and every later page.
+func (r *Relation) dropImagesFrom(pi int) {
+	if pi < len(r.images) {
+		clear(r.images[pi:])
+		r.images = r.images[:pi]
+	}
+}
+
+// PageImages returns the number of row pages whose image is built, for
+// tests asserting what a mutation drops and what a selection builds.
+func (r *Relation) PageImages() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cols != nil
+	n := 0
+	for _, im := range r.images {
+		if im != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -420,16 +420,18 @@ func (ix *Index) relink(i, to int32) bool {
 // about to be removed from rows: cached indexes and key-hash vectors
 // follow the move instead of being dropped, so the access paths queries
 // and refreshes built survive an update that deletes — all but an index
-// whose chains are too long to walk. The columnar image is still dropped.
-// Like all mutation paths, this requires exclusive access.
+// whose chains are too long to walk. Of the columnar image, the two row
+// pages the swap writes lose theirs. Like all mutation paths, this
+// requires exclusive access.
 func (r *Relation) noteDeleted(i int32) {
-	r.cols = nil
+	last := r.rows.len() - 1
+	r.dropImage(int(i) >> pageBits)
+	r.dropImagesFrom(last >> pageBits)
 	for key, ix := range r.indexes {
 		if !ix.deleteRow(i) {
 			delete(r.indexes, key)
 		}
 	}
-	last := r.rows.len() - 1
 	for _, kv := range r.keyVecs {
 		if int(i) != last {
 			kv.hashes.set(int(i), kv.hashes.at(last))
@@ -441,10 +443,10 @@ func (r *Relation) noteDeleted(i int32) {
 // noteInserted accounts for rows appended at positions [from, len(rows)):
 // cached hash indexes are extended in place rather than dropped, so the
 // indexes on a stored relation survive the insert-heavy refresh cycle.
-// The columnar image is still dropped — batch operators rebuild it
-// lazily. Like all mutation paths, this requires exclusive access.
+// The row pages from the one holding from on lose their images. Like all
+// mutation paths, this requires exclusive access.
 func (r *Relation) noteInserted(from int) {
-	r.cols = nil
+	r.dropImagesFrom(from >> pageBits)
 	for _, ix := range r.indexes {
 		ix.extend(from)
 	}
@@ -465,6 +467,7 @@ type OpStats struct {
 	IndexHits   int64 // probes that found at least one matching row
 	IndexBuilds int64 // hash indexes built and cached on an input (index-cache misses)
 	Batches     int64 // column batches processed by vectorized operators
+	ImagePages  int64 // page images built for those batches (pages not vectorized since they were last written)
 }
 
 // Add accumulates o into s. Both receivers of nil and adding zero are
@@ -479,6 +482,7 @@ func (s *OpStats) Add(o OpStats) {
 	s.IndexHits += o.IndexHits
 	s.IndexBuilds += o.IndexBuilds
 	s.Batches += o.Batches
+	s.ImagePages += o.ImagePages
 }
 
 func (s *OpStats) scanned(n int) {
@@ -520,5 +524,11 @@ func (s *OpStats) built(b bool) {
 func (s *OpStats) batches(n int) {
 	if s != nil {
 		s.Batches += int64(n)
+	}
+}
+
+func (s *OpStats) imagePages(n int) {
+	if s != nil {
+		s.ImagePages += int64(n)
 	}
 }

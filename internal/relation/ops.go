@@ -66,9 +66,9 @@ func SelectBatch(r *Relation, pred BatchPred) *Relation {
 }
 
 // SelectBatchStats is the vectorized selection: the predicate runs once
-// per BatchSize window over the relation's columnar image, producing a
-// selection vector; selected rows are emitted append-only with shared
-// tuples and reused hashes.
+// per batch, producing a selection vector; selected rows are emitted
+// append-only with shared tuples and reused hashes. Page images the scan
+// had to build are counted in s.ImagePages.
 func SelectBatchStats(r *Relation, pred BatchPred, s *OpStats) *Relation {
 	out := New(r.attrs...)
 	if r.IsEmpty() {
@@ -76,7 +76,7 @@ func SelectBatchStats(r *Relation, pred BatchPred, s *OpStats) *Relation {
 	}
 	sel := make([]int32, 0, BatchSize)
 	nb := 0
-	for b := range r.Batches() {
+	for b := range r.batches(s) {
 		sel = pred(b, sel[:0])
 		for _, li := range sel {
 			i := b.Start() + int(li)

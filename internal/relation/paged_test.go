@@ -9,8 +9,10 @@ import (
 	"testing"
 )
 
-// modelRel is a relation over (a, b, c) under test beside the map that says
-// what it must hold, keyed by the a column (the tests keep a unique).
+// modelRel is a relation over (a, b, c, e) under test beside the map that
+// says what it must hold, keyed by the a column (the tests keep a unique).
+// No index covers e, which carries what the page images must get right:
+// NULLs, and kinds that differ from row to row.
 type modelRel struct {
 	rel   *Relation
 	model map[int64]Tuple
@@ -47,9 +49,9 @@ func (m *modelRel) clone() *modelRel {
 
 // check compares every access path of the relation with the model: Len,
 // All, the membership table, each cached index (Lookup, Unique, Keys is
-// bounded by the distinct keys), each cached key-hash vector and, when
-// asked, the columnar image.
-func (m *modelRel) check(t *testing.T, what string, rng *rand.Rand, image bool) {
+// bounded by the distinct keys), each cached key-hash vector and the page
+// images, decoded batch by batch. It leaves every page with an image.
+func (m *modelRel) check(t *testing.T, what string) {
 	t.Helper()
 	r := m.rel
 	if r.Len() != len(m.model) {
@@ -70,7 +72,7 @@ func (m *modelRel) check(t *testing.T, what string, rng *rand.Rand, image bool) 
 			t.Fatalf("%s: Contains(%v) = false for a model tuple", what, tu)
 		}
 	}
-	if ghost := (Tuple{Int(-1), String_("ghost"), Int(-1)}); r.Contains(ghost) {
+	if ghost := (Tuple{Int(-1), String_("ghost"), Int(-1), Null()}); r.Contains(ghost) {
 		t.Fatalf("%s: Contains(%v) = true", what, ghost)
 	}
 	for key, ix := range r.indexes {
@@ -119,11 +121,11 @@ func (m *modelRel) check(t *testing.T, what string, rng *rand.Rand, image bool) 
 			}
 		}
 	}
-	if !image {
-		return
-	}
 	rows := 0
 	for b := range r.Batches() {
+		if b.Start() != rows || b.NumCols() != 4 || b.ColKind(0) != ColInt || b.ColKind(1) != ColString || b.Dict(1).Len() > b.Len() {
+			t.Fatalf("%s: batch at row %d starts at %d, with %d columns laid out %v, %v, …", what, rows, b.Start(), b.NumCols(), b.ColKind(0), b.ColKind(1))
+		}
 		for i := 0; i < b.Len(); i++ {
 			tu := r.rows.at(b.Start() + i)
 			for c := range tu {
@@ -134,18 +136,33 @@ func (m *modelRel) check(t *testing.T, what string, rng *rand.Rand, image bool) 
 			rows++
 		}
 	}
-	if rows != len(m.model) {
-		t.Fatalf("%s: Batches cover %d rows, model has %d", what, rows, len(m.model))
+	if rows != len(m.model) || r.PageImages() != r.rows.numPages() {
+		t.Fatalf("%s: Batches cover %d rows in %d page images, model has %d rows in %d pages", what, rows, r.PageImages(), len(m.model), r.rows.numPages())
 	}
+}
+
+// imagesChanged counts the row pages whose image is not the one before
+// holds for them: dropped, rebuilt, or beyond a table that shrank.
+func (m *modelRel) imagesChanged(before []*pageImage) int {
+	n := 0
+	for pi, im := range before {
+		if pi >= len(m.rel.images) || m.rel.images[pi] != im {
+			n++
+		}
+	}
+	return n
 }
 
 // TestClonesAreIndependent is the contract of Clone over shared pages: in a
 // random tree of clones under interleaved inserts, bulk inserts, deletes,
-// further clones and lazily built indexes, key-hash vectors and columnar
+// further clones and lazily built indexes, key-hash vectors and page
 // images, every live relation equals its own model after every step —
 // the original after its clone was mutated and the clone after the
 // original was. Start sizes sit below, on and above page boundaries and
 // below a growth of the membership table, so steps cross them both ways.
+// The page images follow the row pages: a clone holds the very images of
+// the original, an insert drops at most one and a delete at most two, and
+// every other page keeps the image it had.
 func TestClonesAreIndependent(t *testing.T) {
 	attrSets := [][]string{{"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}}
 	dim := New("b", "d") // larger than any relation under test: joins build on it and probe with theirs
@@ -159,17 +176,26 @@ func TestClonesAreIndependent(t *testing.T) {
 		next := 0
 		row := func() Tuple {
 			next++
-			return Tuple{Int(int64(next)), String_(fmt.Sprint("s", rng.Intn(domain))), Int(int64(rng.Intn(domain)))}
+			e := Int(int64(next % 7))
+			switch {
+			case next%11 == 0:
+				e = Null()
+			case next/pageLen == 1 && next%3 == 0: // the second page starts out mixed-kind, between typed ones
+				e = []Value{String_("mixed"), Float(0.5)}[next%2]
+			}
+			return Tuple{Int(int64(next)), String_(fmt.Sprint("s", rng.Intn(domain))), Int(int64(rng.Intn(domain))), e}
 		}
-		root := &modelRel{rel: New("a", "b", "c"), model: map[int64]Tuple{}}
+		root := &modelRel{rel: New("a", "b", "c", "e"), model: map[int64]Tuple{}}
 		for i := 0; i < start; i++ {
 			tu := row()
 			root.rel.Insert(tu)
 			root.model[tu[0].AsInt()] = tu
 		}
+		root.check(t, fmt.Sprintf("seed %d start", seed))
 		live := []*modelRel{root}
 		for step := 0; step < 100; step++ {
 			m := live[rng.Intn(len(live))]
+			images := append([]*pageImage(nil), m.rel.images...) // one per page: check ran
 			switch op := rng.Intn(10); {
 			case op < 3:
 				tu := row()
@@ -183,29 +209,41 @@ func TestClonesAreIndependent(t *testing.T) {
 					t.Fatalf("seed %d step %d: Insert(%v) = %v, model had it: %v", seed, step, tu, !had, had)
 				}
 				m.model[tu[0].AsInt()] = tu
+				if n := m.imagesChanged(images); n > 1 {
+					t.Fatalf("seed %d step %d: one insert dropped %d page images", seed, step, n)
+				}
 			case op < 4:
-				batch := New("c", "a", "b") // other column order: InsertAll aligns by name
+				batch := New("c", "e", "a", "b") // other column order: InsertAll aligns by name
 				for i := rng.Intn(pageLen / 3); i >= 0; i-- {
 					tu := row()
-					batch.InsertValues(tu[2], tu[0], tu[1])
+					batch.InsertValues(tu[2], tu[3], tu[0], tu[1])
 					m.model[tu[0].AsInt()] = tu
 				}
 				if added := m.rel.InsertAll(batch); added != batch.Len() {
 					t.Fatalf("seed %d step %d: InsertAll added %d of %d new tuples", seed, step, added, batch.Len())
 				}
 			case op < 7:
+				deletes := 0
 				for n := 1 + rng.Intn(3); n > 0 && len(m.model) > 0; n-- {
 					victim := m.rel.rows.at(rng.Intn(m.rel.Len())).Clone()
 					if !m.rel.Delete(victim) || m.rel.Delete(victim) {
 						t.Fatalf("seed %d step %d: Delete(%v) of a present row must succeed exactly once", seed, step, victim)
 					}
 					delete(m.model, victim[0].AsInt())
+					deletes++
+				}
+				if n := m.imagesChanged(images); n > 2*deletes {
+					t.Fatalf("seed %d step %d: %d deletes dropped %d page images", seed, step, deletes, n)
 				}
 			case op < 8:
 				if len(live) == 5 {
 					live = append(live[:0], live[1+rng.Intn(2):]...) // forget the oldest: their pages stay shared
 				}
-				live = append(live, m.clone())
+				c := m.clone()
+				if n := c.imagesChanged(images); n != 0 || len(c.rel.images) != len(images) {
+					t.Fatalf("seed %d step %d: a clone holds %d page images, %d of them not the original's %d", seed, step, len(c.rel.images), n, len(images))
+				}
+				live = append(live, c)
 			case op < 9:
 				as := attrSets[rng.Intn(len(attrSets))]
 				if rng.Intn(3) == 0 {
@@ -219,7 +257,7 @@ func TestClonesAreIndependent(t *testing.T) {
 				}
 			}
 			for i, l := range live {
-				l.check(t, fmt.Sprintf("seed %d step %d relation %d/%d", seed, step, i, len(live)), rng, step%8 == 0)
+				l.check(t, fmt.Sprintf("seed %d step %d relation %d/%d", seed, step, i, len(live)))
 			}
 			keyVecs += len(m.rel.keyVecs)
 			if ix := m.rel.indexes["c"]; ix != nil && ix.hasVals {
@@ -270,10 +308,11 @@ func TestCloneWriteCopiesOnlyTouchedPages(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersOfSharedPages: readers join, probe and scan version
-// k of a relation — and clone it themselves, as a bare Base evaluation does
-// — while the writer clones version k and applies inserts and deletes to
-// version k+1. Every answer must equal the model of the version it was
+// TestConcurrentReadersOfSharedPages: readers join, probe, scan and run a
+// vectorized selection over version k of a relation — building the images
+// of the pages version k-1's writer left without one — and clone it
+// themselves, as a bare Base evaluation does, while the writer clones
+// version k and applies inserts and deletes to version k+1. Every answer must equal the model of the version it was
 // read from; under -race any write to a page a reader can reach fails.
 func TestConcurrentReadersOfSharedPages(t *testing.T) {
 	const fks = 50
@@ -313,6 +352,18 @@ func TestConcurrentReadersOfSharedPages(t *testing.T) {
 				}
 				if got := SemiJoin(r, probe).Len(); got != v.perFK[fk] {
 					t.Errorf("reader %d: semi-join finds %d rows for fk %d, version holds %d", reader, got, fk, v.perFK[fk])
+					return
+				}
+				sigma := SelectBatch(r, func(b Batch, sel []int32) []int32 {
+					for i, x := range b.Ints(1) {
+						if x == int64(fk) {
+							sel = append(sel, int32(i))
+						}
+					}
+					return sel
+				})
+				if got := sigma.Len(); got != v.perFK[fk] {
+					t.Errorf("reader %d: vectorized σ finds %d rows for fk %d, version holds %d", reader, got, fk, v.perFK[fk])
 					return
 				}
 				ix, _ := r.Index("fk")

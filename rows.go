@@ -13,10 +13,14 @@ import (
 	"dwcomplement/internal/relation"
 )
 
-// Batch is a column-major window of up to BatchSize rows of a relation's
-// columnar image: per-attribute typed vectors (int64, float64, bool,
-// dictionary-coded strings) with null bitmaps. Batches are read-only views
-// into shared storage — valid until the underlying relation is mutated.
+// Batch is a column-major window of up to BatchSize consecutive rows of a
+// relation: per-attribute typed vectors (int64, float64, bool,
+// dictionary-coded strings) with null bitmaps. Layout, null bitmap and
+// string dictionary are per batch — ColKind, HasNulls and Dict may differ
+// from one batch of a relation to the next, and dictionary codes compare
+// only within one batch. Batches are read-only views into storage that
+// versions of the relation share; one taken before a mutation of the
+// relation keeps describing the rows as they were.
 type Batch = relation.Batch
 
 // BatchSize is the number of rows in a full Batch (the last batch of a
@@ -59,9 +63,9 @@ func (rs *Rows) Len() int { return rs.rel.Len() }
 // must not modify the returned slice.
 func (rs *Rows) Attrs() []string { return rs.rel.Attrs() }
 
-// Batches iterates the answer column-major in BatchSize windows over the
-// relation's columnar image (built lazily on first use, cached on the
-// relation). Each yielded batch is counted into Stats().Batches, so plans
+// Batches iterates the answer column-major in BatchSize windows, each
+// vectorized when the iteration first reaches it and kept for later
+// iterations. Each yielded batch is counted into Stats().Batches, so plans
 // report how much of the result their consumer actually drained.
 func (rs *Rows) Batches() iter.Seq[Batch] {
 	return func(yield func(Batch) bool) {
