@@ -51,7 +51,7 @@ func BenchmarkE1Figure1Maintenance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.LoadState(cloneMapState(snapshot))
-		if _, err := m.Refresh(w, u); err != nil {
+		if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func BenchmarkE9UpdateIndependence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.LoadState(cloneMapState(snapshot))
-		if _, err := m.Refresh(w, u); err != nil {
+		if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func BenchmarkE12IncrementalVsRecompute(b *testing.B) {
 			b.Run(fmt.Sprintf("Incremental/base=%d/delta=%d", baseSize, u.Size()), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					w.LoadState(cloneMapState(snapshot))
-					if _, err := m.Refresh(w, u); err != nil {
+					if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -500,7 +500,7 @@ func BenchmarkRefresh(b *testing.B) {
 		b.StopTimer()
 		u := gen.Update(cur, 2, 1)
 		b.StartTimer()
-		if _, err := m.Refresh(w, u); err != nil {
+		if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

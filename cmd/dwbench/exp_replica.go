@@ -105,7 +105,7 @@ func e20() experiment {
 						if rec.LSN != cursor+1 {
 							continue
 						}
-						if _, err := fm.Refresh(fw, rec.Update); err != nil {
+						if _, err := fm.RefreshContext(ctx, fw, rec.Update); err != nil {
 							applyErr = err
 							return
 						}
@@ -250,7 +250,7 @@ func (l *e20Leader) ServeHTTP(w http.ResponseWriter, req *http.Request) { l.mux.
 func (l *e20Leader) commit(u *catalog.Update) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.m.Refresh(l.w, u); err != nil {
+	if _, err := l.m.RefreshContext(context.Background(), l.w, u); err != nil {
 		return err
 	}
 	if err := u.Apply(l.st); err != nil {

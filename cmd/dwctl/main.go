@@ -241,8 +241,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "applied %d source change(s), %d warehouse tuple change(s)\n\n",
-			stats.UpdateSize, stats.Total())
+		printRefresh(out, "applied", stats)
+		fmt.Fprintln(out)
 		for _, name := range w.Names() {
 			r, _ := w.Relation(name)
 			fmt.Fprintf(out, "%s:\n%s\n", name, r)
@@ -382,4 +382,14 @@ func runVet(path string, opts dwc.Options, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "vet: %s ok (%d diagnostic(s))\n", path, len(diags))
 	return nil
+}
+
+// printRefresh writes a refresh's summary: the totals after the lead word,
+// then per maintained relation its delta and what propagating it read.
+func printRefresh(out io.Writer, lead string, stats dwc.RefreshStats) {
+	fmt.Fprintf(out, "%s %d source change(s), %d warehouse tuple change(s)\n", lead, stats.UpdateSize, stats.Total())
+	for _, sp := range stats.Spans {
+		fmt.Fprintf(out, "  %-20s +%d -%d applied=%d scanned=%d probed=%d\n",
+			sp.Target, sp.DeltaIns, sp.DeltaDel, sp.Applied, sp.Scanned, sp.Probed)
+	}
 }

@@ -126,8 +126,7 @@ func runREPL(w *dwc.Warehouse, db *dwc.Database, in io.Reader, out io.Writer) er
 				break
 			}
 			sp.End()
-			fmt.Fprintf(out, "ok: %d source change(s), %d warehouse tuple change(s)\n",
-				stats.UpdateSize, stats.Total())
+			printRefresh(out, "ok:", stats)
 
 		case strings.HasPrefix(line, "show "):
 			name := strings.TrimSpace(strings.TrimPrefix(line, "show "))

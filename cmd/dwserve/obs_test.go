@@ -147,6 +147,8 @@ func TestStatsLastRefresh(t *testing.T) {
 				Target  string `json:"target"`
 				Applied int    `json:"applied"`
 				WallNs  int64  `json:"wallNs"`
+				Scanned int64  `json:"scanned"`
+				Probed  int64  `json:"probed"`
 			} `json:"spans"`
 			RestrictedLookups   int64 `json:"restrictedLookups"`
 			FullReconstructions int64 `json:"fullReconstructions"`
@@ -160,6 +162,9 @@ func TestStatsLastRefresh(t *testing.T) {
 	applied := 0
 	for _, sp := range lr.Spans {
 		applied += sp.Applied
+		if sp.Scanned+sp.Probed == 0 {
+			t.Errorf("span %s read nothing: %+v", sp.Target, sp)
+		}
 	}
 	if applied == 0 {
 		t.Errorf("spans applied nothing: %+v", lr.Spans)

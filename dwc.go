@@ -217,7 +217,7 @@ var (
 	NewMaintainer = maintain.NewMaintainer
 	// NewVirtualState answers base-relation reads through W⁻¹ against a
 	// warehouse state — the pre-state for modification expansion and any
-	// other source-free computation.
+	// other source-free computation. Not safe for concurrent use.
 	NewVirtualState = maintain.NewVirtualState
 	// DeriveMaintenance symbolically derives maintenance expressions for
 	// one warehouse relation (Example 4.1).

@@ -33,7 +33,7 @@ func TestFacadePipeline(t *testing.T) {
 
 	// Query independence: Example 1.2's query.
 	q := dwc.MustParseExpr("pi{clerk}(Sale) union pi{clerk}(Emp)")
-	ans, err := w.Answer(q)
+	ans, err := dwc.Answer(context.Background(), w, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFacadePipeline(t *testing.T) {
 	// Update independence: the paper's insertion, maintained incrementally.
 	m := dwc.NewMaintainer(w.Complement())
 	u := dwc.NewUpdate().MustInsert("Sale", db, dwc.Str("Computer"), dwc.Str("Paula"))
-	stats, err := m.Refresh(w, u)
+	stats, err := dwc.Refresh(context.Background(), m, w, u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dwc_test
 
 import (
+	"context"
 	"fmt"
 
 	dwc "dwcomplement"
@@ -27,9 +28,9 @@ func ExampleComputeComplement() {
 	// Emp = C_Emp ∪ π{age,clerk}(Sold)
 }
 
-// ExampleWarehouse_Answer shows query independence (Example 1.2): a query
+// ExampleAnswer shows query independence (Example 1.2): a query
 // over the sources answered from the warehouse alone.
-func ExampleWarehouse_Answer() {
+func ExampleAnswer() {
 	db := dwc.NewDatabase()
 	db.MustAddSchema(dwc.NewSchema("Sale", "item:string", "clerk:string"))
 	db.MustAddSchema(dwc.NewSchema("Emp", "clerk:string", "age:int").WithKey("clerk"))
@@ -41,8 +42,8 @@ func ExampleWarehouse_Answer() {
 		MustInsert("Emp", dwc.Str("Paula"), dwc.Int(32))
 
 	w, _ := dwc.BuildWarehouse(db, views, dwc.Proposition22(), st)
-	ans, _ := w.Answer(dwc.MustParseExpr("pi{clerk}(Sale) union pi{clerk}(Emp)"))
-	fmt.Print(ans)
+	ans, _ := dwc.Answer(context.Background(), w, dwc.MustParseExpr("pi{clerk}(Sale) union pi{clerk}(Emp)"))
+	fmt.Print(ans.Relation())
 	// Output:
 	// clerk
 	// -----
@@ -51,9 +52,9 @@ func ExampleWarehouse_Answer() {
 	// (2 tuples)
 }
 
-// ExampleMaintainer_Refresh shows update independence (Theorem 4.1): the
+// ExampleRefresh shows update independence (Theorem 4.1): the
 // paper's insertion maintained incrementally without source access.
-func ExampleMaintainer_Refresh() {
+func ExampleRefresh() {
 	db := dwc.NewDatabase()
 	db.MustAddSchema(dwc.NewSchema("Sale", "item:string", "clerk:string"))
 	db.MustAddSchema(dwc.NewSchema("Emp", "clerk:string", "age:int").WithKey("clerk"))
@@ -64,7 +65,7 @@ func ExampleMaintainer_Refresh() {
 
 	w, _ := dwc.BuildWarehouse(db, views, dwc.Proposition22(), st)
 	u := dwc.NewUpdate().MustInsert("Sale", db, dwc.Str("Computer"), dwc.Str("Paula"))
-	dwc.NewMaintainer(w.Complement()).Refresh(w, u)
+	dwc.Refresh(context.Background(), dwc.NewMaintainer(w.Complement()), w, u)
 
 	sold, _ := w.Relation("Sold")
 	fmt.Print(sold)

@@ -1,6 +1,7 @@
 package dwc_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // constraints and PSJ view sets, the full pipeline must hold together —
 // the computed complement reconstructs and is injective, random source
 // queries translate and answer identically, and random update streams
-// maintained incrementally (serial and parallel) track W(d') exactly.
+// maintained incrementally track W(d') exactly.
 func TestGrandFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing skipped in -short mode")
@@ -37,9 +38,6 @@ func TestGrandFuzz(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := maintain.NewMaintainer(comp)
-			if seed%2 == 0 {
-				m.SetParallel(true)
-			}
 
 			rng := rand.New(rand.NewSource(seed))
 			cur := st.Clone()
@@ -52,7 +50,7 @@ func TestGrandFuzz(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := w.Answer(q)
+					got, _, err := w.AnswerContext(context.Background(), q)
 					if err != nil {
 						t.Fatalf("seed %d round %d: %v (query %s)", seed, round, err, q)
 					}
@@ -62,7 +60,7 @@ func TestGrandFuzz(t *testing.T) {
 				}
 
 				u := gen.Update(cur, 1+rng.Intn(4), rng.Intn(3))
-				if _, err := m.Refresh(w, u); err != nil {
+				if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 					t.Fatalf("seed %d round %d: %v", seed, round, err)
 				}
 				if err := u.Apply(cur); err != nil {
@@ -151,7 +149,7 @@ func TestGrandFuzzWithConsumers(t *testing.T) {
 		cur := st.Clone()
 		for round := 0; round < 6; round++ {
 			u := gen.Update(cur, 2, 2)
-			if _, err := m.Refresh(w, u); err != nil {
+			if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 				t.Fatal(err)
 			}
 			if err := u.Apply(cur); err != nil {

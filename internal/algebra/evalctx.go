@@ -129,8 +129,7 @@ const (
 // EvalContext carries a context.Context and an EvalStats accumulator
 // through an evaluation. A nil *EvalContext is valid everywhere and means
 // "no cancellation, no counting", so un-instrumented callers pay nothing.
-// The context is safe for concurrent use; the maintainer's parallel
-// propagation records into one context from several goroutines.
+// The context is safe for concurrent use.
 type EvalContext struct {
 	ctx        context.Context
 	budget     Budget      // set once at construction, read-only after
@@ -188,8 +187,10 @@ func (ec *EvalContext) Err() error {
 }
 
 // Stats returns a snapshot of the accumulated counters, including the
-// executed plan trees recorded so far. The returned nodes are shared and
-// must be treated as read-only.
+// executed plan trees recorded so far. Ops, Plan and the plan nodes are
+// shared with the context (it only ever appends to the lists, and the
+// snapshot's are clipped, so neither side sees the other grow) and must be
+// treated as read-only; a refresh snapshots once per target.
 func (ec *EvalContext) Stats() EvalStats {
 	if ec == nil {
 		return EvalStats{}
@@ -197,8 +198,8 @@ func (ec *EvalContext) Stats() EvalStats {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	s := ec.stats
-	s.Ops = append([]OpStat(nil), ec.stats.Ops...)
-	s.Plan = append([]*PlanNode(nil), ec.roots...)
+	s.Ops = slices.Clip(ec.stats.Ops)
+	s.Plan = slices.Clip(ec.roots)
 	s.PlanTruncated = ec.truncated
 	return s
 }
@@ -387,8 +388,32 @@ func opName(e Expr) string {
 // operator records its counters into the context, and the whole
 // evaluation is recorded as one plan tree in the context's stats. A nil
 // ec makes EvalCtx identical to Eval. The aliasing rules of Eval apply.
+// It is EvalRestricted without a probe.
 func EvalCtx(ec *EvalContext, e Expr, st State) (*relation.Relation, error) {
-	out, n, err := evalCtxNode(ec, e, st)
+	return EvalRestricted(ec, e, st, nil)
+}
+
+// EvalRestricted evaluates e under the restricted-value contract: the
+// result agrees with the full EvalCtx value on every tuple whose projection
+// onto probe's attributes occurs in probe; tuples not matching the probe
+// may or may not appear. Base references become semi-joins against the
+// probe, and the probe is pushed through every operator, so a small probe —
+// a delta (how maintenance reads the old and new values its rules consult),
+// the constants of a selection, the keys a join has produced so far —
+// touches only matching fractions of the stored relations instead of
+// forcing full reconstructions. The probe's attribute set should be
+// contained in e's; a probe over foreign attributes falls back to the full
+// evaluation of e (checked here, once: the probes the walker hands down are
+// made of attributes the receiving subexpression has). Under a probe the
+// result never aliases state contents — callers may mutate it; a nil probe
+// asks for the full value, which may (see Eval).
+func EvalRestricted(ec *EvalContext, e Expr, st State, probe *relation.Relation) (*relation.Relation, error) {
+	foreign := false
+	if probe != nil {
+		attrs := mustAttrsOf(e, st)
+		foreign = slices.ContainsFunc(probe.Attrs(), func(a string) bool { return !attrs.Has(a) })
+	}
+	out, n, err := evalCtxNode(ec, e, st, probe, foreign)
 	if err != nil {
 		return nil, err
 	}
@@ -402,21 +427,24 @@ func EvalCtx(ec *EvalContext, e Expr, st State) (*relation.Relation, error) {
 	return out, nil
 }
 
-// evalCtxNode evaluates e and returns its (possibly nil) plan node; the
-// caller attaches the node to a parent or the context's roots.
-func evalCtxNode(ec *EvalContext, e Expr, st State) (*relation.Relation, *PlanNode, error) {
+// evalCtxNode evaluates e, restricted by probe unless it is nil, and returns
+// its (possibly nil) plan node for the caller to attach to a parent or roots.
+func evalCtxNode(ec *EvalContext, e Expr, st State, probe *relation.Relation, foreign bool) (*relation.Relation, *PlanNode, error) {
 	if err := ec.Err(); err != nil {
 		return nil, nil, err
 	}
 	if ec == nil {
-		out, err := evalNode(nil, e, st, nil, nil)
+		out, err := evalNode(nil, e, st, probe, foreign, nil, nil)
 		return out, nil, err
 	}
 	op := opName(e)
-	n := ec.newNode(op, nil)
+	n := ec.newNode(op, probe)
+	if probe != nil {
+		op += "⋉"
+	}
 	start := time.Now()
 	var ops relation.OpStats
-	out, err := evalNode(ec, e, st, &ops, n)
+	out, err := evalNode(ec, e, st, probe, foreign, &ops, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -424,58 +452,89 @@ func evalCtxNode(ec *EvalContext, e Expr, st State) (*relation.Relation, *PlanNo
 	return out, n, nil
 }
 
-// evalNode evaluates one operator node, recursing through evalCtxNode so
-// each child gets its own cancellation check and plan node (attached to
-// pn).
-func evalNode(ec *EvalContext, e Expr, st State, sp *relation.OpStats, pn *PlanNode) (*relation.Relation, error) {
+// evalNode is the one walker: it evaluates one operator node — in full when
+// probe is nil, else under the restricted-value contract — recursing through
+// evalChild, so each child gets its own cancellation check and plan node.
+func evalNode(ec *EvalContext, e Expr, st State, probe *relation.Relation, foreign bool, sp *relation.OpStats, pn *PlanNode) (*relation.Relation, error) {
+	if foreign {
+		out, err := evalChild(ec, e, st, nil, pn)
+		if err != nil {
+			return nil, err
+		}
+		if _, isBase := e.(*Base); isBase {
+			out = out.Clone() // keep the no-aliasing guarantee
+		}
+		return out, nil
+	}
 	switch n := e.(type) {
 	case *Base:
 		r, ok := st.Relation(n.Name)
 		if !ok {
 			return nil, fmt.Errorf("algebra: state has no relation %q: %w", n.Name, ErrUnknownRelation)
 		}
+		if probe != nil {
+			return relation.SemiJoinStats(r, probe, sp), nil
+		}
 		sp.Add(relation.OpStats{Emitted: int64(r.Len())})
 		return r, nil
 	case *Empty:
 		return relation.New(n.Attrs...), nil
 	case *Select:
-		// The attr = const conjuncts are a one-row probe: the input is
-		// evaluated restricted by it, so a selection that reaches stored
+		// Without a probe from above, the attr = const conjuncts are a
+		// one-row probe of their own, so a selection that reaches stored
 		// relations probes their indexes instead of scanning them. The
 		// whole condition is re-applied to the (small) restricted value.
-		var in *relation.Relation
-		var err error
-		if probe := constProbe(n.Cond, mustAttrsOf(n.Input, st)); probe != nil {
-			in, err = restrictedChild(ec, n.Input, st, probe, pn)
-		} else {
-			in, err = evalChild(ec, n.Input, st, pn)
+		if probe == nil {
+			probe = constProbe(n.Cond, mustAttrsOf(n.Input, st))
 		}
+		in, err := evalChild(ec, n.Input, st, probe, pn)
 		if err != nil {
 			return nil, err
 		}
 		return vectorSelect(in, n.Cond, sp), nil
 	case *Project:
-		in, err := evalChild(ec, n.Input, st, pn)
+		// probe attrs ⊆ Z ⊆ input attrs, so the probe applies directly to
+		// the input; garbage rows project to non-matching tuples and stay
+		// harmless under the contract.
+		in, err := evalChild(ec, n.Input, st, probe, pn)
 		if err != nil {
 			return nil, err
 		}
 		return relation.ProjectStats(in, sp, n.Attrs...), nil
 	case *Join:
-		return evalJoin(ec, n.Inputs, st, nil, sp, pn)
+		// The probe is one more join input: E ⋉ probe = E ⋈ probe when
+		// the probe's attributes lie within E's.
+		return evalJoin(ec, n.Inputs, st, probe, sp, pn)
 	case *Union:
-		l, r, err := evalBothCtx(ec, n.L, n.R, st, pn)
+		l, r, err := evalSides(ec, n.L, n.R, st, probe, pn)
 		if err != nil {
 			return nil, err
 		}
 		return relation.UnionStats(l, r, sp)
 	case *Diff:
-		l, r, err := evalBothCtx(ec, n.L, n.R, st, pn)
+		// Restricting both sides by the same probe keeps the difference
+		// exact on probe-matching tuples: a match surviving in L appears in
+		// restricted L, and its presence in R is decided by restricted R.
+		l, r, err := evalSides(ec, n.L, n.R, st, probe, pn)
 		if err != nil {
 			return nil, err
 		}
 		return relation.DiffStats(l, r, sp)
 	case *Rename:
-		in, err := evalChild(ec, n.Input, st, pn)
+		if probe != nil {
+			// Translate the probe back into the input's attribute space.
+			back := make(map[string]string)
+			for from, to := range n.Mapping {
+				if probe.HasAttr(to) {
+					back[to] = from
+				}
+			}
+			var err error
+			if probe, err = relation.Rename(probe, back); err != nil {
+				return nil, err
+			}
+		}
+		in, err := evalChild(ec, n.Input, st, probe, pn)
 		if err != nil {
 			return nil, err
 		}
@@ -490,9 +549,10 @@ func evalNode(ec *EvalContext, e Expr, st State, sp *relation.OpStats, pn *PlanN
 	}
 }
 
-// evalChild evaluates a child expression and hangs its plan node under pn.
-func evalChild(ec *EvalContext, e Expr, st State, pn *PlanNode) (*relation.Relation, error) {
-	out, cn, err := evalCtxNode(ec, e, st)
+// evalChild evaluates a child expression, restricted by probe unless it is
+// nil, and hangs its plan node under pn.
+func evalChild(ec *EvalContext, e Expr, st State, probe *relation.Relation, pn *PlanNode) (*relation.Relation, error) {
+	out, cn, err := evalCtxNode(ec, e, st, probe, false)
 	if err != nil {
 		return nil, err
 	}
@@ -500,12 +560,13 @@ func evalChild(ec *EvalContext, e Expr, st State, pn *PlanNode) (*relation.Relat
 	return out, nil
 }
 
-func evalBothCtx(ec *EvalContext, l, r Expr, st State, pn *PlanNode) (*relation.Relation, *relation.Relation, error) {
-	lv, err := evalChild(ec, l, st, pn)
+// evalSides evaluates both inputs of a union or difference under one probe.
+func evalSides(ec *EvalContext, l, r Expr, st State, probe *relation.Relation, pn *PlanNode) (*relation.Relation, *relation.Relation, error) {
+	lv, err := evalChild(ec, l, st, probe, pn)
 	if err != nil {
 		return nil, nil, err
 	}
-	rv, err := evalChild(ec, r, st, pn)
+	rv, err := evalChild(ec, r, st, probe, pn)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -562,9 +623,9 @@ func evalJoin(ec *EvalContext, inputs []Expr, st State, probe *relation.Relation
 		var r *relation.Relation
 		var err error
 		if pickShares && !stored && acc.Len() < p.stored {
-			r, err = restrictedChild(ec, p.e, st, relation.ProjectStats(acc, sp, accAttrs.Intersect(p.attrs).Sorted()...), pn)
+			r, err = evalChild(ec, p.e, st, relation.ProjectStats(acc, sp, accAttrs.Intersect(p.attrs).Sorted()...), pn)
 		} else {
-			r, err = evalChild(ec, p.e, st, pn)
+			r, err = evalChild(ec, p.e, st, nil, pn)
 		}
 		if err != nil {
 			return nil, err
@@ -650,151 +711,6 @@ func constProbe(c Cond, in relation.AttrSet) *relation.Relation {
 	p := relation.New(attrs...)
 	p.Insert(vals)
 	return p
-}
-
-// EvalRestricted evaluates e under the restricted-value contract of
-// incremental maintenance (see maintain's node.restricted): the result
-// agrees with the full EvalCtx value on every tuple whose projection onto
-// probe's attributes occurs in probe; tuples not matching the probe may or
-// may not appear. Base references become semi-joins against the probe, and
-// the probe is pushed through every operator, so a small probe — a delta,
-// the constants of a selection, the keys a join has produced so far —
-// touches only matching fractions of the stored relations instead of
-// forcing full reconstructions. The probe's attribute set should be
-// contained in e's; a probe over foreign attributes falls back to the
-// full evaluation of that subexpression. Unlike Eval, the result never
-// aliases state contents — callers may mutate it.
-func EvalRestricted(ec *EvalContext, e Expr, st State, probe *relation.Relation) (*relation.Relation, error) {
-	out, n, err := evalRestrictedCtxNode(ec, e, st, probe)
-	if err != nil {
-		return nil, err
-	}
-	if err := ec.budgetError(); err != nil {
-		return nil, err
-	}
-	ec.addRoot(n)
-	return out, nil
-}
-
-// evalRestrictedCtxNode is evalCtxNode for the restricted path; its plan
-// nodes are flagged Restricted.
-func evalRestrictedCtxNode(ec *EvalContext, e Expr, st State, probe *relation.Relation) (*relation.Relation, *PlanNode, error) {
-	if err := ec.Err(); err != nil {
-		return nil, nil, err
-	}
-	if ec == nil {
-		out, err := evalRestrictedNode(nil, e, st, probe, nil, nil)
-		return out, nil, err
-	}
-	op := opName(e) + "⋉"
-	n := ec.newNode(opName(e), probe)
-	start := time.Now()
-	var ops relation.OpStats
-	out, err := evalRestrictedNode(ec, e, st, probe, &ops, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	ec.finishNode(op, n, ops, time.Since(start))
-	return out, n, nil
-}
-
-func evalRestrictedNode(ec *EvalContext, e Expr, st State, probe *relation.Relation, sp *relation.OpStats, pn *PlanNode) (*relation.Relation, error) {
-	if !probe.AttrSet().SubsetOf(mustAttrsOf(e, st)) {
-		out, err := evalChild(ec, e, st, pn)
-		if err != nil {
-			return nil, err
-		}
-		if _, isBase := e.(*Base); isBase {
-			out = out.Clone() // keep the no-aliasing guarantee
-		}
-		return out, nil
-	}
-	switch n := e.(type) {
-	case *Base:
-		r, ok := st.Relation(n.Name)
-		if !ok {
-			return nil, fmt.Errorf("algebra: state has no relation %q: %w", n.Name, ErrUnknownRelation)
-		}
-		return relation.SemiJoinStats(r, probe, sp), nil
-	case *Empty:
-		return relation.New(n.Attrs...), nil
-	case *Select:
-		in, err := restrictedChild(ec, n.Input, st, probe, pn)
-		if err != nil {
-			return nil, err
-		}
-		return vectorSelect(in, n.Cond, sp), nil
-	case *Project:
-		// probe attrs ⊆ Z ⊆ input attrs, so the probe applies directly to
-		// the input; garbage rows project to non-matching tuples and stay
-		// harmless under the contract.
-		in, err := restrictedChild(ec, n.Input, st, probe, pn)
-		if err != nil {
-			return nil, err
-		}
-		return relation.ProjectStats(in, sp, n.Attrs...), nil
-	case *Join:
-		// The probe is one more join input: E ⋉ probe = E ⋈ probe when
-		// the probe's attributes lie within E's.
-		return evalJoin(ec, n.Inputs, st, probe, sp, pn)
-	case *Union:
-		l, err := restrictedChild(ec, n.L, st, probe, pn)
-		if err != nil {
-			return nil, err
-		}
-		r, err := restrictedChild(ec, n.R, st, probe, pn)
-		if err != nil {
-			return nil, err
-		}
-		return relation.UnionStats(l, r, sp)
-	case *Diff:
-		// Restricting both sides by the same probe keeps the difference
-		// exact on probe-matching tuples: a match surviving in L appears in
-		// restricted L, and its presence in R is decided by restricted R.
-		l, err := restrictedChild(ec, n.L, st, probe, pn)
-		if err != nil {
-			return nil, err
-		}
-		r, err := restrictedChild(ec, n.R, st, probe, pn)
-		if err != nil {
-			return nil, err
-		}
-		return relation.DiffStats(l, r, sp)
-	case *Rename:
-		// Translate the probe back into the input's attribute space.
-		inverse := make(map[string]string, len(n.Mapping))
-		for from, to := range n.Mapping {
-			inverse[to] = from
-		}
-		back := make(map[string]string)
-		for _, a := range probe.Attrs() {
-			if orig, ok := inverse[a]; ok {
-				back[a] = orig
-			}
-		}
-		inProbe, err := relation.Rename(probe, back)
-		if err != nil {
-			return nil, err
-		}
-		in, err := restrictedChild(ec, n.Input, st, inProbe, pn)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Rename(in, n.Mapping)
-	default:
-		panic(fmt.Sprintf("algebra: unknown node %T", e))
-	}
-}
-
-// restrictedChild evaluates a child under the restricted contract and
-// hangs its plan node under pn.
-func restrictedChild(ec *EvalContext, e Expr, st State, probe *relation.Relation, pn *PlanNode) (*relation.Relation, error) {
-	out, cn, err := evalRestrictedCtxNode(ec, e, st, probe)
-	if err != nil {
-		return nil, err
-	}
-	pn.addChild(cn)
-	return out, nil
 }
 
 // mustAttrsOf returns the attribute set of e for probe-pushing decisions.

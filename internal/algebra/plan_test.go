@@ -100,6 +100,44 @@ func TestRestrictedFallbackKeepsTotals(t *testing.T) {
 	}
 }
 
+// TestRenameCountsUnderProbe: ρ has one accounting. Under a probe that
+// keeps every row the rename node records what the full evaluation's does
+// (it used to report emit=0 whatever it produced), and the tree still sums
+// to the flat totals.
+func TestRenameCountsUnderProbe(t *testing.T) {
+	st := figure1State()
+	q := NewRename(NewBase("Emp"), map[string]string{"clerk": "person"})
+	probe := relation.New("person")
+	for _, c := range []string{"Mary", "John", "Paula"} {
+		probe.InsertValues(relation.String_(c))
+	}
+	roots := map[bool]*PlanNode{}
+	for _, restricted := range []bool{false, true} {
+		ec := NewEvalContext(nil)
+		var err error
+		if restricted {
+			_, err = EvalRestricted(ec, q, st, probe)
+		} else {
+			_, err = EvalCtx(ec, q, st)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ec.Stats()
+		var tree OpStat
+		sumTree(s.Plan[0], &tree)
+		if tree.Scanned != s.Scanned || tree.Emitted != s.Emitted {
+			t.Errorf("restricted=%v: tree sums %+v disagree with flat totals %+v", restricted, tree, s)
+		}
+		roots[restricted] = s.Plan[0]
+	}
+	full, under := roots[false], roots[true]
+	if !under.Restricted || full.Emitted != 3 || under.Emitted != full.Emitted || under.Scanned != full.Scanned {
+		t.Errorf("rename node: full emitted/scanned %d/%d, under a probe %d/%d (restricted=%v)",
+			full.Emitted, full.Scanned, under.Emitted, under.Scanned, under.Restricted)
+	}
+}
+
 // TestRenderPlanGolden locks the text rendering of an executed plan on
 // the paper's Figure 1 state. Timing is off, so the output is
 // deterministic.

@@ -8,7 +8,7 @@ import (
 
 // EvalCtxAnalyzer enforces the repo's facade-vs-library discipline: the
 // context-free convenience wrappers (algebra.Eval, PSJ.Eval,
-// Warehouse.Answer, Maintainer.Refresh, ...) exist for the public facade,
+// Complement.Reconstruct, ...) exist for the public facade,
 // commands and tests; library code under internal/ must call the
 // context-aware variants so cancellation and instrumentation propagate
 // end to end.
@@ -28,8 +28,6 @@ var bannedWrappers = []struct {
 	{"dwcomplement/internal/algebra", "", "MustEval", "EvalCtx"},
 	{"dwcomplement/internal/view", "PSJ", "Eval", "EvalCtx"},
 	{"dwcomplement/internal/view", "Set", "Eval", "EvalCtx"},
-	{"dwcomplement/internal/warehouse", "Warehouse", "Answer", "AnswerContext"},
-	{"dwcomplement/internal/maintain", "Maintainer", "Refresh", "RefreshContext"},
 	{"dwcomplement/internal/core", "Complement", "MaterializeWarehouse", "MaterializeWarehouseCtx"},
 	{"dwcomplement/internal/core", "Complement", "Reconstruct", "ReconstructCtx"},
 	// The net/http convenience calls carry no context, so a remote

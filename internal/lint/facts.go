@@ -138,7 +138,6 @@ func seedFacts() map[string]*FuncFacts {
 		// Refresh-class entry points: they rewrite stored relations, so
 		// every batch cursor over warehouse state is invalidated.
 		"(*dwcomplement/internal/maintain.Maintainer).RefreshContext": {MutatesStored: true},
-		"(*dwcomplement/internal/maintain.Maintainer).Refresh":        {MutatesStored: true},
 		"(*dwcomplement/internal/warehouse.Warehouse).Commit":         {MutatesStored: true},
 		"dwcomplement.Refresh": {MutatesStored: true},
 		// Unstoppable listeners: no handle exists to shut them down, so

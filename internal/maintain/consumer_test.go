@@ -1,6 +1,7 @@
 package maintain_test
 
 import (
+	"context"
 	"testing"
 
 	"dwcomplement/internal/aggregate"
@@ -39,7 +40,7 @@ func TestAggregateConsumerOnWarehouse(t *testing.T) {
 	cur := st.Clone()
 	for round := 0; round < 20; round++ {
 		u := gen.Update(cur, 3, 2)
-		if _, err := m.Refresh(w, u); err != nil {
+		if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 			t.Fatal(err)
 		}
 		if err := u.Apply(cur); err != nil {

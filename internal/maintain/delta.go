@@ -65,207 +65,132 @@ func (d Delta) ApplyTo(r *relation.Relation) {
 	}
 }
 
-// node is the per-subexpression result of propagation. The delta is
-// computed eagerly (deltas are small); the old and new values of the
-// subexpression are *lazy* and memoized, so an unchanged join is never
-// recomputed just because a sibling changed — this is what makes the
-// incremental path genuinely cheaper than recomputation (experiment E12).
+// node is the per-subexpression result of propagation: the delta, computed
+// eagerly (deltas are small), and two expressions denoting the
+// subexpression's pre- and post-state values over w + Δ — the state the
+// update is propagated against, overlaid with the update's delta relations.
+// The rules never compute those values themselves; the few they consult are
+// read through algebra's evaluator (propagation.read), almost always under
+// a probe, so an unchanged join is never recomputed just because a sibling
+// changed — this is what makes the incremental path genuinely cheaper than
+// recomputation (experiment E12).
 type node struct {
-	d     Delta
-	attrs []string // output attribute order, available without forcing
-
-	oldFn func() (*relation.Relation, error)
-	newFn func() (*relation.Relation, error)
-	oldV  *relation.Relation
-	newV  *relation.Relation
-
-	// restrictFn computes a probe-restricted old/new value without
-	// materializing the full one (see node.restricted); nil means
-	// "force the full value and semi-join".
-	restrictFn func(which valKind, probe *relation.Relation) (*relation.Relation, error)
+	d        Delta
+	old, new algebra.Expr
 }
 
-// valKind selects the pre- or post-state value in restricted evaluation.
-type valKind uint8
+// attrs is the subexpression's attribute order.
+func (n *node) attrs() []string { return n.d.Ins.Attrs() }
 
-const (
-	oldValue valKind = iota
-	newValue
-)
-
-// value forces the full old or new value.
-func (n *node) value(which valKind) (*relation.Relation, error) {
-	if which == oldValue {
-		return n.Old()
-	}
-	return n.New()
+// propagation is one Propagate call (one refresh, for the maintainer): the
+// update, the state w + Δ that the nodes' old/new expressions are evaluated
+// against, when base references resolve through W⁻¹ the VirtualState that
+// says how, and the leaf nodes built so far, by base relation.
+type propagation struct {
+	u      *catalog.Update
+	st     deltaState
+	vst    *VirtualState
+	leaves map[string]*node
 }
 
-// restricted returns a relation that agrees with the full old/new value on
-// every tuple whose projection onto probe's attributes occurs in probe;
-// tuples not matching the probe may or may not appear. Consumers must
-// therefore only draw conclusions about probe-matching tuples (the delta
-// rules always intersect or join against such candidates). The probe's
-// attribute set must be contained in the node's. This is what keeps
-// incremental maintenance delta-driven: a small delta probes the big join
-// instead of forcing it.
-func (n *node) restricted(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-	memo := n.oldV
-	if which == newValue {
-		memo = n.newV
+// read evaluates e, a node's old or new expression: in full when probe is
+// nil, and otherwise under the restricted-value contract of
+// algebra.EvalRestricted — the result agrees with the full value on every
+// tuple whose projection onto probe's attributes occurs in probe, other
+// tuples may or may not appear, so the rules only draw conclusions about
+// probe-matching tuples (they always intersect or join against such
+// candidates). This is what keeps incremental maintenance delta-driven: a
+// small delta probes the big join instead of forcing it.
+func (p *propagation) read(e algebra.Expr, probe *relation.Relation) (*relation.Relation, error) {
+	var ec *algebra.EvalContext
+	if p.vst != nil {
+		ec = p.vst.ec
+		p.vst.countRead(probe)
 	}
-	if memo != nil {
-		return relation.SemiJoin(memo, probe), nil
-	}
-	if n.restrictFn != nil {
-		return n.restrictFn(which, probe)
-	}
-	full, err := n.value(which)
-	if err != nil {
-		return nil, err
-	}
-	return relation.SemiJoin(full, probe), nil
-}
-
-// Old forces and memoizes the subexpression's pre-state value.
-func (n *node) Old() (*relation.Relation, error) {
-	if n.oldV != nil {
-		return n.oldV, nil
-	}
-	v, err := n.oldFn()
-	if err != nil {
-		return nil, err
-	}
-	n.oldV = v
-	return v, nil
-}
-
-// New forces and memoizes the subexpression's post-state value. The
-// default derivation applies the node's delta to a clone of Old.
-func (n *node) New() (*relation.Relation, error) {
-	if n.newV != nil {
-		return n.newV, nil
-	}
-	if n.newFn != nil {
-		v, err := n.newFn()
-		if err != nil {
-			return nil, err
-		}
-		n.newV = v
-		return v, nil
-	}
-	old, err := n.Old()
-	if err != nil {
-		return nil, err
-	}
-	v := old.Clone()
-	n.d.ApplyTo(v)
-	n.newV = v
-	return v, nil
+	return algebra.EvalRestricted(ec, e, p.st, probe)
 }
 
 // Propagate computes the delta of expression e caused by update u, reading
 // pre-state values from st only where the delta rules require them. When
-// st is a VirtualState backed by a warehouse, the computation never
-// touches the sources — this is the maintenance path of Theorem 4.1. The
-// update should be normalized against the same pre-state (the rules stay
-// correct for unnormalized updates; normalization keeps deltas minimal).
+// st is a VirtualState backed by a warehouse, every base reference is
+// replaced by its inverse and the computation never touches the sources —
+// this is the maintenance path of Theorem 4.1. The update should be
+// normalized against the same pre-state (the rules stay correct for
+// unnormalized updates; normalization keeps deltas minimal).
 func Propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (Delta, error) {
-	n, err := propagate(e, st, u)
+	n, err := newPropagation(st, u).propagate(e)
 	if err != nil {
 		return Delta{}, err
 	}
 	return n.d, nil
 }
 
-func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, error) {
+func newPropagation(st algebra.State, u *catalog.Update) *propagation {
+	p := &propagation{u: u, leaves: make(map[string]*node)}
+	if vst, ok := st.(*VirtualState); ok {
+		p.vst, st = vst, vst.w
+	}
+	p.st = newDeltaState(st, u)
+	return p
+}
+
+// leaf returns the expression for base relation name's pre-state value
+// over p.st, and its attribute order: the inverse W⁻¹ under a VirtualState,
+// the stored relation itself over a plain state.
+func (p *propagation) leaf(x *algebra.Base) (algebra.Expr, []string, error) {
+	if p.vst != nil {
+		if inv, ok := p.vst.inverses[x.Name]; ok {
+			return inv, p.vst.attrs[x.Name], nil
+		}
+	} else if r, ok := p.st.Relation(x.Name); ok {
+		return x, r.Attrs(), nil
+	}
+	return nil, nil, fmt.Errorf("maintain: pre-state has no relation %q", x.Name)
+}
+
+func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 	switch x := e.(type) {
 	case *algebra.Base:
-		// Against a RestrictedState (the maintainer's VirtualState) the
-		// pre-state value stays lazy: restricted probes reconstruct only
-		// the matching fraction through the inverse, and the full value is
-		// forced only if a propagation rule genuinely needs it. Against
-		// plain states the relation is already materialized, so it is
-		// simply taken as the memoized old value.
-		if rs, ok := st.(RestrictedState); ok {
-			if attrs, known := rs.RelationAttrs(x.Name); known {
-				return lazyBase(x, rs, u, attrs), nil
-			}
+		if n, ok := p.leaves[x.Name]; ok {
+			return n, nil
 		}
-		old, ok := st.Relation(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("maintain: pre-state has no relation %q", x.Name)
+		old, attrs, err := p.leaf(x)
+		if err != nil {
+			return nil, err
 		}
-		ins := u.Inserts(x.Name)
-		del := u.Deletes(x.Name)
-		if ins == nil {
-			ins = relation.New(old.Attrs()...)
+		// new = (old ∖ Δ⁻) ∪ Δ⁺ over the overlaid delta relations, each
+		// operator only where that side of the update has tuples.
+		n := &node{d: Delta{Ins: p.u.Inserts(x.Name), Del: p.u.Deletes(x.Name)}, old: old, new: old}
+		if n.d.Del == nil {
+			n.d.Del = relation.New(attrs...)
+		} else if !n.d.Del.IsEmpty() {
+			n.new = algebra.NewDiff(n.new, algebra.NewBase(DelName(x.Name)))
 		}
-		if del == nil {
-			del = relation.New(old.Attrs()...)
+		if n.d.Ins == nil {
+			n.d.Ins = relation.New(attrs...)
+		} else if !n.d.Ins.IsEmpty() {
+			n.new = algebra.NewUnion(n.new, algebra.NewBase(InsName(x.Name)))
 		}
-		n := &node{d: Delta{Ins: ins, Del: del}, attrs: old.Attrs()}
-		n.oldV = old
-		n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-			// Semi-join the memoized pre-state instead of cloning the
-			// whole relation; for the post-state the (small) delta is
-			// applied on top — insertions outside the probe are harmless
-			// garbage under the restricted-value contract.
-			base := relation.SemiJoin(old, probe)
-			if which == newValue {
-				n.d.ApplyTo(base)
-			}
-			return base, nil
-		}
+		p.leaves[x.Name] = n
 		return n, nil
 
 	case *algebra.Empty:
-		empty := relation.New(x.Attrs...)
-		n := &node{
-			d:     Delta{Ins: relation.New(x.Attrs...), Del: relation.New(x.Attrs...)},
-			attrs: empty.Attrs(),
-		}
-		n.oldV, n.newV = empty, empty
-		return n, nil
+		return &node{d: Delta{Ins: relation.New(x.Attrs...), Del: relation.New(x.Attrs...)}, old: x, new: x}, nil
 
 	case *algebra.Select:
-		in, err := propagate(x.Input, st, u)
+		in, err := p.propagate(x.Input)
 		if err != nil {
 			return nil, err
 		}
 		pred := func(row relation.Row) bool { return algebra.EvalCond(x.Cond, row) }
-		n := &node{
-			d: Delta{
-				Ins: relation.Select(in.d.Ins, pred),
-				Del: relation.Select(in.d.Del, pred),
-			},
-			attrs: in.attrs,
-		}
-		n.oldFn = func() (*relation.Relation, error) {
-			old, err := in.Old()
-			if err != nil {
-				return nil, err
-			}
-			return relation.Select(old, pred), nil
-		}
-		n.newFn = func() (*relation.Relation, error) {
-			nv, err := in.New()
-			if err != nil {
-				return nil, err
-			}
-			return relation.Select(nv, pred), nil
-		}
-		n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-			v, err := in.restricted(which, probe)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Select(v, pred), nil
-		}
-		return n, nil
+		return &node{
+			d:   Delta{Ins: relation.Select(in.d.Ins, pred), Del: relation.Select(in.d.Del, pred)},
+			old: algebra.NewSelect(in.old, x.Cond),
+			new: algebra.NewSelect(in.new, x.Cond),
+		}, nil
 
 	case *algebra.Project:
-		in, err := propagate(x.Input, st, u)
+		in, err := p.propagate(x.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +201,7 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 		// the input's new value with the deleted tuples instead of forcing
 		// it, and only when something was deleted.
 		if !del.IsEmpty() {
-			nv, err := in.restricted(newValue, del)
+			nv, err := p.read(in.new, del)
 			if err != nil {
 				return nil, err
 			}
@@ -286,47 +211,26 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 			}
 			ins.InsertAll(still)
 		}
-		n := &node{d: Delta{Ins: ins, Del: del}, attrs: ins.Attrs()}
-		n.oldFn = func() (*relation.Relation, error) {
-			old, err := in.Old()
-			if err != nil {
-				return nil, err
-			}
-			return relation.Project(old, x.Attrs...), nil
-		}
-		n.newFn = func() (*relation.Relation, error) {
-			nv, err := in.New()
-			if err != nil {
-				return nil, err
-			}
-			return relation.Project(nv, x.Attrs...), nil
-		}
-		n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-			// probe attrs ⊆ Z ⊆ input attrs, so the probe applies to the
-			// input directly; garbage rows project to non-matching tuples
-			// and stay harmless.
-			v, err := in.restricted(which, probe)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Project(v, x.Attrs...), nil
-		}
-		return n, nil
+		return &node{
+			d:   Delta{Ins: ins, Del: del},
+			old: &algebra.Project{Input: in.old, Attrs: x.Attrs},
+			new: &algebra.Project{Input: in.new, Attrs: x.Attrs},
+		}, nil
 
 	case *algebra.Join:
 		if len(x.Inputs) == 0 {
 			return nil, fmt.Errorf("maintain: join of zero inputs")
 		}
-		acc, err := propagate(x.Inputs[0], st, u)
+		acc, err := p.propagate(x.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
 		for _, input := range x.Inputs[1:] {
-			r, err := propagate(input, st, u)
+			r, err := p.propagate(input)
 			if err != nil {
 				return nil, err
 			}
-			acc, err = joinNodes(acc, r)
+			acc, err = p.joinNodes(acc, r)
 			if err != nil {
 				return nil, err
 			}
@@ -334,11 +238,7 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 		return acc, nil
 
 	case *algebra.Union:
-		l, err := propagate(x.L, st, u)
-		if err != nil {
-			return nil, err
-		}
-		r, err := propagate(x.R, st, u)
+		l, r, err := p.propagateSides(x.L, x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -350,25 +250,16 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 		if err != nil {
 			return nil, err
 		}
-		n := &node{attrs: ins.Attrs()}
-		n.oldFn = lazyBinary(l, r, (*node).Old, relation.Union)
-		n.newFn = lazyBinary(l, r, (*node).New, relation.Union)
-		n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-			lv, err := l.restricted(which, probe)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := r.restricted(which, probe)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Union(lv, rv)
+		n := &node{
+			d:   Delta{Ins: ins, Del: del},
+			old: algebra.NewUnion(l.old, r.old),
+			new: algebra.NewUnion(l.new, r.new),
 		}
 		// A tuple deleted from one side may survive in the other: the
 		// delete-then-insert convention handles it by re-insertion, which
 		// probes the union's new value with the deleted tuples.
 		if !del.IsEmpty() {
-			nv, err := n.restricted(newValue, del)
+			nv, err := p.read(n.new, del)
 			if err != nil {
 				return nil, err
 			}
@@ -378,20 +269,15 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 			}
 			ins.InsertAll(still)
 		}
-		n.d = Delta{Ins: ins, Del: del}
 		return n, nil
 
 	case *algebra.Diff:
-		l, err := propagate(x.L, st, u)
-		if err != nil {
-			return nil, err
-		}
-		r, err := propagate(x.R, st, u)
+		l, r, err := p.propagateSides(x.L, x.R)
 		if err != nil {
 			return nil, err
 		}
 		// del' = ΔL⁻ ∪ ΔR⁺ ; ins' = ((ΔL⁺ ∪ ΔR⁻) ∩ newL) ∖ newR, with the
-		// two new values forced only when there are candidates.
+		// two new values read only when there are candidates.
 		del, err := relation.Union(l.d.Del, r.d.Ins)
 		if err != nil {
 			return nil, err
@@ -405,11 +291,11 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 			// Membership of the few candidates is all that matters, so
 			// both sides are probed rather than forced: the restricted
 			// values are exact on candidate-matching tuples.
-			lNew, err := l.restricted(newValue, cand)
+			lNew, err := p.read(l.new, cand)
 			if err != nil {
 				return nil, err
 			}
-			rNew, err := r.restricted(newValue, cand)
+			rNew, err := p.read(r.new, cand)
 			if err != nil {
 				return nil, err
 			}
@@ -422,24 +308,14 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 				return nil, err
 			}
 		}
-		n := &node{d: Delta{Ins: ins, Del: del}, attrs: ins.Attrs()}
-		n.oldFn = lazyBinary(l, r, (*node).Old, relation.Diff)
-		n.newFn = lazyBinary(l, r, (*node).New, relation.Diff)
-		n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-			lv, err := l.restricted(which, probe)
-			if err != nil {
-				return nil, err
-			}
-			rv, err := r.restricted(which, probe)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Diff(lv, rv)
-		}
-		return n, nil
+		return &node{
+			d:   Delta{Ins: ins, Del: del},
+			old: algebra.NewDiff(l.old, r.old),
+			new: algebra.NewDiff(l.new, r.new),
+		}, nil
 
 	case *algebra.Rename:
-		in, err := propagate(x.Input, st, u)
+		in, err := p.propagate(x.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -451,98 +327,22 @@ func propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (*node, erro
 		if err != nil {
 			return nil, err
 		}
-		wrap := func(get func(*node) (*relation.Relation, error)) func() (*relation.Relation, error) {
-			return func() (*relation.Relation, error) {
-				v, err := get(in)
-				if err != nil {
-					return nil, err
-				}
-				return relation.Rename(v, x.Mapping)
-			}
-		}
-		n := &node{d: Delta{Ins: ins, Del: del}, attrs: ins.Attrs()}
-		n.oldFn = wrap((*node).Old)
-		n.newFn = wrap((*node).New)
-		n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-			// Translate the probe back into the input's attribute space.
-			inverse := make(map[string]string, len(x.Mapping))
-			for from, to := range x.Mapping {
-				inverse[to] = from
-			}
-			back := make(map[string]string)
-			for _, a := range probe.Attrs() {
-				if orig, ok := inverse[a]; ok {
-					back[a] = orig
-				}
-			}
-			inProbe, err := relation.Rename(probe, back)
-			if err != nil {
-				return nil, err
-			}
-			v, err := in.restricted(which, inProbe)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Rename(v, x.Mapping)
-		}
-		return n, nil
+		return &node{
+			d:   Delta{Ins: ins, Del: del},
+			old: &algebra.Rename{Input: in.old, Mapping: x.Mapping},
+			new: &algebra.Rename{Input: in.new, Mapping: x.Mapping},
+		}, nil
 
 	default:
 		return nil, fmt.Errorf("maintain: unknown node %T", e)
 	}
 }
 
-// lazyBase builds the propagation node of a base-relation reference over
-// a RestrictedState without forcing its reconstruction: restricted reads
-// go through RelationRestricted (probe-sized work), and only a rule that
-// needs the complete pre-state forces the full inverse evaluation.
-func lazyBase(x *algebra.Base, rs RestrictedState, u *catalog.Update, attrs []string) *node {
-	ins := u.Inserts(x.Name)
-	del := u.Deletes(x.Name)
-	if ins == nil {
-		ins = relation.New(attrs...)
+func (p *propagation) propagateSides(le, re algebra.Expr) (l, r *node, err error) {
+	if l, err = p.propagate(le); err == nil {
+		r, err = p.propagate(re)
 	}
-	if del == nil {
-		del = relation.New(attrs...)
-	}
-	n := &node{d: Delta{Ins: ins, Del: del}, attrs: attrs}
-	n.oldFn = func() (*relation.Relation, error) {
-		old, ok := rs.Relation(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("maintain: pre-state has no relation %q", x.Name)
-		}
-		return old, nil
-	}
-	n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-		base, err := rs.RelationRestricted(x.Name, probe)
-		if err != nil {
-			return nil, err
-		}
-		if which == newValue {
-			// The delta is applied on top; insertions outside the probe
-			// are harmless garbage under the restricted-value contract.
-			n.d.ApplyTo(base)
-		}
-		return base, nil
-	}
-	return n
-}
-
-// lazyBinary builds a thunk combining two children through a binary set
-// operator, forcing them only when called.
-func lazyBinary(l, r *node, get func(*node) (*relation.Relation, error),
-	op func(*relation.Relation, *relation.Relation) (*relation.Relation, error)) func() (*relation.Relation, error) {
-	return func() (*relation.Relation, error) {
-		lv, err := get(l)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := get(r)
-		if err != nil {
-			return nil, err
-		}
-		return op(lv, rv)
-	}
+	return l, r, err
 }
 
 // joinNodes combines two propagated inputs through a natural join:
@@ -550,26 +350,23 @@ func lazyBinary(l, r *node, get func(*node) (*relation.Relation, error),
 //	Δ⁻ = (ΔL⁻ ⋈ oldR) ∪ (oldL ⋈ ΔR⁻)
 //	Δ⁺ = (ΔL⁺ ⋈ newR) ∪ (newL ⋈ ΔR⁺)
 //
-// exact under the delete-then-insert convention. Each term forces the
+// exact under the delete-then-insert convention. Each term reads the
 // sibling's old/new only when its delta side is non-empty, so joins whose
 // inputs did not change cost nothing.
-func joinNodes(l, r *node) (*node, error) {
-	joinAttrs := relation.NewAttrSet(l.attrs...).Union(relation.NewAttrSet(r.attrs...))
-
-	joinTerm := func(delta *relation.Relation, other *node, which valKind) (*relation.Relation, error) {
+func (p *propagation) joinNodes(l, r *node) (*node, error) {
+	joinTerm := func(delta *relation.Relation, other *node, value algebra.Expr) (*relation.Relation, error) {
 		if delta.IsEmpty() {
 			return nil, nil
 		}
 		// Only the sibling tuples matching the delta on the shared
-		// attributes can join; probe instead of forcing the sibling.
-		shared := relation.NewAttrSet(delta.Attrs()...).Intersect(relation.NewAttrSet(other.attrs...))
-		var sibling *relation.Relation
-		var err error
-		if shared.IsEmpty() {
-			sibling, err = other.value(which)
-		} else {
-			sibling, err = other.restricted(which, relation.Project(delta, shared.Sorted()...))
+		// attributes can join: probe instead of forcing the sibling (in
+		// full only for a Cartesian product, where nothing is shared).
+		var probe *relation.Relation
+		shared := relation.NewAttrSet(delta.Attrs()...).Intersect(relation.NewAttrSet(other.attrs()...))
+		if !shared.IsEmpty() {
+			probe = relation.Project(delta, shared.Sorted()...)
 		}
+		sibling, err := p.read(value, probe)
 		if err != nil {
 			return nil, err
 		}
@@ -578,7 +375,7 @@ func joinNodes(l, r *node) (*node, error) {
 	combine := func(a, b *relation.Relation) (*relation.Relation, error) {
 		switch {
 		case a == nil && b == nil:
-			return relation.New(joinAttrs.Sorted()...), nil
+			return relation.New(relation.NewAttrSet(l.attrs()...).Union(relation.NewAttrSet(r.attrs()...)).Sorted()...), nil
 		case a == nil:
 			return b, nil
 		case b == nil:
@@ -588,11 +385,11 @@ func joinNodes(l, r *node) (*node, error) {
 		}
 	}
 
-	del1, err := joinTerm(l.d.Del, r, oldValue)
+	del1, err := joinTerm(l.d.Del, r, r.old)
 	if err != nil {
 		return nil, err
 	}
-	del2, err := joinTerm(r.d.Del, l, oldValue)
+	del2, err := joinTerm(r.d.Del, l, l.old)
 	if err != nil {
 		return nil, err
 	}
@@ -600,11 +397,11 @@ func joinNodes(l, r *node) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins1, err := joinTerm(l.d.Ins, r, newValue)
+	ins1, err := joinTerm(l.d.Ins, r, r.new)
 	if err != nil {
 		return nil, err
 	}
-	ins2, err := joinTerm(r.d.Ins, l, newValue)
+	ins2, err := joinTerm(r.d.Ins, l, l.new)
 	if err != nil {
 		return nil, err
 	}
@@ -612,43 +409,11 @@ func joinNodes(l, r *node) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	n := &node{d: Delta{Ins: ins, Del: del}, attrs: ins.Attrs()}
-	n.oldFn = lazyJoin(l, r, (*node).Old)
-	n.newFn = lazyJoin(l, r, (*node).New)
-	n.restrictFn = func(which valKind, probe *relation.Relation) (*relation.Relation, error) {
-		children := [2]*node{l, r}
-		vals := [2]*relation.Relation{}
-		probeAttrs := relation.NewAttrSet(probe.Attrs()...)
-		for i, child := range children {
-			childShared := probeAttrs.Intersect(relation.NewAttrSet(child.attrs...))
-			var err error
-			if childShared.IsEmpty() {
-				vals[i], err = child.value(which)
-			} else {
-				vals[i], err = child.restricted(which, relation.Project(probe, childShared.Sorted()...))
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		return relation.NaturalJoin(vals[0], vals[1]), nil
-	}
-	return n, nil
-}
-
-func lazyJoin(l, r *node, get func(*node) (*relation.Relation, error)) func() (*relation.Relation, error) {
-	return func() (*relation.Relation, error) {
-		lv, err := get(l)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := get(r)
-		if err != nil {
-			return nil, err
-		}
-		return relation.NaturalJoin(lv, rv), nil
-	}
+	return &node{
+		d:   Delta{Ins: ins, Del: del},
+		old: algebra.NewJoin(l.old, r.old),
+		new: algebra.NewJoin(l.new, r.new),
+	}, nil
 }
 
 // alignTuple relays tuple t from src's column order into dst's.

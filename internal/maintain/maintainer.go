@@ -3,8 +3,6 @@ package maintain
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dwcomplement/internal/algebra"
@@ -16,45 +14,27 @@ import (
 	"dwcomplement/internal/warehouse"
 )
 
-// RestrictedState is implemented by states that can answer probe-
-// restricted base-relation lookups without materializing the full
-// relation. Propagation uses it to stay delta-driven: a refresh touching
-// two tuples reconstructs two tuples' worth of pre-state, not the whole
-// database.
-type RestrictedState interface {
-	algebra.State
-	// RelationRestricted returns a freshly allocated relation agreeing
-	// with Relation(name) on every tuple matching the probe (the
-	// restricted-value contract of algebra.EvalRestricted). The caller
-	// may mutate the result.
-	RelationRestricted(name string, probe *relation.Relation) (*relation.Relation, error)
-	// RelationAttrs returns the attribute order of the named relation
-	// without forcing its value.
-	RelationAttrs(name string) ([]string, bool)
-}
-
 // VirtualState resolves base-relation references by evaluating their
 // inverse expressions against a warehouse state — the mechanical form of
 // the paper's instruction to "replace any reference to a base relation
 // occurring in the maintenance expression by its inverse" (Section 4).
-// Reconstructed relations are cached for the lifetime of the VirtualState,
-// which is one refresh round. It implements RestrictedState, answering
-// probe-restricted lookups through algebra.EvalRestricted so small deltas
-// never force a full reconstruction.
+// Propagate takes that instruction literally: handed a VirtualState, it
+// substitutes the inverses into the expressions it evaluates over the
+// warehouse state, so small deltas never force a full reconstruction.
+// As an algebra.State (for parsing and ad-hoc reads) it reconstructs a base
+// relation in full on first use and caches it for its lifetime, which is
+// one refresh round. Not safe for concurrent use.
 type VirtualState struct {
 	inverses map[string]algebra.Expr
 	attrs    map[string][]string
 	w        algebra.State
 	ec       *algebra.EvalContext
+	cache    map[string]*relation.Relation
 
-	mu    sync.Mutex
-	cache map[string]*relation.Relation
-
-	// Lookup counters: how many pre-state reads the probe pushdown kept
-	// restricted versus how many forced a full reconstruction. The ratio
-	// is the restricted-eval saving a refresh achieved.
-	nRestricted atomic.Int64
-	nFull       atomic.Int64
+	// Read counters: how many old/new values (of base relations and of the
+	// subexpressions propagation consults) were read under a probe versus
+	// in full. The ratio is the restricted-eval saving a refresh achieved.
+	nRestricted, nFull int64
 }
 
 // NewVirtualState builds a virtual pre-state over the warehouse state.
@@ -63,7 +43,7 @@ func NewVirtualState(comp *core.Complement, w algebra.State) *VirtualState {
 }
 
 // NewVirtualStateCtx is NewVirtualState under an evaluation context: every
-// reconstruction checks for cancellation and records its counters.
+// evaluation checks for cancellation and records its counters.
 func NewVirtualStateCtx(comp *core.Complement, w algebra.State, ec *algebra.EvalContext) *VirtualState {
 	attrs := make(map[string][]string)
 	for name, sc := range comp.Database().Schemas() {
@@ -79,11 +59,9 @@ func NewVirtualStateCtx(comp *core.Complement, w algebra.State, ec *algebra.Eval
 }
 
 // Relation implements algebra.State: base names resolve through W⁻¹.
-// Safe for concurrent use; reconstruction of each base happens once and
-// the cached relations are treated as read-only.
+// Reconstruction of each base happens once and the cached relations are
+// treated as read-only.
 func (v *VirtualState) Relation(name string) (*relation.Relation, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if r, ok := v.cache[name]; ok {
 		return r, true
 	}
@@ -91,7 +69,7 @@ func (v *VirtualState) Relation(name string) (*relation.Relation, bool) {
 	if !ok {
 		return nil, false
 	}
-	v.nFull.Add(1)
+	v.countRead(nil)
 	r, err := algebra.EvalCtx(v.ec, inv, v.w)
 	if err != nil {
 		return nil, false
@@ -100,35 +78,27 @@ func (v *VirtualState) Relation(name string) (*relation.Relation, bool) {
 	return r, true
 }
 
-// RelationRestricted implements RestrictedState: it reconstructs only the
-// fraction of the base relation matching the probe by pushing the probe
-// through the inverse expression (semi-join pushdown). If the full value
-// happens to be cached already, it semi-joins that instead.
+// RelationRestricted reconstructs only the fraction of the base relation
+// matching the probe by pushing the probe through the inverse expression
+// (semi-join pushdown): a freshly allocated relation agreeing with
+// Relation(name) on every tuple matching the probe (the restricted-value
+// contract of algebra.EvalRestricted).
 func (v *VirtualState) RelationRestricted(name string, probe *relation.Relation) (*relation.Relation, error) {
-	v.mu.Lock()
-	if r, ok := v.cache[name]; ok {
-		v.mu.Unlock()
-		return relation.SemiJoin(r, probe), nil
-	}
 	inv, ok := v.inverses[name]
-	v.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("maintain: no inverse for relation %q", name)
 	}
-	v.nRestricted.Add(1)
+	v.countRead(probe)
 	return algebra.EvalRestricted(v.ec, inv, v.w, probe)
 }
 
-// RelationAttrs implements RestrictedState from the source schemata.
-func (v *VirtualState) RelationAttrs(name string) ([]string, bool) {
-	a, ok := v.attrs[name]
-	return a, ok
-}
-
-// LookupStats reports how many pre-state reads stayed probe-restricted
-// and how many forced a full base-relation reconstruction.
-func (v *VirtualState) LookupStats() (restricted, full int64) {
-	return v.nRestricted.Load(), v.nFull.Load()
+// countRead counts one value read: restricted under a probe, full without.
+func (v *VirtualState) countRead(probe *relation.Relation) {
+	if probe != nil {
+		v.nRestricted++
+	} else {
+		v.nFull++
+	}
 }
 
 // RefreshSpan is the per-target trace of one refresh: how large the
@@ -147,6 +117,10 @@ type RefreshSpan struct {
 	Applied int `json:"applied"`
 	// Wall is the propagation time for this target.
 	Wall time.Duration `json:"wallNs"`
+	// Scanned / Probed are the rows and index probes the evaluator spent on
+	// this target's propagation: what maintaining it read.
+	Scanned int64 `json:"scanned"`
+	Probed  int64 `json:"probed"`
 }
 
 // RefreshStats reports what a refresh did, for benchmarks and logs.
@@ -156,17 +130,17 @@ type RefreshStats struct {
 	Changed map[string]int
 	// UpdateSize is the size of the normalized source update.
 	UpdateSize int
-	// Wall is the end-to-end refresh time (RefreshContext only).
+	// Wall is the end-to-end refresh time.
 	Wall time.Duration
-	// Eval holds the operator counters of the refresh's evaluations
-	// (RefreshContext only; nil from plain Refresh).
+	// Eval holds the operator counters of the refresh's evaluations:
+	// normalization and every value read of the propagation.
 	Eval *algebra.EvalStats
 	// Spans traces each refreshed relation's propagation (delta sizes and
 	// wall time), in application order.
 	Spans []RefreshSpan
 	// RestrictedLookups / FullReconstructions count how the refresh's
-	// pre-state reads were answered: probe-restricted (cost proportional
-	// to the delta) versus full reconstruction through W⁻¹.
+	// reads of old and new values were answered: under a probe (cost
+	// proportional to the delta) versus in full through W⁻¹.
 	RestrictedLookups   int64
 	FullReconstructions int64
 	// CopiedBytes is what the copy-on-write apply cost in storage: the
@@ -200,7 +174,6 @@ type DeltaConsumer interface {
 type Maintainer struct {
 	comp      *core.Complement
 	consumers []DeltaConsumer
-	parallel  bool
 }
 
 // NewMaintainer returns a maintainer for warehouses built from the
@@ -215,32 +188,15 @@ func (m *Maintainer) AddConsumer(c DeltaConsumer) {
 	m.consumers = append(m.consumers, c)
 }
 
-// SetParallel toggles concurrent delta computation: the per-relation
-// deltas of one refresh are independent (they read the shared pre-state
-// but write nothing), so wide warehouses can propagate them on separate
-// goroutines. Application remains serialized.
-func (m *Maintainer) SetParallel(p bool) {
-	m.parallel = p
-}
-
-// Refresh computes w' = W(u(W⁻¹(w))) incrementally and applies it to the
-// warehouse in place. Every view and stored complement gets its delta from
-// Propagate, with all pre-state reads answered by the VirtualState. The
-// deltas for all relations are computed against the same pre-state before
-// any of them is applied.
-//
-// Deprecated: use RefreshContext (or the facade's context-first
-// dwc.Refresh) so cancellation and instrumentation propagate; Refresh
-// survives as a thin wrapper for external callers.
-func (m *Maintainer) Refresh(w *warehouse.Warehouse, u *catalog.Update) (RefreshStats, error) {
-	return m.refresh(context.Background(), nil, w, u)
-}
-
-// RefreshContext is Refresh with cancellation and instrumentation: the
-// context is checked between propagation steps and at every operator
-// boundary inside them (a canceled refresh aborts before any delta is
-// applied, leaving the warehouse untouched), and the returned stats carry
-// the evaluation counters and wall time.
+// RefreshContext computes w' = W(u(W⁻¹(w))) incrementally and commits it
+// to the warehouse. Every view and stored complement gets its delta from
+// Propagate, with all base references answered through W⁻¹ over the
+// warehouse state, and the deltas for all relations are computed against
+// the same pre-state before any of them is applied. The context is checked
+// between propagation steps and at every operator boundary inside them (a
+// canceled refresh aborts before any delta is applied, leaving the
+// warehouse untouched), and the returned stats carry the evaluation
+// counters and wall time.
 func (m *Maintainer) RefreshContext(ctx context.Context, w *warehouse.Warehouse, u *catalog.Update) (RefreshStats, error) {
 	ec := algebra.NewEvalContext(ctx)
 	start := time.Now()
@@ -262,45 +218,52 @@ func cancelOr(ec *algebra.EvalContext, err error) error {
 	return err
 }
 
-// staged is one target's share of a refresh: its propagated delta, the
-// exact delta against the live relation, and post — the live relation
-// itself, or, when dirty, a clone of it with the exact delta applied.
+// staged is one target's share of a refresh: its span, the exact delta
+// against the live relation, and post — the live relation itself, or, when
+// the exact delta changes anything (span.Applied > 0), a clone of it with
+// that delta applied.
 type staged struct {
-	name     string
-	d, exact Delta
-	post     *relation.Relation
-	dirty    bool
-	copied   int64         // bytes of pages the clone copied to take exact
-	wall     time.Duration // propagation time
+	span   RefreshSpan
+	exact  Delta
+	post   *relation.Relation
+	copied int64 // bytes of pages the clone copied to take exact
 }
 
 // stageTarget propagates one target's delta and applies it to a clone of
 // the target's relation, under a "refresh.target" span (a no-op without a
-// recording parent in ctx) annotated with the propagated delta sizes and
-// the bytes of pages the clone copied. The warehouse is only read: the
-// pre-state every other target propagates against stays as it was.
-func stageTarget(ctx context.Context, w *warehouse.Warehouse, name string, def algebra.Expr, vst *VirtualState, nu *catalog.Update) (staged, error) {
+// recording parent in ctx) annotated with the propagated delta sizes, what
+// propagation scanned and probed — the evaluation totals' advance over
+// *seen, which is moved along — and the bytes of pages the clone copied.
+// The warehouse is only read: the pre-state every other target propagates
+// against stays as it was.
+func stageTarget(ctx context.Context, w *warehouse.Warehouse, name string, def algebra.Expr, p *propagation, seen *algebra.EvalStats) (staged, error) {
 	_, sp := trace.StartSpan(ctx, "refresh.target")
 	defer sp.End()
 	sp.SetAttr("target", name)
 	start := time.Now()
-	d, err := Propagate(def, vst, nu)
+	n, err := p.propagate(def)
 	if err != nil {
 		return staged{}, fmt.Errorf("maintain: %s: %w", name, err)
 	}
-	st := staged{name: name, d: d, wall: time.Since(start)}
+	st := staged{span: RefreshSpan{Target: name, DeltaIns: n.d.Ins.Len(), DeltaDel: n.d.Del.Len(), Wall: time.Since(start)}}
+	now := p.vst.ec.Stats()
+	st.span.Scanned, st.span.Probed = now.Scanned-seen.Scanned, now.Probed-seen.Probed
+	*seen = now
 	r, ok := w.Relation(name)
 	if !ok {
 		return st, fmt.Errorf("maintain: warehouse has no relation %q", name)
 	}
-	st.exact, st.post = d.Exact(r), r
-	if st.dirty = st.exact.Size() > 0; st.dirty {
+	st.exact, st.post = n.d.Exact(r), r
+	st.span.Applied = st.exact.Size()
+	if st.span.Applied > 0 {
 		st.post = r.Clone()
 		st.exact.ApplyTo(st.post)
 		st.copied = st.post.CopiedBytes()
 	}
-	sp.SetAttrInt("deltaIns", int64(d.Ins.Len()))
-	sp.SetAttrInt("deltaDel", int64(d.Del.Len()))
+	sp.SetAttrInt("deltaIns", int64(st.span.DeltaIns))
+	sp.SetAttrInt("deltaDel", int64(st.span.DeltaDel))
+	sp.SetAttrInt("scanned", st.span.Scanned)
+	sp.SetAttrInt("probed", st.span.Probed)
 	sp.SetAttrInt("copiedBytes", st.copied)
 	return st, nil
 }
@@ -338,31 +301,13 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	// copies and leaves the warehouse bitwise unchanged, so a failed
 	// refresh can simply be retried with the same update.
 	commit := make([]staged, len(targets))
-	if m.parallel && len(targets) > 1 {
-		var wg sync.WaitGroup
-		errs := make([]error, len(targets))
-		for i, tg := range targets {
-			wg.Add(1)
-			go func(i int, tg target) {
-				defer wg.Done()
-				commit[i], errs[i] = stageTarget(ctx, w, tg.name, tg.def, vst, nu)
-			}(i, tg)
+	p, seen := newPropagation(vst, nu), ec.Stats()
+	for i, tg := range targets {
+		if err := ec.Err(); err != nil {
+			return stats, err
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return stats, cancelOr(ec, err)
-			}
-		}
-	} else {
-		for i, tg := range targets {
-			if err := ec.Err(); err != nil {
-				return stats, err
-			}
-			var err error
-			if commit[i], err = stageTarget(ctx, w, tg.name, tg.def, vst, nu); err != nil {
-				return stats, cancelOr(ec, err)
-			}
+		if commit[i], err = stageTarget(ctx, w, tg.name, tg.def, p, &seen); err != nil {
+			return stats, cancelOr(ec, err)
 		}
 	}
 	stats.Spans = make([]RefreshSpan, 0, len(commit))
@@ -373,17 +318,11 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 		// Crash point between delta applications: the fault-injection
 		// tests arm it at every position k and assert rollback.
 		if err := chaos.Point("refresh.apply"); err != nil {
-			return stats, fmt.Errorf("maintain: apply %s: %w", c.name, err)
+			return stats, fmt.Errorf("maintain: apply %s: %w", c.span.Target, err)
 		}
-		stats.Changed[c.name] = c.exact.Size()
+		stats.Changed[c.span.Target] = c.span.Applied
 		stats.CopiedBytes += c.copied
-		stats.Spans = append(stats.Spans, RefreshSpan{
-			Target:   c.name,
-			DeltaIns: c.d.Ins.Len(),
-			DeltaDel: c.d.Del.Len(),
-			Applied:  c.exact.Size(),
-			Wall:     c.wall,
-		})
+		stats.Spans = append(stats.Spans, c.span)
 	}
 	// Consumers see the post-state copies before anything is installed:
 	// a consumer error aborts the refresh with the warehouse untouched.
@@ -392,22 +331,22 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	// warehouse on recovery, so this holds.)
 	for _, c := range commit {
 		for _, consumer := range m.consumers {
-			if err := consumer.Consume(c.name, c.exact, c.post); err != nil {
-				return stats, fmt.Errorf("maintain: consumer for %s: %w", c.name, err)
+			if err := consumer.Consume(c.span.Target, c.exact, c.post); err != nil {
+				return stats, fmt.Errorf("maintain: consumer for %s: %w", c.span.Target, err)
 			}
 		}
 	}
 	changed := make(map[string]*relation.Relation)
 	for _, c := range commit {
-		if c.dirty {
-			changed[c.name] = c.post
+		if c.span.Applied > 0 {
+			changed[c.span.Target] = c.post
 		}
 	}
 	// Only a seal flipped since the check above can fail here.
 	if err := w.Commit(changed); err != nil {
 		return stats, err
 	}
-	stats.RestrictedLookups, stats.FullReconstructions = vst.LookupStats()
+	stats.RestrictedLookups, stats.FullReconstructions = vst.nRestricted, vst.nFull
 	return stats, nil
 }
 

@@ -237,7 +237,16 @@ func intersectExpr(a, b algebra.Expr) algebra.Expr {
 // translated program and a warehouse state this is a fully independent
 // evaluation path, used to cross-check the runtime propagation.
 func EvalMaintenance(m MaintenanceExprs, st algebra.State, u *catalog.Update, db *catalog.Database) (Delta, error) {
-	ext := deltaState{base: st, u: u, db: db}
+	ext := newDeltaState(st, u)
+	// A derived program may name a delta relation the update leaves empty.
+	for _, b := range db.Names() {
+		sc, _ := db.Schema(b)
+		for _, name := range [2]string{InsName(b), DelName(b)} {
+			if _, ok := ext.deltas[name]; !ok {
+				ext.deltas[name] = relation.NewFromSchema(sc)
+			}
+		}
+	}
 	ins, err := algebra.EvalCtx(nil, m.Ins, ext)
 	if err != nil {
 		return Delta{}, err
@@ -249,30 +258,30 @@ func EvalMaintenance(m MaintenanceExprs, st algebra.State, u *catalog.Update, db
 	return Delta{Ins: ins, Del: del}, nil
 }
 
-// deltaState overlays delta relations onto an existing state.
+// deltaState is w + Δ: a state overlaid with the delta relations of an
+// update, Δ⁺R under InsName(R) and Δ⁻R under DelName(R).
 type deltaState struct {
-	base algebra.State
-	u    *catalog.Update
-	db   *catalog.Database
+	base   algebra.State
+	deltas map[string]*relation.Relation
+}
+
+func newDeltaState(base algebra.State, u *catalog.Update) deltaState {
+	d := deltaState{base: base, deltas: make(map[string]*relation.Relation)}
+	for _, b := range u.Touched() {
+		if r := u.Inserts(b); r != nil {
+			d.deltas[InsName(b)] = r
+		}
+		if r := u.Deletes(b); r != nil {
+			d.deltas[DelName(b)] = r
+		}
+	}
+	return d
 }
 
 // Relation implements algebra.State.
 func (d deltaState) Relation(name string) (*relation.Relation, bool) {
-	for _, b := range d.db.Names() {
-		switch name {
-		case InsName(b):
-			if r := d.u.Inserts(b); r != nil {
-				return r, true
-			}
-			sc, _ := d.db.Schema(b)
-			return relation.NewFromSchema(sc), true
-		case DelName(b):
-			if r := d.u.Deletes(b); r != nil {
-				return r, true
-			}
-			sc, _ := d.db.Schema(b)
-			return relation.NewFromSchema(sc), true
-		}
+	if r, ok := d.deltas[name]; ok {
+		return r, true
 	}
 	return d.base.Relation(name)
 }

@@ -214,22 +214,12 @@ func (w *Warehouse) TranslateQueryUnoptimized(q algebra.Expr) (algebra.Expr, err
 	return translated, nil
 }
 
-// Answer translates the source query and evaluates it on the current
-// warehouse state — no source access whatsoever.
-//
-// Deprecated: use AnswerContext (or the facade's context-first dwc.Answer)
-// so cancellation and instrumentation propagate; Answer survives as a thin
-// wrapper for external callers.
-func (w *Warehouse) Answer(q algebra.Expr) (*relation.Relation, error) {
-	r, _, err := w.AnswerContext(context.Background(), q)
-	return r, err
-}
-
-// AnswerContext is Answer with cancellation and instrumentation: the
-// context is checked at every operator boundary of the translated query's
-// evaluation (a canceled context aborts with a wrapped context error), and
-// the returned EvalStats reports the evaluation's operator counters and
-// wall time. The stats are returned even when evaluation fails.
+// AnswerContext translates the source query and evaluates it on the
+// current warehouse state — no source access whatsoever. The context is
+// checked at every operator boundary of the translated query's evaluation
+// (a canceled context aborts with a wrapped context error), and the
+// returned EvalStats reports the evaluation's operator counters and wall
+// time. The stats are returned even when evaluation fails.
 func (w *Warehouse) AnswerContext(ctx context.Context, q algebra.Expr) (*relation.Relation, *algebra.EvalStats, error) {
 	ec := algebra.NewEvalContext(ctx)
 	start := time.Now()

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestExample12QueryTranslation(t *testing.T) {
 			t.Errorf("Q̂ references %q: %s", b, qHat)
 		}
 	}
-	got, err := w.Answer(q)
+	got, _, err := w.AnswerContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestExample12QueryTranslation(t *testing.T) {
 				algebra.AttrEqConst("item", relation.String_("PC"))),
 			algebra.NewBase("Emp")),
 		"age")
-	got2, err := w.Answer(q2)
+	got2, _, err := w.AnswerContext(context.Background(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
