@@ -8,7 +8,6 @@ package dwc_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -519,55 +518,16 @@ func cloneMapState(ms algebra.MapState) algebra.MapState {
 	return out
 }
 
-// section5Spec is the two-site business schema of the paper's Section 5
-// as benchmark/gen.go generates it: FactParis has a provably empty
-// complement, TokyoFR leaves a stored C_Order_tokyo, so a tokyo query
-// reconstructs its base relation through a real union.
-const section5Spec = `
-relation Customer(ckey int, cname string, nation string) key(ckey)
-relation Part(pkey int, pname string, brand string) key(pkey)
-relation Site(loc string, region string) key(loc)
-relation Order_paris(okey int, ckey int, pkey int, loc string, qty int) key(okey)
-relation Order_tokyo(okey int, ckey int, pkey int, loc string, qty int) key(okey)
-fk Order_paris(ckey) -> Customer
-fk Order_tokyo(ckey) -> Customer
-fk Order_paris(pkey) -> Part
-fk Order_tokyo(pkey) -> Part
-fk Order_paris(loc) -> Site
-fk Order_tokyo(loc) -> Site
-domain Order_paris: loc = 'paris'
-domain Order_tokyo: loc = 'tokyo'
-view DimCustomer = Customer
-view DimPart = Part
-view DimSite = Site
-view FactParis = pi{okey, ckey, pkey, loc, qty}(Order_paris)
-view TokyoFR = pi{okey, ckey, pkey, loc, qty, nation}(sigma{nation = 'France'}(Order_tokyo join Customer))
-`
-
 // section5Warehouse materializes the Section-5 warehouse over rows
-// source rows: rows/2 orders per site, rows/20 customers and parts.
+// source rows (workload.FillSection5).
 func section5Warehouse(tb testing.TB, rows int) *dwc.Warehouse {
 	tb.Helper()
-	spec, err := dwc.ParseSpec(section5Spec)
+	spec, err := dwc.ParseSpec(workload.Section5Spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	dims := rows / 20
-	st := spec.State
-	nations := []string{"France", "Japan", "Germany", "Brazil"}
-	for i := 1; i <= dims; i++ {
-		st.MustInsert("Customer", dwc.Int(int64(i)), dwc.Str(fmt.Sprintf("cust-%05d", i)), dwc.Str(nations[rng.Intn(len(nations))]))
-		st.MustInsert("Part", dwc.Int(int64(i)), dwc.Str(fmt.Sprintf("part-%05d", i)), dwc.Str(fmt.Sprintf("brand-%03d", (i-1)/20)))
-	}
-	for _, loc := range []string{"paris", "tokyo"} {
-		st.MustInsert("Site", dwc.Str(loc), dwc.Str("region-"+loc))
-		for k := 1; k <= rows/2; k++ {
-			st.MustInsert("Order_"+loc, dwc.Int(int64(k)), dwc.Int(int64(1+rng.Intn(dims))),
-				dwc.Int(int64(1+rng.Intn(dims))), dwc.Str(loc), dwc.Int(int64(1+rng.Intn(50))))
-		}
-	}
-	w, err := dwc.BuildWarehouse(spec.DB, spec.Views, dwc.Theorem22(), st)
+	workload.FillSection5(spec.State, rows)
+	w, err := dwc.BuildWarehouse(spec.DB, spec.Views, dwc.Theorem22(), spec.State)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -210,11 +210,14 @@ func e19() experiment {
 			if shed == 0 {
 				return fmt.Errorf("the spike never shed: offered load did not exceed capacity")
 			}
-			if goodputFrac < 0.8 {
+			// The two timing gates hold on a host the experiment has to
+			// itself (CI's "Overload smoke (E19)" step); beside other test
+			// binaries the capacity phase and the burst see different CPUs.
+			if goodputFrac < 0.8 && !c.sharedHost {
 				return fmt.Errorf("goodput collapsed under overload: %.0f q/s is %.0f%% of the %.0f q/s capacity (floor 80%%)",
 					goodputQPS, 100*goodputFrac, capacityQPS)
 			}
-			if shedP95 >= 5*time.Millisecond {
+			if shedP95 >= 5*time.Millisecond && !c.sharedHost {
 				return fmt.Errorf("shedding is not cheap: p95 %s (must be <5ms)", shedP95)
 			}
 			if n := readyzFail.Load(); n != 0 {

@@ -50,6 +50,11 @@ type config struct {
 	seed    int64
 	out     io.Writer
 	metrics map[string]float64
+	// sharedHost is set by the package's own test sweep, which runs beside
+	// the other packages' test binaries on the same CPUs: an experiment
+	// keeps its correctness gates there and reports, without enforcing,
+	// the ones that are wall-clock ratios.
+	sharedHost bool
 }
 
 // metric records a named measurement for the experiment's JSON record.

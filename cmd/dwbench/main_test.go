@@ -19,7 +19,10 @@ func TestAllExperimentsQuick(t *testing.T) {
 		e := e
 		t.Run(e.id, func(t *testing.T) {
 			var b strings.Builder
-			cfg := &config{quick: true, seed: 42, out: &b}
+			// go test ./... runs this sweep beside the other packages'
+			// binaries: wall-clock ratio gates (E19's goodput floor and shed
+			// p95) are CI's to enforce, on the experiment run alone.
+			cfg := &config{quick: true, seed: 42, out: &b, sharedHost: true}
 			if err := e.run(cfg); err != nil {
 				t.Fatalf("%s (%s): %v\noutput:\n%s", e.id, e.title, err, b.String())
 			}

@@ -136,11 +136,11 @@ func (s *server) queryContext(req *http.Request) (context.Context, context.Cance
 // query cache).
 const answerCacheSize = 256
 
-// cachedAnswer is one stored query answer: the full response body of a
-// fresh, explain-free 200, plus when and from which version (its
+// cachedAnswer is one stored query answer: the response body of a fresh,
+// explain-free 200 as it went out, plus when and from which version (its
 // X-DW-Version stamp) it was computed.
 type cachedAnswer struct {
-	body    map[string]any
+	body    []byte
 	at      time.Time
 	version string
 }
@@ -160,7 +160,7 @@ func newAnswerCache(max int) *answerCache {
 
 // put stores the answer for a query string, evicting the oldest entry
 // past capacity.
-func (c *answerCache) put(key string, body map[string]any, version string) {
+func (c *answerCache) put(key string, body []byte, version string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[key]; !exists {
@@ -202,6 +202,6 @@ func (s *server) serveCached(w http.ResponseWriter, req *http.Request) bool {
 	}
 	w.Header().Set("X-DW-Staleness", hdr)
 	w.Header().Set("X-DW-Version", e.version)
-	writeJSON(w, http.StatusOK, e.body)
+	writeBody(w, http.StatusOK, e.body)
 	return true
 }

@@ -1,0 +1,192 @@
+package main
+
+// The answer path (DESIGN §13): one append-style writer from an evaluated
+// relation to the bytes encoding/json wrote for the documented shape,
+// without boxing a value or reflecting over a map. The body is finished
+// before the header is written, so a value JSON cannot carry is an error
+// response and the stale-answer cache keeps the very bytes.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+
+	"dwcomplement/internal/relation"
+)
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string the way encoding/json does
+// with HTML escaping on: \" \\ \b \f \n \r \t short escapes, \u00XX for the
+// other control bytes and for < > &, \ufffd for each invalid UTF-8 byte,
+// and U+2028/U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b', '\t', '\n', '\f', '\r':
+				b = append(b, '\\', "btnvfr"[c-'\b']) // 8…13; \v has no short form and is not a case
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f in encoding/json's number format: ES6-style,
+// 'e' notation below 1e-6 and from 1e21, a two-digit negative exponent
+// trimmed to one (1e-07 → 1e-7). NaN and ±Inf have no JSON form.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("%v has no JSON representation", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// appendRelation appends r as the JSON object every route carries a
+// relation in, rows in SortedRows order (the total value order makes the
+// wire order deterministic). It fails on the first value JSON cannot
+// carry. A relation without attributes has a nil attribute slice, which
+// encoding/json wrote as null; so does this.
+func appendRelation(b []byte, r *relation.Relation) ([]byte, error) {
+	attrs, rows := r.Attrs(), r.SortedRows()
+	// Room for the rows at 8 bytes a value — a short number or string and
+	// its comma — plus the keys and whatever the caller appends after; a
+	// relation of long strings grows the buffer as it goes.
+	b = slices.Grow(b, 256+16*len(attrs)+len(rows)*(2+8*len(attrs)))
+	b = append(b, `{"attributes":`...)
+	if attrs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, a := range attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, a)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(len(rows)), 10)
+	b = append(b, `,"tuples":[`...)
+	for i, t := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for c := range t {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			switch v := &t[c]; v.Kind() {
+			case relation.KindBool:
+				b = strconv.AppendBool(b, v.AsBool())
+			case relation.KindInt:
+				b = strconv.AppendInt(b, v.AsInt(), 10)
+			case relation.KindFloat:
+				var err error
+				if b, err = appendJSONFloat(b, v.AsFloat()); err != nil {
+					return nil, fmt.Errorf("attribute %q: %w", attrs[c], err)
+				}
+			case relation.KindString:
+				b = appendJSONString(b, v.AsString())
+			default:
+				b = append(b, "null"...)
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, "]}"...), nil
+}
+
+// answerBody is the body of /query: {"query":…,"result":…,"translated":…},
+// and under ?explain the diagnostics in extra ("stats", "plan", "planText")
+// beside them — those are small and fixed-shape, so they go through
+// encoding/json, with the rows already encoded as a json.RawMessage.
+func answerBody(query, translated string, r *relation.Relation, extra map[string]any) ([]byte, error) {
+	if extra != nil {
+		result, err := appendRelation(nil, r)
+		if err != nil {
+			return nil, err
+		}
+		extra["query"], extra["translated"], extra["result"] = query, translated, json.RawMessage(result)
+		var buf bytes.Buffer
+		err = json.NewEncoder(&buf).Encode(extra)
+		return buf.Bytes(), err
+	}
+	b := appendJSONString(append([]byte(nil), `{"query":`...), query)
+	b, err := appendRelation(append(b, `,"result":`...), r)
+	if err != nil {
+		return nil, err
+	}
+	b = appendJSONString(append(b, `,"translated":`...), translated)
+	return append(b, "}\n"...), nil
+}
+
+// writeBody sends a finished JSON body; its size is known, so it goes out
+// with a Content-Length rather than chunked.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write is the client gone; the request log has the short byte count
+}
+
+// writeRelation answers /relations/{name} and /reconstruct/{base}.
+func writeRelation(w http.ResponseWriter, r *relation.Relation) {
+	b, err := appendRelation(nil, r)
+	if err != nil {
+		writeUnencodable(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, append(b, '\n'))
+}
+
+// writeUnencodable answers a request whose result holds a value JSON cannot
+// carry: 500, because the request was fine and the answer exists — it is
+// the server that cannot put it on this wire. Never null, which would read
+// as SQL NULL.
+func writeUnencodable(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusInternalServerError, fmt.Errorf("result not encodable as JSON: %w", err))
+}

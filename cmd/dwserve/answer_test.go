@@ -1,0 +1,433 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	dwc "dwcomplement"
+	"dwcomplement/internal/admission"
+	"dwcomplement/internal/relation"
+	"dwcomplement/internal/workload"
+)
+
+// refValue and refRelation are the shapes the server handed encoding/json
+// before it wrote result rows itself, kept as the reference the writer's
+// bytes are compared against: every value boxed, the relation a map.
+func refValue(v relation.Value) any {
+	switch v.Kind() {
+	case relation.KindBool:
+		return v.AsBool()
+	case relation.KindInt:
+		return v.AsInt()
+	case relation.KindFloat:
+		return v.AsFloat()
+	case relation.KindString:
+		return v.AsString()
+	default:
+		return nil
+	}
+}
+
+func refRelation(r *relation.Relation) map[string]any {
+	sorted := r.SortedRows()
+	rows := make([][]any, len(sorted))
+	for i, t := range sorted {
+		row := make([]any, len(t))
+		for c, v := range t {
+			row[c] = refValue(v)
+		}
+		rows[i] = row
+	}
+	return map[string]any{"attributes": r.Attrs(), "tuples": rows, "count": len(sorted)}
+}
+
+// refEncode is what writeJSON put on the wire for body.
+func refEncode(t *testing.T, body any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// nastyStrings and nastyFloats are the values on which a hand-written JSON
+// writer and encoding/json are most likely to part ways.
+var (
+	nastyStrings = []string{
+		"", "plain", `<>&"\`, "a\x00b\x01\x1f\x7f", "\b\f\n\r\t", "caf\u00e9 \u65e5\u672c \U0001F600",
+		"bad\xff\xfeutf8", "\xe2\x80", "\u2028line\u2029para", "</script>", "'single'", "\xc0\xaf", "\xed\xa0\x80",
+	}
+	nastyFloats = []float64{
+		0, math.Copysign(0, -1), 1, -1.5, 1e-7, 1e-6, 9.999999e-7, 1e20, 1e21, 9.999999999999999e20,
+		5e-324, math.MaxFloat64, -math.MaxFloat64, 1e-9, 1.5e-10, 1e100, 123456789.125, 0.1, 1 << 53,
+	}
+)
+
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+func TestAppendRelationMatchesEncodingJSON(t *testing.T) {
+	check := func(name string, r *relation.Relation) {
+		t.Helper()
+		got, err := appendRelation(nil, r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := bytes.TrimSuffix(refEncode(t, refRelation(r)), []byte("\n")); !bytes.Equal(got, want) {
+			t.Fatalf("%s:\ngot  %s\nwant %s", name, got, want)
+		}
+	}
+	check("empty", relation.New("a", "b"))
+	check("no attributes, no rows", relation.New())
+	dee := relation.New()
+	dee.Insert(relation.Tuple{})
+	check("no attributes, the empty tuple", dee)
+
+	nasty := relation.New("s<", "f", "v")
+	for i, s := range nastyStrings {
+		nasty.Insert(relation.Tuple{relation.String_(s), relation.Float(nastyFloats[i%len(nastyFloats)]), relation.Null()})
+	}
+	for i, f := range nastyFloats {
+		nasty.Insert(relation.Tuple{relation.Int(int64(i)), relation.Float(f), relation.Bool(i%2 == 0)})
+	}
+	nasty.Insert(relation.Tuple{relation.Int(math.MinInt64), relation.Int(math.MaxInt64), relation.String_("")})
+	check("nasty", nasty)
+
+	rng := rand.New(rand.NewSource(21))
+	for round := 0; round < 200; round++ {
+		attrs := []string{"a", "b\u2028", "c&", "d"}[:1+rng.Intn(4)]
+		r := relation.New(attrs...)
+		for n := rng.Intn(40); n > 0; n-- {
+			row := make(relation.Tuple, len(attrs))
+			for c := range row {
+				switch rng.Intn(6) {
+				case 0:
+					row[c] = relation.Null()
+				case 1:
+					row[c] = relation.Bool(rng.Intn(2) == 0)
+				case 2:
+					row[c] = relation.Int(rng.Int63() >> uint(rng.Intn(64)) * int64(1-2*rng.Intn(2)))
+				case 3:
+					f := math.Float64frombits(rng.Uint64())
+					if math.IsNaN(f) || math.IsInf(f, 0) {
+						f = nastyFloats[rng.Intn(len(nastyFloats))]
+					}
+					row[c] = relation.Float(f)
+				case 4:
+					row[c] = relation.String_(nastyStrings[rng.Intn(len(nastyStrings))])
+				default:
+					b := make([]byte, rng.Intn(12))
+					rng.Read(b)
+					row[c] = relation.String_(string(b))
+				}
+			}
+			r.Insert(row)
+		}
+		check("random relation "+strconv.Itoa(round), r)
+	}
+}
+
+const nastySpec = `
+relation T(id int, s string, f float, b bool, a any) key(id)
+relation E(x int, y string)
+view VT = T
+view VS = pi{id, s}(T)
+view VE = E
+`
+
+// nastyServer serves nastySpec with one row per nasty string and float.
+func nastyServer(t *testing.T) (*server, *httptest.Server) {
+	t.Helper()
+	spec := mustSpec(t, nastySpec)
+	anys := []relation.Value{dwc.Null(), dwc.Int(7), dwc.Float(1e-7), dwc.Str("<a>"), dwc.Bool(true)}
+	for i := 0; i < max(len(nastyStrings), len(nastyFloats)); i++ {
+		spec.State.MustInsert("T", dwc.Int(int64(i)), dwc.Str(nastyStrings[i%len(nastyStrings)]),
+			dwc.Float(nastyFloats[i%len(nastyFloats)]), dwc.Bool(i%2 == 0), anys[i%len(anys)])
+	}
+	srv, err := newServer(spec, dwc.Theorem22(), serverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// TestRouteBytesMatchEncodingJSON: the three routes that carry result rows
+// answer with exactly the bytes the reflection encoder wrote for the old
+// map shape, explain levels included, and say how long they are.
+func TestRouteBytesMatchEncodingJSON(t *testing.T) {
+	srv, ts := nastyServer(t)
+	v := srv.cur.Load()
+	same := func(what string, resp *http.Response, got, want []byte) {
+		t.Helper()
+		if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, Content-Type %q", what, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s:\ngot  %s\nwant %s", what, got, want)
+		}
+		if resp.ContentLength != int64(len(want)) {
+			t.Errorf("%s: Content-Length %d for %d bytes", what, resp.ContentLength, len(want))
+		}
+	}
+	for _, name := range v.w.Names() {
+		r, _ := v.w.Relation(name)
+		resp, got := get(t, ts.URL+"/relations/"+name)
+		same("/relations/"+name, resp, got, refEncode(t, refRelation(r)))
+	}
+	bases, err := v.w.ReconstructBases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range bases {
+		if name == "T" && r.Len() != max(len(nastyStrings), len(nastyFloats)) {
+			t.Fatalf("fixture: T reconstructs to %d rows", r.Len())
+		}
+		resp, got := get(t, ts.URL+"/reconstruct/"+name)
+		same("/reconstruct/"+name, resp, got, refEncode(t, refRelation(r)))
+	}
+	for _, src := range []string{"T", "E", "pi{s, f}(T)", "sigma{id > 3}(T)", "pi{a}(T) union pi{a}(T)", `sigma{s = '<>&"\\'}(T)`} {
+		q := dwc.MustParseExpr(src)
+		qHat, err := v.w.TranslateQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := dwc.EvalExpr(context.Background(), qHat, v.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := func() map[string]any {
+			return map[string]any{"query": q.String(), "translated": qHat.String(), "result": refRelation(rows.Relation())}
+		}
+		resp, got := get(t, ts.URL+"/query?q="+url.QueryEscape(src))
+		same("/query "+src, resp, got, refEncode(t, ref()))
+		// Under explain the diagnostics differ from run to run (wall
+		// times): the reference takes them from the response, verbatim, and
+		// everything else from the old shape.
+		for explain, keys := range map[string][]string{"1": {"stats"}, "2": {"stats", "plan", "planText"}} {
+			resp, got := get(t, ts.URL+"/query?q="+url.QueryEscape(src)+"&explain="+explain)
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(got, &fields); err != nil {
+				t.Fatalf("explain=%s %s: %v in %s", explain, src, err, got)
+			}
+			want := ref()
+			for _, k := range keys {
+				if fields[k] == nil {
+					t.Fatalf("explain=%s %s: no %q in %s", explain, src, k, got)
+				}
+				want[k] = fields[k]
+			}
+			if len(fields) != len(want) {
+				t.Fatalf("explain=%s %s: %d fields, want %d", explain, src, len(fields), len(want))
+			}
+			same("/query explain="+explain+" "+src, resp, got, refEncode(t, want))
+		}
+	}
+}
+
+// TestUnencodableResultIsAnError: a NaN or ±Inf in a result — loadable
+// from CSV, and a legal float everywhere else — is a 500 with the JSON
+// error body on all three row-carrying routes, never a 200 with an empty
+// or truncated body and never null; and it is counted like any request.
+func TestUnencodableResultIsAnError(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec := mustSpec(t, "relation N(id int, f float) key(id)\nview VN = N\n")
+		spec.State.MustInsert("N", dwc.Int(1), dwc.Float(2.5)).MustInsert("N", dwc.Int(2), dwc.Float(bad))
+		srv, err := newServer(spec, dwc.Theorem22(), serverConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.handler())
+		for _, path := range []string{"/query?q=N", "/query?q=N&explain=1", "/relations/VN", "/reconstruct/N"} {
+			resp, body := get(t, ts.URL+path)
+			var e map[string]string
+			if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusInternalServerError ||
+				!strings.Contains(e["error"], "not encodable as JSON") || !strings.Contains(e["error"], `"f"`) {
+				t.Errorf("%v at %s: status %d, body %q (%v)", bad, path, resp.StatusCode, body, err)
+			}
+		}
+		// The rows JSON can carry are still served.
+		if resp, body := get(t, ts.URL+"/query?q="+url.QueryEscape("sigma{id = 1}(N)")); resp.StatusCode != 200 || !bytes.Contains(body, []byte(`"count":1,"tuples":[[2.5,1]]`)) {
+			t.Errorf("%v: the encodable row: status %d, body %s", bad, resp.StatusCode, body)
+		}
+		_, metrics := getText(t, ts.URL+"/metrics")
+		for _, route := range []string{"GET /query", "GET /relations/{name}", "GET /reconstruct/{base}"} {
+			if !strings.Contains(metrics, `dw_http_requests_total{code="500",route="`+route+`"}`) {
+				t.Errorf("%v: no 500 counted for %s", bad, route)
+			}
+		}
+		if _, ok := srv.qcache.get("N"); ok {
+			t.Errorf("%v: the failed answer entered the stale cache", bad)
+		}
+		ts.Close()
+	}
+}
+
+// TestStaleCacheServesTheStoredBytes: at LevelStale a stale-tolerant query
+// gets the very bytes of the fresh answer that filled the cache, stamped
+// with the version that answer was computed at; explain answers never
+// enter the cache.
+func TestStaleCacheServesTheStoredBytes(t *testing.T) {
+	clk := &ladderClock{}
+	srv, ts := newOverloadServer(t, serverConfig{
+		Admission: admission.Config{
+			Capacity: 64,
+			Ladder:   admission.LadderConfig{High: 0.9, Low: 0.5, Climb: 50 * time.Millisecond, Cool: time.Hour, Now: clk.now},
+		},
+	})
+	q := "/query?q=" + escape("Sale join Emp")
+	if resp, _ := get(t, ts.URL+q+"&explain=1"); resp.StatusCode != 200 {
+		t.Fatalf("explain query = %d", resp.StatusCode)
+	}
+	if _, ok := srv.qcache.get("Sale join Emp"); ok {
+		t.Fatal("an explain answer entered the stale cache")
+	}
+	freshResp, fresh := get(t, ts.URL+q)
+	if freshResp.StatusCode != 200 || freshResp.Header.Get("X-DW-Version") != "0/0" {
+		t.Fatalf("fresh query = %d at %q", freshResp.StatusCode, freshResp.Header.Get("X-DW-Version"))
+	}
+	postUpdate(t, ts.URL, "insert Sale('Radio', 'Paula')")
+	for _, stalled := range []bool{false, false} {
+		srv.adm.Ladder().Observe(1.5, stalled)
+		clk.advance(60 * time.Millisecond)
+		srv.adm.Ladder().Observe(1.5, stalled)
+	}
+	if got := srv.adm.Level(); got != admission.LevelStale {
+		t.Fatalf("level = %v, want stale", got)
+	}
+	staleResp, stale := get(t, ts.URL+q+"&stale=1")
+	if staleResp.StatusCode != 200 || !bytes.Equal(stale, fresh) {
+		t.Fatalf("stale answer (status %d) differs from the fresh one it was stored from:\ngot  %s\nwant %s", staleResp.StatusCode, stale, fresh)
+	}
+	if got := staleResp.Header.Get("X-DW-Version"); got != "0/0" {
+		t.Errorf("cached answer stamped %q, want 0/0 though the warehouse is at 0/1", got)
+	}
+	if hdr := staleResp.Header.Get("X-DW-Staleness"); !strings.HasPrefix(hdr, "cache=") {
+		t.Errorf("X-DW-Staleness = %q, want cache=<age>", hdr)
+	}
+	if ct := staleResp.Header.Get("Content-Type"); ct != "application/json" || staleResp.ContentLength != int64(len(fresh)) {
+		t.Errorf("cached answer: Content-Type %q, Content-Length %d of %d", ct, staleResp.ContentLength, len(fresh))
+	}
+	// A stale-tolerant explain request is served the cached plain answer.
+	if _, got := get(t, ts.URL+q+"&stale=1&explain=2"); !bytes.Equal(got, fresh) {
+		t.Errorf("stale explain request got %s", got)
+	}
+}
+
+// FuzzAppendJSONString is the differential check of the string writer
+// against encoding/json, whose Marshal escapes HTML like the Encoder the
+// server used.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range nastyStrings {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONString(%q) = %s, encoding/json writes %s", s, got, want)
+		}
+		if got := appendJSONString([]byte("x"), s); !bytes.Equal(got[1:], want) {
+			t.Fatalf("appendJSONString onto a prefix of %q = %s", s, got)
+		}
+	})
+}
+
+// BenchmarkAnswerPath measures a whole /query request — parse, translate,
+// evaluate, order, encode, write — in process through s.handler(), for the
+// four answer sizes of the process benchmark's pool on the 100k-row
+// Section-5 star schema BenchmarkQueryClasses evaluates: what is left once
+// BenchmarkQueryClasses' share (the engine) is subtracted is the answer
+// path.
+func BenchmarkAnswerPath(b *testing.B) {
+	spec, err := dwc.ParseSpec(workload.Section5Spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workload.FillSection5(spec.State, 100_000)
+	srv, err := newServer(spec, dwc.Theorem22(), serverConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.handler()
+	for _, c := range []struct {
+		name, q string
+		rows    int // at least
+	}{
+		{"point", "sigma{okey = 4711}(Order_paris)", 1},
+		{"join", "sigma{ckey = 17}(Order_paris join Customer)", 5},
+		{"scan", "sigma{qty > 49}(Order_tokyo)", 500},
+		{"union", "sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)", 100},
+	} {
+		req := httptest.NewRequest("GET", "/query?q="+url.QueryEscape(c.q), nil)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N+1; i++ { // iteration 0 warms the index caches
+				if i == 1 {
+					b.ResetTimer()
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					b.Fatalf("%s: status %d: %s", c.q, rec.Code, rec.Body)
+				}
+				if i == 0 {
+					var body struct {
+						Result struct{ Count int } `json:"result"`
+					}
+					if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Result.Count < c.rows {
+						b.Fatalf("%s: %d rows, want at least %d (%v)", c.q, body.Result.Count, c.rows, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFailedEncodeIsLogged: a fixed-shape body that encoding/json refuses
+// is no longer dropped silently — the request's log carries a warn line
+// with its id.
+func TestFailedEncodeIsLogged(t *testing.T) {
+	srv, err := newServer(mustSpec(t, testSpec), dwc.Theorem22(), serverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	srv.log = slog.New(slog.NewTextHandler(&logged, nil))
+	h := srv.instrument("GET /nan", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"x": math.NaN()})
+	})
+	h(httptest.NewRecorder(), httptest.NewRequest("GET", "/nan", nil))
+	warn := regexp.MustCompile(`level=WARN msg="response body failed" id=[0-9a-f]{16} route="GET /nan" status=200 err="json: unsupported value: NaN"`)
+	if !warn.Match(logged.Bytes()) {
+		t.Errorf("no warn line for the failed encode in:\n%s", logged.String())
+	}
+}

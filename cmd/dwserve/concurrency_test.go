@@ -237,7 +237,7 @@ func TestConcurrentVersionOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := json.Marshal(jsonRows(rows))
+			b, err := appendRelation(nil, rows.Relation())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,6 @@ import (
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/journal"
 	"dwcomplement/internal/obs"
-	"dwcomplement/internal/relation"
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/replica"
 	"dwcomplement/internal/snapshot"
@@ -418,6 +417,12 @@ func (s *server) staleness() time.Duration {
 // recorded, its trace ID is echoed on the X-DW-Trace response header so
 // callers can fetch the trace from GET /traces/{id}.
 func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	// The route's series are resolved here, once, and its counters once per
+	// status code seen: a registry lookup builds a label map and a key.
+	hist := s.reg.Histogram("dw_http_request_duration_seconds",
+		"HTTP request latency by route.", obs.DefLatencyBuckets,
+		obs.Labels{"route": route})
+	var byCode sync.Map // status code → *obs.Counter
 	return func(w http.ResponseWriter, req *http.Request) {
 		ctx, id := obs.WithRequestID(req.Context())
 		if tp := req.Header.Get("traceparent"); tp != "" {
@@ -435,12 +440,17 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		s.mInFlight.Add(-1)
 		sp.SetAttrInt("status", int64(rec.Status))
 		sp.End()
-		s.reg.Counter("dw_http_requests_total",
-			"HTTP requests by route and status code.",
-			obs.Labels{"route": route, "code": strconv.Itoa(rec.Status)}).Inc()
-		s.reg.Histogram("dw_http_request_duration_seconds",
-			"HTTP request latency by route.", obs.DefLatencyBuckets,
-			obs.Labels{"route": route}).Observe(elapsed.Seconds())
+		c, ok := byCode.Load(rec.Status)
+		if !ok {
+			c, _ = byCode.LoadOrStore(rec.Status, s.reg.Counter("dw_http_requests_total",
+				"HTTP requests by route and status code.",
+				obs.Labels{"route": route, "code": strconv.Itoa(rec.Status)}))
+		}
+		c.(*obs.Counter).Inc()
+		hist.Observe(elapsed.Seconds())
+		if rec.Err != nil {
+			s.log.Warn("response body failed", "id", id, "route", route, "status", rec.Status, "err", rec.Err)
+		}
 		s.log.Info("request",
 			"id", id,
 			"route", route,
@@ -507,53 +517,17 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// jsonValue shapes a relation.Value for JSON: numbers, strings, bools and
-// null map to their native JSON forms.
-func jsonValue(v relation.Value) any {
-	switch v.Kind() {
-	case relation.KindBool:
-		return v.AsBool()
-	case relation.KindInt:
-		return v.AsInt()
-	case relation.KindFloat:
-		return v.AsFloat()
-	case relation.KindString:
-		return v.AsString()
-	default:
-		return nil
-	}
-}
-
-// jsonTuples shapes a relation's attributes and sorted tuples for JSON
-// responses; the total value order makes the wire order deterministic.
-func jsonTuples(attrs []string, sorted []dwc.Tuple) map[string]any {
-	rows := make([][]any, len(sorted))
-	for i, t := range sorted {
-		row := make([]any, len(t))
-		for c, v := range t {
-			row[c] = jsonValue(v)
-		}
-		rows[i] = row
-	}
-	return map[string]any{
-		"attributes": attrs,
-		"tuples":     rows,
-		"count":      len(sorted),
-	}
-}
-
-// jsonRelation encodes from the relation's own rows: jsonTuples only reads
-// them, and what it returns holds boxed values, no tuple.
-func jsonRelation(r *relation.Relation) map[string]any {
-	return jsonTuples(r.Attrs(), r.SortedRows())
-}
-
-func jsonRows(rs *dwc.Rows) map[string]any { return jsonRelation(rs.Relation()) }
-
+// writeJSON answers with a small fixed-shape body through encoding/json;
+// result rows never come this way (answer.go). A failed encode or write is
+// handed to the request's recorder, for instrument to log with the request id.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	if err := json.NewEncoder(w).Encode(body); err != nil {
+		if rec, ok := w.(*obs.StatusRecorder); ok {
+			rec.Err = err
+		}
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -681,7 +655,7 @@ func (s *server) handleRelation(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no warehouse relation %q", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, jsonRelation(r))
+	writeRelation(w, r)
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
@@ -747,11 +721,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	s.statsMu.Lock()
 	s.queryStats.Add(*stats)
 	s.statsMu.Unlock()
-	body := map[string]any{
-		"query":      q.String(),
-		"translated": qHat.String(),
-		"result":     jsonRows(rows),
-	}
+	var extra map[string]any
 	if explain >= 1 {
 		// Flat counters at every explain level, with the per-source
 		// sequence marks of the version evaluated; the executed plan tree
@@ -759,20 +729,26 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		flat := *stats
 		plan := flat.Plan
 		flat.Plan = nil
-		body["stats"] = struct {
+		extra = map[string]any{"stats": struct {
 			dwc.EvalStats
 			Seq map[string]uint64 `json:"seq"`
-		}{flat, v.marks}
+		}{flat, v.marks}}
 		if explain >= 2 {
-			body["plan"] = plan
-			body["planText"] = dwc.RenderPlan(plan, true)
+			extra["plan"] = plan
+			extra["planText"] = dwc.RenderPlan(plan, true)
 		}
-	} else {
+	}
+	body, err := answerBody(q.String(), qHat.String(), rows.Relation(), extra)
+	if err != nil {
+		writeUnencodable(w, err)
+		return
+	}
+	if explain == 0 {
 		// Plain answers feed the stale-answer cache, the degradation
 		// ladder's LevelStale stopgap.
 		s.qcache.put(src, body, v.stamp())
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
@@ -954,7 +930,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jsonRelation(bases[base]))
+	writeRelation(w, bases[base])
 }
 
 // observeMaintenance folds one refresh's outcome into the planner-facing

@@ -6,11 +6,14 @@ import (
 )
 
 // StatusRecorder wraps a ResponseWriter to capture the response status
-// and body size for access logging and status-labeled metrics.
+// and body size for access logging and status-labeled metrics. Err is the
+// handler's to set when it failed to produce or deliver the body it
+// announced, so the access log can say so.
 type StatusRecorder struct {
 	http.ResponseWriter
 	Status int
 	Bytes  int64
+	Err    error
 }
 
 // NewStatusRecorder wraps w; the status defaults to 200 (the value the

@@ -1,9 +1,11 @@
 package relation
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -457,23 +459,22 @@ func (r *Relation) SortedTuples() []Tuple {
 // read the rows use it.
 func (r *Relation) SortedRows() []Tuple {
 	out := r.rows.appendTo(make([]Tuple, 0, r.rows.len()))
-	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
+	slices.SortFunc(out, compareTuples)
 	return out
 }
 
-func tupleLess(a, b Tuple) bool {
+// compareTuples is the three-way form of the total tuple order: column by
+// column under orderValues, a proper prefix before the longer tuple.
+func compareTuples(a, b Tuple) int {
 	for i := range a {
 		if i >= len(b) {
-			return false
+			return 1
 		}
-		if a[i].Less(b[i]) {
-			return true
-		}
-		if b[i].Less(a[i]) {
-			return false
+		if c := orderValues(&a[i], &b[i]); c != 0 {
+			return c
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
 // Get returns the value of the named attribute in tuple t (owned by r).

@@ -1,6 +1,9 @@
 package relation
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -242,6 +245,92 @@ func TestSortedTuplesDeterministic(t *testing.T) {
 			t.Fatalf("sorted order wrong at %d: got %v", i, got)
 		}
 	}
+}
+
+// tupleLessRef is the tuple order SortedRows had before it sorted under one
+// three-way comparator, kept as the reference: column by column under
+// Value.Less, asked both ways.
+func tupleLessRef(a, b Tuple) bool {
+	for i := range a {
+		if i >= len(b) {
+			return false
+		}
+		if a[i].Less(b[i]) {
+			return true
+		}
+		if b[i].Less(a[i]) {
+			return false
+		}
+	}
+	return len(a) < len(b)
+}
+
+// TestSortedRowsMatchesReferenceOrder: on random relations mixing every
+// kind in every column position, SortedRows is a permutation of the rows in
+// exactly the reference order, and the comparator agrees with the reference
+// on every pair, ties included.
+func TestSortedRowsMatchesReferenceOrder(t *testing.T) {
+	pool := []Value{
+		Null(), Bool(false), Bool(true),
+		Int(0), Int(1), Float(1.0), Float(1.5), Int(2), Int(-3), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(math.NaN()), Float(0), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(5e-324), Float(-math.MaxFloat64),
+		String_(""), String_("a"), String_("ab"), String_("é"), String_("日本"), String_("\xff"),
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			c := orderValues(&a, &b)
+			if (c < 0) != a.Less(b) || (c > 0) != b.Less(a) {
+				t.Fatalf("orderValues(%v:%v, %v:%v) = %d, Less says %v / %v", a.Kind(), a, b.Kind(), b, c, a.Less(b), b.Less(a))
+			}
+		}
+	}
+	if c := compareTuples(Tuple{Int(1)}, Tuple{Int(1), Int(2)}); c >= 0 || compareTuples(Tuple{Int(1), Int(2)}, Tuple{Int(1)}) <= 0 {
+		t.Fatalf("a proper prefix must sort first, got %d", c)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for round := 0; round < 200; round++ {
+		arity := rng.Intn(4)
+		attrs := []string{"a", "b", "c"}[:arity]
+		r := New(attrs...)
+		for n := rng.Intn(60); n > 0; n-- {
+			row := make(Tuple, arity)
+			for c := range row {
+				row[c] = pool[rng.Intn(len(pool))]
+			}
+			r.Insert(row)
+		}
+		got := r.SortedRows()
+		want := r.rows.appendTo(nil)
+		sort.Slice(want, func(i, j int) bool { return tupleLessRef(want[i], want[j]) })
+		if len(got) != r.Len() || len(want) != r.Len() {
+			t.Fatalf("round %d: %d sorted rows of %d", round, len(got), r.Len())
+		}
+		seen := map[string]bool{}
+		for i := range got {
+			if !sameTuple(got[i], want[i]) {
+				t.Fatalf("round %d: row %d is %v, reference order has %v", round, i, got[i], want[i])
+			}
+			if !r.Contains(got[i]) || seen[got[i].key()] {
+				t.Fatalf("round %d: row %d (%v) is not a row of the relation, or twice", round, i, got[i])
+			}
+			seen[got[i].key()] = true
+		}
+	}
+}
+
+// sameTuple is identity of kind and payload, which Equal is not (it calls
+// Int(1) and Float(1.0) equal).
+func sameTuple(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind() != b[i].Kind() || !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestGetAndPos(t *testing.T) {

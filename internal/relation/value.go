@@ -221,6 +221,37 @@ func (v Value) Less(o Value) bool {
 	return c < 0
 }
 
+// orderValues is the three-way form of Less — negative when *v sorts
+// before *o, zero only for the same kind and payload — that SortedRows
+// sorts under: by pointer, because a sort compares 40-byte values
+// O(n log n) times, and same-kind pairs (what a column holds) first.
+func orderValues(v, o *Value) int {
+	if v.kind == o.kind {
+		switch v.kind {
+		case KindInt:
+			return cmp.Compare(v.i, o.i)
+		case KindString:
+			return strings.Compare(v.s, o.s)
+		case KindFloat:
+			return cmp.Compare(v.f, o.f) // NaN lowest, -0 = +0
+		case KindBool:
+			switch {
+			case !v.b && o.b:
+				return -1
+			case v.b && !o.b:
+				return 1
+			}
+		}
+		return 0
+	}
+	if v.kind.Numeric() && o.kind.Numeric() {
+		if c := cmp.Compare(v.AsFloat(), o.AsFloat()); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(v.kind, o.kind)
+}
+
 // String renders the value for human-readable output.
 func (v Value) String() string {
 	switch v.kind {
