@@ -8,7 +8,10 @@ package dwc_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	dwc "dwcomplement"
@@ -18,6 +21,7 @@ import (
 	"dwcomplement/internal/core"
 	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/relation"
+	"dwcomplement/internal/snapshot"
 	"dwcomplement/internal/star"
 	"dwcomplement/internal/view"
 	"dwcomplement/internal/warehouse"
@@ -709,6 +713,107 @@ func BenchmarkScanAfterUpdate(b *testing.B) {
 				cur = next
 			}
 			b.ReportMetric(float64(built)/float64(b.N), "images/op")
+		})
+	}
+}
+
+// bootFixture writes the Section-5 fixture over rows source rows the way a
+// deployment holds it — the spec with one load statement per relation, the
+// relations as CSV files beside it, and a marked checkpoint of the
+// warehouse they materialize — and returns the spec text, the directory
+// and the checkpoint's path.
+func bootFixture(b *testing.B, rows int) (src, dir, snap string) {
+	b.Helper()
+	dir = b.TempDir()
+	spec, err := dwc.ParseSpec(workload.Section5Spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workload.FillSection5(spec.State, rows)
+	var sb strings.Builder
+	sb.WriteString(workload.Section5Spec)
+	for _, name := range spec.DB.Names() {
+		f, err := os.Create(filepath.Join(dir, name+".csv"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := spec.State.MustRelation(name).WriteCSV(f); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "load %s from '%s.csv'\n", name, name)
+	}
+	w, err := dwc.BuildWarehouse(spec.DB, spec.Views, dwc.Theorem22(), spec.State)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap = filepath.Join(dir, "state.snap")
+	if err := snapshot.SaveFileMarks(snap, w.State(), map[string]uint64{"http": 7}); err != nil {
+		b.Fatal(err)
+	}
+	return sb.String(), dir, snap
+}
+
+// BenchmarkBoot measures what dwserve does before it listens, in process.
+// first is a boot with nothing on disk but the sources: parse the spec,
+// stream the CSVs into the initial state, check it, materialize W(d).
+// restart is a boot with a checkpoint: parse the definitions, load and
+// verify the snapshot — the CSV files are gone, because nothing may ask
+// for them.
+func BenchmarkBoot(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		rows int
+	}{{"10k", 10_000}, {"100k", 100_000}} {
+		src, dir, snap := bootFixture(b, size.rows)
+		b.Run("first/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec, err := dwc.ParseSpecAt(src, dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				comp, err := dwc.ComputeComplement(spec.DB, spec.Views, dwc.Theorem22())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := dwc.NewWarehouse(comp).Initialize(spec.State); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		csvs, _ := filepath.Glob(filepath.Join(dir, "*.csv")) // the pattern is well-formed
+		for _, path := range csvs {
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run("restart/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ds, err := dwc.ParseSpecDefs(src, dir)
+				if err == nil && len(ds.Issues) > 0 {
+					err = ds.Issues[0]
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				comp, err := dwc.ComputeComplement(ds.Spec.DB, ds.Spec.Views, dwc.Theorem22())
+				if err != nil {
+					b.Fatal(err)
+				}
+				ms, _, err := snapshot.LoadFileMarks(snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := dwc.VerifySnapshot(ms, comp.Resolver()); err != nil {
+					b.Fatal(err)
+				}
+				w := dwc.NewWarehouse(comp)
+				w.LoadState(ms)
+			}
 		})
 	}
 }

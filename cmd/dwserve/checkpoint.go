@@ -218,8 +218,8 @@ func (s *server) maybeCheckpointLocked() {
 // journal is left empty. Caller holds s.mu, taken with
 // lockBacklogBelow(0) so that no background checkpoint is in flight.
 func (s *server) checkpointLocked(v *version) error {
-	if s.cfg.SnapshotDir == "" {
-		return nil
+	if s.cfg.SnapshotDir == "" || !s.snapshotLoaded.Load() {
+		return nil // volatile, or a follower stopped before its first snapshot arrived
 	}
 	ck, err := s.newCheckpointLocked(v)
 	if err == nil {

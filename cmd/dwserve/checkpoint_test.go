@@ -45,7 +45,7 @@ func parseOps(t *testing.T, ops ...string) []*dwc.Update {
 	spec := mustSpec(t, testSpec)
 	out := make([]*dwc.Update, len(ops))
 	for i, op := range ops {
-		out[i] = mustOps(t, spec, op)
+		out[i] = mustOps(t, spec.DB, op)
 	}
 	return out
 }

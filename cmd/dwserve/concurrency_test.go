@@ -228,7 +228,7 @@ func TestConcurrentVersionOracle(t *testing.T) {
 	model := spec.State.Clone()
 	for lsn := 0; lsn <= updates; lsn++ {
 		if lsn > 0 {
-			if err := mustOps(t, spec, ops[lsn]).Apply(model); err != nil {
+			if err := mustOps(t, spec.DB, ops[lsn]).Apply(model); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -11,9 +11,12 @@
 //	        [-snapshot-dir dir] [-checkpoint-every 64]
 //	        [-log-level info] [-log-json] [-debug :6060]
 //
-// On startup the spec is statically verified (the dwctl vet checks:
-// view well-formedness, IND acyclicity, cover analysis); a config with
-// error-severity findings is refused unless -force is given.
+// On startup the spec is parsed once and statically verified (the dwctl
+// vet checks: view well-formedness, IND acyclicity, cover analysis)
+// before any data is read; a config with error-severity findings is
+// refused unless -force is given. Its load statements (relative to the
+// spec file's directory) are read only by a first boot: with a checkpoint
+// in -snapshot-dir, or with -follow, no source file is opened.
 //
 // With -snapshot-dir, every update is journaled (fsync) before it is
 // acknowledged and checkpointed in the background, so a restarted server
@@ -36,6 +39,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,6 +53,9 @@ import (
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/remote"
 )
+
+// processStart is where the boot ledger counts from.
+var processStart = time.Now()
 
 // parseLevel maps the -log-level flag to a slog level.
 func parseLevel(s string) (slog.Level, error) {
@@ -67,11 +74,11 @@ func parseLevel(s string) (slog.Level, error) {
 
 func main() {
 	fs := flag.NewFlagSet("dwserve", flag.ExitOnError)
-	specPath := fs.String("spec", "", "path to the .dw warehouse specification (required)")
+	specPath := fs.String("spec", "", "path to the .dw warehouse specification (required); its load paths resolve against this file's directory and are read only by a first boot")
 	addr := fs.String("addr", ":8080", "listen address")
 	prop22 := fs.Bool("prop22", false, "ignore integrity constraints (Proposition 2.2)")
 	force := fs.Bool("force", false, "serve even if static verification reports errors")
-	snapshotDir := fs.String("snapshot-dir", "", "directory for marked checkpoint snapshots (enables crash recovery)")
+	snapshotDir := fs.String("snapshot-dir", "", "directory for marked checkpoint snapshots (enables crash recovery; a checkpoint found here is booted from, and no source is read)")
 	journalPath := fs.String("journal", "", "redo journal path (default <snapshot-dir>/wal.dwj when -snapshot-dir is set)")
 	checkpointEvery := fs.Int("checkpoint-every", 64, "acknowledged updates between checkpoint snapshots")
 	traceSample := fs.Float64("trace-sample", 0.01, "probability of tracing a request or report end to end (0 disables)")
@@ -92,7 +99,7 @@ func main() {
 		remoteSources = append(remoteSources, v)
 		return nil
 	})
-	follow := fs.String("follow", "", "run as a read-only replica streaming from this leader URL (mutually exclusive with -source)")
+	follow := fs.String("follow", "", "run as a read-only replica streaming from this leader URL (mutually exclusive with -source); reads no source: without a local checkpoint it answers 503 until the leader's snapshot is installed")
 	replicaRetain := fs.Int("replica-retain", 1024, "journal records retained in memory for follower streaming")
 	_ = fs.Parse(os.Args[1:])
 
@@ -107,6 +114,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dwserve: -follow and -source are mutually exclusive (the leader owns the sources)")
 		os.Exit(2)
 	}
+	boot := newBootLedger(processStart)
 	raw, err := os.ReadFile(*specPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwserve:", err)
@@ -116,32 +124,38 @@ func main() {
 	if *prop22 {
 		opts = dwc.Proposition22()
 	}
-
-	// Startup gate: statically verify the config before materializing
-	// anything. Anything vet grades as an error (cyclic INDs, ill-formed
-	// views, type-incompatible joins) would serve wrong answers silently,
-	// so refuse unless the operator explicitly forces it.
-	if ds, derr := dwc.ParseSpecDiag(string(raw), filepath.Dir(*specPath)); derr == nil {
-		diags := dwc.VetSpec(ds, opts)
-		for _, d := range diags {
-			if d.Severity != dwc.VetInfo {
-				fmt.Fprintf(os.Stderr, "dwserve: vet: %s\n", d)
-			}
-		}
-		if dwc.VetHasErrors(diags) {
-			if !*force {
-				fmt.Fprintln(os.Stderr, "dwserve: refusing to serve an unsound config (see `dwctl vet`); use -force to override")
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "dwserve: -force given, serving despite vet errors")
-		}
-	}
-
-	spec, err := dwc.ParseSpec(string(raw))
+	// The one parse of this process: definitions only, load paths anchored
+	// at the spec file's directory; newServer loads them if it must.
+	ds, err := dwc.ParseSpecDefs(string(raw), filepath.Dir(*specPath))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwserve:", err)
 		os.Exit(1)
 	}
+	boot.mark("parse")
+
+	// Startup gate: statically verify the config before reading or
+	// materializing anything. Anything vet grades as an error (cyclic
+	// INDs, ill-formed views, type-incompatible joins) would serve wrong
+	// answers silently, so refuse unless the operator explicitly forces it.
+	diags := dwc.VetSpec(ds, opts)
+	for _, d := range diags {
+		if d.Severity != dwc.VetInfo {
+			fmt.Fprintf(os.Stderr, "dwserve: vet: %s\n", d)
+		}
+	}
+	if dwc.VetHasErrors(diags) {
+		if !*force {
+			fmt.Fprintln(os.Stderr, "dwserve: refusing to serve an unsound config (see `dwctl vet`); use -force to override")
+			os.Exit(1)
+		}
+		fmt.Fprintln(os.Stderr, "dwserve: -force given, serving despite vet errors")
+	}
+	boot.mark("vet")
+	if len(ds.Issues) > 0 { // -force overrides vet, not a statement the parser dropped
+		fmt.Fprintln(os.Stderr, "dwserve:", ds.Issues[0])
+		os.Exit(1)
+	}
+	spec := ds.Spec
 	level, err := parseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwserve:", err)
@@ -158,6 +172,8 @@ func main() {
 		MaxBody:         *maxBody,
 		Admission:       admission.Config{Capacity: *maxInflight},
 		ReplicaRetain:   *replicaRetain,
+		Follower:        *follow != "",
+		Boot:            boot,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwserve:", err)
@@ -221,8 +237,16 @@ func main() {
 	} else {
 		srv.startRemotes(ctx)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dwserve:", err)
+		os.Exit(1)
+	}
+	boot.mark("listen")
+	st := boot.stats()
+	srv.log.Info("boot", "phases", st.Phases, "total", time.Duration(st.TotalNs), "rowsLoaded", st.RowsLoaded, "bytesRead", st.BytesRead)
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, "dwserve:", err)

@@ -55,6 +55,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dw_http_request_duration_seconds_count{route="GET /query"} 1`,
 		`dw_refresh_changes_total{relation="Sold"} 1`,
 		"# TYPE dw_warehouse_tuples gauge",
+		"# TYPE dw_boot_phase_seconds gauge",
+		`dw_boot_phase_seconds{phase="complement"} `,
+		`dw_boot_phase_seconds{phase="materialize"} `,
 		"dw_http_in_flight_requests 1", // the /metrics request itself
 	} {
 		if !strings.Contains(body, want) {

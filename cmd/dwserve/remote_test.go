@@ -98,10 +98,10 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 // /readyz reports both sources healthy.
 func TestRemoteSourcesFeedWarehouse(t *testing.T) {
 	rig := newRemoteRig(t)
-	if _, err := rig.company.Apply(mustOps(t, rig.srv.spec, `insert Emp('Mary', 23)`)); err != nil {
+	if _, err := rig.company.Apply(mustOps(t, rig.srv.db, `insert Emp('Mary', 23)`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.sales.Apply(mustOps(t, rig.srv.spec, `insert Sale('TV set', 'Mary')`)); err != nil {
+	if _, err := rig.sales.Apply(mustOps(t, rig.srv.db, `insert Sale('TV set', 'Mary')`)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool {
@@ -145,7 +145,7 @@ func TestRemoteSourcesFeedWarehouse(t *testing.T) {
 func TestQuarantinedSourceDegradesNotUnready(t *testing.T) {
 	rig := newRemoteRig(t)
 	// Seed one row so reads have something to serve stale.
-	if _, err := rig.company.Apply(mustOps(t, rig.srv.spec, `insert Emp('Mary', 23)`)); err != nil {
+	if _, err := rig.company.Apply(mustOps(t, rig.srv.db, `insert Emp('Mary', 23)`)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return rig.clients["company"].Cursor() == 1 })
@@ -156,7 +156,7 @@ func TestQuarantinedSourceDegradesNotUnready(t *testing.T) {
 	dead.Close()
 	c := rig.clients["sales"]
 	c.Close()
-	c2 := remote.NewClient("sales", deadURL, rig.srv.spec.DB, quickRemoteConfig())
+	c2 := remote.NewClient("sales", deadURL, rig.srv.db, quickRemoteConfig())
 	rig.srv.AttachRemote(c2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -198,9 +198,9 @@ func TestQuarantinedSourceDegradesNotUnready(t *testing.T) {
 }
 
 // mustOps parses update ops against the spec's database.
-func mustOps(t *testing.T, spec *dwc.Spec, text string) *dwc.Update {
+func mustOps(t *testing.T, db *dwc.Database, text string) *dwc.Update {
 	t.Helper()
-	u, err := dwc.ParseUpdateOps(spec.DB, text)
+	u, err := dwc.ParseUpdateOps(db, text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,7 +280,7 @@ func (s *server) StartFollower(ctx context.Context, leaderURL string) {
 func (s *server) startFollowing(leaderURL string) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(leaderURL))
-	c := replica.NewClient(leaderURL, s.spec.DB, remote.Config{Seed: int64(h.Sum64())})
+	c := replica.NewClient(leaderURL, s.db, remote.Config{Seed: int64(h.Sum64())})
 	if s.followTransport != nil {
 		c.SetTransport(s.followTransport)
 	}
@@ -317,7 +317,7 @@ func (s *server) stopFollower() {
 func (s *server) followLoop(ctx context.Context, f *followerState) {
 	defer close(f.done)
 	c := f.client
-	needBootstrap := s.cur.Load().lsn == 0
+	needBootstrap := s.cur.Load().lsn == 0 || !s.snapshotLoaded.Load()
 	for ctx.Err() == nil {
 		if needBootstrap {
 			if err := s.bootstrapFollower(ctx, c); err != nil {
@@ -382,6 +382,9 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 	c.SetMinEpoch(v.epoch)
 	c.SetCursor(v.lsn)
 	s.rlog.Reset(v.lsn, v.epoch)
+	if !s.snapshotLoaded.Swap(true) {
+		s.boot.mark("bootstrap") // the first state of a follower that booted without one
+	}
 	// A failure is logged and flagged by checkpointLocked; the shipped
 	// state is published either way and the next trigger retries.
 	if err := s.checkpointLocked(v); err == nil {

@@ -314,7 +314,7 @@ func TestPromoteFencing(t *testing.T) {
 
 	// A client fenced at the new epoch rejects everything the deposed
 	// leader (still serving epoch 1) answers.
-	fenced := replica.NewClient(lts.URL, leader.spec.DB, remote.Config{
+	fenced := replica.NewClient(lts.URL, leader.db, remote.Config{
 		AttemptTimeout: time.Second, MaxRetries: 0, Seed: 1,
 	})
 	fenced.SetMinEpoch(2)

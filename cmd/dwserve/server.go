@@ -21,6 +21,7 @@ import (
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/journal"
 	"dwcomplement/internal/obs"
+	"dwcomplement/internal/parse"
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/replica"
 	"dwcomplement/internal/snapshot"
@@ -69,6 +70,12 @@ type serverConfig struct {
 	// followers (default 1024 records); a follower further behind than
 	// the retained window re-bootstraps from a shipped checkpoint.
 	ReplicaRetain int
+
+	// Follower (-follow): with no local checkpoint the server boots without
+	// a state and the leader's shipped snapshot is its first.
+	Follower bool
+	// Boot is the ledger main started at process start (nil: at newServer).
+	Boot *bootLedger
 }
 
 // maintstatsPath is the persisted maintenance-stats file inside a
@@ -85,17 +92,24 @@ const httpSource = "http"
 // connection to any source, which is exactly the deployment the paper
 // argues for.
 type server struct {
-	spec     *dwc.Spec
+	// The definitions are all the server keeps of its spec: the state it
+	// was initialized from is garbage once newServer returns.
+	db       *dwc.Database
+	views    *dwc.ViewSet
 	comp     *dwc.Complement
 	maintain *dwc.Maintainer
 	cfg      serverConfig
+	boot     *bootLedger
+
+	// snapshotLoaded: a warehouse state is materialized — at boot, or, on a
+	// follower that booted without a checkpoint, by its first bootstrap.
+	snapshotLoaded atomic.Bool
 
 	// Startup-only facts, written before the listener starts: readiness
 	// inputs for /readyz.
-	snapshotLoaded bool  // a snapshot (or fresh init) is materialized
-	journalOK      bool  // the journal replayed without failures
-	replayed       int   // journal records applied at startup
-	wedgedErr      error // first replay refresh failure, if any
+	journalOK bool  // the journal replayed without failures
+	replayed  int   // journal records applied at startup
+	wedgedErr error // first replay refresh failure, if any
 
 	// cur is the published version: the one thing readers see. Every read
 	// route, gauge and the checkpointer Load it and work on what they got,
@@ -238,11 +252,16 @@ func (s *server) publish(change func(*version)) {
 // checkpointPath is the marked snapshot inside a -snapshot-dir.
 func checkpointPath(dir string) string { return filepath.Join(dir, "state.snap") }
 
-// newServer builds the warehouse from the parsed spec (or durable
-// state: a checkpoint plus journal suffix).
+// newServer builds the warehouse from durable state — a checkpoint plus
+// journal suffix — or, on a first boot, from the spec's initial state
+// (spec.State, else spec.LoadState: the only place a dwserve reads a source).
 // Logging is off by default (tests construct servers directly); main
 // swaps in a real logger.
 func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, error) {
+	boot := cfg.Boot
+	if boot == nil {
+		boot = newBootLedger(time.Now())
+	}
 	comp, err := dwc.ComputeComplement(spec.DB, spec.Views, opts)
 	if err != nil {
 		return nil, err
@@ -255,14 +274,16 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 	}
 	w := dwc.NewWarehouse(comp)
 	s := &server{
-		spec:      spec,
+		db:        spec.DB,
+		views:     spec.Views,
 		comp:      comp,
 		maintain:  dwc.NewMaintainer(comp),
 		cfg:       cfg,
+		boot:      boot,
 		w:         w,
 		journalOK: true,
 		log:       obs.NopLogger(),
-		reg:       obs.NewRegistry(),
+		reg:       boot.reg,
 		tracer:    trace.New(trace.Config{Rate: cfg.TraceSample, Capacity: cfg.TraceBuffer}),
 		mstats:    trace.NewMaintStats(0),
 		adm:       admission.New(cfg.Admission),
@@ -277,6 +298,8 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		}
 	}
 
+	boot.mark("complement")
+
 	// Materialize: the checkpoint if there is one, else a fresh
 	// initialization from the spec's state. v is the version recovery
 	// arrives at; it is published once the journal has been replayed.
@@ -286,9 +309,11 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		ms, marks, err := snapshot.LoadFileMarks(checkpointPath(cfg.SnapshotDir))
 		switch {
 		case err == nil:
+			boot.mark("snapshot_load")
 			if verr := dwc.VerifySnapshot(ms, comp.Resolver()); verr != nil {
 				return nil, verr
 			}
+			boot.mark("verify")
 			w.LoadState(ms)
 			// The marks map carries the per-source watermarks plus the
 			// reserved "~" replication coordinates — split them so meta
@@ -302,12 +327,22 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 			return nil, err
 		}
 	}
-	if !loaded {
-		if err := w.Initialize(spec.State); err != nil {
+	if !loaded && !cfg.Follower {
+		st := spec.State
+		if st == nil {
+			var ls parse.LoadStats
+			if st, ls, err = spec.LoadState(); err != nil {
+				return nil, err
+			}
+			boot.loaded(ls)
+		}
+		if err := w.Initialize(st); err != nil {
 			return nil, err
 		}
+		boot.mark("materialize")
+		loaded = true
 	}
-	s.snapshotLoaded = true
+	s.snapshotLoaded.Store(loaded)
 
 	// Replay the journal suffix: every record past the checkpoint's
 	// watermark re-runs its refresh, exactly once, source-free. An
@@ -322,6 +357,9 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 			// deduplicated by the checkpoint watermark.
 			v.epoch = max(v.epoch, rec.Epoch)
 			v.lsn = max(v.lsn, rec.LSN)
+			if !loaded {
+				return nil // a follower without a state: bootstrap restarts the journal
+			}
 			// Records are keyed by their origin: the HTTP API's own
 			// sequence, or a remote source's watermark.
 			if rec.Seq <= v.marks[rec.Source] {
@@ -346,6 +384,7 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 			return nil, err
 		}
 		s.jw, v.journalRecs = jw, n
+		boot.mark("replay")
 	}
 	v.w = w.Pin()
 	s.cur.Store(v)
@@ -489,20 +528,33 @@ func (s *server) routes() []routeDef {
 		{"GET /readyz", s.handleReady, "readiness: snapshot loaded, journal replayed, not draining", admission.Health, 1},
 		{"GET /schema", s.handleSchema, "database and view definitions", admission.Query, 1},
 		{"GET /complement", s.handleComplement, "complement entries and inverses", admission.Query, 1},
-		{"GET /relations", s.handleRelations, "warehouse relation sizes", admission.Query, 1},
-		{"GET /relations/{name}", s.handleRelation, "one materialized relation", admission.Query, 1},
-		{"GET /query", s.handleQuery, "translate + answer a source query (&explain=1 stats, =2 plan tree)", admission.Query, 1},
+		{"GET /relations", s.stateful(s.handleRelations), "warehouse relation sizes", admission.Query, 1},
+		{"GET /relations/{name}", s.stateful(s.handleRelation), "one materialized relation", admission.Query, 1},
+		{"GET /query", s.stateful(s.handleQuery), "translate + answer a source query (&explain=1 stats, =2 plan tree)", admission.Query, 1},
 		{"POST /update", s.handleUpdate, "apply update ops (insert R(...)/delete R(...))", admission.Delivery, deliveryWeight},
-		{"GET /reconstruct/{base}", s.handleReconstruct, "recompute a base relation via W⁻¹", admission.Query, 2},
+		{"GET /reconstruct/{base}", s.stateful(s.handleReconstruct), "recompute a base relation via W⁻¹", admission.Query, 2},
 		{"GET /stats", s.handleStats, "cumulative evaluation, refresh and maintenance counters", admission.Trace, 1},
 		{"GET /traces", s.handleTraces, "recent sampled traces (&limit=N)", admission.Trace, 1},
 		{"GET /traces/{id}", s.handleTrace, "one trace's spans as JSON plus a rendered tree", admission.Trace, 1},
-		{"GET /replica/snapshot", s.handleReplicaSnapshot, "ship the current checkpoint to a bootstrapping follower", admission.Delivery, deliveryWeight},
+		{"GET /replica/snapshot", s.stateful(s.handleReplicaSnapshot), "ship the current checkpoint to a bootstrapping follower", admission.Delivery, deliveryWeight},
 		{"GET /replica/stream", s.handleReplicaStream, "stream journal records from ?from=LSN (&wait=ms long-polls)", admission.Delivery, 1},
 		{"GET /replica/status", s.handleReplicaStatus, "replication role, epoch and log positions", admission.Health, 1},
-		{"POST /promote", s.handlePromote, "promote this replica to leader (?epoch=N fences older terms)", admission.Health, 1},
+		{"POST /promote", s.stateful(s.handlePromote), "promote this replica to leader (?epoch=N fences older terms)", admission.Health, 1},
 		{"POST /replica/repoint", s.handleRepoint, "re-point this follower at ?leader=URL", admission.Health, 1},
 		{"GET /metrics", metrics.ServeHTTP, "Prometheus text exposition", admission.Health, 1},
+	}
+}
+
+// stateful guards a route that needs a warehouse state: a follower still
+// waiting for its first snapshot has none an X-DW-Version could name.
+func (s *server) stateful(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if !s.snapshotLoaded.Load() {
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, errors.New("no warehouse state yet: waiting for the leader's snapshot"))
+			return
+		}
+		h(w, req)
 	}
 }
 
@@ -559,7 +611,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	v := s.cur.Load()
 	sources, sourcesDegraded := v.remoteHealth()
 	body := map[string]any{
-		"snapshotLoaded":  s.snapshotLoaded,
+		"snapshotLoaded":  s.snapshotLoaded.Load(),
 		"journalReplayed": s.journalOK,
 		"replayedRecords": s.replayed,
 		"draining":        s.draining.Load(),
@@ -586,7 +638,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.wedgedErr != nil {
 		body["wedged"] = s.wedgedErr.Error()
 	}
-	if !s.snapshotLoaded || !s.journalOK || s.draining.Load() {
+	if !s.snapshotLoaded.Load() || !s.journalOK || s.draining.Load() {
 		body["ready"] = false
 		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
@@ -597,11 +649,11 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	views := map[string]string{}
-	for _, v := range s.spec.Views.Views() {
+	for _, v := range s.views.Views() {
 		views[v.Name] = v.Expr().String()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"database": s.spec.DB.String(),
+		"database": s.db.String(),
 		"views":    views,
 	})
 }
@@ -770,7 +822,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	u, err := dwc.ParseUpdateOps(s.spec.DB, string(body))
+	u, err := dwc.ParseUpdateOps(s.db, string(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -855,6 +907,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		},
 		// Planner-facing maintenance EWMAs (ROADMAP item 3's input contract).
 		"maintenance": s.mstats.Snapshot(),
+		"boot":        s.boot.stats(),
 	})
 }
 
@@ -921,7 +974,7 @@ func (s *server) handleTrace(w http.ResponseWriter, req *http.Request) {
 
 func (s *server) handleReconstruct(w http.ResponseWriter, req *http.Request) {
 	base := req.PathValue("base")
-	if _, ok := s.spec.DB.Schema(base); !ok {
+	if _, ok := s.db.Schema(base); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no base relation %q", base))
 		return
 	}

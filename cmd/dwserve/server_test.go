@@ -230,7 +230,7 @@ func TestBootsFromMarklessSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := mustOps(t, spec, "insert Sale('Radio', 'Paula')")
+	u := mustOps(t, spec.DB, "insert Sale('Radio', 'Paula')")
 	if _, err := dwc.Refresh(context.Background(), dwc.NewMaintainer(w.Complement()), w, u); err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func TestEndToEndLineage(t *testing.T) {
 	if code := postText(t, ts.URL+"/update", "insert Emp('Mary', 23)", &out); code != 200 {
 		t.Fatalf("seed update: %v", out)
 	}
-	if _, err := src.Apply(mustOps(t, srv.spec, "insert Sale('TV set', 'Mary')")); err != nil {
+	if _, err := src.Apply(mustOps(t, srv.db, "insert Sale('TV set', 'Mary')")); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool {

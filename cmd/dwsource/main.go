@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -165,11 +166,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dwsource:", err)
 		os.Exit(1)
 	}
-	spec, err := dwc.ParseSpec(string(raw))
+	// A source serves the schema, not the spec's initial data: no load
+	// statement is followed, and a statement the parser dropped is fatal.
+	ds, err := dwc.ParseSpecDefs(string(raw), filepath.Dir(*specPath))
+	if err == nil && len(ds.Issues) > 0 {
+		err = ds.Issues[0]
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwsource:", err)
 		os.Exit(1)
 	}
+	spec := ds.Spec
 	var rels []string
 	for _, r := range strings.Split(*owns, ",") {
 		if r = strings.TrimSpace(r); r != "" {

@@ -41,6 +41,10 @@ var (
 	// ParseSpecDiag parses a .dw specification in diagnostic mode,
 	// collecting semantic problems instead of stopping at the first.
 	ParseSpecDiag = parse.SpecTextDiag
+	// ParseSpecDefs is ParseSpecDiag without the data: the definitions and
+	// their Issues, no file opened; Spec.LoadState reads the sources when —
+	// and if — the caller needs them.
+	ParseSpecDefs = parse.SpecDefs
 )
 
 // VetSpecAt parses src in diagnostic mode (load paths resolved relative

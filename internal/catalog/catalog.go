@@ -207,20 +207,41 @@ func (st *State) MustRelation(name string) *relation.Relation {
 // Insert adds a tuple to the named relation, with type checking against
 // the schema. It reports whether the tuple was new.
 func (st *State) Insert(name string, t relation.Tuple) (bool, error) {
+	r, err := st.typed(name, t)
+	if err != nil {
+		return false, err
+	}
+	return r.Insert(t), nil
+}
+
+// InsertOwned is Insert for a tuple the caller hands over: the state keeps
+// t itself instead of a copy (relation.InsertOwned). Inserts into different
+// relations of one state may run concurrently.
+func (st *State) InsertOwned(name string, t relation.Tuple) (bool, error) {
+	r, err := st.typed(name, t)
+	if err != nil {
+		return false, err
+	}
+	return r.InsertOwned(t), nil
+}
+
+// typed returns the named relation once t has its schema's arity and every
+// value the kind its attribute declares.
+func (st *State) typed(name string, t relation.Tuple) (*relation.Relation, error) {
 	sc, ok := st.db.schemas[name]
 	if !ok {
-		return false, fmt.Errorf("catalog: unknown relation %q: %w", name, algebra.ErrUnknownRelation)
+		return nil, fmt.Errorf("catalog: unknown relation %q: %w", name, algebra.ErrUnknownRelation)
 	}
 	if len(t) != len(sc.Attrs) {
-		return false, fmt.Errorf("catalog: arity mismatch inserting into %s: got %d values, want %d: %w", name, len(t), len(sc.Attrs), relation.ErrSchemaMismatch)
+		return nil, fmt.Errorf("catalog: arity mismatch inserting into %s: got %d values, want %d: %w", name, len(t), len(sc.Attrs), relation.ErrSchemaMismatch)
 	}
 	for i, v := range t {
 		if !v.CheckKind(sc.Attrs[i].Type) {
-			return false, fmt.Errorf("catalog: value %s (kind %s) not valid for attribute %s %s of %s",
+			return nil, fmt.Errorf("catalog: value %s (kind %s) not valid for attribute %s %s of %s",
 				v, v.Kind(), sc.Attrs[i].Name, sc.Attrs[i].Type, name)
 		}
 	}
-	return st.rels[name].Insert(t), nil
+	return st.rels[name], nil
 }
 
 // MustInsert is Insert that panics on error, for fixtures.

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"dwcomplement/internal/algebra"
+	"dwcomplement/internal/par"
 	"dwcomplement/internal/relation"
 )
 
@@ -311,61 +312,66 @@ func (s *Set) INDsInto(to string) []IND {
 	return out
 }
 
-// CheckState verifies that a database state satisfies all declared keys
-// and INDs. The rels map supplies the current relation per schema name;
-// missing relations are treated as empty. It returns the first violation
-// found as an error, or nil.
+// CheckState verifies that a database state satisfies all declared keys,
+// INDs and domain constraints. The rels map supplies the current relation
+// per schema name; missing relations are treated as empty. The checks run
+// side by side (par.Do) over relations nothing may write meanwhile; the
+// violation returned is the first in the order keys by schema name, INDs
+// and domains by declaration — what running them in turn reports — or nil.
 func CheckState(schemas map[string]*relation.Schema, s *Set, rels map[string]*relation.Relation) error {
+	var checks []func() error
 	names := make([]string, 0, len(schemas))
 	for n := range schemas {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sc := schemas[name]
-		if !sc.HasKey() {
-			continue
-		}
-		r := rels[name]
-		if r == nil {
-			continue
-		}
-		if err := CheckKey(sc, r); err != nil {
-			return err
+		if sc, r := schemas[name], rels[name]; sc.HasKey() && r != nil {
+			checks = append(checks, func() error { return CheckKey(sc, r) })
 		}
 	}
-	if s == nil {
+	if s != nil {
+		for _, d := range s.inds {
+			checks = append(checks, func() error { return checkIND(d, rels[d.From], rels[d.To]) })
+		}
+		for _, d := range s.domains {
+			checks = append(checks, func() error { return checkDomain(d, rels[d.Rel]) })
+		}
+	}
+	return par.Do(len(checks), func(i int) error { return checks[i]() })
+}
+
+// checkIND probes the referenced relation with every referencing row; the
+// projections are built only to describe a violation.
+func checkIND(d IND, from, to *relation.Relation) error {
+	if from == nil || from.IsEmpty() {
 		return nil
 	}
-	for _, d := range s.inds {
-		from, to := rels[d.From], rels[d.To]
-		if from == nil || from.IsEmpty() {
-			continue
-		}
-		if to == nil {
-			return fmt.Errorf("constraint: %s violated: %s is empty but %s is not", d, d.To, d.From)
-		}
-		attrs := d.X.Sorted()
-		lhs := relation.Project(from, attrs...)
-		rhs := relation.Project(to, attrs...)
-		if !lhs.SubsetOf(rhs) {
-			diff, err := relation.Diff(lhs, rhs)
-			if err != nil {
-				return err
-			}
-			return fmt.Errorf("constraint: %s violated by %d tuple(s), e.g. %v", d, diff.Len(), diff.SortedTuples()[0])
-		}
+	if to == nil {
+		return fmt.Errorf("constraint: %s violated: %s is empty but %s is not", d, d.To, d.From)
 	}
-	return checkDomainsOnState(s, rels)
+	attrs := d.X.Sorted()
+	if relation.ProjectionSubset(from, to, attrs...) {
+		return nil
+	}
+	diff, err := relation.Diff(relation.Project(from, attrs...), relation.Project(to, attrs...))
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("constraint: %s violated by %d tuple(s), e.g. %v", d, diff.Len(), diff.SortedTuples()[0])
 }
 
 // CheckKey verifies the key constraint of a single schema on a relation:
-// no two tuples may agree on all key attributes.
+// no two tuples may agree on all key attributes. It asks the relation's
+// cached index over the key, which later joins probe again.
 func CheckKey(sc *relation.Schema, r *relation.Relation) error {
 	if !sc.HasKey() {
 		return nil
 	}
 	keyAttrs := sc.KeySet().Sorted()
+	if ix, ok := r.Index(keyAttrs...); ok && ix.Unique() {
+		return nil
+	}
 	proj := relation.Project(r, keyAttrs...)
 	if proj.Len() != r.Len() {
 		return fmt.Errorf("constraint: key %v of %s violated: %d tuples share %d key values",

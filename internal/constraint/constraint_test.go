@@ -2,6 +2,9 @@ package constraint
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -306,5 +309,132 @@ func TestDomainConstraints(t *testing.T) {
 	c := s.Clone()
 	if len(c.AllDomains()) != 1 {
 		t.Error("Clone lost domains")
+	}
+}
+
+// refCheckState is CheckState as it was before its checks ran side by side
+// and the IND check probed: keys, INDs and domains one after the other,
+// every IND by projecting both sides, every domain by selecting the tuples
+// that satisfy it. Kept as the reference for verdicts and error texts.
+func refCheckState(schemas map[string]*relation.Schema, s *Set, rels map[string]*relation.Relation) error {
+	names := make([]string, 0, len(schemas))
+	for n := range schemas {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		sc, r := schemas[name], rels[name]
+		if !sc.HasKey() || r == nil {
+			continue
+		}
+		keyAttrs := sc.KeySet().Sorted()
+		if proj := relation.Project(r, keyAttrs...); proj.Len() != r.Len() {
+			return fmt.Errorf("constraint: key %v of %s violated: %d tuples share %d key values",
+				sc.KeySet(), sc.Name, r.Len(), proj.Len())
+		}
+	}
+	for _, d := range s.inds {
+		from, to := rels[d.From], rels[d.To]
+		if from == nil || from.IsEmpty() {
+			continue
+		}
+		if to == nil {
+			return fmt.Errorf("constraint: %s violated: %s is empty but %s is not", d, d.To, d.From)
+		}
+		attrs := d.X.Sorted()
+		lhs, rhs := relation.Project(from, attrs...), relation.Project(to, attrs...)
+		if !lhs.SubsetOf(rhs) {
+			diff, err := relation.Diff(lhs, rhs)
+			if err != nil {
+				return err
+			}
+			return fmt.Errorf("constraint: %s violated by %d tuple(s), e.g. %v", d, diff.Len(), diff.SortedTuples()[0])
+		}
+	}
+	for _, d := range s.domains {
+		r := rels[d.Rel]
+		if r == nil {
+			continue
+		}
+		ok := relation.Select(r, func(row relation.Row) bool { return algebra.EvalCond(d.Cond, row) })
+		if ok.Len() != r.Len() {
+			return fmt.Errorf("constraint: %s violated by %d tuple(s)", d, r.Len()-ok.Len())
+		}
+	}
+	return nil
+}
+
+// TestCheckStateMatchesReference: over random states of a schema with two
+// keys, two INDs into one relation and two domains — valid ones, and ones
+// breaking any subset of the constraints at once, NULLs included — the
+// concurrent, probing CheckState returns what the sequential, projecting
+// one returned: the same verdict, the same first violation, the same text.
+func TestCheckStateMatchesReference(t *testing.T) {
+	sch := map[string]*relation.Schema{
+		"Dim":  relation.NewSchema("Dim", "k:int", "g:int", "label:string").WithKey("k"),
+		"Fact": relation.NewSchema("Fact", "id:int", "k:int", "g:int", "loc:string").WithKey("id"),
+		"Side": relation.NewSchema("Side", "k:int", "note:string"),
+	}
+	cs := NewSet()
+	for _, err := range []error{
+		cs.AddIND("Fact", "Dim", "k", "g"),
+		cs.AddIND("Side", "Dim", "k"),
+		cs.AddDomain("Fact", algebra.AttrEqConst("loc", relation.String_("paris"))),
+		cs.AddDomain("Side", algebra.AttrCmpConst("k", algebra.OpGt, relation.Int(0))),
+		cs.Validate(sch),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(22))
+	violated := 0
+	for i := 0; i < 400; i++ {
+		dim, fact, side := relation.NewFromSchema(sch["Dim"]), relation.NewFromSchema(sch["Fact"]), relation.NewFromSchema(sch["Side"])
+		n := 1 + rng.Intn(300) // beyond one page now and then
+		for k := 1; k <= n; k++ {
+			dim.InsertValues(relation.Int(int64(k)), relation.Int(int64(k%3)), relation.String_("d"))
+		}
+		pick := func() int64 { return int64(1 + rng.Intn(n)) }
+		for id := 1; id <= 2*n; id++ {
+			k := pick()
+			fact.InsertValues(relation.Int(int64(id)), relation.Int(k), relation.Int(k%3), relation.String_("paris"))
+			side.InsertValues(relation.Int(pick()), relation.String_("s"))
+		}
+		// Each defect with its own coin, so they also occur together and the
+		// order of precedence is exercised.
+		if rng.Intn(4) == 0 {
+			dim.InsertValues(relation.Int(pick()), relation.Int(7), relation.String_("same key, other row"))
+		}
+		if rng.Intn(4) == 0 {
+			fact.InsertValues(relation.Int(pick()), relation.Int(1), relation.Int(1), relation.String_("paris"))
+		}
+		if rng.Intn(4) == 0 {
+			fact.InsertValues(relation.Int(-1), relation.Int(pick()), relation.Int(5), relation.String_("paris")) // k known, (k, g) not
+			fact.InsertValues(relation.Int(-2), relation.Null(), relation.Int(0), relation.String_("paris"))
+		}
+		if rng.Intn(4) == 0 {
+			side.InsertValues(relation.Int(int64(n+1+rng.Intn(3))), relation.String_("dangling"))
+		}
+		if rng.Intn(4) == 0 {
+			fact.InsertValues(relation.Int(-3), relation.Int(1), relation.Int(1), relation.String_("tokyo"))
+		}
+		if rng.Intn(4) == 0 {
+			side.InsertValues(relation.Int(0), relation.String_("k not above 0"))
+		}
+		rels := map[string]*relation.Relation{"Dim": dim, "Fact": fact, "Side": side}
+		if rng.Intn(10) == 0 {
+			delete(rels, "Dim")
+		}
+		want, got := refCheckState(sch, cs, rels), CheckState(sch, cs, rels)
+		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
+			t.Fatalf("state %d:\nconcurrent: %v\nreference:  %v", i, got, want)
+		}
+		if want != nil {
+			violated++
+		}
+	}
+	if violated < 100 || violated > 390 {
+		t.Fatalf("%d of 400 states violated a constraint: the corpus is lopsided", violated)
 	}
 }

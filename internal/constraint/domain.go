@@ -89,22 +89,17 @@ func (s *Set) validateDomains(schemas map[string]*relation.Schema) error {
 	return nil
 }
 
-// checkDomainsOnState verifies every domain constraint on a state.
-func checkDomainsOnState(s *Set, rels map[string]*relation.Relation) error {
-	if s == nil {
+// checkDomain verifies one domain constraint on its relation by selecting
+// the tuples that break it.
+func checkDomain(d Domain, r *relation.Relation) error {
+	if r == nil {
 		return nil
 	}
-	for _, d := range s.domains {
-		r := rels[d.Rel]
-		if r == nil {
-			continue
-		}
-		ok := relation.Select(r, func(row relation.Row) bool {
-			return algebra.EvalCond(d.Cond, row)
-		})
-		if ok.Len() != r.Len() {
-			return fmt.Errorf("constraint: %s violated by %d tuple(s)", d, r.Len()-ok.Len())
-		}
+	bad := relation.Select(r, func(row relation.Row) bool {
+		return !algebra.EvalCond(d.Cond, row)
+	})
+	if !bad.IsEmpty() {
+		return fmt.Errorf("constraint: %s violated by %d tuple(s)", d, bad.Len())
 	}
 	return nil
 }

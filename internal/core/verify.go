@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dwcomplement/internal/algebra"
+	"dwcomplement/internal/par"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/view"
 )
@@ -17,22 +18,31 @@ func (c *Complement) MaterializeWarehouse(st algebra.State) (algebra.MapState, e
 
 // MaterializeWarehouseCtx is MaterializeWarehouse under an evaluation
 // context: the cover joins of every view and complement definition check
-// for cancellation at operator boundaries and record their counters.
+// for cancellation at operator boundaries and record their counters. The
+// definitions are evaluated side by side (par.Do): st must not change
+// during the call and its Relation method must be safe for concurrent use
+// (catalog.State, MapState and Warehouse are). The error returned is the
+// first in declaration order, views before complements.
 func (c *Complement) MaterializeWarehouseCtx(ec *algebra.EvalContext, st algebra.State) (algebra.MapState, error) {
-	out := make(algebra.MapState, c.views.Len()+len(c.entries))
-	for _, v := range c.views.Views() {
-		r, err := v.EvalCtx(ec, st)
-		if err != nil {
-			return nil, err
+	views, stored := c.views.Views(), c.StoredEntries()
+	rels := make([]*relation.Relation, len(views)+len(stored))
+	err := par.Do(len(rels), func(i int) (err error) {
+		if i < len(views) {
+			rels[i], err = views[i].EvalCtx(ec, st)
+		} else {
+			rels[i], err = algebra.EvalCtx(ec, stored[i-len(views)].Def, st)
 		}
-		out[v.Name] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range c.StoredEntries() {
-		r, err := algebra.EvalCtx(ec, e.Def, st)
-		if err != nil {
-			return nil, err
-		}
-		out[e.Name] = r
+	out := make(algebra.MapState, len(rels))
+	for i, v := range views {
+		out[v.Name] = rels[i]
+	}
+	for i, e := range stored {
+		out[e.Name] = rels[len(views)+i]
 	}
 	return out, nil
 }

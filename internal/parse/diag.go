@@ -50,5 +50,18 @@ type INDDecl struct {
 // still abort, since the statement stream cannot be re-synchronized
 // after a malformed statement.
 func SpecTextDiag(src, dir string) (*DiagSpec, error) {
+	ds, err := specParse(src, dir, true)
+	if err != nil {
+		return nil, err
+	}
+	ds.Spec.State, _, _ = ds.Spec.loadState(ds.drop) // drop never fails
+	return ds, nil
+}
+
+// SpecDefs is SpecTextDiag without the data: definitions and their Issues
+// (the first is what a strict parse would have stopped at), no file opened,
+// Spec.State nil until the caller stores what Spec.LoadState returns — for
+// a process that may never need the sources.
+func SpecDefs(src, dir string) (*DiagSpec, error) {
 	return specParse(src, dir, true)
 }

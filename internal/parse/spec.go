@@ -2,21 +2,53 @@ package parse
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
+	"dwcomplement/internal/par"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/view"
 )
 
 // Spec is a parsed .dw warehouse specification: the database definition
 // (schemata + constraints), the warehouse view set, and the initial state.
+// State is what the spec's load/insert/delete statements build: the eager
+// parsers (SpecText, SpecTextAt, SpecTextDiag) do that at once, SpecDefs
+// leaves it to a later LoadState.
 type Spec struct {
 	DB    *catalog.Database
 	Views *view.Set
 	State *catalog.State
+
+	// The data statements in source order, and the directory relative load
+	// paths resolve against ("" = working directory).
+	dir              string
+	loads            []loadStmt
+	inserts, deletes []tupleStmt
+}
+
+type loadStmt struct {
+	rel, path string
+	line      int
+}
+
+type tupleStmt struct {
+	rel  string
+	t    relation.Tuple
+	line int
+}
+
+// LoadStats is what LoadState read (CSV records and bytes) and how long
+// its two halves took.
+type LoadStats struct {
+	Rows        int
+	Bytes       int64
+	Load, Check time.Duration
 }
 
 // SpecText parses a .dw specification. The statement forms:
@@ -45,47 +77,33 @@ func SpecTextAt(src, dir string) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ds.Spec.State, _, err = ds.Spec.LoadState(); err != nil {
+		return nil, err
+	}
 	return ds.Spec, nil
 }
 
-// specParse is the shared core of SpecTextAt (strict: first semantic
-// error aborts) and SpecTextDiag (lax: semantic errors become Issues and
-// parsing continues with the offending statement dropped). Grammar
-// errors abort in both modes — after a malformed statement the token
-// stream cannot be re-synchronized reliably.
+// specParse parses the definitions of a spec and collects its data
+// statements unapplied; it opens no file. Strict: the first semantic error
+// aborts. Lax: semantic errors become Issues and parsing continues with
+// the offending statement dropped. Grammar errors abort in both modes —
+// after a malformed statement the token stream cannot be re-synchronized
+// reliably.
 func specParse(src, dir string, lax bool) (*DiagSpec, error) {
 	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
 	ds := &DiagSpec{
-		Spec:      &Spec{DB: catalog.NewDatabase()},
+		Spec:      &Spec{DB: catalog.NewDatabase(), dir: dir},
 		ViewLines: make(map[string]int),
 	}
 	spec := ds.Spec
-	// fail handles one statement-level semantic error: strict mode
-	// propagates it, lax mode records an Issue and returns nil so the
-	// caller continues.
-	fail := func(line int, subject string, err error) error {
-		if !lax {
-			return err
-		}
-		ds.Issues = append(ds.Issues, Issue{Line: line, Subject: subject, Err: err})
-		return nil
+	fail := abort
+	if lax {
+		fail = ds.drop
 	}
 	var views []*view.PSJ
-	type pendingInsert struct {
-		rel  string
-		t    relation.Tuple
-		line int
-	}
-	var inserts, deletes []pendingInsert
-	type pendingLoad struct {
-		rel  string
-		path string
-		line int
-	}
-	var loads []pendingLoad
 
 	for !p.atEOF() {
 		kw, err := p.expect(tokIdent, "", "a statement keyword")
@@ -181,18 +199,18 @@ func specParse(src, dir string, lax bool) (*DiagSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			loads = append(loads, pendingLoad{rel: rel.text, path: path.text, line: rel.line})
+			spec.loads = append(spec.loads, loadStmt{rel: rel.text, path: path.text, line: rel.line})
 
 		case "insert", "delete":
 			rel, tup, err := p.parseTupleStmt()
 			if err != nil {
 				return nil, err
 			}
-			pi := pendingInsert{rel: rel, t: tup, line: kw.line}
+			ts := tupleStmt{rel: rel, t: tup, line: kw.line}
 			if kw.text == "insert" {
-				inserts = append(inserts, pi)
+				spec.inserts = append(spec.inserts, ts)
 			} else {
-				deletes = append(deletes, pi)
+				spec.deletes = append(spec.deletes, ts)
 			}
 
 		default:
@@ -207,71 +225,122 @@ func specParse(src, dir string, lax bool) (*DiagSpec, error) {
 		return nil, err
 	}
 	spec.Views = vs
-	spec.State = spec.DB.NewState()
-	for _, ld := range loads {
-		path := ld.path
-		if dir != "" && !filepath.IsAbs(path) {
-			path = filepath.Join(dir, path)
-		}
-		if err := loadCSV(spec, ld.rel, path, ld.line); err != nil {
-			if e := fail(ld.line, ld.rel, err); e != nil {
-				return nil, e
-			}
-		}
-	}
-	for _, ins := range inserts {
-		if _, err := spec.State.Insert(ins.rel, ins.t); err != nil {
-			if e := fail(ins.line, ins.rel, fmt.Errorf("line %d: %w", ins.line, err)); e != nil {
-				return nil, e
-			}
-		}
-	}
-	for _, del := range deletes {
-		if _, err := spec.State.Delete(del.rel, del.t); err != nil {
-			if e := fail(del.line, del.rel, fmt.Errorf("line %d: %w", del.line, err)); e != nil {
-				return nil, e
-			}
-		}
-	}
-	if err := spec.State.Check(); err != nil {
-		if e := fail(0, "", fmt.Errorf("initial state: %w", err)); e != nil {
-			return nil, e
-		}
-	}
 	return ds, nil
 }
 
-// loadCSV reads one "load R from 'file'" statement into the spec state.
-func loadCSV(spec *Spec, relName, path string, line int) error {
+// abort and (*DiagSpec).drop are the two answers to a statement-level
+// semantic error: strict parsing returns it, lax parsing records an Issue
+// and carries on without the statement.
+func abort(_ int, _ string, err error) error { return err }
+
+func (ds *DiagSpec) drop(line int, subject string, err error) error {
+	ds.Issues = append(ds.Issues, Issue{Line: line, Subject: subject, Err: err})
+	return nil
+}
+
+// LoadState builds the initial state the spec's data statements describe,
+// strictly: every load (every cell through the schema's CheckKind), then
+// every insert, then every delete, then State.Check once; the first error
+// in that order is returned. The state is returned, not kept.
+func (s *Spec) LoadState() (*catalog.State, LoadStats, error) {
+	return s.loadState(abort)
+}
+
+// loaded is the outcome of one load statement.
+type loaded struct {
+	rows  int
+	bytes int64
+	err   error
+}
+
+func (s *Spec) loadState(fail func(line int, subject string, err error) error) (*catalog.State, LoadStats, error) {
+	var stats LoadStats
+	start := time.Now()
+	st := s.DB.NewState()
+	// Loads of different relations run side by side, those of one relation
+	// in statement order: every relation's storage order is the sequential
+	// one.
+	var rels []string
+	byRel := make(map[string][]int)
+	for i, ld := range s.loads {
+		if byRel[ld.rel] == nil {
+			rels = append(rels, ld.rel)
+		}
+		byRel[ld.rel] = append(byRel[ld.rel], i)
+	}
+	done := make([]loaded, len(s.loads))
+	_ = par.Do(len(rels), func(g int) error { // the outcomes carry the errors
+		for _, i := range byRel[rels[g]] {
+			done[i] = s.loads[i].run(s, st)
+		}
+		return nil
+	})
+	for i, ld := range s.loads {
+		stats.Rows += done[i].rows
+		stats.Bytes += done[i].bytes
+		if err := done[i].err; err != nil {
+			if e := fail(ld.line, ld.rel, fmt.Errorf("line %d: %w", ld.line, err)); e != nil {
+				return nil, stats, e
+			}
+		}
+	}
+	for i, ts := range slices.Concat(s.inserts, s.deletes) {
+		apply := st.Insert
+		if i >= len(s.inserts) {
+			apply = st.Delete
+		}
+		if _, err := apply(ts.rel, ts.t); err != nil {
+			if e := fail(ts.line, ts.rel, fmt.Errorf("line %d: %w", ts.line, err)); e != nil {
+				return nil, stats, e
+			}
+		}
+	}
+	stats.Load = time.Since(start)
+	err := st.Check()
+	stats.Check = time.Since(start) - stats.Load
+	if err != nil {
+		if e := fail(0, "", fmt.Errorf("initial state: %w", err)); e != nil {
+			return nil, stats, e
+		}
+	}
+	return st, stats, nil
+}
+
+// run streams one "load R from 'file'" into R's relation of st: the header
+// is mapped to the schema's positions once, every record becomes one
+// tuple, type-checked and handed over to the relation. The error is the
+// first the stream meets — header, relation, then record by record — and
+// the rows before it stay (only a lax parse goes on to look at them).
+func (ld loadStmt) run(s *Spec, st *catalog.State) (out loaded) {
+	path := ld.path
+	if s.dir != "" && !filepath.IsAbs(path) {
+		path = filepath.Join(s.dir, path)
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("line %d: %w", line, err)
+		return loaded{err: err}
 	}
-	rel, err := relation.ReadCSV(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("line %d: %w", line, err)
-	}
-	sc, ok := spec.DB.Schema(relName)
-	if !ok {
-		return fmt.Errorf("line %d: load into unknown relation %q: %w", line, relName, algebra.ErrUnknownRelation)
-	}
-	if !rel.AttrSet().Equal(sc.AttrSet()) {
-		return fmt.Errorf("line %d: %s has attributes %v, want %v",
-			line, path, rel.AttrSet(), sc.AttrSet())
-	}
-	names := sc.AttrNames()
-	for t := range rel.All() {
-		aligned := make(relation.Tuple, len(names))
-		for i, a := range names {
-			pos, _ := rel.Pos(a)
-			aligned[i] = t[pos]
+	defer f.Close()
+	out.err = relation.ScanCSV(f, func(attrs []string) ([]int, error) {
+		sc, ok := s.DB.Schema(ld.rel)
+		if !ok {
+			return nil, fmt.Errorf("load into unknown relation %q: %w", ld.rel, algebra.ErrUnknownRelation)
 		}
-		if _, err := spec.State.Insert(relName, aligned); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
+		if got := relation.NewAttrSet(attrs...); !got.Equal(sc.AttrSet()) {
+			return nil, fmt.Errorf("%s has attributes %v, want %v", path, got, sc.AttrSet())
 		}
-	}
-	return nil
+		pos := make([]int, len(attrs))
+		for i, a := range attrs {
+			pos[i] = slices.Index(sc.AttrNames(), a)
+		}
+		return pos, nil
+	}, func(t relation.Tuple) error {
+		out.rows++
+		_, err := st.InsertOwned(ld.rel, t)
+		return err
+	})
+	out.bytes, _ = f.Seek(0, io.SeekCurrent) // what the scan consumed; 0 if the file cannot tell
+	return out
 }
 
 // UpdateOps parses a sequence of "insert R(...)" / "delete R(...)"

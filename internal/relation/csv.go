@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,50 +72,84 @@ func csvCell(v Value) string {
 // cells accordingly, untyped columns infer int → float → bool → string per
 // cell. Empty cells are NULL.
 func ReadCSV(rd io.Reader) (*Relation, error) {
+	var out *Relation
+	err := ScanCSV(rd, func(attrs []string) ([]int, error) {
+		out = New(attrs...)
+		return nil, nil
+	}, func(t Tuple) error {
+		out.InsertOwned(t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScanCSV is the record loop under ReadCSV and the spec loader. header is
+// called once with the column names and returns, per column, the position
+// its cells take in a row's tuple (nil: the column's own); row is called
+// for every record, in file order, with a fresh tuple the callee owns. An
+// error from either callback ends the scan and is returned as is.
+func ScanCSV(rd io.Reader, header func(attrs []string) ([]int, error), row func(Tuple) error) error {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
 	cr.TrimLeadingSpace = true // "a, 2" parses the cell as "2"; quote to keep spaces
-	header, err := cr.Read()
+	cr.ReuseRecord = true      // the cells of a record are parsed into its tuple before the next Read
+	head, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("relation: csv header: %w", err)
+		return fmt.Errorf("relation: csv header: %w", err)
 	}
-	attrs := make([]string, len(header))
-	kinds := make([]Kind, len(header))
-	for i, h := range header {
+	attrs := make([]string, len(head))
+	kinds := make([]Kind, len(head))
+	for i, h := range head {
 		name, typeName, hasType := strings.Cut(strings.TrimSpace(h), ":")
+		if name == "" || slices.Contains(attrs[:i], name) {
+			return fmt.Errorf("relation: csv header: empty or duplicate column name %q", name)
+		}
 		attrs[i] = name
 		kinds[i] = KindNull
 		if hasType {
 			k, ok := KindFromName(strings.TrimSpace(typeName))
 			if !ok {
-				return nil, fmt.Errorf("relation: csv header: unknown type %q", typeName)
+				return fmt.Errorf("relation: csv header: unknown type %q", typeName)
 			}
 			kinds[i] = k
 		}
 	}
-	out := New(attrs...)
+	pos, err := header(attrs)
+	if err != nil {
+		return err
+	}
+	if pos == nil {
+		pos = make([]int, len(attrs))
+		for i := range pos {
+			pos[i] = i
+		}
+	}
 	for line := 2; ; line++ {
-		row, err := cr.Read()
+		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("relation: csv line %d: %w", line, err)
+			return fmt.Errorf("relation: csv line %d: %w", line, err)
 		}
-		if len(row) != len(attrs) {
-			return nil, fmt.Errorf("relation: csv line %d: %d cells, want %d", line, len(row), len(attrs))
+		if len(rec) != len(attrs) {
+			return fmt.Errorf("relation: csv line %d: %d cells, want %d", line, len(rec), len(attrs))
 		}
-		t := make(Tuple, len(row))
-		for i, cell := range row {
+		t := make(Tuple, len(rec))
+		for i, cell := range rec {
 			v, err := parseCSVCell(cell, kinds[i])
 			if err != nil {
-				return nil, fmt.Errorf("relation: csv line %d, column %s: %w", line, attrs[i], err)
+				return fmt.Errorf("relation: csv line %d, column %s: %w", line, attrs[i], err)
 			}
-			t[i] = v
+			t[pos[i]] = v
 		}
-		out.Insert(t)
+		if err := row(t); err != nil {
+			return err
+		}
 	}
-	return out, nil
 }
 
 func parseCSVCell(cell string, kind Kind) (Value, error) {

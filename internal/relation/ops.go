@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"sort"
 )
 
 // The operators in this file are batch-oriented: inputs are walked in
@@ -473,6 +474,29 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 	s.probes(probed, hits)
 	s.emitted(out.Len())
 	return out
+}
+
+// ProjectionSubset reports whether π_attrs(r) ⊆ π_attrs(o), attrs being
+// attributes of both, by probing o's cached index over attrs with every
+// row of r; neither projection is materialized.
+func ProjectionSubset(r, o *Relation, attrs ...string) bool {
+	sorted := append([]string(nil), attrs...)
+	sort.Strings(sorted)
+	ix, _ := o.indexFor(sorted, indexKey(sorted), r.Len())
+	rPos := make([]int, len(sorted))
+	for i, a := range sorted {
+		rPos[i] = r.pos[a]
+	}
+	for t := range r.All() {
+		bi := ix.head(hashCols(t, rPos))
+		for bi >= 0 && !ix.keyEqual(bi, t, rPos) {
+			bi = ix.after(bi)
+		}
+		if bi < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sameAttrsOrErr validates union/difference compatibility.

@@ -333,10 +333,14 @@ func (r *Relation) slotOf(h uint64, v int32) uint64 {
 	return j
 }
 
-// insertOwned inserts an owned tuple with a precomputed hash, without
-// cloning. It reports whether the tuple was new and invalidates derived
-// structures only on actual change.
-func (r *Relation) insertOwned(t Tuple, h uint64) bool {
+// InsertOwned is Insert for a tuple the caller hands over: the relation
+// keeps t itself instead of a copy, so the caller must not write to it
+// afterwards. The CSV loaders use it — one allocation per row.
+func (r *Relation) InsertOwned(t Tuple) bool {
+	if len(t) != len(r.attrs) {
+		panic(fmt.Sprintf("relation: arity mismatch: tuple has %d values, relation has %d attributes", len(t), len(r.attrs)))
+	}
+	h := t.hash64()
 	if r.findRow(h, t) >= 0 {
 		return false
 	}

@@ -1,10 +1,12 @@
 package warehouse
 
 import (
+	"sync"
 	"testing"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/core"
+	"dwcomplement/internal/parse"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/workload"
 )
@@ -113,5 +115,68 @@ func TestBuildErrors(t *testing.T) {
 	bad := core.Options{UseINDs: true}
 	if _, err := Build(sc.DB, views, bad, workload.Figure1State(sc.DB)); err == nil {
 		t.Error("invalid options accepted by Build")
+	}
+}
+
+// TestInitializeConcurrentIsSequential: Initialize evaluates the views and
+// stored complements side by side; what it materializes is what evaluating
+// them one after the other gives, also when several warehouses initialize
+// from one state at the same time (the state is only read), and when
+// definitions fail the error is the first in declaration order.
+func TestInitializeConcurrentIsSequential(t *testing.T) {
+	spec, err := parse.SpecText(workload.Section5Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.FillSection5(spec.State, 4000) // facts span two row pages
+	comp, err := core.Compute(spec.DB, spec.Views, core.Theorem22())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(algebra.MapState)
+	for _, v := range spec.Views.Views() {
+		if want[v.Name], err = v.EvalCtx(nil, spec.State); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range comp.StoredEntries() {
+		if want[e.Name], err = algebra.EvalCtx(nil, e.Def, spec.State); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := New(comp)
+			if err := w.Initialize(spec.State); err != nil {
+				t.Error(err)
+				return
+			}
+			if len(w.State()) != len(want) {
+				t.Errorf("materialized %v, want %d relations", w.Names(), len(want))
+			}
+			for name, r := range want {
+				if got, ok := w.Relation(name); !ok || !got.Equal(r) {
+					t.Errorf("%s differs from its sequential evaluation", name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Without Customer, DimCustomer (first view) and TokyoFR (last) both
+	// fail; without Part as well, so does DimPart. The first is reported.
+	broken := algebra.MapState{}
+	for _, name := range []string{"Site", "Order_paris", "Order_tokyo"} {
+		broken[name] = spec.State.MustRelation(name)
+	}
+	_, wantErr := spec.Views.Views()[0].EvalCtx(nil, broken)
+	for i := 0; i < 20; i++ {
+		err := New(comp).Initialize(broken)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("Initialize over a state without Customer and Part: %v, want %v", err, wantErr)
+		}
 	}
 }
