@@ -1,7 +1,7 @@
 package main
 
-// E18 prices the PR-7 observability layer: the incremental-refresh
-// workload from E17 replayed three ways — untraced (the pre-tracing
+// E18 prices the PR-7 observability layer: an incremental-refresh
+// workload replayed three ways — untraced (the pre-tracing
 // call shape, no tracing calls at all), instrumented with tracing
 // disabled (rate 0: every Start/End runs but samples nothing), and
 // instrumented at the production default of 1% sampling. The contract
@@ -50,8 +50,8 @@ func e18() experiment {
 				n, epochs, nUpdates = 1000, 9, 20
 			}
 
-			// The Figure 1 warehouse under Proposition 22, same as E17's
-			// refresh leg: one state, one pre-generated update sequence,
+			// The Figure 1 warehouse under Proposition 22: one state, one
+			// pre-generated update sequence,
 			// every replay starting from a fresh Initialize of the same
 			// state so each epoch performs identical maintenance work.
 			sc := workload.Figure1(false)
@@ -175,11 +175,8 @@ func e18() experiment {
 			c.metric("untracedRefreshNs", float64(tOff)/float64(nUpdates))
 			c.metric("disabledOverheadPct", overheadPct(rDisabled))
 			c.metric("sampledOverheadPct", overheadPct(rSampled))
-			// The CI gate: how fast the untraced replay is relative to the
-			// sampled one (≈1.0 when tracing is cheap; the -tolerance
-			// slack absorbs epoch noise). If sampling cost creeps up,
-			// this ratio sinks below the baseline's floor and the
-			// -compare run fails.
+			// How fast the untraced replay is relative to the sampled one
+			// (≈1.0 when tracing is cheap); the gate is the bound below.
 			c.metric("tracingSampledSpeedup", 1/rSampled)
 
 			c.table(

@@ -34,12 +34,17 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestExperimentInventory(t *testing.T) {
+	// E1..E20 less E17, retired with the engine it was a miniature of;
+	// ids are not renumbered.
 	exps := experiments()
-	if len(exps) != 20 {
-		t.Fatalf("%d experiments, want 20", len(exps))
+	if len(exps) != 19 {
+		t.Fatalf("%d experiments, want 19", len(exps))
 	}
 	for i, e := range exps {
 		want := i + 1
+		if want >= 17 {
+			want++
+		}
 		if expNum(e.id) != want {
 			t.Errorf("experiment %d has id %s", want, e.id)
 		}

@@ -35,8 +35,8 @@
 // after the command — so successive maintain invocations operate a
 // long-lived warehouse without ever touching the sources:
 //
-//	dwctl -spec f.dw -save wh.gob snapshot
-//	dwctl -spec f.dw -state wh.gob -save wh.gob maintain "insert Sale('PC','Zoe')"
+//	dwctl -spec f.dw -save wh.snap snapshot
+//	dwctl -spec f.dw -state wh.snap -save wh.snap maintain "insert Sale('PC','Zoe')"
 //
 // Example:
 //

@@ -11,7 +11,7 @@ import (
 // across invocations.
 func TestStatefulOperation(t *testing.T) {
 	spec := writeSpec(t, testSpec)
-	snap := filepath.Join(t.TempDir(), "wh.gob")
+	snap := filepath.Join(t.TempDir(), "wh.snap")
 
 	out, err := runCmd(t, "-spec", spec, "-save", snap, "snapshot")
 	if err != nil {
@@ -59,12 +59,12 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Error("snapshot without -save accepted")
 	}
 	// -state pointing nowhere.
-	if _, err := runCmd(t, "-spec", spec, "-state", "/nonexistent.gob", "reconstruct"); err == nil {
+	if _, err := runCmd(t, "-spec", spec, "-state", "/nonexistent.snap", "reconstruct"); err == nil {
 		t.Error("missing snapshot accepted")
 	}
 	// -state with a mismatched spec (different view name → layout check).
 	otherSpec := writeSpec(t, strings.Replace(testSpec, "view Sold", "view Sold2", 1))
-	snap := filepath.Join(t.TempDir(), "wh.gob")
+	snap := filepath.Join(t.TempDir(), "wh.snap")
 	if _, err := runCmd(t, "-spec", spec, "-save", snap, "snapshot"); err != nil {
 		t.Fatal(err)
 	}

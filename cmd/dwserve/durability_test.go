@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	dwc "dwcomplement"
 	"dwcomplement/internal/chaos"
+	"dwcomplement/internal/journal"
+	"dwcomplement/internal/snapshot"
 )
 
 // corruptFile flips one bit at the given offset.
@@ -255,5 +260,48 @@ func TestCorruptJournalRefusesBoot(t *testing.T) {
 	}
 	if _, err := newServer(spec, dwc.Theorem22(), serverConfig{SnapshotDir: dir}); err == nil {
 		t.Fatal("server booted from a corrupt journal")
+	}
+}
+
+// TestOldFormatRefusesBoot: a checkpoint and a journal written by the
+// parent of format v3 (gob; the bytes under testdata/v2 come from its
+// dwserve, SIGKILLed after three updates) are refused by name — each
+// alone and both together — never read as corruption, never booted from
+// empty beside, and left exactly as they were.
+func TestOldFormatRefusesBoot(t *testing.T) {
+	spec, err := dwc.ParseSpec(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, files := range [][]string{{"state.snap", "wal.dwj"}, {"state.snap"}, {"wal.dwj"}} {
+		dir := t.TempDir()
+		old := map[string][]byte{}
+		for _, name := range files {
+			if old[name], err = os.ReadFile(filepath.Join("..", "..", "testdata", "v2", name)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), old[name], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := newServer(spec, dwc.Theorem22(), serverConfig{SnapshotDir: dir})
+		if srv != nil || err == nil || !strings.Contains(err.Error(), "written by format v2, not readable by this build") {
+			t.Fatalf("%v: server %v, error %v; want a refusal naming the format", files, srv, err)
+		}
+		if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, journal.ErrCorrupt) {
+			t.Errorf("%v: an intact old file reported as corruption: %v", files, err)
+		}
+		if !strings.Contains(err.Error(), filepath.Join(dir, files[0])) {
+			t.Errorf("%v: error does not name the file: %v", files, err)
+		}
+		left, _ := os.ReadDir(dir)
+		if len(left) != len(files) {
+			t.Errorf("%v: directory now holds %v", files, left)
+		}
+		for name, want := range old {
+			if got, _ := os.ReadFile(filepath.Join(dir, name)); !bytes.Equal(got, want) {
+				t.Errorf("%v: %s was modified", files, name)
+			}
+		}
 	}
 }

@@ -324,7 +324,10 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		case os.IsNotExist(err):
 			// first boot in this directory
 		default:
-			return nil, err
+			// Corrupt, or of a format this build does not read: either way
+			// the file is somebody's state, and starting empty beside it
+			// would be the first step to overwriting it.
+			return nil, fmt.Errorf("checkpoint %s: %w", checkpointPath(cfg.SnapshotDir), err)
 		}
 	}
 	if !loaded && !cfg.Follower {

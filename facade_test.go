@@ -83,7 +83,7 @@ func TestFacadeSurface(t *testing.T) {
 	if err := w.Initialize(st); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "wh.gob")
+	path := filepath.Join(t.TempDir(), "wh.snap")
 	if err := dwc.SaveSnapshot(path, w.State()); err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,18 @@
 //
 // On-disk layout:
 //
-//	magic "DWJL" (4 bytes)
+//	magic "DWJ3" (4 bytes)
 //	repeated records:
 //	    uint32 payload length (big endian)
 //	    uint32 CRC32/IEEE of payload
-//	    payload: gob(wireRecord{Source, Seq, Epoch, LSN, Ins, Del})
+//	    payload: source name, uvarint seq, epoch, lsn, then the update:
+//	             its insert sets and its delete sets, each a
+//	             snapshot.AppendState of the non-empty ones
+//
+// Names, uvarints and relations are package relation's encoding
+// (relation/codec.go), the same bytes a checkpoint holds. A journal of
+// the previous format (magic "DWJL", gob payloads) is refused with
+// ErrOldFormat, by name and not as corruption.
 //
 // A torn tail — a record cut short by a crash mid-append — is detected
 // by the length prefix and tolerated: replay stops cleanly before it
@@ -33,15 +40,12 @@
 // frames (no magic), read incrementally by StreamReader. Epoch and LSN
 // are the replication coordinates — the leadership term a record was
 // committed under and its position in the leader's log; both are zero
-// on journals written before replication existed, which gob decodes
-// compatibly in both directions.
+// on a standalone server.
 package journal
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -59,8 +63,8 @@ import (
 	"dwcomplement/internal/trace"
 )
 
-// magic opens every journal file.
-var magic = [4]byte{'D', 'W', 'J', 'L'}
+// magic opens every journal file; magicV2 opened the gob format.
+var magic, magicV2 = [4]byte{'D', 'W', 'J', '3'}, [4]byte{'D', 'W', 'J', 'L'}
 
 // maxRecord bounds one record's payload; longer prefixes are treated as
 // corruption rather than honored with a giant allocation.
@@ -71,12 +75,14 @@ const maxRecord = 1 << 28
 // this means the file cannot be trusted past that point.
 var ErrCorrupt = errors.New("journal: corrupt record")
 
+// ErrOldFormat reports an intact journal this build has no reader for.
+var ErrOldFormat = errors.New("journal: written by format v2, not readable by this build")
+
 // Record is one journaled notification: the reporting source, its
 // per-source sequence number, and the update it reported. Epoch and
 // LSN position the record in a replicated deployment — the leadership
 // term it was committed under and its slot in the leader's replication
-// log; both stay zero on standalone servers and on journals written
-// before replication existed.
+// log; both stay zero on standalone servers.
 type Record struct {
 	Source string
 	Seq    uint64
@@ -85,57 +91,46 @@ type Record struct {
 	Update *catalog.Update
 }
 
-// wireRecord is the gob shape of a Record; relations ride on the
-// snapshot package's wire codec so values round-trip identically in
-// both durability formats. Epoch/LSN were added for replication: gob
-// decodes records missing them to zero and ignores them when a newer
-// file meets an older reader, so the format needs no version bump.
-type wireRecord struct {
-	Source string
-	Seq    uint64
-	Epoch  uint64
-	LSN    uint64
-	Ins    map[string]snapshot.WireRelation
-	Del    map[string]snapshot.WireRelation
-}
-
-// ToWireUpdate serializes an update's insert and delete sets on the
-// snapshot package's relation codec. It is the single update codec of
-// the repo: the journal's records and the remote reporting protocol
-// (internal/remote) both ride on it, so an update round-trips
+// AppendUpdate appends an update's insert and delete sets to b. With
+// DecodeUpdate it is the single update codec of the repo: the journal's
+// records, the replica stream and the remote reporting protocol
+// (internal/remote) all ride on it, so an update round-trips
 // identically whether it crossed a disk or a network boundary.
-func ToWireUpdate(u *catalog.Update) (ins, del map[string]snapshot.WireRelation) {
+func AppendUpdate(b []byte, u *catalog.Update) []byte {
+	ins, del := map[string]*relation.Relation{}, map[string]*relation.Relation{}
 	for _, name := range u.Touched() {
 		if r := u.Inserts(name); r != nil && !r.IsEmpty() {
-			if ins == nil {
-				ins = make(map[string]snapshot.WireRelation)
-			}
-			ins[name] = snapshot.ToWireRelation(r)
+			ins[name] = r
 		}
 		if r := u.Deletes(name); r != nil && !r.IsEmpty() {
-			if del == nil {
-				del = make(map[string]snapshot.WireRelation)
-			}
-			del[name] = snapshot.ToWireRelation(r)
+			del[name] = r
 		}
 	}
-	return ins, del
+	return snapshot.AppendState(snapshot.AppendState(b, ins), del)
 }
 
-// FromWireUpdate restores an update from its wire form, re-aligning
-// each row to the schema's attribute order and rejecting references to
-// relations the database does not declare.
-func FromWireUpdate(db *catalog.Database, ins, del map[string]snapshot.WireRelation) (*catalog.Update, error) {
+// DecodeUpdate reads the update that b is, re-aligning each row to the
+// schema's attribute order and rejecting references to relations the
+// database does not declare. Bytes the decoder refuses fail with an
+// error wrapping relation.ErrEncoding.
+func DecodeUpdate(b []byte, db *catalog.Database) (*catalog.Update, error) {
+	ins, b, err := snapshot.DecodeState(b)
+	if err != nil {
+		return nil, err
+	}
+	del, b, err := snapshot.DecodeState(b)
+	if err != nil {
+		return nil, err
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the update", relation.ErrEncoding, len(b))
+	}
 	u := catalog.NewUpdate()
-	restore := func(m map[string]snapshot.WireRelation, schedule func(string, relation.Tuple) error) error {
-		for name, wr := range m {
+	restore := func(m algebra.MapState, schedule func(string, *catalog.Database, relation.Tuple) error) error {
+		for name, rel := range m {
 			sc, ok := db.Schema(name)
 			if !ok {
 				return fmt.Errorf("journal: record references unknown relation %q: %w", name, algebra.ErrUnknownRelation)
-			}
-			rel, err := snapshot.FromWireRelation(wr)
-			if err != nil {
-				return fmt.Errorf("journal: relation %s: %w", name, err)
 			}
 			attrs := sc.AttrNames()
 			for t := range rel.All() {
@@ -147,57 +142,48 @@ func FromWireUpdate(db *catalog.Database, ins, del map[string]snapshot.WireRelat
 					}
 					aligned[i] = t[p]
 				}
-				if err := schedule(name, aligned); err != nil {
+				if err := schedule(name, db, aligned); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	if err := restore(ins, func(name string, t relation.Tuple) error { return u.Insert(name, db, t) }); err != nil {
+	if err := restore(ins, u.Insert); err != nil {
 		return nil, err
 	}
-	if err := restore(del, func(name string, t relation.Tuple) error { return u.Delete(name, db, t) }); err != nil {
+	if err := restore(del, u.Delete); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-func toWire(rec Record) wireRecord {
-	w := wireRecord{Source: rec.Source, Seq: rec.Seq, Epoch: rec.Epoch, LSN: rec.LSN}
-	w.Ins, w.Del = ToWireUpdate(rec.Update)
-	return w
-}
-
-func fromWire(w wireRecord, db *catalog.Database) (Record, error) {
-	u, err := FromWireUpdate(db, w.Ins, w.Del)
-	if err != nil {
-		return Record{}, err
-	}
-	return Record{Source: w.Source, Seq: w.Seq, Epoch: w.Epoch, LSN: w.LSN, Update: u}, nil
-}
-
 // EncodeRecord frames one record onto w exactly as Append does on disk:
-// length prefix, CRC32, gob payload. It is the encode half of the
+// length prefix, CRC32, payload. It is the encode half of the
 // replication stream — a leader frames log entries onto an HTTP
 // response body and a follower decodes them with StreamReader, so a
 // record crosses the network bit-identical to how it crosses a crash.
 func EncodeRecord(w io.Writer, rec Record) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(toWire(rec)); err != nil {
-		return fmt.Errorf("journal: encode: %w", err)
-	}
-	if payload.Len() > maxRecord {
-		return fmt.Errorf("journal: record of %d bytes exceeds limit", payload.Len())
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
+	b, err := frameRecord(rec)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload.Bytes())
+	_, err = w.Write(b)
 	return err
+}
+
+func frameRecord(rec Record) ([]byte, error) {
+	b := relation.AppendString(make([]byte, 8, 256), rec.Source)
+	for _, v := range [...]uint64{rec.Seq, rec.Epoch, rec.LSN} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = AppendUpdate(b, rec.Update)
+	if len(b)-8 > maxRecord {
+		return nil, fmt.Errorf("journal: record of %d bytes exceeds limit", len(b)-8)
+	}
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-8))
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
+	return b, nil
 }
 
 // Writer appends records to a journal file with write-ahead semantics:
@@ -272,17 +258,17 @@ func (w *Writer) AppendContext(ctx context.Context, rec Record) error {
 	if err := chaos.Point("journal.append"); err != nil {
 		return err
 	}
-	var frame bytes.Buffer
-	if err := EncodeRecord(&frame, rec); err != nil {
+	frame, err := frameRecord(rec)
+	if err != nil {
 		return err
 	}
-	sp.SetAttrInt("bytes", int64(frame.Len()))
+	sp.SetAttrInt("bytes", int64(len(frame)))
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("journal: writer is closed")
 	}
-	if _, err := w.f.Write(frame.Bytes()); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		return err
 	}
 	if err := chaos.Point("journal.sync"); err != nil {
@@ -292,7 +278,7 @@ func (w *Writer) AppendContext(ctx context.Context, rec Record) error {
 	if sp.Recording() {
 		syncStart = time.Now()
 	}
-	err := w.f.Sync()
+	err = w.f.Sync()
 	if sp.Recording() {
 		sp.SetAttrInt("fsyncMicros", time.Since(syncStart).Microseconds())
 	}
@@ -451,8 +437,8 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if length > maxRecord {
 		return nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := snapshot.ReadN(r, uint64(length))
+	if err != nil {
 		return nil, fmt.Errorf("%w: record cut short", ErrTorn)
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
@@ -461,13 +447,27 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeRecord decodes one frame payload against db.
-func decodeRecord(payload []byte, db *catalog.Database) (Record, error) {
-	var wrec wireRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wrec); err != nil {
-		return Record{}, fmt.Errorf("%w: undecodable record: %v", ErrCorrupt, err)
+// decodeRecord decodes one frame payload against db. The frame's
+// checksum held, so bytes the decoder refuses are corruption.
+func decodeRecord(b []byte, db *catalog.Database) (rec Record, err error) {
+	fail := func(err error) (Record, error) {
+		if errors.Is(err, relation.ErrEncoding) {
+			err = fmt.Errorf("%w: undecodable record: %w", ErrCorrupt, err)
+		}
+		return Record{}, err
 	}
-	return fromWire(wrec, db)
+	if rec.Source, b, err = relation.DecodeString(b); err != nil {
+		return fail(err)
+	}
+	for _, v := range [...]*uint64{&rec.Seq, &rec.Epoch, &rec.LSN} {
+		if *v, b, err = relation.DecodeUvarint(b); err != nil {
+			return fail(err)
+		}
+	}
+	if rec.Update, err = DecodeUpdate(b, db); err != nil {
+		return fail(err)
+	}
+	return rec, nil
 }
 
 // StreamReader decodes a bare sequence of journal frames (no magic) one
@@ -513,6 +513,9 @@ func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (int64, 
 			return 0, nil // empty file: fresh journal
 		}
 		return 0, ErrTorn
+	}
+	if mg == magicV2 {
+		return 0, ErrOldFormat
 	}
 	if mg != magic {
 		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)

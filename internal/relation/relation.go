@@ -110,6 +110,16 @@ func New(attrs ...string) *Relation {
 // newPresized creates an empty relation about to receive n rows: the first
 // page of row storage and the page tables are allocated up front.
 func newPresized(attrs []string, n int) *Relation {
+	r, err := newChecked(attrs, n)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
+// newChecked is newPresized for attribute names that are data (the
+// decoder's): an empty or duplicate name is an error, not a panic.
+func newChecked(attrs []string, n int) (*Relation, error) {
 	r := &Relation{
 		attrs: append([]string(nil), attrs...),
 		pos:   make(map[string]int, len(attrs)),
@@ -120,14 +130,14 @@ func newPresized(attrs []string, n int) *Relation {
 	}
 	for i, a := range attrs {
 		if a == "" {
-			panic("relation: empty attribute name")
+			return nil, errors.New("relation: empty attribute name")
 		}
 		if _, dup := r.pos[a]; dup {
-			panic(fmt.Sprintf("relation: duplicate attribute %q", a))
+			return nil, fmt.Errorf("relation: duplicate attribute %q", a)
 		}
 		r.pos[a] = i
 	}
-	return r
+	return r, nil
 }
 
 // NewFromSchema creates an empty relation with the schema's attribute order.

@@ -10,28 +10,27 @@
 // state that feeds the warehouse's serve-stale degradation.
 //
 // The wire format deliberately rides the journal's update codec
-// (journal.ToWireUpdate/FromWireUpdate over snapshot.WireRelation), so
-// an update serializes identically whether it crosses a disk or a
-// network boundary, and carries the same Seq the recovery protocol
-// keys on. Everything is plain JSON over HTTP/1.1 — debuggable with
-// curl, no third-party dependencies.
+// (journal.AppendUpdate/DecodeUpdate), so an update is the same bytes
+// whether it crosses a disk or a network boundary, and carries the same
+// Seq the recovery protocol keys on. The envelope is plain JSON over
+// HTTP/1.1 (the update base64 inside it), no third-party dependencies.
 package remote
 
 import (
+	"fmt"
+
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/journal"
-	"dwcomplement/internal/snapshot"
 	"dwcomplement/internal/source"
 )
 
 // WireNotification is one change report on the wire: the reporting
-// source, its per-source sequence number, and the update's insert and
-// delete sets in the shared relation codec.
+// source, its per-source sequence number, and the update as
+// journal.AppendUpdate wrote it.
 type WireNotification struct {
-	Source string                           `json:"source"`
-	Seq    uint64                           `json:"seq"`
-	Ins    map[string]snapshot.WireRelation `json:"ins,omitempty"`
-	Del    map[string]snapshot.WireRelation `json:"del,omitempty"`
+	Source string `json:"source"`
+	Seq    uint64 `json:"seq"`
+	Update []byte `json:"update"`
 	// Lineage (both optional, so old and new peers interoperate): when
 	// the report was applied at the source, and the W3C traceparent of
 	// its sampled "source.apply" span — the propagation that lets the
@@ -42,18 +41,19 @@ type WireNotification struct {
 
 // ToWire serializes a notification for transport.
 func ToWire(n source.Notification) WireNotification {
-	ins, del := journal.ToWireUpdate(n.Update)
 	return WireNotification{
-		Source: n.Source, Seq: n.Seq, Ins: ins, Del: del,
+		Source: n.Source, Seq: n.Seq, Update: journal.AppendUpdate(nil, n.Update),
 		EmittedUnixNano: n.EmittedUnixNano, Traceparent: n.Traceparent,
 	}
 }
 
-// FromWire restores a notification against the shared database schema.
+// FromWire restores a notification against the shared database schema;
+// bytes the decoder refuses fail with an error wrapping
+// relation.ErrEncoding, which the client counts as a bad response.
 func FromWire(w WireNotification, db *catalog.Database) (source.Notification, error) {
-	u, err := journal.FromWireUpdate(db, w.Ins, w.Del)
+	u, err := journal.DecodeUpdate(w.Update, db)
 	if err != nil {
-		return source.Notification{}, err
+		return source.Notification{}, fmt.Errorf("remote: report %s/%d: %w", w.Source, w.Seq, err)
 	}
 	return source.Notification{
 		Source: w.Source, Seq: w.Seq, Update: u,

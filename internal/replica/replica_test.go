@@ -3,12 +3,15 @@ package replica
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,5 +389,51 @@ func TestClientQuarantinesDeadLeader(t *testing.T) {
 	}
 	if c.Staleness() <= 0 {
 		t.Fatal("staleness not advancing while leader is down")
+	}
+}
+
+// TestClientRefetchesCorruptBatch: a frame whose checksum holds around
+// bytes that are no record (here a relation naming an attribute twice,
+// which panicked the parent's follower inside relation.New) is a corrupt
+// batch: the attempt fails, the retry re-fetches, nothing partial
+// surfaces. The same bytes in a snapshot body are snapshot.ErrCorrupt.
+func TestClientRefetchesCorruptBatch(t *testing.T) {
+	db := testDB(t)
+	log := NewLog(0)
+	log.Reset(0, 1)
+	for lsn := uint64(1); lsn <= 2; lsn++ {
+		if err := log.Append(rec(t, db, 1, lsn, lsn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hostile := []byte{1, 's', 1, 1, 1, 1, 4, 'S', 'a', 'l', 'e', 2, 1, 'a', 1, 'a', 0, 0}
+	framed := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(len(hostile))), crc32.ChecksumIEEE(hostile))
+	framed = append(framed, hostile...)
+	good := (&fakeLeader{db: db, log: log}).handler()
+	var streams, snapshots atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderEpoch, "1")
+		switch {
+		case r.URL.Path == "/replica/stream" && streams.Add(1) == 1:
+			w.Header().Set(HeaderTip, "2")
+			w.Write(framed)
+		case r.URL.Path == "/replica/snapshot":
+			snapshots.Add(1)
+			hdr := append([]byte("DWS3"), framed[4:8]...)
+			w.Write(append(binary.BigEndian.AppendUint64(hdr, uint64(len(hostile))), hostile...))
+		default:
+			good.ServeHTTP(w, r)
+		}
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL, db, testClientConfig())
+	batch, err := c.FetchBatch(context.Background(), 1, 0)
+	if err != nil || batch.Torn || len(batch.Records) != 2 || streams.Load() != 2 {
+		t.Fatalf("batch %+v after %d fetches, error %v; want the 2 records of the re-fetch", batch, streams.Load(), err)
+	}
+	_, err = c.FetchSnapshot(context.Background())
+	if !errors.Is(err, snapshot.ErrCorrupt) || !errors.Is(err, relation.ErrEncoding) || snapshots.Load() != 2 {
+		t.Fatalf("snapshot error %v after %d attempts; want ErrCorrupt from both", err, snapshots.Load())
 	}
 }

@@ -4,149 +4,116 @@
 // without ever contacting the sources, which is the whole point of an
 // independent warehouse: its state is self-contained.
 //
-// The on-disk format is crash-safe end to end: a fixed binary header
-// carrying a CRC32 of the gob payload (so truncated or bit-rotted files
-// are rejected with ErrCorrupt instead of being half-loaded), written to
-// a temp file that is fsync'd and atomically renamed into place (so a
-// crash mid-write leaves the previous snapshot intact). Snapshots also
-// carry per-source applied-sequence watermarks, which tell a recovering
-// integrator where in its journal to resume replay.
+// Format v3, all integers big endian:
+//
+//	magic "DWS3" | CRC32/IEEE of payload (4) | payload length (8)
+//	payload: state, then uvarint count of marks and, in name order,
+//	         count × (name, uvarint watermark)
+//	state:   uvarint count of relations and, in name order,
+//	         count × (name, relation)
+//
+// with names, uvarints and relations in package relation's encoding
+// (relation/codec.go), so one state has one encoding. The file is
+// crash-safe end to end: truncated or bit-rotted bytes are rejected
+// with ErrCorrupt instead of being half-loaded, and a save goes to a
+// temp file that is fsync'd and atomically renamed into place, so a
+// crash mid-write leaves the previous snapshot intact. The marks are
+// per-source applied-sequence watermarks, which tell a recovering
+// integrator where in its journal to resume replay. A file of the
+// previous format (v2: magic "DWSN", a gob payload) is refused with
+// ErrOldFormat — by name, not as corruption, and never by starting
+// empty beside it; its reader went with the types it needed.
 //
 // Mark names beginning with "~" are reserved for replication metadata
 // (the node's epoch and log position, see internal/replica): they ride
-// the same marks map — no format bump — and are split back out by
-// replica.SplitMetaMarks on load, so source names must never start
-// with "~".
+// the same marks map and are split back out by replica.SplitMetaMarks
+// on load, so source names must never start with "~".
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
-	"unsafe"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/chaos"
 	"dwcomplement/internal/relation"
 )
 
-// formatVersion guards against reading snapshots from incompatible
-// versions of the wire format. Version 2 added the CRC header and the
-// applied-sequence watermarks; version 1 files (headerless gob) are no
-// longer readable.
-const formatVersion = 2
-
-// magic opens every snapshot file; a file without it is not a snapshot.
-var magic = [4]byte{'D', 'W', 'S', 'N'}
+// magic opens every snapshot file; magicV2 opened the gob format.
+var magic, magicV2 = [4]byte{'D', 'W', 'S', '3'}, [4]byte{'D', 'W', 'S', 'N'}
 
 // ErrCorrupt reports a snapshot that cannot be trusted: bad magic,
-// truncated payload, or checksum mismatch. Callers distinguish it from
-// I/O errors to decide between "fall back to older snapshot" and
-// "retry the read".
+// truncated payload, checksum mismatch, or a payload the decoder
+// refuses. Callers distinguish it from I/O errors to decide between
+// "fall back to older snapshot" and "retry the read".
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated")
 
-// WireValue is the exported gob mirror of relation.Value: the same
-// fields in the same order, exported for the reflection-based encoders.
-// The journal package reuses it so updates and states share one value
-// codec.
-type WireValue struct {
-	Kind uint8
-	B    bool
-	I    int64
-	F    float64
-	S    string
-}
+// ErrOldFormat reports an intact file this build has no reader for.
+var ErrOldFormat = errors.New("snapshot: written by format v2, not readable by this build")
 
-// wireRow views a tuple's values as wire values without copying them. A
-// checkpoint encodes every value of the warehouse; converting them first
-// kept a second, 40-byte-per-value image of the warehouse alive for the
-// whole encode, which the background checkpointer cannot afford beside
-// running commits (leader RSS +35 % on the benchmark's update workload).
-// The view aliases the tuple and, like it, must not be modified.
-//
-// It is sound only while relation.Value and WireValue are laid out
-// alike: the size is checked here at compile time (the index must be the
-// constant 0), field order, types and offsets by TestWireValueLayout.
-func wireRow(t relation.Tuple) []WireValue {
-	return unsafe.Slice((*WireValue)(unsafe.Pointer(unsafe.SliceData(t))), len(t))
-}
-
-var _ = [1]struct{}{}[unsafe.Sizeof(relation.Value{})-unsafe.Sizeof(WireValue{})]
-
-// FromWireValue restores a relation value.
-func FromWireValue(w WireValue) (relation.Value, error) {
-	switch relation.Kind(w.Kind) {
-	case relation.KindNull:
-		return relation.Null(), nil
-	case relation.KindBool:
-		return relation.Bool(w.B), nil
-	case relation.KindInt:
-		return relation.Int(w.I), nil
-	case relation.KindFloat:
-		return relation.Float(w.F), nil
-	case relation.KindString:
-		return relation.String_(w.S), nil
-	default:
-		return relation.Value{}, fmt.Errorf("snapshot: unknown value kind %d", w.Kind)
+// AppendState appends a set of named relations — a warehouse state, or
+// one side of an update — to b.
+func AppendState(b []byte, ms map[string]*relation.Relation) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ms)))
+	for _, name := range slices.Sorted(maps.Keys(ms)) {
+		b = ms[name].AppendBinary(relation.AppendString(b, name))
 	}
+	return b
 }
 
-// WireRelation is one serialized relation: attribute order plus rows in
-// that order.
-type WireRelation struct {
-	Attrs []string
-	Rows  [][]WireValue
-}
-
-// ToWireRelation serializes a relation (rows in canonical sorted order,
-// so equal relations serialize identically). The rows alias the
-// relation's tuples: encode them, do not modify them.
-func ToWireRelation(r *relation.Relation) WireRelation {
-	wr := WireRelation{Attrs: append([]string(nil), r.Attrs()...)}
-	if r.Len() == 0 {
-		return wr
+// DecodeState reads what AppendState wrote off the front of b; its
+// errors wrap relation.ErrEncoding.
+func DecodeState(b []byte) (algebra.MapState, []byte, error) {
+	n, b, err := relation.DecodeUvarint(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	// The rows are only read by the encoders, so they are sorted and
-	// handed over as they are: no tuple is copied, no value converted.
-	wr.Rows = make([][]WireValue, 0, r.Len())
-	for _, t := range r.SortedRows() {
-		wr.Rows = append(wr.Rows, wireRow(t))
-	}
-	return wr
-}
-
-// FromWireRelation restores a relation.
-func FromWireRelation(wr WireRelation) (*relation.Relation, error) {
-	rel := relation.New(wr.Attrs...)
-	for _, row := range wr.Rows {
-		t := make(relation.Tuple, len(row))
-		for i, wv := range row {
-			v, err := FromWireValue(wv)
-			if err != nil {
-				return nil, err
-			}
-			t[i] = v
+	ms := algebra.MapState{}
+	for i, name := uint64(0), ""; i < n; i++ {
+		if name, b, err = nextName(b, i == 0, name); err != nil {
+			return nil, nil, err
 		}
-		rel.Insert(t)
+		if ms[name], b, err = relation.DecodeBinary(b); err != nil {
+			return nil, nil, fmt.Errorf("relation %q: %w", name, err)
+		}
 	}
-	return rel, nil
+	return ms, b, nil
 }
 
-// wireSnapshot is the gob payload behind the binary header.
-type wireSnapshot struct {
-	Version   int
-	Relations map[string]WireRelation
-	// Marks are per-source applied-sequence watermarks: every journal
-	// record with Seq ≤ Marks[source] is already reflected in the
-	// relations and must be skipped during replay.
-	Marks map[string]uint64
+// nextName reads the next name of a list written in name order; prev is
+// the one before it unless this is the first.
+func nextName(b []byte, first bool, prev string) (string, []byte, error) {
+	name, b, err := relation.DecodeString(b)
+	if err == nil && !first && name <= prev {
+		err = fmt.Errorf("%w: name %q duplicated or out of order", relation.ErrEncoding, name)
+	}
+	return name, b, err
+}
+
+// ReadN reads exactly n bytes from r into a buffer that grows as they
+// arrive: a length prefix that lies — on a follower it comes off the
+// network — costs 64 KiB or twice what was sent, not what it claims. A
+// short read returns the io.ReadFull error.
+func ReadN(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-uint64(len(buf)), uint64(len(buf)))))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, uint64(cap(buf)))])
+		if buf = buf[:len(buf)+m]; err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Save writes the relation map to w (no watermarks).
@@ -156,32 +123,18 @@ func Save(w io.Writer, ms map[string]*relation.Relation) error {
 
 // SaveMarks writes the relation map plus per-source applied-sequence
 // watermarks to w: header (magic, CRC32, payload length) then payload.
+// Every journal record with Seq ≤ marks[source] is already reflected in
+// the relations and is skipped during replay.
 func SaveMarks(w io.Writer, ms map[string]*relation.Relation, marks map[string]uint64) error {
-	out := wireSnapshot{
-		Version:   formatVersion,
-		Relations: make(map[string]WireRelation, len(ms)),
+	b := AppendState(make([]byte, 16, 1<<16), ms)
+	b = binary.AppendUvarint(b, uint64(len(marks)))
+	for _, s := range slices.Sorted(maps.Keys(marks)) {
+		b = binary.AppendUvarint(relation.AppendString(b, s), marks[s])
 	}
-	for name, r := range ms {
-		out.Relations[name] = ToWireRelation(r)
-	}
-	if len(marks) > 0 {
-		out.Marks = make(map[string]uint64, len(marks))
-		for s, q := range marks {
-			out.Marks[s] = q
-		}
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(out); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
-	}
-	var hdr [16]byte
-	copy(hdr[:4], magic[:])
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
+	copy(b[:4], magic[:])
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[16:]))
+	binary.BigEndian.PutUint64(b[8:16], uint64(len(b)-16))
+	_, err := w.Write(b)
 	return err
 }
 
@@ -192,13 +145,18 @@ func Load(r io.Reader) (algebra.MapState, error) {
 }
 
 // LoadMarks reads a relation map and its watermarks from r. Corrupt or
-// truncated input fails with an error wrapping ErrCorrupt.
+// truncated input fails with an error wrapping ErrCorrupt, a v2 file
+// with ErrOldFormat.
 func LoadMarks(r io.Reader) (algebra.MapState, map[string]uint64, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
-	if !bytes.Equal(hdr[:4], magic[:]) {
+	switch [4]byte(hdr[:4]) {
+	case magic:
+	case magicV2:
+		return nil, nil, ErrOldFormat
+	default:
 		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	wantCRC := binary.BigEndian.Uint32(hdr[4:8])
@@ -207,29 +165,45 @@ func LoadMarks(r io.Reader) (algebra.MapState, map[string]uint64, error) {
 	if length > maxPayload {
 		return nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := ReadN(r, length)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	var in wireSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&in); err != nil {
-		return nil, nil, fmt.Errorf("%w: undecodable payload: %v", ErrCorrupt, err)
+	ms, marks, err := decodePayload(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: undecodable payload: %w", ErrCorrupt, err)
 	}
-	if in.Version != formatVersion {
-		return nil, nil, fmt.Errorf("snapshot: unsupported format version %d (want %d)", in.Version, formatVersion)
+	return ms, marks, nil
+}
+
+func decodePayload(b []byte) (algebra.MapState, map[string]uint64, error) {
+	ms, b, err := DecodeState(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := make(algebra.MapState, len(in.Relations))
-	for name, wr := range in.Relations {
-		rel, err := FromWireRelation(wr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("snapshot: relation %s: %w", name, err)
+	n, b, err := relation.DecodeUvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	var marks map[string]uint64 // nil when the snapshot carries none
+	for i, s := uint64(0), ""; i < n; i++ {
+		if s, b, err = nextName(b, i == 0, s); err != nil {
+			return nil, nil, err
 		}
-		out[name] = rel
+		if marks == nil {
+			marks = map[string]uint64{}
+		}
+		if marks[s], b, err = relation.DecodeUvarint(b); err != nil {
+			return nil, nil, err
+		}
 	}
-	return out, in.Marks, nil
+	if len(b) != 0 {
+		return nil, nil, fmt.Errorf("%w: %d bytes after the marks", relation.ErrEncoding, len(b))
+	}
+	return ms, marks, nil
 }
 
 // SaveFile writes the relation map to a file atomically (see

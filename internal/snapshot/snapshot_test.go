@@ -3,11 +3,13 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,7 +54,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.snap")
 	ms := sampleState(t)
 	if err := SaveFile(path, ms); err != nil {
 		t.Fatal(err)
@@ -64,7 +66,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if !got["R"].Equal(ms["R"]) {
 		t.Error("file round trip lost data")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -87,7 +89,7 @@ func TestLoadRejectsTruncated(t *testing.T) {
 		}
 	}
 	// And through the file path, as a crashed write would leave it.
-	path := filepath.Join(t.TempDir(), "trunc.gob")
+	path := filepath.Join(t.TempDir(), "trunc.snap")
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestMarksRoundTrip(t *testing.T) {
 // successful save.
 func TestSaveFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.gob")
+	path := filepath.Join(dir, "state.snap")
 	first := sampleState(t)
 	if err := SaveFile(path, first); err != nil {
 		t.Fatal(err)
@@ -219,7 +221,7 @@ func TestWarehouseSnapshotCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "wh.gob")
+	path := filepath.Join(t.TempDir(), "wh.snap")
 	if err := SaveFile(path, w.State()); err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +253,35 @@ func TestWarehouseSnapshotCycle(t *testing.T) {
 	}
 }
 
-// TestEncodedBytesGolden pins the encoded bytes of a fixed state: a
-// single relation (gob walks maps in random order, so only one-entry
-// maps have one encoding) whose rows go in unsorted and cover every
-// value kind, ties on the leading columns included. The digest was
-// recorded before ToWireRelation stopped cloning rows for the sort, so
-// storage_ratio and what a follower is shipped cannot have moved.
+// TestEncodedBytesGolden pins format v3. The small state is spelled out
+// byte by byte; the digest is of a relation whose rows go in unsorted and
+// cover every value kind, ties on the leading columns included — what
+// storage_ratio measures and a follower is shipped.
 func TestEncodedBytesGolden(t *testing.T) {
+	small := map[string]*relation.Relation{"R": relation.New("k", "v"), "E": relation.New("q")}
+	small["R"].InsertValues(relation.Int(7), relation.String_("x"))
+	small["R"].InsertValues(relation.Int(-1), relation.Null())
+	var buf bytes.Buffer
+	if err := SaveMarks(&buf, small, map[string]uint64{"~lsn": 300, "http": 42}); err != nil {
+		t.Fatal(err)
+	}
+	wantSmall := []byte{
+		'D', 'W', 'S', '3', // magic
+		0x0d, 0xf0, 0x38, 0x7a, // CRC32/IEEE of the payload
+		0, 0, 0, 0, 0, 0, 0, 37, // payload length
+		2,                    // relations, by name
+		1, 'E', 1, 1, 'q', 0, // "E": one attribute "q", no rows
+		1, 'R', 2, 1, 'k', 1, 'v', 2, // "R": attributes k, v; two rows, sorted
+		2, 1, 0, // int −1 (kind 2, zig-zag 1) | null (kind 0)
+		2, 14, 4, 1, 'x', // int 7 | string (kind 4) "x"
+		2,                         // marks, by name
+		4, 'h', 't', 't', 'p', 42, // "http" → 42
+		4, '~', 'l', 's', 'n', 0xac, 0x02, // "~lsn" → 300 (uvarint)
+	}
+	if !bytes.Equal(buf.Bytes(), wantSmall) {
+		t.Fatalf("small state encodes as\n%v\nwant\n%v", buf.Bytes(), wantSmall)
+	}
+
 	r := relation.New("k", "f", "s", "b", "n")
 	for i := 40; i > 0; i-- {
 		k := int64(i * 7 % 11)
@@ -267,29 +291,94 @@ func TestEncodedBytesGolden(t *testing.T) {
 		}
 		r.InsertValues(relation.Int(k), relation.Float(float64(i)/4), relation.String_(strings.Repeat("x", i%5)), relation.Bool(i%2 == 0), n)
 	}
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": r}, map[string]uint64{"http": 42}); err != nil {
 		t.Fatal(err)
 	}
-	const want = "7ec3100a565c9522f228d05f04b38df9ea16e9644d112030a8b3e52c992d9316"
+	const want = "4e7418cf49efaaf550052199d4378b69213a9f53626f79c1c0d9b30440b68a3b"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("snapshot encoding changed: %d bytes, sha256 %s, want %s", buf.Len(), got, want)
 	}
 }
 
-// TestWireValueLayout is the other half of wireRow's soundness check: a
-// tuple is encoded through a []WireValue view of its own memory, so the
-// two value types must agree field by field in kind, size and offset.
-func TestWireValueLayout(t *testing.T) {
-	v, w := reflect.TypeOf(relation.Value{}), reflect.TypeOf(WireValue{})
-	if v.NumField() != w.NumField() {
-		t.Fatalf("relation.Value has %d fields, WireValue %d", v.NumField(), w.NumField())
-	}
-	for i := 0; i < v.NumField(); i++ {
-		vf, wf := v.Field(i), w.Field(i)
-		if vf.Type.Kind() != wf.Type.Kind() || vf.Type.Size() != wf.Type.Size() || vf.Offset != wf.Offset {
-			t.Errorf("field %d: relation.Value.%s is %s at offset %d, WireValue.%s is %s at offset %d",
-				i, vf.Name, vf.Type, vf.Offset, wf.Name, wf.Type, wf.Offset)
+// crcValid wraps a payload in a header that vouches for it: what a
+// hostile leader, or a bug in a writer, can put in front of the decoder.
+func crcValid(payload []byte) []byte {
+	b := append(make([]byte, 16), payload...)
+	copy(b, magic[:])
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint64(b[8:16], uint64(len(payload)))
+	return b
+}
+
+// TestLoadRefusesHostilePayload: a checksum says the bytes arrived, not
+// that they are a state. The three relation shapes panicked the parent.
+func TestLoadRefusesHostilePayload(t *testing.T) {
+	state := func(rel ...byte) []byte { return append(append([]byte{1, 1, 'R'}, rel...), 0) }
+	for name, payload := range map[string][]byte{
+		"duplicate attribute": state(2, 1, 'a', 1, 'a', 1, 0, 0),
+		"empty attribute":     state(2, 1, 'a', 0, 1, 0, 0),
+		"short row":           state(2, 1, 'a', 1, 'b', 2, 2, 2, 2, 4, 2, 6),
+		"duplicate relation":  {2, 1, 'R', 0, 0, 1, 'R', 0, 0, 0},
+		"relations unsorted":  {2, 1, 'S', 0, 0, 1, 'R', 0, 0, 0},
+		"duplicate mark":      {0, 2, 1, 'm', 1, 1, 'm', 2},
+		"count past the end":  {0xff, 0xff, 0xff, 0xff, 0x0f},
+		"trailing bytes":      {0, 0, 0},
+		"empty":               {},
+	} {
+		ms, _, err := LoadMarks(bytes.NewReader(crcValid(payload)))
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(err, relation.ErrEncoding) || ms != nil {
+			t.Errorf("%s: state %v, error %v; want ErrCorrupt wrapping relation.ErrEncoding", name, ms, err)
 		}
+	}
+	if _, _, err := LoadMarks(bytes.NewReader(crcValid(state(1, 1, 'a', 1, 2, 2)))); err != nil {
+		t.Errorf("control payload refused: %v", err)
+	}
+}
+
+// TestLoadEveryPrefixIsCorrupt: no cut of a valid snapshot loads.
+func TestLoadEveryPrefixIsCorrupt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveMarks(&buf, sampleState(t), map[string]uint64{"http": 3}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for n := range len(data) {
+		if _, _, err := LoadMarks(bytes.NewReader(data[:n])); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("prefix of %d/%d bytes: %v", n, len(data), err)
+		}
+	}
+}
+
+// TestLoadDoesNotTrustTheLength: the header's length is a claim. One that
+// says 4 GiB in front of a few bytes — on a follower it comes off the
+// network — is a truncated payload, not a 4 GiB allocation.
+func TestLoadDoesNotTrustTheLength(t *testing.T) {
+	hdr := crcValid(nil)
+	binary.BigEndian.PutUint64(hdr[8:16], 1<<32)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, _, err := LoadMarks(bytes.NewReader(append(hdr, "a few bytes"...)))
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %v, want ErrCorrupt", err)
+	}
+	if got := ms.TotalAlloc - before; got > 256<<10 {
+		t.Errorf("%d bytes allocated for a 27-byte input", got)
+	}
+	// A payload longer than the first buffer still arrives whole.
+	big := bytes.Repeat([]byte{0xa5}, 300<<10)
+	if got, err := ReadN(bytes.NewReader(big), uint64(len(big))); err != nil || !bytes.Equal(got, big) {
+		t.Errorf("ReadN of %d bytes: %d bytes, error %v", len(big), len(got), err)
+	}
+}
+
+// TestLoadRefusesFormatV2 reads a checkpoint the parent of format v3
+// wrote (gob behind magic "DWSN"): refused by name, not as corruption.
+func TestLoadRefusesFormatV2(t *testing.T) {
+	_, _, err := LoadFileMarks(filepath.Join("..", "..", "testdata", "v2", "state.snap"))
+	if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format v2") {
+		t.Fatalf("error %v, want ErrOldFormat naming the format", err)
 	}
 }
