@@ -585,6 +585,18 @@ func churnOrder(loc string, okey, dims int) []relation.Value {
 		dwc.Int(int64(half + 1 + int((h>>20)%uint64(dims-half)))), dwc.Str(loc), dwc.Int(int64(1 + (h>>44)%49))}
 }
 
+// churnUpdate is update i of the process benchmark's churn over rows source
+// rows: insert one order — sites alternating — and, once lag updates of
+// that site went before, delete the one inserted lag updates earlier.
+func churnUpdate(db *dwc.Database, rows, lag, i int) *dwc.Update {
+	loc, j := []string{"paris", "tokyo"}[i%2], rows/2+1+i/2
+	u := dwc.NewUpdate().MustInsert("Order_"+loc, db, churnOrder(loc, j, rows/20)...)
+	if i/2 >= lag {
+		u.MustDelete("Order_"+loc, db, churnOrder(loc, j-lag, rows/20)...)
+	}
+	return u
+}
+
 // BenchmarkRefreshScale measures one refresh of the process benchmark's
 // churn shape — an update inserts one order and deletes the one inserted
 // 64 updates earlier, sites alternating — on the Section-5 schema at three
@@ -610,20 +622,12 @@ func BenchmarkRefreshScale(b *testing.B) {
 				}
 			}
 			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
-			update := func(i int) *dwc.Update {
-				loc, j := []string{"paris", "tokyo"}[i%2], c.rows/2+1+i/2
-				u := dwc.NewUpdate().MustInsert("Order_"+loc, db, churnOrder(loc, j, c.rows/20)...)
-				if i/2 >= lag {
-					u.MustDelete("Order_"+loc, db, churnOrder(loc, j-lag, c.rows/20)...)
-				}
-				return u
-			}
 			for i := 0; i < b.N+2*lag; i++ { // the first 2·lag updates only insert
 				if i == 2*lag {
 					b.ReportAllocs()
 					b.ResetTimer()
 				}
-				st, err := dwc.Refresh(ctx, m, w, update(i))
+				st, err := dwc.Refresh(ctx, m, w, churnUpdate(db, c.rows, lag, i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -713,6 +717,52 @@ func BenchmarkScanAfterUpdate(b *testing.B) {
 				cur = next
 			}
 			b.ReportMetric(float64(built)/float64(b.N), "images/op")
+		})
+	}
+}
+
+// BenchmarkCheckpoint measures what dwserve's checkpointer does on every
+// 64th ack, at two sizes: 64 updates of the process benchmark's churn
+// (untimed), then one save of the warehouse to a file — temp file, fsync,
+// rename. A save encodes the pages those updates wrote and copies the
+// cached sections of the rest, so pages-encoded/op is the same at both
+// sizes and ms/op grows only by the write of a larger file.
+func BenchmarkCheckpoint(b *testing.B) {
+	const every, lag = 64, 64
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"10k", 10_000}, {"100k", 100_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := section5Warehouse(b, c.rows)
+			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+			path := filepath.Join(b.TempDir(), "state.snap")
+			ctx, applied, encoded := context.Background(), 0, 0
+			churn := func(n int) {
+				for ; n > 0; n-- {
+					if _, err := dwc.Refresh(ctx, m, w, churnUpdate(db, c.rows, lag, applied)); err != nil {
+						b.Fatal(err)
+					}
+					applied++
+				}
+			}
+			churn(2 * lag) // past the updates that only insert
+			if err := snapshot.SaveFileMarks(path, w.State(), nil); err != nil {
+				b.Fatal(err) // the cold save: every page encoded
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				churn(every)
+				b.StartTimer()
+				st, err := snapshot.SaveFileMarksTimed(path, w.State(), map[string]uint64{"http": uint64(applied)})
+				if err != nil || st.PagesEncoded == 0 {
+					b.Fatalf("save after %d updates: %+v, error %v", applied, st, err)
+				}
+				encoded += st.PagesEncoded
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(encoded)/float64(b.N), "pages-encoded/op")
 		})
 	}
 }

@@ -2,11 +2,18 @@ package dwc_test
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	dwc "dwcomplement"
+	"dwcomplement/internal/relation"
 	"dwcomplement/internal/snapshot"
 )
 
@@ -66,5 +73,139 @@ func TestCheckpointRoundTripReconstructs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sameState reports the first difference between two warehouse states.
+func sameState(got, want map[string]*relation.Relation) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d relations, want %d", len(got), len(want))
+	}
+	for name, r := range want {
+		if !got[name].Equal(r) {
+			return fmt.Errorf("relation %s differs", name)
+		}
+	}
+	return nil
+}
+
+// TestCheckpointEncodesWhatChanged: on the Section-5 warehouse, after k
+// random single-row updates a save encodes at most 3·k + (number of
+// relations) pages — an insert writes the last page of what it changes, a
+// delete the victim's page and the last, and a relation's last page may
+// spill — whatever the warehouse's size, and load(save(w)) = w relation by
+// relation, marks included, round after round.
+func TestCheckpointEncodesWhatChanged(t *testing.T) {
+	const rows = 20_000
+	w := section5Warehouse(t, rows)
+	db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+	path := filepath.Join(t.TempDir(), "state.snap")
+	total := 0
+	for _, r := range w.State() {
+		total += r.NumPages()
+	}
+	st, err := snapshot.SaveFileMarksTimed(path, w.State(), nil)
+	if err != nil || st.PagesEncoded != total || st.PagesReused != 0 {
+		t.Fatalf("cold save of %d pages: %+v, error %v", total, st, err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	next := map[string]int{"paris": rows/2 + 1, "tokyo": rows/2 + 1}
+	var churned []*dwc.Update // deletes of the rows inserted so far
+	var seq uint64
+	for round := 0; round < 12; round++ {
+		k := 1 + rng.Intn(8)
+		for i := 0; i < k; i++ {
+			var u *dwc.Update
+			switch op := rng.Intn(3); {
+			case op == 0 && len(churned) > 0: // delete a row inserted earlier
+				j := rng.Intn(len(churned))
+				u = churned[j]
+				churned = append(churned[:j], churned[j+1:]...)
+			case op == 1: // delete a row of the initial load, wherever it is stored
+				fact, _ := w.Relation("FactParis")
+				skip := rng.Intn(rows / 4)
+				for tu := range fact.All() {
+					if fact.Get(tu, "okey").AsInt() > rows/2 {
+						continue // inserted above: churned holds its delete
+					}
+					if skip--; skip < 0 {
+						u = dwc.NewUpdate().MustDelete("Order_paris", db, fact.Get(tu, "okey"), fact.Get(tu, "ckey"), fact.Get(tu, "pkey"), fact.Get(tu, "loc"), fact.Get(tu, "qty"))
+						break
+					}
+				}
+			default:
+				loc := []string{"paris", "tokyo"}[rng.Intn(2)]
+				row := churnOrder(loc, next[loc], rows/20)
+				next[loc]++
+				u = dwc.NewUpdate().MustInsert("Order_"+loc, db, row...)
+				churned = append(churned, dwc.NewUpdate().MustDelete("Order_"+loc, db, row...))
+			}
+			if rs, err := dwc.Refresh(context.Background(), m, w, u); err != nil || rs.Total() != 1 {
+				t.Fatalf("round %d: the single-row update %v changed %d warehouse tuples (error %v)", round, u, rs.Total(), err)
+			}
+			seq++
+		}
+		marks := map[string]uint64{"http": seq, "~lsn": seq}
+		st, err := snapshot.SaveFileMarksTimed(path, w.State(), marks)
+		if err != nil || st.PagesEncoded > 3*k+len(w.State()) || st.PagesEncoded == 0 || st.PagesEncoded+st.PagesReused < total-k {
+			t.Fatalf("round %d: save after %d single-row updates: %+v (error %v); want at most %d of some %d pages encoded",
+				round, k, st, err, 3*k+len(w.State()), total)
+		}
+		ms, got, err := snapshot.LoadFileMarks(path)
+		if err == nil {
+			err = sameState(ms, w.State())
+		}
+		if err != nil || !maps.Equal(got, marks) {
+			t.Fatalf("round %d: load(save(w)): %v, marks %v want %v", round, err, got, marks)
+		}
+	}
+}
+
+// TestCheckpointBesideCommittingWriter: a save reads a pinned version page
+// by page — filling the slots those pages share with every later version —
+// while the writer clones the newest version and writes to the clones. Run
+// with -race. Each save must load back as exactly the version it was
+// taken from.
+func TestCheckpointBesideCommittingWriter(t *testing.T) {
+	const rows, updates = 10_000, 300
+	w := section5Warehouse(t, rows)
+	db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+	var cur atomic.Pointer[dwc.Warehouse]
+	cur.Store(w.Pin())
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the writer: the benchmark's churn, published like dwserve's commit does
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < updates; i++ {
+			if _, err := dwc.Refresh(context.Background(), m, w, churnUpdate(db, rows, 8, i)); err != nil {
+				t.Error(err)
+				return
+			}
+			cur.Store(w.Pin())
+		}
+	}()
+	saves, reused := 0, 0
+	for last := false; !last; saves++ {
+		last = done.Load() // one more save after the writer's last version
+		v := cur.Load()
+		path := filepath.Join(t.TempDir(), "state.snap")
+		st, err := snapshot.SaveFileMarksTimed(path, v.State(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused += st.PagesReused
+		ms, err := snapshot.LoadFile(path)
+		if err == nil {
+			err = sameState(ms, v.State())
+		}
+		if err != nil {
+			t.Fatalf("save %d beside the writer: %v", saves, err)
+		}
+	}
+	wg.Wait()
+	if saves < 2 || reused == 0 {
+		t.Fatalf("%d saves reused %d pages: the versions shared nothing", saves, reused)
 	}
 }

@@ -45,6 +45,7 @@ type checkpoint struct {
 	journalEnd int64 // journal offset at the version: everything before it is covered
 	acks       int   // acks the version covers since the previous checkpoint
 	dur        time.Duration
+	saved      snapshot.SaveStats
 }
 
 // lockBacklogBelow takes s.mu once no checkpoint is in flight or fewer
@@ -247,7 +248,10 @@ func (s *server) newCheckpointLocked(v *version) (*checkpoint, error) {
 
 // persist writes the version's snapshot (temp file → fsync → rename) and
 // the maintenance EWMAs, then compacts the journal to the records appended
-// after it. It takes no server lock. A crash at any point leaves the
+// after it. It takes no server lock, and it encodes only the pages written
+// since some earlier version's snapshot — this checkpointer's or a shipped
+// one (handleReplicaSnapshot) — encoded them: the sections are cached with
+// the pages the versions share. A crash at any point leaves the
 // old snapshot with the full journal, the new snapshot with the full
 // journal, or the new snapshot with the suffix; replay skips records at
 // or below the snapshot's marks, so each recovers to exactly the
@@ -268,7 +272,10 @@ func (s *server) persist(ck *checkpoint) (err error) {
 	if err != nil {
 		return fmt.Errorf("checkpoint snapshot: %w", err)
 	}
+	ck.saved = st
 	sp.SetAttrInt("bytes", st.Bytes)
+	sp.SetAttrInt("pagesEncoded", int64(st.PagesEncoded))
+	sp.SetAttrInt("pagesReused", int64(st.PagesReused))
 	sp.SetAttrInt("encodeUs", st.Encode.Microseconds())
 	sp.SetAttrInt("fsyncUs", st.Sync.Microseconds())
 	// The maintenance EWMAs ride along; they are advisory (planner input),
@@ -306,6 +313,11 @@ func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 		return
 	}
 	s.countCheckpoint("ok")
+	for kind, n := range map[string]int{"encoded": ck.saved.PagesEncoded, "reused": ck.saved.PagesReused} {
+		s.reg.Counter("dw_checkpoint_pages_total",
+			"Row pages in completed checkpoints: encoded because they were written since a snapshot last held them, or reused from the cache kept with the page.",
+			obs.Labels{"kind": kind}).Add(int64(n))
+	}
 	if s.ckptFailed {
 		s.ckptFailed = false
 		s.degraded.Store(false)
@@ -315,6 +327,7 @@ func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 		v.journalRecs -= ck.journalRecs
 		v.lastCkptLSN = ck.lsn
 		v.lastCkptDur = ck.dur
+		v.lastCkptSaved = ck.saved
 	})
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -265,19 +266,28 @@ func TestCorruptJournalRefusesBoot(t *testing.T) {
 
 // TestOldFormatRefusesBoot: a checkpoint and a journal written by the
 // parent of format v3 (gob; the bytes under testdata/v2 come from its
-// dwserve, SIGKILLed after three updates) are refused by name — each
-// alone and both together — never read as corruption, never booted from
-// empty beside, and left exactly as they were.
+// dwserve, SIGKILLed after three updates) and a checkpoint written by the
+// parent of format v4 (testdata/v3, likewise; its journal format is still
+// the current one) are refused by name — each alone and both together —
+// never read as corruption, never booted from empty beside, and left
+// exactly as they were.
 func TestOldFormatRefusesBoot(t *testing.T) {
 	spec, err := dwc.ParseSpec(testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, files := range [][]string{{"state.snap", "wal.dwj"}, {"state.snap"}, {"wal.dwj"}} {
+	for _, tc := range []struct {
+		version string
+		files   []string
+	}{
+		{"v2", []string{"state.snap", "wal.dwj"}}, {"v2", []string{"state.snap"}}, {"v2", []string{"wal.dwj"}},
+		{"v3", []string{"state.snap"}},
+	} {
+		files := tc.files
 		dir := t.TempDir()
 		old := map[string][]byte{}
 		for _, name := range files {
-			if old[name], err = os.ReadFile(filepath.Join("..", "..", "testdata", "v2", name)); err != nil {
+			if old[name], err = os.ReadFile(filepath.Join("..", "..", "testdata", tc.version, name)); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, name), old[name], 0o644); err != nil {
@@ -285,23 +295,82 @@ func TestOldFormatRefusesBoot(t *testing.T) {
 			}
 		}
 		srv, err := newServer(spec, dwc.Theorem22(), serverConfig{SnapshotDir: dir})
-		if srv != nil || err == nil || !strings.Contains(err.Error(), "written by format v2, not readable by this build") {
-			t.Fatalf("%v: server %v, error %v; want a refusal naming the format", files, srv, err)
+		if srv != nil || err == nil || !strings.Contains(err.Error(), "written by format "+tc.version+", not readable by this build") {
+			t.Fatalf("%s %v: server %v, error %v; want a refusal naming the format", tc.version, files, srv, err)
 		}
 		if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, journal.ErrCorrupt) {
-			t.Errorf("%v: an intact old file reported as corruption: %v", files, err)
+			t.Errorf("%s %v: an intact old file reported as corruption: %v", tc.version, files, err)
 		}
 		if !strings.Contains(err.Error(), filepath.Join(dir, files[0])) {
-			t.Errorf("%v: error does not name the file: %v", files, err)
+			t.Errorf("%s %v: error does not name the file: %v", tc.version, files, err)
 		}
 		left, _ := os.ReadDir(dir)
 		if len(left) != len(files) {
-			t.Errorf("%v: directory now holds %v", files, left)
+			t.Errorf("%s %v: directory now holds %v", tc.version, files, left)
 		}
 		for name, want := range old {
 			if got, _ := os.ReadFile(filepath.Join(dir, name)); !bytes.Equal(got, want) {
-				t.Errorf("%v: %s was modified", files, name)
+				t.Errorf("%s %v: %s was modified", tc.version, files, name)
 			}
 		}
+	}
+}
+
+// TestCorruptCheckpointRefusesBoot: state.snap is a header, a manifest and
+// one section per row page, each under its own checksum. Damage to any of
+// them — a flipped bit, a cut — fails startup with snapshot.ErrCorrupt
+// naming the file (and, inside a section, the relation and the page); the
+// server never comes up on the part that still decodes, and the file is
+// left for the operator.
+func TestCorruptCheckpointRefusesBoot(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newDurableServer(t, dir, 2)
+	postUpdate(t, ts.URL, "insert Sale('item-0', 'Mary')")
+	postUpdate(t, ts.URL, "insert Sale('item-1', 'Mary')")
+	crash(t, srv, ts)
+	path := checkpointPath(dir)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestEnd := 16 + int(binary.BigEndian.Uint64(good[8:16]))
+	if manifestEnd >= len(good)-8 {
+		t.Fatalf("a %d-byte checkpoint with %d bytes of header and manifest holds no section to damage", len(good), manifestEnd)
+	}
+	flip := func(pos int) []byte {
+		b := bytes.Clone(good)
+		b[pos] ^= 0x10
+		return b
+	}
+	spec := mustSpec(t, testSpec)
+	for name, tc := range map[string]struct {
+		file  []byte
+		names string
+	}{
+		"bit flipped in the magic":     {flip(2), "bad magic"},
+		"bit flipped in the length":    {flip(15), "manifest"},
+		"bit flipped in the manifest":  {flip(20), "manifest checksum"},
+		"bit flipped in a section":     {flip(manifestEnd + 3), `relation "C_Emp": page 0: section checksum`},
+		"bit flipped in the last byte": {flip(len(good) - 1), `relation "Sold": page 0: section checksum`},
+		"cut mid-section":              {good[:len(good)-4], `relation "Sold": page 0: truncated section`},
+		"cut mid-manifest":             {good[:manifestEnd-2], "truncated manifest"},
+		"bytes appended":               {append(bytes.Clone(good), 0), "after the last section"},
+	} {
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := newServer(spec, dwc.Theorem22(), serverConfig{SnapshotDir: dir})
+		if srv != nil || !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: server %v, error %v; want snapshot.ErrCorrupt naming %s and %q", name, srv, err, path, tc.names)
+		}
+		if left, _ := os.ReadFile(path); !bytes.Equal(left, tc.file) {
+			t.Errorf("%s: the refused file was modified", name)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if srv, _ := newDurableServer(t, dir, 1000); srv.replayed != 0 {
+		t.Errorf("the undamaged checkpoint boots after replaying %d records, want 0", srv.replayed)
 	}
 }

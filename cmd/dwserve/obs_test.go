@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	dwc "dwcomplement"
+	"dwcomplement/internal/workload"
 )
 
 func getText(t *testing.T, url string) (int, string) {
@@ -176,6 +179,67 @@ func TestStatsLastRefresh(t *testing.T) {
 		t.Errorf("no restricted lookups recorded: %+v", lr)
 	}
 	assertRefreshTelemetry(t, ts.URL, "Sold")
+}
+
+// TestCheckpointPagesTelemetry: a checkpoint reports how many row pages it
+// had to encode and how many it found cached with the page — in /stats
+// and as dw_checkpoint_pages_total. The first one after a first boot
+// encodes every page; the second, one update later, the few pages that
+// update wrote.
+func TestCheckpointPagesTelemetry(t *testing.T) {
+	spec := mustSpec(t, workload.Section5Spec)
+	workload.FillSection5(spec.State, 20_000)
+	srv, err := newServer(spec, dwc.Theorem22(), serverConfig{SnapshotDir: t.TempDir(), CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	defer srv.drainCheckpoint()
+	total := 0
+	for _, r := range srv.cur.Load().w.State() {
+		total += r.NumPages()
+	}
+	checkpoint := func(op string) (encoded, reused int) {
+		postUpdate(t, ts.URL, op)
+		srv.drainCheckpoint()
+		var stats struct {
+			Checkpoint struct {
+				LastBytes    int64 `json:"lastBytes"`
+				PagesEncoded int   `json:"pagesEncoded"`
+				PagesReused  int   `json:"pagesReused"`
+			} `json:"checkpoint"`
+		}
+		getJSON(t, ts.URL+"/stats", &stats)
+		if fi, err := os.Stat(checkpointPath(srv.cfg.SnapshotDir)); err != nil || fi.Size() != stats.Checkpoint.LastBytes {
+			t.Errorf("/stats checkpoint.lastBytes = %d, state.snap: %v, %v", stats.Checkpoint.LastBytes, fi, err)
+		}
+		return stats.Checkpoint.PagesEncoded, stats.Checkpoint.PagesReused
+	}
+	encoded1, reused1 := checkpoint("insert Order_paris(900001, 1, 1, 'paris', 5)")
+	if total < 20 || encoded1 != total || reused1 != 0 {
+		t.Fatalf("first checkpoint of %d pages: %d encoded, %d reused; want all encoded", total, encoded1, reused1)
+	}
+	var victim string // a row of the first page: the delete writes that page and the last
+	fact := srv.cur.Load().w.State()["FactParis"]
+	for tu := range fact.All() {
+		victim = fmt.Sprintf("delete Order_paris(%v, %v, %v, 'paris', %v)", fact.Get(tu, "okey"), fact.Get(tu, "ckey"), fact.Get(tu, "pkey"), fact.Get(tu, "qty"))
+		break
+	}
+	encoded2, reused2 := checkpoint(victim)
+	if encoded2 == 0 || encoded2 > 3 || encoded2+reused2 != total {
+		t.Fatalf("second checkpoint of %d pages: %d encoded, %d reused; want 1–3 encoded, the rest reused", total, encoded2, reused2)
+	}
+	_, body := getText(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"# TYPE dw_checkpoint_pages_total counter",
+		fmt.Sprintf(`dw_checkpoint_pages_total{kind="encoded"} %d`, encoded1+encoded2),
+		fmt.Sprintf(`dw_checkpoint_pages_total{kind="reused"} %d`, reused2),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
 }
 
 // TestObservabilityHammer drives /query, /update, /stats and /metrics

@@ -110,6 +110,7 @@ type server struct {
 	journalOK bool  // the journal replayed without failures
 	replayed  int   // journal records applied at startup
 	wedgedErr error // first replay refresh failure, if any
+	mstatsErr error // why boot started with fresh maintenance estimates, if it had to
 
 	// cur is the published version: the one thing readers see. Every read
 	// route, gauge and the checkpointer Load it and work on what they got,
@@ -221,10 +222,11 @@ type version struct {
 
 	// Checkpoint bookkeeping (checkpoint.go). ckptDone is non-nil while a
 	// background checkpoint is in flight and closed when it has finished.
-	journalRecs int // records in the journal file
-	ckptDone    chan struct{}
-	lastCkptLSN uint64
-	lastCkptDur time.Duration
+	journalRecs   int // records in the journal file
+	ckptDone      chan struct{}
+	lastCkptLSN   uint64
+	lastCkptDur   time.Duration
+	lastCkptSaved snapshot.SaveStats
 }
 
 // stamp renders the version for the X-DW-Version header.
@@ -290,11 +292,14 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		qcache:    newAnswerCache(answerCacheSize),
 	}
 	if cfg.SnapshotDir != "" {
-		if err := snapshot.SweepTemps(cfg.SnapshotDir); err != nil {
+		if err := snapshot.SweepTemps(cfg.SnapshotDir, trace.MaintStatsTemp); err != nil {
 			return nil, fmt.Errorf("snapshot dir %s: %w", cfg.SnapshotDir, err)
 		}
+		// The estimates are advisory, and their file is renamed into place
+		// without an fsync — a power cut can leave it empty: an unreadable
+		// one costs the estimates, not the boot.
 		if err := s.mstats.Load(maintstatsPath(cfg.SnapshotDir)); err != nil {
-			return nil, fmt.Errorf("maintenance stats %s: %w", maintstatsPath(cfg.SnapshotDir), err)
+			s.mstatsErr = fmt.Errorf("maintenance stats %s: %w", maintstatsPath(cfg.SnapshotDir), err)
 		}
 	}
 
@@ -905,6 +910,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"checkpoint": map[string]any{
 			"lastLsn":        v.lastCkptLSN,
 			"lastDurationNs": v.lastCkptDur.Nanoseconds(),
+			"lastBytes":      v.lastCkptSaved.Bytes,
+			"pagesEncoded":   v.lastCkptSaved.PagesEncoded,
+			"pagesReused":    v.lastCkptSaved.PagesReused,
 			"inFlight":       v.ckptDone != nil,
 			"journalRecords": v.journalRecs,
 		},

@@ -1,9 +1,11 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -17,12 +19,13 @@ import (
 //	          payloads and −0 survive) | string: uvarint length, bytes
 //	relation  uvarint arity, arity × name (uvarint length, bytes),
 //	          uvarint row count, the rows in SortedRows order
+//	section   the rows of one row page, in storage order
 //
-// The encoding is canonical — equal relations encode to equal bytes, and
-// the decoder accepts nothing but what the encoder writes — and the
-// decoder is where outside input is validated: whatever the bytes say, it
-// returns an error wrapping ErrEncoding, never panics, and checks every
-// length against the bytes that remain before it allocates.
+// The relation encoding is canonical — equal relations encode to equal
+// bytes — and the decoders accept nothing but what the encoders write.
+// They are where outside input is validated: whatever the bytes say, a
+// decoder returns an error wrapping ErrEncoding, never panics, and checks
+// every length against the bytes that remain before it allocates.
 
 // ErrEncoding is wrapped by every error the decoders return.
 var ErrEncoding = errors.New("relation: malformed encoding")
@@ -111,13 +114,55 @@ func decodeValue(b []byte, v *Value) ([]byte, error) {
 	return b, nil
 }
 
-// AppendBinary appends the relation's encoding to b.
-func (r *Relation) AppendBinary(b []byte) []byte {
+// AppendHeader appends what precedes a relation's rows: arity, attribute
+// names in column order, row count.
+func (r *Relation) AppendHeader(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(r.attrs)))
 	for _, a := range r.attrs {
 		b = AppendString(b, a)
 	}
-	b = binary.AppendUvarint(b, uint64(r.Len()))
+	return binary.AppendUvarint(b, uint64(r.Len()))
+}
+
+// DecodeHeader reads what AppendHeader wrote. The names are not yet
+// checked for being a schema; the arity is bounded by the bytes present.
+func DecodeHeader(b []byte) (attrs []string, rows uint64, rest []byte, err error) {
+	arity, b, err := DecodeUvarint(b)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if arity > uint64(len(b)) {
+		return nil, 0, nil, malformed("%d attributes, %d bytes remain", arity, len(b))
+	}
+	attrs = make([]string, arity)
+	for i := range attrs {
+		if attrs[i], b, err = DecodeString(b); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	rows, b, err = DecodeUvarint(b)
+	return attrs, rows, b, err
+}
+
+// decodeTuple reads one row of the given arity off the front of b.
+func decodeTuple(b []byte, arity int) (Tuple, []byte, error) {
+	t := make(Tuple, arity)
+	for i := range t {
+		var err error
+		if b, err = decodeValue(b, &t[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return t, b, nil
+}
+
+// AppendBinary appends the relation's encoding to b. It sorts: this is the
+// form of the relations that travel — the deltas in journal, stream and
+// report records, a handful of rows whose bytes must not depend on the
+// order they were inserted in. A checkpoint takes the stored relations
+// page by page instead (PageSection).
+func (r *Relation) AppendBinary(b []byte) []byte {
+	b = r.AppendHeader(b)
 	for _, t := range r.SortedRows() {
 		for i := range t {
 			b = appendValue(b, &t[i])
@@ -129,27 +174,14 @@ func (r *Relation) AppendBinary(b []byte) []byte {
 // DecodeBinary reads one relation off the front of b and returns the
 // bytes after it.
 func DecodeBinary(b []byte) (*Relation, []byte, error) {
-	arity, b, err := DecodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if arity > uint64(len(b)) {
-		return nil, nil, malformed("%d attributes, %d bytes remain", arity, len(b))
-	}
-	attrs := make([]string, arity)
-	for i := range attrs {
-		if attrs[i], b, err = DecodeString(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	n, b, err := DecodeUvarint(b)
+	attrs, n, b, err := DecodeHeader(b)
 	if err != nil {
 		return nil, nil, err
 	}
 	// A value is at least its kind byte; the only row of no values is
 	// the empty tuple.
-	if n > 1 && n > uint64(len(b))/max(arity, 1) {
-		return nil, nil, malformed("%d rows of %d values, %d bytes remain", n, arity, len(b))
+	if n > 1 && n > uint64(len(b))/uint64(max(len(attrs), 1)) {
+		return nil, nil, malformed("%d rows of %d values, %d bytes remain", n, len(attrs), len(b))
 	}
 	r, err := newChecked(attrs, int(n))
 	if err != nil {
@@ -157,11 +189,9 @@ func DecodeBinary(b []byte) (*Relation, []byte, error) {
 	}
 	var prev Tuple
 	for range n {
-		t := make(Tuple, arity)
-		for i := range t {
-			if b, err = decodeValue(b, &t[i]); err != nil {
-				return nil, nil, err
-			}
+		var t Tuple
+		if t, b, err = decodeTuple(b, len(attrs)); err != nil {
+			return nil, nil, err
 		}
 		// Ascending order leaves Int(2) beside Float(2), which are one
 		// value to the set: InsertOwned finds those.
@@ -171,4 +201,69 @@ func DecodeBinary(b []byte) (*Relation, []byte, error) {
 		prev = t
 	}
 	return r, b, nil
+}
+
+// Section is the encoded form of one row page: the page's rows in storage
+// order, value by value as above, and the CRC32/IEEE of those bytes. It is
+// derived from an immutable page and never written afterwards; like the
+// page image it is kept in the page's slot, so a checkpoint encodes a page
+// once for every version that shares it.
+type Section struct {
+	Bytes []byte
+	CRC   uint32
+}
+
+// NumPages returns the number of row pages, each of which has a section.
+func (r *Relation) NumPages() int { return r.rows.numPages() }
+
+// PageSection returns the section of row page pi, and whether this call
+// had to encode it — no relation sharing the page had asked before, or the
+// page was written since.
+func (r *Relation) PageSection(pi int) (sec *Section, encoded bool) {
+	sl := r.slot(pi)
+	if sec = sl.section.Load(); sec != nil {
+		return sec, false
+	}
+	var b []byte
+	for _, t := range r.rows.page(pi) {
+		for i := range t {
+			b = appendValue(b, &t[i])
+		}
+	}
+	b = bytes.Clone(b) // the cache keeps it: no slack from append's doubling
+	sl.section.CompareAndSwap(nil, &Section{Bytes: b, CRC: crc32.ChecksumIEEE(b)})
+	return sl.section.Load(), true
+}
+
+// DecodePages builds the relation over attrs whose row page k holds the
+// rows of sections[k], n rows in all: every page full but the last, no
+// section with a byte to spare, no row twice. The caller has checked each
+// section against its CRC and bounded their number by the bytes it was
+// handed; the sections become the pages' cached ones, so the caller must
+// not write to them afterwards.
+func DecodePages(attrs []string, n uint64, sections []Section) (*Relation, error) {
+	if np := uint64(len(sections)); n > np<<pageBits || (n+pageMask)>>pageBits != np {
+		return nil, malformed("%d rows in %d pages", n, np)
+	}
+	r, err := newChecked(attrs, int(n))
+	if err != nil {
+		return nil, malformed("%v", err)
+	}
+	for pi := range sections {
+		b := sections[pi].Bytes
+		for range min(pageLen, int(n)-pi<<pageBits) {
+			var t Tuple
+			if t, b, err = decodeTuple(b, len(attrs)); err != nil {
+				return nil, fmt.Errorf("page %d: %w", pi, err)
+			}
+			if !r.InsertOwned(t) {
+				return nil, fmt.Errorf("page %d: %w", pi, malformed("row %v is in the relation twice", t))
+			}
+		}
+		if len(b) != 0 {
+			return nil, fmt.Errorf("page %d: %w", pi, malformed("%d bytes after its rows", len(b)))
+		}
+		r.slot(pi).section.Store(&sections[pi])
+	}
+	return r, nil
 }

@@ -1,14 +1,19 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // This file implements the columnar image of a relation's rows, kept in
 // per-page pieces: one immutable page image for each page of the row
 // storage (paged.go), holding that page's typed vectors — dictionary-coded
 // strings, a null bitmap per column. An image is derived from the rows it
 // describes, built the first time Batches reaches its page, and never
-// written afterwards, so a clone shares it exactly as it shares the rows;
-// a mutation drops the images of the row pages it wrote and no others.
+// written afterwards; it is kept in the page's slot (pageSlot), so every
+// relation that shares the page finds it, and a mutation parts with the
+// slots of the row pages it wrote and no others.
 // The row-major API (the algebra's correctness substrate) and the
 // column-major API (the batch operators and the facade's Rows cursor)
 // therefore always describe the same tuple set, and what a reader pays
@@ -207,46 +212,80 @@ func buildColumn(pg []Tuple, p int, intern map[string]int32) column {
 	return c
 }
 
+// pageSlot holds what has been derived from one row page: its columnar
+// image and its encoded section (codec.go). The slot belongs to the page,
+// not to a relation: every relation that shares the page — clones and
+// renamings, made before or after a form was derived — holds the same
+// slot, so a form derived through any of them serves all of them. Each
+// form is set once, atomically, by whoever derives it first. A relation
+// that writes the page parts with the slot (dropSlot, dropSlotsFrom) and
+// takes a fresh one the next time a form of the new page is asked for.
+type pageSlot struct {
+	image   atomic.Pointer[pageImage]
+	section atomic.Pointer[Section]
+}
+
+// slotTable returns derived grown to one entry per row page. Caller holds
+// r.mu.
+func (r *Relation) slotTable() []*pageSlot {
+	if n := r.rows.numPages(); len(r.derived) < n {
+		r.derived = append(r.derived, make([]*pageSlot, n-len(r.derived))...)
+	}
+	return r.derived
+}
+
+// slot returns the slot of row page pi, giving the page one if it has
+// none. Readers may race for it like they do for an index.
+func (r *Relation) slot(pi int) *pageSlot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := r.slotTable()
+	if t[pi] == nil {
+		t[pi] = new(pageSlot)
+	}
+	return t[pi]
+}
+
+// shareSlots gives c the slot of every row page of r, first giving one to
+// each page that has none — or a form derived through r after this call
+// would be lost to c and everything cloned from it. Caller holds r.mu.
+func (r *Relation) shareSlots(c *Relation) {
+	t := r.slotTable()
+	for pi, sl := range t {
+		if sl == nil {
+			t[pi] = new(pageSlot)
+		}
+	}
+	c.derived = slices.Clone(t)
+}
+
 // pageImage returns the image of row page pi, building it if the page has
 // none. Like index builds, concurrent readers may trigger the build; it
 // runs outside mu — a page is immutable while readers hold the relation —
 // so lookups of cached indexes never wait for it, and when two readers
 // race for a page the first image stored is the one both use.
 func (r *Relation) pageImage(pi int, s *OpStats) *pageImage {
-	r.mu.Lock()
-	var im *pageImage
-	if pi < len(r.images) {
-		im = r.images[pi]
-	}
-	r.mu.Unlock()
-	if im != nil {
+	sl := r.slot(pi)
+	if im := sl.image.Load(); im != nil {
 		return im
 	}
-	im = buildPageImage(r.rows.page(pi), len(r.attrs))
 	s.imagePages(1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := r.rows.numPages(); len(r.images) < n {
-		r.images = append(r.images, make([]*pageImage, n-len(r.images))...)
-	}
-	if r.images[pi] == nil {
-		r.images[pi] = im
-	}
-	return r.images[pi]
+	sl.image.CompareAndSwap(nil, buildPageImage(r.rows.page(pi), len(r.attrs)))
+	return sl.image.Load()
 }
 
-// dropImage forgets the image of row page pi, which is being written.
-func (r *Relation) dropImage(pi int) {
-	if pi < len(r.images) {
-		r.images[pi] = nil
+// dropSlot parts with the slot of row page pi, which is being written.
+func (r *Relation) dropSlot(pi int) {
+	if pi < len(r.derived) {
+		r.derived[pi] = nil
 	}
 }
 
-// dropImagesFrom forgets the images of row page pi and every later page.
-func (r *Relation) dropImagesFrom(pi int) {
-	if pi < len(r.images) {
-		clear(r.images[pi:])
-		r.images = r.images[:pi]
+// dropSlotsFrom parts with the slots of row page pi and every later page.
+func (r *Relation) dropSlotsFrom(pi int) {
+	if pi < len(r.derived) {
+		clear(r.derived[pi:])
+		r.derived = r.derived[:pi]
 	}
 }
 
@@ -256,8 +295,8 @@ func (r *Relation) PageImages() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for _, im := range r.images {
-		if im != nil {
+	for _, sl := range r.derived {
+		if sl != nil && sl.image.Load() != nil {
 			n++
 		}
 	}

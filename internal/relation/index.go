@@ -420,13 +420,13 @@ func (ix *Index) relink(i, to int32) bool {
 // about to be removed from rows: cached indexes and key-hash vectors
 // follow the move instead of being dropped, so the access paths queries
 // and refreshes built survive an update that deletes — all but an index
-// whose chains are too long to walk. Of the columnar image, the two row
-// pages the swap writes lose theirs. Like all mutation paths, this
-// requires exclusive access.
+// whose chains are too long to walk. The two row pages the swap writes
+// part with their slots. Like all mutation paths, this requires exclusive
+// access.
 func (r *Relation) noteDeleted(i int32) {
 	last := r.rows.len() - 1
-	r.dropImage(int(i) >> pageBits)
-	r.dropImagesFrom(last >> pageBits)
+	r.dropSlot(int(i) >> pageBits)
+	r.dropSlotsFrom(last >> pageBits)
 	for key, ix := range r.indexes {
 		if !ix.deleteRow(i) {
 			delete(r.indexes, key)
@@ -443,10 +443,10 @@ func (r *Relation) noteDeleted(i int32) {
 // noteInserted accounts for rows appended at positions [from, len(rows)):
 // cached hash indexes are extended in place rather than dropped, so the
 // indexes on a stored relation survive the insert-heavy refresh cycle.
-// The row pages from the one holding from on lose their images. Like all
-// mutation paths, this requires exclusive access.
+// The row pages from the one holding from on part with their slots. Like
+// all mutation paths, this requires exclusive access.
 func (r *Relation) noteInserted(from int) {
-	r.dropImagesFrom(from >> pageBits)
+	r.dropSlotsFrom(from >> pageBits)
 	for _, ix := range r.indexes {
 		ix.extend(from)
 	}

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -141,12 +142,24 @@ func (m *modelRel) check(t *testing.T, what string) {
 	}
 }
 
+// imagesOf returns, per row page of r that has a slot, the image the slot
+// holds (nil where none is built).
+func imagesOf(r *Relation) []*pageImage {
+	out := make([]*pageImage, len(r.derived))
+	for pi, sl := range r.derived {
+		if sl != nil {
+			out[pi] = sl.image.Load()
+		}
+	}
+	return out
+}
+
 // imagesChanged counts the row pages whose image is not the one before
 // holds for them: dropped, rebuilt, or beyond a table that shrank.
 func (m *modelRel) imagesChanged(before []*pageImage) int {
-	n := 0
+	now, n := imagesOf(m.rel), 0
 	for pi, im := range before {
-		if pi >= len(m.rel.images) || m.rel.images[pi] != im {
+		if pi >= len(now) || now[pi] != im {
 			n++
 		}
 	}
@@ -195,7 +208,7 @@ func TestClonesAreIndependent(t *testing.T) {
 		live := []*modelRel{root}
 		for step := 0; step < 100; step++ {
 			m := live[rng.Intn(len(live))]
-			images := append([]*pageImage(nil), m.rel.images...) // one per page: check ran
+			images := imagesOf(m.rel) // one per page: check ran
 			switch op := rng.Intn(10); {
 			case op < 3:
 				tu := row()
@@ -240,8 +253,8 @@ func TestClonesAreIndependent(t *testing.T) {
 					live = append(live[:0], live[1+rng.Intn(2):]...) // forget the oldest: their pages stay shared
 				}
 				c := m.clone()
-				if n := c.imagesChanged(images); n != 0 || len(c.rel.images) != len(images) {
-					t.Fatalf("seed %d step %d: a clone holds %d page images, %d of them not the original's %d", seed, step, len(c.rel.images), n, len(images))
+				if n := c.imagesChanged(images); n != 0 || len(c.rel.derived) != len(images) {
+					t.Fatalf("seed %d step %d: a clone holds %d page slots, %d of their images not the original's %d", seed, step, len(c.rel.derived), n, len(images))
 				}
 				live = append(live, c)
 			case op < 9:
@@ -267,6 +280,106 @@ func TestClonesAreIndependent(t *testing.T) {
 	}
 	if keyVecs == 0 || arenas == 0 {
 		t.Fatalf("the steps carried %d key-hash vectors and %d keyVals arenas through mutations, want both", keyVecs, arenas)
+	}
+}
+
+// TestDerivedFormsFollowThePage: what is derived from an immutable page
+// belongs to the page. An image or a section first derived through a
+// relation after it was cloned — the checkpointer encoding version N while
+// the writer is on N+k — is the very pointer its clones, their clones and
+// its renamings return, in either direction; a write to a page gives the
+// writer a fresh, empty slot for that page and leaves every other page's
+// slot, and every other relation's, as it was.
+func TestDerivedFormsFollowThePage(t *testing.T) {
+	r := New("k", "v")
+	for i := range 3*pageLen + 100 {
+		r.InsertValues(Int(int64(i)), String_(fmt.Sprint("v", i%7)))
+	}
+	c := r.Clone() // before anything was derived
+	cc := c.Clone()
+	ren, err := Rename(c, map[string]string{"v": "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range r.Batches() { // every image, through the original
+	}
+	sec2, encoded := r.PageSection(2)
+	if !encoded {
+		t.Fatal("the first PageSection of a page reports a cached section")
+	}
+	for _, o := range []*Relation{c, cc, ren} {
+		var st OpStats
+		for pi := range r.NumPages() {
+			if o.slot(pi) != r.slot(pi) {
+				t.Fatalf("page %d: a relation sharing the page holds another slot", pi)
+			}
+			if im := o.pageImage(pi, &st); im == nil || im != r.slot(pi).image.Load() {
+				t.Fatalf("page %d: the image derived through the original is not the one its clone returns", pi)
+			}
+		}
+		if got, enc := o.PageSection(2); got != sec2 || enc || st.ImagePages != 0 {
+			t.Fatalf("a clone re-derived forms of shared pages: section encoded = %v, %d images built", enc, st.ImagePages)
+		}
+	}
+	sec0, _ := cc.PageSection(0) // and upwards: derived through the clone's clone
+	if got, enc := r.PageSection(0); got != sec0 || enc {
+		t.Fatal("a section derived through a clone is not the one the original returns")
+	}
+
+	slotsOf := func(o *Relation) []*pageSlot {
+		var out []*pageSlot
+		for pi := range o.NumPages() {
+			out = append(out, o.slot(pi))
+		}
+		return out
+	}
+	before, others := slotsOf(c), slotsOf(r)
+	victim := c.rows.at(pageLen + 5).Clone()
+	if !c.Delete(victim) { // writes page 1 and, moving the last row in, page 3
+		t.Fatal("delete failed")
+	}
+	for pi, sl := range slotsOf(c) {
+		written := pi == 1 || pi == 3
+		if (sl != before[pi]) != written {
+			t.Errorf("after a delete on page 1: page %d's slot replaced = %v, want %v", pi, sl != before[pi], written)
+		}
+		if written && (sl.image.Load() != nil || sl.section.Load() != nil) {
+			t.Errorf("page %d: the writer's fresh slot already holds a form", pi)
+		}
+	}
+	before = slotsOf(c)
+	c.InsertValues(Int(-1), String_("new")) // writes the last page only
+	for pi, sl := range slotsOf(c) {
+		if written := pi == 3; (sl != before[pi]) != written {
+			t.Errorf("after an insert: page %d's slot replaced = %v, want %v", pi, sl != before[pi], written)
+		}
+	}
+	for _, o := range []*Relation{r, cc, ren} {
+		for pi, sl := range slotsOf(o) {
+			if sl != others[pi] || sl.image.Load() == nil {
+				t.Errorf("page %d: a write through one relation touched another's slot", pi)
+			}
+		}
+	}
+	// The written page's new section is its new rows, and decodes to them.
+	sec1, encoded := c.PageSection(1)
+	old1, _ := r.PageSection(1)
+	if !encoded || bytes.Equal(sec1.Bytes, old1.Bytes) {
+		t.Fatal("the section of a written page was not encoded afresh")
+	}
+	secs := make([]Section, c.NumPages())
+	for pi := range secs {
+		s, _ := c.PageSection(pi)
+		secs[pi] = *s
+	}
+	back, err := DecodePages(c.Attrs(), uint64(c.Len()), secs)
+	if err != nil || !back.Equal(c) || back.Contains(victim) {
+		t.Fatalf("the sections of the written relation decode to something else (error %v)", err)
+	}
+	for pi := range secs {
+		if got, enc := back.PageSection(pi); enc || !bytes.Equal(got.Bytes, secs[pi].Bytes) {
+			t.Fatalf("page %d: a decoded relation does not keep the section it was decoded from", pi)
+		}
 	}
 }
 
@@ -310,10 +423,11 @@ func TestCloneWriteCopiesOnlyTouchedPages(t *testing.T) {
 
 // TestConcurrentReadersOfSharedPages: readers join, probe, scan and run a
 // vectorized selection over version k of a relation — building the images
-// of the pages version k-1's writer left without one — and clone it
-// themselves, as a bare Base evaluation does, while the writer clones
-// version k and applies inserts and deletes to version k+1. Every answer must equal the model of the version it was
-// read from; under -race any write to a page a reader can reach fails.
+// of the pages version k-1's writer left without one —, encode its page
+// sections, and clone it themselves, as a bare Base evaluation does, while
+// the writer clones version k and applies inserts and deletes to version
+// k+1. Every answer must equal the model of the version it was read from;
+// under -race any write to a page a reader can reach fails.
 func TestConcurrentReadersOfSharedPages(t *testing.T) {
 	const fks = 50
 	type version struct {
@@ -385,6 +499,17 @@ func TestConcurrentReadersOfSharedPages(t *testing.T) {
 				if n != want || r.Len() != want {
 					t.Errorf("reader %d: scan sees %d rows, Len = %d, version holds %d", reader, n, r.Len(), want)
 					return
+				}
+				if i%4 == 1 { // as a checkpointer does, racing the others for each page's slot
+					secs := make([]Section, r.NumPages())
+					for pi := range secs {
+						s, _ := r.PageSection(pi)
+						secs[pi] = *s
+					}
+					if back, err := DecodePages(r.Attrs(), uint64(want), secs); err != nil || !back.Equal(r) {
+						t.Errorf("reader %d: the page sections decode to another relation (error %v)", reader, err)
+						return
+					}
 				}
 			}
 		}(reader)

@@ -72,11 +72,11 @@ func hashCols(t Tuple, pos []int) uint64 {
 // a clone shares until one side writes them.
 //
 // Concurrency: any number of goroutines may read a relation (including
-// building cached indexes and page images, which is internally
-// synchronized, and cloning it), but mutation requires exclusive access,
-// as it always has in this package. Mutating updates cached indexes and
-// key-hash vectors in place and drops the images of the row pages it
-// writes.
+// building cached indexes and the forms derived from a page, which is
+// internally synchronized, and cloning it), but mutation requires
+// exclusive access, as it always has in this package. Mutating updates
+// cached indexes and key-hash vectors in place and parts with the slots
+// of the row pages it writes.
 type Relation struct {
 	attrs  []string
 	pos    map[string]int
@@ -95,10 +95,10 @@ type Relation struct {
 	slots      paged[int32]
 	tableStale atomic.Bool
 
-	mu      sync.Mutex // guards indexes/keyVecs/images; rows/slots follow the package-wide contract above
+	mu      sync.Mutex // guards indexes/keyVecs/derived; rows/slots follow the package-wide contract above
 	indexes map[string]*Index
 	keyVecs map[string]*keyVec
-	images  []*pageImage // images[k], where built, is the columnar image of row page k (column.go)
+	derived []*pageSlot // derived[k], where set, holds the forms derived from row page k (column.go)
 }
 
 // New creates an empty relation over the given attribute names. It panics
@@ -507,7 +507,7 @@ func (r *Relation) Get(t Tuple, attr string) Value {
 // the arrays of every cached index and key-hash vector), and whichever
 // side writes a page first copies that page — so its cost is proportional
 // to rows/pageLen and a later mutation's to the pages it touches. The
-// immutable tuple backing arrays and page images are shared as well.
+// immutable tuple backing arrays and page slots are shared as well.
 // Clone may run beside readers of r and beside other Clones of r.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{attrs: r.attrs, pos: r.pos}
@@ -536,14 +536,14 @@ func (r *Relation) Clone() *Relation {
 }
 
 // shareStorage gives c, which must hold no rows, r's rows, hashes and
-// membership table as shared pages, and the images of the row pages.
+// membership table as shared pages, and the slots of the row pages.
 func (r *Relation) shareStorage(c *Relation) {
 	r.ensureTable() // share a valid table rather than rebuilding in both copies
 	r.rows.shareTo(&c.rows)
 	r.hashes.shareTo(&c.hashes)
 	r.slots.shareTo(&c.slots)
 	r.mu.Lock()
-	c.images = append([]*pageImage(nil), r.images...)
+	r.shareSlots(c)
 	r.mu.Unlock()
 }
 

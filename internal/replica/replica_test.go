@@ -396,7 +396,8 @@ func TestClientQuarantinesDeadLeader(t *testing.T) {
 // bytes that are no record (here a relation naming an attribute twice,
 // which panicked the parent's follower inside relation.New) is a corrupt
 // batch: the attempt fails, the retry re-fetches, nothing partial
-// surfaces. The same bytes in a snapshot body are snapshot.ErrCorrupt.
+// surfaces. The same relation in a snapshot's manifest is
+// snapshot.ErrCorrupt.
 func TestClientRefetchesCorruptBatch(t *testing.T) {
 	db := testDB(t)
 	log := NewLog(0)
@@ -419,8 +420,9 @@ func TestClientRefetchesCorruptBatch(t *testing.T) {
 			w.Write(framed)
 		case r.URL.Path == "/replica/snapshot":
 			snapshots.Add(1)
-			hdr := append([]byte("DWS3"), framed[4:8]...)
-			w.Write(append(binary.BigEndian.AppendUint64(hdr, uint64(len(hostile))), hostile...))
+			manifest := hostile[5:] // one relation, the same one, no marks
+			hdr := binary.BigEndian.AppendUint32([]byte("DWS4"), crc32.ChecksumIEEE(manifest))
+			w.Write(append(binary.BigEndian.AppendUint64(hdr, uint64(len(manifest))), manifest...))
 		default:
 			good.ServeHTTP(w, r)
 		}

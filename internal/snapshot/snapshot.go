@@ -4,25 +4,35 @@
 // without ever contacting the sources, which is the whole point of an
 // independent warehouse: its state is self-contained.
 //
-// Format v3, all integers big endian:
+// Format v4, all integers big endian:
 //
-//	magic "DWS3" | CRC32/IEEE of payload (4) | payload length (8)
-//	payload: state, then uvarint count of marks and, in name order,
-//	         count × (name, uvarint watermark)
-//	state:   uvarint count of relations and, in name order,
-//	         count × (name, relation)
+//	magic "DWS4" | CRC32/IEEE of manifest (4) | manifest length (8)
+//	manifest: uvarint count of relations and, in name order,
+//	            count × (name, header, pages × (uvarint section
+//	            length, CRC32/IEEE of the section (4)))
+//	          uvarint count of marks and, in name order,
+//	            count × (name, uvarint watermark)
+//	sections: every page's section, in manifest order, to the end of
+//	          the file
 //
-// with names, uvarints and relations in package relation's encoding
-// (relation/codec.go), so one state has one encoding. The file is
-// crash-safe end to end: truncated or bit-rotted bytes are rejected
-// with ErrCorrupt instead of being half-loaded, and a save goes to a
-// temp file that is fsync'd and atomically renamed into place, so a
-// crash mid-write leaves the previous snapshot intact. The marks are
-// per-source applied-sequence watermarks, which tell a recovering
-// integrator where in its journal to resume replay. A file of the
-// previous format (v2: magic "DWSN", a gob payload) is refused with
-// ErrOldFormat — by name, not as corruption, and never by starting
-// empty beside it; its reader went with the types it needed.
+// with names, uvarints, relation headers (arity, attributes, row count)
+// and sections in package relation's encoding (relation/codec.go). A
+// relation of n rows has ⌈n/1024⌉ pages, and a section is one page's rows
+// in storage order: the bytes are derived from an immutable page and
+// cached with it (relation.PageSection), so a save encodes the pages
+// written since the last one and copies the rest. The order of rows in
+// the file is therefore the order of storage, not a canonical one; what
+// loads re-saves to the same bytes. The file is crash-safe end to end:
+// truncated or bit-rotted bytes — in the header, the manifest or any
+// section — are rejected with ErrCorrupt instead of being half-loaded,
+// and a save goes to a temp file that is fsync'd and atomically renamed
+// into place, so a crash mid-write leaves the previous snapshot intact.
+// The marks are per-source applied-sequence watermarks, which tell a
+// recovering integrator where in its journal to resume replay. A file of
+// an earlier format (v3: magic "DWS3", one sorted payload; v2: "DWSN", a
+// gob payload) is refused with ErrOldFormat — by name, not as corruption,
+// and never by starting empty beside it; their readers went with their
+// writers.
 //
 // Mark names beginning with "~" are reserved for replication metadata
 // (the node's epoch and log position, see internal/replica): they ride
@@ -31,6 +41,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,8 +58,11 @@ import (
 	"dwcomplement/internal/relation"
 )
 
-// magic opens every snapshot file; magicV2 opened the gob format.
-var magic, magicV2 = [4]byte{'D', 'W', 'S', '3'}, [4]byte{'D', 'W', 'S', 'N'}
+// magic opens every snapshot file; oldMagic names the formats before it.
+var (
+	magic    = [4]byte{'D', 'W', 'S', '4'}
+	oldMagic = map[[4]byte]int{{'D', 'W', 'S', '3'}: 3, {'D', 'W', 'S', 'N'}: 2}
+)
 
 // ErrCorrupt reports a snapshot that cannot be trusted: bad magic,
 // truncated payload, checksum mismatch, or a payload the decoder
@@ -56,8 +70,9 @@ var magic, magicV2 = [4]byte{'D', 'W', 'S', '3'}, [4]byte{'D', 'W', 'S', 'N'}
 // "fall back to older snapshot" and "retry the read".
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated")
 
-// ErrOldFormat reports an intact file this build has no reader for.
-var ErrOldFormat = errors.New("snapshot: written by format v2, not readable by this build")
+// ErrOldFormat reports an intact file this build has no reader for; the
+// error wrapping it names the format found.
+var ErrOldFormat = errors.New("snapshot: old format")
 
 // AppendState appends a set of named relations — a warehouse state, or
 // one side of an update — to b.
@@ -122,20 +137,45 @@ func Save(w io.Writer, ms map[string]*relation.Relation) error {
 }
 
 // SaveMarks writes the relation map plus per-source applied-sequence
-// watermarks to w: header (magic, CRC32, payload length) then payload.
-// Every journal record with Seq ≤ marks[source] is already reflected in
-// the relations and is skipped during replay.
+// watermarks to w: header, manifest, sections. Every journal record with
+// Seq ≤ marks[source] is already reflected in the relations and is
+// skipped during replay.
 func SaveMarks(w io.Writer, ms map[string]*relation.Relation, marks map[string]uint64) error {
-	b := AppendState(make([]byte, 16, 1<<16), ms)
-	b = binary.AppendUvarint(b, uint64(len(marks)))
-	for _, s := range slices.Sorted(maps.Keys(marks)) {
-		b = binary.AppendUvarint(relation.AppendString(b, s), marks[s])
-	}
-	copy(b[:4], magic[:])
-	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[16:]))
-	binary.BigEndian.PutUint64(b[8:16], uint64(len(b)-16))
-	_, err := w.Write(b)
+	_, err := saveMarks(w, ms, marks)
 	return err
+}
+
+func saveMarks(w io.Writer, ms map[string]*relation.Relation, marks map[string]uint64) (SaveStats, error) {
+	var st SaveStats
+	var sections []*relation.Section
+	m := binary.AppendUvarint(make([]byte, 16, 4096), uint64(len(ms)))
+	for _, name := range slices.Sorted(maps.Keys(ms)) {
+		r := ms[name]
+		m = r.AppendHeader(relation.AppendString(m, name))
+		for pi := range r.NumPages() {
+			sec, encoded := r.PageSection(pi)
+			if encoded {
+				st.PagesEncoded++
+			} else {
+				st.PagesReused++
+			}
+			m = binary.BigEndian.AppendUint32(binary.AppendUvarint(m, uint64(len(sec.Bytes))), sec.CRC)
+			sections = append(sections, sec)
+		}
+	}
+	m = binary.AppendUvarint(m, uint64(len(marks)))
+	for _, s := range slices.Sorted(maps.Keys(marks)) {
+		m = binary.AppendUvarint(relation.AppendString(m, s), marks[s])
+	}
+	copy(m[:4], magic[:])
+	binary.BigEndian.PutUint32(m[4:8], crc32.ChecksumIEEE(m[16:]))
+	binary.BigEndian.PutUint64(m[8:16], uint64(len(m)-16))
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(m) // a failed write sticks: Flush reports it
+	for _, sec := range sections {
+		bw.Write(sec.Bytes)
+	}
+	return st, bw.Flush()
 }
 
 // Load reads a relation map from r, discarding any watermarks.
@@ -144,48 +184,102 @@ func Load(r io.Reader) (algebra.MapState, error) {
 	return ms, err
 }
 
-// LoadMarks reads a relation map and its watermarks from r. Corrupt or
-// truncated input fails with an error wrapping ErrCorrupt, a v2 file
-// with ErrOldFormat.
+// maxPayload bounds what a length field may claim.
+const maxPayload = 1 << 32
+
+// LoadMarks reads a relation map and its watermarks from r, which must
+// end where the snapshot does. Corrupt or truncated input fails with an
+// error wrapping ErrCorrupt, a file of an earlier format with ErrOldFormat.
 func LoadMarks(r io.Reader) (algebra.MapState, map[string]uint64, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
-	switch [4]byte(hdr[:4]) {
-	case magic:
-	case magicV2:
-		return nil, nil, ErrOldFormat
-	default:
+	if v, old := oldMagic[[4]byte(hdr[:4])]; old {
+		return nil, nil, fmt.Errorf("%w: written by format v%d, not readable by this build", ErrOldFormat, v)
+	} else if [4]byte(hdr[:4]) != magic {
 		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	wantCRC := binary.BigEndian.Uint32(hdr[4:8])
 	length := binary.BigEndian.Uint64(hdr[8:16])
-	const maxPayload = 1 << 32
 	if length > maxPayload {
-		return nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
+		return nil, nil, fmt.Errorf("%w: implausible manifest length %d", ErrCorrupt, length)
 	}
-	payload, err := ReadN(r, length)
+	manifest, err := ReadN(r, length)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: truncated manifest: %v", ErrCorrupt, err)
 	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if crc32.ChecksumIEEE(manifest) != binary.BigEndian.Uint32(hdr[4:8]) {
+		return nil, nil, fmt.Errorf("%w: manifest checksum mismatch", ErrCorrupt)
 	}
-	ms, marks, err := decodePayload(payload)
+	rels, marks, err := decodeManifest(manifest)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: undecodable payload: %w", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: undecodable manifest: %w", ErrCorrupt, err)
+	}
+	ms := make(algebra.MapState, len(rels))
+	for _, rel := range rels {
+		for pi := range rel.pages {
+			sec := &rel.pages[pi]
+			if sec.Bytes, err = ReadN(r, rel.lengths[pi]); err != nil {
+				return nil, nil, fmt.Errorf("%w: relation %q: page %d: truncated section: %v", ErrCorrupt, rel.name, pi, err)
+			}
+			if crc32.ChecksumIEEE(sec.Bytes) != sec.CRC {
+				return nil, nil, fmt.Errorf("%w: relation %q: page %d: section checksum mismatch", ErrCorrupt, rel.name, pi)
+			}
+		}
+		if ms[rel.name], err = relation.DecodePages(rel.attrs, rel.rows, rel.pages); err != nil {
+			return nil, nil, fmt.Errorf("%w: relation %q: %w", ErrCorrupt, rel.name, err)
+		}
+	}
+	if n, _ := io.ReadFull(r, hdr[:1]); n != 0 {
+		return nil, nil, fmt.Errorf("%w: bytes after the last section", ErrCorrupt)
 	}
 	return ms, marks, nil
 }
 
-func decodePayload(b []byte) (algebra.MapState, map[string]uint64, error) {
-	ms, b, err := DecodeState(b)
+// manifestRelation is one relation's entry in the manifest: its header
+// and, per page, the section's length and — in pages, whose Bytes wait to
+// be read — its CRC.
+type manifestRelation struct {
+	name    string
+	attrs   []string
+	rows    uint64
+	lengths []uint64
+	pages   []relation.Section
+}
+
+func decodeManifest(b []byte) ([]manifestRelation, map[string]uint64, error) {
+	n, b, err := relation.DecodeUvarint(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	n, b, err := relation.DecodeUvarint(b)
-	if err != nil {
+	var rels []manifestRelation
+	for i, name := uint64(0), ""; i < n; i++ {
+		if name, b, err = nextName(b, i == 0, name); err != nil {
+			return nil, nil, err
+		}
+		rel := manifestRelation{name: name}
+		if rel.attrs, rel.rows, b, err = relation.DecodeHeader(b); err != nil {
+			return nil, nil, fmt.Errorf("relation %q: %w", name, err)
+		}
+		// One entry per row page (a page is what a Batch covers), each at
+		// least a length byte and its CRC.
+		np := (rel.rows + relation.BatchSize - 1) / relation.BatchSize
+		if rel.rows > maxPayload || np > uint64(len(b))/5 {
+			return nil, nil, fmt.Errorf("%w: relation %q: %d rows, %d bytes remain", relation.ErrEncoding, name, rel.rows, len(b))
+		}
+		rel.lengths, rel.pages = make([]uint64, np), make([]relation.Section, np)
+		for pi := range rel.pages {
+			if rel.lengths[pi], b, err = relation.DecodeUvarint(b); err != nil {
+				return nil, nil, err
+			}
+			if rel.lengths[pi] > maxPayload || len(b) < 4 {
+				return nil, nil, fmt.Errorf("%w: relation %q: page %d: bad or cut-short entry", relation.ErrEncoding, name, pi)
+			}
+			rel.pages[pi].CRC, b = binary.BigEndian.Uint32(b), b[4:]
+		}
+		rels = append(rels, rel)
+	}
+	if n, b, err = relation.DecodeUvarint(b); err != nil {
 		return nil, nil, err
 	}
 	var marks map[string]uint64 // nil when the snapshot carries none
@@ -203,7 +297,7 @@ func decodePayload(b []byte) (algebra.MapState, map[string]uint64, error) {
 	if len(b) != 0 {
 		return nil, nil, fmt.Errorf("%w: %d bytes after the marks", relation.ErrEncoding, len(b))
 	}
-	return ms, marks, nil
+	return rels, marks, nil
 }
 
 // SaveFile writes the relation map to a file atomically (see
@@ -227,28 +321,34 @@ func SaveFileMarks(path string, ms map[string]*relation.Relation, marks map[stri
 const tempPattern = ".snap-*"
 
 // SweepTemps removes the temp files that saves into dir left behind
-// when the process was killed before their rename. Nothing ever reads
-// one, so the owner of the directory calls this before it loads.
-func SweepTemps(dir string) error {
-	stale, err := filepath.Glob(filepath.Join(dir, tempPattern))
-	if err != nil {
-		return err
-	}
-	for _, path := range stale {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+// when the process was killed before their rename — and those matching
+// the patterns of whatever else is saved beside the snapshot the same
+// way. Nothing ever reads one, so the owner of the directory calls this
+// before it loads.
+func SweepTemps(dir string, more ...string) error {
+	for _, pattern := range append([]string{tempPattern}, more...) {
+		stale, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
 			return err
+		}
+		for _, path := range stale {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// SaveStats is what one save cost: the file's size, the time to encode
-// the relations and write them to the temp file, and the temp file's
-// fsync.
+// SaveStats is what one save cost: the file's size, the pages whose
+// section it had to encode and those it found cached, the time to encode
+// and write them to the temp file, and the temp file's fsync.
 type SaveStats struct {
-	Bytes  int64
-	Encode time.Duration
-	Sync   time.Duration
+	Bytes        int64
+	PagesEncoded int
+	PagesReused  int
+	Encode       time.Duration
+	Sync         time.Duration
 }
 
 // SaveFileMarksTimed is SaveFileMarks reporting what the save cost.
@@ -269,7 +369,7 @@ func SaveFileMarksTimed(path string, ms map[string]*relation.Relation, marks map
 		return st, err
 	}
 	start := time.Now()
-	if err := SaveMarks(tmp, ms, marks); err != nil {
+	if st, err = saveMarks(tmp, ms, marks); err != nil {
 		return st, err
 	}
 	st.Encode = time.Since(start)

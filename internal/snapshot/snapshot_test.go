@@ -20,7 +20,7 @@ import (
 	"dwcomplement/internal/workload"
 )
 
-func sampleState(t *testing.T) map[string]*relation.Relation {
+func sampleState(t testing.TB) map[string]*relation.Relation {
 	t.Helper()
 	r := relation.New("a", "b", "c", "d", "e")
 	r.InsertValues(relation.Int(1), relation.Float(2.5), relation.String_("x|y'z"), relation.Bool(true), relation.Null())
@@ -95,18 +95,6 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 	if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated file accepted or mistyped error: %v", err)
-	}
-}
-
-func TestLoadRejectsBitFlip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, sampleState(t)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)-3] ^= 0x40 // flip one payload bit; CRC must catch it
-	if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bit flip accepted or mistyped error: %v", err)
 	}
 }
 
@@ -253,10 +241,11 @@ func TestWarehouseSnapshotCycle(t *testing.T) {
 	}
 }
 
-// TestEncodedBytesGolden pins format v3. The small state is spelled out
-// byte by byte; the digest is of a relation whose rows go in unsorted and
-// cover every value kind, ties on the leading columns included — what
-// storage_ratio measures and a follower is shipped.
+// TestEncodedBytesGolden pins format v4. The small state is spelled out
+// byte by byte; the digest is of a relation of two pages whose rows cover
+// every value kind — what storage_ratio measures and a follower is
+// shipped. Rows are written in storage order, which is insertion order
+// here.
 func TestEncodedBytesGolden(t *testing.T) {
 	small := map[string]*relation.Relation{"R": relation.New("k", "v"), "E": relation.New("q")}
 	small["R"].InsertValues(relation.Int(7), relation.String_("x"))
@@ -266,73 +255,158 @@ func TestEncodedBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSmall := []byte{
-		'D', 'W', 'S', '3', // magic
-		0x0d, 0xf0, 0x38, 0x7a, // CRC32/IEEE of the payload
-		0, 0, 0, 0, 0, 0, 0, 37, // payload length
+		'D', 'W', 'S', '4', // magic
+		0xe8, 0xaf, 0x5e, 0xa1, // CRC32/IEEE of the manifest
+		0, 0, 0, 0, 0, 0, 0, 34, // manifest length
 		2,                    // relations, by name
-		1, 'E', 1, 1, 'q', 0, // "E": one attribute "q", no rows
-		1, 'R', 2, 1, 'k', 1, 'v', 2, // "R": attributes k, v; two rows, sorted
-		2, 1, 0, // int −1 (kind 2, zig-zag 1) | null (kind 0)
-		2, 14, 4, 1, 'x', // int 7 | string (kind 4) "x"
+		1, 'E', 1, 1, 'q', 0, // "E": one attribute "q", no rows, so no page
+		1, 'R', 2, 1, 'k', 1, 'v', 2, // "R": attributes k, v; two rows, so one page:
+		8, 0x65, 0xdd, 0xa5, 0xb3, // its section's length and CRC32/IEEE
 		2,                         // marks, by name
 		4, 'h', 't', 't', 'p', 42, // "http" → 42
 		4, '~', 'l', 's', 'n', 0xac, 0x02, // "~lsn" → 300 (uvarint)
+		// the sections, in manifest order: R's page 0, rows as stored
+		2, 14, 4, 1, 'x', // int 7 (kind 2, zig-zag 14) | string (kind 4) "x"
+		2, 1, 0, // int −1 | null (kind 0)
 	}
 	if !bytes.Equal(buf.Bytes(), wantSmall) {
 		t.Fatalf("small state encodes as\n%v\nwant\n%v", buf.Bytes(), wantSmall)
 	}
 
 	r := relation.New("k", "f", "s", "b", "n")
-	for i := 40; i > 0; i-- {
-		k := int64(i * 7 % 11)
+	for i := relation.BatchSize + 40; i > 0; i-- {
 		var n relation.Value = relation.Null()
 		if i%3 == 0 {
 			n = relation.Int(int64(i))
 		}
-		r.InsertValues(relation.Int(k), relation.Float(float64(i)/4), relation.String_(strings.Repeat("x", i%5)), relation.Bool(i%2 == 0), n)
+		r.InsertValues(relation.Int(int64(i)), relation.Float(float64(i)/4), relation.String_(strings.Repeat("x", i%5)), relation.Bool(i%2 == 0), n)
 	}
 	buf.Reset()
 	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": r}, map[string]uint64{"http": 42}); err != nil {
 		t.Fatal(err)
 	}
-	const want = "4e7418cf49efaaf550052199d4378b69213a9f53626f79c1c0d9b30440b68a3b"
+	const want = "dede103a8c50d1873972616bfe27430200c1dcd666a73829c34852a7c21a09ed"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("snapshot encoding changed: %d bytes, sha256 %s, want %s", buf.Len(), got, want)
 	}
 }
 
-// crcValid wraps a payload in a header that vouches for it: what a
-// hostile leader, or a bug in a writer, can put in front of the decoder.
-func crcValid(payload []byte) []byte {
-	b := append(make([]byte, 16), payload...)
+// rawFile assembles a snapshot by hand — a header that vouches for the
+// manifest, then whatever sections: what a hostile leader, or a bug in a
+// writer, can put in front of the loader.
+func rawFile(manifest []byte, sections ...[]byte) []byte {
+	b := append(make([]byte, 16), manifest...)
 	copy(b, magic[:])
-	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint64(b[8:16], uint64(len(payload)))
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(manifest))
+	binary.BigEndian.PutUint64(b[8:16], uint64(len(manifest)))
+	return append(b, bytes.Join(sections, nil)...)
+}
+
+// rawRelation is a relation's manifest entry with true lengths and CRCs
+// for the given sections.
+func rawRelation(name string, attrs []string, rows uint64, sections ...[]byte) []byte {
+	b := binary.AppendUvarint(relation.AppendString(nil, name), uint64(len(attrs)))
+	for _, a := range attrs {
+		b = relation.AppendString(b, a)
+	}
+	b = binary.AppendUvarint(b, rows)
+	for _, sec := range sections {
+		b = binary.BigEndian.AppendUint32(binary.AppendUvarint(b, uint64(len(sec))), crc32.ChecksumIEEE(sec))
+	}
 	return b
 }
 
+// oneRelation is a whole manifest around one relation entry, no marks.
+func oneRelation(entry []byte) []byte { return append(append([]byte{1}, entry...), 0) }
+
 // TestLoadRefusesHostilePayload: a checksum says the bytes arrived, not
-// that they are a state. The three relation shapes panicked the parent.
+// that they are a state. Every refusal is ErrCorrupt, never a half-loaded
+// state; what the decoders refuse also wraps relation.ErrEncoding.
 func TestLoadRefusesHostilePayload(t *testing.T) {
-	state := func(rel ...byte) []byte { return append(append([]byte{1, 1, 'R'}, rel...), 0) }
-	for name, payload := range map[string][]byte{
-		"duplicate attribute": state(2, 1, 'a', 1, 'a', 1, 0, 0),
-		"empty attribute":     state(2, 1, 'a', 0, 1, 0, 0),
-		"short row":           state(2, 1, 'a', 1, 'b', 2, 2, 2, 2, 4, 2, 6),
-		"duplicate relation":  {2, 1, 'R', 0, 0, 1, 'R', 0, 0, 0},
-		"relations unsorted":  {2, 1, 'S', 0, 0, 1, 'R', 0, 0, 0},
-		"duplicate mark":      {0, 2, 1, 'm', 1, 1, 'm', 2},
-		"count past the end":  {0xff, 0xff, 0xff, 0xff, 0x0f},
-		"trailing bytes":      {0, 0, 0},
-		"empty":               {},
+	ab := []string{"a", "b"}
+	row := func(vals ...int64) []byte { // a row of ints
+		var b []byte
+		for _, v := range vals {
+			b = binary.AppendVarint(append(b, 2), v)
+		}
+		return b
+	}
+	full := make([]byte, 0, 4*relation.BatchSize) // a full page over (a): 0 … 1023
+	for i := range relation.BatchSize {
+		full = append(full, row(int64(i))...)
+	}
+	lying := append(rawRelation("R", ab, 1), 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0, 0, 0) // a 2 GiB section, it says
+
+	for name, tc := range map[string]struct {
+		file     []byte
+		encoding bool   // the error also wraps relation.ErrEncoding
+		names    string // and names this
+	}{
+		"duplicate attribute": {rawFile(oneRelation(rawRelation("R", []string{"a", "a"}, 0))), true, `"R"`},
+		"empty attribute":     {rawFile(oneRelation(rawRelation("R", []string{"a", ""}, 0))), true, `"R"`},
+		"short row":           {rawFile(oneRelation(rawRelation("R", ab, 2, row(1, 2, 3))), row(1, 2, 3)), true, `"R": page 0`},
+		"rows beyond count":   {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2, 3, 4))), row(1, 2, 3, 4)), true, `"R": page 0`},
+		"rows short of count": {rawFile(oneRelation(rawRelation("R", ab, 3, row(1, 2, 3, 4))), row(1, 2, 3, 4)), true, `"R": page 0`},
+		"pages beyond count":  {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2), row(3, 4))), row(1, 2), row(3, 4)), true, ""},
+		"row twice in a page": {rawFile(oneRelation(rawRelation("R", ab, 2, row(1, 2, 1, 2))), row(1, 2, 1, 2)), true, `"R": page 0`},
+		"row in two sections": {rawFile(oneRelation(rawRelation("R", []string{"a"}, relation.BatchSize+1, full, row(7))), full, row(7)), true, `"R": page 1`},
+		"duplicate relation":  {rawFile(append(append(append([]byte{2}, rawRelation("R", ab, 0)...), rawRelation("R", ab, 0)...), 0)), true, `"R"`},
+		"relations unsorted":  {rawFile(append(append(append([]byte{2}, rawRelation("S", ab, 0)...), rawRelation("R", ab, 0)...), 0)), true, `"R"`},
+		"duplicate mark":      {rawFile([]byte{0, 2, 1, 'm', 1, 1, 'm', 2}), true, `"m"`},
+		"count past the end":  {rawFile([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}), true, ""},
+		"rows past the end":   {rawFile(oneRelation(append(rawRelation("R", ab, 0)[:6], 0xff, 0xff, 0xff, 0xff, 0x0f))), true, `"R"`},
+		"bytes after marks":   {rawFile([]byte{0, 0, 0}), true, ""},
+		"empty manifest":      {rawFile(nil), true, ""},
+		"section bit flip":    {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2))), row(1, 3)), false, `"R": page 0`},
+		"cut mid-section":     {rawFile(oneRelation(rawRelation("R", ab, 2, row(1, 2, 3, 4))), row(1, 2, 3)), false, `"R": page 0`},
+		"section missing":     {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2)))), false, `"R": page 0`},
+		"bytes after the end": {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2))), row(1, 2), []byte{0}), false, "after the last section"},
+		"length that lies":    {rawFile(oneRelation(lying), row(1, 2)), false, `"R": page 0`},
 	} {
-		ms, _, err := LoadMarks(bytes.NewReader(crcValid(payload)))
-		if !errors.Is(err, ErrCorrupt) || !errors.Is(err, relation.ErrEncoding) || ms != nil {
-			t.Errorf("%s: state %v, error %v; want ErrCorrupt wrapping relation.ErrEncoding", name, ms, err)
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		ms, _, err := LoadMarks(bytes.NewReader(tc.file))
+		runtime.ReadMemStats(&m)
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, relation.ErrEncoding) != tc.encoding || ms != nil || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: state %v, error %v; want ErrCorrupt (wrapping relation.ErrEncoding: %v) naming %s", name, ms, err, tc.encoding, tc.names)
+		}
+		if got := m.TotalAlloc - before; got > 512<<10 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte input", name, got, len(tc.file))
 		}
 	}
-	if _, _, err := LoadMarks(bytes.NewReader(crcValid(state(1, 1, 'a', 1, 2, 2)))); err != nil {
-		t.Errorf("control payload refused: %v", err)
+	control := rawFile(oneRelation(rawRelation("R", []string{"a"}, relation.BatchSize+1, full, row(-7))), full, row(-7))
+	if ms, _, err := LoadMarks(bytes.NewReader(control)); err != nil || ms["R"].Len() != relation.BatchSize+1 {
+		t.Errorf("control file refused: %v", err)
+	}
+}
+
+// TestLoadRejectsBitFlip: one flipped bit anywhere in a snapshot of
+// several pages — header, manifest, any section — is ErrCorrupt, and the
+// error of a flip inside a section names the relation and the page.
+func TestLoadRejectsBitFlip(t *testing.T) {
+	r := relation.New("k", "s")
+	for i := range 2*relation.BatchSize + 3 {
+		r.InsertValues(relation.Int(int64(i)), relation.String_(fmt.Sprint("v", i%9)))
+	}
+	var buf bytes.Buffer
+	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": r, "Q": sampleState(t)["R"]}, map[string]uint64{"http": 9}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	manifestEnd := 16 + int(binary.BigEndian.Uint64(data[8:16]))
+	sec, _ := sampleState(t)["R"].PageSection(0)
+	firstOfR := manifestEnd + len(sec.Bytes) // Q's one section sorts before R's three
+	for pos := 0; pos < len(data); pos += 1 + pos%7 {
+		flipped := bytes.Clone(data)
+		flipped[pos] ^= 1 << (pos % 8)
+		ms, _, err := LoadMarks(bytes.NewReader(flipped))
+		if !errors.Is(err, ErrCorrupt) || ms != nil {
+			t.Fatalf("bit flipped in byte %d of %d: state %v, error %v", pos, len(data), ms, err)
+		}
+		if pos >= firstOfR && !strings.Contains(err.Error(), `relation "R": page `) {
+			t.Fatalf("bit flipped in byte %d, inside a section of R: error %v does not name relation and page", pos, err)
+		}
 	}
 }
 
@@ -352,9 +426,9 @@ func TestLoadEveryPrefixIsCorrupt(t *testing.T) {
 
 // TestLoadDoesNotTrustTheLength: the header's length is a claim. One that
 // says 4 GiB in front of a few bytes — on a follower it comes off the
-// network — is a truncated payload, not a 4 GiB allocation.
+// network — is a truncated manifest, not a 4 GiB allocation.
 func TestLoadDoesNotTrustTheLength(t *testing.T) {
-	hdr := crcValid(nil)
+	hdr := rawFile(nil)
 	binary.BigEndian.PutUint64(hdr[8:16], 1<<32)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -374,11 +448,92 @@ func TestLoadDoesNotTrustTheLength(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesFormatV2 reads a checkpoint the parent of format v3
-// wrote (gob behind magic "DWSN"): refused by name, not as corruption.
+// TestLoadRefusesFormatV2 reads checkpoints the writers of earlier formats
+// left (v2: gob behind magic "DWSN"; v3: one sorted payload behind
+// "DWS3"; both samples written by the dwserve of the time): refused by
+// name — the version found — not as corruption.
 func TestLoadRefusesFormatV2(t *testing.T) {
-	_, _, err := LoadFileMarks(filepath.Join("..", "..", "testdata", "v2", "state.snap"))
-	if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format v2") {
-		t.Fatalf("error %v, want ErrOldFormat naming the format", err)
+	for _, v := range []string{"v2", "v3"} {
+		_, _, err := LoadFileMarks(filepath.Join("..", "..", "testdata", v, "state.snap"))
+		if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "written by format "+v+", not readable by this build") {
+			t.Errorf("%s: error %v, want ErrOldFormat naming the format", v, err)
+		}
 	}
+}
+
+// TestSaveEncodesWhatChanged: a save encodes the pages written since some
+// relation sharing them was last saved — through whichever version — and
+// copies the rest; what loads saves again without encoding anything.
+func TestSaveEncodesWhatChanged(t *testing.T) {
+	r := relation.New("k", "s")
+	for i := range 5*relation.BatchSize + 3 {
+		r.InsertValues(relation.Int(int64(i)), relation.String_(fmt.Sprint("v", i%9)))
+	}
+	path := filepath.Join(t.TempDir(), "state.snap")
+	next := r.Clone() // the writer is already a version ahead when the first save runs
+	st, err := SaveFileMarksTimed(path, map[string]*relation.Relation{"R": r}, nil)
+	if err != nil || st.PagesEncoded != 6 || st.PagesReused != 0 {
+		t.Fatalf("first save: %+v, error %v; want 6 pages encoded", st, err)
+	}
+	next.Delete(relation.Tuple{relation.Int(7), relation.String_("v7")}) // page 0, and the last
+	next.InsertValues(relation.Int(-1), relation.String_("new"))         // the last
+	st, err = SaveFileMarksTimed(path, map[string]*relation.Relation{"R": next}, nil)
+	if err != nil || st.PagesEncoded != 2 || st.PagesReused != 4 {
+		t.Fatalf("save of the next version: %+v, error %v; want 2 pages encoded, 4 reused", st, err)
+	}
+	ms, err := LoadFile(path)
+	if err != nil || !ms["R"].Equal(next) {
+		t.Fatalf("load: error %v", err)
+	}
+	first, _ := os.ReadFile(path)
+	st, err = SaveFileMarksTimed(path, ms, nil)
+	if again, _ := os.ReadFile(path); err != nil || st.PagesEncoded != 0 || !bytes.Equal(first, again) {
+		t.Fatalf("save of the loaded state: %+v, error %v, same bytes %v; want nothing encoded", st, err, bytes.Equal(first, again))
+	}
+}
+
+// FuzzLoadMarks: whatever the bytes, LoadMarks does not panic and fails
+// only with ErrCorrupt or ErrOldFormat; what it loads saves to a file
+// that loads equal — to the very bytes, the loader accepting nothing but
+// what the writer writes.
+func FuzzLoadMarks(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": relation.New("k"), "S": relation.New("a", "b")}, map[string]uint64{"http": 3}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	r := relation.New("k") // two pages, in few bytes: the fuzzer minimizes what it keeps
+	for i := range relation.BatchSize + 2 {
+		r.InsertValues(relation.Int(int64(i)))
+	}
+	r.InsertValues(relation.Null())
+	buf.Reset()
+	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": r, "V": sampleState(f)["R"]}, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	f.Add(rawFile(oneRelation(rawRelation("R", []string{"a"}, 2, []byte{2, 2, 2, 2})), []byte{2, 2, 2, 2}))
+	f.Add([]byte("DWS3"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ms, marks, err := LoadMarks(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrOldFormat) {
+				t.Fatalf("error %v wraps neither ErrCorrupt nor ErrOldFormat", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveMarks(&out, ms, marks); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("a loaded snapshot of %d bytes saves to %d other bytes (error %v)", len(data), out.Len(), err)
+		}
+		again, marksAgain, err := LoadMarks(&out)
+		if err != nil || len(again) != len(ms) || len(marksAgain) != len(marks) {
+			t.Fatalf("the saved state does not load back: %v", err)
+		}
+		for name, rel := range ms {
+			if !again[name].Equal(rel) {
+				t.Fatalf("relation %q changed across save and load", name)
+			}
+		}
+	})
 }

@@ -145,9 +145,15 @@ func (m *MaintStats) Snapshot() StatsSnapshot {
 	return snap
 }
 
+// MaintStatsTemp names the temp files Save writes next to its target; a
+// kill before the rename leaves one behind, for whoever owns the directory
+// to sweep (snapshot.SweepTemps).
+const MaintStatsTemp = ".maintstats-*"
+
 // Save persists the snapshot as JSON via write-to-temp + rename, the
-// same atomicity discipline as package snapshot. Nil collectors save
-// nothing.
+// same atomicity discipline as package snapshot — minus the fsync: the
+// estimates are advisory, and Load's caller treats an unreadable file as
+// a fresh start. Nil collectors save nothing.
 func (m *MaintStats) Save(path string) error {
 	if m == nil {
 		return nil
@@ -157,7 +163,7 @@ func (m *MaintStats) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".maintstats-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), MaintStatsTemp)
 	if err != nil {
 		return err
 	}
