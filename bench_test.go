@@ -602,7 +602,9 @@ func churnUpdate(db *dwc.Database, rows, lag, i int) *dwc.Update {
 // 64 updates earlier, sites alternating — on the Section-5 schema at three
 // sizes, with the indexes the query pool builds already cached on the
 // views. Thm. 4.1's cost model says the three sizes should cost the same:
-// ns/op and B/op are the gate for "refresh is O(delta), not O(view)".
+// ns/op, B/op and copied-B/op (RefreshStats.CopiedBytes, the pages the
+// copy-on-write apply copied) are the gate for "refresh is O(delta), not
+// O(view)".
 func BenchmarkRefreshScale(b *testing.B) {
 	const lag = 64
 	for _, c := range []struct {
@@ -622,10 +624,12 @@ func BenchmarkRefreshScale(b *testing.B) {
 				}
 			}
 			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+			copied := int64(0)
 			for i := 0; i < b.N+2*lag; i++ { // the first 2·lag updates only insert
 				if i == 2*lag {
 					b.ReportAllocs()
 					b.ResetTimer()
+					copied = 0
 				}
 				st, err := dwc.Refresh(ctx, m, w, churnUpdate(db, c.rows, lag, i))
 				if err != nil {
@@ -634,7 +638,9 @@ func BenchmarkRefreshScale(b *testing.B) {
 				if i >= 2*lag && st.Total() < 2 {
 					b.Fatalf("update %d changed %d warehouse tuples, want an insert and a delete", i, st.Total())
 				}
+				copied += st.CopiedBytes
 			}
+			b.ReportMetric(float64(copied)/float64(b.N), "copied-B/op")
 		})
 	}
 }
@@ -667,12 +673,12 @@ func BenchmarkClone(b *testing.B) {
 
 // BenchmarkScanAfterUpdate measures what an update leaves for the next
 // column-major reader of the FactParis view, at three sizes: each
-// iteration clones the current version (every page image built), applies
-// the process benchmark's churn shape — insert one order, delete the one
-// inserted 64 updates earlier — and drains Batches of the new version.
-// The pages the update wrote are the ones that must be vectorized again,
-// so ns/op, B/op and images/op are the gate for "the image follows the
-// delta, not the view": the same at every size, at most 3 images.
+// iteration clones the current version, applies the process benchmark's
+// churn shape — insert one order, delete the one inserted 64 updates
+// earlier — and drains Batches of the new version. The row pages are
+// what a scan reads, so the update's cost is the pages it copied and the
+// scan's is reading them: ns/op, B/op and copied-B/op are the gate for
+// "an update costs its delta, not the view" — the same at every size.
 func BenchmarkScanAfterUpdate(b *testing.B) {
 	const lag = 64
 	for _, c := range []struct {
@@ -696,27 +702,26 @@ func BenchmarkScanAfterUpdate(b *testing.B) {
 				}
 				return rows
 			}
-			cur, built := fact.Clone(), 0
+			cur, copied := fact.Clone(), int64(0)
 			for i := 0; i < b.N+lag; i++ { // the first lag updates only insert
 				if i == lag {
 					runtime.GC() // the set-up's garbage is not the update's
 					b.ReportAllocs()
 					b.ResetTimer()
-					built = 0
+					copied = 0
 				}
 				next, okey := cur.Clone(), c.rows/2+1+i
 				changed := next.Insert(order(okey))
 				if i >= lag {
 					changed = next.Delete(order(okey-lag)) && changed
 				}
-				built -= next.PageImages()
+				copied += next.CopiedBytes()
 				if rows := drain(next); !changed || rows != next.Len() {
 					b.Fatalf("update %d: changed = %v, Batches cover %d of %d rows", i, changed, rows, next.Len())
 				}
-				built += next.PageImages()
 				cur = next
 			}
-			b.ReportMetric(float64(built)/float64(b.N), "images/op")
+			b.ReportMetric(float64(copied)/float64(b.N), "copied-B/op")
 		})
 	}
 }

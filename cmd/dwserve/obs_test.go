@@ -46,7 +46,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dw_queries_total counter",
 		"dw_queries_total 1",
-		"dw_query_image_pages_built_total 0", // the fixture's relations are below the vectorize threshold
 		"dw_refreshes_total 1",
 		"# TYPE dw_query_duration_seconds histogram",
 		`dw_query_duration_seconds_bucket{le="+Inf"} 1`,

@@ -172,7 +172,6 @@ type server struct {
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
-	mImagePages *obs.Counter
 	mQueryDur   *obs.Histogram
 	mRefreshes  *obs.Counter
 	mRefreshDur *obs.Histogram
@@ -406,8 +405,6 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"HTTP requests currently being served.", nil)
 	s.mQueries = s.reg.Counter("dw_queries_total",
 		"Source queries answered through the Theorem 3.1 translation.", nil)
-	s.mImagePages = s.reg.Counter("dw_query_image_pages_built_total",
-		"Page images queries built: row pages a vectorized selection met that an update had written since they were last vectorized.", nil)
 	s.mQueryDur = s.reg.Histogram("dw_query_duration_seconds",
 		"Query evaluation latency (translate + evaluate).", obs.DefLatencyBuckets, nil)
 	s.mRefreshes = s.reg.Counter("dw_refreshes_total",
@@ -777,7 +774,6 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	s.queries.Add(1)
 	s.mQueries.Inc()
 	s.mQueryDur.Observe(stats.Wall.Seconds())
-	s.mImagePages.Add(stats.ImagePages)
 	s.statsMu.Lock()
 	s.queryStats.Add(*stats)
 	s.statsMu.Unlock()

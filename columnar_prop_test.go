@@ -11,6 +11,7 @@ package dwc_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -270,7 +271,8 @@ func refSelectEq(r *relation.Relation, a string, k relation.Value, other string)
 	return out
 }
 
-// checkSelect asserts vectorized σ = scalar σ = reference for one condition.
+// checkSelect asserts σ over compiled batch predicates = σ over EvalCond
+// row by row = reference for one condition.
 func checkSelect(t *testing.T, label string, r *relation.Relation, c algebra.Cond, ref *refSet) {
 	t.Helper()
 	ref.equalRelation(t, label+" scalar", relation.Select(r, func(row relation.Row) bool { return algebra.EvalCond(c, row) }))
@@ -334,15 +336,56 @@ func TestColumnarOpsMatchMapReference(t *testing.T) {
 				t.Fatalf("seed %d: Contains(%v) = %v, reference %v", seed, tu, got, want)
 			}
 		}
+
+		// The cells a page stores are the values inserted, bit for bit, through
+		// the mutations too: NaN, −0, NULL and Int(2) beside Float(2) survive
+		// insert → Clone → delete → PageSection → DecodePages.
+		mut := l.Clone()
+		for _, tu := range []relation.Tuple{
+			{relation.Float(math.NaN()), relation.Float(math.Copysign(0, -1)), relation.Null()},
+			{relation.Int(2), relation.Float(2), relation.String_("odd")},
+			{relation.Float(2), relation.Int(2), relation.Null()},
+		} {
+			mut.Insert(tu)
+		}
+		cut := mut.Clone()
+		for tu := range mut.All() {
+			cut.Delete(tu) // the first row: the last one moves into its place
+			break
+		}
+		secs := make([]relation.Section, cut.NumPages())
+		for pi := range secs {
+			sec, _ := cut.PageSection(pi)
+			secs[pi] = *sec
+		}
+		back, err := relation.DecodePages(cut.Attrs(), uint64(cut.Len()), secs)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fromRelation(cut).equalRelation(t, "decoded after mutations", back)
+		want := cut.SortedRows()
+		for i, row := range back.SortedRows() {
+			for j, v := range row {
+				if w := want[i][j]; v.Kind() != w.Kind() || !v.Equal(w) || math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat()) {
+					t.Fatalf("seed %d: row %d column %d decodes to %v (%v), the page held %v (%v)", seed, i, j, v, v.Kind(), w, w.Kind())
+				}
+			}
+		}
+		if !mut.Contains(relation.Tuple{relation.Float(math.NaN()), relation.Float(0), relation.Null()}) {
+			t.Fatalf("seed %d: the NaN row is not a member of the relation it was inserted into", seed)
+		}
 	}
 }
 
-// TestPageLayoutIsChosenPerPage pins what replaces the whole-relation
-// image: each page of a relation picks its own layout, null bitmap and
-// string dictionary, so one column can be typed on one page and generic on
-// the next, a dictionary holds the strings of its page alone — at most one
-// per row, so no width of column can overflow it — and a selection over
-// pages of different layouts still agrees with the scalar one.
+// TestPageLayoutIsChosenPerPage pins the layout rule of the row pages:
+// each page of a relation picks its own layout, null bitmap and string
+// dictionary, so one column can be typed on one page and generic on the
+// next, a dictionary holds the strings of its page alone — at most one per
+// row, so no width of column can overflow it — and a selection over pages
+// of different layouts agrees with EvalCond row by row. The write side:
+// the insert that mixes kinds promotes its page's column and no other
+// page's, a delete's swap moves cells between pages of different layouts
+// and dictionaries, and deletes that empty the last page drop it.
 func TestPageLayoutIsChosenPerPage(t *testing.T) {
 	const size = relation.BatchSize
 	r := relation.New("id", "v", "s")
@@ -409,4 +452,87 @@ func TestPageLayoutIsChosenPerPage(t *testing.T) {
 			t.Errorf("σ{%v}: vectorized selects %d rows, scalar %d of %d", c, got.Len(), want.Len(), r.Len())
 		}
 	}
+	// An operator output whose v holds only the NULLs of the string page:
+	// where the column takes the string layout its dictionary is not empty
+	// (a NULL row's code must decode), and a σ on a string constant over it
+	// selects nothing.
+	nulls := algebra.SelectCond(r, &algebra.And{
+		L: algebra.AttrCmpConst("v", algebra.OpEq, relation.Null()),
+		R: algebra.AttrCmpConst("id", algebra.OpGe, relation.Int(3*size)),
+	}, nil)
+	for b := range nulls.Batches() {
+		if k := b.ColKind(1); k == relation.ColString && b.Dict(1).Len() == 0 {
+			t.Errorf("a page of %d NULLs taken from the string page has an empty dictionary", b.Len())
+		}
+	}
+	if got := algebra.SelectCond(nulls, algebra.AttrCmpConst("v", algebra.OpLe, relation.String_("v4")), nil); nulls.IsEmpty() || !got.IsEmpty() {
+		t.Errorf("σ{v <= 'v4'} over %d NULL rows selects %d", nulls.Len(), got.Len())
+	}
+
+	// The rule on the write side, on a clone of r (whose pages it shares
+	// until it writes them). A swap-with-last delete on the float page moves
+	// the last row — a string v, and an s its dictionary, full with the
+	// page's distinct strings, has no room for — into it: v and s turn
+	// ColAny there. An insert that mixes kinds promotes its page's column,
+	// and no other page's. Deletes that empty the last page drop it.
+	m := r.Clone()
+	model := map[int64]relation.Tuple{}
+	for _, tu := range rows {
+		model[tu[0].AsInt()] = tu
+	}
+	kinds := func(rel *relation.Relation, c int) (ks []relation.ColKind) {
+		for b := range rel.Batches() {
+			ks = append(ks, b.ColKind(c))
+		}
+		return ks
+	}
+	check := func(what string, wantV, wantS []relation.ColKind) {
+		t.Helper()
+		if got := kinds(m, 1); !slices.Equal(got, wantV) {
+			t.Errorf("%s: column v is laid out as %v, want %v", what, got, wantV)
+		}
+		if got := kinds(m, 2); !slices.Equal(got, wantS) {
+			t.Errorf("%s: column s is laid out as %v, want %v", what, got, wantS)
+		}
+		if got := kinds(r, 1); !slices.Equal(got, wantKind) {
+			t.Errorf("%s: the relation the writer cloned has v laid out as %v", what, got)
+		}
+		if m.Len() != len(model) {
+			t.Fatalf("%s: %d rows, the model has %d", what, m.Len(), len(model))
+		}
+		for b := range m.Batches() {
+			if d := b.Dict(2); d != nil && d.Len() > relation.BatchSize {
+				t.Errorf("%s: page %d's s dictionary holds %d strings", what, b.Start()/size, d.Len())
+			}
+			for i := range b.Len() {
+				want, ok := model[b.Value(0, i).AsInt()]
+				for c := range 3 {
+					if !ok || b.Value(c, i).Kind() != want[c].Kind() || !b.Value(c, i).Equal(want[c]) {
+						t.Fatalf("%s: row %d column %d holds %v, the model %v", what, b.Start()+i, c, b.Value(c, i), want)
+					}
+				}
+			}
+		}
+	}
+	del := func(id int) {
+		if !m.Delete(model[int64(id)]) {
+			t.Fatalf("delete of row %d failed", id)
+		}
+		delete(model, int64(id))
+	}
+	str, any := relation.ColString, relation.ColAny
+	del(2*size + 5)
+	check("after a delete on the float page", []relation.ColKind{relation.ColInt, any, any, str}, []relation.ColKind{str, str, any, str})
+	mixed := relation.Tuple{relation.Int(-1), relation.Int(7), relation.String_("p3-new")}
+	m.Insert(mixed)
+	model[-1] = mixed
+	check("after an insert of an int into the string page", []relation.ColKind{relation.ColInt, any, any, any}, []relation.ColKind{str, str, any, str})
+	for id := 3*size + 98; id >= 3*size; id-- { // the last page's other rows, newest first
+		del(id)
+	}
+	del(-1)
+	if m.NumPages() != 3 {
+		t.Fatalf("the deletes left %d pages, want 3", m.NumPages())
+	}
+	check("after the deletes that emptied the last page", []relation.ColKind{relation.ColInt, any, any}, []relation.ColKind{str, str, any})
 }

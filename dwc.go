@@ -29,10 +29,17 @@
 //
 //	w, err := dwc.BuildWarehouse(db, views, dwc.Theorem22(), initialState)
 //	rows, err := dwc.Answer(ctx, w, dwc.MustParseExpr("pi{clerk}(Sale) union pi{clerk}(Emp)"))
-//	for batch := range rows.Batches() { ... }   // column-major, no copies; layout and dictionary are per batch
+//	for batch := range rows.Batches() { ... }   // column-major: the typed row pages themselves, layout and dictionary per page
 //
 //	m := dwc.NewMaintainer(w.Complement())
 //	stats, err := dwc.Refresh(ctx, m, w, update)   // warehouse-only, incremental
+//
+// Every relation — a source, a view, a complement, a query answer — is
+// stored one way: pages of 1 024 rows, each page one typed vector per
+// attribute (int64, float64, bool, dictionary-coded strings, or the values
+// themselves where a page's column mixes kinds) with a null bitmap, shared
+// copy-on-write between versions. A Tuple is built from a page when it is
+// asked for (Relation.All, Rows.Sorted); Rows.Batches hands out the pages.
 //
 // The heavy lifting lives in the internal packages (relation, algebra,
 // constraint, catalog, view, core, warehouse, maintain, source, star,
@@ -68,9 +75,10 @@ type (
 	Update = catalog.Update
 	// Schema is one base relation schema with an optional key.
 	Schema = relation.Schema
-	// Relation is an in-memory relation with set semantics.
+	// Relation is an in-memory relation with set semantics, stored as
+	// typed column pages.
 	Relation = relation.Relation
-	// Tuple is a row of values.
+	// Tuple is a row of values, built from a relation's pages on demand.
 	Tuple = relation.Tuple
 	// Value is a typed attribute value.
 	Value = relation.Value

@@ -259,10 +259,12 @@ func IsTrivial(c Cond) bool {
 	return ok
 }
 
-// EvalCond evaluates the condition on a row. Comparisons between
+// EvalCond evaluates the condition on one row. Comparisons between
 // incomparable values (e.g. a string attribute against an int constant)
 // evaluate to false, as do comparisons referencing attributes missing from
-// the row — static validation flags the latter before evaluation.
+// the row — static validation flags the latter before evaluation. The
+// engine's σ is SelectCond, compiled per page; this row-at-a-time form is
+// the reference the compiled one is tested against.
 func EvalCond(c Cond, row relation.Row) bool {
 	switch n := c.(type) {
 	case True:
@@ -277,6 +279,8 @@ func EvalCond(c Cond, row relation.Row) bool {
 		if !ok {
 			return false
 		}
+		// Its own switch, not opMatch: the reference shares no code with
+		// the kernels it checks.
 		switch n.Op {
 		case OpEq:
 			return cmp == 0

@@ -39,7 +39,6 @@ type OpStat struct {
 	IndexHits   int64         `json:"indexHits"`
 	IndexBuilds int64         `json:"indexBuilds"`
 	Batches     int64         `json:"batches,omitempty"`
-	ImagePages  int64         `json:"imagePages,omitempty"`
 	Wall        time.Duration `json:"wallNs"`
 }
 
@@ -57,7 +56,6 @@ type EvalStats struct {
 	IndexHits     int64         `json:"indexHits"`
 	IndexBuilds   int64         `json:"indexBuilds"`
 	Batches       int64         `json:"batches,omitempty"`
-	ImagePages    int64         `json:"imagePages"` // page images built: what the queries paid to vectorize pages updates had written
 	Wall          time.Duration `json:"wallNs"`
 	Ops           []OpStat      `json:"ops,omitempty"`
 	Plan          []*PlanNode   `json:"plan,omitempty"`
@@ -77,7 +75,6 @@ func (s *EvalStats) Add(o EvalStats) {
 	s.IndexHits += o.IndexHits
 	s.IndexBuilds += o.IndexBuilds
 	s.Batches += o.Batches
-	s.ImagePages += o.ImagePages
 	s.Wall += o.Wall
 	if len(o.Ops) > 0 {
 		s.Ops = mergeOps(s.Ops, o.Ops)
@@ -100,7 +97,6 @@ func mergeOps(a, b []OpStat) []OpStat {
 			m.IndexHits += o.IndexHits
 			m.IndexBuilds += o.IndexBuilds
 			m.Batches += o.Batches
-			m.ImagePages += o.ImagePages
 			m.Wall += o.Wall
 			byOp[o.Op] = m
 		}
@@ -206,8 +202,7 @@ func (ec *EvalContext) Stats() EvalStats {
 
 // PlanSummary renders the executed plan trees as a compact one-line
 // signature — operator names with emitted cardinalities (on restricted
-// nodes, ⋉ and the probe's row count; on a selection that had to vectorize
-// pages, the page images it built), children in parentheses — bounded to
+// nodes, ⋉ and the probe's row count), children in parentheses — bounded to
 // maxLen bytes (0 means 256). It is the form a query's trace span carries:
 // enough to recognize the plan shape from a trace without shipping the
 // full EXPLAIN ANALYZE tree into the span store.
@@ -248,11 +243,7 @@ func summarizeNode(b *strings.Builder, n *PlanNode, budget int) {
 	if n.Restricted {
 		fmt.Fprintf(b, "⋉%d", n.ProbeRows)
 	}
-	fmt.Fprintf(b, "[emit=%d", n.Emitted)
-	if n.ImagePages > 0 {
-		fmt.Fprintf(b, " images=%d", n.ImagePages)
-	}
-	b.WriteString("]")
+	fmt.Fprintf(b, "[emit=%d]", n.Emitted)
 	if len(n.Children) == 0 {
 		return
 	}
@@ -322,7 +313,6 @@ func (ec *EvalContext) finishNode(op string, n *PlanNode, s relation.OpStats, wa
 		n.IndexHits = s.IndexHits
 		n.IndexBuilds = s.IndexBuilds
 		n.Batches = s.Batches
-		n.ImagePages = s.ImagePages
 		n.Inclusive = wall
 		excl := wall
 		for _, c := range n.Children {
@@ -340,7 +330,6 @@ func (ec *EvalContext) finishNode(op string, n *PlanNode, s relation.OpStats, wa
 	ec.stats.IndexHits += s.IndexHits
 	ec.stats.IndexBuilds += s.IndexBuilds
 	ec.stats.Batches += s.Batches
-	ec.stats.ImagePages += s.ImagePages
 	ec.checkBudgetLocked()
 	if len(ec.stats.Ops) < maxOpRecords {
 		ec.stats.Ops = append(ec.stats.Ops, OpStat{
@@ -351,7 +340,6 @@ func (ec *EvalContext) finishNode(op string, n *PlanNode, s relation.OpStats, wa
 			IndexHits:   s.IndexHits,
 			IndexBuilds: s.IndexBuilds,
 			Batches:     s.Batches,
-			ImagePages:  s.ImagePages,
 			Wall:        wall,
 		})
 	}
@@ -491,7 +479,7 @@ func evalNode(ec *EvalContext, e Expr, st State, probe *relation.Relation, forei
 		if err != nil {
 			return nil, err
 		}
-		return vectorSelect(in, n.Cond, sp), nil
+		return SelectCond(in, n.Cond, sp), nil
 	case *Project:
 		// probe attrs ⊆ Z ⊆ input attrs, so the probe applies directly to
 		// the input; garbage rows project to non-matching tuples and stay

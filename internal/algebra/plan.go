@@ -29,7 +29,6 @@ type PlanNode struct {
 	IndexHits   int64         `json:"indexHits"`
 	IndexBuilds int64         `json:"indexBuilds"`
 	Batches     int64         `json:"batches,omitempty"`
-	ImagePages  int64         `json:"imagePages,omitempty"` // page images a vectorized σ built: pages written since they were last scanned
 	Inclusive   time.Duration `json:"inclusiveNs"`
 	Exclusive   time.Duration `json:"exclusiveNs"`
 	Children    []*PlanNode   `json:"children,omitempty"`
@@ -64,9 +63,6 @@ func (n *PlanNode) line(withTiming bool) string {
 	}
 	s := fmt.Sprintf("%s  rows=%d scanned=%d probed=%d hits=%d builds=%d",
 		op, n.Emitted, n.Scanned, n.Probed, n.IndexHits, n.IndexBuilds)
-	if n.ImagePages > 0 {
-		s += fmt.Sprintf(" images=%d", n.ImagePages)
-	}
 	if withTiming {
 		s += fmt.Sprintf(" incl=%s excl=%s", n.Inclusive, n.Exclusive)
 	}

@@ -2,62 +2,46 @@ package algebra
 
 import (
 	"cmp"
+	"fmt"
+	"slices"
 	"strings"
 
 	"dwcomplement/internal/relation"
 )
 
-// This file compiles selection conditions to vectorized batch predicates:
-// a Cond becomes a tree of mask evaluators, each filling a boolean mask
-// for one batch of the input with typed inner loops (int64/float64/bool
-// vectors, dictionary-code tables for strings) instead of per-row Value
-// boxing. A condition is compiled against attribute positions only: the
-// layout of a column is a property of the batch (pages of one relation
-// may differ), so each kernel picks its typed loop when it meets the
-// batch — one switch per BatchSize rows. Compilation preserves EvalCond's
-// semantics bit for bit — incomparable operands and missing attributes
-// evaluate to false, NULL compares equal only to NULL — with a generic
-// per-value fallback for mixed-kind (ColAny) columns, so the vectorized
-// and scalar selection paths are interchangeable (asserted by the
-// columnar-vs-reference property tests).
-
-// vectorizeThreshold is the input size below which scalar selection wins:
-// building or consulting page images only pays for itself once the typed
-// inner loops have enough rows to amortize compilation.
-const vectorizeThreshold = 128
+// This file is the engine's selection: a Cond is compiled to a tree of
+// mask evaluators, each filling a boolean mask for one page of the input
+// with typed inner loops (int64/float64 vectors, dictionary-code tables
+// for strings) instead of per-row Value boxing. A condition is
+// compiled against attribute positions only: the layout of a column is a
+// property of the page (pages of one relation may differ), so each kernel
+// picks its typed loop when it meets the batch — one switch per page.
+// Compilation preserves EvalCond's semantics bit for bit — incomparable
+// operands and missing attributes evaluate to false, NULL compares equal
+// only to NULL — with a generic per-value loop for mixed-kind (ColAny)
+// and bool columns and for column-to-column comparisons (asserted against
+// EvalCond by the columnar-vs-reference property tests). Every σ runs
+// here, whatever the size of its input: stored relations, operator
+// results and maintenance deltas alike.
 
 // maskEval fills mask[i] (i batch-local) with the condition's value.
 type maskEval func(b relation.Batch, mask []bool)
 
-// vectorSelect evaluates σ_cond(in), choosing the vectorized path for
-// large inputs and falling back to the scalar row loop for small ones.
-func vectorSelect(in *relation.Relation, c Cond, sp *relation.OpStats) *relation.Relation {
-	if in.Len() >= vectorizeThreshold {
-		if pred := CompileBatchPred(c, in.Attrs()); pred != nil {
-			return relation.SelectBatchStats(in, pred, sp)
-		}
-	}
-	return relation.SelectStats(in, func(row relation.Row) bool { return EvalCond(c, row) }, sp)
+// SelectCond returns σ_c(in), counting into sp (nil disables counting).
+func SelectCond(in *relation.Relation, c Cond, sp *relation.OpStats) *relation.Relation {
+	return relation.SelectBatchStats(in, CompileBatchPred(c, in.Attrs()), sp)
 }
 
 // CompileBatchPred compiles the condition, over a relation with the given
 // attribute order, into a batch predicate producing selection vectors. It
-// returns nil only for condition nodes it does not recognize (a foreign
-// Cond implementation); every condition built from this package's
-// constructors compiles. The predicate keeps scratch between calls: one
+// panics on a condition node this package does not define. The predicate
+// keeps scratch between calls, sized by the batches it meets: one
 // goroutine at a time.
 func CompileBatchPred(c Cond, attrs []string) relation.BatchPred {
-	pos := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		pos[a] = i
-	}
-	ev := compileMask(c, pos)
-	if ev == nil {
-		return nil
-	}
-	mask := make([]bool, relation.BatchSize)
+	ev := compileMask(c, attrs)
+	var mask []bool
 	return func(b relation.Batch, sel []int32) []int32 {
-		m := mask[:b.Len()]
+		m := scratch(&mask, b.Len())
 		ev(b, m)
 		for i, ok := range m {
 			if ok {
@@ -68,46 +52,27 @@ func CompileBatchPred(c Cond, attrs []string) relation.BatchPred {
 	}
 }
 
-// compileMask compiles one condition node; nil means "unknown node".
-func compileMask(c Cond, pos map[string]int) maskEval {
+// scratch returns (*buf)[:n], growing the buffer when it is shorter.
+func scratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// compileMask compiles one condition node.
+func compileMask(c Cond, attrs []string) maskEval {
 	switch n := c.(type) {
 	case True:
 		return constMask(true)
 	case *Cmp:
-		return compileCmp(n, pos)
+		return compileCmp(n, attrs)
 	case *And:
-		l, r := compileMask(n.L, pos), compileMask(n.R, pos)
-		if l == nil || r == nil {
-			return nil
-		}
-		scratch := make([]bool, relation.BatchSize)
-		return func(b relation.Batch, mask []bool) {
-			l(b, mask)
-			s := scratch[:b.Len()]
-			r(b, s)
-			for i := range mask {
-				mask[i] = mask[i] && s[i]
-			}
-		}
+		return combine(compileMask(n.L, attrs), compileMask(n.R, attrs), true)
 	case *Or:
-		l, r := compileMask(n.L, pos), compileMask(n.R, pos)
-		if l == nil || r == nil {
-			return nil
-		}
-		scratch := make([]bool, relation.BatchSize)
-		return func(b relation.Batch, mask []bool) {
-			l(b, mask)
-			s := scratch[:b.Len()]
-			r(b, s)
-			for i := range mask {
-				mask[i] = mask[i] || s[i]
-			}
-		}
+		return combine(compileMask(n.L, attrs), compileMask(n.R, attrs), false)
 	case *Not:
-		inner := compileMask(n.C, pos)
-		if inner == nil {
-			return nil
-		}
+		inner := compileMask(n.C, attrs)
 		return func(b relation.Batch, mask []bool) {
 			inner(b, mask)
 			for i := range mask {
@@ -115,7 +80,23 @@ func compileMask(c Cond, pos map[string]int) maskEval {
 			}
 		}
 	default:
-		return nil
+		panic(fmt.Sprintf("algebra: unknown condition %T", c))
+	}
+}
+
+// combine is the mask of l ∧ r when and is set, of l ∨ r otherwise: r
+// decides the rows on which l does not.
+func combine(l, r maskEval, and bool) maskEval {
+	var buf []bool
+	return func(b relation.Batch, mask []bool) {
+		l(b, mask)
+		s := scratch(&buf, len(mask))
+		r(b, s)
+		for i := range mask {
+			if mask[i] == and {
+				mask[i] = s[i]
+			}
+		}
 	}
 }
 
@@ -171,7 +152,7 @@ func scalarCmp(op CmpOp, l, r relation.Value) bool {
 	return ok && opMatch(op, cmp)
 }
 
-func compileCmp(n *Cmp, pos map[string]int) maskEval {
+func compileCmp(n *Cmp, attrs []string) maskEval {
 	left, op, right := n.Left, n.Op, n.Right
 	// Normalize to attr-op-X by mirroring a constant left operand.
 	if !left.IsAttr && right.IsAttr {
@@ -180,13 +161,13 @@ func compileCmp(n *Cmp, pos map[string]int) maskEval {
 	if !left.IsAttr { // const vs const: a compile-time verdict
 		return constMask(scalarCmp(op, left.Val, right.Val))
 	}
-	lp, ok := pos[left.Attr]
-	if !ok { // missing attribute: EvalCond yields false
+	lp := slices.Index(attrs, left.Attr)
+	if lp < 0 { // missing attribute: EvalCond yields false
 		return constMask(false)
 	}
 	if right.IsAttr {
-		rp, ok := pos[right.Attr]
-		if !ok {
+		rp := slices.Index(attrs, right.Attr)
+		if rp < 0 {
 			return constMask(false)
 		}
 		return compileAttrAttr(op, lp, rp)
@@ -208,41 +189,36 @@ func compileAttrConst(op CmpOp, lp int, cv relation.Value) maskEval {
 		}
 	}
 	ck := cv.Kind()
-	ci, cf, cb, cs := cv.AsInt(), cv.AsFloat(), cv.AsBool(), cv.AsString()
+	ci, cf, cs := cv.AsInt(), cv.AsFloat(), cv.AsString()
 	var verdicts []bool
-	if ck == relation.KindString {
-		verdicts = make([]bool, relation.BatchSize) // a page dictionary holds at most one string per row
-	}
 	return func(b relation.Batch, mask []bool) {
 		switch kind := b.ColKind(lp); {
 		case kind == relation.ColInt && ck == relation.KindInt:
 			for i, v := range b.Ints(lp) {
-				mask[i] = opMatch(op, cmpInt(v, ci))
+				mask[i] = opMatch(op, cmp.Compare(v, ci))
 			}
+		// On floats cmp.Compare is Value.Compare: NaN equals NaN and sorts
+		// below every number.
 		case kind == relation.ColInt && ck == relation.KindFloat:
 			for i, v := range b.Ints(lp) {
-				mask[i] = opMatch(op, cmpFloat(float64(v), cf))
+				mask[i] = opMatch(op, cmp.Compare(float64(v), cf))
 			}
 		case kind == relation.ColFloat && ck.Numeric():
 			for i, v := range b.Floats(lp) {
-				mask[i] = opMatch(op, cmpFloat(v, cf))
-			}
-		case kind == relation.ColBool && ck == relation.KindBool:
-			for i, v := range b.Bools(lp) {
-				mask[i] = opMatch(op, cmpBool(v, cb))
+				mask[i] = opMatch(op, cmp.Compare(v, cf))
 			}
 		case kind == relation.ColString && ck == relation.KindString:
 			// Decide once per dictionary code instead of once per row: the
 			// verdict table turns any comparison into a code-indexed load.
 			dict := b.Dict(lp)
-			verdict := verdicts[:dict.Len()]
+			verdict := scratch(&verdicts, dict.Len())
 			for code := range verdict {
 				verdict[code] = opMatch(op, strings.Compare(dict.Value(int32(code)), cs))
 			}
 			for i, code := range b.Codes(lp) {
 				mask[i] = verdict[code]
 			}
-		case kind == relation.ColAny: // generic per-value loop, NULLs included
+		case kind == relation.ColAny || kind == relation.ColBool: // generic per-value loop, NULLs included
 			for i := range mask {
 				mask[i] = scalarCmp(op, b.Value(lp, i), cv)
 			}
@@ -259,83 +235,14 @@ func compileAttrConst(op CmpOp, lp int, cv relation.Value) maskEval {
 	}
 }
 
-// compileAttrAttr builds the kernel for column lp against column rp.
+// compileAttrAttr builds the kernel for column lp against column rp: the
+// generic per-value loop, EvalCond's semantics by construction. Views and
+// queries select on constants; a column-to-column σ is rare enough that
+// typed loops for it would be code without a workload.
 func compileAttrAttr(op CmpOp, lp, rp int) maskEval {
-	// NULL-vs-NULL rows compare equal; NULL vs non-NULL is incomparable.
-	nullPair := opMatch(op, 0)
 	return func(b relation.Batch, mask []bool) {
-		switch lk, rk := b.ColKind(lp), b.ColKind(rp); {
-		case lk == relation.ColInt && rk == relation.ColInt:
-			l, r := b.Ints(lp), b.Ints(rp)
-			for i := range mask {
-				mask[i] = opMatch(op, cmpInt(l[i], r[i]))
-			}
-		case lk == relation.ColInt && rk == relation.ColFloat:
-			l, r := b.Ints(lp), b.Floats(rp)
-			for i := range mask {
-				mask[i] = opMatch(op, cmpFloat(float64(l[i]), r[i]))
-			}
-		case lk == relation.ColFloat && rk == relation.ColInt:
-			l, r := b.Floats(lp), b.Ints(rp)
-			for i := range mask {
-				mask[i] = opMatch(op, cmpFloat(l[i], float64(r[i])))
-			}
-		case lk == relation.ColFloat && rk == relation.ColFloat:
-			l, r := b.Floats(lp), b.Floats(rp)
-			for i := range mask {
-				mask[i] = opMatch(op, cmpFloat(l[i], r[i]))
-			}
-		case lk == relation.ColBool && rk == relation.ColBool:
-			l, r := b.Bools(lp), b.Bools(rp)
-			for i := range mask {
-				mask[i] = opMatch(op, cmpBool(l[i], r[i]))
-			}
-		case lk == relation.ColString && rk == relation.ColString:
-			// Two dictionaries: codes do not compare, strings do.
-			l, ld, r, rd := b.Codes(lp), b.Dict(lp), b.Codes(rp), b.Dict(rp)
-			for i := range mask {
-				mask[i] = opMatch(op, strings.Compare(ld.Value(l[i]), rd.Value(r[i])))
-			}
-		default:
-			// Mixed typed/ColAny layouts, or typed layouts of incomparable
-			// kinds (where only NULL-NULL rows could match): generic loop.
-			for i := range mask {
-				mask[i] = scalarCmp(op, b.Value(lp, i), b.Value(rp, i))
-			}
-			return
+		for i := range mask {
+			mask[i] = scalarCmp(op, b.Value(lp, i), b.Value(rp, i))
 		}
-		if b.HasNulls(lp) || b.HasNulls(rp) {
-			for i := range mask {
-				if ln, rn := b.IsNull(lp, i), b.IsNull(rp, i); ln || rn {
-					mask[i] = ln && rn && nullPair
-				}
-			}
-		}
-	}
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// cmpFloat mirrors Value.Compare on floats: NaN equals NaN and sorts
-// below every number.
-func cmpFloat(a, b float64) int { return cmp.Compare(a, b) }
-
-func cmpBool(a, b bool) int {
-	switch {
-	case !a && b:
-		return -1
-	case a && !b:
-		return 1
-	default:
-		return 0
 	}
 }

@@ -118,8 +118,8 @@ func TestVectorizedSelectMatchesEvalCond(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 
-		// Sizes straddle the vectorize threshold and the batch size so
-		// partial final batches and multi-batch inputs are both exercised.
+		// Sizes straddle the batch size so partial final batches and
+		// multi-batch inputs are both exercised.
 		// id keeps the rows distinct; a, b and c draw a kind per page.
 		n := []int{1, 50, 130, relation.BatchSize, relation.BatchSize + 37, 5 * relation.BatchSize / 2}[rng.Intn(6)]
 		in := relation.New(attrs...)
@@ -172,39 +172,29 @@ func TestVectorizedSelectMatchesEvalCond(t *testing.T) {
 	}
 }
 
-// TestVectorSelectDispatch pins the size-based dispatch: under the
-// threshold the scalar path runs (no page image is built); at or above it
-// the vectorized path builds the page's image and says so in its stats.
-func TestVectorSelectDispatch(t *testing.T) {
-	mk := func(n int) *relation.Relation {
+// TestSelectIsOneImplementation: σ has no size-based dispatch any more —
+// an input of one row, of a few rows and of several pages takes the same
+// compiled predicate, agrees with EvalCond row by row, and counts the
+// pages it walked; a stored relation selected from is left as it was.
+func TestSelectIsOneImplementation(t *testing.T) {
+	c := AttrCmpConst("a", OpGe, relation.Int(2))
+	for _, n := range []int{1, 3, 127, 128, relation.BatchSize + 1} {
 		r := relation.New("a")
 		for i := 0; i < n; i++ {
 			r.Insert(relation.Tuple{relation.Int(int64(i))})
 		}
-		return r
-	}
-	c := AttrCmpConst("a", OpGe, relation.Int(2))
-
-	small := mk(vectorizeThreshold - 1)
-	out := vectorSelect(small, c, nil)
-	if out.Len() != small.Len()-2 {
-		t.Fatalf("small: got %d rows, want %d", out.Len(), small.Len()-2)
-	}
-	if n := small.PageImages(); n != 0 {
-		t.Fatalf("small input below threshold built %d page images", n)
-	}
-
-	large := mk(vectorizeThreshold)
-	var st relation.OpStats
-	out = vectorSelect(large, c, &st)
-	if out.Len() != large.Len()-2 {
-		t.Fatalf("large: got %d rows, want %d", out.Len(), large.Len()-2)
-	}
-	if n := large.PageImages(); n != 1 || st.ImagePages != 1 {
-		t.Fatalf("large input at threshold: %d page images cached, %d counted, want 1 and 1", n, st.ImagePages)
-	}
-	st = relation.OpStats{}
-	if vectorSelect(large, c, &st); st.ImagePages != 0 {
-		t.Fatalf("a second selection over an unchanged relation built %d page images", st.ImagePages)
+		var st relation.OpStats
+		copied := r.CopiedBytes()
+		out := SelectCond(r, c, &st)
+		want := relation.Select(r, func(row relation.Row) bool { return EvalCond(c, row) })
+		if !out.Equal(want) || out.Len() != max(0, n-2) {
+			t.Fatalf("n=%d: σ selects %d rows, EvalCond %d", n, out.Len(), want.Len())
+		}
+		if st.Batches != int64((n+relation.BatchSize-1)/relation.BatchSize) || st.Scanned != int64(n) || st.Emitted != int64(out.Len()) {
+			t.Fatalf("n=%d: counters %+v", n, st)
+		}
+		if r.CopiedBytes() != copied {
+			t.Fatalf("n=%d: a selection wrote its input", n)
+		}
 	}
 }

@@ -205,24 +205,15 @@ func (st *State) MustRelation(name string) *relation.Relation {
 }
 
 // Insert adds a tuple to the named relation, with type checking against
-// the schema. It reports whether the tuple was new.
+// the schema. It reports whether the tuple was new. The relation copies
+// the values, and inserts into different relations of one state may run
+// concurrently.
 func (st *State) Insert(name string, t relation.Tuple) (bool, error) {
 	r, err := st.typed(name, t)
 	if err != nil {
 		return false, err
 	}
 	return r.Insert(t), nil
-}
-
-// InsertOwned is Insert for a tuple the caller hands over: the state keeps
-// t itself instead of a copy (relation.InsertOwned). Inserts into different
-// relations of one state may run concurrently.
-func (st *State) InsertOwned(name string, t relation.Tuple) (bool, error) {
-	r, err := st.typed(name, t)
-	if err != nil {
-		return false, err
-	}
-	return r.InsertOwned(t), nil
 }
 
 // typed returns the named relation once t has its schema's arity and every

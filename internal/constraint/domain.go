@@ -95,9 +95,7 @@ func checkDomain(d Domain, r *relation.Relation) error {
 	if r == nil {
 		return nil
 	}
-	bad := relation.Select(r, func(row relation.Row) bool {
-		return !algebra.EvalCond(d.Cond, row)
-	})
+	bad := algebra.SelectCond(r, &algebra.Not{C: d.Cond}, nil)
 	if !bad.IsEmpty() {
 		return fmt.Errorf("constraint: %s violated by %d tuple(s)", d, bad.Len())
 	}

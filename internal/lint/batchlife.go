@@ -7,16 +7,18 @@ import (
 	"sort"
 )
 
-// BatchLife flags the PR-6 use-after-invalidate class: a
-// relation.Batch is a zero-copy view of one page image, which describes
-// a row page as it was when the image was built. Ranging X.Batches()
-// while calling anything that — per the cross-package facts — mutates X
-// (or refreshes stored relations wholesale) makes the iteration pair old
-// pages with new ones: a row the mutation moved is seen twice or not at
-// all, and batch positions no longer name the rows they did. A Batch
-// value that escapes its loop and is used after a later mutation reads
-// the page as it was — stale, though no longer rebuilt memory — which
-// the check flags the same way.
+// BatchLife flags the PR-6 use-after-invalidate class, which the column
+// pages of PR 25 made a read of live memory: a relation.Batch is the row
+// page itself, read in place, and a page no clone shares is written in
+// place. Ranging X.Batches() while calling anything that — per the
+// cross-package facts — mutates X (or refreshes stored relations
+// wholesale) makes the iteration read pages mid-write: a row a delete
+// moved is seen twice or not at all, and a batch already handed out reads
+// the moved row, or a column an insert promoted to ColAny, over its old
+// row count. A Batch value that escapes its loop and is used after a later
+// mutation reads the same. relation.TestBatchHeldAcrossAWrite pins that
+// behaviour; nothing else stands between a caller and it, which is why the
+// check stays.
 //
 // A mutation of an unrelated relation (the fresh output relation of an
 // operator like SelectBatchStats) is fine: the check requires the
@@ -112,7 +114,7 @@ func checkBatchLife(pass *Pass, u *FuncUnit, facts *FactSet) {
 			for _, org := range active {
 				if cause, ok := invalidates(info, deriv, n, fn, f, org.root); ok {
 					pass.Reportf(n.Pos(),
-						"Batch window invalidated: %s while ranging %s.Batches() — a batch describes a row page as it was before the mutation, so the iteration would pair old pages with new ones; finish the iteration (or copy the rows) first",
+						"Batch window invalidated: %s while ranging %s.Batches() — a batch reads its row page in place, so the iteration would read pages the mutation is writing; finish the iteration (or copy the rows) first",
 						cause, objName(org.root))
 					break
 				}
@@ -214,7 +216,7 @@ func reportEscapedUse(pass *Pass, u *FuncUnit, facts *FactSet, deriv map[types.O
 		for i, cp := range callPositions {
 			if cp < use {
 				pass.Reportf(use,
-					"Batch value used after %s invalidated its backing relation (%s): the window now points into rebuilt column memory; copy the rows before mutating",
+					"Batch value used after %s wrote its backing relation (%s): a batch reads its row page in place and now sees what the write left there; copy the rows before mutating",
 					callNames[i], objName(esc.origin.root))
 				return // one report per escaped value
 			}

@@ -30,11 +30,11 @@ type FuncFacts struct {
 	// graph: every mutex class a call to this function may take.
 	MayAcquire []string `json:"mayAcquire,omitempty"`
 
-	// MutatesRecv marks a method that invalidates the columnar image of
-	// its receiver (a *relation.Relation mutator or a wrapper).
+	// MutatesRecv marks a method that writes the row pages of its
+	// receiver (a *relation.Relation mutator or a wrapper).
 	MutatesRecv bool `json:"mutatesRecv,omitempty"`
-	// MutatesParams lists parameter indexes whose relation image the
-	// function invalidates.
+	// MutatesParams lists parameter indexes whose relation's row pages
+	// the function writes.
 	MutatesParams []int `json:"mutatesParams,omitempty"`
 	// MutatesStored marks a function that invalidates relations reached
 	// through struct fields, containers, or call results — the

@@ -47,8 +47,8 @@ func refreshWhileRanging(ctx context.Context, m *maintain.Maintainer, w *warehou
 	}
 }
 
-// A batch that escapes its iteration and is read after a mutation
-// points into rebuilt column memory.
+// A batch that escapes its iteration and is read after a mutation reads
+// the page the mutation wrote in place.
 func useAfterInvalidate(r *relation.Relation, t relation.Tuple) int {
 	var saved relation.Batch
 	for b := range r.Batches() {

@@ -182,9 +182,8 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred := func(row relation.Row) bool { return algebra.EvalCond(x.Cond, row) }
 		return &node{
-			d:   Delta{Ins: relation.Select(in.d.Ins, pred), Del: relation.Select(in.d.Del, pred)},
+			d:   Delta{Ins: algebra.SelectCond(in.d.Ins, x.Cond, nil), Del: algebra.SelectCond(in.d.Del, x.Cond, nil)},
 			old: algebra.NewSelect(in.old, x.Cond),
 			new: algebra.NewSelect(in.new, x.Cond),
 		}, nil

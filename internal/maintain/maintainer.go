@@ -21,15 +21,14 @@ import (
 // Propagate takes that instruction literally: handed a VirtualState, it
 // substitutes the inverses into the expressions it evaluates over the
 // warehouse state, so small deltas never force a full reconstruction.
-// As an algebra.State (for parsing and ad-hoc reads) it reconstructs a base
-// relation in full on first use and caches it for its lifetime, which is
-// one refresh round. Not safe for concurrent use.
+// As an algebra.State (for parsing and ad-hoc reads — modification
+// statements expand against it) it reconstructs a base relation in full on
+// every call. Not safe for concurrent use.
 type VirtualState struct {
 	inverses map[string]algebra.Expr
 	attrs    map[string][]string
 	w        algebra.State
 	ec       *algebra.EvalContext
-	cache    map[string]*relation.Relation
 
 	// Read counters: how many old/new values (of base relations and of the
 	// subexpressions propagation consults) were read under a probe versus
@@ -54,17 +53,12 @@ func NewVirtualStateCtx(comp *core.Complement, w algebra.State, ec *algebra.Eval
 		attrs:    attrs,
 		w:        w,
 		ec:       ec,
-		cache:    make(map[string]*relation.Relation),
 	}
 }
 
-// Relation implements algebra.State: base names resolve through W⁻¹.
-// Reconstruction of each base happens once and the cached relations are
-// treated as read-only.
+// Relation implements algebra.State: base names resolve through W⁻¹, in
+// full, each call.
 func (v *VirtualState) Relation(name string) (*relation.Relation, bool) {
-	if r, ok := v.cache[name]; ok {
-		return r, true
-	}
 	inv, ok := v.inverses[name]
 	if !ok {
 		return nil, false
@@ -74,7 +68,6 @@ func (v *VirtualState) Relation(name string) (*relation.Relation, bool) {
 	if err != nil {
 		return nil, false
 	}
-	v.cache[name] = r
 	return r, true
 }
 

@@ -245,11 +245,15 @@ func TestVirtualState(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("virtual %s = %v, want %v", name, got, want)
 		}
-		// Cached second read returns the same object.
+		// A second read reconstructs again: nothing is cached, and the
+		// caller may keep or mutate what it got.
 		again, _ := vst.Relation(name)
-		if again != got {
-			t.Error("cache miss on repeat read")
+		if again == got || !again.Equal(want) {
+			t.Errorf("repeat read of %s returned the first read's relation or another value", name)
 		}
+	}
+	if vst.nFull != 4 {
+		t.Errorf("%d full reconstructions counted, want one per read", vst.nFull)
 	}
 	if _, ok := vst.Relation("Nope"); ok {
 		t.Error("virtual state resolved unknown name")

@@ -5,7 +5,6 @@ import (
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
-	"dwcomplement/internal/relation"
 	"dwcomplement/internal/view"
 )
 
@@ -67,14 +66,13 @@ func (m *SigmaMaintainer) Refresh(w algebra.MapState, u *catalog.Update) error {
 			return fmt.Errorf("maintain: warehouse state lacks %q", v.Name)
 		}
 		base := v.Bases[0]
-		pred := func(row relation.Row) bool { return algebra.EvalCond(v.Cond, row) }
 		if del := u.Deletes(base); del != nil {
-			for t := range relation.Select(del, pred).All() {
+			for t := range algebra.SelectCond(del, v.Cond, nil).All() {
 				r.Delete(alignTuple(del, r, t))
 			}
 		}
 		if ins := u.Inserts(base); ins != nil {
-			for t := range relation.Select(ins, pred).All() {
+			for t := range algebra.SelectCond(ins, v.Cond, nil).All() {
 				r.Insert(alignTuple(ins, r, t))
 			}
 		}

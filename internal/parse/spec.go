@@ -336,7 +336,7 @@ func (ld loadStmt) run(s *Spec, st *catalog.State) (out loaded) {
 		return pos, nil
 	}, func(t relation.Tuple) error {
 		out.rows++
-		_, err := st.InsertOwned(ld.rel, t)
+		_, err := st.Insert(ld.rel, t)
 		return err
 	})
 	out.bytes, _ = f.Seek(0, io.SeekCurrent) // what the scan consumed; 0 if the file cannot tell
@@ -459,9 +459,7 @@ func (p *parser) parseModifyStmt(db *catalog.Database, st algebra.State, u *cata
 	if !ok {
 		return fmt.Errorf("line %d: pre-state lacks relation %q", line, sc.Name)
 	}
-	affected := relation.Select(cur, func(row relation.Row) bool {
-		return algebra.EvalCond(cond, row)
-	})
+	affected := algebra.SelectCond(cur, cond, nil)
 	for t := range affected.All() {
 		oldTuple := make(relation.Tuple, len(sc.Attrs))
 		newTuple := make(relation.Tuple, len(sc.Attrs))

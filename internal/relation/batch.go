@@ -8,30 +8,33 @@ import "iter"
 // multiple of 64 so batch boundaries align with null-bitmap words.
 const BatchSize = 1024
 
-// A batch is one page image: the row pages are what a clone shares and a
-// mutation copies, so they are also the unit in which the columnar image
-// is built, shared and dropped.
+// A batch is one row page: the pages are what a clone shares and a
+// mutation copies, and the unit in which the column vectors are laid out.
 var _ = [1]struct{}{}[pageLen-BatchSize]
 
-// Batch is a column-major window of up to BatchSize consecutive rows: the
-// columnar image of one row page. Batches are values (cheap to copy) and
-// alias the image rather than copying data. The layout of a column, its
-// null bitmap and its string dictionary are chosen per batch: ColKind,
-// HasNulls and Dict may answer differently for two batches of one
+// Batch is a column-major window of up to BatchSize consecutive rows: one
+// row page of the relation, read in place. Batches are values (cheap to
+// copy) and alias the page rather than copying data. The layout of a
+// column, its null bitmap and its string dictionary are chosen per page:
+// ColKind, HasNulls and Dict may answer differently for two batches of one
 // relation, and dictionary codes compare only within one batch.
 //
-// A Batch pins the page image it was cut from, not the relation: after a
-// mutation of the relation it still reads the page as it was. Ranging
-// Batches while mutating the relation is a bug all the same — the
-// iteration would pair old pages with new ones.
+// A Batch pins the page it was cut from and the number of rows it had,
+// not the relation. A page a clone shares is never written, so a batch
+// of it reads the rows as they were whatever either side does later; a
+// page no clone shares is written in place, so a batch held across a
+// write to it reads what the write left there — a changed cell, a column
+// promoted to ColAny — over its old number of rows. Ranging Batches while
+// mutating the relation is therefore a bug (dwlint's batchlife flags it).
 type Batch struct {
-	img   *pageImage
+	pg    rowPage
+	n     int
 	attrs []string
 	start int // first row (global index), multiple of BatchSize
 }
 
 // Len returns the number of rows in the batch.
-func (b Batch) Len() int { return b.img.n }
+func (b Batch) Len() int { return b.n }
 
 // Start returns the global index of the batch's first row.
 func (b Batch) Start() int { return b.start }
@@ -40,61 +43,65 @@ func (b Batch) Start() int { return b.start }
 func (b Batch) Attrs() []string { return b.attrs }
 
 // NumCols returns the number of columns.
-func (b Batch) NumCols() int { return len(b.img.cols) }
+func (b Batch) NumCols() int { return len(b.pg) }
 
 // ColKind returns the physical layout of column c in this batch.
-func (b Batch) ColKind(c int) ColKind { return b.img.cols[c].kind }
+func (b Batch) ColKind(c int) ColKind { return b.pg[c].kind }
 
 // IsNull reports whether batch-local row i of column c is NULL.
-func (b Batch) IsNull(c, i int) bool { return b.img.cols[c].isNull(i) }
+func (b Batch) IsNull(c, i int) bool { return b.pg[c].isNull(i) }
 
-// HasNulls reports whether column c has any NULL in this batch — the cheap
-// guard batch loops use to skip null handling entirely on dense columns.
-func (b Batch) HasNulls(c int) bool { return b.img.cols[c].nulls != nil }
+// HasNulls reports whether column c may hold a NULL in this batch — the
+// cheap guard batch loops use to skip null handling entirely on dense
+// columns. It is false wherever no row of the page was ever NULL.
+func (b Batch) HasNulls(c int) bool { return b.pg[c].nulls != nil }
 
 // Value materializes batch-local row i of column c. Generic and slow;
 // batch loops use the typed vectors below.
-func (b Batch) Value(c, i int) Value { return b.img.cols[c].value(i) }
+func (b Batch) Value(c, i int) Value { return b.pg[c].value(i) }
 
 // Bools returns column c's payload when it is a bool vector, else nil.
 // Rows flagged NULL hold false.
-func (b Batch) Bools(c int) []bool { return b.img.cols[c].bools }
+func (b Batch) Bools(c int) []bool { return window(b.pg[c].bools, b.n) }
 
 // Ints returns column c's payload when it is an int64 vector, else nil.
 // Rows flagged NULL hold 0.
-func (b Batch) Ints(c int) []int64 { return b.img.cols[c].ints }
+func (b Batch) Ints(c int) []int64 { return window(b.pg[c].ints, b.n) }
 
 // Floats returns column c's payload when it is a float64 vector, else
 // nil. Rows flagged NULL hold 0.
-func (b Batch) Floats(c int) []float64 { return b.img.cols[c].floats }
+func (b Batch) Floats(c int) []float64 { return window(b.pg[c].floats, b.n) }
 
 // Codes returns column c's dictionary codes when it is a
 // dictionary-encoded string vector, else nil. Decode codes with this
-// batch's Dict. Rows flagged NULL hold code 0.
-func (b Batch) Codes(c int) []int32 { return b.img.cols[c].codes }
+// batch's Dict. Rows flagged NULL hold some code of that Dict, which is
+// never empty.
+func (b Batch) Codes(c int) []int32 { return window(b.pg[c].codes, b.n) }
 
 // Dict returns the string dictionary of column c in this batch, or nil
 // for non-string layouts.
-func (b Batch) Dict(c int) *Dict { return b.img.cols[c].dict }
+func (b Batch) Dict(c int) *Dict { return b.pg[c].dict }
+
+// window returns the batch's rows of a payload, or nil where there is none.
+func window[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[:n]
+}
 
 // numBatches returns the batch count covering n rows.
 func numBatches(n int) int { return (n + BatchSize - 1) / BatchSize }
 
-// batches iterates the row pages as batches, building the page images
-// that are missing and counting those builds into s.
-func (r *Relation) batches(s *OpStats) iter.Seq[Batch] {
+// Batches returns an iterator over the relation column-major, one batch
+// per row page — the counterpart of All. Nothing is built: a batch is the
+// page. The relation must not be mutated while iterating.
+func (r *Relation) Batches() iter.Seq[Batch] {
 	return func(yield func(Batch) bool) {
-		for pi := range r.rows.numPages() {
-			if !yield(Batch{img: r.pageImage(pi, s), attrs: r.attrs, start: pi << pageBits}) {
+		for pi, pg := range r.rows.pages {
+			if !yield(Batch{pg: pg, n: r.rows.rowsOn(pi), attrs: r.attrs, start: pi << pageBits}) {
 				return
 			}
 		}
 	}
 }
-
-// Batches returns an iterator over the relation column-major, one batch
-// per row page — the counterpart of All. A page is vectorized the first
-// time an iteration reaches it; its image then serves every later
-// iteration, over this relation and over its clones, until a mutation
-// writes the page. The relation must not be mutated while iterating.
-func (r *Relation) Batches() iter.Seq[Batch] { return r.batches(nil) }

@@ -79,7 +79,9 @@ func appendValue(b []byte, v *Value) []byte {
 	return b
 }
 
+// decodeValue reads one value off the front of b into v.
 func decodeValue(b []byte, v *Value) ([]byte, error) {
+	*v = Value{}
 	if len(b) == 0 {
 		return nil, malformed("value cut short")
 	}
@@ -144,16 +146,15 @@ func DecodeHeader(b []byte) (attrs []string, rows uint64, rest []byte, err error
 	return attrs, rows, b, err
 }
 
-// decodeTuple reads one row of the given arity off the front of b.
-func decodeTuple(b []byte, arity int) (Tuple, []byte, error) {
-	t := make(Tuple, arity)
+// decodeRow reads one row of len(t) values off the front of b into t.
+func decodeRow(b []byte, t Tuple) ([]byte, error) {
 	for i := range t {
 		var err error
 		if b, err = decodeValue(b, &t[i]); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return t, b, nil
+	return b, nil
 }
 
 // AppendBinary appends the relation's encoding to b. It sorts: this is the
@@ -187,27 +188,26 @@ func DecodeBinary(b []byte) (*Relation, []byte, error) {
 	if err != nil {
 		return nil, nil, malformed("%v", err)
 	}
-	var prev Tuple
-	for range n {
-		var t Tuple
-		if t, b, err = decodeTuple(b, len(attrs)); err != nil {
+	t, prev := make(Tuple, len(attrs)), make(Tuple, len(attrs))
+	for i := range n {
+		if b, err = decodeRow(b, t); err != nil {
 			return nil, nil, err
 		}
 		// Ascending order leaves Int(2) beside Float(2), which are one
-		// value to the set: InsertOwned finds those.
-		if (prev != nil && compareTuples(prev, t) >= 0) || !r.InsertOwned(t) {
+		// value to the set: Insert finds those.
+		if (i > 0 && compareTuples(prev, t) >= 0) || !r.Insert(t) {
 			return nil, nil, malformed("row %v duplicated or out of order", t)
 		}
-		prev = t
+		t, prev = prev, t
 	}
 	return r, b, nil
 }
 
 // Section is the encoded form of one row page: the page's rows in storage
 // order, value by value as above, and the CRC32/IEEE of those bytes. It is
-// derived from an immutable page and never written afterwards; like the
-// page image it is kept in the page's slot, so a checkpoint encodes a page
-// once for every version that shares it.
+// derived from an immutable page and never written afterwards; it is kept
+// in the page's slot, so a checkpoint encodes a page once for every
+// version that shares it.
 type Section struct {
 	Bytes []byte
 	CRC   uint32
@@ -225,9 +225,11 @@ func (r *Relation) PageSection(pi int) (sec *Section, encoded bool) {
 		return sec, false
 	}
 	var b []byte
-	for _, t := range r.rows.page(pi) {
-		for i := range t {
-			b = appendValue(b, &t[i])
+	pg := r.rows.pages[pi]
+	for k := range r.rows.rowsOn(pi) {
+		for c := range pg {
+			v := pg[c].value(k)
+			b = appendValue(b, &v)
 		}
 	}
 	b = bytes.Clone(b) // the cache keeps it: no slack from append's doubling
@@ -249,14 +251,14 @@ func DecodePages(attrs []string, n uint64, sections []Section) (*Relation, error
 	if err != nil {
 		return nil, malformed("%v", err)
 	}
+	t := make(Tuple, len(attrs))
 	for pi := range sections {
 		b := sections[pi].Bytes
 		for range min(pageLen, int(n)-pi<<pageBits) {
-			var t Tuple
-			if t, b, err = decodeTuple(b, len(attrs)); err != nil {
+			if b, err = decodeRow(b, t); err != nil {
 				return nil, fmt.Errorf("page %d: %w", pi, err)
 			}
-			if !r.InsertOwned(t) {
+			if !r.Insert(t) {
 				return nil, fmt.Errorf("page %d: %w", pi, malformed("row %v is in the relation twice", t))
 			}
 		}

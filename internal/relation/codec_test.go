@@ -37,7 +37,7 @@ func genRelation(rng *rand.Rand) *Relation {
 		for i := range t {
 			t[i] = codecValues[rng.Intn(len(codecValues))]
 		}
-		r.InsertOwned(t)
+		r.Insert(t)
 	}
 	return r
 }

@@ -77,7 +77,7 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		out = New(attrs...)
 		return nil, nil
 	}, func(t Tuple) error {
-		out.InsertOwned(t)
+		out.Insert(t)
 		return nil
 	})
 	if err != nil {
@@ -89,8 +89,10 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 // ScanCSV is the record loop under ReadCSV and the spec loader. header is
 // called once with the column names and returns, per column, the position
 // its cells take in a row's tuple (nil: the column's own); row is called
-// for every record, in file order, with a fresh tuple the callee owns. An
-// error from either callback ends the scan and is returned as is.
+// for every record, in file order, with the record's tuple — one tuple,
+// refilled for every record, so the callee copies what it keeps (Insert
+// does). An error from either callback ends the scan and is returned as
+// is.
 func ScanCSV(rd io.Reader, header func(attrs []string) ([]int, error), row func(Tuple) error) error {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
@@ -127,6 +129,7 @@ func ScanCSV(rd io.Reader, header func(attrs []string) ([]int, error), row func(
 			pos[i] = i
 		}
 	}
+	t := make(Tuple, len(attrs))
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -138,7 +141,6 @@ func ScanCSV(rd io.Reader, header func(attrs []string) ([]int, error), row func(
 		if len(rec) != len(attrs) {
 			return fmt.Errorf("relation: csv line %d: %d cells, want %d", line, len(rec), len(attrs))
 		}
-		t := make(Tuple, len(rec))
 		for i, cell := range rec {
 			v, err := parseCSVCell(cell, kinds[i])
 			if err != nil {

@@ -299,8 +299,9 @@ func TestCSVHeaderNames(t *testing.T) {
 	}
 }
 
-// TestScanCSVPositions: header's answer places every cell, and the tuples
-// handed to row are the caller's to keep.
+// TestScanCSVPositions: header's answer places every cell; the tuple
+// handed to row is refilled for the next record, so row copies what it
+// keeps.
 func TestScanCSVPositions(t *testing.T) {
 	var kept []Tuple
 	err := ScanCSV(strings.NewReader("b:int,a:string\n1,x\n2,y\n"),
@@ -310,7 +311,7 @@ func TestScanCSVPositions(t *testing.T) {
 			}
 			return []int{1, 0}, nil
 		},
-		func(tu Tuple) error { kept = append(kept, tu); return nil })
+		func(tu Tuple) error { kept = append(kept, tu.Clone()); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

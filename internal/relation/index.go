@@ -33,12 +33,12 @@ type Index struct {
 
 	// keyVals, when hasVals, holds row i's key values flat at
 	// [i*k, (i+1)*k), k = len(pos). Hit verification then reads this
-	// contiguous arena instead of chasing the owner's scattered per-row
-	// tuple arrays — the hit path's dominant cost is that cache miss, not
-	// the comparison. The arena costs an O(rows) allocation and copy, so
-	// it is only materialized when the build-time probe-size hint says
-	// enough probes will amortize it; small-delta probes (the restricted
-	// maintenance shape) verify against the owner rows directly.
+	// contiguous arena instead of one owner page per key column — the hit
+	// path's dominant cost is that cache miss, not the comparison. The
+	// arena costs an O(rows) allocation and copy, so it is only
+	// materialized when the build-time probe-size hint says enough probes
+	// will amortize it; small-delta probes (the restricted maintenance
+	// shape) verify against the owner's pages directly.
 	keyVals paged[Value]
 	hasVals bool
 }
@@ -104,9 +104,9 @@ func (ix *Index) dupPair() (int32, int32, bool) {
 // rowsAgreeOnKey reports whether two owner rows hold equal values in every
 // indexed column.
 func (ix *Index) rowsAgreeOnKey(a, b int32) bool {
-	ta, tb := ix.owner.rows.at(int(a)), ix.owner.rows.at(int(b))
+	rows := &ix.owner.rows
 	for _, p := range ix.pos {
-		if !ta[p].Equal(tb[p]) {
+		if !rows.cell(int(a), p).Equal(rows.cell(int(b), p)) {
 			return false
 		}
 	}
@@ -129,9 +129,9 @@ func (ix *Index) keyEqual(ri int32, t Tuple, tPos []int) bool {
 		}
 		return true
 	}
-	rt := ix.owner.rows.at(int(ri))
+	pg, k := ix.owner.rows.pages[ri>>pageBits], int(ri)&pageMask
 	for i, p := range ix.pos {
-		if !rt[p].Equal(t[tPos[i]]) {
+		if !pg[p].equals(k, &t[tPos[i]]) {
 			return false
 		}
 	}
@@ -141,18 +141,47 @@ func (ix *Index) keyEqual(ri int32, t Tuple, tPos []int) bool {
 // Lookup returns copies of the rows whose indexed columns equal vals,
 // given in the index's (sorted) attribute order.
 func (ix *Index) Lookup(vals ...Value) []Tuple {
-	t := Tuple(vals)
-	identity := make([]int, len(vals))
-	for i := range identity {
-		identity[i] = i
-	}
+	t, identity := Tuple(vals), allCols(len(vals))
 	var out []Tuple
 	for ri := ix.head(t.hash64()); ri >= 0; ri = ix.after(ri) {
 		if ix.keyEqual(ri, t, identity) {
-			out = append(out, ix.owner.rows.at(int(ri)).Clone())
+			out = append(out, ix.owner.rows.at(int(ri)))
 		}
 	}
 	return out
+}
+
+// probe calls f(i, bi) for every row i of x and row bi of the owner that
+// agree on the indexed attributes — x's columns pos, in the index's
+// attribute order, whose hashes kh holds (nil: hashed here). It counts x's
+// rows as walked and probed into s, and those with a partner as hits.
+func (ix *Index) probe(x *Relation, pos []int, kh *paged[uint64], s *OpStats, f func(i int, bi int32)) {
+	t, hits := make(Tuple, len(x.attrs)), 0
+	for pi, pg := range x.rows.pages {
+		for k := range x.rows.rowsOn(pi) {
+			var h uint64
+			if kh != nil {
+				h = kh.at(pi<<pageBits + k)
+			} else {
+				h = pg.hashCols(k, pos)
+			}
+			bi, hit := ix.head(h), false
+			if bi >= 0 {
+				pg.readCols(k, t, pos)
+			}
+			for ; bi >= 0; bi = ix.after(bi) {
+				if ix.keyEqual(bi, t, pos) { // else a hash collision across distinct keys
+					hit = true
+					f(pi<<pageBits+k, bi)
+				}
+			}
+			if hit {
+				hits++
+			}
+		}
+	}
+	s.walked(x.Len())
+	s.probes(x.Len(), hits)
 }
 
 // indexKey is the cache key for an index over the given sorted attributes.
@@ -197,11 +226,7 @@ func (r *Relation) indexFor(sortedAttrs []string, key string, probeHint int) (*I
 	if ix := r.indexes[key]; ix != nil {
 		return ix, false
 	}
-	pos := make([]int, len(sortedAttrs))
-	for i, a := range sortedAttrs {
-		pos[i] = r.pos[a]
-	}
-	n := r.rows.len()
+	n, pos := r.rows.len(), r.cols(sortedAttrs)
 	ix := &Index{
 		owner:   r,
 		attrs:   append([]string(nil), sortedAttrs...),
@@ -264,8 +289,8 @@ func (ix *Index) chain(i int, h uint64) int32 {
 func (ix *Index) rebuildSlots(capacity int) {
 	ix.slots.alloc(tableSizeFor(capacity))
 	ix.keys = 0
-	for i, h := range ix.keyHash.all() {
-		ix.next.set(i, ix.chain(i, h))
+	for i := range ix.keyHash.len() {
+		ix.next.set(i, ix.chain(i, ix.keyHash.at(i)))
 	}
 }
 
@@ -282,10 +307,10 @@ func (ix *Index) extend(from int) {
 	}
 	fullWidth := len(ix.pos) == len(r.attrs)
 	for i := from; i < n; i++ {
-		t := r.rows.at(i)
+		pg, k := r.rows.pages[i>>pageBits], i&pageMask
 		if ix.hasVals {
 			for _, p := range ix.pos {
-				ix.keyVals.append(t[p])
+				ix.keyVals.append(pg[p].value(k))
 			}
 		}
 		// Full-width indexes hash the same columns as the membership
@@ -293,7 +318,7 @@ func (ix *Index) extend(from int) {
 		if fullWidth {
 			ix.put(i, r.hashes.at(i))
 		} else {
-			ix.put(i, hashCols(t, ix.pos))
+			ix.put(i, pg.hashCols(k, ix.pos))
 		}
 	}
 }
@@ -324,15 +349,9 @@ func (r *Relation) keyHashesFor(sortedAttrs []string, key string) *paged[uint64]
 	if kv := r.keyVecs[key]; kv != nil {
 		return &kv.hashes
 	}
-	pos := make([]int, len(sortedAttrs))
-	for i, a := range sortedAttrs {
-		pos[i] = r.pos[a]
-	}
-	kv := &keyVec{pos: pos}
+	kv := &keyVec{pos: r.cols(sortedAttrs)}
 	kv.hashes.reserve(r.rows.len())
-	for t := range r.All() {
-		kv.hashes.append(hashCols(t, pos))
-	}
+	kv.extend(r, 0)
 	if r.keyVecs == nil {
 		r.keyVecs = make(map[string]*keyVec)
 	}
@@ -451,9 +470,14 @@ func (r *Relation) noteInserted(from int) {
 		ix.extend(from)
 	}
 	for _, kv := range r.keyVecs {
-		for i := from; i < r.rows.len(); i++ {
-			kv.hashes.append(hashCols(r.rows.at(i), kv.pos))
-		}
+		kv.extend(r, from)
+	}
+}
+
+// extend hashes r's rows from position from onward.
+func (kv *keyVec) extend(r *Relation, from int) {
+	for i := from; i < r.rows.len(); i++ {
+		kv.hashes.append(r.rows.pages[i>>pageBits].hashCols(i&pageMask, kv.pos))
 	}
 }
 
@@ -466,8 +490,7 @@ type OpStats struct {
 	Emitted     int64 // tuples produced (before set-semantics dedup)
 	IndexHits   int64 // probes that found at least one matching row
 	IndexBuilds int64 // hash indexes built and cached on an input (index-cache misses)
-	Batches     int64 // column batches processed by vectorized operators
-	ImagePages  int64 // page images built for those batches (pages not vectorized since they were last written)
+	Batches     int64 // row pages the operators walked
 }
 
 // Add accumulates o into s. Both receivers of nil and adding zero are
@@ -482,22 +505,11 @@ func (s *OpStats) Add(o OpStats) {
 	s.IndexHits += o.IndexHits
 	s.IndexBuilds += o.IndexBuilds
 	s.Batches += o.Batches
-	s.ImagePages += o.ImagePages
 }
 
 func (s *OpStats) scanned(n int) {
 	if s != nil {
 		s.Scanned += int64(n)
-	}
-}
-
-func (s *OpStats) probe(hit bool) {
-	if s == nil {
-		return
-	}
-	s.Probed++
-	if hit {
-		s.IndexHits++
 	}
 }
 
@@ -521,14 +533,10 @@ func (s *OpStats) built(b bool) {
 	}
 }
 
-func (s *OpStats) batches(n int) {
+// walked counts n rows read, page by page.
+func (s *OpStats) walked(n int) {
 	if s != nil {
-		s.Batches += int64(n)
-	}
-}
-
-func (s *OpStats) imagePages(n int) {
-	if s != nil {
-		s.ImagePages += int64(n)
+		s.Scanned += int64(n)
+		s.Batches += int64(numBatches(n))
 	}
 }

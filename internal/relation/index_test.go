@@ -114,7 +114,7 @@ func TestIndexesFollowMutations(t *testing.T) {
 				if _, _, wdup := want.dupPair(); dup != wdup {
 					t.Fatalf("seed %d step %d index %q: dupPair=%v, fresh build says %v", seed, step, key, dup, wdup)
 				}
-				for _, tu := range append(r.rows.appendTo(nil), row(), row()) {
+				for _, tu := range append(r.SortedRows(), row(), row()) {
 					vals := make([]Value, len(ix.pos))
 					for i, p := range ix.pos {
 						vals[i] = tu[p]
@@ -137,8 +137,12 @@ func TestIndexesFollowMutations(t *testing.T) {
 				if kv.hashes.len() != r.Len() {
 					t.Fatalf("seed %d step %d keyVec %q: %d hashes for %d rows", seed, step, key, kv.hashes.len(), r.Len())
 				}
-				for i, tu := range r.rows.all() {
-					if kv.hashes.at(i) != hashCols(tu, kv.pos) {
+				for i := range r.Len() {
+					var key Tuple // the row's projection onto the vector's columns
+					for _, p := range kv.pos {
+						key = append(key, r.rows.at(i)[p])
+					}
+					if kv.hashes.at(i) != key.hash64() {
 						t.Fatalf("seed %d step %d keyVec %q: stale hash at row %d", seed, step, key, i)
 					}
 				}

@@ -2,58 +2,49 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// The operators in this file are batch-oriented: inputs are walked in
-// BatchSize chunks (counted in OpStats.Batches), membership and join
-// probes run on precomputed 64-bit row hashes instead of string key
-// encodings, and outputs are pre-sized. Where the algebra guarantees the
-// emitted tuples are pairwise distinct (selection and semi-join emit
-// subsets of a set; natural/extension join outputs are injective images
-// of distinct row pairs; difference and intersection emit subsets),
-// results are built append-only with reused hashes and a lazily built
-// membership table (appendRowNoTable) — no per-tuple dedup, no table
-// maintenance during the emit loop, and on the probe path no allocation
-// at all for non-matching rows. Only projection and union can collapse
-// tuples and pay for deduplication (and hence probe their own output
-// while building it, which keeps their tables eager).
+// The operators in this file walk their inputs page by page (counted in
+// OpStats.Batches), probe on precomputed 64-bit row hashes, and build
+// their outputs by copying cells from input pages to output pages — a
+// tuple is materialized only where a probe needs values to compare.
+// Where the algebra guarantees the emitted rows are pairwise distinct
+// (selection and semi-join emit subsets of a set; natural/extension join
+// outputs are injective images of distinct row pairs; difference and
+// intersection emit subsets), results are built append-only with reused
+// hashes and a lazily built membership table (emitter, page.go) — no
+// per-tuple dedup and no table maintenance during the emit loop.
+// Only projection and union can collapse tuples and pay for
+// deduplication (and hence probe their own output while building it,
+// which keeps their tables eager).
 
-// Row gives predicate callbacks named access to the current tuple during
+// Row gives predicate callbacks named access to the current row during
 // Select without exposing column positions.
 type Row struct {
 	rel *Relation
-	t   Tuple
+	pg  rowPage
+	k   int
 }
 
-// Get returns the value of the named attribute in the current row.
-func (w Row) Get(attr string) Value { return w.rel.Get(w.t, attr) }
+// Get returns the value of the named attribute in the current row. It
+// panics on unknown attributes.
+func (w Row) Get(attr string) Value { return w.pg[w.rel.mustPos(attr)].value(w.k) }
 
 // Has reports whether the row's relation has the named attribute.
 func (w Row) Has(attr string) bool { return w.rel.HasAttr(attr) }
 
-// Select returns σ_pred(r): the tuples of r satisfying pred.
+// Select returns σ_pred(r): the tuples of r satisfying pred. It is
+// SelectBatch with the predicate asked row by row.
 func Select(r *Relation, pred func(Row) bool) *Relation {
-	return SelectStats(r, pred, nil)
-}
-
-// SelectStats is Select with operator counters (nil disables counting).
-// The output shares the input's tuples and row hashes: a selection is a
-// subset of a set, so no dedup and no copies.
-func SelectStats(r *Relation, pred func(Row) bool, s *OpStats) *Relation {
-	out := New(r.attrs...)
-	for pi := range r.rows.numPages() {
-		hashes := r.hashes.page(pi)
-		for k, t := range r.rows.page(pi) {
-			if pred(Row{rel: r, t: t}) {
-				out.appendRowNoTable(t, hashes[k])
+	return SelectBatch(r, func(b Batch, sel []int32) []int32 {
+		for i := range b.Len() {
+			if pred(Row{rel: r, pg: b.pg, k: i}) {
+				sel = append(sel, int32(i))
 			}
 		}
-	}
-	s.scanned(r.Len())
-	s.batches(numBatches(r.Len()))
-	s.emitted(out.Len())
-	return out
+		return sel
+	})
 }
 
 // BatchPred is a vectorized predicate: it appends to sel the batch-local
@@ -66,29 +57,21 @@ func SelectBatch(r *Relation, pred BatchPred) *Relation {
 	return SelectBatchStats(r, pred, nil)
 }
 
-// SelectBatchStats is the vectorized selection: the predicate runs once
-// per batch, producing a selection vector; selected rows are emitted
-// append-only with shared tuples and reused hashes. Page images the scan
-// had to build are counted in s.ImagePages.
+// SelectBatchStats is the selection, the one σ of the engine: the
+// predicate runs once per page, producing a selection vector, and the
+// selected rows' cells are copied to the output with their hashes.
 func SelectBatchStats(r *Relation, pred BatchPred, s *OpStats) *Relation {
-	out := New(r.attrs...)
-	if r.IsEmpty() {
-		return out
-	}
-	sel := make([]int32, 0, BatchSize)
-	nb := 0
-	for b := range r.batches(s) {
+	e := r.emitter(r.empty())
+	sel := make([]int32, 0, min(r.Len(), BatchSize))
+	for b := range r.Batches() {
 		sel = pred(b, sel[:0])
-		for _, li := range sel {
-			i := b.Start() + int(li)
-			out.appendRowNoTable(r.rows.at(i), r.hashes.at(i))
+		hashes := r.hashes.page(b.start >> pageBits)
+		for _, k := range sel {
+			e.emit(hashes[k], int32(b.start)+k, 0)
 		}
-		nb++
 	}
-	s.scanned(r.Len())
-	s.batches(nb)
-	s.emitted(out.Len())
-	return out
+	s.walked(r.Len())
+	return e.done(s)
 }
 
 // Project returns π_attrs(r) with set semantics. Following the paper's
@@ -106,7 +89,7 @@ func Project(r *Relation, attrs ...string) *Relation {
 func ProjectStats(r *Relation, s *OpStats, attrs ...string) *Relation {
 	idx := make([]int, len(attrs))
 	for i, a := range attrs {
-		p, ok := r.pos[a]
+		p, ok := r.Pos(a)
 		if !ok {
 			return New(attrs...) // Z ⊄ attr(R): empty relation over Z.
 		}
@@ -114,21 +97,19 @@ func ProjectStats(r *Relation, s *OpStats, attrs ...string) *Relation {
 	}
 	out := newPresized(attrs, r.Len())
 	out.rebuildTable(r.Len()) // the output is probed while it is built
-	for t := range r.All() {
-		h := hashCols(t, idx)
-		if out.findAligned(h, t, idx) >= 0 {
-			continue
+	e := newEmitter(out, source{rows: &r.rows, cols: idx}, source{})
+	e.eager = true
+	t := make(Tuple, len(r.attrs))
+	for pi, pg := range r.rows.pages {
+		for k := range r.rows.rowsOn(pi) {
+			if h := pg.hashCols(k, idx); out.findAligned(h, pg.readCols(k, t, idx), idx) < 0 {
+				e.emit(h, int32(pi<<pageBits+k), 0)
+				e.flush() // the next row's probe must find this one
+			}
 		}
-		pt := make(Tuple, len(idx))
-		for i, p := range idx {
-			pt[i] = t[p]
-		}
-		out.appendRow(pt, h)
 	}
-	s.scanned(r.Len())
-	s.batches(numBatches(r.Len()))
-	s.emitted(out.Len())
-	return out
+	s.walked(r.Len())
+	return e.done(s)
 }
 
 // NaturalJoin returns l ⋈ r: tuples agreeing on all shared attributes,
@@ -155,54 +136,25 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 		}
 	}
 	outAttrs := append(append([]string(nil), l.attrs...), rOnly...)
-	rOnlyPos := make([]int, len(rOnly))
-	for i, a := range rOnly {
-		rOnlyPos[i] = r.pos[a]
-	}
-	// Output tuples are carved out of shared arena chunks, one allocation
-	// per BatchSize rows instead of one per row — the per-row make() was
-	// the join's largest GC cost. Tuples are immutable by package
-	// contract, so aliasing a common backing array is safe. Chunks
-	// start at the smaller input's size and double up to BatchSize rows:
-	// zeroing a full chunk was most of the cost of a join that emits a
-	// dozen rows.
-	width := len(outAttrs)
-	var arena []Value
-	used := 0
-	chunk := max(1, min(l.Len(), r.Len(), BatchSize))
-	emit := func(out *Relation, lt, rt Tuple, h uint64) {
-		if used+width > len(arena) {
-			arena = make([]Value, chunk*width)
-			used, chunk = 0, min(2*chunk, BatchSize)
-		}
-		jt := Tuple(arena[used : used : used+width])
-		used += width
-		jt = append(jt, lt...)
-		for _, p := range rOnlyPos {
-			jt = append(jt, rt[p])
-		}
-		out.appendRowNoTable(jt, h)
-	}
-
+	rOnlyPos := r.cols(rOnly)
 	if len(shared) == 0 { // Cartesian product: no key to hash on.
-		out := newPresized(outAttrs, l.Len()*r.Len())
+		e := joinEmitter(newPresized(outAttrs, l.Len()*r.Len()), l, r, rOnlyPos)
 		s.scanned(l.Len() + r.Len())
 		rOnlyHash := make([]uint64, r.Len())
-		for ri, rt := range r.rows.all() {
-			rOnlyHash[ri] = hashCols(rt, rOnlyPos)
+		for ri := range rOnlyHash {
+			rOnlyHash[ri] = r.rows.pages[ri>>pageBits].hashCols(ri&pageMask, rOnlyPos)
 		}
-		for li, lt := range l.rows.all() {
+		for li := range l.Len() {
 			lh := l.hashes.at(li)
-			for ri, rt := range r.rows.all() {
-				emit(out, lt, rt, lh+rOnlyHash[ri])
+			for ri := range r.Len() {
+				e.emit(lh+rOnlyHash[ri], int32(li), int32(ri))
 			}
 		}
-		s.emitted(out.Len())
-		return out
+		return e.done(s)
 	}
-	out := newPresized(outAttrs, min(l.Len(), r.Len()))
+	e := joinEmitter(newPresized(outAttrs, min(l.Len(), r.Len())), l, r, rOnlyPos)
 	if l.IsEmpty() || r.IsEmpty() {
-		return out
+		return e.out
 	}
 
 	// Pick the build side: an already-cached index wins outright;
@@ -222,72 +174,54 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	ix, builtNow := build.indexFor(shared, key, probe.Len())
 	s.built(builtNow)
 
-	probePos := make([]int, len(shared))
-	for i, a := range shared {
-		probePos[i] = probe.pos[a]
-	}
-	probeKH := probe.keyHashesFor(shared, key)
-	s.scanned(probe.Len())
-	s.batches(numBatches(probe.Len()))
-	probed, hits := 0, 0
-	buildIsR := build == r
 	// Output hash: the output tuple is the l row plus the r row's r-only
 	// columns, and for a matching pair the shared columns hold Equal
 	// values (hence equal canonical value hashes). Tuple hashes are sums,
 	// so out = lHash + rHash − sharedHash, where sharedHash is exactly
 	// the probe key hash already computed for the bucket lookup — the
-	// probe path re-hashes nothing and allocates only emitted tuples.
-	for pg := range probe.rows.numPages() {
-		khs, hashes := probeKH.page(pg), probe.hashes.page(pg)
-		for k, pt := range probe.rows.page(pg) {
-			kh := khs[k]
-			probed++
-			hit := false
-			for bi := ix.head(kh); bi >= 0; bi = ix.after(bi) {
-				if !ix.keyEqual(bi, pt, probePos) {
-					continue // hash collision across distinct keys
-				}
-				hit = true
-				bt := build.rows.at(int(bi))
-				h := hashes[k] + build.hashes.at(int(bi)) - kh
-				if buildIsR {
-					emit(out, pt, bt, h)
-				} else {
-					emit(out, bt, pt, h)
-				}
-			}
-			if hit {
-				hits++
-			}
+	// probe path re-hashes nothing and copies cells only for emitted rows.
+	probeKH := probe.keyHashesFor(shared, key)
+	ix.probe(probe, probe.cols(shared), probeKH, s, func(pr int, bi int32) {
+		h := probe.hashes.at(pr) + build.hashes.at(int(bi)) - probeKH.at(pr)
+		if build == r {
+			e.emit(h, int32(pr), bi)
+		} else {
+			e.emit(h, bi, int32(pr))
 		}
-	}
-	s.probes(probed, hits)
-	s.emitted(out.Len())
-	return out
+	})
+	return e.done(s)
 }
+
+// joinEmitter is the emitter of a join of l and r into out: l's columns,
+// then r's at rOnlyPos.
+func joinEmitter(out, l, r *Relation, rOnlyPos []int) *emitter {
+	return newEmitter(out, source{rows: &l.rows, cols: allCols(len(l.attrs))}, source{rows: &r.rows, cols: rOnlyPos})
+}
+
+// emitter returns the emitter of an output out whose rows are rows of r,
+// taken whole.
+func (r *Relation) emitter(out *Relation) *emitter {
+	return newEmitter(out, source{rows: &r.rows, cols: allCols(len(r.attrs))}, source{})
+}
+
+// empty returns an empty relation over r's attributes, which it shares:
+// attribute lists are never written.
+func (r *Relation) empty() *Relation { return &Relation{attrs: r.attrs} }
 
 // ExtensionJoin returns l ⋈ r where the shared attributes contain a key of
 // r, so each l-tuple has at most one join partner (Honeyman's extension
 // joins, which Theorem 2.2 relies on when recomposing base relations from
-// covers). Functionally it equals NaturalJoin; operationally it probes a
-// unique index and is what the warehouse uses on cover joins. It returns
-// an error if rKey is not part of the shared attributes or if r violates
-// uniqueness on rKey.
+// covers): NaturalJoin, once the key is checked. It returns an error if
+// rKey is not part of the shared attributes or if r violates uniqueness on
+// rKey. The unique index the check builds is cached on r, and the join
+// probes it.
 func ExtensionJoin(l, r *Relation, rKey AttrSet) (*Relation, error) {
-	return ExtensionJoinStats(l, r, rKey, nil)
-}
-
-// ExtensionJoinStats is ExtensionJoin with operator counters. The unique
-// index on r's key is cached on r, so repeated cover joins against the
-// same stored relation skip the build.
-func ExtensionJoinStats(l, r *Relation, rKey AttrSet, s *OpStats) (*Relation, error) {
 	shared := l.AttrSet().Intersect(r.AttrSet())
 	if !rKey.SubsetOf(shared) {
 		return nil, fmt.Errorf("relation: extension join: key %v not contained in shared attributes %v", rKey, shared)
 	}
 	keyAttrs := rKey.Sorted()
-	ix, builtNow := r.indexFor(keyAttrs, indexKey(keyAttrs), l.Len())
-	s.built(builtNow)
+	ix, _ := r.indexFor(keyAttrs, indexKey(keyAttrs), 0)
 	// A multi-row chain may be a mere hash collision between distinct
 	// keys; uniqueness is violated only by rows agreeing on the actual
 	// key columns.
@@ -295,66 +229,7 @@ func ExtensionJoinStats(l, r *Relation, rKey AttrSet, s *OpStats) (*Relation, er
 		return nil, fmt.Errorf("relation: extension join: %v is not a key of the right input (tuples %v and %v agree on it)",
 			rKey, r.rows.at(int(b)), r.rows.at(int(a)))
 	}
-
-	lKeyPos := make([]int, len(keyAttrs))
-	for i, a := range keyAttrs {
-		lKeyPos[i] = l.pos[a]
-	}
-	sharedNonKey := shared.Minus(rKey).Sorted()
-	lNK := make([]int, len(sharedNonKey))
-	rNK := make([]int, len(sharedNonKey))
-	for i, a := range sharedNonKey {
-		lNK[i] = l.pos[a]
-		rNK[i] = r.pos[a]
-	}
-	rOnly := make([]string, 0, len(r.attrs))
-	for _, a := range r.attrs {
-		if !l.HasAttr(a) {
-			rOnly = append(rOnly, a)
-		}
-	}
-	outAttrs := append(append([]string(nil), l.attrs...), rOnly...)
-	out := newPresized(outAttrs, l.Len())
-	rOnlyPos := make([]int, len(rOnly))
-	for i, a := range rOnly {
-		rOnlyPos[i] = r.pos[a]
-	}
-	s.scanned(l.Len())
-	s.batches(numBatches(l.Len()))
-	probed, hits := 0, 0
-	for li, lt := range l.rows.all() {
-		probed++
-		var rt Tuple
-		for bi := ix.head(hashCols(lt, lKeyPos)); bi >= 0; bi = ix.after(bi) {
-			if ix.keyEqual(bi, lt, lKeyPos) {
-				rt = r.rows.at(int(bi))
-				break // the key columns are unique: at most one true match
-			}
-		}
-		if rt == nil {
-			continue
-		}
-		hits++
-		agree := true
-		for i := range sharedNonKey {
-			if !lt[lNK[i]].Equal(rt[rNK[i]]) {
-				agree = false
-				break
-			}
-		}
-		if !agree {
-			continue
-		}
-		jt := make(Tuple, 0, len(outAttrs))
-		jt = append(jt, lt...)
-		for _, p := range rOnlyPos {
-			jt = append(jt, rt[p])
-		}
-		out.appendRowNoTable(jt, l.hashes.at(li)+hashCols(rt, rOnlyPos))
-	}
-	s.probes(probed, hits)
-	s.emitted(out.Len())
-	return out, nil
+	return NaturalJoin(l, r), nil
 }
 
 // SemiJoin returns the tuples of r whose projection onto probe's
@@ -373,7 +248,7 @@ func SemiJoin(r, probe *Relation) *Relation {
 func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 	rPos := make([]int, 0, probe.Arity())
 	for _, a := range probe.attrs {
-		p, ok := r.pos[a]
+		p, ok := r.Pos(a)
 		if !ok {
 			return New(r.attrs...)
 		}
@@ -389,25 +264,7 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 	// (tuple hashes are column-order independent). This is the hot shape
 	// of restricted maintenance (deltas probe whole tuples).
 	if len(rPos) == len(r.attrs) {
-		out := newPresized(r.attrs, probe.Len())
-		perm := alignment(probe, r)
-		s.scanned(probe.Len())
-		s.batches(numBatches(probe.Len()))
-		probed, hits := 0, 0
-		for pg := range probe.rows.numPages() {
-			hashes := probe.hashes.page(pg)
-			for k, pt := range probe.rows.page(pg) {
-				probed++
-				if r.findAligned(hashes[k], pt, perm) < 0 {
-					continue
-				}
-				hits++
-				out.appendRowNoTable(permute(pt, perm), hashes[k])
-			}
-		}
-		s.probes(probed, hits)
-		s.emitted(out.Len())
-		return out
+		return filter(probe, r, true, r.empty(), s)
 	}
 
 	sortedProbe := probe.AttrSet().Sorted()
@@ -418,85 +275,38 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 		// is emitted twice.
 		ix, builtNow := r.indexFor(sortedProbe, key, probe.Len())
 		s.built(builtNow)
-		probePos := make([]int, len(sortedProbe))
-		for i, a := range sortedProbe {
-			probePos[i] = probe.pos[a]
-		}
+		e := r.emitter(r.empty())
 		// sortedProbe is the probe's whole attribute set, so the probe key
 		// hashes are the probe's stored tuple hashes — nothing to re-hash.
-		probeKH := probe.keyHashesFor(sortedProbe, key)
-		out := newPresized(r.attrs, min(r.Len(), probe.Len()))
-		s.scanned(probe.Len())
-		s.batches(numBatches(probe.Len()))
-		probed, hits := 0, 0
-		for pg := range probe.rows.numPages() {
-			khs := probeKH.page(pg)
-			for k, pt := range probe.rows.page(pg) {
-				probed++
-				hit := false
-				for bi := ix.head(khs[k]); bi >= 0; bi = ix.after(bi) {
-					if !ix.keyEqual(bi, pt, probePos) {
-						continue
-					}
-					hit = true
-					out.appendRowNoTable(r.rows.at(int(bi)), r.hashes.at(int(bi)))
-				}
-				if hit {
-					hits++
-				}
-			}
-		}
-		s.probes(probed, hits)
-		s.emitted(out.Len())
-		return out
+		ix.probe(probe, probe.cols(sortedProbe), probe.keyHashesFor(sortedProbe, key), s, func(_ int, bi int32) {
+			e.emit(r.hashes.at(int(bi)), bi, 0)
+		})
+		return e.done(s)
 	}
 
 	// Scan-r: membership of each r row's projection in the probe's own
 	// tuple set, again via order-independent hashes. The projection hashes
 	// are served from r's cached key-hash vector, so repeated scans of a
 	// stored relation only pay the table probes.
-	rKH := r.keyHashesFor(sortedProbe, key)
-	out := newPresized(r.attrs, r.Len())
-	s.scanned(r.Len())
-	s.batches(numBatches(r.Len()))
-	probed, hits := 0, 0
-	for pg := range r.rows.numPages() {
-		khs, hashes := rKH.page(pg), r.hashes.page(pg)
-		for k, t := range r.rows.page(pg) {
-			probed++
-			if probe.findAligned(khs[k], t, rPos) < 0 {
-				continue
-			}
-			hits++
-			out.appendRowNoTable(t, hashes[k])
+	e := r.emitter(r.empty())
+	members(r, probe, rPos, r.keyHashesFor(sortedProbe, key), s, func(i int, in bool) bool {
+		if in {
+			e.emit(r.hashes.at(i), int32(i), 0)
 		}
-	}
-	s.probes(probed, hits)
-	s.emitted(out.Len())
-	return out
+		return true
+	})
+	return e.done(s)
 }
 
 // ProjectionSubset reports whether π_attrs(r) ⊆ π_attrs(o), attrs being
 // attributes of both, by probing o's cached index over attrs with every
 // row of r; neither projection is materialized.
 func ProjectionSubset(r, o *Relation, attrs ...string) bool {
-	sorted := append([]string(nil), attrs...)
-	sort.Strings(sorted)
+	sorted := slices.Sorted(slices.Values(attrs))
 	ix, _ := o.indexFor(sorted, indexKey(sorted), r.Len())
-	rPos := make([]int, len(sorted))
-	for i, a := range sorted {
-		rPos[i] = r.pos[a]
-	}
-	for t := range r.All() {
-		bi := ix.head(hashCols(t, rPos))
-		for bi >= 0 && !ix.keyEqual(bi, t, rPos) {
-			bi = ix.after(bi)
-		}
-		if bi < 0 {
-			return false
-		}
-	}
-	return true
+	var st OpStats // a hit per row of r that o matches
+	ix.probe(r, r.cols(sorted), nil, &st, func(int, int32) {})
+	return st.IndexHits == int64(r.Len())
 }
 
 // sameAttrsOrErr validates union/difference compatibility.
@@ -514,8 +324,8 @@ func Union(l, r *Relation) (*Relation, error) {
 }
 
 // UnionStats is Union with operator counters (nil disables counting).
-// The clone is shallow (tuples are shared) and the merge reuses r's row
-// hashes; only genuinely new tuples are permuted in.
+// The clone shares l's pages and the merge reuses r's row hashes; only
+// the cells of genuinely new tuples are copied in.
 func UnionStats(l, r *Relation, s *OpStats) (*Relation, error) {
 	if err := sameAttrsOrErr("union", l, r); err != nil {
 		return nil, err
@@ -532,64 +342,60 @@ func Diff(l, r *Relation) (*Relation, error) {
 	return DiffStats(l, r, nil)
 }
 
-// DiffStats is Diff with operator counters (nil disables counting): one
-// aligned hash probe of r's membership table per l row, emitting the
-// misses append-only with shared tuples.
+// DiffStats is Diff with operator counters (nil disables counting).
 func DiffStats(l, r *Relation, s *OpStats) (*Relation, error) {
-	if err := sameAttrsOrErr("difference", l, r); err != nil {
-		return nil, err
-	}
-	out := newPresized(l.attrs, l.Len())
-	perm := alignment(l, r)
-	s.scanned(l.Len())
-	s.batches(numBatches(l.Len()))
-	probed, hits := 0, 0
-	for pg := range l.rows.numPages() {
-		hashes := l.hashes.page(pg)
-		for k, t := range l.rows.page(pg) {
-			probed++
-			if r.findAligned(hashes[k], t, perm) >= 0 {
-				hits++
-				continue
-			}
-			out.appendRowNoTable(t, hashes[k])
-		}
-	}
-	s.probes(probed, hits)
-	s.emitted(out.Len())
-	return out, nil
+	return filterBy(l, r, false, "difference", s)
 }
 
 // Intersect returns l ∩ r. The inputs must have equal attribute sets.
 func Intersect(l, r *Relation) (*Relation, error) {
-	return IntersectStats(l, r, nil)
+	return filterBy(l, r, true, "intersection", nil)
 }
 
-// IntersectStats is Intersect with operator counters (nil disables
-// counting); the mirror image of DiffStats.
-func IntersectStats(l, r *Relation, s *OpStats) (*Relation, error) {
-	if err := sameAttrsOrErr("intersection", l, r); err != nil {
+// filterBy is l ∩ r when member is set and l ∖ r otherwise.
+func filterBy(l, r *Relation, member bool, op string, s *OpStats) (*Relation, error) {
+	if err := sameAttrsOrErr(op, l, r); err != nil {
 		return nil, err
 	}
-	out := newPresized(l.attrs, min(l.Len(), r.Len()))
-	perm := alignment(l, r)
-	s.scanned(l.Len())
-	s.batches(numBatches(l.Len()))
-	probed, hits := 0, 0
-	for pg := range l.rows.numPages() {
-		hashes := l.hashes.page(pg)
-		for k, t := range l.rows.page(pg) {
-			probed++
-			if r.findAligned(hashes[k], t, perm) < 0 {
-				continue
+	return filter(l, r, member, l.empty(), s), nil
+}
+
+// filter copies to out, which has x's attribute set and no rows, the rows
+// of x whose membership in y (of the same attribute set) is member: one
+// aligned probe of y's membership table per row.
+func filter(x, y *Relation, member bool, out *Relation, s *OpStats) *Relation {
+	e := newEmitter(out, source{rows: &x.rows, cols: alignment(x, out)}, source{})
+	members(x, y, alignment(x, y), &x.hashes, s, func(i int, held bool) bool {
+		if held == member {
+			e.emit(x.hashes.at(i), int32(i), 0)
+		}
+		return true
+	})
+	return e.done(s)
+}
+
+// members asks y, for every row i of x, whether it holds the row's
+// columns pos (y's column c is x's pos[c]), whose hashes kh holds, and
+// calls f(i, held) until f returns false; it reports whether none did. It
+// counts x's rows as walked and probed into s, and the rows y holds as
+// hits.
+func members(x, y *Relation, pos []int, kh *paged[uint64], s *OpStats, f func(i int, held bool) bool) bool {
+	t, hits := make(Tuple, len(x.attrs)), 0
+	for pi, pg := range x.rows.pages {
+		khs := kh.page(pi)
+		for k := range x.rows.rowsOn(pi) {
+			held := y.findAligned(khs[k], pg.readCols(k, t, pos), pos) >= 0
+			if held {
+				hits++
 			}
-			hits++
-			out.appendRowNoTable(t, hashes[k])
+			if !f(pi<<pageBits+k, held) {
+				return false
+			}
 		}
 	}
-	s.probes(probed, hits)
-	s.emitted(out.Len())
-	return out, nil
+	s.walked(x.Len())
+	s.probes(x.Len(), hits)
+	return true
 }
 
 // Rename returns ρ_mapping(r), renaming attributes per the old→new map.
@@ -611,12 +417,8 @@ func Rename(r *Relation, mapping map[string]string) (*Relation, error) {
 			return nil, fmt.Errorf("relation: rename of unknown attribute %q", old)
 		}
 	}
-	seen := make(map[string]bool, len(newAttrs))
-	for _, a := range newAttrs {
-		if seen[a] {
-			return nil, fmt.Errorf("relation: rename produces duplicate attribute %q", a)
-		}
-		seen[a] = true
+	if a, dup := duplicate(newAttrs); dup {
+		return nil, fmt.Errorf("relation: rename produces duplicate attribute %q", a)
 	}
 	out := New(newAttrs...)
 	r.shareStorage(out)

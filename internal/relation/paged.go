@@ -7,42 +7,98 @@ import (
 )
 
 // pageLen is the number of elements a storage page holds. Every array a
-// relation or an index keeps per row or per slot is a paged[T]; a write to
-// a page shared with a clone copies that page first, so the cost of
-// mutating a clone is set by pageLen (bytes copied per touched page) and
-// the cost of Clone by rows/pageLen (page-table entries copied). DESIGN
-// §13 "Storage: shared pages" records the measurements behind the value.
+// relation or an index keeps per row or per slot is a paged[T], and the
+// rows themselves are pages of pageLen rows (page.go); a write to a page
+// shared with a clone copies that page first, so the cost of mutating a
+// clone is set by pageLen (bytes copied per touched page) and the cost of
+// Clone by rows/pageLen (page-table entries copied). DESIGN §13 "Storage:
+// shared pages" records the measurements behind the value.
 const (
 	pageBits = 10
 	pageLen  = 1 << pageBits
 	pageMask = pageLen - 1
 )
 
+// cow holds the ownership marks of a page table. A page is private to one
+// table or shared: lend hands the table's pages to a copy and flags both
+// as lent; the next write to either (which, like every mutation in this
+// package, requires exclusive access) turns the flag into shared marks on
+// all its pages. A write to a shared page copies it and keeps the private
+// copy; nothing ever writes a page that another table can reach. lend
+// itself writes only the atomic flags, so it may run beside readers of
+// the source and beside other lend calls on it.
+type cow struct {
+	shared []bool // nil (every page private) or one mark per page
+	lent   atomic.Bool
+}
+
+// private reports whether every page may be written in place.
+func (c *cow) private() bool { return c.shared == nil && !c.lent.Load() }
+
+// settle applies a pending lent flag to a table of np pages: every one of
+// them may by now be reachable from another table.
+func (c *cow) settle(np int) {
+	if !c.lent.Load() {
+		return
+	}
+	c.shared = make([]bool, np)
+	for i := range c.shared {
+		c.shared[i] = true
+	}
+	c.lent.Store(false)
+}
+
+// claim makes page pi of a table of np pages private and reports whether
+// it was shared, in which case the caller must copy the page before it
+// writes it.
+func (c *cow) claim(pi, np int) bool {
+	c.settle(np)
+	if c.shared == nil || !c.shared[pi] {
+		return false
+	}
+	c.shared[pi] = false
+	return true
+}
+
+// grow accounts for a fresh private page appended to a table of np pages.
+func (c *cow) grow(np int) {
+	c.settle(np)
+	if c.shared != nil {
+		c.shared = append(c.shared, false)
+	}
+}
+
+// shrink accounts for a table of np pages cut to its first keep.
+func (c *cow) shrink(np, keep int) {
+	c.settle(np) // so that the marks can follow the pages
+	if keep == 0 {
+		c.shared = nil // nothing left that could be shared
+	} else if c.shared != nil {
+		c.shared = c.shared[:keep]
+	}
+}
+
+// lend flags this table and to, a copy of it, as sharing every page.
+func (c *cow) lend(to *cow) {
+	c.lent.Store(true)
+	to.lent.Store(true) // as good as lent: every page it holds is reachable from c
+}
+
 // paged is a growable array stored in fixed-size pages that a clone shares
-// copy-on-write. Until it first holds pageLen elements it is one ordinary
-// slice grown by doubling (small); from then on element i is
+// copy-on-write (cow). Until it first holds pageLen elements it is one
+// ordinary slice grown by doubling (small); from then on element i is
 // pages[i>>pageBits][i&pageMask], the last page partly filled. Either way
 // page k covers elements [k·pageLen, (k+1)·pageLen), so two arrays of equal
 // length split into pages identically — which is what lets scan loops walk
 // rows and hashes page by page in lockstep.
 //
-// Ownership: a page is private to one array or shared. shareTo hands every
-// page of the source to the copy as shared and flags the source as lent;
-// the source's next write (which, like every mutation in this package,
-// requires exclusive access) turns the flag into shared marks on all its
-// pages. A write copies a shared page and keeps the private copy; nothing
-// ever writes a page that another array can reach. shareTo itself writes
-// only the atomic flag, so it may run beside readers of the source and
-// beside other shareTo calls on it.
-//
 // The zero value is an empty array. A paged must not be copied by value.
 type paged[T any] struct {
-	small  []T           // the n elements, while len(pages) == 0
-	pages  []*[pageLen]T // the pages, once the array has filled one
-	n      int
-	shared []bool // nil (every page private) or one mark per page
-	lent   atomic.Bool
-	fresh  int // elements of pages copied on write or allocated by alloc
+	cow
+	small []T           // the n elements, while len(pages) == 0
+	pages []*[pageLen]T // the pages, once the array has filled one
+	n     int
+	fresh int // elements of pages copied on write or allocated by alloc
 }
 
 func (p *paged[T]) len() int { return p.n }
@@ -79,50 +135,11 @@ func (p *paged[T]) eachPage() iter.Seq2[int, []T] {
 	}
 }
 
-// all iterates over (position, element) pairs in order.
-func (p *paged[T]) all() iter.Seq2[int, T] {
-	return func(yield func(int, T) bool) {
-		for base, pg := range p.eachPage() {
-			for k, v := range pg {
-				if !yield(base+k, v) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// appendTo appends every element to dst, in order.
-func (p *paged[T]) appendTo(dst []T) []T {
-	for pi := range p.numPages() {
-		dst = append(dst, p.page(pi)...)
-	}
-	return dst
-}
-
-// private reports whether every page may be written in place.
-func (p *paged[T]) private() bool { return p.shared == nil && !p.lent.Load() }
-
-// settle applies a pending lent flag: every page this array holds may by
-// now be reachable from a clone.
-func (p *paged[T]) settle() {
-	if !p.lent.Load() {
-		return
-	}
-	p.shared = make([]bool, p.numPages())
-	for i := range p.shared {
-		p.shared[i] = true
-	}
-	p.lent.Store(false)
-}
-
 // own makes page pi writable, copying it if it is shared.
 func (p *paged[T]) own(pi int) {
-	p.settle()
-	if p.shared == nil || !p.shared[pi] {
+	if !p.claim(pi, p.numPages()) {
 		return
 	}
-	p.shared[pi] = false
 	if len(p.pages) == 0 {
 		p.small = append([]T(nil), p.small...)
 		p.fresh += p.n
@@ -182,11 +199,8 @@ func (p *paged[T]) appendSlow(v T) {
 	if pi < len(p.pages) {
 		p.own(pi)
 	} else {
-		p.settle()
+		p.grow(len(p.pages))
 		p.pages = append(p.pages, new([pageLen]T))
-		if p.shared != nil {
-			p.shared = append(p.shared, false)
-		}
 	}
 	p.pages[pi][p.n&pageMask] = v
 	p.n++
@@ -194,19 +208,17 @@ func (p *paged[T]) appendSlow(v T) {
 
 // truncate shortens the array to its first n elements.
 func (p *paged[T]) truncate(n int) {
-	p.settle() // so that the marks can follow the pages
+	np := (n + pageMask) >> pageBits
+	p.shrink(p.numPages(), np)
 	p.n = n
-	np := p.numPages()
 	if len(p.pages) == 0 {
 		p.small = p.small[:n]
 	} else {
 		clear(p.pages[np:]) // release the dropped pages
 		p.pages = p.pages[:np]
 	}
-	if np == 0 { // nothing left that could be shared
-		p.small, p.shared = nil, nil
-	} else if p.shared != nil {
-		p.shared = p.shared[:np]
+	if np == 0 {
+		p.small = nil
 	}
 }
 
@@ -241,11 +253,10 @@ func (p *paged[T]) shareTo(c *paged[T]) {
 	if p.n == 0 {
 		return
 	}
-	p.lent.Store(true)
+	p.lend(&c.cow)
 	c.small = p.small
 	c.pages = append([]*[pageLen]T(nil), p.pages...)
 	c.n = p.n
-	c.lent.Store(true) // as good as lent: every page it holds is reachable from p
 }
 
 // freshBytes returns the bytes of page storage this array has copied on

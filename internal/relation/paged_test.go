@@ -12,7 +12,7 @@ import (
 
 // modelRel is a relation over (a, b, c, e) under test beside the map that
 // says what it must hold, keyed by the a column (the tests keep a unique).
-// No index covers e, which carries what the page images must get right:
+// No index covers e, which carries what the column pages must get right:
 // NULLs, and kinds that differ from row to row.
 type modelRel struct {
 	rel   *Relation
@@ -23,6 +23,16 @@ type modelRel struct {
 type keyOf struct {
 	a, c int64
 	b    string
+}
+
+// tuplesEqual compares same-order tuples by Value.Equal.
+func tuplesEqual(a, b Tuple) bool {
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func groupKey(tu Tuple, pos []int) keyOf {
@@ -50,8 +60,8 @@ func (m *modelRel) clone() *modelRel {
 
 // check compares every access path of the relation with the model: Len,
 // All, the membership table, each cached index (Lookup, Unique, Keys is
-// bounded by the distinct keys), each cached key-hash vector and the page
-// images, decoded batch by batch. It leaves every page with an image.
+// bounded by the distinct keys), each cached key-hash vector and the
+// column pages, read batch by batch.
 func (m *modelRel) check(t *testing.T, what string) {
 	t.Helper()
 	r := m.rel
@@ -116,15 +126,21 @@ func (m *modelRel) check(t *testing.T, what string) {
 		if got != &kv.hashes || got.len() != r.Len() {
 			t.Fatalf("%s keyVec %q: %d hashes for %d rows", what, key, got.len(), r.Len())
 		}
-		for i, tu := range r.rows.all() {
-			if got.at(i) != hashCols(tu, kv.pos) {
+		i := 0
+		for tu := range r.All() {
+			var key Tuple // the row's projection onto the vector's columns
+			for _, p := range kv.pos {
+				key = append(key, tu[p])
+			}
+			if got.at(i) != key.hash64() {
 				t.Fatalf("%s keyVec %q: stale hash at row %d", what, key, i)
 			}
+			i++
 		}
 	}
 	rows := 0
 	for b := range r.Batches() {
-		if b.Start() != rows || b.NumCols() != 4 || b.ColKind(0) != ColInt || b.ColKind(1) != ColString || b.Dict(1).Len() > b.Len() {
+		if b.Start() != rows || b.NumCols() != 4 || b.ColKind(0) != ColInt || b.ColKind(1) != ColString || b.Dict(1).Len() > BatchSize {
 			t.Fatalf("%s: batch at row %d starts at %d, with %d columns laid out %v, %v, …", what, rows, b.Start(), b.NumCols(), b.ColKind(0), b.ColKind(1))
 		}
 		for i := 0; i < b.Len(); i++ {
@@ -137,26 +153,24 @@ func (m *modelRel) check(t *testing.T, what string) {
 			rows++
 		}
 	}
-	if rows != len(m.model) || r.PageImages() != r.rows.numPages() {
-		t.Fatalf("%s: Batches cover %d rows in %d page images, model has %d rows in %d pages", what, rows, r.PageImages(), len(m.model), r.rows.numPages())
+	if rows != len(m.model) || r.rows.numPages() != numBatches(len(m.model)) {
+		t.Fatalf("%s: Batches cover %d rows in %d pages, model has %d rows", what, rows, r.rows.numPages(), len(m.model))
 	}
 }
 
-// imagesOf returns, per row page of r that has a slot, the image the slot
-// holds (nil where none is built).
-func imagesOf(r *Relation) []*pageImage {
-	out := make([]*pageImage, len(r.derived))
-	for pi, sl := range r.derived {
-		if sl != nil {
-			out[pi] = sl.image.Load()
-		}
+// imagesOf returns the row pages of r by identity (the first column of
+// each): what a column-major reader of r reads, one entry per page.
+func imagesOf(r *Relation) []*column {
+	out := make([]*column, len(r.rows.pages))
+	for pi, pg := range r.rows.pages {
+		out[pi] = &pg[0]
 	}
 	return out
 }
 
-// imagesChanged counts the row pages whose image is not the one before
-// holds for them: dropped, rebuilt, or beyond a table that shrank.
-func (m *modelRel) imagesChanged(before []*pageImage) int {
+// imagesChanged counts the row pages that are not the ones before holds:
+// copied on write, or beyond a table that shrank.
+func (m *modelRel) imagesChanged(before []*column) int {
 	now, n := imagesOf(m.rel), 0
 	for pi, im := range before {
 		if pi >= len(now) || now[pi] != im {
@@ -168,14 +182,14 @@ func (m *modelRel) imagesChanged(before []*pageImage) int {
 
 // TestClonesAreIndependent is the contract of Clone over shared pages: in a
 // random tree of clones under interleaved inserts, bulk inserts, deletes,
-// further clones and lazily built indexes, key-hash vectors and page
-// images, every live relation equals its own model after every step —
-// the original after its clone was mutated and the clone after the
-// original was. Start sizes sit below, on and above page boundaries and
-// below a growth of the membership table, so steps cross them both ways.
-// The page images follow the row pages: a clone holds the very images of
-// the original, an insert drops at most one and a delete at most two, and
-// every other page keeps the image it had.
+// further clones and lazily built indexes and key-hash vectors, every live
+// relation equals its own model after every step — the original after its
+// clone was mutated and the clone after the original was. Start sizes sit
+// below, on and above page boundaries and below a growth of the membership
+// table, so steps cross them both ways. The row pages are shared until
+// written: a clone holds the very pages of the original, an insert copies
+// at most one and a delete at most two, and every other page stays the
+// one it was.
 func TestClonesAreIndependent(t *testing.T) {
 	attrSets := [][]string{{"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}}
 	dim := New("b", "d") // larger than any relation under test: joins build on it and probe with theirs
@@ -284,12 +298,13 @@ func TestClonesAreIndependent(t *testing.T) {
 }
 
 // TestDerivedFormsFollowThePage: what is derived from an immutable page
-// belongs to the page. An image or a section first derived through a
-// relation after it was cloned — the checkpointer encoding version N while
-// the writer is on N+k — is the very pointer its clones, their clones and
-// its renamings return, in either direction; a write to a page gives the
-// writer a fresh, empty slot for that page and leaves every other page's
-// slot, and every other relation's, as it was.
+// belongs to the page. A section first encoded through a relation after it
+// was cloned — the checkpointer encoding version N while the writer is on
+// N+k — is the very pointer its clones, their clones and its renamings
+// return, in either direction, and they all read the very same column
+// pages; a write to a page gives the writer a private copy of the page and
+// a fresh, empty slot for it, and leaves every other page and slot, and
+// every other relation's, as it was.
 func TestDerivedFormsFollowThePage(t *testing.T) {
 	r := New("k", "v")
 	for i := range 3*pageLen + 100 {
@@ -301,24 +316,18 @@ func TestDerivedFormsFollowThePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range r.Batches() { // every image, through the original
-	}
 	sec2, encoded := r.PageSection(2)
 	if !encoded {
 		t.Fatal("the first PageSection of a page reports a cached section")
 	}
 	for _, o := range []*Relation{c, cc, ren} {
-		var st OpStats
 		for pi := range r.NumPages() {
-			if o.slot(pi) != r.slot(pi) {
-				t.Fatalf("page %d: a relation sharing the page holds another slot", pi)
-			}
-			if im := o.pageImage(pi, &st); im == nil || im != r.slot(pi).image.Load() {
-				t.Fatalf("page %d: the image derived through the original is not the one its clone returns", pi)
+			if o.slot(pi) != r.slot(pi) || &o.rows.pages[pi][0] != &r.rows.pages[pi][0] {
+				t.Fatalf("page %d: a relation sharing the page holds another slot or another page", pi)
 			}
 		}
-		if got, enc := o.PageSection(2); got != sec2 || enc || st.ImagePages != 0 {
-			t.Fatalf("a clone re-derived forms of shared pages: section encoded = %v, %d images built", enc, st.ImagePages)
+		if got, enc := o.PageSection(2); got != sec2 || enc {
+			t.Fatalf("a clone re-encoded a shared page: section encoded = %v", enc)
 		}
 	}
 	sec0, _ := cc.PageSection(0) // and upwards: derived through the clone's clone
@@ -333,18 +342,18 @@ func TestDerivedFormsFollowThePage(t *testing.T) {
 		}
 		return out
 	}
-	before, others := slotsOf(c), slotsOf(r)
-	victim := c.rows.at(pageLen + 5).Clone()
-	if !c.Delete(victim) { // writes page 1 and, moving the last row in, page 3
+	before, others, pages := slotsOf(c), slotsOf(r), imagesOf(r)
+	victim := c.rows.at(pageLen + 5)
+	if !c.Delete(victim) { // moves the last row into page 1 — a copy — and drops it from page 3, shared as it is
 		t.Fatal("delete failed")
 	}
 	for pi, sl := range slotsOf(c) {
 		written := pi == 1 || pi == 3
-		if (sl != before[pi]) != written {
-			t.Errorf("after a delete on page 1: page %d's slot replaced = %v, want %v", pi, sl != before[pi], written)
+		if copied := &c.rows.pages[pi][0] != pages[pi]; (sl != before[pi]) != written || copied != (pi == 1) {
+			t.Errorf("after a delete on page 1: page %d's slot replaced = %v, page copied = %v", pi, sl != before[pi], copied)
 		}
-		if written && (sl.image.Load() != nil || sl.section.Load() != nil) {
-			t.Errorf("page %d: the writer's fresh slot already holds a form", pi)
+		if written && sl.section.Load() != nil {
+			t.Errorf("page %d: the writer's fresh slot already holds a section", pi)
 		}
 	}
 	before = slotsOf(c)
@@ -356,8 +365,8 @@ func TestDerivedFormsFollowThePage(t *testing.T) {
 	}
 	for _, o := range []*Relation{r, cc, ren} {
 		for pi, sl := range slotsOf(o) {
-			if sl != others[pi] || sl.image.Load() == nil {
-				t.Errorf("page %d: a write through one relation touched another's slot", pi)
+			if sl != others[pi] || &o.rows.pages[pi][0] != pages[pi] {
+				t.Errorf("page %d: a write through one relation touched another's page or slot", pi)
 			}
 		}
 	}
@@ -380,6 +389,80 @@ func TestDerivedFormsFollowThePage(t *testing.T) {
 		if got, enc := back.PageSection(pi); enc || !bytes.Equal(got.Bytes, secs[pi].Bytes) {
 			t.Fatalf("page %d: a decoded relation does not keep the section it was decoded from", pi)
 		}
+	}
+}
+
+// TestBatchHeldAcrossAWrite pins what a Batch is: the page it was cut
+// from, read in place over the rows it had. A write to a page no clone
+// shares happens in that page, so a batch held across it reads what the
+// write left — the row a delete moved in, a column an insert promoted to
+// ColAny — while its length stays what it was; a write to a shared page
+// copies the page first, so a batch of the shared page reads the rows as
+// they were.
+func TestBatchHeldAcrossAWrite(t *testing.T) {
+	r := New("k", "v")
+	for i := range 10 {
+		r.InsertValues(Int(int64(i)), Int(int64(10*i)))
+	}
+	first := func(r *Relation) (b Batch) {
+		for b = range r.Batches() {
+			break
+		}
+		return b
+	}
+	b := first(r)
+	if !r.Delete(Tuple{Int(3), Int(30)}) { // the page is private: row 9 moves into row 3, in place
+		t.Fatal("delete failed")
+	}
+	if b.Len() != 10 || b.Ints(0)[3] != 9 || !b.Value(1, 3).Equal(Int(90)) {
+		t.Fatalf("a batch held across a delete reads %d rows, row 3 = (%v, %v); want 10 rows, the moved row (9, 90)", b.Len(), b.Value(0, 3), b.Value(1, 3))
+	}
+	r.InsertValues(Int(100), String_("x")) // mixes kinds in v: the page's v column becomes ColAny in place
+	if b.ColKind(1) != ColAny || b.Ints(1) != nil || !b.Value(1, 0).Equal(Int(0)) || b.Len() != 10 {
+		t.Fatalf("a batch held across a promoting insert reads v as %v, row 0 = %v, %d rows", b.ColKind(1), b.Value(1, 0), b.Len())
+	}
+	if nb := first(r); nb.Len() != 10 || !nb.Value(1, 9).Equal(String_("x")) {
+		t.Fatalf("a fresh batch reads %d rows, the inserted row as %v", nb.Len(), nb.Value(1, 9))
+	}
+
+	c := r.Clone() // now the page is shared
+	b = first(c)
+	if !c.Delete(Tuple{Int(0), Int(0)}) || !c.InsertValues(Int(200), Float(0.5)) {
+		t.Fatal("delete + insert on the clone failed")
+	}
+	if b.Len() != 10 || !b.Value(0, 0).Equal(Int(0)) || !b.Value(1, 9).Equal(String_("x")) || &b.pg[0] == &c.rows.pages[0][0] {
+		t.Fatalf("a batch of a shared page reads row 0 = %v, row 9 = %v after the clone wrote it", b.Value(0, 0), b.Value(1, 9))
+	}
+	if rb := first(r); &rb.pg[0] != &b.pg[0] || !rb.Value(0, 0).Equal(Int(0)) {
+		t.Fatal("the clone's writes reached the original's page")
+	}
+}
+
+// TestDropLastBesideALaterClone: a relation that wrote its last page —
+// making that page its own — and was then cloned again shares the page
+// once more, so dropping its last row must leave the page as the clone
+// reads it. The ownership marks the first write left say "private"; the
+// clone taken since says otherwise.
+func TestDropLastBesideALaterClone(t *testing.T) {
+	r := New("k", "v")
+	for i := range 10 {
+		r.InsertValues(Int(int64(i)), String_(fmt.Sprint("v", i)))
+	}
+	_ = r.Clone()
+	r.InsertValues(Int(10), String_("v10")) // copies the last page: r's own again
+	c := r.Clone()
+	if !r.Delete(Tuple{Int(10), String_("v10")}) { // the last row itself: nothing moves
+		t.Fatal("delete failed")
+	}
+	if c.Len() != 11 || !c.Contains(Tuple{Int(10), String_("v10")}) {
+		t.Fatalf("the clone lost the row its original deleted: %d rows", c.Len())
+	}
+	n := 0
+	for b := range c.Batches() {
+		n += len(b.Ints(0)) + len(b.Codes(1))
+	}
+	if n != 22 {
+		t.Fatalf("the clone's page vectors hold %d cells, want 22", n)
 	}
 }
 
@@ -422,12 +505,12 @@ func TestCloneWriteCopiesOnlyTouchedPages(t *testing.T) {
 }
 
 // TestConcurrentReadersOfSharedPages: readers join, probe, scan and run a
-// vectorized selection over version k of a relation — building the images
-// of the pages version k-1's writer left without one —, encode its page
-// sections, and clone it themselves, as a bare Base evaluation does, while
-// the writer clones version k and applies inserts and deletes to version
-// k+1. Every answer must equal the model of the version it was read from;
-// under -race any write to a page a reader can reach fails.
+// vectorized selection over version k of a relation — reading the column
+// pages version k-1's writer copied — encode its page sections, and clone
+// it themselves, as a bare Base evaluation does, while the writer clones
+// version k and applies inserts and deletes to version k+1. Every answer
+// must equal the model of the version it was read from; under -race any
+// write to a page a reader can reach fails.
 func TestConcurrentReadersOfSharedPages(t *testing.T) {
 	const fks = 50
 	type version struct {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,9 @@ import (
 var ErrSchemaMismatch = errors.New("schema mismatch")
 
 // Tuple is a row of values, positionally aligned with the attribute order
-// of the Relation that owns it.
+// of a Relation. A relation does not store tuples: it builds them from its
+// column pages when asked (All, SortedRows) and copies the values of the
+// ones it is handed (Insert).
 type Tuple []Value
 
 // Clone returns a copy of the tuple.
@@ -49,39 +50,29 @@ func (t Tuple) hash64() uint64 {
 	return h
 }
 
-// hashCols hashes the tuple's values at the given column positions.
-func hashCols(t Tuple, pos []int) uint64 {
-	var h uint64
-	for _, p := range pos {
-		h += t[p].hash64()
-	}
-	return h
-}
-
 // Relation is an in-memory relation with set semantics: inserting a
 // duplicate tuple is a no-op, as in the set-based relational algebra the
 // paper uses. Attribute order is fixed at construction and is purely
 // presentational; all algebra operators match attributes by name.
 //
-// Membership is tracked by 64-bit tuple hashes in an open-addressed slot
-// table re-verified by Value.Equal on candidate rows; per-row hashes are
-// retained so the batch operators probe without re-encoding tuples.
-// Tuples are immutable once inserted, which lets relations share tuple
-// backing arrays (the operators alias rows instead of deep-copying
-// values). Rows, hashes and slots are paged arrays (paged.go) whose pages
-// a clone shares until one side writes them.
+// Rows are stored column-major in pages of typed vectors (page.go); a
+// Tuple is built from a page on demand and never stored. Membership is
+// tracked by 64-bit tuple hashes in an open-addressed slot table
+// re-verified by Value.Equal on candidate rows; per-row hashes are
+// retained so the batch operators probe without re-hashing. Row pages,
+// hashes and slots are paged arrays whose pages a clone shares until one
+// side writes them.
 //
 // Concurrency: any number of goroutines may read a relation (including
-// building cached indexes and the forms derived from a page, which is
-// internally synchronized, and cloning it), but mutation requires
-// exclusive access, as it always has in this package. Mutating updates
-// cached indexes and key-hash vectors in place and parts with the slots
-// of the row pages it writes.
+// building cached indexes and page sections, which is internally
+// synchronized, and cloning it), but mutation requires exclusive access,
+// as it always has in this package. Mutating updates cached indexes and
+// key-hash vectors in place and parts with the slots of the row pages it
+// writes.
 type Relation struct {
-	attrs  []string
-	pos    map[string]int
-	rows   paged[Tuple]
-	hashes paged[uint64] // hashes.at(i) == rows.at(i).hash64()
+	attrs  []string // never written: relations that share them share the slice
+	rows   rowPages
+	hashes paged[uint64] // hashes.at(i) is the hash of row i
 
 	// Open-addressed membership table: slots hold row index + 1, with 0
 	// marking an empty slot. The table is always a power of two, probed
@@ -89,16 +80,16 @@ type Relation struct {
 	// run back (vacate), so it never holds tombstones.
 	//
 	// Bulk operators appending known-distinct rows skip the table and
-	// mark it stale instead (appendRowNoTable); the first membership
-	// probe rebuilds it in one pass. Join and semi-join outputs that are
-	// only ever scanned never pay for a table at all.
+	// mark it stale instead (emitter, page.go); the first membership probe
+	// rebuilds it in one pass. Join and semi-join outputs
+	// that are only ever scanned never pay for a table at all.
 	slots      paged[int32]
 	tableStale atomic.Bool
 
 	mu      sync.Mutex // guards indexes/keyVecs/derived; rows/slots follow the package-wide contract above
 	indexes map[string]*Index
 	keyVecs map[string]*keyVec
-	derived []*pageSlot // derived[k], where set, holds the forms derived from row page k (column.go)
+	derived []*pageSlot // derived[k], where set, holds the section of row page k (page.go)
 }
 
 // New creates an empty relation over the given attribute names. It panics
@@ -107,8 +98,8 @@ func New(attrs ...string) *Relation {
 	return newPresized(attrs, 0)
 }
 
-// newPresized creates an empty relation about to receive n rows: the first
-// page of row storage and the page tables are allocated up front.
+// newPresized creates an empty relation about to receive n rows: the page
+// tables are allocated up front.
 func newPresized(attrs []string, n int) *Relation {
 	r, err := newChecked(attrs, n)
 	if err != nil {
@@ -120,24 +111,39 @@ func newPresized(attrs []string, n int) *Relation {
 // newChecked is newPresized for attribute names that are data (the
 // decoder's): an empty or duplicate name is an error, not a panic.
 func newChecked(attrs []string, n int) (*Relation, error) {
-	r := &Relation{
-		attrs: append([]string(nil), attrs...),
-		pos:   make(map[string]int, len(attrs)),
-	}
+	r := &Relation{attrs: append([]string(nil), attrs...)}
 	if n > 0 {
-		r.rows.reserve(n)
+		r.rows.pages = make([]rowPage, 0, (n+pageMask)>>pageBits)
 		r.hashes.reserve(n)
 	}
-	for i, a := range attrs {
-		if a == "" {
-			return nil, errors.New("relation: empty attribute name")
-		}
-		if _, dup := r.pos[a]; dup {
-			return nil, fmt.Errorf("relation: duplicate attribute %q", a)
-		}
-		r.pos[a] = i
+	if slices.Contains(attrs, "") {
+		return nil, errors.New("relation: empty attribute name")
+	}
+	if a, dup := duplicate(attrs); dup {
+		return nil, fmt.Errorf("relation: duplicate attribute %q", a)
 	}
 	return r, nil
+}
+
+// duplicate returns a name that occurs twice in attrs, if one does:
+// pairwise for the handful of attributes a relation has, by sorting a copy
+// for a list a decoder was handed, which may be long.
+func duplicate(attrs []string) (string, bool) {
+	if len(attrs) > 16 {
+		attrs = slices.Sorted(slices.Values(attrs))
+		for i := 1; i < len(attrs); i++ {
+			if attrs[i] == attrs[i-1] {
+				return attrs[i], true
+			}
+		}
+		return "", false
+	}
+	for i, a := range attrs {
+		if slices.Contains(attrs[:i], a) {
+			return a, true
+		}
+	}
+	return "", false
 }
 
 // NewFromSchema creates an empty relation with the schema's attribute order.
@@ -159,16 +165,35 @@ func (r *Relation) Len() int { return r.rows.len() }
 // IsEmpty reports whether the relation has no tuples.
 func (r *Relation) IsEmpty() bool { return r.rows.len() == 0 }
 
-// Pos returns the column index of the named attribute and whether it exists.
+// Pos returns the column index of the named attribute and whether it
+// exists. Relations have a handful of attributes: a scan beats a map.
 func (r *Relation) Pos(attr string) (int, bool) {
-	i, ok := r.pos[attr]
-	return i, ok
+	i := slices.Index(r.attrs, attr)
+	return i, i >= 0
+}
+
+// mustPos returns the column index of the named attribute. It panics on
+// unknown attributes.
+func (r *Relation) mustPos(attr string) int {
+	i, ok := r.Pos(attr)
+	if !ok {
+		panic(fmt.Sprintf("relation: unknown attribute %q", attr))
+	}
+	return i
+}
+
+// cols returns the column indexes of attributes r has.
+func (r *Relation) cols(attrs []string) []int {
+	pos := make([]int, len(attrs))
+	for i, a := range attrs {
+		pos[i] = slices.Index(r.attrs, a)
+	}
+	return pos
 }
 
 // HasAttr reports whether the relation has the named attribute.
 func (r *Relation) HasAttr(attr string) bool {
-	_, ok := r.pos[attr]
-	return ok
+	return slices.Contains(r.attrs, attr)
 }
 
 // tableSizeFor returns the power-of-two slot count for n rows, keeping
@@ -217,18 +242,28 @@ func vacate(slots *paged[int32], hashes *paged[uint64], s uint64) {
 	slots.set(int(s), 0)
 }
 
-// appendRowNoTable appends an owned, known-distinct tuple without
-// touching the membership table, marking it stale instead. Bulk
-// operators whose outputs are never probed during construction use this
-// (joins, semi-joins, selections, set difference); if the result is
-// later probed, ensureTable rebuilds the table in one pass, and results
-// that are only ever scanned never pay for a table at all.
-func (r *Relation) appendRowNoTable(t Tuple, h uint64) {
-	r.rows.append(t)
-	r.hashes.append(h)
-	if !r.tableStale.Load() {
-		r.tableStale.Store(true)
+// place enters row n, about to be appended and known to be absent, with
+// hash h in the membership table and the hash array. (Operators whose
+// outputs are distinct by construction leave the table stale instead: see
+// emitter.)
+func (r *Relation) place(h uint64, n int) {
+	if (n+1)*3 >= r.slots.len()*2 {
+		r.rebuildTable(2 * (n + 1))
 	}
+	// The caller guarantees absence, so the first empty slot of the probe
+	// run preserves the set invariant.
+	r.slots.set(int(r.slotOf(h, 0)), int32(n)+1)
+	r.hashes.append(h)
+}
+
+// appendTuple appends t, known to be absent, with its hash h.
+func (r *Relation) appendTuple(t Tuple, h uint64) {
+	r.place(h, r.rows.len())
+	pg, k := r.rows.tail(len(r.attrs))
+	for c := range t {
+		pg[c].set(k, k, t[c])
+	}
+	r.rows.n++
 }
 
 // ensureTable rebuilds the membership table if bulk appends left it
@@ -247,17 +282,11 @@ func (r *Relation) ensureTable() {
 	r.mu.Unlock()
 }
 
-// findRow returns the index of the row equal to t (in r's column order),
-// or -1.
-func (r *Relation) findRow(h uint64, t Tuple) int32 {
-	_, i := r.findSlot(h, t)
-	return i
-}
-
-// findSlot returns the slot and index of the row equal to t (in r's column
-// order), or row -1. Linear probing from the hash; candidate rows with the
-// same hash are re-verified value by value.
-func (r *Relation) findSlot(h uint64, t Tuple) (uint64, int32) {
+// findSlot returns the slot and index of the row equal to t, or row -1.
+// t is in r's column order, or, under perm, foreign: row column c holds
+// t[perm[c]]. Linear probing from the hash; candidate rows with the same
+// hash are re-verified value by value.
+func (r *Relation) findSlot(h uint64, t Tuple, perm []int) (uint64, int32) {
 	r.ensureTable()
 	if r.slots.len() == 0 {
 		return 0, -1
@@ -268,68 +297,32 @@ func (r *Relation) findSlot(h uint64, t Tuple) (uint64, int32) {
 		if s == 0 {
 			return 0, -1
 		}
-		i := s - 1
-		if r.hashes.at(int(i)) == h && tuplesEqual(r.rows.at(int(i)), t) {
+		if i := s - 1; r.hashes.at(int(i)) == h && r.rowIs(int(i), t, perm) {
 			return j, i
 		}
 	}
 }
 
-// findAligned returns the index of the row equal to the foreign-order
-// tuple t under perm (row[j] corresponds to t[perm[j]]), or -1.
+// findAligned returns the index of the row equal to t under perm (see
+// findSlot), or -1.
 func (r *Relation) findAligned(h uint64, t Tuple, perm []int) int32 {
-	r.ensureTable()
-	if r.slots.len() == 0 {
-		return -1
-	}
-	mask := uint64(r.slots.len() - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		s := r.slots.at(int(j))
-		if s == 0 {
-			return -1
-		}
-		i := s - 1
-		if r.hashes.at(int(i)) != h {
-			continue
-		}
-		row := r.rows.at(int(i))
-		eq := true
-		for k := range row {
-			if !row[k].Equal(t[perm[k]]) {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return i
-		}
-	}
+	_, i := r.findSlot(h, t, perm)
+	return i
 }
 
-// tuplesEqual compares same-order tuples by Value.Equal.
-func tuplesEqual(a, b Tuple) bool {
-	for i := range a {
-		if !a[i].Equal(b[i]) {
+// rowIs reports whether row i holds t, under perm as in findSlot.
+func (r *Relation) rowIs(i int, t Tuple, perm []int) bool {
+	pg, k := r.rows.pages[i>>pageBits], i&pageMask
+	for c := range pg {
+		p := c
+		if perm != nil {
+			p = perm[c]
+		}
+		if !pg[c].equals(k, &t[p]) {
 			return false
 		}
 	}
 	return true
-}
-
-// appendRow appends an owned tuple known to be absent, with its
-// precomputed hash. The relation takes ownership of t's backing array;
-// callers must not mutate it afterwards (tuples are immutable by package
-// contract).
-func (r *Relation) appendRow(t Tuple, h uint64) {
-	n := r.rows.len()
-	if (n+1)*3 >= r.slots.len()*2 {
-		r.rebuildTable(2 * (n + 1))
-	}
-	// The caller guarantees absence, so the first empty slot of the probe
-	// run preserves the set invariant.
-	r.slots.set(int(r.slotOf(h, 0)), int32(n)+1)
-	r.rows.append(t)
-	r.hashes.append(h)
 }
 
 // slotOf returns the first slot of the probe run from hash h that holds v
@@ -343,34 +336,18 @@ func (r *Relation) slotOf(h uint64, v int32) uint64 {
 	return j
 }
 
-// InsertOwned is Insert for a tuple the caller hands over: the relation
-// keeps t itself instead of a copy, so the caller must not write to it
-// afterwards. The CSV loaders use it — one allocation per row.
-func (r *Relation) InsertOwned(t Tuple) bool {
-	if len(t) != len(r.attrs) {
-		panic(fmt.Sprintf("relation: arity mismatch: tuple has %d values, relation has %d attributes", len(t), len(r.attrs)))
-	}
-	h := t.hash64()
-	if r.findRow(h, t) >= 0 {
-		return false
-	}
-	r.appendRow(t, h)
-	r.noteInserted(r.rows.len() - 1)
-	return true
-}
-
 // Insert adds a tuple and reports whether it was new. It panics if the
 // tuple arity does not match the relation (a programming error). The
-// relation keeps its own copy of the tuple.
+// relation copies the values; t stays the caller's.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple has %d values, relation has %d attributes", len(t), len(r.attrs)))
 	}
 	h := t.hash64()
-	if r.findRow(h, t) >= 0 {
+	if r.findAligned(h, t, nil) >= 0 {
 		return false
 	}
-	r.appendRow(t.Clone(), h)
+	r.appendTuple(t, h)
 	r.noteInserted(r.rows.len() - 1)
 	return true
 }
@@ -383,22 +360,20 @@ func (r *Relation) InsertValues(vals ...Value) bool { return r.Insert(Tuple(vals
 // set) into r, aligning columns by name. It returns the number of tuples
 // actually added.
 func (r *Relation) InsertAll(o *Relation) int {
-	perm := alignment(o, r)
-	added := 0
-	for pi := range o.rows.numPages() {
-		hashes := o.hashes.page(pi)
-		for k, t := range o.rows.page(pi) {
-			if r.findAligned(hashes[k], t, perm) >= 0 {
-				continue
-			}
-			r.appendRow(permute(t, perm), hashes[k])
-			added++
+	from, perm := r.rows.len(), alignment(o, r)
+	e := newEmitter(r, source{rows: &o.rows, cols: perm}, source{})
+	e.eager = true
+	// o is a set: its rows need checking against r's alone.
+	members(o, r, perm, &o.hashes, nil, func(i int, held bool) bool {
+		if !held {
+			e.emit(o.hashes.at(i), int32(i), 0)
 		}
+		return true
+	})
+	if e.done(nil); r.rows.len() > from {
+		r.noteInserted(from)
 	}
-	if added > 0 {
-		r.noteInserted(r.rows.len() - added)
-	}
-	return added
+	return r.rows.len() - from
 }
 
 // Contains reports whether the relation contains the tuple.
@@ -406,7 +381,7 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		return false
 	}
-	return r.findRow(t.hash64(), t) >= 0
+	return r.findAligned(t.hash64(), t, nil) >= 0
 }
 
 // ContainsAligned reports whether r contains the tuple t that is laid out
@@ -416,12 +391,13 @@ func (r *Relation) ContainsAligned(t Tuple, o *Relation) bool {
 }
 
 // Delete removes a tuple and reports whether it was present. Deletion is
-// O(1) via swap-with-last.
+// O(1) via swap-with-last: the last row's cells move into the victim's
+// place.
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		return false
 	}
-	slot, i := r.findSlot(t.hash64(), t)
+	slot, i := r.findSlot(t.hash64(), t, nil)
 	if i < 0 {
 		return false
 	}
@@ -433,46 +409,51 @@ func (r *Relation) Delete(t Tuple) bool {
 	if i != last {
 		lh := r.hashes.at(int(last))
 		r.slots.set(int(r.slotOf(lh, last+1)), i+1)
-		r.rows.set(int(i), r.rows.at(int(last)))
+		r.rows.move(int(last), int(i))
 		r.hashes.set(int(i), lh)
 	}
-	r.rows.truncate(int(last))
+	r.rows.dropLast()
 	r.hashes.truncate(int(last))
 	return true
 }
 
-// All returns an iterator over every tuple, in storage order. The yielded
-// tuples are the relation's own rows: the caller must not retain or
-// modify them, and must not mutate the relation mid-iteration. This is
-// the row-major access path; Batches is the column-major one.
+// All returns an iterator over every tuple, in storage order. Each tuple
+// is built from the row pages as the iteration reaches it, in storage the
+// iteration allocates in chunks of rows: the caller may keep it, and
+// writing to it writes to no relation. The relation must not be mutated
+// mid-iteration. This is the row-major access path; Batches is the
+// column-major one.
 func (r *Relation) All() iter.Seq[Tuple] {
 	return func(yield func(Tuple) bool) {
-		for _, pg := range r.rows.eachPage() {
-			for _, t := range pg {
-				if !yield(t) {
-					return
-				}
+		w := len(r.attrs)
+		var chunk []Value
+		for i := range r.rows.len() {
+			if chunk == nil || len(chunk) < w {
+				chunk = make([]Value, w*min(r.rows.len()-i, 64))
+			}
+			t := Tuple(chunk[:w:w])
+			chunk = chunk[w:]
+			if !yield(r.rows.read(i, t)) {
+				return
 			}
 		}
 	}
 }
 
 // SortedTuples returns all tuples sorted by the total value order, column
-// by column — a deterministic order for printing and golden tests.
-func (r *Relation) SortedTuples() []Tuple {
-	out := r.SortedRows()
-	for i, t := range out {
-		out[i] = t.Clone()
-	}
-	return out
-}
+// by column — a deterministic order for printing and golden tests. It is
+// SortedRows under the name the older callers use.
+func (r *Relation) SortedTuples() []Tuple { return r.SortedRows() }
 
-// SortedRows is SortedTuples without the per-row copy: the slice is
-// fresh but its tuples are the relation's own rows, so the caller may
-// reorder the slice and must not modify a tuple. Encoders that only
-// read the rows use it.
+// SortedRows returns every row as a fresh tuple, sorted by the total value
+// order. The tuples share one allocation, each capped at its own values,
+// so the caller may keep, reorder and modify them.
 func (r *Relation) SortedRows() []Tuple {
-	out := r.rows.appendTo(make([]Tuple, 0, r.rows.len()))
+	w, n := len(r.attrs), r.rows.len()
+	vals, out := make([]Value, w*n), make([]Tuple, n)
+	for i := range out {
+		out[i] = r.rows.read(i, vals[i*w:(i+1)*w:(i+1)*w])
+	}
 	slices.SortFunc(out, compareTuples)
 	return out
 }
@@ -493,13 +474,7 @@ func compareTuples(a, b Tuple) int {
 
 // Get returns the value of the named attribute in tuple t (owned by r).
 // It panics on unknown attributes.
-func (r *Relation) Get(t Tuple, attr string) Value {
-	i, ok := r.pos[attr]
-	if !ok {
-		panic(fmt.Sprintf("relation: unknown attribute %q", attr))
-	}
-	return t[i]
-}
+func (r *Relation) Get(t Tuple, attr string) Value { return t[r.mustPos(attr)] }
 
 // Clone returns an independent copy of the relation: a mutation of either
 // side is invisible to the other. It copies page tables, not pages — the
@@ -507,10 +482,10 @@ func (r *Relation) Get(t Tuple, attr string) Value {
 // the arrays of every cached index and key-hash vector), and whichever
 // side writes a page first copies that page — so its cost is proportional
 // to rows/pageLen and a later mutation's to the pages it touches. The
-// immutable tuple backing arrays and page slots are shared as well.
-// Clone may run beside readers of r and beside other Clones of r.
+// page slots are shared as well. Clone may run beside readers of r and
+// beside other Clones of r.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{attrs: r.attrs, pos: r.pos}
+	c := &Relation{attrs: r.attrs}
 	r.shareStorage(c)
 	// Carry cached indexes over, rebound to the clone: the warehouse
 	// applies refresh deltas to clones (copy-on-write), and cloning must
@@ -555,7 +530,7 @@ func (r *Relation) shareStorage(c *Relation) {
 // the copy-on-write apply cost: a few pages per changed tuple,
 // independent of r's size unless a table grew.
 func (r *Relation) CopiedBytes() int64 {
-	n := r.rows.freshBytes() + r.hashes.freshBytes() + r.slots.freshBytes()
+	n := r.rows.fresh + r.hashes.freshBytes() + r.slots.freshBytes()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ix := range r.indexes {
@@ -585,16 +560,7 @@ func (r *Relation) Equal(o *Relation) bool {
 // allIn reports whether every tuple of r occurs in o, which must have the
 // same attribute set.
 func (r *Relation) allIn(o *Relation) bool {
-	perm := alignment(r, o)
-	for pi := range r.rows.numPages() {
-		hashes := r.hashes.page(pi)
-		for k, t := range r.rows.page(pi) {
-			if o.findAligned(hashes[k], t, perm) < 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return members(r, o, alignment(r, o), &r.hashes, nil, func(_ int, held bool) bool { return held })
 }
 
 // SubsetOf reports whether every tuple of r occurs in o (same attribute
@@ -611,27 +577,20 @@ func (r *Relation) SubsetOf(o *Relation) bool {
 // iff their fingerprints agree, which gives states a cheap identity for
 // the injectivity experiments (Proposition 2.1).
 func (r *Relation) Fingerprint() string {
-	var b strings.Builder
-	attrs := append([]string(nil), r.attrs...)
-	sort.Strings(attrs)
-	b.WriteString(strings.Join(attrs, ","))
-	b.WriteByte(';')
-	perm := make([]int, len(attrs))
-	for i, a := range attrs {
-		perm[i] = r.pos[a]
-	}
-	keys := make([]string, 0, r.rows.len())
-	for t := range r.All() {
-		st := make(Tuple, len(perm))
-		for i, p := range perm {
-			st[i] = t[p]
+	attrs := slices.Sorted(slices.Values(r.attrs))
+	perm, t := r.cols(attrs), make(Tuple, len(attrs))
+	keys := make([]string, r.rows.len())
+	for i := range keys {
+		for j, p := range perm {
+			t[j] = r.rows.cell(i, p)
 		}
-		keys = append(keys, st.key())
+		keys[i] = t.key()
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	var b strings.Builder
+	b.WriteString(strings.Join(attrs, ",") + ";")
 	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
+		b.WriteString(k + "\n")
 	}
 	return b.String()
 }
@@ -691,31 +650,11 @@ func (r *Relation) String() string {
 func alignment(src, dst *Relation) []int {
 	perm := make([]int, len(dst.attrs))
 	for i, a := range dst.attrs {
-		p, ok := src.pos[a]
+		p, ok := src.Pos(a)
 		if !ok {
 			panic(fmt.Sprintf("relation: attribute sets differ: %q missing from source", a))
 		}
 		perm[i] = p
 	}
 	return perm
-}
-
-// identityPerm reports whether perm is the identity (columns already
-// aligned), letting operators skip permutation entirely.
-func identityPerm(perm []int) bool {
-	for i, p := range perm {
-		if i != p {
-			return false
-		}
-	}
-	return true
-}
-
-// permute lays out tuple t (in source order) according to perm (dst order).
-func permute(t Tuple, perm []int) Tuple {
-	out := make(Tuple, len(perm))
-	for i, p := range perm {
-		out[i] = t[p]
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -301,7 +302,7 @@ func TestSortedRowsMatchesReferenceOrder(t *testing.T) {
 			r.Insert(row)
 		}
 		got := r.SortedRows()
-		want := r.rows.appendTo(nil)
+		want := slices.Collect(r.All())
 		sort.Slice(want, func(i, j int) bool { return tupleLessRef(want[i], want[j]) })
 		if len(got) != r.Len() || len(want) != r.Len() {
 			t.Fatalf("round %d: %d sorted rows of %d", round, len(got), r.Len())

@@ -164,11 +164,7 @@ func (g *Gen) tupleFor(st *catalog.State, sc *relation.Schema) relation.Tuple {
 		probe := relation.NewFromSchema(sc)
 		probe.Insert(t)
 		for _, dom := range g.db.Constraints().Domains(sc.Name) {
-			cond := dom.Cond
-			ok := relation.Select(probe, func(row relation.Row) bool {
-				return algebra.EvalCond(cond, row)
-			})
-			if ok.IsEmpty() {
+			if algebra.SelectCond(probe, dom.Cond, nil).IsEmpty() {
 				return nil
 			}
 		}

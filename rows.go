@@ -1,8 +1,8 @@
 package dwc
 
 // This file is the batch-cursor surface of the facade: query answers come
-// back as a Rows cursor over the engine's columnar storage instead of a
-// bare relation, so downstream code can stream results column-major in
+// back as a Rows cursor over the engine's column pages instead of a bare
+// relation, so downstream code can stream results column-major in
 // BatchSize windows without per-tuple boxing or copying. Rows also carries
 // the evaluation's instrumentation, replacing the (relation, stats) pairs
 // the deprecated *Context wrappers returned.
@@ -14,13 +14,14 @@ import (
 )
 
 // Batch is a column-major window of up to BatchSize consecutive rows of a
-// relation: per-attribute typed vectors (int64, float64, bool,
-// dictionary-coded strings) with null bitmaps. Layout, null bitmap and
-// string dictionary are per batch — ColKind, HasNulls and Dict may differ
-// from one batch of a relation to the next, and dictionary codes compare
-// only within one batch. Batches are read-only views into storage that
-// versions of the relation share; one taken before a mutation of the
-// relation keeps describing the rows as they were.
+// relation: one of its row pages, whose per-attribute typed vectors
+// (int64, float64, bool, dictionary-coded strings) with null bitmaps are
+// the relation's storage. Layout, null bitmap and string dictionary are
+// per batch — ColKind, HasNulls and Dict may differ from one batch of a
+// relation to the next, and dictionary codes compare only within one
+// batch. Batches are read-only views of the page in place: a page a clone
+// shares never changes, but one taken before a mutation of a relation no
+// clone shares reads what the mutation wrote.
 type Batch = relation.Batch
 
 // BatchSize is the number of rows in a full Batch (the last batch of a
@@ -29,7 +30,8 @@ const BatchSize = relation.BatchSize
 
 // Rows is the result cursor returned by Answer and EvalExpr: the answer
 // relation plus the evaluation's instrumentation, with batch (column-
-// major) and row (tuple) iteration that never copies tuples.
+// major) iteration that reads the pages in place and row (tuple)
+// iteration that builds tuples from them.
 //
 // A Rows is a view, not a snapshot: iterating reads the underlying
 // relation's storage directly. The answer relation is freshly built by
@@ -52,8 +54,7 @@ func (rs *Rows) Relation() *Relation { return rs.rel }
 // Stats returns the evaluation's operator counters, wall time and
 // executed plan tree (stats.Plan — the EXPLAIN ANALYZE view). Batches
 // served through the cursor are added to Stats().Batches as they are
-// yielded, alongside the batches the vectorized operators processed
-// during evaluation.
+// yielded, alongside the pages the operators walked during evaluation.
 func (rs *Rows) Stats() *EvalStats { return rs.stats }
 
 // Len returns the number of rows in the answer.
@@ -63,10 +64,10 @@ func (rs *Rows) Len() int { return rs.rel.Len() }
 // must not modify the returned slice.
 func (rs *Rows) Attrs() []string { return rs.rel.Attrs() }
 
-// Batches iterates the answer column-major in BatchSize windows, each
-// vectorized when the iteration first reaches it and kept for later
-// iterations. Each yielded batch is counted into Stats().Batches, so plans
-// report how much of the result their consumer actually drained.
+// Batches iterates the answer column-major in BatchSize windows, one per
+// row page, read in place. Each yielded batch is counted into
+// Stats().Batches, so plans report how much of the result their consumer
+// actually drained.
 func (rs *Rows) Batches() iter.Seq[Batch] {
 	return func(yield func(Batch) bool) {
 		for b := range rs.rel.Batches() {
@@ -80,11 +81,11 @@ func (rs *Rows) Batches() iter.Seq[Batch] {
 	}
 }
 
-// All iterates the answer row-major without copying: the yielded tuples
-// are the relation's own rows and must not be retained or modified.
+// All iterates the answer row-major: each tuple is built from the column
+// pages as the iteration reaches it, and the caller may keep it.
 func (rs *Rows) All() iter.Seq[Tuple] { return rs.rel.All() }
 
 // Sorted returns the answer's tuples in the deterministic total value
-// order used for printing and golden tests. Unlike All, the returned
-// tuples are fresh copies the caller may keep.
+// order used for printing and golden tests, as fresh tuples the caller may
+// keep.
 func (rs *Rows) Sorted() []Tuple { return rs.rel.SortedTuples() }
