@@ -262,13 +262,14 @@ func BenchmarkE11StarSchema(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			m := maintain.NewMaintainer(w.Complement())
 			cur := st.Clone()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				u := biz.RandomOrderUpdate(cur, 5, 3, int64(i))
 				b.StartTimer()
-				if err := w.Refresh(u); err != nil {
+				if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -383,18 +384,19 @@ func BenchmarkE15Aggregates(b *testing.B) {
 		aggregate.New("MaxQtyPerSite", "Orders", []string{"loc"}, aggregate.Max, "qty"),
 		aggregate.New("QtyPerCustomer", "Orders", []string{"ckey"}, aggregate.Sum, "qty"),
 	}
+	m := maintain.NewMaintainer(w.Complement())
 	orders, _ := w.Relation("Orders")
 	for _, v := range views {
 		if err := v.Initialize(orders); err != nil {
 			b.Fatal(err)
 		}
-		w.AddConsumer(v)
+		m.AddConsumer(v)
 	}
 	cur := st.Clone()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := biz.RandomOrderUpdate(cur, 4, 2, int64(i))
-		if err := w.Refresh(u); err != nil {
+		if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

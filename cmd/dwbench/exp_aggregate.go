@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"dwcomplement/internal/aggregate"
+	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/star"
 )
 
@@ -38,19 +40,20 @@ func e15() experiment {
 				aggregate.New("MaxQtyPerSite", "Orders", []string{"loc"}, aggregate.Max, "qty"),
 				aggregate.New("QtyPerCustomer", "Orders", []string{"ckey"}, aggregate.Sum, "qty"),
 			}
+			m := maintain.NewMaintainer(w.Complement())
 			facts, _ := w.Relation("Orders")
 			for _, v := range views {
 				if err := v.Initialize(facts); err != nil {
 					return err
 				}
-				w.AddConsumer(v)
+				m.AddConsumer(v)
 			}
 
 			cur := st.Clone()
 			drift := 0
 			for round := 0; round < rounds; round++ {
 				u := b.RandomOrderUpdate(cur, 5, 3, c.seed+int64(round))
-				if err := w.Refresh(u); err != nil {
+				if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 					return err
 				}
 				if err := u.Apply(cur); err != nil {

@@ -318,6 +318,7 @@ func e11() experiment {
 					}
 				}
 				// Maintenance round-trip.
+				m := maintain.NewMaintainer(w.Complement())
 				cur := st.Clone()
 				rounds := 10
 				if c.quick {
@@ -325,7 +326,7 @@ func e11() experiment {
 				}
 				for i := 0; i < rounds; i++ {
 					u := b.RandomOrderUpdate(cur, 4, 2, c.seed+int64(i))
-					if err := w.Refresh(u); err != nil {
+					if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 						return err
 					}
 					if err := u.Apply(cur); err != nil {

@@ -34,6 +34,11 @@
 //	m := dwc.NewMaintainer(w.Complement())
 //	stats, err := dwc.Refresh(ctx, m, w, update)   // warehouse-only, incremental
 //
+// A star warehouse (Section 5, BuildStarWarehouse) is the same Warehouse:
+// each union-integrated fact table is one stored relation, W⁻¹ reads a
+// site's part of it by origin selection, and Answer, Refresh and
+// Maintainer.AddConsumer (aggregate summary tables) serve it unchanged.
+//
 // Every relation — a source, a view, a complement, a query answer — is
 // stored one way: pages of 1 024 rows, each page one typed vector per
 // attribute (int64, float64, bool, dictionary-coded strings, or the values
@@ -133,10 +138,9 @@ type (
 	Environment = source.Environment
 )
 
-// Star-schema types (Section 5).
+// Star-schema types (Section 5). A star warehouse is a Warehouse: its
+// complement stores each union-integrated fact table as one relation.
 type (
-	// StarWarehouse is a warehouse over union-integrated fact tables.
-	StarWarehouse = star.Warehouse
 	// FactSpec declares a union-integrated fact table.
 	FactSpec = star.FactSpec
 	// FactPart is one site's contribution to a fact table.
@@ -255,7 +259,8 @@ var (
 	// NewSource creates one autonomous source database.
 	NewSource = source.NewSource
 	// BuildStarWarehouse assembles a star-schema warehouse with union-
-	// integrated fact tables.
+	// integrated fact tables: a Warehouse like any other, answered with
+	// Answer and refreshed with Refresh.
 	BuildStarWarehouse = star.Build
 	// NewBusiness builds the TPC-D-like multi-site scenario.
 	NewBusiness = star.NewBusiness

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	dwc "dwcomplement"
 )
@@ -28,10 +30,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(w)
-	fmt.Println()
+	fmt.Printf("star warehouse stores %s\n\n", strings.Join(w.Names(), ", "))
 
-	// Summary tables over the unioned fact table.
+	// Summary tables over the unioned fact table, fed by the maintainer.
+	ctx := context.Background()
+	m := dwc.NewMaintainer(w.Complement())
 	qtyPerSite := dwc.NewAggregate("QtyPerSite", "Orders", []string{"loc"}, dwc.AggSum, "qty")
 	ordersPerSite := dwc.NewAggregate("OrdersPerSite", "Orders", []string{"loc"}, dwc.AggCount, "qty")
 	biggest := dwc.NewAggregate("BiggestOrder", "Orders", []string{"loc"}, dwc.AggMax, "qty")
@@ -40,7 +43,7 @@ func main() {
 		if err := v.Initialize(orders); err != nil {
 			log.Fatal(err)
 		}
-		w.AddConsumer(v)
+		m.AddConsumer(v)
 	}
 
 	fmt.Println("== Summary tables (initial) ==")
@@ -55,7 +58,7 @@ func main() {
 	cur := st.Clone()
 	for round := 0; round < 25; round++ {
 		u := b.RandomOrderUpdate(cur, 6, 3, int64(round))
-		if err := w.Refresh(u); err != nil {
+		if _, err := dwc.Refresh(ctx, m, w, u); err != nil {
 			log.Fatal(err)
 		}
 		if err := u.Apply(cur); err != nil {
@@ -67,13 +70,13 @@ func main() {
 
 	// Cross-check one group against an ad-hoc warehouse query.
 	q := dwc.MustParseExpr("pi{okey, qty}(sigma{loc = 'paris'}(Order_paris))")
-	ans, err := w.Answer(q)
+	ans, err := dwc.Answer(ctx, w, q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var manual int64
 	for t := range ans.All() {
-		manual += ans.Get(t, "qty").AsInt()
+		manual += ans.Relation().Get(t, "qty").AsInt()
 	}
 	fmt.Printf("ad-hoc Σqty(paris) via translated query: %d\n", manual)
 	agg := qtyPerSite.Result()

@@ -4,12 +4,16 @@
 // and sites. Foreign keys and per-site domain constraints let the
 // complement machinery prove every complement empty — the warehouse is
 // query- and update-independent with zero extra storage — while a "slim"
-// fact table that drops the qty measure forces real complements.
+// fact table that drops the qty measure forces real complements. The star
+// warehouse is an ordinary dwc.Warehouse: the fact table is one stored
+// relation, and W⁻¹ reads each site's orders from it by origin selection.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	dwc "dwcomplement"
 )
@@ -30,16 +34,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(w)
+	describe(w)
 	fmt.Printf("stored complement tuples: %d (every complement proved empty)\n\n", storedTuples(w))
 
 	// Origin determination: the paris slice of the fact table IS the paris
-	// order relation.
-	fmt.Println("origin determination: σ{loc = 'paris'}(Orders) recovers Order_paris")
-	part, _ := w.Relation("Orders@paris")
+	// order relation, and W⁻¹ reads it exactly that way.
+	ctx := context.Background()
+	inv, _ := w.Complement().Entry("Order_paris")
+	fmt.Printf("origin determination: W⁻¹ reads Order_paris as %s\n", inv.Inverse)
+	part, err := dwc.Answer(ctx, w, dwc.MustParseExpr("Order_paris"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	orig, _ := st.Relation("Order_paris")
 	fmt.Printf("  fact slice: %d tuples, source relation: %d tuples, equal: %v\n\n",
-		part.Len(), orig.Len(), part.Equal(orig))
+		part.Len(), orig.Len(), part.Relation().Equal(orig))
 
 	// A cross-site analytical query answered from the warehouse.
 	q := dwc.MustParseExpr(
@@ -50,7 +59,7 @@ func main() {
 	}
 	fmt.Println("source query:    ", q)
 	fmt.Println("warehouse query: ", qHat)
-	ans, err := w.Answer(q)
+	ans, err := dwc.Answer(ctx, w, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func main() {
 
 	// Warehouse-only maintenance of the fact table.
 	u := full.RandomOrderUpdate(st, 5, 3, 7)
-	if err := w.Refresh(u); err != nil {
+	if _, err := dwc.Refresh(ctx, dwc.NewMaintainer(w.Complement()), w, u); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("applied a random order update (%d changes) without source access\n", u.Size())
@@ -78,13 +87,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(w2)
+	describe(w2)
 	fmt.Printf("stored complement tuples: %d\n", storedTuples(w2))
 	fmt.Println("dropping the measure from the fact table forces the warehouse to")
 	fmt.Println("store per-site complements — the storage cost of projection.")
 }
 
-func storedTuples(w *dwc.StarWarehouse) int {
+// describe prints what the warehouse stores.
+func describe(w *dwc.Warehouse) {
+	fmt.Printf("star warehouse stores %s; %d stored complement(s)\n",
+		strings.Join(w.Names(), ", "), len(w.Complement().StoredEntries()))
+}
+
+func storedTuples(w *dwc.Warehouse) int {
 	n := 0
 	for _, e := range w.Complement().StoredEntries() {
 		if r, ok := w.Relation(e.Name); ok {

@@ -261,8 +261,8 @@ func (v *View) rebuildGroup(key string, g *groupState, fact *relation.Relation) 
 
 // Consume implements maintain.DeltaConsumer: deltas targeting the view's
 // fact table maintain the aggregate, others are ignored. Register the
-// view with Maintainer.AddConsumer (or star.Warehouse.AddAggregate) and
-// it stays current through every refresh.
+// view with Maintainer.AddConsumer and it stays current through every
+// refresh.
 func (v *View) Consume(target string, d maintain.Delta, post *relation.Relation) error {
 	if target != v.Fact {
 		return nil

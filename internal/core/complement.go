@@ -75,14 +75,26 @@ func (e *Entry) String() string {
 	return b.String()
 }
 
+// Target is one relation the warehouse stores: its warehouse name, its
+// definition over D, and its attribute set.
+type Target struct {
+	Name  string
+	Def   algebra.Expr
+	Attrs relation.AttrSet
+}
+
 // Complement is a computed warehouse complement C = {C1..Cn} for a view
-// set V over a database D, together with the inverse mapping W⁻¹.
+// set V over a database D, together with the inverse mapping W⁻¹ and the
+// list of relations the warehouse stores.
 type Complement struct {
 	db      *catalog.Database
 	views   *view.Set
 	opts    Options
 	entries []*Entry
 	byBase  map[string]*Entry
+	// targets is what W stores, in order: the views, then the stored
+	// complements — unless Fold has replaced views by their union.
+	targets []Target
 }
 
 // Compute derives the complement of the view set over the database under
@@ -131,7 +143,64 @@ func Compute(db *catalog.Database, views *view.Set, opts Options) (*Complement, 
 	for _, base := range db.Names() {
 		c.entries = append(c.entries, c.byBase[base])
 	}
+	for _, v := range views.Views() {
+		c.targets = append(c.targets, Target{Name: v.Name, Def: v.Expr(), Attrs: v.ProjSet()})
+	}
+	for _, e := range c.StoredEntries() {
+		sc, _ := db.Schema(e.Base)
+		c.targets = append(c.targets, Target{Name: e.Name, Def: e.Def, Attrs: sc.AttrSet()})
+	}
 	return c, nil
+}
+
+// Fold returns the complement with the stored views named in parts
+// replaced by one stored target name = ∪ parts (in the place of the first
+// part; the union in target order), and with W⁻¹ rewritten to read every
+// part through parts[part], an expression over name. This is Section 5's
+// union-integrated fact table: the caller guarantees parts[p](∪ parts) = p
+// on every consistent state, as the per-origin selections of package star
+// do. c itself is not modified.
+func (c *Complement) Fold(name string, parts map[string]algebra.Expr) (*Complement, error) {
+	if _, clash := c.db.Schema(name); clash {
+		return nil, fmt.Errorf("core: folded target %q clashes with a base relation", name)
+	}
+	out := *c
+	out.targets = nil
+	folded := -1
+	var union []algebra.Expr
+	for _, t := range c.targets {
+		if _, ok := parts[t.Name]; !ok {
+			if t.Name == name {
+				return nil, fmt.Errorf("core: folded target %q clashes with a stored relation", name)
+			}
+			out.targets = append(out.targets, t)
+			continue
+		}
+		if folded < 0 {
+			folded = len(out.targets)
+			out.targets = append(out.targets, Target{Name: name, Attrs: t.Attrs})
+		} else if !t.Attrs.Equal(out.targets[folded].Attrs) {
+			return nil, fmt.Errorf("core: cannot fold %s into %s: attributes %v, not %v",
+				t.Name, name, t.Attrs, out.targets[folded].Attrs)
+		}
+		union = append(union, t.Def)
+	}
+	if folded < 0 || len(union) != len(parts) {
+		return nil, fmt.Errorf("core: cannot fold into %s: %d of %d parts are stored targets", name, len(union), len(parts))
+	}
+	out.targets[folded].Def = algebra.NewUnionAll(union...)
+
+	res := out.Resolver()
+	out.entries, out.byBase = make([]*Entry, len(c.entries)), make(map[string]*Entry, len(c.entries))
+	for i, e := range c.entries {
+		ne := *e
+		ne.Inverse = algebra.Simplify(algebra.Substitute(e.Inverse, parts), res)
+		if _, err := algebra.Attrs(ne.Inverse, res); err != nil {
+			return nil, fmt.Errorf("core: inverse of %s after folding into %s: %w", e.Base, name, err)
+		}
+		out.entries[i], out.byBase[e.Base] = &ne, &ne
+	}
+	return &out, nil
 }
 
 // MustCompute is Compute that panics on error, for fixtures and examples.
@@ -466,13 +535,16 @@ func (c *Complement) StoredEntries() []*Entry {
 	return out
 }
 
-// Resolver returns the full warehouse name space: view names plus stored
-// complement names, each mapped to its attribute set.
+// Targets returns the relations the warehouse stores, in materialization
+// and refresh order. Callers must not modify the returned slice.
+func (c *Complement) Targets() []Target { return c.targets }
+
+// Resolver returns the warehouse name space, the names W⁻¹ is written in:
+// every stored target mapped to its attribute set.
 func (c *Complement) Resolver() algebra.MapResolver {
-	m := c.views.Resolver()
-	for _, e := range c.StoredEntries() {
-		sc, _ := c.db.Schema(e.Base)
-		m[e.Name] = sc.AttrSet()
+	m := make(algebra.MapResolver, len(c.targets))
+	for _, t := range c.targets {
+		m[t.Name] = t.Attrs.Clone()
 	}
 	return m
 }

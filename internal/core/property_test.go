@@ -31,6 +31,7 @@ func TestComplementPropertyRandomScenarios(t *testing.T) {
 			if err := comp.CheckInjectivity(states); err != nil {
 				t.Errorf("seed %d opts %+v: injectivity: %v", seed, opts, err)
 			}
+			checkInversesOverResolver(t, sc.Name, comp)
 		}
 	}
 }

@@ -10,39 +10,31 @@ import (
 )
 
 // MaterializeWarehouse evaluates the augmented warehouse W = V ∪ C on a
-// database state d: every view and every stored complement, keyed by
-// warehouse name. This is the mapping W(d) of Proposition 2.1.
+// database state d: every stored target, keyed by warehouse name. This is
+// the mapping W(d) of Proposition 2.1.
 func (c *Complement) MaterializeWarehouse(st algebra.State) (algebra.MapState, error) {
 	return c.MaterializeWarehouseCtx(nil, st)
 }
 
 // MaterializeWarehouseCtx is MaterializeWarehouse under an evaluation
-// context: the cover joins of every view and complement definition check
-// for cancellation at operator boundaries and record their counters. The
+// context: the cover joins of every target definition check for
+// cancellation at operator boundaries and record their counters. The
 // definitions are evaluated side by side (par.Do): st must not change
 // during the call and its Relation method must be safe for concurrent use
 // (catalog.State, MapState and Warehouse are). The error returned is the
-// first in declaration order, views before complements.
+// first in target order.
 func (c *Complement) MaterializeWarehouseCtx(ec *algebra.EvalContext, st algebra.State) (algebra.MapState, error) {
-	views, stored := c.views.Views(), c.StoredEntries()
-	rels := make([]*relation.Relation, len(views)+len(stored))
+	rels := make([]*relation.Relation, len(c.targets))
 	err := par.Do(len(rels), func(i int) (err error) {
-		if i < len(views) {
-			rels[i], err = views[i].EvalCtx(ec, st)
-		} else {
-			rels[i], err = algebra.EvalCtx(ec, stored[i-len(views)].Def, st)
-		}
+		rels[i], err = algebra.EvalCtx(ec, c.targets[i].Def, st)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make(algebra.MapState, len(rels))
-	for i, v := range views {
-		out[v.Name] = rels[i]
-	}
-	for i, e := range stored {
-		out[e.Name] = rels[len(views)+i]
+	for i, t := range c.targets {
+		out[t.Name] = rels[i]
 	}
 	return out, nil
 }

@@ -255,14 +255,22 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 			new: algebra.NewUnion(l.new, r.new),
 		}
 		// A tuple deleted from one side may survive in the other: the
-		// delete-then-insert convention handles it by re-insertion, which
-		// probes the union's new value with the deleted tuples.
-		if !del.IsEmpty() {
-			nv, err := p.read(n.new, del)
+		// delete-then-insert convention handles it by re-insertion. What a
+		// side deletes and does not re-insert is absent from its own new
+		// value, so each side's deletions probe only the other side's new
+		// value, and a side that deletes nothing costs no read.
+		for _, s := range [2]struct {
+			del   *relation.Relation
+			other algebra.Expr
+		}{{l.d.Del, r.new}, {r.d.Del, l.new}} {
+			if s.del.IsEmpty() {
+				continue
+			}
+			nv, err := p.read(s.other, s.del)
 			if err != nil {
 				return nil, err
 			}
-			still, err := relation.Intersect(del, nv)
+			still, err := relation.Intersect(s.del, nv)
 			if err != nil {
 				return nil, err
 			}

@@ -182,8 +182,8 @@ func (m *Maintainer) AddConsumer(c DeltaConsumer) {
 }
 
 // RefreshContext computes w' = W(u(W⁻¹(w))) incrementally and commits it
-// to the warehouse. Every view and stored complement gets its delta from
-// Propagate, with all base references answered through W⁻¹ over the
+// to the warehouse. Every stored target of the complement gets its delta
+// from Propagate, with all base references answered through W⁻¹ over the
 // warehouse state, and the deltas for all relations are computed against
 // the same pre-state before any of them is applied. The context is checked
 // between propagation steps and at every operator boundary inside them (a
@@ -270,36 +270,25 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 		return stats, warehouse.ErrReadOnlyReplica
 	}
 	vst := NewVirtualStateCtx(m.comp, w, ec)
-	nu, err := NormalizeUpdate(u, vst, m.comp)
+	nu, err := normalizeUpdate(u, vst, m.comp)
 	if err != nil {
 		return stats, cancelOr(ec, err)
 	}
 	stats.UpdateSize = nu.Size()
-
-	type target struct {
-		name string
-		def  algebra.Expr
-	}
-	var targets []target
-	for _, v := range m.comp.Views().Views() {
-		targets = append(targets, target{v.Name, v.Expr()})
-	}
-	for _, e := range m.comp.StoredEntries() {
-		targets = append(targets, target{e.Name, e.Def})
-	}
 
 	// All deltas or none. Every changed relation's delta is applied to a
 	// copy that shares the relation's pages (copy-on-write apply set); an
 	// error or cancellation anywhere before the final commit discards the
 	// copies and leaves the warehouse bitwise unchanged, so a failed
 	// refresh can simply be retried with the same update.
+	targets := m.comp.Targets()
 	commit := make([]staged, len(targets))
 	p, seen := newPropagation(vst, nu), ec.Stats()
 	for i, tg := range targets {
 		if err := ec.Err(); err != nil {
 			return stats, err
 		}
-		if commit[i], err = stageTarget(ctx, w, tg.name, tg.def, p, &seen); err != nil {
+		if commit[i], err = stageTarget(ctx, w, tg.Name, tg.Def, p, &seen); err != nil {
 			return stats, cancelOr(ec, err)
 		}
 	}
@@ -370,14 +359,13 @@ func (m *Maintainer) RefreshByRecompute(w *warehouse.Warehouse, u *catalog.Updat
 	return w.Initialize(st)
 }
 
-// NormalizeUpdate normalizes the update against the virtual pre-state
+// normalizeUpdate normalizes the update against the virtual pre-state
 // (inserts already present are dropped, deletes of absent tuples are
 // dropped, insert+delete pairs become no-ops) without ever touching the
-// real sources. Star warehouses and other callers with their own refresh
-// loops use it before Propagate. Membership of the updated tuples is all
-// that matters, so the pre-state is probed restrictedly — the cost is
-// proportional to the update, not to the database.
-func NormalizeUpdate(u *catalog.Update, vst *VirtualState, comp *core.Complement) (*catalog.Update, error) {
+// real sources. Membership of the updated tuples is all that matters, so
+// the pre-state is probed restrictedly — the cost is proportional to the
+// update, not to the database.
+func normalizeUpdate(u *catalog.Update, vst *VirtualState, comp *core.Complement) (*catalog.Update, error) {
 	db := comp.Database()
 	out := catalog.NewUpdate()
 	for _, name := range u.Touched() {

@@ -20,7 +20,7 @@ import (
 // experiment E10 exhibits the witness.
 type SigmaMaintainer struct {
 	views *view.Set
-	db    *catalog.Database
+	empty *catalog.State // the pre-state Refresh propagates against
 }
 
 // NewSigmaMaintainer validates that every view is a σ-view — a single base
@@ -40,7 +40,7 @@ func NewSigmaMaintainer(db *catalog.Database, views *view.Set) (*SigmaMaintainer
 				v.Name, v.ProjSet(), sc.AttrSet())
 		}
 	}
-	return &SigmaMaintainer{views: views, db: db}, nil
+	return &SigmaMaintainer{views: views, empty: db.NewState()}, nil
 }
 
 // Materialize evaluates all σ-views on a database state.
@@ -58,24 +58,21 @@ func (m *SigmaMaintainer) Materialize(st algebra.State) (algebra.MapState, error
 
 // Refresh applies the source update to the σ-view warehouse state in
 // place, using only the update and the view definitions — no complement,
-// no source access, no reconstruction.
+// no source access, no reconstruction. Each view's delta comes from the
+// one delta rule, Propagate, run against an empty pre-state: the σ rule
+// reads no pre-state value, so the empty state serves as well as the real
+// one would.
 func (m *SigmaMaintainer) Refresh(w algebra.MapState, u *catalog.Update) error {
 	for _, v := range m.views.Views() {
 		r, ok := w[v.Name]
 		if !ok {
 			return fmt.Errorf("maintain: warehouse state lacks %q", v.Name)
 		}
-		base := v.Bases[0]
-		if del := u.Deletes(base); del != nil {
-			for t := range algebra.SelectCond(del, v.Cond, nil).All() {
-				r.Delete(alignTuple(del, r, t))
-			}
+		d, err := Propagate(algebra.NewSelect(algebra.NewBase(v.Bases[0]), v.Cond), m.empty, u)
+		if err != nil {
+			return err
 		}
-		if ins := u.Inserts(base); ins != nil {
-			for t := range algebra.SelectCond(ins, v.Cond, nil).All() {
-				r.Insert(alignTuple(ins, r, t))
-			}
-		}
+		d.Exact(r).ApplyTo(r)
 	}
 	return nil
 }

@@ -46,15 +46,8 @@ func Specify(comp *core.Complement) (*Specification, error) {
 		Programs:   make(map[string]map[string]MaintenanceExprs),
 	}
 	db := comp.Database()
-
-	targets := make(map[string]algebra.Expr)
-	for _, v := range comp.Views().Views() {
-		targets[v.Name] = v.Expr()
-	}
-	for _, e := range comp.StoredEntries() {
-		targets[e.Name] = e.Def
-	}
-	for name, def := range targets {
+	for _, t := range comp.Targets() {
+		name, def := t.Name, t.Def
 		progs := make(map[string]MaintenanceExprs)
 		involved := algebra.Bases(def)
 		attrs, err := algebra.Attrs(def, db)

@@ -72,13 +72,6 @@ func TestSpecificationProgramsCorrect(t *testing.T) {
 				t.Fatal(err)
 			}
 			gen := workload.NewGen(tc.sc.DB, 19)
-			targets := make(map[string]algebra.Expr)
-			for _, v := range comp.Views().Views() {
-				targets[v.Name] = v.Expr()
-			}
-			for _, e := range comp.StoredEntries() {
-				targets[e.Name] = e.Def
-			}
 			for round := 0; round < 8; round++ {
 				st := gen.State(8)
 				ws, err := comp.MaterializeWarehouse(st)
@@ -103,21 +96,21 @@ func TestSpecificationProgramsCorrect(t *testing.T) {
 						if err := u.Apply(post); err != nil {
 							t.Fatal(err)
 						}
-						for target, def := range targets {
-							p := spec.Programs[target][class]
+						for _, target := range comp.Targets() {
+							p := spec.Programs[target.Name][class]
 							d, err := EvalMaintenance(p, algebra.MapState(ws), u, tc.sc.DB)
 							if err != nil {
-								t.Fatalf("%s/%s: %v", target, class, err)
+								t.Fatalf("%s/%s: %v", target.Name, class, err)
 							}
-							got := ws[target].Clone()
+							got := ws[target.Name].Clone()
 							d.ApplyTo(got)
-							want, err := algebra.Eval(def, post)
+							want, err := algebra.Eval(target.Def, post)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if !got.Equal(want) {
 								t.Errorf("round %d %s under %s: program wrong:\nIns %s\nDel %s\ngot  %v\nwant %v",
-									round, target, class, p.Ins, p.Del, got, want)
+									round, target.Name, class, p.Ins, p.Del, got, want)
 							}
 						}
 					}

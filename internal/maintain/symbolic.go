@@ -195,12 +195,18 @@ func symbolic(e algebra.Expr, s Shape, db *catalog.Database) symNode {
 	case *algebra.Union:
 		l := symbolic(x.L, s, db)
 		r := symbolic(x.R, s, db)
-		del := algebra.NewUnion(l.del, r.del)
-		newV := algebra.NewUnion(l.new, r.new)
+		// ins = insL ∪ insR ∪ (delL ∩ newR) ∪ (delR ∩ newL), the runtime rule.
 		ins := algebra.NewUnion(
 			algebra.NewUnion(l.ins, r.ins),
-			intersectExpr(algebra.Clone(del), algebra.Clone(newV)))
-		return symNode{old: algebra.NewUnion(l.old, r.old), new: newV, ins: ins, del: del}
+			algebra.NewUnion(
+				intersectExpr(algebra.Clone(l.del), algebra.Clone(r.new)),
+				intersectExpr(algebra.Clone(r.del), algebra.Clone(l.new))))
+		return symNode{
+			old: algebra.NewUnion(l.old, r.old),
+			new: algebra.NewUnion(l.new, r.new),
+			ins: ins,
+			del: algebra.NewUnion(l.del, r.del),
+		}
 
 	case *algebra.Diff:
 		l := symbolic(x.L, s, db)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dwcomplement/internal/aggregate"
+	"dwcomplement/internal/maintain"
 )
 
 // TestAggregateOverFactTable drives Section 5's OLAP layer end to end: a
@@ -22,6 +23,7 @@ func TestAggregateOverFactTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := maintain.NewMaintainer(w.Complement())
 
 	sum := aggregate.New("QtyPerSite", "Orders", []string{"loc"}, aggregate.Sum, "qty")
 	cnt := aggregate.New("OrdersPerSite", "Orders", []string{"loc"}, aggregate.Count, "qty")
@@ -31,15 +33,13 @@ func TestAggregateOverFactTable(t *testing.T) {
 		if err := v.Initialize(orders); err != nil {
 			t.Fatal(err)
 		}
-		w.AddConsumer(v)
+		m.AddConsumer(v)
 	}
 
 	cur := st.Clone()
 	for round := 0; round < 12; round++ {
 		u := b.RandomOrderUpdate(cur, 4, 3, int64(round*7+1))
-		if err := w.Refresh(u); err != nil {
-			t.Fatal(err)
-		}
+		refresh(t, m, w, u)
 		if err := u.Apply(cur); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"dwcomplement/internal/core"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/view"
+	"dwcomplement/internal/warehouse"
 )
 
 // Business models the Section 5 scenario: "a business warehouse where
@@ -168,6 +169,6 @@ func (b *Business) RandomOrderUpdate(st *catalog.State, nIns, nDel int, seed int
 
 // BuildWarehouse computes the complement (Theorem 2.2 options: the foreign
 // keys do the heavy lifting) and materializes the star warehouse.
-func (b *Business) BuildWarehouse(st *catalog.State) (*Warehouse, error) {
+func (b *Business) BuildWarehouse(st *catalog.State) (*warehouse.Warehouse, error) {
 	return Build(b.DB, b.Dims, []*FactSpec{b.Fact}, core.Theorem22(), st)
 }

@@ -6,20 +6,22 @@
 // foreign keys allows us to uniquely determine the origin of each tuple in
 // a fact table by selecting on the dimension attributes" — so each
 // per-site part is recovered from the unioned fact table by a selection,
-// and the PSJ complement machinery of package core applies unchanged.
+// and the PSJ complement machinery of package core applies unchanged. A
+// star warehouse is a plain warehouse.Warehouse: its complement stores each
+// fact table as one union target and writes W⁻¹ with origin selections on
+// it, so packages warehouse and maintain answer, refresh and reconstruct
+// it like any other.
 package star
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/core"
-	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/view"
+	"dwcomplement/internal/warehouse"
 )
 
 // FactPart is one site's contribution to a union-integrated fact table:
@@ -46,33 +48,19 @@ func (f *FactSpec) partName(origin relation.Value) string {
 	return f.Name + "@" + origin.String()
 }
 
-// Warehouse is a star-schema warehouse: dimension views and union-
-// integrated fact tables, augmented by the complement computed over the
-// per-part PSJ views. Only the unioned fact tables are materialized; the
-// parts are recovered by origin selection.
-type Warehouse struct {
-	db        *catalog.Database
-	comp      *core.Complement
-	facts     []*FactSpec
-	partSub   map[string]algebra.Expr // part view name -> σ_{origin}(Fact)
-	dimViews  []*view.PSJ
-	consumers []maintain.DeltaConsumer
-
-	state algebra.MapState // dims, fact unions, stored complements
-}
-
-// Build assembles the star warehouse: it validates the fact specs, adds
-// the origin selections, computes the complement of the full per-part view
-// set under opts, and materializes from st.
-func Build(db *catalog.Database, dims []*view.PSJ, facts []*FactSpec, opts core.Options, st algebra.State) (*Warehouse, error) {
-	var all []*view.PSJ
-	all = append(all, dims...)
-	partSub := make(map[string]algebra.Expr)
-	for _, f := range facts {
+// Build assembles the star warehouse: it validates the fact specs, adds the
+// origin selections, computes the complement of the dimension and per-part
+// views under opts, folds each fact table's parts into one stored target
+// Fact = ∪ parts — W⁻¹ reads part p as σ_{origin(p)}(Fact) — and
+// materializes from st.
+func Build(db *catalog.Database, dims []*view.PSJ, facts []*FactSpec, opts core.Options, st algebra.State) (*warehouse.Warehouse, error) {
+	all := append([]*view.PSJ(nil), dims...)
+	folds := make([]map[string]algebra.Expr, len(facts))
+	for fi, f := range facts {
 		if len(f.Parts) == 0 {
 			return nil, fmt.Errorf("star: fact table %s has no parts", f.Name)
 		}
-		seenOrigin := map[string]bool{}
+		folds[fi] = make(map[string]algebra.Expr, len(f.Parts))
 		var schema relation.AttrSet
 		for i, p := range f.Parts {
 			if !p.View.ProjSet().Has(f.OriginAttr) {
@@ -85,19 +73,15 @@ func Build(db *catalog.Database, dims []*view.PSJ, facts []*FactSpec, opts core.
 				return nil, fmt.Errorf("star: parts of %s have differing schemas %v and %v",
 					f.Name, schema, p.View.ProjSet())
 			}
-			key := p.Origin.String()
-			if seenOrigin[key] {
-				return nil, fmt.Errorf("star: fact table %s declares origin %s twice", f.Name, key)
-			}
-			seenOrigin[key] = true
-
 			pv := p.View.Clone()
 			pv.Name = f.partName(p.Origin)
-			pv.Cond = algebra.AndAll(pv.Cond, algebra.AttrEqConst(f.OriginAttr, p.Origin))
+			if _, dup := folds[fi][pv.Name]; dup {
+				return nil, fmt.Errorf("star: fact table %s declares origin %s twice", f.Name, p.Origin)
+			}
+			origin := algebra.AttrEqConst(f.OriginAttr, p.Origin)
+			pv.Cond = algebra.AndAll(pv.Cond, origin)
 			all = append(all, pv)
-			partSub[pv.Name] = algebra.NewSelect(
-				algebra.NewBase(f.Name),
-				algebra.AttrEqConst(f.OriginAttr, p.Origin))
+			folds[fi][pv.Name] = algebra.NewSelect(algebra.NewBase(f.Name), origin)
 		}
 	}
 
@@ -109,226 +93,14 @@ func Build(db *catalog.Database, dims []*view.PSJ, facts []*FactSpec, opts core.
 	if err != nil {
 		return nil, err
 	}
-	w := &Warehouse{
-		db:       db,
-		comp:     comp,
-		facts:    facts,
-		partSub:  partSub,
-		dimViews: dims,
+	for fi, f := range facts {
+		if comp, err = comp.Fold(f.Name, folds[fi]); err != nil {
+			return nil, err
+		}
 	}
+	w := warehouse.New(comp)
 	if err := w.Initialize(st); err != nil {
 		return nil, err
 	}
 	return w, nil
-}
-
-// Complement exposes the underlying complement.
-func (w *Warehouse) Complement() *core.Complement { return w.comp }
-
-// Initialize materializes the warehouse from a database state: dimension
-// views, unioned fact tables, and stored complements.
-func (w *Warehouse) Initialize(st algebra.State) error {
-	state := make(algebra.MapState)
-	for _, v := range w.dimViews {
-		r, err := v.EvalCtx(nil, st)
-		if err != nil {
-			return err
-		}
-		state[v.Name] = r
-	}
-	for _, f := range w.facts {
-		var union *relation.Relation
-		for _, p := range f.Parts {
-			pv, _ := w.comp.Views().ByName(f.partName(p.Origin))
-			r, err := pv.EvalCtx(nil, st)
-			if err != nil {
-				return err
-			}
-			if union == nil {
-				union = r.Clone()
-			} else {
-				union.InsertAll(r)
-			}
-		}
-		state[f.Name] = union
-	}
-	for _, e := range w.comp.StoredEntries() {
-		r, err := algebra.EvalCtx(nil, e.Def, st)
-		if err != nil {
-			return err
-		}
-		state[e.Name] = r
-	}
-	w.state = state
-	return nil
-}
-
-// Relation implements algebra.State over the star warehouse: materialized
-// relations resolve directly; per-site fact parts are derived on demand by
-// origin selection on the unioned fact table.
-func (w *Warehouse) Relation(name string) (*relation.Relation, bool) {
-	if r, ok := w.state[name]; ok {
-		return r, true
-	}
-	sub, ok := w.partSub[name]
-	if !ok {
-		return nil, false
-	}
-	r, err := algebra.EvalCtx(nil, sub, algebra.MapState(w.state))
-	if err != nil {
-		return nil, false
-	}
-	return r, true
-}
-
-// Names returns the materialized relation names, sorted.
-func (w *Warehouse) Names() []string {
-	out := make([]string, 0, len(w.state))
-	for n := range w.state {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the total number of materialized tuples.
-func (w *Warehouse) Size() int {
-	n := 0
-	for _, r := range w.state {
-		n += r.Len()
-	}
-	return n
-}
-
-// TranslateQuery rewrites a source query to the star warehouse: base
-// relations are substituted by their inverses, and the per-part view names
-// inside those inverses are substituted by origin selections on the
-// unioned fact tables.
-func (w *Warehouse) TranslateQuery(q algebra.Expr) (algebra.Expr, error) {
-	if _, err := algebra.Attrs(q, w.db); err != nil {
-		return nil, fmt.Errorf("star: query invalid over the sources: %w", err)
-	}
-	t := algebra.Substitute(q, w.comp.InverseMap())
-	t = algebra.Substitute(t, w.partSub)
-	res := w.resolver()
-	t = algebra.Optimize(t, res)
-	if _, err := algebra.Attrs(t, res); err != nil {
-		return nil, fmt.Errorf("star: translated query invalid: %w", err)
-	}
-	return t, nil
-}
-
-// resolver is the materialized name space: dims, fact unions, complements.
-func (w *Warehouse) resolver() algebra.MapResolver {
-	m := make(algebra.MapResolver)
-	for _, v := range w.dimViews {
-		m[v.Name] = v.ProjSet()
-	}
-	for _, f := range w.facts {
-		pv, _ := w.comp.Views().ByName(f.partName(f.Parts[0].Origin))
-		m[f.Name] = pv.ProjSet()
-	}
-	for _, e := range w.comp.StoredEntries() {
-		sc, _ := w.db.Schema(e.Base)
-		m[e.Name] = sc.AttrSet()
-	}
-	return m
-}
-
-// Answer translates and evaluates a source query against the warehouse.
-func (w *Warehouse) Answer(q algebra.Expr) (*relation.Relation, error) {
-	t, err := w.TranslateQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.EvalCtx(nil, t, algebra.MapState(w.state))
-}
-
-// ReconstructBases recomputes every base relation from the warehouse.
-func (w *Warehouse) ReconstructBases() (map[string]*relation.Relation, error) {
-	out := make(map[string]*relation.Relation)
-	for _, e := range w.comp.Entries() {
-		inv := algebra.Substitute(e.Inverse, w.partSub)
-		r, err := algebra.EvalCtx(nil, inv, algebra.MapState(w.state))
-		if err != nil {
-			return nil, fmt.Errorf("star: reconstructing %s: %w", e.Base, err)
-		}
-		out[e.Base] = r
-	}
-	return out, nil
-}
-
-// Refresh maintains the star warehouse under a source update, warehouse-
-// only: deltas for every per-part view are computed against the virtual
-// pre-state (in which part views resolve through origin selections) and
-// applied to the unioned fact table — sound because origin selections make
-// the parts pairwise disjoint — and complements are maintained like any
-// other warehouse relation.
-func (w *Warehouse) Refresh(u *catalog.Update) error {
-	vst := maintain.NewVirtualState(w.comp, w)
-	nu, err := maintain.NormalizeUpdate(u, vst, w.comp)
-	if err != nil {
-		return err
-	}
-	u = nu
-	type pending struct {
-		target string
-		d      maintain.Delta
-	}
-	var deltas []pending
-	for _, v := range w.dimViews {
-		d, err := maintain.Propagate(v.Expr(), vst, u)
-		if err != nil {
-			return fmt.Errorf("star: dimension %s: %w", v.Name, err)
-		}
-		deltas = append(deltas, pending{v.Name, d})
-	}
-	for _, f := range w.facts {
-		for _, p := range f.Parts {
-			pv, _ := w.comp.Views().ByName(f.partName(p.Origin))
-			d, err := maintain.Propagate(pv.Expr(), vst, u)
-			if err != nil {
-				return fmt.Errorf("star: fact part %s: %w", pv.Name, err)
-			}
-			deltas = append(deltas, pending{f.Name, d})
-		}
-	}
-	for _, e := range w.comp.StoredEntries() {
-		d, err := maintain.Propagate(e.Def, vst, u)
-		if err != nil {
-			return fmt.Errorf("star: complement %s: %w", e.Name, err)
-		}
-		deltas = append(deltas, pending{e.Name, d})
-	}
-	for _, p := range deltas {
-		r, ok := w.state[p.target]
-		if !ok {
-			return fmt.Errorf("star: warehouse lacks %q", p.target)
-		}
-		exact := p.d.Exact(r)
-		exact.ApplyTo(r)
-		for _, consumer := range w.consumers {
-			if err := consumer.Consume(p.target, exact, r); err != nil {
-				return fmt.Errorf("star: consumer for %s: %w", p.target, err)
-			}
-		}
-	}
-	return nil
-}
-
-// AddConsumer registers a downstream delta consumer — typically an
-// aggregate summary view over a fact table (Section 5's OLAP layer).
-func (w *Warehouse) AddConsumer(c maintain.DeltaConsumer) {
-	w.consumers = append(w.consumers, c)
-}
-
-// String summarizes the warehouse layout.
-func (w *Warehouse) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "star warehouse: %d dimension view(s), %d fact table(s), %d stored complement(s)\n",
-		len(w.dimViews), len(w.facts), len(w.comp.StoredEntries()))
-	for _, f := range w.facts {
-		fmt.Fprintf(&b, "fact %s (origin %s, %d parts)\n", f.Name, f.OriginAttr, len(f.Parts))
-	}
-	return b.String()
 }
