@@ -553,6 +553,7 @@ func BenchmarkQueryClasses(b *testing.B) {
 	for _, c := range []struct{ name, q string }{
 		{"point/paris", "sigma{okey = 4711}(Order_paris)"},
 		{"point/tokyo", "sigma{okey = 4711}(Order_tokyo)"},
+		{"scan/paris", "sigma{qty > 49}(Order_paris)"},
 		{"scan/tokyo", "sigma{qty > 49}(Order_tokyo)"},
 		{"join/paris", "sigma{ckey = 17}(Order_paris join Customer)"},
 		{"join/tokyo", "sigma{ckey = 17}(Order_tokyo join Customer)"},
@@ -561,6 +562,7 @@ func BenchmarkQueryClasses(b *testing.B) {
 	} {
 		q := dwc.MustParseExpr(c.q)
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N+1; i++ { // iteration 0 warms the index caches
 				if i == 1 {
 					b.ResetTimer()

@@ -84,16 +84,16 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 }
 
 // appendRelation appends r as the JSON object every route carries a
-// relation in, rows in SortedRows order (the total value order makes the
-// wire order deterministic). It fails on the first value JSON cannot
-// carry. A relation without attributes has a nil attribute slice, which
-// encoding/json wrote as null; so does this.
+// relation in, rows in r.Order() (the total value order makes the wire
+// order deterministic), each cell read from its page's vector. It fails on
+// the first value JSON cannot carry. A relation without attributes has a
+// nil attribute slice, which encoding/json wrote as null; so does this.
 func appendRelation(b []byte, r *relation.Relation) ([]byte, error) {
-	attrs, rows := r.Attrs(), r.SortedRows()
+	attrs, order, pages := r.Attrs(), r.Order(), slices.Collect(r.Batches())
 	// Room for the rows at 8 bytes a value — a short number or string and
 	// its comma — plus the keys and whatever the caller appends after; a
 	// relation of long strings grows the buffer as it goes.
-	b = slices.Grow(b, 256+16*len(attrs)+len(rows)*(2+8*len(attrs)))
+	b = slices.Grow(b, 256+16*len(attrs)+len(order)*(2+8*len(attrs)))
 	b = append(b, `{"attributes":`...)
 	if attrs == nil {
 		b = append(b, "null"...)
@@ -108,36 +108,56 @@ func appendRelation(b []byte, r *relation.Relation) ([]byte, error) {
 		b = append(b, ']')
 	}
 	b = append(b, `,"count":`...)
-	b = strconv.AppendInt(b, int64(len(rows)), 10)
+	b = strconv.AppendInt(b, int64(len(order)), 10)
 	b = append(b, `,"tuples":[`...)
-	for i, t := range rows {
+	for i, row := range order {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '[')
-		for c := range t {
+		pg, k := &pages[row/relation.BatchSize], int(row%relation.BatchSize)
+		for c := range attrs {
 			if c > 0 {
 				b = append(b, ',')
 			}
-			switch v := &t[c]; v.Kind() {
-			case relation.KindBool:
-				b = strconv.AppendBool(b, v.AsBool())
-			case relation.KindInt:
-				b = strconv.AppendInt(b, v.AsInt(), 10)
-			case relation.KindFloat:
-				var err error
-				if b, err = appendJSONFloat(b, v.AsFloat()); err != nil {
-					return nil, fmt.Errorf("attribute %q: %w", attrs[c], err)
-				}
-			case relation.KindString:
-				b = appendJSONString(b, v.AsString())
-			default:
-				b = append(b, "null"...)
+			var err error
+			if b, err = appendCell(b, pg, c, k); err != nil {
+				return nil, fmt.Errorf("attribute %q: %w", attrs[c], err)
 			}
 		}
 		b = append(b, ']')
 	}
 	return append(b, "]}"...), nil
+}
+
+// appendCell appends row k of column c of a page as a JSON value, from the
+// column's typed vector where it has one.
+func appendCell(b []byte, pg *relation.Batch, c, k int) ([]byte, error) {
+	if pg.IsNull(c, k) {
+		return append(b, "null"...), nil
+	}
+	switch pg.ColKind(c) {
+	case relation.ColInt:
+		return strconv.AppendInt(b, pg.Ints(c)[k], 10), nil
+	case relation.ColString:
+		return appendJSONString(b, pg.Dict(c).Value(pg.Codes(c)[k])), nil
+	case relation.ColFloat:
+		return appendJSONFloat(b, pg.Floats(c)[k])
+	case relation.ColBool:
+		return strconv.AppendBool(b, pg.Bools(c)[k]), nil
+	}
+	switch v := pg.Value(c, k); v.Kind() { // a mixed-kind page holds the values themselves
+	case relation.KindBool:
+		return strconv.AppendBool(b, v.AsBool()), nil
+	case relation.KindInt:
+		return strconv.AppendInt(b, v.AsInt(), 10), nil
+	case relation.KindFloat:
+		return appendJSONFloat(b, v.AsFloat())
+	case relation.KindString:
+		return appendJSONString(b, v.AsString()), nil
+	default:
+		return append(b, "null"...), nil
+	}
 }
 
 // answerBody is the body of /query: {"query":…,"result":…,"translated":…},

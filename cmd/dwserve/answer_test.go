@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,7 +44,8 @@ func refValue(v relation.Value) any {
 }
 
 func refRelation(r *relation.Relation) map[string]any {
-	sorted := r.SortedRows()
+	sorted := slices.Collect(r.All())
+	sort.Slice(sorted, func(i, j int) bool { return tupleLess(sorted[i], sorted[j]) })
 	rows := make([][]any, len(sorted))
 	for i, t := range sorted {
 		row := make([]any, len(t))
@@ -52,6 +55,20 @@ func refRelation(r *relation.Relation) map[string]any {
 		rows[i] = row
 	}
 	return map[string]any{"attributes": r.Attrs(), "tuples": rows, "count": len(sorted)}
+}
+
+// tupleLess is the wire's row order, independent of the server's: column by
+// column under Value.Less, asked both ways.
+func tupleLess(a, b relation.Tuple) bool {
+	for i := range a {
+		if a[i].Less(b[i]) {
+			return true
+		}
+		if b[i].Less(a[i]) {
+			return false
+		}
+	}
+	return false
 }
 
 // refEncode is what writeJSON put on the wire for body.
@@ -117,6 +134,31 @@ func TestAppendRelationMatchesEncodingJSON(t *testing.T) {
 	}
 	nasty.Insert(relation.Tuple{relation.Int(math.MinInt64), relation.Int(math.MaxInt64), relation.String_("")})
 	check("nasty", nasty)
+
+	// Pages of one relation differ in layout: ints, strings from a
+	// dictionary of each page's own, a mixed-kind page, NULL-bearing and
+	// NULL-only columns — and deletes leave dead strings behind.
+	paged := relation.New("id", "s", "m")
+	for i := range 3*relation.BatchSize + 77 {
+		page := i / relation.BatchSize
+		s, m := relation.String_(nastyStrings[(i+page)%len(nastyStrings)]+strconv.Itoa(i%5)), relation.Int(int64(i%7))
+		switch page {
+		case 1:
+			m = []relation.Value{relation.Float(nastyFloats[i%len(nastyFloats)]), relation.String_("x"), relation.Bool(true), relation.Null()}[i%4]
+		case 2:
+			s, m = relation.Null(), relation.Float(float64(i%9)/4)
+		}
+		if i%13 == 0 {
+			m = relation.Null()
+		}
+		paged.Insert(relation.Tuple{relation.Int(int64(i % 600)), s, m})
+	}
+	for i, tu := range paged.SortedRows() {
+		if i%5 == 0 {
+			paged.Delete(tu)
+		}
+	}
+	check("pages of different layouts", paged)
 
 	rng := rand.New(rand.NewSource(21))
 	for round := 0; round < 200; round++ {
@@ -384,7 +426,8 @@ func BenchmarkAnswerPath(b *testing.B) {
 	}{
 		{"point", "sigma{okey = 4711}(Order_paris)", 1},
 		{"join", "sigma{ckey = 17}(Order_paris join Customer)", 5},
-		{"scan", "sigma{qty > 49}(Order_tokyo)", 500},
+		{"scan/paris", "sigma{qty > 49}(Order_paris)", 500},
+		{"scan/tokyo", "sigma{qty > 49}(Order_tokyo)", 500},
 		{"union", "sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)", 100},
 	} {
 		req := httptest.NewRequest("GET", "/query?q="+url.QueryEscape(c.q), nil)

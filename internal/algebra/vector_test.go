@@ -16,9 +16,34 @@ import (
 	"dwcomplement/internal/relation"
 )
 
-// randCondValue draws comparison constants from the same small domain the
+// Edge values the typed kernels must treat as EvalCond does: NaN equals NaN
+// and sorts below -Inf, -0 equals +0, and the extreme ints, which an int
+// compared against a float constant meets only after widening.
+var (
+	edgeInts   = []int64{math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1}
+	edgeFloats = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1 << 63, -(1 << 63), 1 << 53}
+)
+
+// randInt and randFloat draw from the small domain the relations are
+// populated with, so equality hits, or, one time in four, an edge value.
+func randInt(rng *rand.Rand) int64 {
+	if rng.Intn(4) == 0 {
+		return edgeInts[rng.Intn(len(edgeInts))]
+	}
+	return int64(rng.Intn(5))
+}
+
+func randFloat(rng *rand.Rand) float64 {
+	if rng.Intn(4) == 0 {
+		return edgeFloats[rng.Intn(len(edgeFloats))]
+	}
+	return float64(rng.Intn(5)) - 1.5
+}
+
+// randCondValue draws comparison constants from the same domain the
 // relations are populated with, plus NULL and a stray kind, so equality
-// hits, misses, incomparable pairs, and NULL-matching all occur.
+// hits, misses, incomparable pairs, and NULL-matching all occur; int
+// constants meet float pages and float constants int pages.
 func randCondValue(rng *rand.Rand) relation.Value {
 	switch rng.Intn(8) {
 	case 0:
@@ -26,11 +51,9 @@ func randCondValue(rng *rand.Rand) relation.Value {
 	case 1:
 		return relation.Bool(rng.Intn(2) == 0)
 	case 2, 3:
-		return relation.Int(int64(rng.Intn(5)))
-	case 4:
-		return relation.Float(float64(rng.Intn(5)) - 1.5)
-	case 5:
-		return relation.Float(math.Copysign(0, -1))
+		return relation.Int(randInt(rng))
+	case 4, 5:
+		return relation.Float(randFloat(rng))
 	default:
 		return relation.String_("k" + strconv.Itoa(rng.Intn(6)))
 	}
@@ -46,9 +69,9 @@ func randRowValue(rng *rand.Rand, kind relation.Kind) relation.Value {
 	case relation.KindBool:
 		return relation.Bool(rng.Intn(2) == 0)
 	case relation.KindInt:
-		return relation.Int(int64(rng.Intn(5)))
+		return relation.Int(randInt(rng))
 	case relation.KindFloat:
-		return relation.Float(float64(rng.Intn(5)) - 1.5)
+		return relation.Float(randFloat(rng))
 	case relation.KindString:
 		return relation.String_("k" + strconv.Itoa(rng.Intn(6)))
 	}
@@ -58,9 +81,9 @@ func randRowValue(rng *rand.Rand, kind relation.Kind) relation.Value {
 	case 1:
 		return relation.Bool(rng.Intn(2) == 0)
 	case 2, 3:
-		return relation.Int(int64(rng.Intn(5)))
+		return relation.Int(randInt(rng))
 	case 4, 5:
-		return relation.Float(float64(rng.Intn(5)) - 1.5)
+		return relation.Float(randFloat(rng))
 	case 6:
 		return relation.Float(0)
 	default:
@@ -168,6 +191,34 @@ func TestVectorizedSelectMatchesEvalCond(t *testing.T) {
 	for k := relation.ColAny; k <= relation.ColString; k++ {
 		if layouts[k] == 0 {
 			t.Errorf("no page was laid out as %v: its kernels went untested", k)
+		}
+	}
+}
+
+// TestCompareKernelsOnEdgeValues: every operator against every edge
+// constant, int and float, over an int page and a float page holding the
+// edge values and a NULL, selects what EvalCond selects.
+func TestCompareKernelsOnEdgeValues(t *testing.T) {
+	ints, floats := relation.New("v"), relation.New("v")
+	var consts []relation.Value
+	for _, i := range append(edgeInts, -1, 0, 2) {
+		ints.Insert(relation.Tuple{relation.Int(i)})
+		consts = append(consts, relation.Int(i))
+	}
+	for _, f := range append(edgeFloats, -1.5, 2.5) {
+		floats.Insert(relation.Tuple{relation.Float(f)})
+		consts = append(consts, relation.Float(f))
+	}
+	for _, r := range []*relation.Relation{ints, floats} {
+		r.Insert(relation.Tuple{relation.Null()})
+		for _, op := range cmpOps {
+			for _, cv := range consts {
+				c := AttrCmpConst("v", op, cv)
+				got, want := SelectCond(r, c, nil), relation.Select(r, func(row relation.Row) bool { return EvalCond(c, row) })
+				if !got.Equal(want) {
+					t.Fatalf("%v over %v: kernel selects %v, EvalCond %v", c, r.SortedRows(), got.SortedRows(), want.SortedRows())
+				}
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 //	          | int: zig-zag varint | float: its 8 IEEE-754 bytes (NaN
 //	          payloads and −0 survive) | string: uvarint length, bytes
 //	relation  uvarint arity, arity × name (uvarint length, bytes),
-//	          uvarint row count, the rows in SortedRows order
+//	          uvarint row count, the rows in Order
 //	section   the rows of one row page, in storage order
 //
 // The relation encoding is canonical — equal relations encode to equal
@@ -164,9 +164,11 @@ func decodeRow(b []byte, t Tuple) ([]byte, error) {
 // page by page instead (PageSection).
 func (r *Relation) AppendBinary(b []byte) []byte {
 	b = r.AppendHeader(b)
-	for _, t := range r.SortedRows() {
-		for i := range t {
-			b = appendValue(b, &t[i])
+	for _, i := range r.Order() {
+		pg, k := r.rows.pages[i>>pageBits], int(i&pageMask)
+		for c := range pg {
+			v := pg[c].value(k)
+			b = appendValue(b, &v)
 		}
 	}
 	return b
@@ -188,17 +190,22 @@ func DecodeBinary(b []byte) (*Relation, []byte, error) {
 	if err != nil {
 		return nil, nil, malformed("%v", err)
 	}
-	t, prev := make(Tuple, len(attrs)), make(Tuple, len(attrs))
-	for i := range n {
+	t := make(Tuple, len(attrs))
+	for range n {
 		if b, err = decodeRow(b, t); err != nil {
 			return nil, nil, err
 		}
 		// Ascending order leaves Int(2) beside Float(2), which are one
 		// value to the set: Insert finds those.
-		if (i > 0 && compareTuples(prev, t) >= 0) || !r.Insert(t) {
-			return nil, nil, malformed("row %v duplicated or out of order", t)
+		if !r.Insert(t) {
+			return nil, nil, malformed("row %v duplicated", t)
 		}
-		t, prev = prev, t
+	}
+	// The rows came in ascending order exactly when that is storage order.
+	for i, row := range r.Order() {
+		if row != int32(i) {
+			return nil, nil, malformed("row %v out of order", r.rows.at(i))
+		}
 	}
 	return r, b, nil
 }

@@ -85,7 +85,10 @@ func Project(r *Relation, attrs ...string) *Relation {
 
 // ProjectStats is Project with operator counters (nil disables counting).
 // Projection genuinely collapses tuples, so it is the one unary operator
-// that pays for dedup — on column hashes, not string keys.
+// that pays for dedup — on column hashes, not string keys, and on the
+// input's rows: a row is emitted when no earlier input row agrees with it
+// on attrs, so the output is appended a page at a time like any other
+// operator's and its membership table is built when it is first probed.
 func ProjectStats(r *Relation, s *OpStats, attrs ...string) *Relation {
 	idx := make([]int, len(attrs))
 	for i, a := range attrs {
@@ -95,17 +98,27 @@ func ProjectStats(r *Relation, s *OpStats, attrs ...string) *Relation {
 		}
 		idx[i] = p
 	}
-	out := newPresized(attrs, r.Len())
-	out.rebuildTable(r.Len()) // the output is probed while it is built
-	e := newEmitter(out, source{rows: &r.rows, cols: idx}, source{})
-	e.eager = true
-	t := make(Tuple, len(r.attrs))
+	e := newEmitter(newPresized(attrs, r.Len()), source{rows: &r.rows, cols: idx}, source{})
+	// An open-addressed table of the rows emitted so far: hash, and 1 + the
+	// input row (0 marks an empty slot).
+	type first struct {
+		h   uint64
+		row int32
+	}
+	table := make([]first, tableSizeFor(r.Len()))
+	mask := uint64(len(table) - 1)
 	for pi, pg := range r.rows.pages {
+	rows:
 		for k := range r.rows.rowsOn(pi) {
-			if h := pg.hashCols(k, idx); out.findAligned(h, pg.readCols(k, t, idx), idx) < 0 {
-				e.emit(h, int32(pi<<pageBits+k), 0)
-				e.flush() // the next row's probe must find this one
+			h, row := pg.hashCols(k, idx), int32(pi<<pageBits+k)
+			j := h & mask
+			for ; table[j].row != 0; j = (j + 1) & mask {
+				if table[j].h == h && r.rows.sameCols(int(table[j].row-1), int(row), idx) {
+					continue rows
+				}
 			}
+			table[j] = first{h, row + 1}
+			e.emit(h, row, 0)
 		}
 	}
 	s.walked(r.Len())

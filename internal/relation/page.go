@@ -71,10 +71,17 @@ func (d *Dict) code(s string) (int32, bool) {
 
 // intern returns the code of s, adding s if the dictionary lacks it.
 func (d *Dict) intern(s string) int32 {
-	c, ok := d.code(s)
-	if !ok {
-		c = int32(len(d.vals))
-		d.vals = append(d.vals, s)
+	if c, ok := d.code(s); ok {
+		return c
+	}
+	return d.add(s)
+}
+
+// add appends s, which the dictionary lacks, and returns its code.
+func (d *Dict) add(s string) int32 {
+	c := int32(len(d.vals))
+	d.vals = append(d.vals, s)
+	if d.index != nil {
 		d.index[s] = c
 	}
 	return c
@@ -243,8 +250,11 @@ func (c *column) full(v Value) bool {
 // appendRun appends the rows refs (global row numbers, all on the page src
 // belongs to) of column src to the column of a page holding k rows, which
 // will hold end once the caller's appends are done: in a typed loop where
-// the column takes src's layout as it is, cell by cell otherwise.
-func (c *column) appendRun(k, end int, src *column, refs []int32) {
+// the column takes src's layout as it is, cell by cell otherwise. A string
+// is looked up in the column's dictionary once per source code the run
+// meets, not once per cell: remap is the caller's scratch for the
+// translation table.
+func (c *column) appendRun(k, end int, src *column, refs []int32, remap *[]int32) {
 	typed := src.kind != ColAny && (c.kind == src.kind || c.kind == ColAny && c.any == nil)
 	if !typed || (c.kind == ColString && len(c.dict.vals)+len(refs) > pageLen) {
 		for i, r := range refs {
@@ -276,8 +286,24 @@ func (c *column) appendRun(k, end int, src *column, refs []int32) {
 		c.floats = gather(c.floats, src.floats, refs, end)
 	case ColString: // a NULL row's code, too, names a string of src's: no dictionary is left empty
 		c.codes = grow(c.codes, end-len(c.codes))
+		if n := len(src.dict.vals); cap(*remap) < n {
+			*remap = make([]int32, n)
+		}
+		to := (*remap)[:len(src.dict.vals)] // to[code]: 1 + the column's code for src's code, once met
+		clear(to)
+		// src's strings are distinct: into an empty dictionary each one the
+		// run meets is new.
+		fresh := len(c.dict.vals) == 0
 		for _, r := range refs {
-			c.codes = append(c.codes, c.dict.intern(src.dict.vals[src.codes[r&pageMask]]))
+			code := src.codes[r&pageMask]
+			if to[code] == 0 {
+				if s := src.dict.vals[code]; fresh {
+					to[code] = c.dict.add(s) + 1
+				} else {
+					to[code] = c.dict.intern(s) + 1
+				}
+			}
+			c.codes = append(c.codes, to[code]-1)
 		}
 	}
 }
@@ -380,9 +406,10 @@ func (pg rowPage) clone(n int) (rowPage, int64) {
 // source is where an operator's output rows take cells from: output row i
 // takes row refs[i] of rows, at the columns cols in order.
 type source struct {
-	rows *rowPages
-	cols []int
-	refs []int32
+	rows  *rowPages
+	cols  []int
+	refs  []int32
+	remap []int32 // appendRun's scratch
 }
 
 // allCols returns the identity column list of arity n.
@@ -406,7 +433,7 @@ func (s *source) fill(dst rowPage, k int, from []int32, c int) int {
 			for n < len(refs) && refs[n]>>pageBits == pi {
 				n++
 			}
-			dst[c].appendRun(at, k+len(from), &s.rows.pages[pi][j], refs[:n])
+			dst[c].appendRun(at, k+len(from), &s.rows.pages[pi][j], refs[:n], &s.remap)
 			at, refs = at+n, refs[n:]
 		}
 		c++
@@ -496,6 +523,18 @@ func (s *rowPages) cell(i, c int) Value { return s.pages[i>>pageBits][c].value(i
 
 // read fills t with row i.
 func (s *rowPages) read(i int, t Tuple) Tuple { return s.pages[i>>pageBits].read(i&pageMask, t) }
+
+// sameCols reports whether rows a and b hold Equal values at the columns
+// pos.
+func (s *rowPages) sameCols(a, b int, pos []int) bool {
+	pa, pb := s.pages[a>>pageBits], s.pages[b>>pageBits]
+	for _, p := range pos {
+		if v := pa[p].value(a & pageMask); !pb[p].equals(b&pageMask, &v) {
+			return false
+		}
+	}
+	return true
+}
 
 // at returns a fresh copy of row i.
 func (s *rowPages) at(i int) Tuple { return s.read(i, make(Tuple, len(s.pages[0]))) }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -440,36 +442,246 @@ func (r *Relation) All() iter.Seq[Tuple] {
 	}
 }
 
-// SortedTuples returns all tuples sorted by the total value order, column
-// by column — a deterministic order for printing and golden tests. It is
-// SortedRows under the name the older callers use.
+// SortedTuples returns all tuples in Order — a deterministic order for
+// printing and golden tests. It is SortedRows under the name the older
+// callers use.
 func (r *Relation) SortedTuples() []Tuple { return r.SortedRows() }
 
-// SortedRows returns every row as a fresh tuple, sorted by the total value
-// order. The tuples share one allocation, each capped at its own values,
-// so the caller may keep, reorder and modify them.
+// SortedRows returns every row as a fresh tuple, in Order. The tuples
+// share one allocation, each capped at its own values, so the caller may
+// keep, reorder and modify them.
 func (r *Relation) SortedRows() []Tuple {
-	w, n := len(r.attrs), r.rows.len()
-	vals, out := make([]Value, w*n), make([]Tuple, n)
-	for i := range out {
-		out[i] = r.rows.read(i, vals[i*w:(i+1)*w:(i+1)*w])
+	w, order := len(r.attrs), r.Order()
+	vals, out := make([]Value, w*len(order)), make([]Tuple, len(order))
+	for i, row := range order {
+		out[i] = r.rows.read(int(row), vals[i*w:(i+1)*w:(i+1)*w])
 	}
-	slices.SortFunc(out, compareTuples)
 	return out
 }
 
-// compareTuples is the three-way form of the total tuple order: column by
-// column under orderValues, a proper prefix before the longer tuple.
-func compareTuples(a, b Tuple) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
+// Order returns the row numbers of r (storage positions, as Batch.Start
+// counts them) in the total tuple order: column by column under
+// Value.Less. It is the one implementation of that order — responses,
+// encoded deltas, CSV and String all read rows in it — and it runs on the
+// column vectors: a column every page lays out in one typed layout compares
+// through an order-preserving key per row (orderKeys), any other cell by
+// cell under orderValues.
+func (r *Relation) Order() []int32 {
+	perm := make([]int32, r.rows.len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	o := rowOrder{rows: &r.rows, keys: make([][]uint64, len(r.attrs)), keyed: make([]bool, len(r.attrs))}
+	o.sort(perm, 0)
+	return perm
+}
+
+// rowOrder sorts the rows of one relation in the total tuple order.
+type rowOrder struct {
+	rows  *rowPages
+	keys  [][]uint64 // keys[c]: column c's key per row, or nil: compare its cells
+	keyed []bool     // keyed[c]: keys[c] has been decided
+	words []uint64   // pack's scratch
+}
+
+// key returns column c's keys, nil if it has none. A column is keyed when
+// the sort first reaches it: columns after one that tells the rows apart
+// cost nothing.
+func (o *rowOrder) key(c int) []uint64 {
+	if !o.keyed[c] {
+		o.keys[c], o.keyed[c] = o.rows.orderKeys(c), true
+	}
+	return o.keys[c]
+}
+
+// sort orders perm, rows that tie on the columns before c, by the columns
+// from c on: a column at a time as a plain integer sort (pack), each run of
+// rows that tie on it by the next; by comparing column after column from c
+// where a column cannot be packed.
+func (o *rowOrder) sort(perm []int32, c int) {
+	for ; len(perm) > 1 && c < len(o.keys); c++ {
+		keys := o.key(c)
+		if !o.pack(perm, keys) {
+			slices.SortFunc(perm, func(a, b int32) int { return o.compare(a, b, c) })
+			return
 		}
-		if c := orderValues(&a[i], &b[i]); c != 0 {
-			return c
+		if keys[perm[0]] == keys[perm[len(perm)-1]] {
+			continue // every row ties: the next column decides
+		}
+		for i := 0; i < len(perm); {
+			j := i + 1
+			for j < len(perm) && keys[perm[j]] == keys[perm[i]] {
+				j++
+			}
+			o.sort(perm[i:j], c+1)
+			i = j
+		}
+		return
+	}
+}
+
+// pack sorts perm by keys, and reports that it did, when there are keys
+// and their spread over perm leaves room for a row number beside them in
+// 64 bits: each row becomes one word, its key's offset from the smallest
+// shifted above its row number.
+func (o *rowOrder) pack(perm []int32, keys []uint64) bool {
+	if keys == nil {
+		return false
+	}
+	lo, hi := keys[perm[0]], keys[perm[0]]
+	for _, i := range perm {
+		lo, hi = min(lo, keys[i]), max(hi, keys[i])
+	}
+	shift := bits.Len(uint(o.rows.n - 1))
+	if bits.Len64(hi-lo)+shift > 64 {
+		return false
+	}
+	if cap(o.words) < len(perm) {
+		o.words = make([]uint64, len(perm))
+	}
+	words := o.words[:len(perm)]
+	for k, i := range perm {
+		words[k] = (keys[i]-lo)<<shift | uint64(i)
+	}
+	slices.Sort(words)
+	for k, w := range words {
+		perm[k] = int32(w & (1<<shift - 1))
+	}
+	return true
+}
+
+// compare orders rows a and b by the columns from c on.
+func (o *rowOrder) compare(a, b int32, c int) int {
+	for ; c < len(o.keys); c++ {
+		if k := o.key(c); k != nil {
+			if x := cmp.Compare(k[a], k[b]); x != 0 {
+				return x
+			}
+			continue
+		}
+		va, vb := o.rows.cell(int(a), c), o.rows.cell(int(b), c)
+		if x := orderValues(&va, &vb); x != 0 {
+			return x
 		}
 	}
-	return cmp.Compare(len(a), len(b))
+	return 0
+}
+
+// orderKeys returns a key per row of column c whose order is orderValues'
+// — NULL 0, false 1 and true 2, an int its bits with the sign flipped, a
+// float floatKey, a string 1 + its rank among the strings of every page's
+// dictionary — or nil where no such key exists: the pages lay the column
+// out in different layouts or in ColAny, or a NULL meets MinInt64, whose
+// key is 0 too.
+func (s *rowPages) orderKeys(c int) []uint64 {
+	kind := ColAny // until a page holds a value
+	for _, pg := range s.pages {
+		switch col := &pg[c]; {
+		case col.kind == ColAny && col.any == nil: // NULLs only
+		case col.kind == ColAny || kind != ColAny && col.kind != kind:
+			return nil
+		default:
+			kind = col.kind
+		}
+	}
+	var ranks [][]uint64
+	if kind == ColString {
+		ranks = s.stringRanks(c)
+	}
+	keys := make([]uint64, s.n)
+	nulls, minInt := false, false
+	for pi, pg := range s.pages {
+		col, n := &pg[c], s.rowsOn(pi)
+		out := keys[pi<<pageBits:][:n]
+		switch {
+		case col.kind != kind: // NULLs only: keys 0
+		case kind == ColBool:
+			for k, v := range col.bools[:n] {
+				out[k] = 1
+				if v {
+					out[k] = 2
+				}
+			}
+		case kind == ColInt:
+			for k, v := range col.ints[:n] {
+				out[k] = uint64(v) ^ 1<<63
+				minInt = minInt || v == math.MinInt64
+			}
+		case kind == ColFloat:
+			for k, v := range col.floats[:n] {
+				out[k] = floatKey(v)
+			}
+		case kind == ColString:
+			for k, code := range col.codes[:n] {
+				out[k] = ranks[pi][code]
+			}
+		}
+		if col.nulls != nil {
+			for k := range out {
+				if col.nulls.get(k) {
+					out[k], nulls = 0, true
+				}
+			}
+		}
+	}
+	if nulls && minInt {
+		return nil
+	}
+	return keys
+}
+
+// floatKey maps a float to a key whose order is cmp.Compare's on floats:
+// NaN (1) below every number, -0 equal to +0. Numbers map above 1: the
+// bits of a negative float inverted, those of a positive one with the sign
+// bit set.
+func floatKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return 1
+	case f == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// stringRanks returns, per page, 1 + the rank of each code of column c's
+// dictionary among the strings of every page's dictionary, dead strings
+// included: one sort of the dictionaries, not of the rows, and equal
+// strings on two pages share a rank. A page with no dictionary (its column
+// holds NULLs only) has no table.
+func (s *rowPages) stringRanks(c int) [][]uint64 {
+	type entry struct {
+		s        string
+		pi, code int32
+	}
+	total := 0
+	for _, pg := range s.pages {
+		if d := pg[c].dict; d != nil {
+			total += len(d.vals)
+		}
+	}
+	all, flat, ranks := make([]entry, 0, total), make([]uint64, total), make([][]uint64, len(s.pages))
+	for pi, pg := range s.pages {
+		if d := pg[c].dict; d != nil {
+			ranks[pi], flat = flat[:len(d.vals)], flat[len(d.vals):]
+			for code, v := range d.vals {
+				all = append(all, entry{v, int32(pi), int32(code)})
+			}
+		}
+	}
+	slices.SortFunc(all, func(a, b entry) int { return strings.Compare(a.s, b.s) })
+	rank := uint64(0)
+	for i, e := range all {
+		if i == 0 || e.s != all[i-1].s {
+			rank++
+		}
+		ranks[e.pi][e.code] = rank
+	}
+	return ranks
 }
 
 // Get returns the value of the named attribute in tuple t (owned by r).

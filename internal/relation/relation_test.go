@@ -1,10 +1,12 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -286,9 +288,6 @@ func TestSortedRowsMatchesReferenceOrder(t *testing.T) {
 			}
 		}
 	}
-	if c := compareTuples(Tuple{Int(1)}, Tuple{Int(1), Int(2)}); c >= 0 || compareTuples(Tuple{Int(1), Int(2)}, Tuple{Int(1)}) <= 0 {
-		t.Fatalf("a proper prefix must sort first, got %d", c)
-	}
 	rng := rand.New(rand.NewSource(21))
 	for round := 0; round < 200; round++ {
 		arity := rng.Intn(4)
@@ -301,23 +300,156 @@ func TestSortedRowsMatchesReferenceOrder(t *testing.T) {
 			}
 			r.Insert(row)
 		}
-		got := r.SortedRows()
-		want := slices.Collect(r.All())
-		sort.Slice(want, func(i, j int) bool { return tupleLessRef(want[i], want[j]) })
-		if len(got) != r.Len() || len(want) != r.Len() {
-			t.Fatalf("round %d: %d sorted rows of %d", round, len(got), r.Len())
+		checkOrder(t, "round "+strconv.Itoa(round), r)
+	}
+}
+
+// checkOrder holds SortedRows and AppendBinary to the reference order:
+// All sorted under tupleLessRef, every row once.
+func checkOrder(t testing.TB, name string, r *Relation) {
+	t.Helper()
+	got := r.SortedRows()
+	want := slices.Collect(r.All())
+	sort.Slice(want, func(i, j int) bool { return tupleLessRef(want[i], want[j]) })
+	if len(got) != r.Len() || len(want) != r.Len() {
+		t.Fatalf("%s: %d sorted rows of %d", name, len(got), r.Len())
+	}
+	seen := map[string]bool{}
+	for i := range got {
+		if !sameTuple(got[i], want[i]) {
+			t.Fatalf("%s: row %d is %v, reference order has %v", name, i, got[i], want[i])
 		}
-		seen := map[string]bool{}
-		for i := range got {
-			if !sameTuple(got[i], want[i]) {
-				t.Fatalf("round %d: row %d is %v, reference order has %v", round, i, got[i], want[i])
+		if !r.Contains(got[i]) || seen[got[i].key()] {
+			t.Fatalf("%s: row %d (%v) is not a row of the relation, or twice", name, i, got[i])
+		}
+		seen[got[i].key()] = true
+	}
+	// AppendBinary writes the rows in the order; the decoder checks it.
+	if back, _, err := DecodeBinary(r.AppendBinary(nil)); err != nil || !back.Equal(r) {
+		t.Fatalf("%s: the encoding does not decode back: %v", name, err)
+	}
+}
+
+// TestOrderAcrossPages: on relations of several pages whose layouts differ
+// page by page — typed, ColAny, NULL-bearing, NULL-only, string pages with
+// dictionaries of their own that keep dead strings after deletes — the
+// order is the reference order, before and after the deletes. The columns
+// cover both ways a column is compared: a key per row (one typed layout on
+// every page, NULLs or not) and cell by cell (mixed layouts, or a NULL
+// beside MinInt64).
+func TestOrderAcrossPages(t *testing.T) {
+	mixed := []Value{Int(2), Float(2.5), String_("x"), Bool(true), Null(), Float(math.NaN()), Int(-1)}
+	floats := []Value{Float(math.NaN()), Float(math.Inf(-1)), Float(math.Copysign(0, -1)), Float(0.25), Float(math.Inf(1)), Float(-3), Null()}
+	for _, c := range []struct {
+		name string
+		cell func(page, i, col int) Value
+	}{
+		{"layouts per page", func(page, i, col int) Value {
+			switch {
+			case col == 0 && page == 1:
+				return mixed[i%len(mixed)]
+			case col == 0:
+				return Int(int64(i % 5))
+			case col == 1 && page == 2:
+				return Null()
+			case col == 1:
+				return String_(fmt.Sprintf("p%d-%d", page%2, i%9))
+			case col == 3:
+				return Bool(i%3 == 0)
+			case page == 3:
+				return Int(int64(i % 4))
+			default:
+				return floats[i%len(floats)]
 			}
-			if !r.Contains(got[i]) || seen[got[i].key()] {
-				t.Fatalf("round %d: row %d (%v) is not a row of the relation, or twice", round, i, got[i])
+		}},
+		{"one layout per column", func(page, i, col int) Value {
+			if i%11 == page {
+				return Null()
 			}
-			seen[got[i].key()] = true
+			switch col {
+			case 0:
+				return Int(int64(i%7) - 3)
+			case 1:
+				return String_([]string{"", "a", "b\xff", "日本", "ab", "p" + strconv.Itoa(page)}[i%6])
+			case 2:
+				return Bool(i%3 == 0)
+			default:
+				return floats[i%len(floats)]
+			}
+		}},
+		{"a NULL beside MinInt64", func(page, i, col int) Value {
+			switch {
+			case col == 0 && i%13 == 0:
+				return Null()
+			case col == 0:
+				return []Value{Int(math.MinInt64), Int(math.MaxInt64), Int(0)}[i%3]
+			case col == 1:
+				return String_(strconv.Itoa(i % 4))
+			default:
+				return Float(float64(i % 3))
+			}
+		}},
+	} {
+		r := New("a", "b", "c", "d", "id")
+		for i := range 3*pageLen + 100 {
+			page := i / pageLen
+			r.Insert(Tuple{c.cell(page, i, 0), c.cell(page, i, 1), c.cell(page, i, 2), c.cell(page, i, 3), Int(int64(i % 211))})
+		}
+		layouts := map[ColKind]bool{}
+		for b := range r.Batches() {
+			for col := range 4 {
+				layouts[b.ColKind(col)] = true
+			}
+		}
+		checkOrder(t, c.name, r)
+		for _, tu := range r.SortedRows() {
+			if tu[4].AsInt()%3 == 0 {
+				r.Delete(tu) // swaps rows across pages, leaves their strings behind
+			}
+		}
+		checkOrder(t, c.name+" after deletes", r)
+		if c.name == "layouts per page" && len(layouts) != 5 {
+			t.Fatalf("%s: pages laid out as %v", c.name, layouts)
 		}
 	}
+}
+
+// FuzzSortedOrder turns the fuzz input into a relation of three pages and
+// more whose rows mix every kind, page by page — a page's layout byte
+// decides whether its column holds one kind or several — deletes some
+// rows, and holds the order to the reference.
+func FuzzSortedOrder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte("\x00\xff\x10\x27mixed pages"))
+	vals := [][]Value{
+		{Null(), Bool(true), Int(1), Float(0.5), String_("a"), Float(math.NaN()), Int(math.MinInt64)}, // any kind
+		{Bool(false), Bool(true), Null()},
+		{Int(math.MinInt64), Int(-1), Int(0), Int(7), Int(math.MaxInt64), Null()},
+		{Float(math.NaN()), Float(math.Inf(-1)), Float(math.Copysign(0, -1)), Float(1.5), Float(math.Inf(1)), Null()},
+		{String_(""), String_("a"), String_("ab"), String_("\xff"), String_("日本"), Null()},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		at := func(i int) int { return int(data[i%len(data)]) }
+		r := New("a", "b", "id")
+		for i := range 2*pageLen + 1 + at(0)*4 {
+			row := Tuple{Int(int64(i % 50))}
+			for col := range 2 {
+				kinds := vals[at(i/pageLen*2+col)%len(vals)]
+				row = append(row, kinds[(at(i+col)+i/3)%len(kinds)])
+			}
+			r.Insert(Tuple{row[1], row[2], row[0]})
+		}
+		for i, tu := range r.SortedRows() {
+			if at(i)%4 == 0 {
+				r.Delete(tu)
+			}
+		}
+		checkOrder(t, fmt.Sprintf("%q", data), r)
+	})
 }
 
 // sameTuple is identity of kind and payload, which Equal is not (it calls

@@ -222,9 +222,9 @@ func (v Value) Less(o Value) bool {
 }
 
 // orderValues is the three-way form of Less — negative when *v sorts
-// before *o, zero only for the same kind and payload — that SortedRows
-// sorts under: by pointer, because a sort compares 40-byte values
-// O(n log n) times, and same-kind pairs (what a column holds) first.
+// before *o, zero only for the same kind and payload — that Order compares
+// the cells of a column without keys under: by pointer, and same-kind
+// pairs first.
 func orderValues(v, o *Value) int {
 	if v.kind == o.kind {
 		switch v.kind {
