@@ -746,7 +746,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			w := section5Warehouse(b, c.rows)
 			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
 			path := filepath.Join(b.TempDir(), "state.snap")
-			ctx, applied, encoded := context.Background(), 0, 0
+			ctx, applied, encoded, written := context.Background(), 0, 0, int64(0)
 			churn := func(n int) {
 				for ; n > 0; n-- {
 					if _, err := dwc.Refresh(ctx, m, w, churnUpdate(db, c.rows, lag, applied)); err != nil {
@@ -768,10 +768,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 				if err != nil || st.PagesEncoded == 0 {
 					b.Fatalf("save after %d updates: %+v, error %v", applied, st, err)
 				}
-				encoded += st.PagesEncoded
+				encoded, written = encoded+st.PagesEncoded, written+st.Bytes
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 			b.ReportMetric(float64(encoded)/float64(b.N), "pages-encoded/op")
+			b.ReportMetric(float64(written)/float64(b.N), "file-B/op")
 		})
 	}
 }

@@ -161,6 +161,31 @@ func TestCheckpointEncodesWhatChanged(t *testing.T) {
 	}
 }
 
+// TestSectionBytesPerRow pins what the Section-5 warehouse over 100k
+// source rows costs in checkpoint sections: at most 6.5 bytes a row on the
+// three order relations — their ints bit-packed from each page's minimum,
+// loc a one-string dictionary with codes of no bits — and at most 800 000
+// bytes in all. The generator is seeded, so the count repeats exactly.
+func TestSectionBytesPerRow(t *testing.T) {
+	w := section5Warehouse(t, 100_000)
+	var total int64
+	for name, r := range w.State() {
+		n := r.SectionBytes()
+		total += n
+		t.Logf("%s: %d rows, %d section bytes", name, r.Len(), n)
+		switch name {
+		case "FactParis", "C_Order_tokyo", "TokyoFR":
+			if perRow := float64(n) / float64(r.Len()); r.Len() == 0 || perRow > 6.5 {
+				t.Errorf("%s: %d section bytes for %d rows, want at most 6.5 a row", name, n, r.Len())
+			}
+		}
+	}
+	if total > 800_000 {
+		t.Errorf("the warehouse's sections hold %d bytes, want at most 800 000", total)
+	}
+	t.Logf("sections: %d bytes", total)
+}
+
 // TestCheckpointBesideCommittingWriter: a save reads a pinned version page
 // by page — filling the slots those pages share with every later version —
 // while the writer clones the newest version and writes to the clones. Run

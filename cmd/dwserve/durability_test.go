@@ -266,11 +266,11 @@ func TestCorruptJournalRefusesBoot(t *testing.T) {
 
 // TestOldFormatRefusesBoot: a checkpoint and a journal written by the
 // parent of format v3 (gob; the bytes under testdata/v2 come from its
-// dwserve, SIGKILLed after three updates) and a checkpoint written by the
-// parent of format v4 (testdata/v3, likewise; its journal format is still
-// the current one) are refused by name — each alone and both together —
-// never read as corruption, never booted from empty beside, and left
-// exactly as they were.
+// dwserve, SIGKILLed after three updates) and the checkpoints written by
+// the parents of formats v4 and v5 (testdata/v3 and testdata/v4, likewise;
+// their journal format is still the current one) are refused by name —
+// each alone and both together — never read as corruption, never booted
+// from empty beside, and left exactly as they were.
 func TestOldFormatRefusesBoot(t *testing.T) {
 	spec, err := dwc.ParseSpec(testSpec)
 	if err != nil {
@@ -281,7 +281,7 @@ func TestOldFormatRefusesBoot(t *testing.T) {
 		files   []string
 	}{
 		{"v2", []string{"state.snap", "wal.dwj"}}, {"v2", []string{"state.snap"}}, {"v2", []string{"wal.dwj"}},
-		{"v3", []string{"state.snap"}},
+		{"v3", []string{"state.snap"}}, {"v4", []string{"state.snap"}},
 	} {
 		files := tc.files
 		dir := t.TempDir()

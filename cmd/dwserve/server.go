@@ -663,18 +663,33 @@ func (s *server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// handleComplement lists the complement's entries with what each costs in
+// the version read: its rows and the bytes of its checkpoint sections (0
+// for one proved empty, which is not stored), beside warehouseBytes, the
+// sections of every relation the warehouse stores.
 func (s *server) handleComplement(w http.ResponseWriter, _ *http.Request) {
+	state := s.read(w).w.State()
+	var total int64
+	for _, r := range state {
+		total += r.SectionBytes()
+	}
 	entries := make([]map[string]any, 0)
 	for _, e := range s.comp.Entries() {
+		rows, size := 0, int64(0)
+		if r, ok := state[e.Name]; ok && !e.AlwaysEmpty {
+			rows, size = r.Len(), r.SectionBytes()
+		}
 		entries = append(entries, map[string]any{
 			"base":        e.Base,
 			"name":        e.Name,
 			"alwaysEmpty": e.AlwaysEmpty,
 			"definition":  e.Def.String(),
 			"inverse":     e.Inverse.String(),
+			"rows":        rows,
+			"bytes":       size,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"entries": entries})
+	writeJSON(w, http.StatusOK, map[string]any{"entries": entries, "warehouseBytes": total})
 }
 
 // read loads the version a read route answers from and stamps the

@@ -71,19 +71,34 @@ func TestHealthAndSchema(t *testing.T) {
 	}
 }
 
+// TestComplementEndpoint: /complement lists each entry with what it
+// costs — its rows and the bytes of its checkpoint sections, 0 for the one
+// proved empty — and the sections of the whole warehouse.
 func TestComplementEndpoint(t *testing.T) {
-	ts := newTestServer(t, "")
+	srv, ts := newDurableServer(t, "", 0)
 	var body struct {
-		Entries []map[string]any `json:"entries"`
+		Entries        []map[string]any `json:"entries"`
+		WarehouseBytes int64            `json:"warehouseBytes"`
 	}
 	getJSON(t, ts.URL+"/complement", &body)
 	if len(body.Entries) != 2 {
 		t.Fatalf("entries = %v", body.Entries)
 	}
-	// With the IND, C_Sale is proved empty.
+	state, total := srv.cur.Load().w.State(), int64(0)
+	for _, r := range state {
+		total += r.SectionBytes()
+	}
+	if body.WarehouseBytes != total || total == 0 {
+		t.Errorf("warehouseBytes = %d, the state's sections hold %d", body.WarehouseBytes, total)
+	}
 	for _, e := range body.Entries {
-		if e["base"] == "Sale" && e["alwaysEmpty"] != true {
-			t.Errorf("C_Sale not proved empty: %v", e)
+		// With the IND, C_Sale is proved empty.
+		if e["base"] == "Sale" && (e["alwaysEmpty"] != true || e["rows"] != 0.0 || e["bytes"] != 0.0) {
+			t.Errorf("C_Sale not proved empty, or said to cost something: %v", e)
+		}
+		// C_Emp holds Paula, who sold nothing.
+		if r := state["C_Emp"]; e["base"] == "Emp" && (e["rows"] != 1.0 || e["bytes"] != float64(r.SectionBytes()) || r.SectionBytes() == 0) {
+			t.Errorf("C_Emp: %v; want 1 row in %d bytes", e, r.SectionBytes())
 		}
 	}
 }

@@ -421,7 +421,7 @@ func TestClientRefetchesCorruptBatch(t *testing.T) {
 		case r.URL.Path == "/replica/snapshot":
 			snapshots.Add(1)
 			manifest := hostile[5:] // one relation, the same one, no marks
-			hdr := binary.BigEndian.AppendUint32([]byte("DWS4"), crc32.ChecksumIEEE(manifest))
+			hdr := binary.BigEndian.AppendUint32([]byte("DWS5"), crc32.ChecksumIEEE(manifest))
 			w.Write(append(binary.BigEndian.AppendUint64(hdr, uint64(len(manifest))), manifest...))
 		default:
 			good.ServeHTTP(w, r)

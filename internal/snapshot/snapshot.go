@@ -4,9 +4,9 @@
 // without ever contacting the sources, which is the whole point of an
 // independent warehouse: its state is self-contained.
 //
-// Format v4, all integers big endian:
+// Format v5, all integers big endian:
 //
-//	magic "DWS4" | CRC32/IEEE of manifest (4) | manifest length (8)
+//	magic "DWS5" | CRC32/IEEE of manifest (4) | manifest length (8)
 //	manifest: uvarint count of relations and, in name order,
 //	            count × (name, header, pages × (uvarint section
 //	            length, CRC32/IEEE of the section (4)))
@@ -16,23 +16,27 @@
 //	          the file
 //
 // with names, uvarints, relation headers (arity, attributes, row count)
-// and sections in package relation's encoding (relation/codec.go). A
-// relation of n rows has ⌈n/1024⌉ pages, and a section is one page's rows
-// in storage order: the bytes are derived from an immutable page and
-// cached with it (relation.PageSection), so a save encodes the pages
-// written since the last one and copies the rest. The order of rows in
-// the file is therefore the order of storage, not a canonical one; what
-// loads re-saves to the same bytes. The file is crash-safe end to end:
-// truncated or bit-rotted bytes — in the header, the manifest or any
-// section — are rejected with ErrCorrupt instead of being half-loaded,
-// and a save goes to a temp file that is fsync'd and atomically renamed
-// into place, so a crash mid-write leaves the previous snapshot intact.
+// and sections in package relation's encodings (relation/codec.go). A
+// relation of n rows has ⌈n/1024⌉ pages, and a section is one page's
+// column vectors, packed: ints bit-packed from the page's minimum, strings
+// as the strings the page uses and bit-packed codes into them, floats in
+// their 8 bytes, bools and NULLs as bitmaps. The bytes are derived from an
+// immutable page and cached with it (relation.PageSection), so a save
+// encodes the pages written since the last one and copies the rest, and a
+// load fills the vectors straight from them (relation.DecodePages). The
+// order of rows in the file is therefore the order of storage, not a
+// canonical one; what loads re-saves to the same bytes. The file is
+// crash-safe end to end: truncated or bit-rotted bytes — in the header,
+// the manifest or any section — are rejected with ErrCorrupt instead of
+// being half-loaded, and a save goes to a temp file that is fsync'd and
+// atomically renamed into place, so a crash mid-write leaves the previous
+// snapshot intact.
 // The marks are per-source applied-sequence watermarks, which tell a
 // recovering integrator where in its journal to resume replay. A file of
-// an earlier format (v3: magic "DWS3", one sorted payload; v2: "DWSN", a
-// gob payload) is refused with ErrOldFormat — by name, not as corruption,
-// and never by starting empty beside it; their readers went with their
-// writers.
+// an earlier format (v4: magic "DWS4", sections of values row by row; v3:
+// "DWS3", one sorted payload; v2: "DWSN", a gob payload) is refused with
+// ErrOldFormat — by name, not as corruption, and never by starting empty
+// beside it; their readers went with their writers.
 //
 // Mark names beginning with "~" are reserved for replication metadata
 // (the node's epoch and log position, see internal/replica): they ride
@@ -60,8 +64,8 @@ import (
 
 // magic opens every snapshot file; oldMagic names the formats before it.
 var (
-	magic    = [4]byte{'D', 'W', 'S', '4'}
-	oldMagic = map[[4]byte]int{{'D', 'W', 'S', '3'}: 3, {'D', 'W', 'S', 'N'}: 2}
+	magic    = [4]byte{'D', 'W', 'S', '5'}
+	oldMagic = map[[4]byte]int{{'D', 'W', 'S', '4'}: 4, {'D', 'W', 'S', '3'}: 3, {'D', 'W', 'S', 'N'}: 2}
 )
 
 // ErrCorrupt reports a snapshot that cannot be trusted: bad magic,

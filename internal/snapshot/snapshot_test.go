@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,11 +243,10 @@ func TestWarehouseSnapshotCycle(t *testing.T) {
 	}
 }
 
-// TestEncodedBytesGolden pins format v4. The small state is spelled out
-// byte by byte; the digest is of a relation of two pages whose rows cover
-// every value kind — what storage_ratio measures and a follower is
-// shipped. Rows are written in storage order, which is insertion order
-// here.
+// TestEncodedBytesGolden pins format v5. The small state is spelled out
+// byte by byte; the digest is of a relation of two pages whose columns
+// cover every layout — what storage_ratio measures and a follower is
+// shipped. Rows are in storage order, which is insertion order here.
 func TestEncodedBytesGolden(t *testing.T) {
 	small := map[string]*relation.Relation{"R": relation.New("k", "v"), "E": relation.New("q")}
 	small["R"].InsertValues(relation.Int(7), relation.String_("x"))
@@ -255,19 +256,19 @@ func TestEncodedBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSmall := []byte{
-		'D', 'W', 'S', '4', // magic
-		0xe8, 0xaf, 0x5e, 0xa1, // CRC32/IEEE of the manifest
+		'D', 'W', 'S', '5', // magic
+		0x0c, 0xa9, 0xaa, 0x5a, // CRC32/IEEE of the manifest
 		0, 0, 0, 0, 0, 0, 0, 34, // manifest length
 		2,                    // relations, by name
 		1, 'E', 1, 1, 'q', 0, // "E": one attribute "q", no rows, so no page
 		1, 'R', 2, 1, 'k', 1, 'v', 2, // "R": attributes k, v; two rows, so one page:
-		8, 0x65, 0xdd, 0xa5, 0xb3, // its section's length and CRC32/IEEE
+		9, 0x35, 0xb7, 0x1d, 0x3a, // its section's length and CRC32/IEEE
 		2,                         // marks, by name
 		4, 'h', 't', 't', 'p', 42, // "http" → 42
 		4, '~', 'l', 's', 'n', 0xac, 0x02, // "~lsn" → 300 (uvarint)
-		// the sections, in manifest order: R's page 0, rows as stored
-		2, 14, 4, 1, 'x', // int 7 (kind 2, zig-zag 14) | string (kind 4) "x"
-		2, 1, 0, // int −1 | null (kind 0)
+		// the sections, in manifest order: R's page 0, a column after the other
+		2, 1, 4, 0x08, // k: ints from −1 (zig-zag 1) in 4 bits: offsets 8, 0
+		4 | 8, 0b10, 1, 1, 'x', // v: strings, row 1 NULL; the one string "x", codes of 0 bits
 	}
 	if !bytes.Equal(buf.Bytes(), wantSmall) {
 		t.Fatalf("small state encodes as\n%v\nwant\n%v", buf.Bytes(), wantSmall)
@@ -285,7 +286,7 @@ func TestEncodedBytesGolden(t *testing.T) {
 	if err := SaveMarks(&buf, map[string]*relation.Relation{"R": r}, map[string]uint64{"http": 42}); err != nil {
 		t.Fatal(err)
 	}
-	const want = "dede103a8c50d1873972616bfe27430200c1dcd666a73829c34852a7c21a09ed"
+	const want = "9704b46f34a01a7707383ca478e90821523a4f300cbabe8d52e44a488e224207"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("snapshot encoding changed: %d bytes, sha256 %s, want %s", buf.Len(), got, want)
 	}
@@ -319,22 +320,40 @@ func rawRelation(name string, attrs []string, rows uint64, sections ...[]byte) [
 // oneRelation is a whole manifest around one relation entry, no marks.
 func oneRelation(entry []byte) []byte { return append(append([]byte{1}, entry...), 0) }
 
+// ints is a section of int columns, one argument per column, the way
+// format v5 writes it (relation/codec.go): tag 2, the zig-zag minimum, the
+// width, each offset from the minimum packed least significant bit first.
+// Unlike a relation's own sections, it may hold a row twice.
+func ints(cols ...[]int64) []byte {
+	var b []byte
+	for _, col := range cols {
+		lo, hi := slices.Min(col), slices.Max(col)
+		w := bits.Len64(uint64(hi - lo))
+		b = append(binary.AppendVarint(append(b, 2), lo), byte(w))
+		packed := make([]byte, (len(col)*w+7)/8)
+		for i, v := range col {
+			for j := range w {
+				if uint64(v-lo)>>j&1 != 0 {
+					packed[(i*w+j)/8] |= 1 << ((i*w + j) % 8)
+				}
+			}
+		}
+		b = append(b, packed...)
+	}
+	return b
+}
+
 // TestLoadRefusesHostilePayload: a checksum says the bytes arrived, not
 // that they are a state. Every refusal is ErrCorrupt, never a half-loaded
 // state; what the decoders refuse also wraps relation.ErrEncoding.
 func TestLoadRefusesHostilePayload(t *testing.T) {
 	ab := []string{"a", "b"}
-	row := func(vals ...int64) []byte { // a row of ints
-		var b []byte
-		for _, v := range vals {
-			b = binary.AppendVarint(append(b, 2), v)
-		}
-		return b
-	}
-	full := make([]byte, 0, 4*relation.BatchSize) // a full page over (a): 0 … 1023
+	var all []int64 // a full page over (a): 0 … 1023
 	for i := range relation.BatchSize {
-		full = append(full, row(int64(i))...)
+		all = append(all, int64(i))
 	}
+	full, one := ints(all), ints([]int64{1}, []int64{2})
+	cut := ints([]int64{1, 3}, []int64{2, 4})
 	lying := append(rawRelation("R", ab, 1), 0xff, 0xff, 0xff, 0xff, 0x07, 0, 0, 0, 0) // a 2 GiB section, it says
 
 	for name, tc := range map[string]struct {
@@ -344,12 +363,12 @@ func TestLoadRefusesHostilePayload(t *testing.T) {
 	}{
 		"duplicate attribute": {rawFile(oneRelation(rawRelation("R", []string{"a", "a"}, 0))), true, `"R"`},
 		"empty attribute":     {rawFile(oneRelation(rawRelation("R", []string{"a", ""}, 0))), true, `"R"`},
-		"short row":           {rawFile(oneRelation(rawRelation("R", ab, 2, row(1, 2, 3))), row(1, 2, 3)), true, `"R": page 0`},
-		"rows beyond count":   {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2, 3, 4))), row(1, 2, 3, 4)), true, `"R": page 0`},
-		"rows short of count": {rawFile(oneRelation(rawRelation("R", ab, 3, row(1, 2, 3, 4))), row(1, 2, 3, 4)), true, `"R": page 0`},
-		"pages beyond count":  {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2), row(3, 4))), row(1, 2), row(3, 4)), true, ""},
-		"row twice in a page": {rawFile(oneRelation(rawRelation("R", ab, 2, row(1, 2, 1, 2))), row(1, 2, 1, 2)), true, `"R": page 0`},
-		"row in two sections": {rawFile(oneRelation(rawRelation("R", []string{"a"}, relation.BatchSize+1, full, row(7))), full, row(7)), true, `"R": page 1`},
+		"short row":           {rawFile(oneRelation(rawRelation("R", ab, 2, ints([]int64{1, 3}))), ints([]int64{1, 3})), true, `"R": page 0`},
+		"rows beyond count":   {rawFile(oneRelation(rawRelation("R", ab, 1, cut)), cut), true, `"R": page 0`},
+		"rows short of count": {rawFile(oneRelation(rawRelation("R", ab, 3, cut)), cut), true, `"R": page 0`},
+		"pages beyond count":  {rawFile(oneRelation(rawRelation("R", ab, 1, one, one)), one, one), true, ""},
+		"row twice in a page": {rawFile(oneRelation(rawRelation("R", ab, 2, ints([]int64{1, 1}, []int64{2, 2}))), ints([]int64{1, 1}, []int64{2, 2})), true, `"R": page 0`},
+		"row in two sections": {rawFile(oneRelation(rawRelation("R", []string{"a"}, relation.BatchSize+1, full, ints([]int64{7}))), full, ints([]int64{7})), true, `"R": page 1`},
 		"duplicate relation":  {rawFile(append(append(append([]byte{2}, rawRelation("R", ab, 0)...), rawRelation("R", ab, 0)...), 0)), true, `"R"`},
 		"relations unsorted":  {rawFile(append(append(append([]byte{2}, rawRelation("S", ab, 0)...), rawRelation("R", ab, 0)...), 0)), true, `"R"`},
 		"duplicate mark":      {rawFile([]byte{0, 2, 1, 'm', 1, 1, 'm', 2}), true, `"m"`},
@@ -357,11 +376,11 @@ func TestLoadRefusesHostilePayload(t *testing.T) {
 		"rows past the end":   {rawFile(oneRelation(append(rawRelation("R", ab, 0)[:6], 0xff, 0xff, 0xff, 0xff, 0x0f))), true, `"R"`},
 		"bytes after marks":   {rawFile([]byte{0, 0, 0}), true, ""},
 		"empty manifest":      {rawFile(nil), true, ""},
-		"section bit flip":    {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2))), row(1, 3)), false, `"R": page 0`},
-		"cut mid-section":     {rawFile(oneRelation(rawRelation("R", ab, 2, row(1, 2, 3, 4))), row(1, 2, 3)), false, `"R": page 0`},
-		"section missing":     {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2)))), false, `"R": page 0`},
-		"bytes after the end": {rawFile(oneRelation(rawRelation("R", ab, 1, row(1, 2))), row(1, 2), []byte{0}), false, "after the last section"},
-		"length that lies":    {rawFile(oneRelation(lying), row(1, 2)), false, `"R": page 0`},
+		"section bit flip":    {rawFile(oneRelation(rawRelation("R", ab, 1, one)), ints([]int64{1}, []int64{3})), false, `"R": page 0`},
+		"cut mid-section":     {rawFile(oneRelation(rawRelation("R", ab, 2, cut)), cut[:len(cut)-1]), false, `"R": page 0`},
+		"section missing":     {rawFile(oneRelation(rawRelation("R", ab, 1, one))), false, `"R": page 0`},
+		"bytes after the end": {rawFile(oneRelation(rawRelation("R", ab, 1, one)), one, []byte{0}), false, "after the last section"},
+		"length that lies":    {rawFile(oneRelation(lying), one), false, `"R": page 0`},
 	} {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
@@ -375,7 +394,7 @@ func TestLoadRefusesHostilePayload(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated for a %d-byte input", name, got, len(tc.file))
 		}
 	}
-	control := rawFile(oneRelation(rawRelation("R", []string{"a"}, relation.BatchSize+1, full, row(-7))), full, row(-7))
+	control := rawFile(oneRelation(rawRelation("R", []string{"a"}, relation.BatchSize+1, full, ints([]int64{-7}))), full, ints([]int64{-7}))
 	if ms, _, err := LoadMarks(bytes.NewReader(control)); err != nil || ms["R"].Len() != relation.BatchSize+1 {
 		t.Errorf("control file refused: %v", err)
 	}
@@ -450,10 +469,11 @@ func TestLoadDoesNotTrustTheLength(t *testing.T) {
 
 // TestLoadRefusesFormatV2 reads checkpoints the writers of earlier formats
 // left (v2: gob behind magic "DWSN"; v3: one sorted payload behind
-// "DWS3"; both samples written by the dwserve of the time): refused by
-// name — the version found — not as corruption.
+// "DWS3"; v4: sections of values row by row behind "DWS4"; each sample
+// written by the dwserve of the time): refused by name — the version
+// found — not as corruption.
 func TestLoadRefusesFormatV2(t *testing.T) {
-	for _, v := range []string{"v2", "v3"} {
+	for _, v := range []string{"v2", "v3", "v4"} {
 		_, _, err := LoadFileMarks(filepath.Join("..", "..", "testdata", v, "state.snap"))
 		if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "written by format "+v+", not readable by this build") {
 			t.Errorf("%s: error %v, want ErrOldFormat naming the format", v, err)
@@ -512,8 +532,9 @@ func FuzzLoadMarks(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
-	f.Add(rawFile(oneRelation(rawRelation("R", []string{"a"}, 2, []byte{2, 2, 2, 2})), []byte{2, 2, 2, 2}))
+	f.Add(rawFile(oneRelation(rawRelation("R", []string{"a"}, 2, ints([]int64{1, 2}))), ints([]int64{1, 2})))
 	f.Add([]byte("DWS3"))
+	f.Add([]byte("DWS4"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ms, marks, err := LoadMarks(bytes.NewReader(data))
 		if err != nil {
