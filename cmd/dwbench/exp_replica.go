@@ -257,7 +257,11 @@ func (l *e20Leader) commit(u *catalog.Update) error {
 		return err
 	}
 	rec := journal.Record{Source: "bench", Seq: l.lsn + 1, Update: u, Epoch: 1, LSN: l.lsn + 1}
-	if err := l.rlog.Append(rec); err != nil {
+	frame, err := journal.Frame(rec)
+	if err == nil {
+		err = l.rlog.Append(rec, frame)
+	}
+	if err != nil {
 		return err
 	}
 	l.lsn++

@@ -16,9 +16,10 @@ import (
 
 // The commit path and the checkpoint behind it. Every applied update —
 // POST /update, a remote source's report, a record of the leader's
-// stream — goes through commitLocked, which journals it, advances the
-// watermarks, records the refresh in every telemetry series and, every
-// CheckpointEvery acks, starts a checkpoint. The checkpoint does not run
+// stream — goes through commit, which refreshes it while its journal
+// append runs, publishes the result, advances the watermarks, records the
+// refresh in every telemetry series and, every CheckpointEvery acks,
+// starts a checkpoint. The checkpoint does not run
 // on the commit path: under s.mu only the published version and the
 // journal offset it stands at are noted, and a goroutine writes the
 // snapshot from that version with no server lock held, then compacts the
@@ -83,43 +84,68 @@ func (s *server) drainCheckpoint() {
 	s.mu.Unlock()
 }
 
-// commitLocked makes one refreshed update durable, visible and accounted
-// for: journal at commit, then the next version — the refreshed state,
-// watermarks, replication coordinates and refresh aggregates — published
-// in one step, the replication log, every refresh series, and the
-// checkpoint trigger. Publishing comes after the append, so no reader
-// ever sees a state the journal does not hold; until then readers keep
-// answering from the previous version, which the refresh did not touch.
-// rec carries the coordinates the update commits at — the next LSN under
-// the current epoch on a leader, the leader's own on a follower. emitted
-// is the source's emission time in unix nanos, 0 when the update has
-// none. Caller holds s.mu and has run the refresh.
+// commit refreshes one update while its journal record — fixed before the
+// refresh starts, which Thm. 4.1 needs alone — is written and fsync'd in
+// the background, so an ack waits for the slower of the two, not both.
+// Only when both succeeded is the next version (state, watermarks,
+// coordinates, refresh aggregates) published in one step, then the
+// replication log (the same frame), every refresh series and the
+// checkpoint trigger: no reader ever sees a state the journal does not
+// hold. rec carries the coordinates — the next LSN under the current epoch
+// on a leader, the leader's own on a follower; emitted is the source's
+// emission time in unix nanos, 0 if none. Caller holds s.mu.
 //
-// The only error is a failed journal append of an update nobody can send
-// again (the leader's own HTTP API): the writer's warehouse is put back
-// to the published state, nothing has been advanced, and the caller must
-// fail the ack. Reports and stream records are re-fetchable — after a
-// crash the client rewinds to the checkpointed watermark and the sender's
-// retained log refills the hole — so there a failed append only degrades.
-func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc.RefreshStats, emitted int64) error {
+// A failed refresh withdraws the record before its error is returned. A
+// failed append of an update nobody can send again (the leader's own HTTP
+// API) is withdrawn too, puts the writer's warehouse back to the published
+// state and is returned: the caller must fail the ack. Reports and stream
+// records are re-fetchable — after a crash the client rewinds to the
+// checkpointed watermark and the sender's retained log refills the hole —
+// so there a failed append only degrades.
+func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) (dwc.RefreshStats, error) {
 	prev := s.cur.Load()
-	journaled := true
+	frame, err := journal.Frame(rec)
+	if err != nil {
+		return dwc.RefreshStats{}, err
+	}
+	appended := make(chan error, 1)
 	if s.jw != nil {
-		if err := s.jw.AppendContext(ctx, rec); err != nil {
-			s.degraded.Store(true)
-			if prev.role == roleLeader && rec.Source == httpSource {
-				s.w.LoadState(prev.w.State())
-				return err
-			}
-			journaled = false
-			s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", err)
+		go func() { appended <- s.jw.AppendFrame(ctx, frame) }()
+	} else {
+		appended <- nil
+	}
+	// journal.append runs beside the refresh span, under the caller's.
+	rctx, sp := trace.StartSpan(ctx, "refresh")
+	sp.SetAttr("source", rec.Source)
+	sp.SetAttrInt("seq", int64(rec.Seq))
+	stats, err := s.maintain.RefreshContext(rctx, s.w, rec.Update)
+	if err != nil {
+		sp.SetAttr("outcome", "error")
+	}
+	sp.End()
+	jerr := <-appended
+	if err != nil {
+		if werr := s.withdraw(ctx, rec); werr != nil {
+			return stats, fmt.Errorf("%v; its journal record could not be withdrawn, so a restart replays it unless that refresh fails too: %w", err, werr)
 		}
+		return stats, err
+	}
+	if jerr != nil {
+		s.degraded.Store(true)
+		if s.withdraw(ctx, rec) != nil {
+			jerr = fmt.Errorf("%w (it may have reached the disk: do not retry blindly)", jerr)
+		}
+		if prev.role == roleLeader && rec.Source == httpSource {
+			s.w.LoadState(prev.w.State())
+			return stats, fmt.Errorf("journal append failed, update withdrawn: %w", jerr)
+		}
+		s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", jerr)
 	}
 	s.publish(func(v *version) {
 		v.w = s.w.Pin()
 		v.marks = withEntry(v.marks, rec.Source, rec.Seq)
 		v.lsn = rec.LSN
-		if s.jw != nil && journaled {
+		if s.jw != nil && jerr == nil {
 			v.journalRecs++
 		}
 		v.refreshes++
@@ -138,7 +164,7 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 	})
 	s.sinceCkpt++
 	if prev.role == roleLeader {
-		if err := s.rlog.Append(rec); err != nil {
+		if err := s.rlog.Append(rec, frame); err != nil {
 			// LSNs are assigned under mu, so this cannot misalign; log rather
 			// than fail the acknowledged update.
 			s.log.Error("replication log append failed", "source", rec.Source, "err", err)
@@ -166,21 +192,44 @@ func (s *server) commitLocked(ctx context.Context, rec journal.Record, stats dwc
 	s.mCopied.Add(stats.CopiedBytes)
 	s.observeMaintenance(stats, lag)
 	for name, n := range stats.Changed {
-		if n > 0 {
-			s.reg.Counter("dw_refresh_changes_total",
-				"Warehouse tuples changed by refreshes, per relation.",
-				obs.Labels{"relation": name}).Add(int64(n))
+		if n == 0 {
+			continue
 		}
+		c := s.mChanges[name] // a registry lookup builds a label map and a key
+		if c == nil {
+			c = s.reg.Counter("dw_refresh_changes_total",
+				"Warehouse tuples changed by refreshes, per relation.",
+				obs.Labels{"relation": name})
+			s.mChanges[name] = c
+		}
+		c.Add(int64(n))
 	}
 
 	s.maybeCheckpointLocked()
 	// A failed checkpoint keeps the server degraded until one succeeds;
 	// acks in between are durable (the journal holds them) and do not
 	// clear the flag. Nor does an update the journal does not hold.
-	if journaled && !s.ckptFailed {
+	if jerr == nil && !s.ckptFailed {
 		s.degraded.Store(false)
 	}
 	s.lastGoodNano.Store(time.Now().UnixNano())
+	return stats, nil
+}
+
+// withdraw takes a failed commit's record back out of the journal, counted
+// and logged with the request ID; a failure degrades. Caller holds s.mu.
+func (s *server) withdraw(ctx context.Context, rec journal.Record) error {
+	if s.jw == nil {
+		return nil
+	}
+	id := obs.RequestID(ctx)
+	if err := s.jw.Withdraw(); err != nil {
+		s.degraded.Store(true)
+		s.log.Error("journal withdraw failed; appends are refused until a restart", "id", id, "source", rec.Source, "seq", rec.Seq, "err", err)
+		return err
+	}
+	s.mWithdrawn.Inc()
+	s.log.Warn("journal record withdrawn: its commit failed", "id", id, "source", rec.Source, "seq", rec.Seq)
 	return nil
 }
 

@@ -472,12 +472,12 @@ func TestConcurrentCheckpointHammer(t *testing.T) {
 	}
 }
 
-// TestCrashPointNames keeps the chaos points the crash matrix arms in
+// TestCrashPointNames keeps the chaos points the crash matrices arm in
 // step with the code: an unknown name would arm nothing and pass.
 func TestCrashPointNames(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
-	points := []string{"snapshot.write", "snapshot.rename", "checkpoint.compact", "journal.compact"}
+	points := []string{"snapshot.write", "snapshot.rename", "checkpoint.compact", "journal.compact", "journal.withdraw"}
 	for _, p := range points {
 		chaos.Arm(p, 0, errors.New("count only"))
 	}
@@ -491,9 +491,14 @@ func TestCrashPointNames(t *testing.T) {
 	postUpdate(t, ts.URL, "insert Sale('b', 'Mary')")
 	release()
 	srv.drainCheckpoint()
+	// An update whose refresh fails withdraws its journal record.
+	chaos.Arm("refresh.apply", 1, nil)
+	if code, err := post(ts.URL, "insert Sale('c', 'Mary')"); err != nil || code != http.StatusInternalServerError {
+		t.Fatalf("update with a failing refresh: status %d, err %v; want 500", code, err)
+	}
 	for _, p := range points {
 		if chaos.Hits(p) == 0 {
-			t.Errorf("crash point %q is never traversed by a checkpoint", p)
+			t.Errorf("crash point %q is never traversed by a checkpoint or a withdrawal", p)
 		}
 	}
 }

@@ -192,6 +192,9 @@ func main() {
 	if srv.replayed > 0 {
 		srv.log.Info("journal replayed", "records", srv.replayed, "seq", srv.cur.Load().marks[httpSource])
 	}
+	if srv.withdrawnTail != nil {
+		srv.log.Warn("journal tail withdrawn at boot", "err", srv.withdrawnTail)
+	}
 	if srv.wedgedErr != nil {
 		srv.log.Error("journal replay wedged; serving stale (see /readyz)", "err", srv.wedgedErr)
 	}

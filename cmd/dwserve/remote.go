@@ -62,7 +62,7 @@ func (s *server) applyRemote(n source.Notification) {
 	s.lockCommit()
 	defer s.mu.Unlock()
 	// Continue the report's trace (source.apply → remote.attempt →
-	// here); the refresh.target and journal.append spans below nest
+	// here); the refresh and journal.append spans below nest
 	// under this one, completing the lineage.
 	ctx, sp := s.tracer.StartRemote(context.Background(), n.Traceparent, "integrator.deliver")
 	defer sp.End()
@@ -83,21 +83,18 @@ func (s *server) applyRemote(n source.Notification) {
 		}
 		return
 	}
-	stats, err := s.maintain.RefreshContext(ctx, s.w, n.Update)
-	if err != nil {
+	// The record carries its replication coordinates so followers receive
+	// remote reports through the same stream as HTTP updates. A report is
+	// re-fetchable, so a failed journal append does not fail it.
+	rec := journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update, Epoch: v.epoch, LSN: v.lsn + 1}
+	if _, err := s.commit(ctx, rec, n.EmittedUnixNano); err != nil {
 		sp.SetAttr("outcome", "error")
 		s.degraded.Store(true)
 		s.log.Error("remote refresh failed; serving stale", "source", n.Source, "seq", n.Seq, "err", err)
 		if c := v.remotes[n.Source]; c != nil {
 			c.Rewind(n.Seq - 1)
 		}
-		return
 	}
-	// The record carries its replication coordinates so followers receive
-	// remote reports through the same stream as HTTP updates. A report is
-	// re-fetchable, so commitLocked never fails it.
-	rec := journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update, Epoch: v.epoch, LSN: v.lsn + 1}
-	_ = s.commitLocked(ctx, rec, stats, n.EmittedUnixNano)
 }
 
 // remoteHealth returns every attached client's health view, sorted by

@@ -441,9 +441,12 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 			s.publish(func(v *version) { v.lsn = rec.LSN })
 			continue
 		}
-		// The refresh needs the writer's warehouse writable.
+		// Committed with the leader's coordinates, so recovery resumes the
+		// stream from the right LSN. A stream record is re-fetchable, so a
+		// failed journal append does not fail it. The refresh needs the
+		// writer's warehouse writable.
 		s.w.Unseal()
-		stats, err := s.maintain.RefreshContext(actx, s.w, rec.Update)
+		_, err := s.commit(actx, rec, 0)
 		s.w.Seal()
 		if err != nil {
 			sp.SetAttr("outcome", "error")
@@ -451,10 +454,6 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 			s.log.Error("replica refresh failed; serving stale", "source", rec.Source, "seq", rec.Seq, "err", err)
 			return
 		}
-		// Committed with the leader's coordinates, so recovery resumes the
-		// stream from the right LSN. A stream record is re-fetchable, so
-		// commitLocked never fails it.
-		_ = s.commitLocked(actx, rec, stats, 0)
 		applied++
 	}
 	lsn := s.cur.Load().lsn

@@ -107,10 +107,11 @@ type server struct {
 
 	// Startup-only facts, written before the listener starts: readiness
 	// inputs for /readyz.
-	journalOK bool  // the journal replayed without failures
-	replayed  int   // journal records applied at startup
-	wedgedErr error // first replay refresh failure, if any
-	mstatsErr error // why boot started with fresh maintenance estimates, if it had to
+	journalOK     bool  // the journal replayed without failures
+	replayed      int   // journal records applied at startup
+	wedgedErr     error // first replay refresh failure, if any
+	mstatsErr     error // why boot started with fresh maintenance estimates, if it had to
+	withdrawnTail error // the journal's last record, withdrawn because it failed on replay
 
 	// cur is the published version: the one thing readers see. Every read
 	// route, gauge and the checkpointer Load it and work on what they got,
@@ -126,7 +127,8 @@ type server struct {
 	w          *dwc.Warehouse
 	sinceCkpt  int // acknowledged updates no checkpoint covers yet
 	jw         *journal.Writer
-	ckptFailed bool // the last checkpoint failed; degraded until one succeeds
+	ckptFailed bool                    // the last checkpoint failed; degraded until one succeeds
+	mChanges   map[string]*obs.Counter // dw_refresh_changes_total by relation
 
 	// Replication (internal/replica). rlog is the retained replication log
 	// streamed to followers; followCtx is the parent context repoints
@@ -180,6 +182,7 @@ type server struct {
 	mCopied     *obs.Counter
 	mRefreshLag *obs.Histogram
 	mCkptDur    *obs.Histogram
+	mWithdrawn  *obs.Counter
 	mReplLag    *obs.ObservedGauge
 }
 
@@ -289,6 +292,7 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		mstats:    trace.NewMaintStats(0),
 		adm:       admission.New(cfg.Admission),
 		qcache:    newAnswerCache(answerCacheSize),
+		mChanges:  map[string]*obs.Counter{},
 	}
 	if cfg.SnapshotDir != "" {
 		if err := snapshot.SweepTemps(cfg.SnapshotDir, trace.MaintStatsTemp); err != nil {
@@ -352,43 +356,60 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 	s.snapshotLoaded.Store(loaded)
 
 	// Replay the journal suffix: every record past the checkpoint's
-	// watermark re-runs its refresh, exactly once, source-free. An
-	// acknowledged update that fails on replay marks the server wedged —
-	// /readyz reports it and queries serve stale with a staleness header.
+	// watermark re-runs its refresh, exactly once, source-free. A record
+	// that fails on replay marks the server wedged — /readyz reports it and
+	// queries serve stale with a staleness header — unless it is the last,
+	// which is then a failed commit's whose withdrawal a crash cut short.
 	if cfg.JournalPath != "" {
-		// A torn tail reported by Replay is a crash mid-append of an
-		// unacknowledged update: safe to drop (Open truncates it).
-		n, _, err := journal.Replay(cfg.JournalPath, spec.DB, func(rec journal.Record) error {
-			// Every journaled record was acknowledged, so its replication
-			// coordinates are durable facts even when the refresh below is
-			// deduplicated by the checkpoint watermark.
+		replay := func(rec journal.Record, last bool) {
+			// Records are keyed by their origin: the HTTP API's own
+			// sequence, or a remote source's watermark. A follower without
+			// a state refreshes nothing: bootstrap restarts the journal.
+			if loaded && rec.Seq > v.marks[rec.Source] {
+				if _, rerr := s.maintain.RefreshContext(context.Background(), w, rec.Update); rerr == nil {
+					v.marks[rec.Source] = rec.Seq
+					s.replayed++
+				} else if last {
+					s.withdrawnTail = fmt.Errorf("last journal record (%s update %d) withdrawn, its refresh fails: %w", rec.Source, rec.Seq, rerr)
+					return
+				} else {
+					if s.wedgedErr == nil {
+						s.wedgedErr = fmt.Errorf("replay of %s update %d: %w", rec.Source, rec.Seq, rerr)
+					}
+					s.journalOK = false
+				}
+			}
+			// Any other record was acknowledged: its coordinates are durable
+			// facts even when its refresh was deduplicated or failed.
 			v.epoch = max(v.epoch, rec.Epoch)
 			v.lsn = max(v.lsn, rec.LSN)
-			if !loaded {
-				return nil // a follower without a state: bootstrap restarts the journal
+		}
+		// A record is replayed once the next has been read, so the last is
+		// known as such. A torn tail (a crash mid-append) is dropped by Open.
+		var held *journal.Record
+		n, _, err := journal.Replay(cfg.JournalPath, spec.DB, func(rec journal.Record) error {
+			if held != nil {
+				replay(*held, false)
 			}
-			// Records are keyed by their origin: the HTTP API's own
-			// sequence, or a remote source's watermark.
-			if rec.Seq <= v.marks[rec.Source] {
-				return nil // already covered by the checkpoint
-			}
-			if _, rerr := s.maintain.RefreshContext(context.Background(), w, rec.Update); rerr != nil {
-				if s.wedgedErr == nil {
-					s.wedgedErr = fmt.Errorf("replay of %s update %d: %w", rec.Source, rec.Seq, rerr)
-				}
-				s.journalOK = false
-				return nil // keep replaying later records
-			}
-			v.marks[rec.Source] = rec.Seq
-			s.replayed++
+			held = &rec
 			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("journal %s: %w", cfg.JournalPath, err)
 		}
+		if held != nil {
+			replay(*held, true)
+		}
 		jw, err := journal.Open(cfg.JournalPath)
 		if err != nil {
 			return nil, err
+		}
+		if s.withdrawnTail != nil {
+			if err := jw.Withdraw(); err != nil {
+				jw.Close()
+				return nil, fmt.Errorf("journal %s: %w", cfg.JournalPath, err)
+			}
+			n--
 		}
 		s.jw, v.journalRecs = jw, n
 		boot.mark("replay")
@@ -420,6 +441,8 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 	s.mRefreshLag = s.reg.Histogram("dw_refresh_lag_seconds",
 		"End-to-end refresh lag: report emitted at the source to delta visible in views.",
 		obs.DefLatencyBuckets, nil)
+	s.mWithdrawn = s.reg.Counter("dw_journal_withdrawn_total",
+		"Journal records withdrawn because their commit failed after the append began.", nil)
 	s.mCkptDur = s.reg.Histogram("dw_checkpoint_duration_seconds",
 		"Checkpoint duration, encode to journal compaction (off the commit path except at shutdown, promotion and bootstrap).",
 		obs.DefLatencyBuckets, nil)
@@ -856,40 +879,22 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusConflict, warehouse.ErrReadOnlyReplica)
 		return
 	}
-	// The refresh span parents the maintainer's per-target refresh.target
-	// spans; journal.append lands next to it under the request span.
-	rctx, sp := trace.StartSpan(req.Context(), "refresh")
-	defer sp.End()
-	sp.SetAttr("source", httpSource)
-	sp.SetAttrInt("seq", int64(v.marks[httpSource]+1))
-	// Cancellation is honored only before deltas are applied — the refresh
-	// either happens entirely or not at all, so a 499 means "unchanged".
-	stats, err := s.maintain.RefreshContext(rctx, s.w, u)
+	// Epoch and the next LSN: followers stream the record as recovery replays it.
+	rec := journal.Record{Source: httpSource, Seq: v.marks[httpSource] + 1, Update: u, Epoch: v.epoch, LSN: v.lsn + 1}
+	stats, err := s.commit(req.Context(), rec, 0)
 	if err != nil {
-		sp.SetAttr("outcome", "error")
-		// Cancellation (499) and deadline pressure (503 + Retry-After)
-		// left the state untouched by the atomic refresh and are the
-		// caller's to retry — neither marks the warehouse degraded.
+		// Cancellation (499) and deadline pressure (503 + Retry-After) are
+		// honored only before deltas are applied — the refresh happens
+		// entirely or not at all, so a 499 means "unchanged" — and are the
+		// caller's to retry: neither marks the warehouse degraded.
 		if status, _ := evalStatus(err); status != http.StatusInternalServerError {
 			writeEvalError(w, err)
 			return
 		}
-		// A real refresh failure: reads now serve stale until an update
-		// succeeds again.
+		// A real refresh or journal failure: reads now serve stale until
+		// an update succeeds again.
 		s.degraded.Store(true)
 		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	// Journal at commit: the record is fsync'd before the 200, so an
-	// acknowledged update survives any crash (replayed from the last
-	// checkpoint's watermark). A failed refresh was never appended, which
-	// keeps replay exactly the sequence of acknowledged updates. The
-	// record carries its replication coordinates — epoch and the next LSN
-	// — so followers stream it bit-identical to how recovery replays it.
-	rec := journal.Record{Source: httpSource, Seq: v.marks[httpSource] + 1, Update: u, Epoch: v.epoch, LSN: v.lsn + 1}
-	if jerr := s.commitLocked(req.Context(), rec, stats, 0); jerr != nil {
-		writeError(w, http.StatusInternalServerError,
-			fmt.Errorf("journal append failed, update withdrawn (it may have reached the disk: do not retry blindly): %w", jerr))
 		return
 	}
 	changed := map[string]int{}

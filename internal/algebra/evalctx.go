@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,29 +82,28 @@ func (s *EvalStats) Add(o EvalStats) {
 	s.PlanTruncated = false
 }
 
-// mergeOps folds both op lists into one record per operator label, summing
-// counters and (inclusive) wall time, sorted by label.
+// mergeOps folds the per-node records b into a — an earlier mergeOps
+// result: one record per operator label, sorted by label — summing
+// counters and (inclusive) wall time into a new slice, so a copy of the
+// accumulator still held elsewhere is never written. Each record finds its
+// label by binary search; a label not seen before is inserted in order,
+// which past the first few calls is rare. No map, no sort.
 func mergeOps(a, b []OpStat) []OpStat {
-	byOp := make(map[string]OpStat, len(a)+len(b))
-	for _, list := range [2][]OpStat{a, b} {
-		for _, o := range list {
-			m := byOp[o.Op]
-			m.Op = o.Op
-			m.Scanned += o.Scanned
-			m.Probed += o.Probed
-			m.Emitted += o.Emitted
-			m.IndexHits += o.IndexHits
-			m.IndexBuilds += o.IndexBuilds
-			m.Batches += o.Batches
-			m.Wall += o.Wall
-			byOp[o.Op] = m
+	out := slices.Clone(a)
+	for _, o := range b {
+		i, found := slices.BinarySearchFunc(out, o.Op, func(m OpStat, op string) int { return strings.Compare(m.Op, op) })
+		if !found {
+			out = slices.Insert(out, i, OpStat{Op: o.Op})
 		}
+		m := &out[i]
+		m.Scanned += o.Scanned
+		m.Probed += o.Probed
+		m.Emitted += o.Emitted
+		m.IndexHits += o.IndexHits
+		m.IndexBuilds += o.IndexBuilds
+		m.Batches += o.Batches
+		m.Wall += o.Wall
 	}
-	out := make([]OpStat, 0, len(byOp))
-	for _, o := range byOp {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
 	return out
 }
 

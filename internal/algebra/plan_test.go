@@ -1,8 +1,12 @@
 package algebra
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dwcomplement/internal/relation"
 )
@@ -208,6 +212,55 @@ func TestEvalStatsAddMergesOps(t *testing.T) {
 	for i := range want {
 		if total.Ops[i] != want[i] {
 			t.Errorf("ops[%d] = %+v, want %+v", i, total.Ops[i], want[i])
+		}
+	}
+}
+
+// mergeOpsByMap is the reference mergeOps: fold both lists through a map
+// keyed by label, then sort by label.
+func mergeOpsByMap(a, b []OpStat) []OpStat {
+	byOp := map[string]OpStat{}
+	for _, o := range slices.Concat(a, b) {
+		m := byOp[o.Op]
+		m.Op = o.Op
+		m.Scanned += o.Scanned
+		m.Probed += o.Probed
+		m.Emitted += o.Emitted
+		m.IndexHits += o.IndexHits
+		m.IndexBuilds += o.IndexBuilds
+		m.Batches += o.Batches
+		m.Wall += o.Wall
+		byOp[o.Op] = m
+	}
+	out := slices.Collect(maps.Values(byOp))
+	slices.SortFunc(out, func(x, y OpStat) int { return strings.Compare(x.Op, y.Op) })
+	return out
+}
+
+// TestMergeOpsMatchesMapAndSort: folding random per-evaluation op lists —
+// labels repeated within a list and across lists, in any order — into an
+// accumulator gives, after every fold, what the map-and-sort reference
+// gives, and never writes the accumulator it was handed.
+func TestMergeOpsMatchesMapAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	labels := []string{"base(Sale)", "base(Emp)", "join(2)", "select", "union", "diff⋉", "pi{clerk}", "select⋉"}
+	for trial := 0; trial < 200; trial++ {
+		var got, want []OpStat
+		for fold := 0; fold < 1+rng.Intn(8); fold++ {
+			b := make([]OpStat, rng.Intn(12))
+			for i := range b {
+				n := func() int64 { return rng.Int63n(100) }
+				b[i] = OpStat{Op: labels[rng.Intn(len(labels))], Scanned: n(), Probed: n(), Emitted: n(),
+					IndexHits: n(), IndexBuilds: n(), Batches: n(), Wall: time.Duration(n())}
+			}
+			acc, held := got, slices.Clone(got)
+			got, want = mergeOps(got, b), mergeOpsByMap(want, b)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d fold %d: mergeOps = %+v, want %+v", trial, fold, got, want)
+			}
+			if !slices.Equal(acc, held) {
+				t.Fatalf("trial %d fold %d: accumulator written in place: %+v, was %+v", trial, fold, acc, held)
+			}
 		}
 	}
 }

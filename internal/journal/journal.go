@@ -164,7 +164,7 @@ func DecodeUpdate(b []byte, db *catalog.Database) (*catalog.Update, error) {
 // response body and a follower decodes them with StreamReader, so a
 // record crosses the network bit-identical to how it crosses a crash.
 func EncodeRecord(w io.Writer, rec Record) error {
-	b, err := frameRecord(rec)
+	b, err := Frame(rec)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,8 @@ func EncodeRecord(w io.Writer, rec Record) error {
 	return err
 }
 
-func frameRecord(rec Record) ([]byte, error) {
+// Frame encodes rec as the frame Append writes and EncodeRecord ships.
+func Frame(rec Record) ([]byte, error) {
 	b := relation.AppendString(make([]byte, 8, 256), rec.Source)
 	for _, v := range [...]uint64{rec.Seq, rec.Epoch, rec.LSN} {
 		b = binary.AppendUvarint(b, v)
@@ -194,6 +195,8 @@ type Writer struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
+	last int64 // bytes of the last record at the file's end that Withdraw may take back (0: none)
+	err  error // why appends are refused: a Withdraw failed
 }
 
 // Open opens (or creates) the journal at path for appending. An
@@ -208,7 +211,7 @@ func Open(path string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	end, err := scan(f, nil, nil)
+	end, last, err := scan(f, nil, nil)
 	if err != nil && !errors.Is(err, ErrTorn) {
 		f.Close()
 		return nil, err
@@ -236,7 +239,7 @@ func Open(path string) (*Writer, error) {
 			return nil, err
 		}
 	}
-	return &Writer{f: f, path: path}, nil
+	return &Writer{f: f, path: path, last: last}, nil
 }
 
 // Append journals one record: encode, frame, write, fsync. The chaos
@@ -251,24 +254,34 @@ func (w *Writer) Append(rec Record) error {
 // annotated with the framed record size and the fsync's share of the
 // wall time — the durability hop of a report's end-to-end trace.
 func (w *Writer) AppendContext(ctx context.Context, rec Record) error {
-	_, sp := trace.StartSpan(ctx, "journal.append")
-	defer sp.End()
-	sp.SetAttr("source", rec.Source)
-	sp.SetAttrInt("seq", int64(rec.Seq))
-	if err := chaos.Point("journal.append"); err != nil {
-		return err
-	}
-	frame, err := frameRecord(rec)
+	frame, err := Frame(rec)
 	if err != nil {
 		return err
 	}
+	return w.AppendFrame(ctx, frame)
+}
+
+// AppendFrame is AppendContext for a record the caller framed with Frame,
+// to hand the same bytes on or to encode off the goroutine that waits.
+func (w *Writer) AppendFrame(ctx context.Context, frame []byte) error {
+	_, sp := trace.StartSpan(ctx, "journal.append")
+	defer sp.End()
 	sp.SetAttrInt("bytes", int64(len(frame)))
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("journal: writer is closed")
 	}
-	if _, err := w.f.Write(frame); err != nil {
+	if w.err != nil {
+		return w.err
+	}
+	w.last = 0 // from here on the last record is this one, or none
+	if err := chaos.Point("journal.append"); err != nil {
+		return err
+	}
+	n, err := w.f.Write(frame)
+	w.last = int64(n) // a short write is withdrawn like a whole one
+	if err != nil {
 		return err
 	}
 	if err := chaos.Point("journal.sync"); err != nil {
@@ -285,6 +298,36 @@ func (w *Writer) AppendContext(ctx context.Context, rec Record) error {
 	return err
 }
 
+// Withdraw takes back the record of a commit that failed after its append
+// began: it truncates what the last append wrote (after Open, the file's
+// last record) and fsyncs. A DropPrefix since moves the record along; one
+// that dropped it leaves nothing to withdraw. A failed Withdraw refuses
+// every later append, so an unacknowledged record is only ever the
+// journal's last. The chaos point "journal.withdraw" models a crash first.
+func (w *Writer) Withdraw() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return fmt.Errorf("journal: writer is closed")
+	}
+	if w.last == 0 {
+		return nil
+	}
+	err := chaos.Point("journal.withdraw")
+	var end int64
+	if err == nil {
+		end, err = w.f.Seek(0, io.SeekCurrent)
+	}
+	if err == nil {
+		err = w.truncateLocked(end - w.last)
+	}
+	if err != nil {
+		w.err = fmt.Errorf("journal: a withdraw failed, appends are refused: %w", err)
+		return w.err
+	}
+	return nil
+}
+
 // Reset truncates the journal to empty (magic only). Called after a
 // checkpoint snapshot has been durably renamed into place: everything
 // the journal held is now reflected in the snapshot and its watermarks,
@@ -296,17 +339,23 @@ func (w *Writer) Reset() error {
 	if w.f == nil {
 		return fmt.Errorf("journal: writer is closed")
 	}
-	return w.resetLocked()
+	return w.truncateLocked(int64(len(magic)))
 }
 
-func (w *Writer) resetLocked() error {
-	if err := w.f.Truncate(int64(len(magic))); err != nil {
+// truncateLocked cuts the file to size bytes, which leaves no last record
+// to withdraw, and fsyncs.
+func (w *Writer) truncateLocked(size int64) error {
+	if err := w.f.Truncate(size); err != nil {
 		return err
 	}
-	if _, err := w.f.Seek(int64(len(magic)), io.SeekStart); err != nil {
+	if _, err := w.f.Seek(size, io.SeekStart); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.last = 0
+	return nil
 }
 
 // Offset returns the journal's current end: the file offset just past
@@ -350,7 +399,7 @@ func (w *Writer) DropPrefix(off int64) error {
 		return fmt.Errorf("journal: drop prefix at %d outside [%d, %d]", off, len(magic), end)
 	}
 	if off == end {
-		return w.resetLocked()
+		return w.truncateLocked(int64(len(magic)))
 	}
 	tmpPath := w.path + compactSuffix
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
@@ -500,48 +549,49 @@ func (s *StreamReader) Next() (Record, error) {
 
 // scan walks the journal from the start, calling fn for each complete,
 // checksum-valid record (fn may be nil). It returns the offset just
-// past the last valid record; a torn tail is reported as ErrTorn with
-// the offset still pointing at the clean boundary.
-func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (int64, error) {
+// past the last valid record and that record's length (0 when there is
+// none); a torn tail is reported as ErrTorn with the offset still
+// pointing at the clean boundary.
+func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (end, last int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	r := newCountingReader(f)
 	var mg [4]byte
 	if _, err := io.ReadFull(r, mg[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return 0, nil // empty file: fresh journal
+			return 0, 0, nil // empty file: fresh journal
 		}
-		return 0, ErrTorn
+		return 0, 0, ErrTorn
 	}
 	if mg == magicV2 {
-		return 0, ErrOldFormat
+		return 0, 0, ErrOldFormat
 	}
 	if mg != magic {
-		return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	end := r.n
+	end = r.n
 	for {
 		payload, err := readFrame(r)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
-				return end, nil // clean end of journal
+				return end, last, nil // clean end of journal
 			}
 			if errors.Is(err, ErrTorn) {
-				return end, ErrTorn // cut short by a crash
+				return end, last, ErrTorn // cut short by a crash
 			}
-			return end, fmt.Errorf("%w at offset %d", err, end)
+			return end, last, fmt.Errorf("%w at offset %d", err, end)
 		}
 		if fn != nil {
 			rec, err := decodeRecord(payload, db)
 			if err != nil {
-				return end, fmt.Errorf("%w (offset %d)", err, end)
+				return end, last, fmt.Errorf("%w (offset %d)", err, end)
 			}
 			if err := fn(rec); err != nil {
-				return end, err
+				return end, last, err
 			}
 		}
-		end = r.n
+		last, end = r.n-end, r.n
 	}
 }
 
@@ -578,7 +628,7 @@ func Replay(path string, db *catalog.Database, fn func(Record) error) (n int, to
 		count++
 		return fn(rec)
 	}
-	_, err = scan(f, db, wrapped)
+	_, _, err = scan(f, db, wrapped)
 	if errors.Is(err, ErrTorn) {
 		return count, true, nil
 	}

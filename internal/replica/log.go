@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -30,12 +29,13 @@ type Entry struct {
 // with Wait; a follower that falls below base is told to re-bootstrap
 // (ErrTrimmed). Safe for concurrent use.
 type Log struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	base    uint64 // LSN of the last record trimmed away (0 = none)
-	epoch   uint64
-	entries []Entry // ascending LSNs base+1..tip
-	retain  int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	base   uint64 // LSN of the last record trimmed away (0 = none)
+	epoch  uint64
+	ring   []Entry // up to retain entries, LSNs base+1..tip from ring[head] on, wrapping
+	head   int
+	retain int
 }
 
 // NewLog returns an empty log retaining at most retain records
@@ -57,7 +57,7 @@ func (l *Log) Reset(base, epoch uint64) {
 	l.mu.Lock()
 	l.base = base
 	l.epoch = epoch
-	l.entries = nil
+	l.ring, l.head = nil, 0
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
@@ -77,22 +77,17 @@ func (l *Log) Tip() uint64 {
 }
 
 func (l *Log) tipLocked() uint64 {
-	if len(l.entries) == 0 {
-		return l.base
-	}
-	return l.entries[len(l.entries)-1].LSN
+	return l.base + uint64(len(l.ring))
 }
 
-// Append retains one committed record. The record must already carry
-// its coordinates: LSN exactly tip+1 (the caller assigns LSNs under
-// the same lock that serializes commits) and the log's current epoch.
-// Older records beyond the retention cap are trimmed; followers that
-// still need them re-bootstrap from a checkpoint.
-func (l *Log) Append(rec journal.Record) error {
-	var frame bytes.Buffer
-	if err := journal.EncodeRecord(&frame, rec); err != nil {
-		return err
-	}
+// Append retains one committed record, framed by journal.Frame (the bytes
+// its journal append wrote, so serving followers costs no re-encoding).
+// The record must already carry its coordinates: LSN exactly tip+1 (the
+// caller assigns LSNs under the same lock that serializes commits) and
+// the log's current epoch. Once the log is full the oldest record's slot
+// is reused — an append costs the same at any retention; followers that
+// still need a trimmed record re-bootstrap from a checkpoint.
+func (l *Log) Append(rec journal.Record, frame []byte) error {
 	l.mu.Lock()
 	if want := l.tipLocked() + 1; rec.LSN != want {
 		l.mu.Unlock()
@@ -102,16 +97,13 @@ func (l *Log) Append(rec journal.Record) error {
 		l.mu.Unlock()
 		return fmt.Errorf("replica: append epoch %d, log epoch %d", rec.Epoch, l.epoch)
 	}
-	l.entries = append(l.entries, Entry{
-		LSN:    rec.LSN,
-		Epoch:  rec.Epoch,
-		Source: rec.Source,
-		Seq:    rec.Seq,
-		Frame:  frame.Bytes(),
-	})
-	if over := len(l.entries) - l.retain; over > 0 {
-		l.base = l.entries[over-1].LSN
-		l.entries = append([]Entry(nil), l.entries[over:]...)
+	e := Entry{LSN: rec.LSN, Epoch: rec.Epoch, Source: rec.Source, Seq: rec.Seq, Frame: frame}
+	if len(l.ring) < l.retain {
+		l.ring = append(l.ring, e)
+	} else {
+		l.ring[l.head] = e
+		l.head = (l.head + 1) % len(l.ring)
+		l.base++
 	}
 	l.mu.Unlock()
 	l.cond.Broadcast()
@@ -139,11 +131,14 @@ func (l *Log) From(from uint64, max int) (entries []Entry, tip, epoch uint64, er
 	if from == tip+1 {
 		return nil, tip, epoch, nil
 	}
-	i := int(from - l.base - 1) // entries[0] has LSN base+1
-	if max <= 0 || max > len(l.entries)-i {
-		max = len(l.entries) - i
+	i := int(from - l.base - 1) // the i-th retained entry has LSN from
+	if max <= 0 || max > len(l.ring)-i {
+		max = len(l.ring) - i
 	}
-	entries = append([]Entry(nil), l.entries[i:i+max]...)
+	entries = make([]Entry, 0, max)
+	for k := i; k < i+max; k++ {
+		entries = append(entries, l.ring[(l.head+k)%len(l.ring)])
+	}
 	return entries, tip, epoch, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,15 @@ func rec(t *testing.T, db *catalog.Database, epoch, lsn, seq uint64) journal.Rec
 	u := catalog.NewUpdate().MustInsert("Sale", db,
 		relation.String_(fmt.Sprintf("item-%d", lsn)), relation.String_("Mary"))
 	return journal.Record{Source: "http", Seq: seq, Update: u, Epoch: epoch, LSN: lsn}
+}
+
+// appendRec frames r and appends it to l.
+func appendRec(l *Log, r journal.Record) error {
+	frame, err := journal.Frame(r)
+	if err != nil {
+		return err
+	}
+	return l.Append(r, frame)
 }
 
 func TestMetaMarksRoundTrip(t *testing.T) {
@@ -62,18 +72,18 @@ func TestLogAppendValidation(t *testing.T) {
 	db := testDB(t)
 	l := NewLog(0)
 	l.Reset(0, 1)
-	if err := l.Append(rec(t, db, 1, 1, 1)); err != nil {
+	if err := appendRec(l, rec(t, db, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Gap: LSN 3 when tip is 1.
-	if err := l.Append(rec(t, db, 1, 3, 3)); err == nil {
+	if err := appendRec(l, rec(t, db, 1, 3, 3)); err == nil {
 		t.Fatal("gapped LSN accepted")
 	}
 	// Wrong epoch.
-	if err := l.Append(rec(t, db, 2, 2, 2)); err == nil {
+	if err := appendRec(l, rec(t, db, 2, 2, 2)); err == nil {
 		t.Fatal("wrong-epoch record accepted")
 	}
-	if err := l.Append(rec(t, db, 1, 2, 2)); err != nil {
+	if err := appendRec(l, rec(t, db, 1, 2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if l.Tip() != 2 || l.Epoch() != 1 {
@@ -86,7 +96,7 @@ func TestLogFromTrimFuture(t *testing.T) {
 	l := NewLog(3) // retain only 3 records
 	l.Reset(0, 1)
 	for lsn := uint64(1); lsn <= 5; lsn++ {
-		if err := l.Append(rec(t, db, 1, lsn, lsn)); err != nil {
+		if err := appendRec(l, rec(t, db, 1, lsn, lsn)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +169,7 @@ func TestLogWaitWakesOnAppend(t *testing.T) {
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := l.Append(rec(t, db, 1, 1, 1)); err != nil {
+	if err := appendRec(l, rec(t, db, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -254,7 +264,7 @@ func TestClientSnapshotAndStream(t *testing.T) {
 	log.Reset(0, 2)
 	leader := &fakeLeader{db: db, log: log, marks: map[string]uint64{"sales": 5}}
 	for lsn := uint64(1); lsn <= 4; lsn++ {
-		if err := log.Append(rec(t, db, 2, lsn, lsn)); err != nil {
+		if err := appendRec(log, rec(t, db, 2, lsn, lsn)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +306,7 @@ func TestClientTornStreamReturnsPrefix(t *testing.T) {
 	log := NewLog(0)
 	log.Reset(0, 1)
 	for lsn := uint64(1); lsn <= 4; lsn++ {
-		if err := log.Append(rec(t, db, 1, lsn, lsn)); err != nil {
+		if err := appendRec(log, rec(t, db, 1, lsn, lsn)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +333,7 @@ func TestClientTrimmedAndFuture(t *testing.T) {
 	log := NewLog(2)
 	log.Reset(0, 1)
 	for lsn := uint64(1); lsn <= 5; lsn++ {
-		if err := log.Append(rec(t, db, 1, lsn, lsn)); err != nil {
+		if err := appendRec(log, rec(t, db, 1, lsn, lsn)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,7 +413,7 @@ func TestClientRefetchesCorruptBatch(t *testing.T) {
 	log := NewLog(0)
 	log.Reset(0, 1)
 	for lsn := uint64(1); lsn <= 2; lsn++ {
-		if err := log.Append(rec(t, db, 1, lsn, lsn)); err != nil {
+		if err := appendRec(log, rec(t, db, 1, lsn, lsn)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,5 +447,50 @@ func TestClientRefetchesCorruptBatch(t *testing.T) {
 	_, err = c.FetchSnapshot(context.Background())
 	if !errors.Is(err, snapshot.ErrCorrupt) || !errors.Is(err, relation.ErrEncoding) || snapshots.Load() != 2 {
 		t.Fatalf("snapshot error %v after %d attempts; want ErrCorrupt from both", err, snapshots.Load())
+	}
+}
+
+// TestLogAppendCostIndependentOfRetain: once the log is full, an append
+// reuses the oldest slot, so its allocations and bytes per append are the
+// same at a retention of 1 024 as at 16 384 — no copy of the retained
+// entries per record.
+func TestLogAppendCostIndependentOfRetain(t *testing.T) {
+	db := testDB(t)
+	perAppend := func(retain int) (allocs, bytes float64) {
+		l := NewLog(retain)
+		l.Reset(0, 1)
+		r := rec(t, db, 1, 1, 1)
+		frame, err := journal.Frame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendNext := func() {
+			r.LSN++
+			if err := l.Append(r, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.LSN = 0
+		for i := 0; i < retain+8; i++ {
+			appendNext()
+		}
+		const n = 4096
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			appendNext()
+		}
+		runtime.ReadMemStats(&after)
+		if l.Tip() != uint64(retain+8+n) {
+			t.Fatalf("retain %d: tip %d, want %d", retain, l.Tip(), retain+8+n)
+		}
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	smallAllocs, smallBytes := perAppend(1024)
+	bigAllocs, bigBytes := perAppend(16384)
+	if bigAllocs > smallAllocs+0.5 || bigBytes > smallBytes+64 {
+		t.Fatalf("append on a full log: %.1f allocs, %.0f B at retain 16384 vs %.1f allocs, %.0f B at 1024",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
 	}
 }
