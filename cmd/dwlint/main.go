@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dwlint [-only names] [-list] [-json file] [-github] [-fix [-dry-run]] [packages ...]
+//	dwlint [-only names] [-list] [-json file] [-github] [packages ...]
 //
 // With no patterns, ./... is analyzed. -only restricts the run to a
 // comma-separated subset of analyzers; -list prints the catalog.
@@ -13,12 +13,6 @@
 // stdout — the machine-readable form CI consumes); -github renders
 // each finding as a GitHub Actions workflow annotation (::error ...)
 // so findings surface inline on pull requests.
-//
-// -fix applies the suggested fixes some diagnostics carry (e.g.
-// spanend's `defer span.End()` insertion), atomically per file. With
-// -dry-run the files that would change are listed but not written, and
-// the exit status is non-zero when any change is pending — running
-// -fix twice therefore produces no second diff, which CI checks.
 package main
 
 import (
@@ -42,8 +36,6 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	jsonOut := fs.String("json", "", `write diagnostics as a JSON array to this file ("-" for stdout)`)
 	github := fs.Bool("github", false, "emit GitHub Actions ::error annotations for each finding")
-	fix := fs.Bool("fix", false, "apply suggested fixes, atomically per file")
-	dryRun := fs.Bool("dry-run", false, "with -fix: list files that would change without writing")
 	fs.Parse(args)
 
 	if *list {
@@ -102,29 +94,6 @@ func run(args []string) int {
 		for _, d := range diags {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=dwlint(%s)::%s\n",
 				relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, escapeAnnotation(d.Message))
-		}
-	}
-
-	if *fix {
-		changed, fixed, err := lint.ApplyFixes(diags, *dryRun)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		files := make([]string, 0, len(changed))
-		for f := range changed {
-			files = append(files, relPath(f))
-		}
-		if *dryRun {
-			for _, f := range files {
-				fmt.Fprintf(os.Stderr, "dwlint: would fix %s\n", f)
-			}
-			if len(files) > 0 {
-				fmt.Fprintf(os.Stderr, "dwlint: %d file(s) pending fixes\n", len(files))
-				return 1
-			}
-		} else if len(files) > 0 {
-			fmt.Fprintf(os.Stderr, "dwlint: applied %d fix(es) across %d file(s)\n", fixed, len(files))
 		}
 	}
 

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -10,7 +9,7 @@ import (
 // This file is the whole-repo layer of the dataflow framework: a
 // Program wrapping every loaded package, a call graph over all declared
 // functions and methods, and the registry of go-statement launch sites.
-// Interprocedural analyzers (lockorder, goleak, batchlife) reach it
+// Interprocedural analyzers (lockorder, goleak) reach it
 // through Pass.Prog; the per-package analyzers ignore it.
 
 // Program is the unit interprocedural analysis runs over: every package
@@ -26,27 +25,18 @@ type Program struct {
 	lockGraph *lockGraph
 }
 
-// FuncUnit is one declared function or method: its AST, defining
-// package, and types object. Function literals are not units — each
-// analyzer that needs them (spanend, goleak) resolves them in place, so
-// a closure's effects are never mis-attributed to its enclosing
-// function (a closure may run on another goroutine, after a lock was
-// released, or never).
+// FuncUnit is one declared function or method: its AST and defining
+// package. Function literals are not units — each analyzer that needs
+// them (spanend, goleak) resolves them in place, so a closure's effects
+// are never mis-attributed to its enclosing function (a closure may run
+// on another goroutine, after a lock was released, or never).
 type FuncUnit struct {
 	Key   string // canonical name, types.Func.FullName()
-	Fn    *types.Func
 	Decl  *ast.FuncDecl
 	Pkg   *Package
-	calls []CallSite
+	calls []string // callees' canonical names, outside nested literals
 
 	lockSum *lockSummary // cached by Program.lockSummary
-}
-
-// CallSite is one static call found in a unit's body (outside nested
-// function literals), resolved to a declared function.
-type CallSite struct {
-	Callee string // canonical name of the called function
-	Call   *ast.CallExpr
 }
 
 // GoSite is one go statement with its enclosing unit.
@@ -62,14 +52,6 @@ func NewProgram(pkgs []*Package) *Program {
 
 // FuncKey returns the canonical name used as a call-graph node for fn.
 func FuncKey(fn *types.Func) string { return fn.FullName() }
-
-// Unit returns the declared function with the given canonical name, or
-// nil when it is not part of the program (stdlib, export-data-only
-// dependencies).
-func (p *Program) Unit(key string) *FuncUnit {
-	p.build()
-	return p.units[key]
-}
 
 // Units returns every declared function of the program in a stable
 // order.
@@ -93,9 +75,6 @@ func (p *Program) GoSites() []GoSite {
 	return p.goSites
 }
 
-// Calls returns the static calls made directly by the unit's body.
-func (u *FuncUnit) Calls() []CallSite { return u.calls }
-
 // build populates the call graph once.
 func (p *Program) build() {
 	if p.built {
@@ -114,7 +93,7 @@ func (p *Program) build() {
 				if !ok {
 					continue
 				}
-				u := &FuncUnit{Key: FuncKey(fn), Fn: fn, Decl: fd, Pkg: pkg}
+				u := &FuncUnit{Key: FuncKey(fn), Decl: fd, Pkg: pkg}
 				p.units[u.Key] = u
 			}
 		}
@@ -149,33 +128,11 @@ func (p *Program) collect(u *FuncUnit) {
 				return true
 			}
 			if fn := calleeFunc(info, n); fn != nil {
-				u.calls = append(u.calls, CallSite{Callee: FuncKey(fn), Call: n})
+				u.calls = append(u.calls, FuncKey(fn))
 			}
 		}
 		return true
 	})
-}
-
-// rootObject decomposes a selector chain x.f.g... (through parens and
-// pointer derefs) down to its base identifier's object. It returns nil
-// for chains not rooted in a plain variable (call results, index
-// expressions, composite literals).
-func rootObject(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
-		default:
-			return nil
-		}
-	}
 }
 
 // enclosingFuncLit finds the innermost function literal assigned to the
@@ -220,16 +177,4 @@ func enclosingFuncLit(info *types.Info, body *ast.BlockStmt, id *ast.Ident) *ast
 		return nil
 	}
 	return lit
-}
-
-// posLess orders positions for deterministic reporting.
-func posLess(fset *token.FileSet, a, b token.Pos) bool {
-	pa, pb := fset.Position(a), fset.Position(b)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
-	}
-	if pa.Line != pb.Line {
-		return pa.Line < pb.Line
-	}
-	return pa.Column < pb.Column
 }

@@ -8,9 +8,9 @@ import (
 // This file is the control-flow layer of the dataflow framework
 // (DESIGN.md §15): a per-function CFG over statements, shared by every
 // path-sensitive analyzer (spanend's End-on-every-path check, the
-// lockorder held-set dataflow, batchlife's live ranges). Building it
-// once per function replaces the per-analyzer ad-hoc traversals that
-// each re-invented return-path walking.
+// lockorder held-set dataflow). Building it once per function replaces
+// the per-analyzer ad-hoc traversals that each re-invented return-path
+// walking.
 
 // CFG is the control-flow graph of one function body. Blocks hold the
 // statements executed straight-line; edges are the possible successors.

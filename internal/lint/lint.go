@@ -22,30 +22,21 @@
 //     across call edges from the Facts store) must be acyclic — a cycle
 //     is a potential deadlock (the PR-5 handleResend inversion class);
 //   - goleak: goroutines must have a shutdown path — no inescapable
-//     `for {}` loops, no calls to unstoppable listeners;
-//   - batchlife: no mutation or refresh of a relation while a Batch
-//     window over it is live (the PR-6 use-after-invalidate class).
+//     `for {}` loops, no calls to unstoppable listeners.
 //
-// The last three are interprocedural: they run over the dataflow layer
+// The last two are interprocedural: they run over the dataflow layer
 // (cfg.go, callgraph.go, facts.go) that Pass.Prog exposes.
-//
-// A diagnostic can be suppressed with a directive comment on the flagged
-// line or the line above it:
-//
-//	//dwlint:ignore <analyzer>[,<analyzer>...] [reason]
-//	//dwlint:ignore all [reason]
 package lint
 
 import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in reports and ignore directives.
+	// Name identifies the analyzer in reports and -only lists.
 	Name string
 	// Doc is a one-line description for `dwlint -list`.
 	Doc string
@@ -73,49 +64,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a diagnostic carrying a suggested fix the driver
-// can apply with -fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
-// Edit builds a TextEdit replacing [start, end) with newText, resolving
-// the positions so fixes can be applied without the FileSet.
-func (p *Pass) Edit(start, end token.Pos, newText string) TextEdit {
-	return TextEdit{
-		Pos:     p.Pkg.Fset.Position(start),
-		End:     p.Pkg.Fset.Position(end),
-		NewText: newText,
-	}
-}
-
 // Diagnostic is one analyzer finding. The JSON shape is the `-json`
 // driver output consumed by CI.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`
 	Message  string         `json:"message"`
-	Fix      *SuggestedFix  `json:"fix,omitempty"`
-}
-
-// SuggestedFix is a concrete remediation: text edits the driver applies
-// atomically per file under -fix.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// TextEdit replaces the source range [Pos.Offset, End.Offset) of the
-// file Pos.Filename with NewText. An insertion has Pos == End.
-type TextEdit struct {
-	Pos     token.Position `json:"pos"`
-	End     token.Position `json:"end"`
-	NewText string         `json:"newText"`
 }
 
 // String renders "file:line:col: [analyzer] message".
@@ -126,7 +80,6 @@ func (d Diagnostic) String() string {
 // All returns the analyzer catalog in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		BatchLife,
 		EvalCtxAnalyzer,
 		GoLeak,
 		LockOrder,
@@ -154,22 +107,15 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run applies the analyzers to every package, filters diagnostics through
-// the //dwlint:ignore directives, and returns the findings sorted by
-// position then analyzer name.
+// Run applies the analyzers to every package and returns the findings
+// sorted by position then analyzer name.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var all []Diagnostic
 	prog := NewProgram(pkgs)
+	report := func(d Diagnostic) { all = append(all, d) }
 	for _, pkg := range pkgs {
-		ig := collectIgnores(pkg)
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog, report: func(d Diagnostic) {
-				if ig.suppresses(a.Name, d.Pos) {
-					return
-				}
-				all = append(all, d)
-			}}
-			a.Run(pass)
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, Prog: prog, report: report})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -186,56 +132,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return a.Analyzer < b.Analyzer
 	})
 	return all
-}
-
-// ignoreSet maps file → line → analyzer names suppressed on that line.
-type ignoreSet map[string]map[int]map[string]bool
-
-// suppresses reports whether a diagnostic of the named analyzer at pos is
-// covered by a directive on its line or the line above.
-func (ig ignoreSet) suppresses(analyzer string, pos token.Position) bool {
-	lines := ig[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, ln := range [2]int{pos.Line, pos.Line - 1} {
-		if names := lines[ln]; names != nil && (names["all"] || names[analyzer]) {
-			return true
-		}
-	}
-	return false
-}
-
-// collectIgnores scans every comment of the package for ignore directives.
-func collectIgnores(pkg *Package) ignoreSet {
-	ig := make(ignoreSet)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//dwlint:ignore")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(text)
-				if len(fields) == 0 {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				lines := ig[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					ig[pos.Filename] = lines
-				}
-				names := lines[pos.Line]
-				if names == nil {
-					names = make(map[string]bool)
-					lines[pos.Line] = names
-				}
-				for _, n := range strings.Split(fields[0], ",") {
-					names[strings.TrimSpace(n)] = true
-				}
-			}
-		}
-	}
-	return ig
 }

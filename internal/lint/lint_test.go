@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -67,7 +70,6 @@ func TestSentErr(t *testing.T)   { testAnalyzer(t, SentErr, "senterr") }
 func TestSpanEnd(t *testing.T)   { testAnalyzer(t, SpanEnd, "spanend") }
 func TestLockOrder(t *testing.T) { testAnalyzer(t, LockOrder, "lockorder") }
 func TestGoLeak(t *testing.T)    { testAnalyzer(t, GoLeak, "goleak") }
-func TestBatchLife(t *testing.T) { testAnalyzer(t, BatchLife, "batchlife") }
 
 func TestByName(t *testing.T) {
 	as, err := ByName([]string{"senterr", "planops"})
@@ -79,6 +81,31 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName([]string{"nope"}); err == nil {
 		t.Fatal("expected error for unknown analyzer")
+	}
+}
+
+// TestKnowsNoRelationInternals: a batch is a snapshot by construction in
+// internal/relation, so no analyzer guards it, and none needs to know
+// which relation methods write pages. The fixtures under testdata may
+// import relation like any other client.
+func TestKnowsNoRelationInternals(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"noteInserted", "noteDeleted", "Batches", "relation.Batch"} {
+			if bytes.Contains(src, []byte(name)) {
+				t.Errorf("%s names %s", f, name)
+			}
+		}
 	}
 }
 

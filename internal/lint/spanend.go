@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -16,9 +15,6 @@ import (
 // deferred closure) or when every CFG path from the start to the
 // function's exit passes an End call. Discarding the span with _ is
 // always a violation: an unnamed span cannot be ended.
-//
-// The not-ended diagnostic carries a suggested fix — insert
-// `defer <span>.End()` right after the start — applied by `dwlint -fix`.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
 	Doc:  "internal/ code must End every span started via internal/trace (defer, or before every return)",
@@ -133,28 +129,9 @@ func checkSpanBody(pass *Pass, body *ast.BlockStmt) {
 		if cfg.EveryPathReaches(s.block, s.idx+1, endsSpan) {
 			continue
 		}
-		var fix *SuggestedFix
-		// Suggest `defer s.End()` after the start when the start is a
-		// whole statement of its block (not an if/for init clause).
-		if stmt, ok := s.block.Stmts[s.idx].(*ast.AssignStmt); ok {
-			col := pass.Pkg.Fset.Position(stmt.Pos()).Column
-			indent := strings.Repeat("\t", max(col-1, 0))
-			fix = &SuggestedFix{
-				Message: fmt.Sprintf("insert defer %s.End()", s.st.name),
-				Edits: []TextEdit{
-					pass.Edit(stmt.End(), stmt.End(), "\n"+indent+"defer "+s.st.name+".End()"),
-				},
-			}
-		}
-		if fix != nil {
-			pass.ReportFix(s.st.pos, fix,
-				"span %q from trace.%s is not ended on every path; defer %s.End() or call it before each return",
-				s.st.name, s.st.fn, s.st.name)
-		} else {
-			pass.Reportf(s.st.pos,
-				"span %q from trace.%s is not ended on every path; defer %s.End() or call it before each return",
-				s.st.name, s.st.fn, s.st.name)
-		}
+		pass.Reportf(s.st.pos,
+			"span %q from trace.%s is not ended on every path; defer %s.End() or call it before each return",
+			s.st.name, s.st.fn, s.st.name)
 	}
 }
 

@@ -40,8 +40,3 @@ func contextAware(e algebra.Expr, st algebra.State, v *view.PSJ, vs *view.Set) {
 	_, _ = v.EvalCtx(ec, st)
 	_, _ = vs.EvalCtx(ec, st)
 }
-
-func suppressed(e algebra.Expr, st algebra.State) {
-	//dwlint:ignore evalctx corpus sampling needs no cancellation
-	_, _ = algebra.Eval(e, st)
-}

@@ -13,19 +13,18 @@ const BatchSize = 1024
 var _ = [1]struct{}{}[pageLen-BatchSize]
 
 // Batch is a column-major window of up to BatchSize consecutive rows: one
-// row page of the relation, read in place. Batches are values (cheap to
-// copy) and alias the page rather than copying data. The layout of a
-// column, its null bitmap and its string dictionary are chosen per page:
-// ColKind, HasNulls and Dict may answer differently for two batches of one
-// relation, and dictionary codes compare only within one batch.
+// row page of the relation as it was when Batches was called. Batches are
+// values (cheap to copy) and alias the page rather than copying data. The
+// layout of a column, its null bitmap and its string dictionary are chosen
+// per page: ColKind, HasNulls and Dict may answer differently for two
+// batches of one relation, and dictionary codes compare only within one
+// batch.
 //
 // A Batch pins the page it was cut from and the number of rows it had,
-// not the relation. A page a clone shares is never written, so a batch
-// of it reads the rows as they were whatever either side does later; a
-// page no clone shares is written in place, so a batch held across a
-// write to it reads what the write left there — a changed cell, a column
-// promoted to ColAny — over its old number of rows. Ranging Batches while
-// mutating the relation is therefore a bug (dwlint's batchlife flags it).
+// not the relation. Batches lends the relation's pages as Clone does, so
+// the next write to any of them copies the page first: a batch reads the
+// rows, kinds and dictionary as they were, whatever the relation does
+// later — inside the range loop or after it.
 type Batch struct {
 	pg    rowPage
 	n     int
@@ -95,11 +94,14 @@ func numBatches(n int) int { return (n + BatchSize - 1) / BatchSize }
 
 // Batches returns an iterator over the relation column-major, one batch
 // per row page — the counterpart of All. Nothing is built: a batch is the
-// page. The relation must not be mutated while iterating.
+// page. The page table and the row count are taken when Batches is
+// called, and its pages are lent, so writes to the relation — made while
+// ranging or later — are seen by a fresh call, never by this iterator.
 func (r *Relation) Batches() iter.Seq[Batch] {
+	pages, n := r.rows.snapshot()
 	return func(yield func(Batch) bool) {
-		for pi, pg := range r.rows.pages {
-			if !yield(Batch{pg: pg, n: r.rows.rowsOn(pi), attrs: r.attrs, start: pi << pageBits}) {
+		for pi, pg := range pages {
+			if !yield(Batch{pg: pg, n: min(pageLen, n-pi<<pageBits), attrs: r.attrs, start: pi << pageBits}) {
 				return
 			}
 		}

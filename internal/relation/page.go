@@ -592,6 +592,17 @@ func (s *rowPages) dropLast() {
 	}
 }
 
+// snapshot returns the page table and the row count as they are, and
+// lends the pages: the next write to any of them copies it first. The
+// flag is stored only when clear, so readers of a published relation
+// write no shared cache line.
+func (s *rowPages) snapshot() ([]rowPage, int) {
+	if !s.lent.Load() {
+		s.lent.Store(true)
+	}
+	return slices.Clone(s.pages), s.n
+}
+
 // shareTo makes c, which must be empty, a copy of s that shares all of its
 // pages. Safe beside readers of s and beside concurrent shareTo calls.
 func (s *rowPages) shareTo(c *rowPages) {

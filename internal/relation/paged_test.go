@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -392,17 +393,78 @@ func TestDerivedFormsFollowThePage(t *testing.T) {
 	}
 }
 
-// TestBatchHeldAcrossAWrite pins what a Batch is: the page it was cut
-// from, read in place over the rows it had. A write to a page no clone
-// shares happens in that page, so a batch held across it reads what the
-// write left — the row a delete moved in, a column an insert promoted to
-// ColAny — while its length stays what it was; a write to a shared page
-// copies the page first, so a batch of the shared page reads the rows as
-// they were.
+// batchState is what a batch reads: its rows, its column kinds and its
+// string dictionaries.
+type batchState struct {
+	rows  []Tuple
+	kinds []ColKind
+	dicts [][]string
+}
+
+func stateOf(b Batch) batchState {
+	var st batchState
+	for i := range b.Len() {
+		t := make(Tuple, b.NumCols())
+		for c := range t {
+			t[c] = b.Value(c, i)
+		}
+		st.rows = append(st.rows, t)
+	}
+	for c := range b.NumCols() {
+		st.kinds = append(st.kinds, b.ColKind(c))
+		var dict []string
+		if d := b.Dict(c); d != nil {
+			for code := range int32(d.Len()) {
+				dict = append(dict, d.Value(code))
+			}
+		}
+		st.dicts = append(st.dicts, dict)
+	}
+	return st
+}
+
+func (st batchState) equal(o batchState) bool {
+	if len(st.rows) != len(o.rows) || fmt.Sprint(st.kinds, st.dicts) != fmt.Sprint(o.kinds, o.dicts) {
+		return false
+	}
+	for i := range st.rows {
+		if !tuplesEqual(st.rows[i], o.rows[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkFreshBatches: a fresh Batches call covers exactly the relation's
+// rows as they are now.
+func checkFreshBatches(t *testing.T, r *Relation, after string) {
+	t.Helper()
+	i := 0
+	for b := range r.Batches() {
+		if b.Start() != i {
+			t.Fatalf("after %s: a fresh batch starts at %d, want %d", after, b.Start(), i)
+		}
+		for _, row := range stateOf(b).rows {
+			if !tuplesEqual(row, r.rows.at(i)) {
+				t.Fatalf("after %s: a fresh batch reads row %d as %v, the relation holds %v", after, i, row, r.rows.at(i))
+			}
+			i++
+		}
+	}
+	if i != r.Len() {
+		t.Fatalf("after %s: fresh batches cover %d rows, the relation holds %d", after, i, r.Len())
+	}
+}
+
+// TestBatchHeldAcrossAWrite pins what a Batch is: the page as it was when
+// Batches was called. A batch held across a write to its own page reads
+// the rows, kinds and dictionary it read before; a write made while
+// ranging changes none of the batches still to come, whether it empties
+// the last page or grows the page table; a fresh Batches sees every write.
 func TestBatchHeldAcrossAWrite(t *testing.T) {
-	r := New("k", "v")
+	r := New("k", "v", "s")
 	for i := range 10 {
-		r.InsertValues(Int(int64(i)), Int(int64(10*i)))
+		r.InsertValues(Int(int64(i)), Int(int64(10*i)), String_(fmt.Sprint("s", i%3)))
 	}
 	first := func(r *Relation) (b Batch) {
 		for b = range r.Batches() {
@@ -410,32 +472,118 @@ func TestBatchHeldAcrossAWrite(t *testing.T) {
 		}
 		return b
 	}
-	b := first(r)
-	if !r.Delete(Tuple{Int(3), Int(30)}) { // the page is private: row 9 moves into row 3, in place
-		t.Fatal("delete failed")
-	}
-	if b.Len() != 10 || b.Ints(0)[3] != 9 || !b.Value(1, 3).Equal(Int(90)) {
-		t.Fatalf("a batch held across a delete reads %d rows, row 3 = (%v, %v); want 10 rows, the moved row (9, 90)", b.Len(), b.Value(0, 3), b.Value(1, 3))
-	}
-	r.InsertValues(Int(100), String_("x")) // mixes kinds in v: the page's v column becomes ColAny in place
-	if b.ColKind(1) != ColAny || b.Ints(1) != nil || !b.Value(1, 0).Equal(Int(0)) || b.Len() != 10 {
-		t.Fatalf("a batch held across a promoting insert reads v as %v, row 0 = %v, %d rows", b.ColKind(1), b.Value(1, 0), b.Len())
-	}
-	if nb := first(r); nb.Len() != 10 || !nb.Value(1, 9).Equal(String_("x")) {
-		t.Fatalf("a fresh batch reads %d rows, the inserted row as %v", nb.Len(), nb.Value(1, 9))
+	for _, w := range []struct {
+		name  string
+		write func() bool
+	}{
+		{"a swap-with-last delete", func() bool { return r.Delete(Tuple{Int(3), Int(30), String_("s0")}) }},
+		{"an insert that promotes v to ColAny", func() bool { return r.InsertValues(Int(100), String_("x"), String_("s1")) }},
+		{"an append onto the batch's own last page", func() bool { return r.InsertValues(Int(101), Int(7), String_("s2")) }},
+		{"an insert that interns a new string", func() bool { return r.InsertValues(Int(102), Int(8), String_("new")) }},
+	} {
+		b := first(r)
+		before := stateOf(b)
+		if !w.write() {
+			t.Fatalf("%s failed", w.name)
+		}
+		if got := stateOf(b); !got.equal(before) {
+			t.Fatalf("a batch held across %s reads %v, kinds %v, dictionaries %v; it read %v, %v, %v",
+				w.name, got.rows, got.kinds, got.dicts, before.rows, before.kinds, before.dicts)
+		}
+		checkFreshBatches(t, r, w.name)
 	}
 
-	c := r.Clone() // now the page is shared
-	b = first(c)
-	if !c.Delete(Tuple{Int(0), Int(0)}) || !c.InsertValues(Int(200), Float(0.5)) {
-		t.Fatal("delete + insert on the clone failed")
+	// Writes made inside the range loop, on the first batch.
+	for _, w := range []struct {
+		name  string
+		write func(r *Relation) bool
+	}{
+		{"a delete that empties the last page", func(r *Relation) bool {
+			return r.Delete(r.rows.at(0)) // row pageLen, alone on the last page, moves into row 0
+		}},
+		{"an insert that grows the page table", func(r *Relation) bool {
+			for i := range 3 * pageLen {
+				if !r.InsertValues(Int(int64(-1-i)), Int(0), String_("grown")) {
+					return false
+				}
+			}
+			return true
+		}},
+	} {
+		r := New("k", "v", "s")
+		for i := range pageLen + 1 {
+			r.InsertValues(Int(int64(i)), Int(int64(i%7)), String_(fmt.Sprint("s", i%5)))
+		}
+		pages, n := slices.Clone(r.rows.pages), r.Len()
+		var want []batchState
+		for b := range r.Batches() {
+			want = append(want, stateOf(b))
+		}
+		got := 0
+		for b := range r.Batches() {
+			if got == 0 && !w.write(r) {
+				t.Fatalf("%s failed", w.name)
+			}
+			if got >= len(pages) || &b.pg[0] != &pages[got][0] || b.Len() != min(pageLen, n-got*pageLen) || !stateOf(b).equal(want[got]) {
+				t.Fatalf("%s made while ranging: batch %d reads %d rows, not page %d of the %d the loop began with as it was",
+					w.name, got, b.Len(), got, len(pages))
+			}
+			got++
+		}
+		if got != len(pages) {
+			t.Fatalf("%s made while ranging: %d batches, want the %d pages the loop began with", w.name, got, len(pages))
+		}
+		checkFreshBatches(t, r, w.name)
 	}
-	if b.Len() != 10 || !b.Value(0, 0).Equal(Int(0)) || !b.Value(1, 9).Equal(String_("x")) || &b.pg[0] == &c.rows.pages[0][0] {
-		t.Fatalf("a batch of a shared page reads row 0 = %v, row 9 = %v after the clone wrote it", b.Value(0, 0), b.Value(1, 9))
+}
+
+// TestConcurrentBatchesOfAPublishedRelation: readers range Batches of a
+// published relation — which lends its pages each time — while a writer
+// clones it and writes the clone. Every reader sees the relation's rows,
+// and under -race no reader and the writer touch one location unsynchronized.
+func TestConcurrentBatchesOfAPublishedRelation(t *testing.T) {
+	r := New("k", "s")
+	var sum int64
+	for i := range 3*pageLen + 17 {
+		r.InsertValues(Int(int64(i)), String_(fmt.Sprint("s", i%11)))
+		sum += int64(i)
 	}
-	if rb := first(r); &rb.pg[0] != &b.pg[0] || !rb.Value(0, 0).Equal(Int(0)) {
-		t.Fatal("the clone's writes reached the original's page")
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for reader := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				var got int64
+				rows := 0
+				for b := range r.Batches() {
+					for _, k := range b.Ints(0) {
+						got += k
+					}
+					if d := b.Dict(1); d == nil || d.Len() != 11 {
+						t.Errorf("reader %d: a batch's dictionary changed under it", reader)
+						return
+					}
+					rows += b.Len()
+				}
+				if rows != r.Len() || got != sum {
+					t.Errorf("reader %d: batches cover %d rows summing to %d, want %d rows summing to %d", reader, rows, got, r.Len(), sum)
+					return
+				}
+			}
+		}()
 	}
+	go func() { wg.Wait(); done.Store(true) }()
+	for i := 0; !done.Load(); i++ {
+		c := r.Clone()
+		c.InsertValues(Int(int64(-1-i)), String_("written"))
+		c.Delete(Tuple{Int(int64(i % r.Len())), String_(fmt.Sprint("s", i%r.Len()%11))})
+		for b := range c.Batches() {
+			_ = b.Ints(0)
+		}
+	}
+	wg.Wait()
 }
 
 // TestDropLastBesideALaterClone: a relation that wrote its last page —

@@ -65,9 +65,9 @@ func (rs *Rows) Len() int { return rs.rel.Len() }
 func (rs *Rows) Attrs() []string { return rs.rel.Attrs() }
 
 // Batches iterates the answer column-major in BatchSize windows, one per
-// row page, read in place. Each yielded batch is counted into
-// Stats().Batches, so plans report how much of the result their consumer
-// actually drained.
+// row page as it was when Batches was called. Each yielded batch is
+// counted into Stats().Batches, so plans report how much of the result
+// their consumer actually drained.
 func (rs *Rows) Batches() iter.Seq[Batch] {
 	return func(yield func(Batch) bool) {
 		for b := range rs.rel.Batches() {
