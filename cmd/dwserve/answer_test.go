@@ -153,7 +153,7 @@ func TestAppendRelationMatchesEncodingJSON(t *testing.T) {
 		}
 		paged.Insert(relation.Tuple{relation.Int(int64(i % 600)), s, m})
 	}
-	for i, tu := range paged.SortedRows() {
+	for i, tu := range paged.SortedTuples() {
 		if i%5 == 0 {
 			paged.Delete(tu)
 		}

@@ -266,22 +266,35 @@ func TestCorruptJournalRefusesBoot(t *testing.T) {
 
 // TestOldFormatRefusesBoot: a checkpoint and a journal written by the
 // parent of format v3 (gob; the bytes under testdata/v2 come from its
-// dwserve, SIGKILLed after three updates) and the checkpoints written by
-// the parents of formats v4 and v5 (testdata/v3 and testdata/v4, likewise;
-// their journal format is still the current one) are refused by name —
-// each alone and both together — never read as corruption, never booted
-// from empty beside, and left exactly as they were.
+// dwserve, SIGKILLed after three updates), the checkpoints written by the
+// parents of formats v4 and v5 (testdata/v3 and testdata/v4, likewise;
+// their journal format was still the current one) and the journal written
+// by the parent of journal format v4 (testdata/v3/wal.dwj, likewise) are
+// refused by name — each alone, the v2 pair together, and the v3 journal
+// beside a checkpoint of this build — never read as corruption, never
+// booted from empty beside, and left exactly as they were.
 func TestOldFormatRefusesBoot(t *testing.T) {
 	spec, err := dwc.ParseSpec(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint of this build, for the old journal to sit beside.
+	curDir := t.TempDir()
+	curSrv, curTS := newDurableServer(t, curDir, 1)
+	postUpdate(t, curTS.URL, "insert Sale('Radio', 'Paula')")
+	crash(t, curSrv, curTS)
+	current, err := os.ReadFile(checkpointPath(curDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		version string
 		files   []string
+		current bool // a checkpoint of this build lies beside the files
 	}{
-		{"v2", []string{"state.snap", "wal.dwj"}}, {"v2", []string{"state.snap"}}, {"v2", []string{"wal.dwj"}},
-		{"v3", []string{"state.snap"}}, {"v4", []string{"state.snap"}},
+		{"v2", []string{"state.snap", "wal.dwj"}, false}, {"v2", []string{"state.snap"}, false}, {"v2", []string{"wal.dwj"}, false},
+		{"v3", []string{"state.snap"}, false}, {"v4", []string{"state.snap"}, false},
+		{"v3", []string{"wal.dwj"}, false}, {"v3", []string{"wal.dwj"}, true},
 	} {
 		files := tc.files
 		dir := t.TempDir()
@@ -291,6 +304,12 @@ func TestOldFormatRefusesBoot(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, name), old[name], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.current {
+			old["state.snap"] = current
+			if err := os.WriteFile(filepath.Join(dir, "state.snap"), current, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -305,7 +324,7 @@ func TestOldFormatRefusesBoot(t *testing.T) {
 			t.Errorf("%s %v: error does not name the file: %v", tc.version, files, err)
 		}
 		left, _ := os.ReadDir(dir)
-		if len(left) != len(files) {
+		if len(left) != len(old) {
 			t.Errorf("%s %v: directory now holds %v", tc.version, files, left)
 		}
 		for name, want := range old {

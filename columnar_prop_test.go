@@ -363,8 +363,8 @@ func TestColumnarOpsMatchMapReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		fromRelation(cut).equalRelation(t, "decoded after mutations", back)
-		want := cut.SortedRows()
-		for i, row := range back.SortedRows() {
+		want := cut.SortedTuples()
+		for i, row := range back.SortedTuples() {
 			for j, v := range row {
 				if w := want[i][j]; v.Kind() != w.Kind() || !v.Equal(w) || math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat()) {
 					t.Fatalf("seed %d: row %d column %d decodes to %v (%v), the page held %v (%v)", seed, i, j, v, v.Kind(), w, w.Kind())
@@ -412,7 +412,7 @@ func TestPageLayoutIsChosenPerPage(t *testing.T) {
 	}
 	wantKind := []relation.ColKind{relation.ColInt, relation.ColAny, relation.ColFloat, relation.ColString}
 	wantDict := []int{7, 7, size, 7}
-	rows := r.SortedRows() // id order = insertion order = storage order
+	rows := r.SortedTuples() // id order = insertion order = storage order
 	for b := range r.Batches() {
 		page := b.Start() / size
 		if got := b.ColKind(1); got != wantKind[page] {

@@ -216,7 +216,7 @@ func TestCompareKernelsOnEdgeValues(t *testing.T) {
 				c := AttrCmpConst("v", op, cv)
 				got, want := SelectCond(r, c, nil), relation.Select(r, func(row relation.Row) bool { return EvalCond(c, row) })
 				if !got.Equal(want) {
-					t.Fatalf("%v over %v: kernel selects %v, EvalCond %v", c, r.SortedRows(), got.SortedRows(), want.SortedRows())
+					t.Fatalf("%v over %v: kernel selects %v, EvalCond %v", c, r.SortedTuples(), got.SortedTuples(), want.SortedTuples())
 				}
 			}
 		}

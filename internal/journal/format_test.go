@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,7 +26,8 @@ func frame(payload []byte) []byte {
 }
 
 // TestRecordLayout spells one record out: the frame, the header fields,
-// then the update as two name-sorted sets of relations.
+// then the update as two name-sorted sets of relations, each relation its
+// header and its one page's section.
 func TestRecordLayout(t *testing.T) {
 	db := testDB(t)
 	u := saleIns(t, db, "TV", "Mary").MustDelete("Emp", db, relation.String_("Mary"), relation.Int(23))
@@ -36,11 +38,13 @@ func TestRecordLayout(t *testing.T) {
 	payload := []byte{
 		4, 'h', 't', 't', 'p', 5, 1, 0xac, 0x02, // source, seq, epoch, lsn (uvarints)
 		1, 4, 'S', 'a', 'l', 'e', // inserts: one relation, "Sale"
-		2, 4, 'i', 't', 'e', 'm', 5, 'c', 'l', 'e', 'r', 'k', // its attributes
-		1, 4, 2, 'T', 'V', 4, 4, 'M', 'a', 'r', 'y', // one row of two strings
+		2, 4, 'i', 't', 'e', 'm', 5, 'c', 'l', 'e', 'r', 'k', 1, // its attributes, one row
+		4, 1, 2, 'T', 'V', // a string column: one string, codes of 0 bits
+		4, 1, 4, 'M', 'a', 'r', 'y',
 		1, 3, 'E', 'm', 'p', // deletes: one relation, "Emp"
-		2, 5, 'c', 'l', 'e', 'r', 'k', 3, 'a', 'g', 'e',
-		1, 4, 4, 'M', 'a', 'r', 'y', 2, 46, // string "Mary", int 23 (zig-zag 46)
+		2, 5, 'c', 'l', 'e', 'r', 'k', 3, 'a', 'g', 'e', 1,
+		4, 1, 4, 'M', 'a', 'r', 'y',
+		2, 46, 0, // an int column: minimum 23 (zig-zag 46), offsets of 0 bits
 	}
 	if want := frame(payload); !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("record encodes as\n%v\nwant\n%v", buf.Bytes(), want)
@@ -62,7 +66,8 @@ func TestHostileRecordsAreCorrupt(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		"duplicate attribute": record(2, 4, 'i', 't', 'e', 'm', 4, 'i', 't', 'e', 'm', 0),
 		"empty attribute":     record(2, 4, 'i', 't', 'e', 'm', 0, 0),
-		"short row":           record(2, 4, 'i', 't', 'e', 'm', 5, 'c', 'l', 'e', 'r', 'k', 1, 4, 1, 'x'),
+		"column missing":      record(2, 4, 'i', 't', 'e', 'm', 5, 'c', 'l', 'e', 'r', 'k', 1, 4, 1, 1, 'x'),
+		"rows wrap the pages": record(1, 4, 'i', 't', 'e', 'm', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 4, 1, 1, 'x'),
 		"trailing bytes":      append(record(0, 0), 0),
 		"no update":           {1, 's', 1, 0, 0},
 		"empty":               {},
@@ -74,7 +79,7 @@ func TestHostileRecordsAreCorrupt(t *testing.T) {
 	}
 	// An attribute the schema lacks is a well-formed record the database
 	// refuses: an error, but not corruption.
-	_, err := NewStreamReader(bytes.NewReader(frame(record(1, 4, 'i', 't', 'e', 'm', 1, 4, 1, 'x'))), db).Next()
+	_, err := NewStreamReader(bytes.NewReader(frame(record(1, 4, 'i', 't', 'e', 'm', 1, 4, 1, 1, 'x'))), db).Next()
 	if err == nil || errors.Is(err, ErrCorrupt) {
 		t.Errorf("relation missing an attribute: error %v", err)
 	}
@@ -124,27 +129,72 @@ func TestFrameLengthIsAClaim(t *testing.T) {
 	}
 }
 
-// TestRefusesFormatV2 opens a journal the parent of this format wrote
-// (gob records behind magic "DWJL"): refused by name, not as corruption,
-// and left as it was.
+// TestRefusesFormatV2 opens journals the parents of the later formats
+// wrote (v2: gob records behind magic "DWJL"; v3: relations as sorted
+// values behind "DWJ3"): refused by name, not as corruption, and left as
+// they were.
 func TestRefusesFormatV2(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("..", "..", "testdata", "v2", "wal.dwj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "wal.dwj")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, rerr := Replay(path, testDB(t), func(Record) error { return nil })
-	_, oerr := Open(path)
-	for _, err := range []error{rerr, oerr} {
-		if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format v2") {
-			t.Errorf("error %v, want ErrOldFormat naming the format", err)
+	for _, v := range []string{"v2", "v3"} {
+		old, err := os.ReadFile(filepath.Join("..", "..", "testdata", v, "wal.dwj"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "wal.dwj")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, rerr := Replay(path, testDB(t), func(Record) error { return nil })
+		_, oerr := Open(path)
+		for _, err := range []error{rerr, oerr} {
+			if !errors.Is(err, ErrOldFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "written by format "+v+", not readable by this build") {
+				t.Errorf("%s: error %v, want ErrOldFormat naming the format", v, err)
+			}
+		}
+		if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
+			t.Errorf("%s: the refused journal was modified", v)
 		}
 	}
-	if now, _ := os.ReadFile(path); !bytes.Equal(now, old) {
-		t.Error("the refused journal was modified")
+}
+
+// TestReframeIsIdentity: a follower re-frames the records it decodes, so
+// for any update Frame ∘ decode ∘ Frame is Frame, byte for byte — rows in
+// the order they were stored, whatever the order of their values.
+func TestReframeIsIdentity(t *testing.T) {
+	db := testDB(t)
+	rng := rand.New(rand.NewSource(34))
+	pool := []relation.Value{
+		relation.Null(), relation.String_("Mary"), relation.String_("Paula"), relation.String_(""),
+		relation.Int(23), relation.Int(-7), relation.Int(1 << 40), relation.Float(2.5), relation.Bool(true),
+	}
+	for i := range 500 {
+		u := catalog.NewUpdate()
+		for _, name := range []string{"Sale", "Emp"} {
+			sc, _ := db.Schema(name)
+			for range 1 + rng.Intn(3) {
+				row := make(relation.Tuple, len(sc.AttrNames()))
+				for c := range row {
+					row[c] = pool[rng.Intn(len(pool))]
+				}
+				schedule := u.Insert
+				if rng.Intn(2) == 0 {
+					schedule = u.Delete
+				}
+				if err := schedule(name, db, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, err := Frame(Record{Source: "s", Seq: uint64(i), LSN: uint64(i), Update: u})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := NewStreamReader(bytes.NewReader(want), db).Next()
+		if err != nil {
+			t.Fatalf("update %v: %v", u, err)
+		}
+		if got, err := Frame(rec); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("update %v re-frames as\n%x\nnot\n%x (error %v)", u, got, want, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // On-disk layout:
 //
-//	magic "DWJ3" (4 bytes)
+//	magic "DWJ4" (4 bytes)
 //	repeated records:
 //	    uint32 payload length (big endian)
 //	    uint32 CRC32/IEEE of payload
@@ -18,8 +18,10 @@
 //	             snapshot.AppendState of the non-empty ones
 //
 // Names, uvarints and relations are package relation's encoding
-// (relation/codec.go), the same bytes a checkpoint holds. A journal of
-// the previous format (magic "DWJL", gob payloads) is refused with
+// (relation/codec.go): a relation is its header and its row pages'
+// sections in storage order, the same sections a checkpoint holds. A
+// journal of an earlier format (v3: magic "DWJ3", relations as sorted
+// values row by row; v2: magic "DWJL", gob payloads) is refused with
 // ErrOldFormat, by name and not as corruption.
 //
 // A torn tail — a record cut short by a crash mid-append — is detected
@@ -63,8 +65,11 @@ import (
 	"dwcomplement/internal/trace"
 )
 
-// magic opens every journal file; magicV2 opened the gob format.
-var magic, magicV2 = [4]byte{'D', 'W', 'J', '3'}, [4]byte{'D', 'W', 'J', 'L'}
+// magic opens every journal file; oldMagic names the formats before it.
+var (
+	magic    = [4]byte{'D', 'W', 'J', '4'}
+	oldMagic = map[[4]byte]int{{'D', 'W', 'J', '3'}: 3, {'D', 'W', 'J', 'L'}: 2}
+)
 
 // maxRecord bounds one record's payload; longer prefixes are treated as
 // corruption rather than honored with a giant allocation.
@@ -76,7 +81,7 @@ const maxRecord = 1 << 28
 var ErrCorrupt = errors.New("journal: corrupt record")
 
 // ErrOldFormat reports an intact journal this build has no reader for.
-var ErrOldFormat = errors.New("journal: written by format v2, not readable by this build")
+var ErrOldFormat = errors.New("journal: old format")
 
 // Record is one journaled notification: the reporting source, its
 // per-source sequence number, and the update it reported. Epoch and
@@ -564,8 +569,8 @@ func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (end, la
 		}
 		return 0, 0, ErrTorn
 	}
-	if mg == magicV2 {
-		return 0, 0, ErrOldFormat
+	if v, old := oldMagic[mg]; old {
+		return 0, 0, fmt.Errorf("%w: written by format v%d, not readable by this build", ErrOldFormat, v)
 	}
 	if mg != magic {
 		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)

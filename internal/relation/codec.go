@@ -19,7 +19,8 @@ import (
 //	          | int: zig-zag varint | float: its 8 IEEE-754 bytes (NaN
 //	          payloads and −0 survive) | string: uvarint length, bytes
 //	relation  uvarint arity, arity × name (uvarint length, bytes),
-//	          uvarint row count, the rows in Order
+//	          uvarint row count n, then the section of each of its
+//	          ⌈n/1024⌉ row pages, in storage order
 //	section   one row page of n rows (the reader knows n): a column
 //	          after the other, each a layout tag and the column's cells
 //
@@ -40,14 +41,16 @@ import (
 //	            cells use, in the order they are first used; then each
 //	            cell's index among them in bits(d − 1) bits
 //
-// Both encodings are canonical — a relation, and a page, encode to one
-// byte string — and the decoders accept nothing but what the encoders
-// write: no width wider than needed, no minimum that is not one, no
-// dictionary string unused, repeated or out of first-use order, no padding
-// bit set, no bitmap without a NULL. They are where outside input is
-// validated: whatever the bytes say, a decoder returns an error wrapping
-// ErrEncoding, never panics, and checks every length against the bytes
-// that remain before it allocates.
+// A checkpoint holds the same sections, each under its own checksum
+// (PageSection). Decode ∘ encode and encode ∘ decode are identities on
+// what the decoder accepts: a relation decodes to its rows, bit for bit
+// and in storage order, and the decoders accept nothing but what the
+// encoders write: no width wider than needed, no minimum that is not one,
+// no dictionary string unused, repeated or out of first-use order, no
+// padding bit set, no bitmap without a NULL. They are where outside input
+// is validated: whatever the bytes say, a decoder returns an error
+// wrapping ErrEncoding, never panics, and checks every length against the
+// bytes that remain before it allocates.
 
 // ErrEncoding is wrapped by every error the decoders return.
 var ErrEncoding = errors.New("relation: malformed encoding")
@@ -171,65 +174,38 @@ func DecodeHeader(b []byte) (attrs []string, rows uint64, rest []byte, err error
 	return attrs, rows, b, err
 }
 
-// decodeRow reads one row of len(t) values off the front of b into t.
-func decodeRow(b []byte, t Tuple) ([]byte, error) {
-	for i := range t {
-		var err error
-		if b, err = decodeValue(b, &t[i]); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// AppendBinary appends the relation's encoding to b. It sorts: this is the
-// form of the relations that travel — the deltas in journal, stream and
-// report records, a handful of rows whose bytes must not depend on the
-// order they were inserted in. A checkpoint takes the stored relations
-// page by page instead (PageSection).
+// AppendBinary appends the relation's encoding to b: its header, then each
+// row page's section in storage order. It is the form of the relations
+// that travel — the deltas in journal, stream and report records.
 func (r *Relation) AppendBinary(b []byte) []byte {
 	b = r.AppendHeader(b)
-	for _, i := range r.Order() {
-		pg, k := r.rows.pages[i>>pageBits], int(i&pageMask)
-		for c := range pg {
-			v := pg[c].value(k)
-			b = appendValue(b, &v)
-		}
+	for pi, pg := range r.rows.pages {
+		b = pg.appendSection(b, r.rows.rowsOn(pi))
 	}
 	return b
 }
 
 // DecodeBinary reads one relation off the front of b and returns the
-// bytes after it.
+// bytes after it. Its pages keep no cached section: that would alias b.
 func DecodeBinary(b []byte) (*Relation, []byte, error) {
 	attrs, n, b, err := DecodeHeader(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A value is at least its kind byte; the only row of no values is
+	// A page is at least a tag per column; the only row of no columns is
 	// the empty tuple.
-	if n > 1 && n > uint64(len(b))/uint64(max(len(attrs), 1)) {
-		return nil, nil, malformed("%d rows of %d values, %d bytes remain", n, len(attrs), len(b))
+	pages := pagesOf(n)
+	if len(attrs) == 0 && n > 1 || len(attrs) > 0 && pages > uint64(len(b))/uint64(len(attrs)) {
+		return nil, nil, malformed("%d rows of %d columns, %d bytes remain", n, len(attrs), len(b))
 	}
 	r, err := newChecked(attrs, int(n))
 	if err != nil {
 		return nil, nil, malformed("%v", err)
 	}
-	t := make(Tuple, len(attrs))
-	for range n {
-		if b, err = decodeRow(b, t); err != nil {
-			return nil, nil, err
-		}
-		// Ascending order leaves Int(2) beside Float(2), which are one
-		// value to the set: Insert finds those.
-		if !r.Insert(t) {
-			return nil, nil, malformed("row %v duplicated", t)
-		}
-	}
-	// The rows came in ascending order exactly when that is storage order.
-	for i, row := range r.Order() {
-		if row != int32(i) {
-			return nil, nil, malformed("row %v out of order", r.rows.at(i))
+	d, all := new(pageDecoder), allCols(len(attrs))
+	for pi := range pages {
+		if b, err = r.decodePage(b, int(n), d, all); err != nil {
+			return nil, nil, fmt.Errorf("page %d: %w", pi, err)
 		}
 	}
 	return r, b, nil
@@ -421,7 +397,7 @@ func (p *bitPacker) flush() []byte {
 // bounded their number by the bytes it was handed; the sections become the
 // pages' cached ones, so the caller must not write to them afterwards.
 func DecodePages(attrs []string, n uint64, sections []Section) (*Relation, error) {
-	if np := uint64(len(sections)); n > np<<pageBits || (n+pageMask)>>pageBits != np {
+	if np := uint64(len(sections)); pagesOf(n) != np {
 		return nil, malformed("%d rows in %d pages", n, np)
 	}
 	r, err := newChecked(attrs, int(n))
@@ -430,7 +406,11 @@ func DecodePages(attrs []string, n uint64, sections []Section) (*Relation, error
 	}
 	d, all := new(pageDecoder), allCols(len(attrs))
 	for pi := range sections {
-		if err := r.decodePage(sections[pi].Bytes, int(n), d, all); err != nil {
+		rest, err := r.decodePage(sections[pi].Bytes, int(n), d, all)
+		if err == nil && len(rest) != 0 {
+			err = malformed("%d bytes after its columns", len(rest))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("page %d: %w", pi, err)
 		}
 		r.slot(pi).section.Store(&sections[pi])
@@ -438,7 +418,10 @@ func DecodePages(attrs []string, n uint64, sections []Section) (*Relation, error
 	return r, nil
 }
 
-// pageDecoder is what DecodePages reuses from one page and column to the
+// pagesOf returns ⌈n/pageLen⌉ without rounding n up, which could wrap.
+func pagesOf(n uint64) uint64 { return n>>pageBits + min(n&pageMask, 1) }
+
+// pageDecoder is what the decoders reuse from one page and column to the
 // next.
 type pageDecoder struct {
 	hashes [pageLen]uint64 // the page's row hashes, summed a column at a time
@@ -448,9 +431,10 @@ type pageDecoder struct {
 	ends   []int
 }
 
-// decodePage appends the next page of a relation of n rows to r from its
-// section b: the columns, the rows' hashes and their membership.
-func (r *Relation) decodePage(b []byte, n int, d *pageDecoder, all []int) error {
+// decodePage appends the next page of a relation of n rows to r from the
+// section at the front of b — the columns, the rows' hashes and their
+// membership — and returns the bytes after it.
+func (r *Relation) decodePage(b []byte, n int, d *pageDecoder, all []int) ([]byte, error) {
 	base := r.rows.n
 	h := d.hashes[:min(pageLen, n-base)]
 	clear(h)
@@ -458,20 +442,17 @@ func (r *Relation) decodePage(b []byte, n int, d *pageDecoder, all []int) error 
 	for c := range pg {
 		var err error
 		if b, err = pg[c].decode(b, h, d); err != nil {
-			return fmt.Errorf("column %q: %w", r.attrs[c], err)
+			return nil, fmt.Errorf("column %q: %w", r.attrs[c], err)
 		}
-	}
-	if len(b) != 0 {
-		return malformed("%d bytes after its columns", len(b))
 	}
 	r.rows.pages, r.rows.n = append(r.rows.pages, pg), base+len(h)
 	for k, hk := range h {
 		if r.holds(hk, base+k, all) {
-			return malformed("row %v is in the relation twice", r.rows.at(base+k))
+			return nil, malformed("row %v is in the relation twice", r.rows.at(base+k))
 		}
 		r.place(hk, base+k)
 	}
-	return nil
+	return b, nil
 }
 
 // holds reports whether the membership table holds a row equal to row i,

@@ -49,6 +49,10 @@ func sameBits(a, b Value) bool {
 		math.Float64bits(a.f) == math.Float64bits(b.f)
 }
 
+// checkRoundTrip holds r's encoding to the identities the checkpoint, the
+// journal and the wire lean on: it decodes to r's rows bit for bit in
+// storage order, re-encodes to itself, and builds what DecodePages builds
+// from r's sections.
 func checkRoundTrip(t *testing.T, r *Relation) []byte {
 	t.Helper()
 	enc := r.AppendBinary(nil)
@@ -59,44 +63,48 @@ func checkRoundTrip(t *testing.T, r *Relation) []byte {
 	if string(rest) != "tail" {
 		t.Fatalf("decode left %q, want the 4 bytes after the relation", rest)
 	}
-	if fmt.Sprint(got.Attrs()) != fmt.Sprint(r.Attrs()) || !got.Equal(r) {
+	if fmt.Sprint(got.Attrs()) != fmt.Sprint(r.Attrs()) || got.Len() != r.Len() || !got.Equal(r) {
 		t.Fatalf("round trip changed the relation:\n got %v\nwant %v", got, r)
 	}
-	want := r.SortedRows()
-	for i, row := range got.SortedRows() {
+	for i := range r.Len() {
+		want, row := r.rows.at(i), got.rows.at(i)
 		for j := range row {
-			if !sameBits(row[j], want[i][j]) {
-				t.Fatalf("row %d col %d: got %#v, want %#v", i, j, row[j], want[i][j])
+			if !sameBits(row[j], want[j]) {
+				t.Fatalf("row %d col %d: got %#v, want %#v", i, j, row[j], want[j])
 			}
 		}
 	}
 	if again := got.AppendBinary(nil); !bytes.Equal(again, enc) {
 		t.Fatalf("re-encoding differs:\n%x\n%x", again, enc)
 	}
+	paged, err := DecodePages(r.Attrs(), uint64(r.Len()), sectionsOf(r))
+	if err != nil || !paged.Equal(got) {
+		t.Fatalf("DecodePages over the sections of %v: %v, error %v", r, paged, err)
+	}
+	for pi, sec := range sectionsOf(got) {
+		if want, _ := paged.PageSection(pi); !bytes.Equal(sec.Bytes, want.Bytes) {
+			t.Fatalf("page %d: DecodeBinary and DecodePages build other sections:\n%x\n%x", pi, sec.Bytes, want.Bytes)
+		}
+	}
 	return enc
 }
 
-// TestCodecRoundTrip is the property the checkpoint, the journal and the
-// wire all lean on: decode ∘ encode is the identity down to the bit, and
-// the bytes depend on the relation, not on how it was built.
+// TestCodecRoundTrip: decode ∘ encode is the identity down to the bit, on
+// relations of every kind, of pages of every layout and of several pages.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for range 2000 {
-		r := genRelation(rng)
-		enc := checkRoundTrip(t, r)
-		// The same set inserted in another order, some rows twice.
-		rows := r.SortedTuples()
-		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		o := New(r.Attrs()...)
-		for _, row := range rows {
-			o.Insert(row)
-		}
-		for _, row := range rows[:len(rows)/2] {
-			o.Insert(row)
-		}
-		if other := o.AppendBinary(nil); !bytes.Equal(other, enc) {
-			t.Fatalf("insertion order changed the bytes of %v:\n%x\n%x", r, other, enc)
-		}
+		checkRoundTrip(t, genRelation(rng))
+	}
+	big := New("k", "s", "v")
+	for i := range 2*pageLen + 10 {
+		big.InsertValues(Int(int64(i*7-5000)), String_(fmt.Sprint("x", i%300)), codecValues[i%len(codecValues)])
+	}
+	for i := 0; i < big.Len(); i += 13 {
+		big.Delete(big.rows.at(i))
+	}
+	for _, r := range append(sectionPages(), big) {
+		checkRoundTrip(t, r)
 	}
 	// The two relations of no attributes: the empty one and the one
 	// holding the empty tuple.
@@ -110,63 +118,61 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecLayout spells the encoding out on one small relation.
+// TestCodecLayout spells the encoding out on one small relation: the
+// header, then its one page's section, rows in the order they were
+// inserted.
 func TestCodecLayout(t *testing.T) {
 	r := New("k", "v")
 	r.InsertValues(Int(-3), String_("hi"))
-	r.InsertValues(Int(-3), Null())
-	r.InsertValues(Bool(true), Float(-2.5))
+	r.InsertValues(Int(4), Null())
+	r.InsertValues(Int(1), String_("hi"))
 	want := []byte{
 		2, 1, 'k', 1, 'v', // arity, then each name behind its length
-		3,                                     // rows, sorted: kinds order null < bool < numbers < string
-		1, 1, 3, 0xc0, 0x04, 0, 0, 0, 0, 0, 0, // bool true | float: 8 IEEE bytes, big endian
-		2, 5, 0, // int −3 (zig-zag 5) | null
-		2, 5, 4, 2, 'h', 'i', // int −3 | string behind its length
+		3,                // rows
+		2, 5, 3, 0x38, 1, // int: minimum −3 (zig-zag 5), width 3; offsets 0, 7, 4
+		4 | 8, 0b010, 1, 2, 'h', 'i', // string, row 1 NULL; one string, codes of 0 bits
 	}
 	if got := r.AppendBinary(nil); !bytes.Equal(got, want) {
 		t.Fatalf("encoding:\n got %v\nwant %v", got, want)
 	}
 }
 
-// rawRelation encodes what no Relation can hold: the attribute list and
-// the rows are written as given.
-func rawRelation(attrs []string, rows ...[]Value) []byte {
+// header is the encoding of a relation's header: attrs, then a row count
+// that is not checked against anything.
+func header(n uint64, attrs ...string) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(attrs)))
 	for _, a := range attrs {
 		b = AppendString(b, a)
 	}
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for _, row := range rows {
-		for i := range row {
-			b = appendValue(b, &row[i])
-		}
-	}
-	return b
+	return binary.AppendUvarint(b, n)
 }
 
-// hostileEncodings are inputs the decoder must refuse. The first three
-// panicked the parent inside New / Insert when they arrived as a report
-// body, a stream frame or a CRC-valid snapshot.
+// hostileEncodings are inputs the decoder must refuse, whether they arrive
+// as a report body, a stream frame or a journal record.
 var hostileEncodings = map[string][]byte{
-	"duplicate attribute": rawRelation([]string{"loc", "loc"}, []Value{String_("x"), String_("y")}),
-	"empty attribute":     rawRelation([]string{"loc", ""}, []Value{String_("x"), String_("y")}),
-	"short row":           rawRelation([]string{"loc", "n"}, []Value{String_("x"), Int(1)}, []Value{String_("y")}),
-	"unknown kind":        {1, 1, 'a', 1, 5},
-	"bool above 1":        {1, 1, 'a', 1, 1, 2},
-	"long varint":         {1, 1, 'a', 1, 2, 0x80, 0x00},
-	"overflowing varint":  append([]byte{1, 1, 'a', 1, 2}, bytes.Repeat([]byte{0xff}, 11)...),
-	"float cut short":     {1, 1, 'a', 1, 3, 0, 0, 0},
-	"string past the end": {1, 1, 'a', 1, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'},
-	"name past the end":   {1, 0xff, 0xff, 0xff, 0xff, 0x0f, 'a'},
-	"arity past the end":  {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-	"rows past the end":   {1, 1, 'a', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},
-	"two empty tuples":    {0, 2},
-	"empty tuples galore": {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-	"rows out of order":   rawRelation([]string{"a"}, []Value{Int(2)}, []Value{Int(1)}),
-	"duplicate row":       rawRelation([]string{"a"}, []Value{Int(1)}, []Value{Int(1)}),
-	"2 and 2.0":           rawRelation([]string{"a"}, []Value{Int(2)}, []Value{Float(2)}),
-	"0 and -0":            rawRelation([]string{"a"}, []Value{Float(0)}, []Value{Float(math.Copysign(0, -1))}),
-	"empty":               {},
+	"duplicate attribute":     append(header(1, "loc", "loc"), 4, 1, 1, 'x', 4, 1, 1, 'y'),
+	"empty attribute":         append(header(1, "loc", ""), 4, 1, 1, 'x', 4, 1, 1, 'y'),
+	"column missing":          append(header(1, "loc", "n"), 4, 1, 1, 'x'),
+	"unknown kind":            append(header(1, "a"), 0, 5),
+	"bool above 1":            append(header(1, "a"), 0, 1, 2),
+	"long varint":             append(header(1, "a"), 0, 2, 0x80, 0x00),
+	"overflowing varint":      append(append(header(1, "a"), 0, 2), bytes.Repeat([]byte{0xff}, 11)...),
+	"float cut short":         append(header(1, "a"), 3, 0, 0, 0),
+	"string past the end":     append(header(1, "a"), 0, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'),
+	"name past the end":       {1, 0xff, 0xff, 0xff, 0xff, 0x0f, 'a'},
+	"arity past the end":      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	"rows past the end":       append(header(1<<62, "a"), 2, 0, 0),
+	"2^32 rows":               append(header(1<<32, "a"), 2, 0, 0),
+	"rows wrap the pages":     append(header(math.MaxUint64, "a"), 2, 0, 0), // ⌈n/1024⌉ computed as (n+1023)>>10 is 0
+	"pages past the end":      append(header(pageLen+1, "a"), 5),
+	"section cut short":       append(header(2, "a"), 2, 0, 1),
+	"two empty tuples":        {0, 2},
+	"empty tuples galore":     {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	"duplicate row":           append(header(2, "a"), 2, 2, 0),
+	"2 and 2.0":               append(header(2, "a"), 0, 2, 4, 3, 0x40, 0, 0, 0, 0, 0, 0, 0),
+	"0 and -0":                append(header(2, "a"), 3, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0),
+	"width not the narrowest": append(header(2, "a"), 2, 0, 2, 0b0100),
+	"empty":                   {},
 }
 
 func TestDecodeBinaryRefusesHostileInput(t *testing.T) {
@@ -187,12 +193,24 @@ func TestDecodeBinaryRefusesHostileInput(t *testing.T) {
 	}
 }
 
+// twoPages is a relation whose second page holds a few rows.
+func twoPages() *Relation {
+	r := New("k", "s")
+	for i := range pageLen + 3 {
+		r.InsertValues(Int(int64(i)), String_(fmt.Sprint("s", i%5)))
+	}
+	return r
+}
+
 // TestDecodeBinaryPrefixes: the counts come first, so no proper prefix of
 // an encoding is itself one.
 func TestDecodeBinaryPrefixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	encs := [][]byte{twoPages().AppendBinary(nil)}
 	for range 50 {
-		enc := genRelation(rng).AppendBinary(nil)
+		encs = append(encs, genRelation(rng).AppendBinary(nil))
+	}
+	for _, enc := range encs {
 		for n := range len(enc) {
 			if r, _, err := DecodeBinary(enc[:n:n]); !errors.Is(err, ErrEncoding) {
 				t.Fatalf("prefix %d of %x decoded to %v, error %v", n, enc, r, err)
@@ -208,6 +226,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	for range 20 {
 		f.Add(genRelation(rng).AppendBinary(nil))
 	}
+	f.Add(twoPages().AppendBinary(nil))
 	for _, b := range hostileEncodings {
 		f.Add(b)
 	}

@@ -114,7 +114,7 @@ func TestIndexesFollowMutations(t *testing.T) {
 				if _, _, wdup := want.dupPair(); dup != wdup {
 					t.Fatalf("seed %d step %d index %q: dupPair=%v, fresh build says %v", seed, step, key, dup, wdup)
 				}
-				for _, tu := range append(r.SortedRows(), row(), row()) {
+				for _, tu := range append(r.SortedTuples(), row(), row()) {
 					vals := make([]Value, len(ix.pos))
 					for i, p := range ix.pos {
 						vals[i] = tu[p]

@@ -20,7 +20,7 @@ var ErrSchemaMismatch = errors.New("schema mismatch")
 
 // Tuple is a row of values, positionally aligned with the attribute order
 // of a Relation. A relation does not store tuples: it builds them from its
-// column pages when asked (All, SortedRows) and copies the values of the
+// column pages when asked (All, SortedTuples) and copies the values of the
 // ones it is handed (Insert).
 type Tuple []Value
 
@@ -442,15 +442,11 @@ func (r *Relation) All() iter.Seq[Tuple] {
 	}
 }
 
-// SortedTuples returns all tuples in Order — a deterministic order for
-// printing and golden tests. It is SortedRows under the name the older
-// callers use.
-func (r *Relation) SortedTuples() []Tuple { return r.SortedRows() }
-
-// SortedRows returns every row as a fresh tuple, in Order. The tuples
-// share one allocation, each capped at its own values, so the caller may
-// keep, reorder and modify them.
-func (r *Relation) SortedRows() []Tuple {
+// SortedTuples returns every row as a fresh tuple, in Order — a
+// deterministic order for printing and golden tests. The tuples share one
+// allocation, each capped at its own values, so the caller may keep,
+// reorder and modify them.
+func (r *Relation) SortedTuples() []Tuple {
 	w, order := len(r.attrs), r.Order()
 	vals, out := make([]Value, w*len(order)), make([]Tuple, len(order))
 	for i, row := range order {
@@ -462,10 +458,10 @@ func (r *Relation) SortedRows() []Tuple {
 // Order returns the row numbers of r (storage positions, as Batch.Start
 // counts them) in the total tuple order: column by column under
 // Value.Less. It is the one implementation of that order — responses,
-// encoded deltas, CSV and String all read rows in it — and it runs on the
-// column vectors: a column every page lays out in one typed layout compares
-// through an order-preserving key per row (orderKeys), any other cell by
-// cell under orderValues.
+// CSV and String all read rows in it — and it runs on the column vectors:
+// a column every page lays out in one typed layout compares through an
+// order-preserving key per row (orderKeys), any other cell by cell under
+// orderValues.
 func (r *Relation) Order() []int32 {
 	perm := make([]int32, r.rows.len())
 	for i := range perm {

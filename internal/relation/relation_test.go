@@ -250,7 +250,7 @@ func TestSortedTuplesDeterministic(t *testing.T) {
 	}
 }
 
-// tupleLessRef is the tuple order SortedRows had before it sorted under one
+// tupleLessRef is the tuple order SortedTuples had before it sorted under one
 // three-way comparator, kept as the reference: column by column under
 // Value.Less, asked both ways.
 func tupleLessRef(a, b Tuple) bool {
@@ -269,7 +269,7 @@ func tupleLessRef(a, b Tuple) bool {
 }
 
 // TestSortedRowsMatchesReferenceOrder: on random relations mixing every
-// kind in every column position, SortedRows is a permutation of the rows in
+// kind in every column position, SortedTuples is a permutation of the rows in
 // exactly the reference order, and the comparator agrees with the reference
 // on every pair, ties included.
 func TestSortedRowsMatchesReferenceOrder(t *testing.T) {
@@ -304,11 +304,13 @@ func TestSortedRowsMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
-// checkOrder holds SortedRows and AppendBinary to the reference order:
-// All sorted under tupleLessRef, every row once.
-func checkOrder(t testing.TB, name string, r *Relation) {
+// checkOrder holds SortedTuples to the reference order:
+// All sorted under tupleLessRef, every row once. It also holds the codec to
+// its identities on these relations: several pages of differing layouts,
+// dictionaries keeping dead strings, rows moved across pages by deletes.
+func checkOrder(t *testing.T, name string, r *Relation) {
 	t.Helper()
-	got := r.SortedRows()
+	got := r.SortedTuples()
 	want := slices.Collect(r.All())
 	sort.Slice(want, func(i, j int) bool { return tupleLessRef(want[i], want[j]) })
 	if len(got) != r.Len() || len(want) != r.Len() {
@@ -324,10 +326,7 @@ func checkOrder(t testing.TB, name string, r *Relation) {
 		}
 		seen[got[i].key()] = true
 	}
-	// AppendBinary writes the rows in the order; the decoder checks it.
-	if back, _, err := DecodeBinary(r.AppendBinary(nil)); err != nil || !back.Equal(r) {
-		t.Fatalf("%s: the encoding does not decode back: %v", name, err)
-	}
+	checkRoundTrip(t, r)
 }
 
 // TestOrderAcrossPages: on relations of several pages whose layouts differ
@@ -402,7 +401,7 @@ func TestOrderAcrossPages(t *testing.T) {
 			}
 		}
 		checkOrder(t, c.name, r)
-		for _, tu := range r.SortedRows() {
+		for _, tu := range r.SortedTuples() {
 			if tu[4].AsInt()%3 == 0 {
 				r.Delete(tu) // swaps rows across pages, leaves their strings behind
 			}
@@ -443,7 +442,7 @@ func FuzzSortedOrder(f *testing.F) {
 			}
 			r.Insert(Tuple{row[1], row[2], row[0]})
 		}
-		for i, tu := range r.SortedRows() {
+		for i, tu := range r.SortedTuples() {
 			if at(i)%4 == 0 {
 				r.Delete(tu)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -195,9 +196,27 @@ func TestDecodePagesAllocations(t *testing.T) {
 
 // FuzzDecodePages: whatever the bytes of a one-page section, DecodePages
 // returns — an error wrapping ErrEncoding, or a page that encodes to those
-// very bytes and whose rows carry the hashes Insert gives them.
+// very bytes and whose rows carry the hashes Insert gives them. Besides
+// the checkpoint's pages it is seeded with deltas of 1–3 rows, the pages
+// journal, stream and report records carry.
 func FuzzDecodePages(f *testing.F) {
-	for _, r := range sectionPages() {
+	rng := rand.New(rand.NewSource(3))
+	deltas := sectionPages()
+	for len(deltas) < 20 {
+		r := genRelation(rng)
+		if r.Arity() == 0 || r.Len() == 0 {
+			continue
+		}
+		d, k := New(r.Attrs()...), 1+rng.Intn(3)
+		for row := range r.All() {
+			if d.Len() == k {
+				break
+			}
+			d.Insert(row)
+		}
+		deltas = append(deltas, d)
+	}
+	for _, r := range deltas {
 		sec, _ := r.PageSection(0)
 		f.Add(uint8(r.Arity()), uint16(r.Len()), sec.Bytes)
 	}

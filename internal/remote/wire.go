@@ -14,6 +14,8 @@
 // whether it crosses a disk or a network boundary, and carries the same
 // Seq the recovery protocol keys on. The envelope is plain JSON over
 // HTTP/1.1 (the update base64 inside it), no third-party dependencies.
+// The update bytes carry no version: a source must run the warehouse's
+// build, and one whose codec differs is refused as a bad response.
 package remote
 
 import (
@@ -31,7 +33,7 @@ type WireNotification struct {
 	Source string `json:"source"`
 	Seq    uint64 `json:"seq"`
 	Update []byte `json:"update"`
-	// Lineage (both optional, so old and new peers interoperate): when
+	// Lineage (both optional, so a report without them is applied): when
 	// the report was applied at the source, and the W3C traceparent of
 	// its sampled "source.apply" span — the propagation that lets the
 	// warehouse join the source's trace and measure refresh lag.
