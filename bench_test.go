@@ -608,7 +608,10 @@ func churnUpdate(db *dwc.Database, rows, lag, i int) *dwc.Update {
 // views. Thm. 4.1's cost model says the three sizes should cost the same:
 // ns/op, B/op and copied-B/op (RefreshStats.CopiedBytes, the pages the
 // copy-on-write apply copied) are the gate for "refresh is O(delta), not
-// O(view)".
+// O(view)". ops/op (the operator records of RefreshStats.Eval) and reads/op
+// (old and new values read, under a probe or in full) count what the
+// refresh evaluated: the targets the update does not reach and the
+// complements the deltas alone maintain add none.
 func BenchmarkRefreshScale(b *testing.B) {
 	const lag = 64
 	for _, c := range []struct {
@@ -628,12 +631,12 @@ func BenchmarkRefreshScale(b *testing.B) {
 				}
 			}
 			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
-			copied := int64(0)
+			copied, ops, reads := int64(0), 0, int64(0)
 			for i := 0; i < b.N+2*lag; i++ { // the first 2·lag updates only insert
 				if i == 2*lag {
 					b.ReportAllocs()
 					b.ResetTimer()
-					copied = 0
+					copied, ops, reads = 0, 0, 0
 				}
 				st, err := dwc.Refresh(ctx, m, w, churnUpdate(db, c.rows, lag, i))
 				if err != nil {
@@ -643,8 +646,12 @@ func BenchmarkRefreshScale(b *testing.B) {
 					b.Fatalf("update %d changed %d warehouse tuples, want an insert and a delete", i, st.Total())
 				}
 				copied += st.CopiedBytes
+				ops += len(st.Eval.Ops)
+				reads += st.RestrictedLookups + st.FullReconstructions
 			}
 			b.ReportMetric(float64(copied)/float64(b.N), "copied-B/op")
+			b.ReportMetric(float64(ops)/float64(b.N), "ops/op")
+			b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 		})
 	}
 }

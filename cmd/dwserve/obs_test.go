@@ -139,7 +139,11 @@ func TestQueryExplainPlan(t *testing.T) {
 }
 
 // TestStatsLastRefresh: /stats reports the most recent refresh's spans
-// and lookup counters.
+// and lookup counters. Inserting a sale for Paula reaches every target:
+// Sold probes Emp under the inserted row, while the stored complement
+// C_Emp = Emp ∖ π(Sale ⋈ Emp) takes its delta from the update's and the
+// shared join's deltas without a read, and loses Paula that way. The
+// lookups normalization makes are counted all the same.
 func TestStatsLastRefresh(t *testing.T) {
 	ts := newTestServer(t, "")
 	var res map[string]any
@@ -164,15 +168,20 @@ func TestStatsLastRefresh(t *testing.T) {
 	if len(lr.Spans) == 0 {
 		t.Fatalf("no refresh spans: %+v", stats)
 	}
-	applied := 0
-	for _, sp := range lr.Spans {
-		applied += sp.Applied
-		if sp.Scanned+sp.Probed == 0 {
-			t.Errorf("span %s read nothing: %+v", sp.Target, sp)
-		}
+	spans := make(map[string]int)
+	for i, sp := range lr.Spans {
+		spans[sp.Target] = i
 	}
-	if applied == 0 {
-		t.Errorf("spans applied nothing: %+v", lr.Spans)
+	if i, ok := spans["Sold"]; !ok || lr.Spans[i].Probed == 0 || lr.Spans[i].Applied == 0 {
+		t.Errorf("Sold's span did not probe and apply: %+v", lr.Spans)
+	}
+	if i, ok := spans["C_Emp"]; !ok || lr.Spans[i].Applied == 0 {
+		t.Errorf("C_Emp's span applied nothing: %+v", lr.Spans)
+	}
+	for _, sp := range lr.Spans {
+		if sp.Target != "Sold" && sp.Scanned+sp.Probed != 0 {
+			t.Errorf("complement %s's span read under its delta: %+v", sp.Target, sp)
+		}
 	}
 	if lr.RestrictedLookups == 0 {
 		t.Errorf("no restricted lookups recorded: %+v", lr)

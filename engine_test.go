@@ -146,42 +146,72 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestRefreshReadsFollowTheDelta: on the Section-5 schema a refresh that
-// inserts one order and deletes another reads what the delta reaches,
-// whatever the size of the views — nothing in full, the same number of
-// rows scanned and probed at 10k and at 100k source rows — and its eval
-// block covers propagation: next to the inverses' operators it lists the
-// maintained views' own (the join and selection of TokyoFR, the projection
-// inside C_Order_tokyo), which the delta rules read under the delta.
+// inserts one tokyo order and deletes another reads what the delta
+// reaches, whatever the size of the views — nothing in full, the same
+// number of rows scanned and probed at 10k and at 100k source rows — and
+// its eval block lists the reads propagation made. Two churn cases:
+//
+//   - french-delete: the deleted order's customer is French, so the order
+//     leaves TokyoFR, and the projections of TokyoFR and C_Order_tokyo
+//     probe the new σ(Order_tokyo ⋈ Customer) for a re-insertion: the
+//     views' own join(2)⋉, select⋉ and diff⋉ (the new Order_tokyo, old
+//     minus the deletion) are read under the delta.
+//   - other-delete: the deleted order's customer is not French, so no
+//     projection loses a tuple, C_Order_tokyo = Order_tokyo ∖ π(…) takes
+//     its delta from the deltas alone, and the refresh records no diff⋉
+//     and at most 8 operator records: normalization's and the join's
+//     probes of Customer.
 func TestRefreshReadsFollowTheDelta(t *testing.T) {
-	var read []int64
+	cases := []struct {
+		name   string
+		french bool // whether the deleted order's customer is French
+	}{{"french-delete", true}, {"other-delete", false}}
+	read := make([][]int64, len(cases))
 	for _, rows := range []int{10_000, 100_000} {
 		w := section5Warehouse(t, rows)
 		db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
-		var st dwc.RefreshStats
-		for i := 0; i < 2; i++ { // insert one order; then insert the next and delete the first
-			u := dwc.NewUpdate().MustInsert("Order_tokyo", db, churnOrder("tokyo", rows/2+1+i, rows/20)...)
-			if i > 0 {
-				u.MustDelete("Order_tokyo", db, churnOrder("tokyo", rows/2+i, rows/20)...)
+		nation := map[int64]string{}
+		cust, _ := w.Relation("DimCustomer")
+		for tu := range cust.All() {
+			nation[cust.Get(tu, "ckey").AsInt()] = cust.Get(tu, "nation").AsString()
+		}
+		okey := rows/2 - 1
+		for ci, c := range cases {
+			// The first churn order past those used whose customer is French
+			// exactly when the case wants it.
+			for okey += 2; (nation[churnOrder("tokyo", okey, rows/20)[1].AsInt()] == "France") != c.french; okey++ {
 			}
-			var err error
-			if st, err = dwc.Refresh(context.Background(), m, w, u); err != nil {
-				t.Fatal(err)
+			var st dwc.RefreshStats
+			for i := 0; i < 2; i++ { // insert the order; then insert the next and delete it
+				u := dwc.NewUpdate().MustInsert("Order_tokyo", db, churnOrder("tokyo", okey+i, rows/20)...)
+				if i > 0 {
+					u.MustDelete("Order_tokyo", db, churnOrder("tokyo", okey, rows/20)...)
+				}
+				var err error
+				if st, err = dwc.Refresh(context.Background(), m, w, u); err != nil {
+					t.Fatal(err)
+				}
 			}
+			if st.UpdateSize != 2 || st.FullReconstructions != 0 || st.RestrictedLookups == 0 {
+				t.Errorf("%s, %d rows: update of %d tuples read %d values in full, %d under a probe",
+					c.name, rows, st.UpdateSize, st.FullReconstructions, st.RestrictedLookups)
+			}
+			ops := map[string]int{}
+			for _, o := range st.Eval.Ops {
+				ops[o.Op]++
+			}
+			if c.french && (ops["join(2)⋉"] == 0 || ops["select⋉"] == 0 || ops["diff⋉"] == 0) {
+				t.Errorf("%s, %d rows: eval block lacks the views' own operators: %v", c.name, rows, ops)
+			}
+			if !c.french && (ops["diff⋉"] != 0 || len(st.Eval.Ops) > 8) {
+				t.Errorf("%s, %d rows: %d operator records, want ≤ 8 and no diff⋉: %v", c.name, rows, len(st.Eval.Ops), ops)
+			}
+			read[ci] = append(read[ci], st.Eval.Scanned+st.Eval.Probed)
 		}
-		if st.UpdateSize != 2 || st.FullReconstructions != 0 || st.RestrictedLookups == 0 {
-			t.Errorf("%d rows: update of %d tuples read %d values in full, %d under a probe",
-				rows, st.UpdateSize, st.FullReconstructions, st.RestrictedLookups)
-		}
-		ops := map[string]int{}
-		for _, o := range st.Eval.Ops {
-			ops[o.Op]++
-		}
-		if ops["join(2)⋉"] == 0 || ops["select⋉"] == 0 || ops["diff⋉"] == 0 {
-			t.Errorf("%d rows: eval block lacks the views' own operators: %v", rows, ops)
-		}
-		read = append(read, st.Eval.Scanned+st.Eval.Probed)
 	}
-	if lo, hi := min(read[0], read[1]), max(read[0], read[1]); lo == 0 || hi > 2*lo {
-		t.Errorf("refresh scanned+probed %d rows at 10k and %d at 100k: not O(delta)", read[0], read[1])
+	for ci, c := range cases {
+		if lo, hi := min(read[ci][0], read[ci][1]), max(read[ci][0], read[ci][1]); lo == 0 || hi > 2*lo {
+			t.Errorf("%s: refresh scanned+probed %d rows at 10k and %d at 100k: not O(delta)", c.name, read[ci][0], read[ci][1])
+		}
 	}
 }

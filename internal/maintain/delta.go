@@ -12,6 +12,7 @@ package maintain
 
 import (
 	"fmt"
+	"slices"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
@@ -85,12 +86,14 @@ func (n *node) attrs() []string { return n.d.Ins.Attrs() }
 // propagation is one Propagate call (one refresh, for the maintainer): the
 // update, the state w + Δ that the nodes' old/new expressions are evaluated
 // against, when base references resolve through W⁻¹ the VirtualState that
-// says how, and the leaf nodes built so far, by base relation.
+// says how, the contained differences, and the nodes built so far by
+// expression node (shared: no rule writes a delta it did not allocate).
 type propagation struct {
-	u      *catalog.Update
-	st     deltaState
-	vst    *VirtualState
-	leaves map[string]*node
+	u         *catalog.Update
+	st        deltaState
+	vst       *VirtualState
+	contained map[*algebra.Diff]bool
+	memo      map[algebra.Expr]*node
 }
 
 // read evaluates e, a node's old or new expression: in full when probe is
@@ -114,24 +117,32 @@ func (p *propagation) read(e algebra.Expr, probe *relation.Relation) (*relation.
 // pre-state values from st only where the delta rules require them. When
 // st is a VirtualState backed by a warehouse, every base reference is
 // replaced by its inverse and the computation never touches the sources —
-// this is the maintenance path of Theorem 4.1. The update should be
-// normalized against the same pre-state (the rules stay correct for
-// unnormalized updates; normalization keeps deltas minimal).
+// this is the maintenance path of Theorem 4.1. The update must be
+// normalized against the same pre-state (every insertion absent, every
+// deletion present): the rule for a contained difference relies on it.
 func Propagate(e algebra.Expr, st algebra.State, u *catalog.Update) (Delta, error) {
-	n, err := newPropagation(st, u).propagate(e)
+	p := newPropagation(st, u, make(map[*algebra.Diff]bool))
+	markContained(e, p, p.contained)
+	n, err := p.propagate(e)
 	if err != nil {
 		return Delta{}, err
 	}
 	return n.d, nil
 }
 
-func newPropagation(st algebra.State, u *catalog.Update) *propagation {
-	p := &propagation{u: u, leaves: make(map[string]*node)}
+func newPropagation(st algebra.State, u *catalog.Update, contained map[*algebra.Diff]bool) *propagation {
+	p := &propagation{u: u, contained: contained, memo: make(map[algebra.Expr]*node)}
 	if vst, ok := st.(*VirtualState); ok {
 		p.vst, st = vst, vst.w
 	}
 	p.st = newDeltaState(st, u)
 	return p
+}
+
+// BaseAttrs implements algebra.Resolver over the pre-state's relations.
+func (p *propagation) BaseAttrs(name string) (relation.AttrSet, bool) {
+	_, attrs, err := p.leaf(&algebra.Base{Name: name})
+	return relation.NewAttrSet(attrs...), err == nil
 }
 
 // leaf returns the expression for base relation name's pre-state value
@@ -148,12 +159,21 @@ func (p *propagation) leaf(x *algebra.Base) (algebra.Expr, []string, error) {
 	return nil, nil, fmt.Errorf("maintain: pre-state has no relation %q", x.Name)
 }
 
-func (p *propagation) propagate(e algebra.Expr) (*node, error) {
+// propagate returns e's node, which derive builds once per expression node
+// by applying its delta rule to its propagated inputs.
+func (p *propagation) propagate(e algebra.Expr) (n *node, err error) {
+	if n, ok := p.memo[e]; ok {
+		return n, nil
+	}
+	if n, err = p.derive(e); err == nil {
+		p.memo[e] = n
+	}
+	return n, err
+}
+
+func (p *propagation) derive(e algebra.Expr) (*node, error) {
 	switch x := e.(type) {
 	case *algebra.Base:
-		if n, ok := p.leaves[x.Name]; ok {
-			return n, nil
-		}
 		old, attrs, err := p.leaf(x)
 		if err != nil {
 			return nil, err
@@ -171,7 +191,6 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 		} else if !n.d.Ins.IsEmpty() {
 			n.new = algebra.NewUnion(n.new, algebra.NewBase(InsName(x.Name)))
 		}
-		p.leaves[x.Name] = n
 		return n, nil
 
 	case *algebra.Empty:
@@ -198,7 +217,8 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 		// Deleted projections still derivable from the new state must be
 		// re-inserted (set semantics under projection). The check probes
 		// the input's new value with the deleted tuples instead of forcing
-		// it, and only when something was deleted.
+		// it, and only when something was deleted. ins is the projection's
+		// own fresh relation: the input's delta is only read.
 		if !del.IsEmpty() {
 			nv, err := p.read(in.new, del)
 			if err != nil {
@@ -258,7 +278,8 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 		// delete-then-insert convention handles it by re-insertion. What a
 		// side deletes and does not re-insert is absent from its own new
 		// value, so each side's deletions probe only the other side's new
-		// value, and a side that deletes nothing costs no read.
+		// value, and a side that deletes nothing costs no read. ins is the
+		// union's own fresh relation: the sides' deltas are only read.
 		for _, s := range [2]struct {
 			del   *relation.Relation
 			other algebra.Expr
@@ -283,37 +304,15 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		// del' = ΔL⁻ ∪ ΔR⁺ ; ins' = ((ΔL⁺ ∪ ΔR⁻) ∩ newL) ∖ newR, with the
-		// two new values read only when there are candidates.
 		del, err := relation.Union(l.d.Del, r.d.Ins)
 		if err != nil {
 			return nil, err
 		}
-		cand, err := relation.Union(l.d.Ins, r.d.Del)
-		if err != nil {
+		var ins *relation.Relation
+		if p.contained[x] {
+			ins = containedDiffIns(l.d, r.d)
+		} else if ins, err = p.diffIns(l, r); err != nil {
 			return nil, err
-		}
-		ins := relation.New(cand.Attrs()...)
-		if !cand.IsEmpty() {
-			// Membership of the few candidates is all that matters, so
-			// both sides are probed rather than forced: the restricted
-			// values are exact on candidate-matching tuples.
-			lNew, err := p.read(l.new, cand)
-			if err != nil {
-				return nil, err
-			}
-			rNew, err := p.read(r.new, cand)
-			if err != nil {
-				return nil, err
-			}
-			kept, err := relation.Intersect(cand, lNew)
-			if err != nil {
-				return nil, err
-			}
-			ins, err = relation.Diff(kept, rNew)
-			if err != nil {
-				return nil, err
-			}
 		}
 		return &node{
 			d:   Delta{Ins: ins, Del: del},
@@ -343,6 +342,86 @@ func (p *propagation) propagate(e algebra.Expr) (*node, error) {
 	default:
 		return nil, fmt.Errorf("maintain: unknown node %T", e)
 	}
+}
+
+// diffIns is the read-based insert set of a difference L ∖ R,
+// ((ΔL⁺ ∪ ΔR⁻) ∩ newL) ∖ newR: membership of the few candidates is all that
+// matters, so both new values are read under them, and only if there are any.
+func (p *propagation) diffIns(l, r *node) (*relation.Relation, error) {
+	cand, err := relation.Union(l.d.Ins, r.d.Del)
+	if err != nil || cand.IsEmpty() {
+		return cand, err
+	}
+	lNew, err := p.read(l.new, cand)
+	if err != nil {
+		return nil, err
+	}
+	rNew, err := p.read(r.new, cand)
+	if err != nil {
+		return nil, err
+	}
+	kept, err := relation.Intersect(cand, lNew)
+	if err != nil {
+		return nil, err
+	}
+	return relation.Diff(kept, rNew)
+}
+
+// containedDiffIns is the insert set of a contained difference L ∖ R under a
+// normalized update, from the deltas alone (soundness: DESIGN §5 "Delta
+// rules"): ins = (ΔL⁺ ∪ (ΔR⁻ ∖ (ΔL⁻ ∖ ΔL⁺))) ∖ ΔR⁺.
+func containedDiffIns(l, r Delta) *relation.Relation {
+	ins := relation.New(l.Ins.Attrs()...)
+	for t := range l.Ins.All() {
+		if !r.Ins.ContainsAligned(t, l.Ins) {
+			ins.Insert(t)
+		}
+	}
+	for t := range r.Del.All() {
+		leftL := l.Del.ContainsAligned(t, r.Del) && !l.Ins.ContainsAligned(t, r.Del)
+		if !leftL && !r.Ins.ContainsAligned(t, r.Del) {
+			ins.Insert(alignTuple(r.Del, ins, t))
+		}
+	}
+	return ins
+}
+
+// markContained marks the contained differences of e: L ∖ R, L a base relation,
+// R free of ∖ and ρ and contained in L in every state, as R ∖ π_R(V) is.
+func markContained(e algebra.Expr, res algebra.Resolver, marks map[*algebra.Diff]bool) {
+	algebra.Walk(e, func(n algebra.Expr) {
+		if d, ok := n.(*algebra.Diff); ok {
+			if l, ok := d.L.(*algebra.Base); ok {
+				attrs, _ := res.BaseAttrs(l.Name)
+				marks[d] = contained(d.R, l.Name, attrs)
+				algebra.Walk(d.R, func(n algebra.Expr) {
+					switch n.(type) {
+					case *algebra.Diff, *algebra.Rename:
+						marks[d] = false
+					}
+				})
+			}
+		}
+	})
+}
+
+// contained reports whether π_attrs(e) ⊆ base by e's structure: e is base, a
+// σ of a contained input, a π keeping attrs of one, a ⋈ with one, a ∪ of two.
+func contained(e algebra.Expr, base string, attrs relation.AttrSet) bool {
+	switch x := e.(type) {
+	case *algebra.Base:
+		return x.Name == base
+	case *algebra.Select:
+		return contained(x.Input, base, attrs)
+	case *algebra.Project:
+		return attrs.SubsetOf(relation.NewAttrSet(x.Attrs...)) && contained(x.Input, base, attrs)
+	case *algebra.Join:
+		return slices.ContainsFunc(x.Inputs, func(in algebra.Expr) bool { return contained(in, base, attrs) })
+	case *algebra.Union:
+		return contained(x.L, base, attrs) && contained(x.R, base, attrs)
+	case *algebra.Diff, *algebra.Rename, *algebra.Empty:
+	}
+	return false
 }
 
 func (p *propagation) propagateSides(le, re algebra.Expr) (l, r *node, err error) {

@@ -166,13 +166,54 @@ type DeltaConsumer interface {
 // the reported update, never from the sources (Theorem 4.1).
 type Maintainer struct {
 	comp      *core.Complement
+	targets   []core.Target      // prepared: Def simplified and interned
+	bases     []relation.AttrSet // the base relations each target reads
+	contained map[*algebra.Diff]bool
 	consumers []DeltaConsumer
 }
 
 // NewMaintainer returns a maintainer for warehouses built from the
-// complement.
+// complement. Each target definition is simplified, interned (equal subtrees
+// of targets are one node) and its contained differences marked, once.
 func NewMaintainer(comp *core.Complement) *Maintainer {
-	return &Maintainer{comp: comp}
+	db := comp.Database()
+	m := &Maintainer{comp: comp, contained: make(map[*algebra.Diff]bool)}
+	var seen []algebra.Expr
+	for _, tg := range comp.Targets() {
+		tg.Def = intern(algebra.Simplify(tg.Def, db), &seen)
+		markContained(tg.Def, db, m.contained)
+		m.targets, m.bases = append(m.targets, tg), append(m.bases, algebra.Bases(tg.Def))
+	}
+	return m
+}
+
+// intern returns the node of *seen equal to e, or else adds e — a tree of
+// its own, so its inputs are interned in place — to *seen and returns it.
+func intern(e algebra.Expr, seen *[]algebra.Expr) algebra.Expr {
+	for _, c := range *seen {
+		if algebra.Equal(c, e) {
+			return c
+		}
+	}
+	switch x := e.(type) {
+	case *algebra.Base, *algebra.Empty:
+	case *algebra.Select:
+		x.Input = intern(x.Input, seen)
+	case *algebra.Project:
+		x.Input = intern(x.Input, seen)
+	case *algebra.Rename:
+		x.Input = intern(x.Input, seen)
+	case *algebra.Join:
+		for i, in := range x.Inputs {
+			x.Inputs[i] = intern(in, seen)
+		}
+	case *algebra.Union:
+		x.L, x.R = intern(x.L, seen), intern(x.R, seen)
+	case *algebra.Diff:
+		x.L, x.R = intern(x.L, seen), intern(x.R, seen)
+	}
+	*seen = append(*seen, e)
+	return e
 }
 
 // AddConsumer registers a downstream delta consumer (e.g. an aggregate
@@ -182,10 +223,11 @@ func (m *Maintainer) AddConsumer(c DeltaConsumer) {
 }
 
 // RefreshContext computes w' = W(u(W⁻¹(w))) incrementally and commits it
-// to the warehouse. Every stored target of the complement gets its delta
-// from Propagate, with all base references answered through W⁻¹ over the
-// warehouse state, and the deltas for all relations are computed against
-// the same pre-state before any of them is applied. The context is checked
+// to the warehouse. Every stored target the normalized update reaches gets
+// its delta from the rules of Propagate, a subexpression the targets share
+// propagated once, all base references answered through W⁻¹ over the
+// warehouse state; the others get an empty delta. All deltas are computed
+// against the same pre-state before any is applied. The context is checked
 // between propagation steps and at every operator boundary inside them (a
 // canceled refresh aborts before any delta is applied, leaving the
 // warehouse untouched), and the returned stats carry the evaluation
@@ -226,26 +268,31 @@ type staged struct {
 // the target's relation, under a "refresh.target" span (a no-op without a
 // recording parent in ctx) annotated with the propagated delta sizes, what
 // propagation scanned and probed — the evaluation totals' advance over
-// *seen, which is moved along — and the bytes of pages the clone copied.
-// The warehouse is only read: the pre-state every other target propagates
-// against stays as it was.
-func stageTarget(ctx context.Context, w *warehouse.Warehouse, name string, def algebra.Expr, p *propagation, seen *algebra.EvalStats) (staged, error) {
+// *seen, moved along (a shared node counts for the first) — and the bytes
+// of pages the clone copied; a target the update does not reach gets an
+// empty delta. The warehouse is only read: the pre-state every other target
+// propagates against stays as it was.
+func stageTarget(ctx context.Context, w *warehouse.Warehouse, tg core.Target, reached bool, p *propagation, seen *algebra.EvalStats) (staged, error) {
+	r, ok := w.Relation(tg.Name)
+	if !ok {
+		return staged{}, fmt.Errorf("maintain: warehouse has no relation %q", tg.Name)
+	}
+	if !reached {
+		none := relation.New(r.Attrs()...)
+		return staged{span: RefreshSpan{Target: tg.Name}, exact: Delta{Ins: none, Del: none}, post: r}, nil
+	}
 	_, sp := trace.StartSpan(ctx, "refresh.target")
 	defer sp.End()
-	sp.SetAttr("target", name)
+	sp.SetAttr("target", tg.Name)
 	start := time.Now()
-	n, err := p.propagate(def)
+	n, err := p.propagate(tg.Def)
 	if err != nil {
-		return staged{}, fmt.Errorf("maintain: %s: %w", name, err)
+		return staged{}, fmt.Errorf("maintain: %s: %w", tg.Name, err)
 	}
-	st := staged{span: RefreshSpan{Target: name, DeltaIns: n.d.Ins.Len(), DeltaDel: n.d.Del.Len(), Wall: time.Since(start)}}
+	st := staged{span: RefreshSpan{Target: tg.Name, DeltaIns: n.d.Ins.Len(), DeltaDel: n.d.Del.Len(), Wall: time.Since(start)}}
 	now := p.vst.ec.Stats()
 	st.span.Scanned, st.span.Probed = now.Scanned-seen.Scanned, now.Probed-seen.Probed
 	*seen = now
-	r, ok := w.Relation(name)
-	if !ok {
-		return st, fmt.Errorf("maintain: warehouse has no relation %q", name)
-	}
 	st.exact, st.post = n.d.Exact(r), r
 	st.span.Applied = st.exact.Size()
 	if st.span.Applied > 0 {
@@ -281,14 +328,15 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	// error or cancellation anywhere before the final commit discards the
 	// copies and leaves the warehouse bitwise unchanged, so a failed
 	// refresh can simply be retried with the same update.
-	targets := m.comp.Targets()
-	commit := make([]staged, len(targets))
-	p, seen := newPropagation(vst, nu), ec.Stats()
-	for i, tg := range targets {
+	commit := make([]staged, len(m.targets))
+	touched := relation.NewAttrSet(nu.Touched()...)
+	p, seen := newPropagation(vst, nu, m.contained), ec.Stats()
+	for i, tg := range m.targets {
 		if err := ec.Err(); err != nil {
 			return stats, err
 		}
-		if commit[i], err = stageTarget(ctx, w, tg.Name, tg.Def, p, &seen); err != nil {
+		reached := !m.bases[i].Intersect(touched).IsEmpty()
+		if commit[i], err = stageTarget(ctx, w, tg, reached, p, &seen); err != nil {
 			return stats, cancelOr(ec, err)
 		}
 	}
@@ -373,9 +421,8 @@ func normalizeUpdate(u *catalog.Update, vst *VirtualState, comp *core.Complement
 		if !ok {
 			return nil, fmt.Errorf("maintain: update references unknown relation %q: %w", name, algebra.ErrUnknownRelation)
 		}
-		schemaAttrs := sc.AttrNames()
 		ins, del := u.Inserts(name), u.Deletes(name)
-		probe := relation.New(schemaAttrs...)
+		probe := relation.New(sc.AttrNames()...)
 		if ins != nil {
 			probe.InsertAll(ins)
 		}
@@ -394,7 +441,7 @@ func normalizeUpdate(u *catalog.Update, vst *VirtualState, comp *core.Complement
 				if del != nil && del.ContainsAligned(t, ins) {
 					continue // insert+delete of an absent tuple: no-op
 				}
-				if err := out.Insert(name, db, alignToAttrs(ins, schemaAttrs, t)); err != nil {
+				if err := out.Insert(name, db, alignTuple(ins, probe, t)); err != nil {
 					return nil, err
 				}
 			}
@@ -407,25 +454,11 @@ func normalizeUpdate(u *catalog.Update, vst *VirtualState, comp *core.Complement
 				if ins != nil && ins.ContainsAligned(t, del) {
 					continue // delete+re-insert of a present tuple: no-op
 				}
-				if err := out.Delete(name, db, alignToAttrs(del, schemaAttrs, t)); err != nil {
+				if err := out.Delete(name, db, alignTuple(del, probe, t)); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 	return out, nil
-}
-
-// alignToAttrs lays out tuple t (in src's column order) according to the
-// given attribute-name order.
-func alignToAttrs(src *relation.Relation, attrs []string, t relation.Tuple) relation.Tuple {
-	out := make(relation.Tuple, len(attrs))
-	for i, a := range attrs {
-		p, ok := src.Pos(a)
-		if !ok {
-			panic(fmt.Sprintf("maintain: attribute %q missing while aligning tuple", a))
-		}
-		out[i] = t[p]
-	}
-	return out
 }

@@ -61,7 +61,7 @@ func TestRestrictedContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range exprs {
-			p := newPropagation(st, u)
+			p := newPropagation(st, u, nil)
 			n, err := p.propagate(e)
 			if err != nil {
 				t.Fatal(err)

@@ -84,9 +84,9 @@ func DeltaResolver(db *catalog.Database) algebra.MapResolver {
 }
 
 // Derive produces the maintenance expressions for target = e under update
-// shape s, simplified against db's delta resolver. The expressions follow
-// the same rules as the runtime Propagate, so they are exact (not
-// over-approximations) under the delete-then-insert convention.
+// shape s, simplified against db's delta resolver. They derive the same
+// sets as the runtime Propagate; the runtime takes structural shortcuts this
+// derivation does not. Exact (not over-approximations) under delete-then-insert.
 func Derive(target string, e algebra.Expr, s Shape, db *catalog.Database) (MaintenanceExprs, error) {
 	res := DeltaResolver(db)
 	if _, err := algebra.Attrs(e, db); err != nil {

@@ -138,19 +138,6 @@ func (ix *Index) keyEqual(ri int32, t Tuple, tPos []int) bool {
 	return true
 }
 
-// Lookup returns copies of the rows whose indexed columns equal vals,
-// given in the index's (sorted) attribute order.
-func (ix *Index) Lookup(vals ...Value) []Tuple {
-	t, identity := Tuple(vals), allCols(len(vals))
-	var out []Tuple
-	for ri := ix.head(t.hash64()); ri >= 0; ri = ix.after(ri) {
-		if ix.keyEqual(ri, t, identity) {
-			out = append(out, ix.owner.rows.at(int(ri)))
-		}
-	}
-	return out
-}
-
 // probe calls f(i, bi) for every row i of x and row bi of the owner that
 // agree on the indexed attributes — x's columns pos, in the index's
 // attribute order, whose hashes kh holds (nil: hashed here). It counts x's

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// lookup returns copies of the rows of ix's owner whose indexed columns
+// equal vals, given in the index's (sorted) attribute order.
+func lookup(ix *Index, vals ...Value) []Tuple {
+	t, identity := Tuple(vals), allCols(len(vals))
+	var out []Tuple
+	for ri := ix.head(t.hash64()); ri >= 0; ri = ix.after(ri) {
+		if ix.keyEqual(ri, t, identity) {
+			out = append(out, ix.owner.rows.at(int(ri)))
+		}
+	}
+	return out
+}
+
 func indexedPair() (*Relation, *Relation) {
 	l := New("a", "b")
 	l.InsertValues(Int(1), String_("x"))
@@ -27,11 +40,11 @@ func TestIndexBuildAndLookup(t *testing.T) {
 	if ix.Keys() != 3 || !ix.Unique() {
 		t.Errorf("keys=%d unique=%v, want 3 unique", ix.Keys(), ix.Unique())
 	}
-	got := ix.Lookup(String_("x"))
+	got := lookup(ix, String_("x"))
 	if len(got) != 1 || !got[0][1].Equal(Int(10)) {
 		t.Errorf("Lookup(x) = %v", got)
 	}
-	if hits := ix.Lookup(String_("nope")); len(hits) != 0 {
+	if hits := lookup(ix, String_("nope")); len(hits) != 0 {
 		t.Errorf("Lookup(nope) = %v", hits)
 	}
 	if _, ok := r.Index("nope"); ok {
@@ -120,12 +133,12 @@ func TestIndexesFollowMutations(t *testing.T) {
 						vals[i] = tu[p]
 					}
 					got, exp := New("a", "b", "c"), New("a", "b", "c")
-					for _, hit := range ix.Lookup(vals...) {
+					for _, hit := range lookup(ix, vals...) {
 						if !got.Insert(hit) {
 							t.Fatalf("seed %d step %d index %q: Lookup(%v) returned %v twice", seed, step, key, vals, hit)
 						}
 					}
-					for _, hit := range want.Lookup(vals...) {
+					for _, hit := range lookup(want, vals...) {
 						exp.Insert(hit)
 					}
 					if !got.Equal(exp) {
@@ -178,11 +191,11 @@ func TestLongChainIndexIsDroppedOnDelete(t *testing.T) {
 	if r.Delete(Tuple{Int(0), String_("paris")}); r.IndexCount() != 1 {
 		t.Fatalf("IndexCount = %d after a delete %d rows down a chain, want the loc index dropped", r.IndexCount(), r.Len())
 	}
-	if ix, _ := r.Index("k"); len(ix.Lookup(Int(0))) != 0 || len(ix.Lookup(Int(1))) != 1 {
+	if ix, _ := r.Index("k"); len(lookup(ix, Int(0))) != 0 || len(lookup(ix, Int(1))) != 1 {
 		t.Error("the key index did not follow the delete")
 	}
-	if ix, _ := r.Index("loc"); len(ix.Lookup(String_("paris"))) != r.Len() || ix.Keys() != 1 {
-		t.Errorf("rebuilt loc index finds %d of %d rows", len(ix.Lookup(String_("paris"))), r.Len())
+	if ix, _ := r.Index("loc"); len(lookup(ix, String_("paris"))) != r.Len() || ix.Keys() != 1 {
+		t.Errorf("rebuilt loc index finds %d of %d rows", len(lookup(ix, String_("paris"))), r.Len())
 	}
 }
 

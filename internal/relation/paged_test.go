@@ -60,7 +60,7 @@ func (m *modelRel) clone() *modelRel {
 }
 
 // check compares every access path of the relation with the model: Len,
-// All, the membership table, each cached index (Lookup, Unique, Keys is
+// All, the membership table, each cached index (lookup, Unique, Keys is
 // bounded by the distinct keys), each cached key-hash vector and the
 // column pages, read batch by batch.
 func (m *modelRel) check(t *testing.T, what string) {
@@ -105,7 +105,7 @@ func (m *modelRel) check(t *testing.T, what string) {
 			for i, p := range ix.pos {
 				vals[i] = tu[p]
 			}
-			hits := ix.Lookup(vals...)
+			hits := lookup(ix, vals...)
 			if want := groups[groupKey(tu, ix.pos)]; len(hits) != want {
 				t.Fatalf("%s index %q: Lookup(%v) returns %d rows, model has %d", what, key, vals, len(hits), want)
 			}
@@ -118,7 +118,7 @@ func (m *modelRel) check(t *testing.T, what string) {
 				break
 			}
 		}
-		if hits := ix.Lookup(make([]Value, len(ix.pos))...); len(hits) != 0 {
+		if hits := lookup(ix, make([]Value, len(ix.pos))...); len(hits) != 0 {
 			t.Fatalf("%s index %q: Lookup(NULLs) returns %v", what, key, hits)
 		}
 	}
@@ -643,7 +643,7 @@ func TestCloneWriteCopiesOnlyTouchedPages(t *testing.T) {
 			t.Fatalf("n=%d: the original changed under its clone's writes", n)
 		}
 		ix, _ := r.Index("fk")
-		if got := len(ix.Lookup(Int(7))); got != 16 {
+		if got := len(lookup(ix, Int(7))); got != 16 {
 			t.Fatalf("n=%d: original's index finds %d rows for fk 7, want 16", n, got)
 		}
 	}
@@ -712,7 +712,7 @@ func TestConcurrentReadersOfSharedPages(t *testing.T) {
 					return
 				}
 				ix, _ := r.Index("fk")
-				if got := len(ix.Lookup(Int(int64(fk)))); got != v.perFK[fk] {
+				if got := len(lookup(ix, Int(int64(fk)))); got != v.perFK[fk] {
 					t.Errorf("reader %d: Lookup finds %d rows for fk %d, version holds %d", reader, got, fk, v.perFK[fk])
 					return
 				}
