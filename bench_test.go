@@ -86,7 +86,7 @@ func BenchmarkE3InjectivityCheck(b *testing.B) {
 	st := workload.NewGen(sc.DB, 1).State(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws, err := comp.MaterializeWarehouse(st)
+		ws, err := comp.MaterializeWarehouseCtx(nil, st)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkE5NonMinimalPSJ(b *testing.B) {
 		def := def
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := algebra.Eval(def, st); err != nil {
+				if _, err := algebra.EvalCtx(nil, def, st); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -186,14 +186,14 @@ func BenchmarkE8QueryIndependence(b *testing.B) {
 	}
 	b.Run("AtSource", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.Eval(q, st); err != nil {
+			if _, err := algebra.EvalCtx(nil, q, st); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("AtWarehouse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := algebra.Eval(qHat, w); err != nil {
+			if _, err := algebra.EvalCtx(nil, qHat, w); err != nil {
 				b.Fatal(err)
 			}
 		}

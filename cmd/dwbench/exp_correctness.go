@@ -247,11 +247,11 @@ func e5() experiment {
 			var rows [][]string
 			for _, size := range sizes {
 				st := workload.NewGen(sc.DB, c.seed).State(size)
-				a, err := algebra.Eval(eR.Def, st)
+				a, err := algebra.EvalCtx(nil, eR.Def, st)
 				if err != nil {
 					return err
 				}
-				b, err := algebra.Eval(cPrime, st)
+				b, err := algebra.EvalCtx(nil, cPrime, st)
 				if err != nil {
 					return err
 				}

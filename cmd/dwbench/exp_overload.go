@@ -236,7 +236,7 @@ func e19() experiment {
 			if err != nil {
 				return err
 			}
-			oracle, err := comp.MaterializeWarehouse(combined)
+			oracle, err := comp.MaterializeWarehouseCtx(nil, combined)
 			if err != nil {
 				return err
 			}

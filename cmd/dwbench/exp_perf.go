@@ -86,15 +86,15 @@ func e8() experiment {
 				}
 				mismatches := 0
 				for _, st := range states {
-					want, err := algebra.Eval(q, st)
+					want, err := algebra.EvalCtx(nil, q, st)
 					if err != nil {
 						return err
 					}
-					ws, err := comp.MaterializeWarehouse(st)
+					ws, err := comp.MaterializeWarehouseCtx(nil, st)
 					if err != nil {
 						return err
 					}
-					got, err := algebra.Eval(qHat, ws)
+					got, err := algebra.EvalCtx(nil, qHat, ws)
 					if err != nil {
 						return err
 					}
@@ -103,15 +103,15 @@ func e8() experiment {
 					}
 				}
 				last := states[len(states)-1]
-				tSrc, err := timeIt(50, func() error { _, e := algebra.Eval(q, last); return e })
+				tSrc, err := timeIt(50, func() error { _, e := algebra.EvalCtx(nil, q, last); return e })
 				if err != nil {
 					return err
 				}
-				tPlain, err := timeIt(50, func() error { _, e := algebra.Eval(qHatPlain, w); return e })
+				tPlain, err := timeIt(50, func() error { _, e := algebra.EvalCtx(nil, qHatPlain, w); return e })
 				if err != nil {
 					return err
 				}
-				tWh, err := timeIt(50, func() error { _, e := algebra.Eval(qHat, w); return e })
+				tWh, err := timeIt(50, func() error { _, e := algebra.EvalCtx(nil, qHat, w); return e })
 				if err != nil {
 					return err
 				}
@@ -196,7 +196,7 @@ func e9() experiment {
 				if err := u.Apply(post); err != nil {
 					return err
 				}
-				want, err := comp.MaterializeWarehouse(post)
+				want, err := comp.MaterializeWarehouseCtx(nil, post)
 				if err != nil {
 					return err
 				}

@@ -142,7 +142,7 @@ func e16Run(c *config, ops int, wire bool) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	oracle, err := comp.MaterializeWarehouse(combined)
+	oracle, err := comp.MaterializeWarehouseCtx(nil, combined)
 	if err != nil {
 		return 0, err
 	}

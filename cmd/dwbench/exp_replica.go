@@ -34,7 +34,7 @@ import (
 // below 2 seconds on a loopback wire, and after the leader is killed
 // mid-stream the follower must be promoted and answer its first query
 // within 2 seconds. The promoted state is checked bitwise against a
-// MaterializeWarehouse oracle of exactly the applied prefix — failover
+// MaterializeWarehouseCtx oracle of exactly the applied prefix — failover
 // may lose acknowledged-but-unstreamed updates (the paper's complement
 // only reconstructs what reached the warehouse), it must never corrupt
 // or double-apply one.
@@ -169,7 +169,7 @@ func e20() experiment {
 			// Correctness: the promoted state is bitwise-equal to the oracle
 			// of exactly the applied prefix (here the full workload).
 			oracleState := ld.stateAt()
-			want, err := comp.MaterializeWarehouse(oracleState)
+			want, err := comp.MaterializeWarehouseCtx(nil, oracleState)
 			if err != nil {
 				return err
 			}

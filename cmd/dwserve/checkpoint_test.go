@@ -32,7 +32,7 @@ func oracleAfter(t *testing.T, s *server, updates []*dwc.Update) map[string]*rel
 			t.Fatal(err)
 		}
 	}
-	oracle, err := s.comp.MaterializeWarehouse(state)
+	oracle, err := s.comp.MaterializeWarehouseCtx(nil, state)
 	if err != nil {
 		t.Fatal(err)
 	}

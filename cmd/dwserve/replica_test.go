@@ -332,7 +332,7 @@ func TestPromoteFencing(t *testing.T) {
 // is promoted (fenced takeover), the other is re-pointed at it, and
 // the remaining reports replay against the new leader. The final state
 // of every surviving replica must be bitwise-equal to the
-// MaterializeWarehouse oracle of the surviving update sequence, with
+// MaterializeWarehouseCtx oracle of the surviving update sequence, with
 // per-source watermarks proving no report applied twice, and the
 // deposed leader's post-partition writes absent from the new lineage.
 //
@@ -486,7 +486,7 @@ func replicationSoak(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 	}
-	oracle, err := winner.comp.MaterializeWarehouse(state)
+	oracle, err := winner.comp.MaterializeWarehouseCtx(nil, state)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,15 @@ func newTracedServer(t *testing.T, spec *dwc.Spec, rate float64) (*server, *http
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered first, so it runs last: after the listener closed, the
+	// remotes the test attached stopped and any checkpoint finished,
+	// every span the server started must have ended.
+	t.Cleanup(func() {
+		srv.drainCheckpoint()
+		if n := srv.tracer.Open(); n != 0 {
+			t.Errorf("%d spans never ended", n)
+		}
+	})
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -139,6 +148,20 @@ func TestTraceHeaderAndPropagation(t *testing.T) {
 	}
 	if !strings.Contains(detail.Text, "http GET /relations") {
 		t.Errorf("rendered tree = %q", detail.Text)
+	}
+
+	// A sampled query records its evaluation as a child span, which the
+	// open-span check of newTracedServer then sees ended.
+	resp, err = http.Get(ts.URL + "/query?q=" + escape("Sale join Emp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if code := getJSON(t, ts.URL+"/traces/"+resp.Header.Get("X-DW-Trace"), &detail); code != 200 {
+		t.Fatalf("GET /traces for the query = %d", code)
+	}
+	if !strings.Contains(detail.Text, "query.eval") {
+		t.Errorf("query trace lacks query.eval:\n%s", detail.Text)
 	}
 
 	// Inbound sampled parent on a rate-0 server: the request joins the

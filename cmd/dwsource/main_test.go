@@ -113,6 +113,11 @@ func TestApplyJoinsCallerTrace(t *testing.T) {
 	}
 	tr := trace.New(trace.Config{Rate: 0, Seed: 7}) // only the caller samples
 	src.SetTracer(tr)
+	t.Cleanup(func() {
+		if n := tr.Open(); n != 0 {
+			t.Errorf("%d spans never ended", n)
+		}
+	})
 	handler, _ := newSourceHandler(src, spec.DB, sourceHandlerConfig{})
 	ts := httptest.NewServer(handler)
 	defer ts.Close()

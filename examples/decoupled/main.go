@@ -91,7 +91,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := comp.MaterializeWarehouse(combined)
+	want, err := comp.MaterializeWarehouseCtx(nil, combined)
 	if err != nil {
 		log.Fatal(err)
 	}

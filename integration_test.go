@@ -46,7 +46,7 @@ func TestGrandFuzz(t *testing.T) {
 				// union of two base projections on a shared attribute.
 				q := randomSourceQuery(rng, sc)
 				if q != nil {
-					want, err := algebra.Eval(q, cur)
+					want, err := algebra.EvalCtx(nil, q, cur)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -66,7 +66,7 @@ func TestGrandFuzz(t *testing.T) {
 				if err := u.Apply(cur); err != nil {
 					t.Fatal(err)
 				}
-				want, err := comp.MaterializeWarehouse(cur)
+				want, err := comp.MaterializeWarehouseCtx(nil, cur)
 				if err != nil {
 					t.Fatal(err)
 				}

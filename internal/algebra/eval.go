@@ -29,8 +29,8 @@ func (m MapResolver) BaseAttrs(name string) (relation.AttrSet, bool) {
 // over D and warehouse states both implement it.
 type State interface {
 	// Relation returns the named relation's current contents, and whether
-	// the name is known. Implementations return live relations; Eval never
-	// mutates them.
+	// the name is known. Implementations return live relations; EvalCtx
+	// never mutates them.
 	Relation(name string) (*relation.Relation, bool)
 }
 
@@ -144,25 +144,4 @@ func binaryAttrs(op string, l, r Expr, res Resolver) (relation.AttrSet, error) {
 			op, la, ra, relation.ErrSchemaMismatch)
 	}
 	return la, nil
-}
-
-// Eval evaluates e against the state. The result aliases state contents
-// when e is a bare base reference and is freshly allocated otherwise;
-// callers must treat it as read-only (clone before mutating). Eval returns
-// an error on unknown relations or schema-incompatible set operations;
-// such errors indicate expressions that were not validated with Attrs
-// first. It is EvalCtx without cancellation or instrumentation.
-func Eval(e Expr, st State) (*relation.Relation, error) {
-	return EvalCtx(nil, e, st)
-}
-
-// MustEval is Eval that panics on error, for expressions already validated
-// by Attrs; it keeps example and benchmark code free of impossible-error
-// plumbing.
-func MustEval(e Expr, st State) *relation.Relation {
-	r, err := Eval(e, st)
-	if err != nil {
-		panic("algebra: " + err.Error())
-	}
-	return r
 }

@@ -22,7 +22,7 @@ import (
 	"dwcomplement/internal/relation"
 )
 
-// ErrUnknownRelation is wrapped by Eval and Attrs when an expression
+// ErrUnknownRelation is wrapped by EvalCtx and Attrs when an expression
 // references a name the state or resolver does not know, so callers can
 // detect the condition with errors.Is.
 var ErrUnknownRelation = errors.New("unknown relation")
@@ -364,7 +364,7 @@ func opName(e Expr) string {
 	case *Rename:
 		return "rename"
 	default:
-		return fmt.Sprintf("%T", e)
+		panic(fmt.Sprintf("algebra: unknown node %T", e))
 	}
 }
 
@@ -373,8 +373,13 @@ func opName(e Expr) string {
 // canceled evaluation stops before starting its next operator), every
 // operator records its counters into the context, and the whole
 // evaluation is recorded as one plan tree in the context's stats. A nil
-// ec makes EvalCtx identical to Eval. The aliasing rules of Eval apply.
-// It is EvalRestricted without a probe.
+// ec evaluates without cancellation or instrumentation. The result
+// aliases state contents when e is a bare base reference and is freshly
+// allocated otherwise; callers must treat it as read-only (clone before
+// mutating). EvalCtx returns an error on unknown relations or
+// schema-incompatible set operations; such errors indicate expressions
+// that were not validated with Attrs first. It is EvalRestricted without
+// a probe.
 func EvalCtx(ec *EvalContext, e Expr, st State) (*relation.Relation, error) {
 	return EvalRestricted(ec, e, st, nil)
 }
@@ -392,7 +397,7 @@ func EvalCtx(ec *EvalContext, e Expr, st State) (*relation.Relation, error) {
 // evaluation of e (checked here, once: the probes the walker hands down are
 // made of attributes the receiving subexpression has). Under a probe the
 // result never aliases state contents — callers may mutate it; a nil probe
-// asks for the full value, which may (see Eval).
+// asks for the full value, which may (see EvalCtx).
 func EvalRestricted(ec *EvalContext, e Expr, st State, probe *relation.Relation) (*relation.Relation, error) {
 	foreign := false
 	if probe != nil {
@@ -739,6 +744,6 @@ func mustAttrsOf(e Expr, st State) relation.AttrSet {
 		}
 		return out
 	default:
-		return relation.NewAttrSet()
+		panic(fmt.Sprintf("algebra: unknown node %T", e))
 	}
 }

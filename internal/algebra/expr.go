@@ -176,60 +176,13 @@ func Bases(e Expr) relation.AttrSet {
 // Walk calls fn for e and every descendant, pre-order.
 func Walk(e Expr, fn func(Expr)) {
 	fn(e)
-	switch n := e.(type) {
-	case *Base, *Empty:
-	case *Select:
-		Walk(n.Input, fn)
-	case *Project:
-		Walk(n.Input, fn)
-	case *Join:
-		for _, in := range n.Inputs {
-			Walk(in, fn)
-		}
-	case *Union:
-		Walk(n.L, fn)
-		Walk(n.R, fn)
-	case *Diff:
-		Walk(n.L, fn)
-		Walk(n.R, fn)
-	case *Rename:
-		Walk(n.Input, fn)
-	default:
-		panic(fmt.Sprintf("algebra: unknown node %T", e))
+	for _, c := range children(e) {
+		Walk(c, fn)
 	}
 }
 
 // Clone returns a deep copy of e.
-func Clone(e Expr) Expr {
-	switch n := e.(type) {
-	case *Base:
-		return &Base{Name: n.Name}
-	case *Empty:
-		return &Empty{Attrs: append([]string(nil), n.Attrs...)}
-	case *Select:
-		return &Select{Input: Clone(n.Input), Cond: CloneCond(n.Cond)}
-	case *Project:
-		return &Project{Input: Clone(n.Input), Attrs: append([]string(nil), n.Attrs...)}
-	case *Join:
-		ins := make([]Expr, len(n.Inputs))
-		for i, in := range n.Inputs {
-			ins[i] = Clone(in)
-		}
-		return &Join{Inputs: ins}
-	case *Union:
-		return &Union{L: Clone(n.L), R: Clone(n.R)}
-	case *Diff:
-		return &Diff{L: Clone(n.L), R: Clone(n.R)}
-	case *Rename:
-		m := make(map[string]string, len(n.Mapping))
-		for k, v := range n.Mapping {
-			m[k] = v
-		}
-		return &Rename{Input: Clone(n.Input), Mapping: m}
-	default:
-		panic(fmt.Sprintf("algebra: unknown node %T", e))
-	}
-}
+func Clone(e Expr) Expr { return Substitute(e, nil) }
 
 // Equal reports structural equality of two expressions. Projection lists
 // compare as sets; join inputs compare position-wise (joins are normalized
@@ -293,7 +246,7 @@ func Substitute(e Expr, repl map[string]Expr) Expr {
 		}
 		return &Base{Name: n.Name}
 	case *Empty:
-		return Clone(n)
+		return &Empty{Attrs: append([]string(nil), n.Attrs...)}
 	case *Select:
 		return &Select{Input: Substitute(n.Input, repl), Cond: CloneCond(n.Cond)}
 	case *Project:

@@ -85,17 +85,17 @@ func TestAttrsErrors(t *testing.T) {
 
 func TestEvalFigure1(t *testing.T) {
 	st := figure1State()
-	sold := MustEval(soldExpr(), st)
+	sold := mustEval(t, soldExpr(), st)
 	if sold.Len() != 3 {
 		t.Fatalf("|Sold| = %d", sold.Len())
 	}
 	// C1 = Emp ∖ π{clerk,age}(Sold): exactly Paula.
-	c1 := MustEval(NewDiff(NewBase("Emp"), NewProject(soldExpr(), "clerk", "age")), st)
+	c1 := mustEval(t, NewDiff(NewBase("Emp"), NewProject(soldExpr(), "clerk", "age")), st)
 	if c1.Len() != 1 || !c1.Contains(relation.Tuple{relation.String_("Paula"), relation.Int(32)}) {
 		t.Errorf("C1 = %v, want {⟨Paula,32⟩}", c1)
 	}
 	// C2 = Sale ∖ π{item,clerk}(Sold): empty (every sale clerk is in Emp).
-	c2 := MustEval(NewDiff(NewBase("Sale"), NewProject(soldExpr(), "item", "clerk")), st)
+	c2 := mustEval(t, NewDiff(NewBase("Sale"), NewProject(soldExpr(), "item", "clerk")), st)
 	if !c2.IsEmpty() {
 		t.Errorf("C2 = %v, want empty", c2)
 	}
@@ -105,7 +105,7 @@ func TestEvalExample12Query(t *testing.T) {
 	// Q = π_clerk(Sale) ∪ π_clerk(Emp) — all clerks in either relation.
 	st := figure1State()
 	q := NewUnion(NewProject(NewBase("Sale"), "clerk"), NewProject(NewBase("Emp"), "clerk"))
-	got := MustEval(q, st)
+	got := mustEval(t, q, st)
 	want := relation.New("clerk")
 	for _, c := range []string{"Mary", "John", "Paula"} {
 		want.InsertValues(relation.String_(c))
@@ -137,7 +137,7 @@ func TestEvalSelectConditions(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := MustEval(NewSelect(NewBase("Emp"), tt.cond), st)
+			got := mustEval(t, NewSelect(NewBase("Emp"), tt.cond), st)
 			if got.Len() != tt.n {
 				t.Errorf("|σ| = %d, want %d", got.Len(), tt.n)
 			}
@@ -147,7 +147,7 @@ func TestEvalSelectConditions(t *testing.T) {
 
 func TestEvalRename(t *testing.T) {
 	st := figure1State()
-	r := MustEval(NewRename(NewBase("Emp"), map[string]string{"clerk": "person"}), st)
+	r := mustEval(t, NewRename(NewBase("Emp"), map[string]string{"clerk": "person"}), st)
 	if !r.AttrSet().Equal(relation.NewAttrSet("person", "age")) {
 		t.Errorf("attrs = %v", r.AttrSet())
 	}
@@ -158,10 +158,10 @@ func TestEvalRename(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	st := figure1State()
-	if _, err := Eval(NewBase("Nope"), st); err == nil {
+	if _, err := EvalCtx(nil, NewBase("Nope"), st); err == nil {
 		t.Error("unknown base must error")
 	}
-	if _, err := Eval(NewUnion(NewBase("Sale"), NewBase("Emp")), st); err == nil {
+	if _, err := EvalCtx(nil, NewUnion(NewBase("Sale"), NewBase("Emp")), st); err == nil {
 		t.Error("mismatched union must error")
 	}
 }
@@ -316,4 +316,14 @@ func TestJoinFlattening(t *testing.T) {
 	if single := NewJoin(NewBase("A")); !Equal(single, NewBase("A")) {
 		t.Error("single-input join must collapse")
 	}
+}
+
+// mustEval evaluates an expression the test has already validated.
+func mustEval(t testing.TB, e Expr, st State) *relation.Relation {
+	t.Helper()
+	r, err := EvalCtx(nil, e, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

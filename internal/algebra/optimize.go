@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+
 	"dwcomplement/internal/relation"
 )
 
@@ -60,7 +62,7 @@ func optimize(e Expr, res Resolver) Expr {
 		return &Rename{Input: optimize(n.Input, res), Mapping: m}
 
 	default:
-		return Clone(e)
+		panic(fmt.Sprintf("algebra: unknown node %T", e))
 	}
 }
 

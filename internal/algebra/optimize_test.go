@@ -80,14 +80,14 @@ func TestOptimizeGuardsEmptyConvention(t *testing.T) {
 		t.Errorf("Optimize produced invalid expression %s: %v", got, err)
 	}
 	st := figure1State()
-	want := MustEval(e1, st)
-	if !MustEval(got, st).Equal(want) {
+	want := mustEval(t, e1, st)
+	if !mustEval(t, got, st).Equal(want) {
 		t.Errorf("semantics changed: %s vs %s", e1, got)
 	}
 
 	e2 := NewProject(NewProject(NewBase("Sale"), "clerk", "age"), "clerk")
 	got2 := Optimize(e2, res)
-	if !MustEval(got2, st).Equal(MustEval(e2, st)) {
+	if !mustEval(t, got2, st).Equal(mustEval(t, e2, st)) {
 		t.Errorf("non-genuine projection collapsed: %s → %s", e2, got2)
 	}
 }
@@ -104,12 +104,12 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 			continue
 		}
 		checked++
-		want := MustEval(e, st)
+		want := mustEval(t, e, st)
 		opt := Optimize(e, res)
 		if _, err := Attrs(opt, res); err != nil {
 			t.Fatalf("Optimize produced invalid %s from %s: %v", opt, e, err)
 		}
-		got := MustEval(opt, st)
+		got := mustEval(t, opt, st)
 		if !got.Equal(want) {
 			t.Fatalf("Optimize changed semantics of %s:\nopt  %s\ngot  %v\nwant %v", e, opt, got, want)
 		}

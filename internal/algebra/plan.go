@@ -123,7 +123,7 @@ func exprLabel(e Expr) string {
 		}
 		return "ρ{" + strings.Join(parts, ",") + "}"
 	default:
-		return fmt.Sprintf("%T", e)
+		panic(fmt.Sprintf("algebra: unknown node %T", e))
 	}
 }
 

@@ -126,8 +126,8 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 			continue // random tree invalid (e.g. cond after projection); skip
 		}
 		checked++
-		want := MustEval(e, st)
-		got := MustEval(Simplify(e, res), st)
+		want := mustEval(t, e, st)
+		got := mustEval(t, Simplify(e, res), st)
 		if !got.Equal(want) {
 			t.Fatalf("Simplify changed semantics of %s:\ngot  %v\nwant %v", e, got, want)
 		}

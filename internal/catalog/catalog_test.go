@@ -112,7 +112,7 @@ func TestStateInsertTypeChecking(t *testing.T) {
 func TestStateEvalIntegration(t *testing.T) {
 	db := figure1DB(t)
 	st := figure1State(t, db)
-	sold := algebra.MustEval(algebra.NewJoin(algebra.NewBase("Sale"), algebra.NewBase("Emp")), st)
+	sold := mustEval(t, algebra.NewJoin(algebra.NewBase("Sale"), algebra.NewBase("Emp")), st)
 	if sold.Len() != 3 {
 		t.Errorf("|Sold| = %d", sold.Len())
 	}
@@ -322,4 +322,14 @@ func assertPanicsCatalog(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// mustEval evaluates an expression the test has already validated.
+func mustEval(t testing.TB, e algebra.Expr, st algebra.State) *relation.Relation {
+	t.Helper()
+	r, err := algebra.EvalCtx(nil, e, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -36,12 +36,12 @@ func TestFigure1Complement(t *testing.T) {
 
 	st := workload.Figure1State(sc.DB)
 	// C_Emp on the paper state is exactly {⟨Paula, 32⟩}.
-	cEmp := algebra.MustEval(eEmp.Def, st)
+	cEmp := mustEval(t, eEmp.Def, st)
 	if cEmp.Len() != 1 || !cEmp.Contains(relation.Tuple{relation.String_("Paula"), relation.Int(32)}) {
 		t.Errorf("C_Emp = %v, want {⟨Paula,32⟩}", cEmp)
 	}
 	// C_Sale on the paper state is empty (every sale has an employee).
-	cSale := algebra.MustEval(eSale.Def, st)
+	cSale := mustEval(t, eSale.Def, st)
 	if !cSale.IsEmpty() {
 		t.Errorf("C_Sale = %v, want empty", cSale)
 	}
@@ -115,7 +115,7 @@ func TestExample24WithoutEmptinessDetection(t *testing.T) {
 	}
 	// But on every consistent state it evaluates empty anyway.
 	for _, st := range corpus(t, sc.DB, 20, 8) {
-		if r := algebra.MustEval(eSale.Def, st); !r.IsEmpty() {
+		if r := mustEval(t, eSale.Def, st); !r.IsEmpty() {
 			t.Errorf("C_Sale nonempty on consistent state: %v", r)
 		}
 	}
@@ -153,7 +153,7 @@ func TestExample21(t *testing.T) {
 	// With V2 = S in the warehouse, C'_S = S ∖ (π_YZ(V1) ∪ π_YZ(V2)) = S ∖ (… ∪ S) ≡ ∅.
 	eS, _ := c2.Entry("S")
 	for _, st := range corpus(t, two.DB, 20, 6) {
-		if r := algebra.MustEval(eS.Def, st); !r.IsEmpty() {
+		if r := mustEval(t, eS.Def, st); !r.IsEmpty() {
 			t.Errorf("C'_S nonempty: %v", r)
 		}
 	}
@@ -200,8 +200,8 @@ func TestExample22NonMinimal(t *testing.T) {
 	want := algebra.NewDiff(algebra.NewBase("R"),
 		algebra.NewProject(algebra.NewSelect(algebra.NewBase("R"),
 			algebra.AttrEqConst("B", relation.Int(0))), "A", "B", "C"))
-	gotR := algebra.MustEval(eR.Def, mustState22(t, sc.DB))
-	wantR := algebra.MustEval(want, mustState22(t, sc.DB))
+	gotR := mustEval(t, eR.Def, mustState22(t, sc.DB))
+	wantR := mustEval(t, want, mustState22(t, sc.DB))
 	if !gotR.Equal(wantR) {
 		t.Errorf("C_R = %s evaluates differently from R ∖ V3", eR.Def)
 	}
@@ -236,7 +236,7 @@ func TestExample22NonMinimal(t *testing.T) {
 			algebra.NewDiff(v1, algebra.NewProject(cuv, "A", "B")),
 			algebra.NewDiff(v2, algebra.NewProject(cuv, "B", "C"))))
 	for i, st := range states {
-		got := algebra.MustEval(reconstruct, st)
+		got := mustEval(t, reconstruct, st)
 		wantRel, _ := st.Relation("R")
 		if !got.Equal(wantRel) {
 			t.Fatalf("state %d: paper's C'_R reconstruction identity fails:\ngot %v\nwant %v", i, got, wantRel)
@@ -265,11 +265,11 @@ func TestExample23NoConstraints(t *testing.T) {
 	e1, _ := c.Entry("R1")
 	wantC1 := algebra.NewDiff(algebra.NewBase("R1"),
 		algebra.NewProject(algebra.NewJoin(algebra.NewBase("R1"), algebra.NewBase("R2")), "A", "B", "C"))
-	if !algebra.MustEval(e1.Def, st).Equal(algebra.MustEval(wantC1, st)) {
+	if !mustEval(t, e1.Def, st).Equal(mustEval(t, wantC1, st)) {
 		t.Errorf("C_R1 = %s", e1.Def)
 	}
 	e3, _ := c.Entry("R3")
-	if r := algebra.MustEval(e3.Def, st); !r.IsEmpty() {
+	if r := mustEval(t, e3.Def, st); !r.IsEmpty() {
 		t.Errorf("C_R3 = %v, want empty (V2 = R3)", r)
 	}
 	if err := c.CheckReconstruction(corpus(t, sc.DB, 25, 6)); err != nil {
@@ -486,4 +486,14 @@ func TestCompareOutcomes(t *testing.T) {
 	if err != nil || res != RightSmaller {
 		t.Errorf("Compare(C, C') = %v, %v, want right strictly smaller", res, err)
 	}
+}
+
+// mustEval evaluates an expression the test has already validated.
+func mustEval(t testing.TB, e algebra.Expr, st algebra.State) *relation.Relation {
+	t.Helper()
+	r, err := algebra.EvalCtx(nil, e, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

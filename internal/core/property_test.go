@@ -99,7 +99,7 @@ func TestProvedEmptyComplementsAreEmpty(t *testing.T) {
 		checked++
 		for _, st := range workload.NewGen(sc.DB, seed+2000).States(8, 6) {
 			for _, def := range emptyDefs {
-				r, err := algebra.Eval(def, st)
+				r, err := algebra.EvalCtx(nil, def, st)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,15 +9,10 @@ import (
 	"dwcomplement/internal/view"
 )
 
-// MaterializeWarehouse evaluates the augmented warehouse W = V ∪ C on a
-// database state d: every stored target, keyed by warehouse name. This is
-// the mapping W(d) of Proposition 2.1.
-func (c *Complement) MaterializeWarehouse(st algebra.State) (algebra.MapState, error) {
-	return c.MaterializeWarehouseCtx(nil, st)
-}
-
-// MaterializeWarehouseCtx is MaterializeWarehouse under an evaluation
-// context: the cover joins of every target definition check for
+// MaterializeWarehouseCtx evaluates the augmented warehouse W = V ∪ C on
+// a database state d: every stored target, keyed by warehouse name. This
+// is the mapping W(d) of Proposition 2.1. Under a non-nil evaluation
+// context the cover joins of every target definition check for
 // cancellation at operator boundaries and record their counters. The
 // definitions are evaluated side by side (par.Do): st must not change
 // during the call and its Relation method must be safe for concurrent use
@@ -39,14 +34,10 @@ func (c *Complement) MaterializeWarehouseCtx(ec *algebra.EvalContext, st algebra
 	return out, nil
 }
 
-// Reconstruct applies W⁻¹ to a warehouse state: it recomputes every base
-// relation from warehouse relations only (Equation 2 / 4) and returns the
-// result keyed by base name.
-func (c *Complement) Reconstruct(w algebra.State) (map[string]*relation.Relation, error) {
-	return c.ReconstructCtx(nil, w)
-}
-
-// ReconstructCtx is Reconstruct under an evaluation context.
+// ReconstructCtx applies W⁻¹ to a warehouse state under an evaluation
+// context (nil for none): it recomputes every base relation from
+// warehouse relations only (Equation 2 / 4) and returns the result keyed
+// by base name.
 func (c *Complement) ReconstructCtx(ec *algebra.EvalContext, w algebra.State) (map[string]*relation.Relation, error) {
 	out := make(map[string]*relation.Relation, len(c.entries))
 	for _, e := range c.entries {
@@ -65,11 +56,11 @@ func (c *Complement) ReconstructCtx(ec *algebra.EvalContext, w algebra.State) (m
 // It returns the first discrepancy as an error.
 func (c *Complement) CheckReconstruction(states []algebra.State) error {
 	for i, st := range states {
-		w, err := c.MaterializeWarehouse(st)
+		w, err := c.MaterializeWarehouseCtx(nil, st)
 		if err != nil {
 			return err
 		}
-		rec, err := c.Reconstruct(w)
+		rec, err := c.ReconstructCtx(nil, w)
 		if err != nil {
 			return err
 		}
@@ -99,7 +90,7 @@ func (c *Complement) CheckInjectivity(states []algebra.State) error {
 	}
 	var images []image
 	for i, st := range states {
-		w, err := c.MaterializeWarehouse(st)
+		w, err := c.MaterializeWarehouseCtx(nil, st)
 		if err != nil {
 			return err
 		}

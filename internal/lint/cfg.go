@@ -6,11 +6,8 @@ import (
 )
 
 // This file is the control-flow layer of the dataflow framework
-// (DESIGN.md §15): a per-function CFG over statements, shared by every
-// path-sensitive analyzer (spanend's End-on-every-path check, the
-// lockorder held-set dataflow). Building it once per function replaces
-// the per-analyzer ad-hoc traversals that each re-invented return-path
-// walking.
+// (DESIGN.md §15): a per-function CFG over statements, on which the
+// lockorder held-set dataflow runs.
 
 // CFG is the control-flow graph of one function body. Blocks hold the
 // statements executed straight-line; edges are the possible successors.
@@ -23,10 +20,6 @@ type CFG struct {
 	// terminating call (panic, os.Exit) and the fall-off-the-end point
 	// has an edge to it. Exit holds no statements.
 	Exit *Block
-	// Defers lists every defer statement in the body, in source order.
-	// Deferred calls run at function exit; analyses that model them
-	// (spanend, lock release) read this list instead of the blocks.
-	Defers []*ast.DeferStmt
 }
 
 // Block is one straight-line sequence of statements.
@@ -146,10 +139,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 
 	case *ast.BranchStmt:
 		b.branch(s)
-
-	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, s)
-		b.cur.Stmts = append(b.cur.Stmts, s)
 
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -417,58 +406,4 @@ func isTerminatingCall(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// EveryPathReaches reports whether every path from (start block, node
-// index from) to the CFG exit passes a node satisfying pred before
-// reaching the exit. Cycles that never reach the exit vacuously satisfy
-// the property (a path that never returns never needs the event).
-func (c *CFG) EveryPathReaches(start *Block, from int, pred func(ast.Node) bool) bool {
-	memo := make(map[*Block]int8) // 0 unseen, 1 in-progress/true, 2 false
-	var covered func(b *Block, idx int) bool
-	covered = func(b *Block, idx int) bool {
-		if b == c.Exit {
-			return false
-		}
-		if idx == 0 {
-			switch memo[b] {
-			case 1:
-				return true
-			case 2:
-				return false
-			}
-			memo[b] = 1 // in-progress: back-edges assume covered
-		}
-		ok := false
-		for i := idx; i < len(b.Stmts); i++ {
-			if pred(b.Stmts[i]) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			if len(b.Succs) == 0 {
-				// Dead end that is not the exit: a blocked-forever
-				// point (select{}); no path to exit exists.
-				ok = true
-			} else {
-				ok = true
-				for _, s := range b.Succs {
-					if !covered(s, 0) {
-						ok = false
-						break
-					}
-				}
-			}
-		}
-		if idx == 0 {
-			if ok {
-				memo[b] = 1
-			} else {
-				memo[b] = 2
-			}
-		}
-		return ok
-	}
-	return covered(start, from)
 }

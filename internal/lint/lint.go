@@ -7,31 +7,33 @@
 //
 // The analyzers:
 //
-//   - evalctx: library code under internal/ must call the context-aware
-//     evaluation entry points, never the context-free wrappers reserved
-//     for the public facade;
-//   - planops: operator dispatch over algebra.Expr must be exhaustive, so
-//     flat stats and plan trees cannot silently drift when an operator
-//     kind is added;
-//   - senterr: error messages describing sentinel conditions must wrap
-//     the sentinel errors so errors.Is works across the public API;
-//   - spanend: every span started via internal/trace must be finished
-//     with End (deferred, or called before every return), or the trace
-//     silently loses the instrumented operation;
+//   - goleak: goroutines must have a shutdown path — no inescapable
+//     `for {}` loops, no calls to unstoppable listeners;
+//   - httpctx: library code under internal/ must build HTTP requests
+//     with a context, never the net/http convenience calls, so
+//     deadlines and cancellation reach a remote that stops answering;
 //   - lockorder: the repo-wide mutex acquisition-order graph (built
 //     across call edges from the Facts store) must be acyclic — a cycle
-//     is a potential deadlock (the PR-5 handleResend inversion class);
-//   - goleak: goroutines must have a shutdown path — no inescapable
-//     `for {}` loops, no calls to unstoppable listeners.
+//     is a potential deadlock;
+//   - senterr: error messages describing sentinel conditions must wrap
+//     the sentinel errors so errors.Is works across the public API.
 //
-// The last two are interprocedural: they run over the dataflow layer
-// (cfg.go, callgraph.go, facts.go) that Pass.Prog exposes.
+// Other conventions are kept by the code's own shape rather than by an
+// analyzer: the evaluator has no context-free entry point, every
+// dispatch over algebra.Expr is checked by a kinds test in its package,
+// and a trace.Tracer counts the spans left open.
+//
+// goleak and lockorder are interprocedural: they run over the dataflow
+// layer (cfg.go, callgraph.go, facts.go) that Pass.Prog exposes.
 package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
+	"strings"
 )
 
 // Analyzer is one named invariant check.
@@ -80,12 +82,10 @@ func (d Diagnostic) String() string {
 // All returns the analyzer catalog in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		EvalCtxAnalyzer,
 		GoLeak,
+		HTTPCtx,
 		LockOrder,
-		PlanOps,
 		SentErr,
-		SpanEnd,
 	}
 }
 
@@ -132,4 +132,45 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return a.Analyzer < b.Analyzer
 	})
 	return all
+}
+
+// calleeFunc resolves the called *types.Func of a call, or nil for
+// builtins, conversions, and indirect calls through variables.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// receiverName returns the named type of a method's receiver (sans
+// pointer), or "" for package-level functions.
+func receiverName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// shortPkg trims an import path to its last element for messages.
+func shortPkg(path string) string {
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		return path[i+1:]
+	}
+	return path
 }

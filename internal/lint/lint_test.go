@@ -64,19 +64,17 @@ func testAnalyzer(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
-func TestEvalCtx(t *testing.T)   { testAnalyzer(t, EvalCtxAnalyzer, "evalctx") }
-func TestPlanOps(t *testing.T)   { testAnalyzer(t, PlanOps, "planops") }
+func TestHTTPCtx(t *testing.T)   { testAnalyzer(t, HTTPCtx, "httpctx") }
 func TestSentErr(t *testing.T)   { testAnalyzer(t, SentErr, "senterr") }
-func TestSpanEnd(t *testing.T)   { testAnalyzer(t, SpanEnd, "spanend") }
 func TestLockOrder(t *testing.T) { testAnalyzer(t, LockOrder, "lockorder") }
 func TestGoLeak(t *testing.T)    { testAnalyzer(t, GoLeak, "goleak") }
 
 func TestByName(t *testing.T) {
-	as, err := ByName([]string{"senterr", "planops"})
+	as, err := ByName([]string{"senterr", "httpctx"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 2 || as[0].Name != "senterr" || as[1].Name != "planops" {
+	if len(as) != 2 || as[0].Name != "senterr" || as[1].Name != "httpctx" {
 		t.Fatalf("ByName returned %v", as)
 	}
 	if _, err := ByName([]string{"nope"}); err == nil {

@@ -340,7 +340,7 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 		}, nil
 
 	default:
-		return nil, fmt.Errorf("maintain: unknown node %T", e)
+		panic(fmt.Sprintf("maintain: unknown node %T", e))
 	}
 }
 
@@ -419,7 +419,6 @@ func contained(e algebra.Expr, base string, attrs relation.AttrSet) bool {
 		return slices.ContainsFunc(x.Inputs, func(in algebra.Expr) bool { return contained(in, base, attrs) })
 	case *algebra.Union:
 		return contained(x.L, base, attrs) && contained(x.R, base, attrs)
-	case *algebra.Diff, *algebra.Rename, *algebra.Empty:
 	}
 	return false
 }

@@ -16,7 +16,7 @@ import (
 func checkDelta(t *testing.T, e algebra.Expr, st *catalog.State, u *catalog.Update) {
 	t.Helper()
 	nu := u.Normalize(st)
-	old, err := algebra.Eval(e, st)
+	old, err := algebra.EvalCtx(nil, e, st)
 	if err != nil {
 		t.Fatalf("%s: %v", e, err)
 	}
@@ -31,7 +31,7 @@ func checkDelta(t *testing.T, e algebra.Expr, st *catalog.State, u *catalog.Upda
 	if err := nu.Apply(post); err != nil {
 		t.Fatal(err)
 	}
-	want, err := algebra.Eval(e, post)
+	want, err := algebra.EvalCtx(nil, e, post)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,6 +211,8 @@ func intern(e algebra.Expr, seen *[]algebra.Expr) algebra.Expr {
 		x.L, x.R = intern(x.L, seen), intern(x.R, seen)
 	case *algebra.Diff:
 		x.L, x.R = intern(x.L, seen), intern(x.R, seen)
+	default:
+		panic(fmt.Sprintf("maintain: unknown node %T", e))
 	}
 	*seen = append(*seen, e)
 	return e

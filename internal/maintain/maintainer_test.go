@@ -36,7 +36,7 @@ func assertTheorem41(t *testing.T, w *warehouse.Warehouse, comp *core.Complement
 	if err := u.Apply(post); err != nil {
 		t.Fatal(err)
 	}
-	want, err := comp.MaterializeWarehouse(post)
+	want, err := comp.MaterializeWarehouseCtx(nil, post)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRefreshSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := comp.MaterializeWarehouse(cur)
+	want, err := comp.MaterializeWarehouseCtx(nil, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRefreshNeverTouchesSources(t *testing.T) {
 	if _, err := m.RefreshContext(context.Background(), w, u); err != nil {
 		t.Fatal(err)
 	}
-	want, err := comp.MaterializeWarehouse(post)
+	want, err := comp.MaterializeWarehouseCtx(nil, post)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestVirtualState(t *testing.T) {
 	sc := workload.Figure1(false)
 	st := workload.Figure1State(sc.DB)
 	_, comp := buildWarehouse(t, sc, core.Proposition22(), st)
-	ws, err := comp.MaterializeWarehouse(st)
+	ws, err := comp.MaterializeWarehouseCtx(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}

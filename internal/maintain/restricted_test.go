@@ -74,7 +74,7 @@ func TestRestrictedContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := algebra.MustEval(e, ref); !v.Equal(want) {
+				if want := mustEval(t, e, ref); !v.Equal(want) {
 					t.Fatalf("full value %d of %s = %v, want %v", i, e, v, want)
 				}
 				full[i] = v

@@ -74,7 +74,7 @@ func TestSpecificationProgramsCorrect(t *testing.T) {
 			gen := workload.NewGen(tc.sc.DB, 19)
 			for round := 0; round < 8; round++ {
 				st := gen.State(8)
-				ws, err := comp.MaterializeWarehouse(st)
+				ws, err := comp.MaterializeWarehouseCtx(nil, st)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +104,7 @@ func TestSpecificationProgramsCorrect(t *testing.T) {
 							}
 							got := ws[target.Name].Clone()
 							d.ApplyTo(got)
-							want, err := algebra.Eval(target.Def, post)
+							want, err := algebra.EvalCtx(nil, target.Def, post)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -100,7 +100,7 @@ func TestSymbolicMatchesRuntime(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			old, err := algebra.Eval(tc.def, st)
+			old, err := algebra.EvalCtx(nil, tc.def, st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestSymbolicMatchesRuntime(t *testing.T) {
 			if err := tc.u.Apply(post); err != nil {
 				t.Fatal(err)
 			}
-			want, err := algebra.Eval(tc.def, post)
+			want, err := algebra.EvalCtx(nil, tc.def, post)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestSymbolicWarehouseOnlyEvaluation(t *testing.T) {
 	sc := workload.Figure1(false)
 	comp := core.MustCompute(sc.DB, sc.Views, core.Proposition22())
 	st := workload.Figure1State(sc.DB)
-	ws, err := comp.MaterializeWarehouse(st)
+	ws, err := comp.MaterializeWarehouseCtx(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSymbolicWarehouseOnlyEvaluation(t *testing.T) {
 	if err := u.Apply(post); err != nil {
 		t.Fatal(err)
 	}
-	wantWs, err := comp.MaterializeWarehouse(post)
+	wantWs, err := comp.MaterializeWarehouseCtx(nil, post)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +233,13 @@ func TestSymbolicAllOperators(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
 				}
-				old, err := algebra.Eval(e, st)
+				old, err := algebra.EvalCtx(nil, e, st)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := old.Clone()
 				d.ApplyTo(got)
-				want, err := algebra.Eval(e, post)
+				want, err := algebra.EvalCtx(nil, e, post)
 				if err != nil {
 					t.Fatal(err)
 				}

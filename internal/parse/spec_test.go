@@ -57,7 +57,7 @@ func TestSpecFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := comp.Entry("Emp")
-	r, err := algebra.Eval(e.Def, spec.State)
+	r, err := algebra.EvalCtx(nil, e.Def, spec.State)
 	if err != nil {
 		t.Fatal(err)
 	}

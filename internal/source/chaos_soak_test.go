@@ -245,7 +245,7 @@ func soak(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := comp.MaterializeWarehouse(combined)
+	oracle, err := comp.MaterializeWarehouseCtx(nil, combined)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/snapshot"
-	"dwcomplement/internal/trace"
 	"dwcomplement/internal/warehouse"
 )
 
@@ -83,7 +82,6 @@ type Integrator struct {
 	maxPending int
 	gapTimeout time.Duration
 	resync     func(source string, fromSeq uint64) error
-	tracer     *trace.Tracer // nil = delivery is untraced
 	refreshs   int
 	changed    int
 	dups       int
@@ -133,17 +131,6 @@ func (g *Integrator) SetResyncHook(fn func(source string, fromSeq uint64) error)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.resync = fn
-}
-
-// SetTracer attaches a tracer: offers and deliveries of reports that
-// carry a sampled traceparent record "integrator.offer" and
-// "integrator.deliver" spans (with the journal append and per-target
-// refresh work as children), continuing the source's trace. Call before
-// traffic starts.
-func (g *Integrator) SetTracer(t *trace.Tracer) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.tracer = t
 }
 
 // SetMetrics registers the integrator's counters and gauges with an obs
@@ -218,21 +205,15 @@ func (g *Integrator) Receive(n Notification) {
 func (g *Integrator) Offer(n Notification) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ctx, sp := g.tracer.StartRemote(context.Background(), n.Traceparent, "integrator.offer")
-	defer sp.End()
-	sp.SetAttr("source", n.Source)
-	sp.SetAttrInt("seq", int64(n.Seq))
 	if n.Seq <= g.applied[n.Source] {
 		g.dups++ // already applied: a transport re-delivery
 		inc(g.mDups)
-		sp.SetAttr("outcome", "duplicate")
 		return nil
 	}
 	for _, p := range g.pending[n.Source] {
 		if p.Seq == n.Seq {
 			g.dups++ // already buffered
 			inc(g.mDups)
-			sp.SetAttr("outcome", "duplicate")
 			return nil
 		}
 	}
@@ -242,27 +223,17 @@ func (g *Integrator) Offer(n Notification) error {
 	if len(g.pending[n.Source]) >= g.maxPending && n.Seq != g.applied[n.Source]+1 {
 		g.rejected++
 		inc(g.mRejected)
-		sp.SetAttr("outcome", "backpressure")
 		return fmt.Errorf("source: %s seq %d refused: %w", n.Source, n.Seq, ErrBackpressure)
 	}
 	if g.jw != nil {
-		if err := g.jw.AppendContext(ctx, journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update}); err != nil {
+		if err := g.jw.AppendContext(context.Background(), journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update}); err != nil {
 			g.rejected++
 			inc(g.mRejected)
-			sp.SetAttr("outcome", "journal-error")
 			return fmt.Errorf("source: journal append for %s seq %d: %w", n.Source, n.Seq, err)
 		}
 	}
 	g.pending[n.Source] = append(g.pending[n.Source], n)
 	g.drainLocked(context.Background(), n.Source)
-	switch {
-	case g.applied[n.Source] >= n.Seq:
-		sp.SetAttr("outcome", "applied")
-	case g.wedged[n.Source] != nil:
-		sp.SetAttr("outcome", "wedged")
-	default:
-		sp.SetAttr("outcome", "gap")
-	}
 	return nil
 }
 
@@ -290,14 +261,7 @@ loop:
 			if ctx.Err() != nil {
 				break loop
 			}
-			rctx, sp := g.tracer.StartRemote(ctx, queue[i].Traceparent, "integrator.deliver")
-			sp.SetAttr("source", src)
-			sp.SetAttrInt("seq", int64(queue[i].Seq))
-			_, err := g.m.RefreshContext(rctx, g.w, queue[i].Update)
-			if err != nil {
-				sp.SetAttr("outcome", "error")
-			}
-			sp.End()
+			_, err := g.m.RefreshContext(ctx, g.w, queue[i].Update)
 			if err != nil {
 				if ctx.Err() != nil {
 					// Canceled mid-refresh: the atomic refresh left the

@@ -76,7 +76,7 @@ func TestFigure1EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := env.Integrator.w.Complement().MaterializeWarehouse(combined)
+	want, err := env.Integrator.w.Complement().MaterializeWarehouseCtx(nil, combined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestConcurrentSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := env.Integrator.w.Complement().MaterializeWarehouse(combined)
+	want, err := env.Integrator.w.Complement().MaterializeWarehouseCtx(nil, combined)
 	if err != nil {
 		t.Fatal(err)
 	}

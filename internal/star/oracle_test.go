@@ -102,7 +102,7 @@ func TestStarPaperOracles(t *testing.T) {
 				if err := u.Apply(cur); err != nil {
 					t.Fatal(err)
 				}
-				want, err := comp.MaterializeWarehouse(cur)
+				want, err := comp.MaterializeWarehouseCtx(nil, cur)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -93,7 +93,7 @@ func TestOriginDetermination(t *testing.T) {
 		t.Error("a fact part is stored as a warehouse relation")
 	}
 	slice := algebra.NewSelect(algebra.NewBase("Orders"), algebra.AttrEqConst("loc", relation.String_("paris")))
-	part, err := algebra.Eval(slice, w)
+	part, err := algebra.EvalCtx(nil, slice, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStarQueryTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := algebra.Eval(q, st)
+	want, err := algebra.EvalCtx(nil, q, st)
 	if err != nil {
 		t.Fatal(err)
 	}

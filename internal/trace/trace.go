@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -107,9 +108,10 @@ type Attr struct {
 }
 
 // Span is one recorded operation. Spans are created by Tracer.Start (or
-// the package-level StartSpan) and MUST be finished with End — the
-// spanend dwlint analyzer enforces this for internal/ packages. All
-// methods are nil-safe no-ops so unsampled call sites stay branch-cheap.
+// the package-level StartSpan) and MUST be finished with End: the
+// tracer counts the spans not yet ended, and traced tests fail when
+// Tracer.Open is not zero once the traced work has stopped. All methods
+// are nil-safe no-ops so unsampled call sites stay branch-cheap.
 type Span struct {
 	tracer *Tracer
 	name   string
@@ -178,6 +180,7 @@ func (s *Span) End() {
 	s.ended = true
 	attrs := s.attrs
 	s.mu.Unlock()
+	s.tracer.open.Add(-1)
 	s.tracer.store.add(SpanRecord{
 		TraceID: s.sc.TraceID,
 		SpanID:  s.sc.SpanID,
@@ -234,6 +237,8 @@ type Config struct {
 type Tracer struct {
 	rate  float64
 	store *Store
+	// open counts the spans started on this tracer and not yet ended.
+	open atomic.Int64
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -267,6 +272,16 @@ func (t *Tracer) Store() *Store {
 		return nil
 	}
 	return t.store
+}
+
+// Open returns the number of spans this tracer owns that were started
+// and not yet ended: zero once the traced work has stopped, unless a
+// span was never ended. Tests read it.
+func (t *Tracer) Open() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.open.Load()
 }
 
 // ctxKey keys the context values owned by this package.
@@ -374,6 +389,7 @@ func (t *Tracer) newSpan(name string, tid TraceID, parent SpanID, owner *Tracer)
 	if owner == nil {
 		return nil
 	}
+	owner.open.Add(1)
 	return &Span{
 		tracer: owner,
 		name:   name,

@@ -73,6 +73,33 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestOpenSpans: a tracer counts the spans it owns until their first
+// End, children started through another tracer included; unsampled and
+// nil spans are never counted.
+func TestOpenSpans(t *testing.T) {
+	tr, other := New(Config{Rate: 1, Seed: 3}), New(Config{Rate: 0, Seed: 3})
+	ctx, root := tr.Start(context.Background(), "root")
+	_, child := StartSpan(ctx, "child")
+	_, viaOther := other.Start(ctx, "via-other")
+	if got := tr.Open(); got != 3 {
+		t.Fatalf("Open = %d after three starts, want 3", got)
+	}
+	child.End()
+	child.End()
+	viaOther.End()
+	if got := tr.Open(); got != 1 {
+		t.Fatalf("Open = %d after ending two spans (one twice), want 1", got)
+	}
+	root.End()
+	if _, sp := other.Start(context.Background(), "unsampled"); sp != nil {
+		t.Fatal("rate-0 tracer sampled a root")
+	}
+	var none *Tracer
+	if tr.Open() != 0 || other.Open() != 0 || none.Open() != 0 {
+		t.Fatalf("Open = %d/%d/%d at rest, want 0", tr.Open(), other.Open(), none.Open())
+	}
+}
+
 func TestSamplingDeterminism(t *testing.T) {
 	const n = 1000
 	run := func(seed int64) []bool {
@@ -222,6 +249,9 @@ func TestConcurrentHammer(t *testing.T) {
 		case <-done:
 			if n := tr.Store().Len(); n > 128 {
 				t.Fatalf("store exceeded capacity: %d", n)
+			}
+			if n := tr.Open(); n != 0 {
+				t.Fatalf("%d spans open after every worker ended its spans", n)
 			}
 			for _, sum := range tr.Store().Traces(10) {
 				if spans, ok := tr.Store().Trace(mustTraceID(t, sum.TraceID)); ok {

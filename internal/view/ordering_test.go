@@ -124,7 +124,7 @@ func TestStatesFromMaps(t *testing.T) {
 	r := relation.New("x")
 	r.InsertValues(relation.Int(1))
 	states := StatesFromMaps(map[string]*relation.Relation{"R": r})
-	got, err := algebra.Eval(algebra.NewBase("R"), states[0])
+	got, err := algebra.EvalCtx(nil, algebra.NewBase("R"), states[0])
 	if err != nil || got.Len() != 1 {
 		t.Errorf("adapter broken: %v %v", got, err)
 	}

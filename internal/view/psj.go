@@ -131,13 +131,9 @@ func (v *PSJ) Validate(db *catalog.Database) error {
 	return nil
 }
 
-// Eval materializes the view on a database state.
-func (v *PSJ) Eval(st algebra.State) (*relation.Relation, error) {
-	return v.EvalCtx(nil, st)
-}
-
-// EvalCtx is Eval under an evaluation context, which carries cancellation
-// and per-operator counters through the view's expression.
+// EvalCtx materializes the view on a database state under an evaluation
+// context, which carries cancellation and per-operator counters through
+// the view's expression; ec may be nil.
 func (v *PSJ) EvalCtx(ec *algebra.EvalContext, st algebra.State) (*relation.Relation, error) {
 	return algebra.EvalCtx(ec, v.Expr(), st)
 }
@@ -393,13 +389,8 @@ func (s *Set) Resolver() algebra.MapResolver {
 	return m
 }
 
-// Eval materializes every view on a database state, keyed by view name.
-func (s *Set) Eval(st algebra.State) (map[string]*relation.Relation, error) {
-	return s.EvalCtx(nil, st)
-}
-
-// EvalCtx is Eval under an evaluation context (cancellation + stats);
-// ec may be nil.
+// EvalCtx materializes every view on a database state, keyed by view
+// name, under an evaluation context (cancellation + stats); ec may be nil.
 func (s *Set) EvalCtx(ec *algebra.EvalContext, st algebra.State) (map[string]*relation.Relation, error) {
 	out := make(map[string]*relation.Relation, len(s.views))
 	for _, v := range s.views {

@@ -88,7 +88,7 @@ func TestPSJEval(t *testing.T) {
 		MustInsert("Sale", relation.String_("TV"), relation.String_("Mary")).
 		MustInsert("Emp", relation.String_("Mary"), relation.Int(23)).
 		MustInsert("Emp", relation.String_("Paula"), relation.Int(32))
-	got, err := soldView().Eval(st)
+	got, err := soldView().EvalCtx(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPSJEval(t *testing.T) {
 		t.Errorf("Sold = %v", got)
 	}
 	sel := NewPSJ("Old", []string{"clerk"}, algebra.AttrCmpConst("age", algebra.OpGt, relation.Int(30)), "Emp")
-	or, err := sel.Eval(st)
+	or, err := sel.EvalCtx(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,8 @@ func TestFromExprPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
-		want := algebra.MustEval(e, st)
-		got, err := v.Eval(st)
+		want := mustEval(t, e, st)
+		got, err := v.EvalCtx(nil, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,11 +292,21 @@ func TestSetEval(t *testing.T) {
 		MustInsert("Sale", relation.String_("TV"), relation.String_("Mary")).
 		MustInsert("Emp", relation.String_("Mary"), relation.Int(23))
 	s := MustNewSet(db, soldView())
-	mats, err := s.Eval(st)
+	mats, err := s.EvalCtx(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mats["Sold"].Len() != 1 {
 		t.Errorf("Sold = %v", mats["Sold"])
 	}
+}
+
+// mustEval evaluates an expression the test has already validated.
+func mustEval(t testing.TB, e algebra.Expr, st algebra.State) *relation.Relation {
+	t.Helper()
+	r, err := algebra.EvalCtx(nil, e, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -49,11 +49,11 @@ func TestTranslateQueryUnoptimized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both must evaluate identically on the warehouse.
-	a, err := algebra.Eval(plain, w)
+	a, err := algebra.EvalCtx(nil, plain, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := algebra.Eval(opt, w)
+	b, err := algebra.EvalCtx(nil, opt, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func TestStatesAdapter(t *testing.T) {
 	sc := Figure1(false)
 	st := Figure1State(sc.DB)
 	adapted := States(st)
-	r, err := algebra.Eval(algebra.NewBase("Emp"), adapted[0])
+	r, err := algebra.EvalCtx(nil, algebra.NewBase("Emp"), adapted[0])
 	if err != nil || r.Len() != 3 {
 		t.Errorf("adapter broken: %v %v", r, err)
 	}
