@@ -294,15 +294,12 @@ func (l *e20Leader) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 }
 
 func (l *e20Leader) handleStream(w http.ResponseWriter, req *http.Request) {
-	from, _ := strconv.ParseUint(req.URL.Query().Get("from"), 10, 64)
-	if from == 0 {
-		from = 1
+	from, wait, err := remote.PollParams(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	if v := req.URL.Query().Get("wait"); v != "" {
-		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-			l.rlog.Wait(req.Context(), from, time.Duration(ms)*time.Millisecond)
-		}
-	}
+	l.rlog.Wait(req.Context(), from, wait)
 	entries, tip, epoch, err := l.rlog.From(from, 256)
 	if err != nil {
 		code := http.StatusGone

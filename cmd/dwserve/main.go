@@ -183,7 +183,7 @@ func main() {
 	for _, rs := range remoteSources {
 		name, url, _ := strings.Cut(rs, "=")
 		// Distinct jitter seed per client: with a shared schedule the
-		// backoff and hedge timing would synchronize across sources under
+		// backoff timing would synchronize across sources under
 		// correlated faults, defeating the jitter.
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(name))

@@ -44,7 +44,7 @@ func (s *server) stopRemotes() {
 }
 
 // applyRemote is the delivery callback for remote source reports: dedup
-// by the per-source watermark (retries, hedges and rewinds all cause
+// by the per-source watermark (retries and rewinds all cause
 // benign redelivery), refresh, commit. A failed refresh rewinds the
 // client so the report is re-fetched later instead of being lost; the
 // warehouse serves stale in the meantime.

@@ -23,16 +23,13 @@ import (
 // of reported updates determines the next state, so a follower holding
 // checkpoint + stream reconstructs the leader bit for bit.
 
-// maxStreamWait caps the ?wait long-poll of /replica/stream;
 // maxStreamBatch caps one response's record count so a far-behind
 // follower pages instead of receiving the whole retained log at once.
-const (
-	maxStreamWait  = 30 * time.Second
-	maxStreamBatch = 256
-)
+const maxStreamBatch = 256
 
 // followPollWait is the long-poll the follower loop requests, and
-// followRetryPause the idle pause after a failed round.
+// followRetryPause its leader link's pause after a failed round (half
+// the breaker cooldown instead while the link is quarantined or fenced).
 const (
 	followPollWait   = 2 * time.Second
 	followRetryPause = 100 * time.Millisecond
@@ -112,26 +109,14 @@ func (s *server) handleReplicaSnapshot(w http.ResponseWriter, _ *http.Request) {
 // trimmed (re-bootstrap); 416 tells it the position is past this
 // replica's tip (divergent history after a failover; re-bootstrap).
 func (s *server) handleReplicaStream(w http.ResponseWriter, req *http.Request) {
-	from, err := strconv.ParseUint(req.URL.Query().Get("from"), 10, 64)
-	if err != nil && req.URL.Query().Get("from") != "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q", req.URL.Query().Get("from")))
+	from, wait, err := remote.PollParams(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	var wait time.Duration
-	if v := req.URL.Query().Get("wait"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", v))
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > maxStreamWait {
-			wait = maxStreamWait
-		}
 	}
 	entries, tip, epoch, ferr := s.rlog.From(from, maxStreamBatch)
 	if ferr == nil && len(entries) == 0 && wait > 0 {
-		s.rlog.Wait(req.Context(), max(from, 1), wait)
+		s.rlog.Wait(req.Context(), from, wait)
 		entries, tip, epoch, ferr = s.rlog.From(from, maxStreamBatch)
 	}
 	switch {
@@ -280,7 +265,7 @@ func (s *server) StartFollower(ctx context.Context, leaderURL string) {
 func (s *server) startFollowing(leaderURL string) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(leaderURL))
-	c := replica.NewClient(leaderURL, s.db, remote.Config{Seed: int64(h.Sum64())})
+	c := replica.NewClient(leaderURL, s.db, remote.Config{Seed: int64(h.Sum64()), PollInterval: followRetryPause})
 	if s.followTransport != nil {
 		c.SetTransport(s.followTransport)
 	}
@@ -326,7 +311,7 @@ func (s *server) followLoop(ctx context.Context, f *followerState) {
 				}
 				s.log.Warn("follower bootstrap failed", "leader", c.Base(), "err", err)
 				s.observeLag(false, "")
-				sleepCtx(ctx, followRetryPause)
+				c.Pause(ctx)
 				continue
 			}
 			needBootstrap = false
@@ -345,7 +330,7 @@ func (s *server) followLoop(ctx context.Context, f *followerState) {
 			// Unreachable (breaker counts toward quarantine → candidate)
 			// or fenced; lag keeps growing until contact resumes.
 			s.observeLag(false, "")
-			sleepCtx(ctx, followRetryPause)
+			c.Pause(ctx)
 			continue
 		}
 		s.applyBatch(ctx, c, batch)
@@ -461,14 +446,4 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 	sp.SetAttrInt("lsn", int64(lsn))
 	c.SetCursor(lsn)
 	s.observeLag(lsn >= b.Tip && !b.Torn, traceID)
-}
-
-// sleepCtx pauses for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }

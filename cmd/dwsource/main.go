@@ -51,16 +51,9 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// trimInterval paces the mirror of server-side log trims into the
-// wrapped Source's own history, so neither retained copy grows without
-// bound.
-const trimInterval = 30 * time.Second
-
 // sourceHandlerConfig shapes newSourceHandler. Zero fields take the
-// documented defaults: unbounded retention, 1 MiB bodies, a default
-// admission controller.
+// documented defaults: 1 MiB bodies, a default admission controller.
 type sourceHandlerConfig struct {
-	Retain    int   // max reports retained for resync (0 = unbounded)
 	MaxBody   int64 // largest accepted /apply body (default 1 MiB)
 	Admission admission.Config
 }
@@ -89,7 +82,6 @@ func newSourceHandler(src *source.Source, db *catalog.Database, cfg sourceHandle
 	}
 	adm := admission.New(cfg.Admission)
 	srv := remote.NewSourceServer(src)
-	srv.SetMaxRetain(cfg.Retain)
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	mux.HandleFunc("POST /apply", func(w http.ResponseWriter, r *http.Request) {
@@ -149,7 +141,7 @@ func main() {
 	owns := fs.String("owns", "", "comma-separated relations this source owns (required)")
 	addr := fs.String("addr", ":9101", "listen address")
 	unsealed := fs.Bool("unsealed", false, "permit in-process ad-hoc queries (the wire never exposes them)")
-	retain := fs.Int("retain", 65536, "max reports retained for resync (oldest trimmed past the cap; 0 = unbounded)")
+	retain := fs.Int("retain", source.DefaultRetain, "max reports retained for resync (oldest trimmed past the cap; at least 1)")
 	traceSample := fs.Float64("trace-sample", 0.01, "probability of tracing a transaction's report lineage (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful shutdown deadline")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted /apply body in bytes (413 beyond)")
@@ -159,6 +151,10 @@ func main() {
 	if *specPath == "" || *name == "" || *owns == "" {
 		fmt.Fprintln(os.Stderr, "dwsource: -spec, -name and -owns are required")
 		fs.Usage()
+		os.Exit(2)
+	}
+	if *retain < 1 {
+		fmt.Fprintln(os.Stderr, "dwsource: -retain must be at least 1: every report log has a cap")
 		os.Exit(2)
 	}
 	raw, err := os.ReadFile(*specPath)
@@ -191,11 +187,11 @@ func main() {
 	// Sampled transactions stamp a traceparent onto their reports, so the
 	// warehouse can continue the trace across the reporting channel.
 	src.SetTracer(trace.New(trace.Config{Rate: *traceSample}))
+	src.SetRetain(*retain)
 
 	fmt.Printf("dwsource: source %q owns %s (sealed=%v, retain=%d)\nlistening on %s\n",
 		*name, strings.Join(rels, ", "), !*unsealed, *retain, *addr)
-	handler, rsrv := newSourceHandler(src, spec.DB, sourceHandlerConfig{
-		Retain:    *retain,
+	handler, _ := newSourceHandler(src, spec.DB, sourceHandlerConfig{
 		MaxBody:   *maxBody,
 		Admission: admission.Config{Capacity: *maxInflight},
 	})
@@ -210,21 +206,6 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// The server's retained log is the single serving copy; the Source's
-	// own history only feeds the construction-time backfill. Mirror the
-	// server's trims into it periodically so both stay bounded by -retain.
-	go func() {
-		tick := time.NewTicker(trimInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				src.TrimHistory(rsrv.Trimmed())
-			}
-		}
-	}()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	select {

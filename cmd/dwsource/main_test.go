@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -214,5 +216,22 @@ func TestApplyStatusMapping(t *testing.T) {
 		if status != tt.status || retry != tt.retry {
 			t.Errorf("applyStatus(%v) = (%d, %v), want (%d, %v)", tt.err, status, retry, tt.status, tt.retry)
 		}
+	}
+}
+
+// TestRetainZeroRefused: -retain 0 would leave the report log without a
+// cap, so dwsource refuses it with exit status 2 before reading the spec.
+func TestRetainZeroRefused(t *testing.T) {
+	if os.Getenv("DWSOURCE_RUN_MAIN") == "1" {
+		os.Args = []string{"dwsource", "-spec", "absent.dw", "-name", "s", "-owns", "Sale", "-retain", "0"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRetainZeroRefused$")
+	cmd.Env = append(os.Environ(), "DWSOURCE_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-retain") {
+		t.Fatalf("dwsource -retain 0: err %v, output %q; want exit status 2 naming -retain", err, out)
 	}
 }

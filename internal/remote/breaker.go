@@ -125,7 +125,7 @@ func (b *Breaker) Failure() {
 }
 
 // Abandon reports that an admitted request was deliberately canceled
-// (shutdown, a hedged loser) before completing: it releases the
+// (shutdown) before completing: it releases the
 // half-open probe slot without counting success or failure, so a
 // canceled probe cannot wedge the breaker half-open or re-trip it.
 func (b *Breaker) Abandon() {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -31,123 +30,32 @@ var ErrQuarantined = errors.New("remote: source quarantined (circuit open)")
 // as the "wedged" health state instead of looping on gap rewinds.
 var ErrTrimmed = errors.New("remote: requested reports were trimmed from the source's retained log")
 
-// Config tunes a Client's fault handling. The zero value gets sensible
-// production defaults; soak tests shrink every duration.
-type Config struct {
-	// AttemptTimeout is the per-attempt deadline (default 2s). The
-	// long-poll wait is added on top for /reports requests.
-	AttemptTimeout time.Duration
-	// MaxRetries is how many times a failed attempt is retried with
-	// backoff before the fetch gives up (default 3). Only idempotent
-	// GETs are ever issued, so retrying is always safe — duplicated
-	// deliveries are deduped by the integrator via Seq.
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries (defaults 10ms and 1s); each delay is jittered by a
-	// seeded ±50%.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed makes the jitter (and hedge) schedule deterministic.
-	Seed int64
-	// BreakerThreshold consecutive failures open the circuit (default
-	// 5); BreakerCooldown later a single probe is admitted (default
-	// 500ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// HedgeDelay, when positive, arms hedged reads for Resend: if the
-	// first request has not completed after this delay, a second
-	// identical request races it and the first success wins.
-	HedgeDelay time.Duration
-	// PollWait is the long-poll wait the poll loop requests (default
-	// 2s); PollInterval is the idle pause between unproductive rounds
-	// (default 10ms).
-	PollWait     time.Duration
-	PollInterval time.Duration
-}
-
-// WithDefaults returns the config with every unset knob at its
-// production default — exported so the replication stream client
-// (internal/replica), which shares this fault-handling machinery, can
-// normalize a Config the same way NewClient does.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 2 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	if c.PollWait <= 0 {
-		c.PollWait = 2 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * time.Millisecond
-	}
-	return c
-}
-
-// Health is a point-in-time view of a remote source's client-side
-// state, surfaced by dwserve's /readyz.
-type Health struct {
-	Source              string    `json:"source"`
-	State               string    `json:"state"` // healthy | degraded | quarantined | wedged
-	Breaker             string    `json:"breaker"`
-	ConsecutiveFailures int       `json:"consecutiveFailures"`
-	LastSuccess         time.Time `json:"lastSuccess"`
-	LastError           string    `json:"lastError,omitempty"`
-	StalenessSec        float64   `json:"stalenessSec"`
-	Cursor              uint64    `json:"cursor"`
-}
-
 // Client consumes one remote source's reporting channel: it long-polls
 // GET /reports, delivers each report through the registered callback,
 // and re-requests ranges on demand via GET /resend. It implements
 // source.Reporter, so an integrator wired to a Client cannot tell it is
 // talking across a network — except through the fault-handling state
-// the Client additionally exposes (breaker, health, staleness).
+// of its Link (breaker, health, staleness). A 410 Gone is the Link's
+// sticky verdict: the client reports itself wedged (the source trimmed
+// history below the cursor; the warehouse must be re-seeded from a
+// snapshot).
 type Client struct {
-	name    string
-	base    string
-	db      *catalog.Database
-	cfg     Config
-	httpc   *http.Client
-	breaker *Breaker
-	started time.Time
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	*Link
+	name  string
+	base  string
+	db    *catalog.Database
+	httpc *http.Client
 
 	mu           sync.Mutex
 	notify       func(source.Notification)
 	cursor       uint64 // highest Seq fetched by the poll loop
-	lastSuccess  time.Time
-	lastErr      error
-	consecFails  int
-	lastAttempts int  // attempts the last successful fetch needed
-	lastHedged   bool // whether the last successful fetch was hedged
+	lastAttempts int    // attempts the last successful fetch needed
 	tracer       *trace.Tracer
 	runCtx       context.Context
 	cancel       context.CancelFunc
 	wg           sync.WaitGroup
 
-	mRetries *obs.Counter
-	mHedges  *obs.Counter
-	mPolls   *obs.Counter
+	mPolls *obs.Counter
 }
 
 var _ source.Reporter = (*Client)(nil)
@@ -155,17 +63,9 @@ var _ source.Reporter = (*Client)(nil)
 // NewClient builds a client for the source served at baseURL (e.g.
 // "http://host:9101"), decoding reports against db.
 func NewClient(name, baseURL string, db *catalog.Database, cfg Config) *Client {
-	cfg = cfg.withDefaults()
-	return &Client{
-		name:    name,
-		base:    baseURL,
-		db:      db,
-		cfg:     cfg,
-		httpc:   &http.Client{},
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		started: time.Now(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
+	c := &Client{name: name, base: baseURL, db: db, httpc: &http.Client{}}
+	c.Link = NewLink(name, cfg, c.Cursor, "wedged", ErrTrimmed)
+	return c
 }
 
 // SetTransport swaps the underlying HTTP transport (tests inject a
@@ -175,14 +75,10 @@ func (c *Client) SetTransport(rt http.RoundTripper) { c.httpc.Transport = rt }
 // Name returns the remote source's name.
 func (c *Client) Name() string { return c.name }
 
-// Breaker exposes the client's circuit breaker.
-func (c *Client) Breaker() *Breaker { return c.breaker }
-
 // SetTracer attaches a tracer: reports fetched with a sampled
 // traceparent are delivered under a "remote.attempt" span that records
-// the fetch effort (retries, hedging) and re-parents the report's
-// lineage so downstream spans nest under the client-side hop. Call
-// before Start.
+// the fetch effort (attempts) and re-parents the report's lineage so
+// downstream spans nest under the client-side hop. Call before Start.
 func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,51 +139,22 @@ func (c *Client) Close() {
 }
 
 // loop is the report pump: long-poll from the cursor, deliver, repeat.
-// Failures (including quarantine) pace themselves via idleDelay.
+// Failed and unproductive rounds pause as the Link's policy says.
 func (c *Client) loop(ctx context.Context) {
 	defer c.wg.Done()
 	for ctx.Err() == nil {
 		inc(c.mPolls)
-		c.mu.Lock()
-		c.lastHedged = false // polls are never hedged
-		c.mu.Unlock()
 		batch, err := c.fetch(ctx, "/reports", c.Cursor()+1, c.cfg.PollWait)
-		if err != nil {
-			c.sleep(ctx, c.idleDelay())
-			continue
-		}
-		if !c.deliver(batch) {
-			c.sleep(ctx, c.cfg.PollInterval)
+		if err != nil || !c.deliver(batch) {
+			c.Pause(ctx)
 		}
 	}
-}
-
-// idleDelay paces the poll loop after a failed round: a quarantined
-// source waits out (a fraction of) the breaker cooldown instead of
-// hammering the fast-fail path, and a wedged client (history trimmed —
-// no retry can help) slows down the same way instead of re-asking at
-// full poll speed.
-func (c *Client) idleDelay() time.Duration {
-	c.mu.Lock()
-	wedged := errors.Is(c.lastErr, ErrTrimmed)
-	c.mu.Unlock()
-	if wedged || c.breaker.State() != BreakerClosed {
-		d := c.cfg.BreakerCooldown / 2
-		if d < c.cfg.PollInterval {
-			d = c.cfg.PollInterval
-		}
-		return d
-	}
-	return c.cfg.PollInterval
 }
 
 // Resend re-requests reports with Seq ≥ from through the resync
-// endpoint and delivers them — the Reporter face of gap recovery. With
-// HedgeDelay configured the read is hedged: a second request races the
-// first after the delay and the first success wins.
+// endpoint and delivers them — the Reporter face of gap recovery.
 func (c *Client) Resend(from uint64) error {
-	ctx := c.currentCtx()
-	batch, err := c.fetchHedged(ctx, "/resend", from)
+	batch, err := c.fetch(c.currentCtx(), "/resend", from, 0)
 	if err != nil {
 		return fmt.Errorf("remote: resend %s from %d: %w", c.name, from, err)
 	}
@@ -320,7 +187,7 @@ func (c *Client) deliver(batch []source.Notification) bool {
 	fn := c.notify
 	before := c.cursor
 	tracer := c.tracer
-	attempts, hedged := c.lastAttempts, c.lastHedged
+	attempts := c.lastAttempts
 	c.mu.Unlock()
 	for _, n := range batch {
 		c.mu.Lock()
@@ -329,7 +196,7 @@ func (c *Client) deliver(batch []source.Notification) bool {
 		}
 		c.mu.Unlock()
 		if fn != nil {
-			c.deliverOne(tracer, n, attempts, hedged, fn)
+			c.deliverOne(tracer, n, attempts, fn)
 		}
 		c.mu.Lock()
 		rewound := c.cursor < n.Seq
@@ -346,136 +213,42 @@ func (c *Client) deliver(batch []source.Notification) bool {
 // re-parented into the report before delivery, so everything the
 // consumer does (integration, journaling, refresh) nests under this
 // client-side hop in the trace.
-func (c *Client) deliverOne(tracer *trace.Tracer, n source.Notification, attempts int, hedged bool, fn func(source.Notification)) {
+func (c *Client) deliverOne(tracer *trace.Tracer, n source.Notification, attempts int, fn func(source.Notification)) {
 	_, sp := tracer.StartRemote(context.Background(), n.Traceparent, "remote.attempt")
 	defer sp.End()
 	sp.SetAttr("source", c.name)
 	sp.SetAttrInt("seq", int64(n.Seq))
 	sp.SetAttrInt("fetchAttempts", int64(attempts))
-	if hedged {
-		sp.SetAttr("hedged", "true")
-	}
 	if sp.Recording() {
 		n.Traceparent = sp.Context().Traceparent()
 	}
 	fn(n)
 }
 
-// fetch GETs path?from=N with per-attempt deadlines, retrying with
-// exponential backoff and jitter up to MaxRetries times. Every attempt
-// first consults the breaker; a quarantined source fails fast with
-// ErrQuarantined.
+// fetch GETs path?from=N under the Link's fault policy.
 func (c *Client) fetch(ctx context.Context, path string, from uint64, wait time.Duration) ([]source.Notification, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !c.breaker.Allow() {
-			c.noteFailure(ErrQuarantined)
-			return nil, ErrQuarantined
-		}
-		batch, err := c.get(ctx, path, from, wait)
-		if err == nil {
-			c.breaker.Success()
-			c.noteSuccess()
-			c.mu.Lock()
-			c.lastAttempts = attempt + 1
-			c.mu.Unlock()
-			return batch, nil
-		}
-		if ctx.Err() != nil {
-			// Deliberate cancellation — shutdown, or the losing half of a
-			// hedged read canceled after the winner returned — is not a
-			// source fault: release any half-open probe slot without
-			// charging the breaker or the staleness state.
-			c.breaker.Abandon()
-			return nil, err
-		}
-		if errors.Is(err, ErrTrimmed) {
-			// 410 is a definitive answer over a working transport: record
-			// the contact on the breaker (a probe closes the circuit) but
-			// keep the client visibly wedged via lastErr, and don't retry
-			// — the trimmed history will not come back.
-			c.breaker.Success()
-			c.noteFailure(err)
-			return nil, err
-		}
-		c.breaker.Failure()
-		c.noteFailure(err)
-		lastErr = err
-		if attempt >= c.cfg.MaxRetries || ctx.Err() != nil {
-			return nil, lastErr
-		}
-		inc(c.mRetries)
-		c.sleep(ctx, c.backoff(attempt))
+	var batch []source.Notification
+	attempts, err := c.Do(ctx, wait, func(actx context.Context) (err error) {
+		batch, err = c.get(actx, path, from, wait)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// fetchHedged is fetch with hedged reads: when the first request is
-// still in flight after HedgeDelay, an identical second request is
-// launched and the first success wins. Safe because every request is an
-// idempotent GET and deliveries are deduped downstream by Seq.
-func (c *Client) fetchHedged(ctx context.Context, path string, from uint64) ([]source.Notification, error) {
 	c.mu.Lock()
-	c.lastHedged = false
+	c.lastAttempts = attempts
 	c.mu.Unlock()
-	if c.cfg.HedgeDelay <= 0 {
-		return c.fetch(ctx, path, from, 0)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		batch []source.Notification
-		err   error
-	}
-	results := make(chan result, 2)
-	launch := func() {
-		b, e := c.fetch(hctx, path, from, 0)
-		results <- result{b, e}
-	}
-	go launch()
-	outstanding, hedged := 1, false
-	timer := time.NewTimer(c.cfg.HedgeDelay)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case r := <-results:
-			outstanding--
-			if r.err == nil {
-				return r.batch, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				inc(c.mHedges)
-				c.mu.Lock()
-				c.lastHedged = true
-				c.mu.Unlock()
-				outstanding++
-				go launch()
-			}
-		}
-	}
+	return batch, nil
 }
 
-// get performs one attempt against path with the per-attempt deadline.
+// get performs one attempt against path.
 func (c *Client) get(ctx context.Context, path string, from uint64, wait time.Duration) ([]source.Notification, error) {
 	q := url.Values{}
 	q.Set("from", strconv.FormatUint(from, 10))
 	if wait > 0 {
 		q.Set("wait", strconv.FormatInt(wait.Milliseconds(), 10))
 	}
-	attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout+wait)
-	defer cancel()
-	req, err := http.NewRequestWithContext(attemptCtx, http.MethodGet, c.base+path+"?"+q.Encode(), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path+"?"+q.Encode(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -507,110 +280,17 @@ func (c *Client) get(ctx context.Context, path string, from uint64, wait time.Du
 	return batch, nil
 }
 
-// backoff returns the jittered exponential delay before retry #attempt.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << uint(attempt)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
-	}
-	c.rngMu.Lock()
-	jitter := 0.5 + c.rng.Float64() // ±50%
-	c.rngMu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
-
-// sleep waits for d or until ctx is done.
-func (c *Client) sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-func (c *Client) noteSuccess() {
-	c.mu.Lock()
-	c.lastSuccess = time.Now()
-	c.lastErr = nil
-	c.consecFails = 0
-	c.mu.Unlock()
-}
-
-func (c *Client) noteFailure(err error) {
-	c.mu.Lock()
-	c.lastErr = err
-	c.consecFails++
-	c.mu.Unlock()
-}
-
-// Quarantined reports whether the breaker has the source quarantined
-// (open or probing half-open).
-func (c *Client) Quarantined() bool { return c.breaker.State() != BreakerClosed }
-
-// Staleness is how long the source's report stream has been stale: zero
-// while the last contact succeeded, else the age of the last success
-// (or of the client itself if it never succeeded).
-func (c *Client) Staleness() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lastErr == nil {
-		return 0
-	}
-	since := c.lastSuccess
-	if since.IsZero() {
-		since = c.started
-	}
-	return time.Since(since)
-}
-
-// Health returns the client's degradation view: healthy (last contact
-// succeeded), degraded (recent failures, circuit still closed),
-// quarantined (circuit open; requests fail fast until a probe passes),
-// or wedged (the source trimmed history below our cursor — no retry
-// can recover; the warehouse must be re-seeded from a snapshot).
-func (c *Client) Health() Health {
-	c.mu.Lock()
-	lastErr := c.lastErr
-	h := Health{
-		Source:              c.name,
-		Breaker:             c.breaker.State().String(),
-		ConsecutiveFailures: c.consecFails,
-		LastSuccess:         c.lastSuccess,
-		Cursor:              c.cursor,
-	}
-	c.mu.Unlock()
-	if lastErr != nil {
-		h.LastError = lastErr.Error()
-	}
-	switch {
-	case errors.Is(lastErr, ErrTrimmed):
-		h.State = "wedged"
-	case c.breaker.State() != BreakerClosed:
-		h.State = "quarantined"
-	case lastErr != nil:
-		h.State = "degraded"
-	default:
-		h.State = "healthy"
-	}
-	h.StalenessSec = c.Staleness().Seconds()
-	return h
-}
-
 // SetMetrics registers the client's fault-handling instruments with an
-// obs registry, labeled by source: retry and hedge counters, poll
-// rounds, a breaker-state gauge (0 closed, 1 half-open, 2 open), and a
-// per-source staleness gauge.
+// obs registry, labeled by source: retries, poll rounds, a
+// breaker-state gauge (0 closed, 1 half-open, 2 open), and a per-source
+// staleness gauge.
 func (c *Client) SetMetrics(reg *obs.Registry) {
 	labels := obs.Labels{"source": c.name}
-	c.mu.Lock()
+	c.Link.mu.Lock()
 	c.mRetries = reg.Counter("dw_remote_retries_total",
 		"Remote report fetch attempts retried after a failure.", labels)
-	c.mHedges = reg.Counter("dw_remote_hedges_total",
-		"Hedged resync reads launched because the first request was slow.", labels)
+	c.Link.mu.Unlock()
+	c.mu.Lock()
 	c.mPolls = reg.Counter("dw_remote_poll_rounds_total",
 		"Report poll rounds issued against the remote source.", labels)
 	c.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func quickConfig() Config {
 // HTTP client: report ranges, paging fields, resend, and 410 Gone after
 // the retained history is trimmed.
 func TestServerReportsAndResend(t *testing.T) {
-	sc, src, srv, ts := fixtureServer(t)
+	sc, src, _, ts := fixtureServer(t)
 	for i := 0; i < 3; i++ {
 		sell(t, sc, src, fmt.Sprintf("item-%d", i), "Mary")
 	}
@@ -118,8 +119,7 @@ func TestServerReportsAndResend(t *testing.T) {
 	// Trimmed history answers 410 Gone — the wire form of the
 	// in-process "history trimmed" error. Source and server trim from
 	// the same watermark.
-	src.TrimHistory(2)
-	srv.TrimLog(2)
+	src.SetRetain(1)
 	if code, _ = get("/resend?from=1"); code != http.StatusGone {
 		t.Fatalf("resend of trimmed history: code=%d, want 410", code)
 	}
@@ -329,41 +329,6 @@ func TestClientPollDeliversInOrder(t *testing.T) {
 	}
 }
 
-// TestClientHedgedResend: with every response delayed past HedgeDelay,
-// Resend launches a hedge and still succeeds; the hedge counter
-// records it.
-func TestClientHedgedResend(t *testing.T) {
-	sc, src, ts := fixture(t)
-	sell(t, sc, src, "TV set", "Mary")
-
-	cfg := quickConfig()
-	cfg.HedgeDelay = 2 * time.Millisecond
-	c := NewClient("sales", ts.URL, sc.DB, cfg)
-	c.SetTransport(chaos.NewFaultyTransport(7, chaos.HTTPFaultConfig{
-		Delay: 1.0, MaxDelay: 30 * time.Millisecond,
-	}, nil))
-	reg := obs.NewRegistry()
-	c.SetMetrics(reg)
-	var delivered int
-	var mu sync.Mutex
-	c.OnUpdate(func(source.Notification) {
-		mu.Lock()
-		delivered++
-		mu.Unlock()
-	})
-	if err := c.Resend(1); err != nil {
-		t.Fatalf("hedged resend: %v", err)
-	}
-	mu.Lock()
-	if delivered < 1 {
-		t.Fatal("hedged resend delivered nothing")
-	}
-	mu.Unlock()
-	if c.mHedges.Value() < 1 {
-		t.Fatal("hedge counter did not record the hedged request")
-	}
-}
-
 // TestClientRewindInCallbackSurvives is the documented recovery path of
 // applyRemote: a consumer that rewinds inside the delivery callback
 // (because its refresh failed) must see the same report again on a
@@ -445,12 +410,12 @@ func TestClientCancellationNotCountedAsFailure(t *testing.T) {
 // and a client below it stops retrying and surfaces the wedge in
 // Health instead of silently looping on gap rewinds.
 func TestTrimmedHistoryGoes410AndWedges(t *testing.T) {
-	sc, src, srv, ts := fixtureServer(t)
-	srv.SetMaxRetain(2)
+	sc, src, _, ts := fixtureServer(t)
+	src.SetRetain(2)
 	for i := 0; i < 4; i++ {
 		sell(t, sc, src, fmt.Sprintf("item-%d", i), "Mary")
 	}
-	if got := srv.Trimmed(); got != 2 {
+	if got := src.Seq() - uint64(src.Reports().Len()); got != 2 {
 		t.Fatalf("trimmed watermark = %d after cap enforcement, want 2", got)
 	}
 
@@ -513,4 +478,81 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached before deadline")
+}
+
+// TestFullLogReportCost: once the source's report log is full, a report
+// allocates what it did below the cap — the oldest slot is reused, the
+// retained reports are not copied per report.
+func TestFullLogReportCost(t *testing.T) {
+	sc, src, _, _ := fixtureServer(t)
+	const capacity = 4096
+	src.SetRetain(capacity)
+	ops := [2]*catalog.Update{
+		catalog.NewUpdate().MustInsert("Sale", sc.DB, relation.String_("TV set"), relation.String_("Mary")),
+		catalog.NewUpdate().MustDelete("Sale", sc.DB, relation.String_("TV set"), relation.String_("Mary")),
+	}
+	applied := 0
+	apply := func(n int) {
+		for ; n > 0; n-- {
+			if _, err := src.Apply(ops[applied%2]); err != nil {
+				t.Fatal(err)
+			}
+			applied++
+		}
+	}
+	bytesPerReport := func() float64 {
+		const n = 512
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		apply(n)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	apply(capacity / 4)
+	below := bytesPerReport()
+	apply(capacity)
+	full := bytesPerReport()
+	if src.Reports().Len() != capacity {
+		t.Fatalf("retained %d reports, want the cap %d", src.Reports().Len(), capacity)
+	}
+	if full > 2*below {
+		t.Fatalf("a report allocates %.0f B with the log full, %.0f B below the cap", full, below)
+	}
+}
+
+// TestSourceRetainCap: a source capped at 4 reports keeps the latest 4
+// of 10; the wire answers a resend below them as trimmed and shows the
+// count on /healthz.
+func TestSourceRetainCap(t *testing.T) {
+	sc, src, ts := fixture(t)
+	src.SetRetain(4)
+	for i := 0; i < 10; i++ {
+		sell(t, sc, src, fmt.Sprintf("item-%d", i), "Mary")
+	}
+	if n := src.Reports().Len(); n != 4 {
+		t.Fatalf("source retains %d reports, want 4", n)
+	}
+	c := NewClient("sales", ts.URL, sc.DB, quickConfig())
+	var got []uint64
+	c.OnUpdate(func(n source.Notification) { got = append(got, n.Seq) })
+	if err := c.Resend(6); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("Resend(6) = %v, want ErrTrimmed", err)
+	}
+	if err := c.Resend(7); err != nil || len(got) != 4 || got[0] != 7 {
+		t.Fatalf("Resend(7) delivered %v, err %v; want seqs 7..10", got, err)
+	}
+	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, ts.URL+"/healthz", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h healthBody
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Retained != 4 || h.Seq != 10 {
+		t.Fatalf("health = %+v, want retained 4 at seq 10", h)
+	}
 }

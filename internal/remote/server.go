@@ -1,29 +1,28 @@
 package remote
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
+	"dwcomplement/internal/retain"
 	"dwcomplement/internal/source"
 )
 
 // maxLongPoll caps how long one /reports request may be held open.
 const maxLongPoll = 30 * time.Second
 
-// defaultMaxBatch bounds one response's report count; a client that is
-// far behind pages through the backlog with successive requests.
-const defaultMaxBatch = 256
+// maxBatch bounds one response's report count; a client that is far
+// behind pages through the backlog with successive requests.
+const maxBatch = 256
 
 // SourceServer exposes one autonomous source's reporting channel over
-// HTTP — the wire form of Figure 1's solid arrow. It registers itself
-// as the source's notification callback, retains an ordered report log,
-// and serves it to polling integrator clients:
+// HTTP — the wire form of Figure 1's solid arrow. It holds no state of
+// its own: it serves the source's retained report log to polling
+// integrator clients:
 //
 //	GET /healthz            source name, latest seq, retained reports
 //	GET /reports?from=N     reports with Seq ≥ N; &wait=ms long-polls
@@ -33,116 +32,13 @@ const defaultMaxBatch = 256
 // sealed across the network boundary by construction.
 type SourceServer struct {
 	src *source.Source
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	log       []source.Notification // retained reports, ascending Seq
-	trimmed   uint64                // highest Seq dropped from the log (0 = none)
-	maxRetain int                   // retained-report cap (0 = unbounded)
-	maxBatch  int
 }
 
-// NewSourceServer wraps src, registering itself as the notification
-// callback and backfilling reports applied before the wrap.
+// NewSourceServer wraps src. Its reports then reach integrators over
+// the wire only: the source's in-process callback is cleared.
 func NewSourceServer(src *source.Source) *SourceServer {
-	s := &SourceServer{src: src, maxBatch: defaultMaxBatch}
-	s.cond = sync.NewCond(&s.mu)
-	src.OnUpdate(s.Notify)
-	// Backfill: re-deliver the retained history into our log so a
-	// server attached after traffic started can still serve it.
-	_ = src.Resend(1)
-	return s
-}
-
-// Source returns the wrapped source.
-func (s *SourceServer) Source() *source.Source { return s.src }
-
-// Notify appends one report to the retained log (idempotently, in
-// sequence order — Resend-driven backfill may deliver out of order) and
-// enforces the retain cap.
-func (s *SourceServer) Notify(n source.Notification) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Seq >= n.Seq })
-	if i < len(s.log) && s.log[i].Seq == n.Seq {
-		return // duplicate
-	}
-	s.log = append(s.log, source.Notification{})
-	copy(s.log[i+1:], s.log[i:])
-	s.log[i] = n
-	s.enforceCapLocked()
-	s.cond.Broadcast()
-}
-
-// TrimLog drops retained reports with Seq ≤ upTo — the wire-side twin
-// of Source.TrimHistory, typically driven by the same checkpointed
-// watermark. Requests for trimmed ranges answer 410 Gone afterwards.
-func (s *SourceServer) TrimLog(upTo uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.log) && s.log[i].Seq <= upTo {
-		i++
-	}
-	if upTo > s.trimmed {
-		s.trimmed = upTo
-	}
-	s.log = append([]source.Notification(nil), s.log[i:]...)
-}
-
-// SetMaxRetain caps the retained log at n reports: once a new report
-// would exceed the cap the oldest are dropped, exactly as if TrimLog
-// had been called at their sequence numbers. Zero (the default)
-// retains everything; prefer TrimLog from a consumer-acknowledged
-// watermark when one is available.
-func (s *SourceServer) SetMaxRetain(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxRetain = n
-	s.enforceCapLocked()
-}
-
-// Trimmed returns the highest sequence number dropped from the
-// retained log (0 when nothing was trimmed). dwsource mirrors it into
-// the wrapped Source's own history on a schedule, so neither retained
-// copy grows without bound.
-func (s *SourceServer) Trimmed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.trimmed
-}
-
-// enforceCapLocked drops the oldest reports past maxRetain, advancing
-// the trimmed watermark. Caller holds mu.
-func (s *SourceServer) enforceCapLocked() {
-	if s.maxRetain <= 0 || len(s.log) <= s.maxRetain {
-		return
-	}
-	drop := len(s.log) - s.maxRetain
-	if seq := s.log[drop-1].Seq; seq > s.trimmed {
-		s.trimmed = seq
-	}
-	s.log = append([]source.Notification(nil), s.log[drop:]...)
-}
-
-// trimmedFor reports whether reports from `from` can no longer be
-// served because older history was dropped from the retained log. The
-// source's seq is read before taking mu: Notify arrives under the
-// source's own lock, so the reverse order would invert lock acquisition.
-func (s *SourceServer) trimmedFor(from uint64) bool {
-	seq := s.src.Seq()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq < from {
-		return false // nothing at or past from exists yet
-	}
-	if from <= s.trimmed {
-		return true
-	}
-	if len(s.log) > 0 {
-		return s.log[0].Seq > from
-	}
-	return true // the report exists but nothing is retained
+	src.OnUpdate(nil)
+	return &SourceServer{src: src}
 }
 
 // Handler returns the HTTP routing table.
@@ -155,13 +51,10 @@ func (s *SourceServer) Handler() http.Handler {
 }
 
 func (s *SourceServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	retained := len(s.log)
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, healthBody{
 		Source:   s.src.Name(),
 		Seq:      s.src.Seq(),
-		Retained: retained,
+		Retained: s.src.Reports().Len(),
 		Sealed:   s.src.Sealed(),
 	})
 }
@@ -169,115 +62,68 @@ func (s *SourceServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleReports serves reports with Seq ≥ from. With wait > 0 and no
 // such report retained yet, the request blocks until one arrives, the
 // wait elapses, or the client goes away — the long-poll that gives the
-// pull-based wire push-like report latency. A from below the retained
-// log answers 410 Gone like /resend: silently serving only the later
-// suffix would leave a behind client rewinding on the gap forever.
+// pull-based wire push-like report latency.
 func (s *SourceServer) handleReports(w http.ResponseWriter, r *http.Request) {
-	from, err := seqParam(r, "from", 1)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	wait, err := waitParam(r)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	if wait > 0 {
-		s.awaitReport(r.Context(), from, wait)
-	}
-	// Checked after the wait: trimming only ever advances, so a range
-	// trimmed mid-poll is still caught here.
-	if s.trimmedFor(from) {
-		writeJSONError(w, http.StatusGone,
-			fmt.Errorf("remote: %s cannot serve reports from seq %d: history trimmed", s.src.Name(), from))
-		return
-	}
-	s.respondBatch(w, from)
+	s.serve(w, r, true)
 }
 
 // handleResend serves the resync path: an immediate batch from the
-// retained log. Asking for reports older than the log answers 410 Gone
-// — the wire form of "history trimmed".
+// retained log.
 func (s *SourceServer) handleResend(w http.ResponseWriter, r *http.Request) {
-	from, err := seqParam(r, "from", 1)
+	s.serve(w, r, false)
+}
+
+// serve answers one read of the log: a from below the retained log
+// answers 410 Gone (silently serving only the later suffix would leave
+// a behind client rewinding on the gap forever), a from past the tip
+// an empty batch.
+func (s *SourceServer) serve(w http.ResponseWriter, r *http.Request, poll bool) {
+	from, wait, err := PollParams(r)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.trimmedFor(from) {
+	log := s.src.Reports()
+	if poll && wait > 0 {
+		log.Wait(r.Context(), from, wait)
+	}
+	reports, tip, err := log.From(from, maxBatch)
+	if errors.Is(err, retain.ErrTrimmed) {
+		verb := "resend"
+		if poll {
+			verb = "serve reports"
+		}
 		writeJSONError(w, http.StatusGone,
-			fmt.Errorf("remote: %s cannot resend from seq %d: history trimmed", s.src.Name(), from))
+			fmt.Errorf("remote: %s cannot %s from seq %d: history trimmed", s.src.Name(), verb, from))
 		return
 	}
-	s.respondBatch(w, from)
+	batch := make([]WireNotification, len(reports))
+	for i, n := range reports {
+		batch[i] = ToWire(n)
+	}
+	writeJSON(w, http.StatusOK, ReportBatch{Source: s.src.Name(), Seq: tip, Reports: batch})
 }
 
-// awaitReport blocks until a report with Seq ≥ from is retained, the
-// wait elapses, or ctx is done.
-func (s *SourceServer) awaitReport(ctx context.Context, from uint64, wait time.Duration) {
-	deadline := time.Now().Add(wait)
-	wake := time.AfterFunc(wait, s.cond.Broadcast)
-	defer wake.Stop()
-	stop := context.AfterFunc(ctx, s.cond.Broadcast)
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.hasLocked(from) && time.Now().Before(deadline) && ctx.Err() == nil {
-		s.cond.Wait()
+// PollParams parses the two parameters of a long-polled log read —
+// /reports here, dwserve's /replica/stream — from, the first position
+// wanted (at least 1, the default), and wait, the long poll in
+// milliseconds (default 0), capped at 30 s.
+func PollParams(r *http.Request) (from uint64, wait time.Duration, err error) {
+	q := r.URL.Query()
+	if raw := q.Get("from"); raw != "" {
+		if from, err = strconv.ParseUint(raw, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("remote: bad from parameter %q", raw)
+		}
 	}
-}
-
-// hasLocked reports whether a report with Seq ≥ from is retained.
-func (s *SourceServer) hasLocked(from uint64) bool {
-	return len(s.log) > 0 && s.log[len(s.log)-1].Seq >= from
-}
-
-// respondBatch writes the (possibly empty) batch of retained reports
-// with Seq ≥ from, capped at maxBatch.
-func (s *SourceServer) respondBatch(w http.ResponseWriter, from uint64) {
-	s.mu.Lock()
-	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Seq >= from })
-	batch := make([]WireNotification, 0, min(len(s.log)-i, s.maxBatch))
-	for ; i < len(s.log) && len(batch) < s.maxBatch; i++ {
-		batch = append(batch, ToWire(s.log[i]))
+	from = max(from, 1)
+	if raw := q.Get("wait"); raw != "" {
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms < 0 {
+			return 0, 0, fmt.Errorf("remote: bad wait parameter %q", raw)
+		}
+		wait = min(time.Duration(ms)*time.Millisecond, maxLongPoll)
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, ReportBatch{
-		Source:  s.src.Name(),
-		Seq:     s.src.Seq(),
-		Reports: batch,
-	})
-}
-
-// seqParam parses an unsigned sequence query parameter.
-func seqParam(r *http.Request, name string, def uint64) (uint64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("remote: bad %s parameter %q", name, raw)
-	}
-	return v, nil
-}
-
-// waitParam parses the long-poll wait in milliseconds, capped.
-func waitParam(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("wait")
-	if raw == "" {
-		return 0, nil
-	}
-	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms < 0 {
-		return 0, fmt.Errorf("remote: bad wait parameter %q", raw)
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > maxLongPoll {
-		d = maxLongPoll
-	}
-	return d, nil
+	return from, wait, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -113,7 +113,6 @@ func networkSoak(t *testing.T, seed int64) {
 			Seed:             seed + int64(200+i),
 			BreakerThreshold: 4,
 			BreakerCooldown:  30 * time.Millisecond,
-			HedgeDelay:       3 * time.Millisecond,
 			PollWait:         50 * time.Millisecond,
 			PollInterval:     time.Millisecond,
 		})

@@ -1,13 +1,14 @@
 // Package remote turns the source boundary of Figure 1 into a real
-// network boundary. A SourceServer exposes one autonomous source's
-// reporting channel over HTTP (report polling with long-poll, resend
-// for gap resync, a health endpoint); a Client implements the
-// source.Reporter interface over that wire with full fault handling:
-// per-attempt deadlines, retries with exponential backoff and jitter
-// (idempotent GETs only — replays are deduped by the integrator via
-// sequence numbers), a per-source circuit breaker with half-open probe
-// requests, optional hedged reads for resync, and health/quarantine
-// state that feeds the warehouse's serve-stale degradation.
+// network boundary. A SourceServer is a stateless HTTP handler over one
+// autonomous source's capped report log (report polling with
+// long-poll, resend for gap resync, a health endpoint); a Client
+// implements the source.Reporter interface over that wire. Its fault
+// handling is a Link, the one policy of both wire hops (replica.Client
+// embeds one too): per-attempt deadlines, retries with exponential
+// backoff and jitter (idempotent GETs only — replays are deduped by
+// the integrator via sequence numbers), a circuit breaker with
+// half-open probe requests, and health/quarantine state that feeds the
+// warehouse's serve-stale degradation.
 //
 // The wire format deliberately rides the journal's update codec
 // (journal.AppendUpdate/DecodeUpdate), so an update is the same bytes

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -42,45 +41,33 @@ type Batch struct {
 	Torn    bool
 }
 
-// Client streams a leader's checkpoint and journal records, with the
-// same fault-handling machinery as the remote source client: retries
+// Client streams a leader's checkpoint and journal records over a
+// remote.Link — the fault policy of the remote source client: retries
 // with jittered exponential backoff, a circuit breaker that
-// quarantines an unreachable leader, and a Health view dwserve's
-// /readyz surfaces. Resume is by watermark: every fetch names the
-// first LSN the follower still needs, so crashes, retries and torn
-// streams re-request instead of re-applying.
+// quarantines an unreachable leader, and the Health view dwserve's
+// /replica/status surfaces. A stale epoch is the Link's sticky verdict
+// (the client reports itself fenced); trimmed and future positions are
+// verdicts too. Resume is by watermark: every fetch names the first LSN
+// the follower still needs, so crashes, retries and torn streams
+// re-request instead of re-applying.
 type Client struct {
-	base    string
-	db      *catalog.Database
-	cfg     remote.Config
-	httpc   *http.Client
-	breaker *remote.Breaker
-	started time.Time
+	*remote.Link
+	base  string
+	db    *catalog.Database
+	httpc *http.Client
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	mu          sync.Mutex
-	minEpoch    uint64 // fencing floor: responses below it are rejected
-	cursor      uint64 // last LSN the follower reported applying
-	lastSuccess time.Time
-	lastErr     error
-	consecFails int
+	mu       sync.Mutex
+	minEpoch uint64 // fencing floor: responses below it are rejected
+	cursor   uint64 // last LSN the follower reported applying
 }
 
 // NewClient builds a stream client for the leader at leaderURL,
-// decoding records against db.
+// decoding records against db. Its Health names the leader URL as the
+// source and the applied LSN as the cursor.
 func NewClient(leaderURL string, db *catalog.Database, cfg remote.Config) *Client {
-	cfg = cfg.WithDefaults()
-	return &Client{
-		base:    leaderURL,
-		db:      db,
-		cfg:     cfg,
-		httpc:   &http.Client{},
-		breaker: remote.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		started: time.Now(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
+	c := &Client{base: leaderURL, db: db, httpc: &http.Client{}}
+	c.Link = remote.NewLink(leaderURL, cfg, c.appliedLSN, "fenced", ErrStaleEpoch, ErrTrimmed, ErrFuture)
+	return c
 }
 
 // SetTransport swaps the underlying HTTP transport (tests inject a
@@ -89,9 +76,6 @@ func (c *Client) SetTransport(rt http.RoundTripper) { c.httpc.Transport = rt }
 
 // Base returns the leader URL this client streams from.
 func (c *Client) Base() string { return c.base }
-
-// Breaker exposes the client's circuit breaker.
-func (c *Client) Breaker() *remote.Breaker { return c.breaker }
 
 // SetMinEpoch raises the fencing floor: any response whose epoch is
 // below it is rejected with ErrStaleEpoch. The floor never goes down.
@@ -120,11 +104,17 @@ func (c *Client) SetCursor(lsn uint64) {
 	c.mu.Unlock()
 }
 
+func (c *Client) appliedLSN() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cursor
+}
+
 // FetchSnapshot ships the leader's current checkpoint, retrying
 // transient failures like every other fetch.
 func (c *Client) FetchSnapshot(ctx context.Context) (*Shipment, error) {
 	var ship *Shipment
-	err := c.retry(ctx, func(actx context.Context) error {
+	_, err := c.Do(ctx, 0, func(actx context.Context) error {
 		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.base+"/replica/snapshot", nil)
 		if err != nil {
 			return err
@@ -160,7 +150,7 @@ func (c *Client) FetchSnapshot(ctx context.Context) (*Shipment, error) {
 // complete prefix with Torn set — never a partial record.
 func (c *Client) FetchBatch(ctx context.Context, from uint64, wait time.Duration) (*Batch, error) {
 	var batch *Batch
-	err := c.retry(ctx, func(actx context.Context) error {
+	_, err := c.Do(ctx, wait, func(actx context.Context) error {
 		q := url.Values{}
 		q.Set("from", strconv.FormatUint(from, 10))
 		if wait > 0 {
@@ -228,135 +218,4 @@ func (c *Client) checkEpoch(resp *http.Response) error {
 		return fmt.Errorf("replica: %s serves epoch %d, fenced at %d: %w", c.base, epoch, min, ErrStaleEpoch)
 	}
 	return nil
-}
-
-// retry runs one fetch attempt under the breaker, retrying transient
-// failures with jittered exponential backoff. Protocol verdicts —
-// trimmed, future, stale epoch — arrive over a working transport, so
-// they count as breaker successes but fail the fetch without retrying:
-// no retry can change them.
-func (c *Client) retry(ctx context.Context, fn func(context.Context) error) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !c.breaker.Allow() {
-			c.noteFailure(remote.ErrQuarantined)
-			return remote.ErrQuarantined
-		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout+c.cfg.PollWait)
-		err := fn(actx)
-		cancel()
-		if err == nil {
-			c.breaker.Success()
-			c.noteSuccess()
-			return nil
-		}
-		if ctx.Err() != nil {
-			c.breaker.Abandon()
-			return err
-		}
-		if errors.Is(err, ErrTrimmed) || errors.Is(err, ErrFuture) || errors.Is(err, ErrStaleEpoch) {
-			c.breaker.Success()
-			c.noteFailure(err)
-			return err
-		}
-		c.breaker.Failure()
-		c.noteFailure(err)
-		lastErr = err
-		if attempt >= c.cfg.MaxRetries {
-			return lastErr
-		}
-		c.sleep(ctx, c.backoff(attempt))
-	}
-}
-
-// backoff returns the jittered exponential delay before retry #attempt.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << uint(attempt)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
-	}
-	c.rngMu.Lock()
-	jitter := 0.5 + c.rng.Float64() // ±50%
-	c.rngMu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
-
-// sleep waits for d or until ctx is done.
-func (c *Client) sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-func (c *Client) noteSuccess() {
-	c.mu.Lock()
-	c.lastSuccess = time.Now()
-	c.lastErr = nil
-	c.consecFails = 0
-	c.mu.Unlock()
-}
-
-func (c *Client) noteFailure(err error) {
-	c.mu.Lock()
-	c.lastErr = err
-	c.consecFails++
-	c.mu.Unlock()
-}
-
-// Staleness is how long the leader has been unreachable: zero while
-// the last contact succeeded, else the age of the last success (or of
-// the client itself if it never succeeded).
-func (c *Client) Staleness() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lastErr == nil {
-		return 0
-	}
-	since := c.lastSuccess
-	if since.IsZero() {
-		since = c.started
-	}
-	return time.Since(since)
-}
-
-// Health reuses the remote package's health shape for the follower's
-// leader link: healthy, degraded (recent failures, circuit closed),
-// quarantined (circuit open — the candidate signal of failover), or
-// fenced (the leader answered from a deposed epoch — re-point). The
-// Source field carries the leader URL; Cursor the applied LSN.
-func (c *Client) Health() remote.Health {
-	c.mu.Lock()
-	lastErr := c.lastErr
-	h := remote.Health{
-		Source:              c.base,
-		Breaker:             c.breaker.State().String(),
-		ConsecutiveFailures: c.consecFails,
-		LastSuccess:         c.lastSuccess,
-		Cursor:              c.cursor,
-	}
-	c.mu.Unlock()
-	if lastErr != nil {
-		h.LastError = lastErr.Error()
-	}
-	switch {
-	case errors.Is(lastErr, ErrStaleEpoch):
-		h.State = "fenced"
-	case c.breaker.State() != remote.BreakerClosed:
-		h.State = "quarantined"
-	case lastErr != nil:
-		h.State = "degraded"
-	default:
-		h.State = "healthy"
-	}
-	h.StalenessSec = c.Staleness().Seconds()
-	return h
 }

@@ -1,7 +1,10 @@
 // Package replica implements warehouse replication: a leader retains
-// its committed journal records in an in-memory log and serves them —
-// with checkpoint shipping for bootstrap — to followers that replay
-// them through the normal maintenance path. It is the paper's
+// its committed journal records in an in-memory log — the capped
+// retain.Log a source keeps its reports in, at LSNs, plus an epoch —
+// and serves them, with checkpoint shipping for bootstrap, to
+// followers that replay them through the normal maintenance path. A
+// follower pulls over a remote.Link, the fault policy of the source
+// wire, so the two hops retry, back off and report health alike. It is the paper's
 // update-independence property (w' = W(u(W⁻¹(w))), Definition 4.1)
 // stretched across processes: since a warehouse state plus the suffix
 // of reported updates determines the next state exactly, a follower

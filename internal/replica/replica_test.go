@@ -494,3 +494,31 @@ func TestLogAppendCostIndependentOfRetain(t *testing.T) {
 			bigAllocs, bigBytes, smallAllocs, smallBytes)
 	}
 }
+
+// TestFetchBatchWaitOutlastsPollWait: the attempt deadline covers the
+// wait the caller asked for, not the configured PollWait — a long poll
+// against an idle leader returns an empty batch and leaves the link
+// healthy.
+func TestFetchBatchWaitOutlastsPollWait(t *testing.T) {
+	db := testDB(t)
+	log := NewLog(0)
+	log.Reset(0, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ms, _ := strconv.Atoi(r.URL.Query().Get("wait"))
+		log.Wait(r.Context(), 1, time.Duration(ms)*time.Millisecond)
+		w.Header().Set(HeaderEpoch, "1")
+		w.Header().Set(HeaderTip, "0")
+	}))
+	defer srv.Close()
+	cfg := testClientConfig()
+	cfg.AttemptTimeout = 50 * time.Millisecond
+	cfg.PollWait = 10 * time.Millisecond
+	c := NewClient(srv.URL, db, cfg)
+	batch, err := c.FetchBatch(context.Background(), 1, 300*time.Millisecond)
+	if err != nil || len(batch.Records) != 0 {
+		t.Fatalf("idle long poll: batch %+v, err %v; want an empty batch", batch, err)
+	}
+	if h := c.Health(); h.State != "healthy" || h.ConsecutiveFailures != 0 || h.Breaker != "closed" {
+		t.Fatalf("health after an idle long poll: %+v", h)
+	}
+}

@@ -191,11 +191,7 @@ func soak(t *testing.T, seed int64) {
 		ch.SetDeliver(func(n Notification) { integ.Receive(n) })
 		ch.Flush()
 	}
-	marksOf := func(s *Source) uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.seq
-	}
+	marksOf := func(s *Source) uint64 { return s.Seq() }
 	settled := false
 	for round := 0; round < 50; round++ {
 		if err := integ.Redrive(context.Background()); err != nil {

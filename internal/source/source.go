@@ -10,6 +10,7 @@ package source
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/constraint"
 	"dwcomplement/internal/relation"
+	"dwcomplement/internal/retain"
 	"dwcomplement/internal/trace"
 )
 
@@ -55,6 +57,10 @@ type Reporter interface {
 
 var _ Reporter = (*Source)(nil)
 
+// DefaultRetain is how many reports a source keeps for Resend until
+// SetRetain says otherwise.
+const DefaultRetain = 65536
+
 // Source is one autonomous operational database. It owns a subset of the
 // schema set D (its local relations), applies transactions locally, and
 // reports each applied update. When sealed, ad-hoc queries are rejected —
@@ -65,13 +71,16 @@ type Source struct {
 	local  relation.AttrSet // relation names owned by this source
 	sealed bool
 
+	// reports holds the latest reports at their sequence numbers, for
+	// Resend and the wire. Its lock is its own: readers never wait
+	// behind an Apply.
+	reports *retain.Log[Notification]
+
 	mu      sync.Mutex
 	state   *catalog.State
-	seq     uint64
 	notify  func(Notification)
-	history []Notification // reports kept for Resend (gap recovery)
-	queries atomic.Int64   // ad-hoc query attempts, sealed or not
-	tracer  *trace.Tracer  // nil = report emission is untraced
+	queries atomic.Int64  // ad-hoc query attempts, sealed or not
+	tracer  *trace.Tracer // nil = report emission is untraced
 }
 
 // NewSource creates a source owning the given relations of db. The state
@@ -83,11 +92,12 @@ func NewSource(name string, db *catalog.Database, sealed bool, owned ...string) 
 		}
 	}
 	return &Source{
-		name:   name,
-		db:     db,
-		local:  relation.NewAttrSet(owned...),
-		sealed: sealed,
-		state:  db.NewState(),
+		name:    name,
+		db:      db,
+		local:   relation.NewAttrSet(owned...),
+		sealed:  sealed,
+		state:   db.NewState(),
+		reports: retain.New[Notification](DefaultRetain),
 	}, nil
 }
 
@@ -95,11 +105,14 @@ func NewSource(name string, db *catalog.Database, sealed bool, owned ...string) 
 func (s *Source) Name() string { return s.name }
 
 // Seq returns the sequence number of the last applied transaction.
-func (s *Source) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
+func (s *Source) Seq() uint64 { return s.reports.Tip() }
+
+// SetRetain keeps only the latest n reports (n ≥ 1), dropping older
+// ones at once; Resend below them fails as trimmed.
+func (s *Source) SetRetain(n int) { s.reports.SetCap(n) }
+
+// Reports is the source's retained report log, at sequence numbers.
+func (s *Source) Reports() *retain.Log[Notification] { return s.reports }
 
 // Sealed reports whether the source rejects ad-hoc queries.
 func (s *Source) Sealed() bool { return s.sealed }
@@ -163,45 +176,36 @@ func (s *Source) ApplyContext(ctx context.Context, u *catalog.Update) (uint64, e
 		return 0, fmt.Errorf("source: %s rejected transaction: %w", s.name, err)
 	}
 	s.state = trial
-	s.seq++
-	sp.SetAttrInt("seq", int64(s.seq))
+	seq := s.reports.Tip() + 1 // Apply is the only appender, under mu
+	sp.SetAttrInt("seq", int64(seq))
 	sp.SetAttrInt("changes", int64(nu.Size()))
 	n := Notification{
 		Source:          s.name,
-		Seq:             s.seq,
+		Seq:             seq,
 		Update:          nu,
 		EmittedUnixNano: time.Now().UnixNano(),
 		Traceparent:     sp.Context().Traceparent(),
 	}
-	s.history = append(s.history, n)
+	s.reports.Append(n)
 	if s.notify != nil {
 		s.notify(n)
 	}
-	return s.seq, nil
+	return seq, nil
 }
 
 // Resend re-delivers every retained report with sequence number ≥ from
 // through the notification callback — the reporting channel of Figure 1,
 // not the query interface, so a sealed source can serve gap recovery
-// without weakening its seal. Reports older than the retained history
-// (see TrimHistory) cannot be resent.
+// without weakening its seal. Reports older than the retained log (see
+// SetRetain) cannot be resent.
 func (s *Source) Resend(from uint64) error {
-	s.mu.Lock()
-	fn := s.notify
-	var batch []Notification
-	for _, n := range s.history {
-		if n.Seq >= from {
-			batch = append(batch, n)
-		}
-	}
-	trimmed := len(s.history) > 0 && s.history[0].Seq > from
-	if len(s.history) == 0 && s.seq >= from {
-		trimmed = true
-	}
-	s.mu.Unlock()
-	if trimmed {
+	batch, _, err := s.reports.From(from, 0)
+	if errors.Is(err, retain.ErrTrimmed) {
 		return fmt.Errorf("source: %s cannot resend from seq %d: history trimmed", s.name, from)
 	}
+	s.mu.Lock()
+	fn := s.notify
+	s.mu.Unlock()
 	if fn == nil {
 		return fmt.Errorf("source: %s has no notification callback", s.name)
 	}
@@ -211,19 +215,6 @@ func (s *Source) Resend(from uint64) error {
 		fn(n)
 	}
 	return nil
-}
-
-// TrimHistory drops retained reports with sequence number ≤ upTo —
-// typically the integrator's checkpointed watermark, after which those
-// reports can never be re-requested.
-func (s *Source) TrimHistory(upTo uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.history) && s.history[i].Seq <= upTo {
-		i++
-	}
-	s.history = append([]Notification(nil), s.history[i:]...)
 }
 
 // checkLocal verifies the locally visible constraints on a trial state.

@@ -1,9 +1,12 @@
 package source
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
@@ -256,5 +259,58 @@ func TestConcurrentSources(t *testing.T) {
 	refreshes, _ := env.Integrator.Stats()
 	if refreshes == 0 {
 		t.Error("no refreshes recorded")
+	}
+}
+
+// TestRetainCap: a source keeps only its latest SetRetain reports, and
+// Resend below them fails as trimmed while the retained suffix still
+// resends.
+func TestRetainCap(t *testing.T) {
+	env, sc := figure1Env(t)
+	sales, _ := env.Source("sales")
+	sales.SetRetain(4)
+	var got []uint64
+	sales.OnUpdate(func(n Notification) { got = append(got, n.Seq) })
+	for i := 0; i < 10; i++ {
+		u := catalog.NewUpdate().MustInsert("Sale", sc.DB, relation.String_(fmt.Sprintf("item-%d", i)), relation.String_("Mary"))
+		if _, err := sales.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sales.Reports().Len(); n != 4 || sales.Seq() != 10 {
+		t.Fatalf("retained %d reports at seq %d, want 4 at 10", n, sales.Seq())
+	}
+	got = nil
+	if err := sales.Resend(6); err == nil || !strings.Contains(err.Error(), "history trimmed") {
+		t.Fatalf("Resend(6) = %v, want history trimmed", err)
+	}
+	if err := sales.Resend(7); err != nil || len(got) != 4 || got[0] != 7 || got[3] != 10 {
+		t.Fatalf("Resend(7) delivered %v, err %v; want 7..10", got, err)
+	}
+}
+
+// TestReportsReadDuringApply: Seq and the report log take their own
+// lock, not the source's, so a reader (a /reports long-poll) never
+// waits behind an Apply holding it.
+func TestReportsReadDuringApply(t *testing.T) {
+	env, sc := figure1Env(t)
+	sales, _ := env.Source("sales")
+	if _, err := sales.Apply(catalog.NewUpdate().MustInsert("Sale", sc.DB, relation.String_("TV set"), relation.String_("Mary"))); err != nil {
+		t.Fatal(err)
+	}
+	sales.mu.Lock()
+	defer sales.mu.Unlock()
+	done := make(chan uint64, 1)
+	go func() {
+		got, _, _ := sales.Reports().From(1, 0)
+		done <- sales.Seq() + uint64(len(got))
+	}()
+	select {
+	case n := <-done:
+		if n != 2 {
+			t.Fatalf("Seq + retained = %d, want 2", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("reading the report log waited for the source's lock")
 	}
 }
