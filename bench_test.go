@@ -621,15 +621,7 @@ func BenchmarkRefreshScale(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			w := section5Warehouse(b, c.rows)
 			ctx := context.Background()
-			for _, q := range []string{
-				"sigma{okey = 4711}(Order_paris)", "sigma{okey = 4711}(Order_tokyo)",
-				"sigma{ckey = 17}(Order_paris join Customer)", "sigma{ckey = 17}(Order_tokyo join Customer)",
-				"sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)",
-			} {
-				if _, err := dwc.Answer(ctx, w, dwc.MustParseExpr(q)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			warmRefreshIndexes(b, w)
 			db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
 			copied, ops, reads := int64(0), 0, int64(0)
 			for i := 0; i < b.N+2*lag; i++ { // the first 2·lag updates only insert
@@ -653,6 +645,56 @@ func BenchmarkRefreshScale(b *testing.B) {
 			b.ReportMetric(float64(ops)/float64(b.N), "ops/op")
 			b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 		})
+	}
+}
+
+// warmRefreshIndexes answers the query pool's point, join and union shapes
+// on w, which caches the indexes they build on the views.
+func warmRefreshIndexes(tb testing.TB, w *dwc.Warehouse) {
+	tb.Helper()
+	for _, q := range []string{
+		"sigma{okey = 4711}(Order_paris)", "sigma{okey = 4711}(Order_tokyo)",
+		"sigma{ckey = 17}(Order_paris join Customer)", "sigma{ckey = 17}(Order_tokyo join Customer)",
+		"sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)",
+	} {
+		if _, err := dwc.Answer(context.Background(), w, dwc.MustParseExpr(q)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestRefreshCopyCeiling puts a ceiling on what BenchmarkRefreshScale
+// reports as copied-B/op: the pages the copy-on-write apply of one churn
+// refresh copies, averaged over 256 refreshes after 2·64 warm-up updates,
+// with the query pool's indexes cached. The figures are deterministic.
+// The ceilings are what the relation package copied when it kept a
+// membership slot table, an index table and a key-hash vector apart
+// (measured twice, identically); one table per relation must not copy
+// more.
+func TestRefreshCopyCeiling(t *testing.T) {
+	const lag, measured = 64, 256
+	for _, c := range []struct {
+		rows    int
+		ceiling int64
+	}{{10_000, 131_139}, {100_000, 135_059}} {
+		w := section5Warehouse(t, c.rows)
+		warmRefreshIndexes(t, w)
+		db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+		copied := int64(0)
+		for i := 0; i < 2*lag+measured; i++ {
+			st, err := dwc.Refresh(context.Background(), m, w, churnUpdate(db, c.rows, lag, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i >= 2*lag {
+				copied += st.CopiedBytes
+			}
+		}
+		if mean := copied / measured; mean > c.ceiling {
+			t.Errorf("%d rows: a churn refresh copies %d B on average, ceiling %d B", c.rows, mean, c.ceiling)
+		} else {
+			t.Logf("%d rows: a churn refresh copies %d B on average, ceiling %d B", c.rows, mean, c.ceiling)
+		}
 	}
 }
 

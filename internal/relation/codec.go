@@ -202,9 +202,9 @@ func DecodeBinary(b []byte) (*Relation, []byte, error) {
 	if err != nil {
 		return nil, nil, malformed("%v", err)
 	}
-	d, all := new(pageDecoder), allCols(len(attrs))
+	d := new(pageDecoder)
 	for pi := range pages {
-		if b, err = r.decodePage(b, int(n), d, all); err != nil {
+		if b, err = r.decodePage(b, int(n), d); err != nil {
 			return nil, nil, fmt.Errorf("page %d: %w", pi, err)
 		}
 	}
@@ -404,9 +404,9 @@ func DecodePages(attrs []string, n uint64, sections []Section) (*Relation, error
 	if err != nil {
 		return nil, malformed("%v", err)
 	}
-	d, all := new(pageDecoder), allCols(len(attrs))
+	d := new(pageDecoder)
 	for pi := range sections {
-		rest, err := r.decodePage(sections[pi].Bytes, int(n), d, all)
+		rest, err := r.decodePage(sections[pi].Bytes, int(n), d)
 		if err == nil && len(rest) != 0 {
 			err = malformed("%d bytes after its columns", len(rest))
 		}
@@ -433,8 +433,9 @@ type pageDecoder struct {
 
 // decodePage appends the next page of a relation of n rows to r from the
 // section at the front of b — the columns, the rows' hashes and their
-// membership — and returns the bytes after it.
-func (r *Relation) decodePage(b []byte, n int, d *pageDecoder, all []int) ([]byte, error) {
+// membership — and returns the bytes after it. A row equal to an earlier
+// one shares its hash, so it is found in its own chain.
+func (r *Relation) decodePage(b []byte, n int, d *pageDecoder) ([]byte, error) {
 	base := r.rows.n
 	h := d.hashes[:min(pageLen, n-base)]
 	clear(h)
@@ -446,31 +447,18 @@ func (r *Relation) decodePage(b []byte, n int, d *pageDecoder, all []int) ([]byt
 		}
 	}
 	r.rows.pages, r.rows.n = append(r.rows.pages, pg), base+len(h)
-	for k, hk := range h {
-		if r.holds(hk, base+k, all) {
-			return nil, malformed("row %v is in the relation twice", r.rows.at(base+k))
+	for _, hk := range h {
+		r.set.hashes.append(hk)
+	}
+	r.set.coverRows()
+	for i := base; i < r.rows.n; i++ {
+		for j := r.set.after(int32(i)); j >= 0; j = r.set.after(j) {
+			if r.rows.sameCols(i, int(j), allCols(len(r.attrs))) {
+				return nil, malformed("row %v is in the relation twice", r.rows.at(i))
+			}
 		}
-		r.place(hk, base+k)
 	}
 	return b, nil
-}
-
-// holds reports whether the membership table holds a row equal to row i,
-// whose hash is h.
-func (r *Relation) holds(h uint64, i int, all []int) bool {
-	if r.slots.len() == 0 {
-		return false
-	}
-	mask := uint64(r.slots.len() - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		s := r.slots.at(int(j))
-		if s == 0 {
-			return false
-		}
-		if r.hashes.at(int(s-1)) == h && r.rows.sameCols(int(s-1), i, all) {
-			return true
-		}
-	}
 }
 
 // decode reads the section column of the len(h) rows of a page off the

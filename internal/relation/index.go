@@ -1,71 +1,86 @@
 package relation
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
-// Index is a hash index over a subset of a relation's attributes: it maps
-// the 64-bit hash of the indexed columns to the positions of the candidate
-// rows. Buckets are collision lists — two distinct key values may share a
-// hash — so every probe re-verifies the actual key columns with
-// Value.Equal before treating a row as a match. Indexes are built lazily
-// by the join operators, are cached on the owning relation keyed by the
-// (sorted) attribute set, and follow every mutation in place: an insert
-// appends its row (extend), a delete applies the relation's swap-with-last
-// to the chains (deleteRow) — or drops the index when that would walk a
-// chain longer than maxChainWalk, so a handle must not be kept across a
-// delete. Clone hands them to the new owner as shared pages.
-type Index struct {
-	owner *Relation
-	attrs []string // indexed attributes, sorted
-	pos   []int    // column positions of attrs in the owning relation
-
-	// The bucket structure is an open-addressed table of chain heads plus
-	// a per-row link array — three paged arrays, regardless of how many
-	// distinct keys the index holds (a map of bucket slices costs one
-	// allocation per distinct key). Chains are singly linked: a delete
-	// walks its chain to the row, at most maxChainWalk steps.
+// table is the one hash table of the package, over some columns of a
+// relation's rows: each row's hash of them, an open-addressed table of
+// chain heads that the first probe builds, and chain links that exist only
+// once two rows share a key hash. The membership table is the one over
+// every column: its key hashes are the row hashes and, barring a collision
+// of full 64-bit hashes, it has no links.
+type table struct {
+	hashes  paged[uint64] // hashes.at(i): the hash of row i's columns
 	slots   paged[int32]  // 0 empty, else head row of a hash chain, +1
-	next    paged[int32]  // next.at(i): next row with i's key hash, -1 ends the chain
-	keyHash paged[uint64] // per-row hash of the indexed columns
-	keys    int           // number of distinct key hashes
-
-	// keyVals, when hasVals, holds row i's key values flat at
-	// [i*k, (i+1)*k), k = len(pos). Hit verification then reads this
-	// contiguous arena instead of one owner page per key column — the hit
-	// path's dominant cost is that cache miss, not the comparison. The
-	// arena costs an O(rows) allocation and copy, so it is only
-	// materialized when the build-time probe-size hint says enough probes
-	// will amortize it; small-delta probes (the restricted maintenance
-	// shape) verify against the owner's pages directly.
-	keyVals paged[Value]
-	hasVals bool
+	next    *paged[int32] // next.at(i): the row after i in its chain, +1; 0 ends it
+	covered atomic.Int64  // the rows [0, covered) are in slots and next
+	keys    int           // number of distinct key hashes among them
 }
 
-// head returns the first owner row whose indexed columns hash to h, or -1.
-// Further rows of the same hash chain follow via next. Linear probing:
-// distinct hashes landing on one slot spill to the following slots, so a
-// probe walks until it finds its hash's chain or an empty slot.
-func (ix *Index) head(h uint64) int32 {
-	mask := uint64(ix.slots.len() - 1)
+// Index is a relation's table over some of its attributes: the membership
+// table, or one the operators cache on the relation keyed by the (sorted)
+// attribute set — with key hashes only until something probes it. Every
+// table follows every mutation in place: an insert appends its rows
+// (extend), a delete applies the relation's swap-with-last to the chains
+// (deleteRow) — or drops a cached table when that would walk a chain
+// longer than maxChainWalk, so a handle must not be kept across a delete.
+// Clone hands them to the new owner as shared pages.
+type Index struct {
+	owner  *Relation
+	attrs  []string // indexed attributes: sorted, or the owner's for its membership table
+	pos    []int    // column positions of attrs in the owning relation
+	*table          // the owner's membership table, or the cached index's own
+}
+
+// newIndex returns a cached index over the columns pos of owner, allocated
+// with an empty table and chain links of its own.
+func newIndex(owner *Relation, attrs []string, pos []int) *Index {
+	c := &struct {
+		Index
+		own   table
+		links paged[int32]
+	}{Index: Index{owner: owner, attrs: attrs, pos: pos}}
+	c.table, c.own.next = &c.own, &c.links
+	return &c.Index
+}
+
+// seek returns the slot of key hash h's chain and the chain's head row
+// (the rest follow via after), or the empty slot that ends h's probe run
+// and -1: the package's one probe loop. Linear probing: distinct hashes
+// landing on one slot spill to the following slots. A table never built
+// (an empty relation's membership table) holds nothing.
+func (tb *table) seek(h uint64) (uint64, int32) {
+	if tb.slots.len() == 0 {
+		return 0, -1
+	}
+	mask := uint64(tb.slots.len() - 1)
 	for s := h & mask; ; s = (s + 1) & mask {
-		v := ix.slots.at(int(s))
-		if v == 0 {
-			return -1
-		}
-		if ri := v - 1; ix.keyHash.at(int(ri)) == h {
-			return ri
+		v := tb.slots.at(int(s))
+		if v == 0 || tb.hashes.at(int(v-1)) == h {
+			return s, v - 1
 		}
 	}
 }
 
-// after returns the row that follows row ri in its hash chain, or -1.
-func (ix *Index) after(ri int32) int32 { return ix.next.at(int(ri)) }
+// chained reports whether some chain holds two rows.
+func (tb *table) chained() bool { return tb.next != nil && tb.next.len() > 0 }
 
-// Attrs returns the indexed attribute names in sorted order. The caller
-// must not modify the returned slice.
-func (ix *Index) Attrs() []string { return ix.attrs }
+// after returns the row that follows row ri in its hash chain, or -1.
+func (tb *table) after(ri int32) int32 {
+	if !tb.chained() {
+		return -1
+	}
+	return tb.next.at(int(ri)) - 1
+}
+
+// Attrs returns the indexed attribute names in sorted order.
+func (ix *Index) Attrs() []string { return slices.Sorted(slices.Values(ix.attrs)) }
 
 // Keys returns the number of distinct key hashes the index discriminates.
 // Hash collisions make this a lower bound on the number of distinct key
@@ -80,18 +95,16 @@ func (ix *Index) Unique() bool {
 }
 
 // dupPair returns some pair of owner rows that agree on every indexed
-// column, if one exists. A multi-row chain alone does not produce a pair —
-// it may be a hash collision between distinct keys — so chains are
-// re-verified column by column.
+// column, if one exists: a chain of two rows may be a hash collision.
 func (ix *Index) dupPair() (int32, int32, bool) {
-	if ix.keys == ix.next.len() { // every chain is a singleton
+	if !ix.chained() || ix.keys == ix.next.len() { // every chain is a singleton
 		return 0, 0, false
 	}
 	for _, pg := range ix.slots.eachPage() {
 		for _, v := range pg {
 			for a := v - 1; a >= 0; a = ix.after(a) {
 				for b := ix.after(a); b >= 0; b = ix.after(b) {
-					if ix.rowsAgreeOnKey(a, b) {
+					if ix.owner.rows.sameCols(int(a), int(b), ix.pos) {
 						return a, b, true
 					}
 				}
@@ -101,49 +114,13 @@ func (ix *Index) dupPair() (int32, int32, bool) {
 	return 0, 0, false
 }
 
-// rowsAgreeOnKey reports whether two owner rows hold equal values in every
-// indexed column.
-func (ix *Index) rowsAgreeOnKey(a, b int32) bool {
-	rows := &ix.owner.rows
-	for _, p := range ix.pos {
-		if !rows.cell(int(a), p).Equal(rows.cell(int(b), p)) {
-			return false
-		}
-	}
-	return true
-}
-
-// keyEqual reports whether owner row ri agrees, on the indexed columns,
-// with tuple t read at positions tPos (the probe-side column positions in
-// the same sorted attribute order as ix.pos). Chains group rows by their
-// full 64-bit key hash, so this verification runs only against rows whose
-// key hash already equals the probe's — it is the collision insurance, not
-// the discriminator.
-func (ix *Index) keyEqual(ri int32, t Tuple, tPos []int) bool {
-	if ix.hasVals {
-		base := int(ri) * len(ix.pos)
-		for i := range ix.pos {
-			if !ix.keyVals.at(base + i).Equal(t[tPos[i]]) {
-				return false
-			}
-		}
-		return true
-	}
-	pg, k := ix.owner.rows.pages[ri>>pageBits], int(ri)&pageMask
-	for i, p := range ix.pos {
-		if !pg[p].equals(k, &t[tPos[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
 // probe calls f(i, bi) for every row i of x and row bi of the owner that
-// agree on the indexed attributes — x's columns pos, in the index's
-// attribute order, whose hashes kh holds (nil: hashed here). It counts x's
-// rows as walked and probed into s, and those with a partner as hits.
-func (ix *Index) probe(x *Relation, pos []int, kh *paged[uint64], s *OpStats, f func(i int, bi int32)) {
-	t, hits := make(Tuple, len(x.attrs)), 0
+// agree on the indexed attributes — equal hashes may be a collision, so
+// the values are compared — whose hashes over x's rows kh holds (nil:
+// hashed here). It counts x's rows as walked and probed into s, and those
+// with a partner as hits.
+func (ix *Index) probe(x *Relation, kh *paged[uint64], s *OpStats, f func(i int, bi int32)) {
+	t, pos, hits := make(Tuple, len(x.attrs)), x.cols(ix.attrs), 0
 	for pi, pg := range x.rows.pages {
 		for k := range x.rows.rowsOn(pi) {
 			var h uint64
@@ -152,12 +129,13 @@ func (ix *Index) probe(x *Relation, pos []int, kh *paged[uint64], s *OpStats, f 
 			} else {
 				h = pg.hashCols(k, pos)
 			}
-			bi, hit := ix.head(h), false
+			_, bi := ix.seek(h)
 			if bi >= 0 {
 				pg.readCols(k, t, pos)
 			}
+			hit := false
 			for ; bi >= 0; bi = ix.after(bi) {
-				if ix.keyEqual(bi, t, pos) { // else a hash collision across distinct keys
+				if ix.owner.rows.matches(int(bi), ix.pos, t, pos) {
 					hit = true
 					f(pi<<pageBits+k, bi)
 				}
@@ -176,10 +154,11 @@ func (ix *Index) probe(x *Relation, pos []int, kh *paged[uint64], s *OpStats, f 
 // join is unambiguous.
 func indexKey(sortedAttrs []string) string { return strings.Join(sortedAttrs, "\x00") }
 
-// Index returns the relation's cached hash index over the given
-// attributes, building and caching it on first use. It returns ok=false
-// if some attribute is not part of the relation. Concurrent readers may
-// build indexes on a shared relation; the cache is internally locked.
+// Index returns the relation's hash index over the given attributes: its
+// membership table for every attribute, else a cached one, built on first
+// use. It returns ok=false if some attribute is not part of the relation.
+// Concurrent readers may build indexes on a shared relation; the cache is
+// internally locked.
 func (r *Relation) Index(attrs ...string) (*Index, bool) {
 	sorted := append([]string(nil), attrs...)
 	for _, a := range sorted {
@@ -189,282 +168,283 @@ func (r *Relation) Index(attrs ...string) (*Index, bool) {
 	}
 	// keep the canonical cache key independent of caller order
 	sort.Strings(sorted)
-	ix, _ := r.indexFor(sorted, indexKey(sorted), 0)
+	ix, _ := r.indexFor(sorted, indexKey(sorted))
 	return ix, true
 }
 
-// IndexCount returns the number of cached indexes, for tests asserting
-// that mutations carry them.
+// IndexCount returns the number of cached indexes with built slots, for
+// tests asserting that mutations carry them. The membership table is not
+// one of them.
 func (r *Relation) IndexCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.indexes)
+	n := 0
+	for _, ix := range r.indexes {
+		if ix.slots.len() > 0 {
+			n++
+		}
+	}
+	return n
 }
 
-// indexFor returns the cached index for the given sorted attribute list
-// (all of which must exist in r), building it if absent. It reports
+// indexFor returns r's table over the given sorted attributes (all of
+// which r has) with its slots built, building them if absent. It reports
 // whether a build happened, so operators can count cache misses.
-// probeHint is the number of probes the caller is about to issue; a build
-// materializes the keyVals arena only when that many probes amortize its
-// O(rows) cost.
-func (r *Relation) indexFor(sortedAttrs []string, key string, probeHint int) (*Index, bool) {
+func (r *Relation) indexFor(sortedAttrs []string, key string) (*Index, bool) {
+	ix := r.tableFor(sortedAttrs, key)
+	if ix.table == &r.set {
+		ix.cover(&r.mu)
+		return ix, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ix.slots.len() > 0 {
+		return ix, false
+	}
+	ix.coverRows()
+	return ix, true
+}
+
+// tableFor returns r's table over the given sorted attributes (all of
+// which r has): the membership table for every attribute, else the cached
+// one, made on first use with key hashes only — all a probe side needs:
+// re-hashing the key columns row by row was the probe loop's largest fixed
+// cost, and joins re-probe the same relations on the same attributes.
+func (r *Relation) tableFor(sortedAttrs []string, key string) *Index {
+	if len(sortedAttrs) == len(r.attrs) {
+		return &Index{owner: r, attrs: r.attrs, pos: allCols(len(r.attrs)), table: &r.set}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ix := r.indexes[key]; ix != nil {
-		return ix, false
+		return ix
 	}
-	n, pos := r.rows.len(), r.cols(sortedAttrs)
-	ix := &Index{
-		owner:   r,
-		attrs:   append([]string(nil), sortedAttrs...),
-		pos:     pos,
-		hasVals: probeHint*2 >= n,
-	}
-	ix.slots.alloc(tableSizeFor(n))
-	ix.next.reserve(n)
-	ix.keyHash.reserve(n)
-	if ix.hasVals {
-		ix.keyVals.reserve(n * len(pos))
-	}
-	ix.extend(0)
+	ix := newIndex(r, append([]string(nil), sortedAttrs...), r.cols(sortedAttrs))
+	ix.hashes.reserve(r.rows.len())
+	ix.extend()
 	if r.indexes == nil {
 		r.indexes = make(map[string]*Index)
 	}
 	r.indexes[key] = ix
-	return ix, true
+	return ix
 }
 
-// cloneFor returns a copy of the index owned by owner, which must hold
-// the same rows in the same order as the original's owner. The copy
-// shares the original's pages.
-func (ix *Index) cloneFor(owner *Relation) *Index {
-	c := &Index{owner: owner, attrs: ix.attrs, pos: ix.pos, keys: ix.keys, hasVals: ix.hasVals}
-	ix.slots.shareTo(&c.slots)
-	ix.next.shareTo(&c.next)
-	ix.keyHash.shareTo(&c.keyHash)
-	ix.keyVals.shareTo(&c.keyVals)
-	return c
-}
-
-// put chains owner row i (which must be the next unindexed row) under its
-// key hash h.
-func (ix *Index) put(i int, h uint64) {
-	ix.keyHash.append(h)
-	ix.next.append(ix.chain(i, h))
-}
-
-// chain makes row i, whose key hash is h, the head of h's chain in the
-// slot table and returns the row it displaced there, or -1.
-func (ix *Index) chain(i int, h uint64) int32 {
-	mask := uint64(ix.slots.len() - 1)
-	for s := h & mask; ; s = (s + 1) & mask {
-		v := ix.slots.at(int(s))
-		if v == 0 {
-			ix.slots.set(int(s), int32(i)+1)
-			ix.keys++
-			return -1
-		}
-		if j := v - 1; ix.keyHash.at(int(j)) == h {
-			ix.slots.set(int(s), int32(i)+1)
-			return j
-		}
-	}
-}
-
-// rebuildSlots re-derives the slot table for the rows already indexed,
-// sized for capacity rows.
-func (ix *Index) rebuildSlots(capacity int) {
-	ix.slots.alloc(tableSizeFor(capacity))
-	ix.keys = 0
-	for i := range ix.keyHash.len() {
-		ix.next.set(i, ix.chain(i, ix.keyHash.at(i)))
-	}
-}
-
-// extend indexes the owner rows from position from onward — the initial
-// build (from 0) and the incremental append paths share it. Insertions
-// keep cached indexes alive: a refresh applies small deltas to large
-// stored relations, and rebuilding every index from scratch per update
-// was the dominant cost of restricted maintenance.
-func (ix *Index) extend(from int) {
-	r := ix.owner
-	n := r.rows.len()
-	if n*3 > ix.slots.len()*2 {
-		ix.rebuildSlots(2 * n)
-	}
-	fullWidth := len(ix.pos) == len(r.attrs)
-	for i := from; i < n; i++ {
-		pg, k := r.rows.pages[i>>pageBits], i&pageMask
-		if ix.hasVals {
-			for _, p := range ix.pos {
-				ix.keyVals.append(pg[p].value(k))
-			}
-		}
-		// Full-width indexes hash the same columns as the membership
-		// table; reuse the stored row hashes instead of re-hashing.
-		if fullWidth {
-			ix.put(i, r.hashes.at(i))
-		} else {
-			ix.put(i, pg.hashCols(k, ix.pos))
-		}
-	}
-}
-
-// keyVec is a cached vector of per-row hashes over an attribute subset —
-// the probe-side complement of an Index: joins and semijoins re-probe the
-// same relations with the same shared attributes across calls (and across
-// refreshes, on stored relations), and re-hashing the key columns row by
-// row was the probe loop's largest fixed cost.
-type keyVec struct {
-	pos    []int
-	hashes paged[uint64]
-}
-
-// keyHashesFor returns the per-row hashes of the given sorted attribute
-// subset (which must all exist in r), building and caching the vector on
-// first use. A full-width subset is answered from the stored tuple hashes
-// (tuple hashes are column-order independent). The build costs exactly
-// the hashing pass a caller would otherwise run inline, so cold callers
-// lose nothing. The cache is internally locked, like the index cache. The
-// vector is as long as r.rows, so it pages like r.rows.
-func (r *Relation) keyHashesFor(sortedAttrs []string, key string) *paged[uint64] {
-	if len(sortedAttrs) == len(r.attrs) {
-		return &r.hashes
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if kv := r.keyVecs[key]; kv != nil {
-		return &kv.hashes
-	}
-	kv := &keyVec{pos: r.cols(sortedAttrs)}
-	kv.hashes.reserve(r.rows.len())
-	kv.extend(r, 0)
-	if r.keyVecs == nil {
-		r.keyVecs = make(map[string]*keyVec)
-	}
-	r.keyVecs[key] = kv
-	return &kv.hashes
-}
-
-// peekIndex returns the cached index for key without building one.
+// peekIndex returns the cached index for key, if its slots are built.
 func (r *Relation) peekIndex(key string) *Index {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.indexes[key]
+	if ix := r.indexes[key]; ix != nil && ix.slots.len() > 0 {
+		return ix
+	}
+	return nil
+}
+
+// shareTo makes c, the empty table over the same columns of a relation
+// with the same rows, share tb's pages.
+func (tb *table) shareTo(c *table) {
+	tb.hashes.shareTo(&c.hashes)
+	tb.slots.shareTo(&c.slots)
+	if tb.chained() {
+		if c.next == nil {
+			c.next = new(paged[int32])
+		}
+		tb.next.shareTo(c.next)
+	}
+	c.covered.Store(tb.covered.Load())
+	c.keys = tb.keys
+}
+
+// copied returns the bytes of pages the table's arrays copied or
+// allocated (paged.freshBytes).
+func (tb *table) copied() int64 {
+	return tb.hashes.freshBytes() + tb.slots.freshBytes() + tb.next.freshBytes()
+}
+
+// extend hashes the owner rows the index does not hold yet and, once its
+// slots are built, enters them there: rebuilding every index from scratch
+// per update was once the dominant cost of restricted maintenance.
+func (ix *Index) extend() {
+	rows := &ix.owner.rows
+	for i := ix.hashes.len(); i < rows.len(); i++ {
+		ix.hashes.append(rows.pages[i>>pageBits].hashCols(i&pageMask, ix.pos))
+	}
+	if ix.slots.len() > 0 {
+		ix.coverRows()
+	}
+}
+
+// cover makes the slots hold every row: the first probe of an operator's
+// output builds its membership table. Readers racing to cover serialize
+// on mu, the owner's lock, and double-check; the covered store/load pair
+// orders the slot writes before any reader's fast-path pass.
+func (tb *table) cover(mu *sync.Mutex) {
+	if tb.covered.Load() == int64(tb.hashes.len()) {
+		return
+	}
+	mu.Lock()
+	if tb.covered.Load() != int64(tb.hashes.len()) {
+		tb.coverRows()
+	}
+	mu.Unlock()
+}
+
+// coverRows enters the rows from covered on in the slots, building them,
+// or growing them to twice the rows, first when they would be more than
+// 2/3 full. The caller has exclusive access or holds the owner's lock.
+func (tb *table) coverRows() {
+	n, from := tb.hashes.len(), int(tb.covered.Load())
+	if size := tb.slots.len(); size == 0 || n*3 > size*2 {
+		capacity := n
+		if size > 0 {
+			capacity = 2 * n
+		}
+		tb.slots.alloc(tableSizeFor(capacity))
+		tb.keys, from = 0, 0
+	}
+	for i := from; i < n; i++ {
+		tb.link(i, tb.chain(i, tb.hashes.at(i)))
+	}
+	tb.covered.Store(int64(n))
+}
+
+// chain makes row i, whose key hash is h, the head of h's chain in the
+// slots and returns the row it displaced there, or -1.
+func (tb *table) chain(i int, h uint64) int32 {
+	s, j := tb.seek(h)
+	if j < 0 {
+		tb.keys++
+	}
+	tb.slots.set(int(s), int32(i)+1)
+	return j
+}
+
+// link records row j as the one after row i in its chain, -1 for none.
+// The links are materialized when a chain first gets a second row.
+func (tb *table) link(i int, j int32) {
+	if !tb.chained() {
+		if j < 0 {
+			return
+		}
+		if tb.next == nil {
+			tb.next = new(paged[int32])
+		}
+		tb.next.alloc(i)
+	}
+	if i < tb.next.len() {
+		tb.next.set(i, j+1)
+	} else {
+		tb.next.append(j + 1)
+	}
 }
 
 // maxChainWalk bounds what carrying an index may cost a delete. Unlinking a
 // row walks its singly linked chain from the head: a step for a key, ten
 // or twenty for a foreign key, but the whole relation for an index over a
-// constant column. An index on which a delete would walk further than this
-// is dropped instead, and rebuilt by the next operator that asks for it.
+// constant column. A cached index on which a delete would walk further is
+// dropped instead, and rebuilt by the next operator that asks for it.
 const maxChainWalk = 64
 
 // deleteRow applies the relation's swap-with-last deletion of row i to the
-// index: row i leaves its chain, and the last row — about to be moved into
+// table: row i leaves its chain, and the last row — about to be moved into
 // position i — is re-pointed there. Called before the owner truncates. It
-// reports false, leaving the index unusable, when a chain is too long to
-// walk.
-func (ix *Index) deleteRow(i int32) bool {
-	last := int32(ix.next.len() - 1)
-	if !ix.relink(i, ix.after(i)) || (i != last && !ix.relink(last, i)) {
-		return false
+// reports false, leaving the table unusable, when a chain is longer than
+// walk allows.
+func (tb *table) deleteRow(i int32, walk int) bool {
+	last := int32(tb.hashes.len() - 1)
+	if tb.slots.len() > 0 {
+		if !tb.relink(i, tb.after(i), walk) || (i != last && !tb.relink(last, i, walk)) {
+			return false
+		}
+		if tb.chained() {
+			if i != last {
+				tb.next.set(int(i), tb.next.at(int(last)))
+			}
+			tb.next.truncate(int(last))
+		}
+		tb.covered.Store(int64(last))
 	}
 	if i != last {
-		ix.next.set(int(i), ix.after(last))
-		ix.keyHash.set(int(i), ix.keyHash.at(int(last)))
+		tb.hashes.set(int(i), tb.hashes.at(int(last)))
 	}
-	ix.next.truncate(int(last))
-	ix.keyHash.truncate(int(last))
-	if ix.hasVals {
-		k := len(ix.pos)
-		for j := 0; j < k && i != last; j++ {
-			ix.keyVals.set(int(i)*k+j, ix.keyVals.at(int(last)*k+j))
-		}
-		ix.keyVals.truncate(int(last) * k)
-	}
+	tb.hashes.truncate(int(last))
 	return true
 }
 
 // relink makes whatever points at row i — its chain's slot, or its
 // predecessor in the chain — point at row to instead; to = -1 ends the
 // chain there, which frees the slot when i was its only row. It gives up,
-// reporting false, when the predecessor is more than maxChainWalk rows
-// down the chain.
-func (ix *Index) relink(i, to int32) bool {
-	h := ix.keyHash.at(int(i))
-	mask := uint64(ix.slots.len() - 1)
-	s := h & mask
-	p := ix.slots.at(int(s)) - 1
-	for ix.keyHash.at(int(p)) != h {
-		s = (s + 1) & mask
-		p = ix.slots.at(int(s)) - 1
-	}
+// reporting false, when the predecessor is more than walk rows down the
+// chain.
+func (tb *table) relink(i, to int32, walk int) bool {
+	s, p := tb.seek(tb.hashes.at(int(i)))
 	switch {
 	case p != i:
 		for steps := 0; ; steps++ {
-			n := ix.after(p)
+			n := tb.after(p)
 			if n == i {
 				break
 			}
-			if steps == maxChainWalk {
+			if steps == walk {
 				return false
 			}
 			p = n
 		}
-		ix.next.set(int(p), to)
+		tb.next.set(int(p), to+1)
 	case to >= 0:
-		ix.slots.set(int(s), to+1)
+		tb.slots.set(int(s), to+1)
 	default:
-		vacate(&ix.slots, &ix.keyHash, s)
-		ix.keys--
+		tb.vacate(s)
+		tb.keys--
 	}
 	return true
 }
 
+// vacate empties slot s. Backward-shift deletion keeps linear probing free
+// of tombstones: each later entry of the run moves into the hole unless
+// its home slot lies cyclically after the hole.
+func (tb *table) vacate(s uint64) {
+	mask := uint64(tb.slots.len() - 1)
+	for j := (s + 1) & mask; ; j = (j + 1) & mask {
+		v := tb.slots.at(int(j))
+		if v == 0 {
+			break
+		}
+		if home := tb.hashes.at(int(v-1)) & mask; (j-home)&mask >= (j-s)&mask {
+			tb.slots.set(int(s), v)
+			s = j
+		}
+	}
+	tb.slots.set(int(s), 0)
+}
+
 // noteDeleted accounts for Delete's swap-with-last of row i, which is
-// about to be removed from rows: cached indexes and key-hash vectors
-// follow the move instead of being dropped, so the access paths queries
-// and refreshes built survive an update that deletes — all but an index
-// whose chains are too long to walk. The two row pages the swap writes
-// part with their slots. Like all mutation paths, this requires exclusive
-// access.
+// about to be removed from rows: every table follows the move — the
+// membership table whatever its chains, a cached index unless they are
+// too long to walk. The two row pages the swap writes part with their
+// slots. Like all mutation paths, this requires exclusive access.
 func (r *Relation) noteDeleted(i int32) {
-	last := r.rows.len() - 1
 	r.dropSlot(int(i) >> pageBits)
-	r.dropSlotsFrom(last >> pageBits)
+	r.dropSlotsFrom((r.rows.len() - 1) >> pageBits)
+	r.set.deleteRow(i, math.MaxInt)
 	for key, ix := range r.indexes {
-		if !ix.deleteRow(i) {
+		if !ix.deleteRow(i, maxChainWalk) {
 			delete(r.indexes, key)
 		}
 	}
-	for _, kv := range r.keyVecs {
-		if int(i) != last {
-			kv.hashes.set(int(i), kv.hashes.at(last))
-		}
-		kv.hashes.truncate(last)
-	}
 }
 
-// noteInserted accounts for rows appended at positions [from, len(rows)):
-// cached hash indexes are extended in place rather than dropped, so the
-// indexes on a stored relation survive the insert-heavy refresh cycle.
+// noteInserted accounts for rows appended at positions [from, len(rows)),
+// whose hashes the membership table holds: every table is extended in
+// place, so the indexes on a stored relation survive the refresh cycle.
 // The row pages from the one holding from on part with their slots. Like
 // all mutation paths, this requires exclusive access.
 func (r *Relation) noteInserted(from int) {
 	r.dropSlotsFrom(from >> pageBits)
+	if r.set.slots.len() > 0 {
+		r.set.coverRows()
+	}
 	for _, ix := range r.indexes {
-		ix.extend(from)
-	}
-	for _, kv := range r.keyVecs {
-		kv.extend(r, from)
-	}
-}
-
-// extend hashes r's rows from position from onward.
-func (kv *keyVec) extend(r *Relation, from int) {
-	for i := from; i < r.rows.len(); i++ {
-		kv.hashes.append(r.rows.pages[i>>pageBits].hashCols(i&pageMask, kv.pos))
+		ix.extend()
 	}
 }
 

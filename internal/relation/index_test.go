@@ -11,12 +11,23 @@ import (
 func lookup(ix *Index, vals ...Value) []Tuple {
 	t, identity := Tuple(vals), allCols(len(vals))
 	var out []Tuple
-	for ri := ix.head(t.hash64()); ri >= 0; ri = ix.after(ri) {
-		if ix.keyEqual(ri, t, identity) {
+	_, ri := ix.seek(t.hash64())
+	for ; ri >= 0; ri = ix.after(ri) {
+		if ix.owner.rows.matches(int(ri), ix.pos, t, identity) {
 			out = append(out, ix.owner.rows.at(int(ri)))
 		}
 	}
 	return out
+}
+
+// tables returns every table of r by cache key: the cached ones, and its
+// membership table under "".
+func tables(r *Relation) map[string]*Index {
+	all := map[string]*Index{"": r.tableFor(r.attrs, "")}
+	for key, ix := range r.indexes {
+		all[key] = ix
+	}
+	return all
 }
 
 func indexedPair() (*Relation, *Relation) {
@@ -53,8 +64,8 @@ func TestIndexBuildAndLookup(t *testing.T) {
 }
 
 func TestIndexIsCachedAndAttrOrderCanonical(t *testing.T) {
-	r := New("a", "b")
-	r.InsertValues(Int(1), String_("x"))
+	r := New("a", "b", "c")
+	r.InsertValues(Int(1), String_("x"), Int(2))
 	r.Index("a", "b")
 	if n := r.IndexCount(); n != 1 {
 		t.Fatalf("IndexCount = %d, want 1", n)
@@ -66,17 +77,35 @@ func TestIndexIsCachedAndAttrOrderCanonical(t *testing.T) {
 	}
 }
 
-// TestIndexesFollowMutations is the carried-index property: after any
-// sequence of inserts and deletes, every index and key-hash vector cached
-// before or during the sequence answers exactly like one built from
-// scratch on the final rows, and none is dropped along the way. Small
-// value domains make chains long and hash slots shared, so unlinking,
-// re-pointing the swapped-in last row and backward-shift slot deletion are
-// all exercised; a join re-run after every batch of mutations would miss
-// or duplicate tuples on a stale chain.
-func TestIndexesFollowMutations(t *testing.T) {
-	attrSets := [][]string{{"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}}
+// TestIndexOverEveryAttributeIsTheMembershipTable: the index over every
+// attribute is the relation's membership table, not a second cached one.
+func TestIndexOverEveryAttributeIsTheMembershipTable(t *testing.T) {
+	_, r := indexedPair()
+	r.Index("b")
+	ix, ok := r.Index("c", "b")
+	if !ok || ix.table != &r.set || r.IndexCount() != 1 {
+		t.Fatalf("Index over every attribute: ok=%v, the membership table: %v, IndexCount = %d, want 1", ok, ix.table == &r.set, r.IndexCount())
+	}
+	if got := lookup(ix, String_("y"), Int(20)); len(got) != 1 || !ix.Unique() || ix.Keys() != 3 {
+		t.Errorf("membership table as an index: Lookup = %v, unique = %v, keys = %d", got, ix.Unique(), ix.Keys())
+	}
+}
+
+// FuzzIndexesFollowMutations is the carried-table property: after any
+// sequence of inserts and deletes, the membership table and every table
+// cached before or during the sequence — built, or holding key hashes
+// only — answer exactly like ones built from scratch on the final rows,
+// and none is dropped along the way. Small value domains make chains long
+// and hash slots shared, so unlinking, re-pointing the swapped-in last row
+// and backward-shift slot deletion are all exercised; a join re-run after
+// every batch of mutations would miss or duplicate tuples on a stale
+// chain. The seed corpus is seeds 0–29.
+func FuzzIndexesFollowMutations(f *testing.F) {
 	for seed := int64(0); seed < 30; seed++ {
+		f.Add(seed)
+	}
+	attrSets := [][]string{{"a"}, {"b"}, {"a", "c"}, {"a", "b", "c"}}
+	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		domain := 3 + rng.Intn(12)
 		row := func() Tuple {
@@ -99,8 +128,8 @@ func TestIndexesFollowMutations(t *testing.T) {
 			case step%50 == 0: // build access paths at different points of the history
 				as := attrSets[(step/50)%len(attrSets)]
 				r.Index(as...)
-				r.indexFor([]string{"c"}, "c", r.Len()) // hinted: carries a keyVals arena
-				NaturalJoin(probe, r)                   // caches an index on b and a key-hash vector
+				r.tableFor([]string{"c"}, "c") // key hashes only: a table whose slots are never built
+				NaturalJoin(probe, r)          // caches a table on b
 				SemiJoin(r, Project(probe, "b"))
 			case rng.Intn(2) == 0 && r.Len() > 0:
 				if !r.Delete(r.rows.at(rng.Intn(r.Len())).Clone()) {
@@ -117,7 +146,27 @@ func TestIndexesFollowMutations(t *testing.T) {
 			for tu := range r.All() {
 				fresh.Insert(tu)
 			}
-			for key, ix := range r.indexes {
+			for _, tu := range append(r.SortedTuples(), row(), row()) {
+				if got, want := r.Contains(tu), fresh.Contains(tu); got != want {
+					t.Fatalf("seed %d step %d: Contains(%v) = %v, fresh build says %v", seed, step, tu, got, want)
+				}
+			}
+			for key, ix := range tables(r) {
+				if ix.hashes.len() != r.Len() {
+					t.Fatalf("seed %d step %d table %q: %d hashes for %d rows", seed, step, key, ix.hashes.len(), r.Len())
+				}
+				for i := range r.Len() {
+					var key Tuple // the row's projection onto the table's columns
+					for _, p := range ix.pos {
+						key = append(key, r.rows.at(i)[p])
+					}
+					if ix.hashes.at(i) != key.hash64() {
+						t.Fatalf("seed %d step %d table %q: stale hash at row %d", seed, step, key, i)
+					}
+				}
+				if ix.slots.len() == 0 {
+					continue
+				}
 				want, _ := fresh.Index(ix.attrs...)
 				if ix.Keys() != want.Keys() || ix.Unique() != want.Unique() {
 					t.Fatalf("seed %d step %d index %q: keys=%d unique=%v, fresh build has keys=%d unique=%v",
@@ -146,20 +195,6 @@ func TestIndexesFollowMutations(t *testing.T) {
 					}
 				}
 			}
-			for key, kv := range r.keyVecs {
-				if kv.hashes.len() != r.Len() {
-					t.Fatalf("seed %d step %d keyVec %q: %d hashes for %d rows", seed, step, key, kv.hashes.len(), r.Len())
-				}
-				for i := range r.Len() {
-					var key Tuple // the row's projection onto the vector's columns
-					for _, p := range kv.pos {
-						key = append(key, r.rows.at(i)[p])
-					}
-					if kv.hashes.at(i) != key.hash64() {
-						t.Fatalf("seed %d step %d keyVec %q: stale hash at row %d", seed, step, key, i)
-					}
-				}
-			}
 			if got, want := NaturalJoin(probe, r), NaturalJoin(probe, fresh); !got.Equal(want) {
 				t.Fatalf("seed %d step %d: join through carried indexes has %d tuples, fresh relation gives %d", seed, step, got.Len(), want.Len())
 			}
@@ -167,10 +202,10 @@ func TestIndexesFollowMutations(t *testing.T) {
 				t.Fatalf("seed %d step %d: IndexCount dropped from %d to %d", seed, step, before, n)
 			}
 		}
-		if r.IndexCount() < len(attrSets)+1 || !r.indexes["c"].hasVals {
-			t.Fatalf("seed %d: %d indexes survived, want at least %d, one with a keyVals arena", seed, r.IndexCount(), len(attrSets)+1)
+		if c := r.indexes["c"]; r.IndexCount() < len(attrSets)-1 || c == nil || c.slots.len() != 0 {
+			t.Fatalf("seed %d: %d indexes survived, want at least %d, and a table on c without slots", seed, r.IndexCount(), len(attrSets)-1)
 		}
-	}
+	})
 }
 
 // TestLongChainIndexIsDroppedOnDelete: carrying an index costs a delete at

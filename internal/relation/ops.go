@@ -16,8 +16,7 @@ import (
 // hashes and a lazily built membership table (emitter, page.go) — no
 // per-tuple dedup and no table maintenance during the emit loop.
 // Only projection and union can collapse tuples and pay for
-// deduplication (and hence probe their own output while building it,
-// which keeps their tables eager).
+// deduplication.
 
 // Row gives predicate callbacks named access to the current row during
 // Select without exposing column positions.
@@ -65,7 +64,7 @@ func SelectBatchStats(r *Relation, pred BatchPred, s *OpStats) *Relation {
 	sel := make([]int32, 0, min(r.Len(), BatchSize))
 	for b := range r.Batches() {
 		sel = pred(b, sel[:0])
-		hashes := r.hashes.page(b.start >> pageBits)
+		hashes := r.set.hashes.page(b.start >> pageBits)
 		for _, k := range sel {
 			e.emit(hashes[k], int32(b.start)+k, 0)
 		}
@@ -158,7 +157,7 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 			rOnlyHash[ri] = r.rows.pages[ri>>pageBits].hashCols(ri&pageMask, rOnlyPos)
 		}
 		for li := range l.Len() {
-			lh := l.hashes.at(li)
+			lh := l.set.hashes.at(li)
 			for ri := range r.Len() {
 				e.emit(lh+rOnlyHash[ri], int32(li), int32(ri))
 			}
@@ -184,7 +183,7 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	case l.Len() > r.Len():
 		build, probe = l, r
 	}
-	ix, builtNow := build.indexFor(shared, key, probe.Len())
+	ix, builtNow := build.indexFor(shared, key)
 	s.built(builtNow)
 
 	// Output hash: the output tuple is the l row plus the r row's r-only
@@ -193,9 +192,9 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	// so out = lHash + rHash − sharedHash, where sharedHash is exactly
 	// the probe key hash already computed for the bucket lookup — the
 	// probe path re-hashes nothing and copies cells only for emitted rows.
-	probeKH := probe.keyHashesFor(shared, key)
-	ix.probe(probe, probe.cols(shared), probeKH, s, func(pr int, bi int32) {
-		h := probe.hashes.at(pr) + build.hashes.at(int(bi)) - probeKH.at(pr)
+	probeKH := &probe.tableFor(shared, key).hashes
+	ix.probe(probe, probeKH, s, func(pr int, bi int32) {
+		h := probe.set.hashes.at(pr) + build.set.hashes.at(int(bi)) - probeKH.at(pr)
 		if build == r {
 			e.emit(h, int32(pr), bi)
 		} else {
@@ -234,7 +233,7 @@ func ExtensionJoin(l, r *Relation, rKey AttrSet) (*Relation, error) {
 		return nil, fmt.Errorf("relation: extension join: key %v not contained in shared attributes %v", rKey, shared)
 	}
 	keyAttrs := rKey.Sorted()
-	ix, _ := r.indexFor(keyAttrs, indexKey(keyAttrs), 0)
+	ix, _ := r.indexFor(keyAttrs, indexKey(keyAttrs))
 	// A multi-row chain may be a mere hash collision between distinct
 	// keys; uniqueness is violated only by rows agreeing on the actual
 	// key columns.
@@ -286,25 +285,25 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 		// Probe-driven: each probe tuple's key value owns a disjoint set
 		// of r rows (the key is probe's whole attribute set), so no r row
 		// is emitted twice.
-		ix, builtNow := r.indexFor(sortedProbe, key, probe.Len())
+		ix, builtNow := r.indexFor(sortedProbe, key)
 		s.built(builtNow)
 		e := r.emitter(r.empty())
 		// sortedProbe is the probe's whole attribute set, so the probe key
 		// hashes are the probe's stored tuple hashes — nothing to re-hash.
-		ix.probe(probe, probe.cols(sortedProbe), probe.keyHashesFor(sortedProbe, key), s, func(_ int, bi int32) {
-			e.emit(r.hashes.at(int(bi)), bi, 0)
+		ix.probe(probe, &probe.set.hashes, s, func(_ int, bi int32) {
+			e.emit(r.set.hashes.at(int(bi)), bi, 0)
 		})
 		return e.done(s)
 	}
 
 	// Scan-r: membership of each r row's projection in the probe's own
 	// tuple set, again via order-independent hashes. The projection hashes
-	// are served from r's cached key-hash vector, so repeated scans of a
-	// stored relation only pay the table probes.
+	// are served from r's cached table over them, so repeated scans of a
+	// stored relation only pay the probes.
 	e := r.emitter(r.empty())
-	members(r, probe, rPos, r.keyHashesFor(sortedProbe, key), s, func(i int, in bool) bool {
+	members(r, probe, rPos, &r.tableFor(sortedProbe, key).hashes, s, func(i int, in bool) bool {
 		if in {
-			e.emit(r.hashes.at(i), int32(i), 0)
+			e.emit(r.set.hashes.at(i), int32(i), 0)
 		}
 		return true
 	})
@@ -316,9 +315,9 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 // row of r; neither projection is materialized.
 func ProjectionSubset(r, o *Relation, attrs ...string) bool {
 	sorted := slices.Sorted(slices.Values(attrs))
-	ix, _ := o.indexFor(sorted, indexKey(sorted), r.Len())
+	ix, _ := o.indexFor(sorted, indexKey(sorted))
 	var st OpStats // a hit per row of r that o matches
-	ix.probe(r, r.cols(sorted), nil, &st, func(int, int32) {})
+	ix.probe(r, nil, &st, func(int, int32) {})
 	return st.IndexHits == int64(r.Len())
 }
 
@@ -378,9 +377,9 @@ func filterBy(l, r *Relation, member bool, op string, s *OpStats) (*Relation, er
 // aligned probe of y's membership table per row.
 func filter(x, y *Relation, member bool, out *Relation, s *OpStats) *Relation {
 	e := newEmitter(out, source{rows: &x.rows, cols: alignment(x, out)}, source{})
-	members(x, y, alignment(x, y), &x.hashes, s, func(i int, held bool) bool {
+	members(x, y, alignment(x, y), &x.set.hashes, s, func(i int, held bool) bool {
 		if held == member {
-			e.emit(x.hashes.at(i), int32(i), 0)
+			e.emit(x.set.hashes.at(i), int32(i), 0)
 		}
 		return true
 	})

@@ -412,8 +412,20 @@ type source struct {
 	remap []int32 // appendRun's scratch
 }
 
-// allCols returns the identity column list of arity n.
+// identity backs the column lists allCols hands out for up to 64 columns.
+var identity = func() (cols [64]int) {
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}()
+
+// allCols returns the identity column list of arity n. Its callers never
+// write it, so the lists of up to 64 columns share one array.
 func allCols(n int) []int {
+	if n <= len(identity) {
+		return identity[:n:n]
+	}
 	cols := make([]int, n)
 	for i := range cols {
 		cols[i] = i
@@ -443,13 +455,13 @@ func (s *source) fill(dst rowPage, k int, from []int32, c int) int {
 
 // emitter appends rows of other relations, absent from out and distinct,
 // to out: it collects per row the input rows it takes cells from and its
-// hash, and appends them a page's worth at a time, column by column.
-// Unless eager, out's membership table is left stale (see ensureTable).
+// hash, and appends them a page's worth at a time, column by column. The
+// hashes go to out's membership table, which enters them in its slots when
+// it is next probed (table.cover).
 type emitter struct {
 	out    *Relation
 	a, b   source // b.rows is nil for a row taken from one input
 	hashes []uint64
-	eager  bool
 }
 
 // newEmitter returns an emitter of rows into out whose cells come from a
@@ -472,21 +484,14 @@ func (e *emitter) emit(h uint64, ra, rb int32) {
 // flush appends the rows collected so far to out.
 func (e *emitter) flush() {
 	out, n := e.out, len(e.hashes)
-	if n > 0 && !e.eager && !out.tableStale.Load() {
-		out.tableStale.Store(true)
-	}
 	for off := 0; off < n; {
 		pg, k := out.rows.tail(len(out.attrs))
 		m := min(n-off, pageLen-k)
 		if c := e.a.fill(pg, k, e.a.refs[off:off+m], 0); e.b.rows != nil {
 			e.b.fill(pg, k, e.b.refs[off:off+m], c)
 		}
-		for i, h := range e.hashes[off : off+m] {
-			if e.eager {
-				out.place(h, out.rows.len()+i)
-			} else {
-				out.hashes.append(h)
-			}
+		for _, h := range e.hashes[off : off+m] {
+			out.set.hashes.append(h)
 		}
 		out.rows.n += m
 		off += m
@@ -530,6 +535,18 @@ func (s *rowPages) sameCols(a, b int, pos []int) bool {
 	pa, pb := s.pages[a>>pageBits], s.pages[b>>pageBits]
 	for _, p := range pos {
 		if v := pa[p].value(a & pageMask); !pb[p].equals(b&pageMask, &v) {
+			return false
+		}
+	}
+	return true
+}
+
+// matches reports whether row i holds t[tPos[j]] at column pos[j] for
+// every j.
+func (s *rowPages) matches(i int, pos []int, t Tuple, tPos []int) bool {
+	pg, k := s.pages[i>>pageBits], i&pageMask
+	for j, p := range pos {
+		if !pg[p].equals(k, &t[tPos[j]]) {
 			return false
 		}
 	}

@@ -260,7 +260,11 @@ func (p *paged[T]) shareTo(c *paged[T]) {
 }
 
 // freshBytes returns the bytes of page storage this array has copied on
-// write or allocated afresh (alloc) since it was created or shared into.
+// write or allocated afresh (alloc) since it was created or shared into;
+// none for a nil array.
 func (p *paged[T]) freshBytes() int64 {
+	if p == nil {
+		return 0
+	}
 	return int64(p.fresh) * int64(reflect.TypeFor[T]().Size())
 }

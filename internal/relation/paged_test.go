@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,8 +59,8 @@ func (m *modelRel) clone() *modelRel {
 }
 
 // check compares every access path of the relation with the model: Len,
-// All, the membership table, each cached index (lookup, Unique, Keys is
-// bounded by the distinct keys), each cached key-hash vector and the
+// All, Contains, every table — its key hashes and, where its slots are
+// built, lookup, Unique, and Keys, bounded by the distinct keys — and the
 // column pages, read batch by batch.
 func (m *modelRel) check(t *testing.T, what string) {
 	t.Helper()
@@ -87,7 +86,24 @@ func (m *modelRel) check(t *testing.T, what string) {
 	if ghost := (Tuple{Int(-1), String_("ghost"), Int(-1), Null()}); r.Contains(ghost) {
 		t.Fatalf("%s: Contains(%v) = true", what, ghost)
 	}
-	for key, ix := range r.indexes {
+	for key, ix := range tables(r) {
+		if key != "" && r.tableFor(ix.attrs, key) != ix || ix.hashes.len() != r.Len() {
+			t.Fatalf("%s table %q: %d hashes for %d rows", what, key, ix.hashes.len(), r.Len())
+		}
+		i := 0
+		for tu := range r.All() {
+			var key Tuple // the row's projection onto the table's columns
+			for _, p := range ix.pos {
+				key = append(key, tu[p])
+			}
+			if ix.hashes.at(i) != key.hash64() {
+				t.Fatalf("%s table %q: stale hash at row %d", what, key, i)
+			}
+			i++
+		}
+		if ix.slots.len() == 0 {
+			continue
+		}
 		groups := make(map[keyOf]int, len(m.model))
 		for _, tu := range m.model {
 			groups[groupKey(tu, ix.pos)]++
@@ -120,23 +136,6 @@ func (m *modelRel) check(t *testing.T, what string) {
 		}
 		if hits := lookup(ix, make([]Value, len(ix.pos))...); len(hits) != 0 {
 			t.Fatalf("%s index %q: Lookup(NULLs) returns %v", what, key, hits)
-		}
-	}
-	for key, kv := range r.keyVecs {
-		got := r.keyHashesFor(strings.Split(key, "\x00"), key)
-		if got != &kv.hashes || got.len() != r.Len() {
-			t.Fatalf("%s keyVec %q: %d hashes for %d rows", what, key, got.len(), r.Len())
-		}
-		i := 0
-		for tu := range r.All() {
-			var key Tuple // the row's projection onto the vector's columns
-			for _, p := range kv.pos {
-				key = append(key, tu[p])
-			}
-			if got.at(i) != key.hash64() {
-				t.Fatalf("%s keyVec %q: stale hash at row %d", what, key, i)
-			}
-			i++
 		}
 	}
 	rows := 0
@@ -183,7 +182,7 @@ func (m *modelRel) imagesChanged(before []*column) int {
 
 // TestClonesAreIndependent is the contract of Clone over shared pages: in a
 // random tree of clones under interleaved inserts, bulk inserts, deletes,
-// further clones and lazily built indexes and key-hash vectors, every live
+// further clones and lazily built tables, with and without slots, every live
 // relation equals its own model after every step — the original after its
 // clone was mutated and the clone after the original was. Start sizes sit
 // below, on and above page boundaries and below a growth of the membership
@@ -197,7 +196,7 @@ func TestClonesAreIndependent(t *testing.T) {
 	for i := 0; i < 8*pageLen; i++ {
 		dim.InsertValues(String_(fmt.Sprint("s", i)), Int(int64(i)))
 	}
-	keyVecs, arenas := 0, 0
+	unbuilt := 0
 	for seed, start := range []int{0, 3, pageLen - 2, pageLen, 1364, 2*pageLen + 1} {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		domain := 40 + rng.Intn(40)
@@ -275,26 +274,27 @@ func TestClonesAreIndependent(t *testing.T) {
 			case op < 9:
 				as := attrSets[rng.Intn(len(attrSets))]
 				if rng.Intn(3) == 0 {
-					m.rel.indexFor([]string{"c"}, "c", m.rel.Len()) // hinted: carries a keyVals arena
+					m.rel.tableFor([]string{"c"}, "c") // key hashes only: no slots
 				} else {
 					m.rel.Index(as...)
 				}
 			default:
-				if got := NaturalJoin(m.rel, dim).Len(); got != m.rel.Len() { // caches a key-hash vector over b
+				if got := NaturalJoin(m.rel, dim).Len(); got != m.rel.Len() { // caches a table over b without slots
 					t.Fatalf("seed %d step %d: join with the dimension has %d rows, want %d", seed, step, got, m.rel.Len())
 				}
 			}
 			for i, l := range live {
 				l.check(t, fmt.Sprintf("seed %d step %d relation %d/%d", seed, step, i, len(live)))
 			}
-			keyVecs += len(m.rel.keyVecs)
-			if ix := m.rel.indexes["c"]; ix != nil && ix.hasVals {
-				arenas++
+			for _, ix := range m.rel.indexes {
+				if ix.slots.len() == 0 {
+					unbuilt++
+				}
 			}
 		}
 	}
-	if keyVecs == 0 || arenas == 0 {
-		t.Fatalf("the steps carried %d key-hash vectors and %d keyVals arenas through mutations, want both", keyVecs, arenas)
+	if unbuilt == 0 {
+		t.Fatal("the steps carried no table without slots through mutations")
 	}
 }
 
@@ -764,4 +764,52 @@ func TestConcurrentReadersOfSharedPages(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+}
+
+// TestConcurrentFirstProbes: an operator's output has a membership table
+// that covers none of its rows and no cached tables. Readers that share
+// it probe it at once — membership, a join that builds a cached index on
+// it, a semi-join that hashes its probe side, a clone — so the first of
+// them builds each table while the others wait for it; under -race any
+// unsynchronized write to a table fails.
+func TestConcurrentFirstProbes(t *testing.T) {
+	base := New("k", "fk")
+	for i := range 3*pageLen + 5 {
+		base.InsertValues(Int(int64(i)), Int(int64(i%50)))
+	}
+	for round := 0; round < 20; round++ {
+		out := SelectBatch(base, func(b Batch, sel []int32) []int32 {
+			for i, k := range b.Ints(0) {
+				if k%2 == int64(round%2) {
+					sel = append(sel, int32(i))
+				}
+			}
+			return sel
+		})
+		dim := New("fk", "name")
+		for i := range 50 {
+			dim.InsertValues(Int(int64(i)), String_(fmt.Sprint("n", i)))
+		}
+		var wg sync.WaitGroup
+		for reader := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				row := Tuple{Int(int64(2*reader + round%2)), Int(int64((2*reader + round%2) % 50))}
+				if !out.Contains(row) || out.Contains(Tuple{Int(-1), Int(0)}) {
+					t.Errorf("round %d reader %d: membership of the operator output is wrong", round, reader)
+				}
+				if got := NaturalJoin(dim, out).Len(); got != out.Len() {
+					t.Errorf("round %d reader %d: join has %d rows, want %d", round, reader, got, out.Len())
+				}
+				if got := SemiJoin(out, Project(dim, "fk")).Len(); got != out.Len() {
+					t.Errorf("round %d reader %d: semi-join has %d rows, want %d", round, reader, got, out.Len())
+				}
+				if c := out.Clone(); !c.Equal(out) {
+					t.Errorf("round %d reader %d: the clone differs", round, reader)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

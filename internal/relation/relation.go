@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrSchemaMismatch is wrapped by operators that require equal attribute
@@ -27,10 +26,8 @@ type Tuple []Value
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
-// key returns the canonical injective string encoding of the tuple. It is
-// no longer the membership key (membership runs on 64-bit hashes with
-// Equal re-verification); Fingerprint still uses it as the canonical
-// order-independent serialization.
+// key returns the canonical injective string encoding of the tuple, which
+// Fingerprint sorts.
 func (t Tuple) key() string {
 	var b strings.Builder
 	for _, v := range t {
@@ -58,39 +55,26 @@ func (t Tuple) hash64() uint64 {
 // presentational; all algebra operators match attributes by name.
 //
 // Rows are stored column-major in pages of typed vectors (page.go); a
-// Tuple is built from a page on demand and never stored. Membership is
-// tracked by 64-bit tuple hashes in an open-addressed slot table
-// re-verified by Value.Equal on candidate rows; per-row hashes are
-// retained so the batch operators probe without re-hashing. Row pages,
-// hashes and slots are paged arrays whose pages a clone shares until one
+// Tuple is built from a page on demand and never stored. Membership is the
+// relation's hash table over every attribute (index.go), whose key hashes
+// are the row hashes the batch operators reuse. Operators appending rows
+// known to be distinct (emitter, page.go) append their hashes only; the
+// first membership probe enters them in the table. Row pages and every
+// table's arrays are paged arrays whose pages a clone shares until one
 // side writes them.
 //
 // Concurrency: any number of goroutines may read a relation (including
-// building cached indexes and page sections, which is internally
-// synchronized, and cloning it), but mutation requires exclusive access,
-// as it always has in this package. Mutating updates cached indexes and
-// key-hash vectors in place and parts with the slots of the row pages it
-// writes.
+// building its tables and page sections, which is internally synchronized,
+// and cloning it), but mutation requires exclusive access, as it always
+// has in this package. Mutating updates every table in place and parts
+// with the slots of the row pages it writes.
 type Relation struct {
-	attrs  []string // never written: relations that share them share the slice
-	rows   rowPages
-	hashes paged[uint64] // hashes.at(i) is the hash of row i
+	attrs []string // never written: relations that share them share the slice
+	rows  rowPages
+	set   table // the membership table: set.hashes.at(i) is the hash of row i
 
-	// Open-addressed membership table: slots hold row index + 1, with 0
-	// marking an empty slot. The table is always a power of two, probed
-	// linearly from hash & mask, and deletion shifts the rest of the probe
-	// run back (vacate), so it never holds tombstones.
-	//
-	// Bulk operators appending known-distinct rows skip the table and
-	// mark it stale instead (emitter, page.go); the first membership probe
-	// rebuilds it in one pass. Join and semi-join outputs
-	// that are only ever scanned never pay for a table at all.
-	slots      paged[int32]
-	tableStale atomic.Bool
-
-	mu      sync.Mutex // guards indexes/keyVecs/derived; rows/slots follow the package-wide contract above
+	mu      sync.Mutex // guards indexes/derived and building set's slots; rows follow the package-wide contract above
 	indexes map[string]*Index
-	keyVecs map[string]*keyVec
 	derived []*pageSlot // derived[k], where set, holds the section of row page k (page.go)
 }
 
@@ -116,7 +100,7 @@ func newChecked(attrs []string, n int) (*Relation, error) {
 	r := &Relation{attrs: append([]string(nil), attrs...)}
 	if n > 0 {
 		r.rows.pages = make([]rowPage, 0, (n+pageMask)>>pageBits)
-		r.hashes.reserve(n)
+		r.set.hashes.reserve(n)
 	}
 	if slices.Contains(attrs, "") {
 		return nil, errors.New("relation: empty attribute name")
@@ -208,59 +192,9 @@ func tableSizeFor(n int) int {
 	return size
 }
 
-// rebuildTable re-derives the slot table, sized for capacity rows, from the
-// row hashes. Every row is distinct, so no equality checks are needed.
-func (r *Relation) rebuildTable(capacity int) {
-	r.slots.alloc(tableSizeFor(capacity))
-	mask := uint64(r.slots.len() - 1)
-	for base, pg := range r.hashes.eachPage() {
-		for k, h := range pg {
-			j := h & mask
-			for r.slots.at(int(j)) != 0 {
-				j = (j + 1) & mask
-			}
-			r.slots.set(int(j), int32(base+k)+1)
-		}
-	}
-}
-
-// vacate empties slot s of an open-addressed table whose entries are row
-// index + 1 and whose row i was probed from hashes.at(i). Backward-shift
-// deletion keeps linear probing free of tombstones: each later entry of
-// the run moves into the hole unless its home slot lies cyclically after
-// the hole. The membership table and the index tables share it.
-func vacate(slots *paged[int32], hashes *paged[uint64], s uint64) {
-	mask := uint64(slots.len() - 1)
-	for j := (s + 1) & mask; ; j = (j + 1) & mask {
-		v := slots.at(int(j))
-		if v == 0 {
-			break
-		}
-		if home := hashes.at(int(v-1)) & mask; (j-home)&mask >= (j-s)&mask {
-			slots.set(int(s), v)
-			s = j
-		}
-	}
-	slots.set(int(s), 0)
-}
-
-// place enters row n, about to be appended and known to be absent, with
-// hash h in the membership table and the hash array. (Operators whose
-// outputs are distinct by construction leave the table stale instead: see
-// emitter.)
-func (r *Relation) place(h uint64, n int) {
-	if (n+1)*3 >= r.slots.len()*2 {
-		r.rebuildTable(2 * (n + 1))
-	}
-	// The caller guarantees absence, so the first empty slot of the probe
-	// run preserves the set invariant.
-	r.slots.set(int(r.slotOf(h, 0)), int32(n)+1)
-	r.hashes.append(h)
-}
-
 // appendTuple appends t, known to be absent, with its hash h.
 func (r *Relation) appendTuple(t Tuple, h uint64) {
-	r.place(h, r.rows.len())
+	r.set.hashes.append(h)
 	pg, k := r.rows.tail(len(r.attrs))
 	for c := range t {
 		pg[c].set(k, k, t[c])
@@ -268,74 +202,21 @@ func (r *Relation) appendTuple(t Tuple, h uint64) {
 	r.rows.n++
 }
 
-// ensureTable rebuilds the membership table if bulk appends left it
-// stale. The fast path is a single atomic load; concurrent readers
-// racing to rebuild serialize on mu and double-check. The store/load
-// pair orders the slot writes before any reader's fast-path pass.
-func (r *Relation) ensureTable() {
-	if !r.tableStale.Load() {
-		return
-	}
-	r.mu.Lock()
-	if r.tableStale.Load() {
-		r.rebuildTable(r.rows.len())
-		r.tableStale.Store(false)
-	}
-	r.mu.Unlock()
-}
-
-// findSlot returns the slot and index of the row equal to t, or row -1.
-// t is in r's column order, or, under perm, foreign: row column c holds
-// t[perm[c]]. Linear probing from the hash; candidate rows with the same
-// hash are re-verified value by value.
-func (r *Relation) findSlot(h uint64, t Tuple, perm []int) (uint64, int32) {
-	r.ensureTable()
-	if r.slots.len() == 0 {
-		return 0, -1
-	}
-	mask := uint64(r.slots.len() - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		s := r.slots.at(int(j))
-		if s == 0 {
-			return 0, -1
-		}
-		if i := s - 1; r.hashes.at(int(i)) == h && r.rowIs(int(i), t, perm) {
-			return j, i
-		}
-	}
-}
-
-// findAligned returns the index of the row equal to t under perm (see
-// findSlot), or -1.
+// findAligned returns the index of the row equal to t, or -1. t is in r's
+// column order, or, under perm, foreign: row column c holds t[perm[c]].
 func (r *Relation) findAligned(h uint64, t Tuple, perm []int) int32 {
-	_, i := r.findSlot(h, t, perm)
-	return i
-}
-
-// rowIs reports whether row i holds t, under perm as in findSlot.
-func (r *Relation) rowIs(i int, t Tuple, perm []int) bool {
-	pg, k := r.rows.pages[i>>pageBits], i&pageMask
-	for c := range pg {
-		p := c
-		if perm != nil {
-			p = perm[c]
-		}
-		if !pg[c].equals(k, &t[p]) {
-			return false
+	r.set.cover(&r.mu)
+	all := allCols(len(r.attrs))
+	if perm == nil {
+		perm = all
+	}
+	_, ri := r.set.seek(h)
+	for ; ri >= 0; ri = r.set.after(ri) {
+		if r.rows.matches(int(ri), all, t, perm) {
+			return ri
 		}
 	}
-	return true
-}
-
-// slotOf returns the first slot of the probe run from hash h that holds v
-// (row index + 1, or 0 for the run's first empty slot).
-func (r *Relation) slotOf(h uint64, v int32) uint64 {
-	mask := uint64(r.slots.len() - 1)
-	j := h & mask
-	for r.slots.at(int(j)) != v {
-		j = (j + 1) & mask
-	}
-	return j
+	return -1
 }
 
 // Insert adds a tuple and reports whether it was new. It panics if the
@@ -364,11 +245,10 @@ func (r *Relation) InsertValues(vals ...Value) bool { return r.Insert(Tuple(vals
 func (r *Relation) InsertAll(o *Relation) int {
 	from, perm := r.rows.len(), alignment(o, r)
 	e := newEmitter(r, source{rows: &o.rows, cols: perm}, source{})
-	e.eager = true
 	// o is a set: its rows need checking against r's alone.
-	members(o, r, perm, &o.hashes, nil, func(i int, held bool) bool {
+	members(o, r, perm, &o.set.hashes, nil, func(i int, held bool) bool {
 		if !held {
-			e.emit(o.hashes.at(i), int32(i), 0)
+			e.emit(o.set.hashes.at(i), int32(i), 0)
 		}
 		return true
 	})
@@ -399,23 +279,15 @@ func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		return false
 	}
-	slot, i := r.findSlot(t.hash64(), t, nil)
+	i := r.findAligned(t.hash64(), t, nil)
 	if i < 0 {
 		return false
 	}
-	// The slot goes first: the backward shift reads the hashes of rows
-	// that are about to move.
-	vacate(&r.slots, &r.hashes, slot)
 	r.noteDeleted(i)
-	last := int32(r.rows.len() - 1)
-	if i != last {
-		lh := r.hashes.at(int(last))
-		r.slots.set(int(r.slotOf(lh, last+1)), i+1)
-		r.rows.move(int(last), int(i))
-		r.hashes.set(int(i), lh)
+	if last := r.rows.len() - 1; int(i) != last {
+		r.rows.move(last, int(i))
 	}
 	r.rows.dropLast()
-	r.hashes.truncate(int(last))
 	return true
 }
 
@@ -686,12 +558,11 @@ func (r *Relation) Get(t Tuple, attr string) Value { return t[r.mustPos(attr)] }
 
 // Clone returns an independent copy of the relation: a mutation of either
 // side is invisible to the other. It copies page tables, not pages — the
-// copy shares every storage page of the original (rows, hashes, slots and
-// the arrays of every cached index and key-hash vector), and whichever
-// side writes a page first copies that page — so its cost is proportional
-// to rows/pageLen and a later mutation's to the pages it touches. The
-// page slots are shared as well. Clone may run beside readers of r and
-// beside other Clones of r.
+// copy shares every storage page of the original (rows and the arrays of
+// every table), and whichever side writes a page first copies that page —
+// so its cost is proportional to rows/pageLen and a later mutation's to
+// the pages it touches. The page slots are shared as well. Clone may run
+// beside readers of r and beside other Clones of r.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{attrs: r.attrs}
 	r.shareStorage(c)
@@ -703,49 +574,38 @@ func (r *Relation) Clone() *Relation {
 	if len(r.indexes) > 0 {
 		c.indexes = make(map[string]*Index, len(r.indexes))
 		for k, ix := range r.indexes {
-			c.indexes[k] = ix.cloneFor(c)
-		}
-	}
-	if len(r.keyVecs) > 0 {
-		c.keyVecs = make(map[string]*keyVec, len(r.keyVecs))
-		for k, kv := range r.keyVecs {
-			ckv := &keyVec{pos: kv.pos}
-			kv.hashes.shareTo(&ckv.hashes)
-			c.keyVecs[k] = ckv
+			cx := newIndex(c, ix.attrs, ix.pos)
+			ix.shareTo(cx.table)
+			c.indexes[k] = cx
 		}
 	}
 	r.mu.Unlock()
 	return c
 }
 
-// shareStorage gives c, which must hold no rows, r's rows, hashes and
-// membership table as shared pages, and the slots of the row pages.
+// shareStorage gives c, which must hold no rows, r's rows and membership
+// table as shared pages, and the slots of the row pages.
 func (r *Relation) shareStorage(c *Relation) {
-	r.ensureTable() // share a valid table rather than rebuilding in both copies
+	r.set.cover(&r.mu) // share a valid table rather than building it in both copies
 	r.rows.shareTo(&c.rows)
-	r.hashes.shareTo(&c.hashes)
-	r.slots.shareTo(&c.slots)
+	r.set.shareTo(&c.set)
 	r.mu.Lock()
 	r.shareSlots(c)
 	r.mu.Unlock()
 }
 
-// CopiedBytes returns the bytes of storage pages — rows, hashes,
-// membership table and the arrays of every cached index and key-hash
-// vector — that mutations of r have copied because a clone shared them,
-// or re-allocated because a hash table grew, since r was created or
+// CopiedBytes returns the bytes of storage pages — rows and the arrays of
+// every table — that mutations of r have copied because a clone shared
+// them, or re-allocated because a hash table grew, since r was created or
 // cloned. After a refresh applied a delta to a fresh clone, this is what
 // the copy-on-write apply cost: a few pages per changed tuple,
 // independent of r's size unless a table grew.
 func (r *Relation) CopiedBytes() int64 {
-	n := r.rows.fresh + r.hashes.freshBytes() + r.slots.freshBytes()
+	n := r.rows.fresh + r.set.copied()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ix := range r.indexes {
-		n += ix.slots.freshBytes() + ix.next.freshBytes() + ix.keyHash.freshBytes() + ix.keyVals.freshBytes()
-	}
-	for _, kv := range r.keyVecs {
-		n += kv.hashes.freshBytes()
+		n += ix.copied()
 	}
 	return n
 }
@@ -768,7 +628,7 @@ func (r *Relation) Equal(o *Relation) bool {
 // allIn reports whether every tuple of r occurs in o, which must have the
 // same attribute set.
 func (r *Relation) allIn(o *Relation) bool {
-	return members(r, o, alignment(r, o), &r.hashes, nil, func(_ int, held bool) bool { return held })
+	return members(r, o, alignment(r, o), &r.set.hashes, nil, func(_ int, held bool) bool { return held })
 }
 
 // SubsetOf reports whether every tuple of r occurs in o (same attribute

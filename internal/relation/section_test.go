@@ -80,7 +80,7 @@ func TestSectionRoundTrip(t *testing.T) {
 					t.Fatalf("%v: row %d column %d decodes to %#v, the page held %#v", r.Attrs(), i, c, got[c], want[c])
 				}
 			}
-			if back.hashes.at(i) != r.hashes.at(i) {
+			if back.set.hashes.at(i) != r.set.hashes.at(i) {
 				t.Fatalf("%v: row %d decodes with another hash", r.Attrs(), i)
 			}
 		}
@@ -240,7 +240,7 @@ func FuzzDecodePages(f *testing.F) {
 			t.Fatalf("accepted %x, which encodes as %x", b, enc)
 		}
 		for i := range n {
-			if r.hashes.at(i) != r.rows.at(i).hash64() {
+			if r.set.hashes.at(i) != r.rows.at(i).hash64() {
 				t.Fatalf("row %d decodes with another hash", i)
 			}
 		}
