@@ -13,7 +13,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	dwc "dwcomplement"
@@ -130,68 +129,13 @@ func (s *server) queryContext(req *http.Request) (context.Context, context.Cance
 	return ctx, cancel
 }
 
-// answerCacheSize bounds the stale-answer cache; entries are evicted
-// FIFO, which is enough for a degradation stopgap (the cache exists to
-// keep answering the popular queries during an overload, not to be a
-// query cache).
-const answerCacheSize = 256
-
-// cachedAnswer is one stored query answer: the response body of a fresh,
-// explain-free 200 as it went out, plus when and from which version (its
-// X-DW-Version stamp) it was computed.
-type cachedAnswer struct {
-	body    []byte
-	at      time.Time
-	version string
-}
-
-// answerCache is the bounded stale-answer store behind the ladder's
-// LevelStale rung.
-type answerCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]cachedAnswer
-	order   []string // insertion order for FIFO eviction
-}
-
-func newAnswerCache(max int) *answerCache {
-	return &answerCache{max: max, entries: make(map[string]cachedAnswer)}
-}
-
-// put stores the answer for a query string, evicting the oldest entry
-// past capacity.
-func (c *answerCache) put(key string, body []byte, version string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.entries[key]; !exists {
-		for len(c.order) >= c.max {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			delete(c.entries, oldest)
-		}
-		c.order = append(c.order, key)
-	}
-	c.entries[key] = cachedAnswer{body: body, at: time.Now(), version: version}
-}
-
-// get returns the stored answer.
-func (c *answerCache) get(key string) (cachedAnswer, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return e, ok
-}
-
-// serveCached answers a query from the stale-answer cache, marking the
-// response with X-DW-Staleness: cache=<seconds> and the X-DW-Version the
-// answer was cached at. Reports whether a cached answer was served.
+// serveCached answers a query with the last fresh answer the query cache
+// holds for its text (answer.go), marking the response with
+// X-DW-Staleness: cache=<seconds> and the X-DW-Version the answer was
+// computed at. Reports whether a cached answer was served.
 func (s *server) serveCached(w http.ResponseWriter, req *http.Request) bool {
-	src := req.URL.Query().Get("q")
-	if src == "" {
-		return false
-	}
-	e, ok := s.qcache.get(src)
-	if !ok {
+	e, _ := s.qcache.get(req.URL.Query().Get("q"))
+	if e.body == nil {
 		return false
 	}
 	s.reg.Counter("dw_stale_answers_total",

@@ -1,10 +1,11 @@
 package main
 
-// The answer path (DESIGN §13): one append-style writer from an evaluated
-// relation to the bytes encoding/json wrote for the documented shape,
-// without boxing a value or reflecting over a map. The body is finished
-// before the header is written, so a value JSON cannot carry is an error
-// response and the stale-answer cache keeps the very bytes.
+// The answer path (DESIGN §13): a query text is prepared once, then one
+// append-style writer goes from an evaluated relation to the bytes
+// encoding/json wrote for the documented shape, without boxing a value or
+// reflecting over a map. The body is finished before the header is
+// written, so a value JSON cannot carry is an error response and the
+// query cache keeps the very bytes.
 
 import (
 	"bytes"
@@ -14,10 +15,87 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
 	"unicode/utf8"
 
+	dwc "dwcomplement"
 	"dwcomplement/internal/relation"
 )
+
+// queryCacheSize caps the query cache; entries are evicted FIFO. The
+// process benchmark's pool has 170 texts.
+const queryCacheSize = 256
+
+// queryEntry is what the query cache holds for one /query text: the plan —
+// the parsed query and its translated, optimized Q̂, both rendered — and
+// the last fresh, explain-free 200 answer to it (nil body until one), when
+// and at which version (its X-DW-Version stamp) it was computed. The plan
+// is a function of the text and the complement alone (Theorem 3.1), and
+// the complement is fixed for the server's life, so it is never
+// invalidated and every request shares it read-only.
+type queryEntry struct {
+	qHat              dwc.Expr
+	query, translated string
+
+	body    []byte
+	at      time.Time
+	version string
+}
+
+// queryCache is the one query-keyed map of the server, keyed by the raw q
+// parameter: the plans /query evaluates and the answers the ladder's
+// LevelStale rung serves.
+type queryCache struct {
+	mu      sync.Mutex
+	entries map[string]queryEntry
+	order   []string     // insertion order, for FIFO eviction
+	misses  atomic.Int64 // texts parsed and translated
+}
+
+// get returns the entry held for a query text.
+func (c *queryCache) get(src string) (queryEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[src]
+	return e, ok
+}
+
+// put stores the entry for a query text, evicting the oldest past the cap.
+func (c *queryCache) put(src string, e queryEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[src]; !ok {
+		for len(c.order) >= queryCacheSize {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+		}
+		c.order = append(c.order, src)
+	}
+	c.entries[src] = e
+}
+
+// plan returns the entry for a query text, parsing and translating it on a
+// miss. Any version's warehouse translates it alike: they share the
+// complement. A text that fails is not cached.
+func (c *queryCache) plan(src string, w *dwc.Warehouse) (queryEntry, error) {
+	if e, ok := c.get(src); ok {
+		return e, nil
+	}
+	c.misses.Add(1)
+	q, err := dwc.ParseExpr(src)
+	if err != nil {
+		return queryEntry{}, err
+	}
+	qHat, err := w.TranslateQuery(q)
+	if err != nil {
+		return queryEntry{}, err
+	}
+	e := queryEntry{qHat: qHat, query: q.String(), translated: qHat.String()}
+	c.put(src, e)
+	return e, nil
+}
 
 const hexDigits = "0123456789abcdef"
 
@@ -185,12 +263,16 @@ func answerBody(query, translated string, r *relation.Relation, extra map[string
 }
 
 // writeBody sends a finished JSON body; its size is known, so it goes out
-// with a Content-Length rather than chunked.
+// with a Content-Length rather than chunked, and is flushed: the response
+// has left before instrument writes its log line and metrics.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(body) // a failed write is the client gone; the request log has the short byte count
+	// A failed write or flush is the client gone; the request log has the
+	// short byte count.
+	_, _ = w.Write(body)
+	_ = http.NewResponseController(w).Flush()
 }
 
 // writeRelation answers /relations/{name} and /reconstruct/{base}.

@@ -324,7 +324,7 @@ func TestUnencodableResultIsAnError(t *testing.T) {
 				t.Errorf("%v: no 500 counted for %s", bad, route)
 			}
 		}
-		if _, ok := srv.qcache.get("N"); ok {
+		if e, _ := srv.qcache.get("N"); e.body != nil {
 			t.Errorf("%v: the failed answer entered the stale cache", bad)
 		}
 		ts.Close()
@@ -347,7 +347,7 @@ func TestStaleCacheServesTheStoredBytes(t *testing.T) {
 	if resp, _ := get(t, ts.URL+q+"&explain=1"); resp.StatusCode != 200 {
 		t.Fatalf("explain query = %d", resp.StatusCode)
 	}
-	if _, ok := srv.qcache.get("Sale join Emp"); ok {
+	if e, _ := srv.qcache.get("Sale join Emp"); e.body != nil {
 		t.Fatal("an explain answer entered the stale cache")
 	}
 	freshResp, fresh := get(t, ts.URL+q)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -166,11 +167,11 @@ type server struct {
 	statsMu    sync.Mutex
 	queryStats dwc.EvalStats
 
-	// Overload protection: the admission controller every non-health
-	// request passes, and the stale-answer cache behind the ladder's
-	// LevelStale rung.
+	// The admission controller every non-health request passes, and the
+	// query cache: /query's prepared plans and the answers behind the
+	// ladder's LevelStale rung.
 	adm    *admission.Controller
-	qcache *answerCache
+	qcache *queryCache
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
@@ -291,7 +292,7 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		tracer:    trace.New(trace.Config{Rate: cfg.TraceSample, Capacity: cfg.TraceBuffer}),
 		mstats:    trace.NewMaintStats(0),
 		adm:       admission.New(cfg.Admission),
-		qcache:    newAnswerCache(answerCacheSize),
+		qcache:    &queryCache{entries: map[string]queryEntry{}},
 		mChanges:  map[string]*obs.Counter{},
 	}
 	if cfg.SnapshotDir != "" {
@@ -597,17 +598,18 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// writeJSON answers with a small fixed-shape body through encoding/json;
-// result rows never come this way (answer.go). A failed encode or write is
-// handed to the request's recorder, for instrument to log with the request id.
+// writeJSON answers with a small fixed-shape body through encoding/json
+// and writeBody; result rows never come this way (answer.go). A failed
+// encode is handed to the request's recorder, for instrument to log with
+// the request id, and leaves the body empty.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		if rec, ok := w.(*obs.StatusRecorder); ok {
 			rec.Err = err
 		}
 	}
+	writeBody(w, status, buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -754,13 +756,14 @@ func (s *server) handleRelation(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
-	src := req.URL.Query().Get("q")
+	params := req.URL.Query()
+	src := params.Get("q")
 	if src == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing q parameter"))
 		return
 	}
 	explain := 0
-	switch req.URL.Query().Get("explain") {
+	switch params.Get("explain") {
 	case "1":
 		explain = 1
 	case "2":
@@ -771,13 +774,8 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if s.adm.Level() >= admission.LevelNoTrace {
 		explain = 0
 	}
-	q, err := dwc.ParseExpr(src)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	v := s.read(w)
-	qHat, err := v.w.TranslateQuery(q)
+	e, err := s.qcache.plan(src, v.w)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -791,8 +789,8 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	defer cancel()
 	qctx, sp := trace.StartSpan(ectx, "query.eval")
 	defer sp.End()
-	sp.SetAttr("query", q.String())
-	rows, err := dwc.EvalExpr(qctx, qHat, v.w)
+	sp.SetAttr("query", e.query)
+	rows, err := dwc.EvalExpr(qctx, e.qHat, v.w)
 	if err != nil {
 		sp.SetAttr("outcome", "error")
 		s.queries.Add(1)
@@ -806,8 +804,10 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	stats := rows.Stats()
 	sp.SetAttrInt("rows", int64(rows.Len()))
-	if plan := stats.PlanSummary(0); plan != "" {
-		sp.SetAttr("plan", plan)
+	if sp.Recording() { // a sampled-out span would drop the rendered plan
+		if plan := stats.PlanSummary(0); plan != "" {
+			sp.SetAttr("plan", plan)
+		}
 	}
 	s.queries.Add(1)
 	s.mQueries.Inc()
@@ -832,15 +832,15 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			extra["planText"] = dwc.RenderPlan(plan, true)
 		}
 	}
-	body, err := answerBody(q.String(), qHat.String(), rows.Relation(), extra)
+	body, err := answerBody(e.query, e.translated, rows.Relation(), extra)
 	if err != nil {
 		writeUnencodable(w, err)
 		return
 	}
 	if explain == 0 {
-		// Plain answers feed the stale-answer cache, the degradation
-		// ladder's LevelStale stopgap.
-		s.qcache.put(src, body, v.stamp())
+		// Plain answers are what the ladder's LevelStale rung serves.
+		e.body, e.at, e.version = body, time.Now(), v.stamp()
+		s.qcache.put(src, e)
 	}
 	writeBody(w, http.StatusOK, body)
 }

@@ -35,6 +35,10 @@ func (r *StatusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap returns the wrapped writer, so http.NewResponseController reaches
+// its Flush.
+func (r *StatusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // MetricsHandler serves the registry in Prometheus text exposition
 // format — mount it as GET /metrics.
 func MetricsHandler(reg *Registry) http.Handler {
