@@ -138,8 +138,7 @@ func (s *server) serveCached(w http.ResponseWriter, req *http.Request) bool {
 	if e.body == nil {
 		return false
 	}
-	s.reg.Counter("dw_stale_answers_total",
-		"Queries answered from the stale-answer cache under degradation.", nil).Inc()
+	s.mStale.Inc()
 	hdr := "cache=" + strconv.FormatFloat(time.Since(e.at).Seconds(), 'f', 3, 64)
 	if rest := s.stalenessHeader(s.cur.Load()); rest != "" {
 		hdr += ", " + rest

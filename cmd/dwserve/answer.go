@@ -24,17 +24,23 @@ import (
 	"dwcomplement/internal/relation"
 )
 
-// queryCacheSize caps the query cache; entries are evicted FIFO. The
-// process benchmark's pool has 170 texts.
-const queryCacheSize = 256
+// queryCacheSize and queryCacheBytes cap the query cache: its entries, and
+// the bytes of the answers they hold. Entries are evicted FIFO until a new
+// one fits. The process benchmark's pool has 170 texts whose answers hold
+// ≈ 1.7 MB.
+const (
+	queryCacheSize  = 256
+	queryCacheBytes = 16 << 20
+)
 
 // queryEntry is what the query cache holds for one /query text: the plan —
 // the parsed query and its translated, optimized Q̂, both rendered — and
-// the last fresh, explain-free 200 answer to it (nil body until one), when
-// and at which version (its X-DW-Version stamp) it was computed. The plan
-// is a function of the text and the complement alone (Theorem 3.1), and
-// the complement is fixed for the server's life, so it is never
-// invalidated and every request shares it read-only.
+// the last fresh, explain-free 200 answer to it (nil body until one), when,
+// at which version (its X-DW-Version stamp) and from which state (gen) it
+// was computed. The plan is a function of the text and the complement alone
+// (Theorem 3.1), which is fixed for the server's life, so it is never
+// invalidated; the answer, of the text and the state alone, is reused while
+// the published version's gen is the entry's.
 type queryEntry struct {
 	qHat              dwc.Expr
 	query, translated string
@@ -42,15 +48,17 @@ type queryEntry struct {
 	body    []byte
 	at      time.Time
 	version string
+	gen     uint64
 }
 
 // queryCache is the one query-keyed map of the server, keyed by the raw q
-// parameter: the plans /query evaluates and the answers the ladder's
-// LevelStale rung serves.
+// parameter: the plans /query evaluates, and the answers it reuses at an
+// unchanged state and the ladder's LevelStale rung serves.
 type queryCache struct {
 	mu      sync.Mutex
 	entries map[string]queryEntry
-	order   []string     // insertion order, for FIFO eviction
+	order   []string     // store order, for FIFO eviction
+	bytes   int          // the bodies' bytes
 	misses  atomic.Int64 // texts parsed and translated
 }
 
@@ -62,18 +70,31 @@ func (c *queryCache) get(src string) (queryEntry, bool) {
 	return e, ok
 }
 
-// put stores the entry for a query text, evicting the oldest past the cap.
+// put stores the entry for a query text as the newest, evicting the oldest
+// until it fits both caps. A body larger than the byte cap is not kept; its
+// plan is.
 func (c *queryCache) put(src string, e queryEntry) {
+	if len(e.body) > queryCacheBytes {
+		e.body = nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[src]; !ok {
-		for len(c.order) >= queryCacheSize {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
-		c.order = append(c.order, src)
+	if _, ok := c.entries[src]; ok {
+		c.drop(slices.Index(c.order, src))
 	}
+	for len(c.order) >= queryCacheSize || c.bytes+len(e.body) > queryCacheBytes {
+		c.drop(0)
+	}
+	c.order = append(c.order, src)
 	c.entries[src] = e
+	c.bytes += len(e.body)
+}
+
+// drop evicts the i-th entry in store order. Caller holds c.mu.
+func (c *queryCache) drop(i int) {
+	c.bytes -= len(c.entries[c.order[i]].body)
+	delete(c.entries, c.order[i])
+	c.order = slices.Delete(c.order, i, i+1)
 }
 
 // plan returns the entry for a query text, parsing and translating it on a

@@ -142,7 +142,7 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 		s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", jerr)
 	}
 	s.publish(func(v *version) {
-		v.w = s.w.Pin()
+		v.w, v.gen = s.w.Pin(), v.gen+1
 		v.marks = withEntry(v.marks, rec.Source, rec.Seq)
 		v.lsn = rec.LSN
 		if s.jw != nil && jerr == nil {

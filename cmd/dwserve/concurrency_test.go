@@ -202,7 +202,10 @@ func canonicalResult(t *testing.T, result []byte) string {
 // C_Emp, every answer a reader gets must equal Q(d) on the model state d
 // its X-DW-Version stamp denotes (Theorem 3.1, per version) — never a mix
 // of one refresh's relations with another's. The query Emp translates to
-// π(Sold) ∪ C_Emp, so it reads two relations of the same refresh.
+// π(Sold) ∪ C_Emp, so it reads two relations of the same refresh. The
+// updates change the answers, so the check covers both halves of reuse:
+// stored bytes served while their state is published, and texts evaluated
+// again once it is not.
 func TestConcurrentVersionOracle(t *testing.T) {
 	const updates, readers = 40, 3
 	queries := []string{
@@ -245,7 +248,7 @@ func TestConcurrentVersionOracle(t *testing.T) {
 		}
 	}
 
-	_, ts := newDurableServer(t, t.TempDir(), 4)
+	srv, ts := newDurableServer(t, t.TempDir(), 4)
 	var wg sync.WaitGroup
 	var done atomic.Bool
 	seen := make([]map[string]bool, readers)
@@ -283,5 +286,9 @@ func TestConcurrentVersionOracle(t *testing.T) {
 		if len(versions) < 2 && !t.Failed() {
 			t.Errorf("reader %d saw %d version(s); the check needs reads on both sides of a commit", rd, len(versions))
 		}
+	}
+	reused := srv.mReused.Value()
+	if evaluated := srv.mQueries.Value() - reused; reused == 0 || evaluated <= int64(len(queries)) {
+		t.Errorf("%d answers reused, %d evaluated for %d texts: the check needs both", reused, evaluated, len(queries))
 	}
 }

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +21,9 @@ import (
 
 	dwc "dwcomplement"
 	"dwcomplement/internal/admission"
+	"dwcomplement/internal/remote"
+	"dwcomplement/internal/replica"
+	"dwcomplement/internal/trace"
 )
 
 // poolShapes are the four query classes of the process benchmark's pool
@@ -51,42 +57,83 @@ func TestPreparedQueryHit(t *testing.T) {
 }
 
 // TestQueryCacheCap: cap + 50 distinct texts leave at most cap entries,
-// and every text is answered correctly, held or evicted. At LevelStale a
-// held text is served the bytes its entry holds; an evicted one is
-// evaluated afresh.
+// and cap + 50 more whose answers together outgrow the byte cap leave at
+// most queryCacheBytes of bodies; every text is answered correctly, held or
+// evicted. At LevelStale a held text is served the bytes its entry holds;
+// an evicted one is evaluated afresh. A body larger than the byte cap keeps
+// its plan, not its body.
 func TestQueryCacheCap(t *testing.T) {
+	// 700 more clerks with long names, aged 1000 and up, put ≈ 85 KB in an
+	// answer that lists Emp: none matches a small age, all but Mary and
+	// Paula a large one.
+	const clerks = 700
+	var spec strings.Builder
+	spec.WriteString(testSpec)
+	for i := range clerks {
+		fmt.Fprintf(&spec, "insert Emp('clerk-%d-%s', %d)\n", i, strings.Repeat("x", 100), 1000+i%100)
+	}
 	clk := &ladderClock{}
-	srv, ts := newOverloadServer(t, serverConfig{
+	srv, err := newServer(mustSpec(t, spec.String()), dwc.Theorem22(), serverConfig{
 		Admission: admission.Config{
 			Capacity: 64,
 			Ladder:   admission.LadderConfig{High: 0.9, Low: 0.5, Climb: 50 * time.Millisecond, Cool: time.Hour, Now: clk.now},
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
 	n := queryCacheSize + 50
-	path := func(i int) string { return "/query?q=" + escape(fmt.Sprintf("sigma{age = %d}(Emp)", i)) }
-	bodies := make([][]byte, n)
-	for i := range n {
+	path := func(i int) string {
+		if i < n {
+			return "/query?q=" + escape(fmt.Sprintf("sigma{age = %d}(Emp)", i))
+		}
+		return "/query?q=" + escape(fmt.Sprintf("sigma{age > %d}(Emp)", i-n+100))
+	}
+	wantCount := func(i int) int {
+		switch {
+		case i >= n:
+			return clerks
+		case i == 23 || i == 32: // Mary and Paula
+			return 1
+		}
+		return 0
+	}
+	held := func() (entries, order, bytes int) {
+		srv.qcache.mu.Lock()
+		defer srv.qcache.mu.Unlock()
+		return len(srv.qcache.entries), len(srv.qcache.order), srv.qcache.bytes
+	}
+	bodies := map[int][]byte{}
+	answered := 0
+	for i := range 2 * n {
 		resp, body := get(t, ts.URL+path(i))
 		var got struct {
 			Result struct{ Count int } `json:"result"`
 		}
-		want := 0
-		if i == 23 || i == 32 { // Mary and Paula
-			want = 1
+		if err := json.Unmarshal(body, &got); err != nil || resp.StatusCode != 200 || got.Result.Count != wantCount(i) {
+			t.Fatalf("text %d: status %d, %d rows, want %d (%v)", i, resp.StatusCode, got.Result.Count, wantCount(i), err)
 		}
-		if err := json.Unmarshal(body, &got); err != nil || resp.StatusCode != 200 || got.Result.Count != want {
-			t.Fatalf("age = %d: status %d, %d rows, want %d (%v)", i, resp.StatusCode, got.Result.Count, want, err)
+		if i == 0 || i == 2*n-1 {
+			bodies[i] = body
 		}
-		bodies[i] = body
+		if i >= n {
+			answered += len(body)
+		}
+		if entries, order, _ := held(); i == n-1 && (entries > queryCacheSize || order != entries) {
+			t.Errorf("cache holds %d entries (%d in its order) after %d texts, cap %d", entries, order, n, queryCacheSize)
+		}
 	}
-	srv.qcache.mu.Lock()
-	entries, order := len(srv.qcache.entries), len(srv.qcache.order)
-	srv.qcache.mu.Unlock()
-	if entries > queryCacheSize || order != entries {
-		t.Errorf("cache holds %d entries (%d in its order) after %d texts, cap %d", entries, order, n, queryCacheSize)
+	if answered <= queryCacheBytes {
+		t.Fatalf("the large answers hold %d bytes in all, not more than the %d-byte cap", answered, queryCacheBytes)
 	}
-	if misses := srv.qcache.misses.Load(); misses != int64(n) {
-		t.Errorf("%d misses for %d distinct texts", misses, n)
+	if entries, order, bytes := held(); entries > queryCacheSize || order != entries || bytes > queryCacheBytes {
+		t.Errorf("cache holds %d entries (%d in its order) and %d bytes of answers, caps %d and %d",
+			entries, order, bytes, queryCacheSize, queryCacheBytes)
+	}
+	if misses := srv.qcache.misses.Load(); misses != int64(2*n) {
+		t.Errorf("%d misses for %d distinct texts", misses, 2*n)
 	}
 
 	for range 2 {
@@ -100,14 +147,138 @@ func TestQueryCacheCap(t *testing.T) {
 	for _, c := range []struct {
 		i      int
 		cached bool
-	}{{n - 1, true}, {0, false}} {
+	}{{2*n - 1, true}, {0, false}} {
 		resp, body := get(t, ts.URL+path(c.i)+"&stale=1")
 		if cached := strings.HasPrefix(resp.Header.Get("X-DW-Staleness"), "cache="); resp.StatusCode != 200 ||
 			cached != c.cached || !bytes.Equal(body, bodies[c.i]) {
-			t.Errorf("stale request for text %d: status %d, from the cache %v (want %v), body %s, want %s",
+			t.Errorf("stale request for text %d: status %d, from the cache %v (want %v), body %.200s, want %.200s",
 				c.i, resp.StatusCode, cached, c.cached, body, bodies[c.i])
 		}
 	}
+
+	srv.qcache.put("oversized", queryEntry{query: "oversized", body: make([]byte, queryCacheBytes+1)})
+	if e, ok := srv.qcache.get("oversized"); !ok || e.query != "oversized" || e.body != nil {
+		t.Errorf("an answer over the byte cap: held %v, plan %q, %d body bytes; want its plan alone", ok, e.query, len(e.body))
+	}
+	if _, _, bytes := held(); bytes > queryCacheBytes {
+		t.Errorf("%d bytes held, cap %d", bytes, queryCacheBytes)
+	}
+}
+
+// TestReuseFollowsTheState: a plain answer is served from its stored bytes
+// exactly while the state it was computed from is published. After each
+// transition — an update that changes the answer, a no-op update, a
+// follower bootstrap, a promotion — the body served is a fresh
+// answerBody(EvalExpr(Q̂, v.w)) under the new X-DW-Version; of these only
+// the promotion, which moves the stamp and not the state, is a reuse.
+// explain=1 and explain=2 always evaluate.
+func TestReuseFollowsTheState(t *testing.T) {
+	const q = "pi{item, age}(Sale join Emp)"
+	leader, lts := newReplicaNode(t)
+	fsrv, fts := newReplicaNode(t)
+	// check asks srv for q and holds the answer to Q̂ evaluated on the
+	// published state; reuse is "reused", "evaluated", or "" for either.
+	check := func(label string, srv *server, base, reuse string) {
+		t.Helper()
+		before := srv.mReused.Value()
+		resp, got := get(t, base+"/query?q="+escape(q))
+		v := srv.cur.Load()
+		parsed := dwc.MustParseExpr(q)
+		qHat, err := v.w.TranslateQuery(parsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := dwc.EvalExpr(context.Background(), qHat, v.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := answerBody(parsed.String(), qHat.String(), rows.Relation(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || resp.Header.Get("X-DW-Version") != v.stamp() || !bytes.Equal(got, want) {
+			t.Errorf("%s: status %d at %q: %s\nwant 200 at %q: %s", label, resp.StatusCode, resp.Header.Get("X-DW-Version"), got, v.stamp(), want)
+		}
+		if reused := srv.mReused.Value() > before; reuse != "" && reused != (reuse == "reused") {
+			t.Errorf("%s: answer reused %v, want %s", label, reused, reuse)
+		}
+	}
+
+	check("boot", leader, lts.URL, "evaluated")
+	check("boot, asked again", leader, lts.URL, "reused")
+	postUpdate(t, lts.URL, "insert Sale('Radio', 'Paula')")
+	check("an update that changes the answer", leader, lts.URL, "evaluated")
+	check("that update, asked again", leader, lts.URL, "reused")
+	postUpdate(t, lts.URL, "insert Sale('Radio', 'Paula')")
+	check("a no-op update", leader, lts.URL, "")
+
+	follow(t, fsrv, lts.URL)
+	waitLSN(t, fsrv, 2)
+	fsrv.stopFollower()
+	check("a follower", fsrv, fts.URL, "evaluated")
+	check("a follower, asked again", fsrv, fts.URL, "reused")
+	postUpdate(t, lts.URL, "insert Sale('Phone', 'Mary')")
+	c := replica.NewClient(lts.URL, fsrv.db, remote.Config{AttemptTimeout: time.Second, MaxRetries: -1, Seed: 1})
+	if err := fsrv.bootstrapFollower(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	if _, lsn, _ := coords(fsrv); lsn != 3 {
+		t.Fatalf("bootstrapped at LSN %d, want 3", lsn)
+	}
+	check("a follower bootstrap", fsrv, fts.URL, "evaluated")
+	var out map[string]any
+	if code := postText(t, fts.URL+"/promote?epoch=2", "", &out); code != http.StatusOK {
+		t.Fatalf("promote: status %d: %v", code, out)
+	}
+	check("a promotion", fsrv, fts.URL, "reused")
+
+	for _, level := range []string{"1", "2"} {
+		before := fsrv.mReused.Value()
+		var body map[string]json.RawMessage
+		if code := getJSON(t, fts.URL+"/query?explain="+level+"&q="+escape(q), &body); code != 200 || body["stats"] == nil ||
+			(level == "2") != (body["plan"] != nil) || fsrv.mReused.Value() != before {
+			t.Errorf("explain=%s: status %d, keys %v, %d reused: want an evaluated answer with its diagnostics",
+				level, code, slices.Collect(maps.Keys(body)), fsrv.mReused.Value()-before)
+		}
+	}
+}
+
+// TestReuseLedger: a reused answer counts in dw_queries_total and
+// dw_queries_reused_total, observes dw_query_duration_seconds once — so its
+// _count stays dw_queries_total — is no stale answer, shows in /stats
+// queriesReused, and marks its request span answer=reused.
+func TestReuseLedger(t *testing.T) {
+	srv, ts := newOverloadServer(t, serverConfig{TraceSample: 1})
+	q := ts.URL + "/query?q=" + escape("Sale join Emp")
+	var traceID string
+	for range 3 { // a miss, then two reuses
+		resp, _ := get(t, q)
+		traceID = resp.Header.Get("X-DW-Trace")
+	}
+	get(t, q+"&explain=1")
+	_, metrics := getText(t, ts.URL+"/metrics")
+	for _, want := range []string{"dw_queries_total 4", "dw_queries_reused_total 2", "dw_query_duration_seconds_count 4", "dw_stale_answers_total 0"} {
+		if !strings.Contains(metrics, "\n"+want+"\n") {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
+	var stats struct{ Queries, QueriesReused int64 }
+	if getJSON(t, ts.URL+"/stats", &stats); stats.Queries != 4 || stats.QueriesReused != 2 {
+		t.Errorf("/stats: %d queries, %d reused; want 4 and 2", stats.Queries, stats.QueriesReused)
+	}
+	id, ok := trace.ParseTraceID(traceID)
+	if !ok {
+		t.Fatalf("X-DW-Trace %q", traceID)
+	}
+	waitUntil(t, 5*time.Second, func() bool { // the span ends after the response has left
+		spans, _ := srv.tracer.Store().Trace(id)
+		for _, sp := range spans {
+			if slices.Contains(sp.Attrs, trace.Attr{Key: "answer", Value: "reused"}) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // gateWriter holds every write until open is closed.
@@ -227,8 +398,9 @@ func TestConcurrentPreparedQueries(t *testing.T) {
 }
 
 // FuzzPreparedQuery answers a query text twice through one server — a
-// miss, then a hit — and once through a fresh one: the three statuses are
-// equal, and so are the bodies of a 200.
+// miss, then a hit, which a 200 serves from the stored bytes — and once
+// through a fresh one: the three statuses are equal, and so are the bodies
+// of a 200.
 func FuzzPreparedQuery(f *testing.F) {
 	for _, q := range append(poolShapes, "", "Sale join", "Nope", "pi{nope}(Sale)", "sigma{age = 'x'}(Emp)", "Sale union Emp") {
 		f.Add(q)

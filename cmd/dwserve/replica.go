@@ -358,7 +358,7 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 	}
 	s.w.LoadState(ship.State)
 	s.publish(func(v *version) {
-		v.w = s.w.Pin()
+		v.w, v.gen = s.w.Pin(), v.gen+1
 		v.marks = ship.Marks
 		v.epoch = max(v.epoch, ship.Epoch)
 		v.lsn = ship.LSN

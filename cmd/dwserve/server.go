@@ -163,19 +163,21 @@ type server struct {
 
 	// Cumulative query counters, reported by GET /stats: the one thing
 	// readers write. statsMu is a leaf — nothing is acquired under it.
-	queries    atomic.Int64
 	statsMu    sync.Mutex
 	queryStats dwc.EvalStats
 
 	// The admission controller every non-health request passes, and the
-	// query cache: /query's prepared plans and the answers behind the
-	// ladder's LevelStale rung.
+	// query cache: /query's prepared plans and its last answers, reused at
+	// their state and served by the ladder's LevelStale rung.
 	adm    *admission.Controller
 	qcache *queryCache
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
+	mReused     *obs.Counter
 	mQueryDur   *obs.Histogram
+	mBudget     *obs.Counter
+	mStale      *obs.Counter
 	mRefreshes  *obs.Counter
 	mRefreshDur *obs.Histogram
 	mRestricted *obs.Counter
@@ -203,6 +205,7 @@ const (
 // relations that differ from the current version's.
 type version struct {
 	w     *dwc.Warehouse    // the warehouse state, pinned (sealed)
+	gen   uint64            // names w: 0 at boot, +1 where w is replaced (commit, bootstrapFollower)
 	marks map[string]uint64 // last applied sequence per update source: httpSource and every remote
 	// epoch and lsn are the replication coordinates of the last committed
 	// record; X-DW-Version stamps every answer with them.
@@ -427,8 +430,14 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"HTTP requests currently being served.", nil)
 	s.mQueries = s.reg.Counter("dw_queries_total",
 		"Source queries answered through the Theorem 3.1 translation.", nil)
+	s.mReused = s.reg.Counter("dw_queries_reused_total",
+		"Queries answered with the stored bytes of an answer computed at the published state.", nil)
 	s.mQueryDur = s.reg.Histogram("dw_query_duration_seconds",
-		"Query evaluation latency (translate + evaluate).", obs.DefLatencyBuckets, nil)
+		"Query evaluation latency (translate + evaluate), or the lookup of a reused answer.", obs.DefLatencyBuckets, nil)
+	s.mBudget = s.reg.Counter("dw_query_budget_exceeded_total",
+		"Queries aborted for exceeding the per-query row budget.", nil)
+	s.mStale = s.reg.Counter("dw_stale_answers_total",
+		"Queries answered from the stale-answer cache under degradation.", nil)
 	s.mRefreshes = s.reg.Counter("dw_refreshes_total",
 		"Incremental warehouse refreshes applied.", nil)
 	s.mRefreshDur = s.reg.Histogram("dw_refresh_duration_seconds",
@@ -775,9 +784,19 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		explain = 0
 	}
 	v := s.read(w)
+	start := time.Now()
 	e, err := s.qcache.plan(src, v.w)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if explain == 0 && e.body != nil && e.gen == v.gen {
+		// The entry was computed from the state v publishes: it is Q̂(v.w).
+		trace.FromContext(req.Context()).SetAttr("answer", "reused")
+		s.mQueries.Inc()
+		s.mReused.Inc()
+		s.mQueryDur.Observe(time.Since(start).Seconds())
+		writeBody(w, http.StatusOK, e.body)
 		return
 	}
 	// The evaluation span (child of the request span) carries the query,
@@ -793,11 +812,9 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	rows, err := dwc.EvalExpr(qctx, e.qHat, v.w)
 	if err != nil {
 		sp.SetAttr("outcome", "error")
-		s.queries.Add(1)
 		s.mQueries.Inc()
 		if errors.Is(err, dwc.ErrBudgetExceeded) {
-			s.reg.Counter("dw_query_budget_exceeded_total",
-				"Queries aborted for exceeding the per-query row budget.", nil).Inc()
+			s.mBudget.Inc()
 		}
 		writeEvalError(w, err)
 		return
@@ -809,7 +826,6 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			sp.SetAttr("plan", plan)
 		}
 	}
-	s.queries.Add(1)
 	s.mQueries.Inc()
 	s.mQueryDur.Observe(stats.Wall.Seconds())
 	s.statsMu.Lock()
@@ -838,8 +854,9 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if explain == 0 {
-		// Plain answers are what the ladder's LevelStale rung serves.
-		e.body, e.at, e.version = body, time.Now(), v.stamp()
+		// Plain answers are reused while v.gen is published, and are what
+		// the ladder's LevelStale rung serves.
+		e.body, e.at, e.version, e.gen = body, time.Now(), v.stamp(), v.gen
 		s.qcache.put(src, e)
 	}
 	writeBody(w, http.StatusOK, body)
@@ -917,7 +934,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	queryStats := s.queryStats
 	s.statsMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"queries":       s.queries.Load(),
+		"queries":       s.mQueries.Value(),
+		"queriesReused": s.mReused.Value(),
 		"queryStats":    queryStats,
 		"refreshes":     v.refreshes,
 		"refreshStats":  v.refreshStats,
