@@ -15,6 +15,7 @@ import (
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/core"
 	"dwcomplement/internal/journal"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/remote"
@@ -125,7 +126,7 @@ func e20() experiment {
 			for i := 0; i < clerks; i++ {
 				u := catalog.NewUpdate().MustInsert("Emp", sc.DB,
 					relation.String_(fmt.Sprintf("clerk-%d", i)), relation.Int(int64(20+i)))
-				if err := ld.commit(u); err != nil {
+				if err := ld.commit(ctx, u); err != nil {
 					return err
 				}
 			}
@@ -133,7 +134,7 @@ func e20() experiment {
 				u := catalog.NewUpdate().MustInsert("Sale", sc.DB,
 					relation.String_(fmt.Sprintf("item-%d", i)),
 					relation.String_(fmt.Sprintf("clerk-%d", i%clerks)))
-				if err := ld.commit(u); err != nil {
+				if err := ld.commit(ctx, u); err != nil {
 					return err
 				}
 			}
@@ -216,7 +217,7 @@ func e20() experiment {
 // through the Figure 1 path whose every commit also lands in a
 // replica.Log, served over the same two endpoints dwserve exposes.
 type e20Leader struct {
-	mu    sync.Mutex
+	mu    lockrank.Mutex[lockrank.E20Leader]
 	w     *warehouse.Warehouse
 	m     *maintain.Maintainer
 	rlog  *replica.Log
@@ -247,10 +248,10 @@ func newE20Leader(comp *core.Complement, st *catalog.State) (*e20Leader, error) 
 
 func (l *e20Leader) ServeHTTP(w http.ResponseWriter, req *http.Request) { l.mux.ServeHTTP(w, req) }
 
-func (l *e20Leader) commit(u *catalog.Update) error {
+func (l *e20Leader) commit(ctx context.Context, u *catalog.Update) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.m.RefreshContext(context.Background(), l.w, u); err != nil {
+	if _, err := l.m.RefreshContext(ctx, l.w, u); err != nil {
 		return err
 	}
 	if err := u.Apply(l.st); err != nil {

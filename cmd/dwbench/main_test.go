@@ -1,12 +1,24 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dwcomplement/internal/catalog"
+	"dwcomplement/internal/chaos"
+	"dwcomplement/internal/core"
+	"dwcomplement/internal/relation"
+	"dwcomplement/internal/testmain"
+	"dwcomplement/internal/trace"
+	"dwcomplement/internal/workload"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // TestAllExperimentsQuick runs every experiment end to end in quick mode:
 // each one both exercises its code path and asserts its paper expectation
@@ -104,5 +116,24 @@ func TestTableFormatting(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "---") {
 		t.Errorf("missing separator: %q", lines[1])
+	}
+}
+
+// TestE20LeaderCommitTraced: a leader commit refreshes under the leader's
+// lock with the caller's context, so a traced commit with a chaos point
+// armed takes the tracer's, the spans' and chaos's locks inside it, in
+// rank order.
+func TestE20LeaderCommitTraced(t *testing.T) {
+	sc := workload.Figure1(false)
+	ld, err := newE20Leader(core.MustCompute(sc.DB, sc.Views, core.Proposition22()), workload.Figure1State(sc.DB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chaos.Arm("refresh.apply", 1<<30, errors.New("never reached"))()
+	ctx, sp := trace.New(trace.Config{Rate: 1, Seed: 1}).Start(context.Background(), "commit")
+	defer sp.End()
+	u := catalog.NewUpdate().MustInsert("Emp", sc.DB, relation.String_("clerk"), relation.Int(30))
+	if err := ld.commit(ctx, u); err != nil {
+		t.Fatal(err)
 	}
 }

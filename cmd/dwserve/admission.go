@@ -17,7 +17,6 @@ import (
 
 	dwc "dwcomplement"
 	"dwcomplement/internal/admission"
-	"dwcomplement/internal/obs"
 )
 
 // deliveryWeight is the admission weight of one warehouse refresh
@@ -35,9 +34,7 @@ func wantsStale(req *http.Request) bool {
 // writeShed answers a shed request: 429, Retry-After, and the class on
 // record. The body stays tiny — a shed response must cost microseconds.
 func (s *server) writeShed(w http.ResponseWriter, cl admission.Class, reason string) {
-	s.reg.Counter("dw_admission_shed_total",
-		"Requests refused by admission control, by class.",
-		obs.Labels{"class": cl.String()}).Inc()
+	s.mShed[cl].Inc()
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests, map[string]string{
 		"error": reason,
@@ -130,17 +127,25 @@ func (s *server) queryContext(req *http.Request) (context.Context, context.Cance
 }
 
 // serveCached answers a query with the last fresh answer the query cache
-// holds for its text (answer.go), marking the response with
-// X-DW-Staleness: cache=<seconds> and the X-DW-Version the answer was
-// computed at. Reports whether a cached answer was served.
+// holds for its text (answer.go). Computed from the published state, it is
+// a reuse like any other; from an earlier one, the response is marked
+// X-DW-Staleness: cache=<seconds> and stamped with the X-DW-Version the
+// answer was computed at. Reports whether a cached answer was served.
 func (s *server) serveCached(w http.ResponseWriter, req *http.Request) bool {
+	start := time.Now()
 	e, _ := s.qcache.get(req.URL.Query().Get("q"))
 	if e.body == nil {
 		return false
 	}
+	v := s.cur.Load()
+	if e.gen == v.gen {
+		s.stamp(w, v)
+		s.writeReused(w, req, e.body, start)
+		return true
+	}
 	s.mStale.Inc()
 	hdr := "cache=" + strconv.FormatFloat(time.Since(e.at).Seconds(), 'f', 3, 64)
-	if rest := s.stalenessHeader(s.cur.Load()); rest != "" {
+	if rest := s.stalenessHeader(v); rest != "" {
 		hdr += ", " + rest
 	}
 	w.Header().Set("X-DW-Staleness", hdr)

@@ -15,7 +15,10 @@ import (
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/chaos"
 	"dwcomplement/internal/source"
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // newOverloadServer builds a server with an explicit overload config,
 // returning both the server (for direct controller access) and its
@@ -109,6 +112,18 @@ func TestUpdateShedsWithRetryAfter(t *testing.T) {
 	srv, ts := newOverloadServer(t, serverConfig{
 		Admission: admission.Config{Capacity: 2, DeliveryQueue: -1, QueryQueue: -1},
 	})
+	// dw_admission_shed_total is resolved per class at boot, so a shed
+	// looks nothing up in the registry.
+	shedMetrics := func(want ...int) {
+		t.Helper()
+		_, metrics := getText(t, ts.URL+"/metrics")
+		for i, cl := range admission.Classes() {
+			if line := fmt.Sprintf("dw_admission_shed_total{class=%q} %d\n", cl, want[i]); !strings.Contains(metrics, line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+		}
+	}
+	shedMetrics(0, 0, 0, 0)
 	// Saturate the controller from the test: both capacity units held.
 	release, err := srv.adm.Acquire(context.Background(), admission.Query, 2)
 	if err != nil {
@@ -131,6 +146,7 @@ func TestUpdateShedsWithRetryAfter(t *testing.T) {
 	if got := srv.adm.Shed(admission.Delivery); got == 0 {
 		t.Error("shed not counted for the delivery class")
 	}
+	shedMetrics(0, 1, 0, 0)
 	// Readiness is immune: still 200 while shedding.
 	if code := getJSON(t, ts.URL+"/readyz", &out); code != 200 {
 		t.Fatalf("readyz while shedding = %d, want 200", code)
@@ -275,14 +291,23 @@ func TestDegradationLadder(t *testing.T) {
 		t.Fatal("explain not stripped at no-trace")
 	}
 
-	// Rung 2: stale. Stale-tolerant queries get the cached answer with
-	// X-DW-Staleness and the version it was cached at — 0/0, though the
-	// warehouse has moved on to 0/1; fresh queries still evaluate.
-	postUpdate(t, ts.URL, "insert Sale('Radio', 'Paula')")
+	// Rung 2: stale. While no update has been published since, a
+	// stale-tolerant query's cached answer is the current one: a reuse,
+	// with no cache= mark and the current X-DW-Version.
 	climb(false)
 	if got := srv.adm.Level(); got != admission.LevelStale {
 		t.Fatalf("level = %v, want stale", got)
 	}
+	reused, stale := srv.mReused.Value(), srv.mStale.Value()
+	if resp, _ := get(t, ts.URL+"/query?q="+escape("Sale")+"&stale=1"); strings.Contains(resp.Header.Get("X-DW-Staleness"), "cache=") ||
+		resp.Header.Get("X-DW-Version") != "0/0" || srv.mReused.Value() != reused+1 || srv.mStale.Value() != stale {
+		t.Fatalf("stale=1 at an unchanged state: X-DW-Staleness %q at %q, reused +%v, stale +%v; want a reuse at 0/0",
+			resp.Header.Get("X-DW-Staleness"), resp.Header.Get("X-DW-Version"), srv.mReused.Value()-reused, srv.mStale.Value()-stale)
+	}
+	// After an update they get the cached answer with X-DW-Staleness and
+	// the version it was cached at — 0/0, though the warehouse has moved
+	// on to 0/1; fresh queries still evaluate.
+	postUpdate(t, ts.URL, "insert Sale('Radio', 'Paula')")
 	sresp, err := http.Get(ts.URL + "/query?q=" + escape("Sale") + "&stale=1")
 	if err != nil {
 		t.Fatal(err)

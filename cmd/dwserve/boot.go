@@ -2,9 +2,9 @@ package main
 
 import (
 	"slices"
-	"sync"
 	"time"
 
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/parse"
 )
@@ -15,7 +15,7 @@ import (
 // and bootstrap on a follower that started without a state. It is the boot
 // object of /stats, the dw_boot_phase_seconds gauges and the boot log line.
 type bootLedger struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.BootLedger]
 	last time.Time     // end of the last phase recorded
 	reg  *obs.Registry // the process's registry: it exists before the server does
 	bootStats

@@ -202,8 +202,8 @@ func main() {
 		srv.log.Warn("unreadable file ignored; starting with fresh estimates", "err", srv.mstatsErr)
 	}
 	// The pprof listener is a server value so the shutdown path below
-	// can close it; a bare http.ListenAndServe goroutine would outlive
-	// every context (dwlint:goleak).
+	// can close it; a bare http.ListenAndServe goroutine could never be
+	// stopped.
 	var debugSrv *http.Server
 	if *debugAddr != "" {
 		debugSrv = &http.Server{

@@ -59,9 +59,10 @@ func TestPreparedQueryHit(t *testing.T) {
 // TestQueryCacheCap: cap + 50 distinct texts leave at most cap entries,
 // and cap + 50 more whose answers together outgrow the byte cap leave at
 // most queryCacheBytes of bodies; every text is answered correctly, held or
-// evicted. At LevelStale a held text is served the bytes its entry holds;
-// an evicted one is evaluated afresh. A body larger than the byte cap keeps
-// its plan, not its body.
+// evicted. At LevelStale, with no update since, a held text is a reuse of
+// the bytes its entry holds and an evicted one is evaluated afresh: neither
+// is marked cache=. A body larger than the byte cap keeps its plan, not its
+// body.
 func TestQueryCacheCap(t *testing.T) {
 	// 700 more clerks with long names, aged 1000 and up, put ≈ 85 KB in an
 	// answer that lists Emp: none matches a small age, all but Mary and
@@ -146,13 +147,15 @@ func TestQueryCacheCap(t *testing.T) {
 	}
 	for _, c := range []struct {
 		i      int
-		cached bool
+		reused bool
 	}{{2*n - 1, true}, {0, false}} {
+		before := srv.mReused.Value()
 		resp, body := get(t, ts.URL+path(c.i)+"&stale=1")
+		reused := srv.mReused.Value() == before+1
 		if cached := strings.HasPrefix(resp.Header.Get("X-DW-Staleness"), "cache="); resp.StatusCode != 200 ||
-			cached != c.cached || !bytes.Equal(body, bodies[c.i]) {
-			t.Errorf("stale request for text %d: status %d, from the cache %v (want %v), body %.200s, want %.200s",
-				c.i, resp.StatusCode, cached, c.cached, body, bodies[c.i])
+			cached || reused != c.reused || !bytes.Equal(body, bodies[c.i]) {
+			t.Errorf("stale request for text %d: status %d, marked cache= %v (want false), reused %v (want %v), body %.200s, want %.200s",
+				c.i, resp.StatusCode, cached, reused, c.reused, body, bodies[c.i])
 		}
 	}
 

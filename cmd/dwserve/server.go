@@ -21,6 +21,7 @@ import (
 	dwc "dwcomplement"
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/journal"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/parse"
 	"dwcomplement/internal/remote"
@@ -124,7 +125,7 @@ type server struct {
 	// what only they touch. w is the writer's warehouse: ahead of the
 	// published version only inside a commit, between refresh and journal
 	// append.
-	mu         sync.Mutex
+	mu         lockrank.Mutex[lockrank.Server]
 	w          *dwc.Warehouse
 	sinceCkpt  int // acknowledged updates no checkpoint covers yet
 	jw         *journal.Writer
@@ -178,6 +179,7 @@ type server struct {
 	mQueryDur   *obs.Histogram
 	mBudget     *obs.Counter
 	mStale      *obs.Counter
+	mShed       map[admission.Class]*obs.Counter
 	mRefreshes  *obs.Counter
 	mRefreshDur *obs.Histogram
 	mRestricted *obs.Counter
@@ -438,6 +440,11 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		"Queries aborted for exceeding the per-query row budget.", nil)
 	s.mStale = s.reg.Counter("dw_stale_answers_total",
 		"Queries answered from the stale-answer cache under degradation.", nil)
+	s.mShed = make(map[admission.Class]*obs.Counter)
+	for _, cl := range admission.Classes() {
+		s.mShed[cl] = s.reg.Counter("dw_admission_shed_total",
+			"Requests refused by admission control, by class.", obs.Labels{"class": cl.String()})
+	}
 	s.mRefreshes = s.reg.Counter("dw_refreshes_total",
 		"Incremental warehouse refreshes applied.", nil)
 	s.mRefreshDur = s.reg.Histogram("dw_refresh_duration_seconds",
@@ -737,11 +744,26 @@ func (s *server) handleComplement(w http.ResponseWriter, _ *http.Request) {
 // name=seconds for each stale remote source (e.g. "sales=2.310").
 func (s *server) read(w http.ResponseWriter) *version {
 	v := s.cur.Load()
+	s.stamp(w, v)
+	return v
+}
+
+// stamp sets the headers of an answer read from v.
+func (s *server) stamp(w http.ResponseWriter, v *version) {
 	w.Header().Set("X-DW-Version", v.stamp())
 	if hdr := s.stalenessHeader(v); hdr != "" {
 		w.Header().Set("X-DW-Staleness", hdr)
 	}
-	return v
+}
+
+// writeReused answers a plain query with the stored bytes of an answer
+// computed from the state the response is stamped with: they are Q̂(v.w).
+func (s *server) writeReused(w http.ResponseWriter, req *http.Request, body []byte, start time.Time) {
+	trace.FromContext(req.Context()).SetAttr("answer", "reused")
+	s.mQueries.Inc()
+	s.mReused.Inc()
+	s.mQueryDur.Observe(time.Since(start).Seconds())
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *server) handleRelations(w http.ResponseWriter, _ *http.Request) {
@@ -791,12 +813,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if explain == 0 && e.body != nil && e.gen == v.gen {
-		// The entry was computed from the state v publishes: it is Q̂(v.w).
-		trace.FromContext(req.Context()).SetAttr("answer", "reused")
-		s.mQueries.Inc()
-		s.mReused.Inc()
-		s.mQueryDur.Observe(time.Since(start).Seconds())
-		writeBody(w, http.StatusOK, e.body)
+		s.writeReused(w, req, e.body, start)
 		return
 	}
 	// The evaluation span (child of the request span) carries the query,

@@ -140,9 +140,9 @@ func TestTraceHeaderAndPropagation(t *testing.T) {
 		} `json:"spans"`
 		Text string `json:"text"`
 	}
-	if code := getJSON(t, ts.URL+"/traces/"+id, &detail); code != 200 {
-		t.Fatalf("GET /traces/%s = %d", id, code)
-	}
+	// A request's spans end when its handler returns, after the response
+	// has left: poll for the trace.
+	waitUntil(t, 5*time.Second, func() bool { return getJSON(t, ts.URL+"/traces/"+id, &detail) == 200 })
 	if len(detail.Spans) == 0 || detail.Spans[0].Name != "http GET /relations" {
 		t.Fatalf("trace detail = %+v", detail)
 	}
@@ -157,12 +157,9 @@ func TestTraceHeaderAndPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if code := getJSON(t, ts.URL+"/traces/"+resp.Header.Get("X-DW-Trace"), &detail); code != 200 {
-		t.Fatalf("GET /traces for the query = %d", code)
-	}
-	if !strings.Contains(detail.Text, "query.eval") {
-		t.Errorf("query trace lacks query.eval:\n%s", detail.Text)
-	}
+	waitUntil(t, 5*time.Second, func() bool {
+		return getJSON(t, ts.URL+"/traces/"+resp.Header.Get("X-DW-Trace"), &detail) == 200 && strings.Contains(detail.Text, "query.eval")
+	})
 
 	// Inbound sampled parent on a rate-0 server: the request joins the
 	// caller's trace, so X-DW-Trace carries the caller's trace ID.

@@ -15,8 +15,11 @@ import (
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/source"
+	"dwcomplement/internal/testmain"
 	"dwcomplement/internal/trace"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 const testSpec = `
 relation Sale(item string, clerk string)

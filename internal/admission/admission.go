@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // Class is a request's priority class. Lower values are more important:
@@ -113,7 +115,7 @@ type Controller struct {
 	queueTimeout time.Duration
 	ladder       *Ladder
 
-	mu           sync.Mutex
+	mu           lockrank.Mutex[lockrank.Controller]
 	inuse        int // weighted admitted work
 	queuedWeight int
 	queues       [numClasses][]*waiter

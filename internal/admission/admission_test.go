@@ -8,7 +8,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // TestAcquireReleaseBasic: work within capacity is admitted immediately
 // and release restores the full capacity.

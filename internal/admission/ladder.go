@@ -1,9 +1,10 @@
 package admission
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // Level is a rung of the degradation ladder. Higher levels shed more:
@@ -69,7 +70,7 @@ type Ladder struct {
 	cfg   LadderConfig
 	level atomic.Int32
 
-	mu         sync.Mutex
+	mu         lockrank.Mutex[lockrank.Ladder]
 	hiSince    time.Time // start of the current >=High streak
 	loSince    time.Time // start of the current <Low streak
 	stallSince time.Time // start of the current stall streak

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"dwcomplement/internal/relation"
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // TestBudgetUnlimitedByDefault: a context without a budget evaluates
 // exactly like before.

@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/relation"
 )
 
@@ -128,7 +128,7 @@ type EvalContext struct {
 	ctx        context.Context
 	budget     Budget      // set once at construction, read-only after
 	overBudget atomic.Bool // latched by checkBudgetLocked, read by Err
-	mu         sync.Mutex
+	mu         lockrank.Mutex[lockrank.EvalContext]
 	stats      EvalStats
 	roots      []*PlanNode
 	planNodes  int

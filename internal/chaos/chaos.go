@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // armedAny is the fast-path flag: when false (the production state),
@@ -31,7 +33,7 @@ import (
 var armedAny atomic.Bool
 
 var (
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.Chaos]
 	points map[string]*pointState
 )
 

@@ -4,7 +4,11 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 func TestPointDisarmedIsNil(t *testing.T) {
 	Reset()

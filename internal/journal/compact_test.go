@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"dwcomplement/internal/chaos"
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // appendSeqs appends one record per sequence number in [from, to].
 func appendSeqs(t *testing.T, w *Writer, from, to uint64) {

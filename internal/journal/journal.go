@@ -54,12 +54,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/chaos"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/snapshot"
 	"dwcomplement/internal/trace"
@@ -197,7 +197,7 @@ func Frame(rec Record) ([]byte, error) {
 // fsync'd, so a crash after Append cannot lose the record. Safe for
 // concurrent use.
 type Writer struct {
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.Journal]
 	f    *os.File
 	path string
 	last int64 // bytes of the last record at the file's end that Withdraw may take back (0: none)

@@ -4,7 +4,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // TestStatusRecorderFlushes: a flush through the recorder reaches the
 // writer it wraps, and the recorder still counts what went through it.

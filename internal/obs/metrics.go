@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // Labels attaches dimension values to a metric series. The same metric
@@ -67,7 +69,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // exemplar leads straight to the apply trace that was running when the
 // lag was measured. Safe for concurrent use.
 type ObservedGauge struct {
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.ObservedGauge]
 	v  float64
 	ex Exemplar
 }
@@ -228,7 +230,7 @@ type family struct {
 // of caching. Mixing kinds (or histogram buckets) under one name panics —
 // that is a programming error, not an operational condition.
 type Registry struct {
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.Registry]
 	families map[string]*family
 	order    []string
 }

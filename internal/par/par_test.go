@@ -6,7 +6,11 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // TestDo: every index runs exactly once, the error is the lowest failing
 // index's whatever finished first, and with several processors the steps

@@ -9,7 +9,11 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // codecValues is the pool the generated relations draw from: every kind,
 // and within each the payloads an encoding is most likely to lose.

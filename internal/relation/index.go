@@ -5,8 +5,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // table is the one hash table of the package, over some columns of a
@@ -277,7 +278,7 @@ func (ix *Index) extend() {
 // output builds its membership table. Readers racing to cover serialize
 // on mu, the owner's lock, and double-check; the covered store/load pair
 // orders the slot writes before any reader's fast-path pass.
-func (tb *table) cover(mu *sync.Mutex) {
+func (tb *table) cover(mu *lockrank.Mutex[lockrank.Relation]) {
 	if tb.covered.Load() == int64(tb.hashes.len()) {
 		return
 	}

@@ -9,7 +9,8 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // ErrSchemaMismatch is wrapped by operators that require equal attribute
@@ -73,7 +74,7 @@ type Relation struct {
 	rows  rowPages
 	set   table // the membership table: set.hashes.at(i) is the hash of row i
 
-	mu      sync.Mutex // guards indexes/derived and building set's slots; rows follow the package-wide contract above
+	mu      lockrank.Mutex[lockrank.Relation] // guards indexes/derived and building set's slots; rows follow the package-wide contract above
 	indexes map[string]*Index
 	derived []*pageSlot // derived[k], where set, holds the section of row page k (page.go)
 }

@@ -1,8 +1,9 @@
 package remote
 
 import (
-	"sync"
 	"time"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // BreakerState is a circuit breaker's position.
@@ -37,7 +38,7 @@ func (s BreakerState) String() string {
 // failed one re-opens it and restarts the cooldown. The clock is
 // injectable so state transitions are deterministically testable.
 type Breaker struct {
-	mu        sync.Mutex
+	mu        lockrank.Mutex[lockrank.Breaker]
 	state     BreakerState
 	failures  int
 	threshold int

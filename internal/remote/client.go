@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dwcomplement/internal/catalog"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/source"
 	"dwcomplement/internal/trace"
@@ -46,7 +47,7 @@ type Client struct {
 	db    *catalog.Database
 	httpc *http.Client
 
-	mu           sync.Mutex
+	mu           lockrank.Mutex[lockrank.RemoteClient]
 	notify       func(source.Notification)
 	cursor       uint64 // highest Seq fetched by the poll loop
 	lastAttempts int    // attempts the last successful fetch needed

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/obs"
 )
 
@@ -106,7 +107,7 @@ type Link struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu          sync.Mutex
+	mu          lockrank.Mutex[lockrank.Link]
 	lastSuccess time.Time
 	lastErr     error
 	consecFails int

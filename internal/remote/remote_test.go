@@ -17,8 +17,11 @@ import (
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/source"
+	"dwcomplement/internal/testmain"
 	"dwcomplement/internal/workload"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // fixture builds one sealed Figure 1 source owning Sale, served over a
 // real httptest listener.

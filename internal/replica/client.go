@@ -8,12 +8,12 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/journal"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/snapshot"
 )
@@ -56,7 +56,7 @@ type Client struct {
 	db    *catalog.Database
 	httpc *http.Client
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.ReplicaClient]
 	minEpoch uint64 // fencing floor: responses below it are rejected
 	cursor   uint64 // last LSN the follower reported applying
 }

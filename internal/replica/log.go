@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"dwcomplement/internal/journal"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/retain"
 )
 
@@ -34,7 +34,7 @@ type Entry struct {
 type Log struct {
 	ring *retain.Log[Entry]
 
-	mu    sync.Mutex // orders appends, resets and reads against the epoch
+	mu    lockrank.Mutex[lockrank.ReplicaLog] // orders appends, resets and reads against the epoch
 	epoch uint64
 }
 

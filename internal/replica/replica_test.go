@@ -21,8 +21,11 @@ import (
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/snapshot"
+	"dwcomplement/internal/testmain"
 	"dwcomplement/internal/workload"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 func testDB(t *testing.T) *catalog.Database {
 	t.Helper()

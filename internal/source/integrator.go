@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/core"
 	"dwcomplement/internal/journal"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/snapshot"
@@ -72,7 +72,7 @@ type Integrator struct {
 	w *warehouse.Warehouse
 	m *maintain.Maintainer
 
-	mu         sync.Mutex
+	mu         lockrank.Mutex[lockrank.Integrator]
 	applied    map[string]uint64 // last sequence number applied per source
 	pending    map[string][]Notification
 	gapSince   map[string]time.Time // when the current head gap opened

@@ -16,6 +16,7 @@ import (
 	"dwcomplement/internal/obs"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/snapshot"
+	"dwcomplement/internal/trace"
 	"dwcomplement/internal/workload"
 )
 
@@ -245,9 +246,12 @@ func TestRefreshFailureDeadLetters(t *testing.T) {
 		t.Fatal("Flush true while a notification is wedged")
 	}
 
-	// Fault cleared: redrive applies the held notification.
+	// Fault cleared: redrive applies the held notification, under a
+	// recorded trace whose spans the refresh takes inside the integrator.
 	chaos.Reset()
-	if err := integ.Redrive(context.Background()); err != nil {
+	ctx, sp := trace.New(trace.Config{Rate: 1, Seed: 1}).Start(context.Background(), "redrive")
+	defer sp.End()
+	if err := integ.Redrive(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if !integ.Flush() {

@@ -12,13 +12,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/constraint"
+	"dwcomplement/internal/lockrank"
 	"dwcomplement/internal/relation"
 	"dwcomplement/internal/retain"
 	"dwcomplement/internal/trace"
@@ -76,7 +76,7 @@ type Source struct {
 	// behind an Apply.
 	reports *retain.Log[Notification]
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Source]
 	state   *catalog.State
 	notify  func(Notification)
 	queries atomic.Int64  // ad-hoc query attempts, sealed or not

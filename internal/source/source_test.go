@@ -12,8 +12,11 @@ import (
 	"dwcomplement/internal/catalog"
 	"dwcomplement/internal/core"
 	"dwcomplement/internal/relation"
+	"dwcomplement/internal/testmain"
 	"dwcomplement/internal/workload"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 // figure1Env builds the two-source deployment of Figure 1: the Sales
 // database owns Sale, the Company database owns Emp.

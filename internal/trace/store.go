@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // SpanRecord is one finished span as exported to the ring buffer. It is
@@ -38,7 +39,7 @@ type TraceSummary struct {
 // overwritten and unindexed, so memory is bounded no matter how long
 // the process runs. Safe for concurrent use.
 type Store struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.TraceStore]
 	slots   []SpanRecord
 	used    []bool
 	next    int

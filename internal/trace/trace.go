@@ -16,9 +16,10 @@ import (
 	"context"
 	"encoding/hex"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"dwcomplement/internal/lockrank"
 )
 
 // TraceID identifies one end-to-end trace (16 bytes, hex on the wire).
@@ -119,7 +120,7 @@ type Span struct {
 	parent SpanID
 	start  time.Time
 
-	mu    sync.Mutex
+	mu    lockrank.Mutex[lockrank.Span]
 	attrs []Attr
 	ended bool
 }
@@ -240,7 +241,7 @@ type Tracer struct {
 	// open counts the spans started on this tracer and not yet ended.
 	open atomic.Int64
 
-	mu  sync.Mutex
+	mu  lockrank.Mutex[lockrank.Tracer]
 	rng *rand.Rand
 }
 

@@ -7,7 +7,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dwcomplement/internal/testmain"
 )
+
+func TestMain(m *testing.M) { testmain.Run(m) }
 
 func TestTraceparentRoundtrip(t *testing.T) {
 	tr := New(Config{Rate: 1, Seed: 7})
