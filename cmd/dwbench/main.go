@@ -3,10 +3,12 @@
 // named experiments E1..E16 (see DESIGN.md's experiment index and
 // EXPERIMENTS.md for the recorded outcomes), plus E18, which prices the
 // tracing layer (disabled instrumentation must be free, 1% sampling
-// under 5% of refresh throughput), E19 (overload) and E20 (replication).
-// Each experiment prints the paper's expectation next to what this
-// implementation measures. E17, the columnar operators against a
-// string-keyed row-at-a-time strawman, is retired; ids are not reused.
+// under 5% of refresh throughput). Each experiment prints the paper's
+// expectation next to what this implementation measures. E17, E19 and
+// E20 are retired, and ids are not reused: E17 raced the columnar
+// operators against a row-at-a-time strawman, and E19 (overload) and E20
+// (replication) ran miniatures of dwserve, whose gates are now tests of
+// the code itself.
 //
 // Usage:
 //
@@ -45,11 +47,6 @@ type config struct {
 	seed    int64
 	out     io.Writer
 	metrics map[string]float64
-	// sharedHost is set by the package's own test sweep, which runs beside
-	// the other packages' test binaries on the same CPUs: an experiment
-	// keeps its correctness gates there and reports, without enforcing,
-	// the ones that are wall-clock ratios.
-	sharedHost bool
 }
 
 // metric records a named measurement for the experiment's JSON record.
@@ -204,7 +201,7 @@ func main() {
 func experiments() []experiment {
 	exps := []experiment{
 		e1(), e2(), e3(), e4(), e5(), e6(), e7(),
-		e8(), e9(), e10(), e11(), e12(), e13(), e14(), e15(), e16(), e18(), e19(), e20(),
+		e8(), e9(), e10(), e11(), e12(), e13(), e14(), e15(), e16(), e18(),
 	}
 	sort.Slice(exps, func(i, j int) bool {
 		// E1..E9 sort before E10 numerically.

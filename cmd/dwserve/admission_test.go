@@ -441,7 +441,6 @@ func TestOverloadSoak(t *testing.T) {
 
 	var readyzFail atomic.Int64
 	rep := chaos.RunSpike(context.Background(), chaos.SpikeConfig{
-		Seed:     42,
 		Baseline: 2,
 		Peak:     16,
 		Warmup:   50 * time.Millisecond,
@@ -481,16 +480,16 @@ func TestOverloadSoak(t *testing.T) {
 	close(stopWriter)
 	<-writerDone
 
-	for label, st := range rep.ByLabel {
-		t.Logf("label %q: %d", label, st.Count)
+	for label, n := range rep.ByLabel {
+		t.Logf("label %q: %d", label, n)
 	}
 	t.Logf("adm: cap=%d inflight=%d admitted(q)=%d admitted(d)=%d shed(q)=%d shed(d)=%d stalls=%d acked=%d",
 		srv.adm.Capacity(), srv.adm.InFlight(), srv.adm.Admitted(admission.Query), srv.adm.Admitted(admission.Delivery),
 		srv.adm.Shed(admission.Query), srv.adm.Shed(admission.Delivery), srv.adm.Stalls(), acked.Load())
-	if rep.Stats("ok").Count == 0 {
+	if rep.ByLabel["ok"] == 0 {
 		t.Fatal("no queries succeeded during the soak")
 	}
-	if rep.Stats("shed").Count == 0 {
+	if rep.ByLabel["shed"] == 0 {
 		t.Fatal("overload never shed: the soak did not exercise admission control")
 	}
 	if n := readyzFail.Load(); n != 0 {
@@ -518,5 +517,5 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatalf("Sold has %d rows, oracle says %d (acked inserts %d)", rels["Sold"], want, acked.Load())
 	}
 	t.Logf("soak: %d calls, %d ok, %d shed, %d acked updates, level=%v",
-		rep.Calls, rep.Stats("ok").Count, rep.Stats("shed").Count, acked.Load(), srv.adm.Level())
+		rep.Calls, rep.ByLabel["ok"], rep.ByLabel["shed"], acked.Load(), srv.adm.Level())
 }

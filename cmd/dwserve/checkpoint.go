@@ -327,11 +327,6 @@ func (s *server) persist(ck *checkpoint) (err error) {
 	sp.SetAttrInt("pagesReused", int64(st.PagesReused))
 	sp.SetAttrInt("encodeUs", st.Encode.Microseconds())
 	sp.SetAttrInt("fsyncUs", st.Sync.Microseconds())
-	// The maintenance EWMAs ride along; they are advisory (planner input),
-	// so a failed save degrades estimates, not durability.
-	if err := s.mstats.Save(maintstatsPath(s.cfg.SnapshotDir)); err != nil {
-		s.log.Warn("maintenance stats save failed", "err", err)
-	}
 	if ck.jw == nil {
 		return nil
 	}

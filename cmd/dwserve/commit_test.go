@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"dwcomplement/internal/chaos"
+	"dwcomplement/internal/trace"
 )
 
 // lockedBuffer is a log sink the test reads while handlers may still write.
@@ -70,7 +71,10 @@ func readWAL(t *testing.T, dir string) []byte {
 // written. The ack is not 2xx, and the withdrawal leaves the journal byte
 // for byte, the published version and the replication log's tip as they
 // were; the count and the log line show it. The retried update commits
-// at the same coordinates, and a restart replays exactly the acks.
+// at the same coordinates, and a restart replays exactly the acks. Every
+// request is traced, so each commit takes chaos's lock and the trace
+// package's (tracer, store, spans) under the server's, nestings the rank
+// check holds to the table in this test binary.
 func TestCommitWithdrawsFailedRefresh(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
@@ -78,6 +82,7 @@ func TestCommitWithdrawsFailedRefresh(t *testing.T) {
 	srv, ts := newDurableServer(t, dir, 1000)
 	var logs lockedBuffer
 	srv.log = slog.New(slog.NewTextHandler(&logs, nil))
+	srv.tracer = trace.New(trace.Config{Rate: 1})
 	postUpdate(t, ts.URL, "insert Sale('VCR', 'Paula')")
 	wal, stamp, tip := readWAL(t, dir), versionStamp(t, ts), srv.rlog.Tip()
 

@@ -198,9 +198,6 @@ func main() {
 	if srv.wedgedErr != nil {
 		srv.log.Error("journal replay wedged; serving stale (see /readyz)", "err", srv.wedgedErr)
 	}
-	if srv.mstatsErr != nil {
-		srv.log.Warn("unreadable file ignored; starting with fresh estimates", "err", srv.mstatsErr)
-	}
 	// The pprof listener is a server value so the shutdown path below
 	// can close it; a bare http.ListenAndServe goroutine could never be
 	// stopped.

@@ -251,12 +251,20 @@ func (s *server) handleRepoint(w http.ResponseWriter, req *http.Request) {
 func (s *server) StartFollower(ctx context.Context, leaderURL string) {
 	s.mReplLag = s.reg.ObservedGauge("dw_replica_lag_seconds",
 		"Follower catch-up lag behind the leader's replication tip.", nil)
-	s.mu.Lock()
-	s.followCtx = ctx
-	s.w.Seal()
-	s.publish(func(v *version) { v.role = roleFollower })
-	s.mu.Unlock()
+	s.locked(func() {
+		s.followCtx = ctx
+		s.w.Seal()
+		s.publish(func(v *version) { v.role = roleFollower })
+	})
 	s.startFollowing(leaderURL)
+}
+
+// locked runs f under s.mu and unlocks by defer, so a panic in f leaves
+// the lock free for the cleanup that runs next.
+func (s *server) locked(f func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f()
 }
 
 // startFollowing builds a stream client for leaderURL and starts the
@@ -269,24 +277,28 @@ func (s *server) startFollowing(leaderURL string) {
 	if s.followTransport != nil {
 		c.SetTransport(s.followTransport)
 	}
-	s.mu.Lock()
-	v := s.cur.Load()
-	c.SetMinEpoch(v.epoch)
-	c.SetCursor(v.lsn)
-	fctx, cancel := context.WithCancel(s.followCtx)
-	f := &followerState{client: c, cancel: cancel, done: make(chan struct{})}
-	s.publish(func(v *version) { v.follower = f })
-	s.mu.Unlock()
+	var fctx context.Context
+	var f *followerState
+	s.locked(func() {
+		v := s.cur.Load()
+		c.SetMinEpoch(v.epoch)
+		c.SetCursor(v.lsn)
+		var cancel context.CancelFunc
+		fctx, cancel = context.WithCancel(s.followCtx)
+		f = &followerState{client: c, cancel: cancel, done: make(chan struct{})}
+		s.publish(func(v *version) { v.follower = f })
+	})
 	go s.followLoop(fctx, f)
 }
 
 // stopFollower stops the follower loop and waits for it to exit; a
 // no-op on a leader.
 func (s *server) stopFollower() {
-	s.mu.Lock()
-	f := s.cur.Load().follower
-	s.publish(func(v *version) { v.follower = nil })
-	s.mu.Unlock()
+	var f *followerState
+	s.locked(func() {
+		f = s.cur.Load().follower
+		s.publish(func(v *version) { v.follower = nil })
+	})
 	if f != nil {
 		f.cancel()
 		<-f.done

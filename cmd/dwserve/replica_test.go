@@ -128,10 +128,15 @@ func TestFollowerCatchUpAndReadOnly(t *testing.T) {
 	assertSameState(t, fsrv, leader, "after bootstrap+stream")
 
 	// Live streaming: updates committed after the follower caught up
-	// arrive without another bootstrap.
+	// arrive without another bootstrap, both applied within 2 s of the
+	// first one's ack (the catch-up lag bound).
 	postUpdate(t, lts.URL, "insert Emp('Zoe', 41)")
+	acked := time.Now()
 	postUpdate(t, lts.URL, "insert Sale('item-9', 'Zoe')")
 	waitLSN(t, fsrv, 5)
+	if lag := time.Since(acked); lag > 2*time.Second {
+		t.Fatalf("catch-up lag %v, bound 2s", lag)
+	}
 	assertSameState(t, fsrv, leader, "after live stream")
 
 	// Exactly-once via the per-source watermark: the follower's http
@@ -266,9 +271,11 @@ func TestFollowerTornStreamResume(t *testing.T) {
 }
 
 // TestPromoteFencing drives a fenced takeover and the double-promotion
-// regression: promoting at an epoch at or below the current one is
-// refused, a deposed leader's responses are rejected as stale by any
-// fenced client, and the promoted replica accepts writes.
+// regression: the promoted replica answers its first query within 2 s of
+// POST /promote (failover to first answer), promoting at an epoch at or
+// below the current one is refused, a deposed leader's responses are
+// rejected as stale by any fenced client, and the promoted replica
+// accepts writes.
 func TestPromoteFencing(t *testing.T) {
 	leader, lts := newReplicaNode(t)
 	postUpdate(t, lts.URL, "insert Sale('pre', 'Mary')")
@@ -278,6 +285,7 @@ func TestPromoteFencing(t *testing.T) {
 	waitLSN(t, fsrv, 1)
 
 	// Promote the follower to epoch 2.
+	start := time.Now()
 	resp, err := http.Post(fts.URL+"/promote?epoch=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +293,12 @@ func TestPromoteFencing(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote: status %d", resp.StatusCode)
+	}
+	if code, body := getText(t, fts.URL+"/query?q="+escape("Sale join Emp")); code != http.StatusOK {
+		t.Fatalf("first query after promotion: status %d: %s", code, body)
+	}
+	if failover := time.Since(start); failover > 2*time.Second {
+		t.Fatalf("promotion to first answer took %v, bound 2s", failover)
 	}
 	epoch, _, _ := coords(fsrv)
 	if epoch != 2 {

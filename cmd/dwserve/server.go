@@ -80,10 +80,6 @@ type serverConfig struct {
 	Boot *bootLedger
 }
 
-// maintstatsPath is the persisted maintenance-stats file inside a
-// -snapshot-dir; the EWMAs survive restarts alongside the checkpoint.
-func maintstatsPath(dir string) string { return filepath.Join(dir, "maintstats.json") }
-
 // httpSource names the single logical update source of the HTTP API in
 // journal records and snapshot watermarks.
 const httpSource = "http"
@@ -112,7 +108,6 @@ type server struct {
 	journalOK     bool  // the journal replayed without failures
 	replayed      int   // journal records applied at startup
 	wedgedErr     error // first replay refresh failure, if any
-	mstatsErr     error // why boot started with fresh maintenance estimates, if it had to
 	withdrawnTail error // the journal's last record, withdrawn because it failed on replay
 
 	// cur is the published version: the one thing readers see. Every read
@@ -151,8 +146,8 @@ type server struct {
 
 	// Tracing and planner-facing maintenance statistics. The tracer is
 	// always non-nil (rate 0 just never samples fresh roots — sampled
-	// remote parents are still honored); mstats is persisted across
-	// checkpoints under SnapshotDir.
+	// remote parents are still honored); mstats lives in memory only and
+	// starts fresh on every boot.
 	tracer *trace.Tracer
 	mstats *trace.MaintStats
 
@@ -301,14 +296,8 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		mChanges:  map[string]*obs.Counter{},
 	}
 	if cfg.SnapshotDir != "" {
-		if err := snapshot.SweepTemps(cfg.SnapshotDir, trace.MaintStatsTemp); err != nil {
+		if err := snapshot.SweepTemps(cfg.SnapshotDir); err != nil {
 			return nil, fmt.Errorf("snapshot dir %s: %w", cfg.SnapshotDir, err)
-		}
-		// The estimates are advisory, and their file is renamed into place
-		// without an fsync — a power cut can leave it empty: an unreadable
-		// one costs the estimates, not the boot.
-		if err := s.mstats.Load(maintstatsPath(cfg.SnapshotDir)); err != nil {
-			s.mstatsErr = fmt.Errorf("maintenance stats %s: %w", maintstatsPath(cfg.SnapshotDir), err)
 		}
 	}
 

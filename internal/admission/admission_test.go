@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,6 +308,70 @@ func TestAdmissionHammer(t *testing.T) {
 		c.Shed(Delivery) + c.Shed(Query) + c.Shed(Trace)
 	if total != 32*50 {
 		t.Fatalf("admitted+shed = %d, want %d", total, 32*50)
+	}
+}
+
+// TestGoodputUnderFourfoldLoad: capacity 4 in front of a 500 µs
+// operation, offered by 16 workers with no queue, so the excess sheds at
+// once; a shed worker backs off for one service time, as a client honoring
+// Retry-After does. Goodput must hold at least 80 % of what 4 workers
+// complete with no controller in front, and a shed must cost under 5 ms at
+// p95. Capacity and burst windows alternate, so both see the same host
+// load, and the goodput gate is the median of the per-pair ratios.
+func TestGoodputUnderFourfoldLoad(t *testing.T) {
+	const capacity, service, pairs = 4, 500 * time.Microsecond, 7
+	// drive runs workers loops of op for one 100 ms window and counts the
+	// calls that did the work.
+	drive := func(workers int, op func() bool) float64 {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		var done atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					if op() {
+						done.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return float64(done.Load())
+	}
+	c := New(Config{Capacity: capacity, QueryQueue: -1})
+	var mu sync.Mutex
+	var sheds []time.Duration
+	admitted := func() bool {
+		start := time.Now()
+		release, err := c.Acquire(context.Background(), Query, 1)
+		shed := time.Since(start)
+		time.Sleep(service)
+		if err != nil {
+			mu.Lock()
+			sheds = append(sheds, shed)
+			mu.Unlock()
+			return false
+		}
+		release()
+		return true
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		direct := drive(capacity, func() bool { time.Sleep(service); return true })
+		ratios[i] = drive(4*capacity, admitted) / direct
+	}
+	slices.Sort(ratios)
+	slices.Sort(sheds)
+	if len(sheds) == 0 {
+		t.Fatal("4× the capacity never shed")
+	}
+	goodput, shedP95 := ratios[pairs/2], sheds[len(sheds)*95/100]
+	t.Logf("goodput %.2f of capacity (median of %.2f), %d sheds, p95 %v", goodput, ratios, len(sheds), shedP95)
+	if goodput < 0.8 || shedP95 >= 5*time.Millisecond {
+		t.Errorf("under 4× load: goodput %.2f of capacity (floor 0.8), shed p95 %v (must be under 5ms)", goodput, shedP95)
 	}
 }
 

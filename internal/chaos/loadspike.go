@@ -1,28 +1,22 @@
 package chaos
 
-// Load-spike injection: a seedable open-loop load generator for overload
-// soaks and the dwbench overload experiment. It drives an operation with
-// a baseline worker pool, slams it with a much larger pool for the burst
-// phase, then cools down — the classic traffic-spike shape that admission
-// control exists to survive. Workers label every call's outcome
-// ("ok", "shed", ...) and the report aggregates per-label counts and
-// latency quantiles, so the caller can gate goodput and shed latency
-// without any clock or randomness of its own. Like the crash points, the
-// injector imports only the standard library.
+// Load-spike injection: an open-loop load generator for overload soaks.
+// It drives an operation with a baseline worker pool, slams it with a
+// much larger pool for the burst phase, then cools down — the classic
+// traffic-spike shape that admission control exists to survive. Workers
+// label every call's outcome ("ok", "shed", ...) and the report counts
+// the calls per label, so the caller can check that the spike both shed
+// and got work through. Like the crash points, the injector imports only
+// the standard library.
 
 import (
 	"context"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
 
 // SpikeConfig shapes one load spike.
 type SpikeConfig struct {
-	// Seed fixes the per-worker think-time jitter; the same seed and
-	// config produce the same call schedule modulo scheduler timing.
-	Seed int64
 	// Baseline is the worker count of the warmup and cooldown phases
 	// (default 1).
 	Baseline int
@@ -33,68 +27,14 @@ type SpikeConfig struct {
 	// Warmup, Burst and Cooldown are the phase durations. Zero skips the
 	// phase (a zero Burst makes the spike a no-op).
 	Warmup, Burst, Cooldown time.Duration
-	// Think is the mean pause between a worker's calls (default 0: none).
-	// Actual pauses jitter uniformly in [0, 2×Think).
-	Think time.Duration
-}
-
-// SpikeStats aggregates one label's outcomes.
-type SpikeStats struct {
-	Count     int64
-	latencies []time.Duration // sorted by finalize
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of the label's call
-// latencies, or 0 when no calls were recorded.
-func (s *SpikeStats) Quantile(p float64) time.Duration {
-	if s == nil || len(s.latencies) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(s.latencies)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.latencies) {
-		i = len(s.latencies) - 1
-	}
-	return s.latencies[i]
 }
 
 // SpikeReport is the outcome of one RunSpike.
 type SpikeReport struct {
 	// Calls is the total operations issued across all phases.
 	Calls int64
-	// Wall is the end-to-end duration of the spike.
-	Wall time.Duration
-	// ByLabel aggregates outcomes per label returned by the operation.
-	ByLabel map[string]*SpikeStats
-	// BurstCalls and BurstByLabel cover only the burst phase — the
-	// window the overload gates care about.
-	BurstCalls   int64
-	BurstByLabel map[string]*SpikeStats
-}
-
-// Stats returns the aggregate for label (never nil).
-func (r SpikeReport) Stats(label string) *SpikeStats {
-	if s, ok := r.ByLabel[label]; ok {
-		return s
-	}
-	return &SpikeStats{}
-}
-
-// BurstStats returns the burst-phase aggregate for label (never nil).
-func (r SpikeReport) BurstStats(label string) *SpikeStats {
-	if s, ok := r.BurstByLabel[label]; ok {
-		return s
-	}
-	return &SpikeStats{}
-}
-
-// sample is one recorded call.
-type sample struct {
-	label   string
-	latency time.Duration
-	burst   bool
+	// ByLabel counts the calls per label returned by the operation.
+	ByLabel map[string]int64
 }
 
 // RunSpike drives op through warmup → burst → cooldown and returns the
@@ -109,11 +49,10 @@ func RunSpike(ctx context.Context, cfg SpikeConfig, op func(ctx context.Context,
 	if cfg.Peak <= 0 {
 		cfg.Peak = 4 * cfg.Baseline
 	}
-	start := time.Now()
+	rep := SpikeReport{ByLabel: map[string]int64{}}
 	var mu sync.Mutex
-	var all []sample
 
-	runPhase := func(workers int, d time.Duration, burst bool) {
+	runPhase := func(workers int, d time.Duration) {
 		if d <= 0 || ctx.Err() != nil {
 			return
 		}
@@ -124,63 +63,24 @@ func RunSpike(ctx context.Context, cfg SpikeConfig, op func(ctx context.Context,
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// Per-worker rng: deterministic under the seed, no shared
-				// lock on the hot path.
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-				var local []sample
+				// Counted locally: no shared lock on the hot path.
+				local := map[string]int64{}
 				for pctx.Err() == nil {
-					t0 := time.Now()
-					label := op(pctx, w)
-					local = append(local, sample{label: label, latency: time.Since(t0), burst: burst})
-					if cfg.Think > 0 {
-						pause := time.Duration(rng.Int63n(int64(2 * cfg.Think)))
-						timer := time.NewTimer(pause)
-						select {
-						case <-pctx.Done():
-							timer.Stop()
-						case <-timer.C:
-						}
-					}
+					local[op(pctx, w)]++
 				}
 				mu.Lock()
-				all = append(all, local...)
+				for label, n := range local {
+					rep.Calls += n
+					rep.ByLabel[label] += n
+				}
 				mu.Unlock()
 			}(w)
 		}
 		wg.Wait()
 	}
 
-	runPhase(cfg.Baseline, cfg.Warmup, false)
-	runPhase(cfg.Peak, cfg.Burst, true)
-	runPhase(cfg.Baseline, cfg.Cooldown, false)
-
-	rep := SpikeReport{
-		Wall:         time.Since(start),
-		ByLabel:      map[string]*SpikeStats{},
-		BurstByLabel: map[string]*SpikeStats{},
-	}
-	for _, s := range all {
-		rep.Calls++
-		add(rep.ByLabel, s)
-		if s.burst {
-			rep.BurstCalls++
-			add(rep.BurstByLabel, s)
-		}
-	}
-	for _, m := range []map[string]*SpikeStats{rep.ByLabel, rep.BurstByLabel} {
-		for _, st := range m {
-			sort.Slice(st.latencies, func(i, j int) bool { return st.latencies[i] < st.latencies[j] })
-		}
-	}
+	runPhase(cfg.Baseline, cfg.Warmup)
+	runPhase(cfg.Peak, cfg.Burst)
+	runPhase(cfg.Baseline, cfg.Cooldown)
 	return rep
-}
-
-func add(m map[string]*SpikeStats, s sample) {
-	st, ok := m[s.label]
-	if !ok {
-		st = &SpikeStats{}
-		m[s.label] = st
-	}
-	st.Count++
-	st.latencies = append(st.latencies, s.latency)
 }

@@ -32,7 +32,6 @@ const (
 	_ Rank = iota
 	rankSource
 	rankIntegrator
-	rankE20Leader
 	rankServer
 	rankBootLedger
 	rankController
@@ -63,7 +62,6 @@ type Class interface{ class() (Rank, string) }
 type (
 	Source        struct{}
 	Integrator    struct{}
-	E20Leader     struct{}
 	Server        struct{}
 	BootLedger    struct{}
 	Controller    struct{}
@@ -86,7 +84,6 @@ type (
 
 func (Source) class() (Rank, string)        { return rankSource, "source.Source.mu" }
 func (Integrator) class() (Rank, string)    { return rankIntegrator, "source.Integrator.mu" }
-func (E20Leader) class() (Rank, string)     { return rankE20Leader, "dwbench.e20Leader.mu" }
 func (Server) class() (Rank, string)        { return rankServer, "dwserve.server.mu" }
 func (BootLedger) class() (Rank, string)    { return rankBootLedger, "dwserve.bootLedger.mu" }
 func (Controller) class() (Rank, string)    { return rankController, "admission.Controller.mu" }

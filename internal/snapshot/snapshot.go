@@ -325,20 +325,16 @@ func SaveFileMarks(path string, ms map[string]*relation.Relation, marks map[stri
 const tempPattern = ".snap-*"
 
 // SweepTemps removes the temp files that saves into dir left behind
-// when the process was killed before their rename — and those matching
-// the patterns of whatever else is saved beside the snapshot the same
-// way. Nothing ever reads one, so the owner of the directory calls this
-// before it loads.
-func SweepTemps(dir string, more ...string) error {
-	for _, pattern := range append([]string{tempPattern}, more...) {
-		stale, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
+// when the process was killed before their rename. Nothing ever reads
+// one, so the owner of the directory calls this before it loads.
+func SweepTemps(dir string) error {
+	stale, err := filepath.Glob(filepath.Join(dir, tempPattern))
+	if err != nil {
+		return err
+	}
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			return err
-		}
-		for _, path := range stale {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return err
-			}
 		}
 	}
 	return nil

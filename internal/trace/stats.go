@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -59,8 +56,7 @@ type PipelineStats struct {
 }
 
 // StatsSnapshot is the JSON shape served under /stats (key
-// "maintenance") and persisted across checkpoints. Targets are sorted
-// by name so output is stable.
+// "maintenance"). Targets are sorted by name so output is stable.
 type StatsSnapshot struct {
 	Alpha    float64       `json:"alpha"`
 	Pipeline PipelineStats `json:"pipeline"`
@@ -143,69 +139,4 @@ func (m *MaintStats) Snapshot() StatsSnapshot {
 	m.mu.Unlock()
 	sort.Slice(snap.Targets, func(i, j int) bool { return snap.Targets[i].Target < snap.Targets[j].Target })
 	return snap
-}
-
-// MaintStatsTemp names the temp files Save writes next to its target; a
-// kill before the rename leaves one behind, for whoever owns the directory
-// to sweep (snapshot.SweepTemps).
-const MaintStatsTemp = ".maintstats-*"
-
-// Save persists the snapshot as JSON via write-to-temp + rename, the
-// same atomicity discipline as package snapshot — minus the fsync: the
-// estimates are advisory, and Load's caller treats an unreadable file as
-// a fresh start. Nil collectors save nothing.
-func (m *MaintStats) Save(path string) error {
-	if m == nil {
-		return nil
-	}
-	snap := m.Snapshot()
-	raw, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), MaintStatsTemp)
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// Load restores estimates saved by Save, replacing current state. A
-// missing file is not an error (fresh start).
-func (m *MaintStats) Load(path string) error {
-	if m == nil {
-		return nil
-	}
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var snap StatsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	if snap.Alpha > 0 && snap.Alpha <= 1 {
-		m.alpha = snap.Alpha
-	}
-	m.pipeline = snap.Pipeline
-	m.targets = make(map[string]*TargetStats, len(snap.Targets))
-	for _, ts := range snap.Targets {
-		cp := ts
-		m.targets[ts.Target] = &cp
-	}
-	m.mu.Unlock()
-	return nil
 }

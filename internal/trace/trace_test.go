@@ -319,30 +319,6 @@ func TestEWMAConvergence(t *testing.T) {
 	}
 }
 
-func TestStatsSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/maintstats.json"
-	ms := NewMaintStats(0.3)
-	ms.ObserveTarget("V", 5, 4, 100, 7, 3, time.Millisecond)
-	ms.ObserveTarget("W", 2, 2, 50, 7, 3, time.Millisecond)
-	ms.ObserveRefresh(7, 3, 2*time.Millisecond, 40*time.Millisecond)
-	if err := ms.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded := NewMaintStats(0)
-	if err := loaded.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	a, b := ms.Snapshot(), loaded.Snapshot()
-	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", a, b)
-	}
-	// Missing file is a clean fresh start.
-	if err := NewMaintStats(0).Load(dir + "/absent.json"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRender(t *testing.T) {
 	tr := New(Config{Rate: 1, Seed: 5, Capacity: 16})
 	ctx, root := tr.Start(context.Background(), "source.apply")
