@@ -140,7 +140,7 @@ func (s *server) serveCached(w http.ResponseWriter, req *http.Request) bool {
 	v := s.cur.Load()
 	if e.gen == v.gen {
 		s.stamp(w, v)
-		s.writeReused(w, req, e.body, start)
+		s.writeReused(w, req, e.body, start, "reused")
 		return true
 	}
 	s.mStale.Inc()

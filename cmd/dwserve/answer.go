@@ -21,6 +21,7 @@ import (
 	"unicode/utf8"
 
 	dwc "dwcomplement"
+	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/relation"
 )
 
@@ -34,21 +35,48 @@ const (
 )
 
 // queryEntry is what the query cache holds for one /query text: the plan —
-// the parsed query and its translated, optimized Q̂, both rendered — and
-// the last fresh, explain-free 200 answer to it (nil body until one), when,
-// at which version (its X-DW-Version stamp) and from which state (gen) it
-// was computed. The plan is a function of the text and the complement alone
-// (Theorem 3.1), which is fixed for the server's life, so it is never
-// invalidated; the answer, of the text and the state alone, is reused while
-// the published version's gen is the entry's.
+// the parsed query Q with the bases it reads and its translated, optimized
+// Q̂, both rendered — the column order of its answers, and the last fresh,
+// explain-free 200 answer to it (nil body until one), when, at which
+// version (its X-DW-Version stamp) and from which state (gen) it is known
+// to be Q(d), and the rows its evaluation scanned. The plan is a function
+// of the text and the complement alone (Theorem 3.1), which is fixed for
+// the server's life, so it is never invalidated; the answer, of the text
+// and the state alone, is reused while the published version's gen is the
+// entry's, and carried forward to a later gen when the commits since
+// provably leave Q(d) unchanged (carries).
 type queryEntry struct {
-	qHat              dwc.Expr
-	query, translated string
+	*queryPlan
 
 	body    []byte
+	attrs   []string
 	at      time.Time
 	version string
 	gen     uint64
+	scanned int64
+}
+
+// inOrder returns r with its columns in the order of the text's first
+// answer, which it records on the first call. The evaluator orders a
+// join's columns by the sizes it meets, so without this two states holding
+// one answer could encode it in two orders: a text's answers are
+// byte-comparable across states, a carried one included.
+func (e *queryEntry) inOrder(r *relation.Relation) *relation.Relation {
+	if e.attrs == nil {
+		e.attrs = r.Attrs()
+	} else if !slices.Equal(r.Attrs(), e.attrs) {
+		r = relation.Project(r, e.attrs...)
+	}
+	return r
+}
+
+// queryPlan is the part of a query entry fixed at its first request. It is
+// shared by pointer, which keeps an entry small enough for the map to hold
+// inline.
+type queryPlan struct {
+	q, qHat           dwc.Expr
+	bases             []string
+	query, translated string
 }
 
 // queryCache is the one query-keyed map of the server, keyed by the raw q
@@ -113,9 +141,58 @@ func (c *queryCache) plan(src string, w *dwc.Warehouse) (queryEntry, error) {
 	if err != nil {
 		return queryEntry{}, err
 	}
-	e := queryEntry{qHat: qHat, query: q.String(), translated: qHat.String()}
+	e := queryEntry{queryPlan: &queryPlan{q: q, qHat: qHat, bases: algebra.Bases(q).Sorted(), query: q.String(), translated: qHat.String()}}
 	c.put(src, e)
 	return e, nil
+}
+
+// changeRingSize is how many commits back a stored answer can be carried
+// forward (carries): the ring keeps the last changeRingSize commits'
+// updates. The process benchmark's mixed_rw repeats a union text every
+// 30–80 commits.
+const changeRingSize = 256
+
+// change is one commit's slot in the change ring: the state generation it
+// published and the normalized update it applied, exact against the state
+// of generation gen-1.
+type change struct {
+	gen uint64
+	u   *dwc.Update
+}
+
+// changeRing holds the updates of the last changeRingSize commits, each in
+// slot gen mod changeRingSize. The committer stores its slot, under s.mu,
+// before it publishes the generation; readers load slots with no lock. A
+// slot holding another generation — overwritten since, or never written
+// because the state was replaced whole (bootstrapFollower) — is a gap.
+type changeRing [changeRingSize]atomic.Pointer[change]
+
+// record stores the update that generation gen applied.
+func (r *changeRing) record(gen uint64, u *dwc.Update) {
+	r[gen%changeRingSize].Store(&change{gen: gen, u: u})
+}
+
+// at returns the update that generation gen applied, or nil for a gap.
+func (r *changeRing) at(gen uint64) *dwc.Update {
+	if c := r[gen%changeRingSize].Load(); c != nil && c.gen == gen {
+		return c.u
+	}
+	return nil
+}
+
+// changedIn is the number of tuples u inserts into or deletes from the
+// named relations.
+func changedIn(u *dwc.Update, names []string) int {
+	n := 0
+	for _, name := range names {
+		if r := u.Inserts(name); r != nil {
+			n += r.Len()
+		}
+		if r := u.Deletes(name); r != nil {
+			n += r.Len()
+		}
+	}
+	return n
 }
 
 const hexDigits = "0123456789abcdef"

@@ -143,6 +143,7 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 	}
 	s.publish(func(v *version) {
 		v.w, v.gen = s.w.Pin(), v.gen+1
+		s.changes.record(v.gen, stats.Update)
 		v.marks = withEntry(v.marks, rec.Source, rec.Seq)
 		v.lsn = rec.LSN
 		if s.jw != nil && jerr == nil {
@@ -243,7 +244,7 @@ func (s *server) maybeCheckpointLocked() {
 	}
 	v := s.cur.Load()
 	if v.ckptDone != nil {
-		s.countCheckpoint("skipped_inflight")
+		s.mCkpts["skipped_inflight"].Inc()
 		return
 	}
 	ck, err := s.newCheckpointLocked(v)
@@ -348,7 +349,7 @@ func (s *server) persist(ck *checkpoint) (err error) {
 func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 	s.mCkptDur.Observe(ck.dur.Seconds())
 	if err != nil {
-		s.countCheckpoint("error")
+		s.mCkpts["error"].Inc()
 		s.sinceCkpt += ck.acks
 		s.ckptFailed = true
 		s.degraded.Store(true)
@@ -356,12 +357,9 @@ func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 		s.publish(func(v *version) { v.ckptDone = nil })
 		return
 	}
-	s.countCheckpoint("ok")
-	for kind, n := range map[string]int{"encoded": ck.saved.PagesEncoded, "reused": ck.saved.PagesReused} {
-		s.reg.Counter("dw_checkpoint_pages_total",
-			"Row pages in completed checkpoints: encoded because they were written since a snapshot last held them, or reused from the cache kept with the page.",
-			obs.Labels{"kind": kind}).Add(int64(n))
-	}
+	s.mCkpts["ok"].Inc()
+	s.mCkptPagesEncoded.Add(int64(ck.saved.PagesEncoded))
+	s.mCkptPagesReused.Add(int64(ck.saved.PagesReused))
 	if s.ckptFailed {
 		s.ckptFailed = false
 		s.degraded.Store(false)
@@ -373,10 +371,4 @@ func (s *server) finishCheckpointLocked(ck *checkpoint, err error) {
 		v.lastCkptDur = ck.dur
 		v.lastCkptSaved = ck.saved
 	})
-}
-
-func (s *server) countCheckpoint(outcome string) {
-	s.reg.Counter("dw_checkpoints_total",
-		"Checkpoints by outcome: ok, error, or skipped_inflight (the trigger fired while one was running).",
-		obs.Labels{"outcome": outcome}).Inc()
 }

@@ -159,7 +159,7 @@ func TestQueryCacheCap(t *testing.T) {
 		}
 	}
 
-	srv.qcache.put("oversized", queryEntry{query: "oversized", body: make([]byte, queryCacheBytes+1)})
+	srv.qcache.put("oversized", queryEntry{queryPlan: &queryPlan{query: "oversized"}, body: make([]byte, queryCacheBytes+1)})
 	if e, ok := srv.qcache.get("oversized"); !ok || e.query != "oversized" || e.body != nil {
 		t.Errorf("an answer over the byte cap: held %v, plan %q, %d body bytes; want its plan alone", ok, e.query, len(e.body))
 	}
@@ -169,21 +169,25 @@ func TestQueryCacheCap(t *testing.T) {
 }
 
 // TestReuseFollowsTheState: a plain answer is served from its stored bytes
-// exactly while the state it was computed from is published. After each
-// transition — an update that changes the answer, a no-op update, a
-// follower bootstrap, a promotion — the body served is a fresh
-// answerBody(EvalExpr(Q̂, v.w)) under the new X-DW-Version; of these only
-// the promotion, which moves the stamp and not the state, is a reuse.
+// exactly while the state it was computed from is published, or carried
+// forward across commits that provably leave it unchanged. After each
+// transition — an update that changes the answer, one that does not reach
+// it, a no-op update, a follower bootstrap, a promotion — the body served
+// is a fresh answerBody(EvalExpr(Q̂, v.w)) under the new X-DW-Version. The
+// promotion, which moves the stamp and not the state, is a reuse; the
+// update the answer does not see and the no-op are carried; the bootstrap
+// replaces the state with no recorded update, a gap, and evaluates.
 // explain=1 and explain=2 always evaluate.
 func TestReuseFollowsTheState(t *testing.T) {
 	const q = "pi{item, age}(Sale join Emp)"
 	leader, lts := newReplicaNode(t)
 	fsrv, fts := newReplicaNode(t)
 	// check asks srv for q and holds the answer to Q̂ evaluated on the
-	// published state; reuse is "reused", "evaluated", or "" for either.
+	// published state; reuse is "reused", "carried", "evaluated", or "" for
+	// any of them.
 	check := func(label string, srv *server, base, reuse string) {
 		t.Helper()
-		before := srv.mReused.Value()
+		before, carriedBefore := srv.mReused.Value(), srv.carried.Load()
 		resp, got := get(t, base+"/query?q="+escape(q))
 		v := srv.cur.Load()
 		parsed := dwc.MustParseExpr(q)
@@ -202,8 +206,14 @@ func TestReuseFollowsTheState(t *testing.T) {
 		if resp.StatusCode != 200 || resp.Header.Get("X-DW-Version") != v.stamp() || !bytes.Equal(got, want) {
 			t.Errorf("%s: status %d at %q: %s\nwant 200 at %q: %s", label, resp.StatusCode, resp.Header.Get("X-DW-Version"), got, v.stamp(), want)
 		}
-		if reused := srv.mReused.Value() > before; reuse != "" && reused != (reuse == "reused") {
-			t.Errorf("%s: answer reused %v, want %s", label, reused, reuse)
+		how := "evaluated"
+		if srv.carried.Load() > carriedBefore {
+			how = "carried"
+		} else if srv.mReused.Value() > before {
+			how = "reused"
+		}
+		if reuse != "" && how != reuse {
+			t.Errorf("%s: answer %s, want %s", label, how, reuse)
 		}
 	}
 
@@ -212,11 +222,14 @@ func TestReuseFollowsTheState(t *testing.T) {
 	postUpdate(t, lts.URL, "insert Sale('Radio', 'Paula')")
 	check("an update that changes the answer", leader, lts.URL, "evaluated")
 	check("that update, asked again", leader, lts.URL, "reused")
+	postUpdate(t, lts.URL, "insert Emp('Zoe', 40)")
+	check("an update the answer does not see", leader, lts.URL, "carried")
+	check("that update, asked again", leader, lts.URL, "reused")
 	postUpdate(t, lts.URL, "insert Sale('Radio', 'Paula')")
-	check("a no-op update", leader, lts.URL, "")
+	check("a no-op update", leader, lts.URL, "carried")
 
 	follow(t, fsrv, lts.URL)
-	waitLSN(t, fsrv, 2)
+	waitLSN(t, fsrv, 3)
 	fsrv.stopFollower()
 	check("a follower", fsrv, fts.URL, "evaluated")
 	check("a follower, asked again", fsrv, fts.URL, "reused")
@@ -225,8 +238,8 @@ func TestReuseFollowsTheState(t *testing.T) {
 	if err := fsrv.bootstrapFollower(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
-	if _, lsn, _ := coords(fsrv); lsn != 3 {
-		t.Fatalf("bootstrapped at LSN %d, want 3", lsn)
+	if _, lsn, _ := coords(fsrv); lsn != 4 {
+		t.Fatalf("bootstrapped at LSN %d, want 4", lsn)
 	}
 	check("a follower bootstrap", fsrv, fts.URL, "evaluated")
 	var out map[string]any
@@ -246,10 +259,12 @@ func TestReuseFollowsTheState(t *testing.T) {
 	}
 }
 
-// TestReuseLedger: a reused answer counts in dw_queries_total and
+// TestReuseLedger: a reused answer, and one carried across a commit that
+// does not reach it, counts in dw_queries_total and
 // dw_queries_reused_total, observes dw_query_duration_seconds once — so its
 // _count stays dw_queries_total — is no stale answer, shows in /stats
-// queriesReused, and marks its request span answer=reused.
+// queriesReused (a carried one in queriesCarried too), and marks its
+// request span answer=reused or answer=carried.
 func TestReuseLedger(t *testing.T) {
 	srv, ts := newOverloadServer(t, serverConfig{TraceSample: 1})
 	q := ts.URL + "/query?q=" + escape("Sale join Emp")
@@ -259,29 +274,34 @@ func TestReuseLedger(t *testing.T) {
 		traceID = resp.Header.Get("X-DW-Trace")
 	}
 	get(t, q+"&explain=1")
+	postUpdate(t, ts.URL, "insert Emp('Zoe', 40)") // no sale joins Zoe: the answer is carried
+	resp, _ := get(t, q)
+	carriedID := resp.Header.Get("X-DW-Trace")
 	_, metrics := getText(t, ts.URL+"/metrics")
-	for _, want := range []string{"dw_queries_total 4", "dw_queries_reused_total 2", "dw_query_duration_seconds_count 4", "dw_stale_answers_total 0"} {
+	for _, want := range []string{"dw_queries_total 5", "dw_queries_reused_total 3", "dw_query_duration_seconds_count 5", "dw_stale_answers_total 0"} {
 		if !strings.Contains(metrics, "\n"+want+"\n") {
 			t.Errorf("metrics lack %q", want)
 		}
 	}
-	var stats struct{ Queries, QueriesReused int64 }
-	if getJSON(t, ts.URL+"/stats", &stats); stats.Queries != 4 || stats.QueriesReused != 2 {
-		t.Errorf("/stats: %d queries, %d reused; want 4 and 2", stats.Queries, stats.QueriesReused)
+	var stats struct{ Queries, QueriesReused, QueriesCarried int64 }
+	if getJSON(t, ts.URL+"/stats", &stats); stats.Queries != 5 || stats.QueriesReused != 3 || stats.QueriesCarried != 1 {
+		t.Errorf("/stats: %d queries, %d reused, %d carried; want 5, 3 and 1", stats.Queries, stats.QueriesReused, stats.QueriesCarried)
 	}
-	id, ok := trace.ParseTraceID(traceID)
-	if !ok {
-		t.Fatalf("X-DW-Trace %q", traceID)
-	}
-	waitUntil(t, 5*time.Second, func() bool { // the span ends after the response has left
-		spans, _ := srv.tracer.Store().Trace(id)
-		for _, sp := range spans {
-			if slices.Contains(sp.Attrs, trace.Attr{Key: "answer", Value: "reused"}) {
-				return true
-			}
+	for _, c := range []struct{ id, answer string }{{traceID, "reused"}, {carriedID, "carried"}} {
+		id, ok := trace.ParseTraceID(c.id)
+		if !ok {
+			t.Fatalf("X-DW-Trace %q", c.id)
 		}
-		return false
-	})
+		waitUntil(t, 5*time.Second, func() bool { // the span ends after the response has left
+			spans, _ := srv.tracer.Store().Trace(id)
+			for _, sp := range spans {
+				if slices.Contains(sp.Attrs, trace.Attr{Key: "answer", Value: c.answer}) {
+					return true
+				}
+			}
+			return false
+		})
+	}
 }
 
 // gateWriter holds every write until open is closed.

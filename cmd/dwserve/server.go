@@ -167,6 +167,11 @@ type server struct {
 	// their state and served by the ladder's LevelStale rung.
 	adm    *admission.Controller
 	qcache *queryCache
+	// changes are the last commits' normalized updates, by generation:
+	// what carries reads to prove a stored answer still holds. carried
+	// counts the answers it carried forward (/stats queriesCarried).
+	changes changeRing
+	carried atomic.Int64
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
@@ -182,8 +187,11 @@ type server struct {
 	mCopied     *obs.Counter
 	mRefreshLag *obs.Histogram
 	mCkptDur    *obs.Histogram
-	mWithdrawn  *obs.Counter
-	mReplLag    *obs.ObservedGauge
+	mCkpts      map[string]*obs.Counter // dw_checkpoints_total by outcome
+	// dw_checkpoint_pages_total by kind
+	mCkptPagesEncoded, mCkptPagesReused *obs.Counter
+	mWithdrawn                          *obs.Counter
+	mReplLag                            *obs.ObservedGauge
 }
 
 // Replica roles as reported by /readyz and /replica/status. A version's
@@ -452,6 +460,18 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 	s.mCkptDur = s.reg.Histogram("dw_checkpoint_duration_seconds",
 		"Checkpoint duration, encode to journal compaction (off the commit path except at shutdown, promotion and bootstrap).",
 		obs.DefLatencyBuckets, nil)
+	s.mCkpts = make(map[string]*obs.Counter)
+	for _, outcome := range []string{"ok", "error", "skipped_inflight"} {
+		s.mCkpts[outcome] = s.reg.Counter("dw_checkpoints_total",
+			"Checkpoints by outcome: ok, error, or skipped_inflight (the trigger fired while one was running).",
+			obs.Labels{"outcome": outcome})
+	}
+	pages := func(kind string) *obs.Counter {
+		return s.reg.Counter("dw_checkpoint_pages_total",
+			"Row pages in completed checkpoints: encoded because they were written since a snapshot last held them, or reused from the cache kept with the page.",
+			obs.Labels{"kind": kind})
+	}
+	s.mCkptPagesEncoded, s.mCkptPagesReused = pages("encoded"), pages("reused")
 	s.reg.GaugeFunc("dw_warehouse_tuples",
 		"Tuples materialized across all warehouse relations.", nil,
 		func() float64 { return float64(s.cur.Load().w.Size()) })
@@ -745,10 +765,11 @@ func (s *server) stamp(w http.ResponseWriter, v *version) {
 	}
 }
 
-// writeReused answers a plain query with the stored bytes of an answer
-// computed from the state the response is stamped with: they are Q̂(v.w).
-func (s *server) writeReused(w http.ResponseWriter, req *http.Request, body []byte, start time.Time) {
-	trace.FromContext(req.Context()).SetAttr("answer", "reused")
+// writeReused answers a plain query with the stored bytes of an answer that
+// is Q̂(v.w) for the state the response is stamped with: computed from it
+// (how = "reused") or carried forward to it ("carried").
+func (s *server) writeReused(w http.ResponseWriter, req *http.Request, body []byte, start time.Time, how string) {
+	trace.FromContext(req.Context()).SetAttr("answer", how)
 	s.mQueries.Inc()
 	s.mReused.Inc()
 	s.mQueryDur.Observe(time.Since(start).Seconds())
@@ -802,16 +823,23 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if explain == 0 && e.body != nil && e.gen == v.gen {
-		s.writeReused(w, req, e.body, start)
+		s.writeReused(w, req, e.body, start, "reused")
+		return
+	}
+	// The context adds the -query-timeout deadline and -query-budget row
+	// budget; both abort the evaluation at the next operator boundary.
+	ectx, cancel := s.queryContext(req)
+	defer cancel()
+	if explain == 0 && e.body != nil && s.carries(ectx, e, v) {
+		e.at, e.version, e.gen = time.Now(), v.stamp(), v.gen
+		s.qcache.put(src, e)
+		s.carried.Add(1)
+		s.writeReused(w, req, e.body, start, "carried")
 		return
 	}
 	// The evaluation span (child of the request span) carries the query,
 	// its cardinality and the compact executed-plan signature, so a trace
-	// shows WHAT ran, not just how long it took. The context adds the
-	// -query-timeout deadline and -query-budget row budget; both abort
-	// the evaluation at the next operator boundary.
-	ectx, cancel := s.queryContext(req)
-	defer cancel()
+	// shows WHAT ran, not just how long it took.
 	qctx, sp := trace.StartSpan(ectx, "query.eval")
 	defer sp.End()
 	sp.SetAttr("query", e.query)
@@ -854,7 +882,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			extra["planText"] = dwc.RenderPlan(plan, true)
 		}
 	}
-	body, err := answerBody(e.query, e.translated, rows.Relation(), extra)
+	body, err := answerBody(e.query, e.translated, e.inOrder(rows.Relation()), extra)
 	if err != nil {
 		writeUnencodable(w, err)
 		return
@@ -862,10 +890,57 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if explain == 0 {
 		// Plain answers are reused while v.gen is published, and are what
 		// the ladder's LevelStale rung serves.
-		e.body, e.at, e.version, e.gen = body, time.Now(), v.stamp(), v.gen
+		e.body, e.at, e.version, e.gen, e.scanned = body, time.Now(), v.stamp(), v.gen, stats.Scanned
 		s.qcache.put(src, e)
 	}
 	writeBody(w, http.StatusOK, body)
+}
+
+// carries reports whether e's stored answer, Q(d) at generation e.gen, is
+// also Q(d) at v, so it can be served without evaluating. Every commit since
+// e.gen must be in the change ring (a gap evaluates). Those that touch a
+// base of Q compose into one net update, exact against e.gen's state; if it
+// changes none of Q's bases, Q(d) is unchanged. Otherwise its reverse —
+// exact against v's state, so no older version is pinned — is propagated
+// through Q over W⁻¹(v.w) (Theorem 4.1), and an empty Δ(Q) proves Q(d)
+// unchanged. The check may cost at most the rows e's evaluation scanned:
+// the composed tuples, then the propagation's reads under a Budget of the
+// rest. Past that it gives up, and the query evaluates.
+func (s *server) carries(ctx context.Context, e queryEntry, v *version) bool {
+	if e.gen >= v.gen || v.gen-e.gen > changeRingSize {
+		return false
+	}
+	// A first pass finds the gaps and sizes the composition before paying
+	// for it; the second composes what the first saw, and gives up if a
+	// slot has been written since.
+	budget, n := max(e.scanned, 1), int64(0)
+	for g := e.gen + 1; g <= v.gen; g++ {
+		u := s.changes.at(g)
+		if u == nil {
+			return false
+		}
+		if n += int64(changedIn(u, e.bases)); n >= budget {
+			return false
+		}
+	}
+	if n == 0 {
+		return true
+	}
+	net := dwc.NewUpdate()
+	for g := e.gen + 1; g <= v.gen; g++ {
+		u := s.changes.at(g)
+		if u == nil {
+			return false
+		}
+		if changedIn(u, e.bases) > 0 {
+			net.Then(u)
+		}
+	}
+	if changedIn(net, e.bases) == 0 {
+		return true
+	}
+	d, err := dwc.AnswerDelta(dwc.WithBudget(ctx, dwc.Budget{Scanned: budget - n}), s.comp, v.w, e.q, net.Reverse())
+	return err == nil && d.IsEmpty()
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
@@ -942,11 +1017,13 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"queries":       s.mQueries.Value(),
 		"queriesReused": s.mReused.Value(),
-		"queryStats":    queryStats,
-		"refreshes":     v.refreshes,
-		"refreshStats":  v.refreshStats,
-		"refreshWallNs": v.refreshWall.Nanoseconds(),
-		"lastRefresh":   v.lastRefresh,
+		// Of those, the answers carried forward from an earlier state.
+		"queriesCarried": s.carried.Load(),
+		"queryStats":     queryStats,
+		"refreshes":      v.refreshes,
+		"refreshStats":   v.refreshStats,
+		"refreshWallNs":  v.refreshWall.Nanoseconds(),
+		"lastRefresh":    v.lastRefresh,
 		"checkpoint": map[string]any{
 			"lastLsn":        v.lastCkptLSN,
 			"lastDurationNs": v.lastCkptDur.Nanoseconds(),
@@ -956,7 +1033,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"inFlight":       v.ckptDone != nil,
 			"journalRecords": v.journalRecs,
 		},
-		// Planner-facing maintenance EWMAs (ROADMAP item 3's input contract).
+		// Maintenance EWMAs: the input contract of the parked cost-based
+		// maintenance planner (ROADMAP "Parked").
 		"maintenance": s.mstats.Snapshot(),
 		"boot":        s.boot.stats(),
 	})

@@ -6,6 +6,7 @@ import (
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/core"
+	"dwcomplement/internal/maintain"
 	"dwcomplement/internal/relation"
 )
 
@@ -120,6 +121,24 @@ func EvalExpr(ctx context.Context, e Expr, st algebra.State) (*Rows, error) {
 // applied, leaving the warehouse untouched.
 func Refresh(ctx context.Context, m *Maintainer, w *Warehouse, u *Update) (RefreshStats, error) {
 	return m.RefreshContext(ctx, w, u)
+}
+
+// AnswerDelta computes Δ(q): how the answer to the source query q over
+// W⁻¹(w) changes under u, from the warehouse state w and the update alone —
+// Theorem 4.1's maintenance applied to a query instead of a view, every
+// base reference replaced by its inverse. u must be exact against W⁻¹(w)
+// (every insertion absent, every deletion present), as a refresh's
+// RefreshStats.Update is against its pre-state. Like the refresh, the
+// delta may over-approximate (an empty one means the answer is unchanged);
+// the context is checked at every read, and a Budget on it bounds the rows
+// they scan.
+func AnswerDelta(ctx context.Context, comp *Complement, w algebra.State, q Expr, u *Update) (Delta, error) {
+	ec := algebra.NewEvalContext(ctx)
+	d, err := maintain.Propagate(q, maintain.NewVirtualStateCtx(comp, w, ec), u)
+	if cerr := ec.Err(); cerr != nil {
+		return Delta{}, cerr
+	}
+	return d, err
 }
 
 // Option configures complement computation (core.Options) functionally.

@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -332,4 +334,57 @@ func mustEval(t testing.TB, e algebra.Expr, st algebra.State) *relation.Relation
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestUpdateThen folds random exact update streams into one net update:
+// applied to the first state it gives the last, it is exact against the
+// first (Normalize keeps it whole), and its Reverse takes the last state
+// back to the first.
+func TestUpdateThen(t *testing.T) {
+	db := figure1DB(t)
+	rng := rand.New(rand.NewSource(7))
+	tuple := func() (string, relation.Tuple) {
+		if rng.Intn(2) == 0 {
+			return "Sale", relation.Tuple{relation.String_(fmt.Sprint("item-", rng.Intn(4))), relation.String_(fmt.Sprint("c-", rng.Intn(3)))}
+		}
+		c := rng.Intn(3) // one age per clerk: the key holds
+		return "Emp", relation.Tuple{relation.String_(fmt.Sprint("c-", c)), relation.Int(int64(20 + c))}
+	}
+	for round := 0; round < 200; round++ {
+		first := figure1State(t, db)
+		cur, net := first.Clone(), NewUpdate()
+		for step := rng.Intn(6); step >= 0; step-- {
+			u := NewUpdate()
+			for k := rng.Intn(4); k >= 0; k-- {
+				name, tp := tuple()
+				if cur.MustRelation(name).Contains(tp) {
+					u.MustDelete(name, db, tp...)
+				} else {
+					u.MustInsert(name, db, tp...)
+				}
+			}
+			u = u.Normalize(cur)
+			if err := u.Apply(cur); err != nil {
+				t.Fatal(err)
+			}
+			net.Then(u)
+		}
+		if n := net.Normalize(first); n.Size() != net.Size() {
+			t.Fatalf("round %d: net update not exact against the first state:\nnet\n%s\nnormalized\n%s", round, net, n)
+		}
+		got := first.Clone()
+		if err := net.Apply(got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != cur.Fingerprint() {
+			t.Fatalf("round %d: first state + net update ≠ last state\nnet\n%s", round, net)
+		}
+		back := cur.Clone()
+		if err := net.Reverse().Apply(back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Fingerprint() != first.Fingerprint() {
+			t.Fatalf("round %d: last state + reversed net update ≠ first state\nnet\n%s", round, net)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -130,6 +131,43 @@ func (u *Update) Size() int {
 	return n
 }
 
+// Then folds next into u in place: u becomes the net update of applying u
+// and then next. When u is exact against a state d (every insertion absent
+// from d, every deletion present) and next is exact against u(d), the
+// result is exact against d: a tuple inserted and then deleted, or deleted
+// and then re-inserted, drops out of both sides. u's relations must be its
+// own (u built by Then from NewUpdate is); next is only read.
+func (u *Update) Then(next *Update) {
+	for name, r := range next.ins {
+		fold(u.ins, u.del, name, r)
+	}
+	for name, r := range next.del {
+		fold(u.del, u.ins, name, r)
+	}
+}
+
+// fold adds r's tuples to side[name], except those the opposite side holds:
+// they cancel and leave it.
+func fold(side, opposite map[string]*relation.Relation, name string, r *relation.Relation) {
+	opp, s := opposite[name], side[name]
+	for t := range r.All() {
+		if opp != nil && opp.Delete(alignTuple(r, opp, t)) {
+			continue
+		}
+		if s == nil {
+			s = relation.New(r.Attrs()...)
+			side[name] = s
+		}
+		s.Insert(alignTuple(r, s, t))
+	}
+}
+
+// Reverse returns the update that undoes u: its insertions are u's
+// deletions and the other way round. When u is exact against d, Reverse is
+// exact against u(d), and takes it back to d. The relations are shared
+// with u.
+func (u *Update) Reverse() *Update { return &Update{ins: u.del, del: u.ins} }
+
 // Normalize returns an equivalent update relative to the given pre-state,
 // with the paper-standard properties the maintenance delta rules assume:
 // scheduled insertions that are already present in d are dropped,
@@ -184,8 +222,11 @@ func mustSchema(db *Database, name string) *relation.Schema {
 }
 
 // alignTuple relays tuple t laid out in src's column order into dst's
-// column order (equal attribute sets).
+// column order (equal attribute sets): t itself when the orders agree.
 func alignTuple(src, dst *relation.Relation, t relation.Tuple) relation.Tuple {
+	if slices.Equal(src.Attrs(), dst.Attrs()) {
+		return t
+	}
 	out := make(relation.Tuple, dst.Arity())
 	for i, a := range dst.Attrs() {
 		p, ok := src.Pos(a)

@@ -121,6 +121,11 @@ type RefreshStats struct {
 	// Changed maps each warehouse relation to the number of tuples its
 	// delta touched (insertions + deletions).
 	Changed map[string]int
+	// Update is the normalized source update the refresh propagated: exact
+	// against the pre-state W⁻¹(w) — every insertion absent from it, every
+	// deletion present — which the reported update need not be. Nil when
+	// the refresh failed before normalizing.
+	Update *catalog.Update
 	// UpdateSize is the size of the normalized source update.
 	UpdateSize int
 	// Wall is the end-to-end refresh time.
@@ -323,7 +328,7 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	if err != nil {
 		return stats, cancelOr(ec, err)
 	}
-	stats.UpdateSize = nu.Size()
+	stats.Update, stats.UpdateSize = nu, nu.Size()
 
 	// All deltas or none. Every changed relation's delta is applied to a
 	// copy that shares the relation's pages (copy-on-write apply set); an

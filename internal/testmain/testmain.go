@@ -9,7 +9,9 @@
 // what it was before the first test within a deadline. Idle keep-alive
 // connections of the default transport are closed before each count; any
 // other goroutine left running, a transport's included, is a leak and is
-// reported with every stack.
+// reported with every stack. A binary run with -test.fuzz is not counted:
+// the fuzzing engine's signal handler (os/signal's loop) runs to the end of
+// the process.
 package testmain
 
 import (
@@ -40,7 +42,8 @@ func Run(m *testing.M) {
 	}
 	before := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 && !settled(before, settleWithin) {
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
+	if code == 0 && !fuzzing && !settled(before, settleWithin) {
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
 		fmt.Fprintf(os.Stderr, "testmain: goroutines still running %v after the tests, %d before them:\n\n%s\n", settleWithin, before, buf)

@@ -20,10 +20,11 @@ func ewma(cur, obs, alpha float64, samples uint64) float64 {
 	return alpha*obs + (1-alpha)*cur
 }
 
-// TargetStats holds the per-maintenance-target EWMAs that the
-// cost-based planner (ROADMAP item 3) consumes: how big deltas run, how
-// big the target view is, how lookups split restricted-vs-full, and
-// how long propagation takes. All EWMAs use the collector's alpha.
+// TargetStats holds the per-maintenance-target EWMAs that the parked
+// cost-based maintenance planner (ROADMAP "Parked") would consume: how big
+// deltas run, how big the target view is, how lookups split
+// restricted-vs-full, and how long propagation takes. All EWMAs use the
+// collector's alpha.
 type TargetStats struct {
 	Target  string `json:"target"`
 	Samples uint64 `json:"samples"`
