@@ -21,7 +21,6 @@ import (
 	"unicode/utf8"
 
 	dwc "dwcomplement"
-	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/relation"
 )
 
@@ -35,14 +34,14 @@ const (
 )
 
 // queryEntry is what the query cache holds for one /query text: the plan —
-// the parsed query Q with the bases it reads and its translated, optimized
-// Q̂, both rendered — the column order of its answers, and the last fresh,
-// explain-free 200 answer to it (nil body until one), when, at which
-// version (its X-DW-Version stamp) and from which state (gen) it is known
-// to be Q(d), and the rows its evaluation scanned. The plan is a function
-// of the text and the complement alone (Theorem 3.1), which is fixed for
-// the server's life, so it is never invalidated; the answer, of the text
-// and the state alone, is reused while the published version's gen is the
+// the parsed query Q and its translated, optimized Q̂, both rendered — the
+// column order of its answers, and the last fresh, explain-free 200 answer
+// to it (nil body until one), when, at which version (its X-DW-Version
+// stamp) and from which state (gen) it is known to be Q(d), and what its
+// evaluation cost in carry units (evalCost). The plan is a function of the
+// text and the complement alone (Theorem 3.1), which is fixed for the
+// server's life, so it is never invalidated; the answer, of the text and
+// the state alone, is reused while the published version's gen is the
 // entry's, and carried forward to a later gen when the commits since
 // provably leave Q(d) unchanged (carries).
 type queryEntry struct {
@@ -53,7 +52,7 @@ type queryEntry struct {
 	at      time.Time
 	version string
 	gen     uint64
-	scanned int64
+	cost    int64
 }
 
 // inOrder returns r with its columns in the order of the text's first
@@ -75,8 +74,18 @@ func (e *queryEntry) inOrder(r *relation.Relation) *relation.Relation {
 // inline.
 type queryPlan struct {
 	q, qHat           dwc.Expr
-	bases             []string
 	query, translated string
+
+	// carry is built on the text's first carry check, never in plan: a
+	// text that is only ever evaluated or reused pays nothing for it.
+	carryOnce sync.Once
+	carry     *carryPlan
+}
+
+// carryPlan returns the text's carry plan, building it on the first call.
+func (p *queryPlan) carryPlan(db *dwc.Database) *carryPlan {
+	p.carryOnce.Do(func() { p.carry = newCarryPlan(p.q, db) })
+	return p.carry
 }
 
 // queryCache is the one query-keyed map of the server, keyed by the raw q
@@ -141,58 +150,9 @@ func (c *queryCache) plan(src string, w *dwc.Warehouse) (queryEntry, error) {
 	if err != nil {
 		return queryEntry{}, err
 	}
-	e := queryEntry{queryPlan: &queryPlan{q: q, qHat: qHat, bases: algebra.Bases(q).Sorted(), query: q.String(), translated: qHat.String()}}
+	e := queryEntry{queryPlan: &queryPlan{q: q, qHat: qHat, query: q.String(), translated: qHat.String()}}
 	c.put(src, e)
 	return e, nil
-}
-
-// changeRingSize is how many commits back a stored answer can be carried
-// forward (carries): the ring keeps the last changeRingSize commits'
-// updates. The process benchmark's mixed_rw repeats a union text every
-// 30–80 commits.
-const changeRingSize = 256
-
-// change is one commit's slot in the change ring: the state generation it
-// published and the normalized update it applied, exact against the state
-// of generation gen-1.
-type change struct {
-	gen uint64
-	u   *dwc.Update
-}
-
-// changeRing holds the updates of the last changeRingSize commits, each in
-// slot gen mod changeRingSize. The committer stores its slot, under s.mu,
-// before it publishes the generation; readers load slots with no lock. A
-// slot holding another generation — overwritten since, or never written
-// because the state was replaced whole (bootstrapFollower) — is a gap.
-type changeRing [changeRingSize]atomic.Pointer[change]
-
-// record stores the update that generation gen applied.
-func (r *changeRing) record(gen uint64, u *dwc.Update) {
-	r[gen%changeRingSize].Store(&change{gen: gen, u: u})
-}
-
-// at returns the update that generation gen applied, or nil for a gap.
-func (r *changeRing) at(gen uint64) *dwc.Update {
-	if c := r[gen%changeRingSize].Load(); c != nil && c.gen == gen {
-		return c.u
-	}
-	return nil
-}
-
-// changedIn is the number of tuples u inserts into or deletes from the
-// named relations.
-func changedIn(u *dwc.Update, names []string) int {
-	n := 0
-	for _, name := range names {
-		if r := u.Inserts(name); r != nil {
-			n += r.Len()
-		}
-		if r := u.Deletes(name); r != nil {
-			n += r.Len()
-		}
-	}
-	return n
 }
 
 const hexDigits = "0123456789abcdef"

@@ -406,18 +406,17 @@ func FuzzAppendJSONString(f *testing.F) {
 
 // BenchmarkAnswerPath measures a whole /query request in process through
 // s.handler(), for the four answer sizes of the process benchmark's pool on
-// the 100k-row Section-5 star schema BenchmarkQueryClasses evaluates. Each
-// shape runs three times. hit repeats the request at one state, so it is
-// served the stored answer. miss alternates the published version between
-// two pins of that state, so every request evaluates, orders and encodes:
-// what is left of it once BenchmarkQueryClasses' share (the engine) is
-// subtracted is the answer path. A pin published with no recorded commit is
-// a gap in the change ring, so miss never carries. carried commits a churn
-// update between requests (untimed) — an order beyond the loaded keys, on
-// alternating sites, whose customer, part and quantity no pool query
-// selects — so the stored answer is carried forward where the check fits
-// the budget of its evaluation (scans and unions); carried/op reports the
-// share.
+// the 100k-row Section-5 star schema BenchmarkQueryClasses evaluates. hit
+// repeats the request at one state, so it is served the stored answer.
+// miss alternates the published version between two pins of that state, so
+// every request evaluates, orders and encodes: what is left of it once
+// BenchmarkQueryClasses' share (the engine) is subtracted is the answer
+// path. A pin published with no recorded commit is a gap in the change
+// ring, so miss never carries. carried/k times the carry check alone
+// (carries) of each shape's stored answer across k churn commits
+// (starChurn), committed before the timer against a published state that
+// then stays fixed: carried/op says whether it carried, tested/op and
+// composed/op what it read.
 func BenchmarkAnswerPath(b *testing.B) {
 	spec, err := dwc.ParseSpec(workload.Section5Spec)
 	if err != nil {
@@ -429,20 +428,7 @@ func BenchmarkAnswerPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := srv.handler()
-	churn := 0 // churn updates committed: order 100 000+k is live for the last two per site
-	commitChurn := func() {
-		site := [2]string{"paris", "tokyo"}[churn%2]
-		ops := fmt.Sprintf("insert Order_%s(%d, 4999, 4999, '%s', 1)", site, 100_000+churn, site)
-		if churn >= 2 {
-			ops += fmt.Sprintf("\ndelete Order_%s(%d, 4999, 4999, '%s', 1)", site, 100_000+churn-2, site)
-		}
-		churn++
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/update", strings.NewReader(ops)))
-		if rec.Code != 200 {
-			b.Fatalf("churn update: status %d: %s", rec.Code, rec.Body)
-		}
-	}
+	churn := starChurn{h: h, rows: 100_000}
 	shapes := []struct {
 		name, q string
 		rows    int // at least
@@ -453,72 +439,87 @@ func BenchmarkAnswerPath(b *testing.B) {
 		{"scan/tokyo", "sigma{qty > 49}(Order_tokyo)", 500},
 		{"union", "sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)", 100},
 	}
+	request := func(q string) *http.Request { return httptest.NewRequest("GET", "/query?q="+url.QueryEscape(q), nil) }
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			b.Fatalf("%s: status %d: %s", req.URL, rec.Code, rec.Body)
+		}
+		return rec
+	}
 	// Two pins of the loaded state under two generations; the second is
-	// never recorded. carried runs last, its commits publishing the
-	// generations after both, so hit and miss see the state (and stamp)
-	// they always did.
+	// never recorded. The churn commits publish the generations after both.
 	pins := [2]*version{srv.cur.Load()}
 	other := *pins[0]
 	other.w, other.gen = srv.w.Pin(), pins[0].gen+1
 	pins[1] = &other
-	for _, modes := range [][]string{{"hit", "miss"}, {"carried"}} {
-		if modes[0] == "carried" {
-			srv.cur.Store(pins[1])
+	for _, c := range shapes {
+		req := request(c.q)
+		for _, mode := range []string{"hit", "miss"} {
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				reused := srv.mReused.Value()
+				for i := 0; i < b.N+1; i++ { // iteration 0 warms the index caches and stores the answer
+					if i == 1 {
+						b.ResetTimer()
+					}
+					if mode == "miss" { // publish the other pin: the stored answer is this one's
+						next := pins[0]
+						if srv.cur.Load() == next {
+							next = pins[1]
+						}
+						srv.cur.Store(next)
+					}
+					rec := serve(req)
+					if i == 0 {
+						var body struct {
+							Result struct{ Count int } `json:"result"`
+						}
+						if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Result.Count < c.rows {
+							b.Fatalf("%s: %d rows, want at least %d (%v)", c.q, body.Result.Count, c.rows, err)
+						}
+					}
+				}
+				b.StopTimer()
+				switch reused = srv.mReused.Value() - reused; {
+				case mode == "hit" && reused < int64(b.N):
+					b.Fatalf("%s: %d answers reused in %d requests at one state", c.q, reused, b.N+1)
+				case mode == "miss" && reused != 0:
+					b.Fatalf("%s: %d answers reused across gaps", c.q, reused)
+				}
+			})
 		}
+		srv.cur.Store(pins[0])
+	}
+	srv.cur.Store(pins[1])
+	ctx := context.Background()
+	for _, k := range []int{4, 40, 120} {
 		for _, c := range shapes {
-			req := httptest.NewRequest("GET", "/query?q="+url.QueryEscape(c.q), nil)
-			for _, mode := range modes {
-				b.Run(c.name+"/"+mode, func(b *testing.B) {
-					b.ReportAllocs()
-					reused, carried := srv.mReused.Value(), srv.carried.Load()
-					for i := 0; i < b.N+1; i++ { // iteration 0 warms the index caches and stores the answer
-						if i == 1 {
-							b.ResetTimer()
-						}
-						switch mode {
-						case "miss": // publish the other pin: the stored answer is this one's
-							next := pins[0]
-							if srv.cur.Load() == next {
-								next = pins[1]
-							}
-							srv.cur.Store(next)
-						case "carried":
-							b.StopTimer()
-							commitChurn()
-							b.StartTimer()
-						}
-						rec := httptest.NewRecorder()
-						h.ServeHTTP(rec, req)
-						if rec.Code != 200 {
-							b.Fatalf("%s: status %d: %s", c.q, rec.Code, rec.Body)
-						}
-						if i == 0 {
-							var body struct {
-								Result struct{ Count int } `json:"result"`
-							}
-							if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Result.Count < c.rows {
-								b.Fatalf("%s: %d rows, want at least %d (%v)", c.q, body.Result.Count, c.rows, err)
-							}
-						}
-					}
-					b.StopTimer()
-					reused, carried = srv.mReused.Value()-reused, srv.carried.Load()-carried
-					switch {
-					case mode == "hit" && reused < int64(b.N):
-						b.Fatalf("%s: %d answers reused in %d requests at one state", c.q, reused, b.N+1)
-					case mode == "miss" && reused != 0:
-						b.Fatalf("%s: %d answers reused across gaps", c.q, reused)
-					case mode == "carried" && reused != carried:
-						b.Fatalf("%s: %d answers reused, %d of them carried, between commits", c.q, reused, carried)
-					}
-					if mode == "carried" {
-						b.ReportMetric(float64(carried)/float64(b.N+1), "carried/op")
-					}
-				})
-			}
-			if modes[0] != "carried" {
-				srv.cur.Store(pins[0])
-			}
+			serve(request(c.q)) // stored (evaluated or carried) at the published state
+		}
+		for range k {
+			churn.commit(b)
+		}
+		v := srv.cur.Load()
+		for _, c := range shapes {
+			e, _ := srv.qcache.get(c.q)
+			b.Run(fmt.Sprintf("%s/carried/%d", c.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				check := srv.carries(ctx, e, v) // builds the carry plan
+				b.ResetTimer()
+				for range b.N {
+					check = srv.carries(ctx, e, v)
+				}
+				b.StopTimer()
+				carriedOp := 0.0
+				if check.why == carried {
+					carriedOp = 1
+				}
+				b.ReportMetric(carriedOp, "carried/op")
+				b.ReportMetric(float64(check.tested), "tested/op")
+				b.ReportMetric(float64(check.composed), "composed/op")
+			})
 		}
 	}
 }

@@ -25,7 +25,11 @@ import (
 // difference) and the Section-5 star (domain constraints, foreign keys and
 // a complement stored beside a selective view), each with query texts that
 // some updates reach and others do not — selections, joins, unions and
-// differences.
+// differences. Each also has the shapes the carry plan's relevance rule
+// must get right: a base read twice, once through ρ, under two σs; a
+// difference with a σ on both sides; an or; a σ over both sides of a join,
+// which cannot be pushed; and a union under a join under a projection,
+// which the plan distributes.
 var carriedSpecs = []struct {
 	spec    string
 	domain  int // values per attribute the update generator draws from
@@ -40,6 +44,11 @@ var carriedSpecs = []struct {
 		"sigma{clerk = 'v03'}(Sale)",
 		"pi{clerk}(Emp) minus pi{clerk}(Sale)",
 		"pi{clerk}(Sale) union pi{clerk}(Emp)",
+		"pi{clerk, boss}(sigma{age > 5}(Emp) join rho{clerk -> boss, age -> bage}(sigma{age < 2}(Emp)))",
+		"pi{clerk}(sigma{age > 3}(Emp)) minus pi{clerk}(sigma{item = 'v01'}(Sale))",
+		"sigma{age < 2 or clerk = 'v05'}(Emp)",
+		"sigma{age > 4 or item = 'v01'}(Sale join Emp)",
+		"pi{clerk, age}((pi{clerk}(Sale) union pi{clerk}(Emp)) join Emp)",
 	}},
 	{workload.Section5Spec, 400, []string{
 		"sigma{qty > 200}(Order_paris)",
@@ -50,6 +59,11 @@ var carriedSpecs = []struct {
 		"sigma{brand = 'brand-000'}((Order_paris union Order_tokyo) join Part)",
 		"pi{ckey}(Customer) minus pi{ckey}(Order_tokyo)",
 		"Customer",
+		"pi{okey, o2}(sigma{qty > 200}(Order_paris) join pi{ckey, o2}(rho{okey -> o2, pkey -> p2, loc -> l2, qty -> q2}(sigma{qty < 20}(Order_paris))))",
+		"pi{ckey}(sigma{nation = 'France'}(Customer)) minus pi{ckey}(sigma{qty > 100}(Order_paris))",
+		"sigma{qty > 390 or okey = 5}(Order_tokyo)",
+		"sigma{qty > 300 or nation = 'Japan'}(Order_tokyo join Customer)",
+		"pi{okey, brand}((Order_paris union Order_tokyo) join Part)",
 	}},
 }
 
@@ -106,22 +120,31 @@ func runCarriedStream(t *testing.T, seed int64, spec int) carriedCounts {
 	bootstrap()
 
 	var n carriedCounts
+	q := "" // the last text asked: asked again half the time, so that most texts get carried
+	var undo *dwc.Update
 	do := func(h http.Handler, method, target, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
 		return rec
 	}
 	fh := follower.handler()
-	for step := 0; step < 80; step++ {
+	for step := 0; step < 300; step++ {
 		switch x := rng.Intn(20); {
 		case x < 7: // an update, valid on the model, to the leader
-			u := gen.Update(model, 1+rng.Intn(2), rng.Intn(3))
+			// A third of them undo the one before, so that the commits a
+			// carry composes hold inserts later deleted and deletes later
+			// re-inserted.
+			u := gen.Update(model, 1+rng.Intn(2), rng.Intn(3)).Normalize(model)
+			if undo != nil && rng.Intn(3) == 0 {
+				u = undo.Reverse()
+			}
 			if u.IsEmpty() {
 				continue
 			}
 			if err := u.ApplyChecked(model); err != nil {
 				continue // a draw the constraints refuse: W⁻¹ is only defined on states that keep them
 			}
+			undo = u
 			ops := strings.NewReplacer("+", "insert ", "-", "delete ").Replace(u.String())
 			if rec := do(leader.handler(), "POST", "/update", ops); rec.Code != http.StatusOK {
 				t.Fatalf("update %q: %d %s", ops, rec.Code, rec.Body)
@@ -136,7 +159,9 @@ func runCarriedStream(t *testing.T, seed int64, spec int) carriedCounts {
 			bootstrap()
 			n.bootstraps++
 		default:
-			q := cs.queries[rng.Intn(len(cs.queries))]
+			if q == "" || rng.Intn(2) == 0 {
+				q = cs.queries[rng.Intn(len(cs.queries))]
+			}
 			reused, carried := follower.mReused.Value(), follower.carried.Load()
 			rec := do(fh, "GET", "/query?q="+url.QueryEscape(q), "")
 			switch {

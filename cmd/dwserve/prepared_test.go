@@ -264,7 +264,9 @@ func TestReuseFollowsTheState(t *testing.T) {
 // dw_queries_reused_total, observes dw_query_duration_seconds once — so its
 // _count stays dw_queries_total — is no stale answer, shows in /stats
 // queriesReused (a carried one in queriesCarried too), and marks its
-// request span answer=reused or answer=carried.
+// request span answer=reused or answer=carried. A commit that reaches the
+// answer makes the next request evaluate, and /stats carryFallbacks says
+// why.
 func TestReuseLedger(t *testing.T) {
 	srv, ts := newOverloadServer(t, serverConfig{TraceSample: 1})
 	q := ts.URL + "/query?q=" + escape("Sale join Emp")
@@ -277,15 +279,24 @@ func TestReuseLedger(t *testing.T) {
 	postUpdate(t, ts.URL, "insert Emp('Zoe', 40)") // no sale joins Zoe: the answer is carried
 	resp, _ := get(t, q)
 	carriedID := resp.Header.Get("X-DW-Trace")
+	postUpdate(t, ts.URL, "insert Sale('Radio', 'Zoe')") // joins Zoe: the answer changed
+	get(t, q)
 	_, metrics := getText(t, ts.URL+"/metrics")
-	for _, want := range []string{"dw_queries_total 5", "dw_queries_reused_total 3", "dw_query_duration_seconds_count 5", "dw_stale_answers_total 0"} {
+	for _, want := range []string{"dw_queries_total 6", "dw_queries_reused_total 3", "dw_query_duration_seconds_count 6", "dw_stale_answers_total 0"} {
 		if !strings.Contains(metrics, "\n"+want+"\n") {
 			t.Errorf("metrics lack %q", want)
 		}
 	}
-	var stats struct{ Queries, QueriesReused, QueriesCarried int64 }
-	if getJSON(t, ts.URL+"/stats", &stats); stats.Queries != 5 || stats.QueriesReused != 3 || stats.QueriesCarried != 1 {
-		t.Errorf("/stats: %d queries, %d reused, %d carried; want 5, 3 and 1", stats.Queries, stats.QueriesReused, stats.QueriesCarried)
+	var stats struct {
+		Queries, QueriesReused, QueriesCarried int64
+		CarryFallbacks                         map[string]int64
+	}
+	getJSON(t, ts.URL+"/stats", &stats)
+	if stats.Queries != 6 || stats.QueriesReused != 3 || stats.QueriesCarried != 1 {
+		t.Errorf("/stats: %d queries, %d reused, %d carried; want 6, 3 and 1", stats.Queries, stats.QueriesReused, stats.QueriesCarried)
+	}
+	if want := map[string]int64{"gap": 0, "cost": 0, "changed": 1}; !maps.Equal(stats.CarryFallbacks, want) {
+		t.Errorf("/stats carryFallbacks %v, want %v", stats.CarryFallbacks, want)
 	}
 	for _, c := range []struct{ id, answer string }{{traceID, "reused"}, {carriedID, "carried"}} {
 		id, ok := trace.ParseTraceID(c.id)

@@ -169,9 +169,11 @@ type server struct {
 	qcache *queryCache
 	// changes are the last commits' normalized updates, by generation:
 	// what carries reads to prove a stored answer still holds. carried
-	// counts the answers it carried forward (/stats queriesCarried).
-	changes changeRing
-	carried atomic.Int64
+	// counts the answers it carried forward (/stats queriesCarried),
+	// fellBack the checks that fell back to evaluation, by reason.
+	changes  changeRing
+	carried  atomic.Int64
+	fellBack [numFallbacks]atomic.Int64
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
@@ -830,12 +832,16 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// budget; both abort the evaluation at the next operator boundary.
 	ectx, cancel := s.queryContext(req)
 	defer cancel()
-	if explain == 0 && e.body != nil && s.carries(ectx, e, v) {
-		e.at, e.version, e.gen = time.Now(), v.stamp(), v.gen
-		s.qcache.put(src, e)
-		s.carried.Add(1)
-		s.writeReused(w, req, e.body, start, "carried")
-		return
+	if explain == 0 && e.body != nil {
+		why := s.carries(ectx, e, v).why
+		if why == carried {
+			e.at, e.version, e.gen = time.Now(), v.stamp(), v.gen
+			s.qcache.put(src, e)
+			s.carried.Add(1)
+			s.writeReused(w, req, e.body, start, "carried")
+			return
+		}
+		s.fellBack[why].Add(1)
 	}
 	// The evaluation span (child of the request span) carries the query,
 	// its cardinality and the compact executed-plan signature, so a trace
@@ -890,57 +896,10 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if explain == 0 {
 		// Plain answers are reused while v.gen is published, and are what
 		// the ladder's LevelStale rung serves.
-		e.body, e.at, e.version, e.gen, e.scanned = body, time.Now(), v.stamp(), v.gen, stats.Scanned
+		e.body, e.at, e.version, e.gen, e.cost = body, time.Now(), v.stamp(), v.gen, evalCost(stats)
 		s.qcache.put(src, e)
 	}
 	writeBody(w, http.StatusOK, body)
-}
-
-// carries reports whether e's stored answer, Q(d) at generation e.gen, is
-// also Q(d) at v, so it can be served without evaluating. Every commit since
-// e.gen must be in the change ring (a gap evaluates). Those that touch a
-// base of Q compose into one net update, exact against e.gen's state; if it
-// changes none of Q's bases, Q(d) is unchanged. Otherwise its reverse —
-// exact against v's state, so no older version is pinned — is propagated
-// through Q over W⁻¹(v.w) (Theorem 4.1), and an empty Δ(Q) proves Q(d)
-// unchanged. The check may cost at most the rows e's evaluation scanned:
-// the composed tuples, then the propagation's reads under a Budget of the
-// rest. Past that it gives up, and the query evaluates.
-func (s *server) carries(ctx context.Context, e queryEntry, v *version) bool {
-	if e.gen >= v.gen || v.gen-e.gen > changeRingSize {
-		return false
-	}
-	// A first pass finds the gaps and sizes the composition before paying
-	// for it; the second composes what the first saw, and gives up if a
-	// slot has been written since.
-	budget, n := max(e.scanned, 1), int64(0)
-	for g := e.gen + 1; g <= v.gen; g++ {
-		u := s.changes.at(g)
-		if u == nil {
-			return false
-		}
-		if n += int64(changedIn(u, e.bases)); n >= budget {
-			return false
-		}
-	}
-	if n == 0 {
-		return true
-	}
-	net := dwc.NewUpdate()
-	for g := e.gen + 1; g <= v.gen; g++ {
-		u := s.changes.at(g)
-		if u == nil {
-			return false
-		}
-		if changedIn(u, e.bases) > 0 {
-			net.Then(u)
-		}
-	}
-	if changedIn(net, e.bases) == 0 {
-		return true
-	}
-	d, err := dwc.AnswerDelta(dwc.WithBudget(ctx, dwc.Budget{Scanned: budget - n}), s.comp, v.w, e.q, net.Reverse())
-	return err == nil && d.IsEmpty()
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
@@ -1014,11 +973,17 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.statsMu.Lock()
 	queryStats := s.queryStats
 	s.statsMu.Unlock()
+	fellBack := map[string]int64{}
+	for why := fellBackGap; why < numFallbacks; why++ {
+		fellBack[fallbackNames[why]] = s.fellBack[why].Load()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"queries":       s.mQueries.Value(),
 		"queriesReused": s.mReused.Value(),
-		// Of those, the answers carried forward from an earlier state.
+		// Of those, the answers carried forward from an earlier state; and
+		// the carry checks that fell back to evaluation, by reason.
 		"queriesCarried": s.carried.Load(),
+		"carryFallbacks": fellBack,
 		"queryStats":     queryStats,
 		"refreshes":      v.refreshes,
 		"refreshStats":   v.refreshStats,

@@ -131,37 +131,6 @@ func (u *Update) Size() int {
 	return n
 }
 
-// Then folds next into u in place: u becomes the net update of applying u
-// and then next. When u is exact against a state d (every insertion absent
-// from d, every deletion present) and next is exact against u(d), the
-// result is exact against d: a tuple inserted and then deleted, or deleted
-// and then re-inserted, drops out of both sides. u's relations must be its
-// own (u built by Then from NewUpdate is); next is only read.
-func (u *Update) Then(next *Update) {
-	for name, r := range next.ins {
-		fold(u.ins, u.del, name, r)
-	}
-	for name, r := range next.del {
-		fold(u.del, u.ins, name, r)
-	}
-}
-
-// fold adds r's tuples to side[name], except those the opposite side holds:
-// they cancel and leave it.
-func fold(side, opposite map[string]*relation.Relation, name string, r *relation.Relation) {
-	opp, s := opposite[name], side[name]
-	for t := range r.All() {
-		if opp != nil && opp.Delete(alignTuple(r, opp, t)) {
-			continue
-		}
-		if s == nil {
-			s = relation.New(r.Attrs()...)
-			side[name] = s
-		}
-		s.Insert(alignTuple(r, s, t))
-	}
-}
-
 // Reverse returns the update that undoes u: its insertions are u's
 // deletions and the other way round. When u is exact against d, Reverse is
 // exact against u(d), and takes it back to d. The relations are shared

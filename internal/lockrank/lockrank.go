@@ -31,6 +31,7 @@ type Rank int
 const (
 	_ Rank = iota
 	rankSource
+	rankSourceDelivery
 	rankIntegrator
 	rankServer
 	rankBootLedger
@@ -60,48 +61,50 @@ type Class interface{ class() (Rank, string) }
 
 // The classes, one per rank.
 type (
-	Source        struct{}
-	Integrator    struct{}
-	Server        struct{}
-	BootLedger    struct{}
-	Controller    struct{}
-	Link          struct{}
-	RemoteClient  struct{}
-	Journal       struct{}
-	ReplicaClient struct{}
-	ReplicaLog    struct{}
-	Ladder        struct{}
-	Breaker       struct{}
-	EvalContext   struct{}
-	Relation      struct{}
-	Chaos         struct{}
-	ObservedGauge struct{}
-	Registry      struct{}
-	Tracer        struct{}
-	TraceStore    struct{}
-	Span          struct{}
+	Source         struct{}
+	SourceDelivery struct{}
+	Integrator     struct{}
+	Server         struct{}
+	BootLedger     struct{}
+	Controller     struct{}
+	Link           struct{}
+	RemoteClient   struct{}
+	Journal        struct{}
+	ReplicaClient  struct{}
+	ReplicaLog     struct{}
+	Ladder         struct{}
+	Breaker        struct{}
+	EvalContext    struct{}
+	Relation       struct{}
+	Chaos          struct{}
+	ObservedGauge  struct{}
+	Registry       struct{}
+	Tracer         struct{}
+	TraceStore     struct{}
+	Span           struct{}
 )
 
-func (Source) class() (Rank, string)        { return rankSource, "source.Source.mu" }
-func (Integrator) class() (Rank, string)    { return rankIntegrator, "source.Integrator.mu" }
-func (Server) class() (Rank, string)        { return rankServer, "dwserve.server.mu" }
-func (BootLedger) class() (Rank, string)    { return rankBootLedger, "dwserve.bootLedger.mu" }
-func (Controller) class() (Rank, string)    { return rankController, "admission.Controller.mu" }
-func (Link) class() (Rank, string)          { return rankLink, "remote.Link.mu" }
-func (RemoteClient) class() (Rank, string)  { return rankRemoteClient, "remote.Client.mu" }
-func (Journal) class() (Rank, string)       { return rankJournal, "journal.Writer.mu" }
-func (ReplicaClient) class() (Rank, string) { return rankReplicaClient, "replica.Client.mu" }
-func (ReplicaLog) class() (Rank, string)    { return rankReplicaLog, "replica.Log.mu" }
-func (Ladder) class() (Rank, string)        { return rankLadder, "admission.Ladder.mu" }
-func (Breaker) class() (Rank, string)       { return rankBreaker, "remote.Breaker.mu" }
-func (EvalContext) class() (Rank, string)   { return rankEvalContext, "algebra.EvalContext.mu" }
-func (Relation) class() (Rank, string)      { return rankRelation, "relation.Relation.mu" }
-func (Chaos) class() (Rank, string)         { return rankChaos, "chaos.mu" }
-func (ObservedGauge) class() (Rank, string) { return rankObservedGauge, "obs.ObservedGauge.mu" }
-func (Registry) class() (Rank, string)      { return rankRegistry, "obs.Registry.mu" }
-func (Tracer) class() (Rank, string)        { return rankTracer, "trace.Tracer.mu" }
-func (TraceStore) class() (Rank, string)    { return rankTraceStore, "trace.Store.mu" }
-func (Span) class() (Rank, string)          { return rankSpan, "trace.Span.mu" }
+func (Source) class() (Rank, string)         { return rankSource, "source.Source.mu" }
+func (SourceDelivery) class() (Rank, string) { return rankSourceDelivery, "source.Source.deliver" }
+func (Integrator) class() (Rank, string)     { return rankIntegrator, "source.Integrator.mu" }
+func (Server) class() (Rank, string)         { return rankServer, "dwserve.server.mu" }
+func (BootLedger) class() (Rank, string)     { return rankBootLedger, "dwserve.bootLedger.mu" }
+func (Controller) class() (Rank, string)     { return rankController, "admission.Controller.mu" }
+func (Link) class() (Rank, string)           { return rankLink, "remote.Link.mu" }
+func (RemoteClient) class() (Rank, string)   { return rankRemoteClient, "remote.Client.mu" }
+func (Journal) class() (Rank, string)        { return rankJournal, "journal.Writer.mu" }
+func (ReplicaClient) class() (Rank, string)  { return rankReplicaClient, "replica.Client.mu" }
+func (ReplicaLog) class() (Rank, string)     { return rankReplicaLog, "replica.Log.mu" }
+func (Ladder) class() (Rank, string)         { return rankLadder, "admission.Ladder.mu" }
+func (Breaker) class() (Rank, string)        { return rankBreaker, "remote.Breaker.mu" }
+func (EvalContext) class() (Rank, string)    { return rankEvalContext, "algebra.EvalContext.mu" }
+func (Relation) class() (Rank, string)       { return rankRelation, "relation.Relation.mu" }
+func (Chaos) class() (Rank, string)          { return rankChaos, "chaos.mu" }
+func (ObservedGauge) class() (Rank, string)  { return rankObservedGauge, "obs.ObservedGauge.mu" }
+func (Registry) class() (Rank, string)       { return rankRegistry, "obs.Registry.mu" }
+func (Tracer) class() (Rank, string)         { return rankTracer, "trace.Tracer.mu" }
+func (TraceStore) class() (Rank, string)     { return rankTraceStore, "trace.Store.mu" }
+func (Span) class() (Rank, string)           { return rankSpan, "trace.Span.mu" }
 
 // Mutex is a sync.Mutex of class C. Its zero value is an unlocked mutex.
 type Mutex[C Class] struct{ mu sync.Mutex }

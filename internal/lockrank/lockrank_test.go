@@ -20,7 +20,7 @@ func withChecking(t *testing.T, f func()) {
 // TestRanksTotalOrder: the classes, listed outer to inner, have the ranks
 // 1, 2, … in that order, each with its own name.
 func TestRanksTotalOrder(t *testing.T) {
-	classes := []Class{Source{}, Integrator{}, Server{}, BootLedger{}, Controller{},
+	classes := []Class{Source{}, SourceDelivery{}, Integrator{}, Server{}, BootLedger{}, Controller{},
 		Link{}, RemoteClient{}, Journal{}, ReplicaClient{}, ReplicaLog{}, Ladder{}, Breaker{},
 		EvalContext{}, Relation{}, Chaos{}, ObservedGauge{}, Registry{}, Tracer{}, TraceStore{}, Span{}}
 	if len(classes) != int(rankCount)-1 {

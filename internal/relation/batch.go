@@ -81,6 +81,16 @@ func (b Batch) Codes(c int) []int32 { return window(b.pg[c].codes, b.n) }
 // for non-string layouts.
 func (b Batch) Dict(c int) *Dict { return b.pg[c].dict }
 
+// AppendKey appends to dst the canonical encoding of batch-local row i that
+// Tuple.key gives its tuple: two rows are Equal exactly when their keys
+// are, so the key can stand for the row in a map.
+func (b Batch) AppendKey(dst []byte, i int) []byte {
+	for c := range b.pg {
+		dst = b.pg[c].value(i).appendKey(dst)
+	}
+	return dst
+}
+
 // window returns the batch's rows of a payload, or nil where there is none.
 func window[T any](s []T, n int) []T {
 	if s == nil {
@@ -91,6 +101,14 @@ func window[T any](s []T, n int) []T {
 
 // numBatches returns the batch count covering n rows.
 func numBatches(n int) int { return (n + BatchSize - 1) / BatchSize }
+
+// Page returns row page pi as a batch in place. Unlike Batches it lends
+// nothing and allocates nothing, so the batch is valid only while r is not
+// written: it is for relations nobody writes any more, such as a committed
+// update's.
+func (r *Relation) Page(pi int) Batch {
+	return Batch{pg: r.rows.pages[pi], n: r.rows.rowsOn(pi), attrs: r.attrs, start: pi << pageBits}
+}
 
 // Batches returns an iterator over the relation column-major, one batch
 // per row page — the counterpart of All. Nothing is built: a batch is the

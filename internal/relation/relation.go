@@ -30,12 +30,11 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 // key returns the canonical injective string encoding of the tuple, which
 // Fingerprint sorts.
 func (t Tuple) key() string {
-	var b strings.Builder
+	var b []byte
 	for _, v := range t {
-		v.appendKey(&b)
-		b.WriteByte('|')
+		b = v.appendKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // hash64 returns the order-independent 64-bit hash of the tuple: the sum

@@ -13,6 +13,7 @@ package relation
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -289,38 +290,28 @@ func (v Value) Literal() string {
 	return b.String()
 }
 
-// appendKey appends a canonical, injective encoding of the value to b.
-// Numerically equal int/float values encode identically so that set
-// semantics agree with Equal.
-func (v Value) appendKey(b *strings.Builder) {
+// appendKey appends a canonical, injective, self-delimiting encoding of
+// the value to b. Values that are Equal encode identically, so that set
+// semantics agree with Equal: Int(2) and Float(2) share the float's
+// encoding, -0.0 encodes as 0.0 and every NaN alike (canonicalFloatBits).
+func (v Value) appendKey(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		b.WriteByte('n')
+		return append(b, 'n')
 	case KindBool:
 		if v.b {
-			b.WriteString("b1")
-		} else {
-			b.WriteString("b0")
+			return append(b, 'b', 1)
 		}
+		return append(b, 'b', 0)
 	case KindInt:
-		f := float64(v.i)
-		if int64(f) == v.i {
-			// Encode as float when exactly representable so that
-			// Int(2) and Float(2) collapse to one set element.
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
-		} else {
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(v.i, 10))
+		if f := float64(v.i); int64(f) == v.i {
+			return binary.BigEndian.AppendUint64(append(b, 'f'), canonicalFloatBits(f))
 		}
+		return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(v.i))
 	case KindFloat:
-		b.WriteByte('f')
-		b.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
-	case KindString:
-		b.WriteByte('s')
-		b.WriteString(strconv.Itoa(len(v.s)))
-		b.WriteByte(':')
-		b.WriteString(v.s)
+		return binary.BigEndian.AppendUint64(append(b, 'f'), canonicalFloatBits(v.f))
+	default: // KindString
+		return append(binary.AppendUvarint(append(b, 's'), uint64(len(v.s))), v.s...)
 	}
 }
 

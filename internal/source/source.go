@@ -77,6 +77,7 @@ type Source struct {
 	reports *retain.Log[Notification]
 
 	mu      lockrank.Mutex[lockrank.Source]
+	deliver lockrank.Mutex[lockrank.SourceDelivery] // taken under mu, held while the subscriber runs
 	state   *catalog.State
 	notify  func(Notification)
 	queries atomic.Int64  // ad-hoc query attempts, sealed or not
@@ -150,12 +151,32 @@ func (s *Source) Apply(u *catalog.Update) (uint64, error) {
 // context (e.g. an inbound traceparent installed by
 // trace.ContextWithRemote), the emitted report's span joins the
 // caller's trace instead of starting a fresh one.
+//
+// The report is delivered outside the source's lock, in sequence order:
+// apply takes the delivery lock before it releases mu, so the next
+// transaction applies and appends its report while this one's subscriber
+// runs — an in-process integrator journals and refreshes there — and
+// waits only to deliver.
 func (s *Source) ApplyContext(ctx context.Context, u *catalog.Update) (uint64, error) {
 	for _, name := range u.Touched() {
 		if !s.Owns(name) {
 			return 0, fmt.Errorf("source: %s cannot update foreign relation %q", s.name, name)
 		}
 	}
+	n, notify, err := s.apply(ctx, u)
+	if err != nil {
+		return 0, err
+	}
+	defer s.deliver.Unlock()
+	if notify != nil {
+		notify(n)
+	}
+	return n.Seq, nil
+}
+
+// apply runs the transaction under mu and returns its report and the
+// subscriber to deliver it to, holding the delivery lock on success.
+func (s *Source) apply(ctx context.Context, u *catalog.Update) (Notification, func(Notification), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, sp := s.tracer.Start(ctx, "source.apply")
@@ -165,7 +186,7 @@ func (s *Source) ApplyContext(ctx context.Context, u *catalog.Update) (uint64, e
 	trial := s.state.Clone()
 	if err := nu.Apply(trial); err != nil {
 		sp.SetAttr("outcome", "rejected")
-		return 0, fmt.Errorf("source: %s rejected transaction: %w", s.name, err)
+		return Notification{}, nil, fmt.Errorf("source: %s rejected transaction: %w", s.name, err)
 	}
 	// Autonomous sources can only check constraints they can see: keys of
 	// owned relations and INDs whose both sides are local. Cross-source
@@ -173,7 +194,7 @@ func (s *Source) ApplyContext(ctx context.Context, u *catalog.Update) (uint64, e
 	// which assumes the global state consistent).
 	if err := s.checkLocal(trial); err != nil {
 		sp.SetAttr("outcome", "rejected")
-		return 0, fmt.Errorf("source: %s rejected transaction: %w", s.name, err)
+		return Notification{}, nil, fmt.Errorf("source: %s rejected transaction: %w", s.name, err)
 	}
 	s.state = trial
 	seq := s.reports.Tip() + 1 // Apply is the only appender, under mu
@@ -187,10 +208,8 @@ func (s *Source) ApplyContext(ctx context.Context, u *catalog.Update) (uint64, e
 		Traceparent:     sp.Context().Traceparent(),
 	}
 	s.reports.Append(n)
-	if s.notify != nil {
-		s.notify(n)
-	}
-	return seq, nil
+	s.deliver.Lock()
+	return n, s.notify, nil
 }
 
 // Resend re-delivers every retained report with sequence number ≥ from

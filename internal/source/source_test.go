@@ -317,3 +317,54 @@ func TestReportsReadDuringApply(t *testing.T) {
 		t.Fatal("reading the report log waited for the source's lock")
 	}
 }
+
+// TestApplyDeliversOutsideLock: a report is delivered outside the source's
+// lock and in sequence order. While the subscriber still holds the first
+// report, a second transaction applies and appends its report; its
+// delivery waits for the first's.
+func TestApplyDeliversOutsideLock(t *testing.T) {
+	env, sc := figure1Env(t)
+	sales, _ := env.Source("sales")
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	delivered := make(chan uint64, 2)
+	sales.OnUpdate(func(n Notification) {
+		if n.Seq == 1 {
+			<-release
+		}
+		delivered <- n.Seq
+	})
+	applied := make(chan error, 2)
+	apply := func(item string) {
+		_, err := sales.Apply(catalog.NewUpdate().MustInsert("Sale", sc.DB, relation.String_(item), relation.String_("Mary")))
+		applied <- err
+	}
+	waitSeq := func(seq uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); sales.Seq() < seq; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("report %d not appended while report 1 is being delivered", seq)
+			}
+		}
+	}
+	go apply("TV set")
+	waitSeq(1)
+	go apply("Radio")
+	waitSeq(2)
+	select {
+	case seq := <-delivered:
+		t.Fatalf("report %d delivered while report 1 is still held", seq)
+	default:
+	}
+	unblock()
+	for range 2 {
+		if err := <-applied; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first, second := <-delivered, <-delivered; first != 1 || second != 2 {
+		t.Fatalf("delivered %d then %d, want 1 then 2", first, second)
+	}
+}
