@@ -663,38 +663,81 @@ func warmRefreshIndexes(tb testing.TB, w *dwc.Warehouse) {
 	}
 }
 
-// TestRefreshCopyCeiling puts a ceiling on what BenchmarkRefreshScale
-// reports as copied-B/op: the pages the copy-on-write apply of one churn
-// refresh copies, averaged over 256 refreshes after 2·64 warm-up updates,
-// with the query pool's indexes cached. The figures are deterministic.
-// The ceilings are what the relation package copied when it kept a
-// membership slot table, an index table and a key-hash vector apart
-// (measured twice, identically); one table per relation must not copy
-// more.
+// TestRefreshCopyCeiling puts ceilings on what BenchmarkRefreshScale
+// reports per churn refresh, averaged over 256 refreshes after 2·64 warm-up
+// updates, with the query pool's indexes cached: copied-B/op, the pages
+// the copy-on-write apply copies, and the allocations of the refresh alone
+// (the updates are built before it). The counts do not depend on the
+// clock, so the ceilings are the means measured when they were last
+// lowered — the allocations under -race, whose build makes ≈ 3 more — and
+// a change that lowers a mean lowers its ceiling with it.
 func TestRefreshCopyCeiling(t *testing.T) {
 	const lag, measured = 64, 256
 	for _, c := range []struct {
-		rows    int
-		ceiling int64
-	}{{10_000, 131_139}, {100_000, 135_059}} {
+		rows           int
+		copied, allocs int64
+	}{{10_000, 47_278, 206}, {100_000, 46_428, 206}} {
 		w := section5Warehouse(t, c.rows)
 		warmRefreshIndexes(t, w)
 		db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
-		copied := int64(0)
+		copied, allocs := int64(0), uint64(0)
 		for i := 0; i < 2*lag+measured; i++ {
-			st, err := dwc.Refresh(context.Background(), m, w, churnUpdate(db, c.rows, lag, i))
+			u := churnUpdate(db, c.rows, lag, i)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := dwc.Refresh(context.Background(), m, w, u)
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i >= 2*lag {
 				copied += st.CopiedBytes
+				allocs += after.Mallocs - before.Mallocs
 			}
 		}
-		if mean := copied / measured; mean > c.ceiling {
-			t.Errorf("%d rows: a churn refresh copies %d B on average, ceiling %d B", c.rows, mean, c.ceiling)
-		} else {
-			t.Logf("%d rows: a churn refresh copies %d B on average, ceiling %d B", c.rows, mean, c.ceiling)
+		mean := int64(allocs / measured)
+		for _, k := range []struct {
+			what          string
+			mean, ceiling int64
+		}{{"copies", copied / measured, c.copied}, {"allocations", mean, c.allocs}} {
+			if k.mean > k.ceiling {
+				t.Errorf("%d rows: a churn refresh's %s average %d, ceiling %d", c.rows, k.what, k.mean, k.ceiling)
+			} else {
+				t.Logf("%d rows: a churn refresh's %s average %d, ceiling %d", c.rows, k.what, k.mean, k.ceiling)
+			}
 		}
+	}
+}
+
+// TestRefreshRetainsNoHistory: refreshes drop the warehouse versions
+// before them, so 4000 churn refreshes on the 100k-row star leave the heap
+// where it was. A page of a table copied on write must not keep the pages
+// of earlier versions reachable: copied in one block with the leaf it
+// copied, it would, since the leaf outlives the copy and the block keeps
+// the copy's pointers alive — ≈ 1 KB more per refresh.
+func TestRefreshRetainsNoHistory(t *testing.T) {
+	const lag = 64
+	w := section5Warehouse(t, 100_000)
+	db, m := w.Complement().Database(), dwc.NewMaintainer(w.Complement())
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var before int64
+	for i := range 5000 {
+		if i == 1000 {
+			before = heap()
+		}
+		if _, err := dwc.Refresh(context.Background(), m, w, churnUpdate(db, 100_000, lag, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := heap() - before
+	runtime.KeepAlive(w)
+	if grown > 1<<20 {
+		t.Fatalf("4000 refreshes grew the heap by %d bytes, want it flat", grown)
 	}
 }
 

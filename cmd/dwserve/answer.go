@@ -127,6 +127,21 @@ func (c *queryCache) put(src string, e queryEntry) {
 	c.bytes += len(e.body)
 }
 
+// restamp records that e, the entry held for src when it was read, holds
+// the answer at a later state (e.gen), as a carry finds it does: the entry
+// keeps its place in the store order. An entry held at e.gen or a later
+// generation stays as it is, and so does a text evicted since.
+func (c *queryCache) restamp(src string, e queryEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, ok := c.entries[src]
+	if !ok || cur.gen >= e.gen || c.bytes+len(e.body)-len(cur.body) > queryCacheBytes {
+		return
+	}
+	c.bytes += len(e.body) - len(cur.body) // none, unless an evaluation replaced the body meanwhile
+	c.entries[src] = e
+}
+
 // drop evicts the i-th entry in store order. Caller holds c.mu.
 func (c *queryCache) drop(i int) {
 	c.bytes -= len(c.entries[c.order[i]].body)
@@ -331,6 +346,33 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	// short byte count.
 	_, _ = w.Write(body)
 	_ = http.NewResponseController(w).Flush()
+}
+
+// appendAck appends the body of an update's ack: the bytes encoding/json
+// writes, newline included, for the object of the changed relations (those
+// with a change, by name), the refresh's wall time in ns, and the sizes of
+// the normalized source update and of the warehouse change — keys in
+// encoding/json's order.
+func appendAck(b []byte, stats dwc.RefreshStats) []byte {
+	names := make([]string, 0, len(stats.Changed))
+	for name, n := range stats.Changed {
+		if n > 0 {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	b = append(b, `{"changedRelations":{`...)
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendJSONString(b, name), ':')
+		b = strconv.AppendInt(b, int64(stats.Changed[name]), 10)
+	}
+	b = strconv.AppendInt(append(b, `},"refreshNs":`...), stats.Wall.Nanoseconds(), 10)
+	b = strconv.AppendInt(append(b, `,"sourceChanges":`...), int64(stats.UpdateSize), 10)
+	b = strconv.AppendInt(append(b, `,"warehouseChanges":`...), int64(stats.Total()), 10)
+	return append(b, "}\n"...)
 }
 
 // writeRelation answers /relations/{name} and /reconstruct/{base}.

@@ -543,3 +543,72 @@ func TestFailedEncodeIsLogged(t *testing.T) {
 		t.Errorf("no warn line for the failed encode in:\n%s", logged.String())
 	}
 }
+
+// TestAppendAckMatchesEncodingJSON: an update's ack is the bytes
+// encoding/json wrote for the map the handler once handed it, over random
+// refresh stats — relation names that need escaping, relations that did
+// not change, sizes up to the int64 range.
+func TestAppendAckMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := append([]string{"FactParis", "C_Order_tokyo", "Sold", ""}, nastyStrings...)
+	for i := range 500 {
+		stats := dwc.RefreshStats{Changed: map[string]int{}, UpdateSize: rng.Intn(1 << uint(rng.Intn(62))), Wall: time.Duration(rng.Int63n(1 << uint(rng.Intn(63))))}
+		for range rng.Intn(6) {
+			stats.Changed[names[rng.Intn(len(names))]] = rng.Intn(3) * rng.Intn(1<<20)
+		}
+		changed := map[string]int{}
+		for name, n := range stats.Changed {
+			if n > 0 {
+				changed[name] = n
+			}
+		}
+		want := refEncode(t, map[string]any{
+			"sourceChanges":    stats.UpdateSize,
+			"warehouseChanges": stats.Total(),
+			"changedRelations": changed,
+			"refreshNs":        stats.Wall.Nanoseconds(),
+		})
+		if got := appendAck(nil, stats); !bytes.Equal(got, want) {
+			t.Fatalf("stats %d:\ngot  %q\nwant %q", i, got, want)
+		}
+	}
+}
+
+// TestQueryCacheRestamp: a carried answer re-stamps its entry in place —
+// its place in the eviction order and the cache's byte count stay — and
+// never over an entry held at a later generation.
+func TestQueryCacheRestamp(t *testing.T) {
+	c := &queryCache{entries: map[string]queryEntry{}}
+	for i, src := range []string{"a", "b", "c"} {
+		c.put(src, queryEntry{body: []byte(strings.Repeat("x", 10*(i+1))), gen: 3, version: "0/3"})
+	}
+	order, held := slices.Clone(c.order), c.bytes
+	e, _ := c.get("a")
+	e.gen, e.version = 7, "0/7"
+	c.restamp("a", e)
+	if got, _ := c.get("a"); got.gen != 7 || got.version != "0/7" {
+		t.Fatalf("re-stamped entry at gen %d, version %q; want 7, 0/7", got.gen, got.version)
+	}
+	if !slices.Equal(c.order, order) || c.bytes != held {
+		t.Fatalf("re-stamp moved the entry: order %v bytes %d, want %v and %d", c.order, c.bytes, order, held)
+	}
+	e.gen, e.version = 5, "0/5" // a carry that read the entry at gen 3 and finishes after the one to gen 7
+	c.restamp("a", e)
+	if got, _ := c.get("a"); got.gen != 7 {
+		t.Fatalf("a re-stamp to gen 5 replaced the entry at gen 7: gen %d", got.gen)
+	}
+	c.restamp("gone", queryEntry{body: []byte("y"), gen: 9})
+	if _, ok := c.get("gone"); ok || len(c.order) != 3 {
+		t.Fatalf("a re-stamp stored an entry the cache does not hold: order %v", c.order)
+	}
+	// FIFO order survives: the oldest text, a, is still the first evicted.
+	for i := range queryCacheSize - 2 {
+		c.put(fmt.Sprintf("q%d", i), queryEntry{gen: 3})
+	}
+	if _, ok := c.get("a"); ok {
+		t.Fatal("the re-stamped entry outlived the entries stored after it")
+	}
+	if _, ok := c.get("b"); !ok {
+		t.Fatal("the second-oldest entry was evicted before the re-stamped oldest")
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -75,19 +76,44 @@ func (r *changeRing) at(gen uint64) *change {
 // tuple against the compiled relevance condition costs ≈ 40 ns with its
 // share of the walk (point …/carried/120), composing one ≈ 250 ns more
 // (union …/carried/40), and the propagation reads a row for about what an
-// evaluation does. A vectorized scan reads a row for ≈ 2 ns, so a scan's
-// price overstates it up to 50×; its check is then bounded by the ring.
+// evaluation does. A vectorized σ reads a row for ≈ 2 ns (scan/paris/miss:
+// 168 µs for 101 k rows its scan read), so the rows it reads are priced
+// apart.
 const (
 	costEvalFixed = 650 // any evaluation, whatever it reads
 	costEvalRow   = 10  // per row an evaluation scans, probes or emits
+	costScanRows  = 5   // rows a vectorized σ reads per unit
 	costTest      = 4   // per recorded tuple tested
 	costCompose   = 25  // per relevant tuple composed into the net
 	costRead      = 10  // per row the propagation scans
 )
 
-// evalCost is what an evaluation with these counters cost, in carry units.
+// evalCost is what an evaluation with these counters cost, in carry units:
+// the rows its σs read by a vectorized scan at the scan's rate, every other
+// row it scanned, probed or emitted at costEvalRow.
 func evalCost(st *dwc.EvalStats) int64 {
-	return costEvalFixed + costEvalRow*(st.Scanned+st.Probed+st.Emitted)
+	scan := int64(0)
+	for _, n := range st.Plan {
+		scan += scanRows(n)
+	}
+	return costEvalFixed + costEvalRow*(st.Scanned+st.Probed+st.Emitted-scan) + scan/costScanRows
+}
+
+// scanRows returns the rows the σs of the plan tree read by a vectorized
+// scan: each one's scanned rows, and the rows a stored relation read whole
+// under it handed it.
+func scanRows(n *dwc.PlanNode) int64 {
+	rows := int64(0)
+	for _, c := range n.Children {
+		rows += scanRows(c)
+		if n.Op == "select" && !c.Restricted && strings.HasPrefix(c.Op, "base(") {
+			rows += c.Emitted
+		}
+	}
+	if n.Op == "select" {
+		rows += n.Scanned
+	}
+	return rows
 }
 
 // fallback says why a carry check did not carry: a gap in the change ring,

@@ -170,3 +170,36 @@ func TestCarryNetComposes(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCarryPricedAtScanRate: a scan's evaluation is priced at what its
+// vectorized σ reads a row for, not what a join's rows cost, so a scan text
+// whose σ every churn row passes stops its carry check once the check has
+// composed more than the scan would read: it falls back with cost, where
+// a join's price would have let it run to the end.
+func TestScanCarryPricedAtScanRate(t *testing.T) {
+	spec := mustSpec(t, workload.Section5Spec)
+	spec.State = spec.DB.NewState()
+	workload.FillSection5(spec.State, 4000)
+	srv, err := newServer(spec, dwc.Theorem22(), serverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.handler()
+	const q = "sigma{qty < 2}(Order_paris)" // every churn row has qty 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/query?q="+url.QueryEscape(q), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", q, rec.Code, rec.Body)
+	}
+	e, _ := srv.qcache.get(q)
+	if join := int64(costEvalFixed + costEvalRow*2*2000); e.cost*10 > join {
+		t.Fatalf("the scan of 2000 rows is priced %d units, want below a tenth of the %d a join's rows would cost", e.cost, join)
+	}
+	churn := starChurn{h: h, rows: 4000}
+	for range 120 {
+		churn.commit(t)
+	}
+	if check := srv.carries(context.Background(), e, srv.cur.Load()); check.why != fellBackCost {
+		t.Fatalf("carry check across 120 commits of relevant churn: %+v, want a fallback on cost", check)
+	}
+}

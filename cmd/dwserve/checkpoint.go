@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	dwc "dwcomplement"
@@ -85,34 +86,43 @@ func (s *server) drainCheckpoint() {
 }
 
 // commit refreshes one update while its journal record — fixed before the
-// refresh starts, which Thm. 4.1 needs alone — is written and fsync'd in
-// the background, so an ack waits for the slower of the two, not both.
-// Only when both succeeded is the next version (state, watermarks,
-// coordinates, refresh aggregates) published in one step, then the
-// replication log (the same frame), every refresh series and the
-// checkpoint trigger: no reader ever sees a state the journal does not
-// hold. rec carries the coordinates — the next LSN under the current epoch
-// on a leader, the leader's own on a follower; emitted is the source's
-// emission time in unix nanos, 0 if none. Caller holds s.mu.
+// refresh starts, which Thm. 4.1 needs alone — is written and fsync'd, so
+// an ack waits for the slower of the two where they overlap. The frame is
+// claimed with one atomic by whichever goroutine comes first: a goroutine
+// spawned to append it, or, if that goroutine has not run by the time the
+// refresh is done (Go may start it only tens of microseconds after the
+// go statement), the caller itself, which then appends and fsyncs after
+// the refresh — and not at all if the refresh failed. Only when both
+// succeeded is the next version (state, watermarks, coordinates, refresh
+// aggregates) published in one step, then the replication log (the same
+// frame), every refresh series and the checkpoint trigger: no reader ever
+// sees a state the journal does not hold. rec carries the coordinates — the
+// next LSN under the current epoch on a leader, the leader's own on a
+// follower; emitted is the source's emission time in unix nanos, 0 if
+// none. Caller holds s.mu.
 //
-// A failed refresh withdraws the record before its error is returned. A
-// failed append of an update nobody can send again (the leader's own HTTP
-// API) is withdrawn too, puts the writer's warehouse back to the published
-// state and is returned: the caller must fail the ack. Reports and stream
-// records are re-fetchable — after a crash the client rewinds to the
-// checkpointed watermark and the sender's retained log refills the hole —
-// so there a failed append only degrades.
+// A failed refresh withdraws the record if the spawned goroutine appended
+// it. A failed append of an update nobody can send again (the leader's own
+// HTTP API) is withdrawn too, puts the writer's warehouse back to the
+// published state and is returned: the caller must fail the ack. Reports
+// and stream records are re-fetchable — after a crash the client rewinds
+// to the checkpointed watermark and the sender's retained log refills the
+// hole — so there a failed append only degrades.
 func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) (dwc.RefreshStats, error) {
 	prev := s.cur.Load()
 	frame, err := journal.Frame(rec)
 	if err != nil {
 		return dwc.RefreshStats{}, err
 	}
+	var claimed atomic.Bool // the frame goes to the journal once, by whoever claims it first
 	appended := make(chan error, 1)
 	if s.jw != nil {
-		go func() { appended <- s.jw.AppendFrame(ctx, frame) }()
-	} else {
-		appended <- nil
+		go func() {
+			_ = chaos.Point("commit.claim") // a test holds the goroutine here to claim second
+			if claimed.CompareAndSwap(false, true) {
+				appended <- s.jw.AppendFrame(ctx, frame)
+			}
+		}()
 	}
 	// journal.append runs beside the refresh span, under the caller's.
 	rctx, sp := trace.StartSpan(ctx, "refresh")
@@ -123,8 +133,21 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 		sp.SetAttr("outcome", "error")
 	}
 	sp.End()
-	jerr := <-appended
+	var jerr error
+	written := s.jw != nil // the record reached the journal, or its append failed there
+	switch {
+	case !written:
+	case claimed.CompareAndSwap(false, true): // the goroutine has not run: the frame is ours
+		if written = err == nil; written {
+			jerr = s.jw.AppendFrame(ctx, frame)
+		}
+	default:
+		jerr = <-appended
+	}
 	if err != nil {
+		if !written {
+			return stats, err
+		}
 		if werr := s.withdraw(ctx, rec); werr != nil {
 			return stats, fmt.Errorf("%v; its journal record could not be withdrawn, so a restart replays it unless that refresh fails too: %w", err, werr)
 		}

@@ -836,7 +836,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		why := s.carries(ectx, e, v).why
 		if why == carried {
 			e.at, e.version, e.gen = time.Now(), v.stamp(), v.gen
-			s.qcache.put(src, e)
+			s.qcache.restamp(src, e)
 			s.carried.Add(1)
 			s.writeReused(w, req, e.body, start, "carried")
 			return
@@ -954,18 +954,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	changed := map[string]int{}
-	for name, n := range stats.Changed {
-		if n > 0 {
-			changed[name] = n
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sourceChanges":    stats.UpdateSize,
-		"warehouseChanges": stats.Total(),
-		"changedRelations": changed,
-		"refreshNs":        stats.Wall.Nanoseconds(),
-	})
+	writeBody(w, http.StatusOK, appendAck(make([]byte, 0, 128), stats))
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,6 +135,7 @@ type EvalContext struct {
 	planNodes  int
 	truncated  bool
 	budgetErr  error // the violation detail, written under mu
+	noPlans    bool  // set once before use: record counters, not plan trees
 }
 
 // NewEvalContext returns an evaluation context carrying ctx (nil means
@@ -147,6 +149,15 @@ func NewEvalContext(ctx context.Context) *EvalContext {
 	if b, ok := BudgetFromContext(ctx); ok {
 		ec.budget = b
 	}
+	return ec
+}
+
+// WithoutPlans makes the context record counters and operator records but
+// no plan trees, and returns it; call it before the first evaluation. A
+// refresh reads a few rows per operator, and its plan trees would cost as
+// much as the reads.
+func (ec *EvalContext) WithoutPlans() *EvalContext {
+	ec.noPlans = true
 	return ec
 }
 
@@ -272,6 +283,9 @@ func (ec *EvalContext) AddWall(d time.Duration) {
 // count, when probe is non-nil — or nil once the node cap is reached
 // (counters still reach the flat totals either way).
 func (ec *EvalContext) newNode(op string, probe *relation.Relation) *PlanNode {
+	if ec.noPlans {
+		return nil
+	}
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	if ec.planNodes >= maxPlanNodes {
@@ -329,6 +343,9 @@ func (ec *EvalContext) finishNode(op string, n *PlanNode, s relation.OpStats, wa
 	ec.stats.IndexBuilds += s.IndexBuilds
 	ec.stats.Batches += s.Batches
 	ec.checkBudgetLocked()
+	if ec.stats.Ops == nil {
+		ec.stats.Ops = make([]OpStat, 0, 8) // a refresh or a query records a handful
+	}
 	if len(ec.stats.Ops) < maxOpRecords {
 		ec.stats.Ops = append(ec.stats.Ops, OpStat{
 			Op:          op,
@@ -368,6 +385,60 @@ func opName(e Expr) string {
 	}
 }
 
+// labels holds the operator labels of base references and joins, plain
+// and restricted (opLabels), made once per name and width: every operator
+// an evaluation records needs one.
+var labels struct {
+	mu sync.RWMutex
+	m  map[labelKey][2]string
+}
+
+type labelKey struct {
+	base string
+	join int
+}
+
+// maxLabels bounds the labels kept; past it they are made per call.
+const maxLabels = 4096
+
+// opLabels returns opName(e) and the label of its restricted evaluation,
+// opName(e) + "⋉".
+func opLabels(e Expr) [2]string {
+	var key labelKey
+	switch n := e.(type) {
+	case *Base:
+		key.base = n.Name
+	case *Join:
+		key.join = len(n.Inputs)
+	default:
+		op := opName(e)
+		return [2]string{op, restrictedLabels[op]}
+	}
+	labels.mu.RLock()
+	l, ok := labels.m[key]
+	labels.mu.RUnlock()
+	if ok {
+		return l
+	}
+	op := opName(e)
+	l = [2]string{op, op + "⋉"}
+	labels.mu.Lock()
+	if labels.m == nil {
+		labels.m = make(map[labelKey][2]string)
+	}
+	if len(labels.m) < maxLabels {
+		labels.m[key] = l
+	}
+	labels.mu.Unlock()
+	return l
+}
+
+// restrictedLabels are the restricted labels of the operators whose label
+// does not depend on the node.
+var restrictedLabels = map[string]string{
+	"empty": "empty⋉", "select": "select⋉", "project": "project⋉", "union": "union⋉", "diff": "diff⋉", "rename": "rename⋉",
+}
+
 // EvalCtx evaluates e against the state under an evaluation context: the
 // carried context.Context is checked at every operator boundary (a
 // canceled evaluation stops before starting its next operator), every
@@ -401,8 +472,7 @@ func EvalCtx(ec *EvalContext, e Expr, st State) (*relation.Relation, error) {
 func EvalRestricted(ec *EvalContext, e Expr, st State, probe *relation.Relation) (*relation.Relation, error) {
 	foreign := false
 	if probe != nil {
-		attrs := mustAttrsOf(e, st)
-		foreign = slices.ContainsFunc(probe.Attrs(), func(a string) bool { return !attrs.Has(a) })
+		foreign = slices.ContainsFunc(probe.Attrs(), func(a string) bool { return !hasAttr(e, st, a) })
 	}
 	out, n, err := evalCtxNode(ec, e, st, probe, foreign)
 	if err != nil {
@@ -428,10 +498,11 @@ func evalCtxNode(ec *EvalContext, e Expr, st State, probe *relation.Relation, fo
 		out, err := evalNode(nil, e, st, probe, foreign, nil, nil)
 		return out, nil, err
 	}
-	op := opName(e)
+	label := opLabels(e)
+	op := label[0]
 	n := ec.newNode(op, probe)
 	if probe != nil {
-		op += "⋉"
+		op = label[1]
 	}
 	start := time.Now()
 	var ops relation.OpStats
@@ -500,6 +571,16 @@ func evalNode(ec *EvalContext, e Expr, st State, probe *relation.Relation, forei
 		l, r, err := evalSides(ec, n.L, n.R, st, probe, pn)
 		if err != nil {
 			return nil, err
+		}
+		// Restricted, each side is a fresh relation: where one is empty the
+		// other is the union.
+		if probe != nil && (l.IsEmpty() || r.IsEmpty()) && relation.SameAttrs(l, r) {
+			out := l
+			if l.IsEmpty() {
+				out = r
+			}
+			sp.Add(relation.OpStats{Scanned: int64(out.Len()), Emitted: int64(out.Len())})
+			return out, nil
 		}
 		return relation.UnionStats(l, r, sp)
 	case *Diff:
@@ -585,22 +666,18 @@ func evalJoin(ec *EvalContext, inputs []Expr, st State, probe *relation.Relation
 	}
 	type pending struct {
 		e      Expr
-		attrs  relation.AttrSet
+		attrs  []string
 		stored int
 	}
 	rem := make([]pending, len(inputs))
 	for i, in := range inputs {
-		rem[i] = pending{in, mustAttrsOf(in, st), storedRows(in, st)}
+		rem[i] = pending{in, attrList(in, st), storedRows(in, st)}
 	}
 	acc, accStored := probe, false
 	for len(rem) > 0 {
-		accAttrs := relation.NewAttrSet()
-		if acc != nil {
-			accAttrs = acc.AttrSet()
-		}
 		pick, pickShares := -1, false
 		for i, p := range rem {
-			sh := !accAttrs.Intersect(p.attrs).IsEmpty()
+			sh := acc != nil && slices.ContainsFunc(p.attrs, acc.HasAttr)
 			switch {
 			case pick == -1, sh && !pickShares:
 				pick, pickShares = i, sh
@@ -614,7 +691,7 @@ func evalJoin(ec *EvalContext, inputs []Expr, st State, probe *relation.Relation
 		var r *relation.Relation
 		var err error
 		if pickShares && !stored && acc.Len() < p.stored {
-			r, err = evalChild(ec, p.e, st, relation.ProjectStats(acc, sp, accAttrs.Intersect(p.attrs).Sorted()...), pn)
+			r, err = evalChild(ec, p.e, st, relation.ProjectStats(acc, sp, relation.SharedAttrs(acc.Attrs(), p.attrs)...), pn)
 		} else {
 			r, err = evalChild(ec, p.e, st, nil, pn)
 		}
@@ -702,6 +779,61 @@ func constProbe(c Cond, in relation.AttrSet) *relation.Relation {
 	p := relation.New(attrs...)
 	p.Insert(vals)
 	return p
+}
+
+// attrList returns the attributes of e, as mustAttrsOf(e, st) holds them,
+// in a list: a stored relation's own and a projection's, not copied.
+func attrList(e Expr, st State) []string {
+	switch n := e.(type) {
+	case *Base:
+		if r, ok := st.Relation(n.Name); ok {
+			return r.Attrs()
+		}
+		return nil
+	case *Empty:
+		return n.Attrs
+	case *Project:
+		return n.Attrs
+	case *Select:
+		return attrList(n.Input, st)
+	case *Union:
+		return attrList(n.L, st)
+	case *Diff:
+		return attrList(n.L, st)
+	}
+	return mustAttrsOf(e, st).Sorted()
+}
+
+// hasAttr reports whether a is an attribute of e, as mustAttrsOf(e, st)
+// would, without building the set.
+func hasAttr(e Expr, st State, a string) bool {
+	switch n := e.(type) {
+	case *Base:
+		r, ok := st.Relation(n.Name)
+		return ok && r.HasAttr(a)
+	case *Empty:
+		return slices.Contains(n.Attrs, a)
+	case *Select:
+		return hasAttr(n.Input, st, a)
+	case *Project:
+		return slices.Contains(n.Attrs, a)
+	case *Join:
+		return slices.ContainsFunc(n.Inputs, func(in Expr) bool { return hasAttr(in, st, a) })
+	case *Union:
+		return hasAttr(n.L, st, a)
+	case *Diff:
+		return hasAttr(n.L, st, a)
+	case *Rename:
+		for from, to := range n.Mapping {
+			if to == a && hasAttr(n.Input, st, from) {
+				return true
+			}
+		}
+		_, renamed := n.Mapping[a]
+		return !renamed && hasAttr(n.Input, st, a)
+	default:
+		panic(fmt.Sprintf("algebra: unknown node %T", e))
+	}
 }
 
 // mustAttrsOf returns the attribute set of e for probe-pushing decisions.

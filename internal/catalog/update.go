@@ -84,6 +84,23 @@ func (u *Update) bucket(m map[string]*relation.Relation, name string, db *Databa
 	return r, nil
 }
 
+// Put replaces what the update schedules for the named relation with the
+// tuples of ins and del, either of which may be nil or empty for none. The
+// update keeps the relations, which must be over the relation's attribute
+// set, and the caller must not write them afterwards.
+func (u *Update) Put(name string, ins, del *relation.Relation) {
+	for _, s := range [2]struct {
+		m map[string]*relation.Relation
+		r *relation.Relation
+	}{{u.ins, ins}, {u.del, del}} {
+		if s.r == nil || s.r.IsEmpty() {
+			delete(s.m, name)
+		} else {
+			s.m[name] = s.r
+		}
+	}
+}
+
 // Inserts returns the scheduled insertions for the named relation (nil if
 // none).
 func (u *Update) Inserts(name string) *relation.Relation { return u.ins[name] }
@@ -94,14 +111,17 @@ func (u *Update) Deletes(name string) *relation.Relation { return u.del[name] }
 
 // Touched returns the sorted names of relations with scheduled changes.
 func (u *Update) Touched() []string {
-	set := relation.NewAttrSet()
+	names := make([]string, 0, len(u.ins)+len(u.del))
 	for n := range u.ins {
-		set[n] = struct{}{}
+		names = append(names, n)
 	}
 	for n := range u.del {
-		set[n] = struct{}{}
+		if _, ok := u.ins[n]; !ok {
+			names = append(names, n)
+		}
 	}
-	return set.Sorted()
+	slices.Sort(names)
+	return names
 }
 
 // IsEmpty reports whether the update schedules no changes.

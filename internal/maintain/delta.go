@@ -11,6 +11,7 @@
 package maintain
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -38,33 +39,22 @@ func (d Delta) Size() int { return d.Ins.Len() + d.Del.Len() }
 // pre-state relation: every deletion is actually present, every insertion
 // actually absent, and the two sets are disjoint. Consumers that keep
 // running counters (package aggregate) need exact deltas; ApplyTo works
-// with either form.
+// with either form. A side that is exact already is returned as it is,
+// shared with d.
 func (d Delta) Exact(pre *relation.Relation) Delta {
-	del := relation.New(d.Del.Attrs()...)
-	for t := range d.Del.All() {
-		if pre.ContainsAligned(t, d.Del) && !d.Ins.ContainsAligned(t, d.Del) {
-			del.Insert(t)
+	del, err := keep(d.Del, pre, true, d.Ins)
+	if err == nil {
+		var ins *relation.Relation
+		if ins, err = keep(d.Ins, pre, false, nil); err == nil {
+			return Delta{Ins: cmp.Or(ins, d.Ins), Del: cmp.Or(del, d.Del)}
 		}
 	}
-	ins := relation.New(d.Ins.Attrs()...)
-	for t := range d.Ins.All() {
-		if !pre.ContainsAligned(t, d.Ins) {
-			ins.Insert(t)
-		}
-	}
-	return Delta{Ins: ins, Del: del}
+	panic(fmt.Sprintf("maintain: delta does not fit its relation: %v", err))
 }
 
 // ApplyTo mutates the materialized relation: deletions first, then
 // insertions, aligning columns by name.
-func (d Delta) ApplyTo(r *relation.Relation) {
-	for t := range d.Del.All() {
-		r.Delete(alignTuple(d.Del, r, t))
-	}
-	for t := range d.Ins.All() {
-		r.Insert(alignTuple(d.Ins, r, t))
-	}
-}
+func (d Delta) ApplyTo(r *relation.Relation) { r.Apply(d.Del, d.Ins) }
 
 // node is the per-subexpression result of propagation: the delta, computed
 // eagerly (deltas are small), and two expressions denoting the
@@ -135,8 +125,18 @@ func newPropagation(st algebra.State, u *catalog.Update, contained map[*algebra.
 	if vst, ok := st.(*VirtualState); ok {
 		p.vst, st = vst, vst.w
 	}
-	p.st = newDeltaState(st, u)
+	p.st = newDeltaState(st, u, p.deltaBases)
 	return p
+}
+
+// deltaBases returns the references to the delta relations of base.
+func (p *propagation) deltaBases(base string) *deltaBases {
+	if p.vst != nil {
+		if d := p.vst.deltas[base]; d != nil {
+			return d
+		}
+	}
+	return newDeltaBases(base)
 }
 
 // BaseAttrs implements algebra.Resolver over the pre-state's relations.
@@ -181,28 +181,40 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 		// new = (old ∖ Δ⁻) ∪ Δ⁺ over the overlaid delta relations, each
 		// operator only where that side of the update has tuples.
 		n := &node{d: Delta{Ins: p.u.Inserts(x.Name), Del: p.u.Deletes(x.Name)}, old: old, new: old}
-		if n.d.Del == nil {
-			n.d.Del = relation.New(attrs...)
-		} else if !n.d.Del.IsEmpty() {
-			n.new = algebra.NewDiff(n.new, algebra.NewBase(DelName(x.Name)))
+		if !n.d.Del.IsEmpty() {
+			n.new = algebra.NewDiff(n.new, p.deltaBases(x.Name)[1])
 		}
-		if n.d.Ins == nil {
-			n.d.Ins = relation.New(attrs...)
-		} else if !n.d.Ins.IsEmpty() {
-			n.new = algebra.NewUnion(n.new, algebra.NewBase(InsName(x.Name)))
+		if !n.d.Ins.IsEmpty() {
+			n.new = algebra.NewUnion(n.new, p.deltaBases(x.Name)[0])
+		}
+		if n.d.Ins == nil || n.d.Del == nil {
+			none := relation.New(attrs...)
+			n.d.Ins, n.d.Del = cmp.Or(n.d.Ins, none), cmp.Or(n.d.Del, none)
 		}
 		return n, nil
 
 	case *algebra.Empty:
-		return &node{d: Delta{Ins: relation.New(x.Attrs...), Del: relation.New(x.Attrs...)}, old: x, new: x}, nil
+		none := relation.New(x.Attrs...)
+		return &node{d: Delta{Ins: none, Del: none}, old: x, new: x}, nil
 
 	case *algebra.Select:
 		in, err := p.propagate(x.Input)
 		if err != nil {
 			return nil, err
 		}
+		// A delta is read only: one σ keeps whole is shared, not copied, and
+		// one it drops whole costs no output of its own rows.
+		sel := func(r *relation.Relation) *relation.Relation {
+			switch relation.Count(r, func(row relation.Row) bool { return algebra.EvalCond(x.Cond, row) }) {
+			case r.Len():
+				return r
+			case 0:
+				return relation.EmptyOf(r)
+			}
+			return algebra.SelectCond(r, x.Cond, nil)
+		}
 		return &node{
-			d:   Delta{Ins: algebra.SelectCond(in.d.Ins, x.Cond, nil), Del: algebra.SelectCond(in.d.Del, x.Cond, nil)},
+			d:   Delta{Ins: sel(in.d.Ins), Del: sel(in.d.Del)},
 			old: algebra.NewSelect(in.old, x.Cond),
 			new: algebra.NewSelect(in.new, x.Cond),
 		}, nil
@@ -211,6 +223,14 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 		in, err := p.propagate(x.Input)
 		if err != nil {
 			return nil, err
+		}
+		oldE, newE := &algebra.Project{Input: in.old, Attrs: x.Attrs}, &algebra.Project{Input: in.new, Attrs: x.Attrs}
+		if len(x.Attrs) == len(in.attrs()) && !slices.ContainsFunc(x.Attrs, func(a string) bool { return !in.d.Ins.HasAttr(a) }) {
+			return &node{d: in.d, old: oldE, new: newE}, nil // π onto every attribute loses none
+		}
+		if in.d.IsEmpty() {
+			none := relation.New(x.Attrs...)
+			return &node{d: Delta{Ins: none, Del: none}, old: oldE, new: newE}, nil
 		}
 		del := relation.Project(in.d.Del, x.Attrs...)
 		ins := relation.Project(in.d.Ins, x.Attrs...)
@@ -230,11 +250,7 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 			}
 			ins.InsertAll(still)
 		}
-		return &node{
-			d:   Delta{Ins: ins, Del: del},
-			old: &algebra.Project{Input: in.old, Attrs: x.Attrs},
-			new: &algebra.Project{Input: in.new, Attrs: x.Attrs},
-		}, nil
+		return &node{d: Delta{Ins: ins, Del: del}, old: oldE, new: newE}, nil
 
 	case *algebra.Join:
 		if len(x.Inputs) == 0 {
@@ -261,25 +277,19 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		del, err := relation.Union(l.d.Del, r.d.Del)
+		del, err := union(l.d.Del, r.d.Del)
 		if err != nil {
 			return nil, err
 		}
-		ins, err := relation.Union(l.d.Ins, r.d.Ins)
+		ins, err := union(l.d.Ins, r.d.Ins)
 		if err != nil {
 			return nil, err
-		}
-		n := &node{
-			d:   Delta{Ins: ins, Del: del},
-			old: algebra.NewUnion(l.old, r.old),
-			new: algebra.NewUnion(l.new, r.new),
 		}
 		// A tuple deleted from one side may survive in the other: the
 		// delete-then-insert convention handles it by re-insertion. What a
 		// side deletes and does not re-insert is absent from its own new
 		// value, so each side's deletions probe only the other side's new
-		// value, and a side that deletes nothing costs no read. ins is the
-		// union's own fresh relation: the sides' deltas are only read.
+		// value, and a side that deletes nothing costs no read.
 		for _, s := range [2]struct {
 			del   *relation.Relation
 			other algebra.Expr
@@ -295,7 +305,14 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 			if err != nil {
 				return nil, err
 			}
-			ins.InsertAll(still)
+			if ins, err = union(ins, still); err != nil {
+				return nil, err
+			}
+		}
+		n := &node{
+			d:   Delta{Ins: ins, Del: del},
+			old: algebra.NewUnion(l.old, r.old),
+			new: algebra.NewUnion(l.new, r.new),
 		}
 		return n, nil
 
@@ -304,7 +321,7 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		del, err := relation.Union(l.d.Del, r.d.Ins)
+		del, err := union(l.d.Del, r.d.Ins)
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +365,7 @@ func (p *propagation) derive(e algebra.Expr) (*node, error) {
 // ((ΔL⁺ ∪ ΔR⁻) ∩ newL) ∖ newR: membership of the few candidates is all that
 // matters, so both new values are read under them, and only if there are any.
 func (p *propagation) diffIns(l, r *node) (*relation.Relation, error) {
-	cand, err := relation.Union(l.d.Ins, r.d.Del)
+	cand, err := union(l.d.Ins, r.d.Del)
 	if err != nil || cand.IsEmpty() {
 		return cand, err
 	}
@@ -369,21 +386,36 @@ func (p *propagation) diffIns(l, r *node) (*relation.Relation, error) {
 
 // containedDiffIns is the insert set of a contained difference L ∖ R under a
 // normalized update, from the deltas alone (soundness: DESIGN §5 "Delta
-// rules"): ins = (ΔL⁺ ∪ (ΔR⁻ ∖ (ΔL⁻ ∖ ΔL⁺))) ∖ ΔR⁺.
+// rules"): ins = (ΔL⁺ ∪ (ΔR⁻ ∖ (ΔL⁻ ∖ ΔL⁺))) ∖ ΔR⁺ — ΔL⁺ itself where
+// nothing else enters.
 func containedDiffIns(l, r Delta) *relation.Relation {
-	ins := relation.New(l.Ins.Attrs()...)
-	for t := range l.Ins.All() {
-		if !r.Ins.ContainsAligned(t, l.Ins) {
-			ins.Insert(t)
+	ins, err := relation.Keep(l.Ins, r.Ins, false)
+	if err == nil && !r.Del.IsEmpty() {
+		var back, gone *relation.Relation
+		if back, err = relation.Keep(r.Del, r.Ins, false); err == nil {
+			if gone, err = relation.Keep(l.Del, l.Ins, false); err == nil {
+				if back, err = relation.Keep(back, gone, false); err == nil && !back.IsEmpty() {
+					ins, err = union(ins, back)
+				}
+			}
 		}
 	}
-	for t := range r.Del.All() {
-		leftL := l.Del.ContainsAligned(t, r.Del) && !l.Ins.ContainsAligned(t, r.Del)
-		if !leftL && !r.Ins.ContainsAligned(t, r.Del) {
-			ins.Insert(alignTuple(r.Del, ins, t))
-		}
+	if err != nil {
+		panic(fmt.Sprintf("maintain: the sides of a difference differ: %v", err))
 	}
 	return ins
+}
+
+// union is a ∪ b, one of them itself when the other is empty: deltas are
+// read only.
+func union(a, b *relation.Relation) (*relation.Relation, error) {
+	switch {
+	case b.IsEmpty() && relation.SameAttrs(a, b):
+		return a, nil
+	case a.IsEmpty() && relation.SameAttrs(a, b):
+		return b, nil
+	}
+	return relation.Union(a, b)
 }
 
 // markContained marks the contained differences of e: L ∖ R, L a base relation,
@@ -447,9 +479,8 @@ func (p *propagation) joinNodes(l, r *node) (*node, error) {
 		// attributes can join: probe instead of forcing the sibling (in
 		// full only for a Cartesian product, where nothing is shared).
 		var probe *relation.Relation
-		shared := relation.NewAttrSet(delta.Attrs()...).Intersect(relation.NewAttrSet(other.attrs()...))
-		if !shared.IsEmpty() {
-			probe = relation.Project(delta, shared.Sorted()...)
+		if shared := relation.SharedAttrs(delta.Attrs(), other.attrs()); len(shared) > 0 {
+			probe = relation.Project(delta, shared...)
 		}
 		sibling, err := p.read(value, probe)
 		if err != nil {
@@ -466,7 +497,7 @@ func (p *propagation) joinNodes(l, r *node) (*node, error) {
 		case b == nil:
 			return a, nil
 		default:
-			return relation.Union(a, b)
+			return union(a, b)
 		}
 	}
 

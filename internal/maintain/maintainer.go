@@ -3,6 +3,7 @@ package maintain
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"dwcomplement/internal/algebra"
@@ -25,10 +26,9 @@ import (
 // statements expand against it) it reconstructs a base relation in full on
 // every call. Not safe for concurrent use.
 type VirtualState struct {
-	inverses map[string]algebra.Expr
-	attrs    map[string][]string
-	w        algebra.State
-	ec       *algebra.EvalContext
+	resolve
+	w  algebra.State
+	ec *algebra.EvalContext
 
 	// Read counters: how many old/new values (of base relations and of the
 	// subexpressions propagation consults) were read under a probe versus
@@ -44,16 +44,24 @@ func NewVirtualState(comp *core.Complement, w algebra.State) *VirtualState {
 // NewVirtualStateCtx is NewVirtualState under an evaluation context: every
 // evaluation checks for cancellation and records its counters.
 func NewVirtualStateCtx(comp *core.Complement, w algebra.State, ec *algebra.EvalContext) *VirtualState {
-	attrs := make(map[string][]string)
+	return &VirtualState{resolve: newResolve(comp), w: w, ec: ec}
+}
+
+// resolve is how a virtual state answers a base reference: the inverse
+// W⁻¹ of each base relation, and its attribute order. It depends on the
+// complement alone, so a maintainer makes it once.
+type resolve struct {
+	inverses map[string]algebra.Expr
+	attrs    map[string][]string
+	deltas   map[string]*deltaBases
+}
+
+func newResolve(comp *core.Complement) resolve {
+	r := resolve{inverses: comp.InverseMap(), attrs: make(map[string][]string), deltas: make(map[string]*deltaBases)}
 	for name, sc := range comp.Database().Schemas() {
-		attrs[name] = sc.AttrNames()
+		r.attrs[name], r.deltas[name] = sc.AttrNames(), newDeltaBases(name)
 	}
-	return &VirtualState{
-		inverses: comp.InverseMap(),
-		attrs:    attrs,
-		w:        w,
-		ec:       ec,
-	}
+	return r
 }
 
 // Relation implements algebra.State: base names resolve through W⁻¹, in
@@ -123,15 +131,18 @@ type RefreshStats struct {
 	Changed map[string]int
 	// Update is the normalized source update the refresh propagated: exact
 	// against the pre-state W⁻¹(w) — every insertion absent from it, every
-	// deletion present — which the reported update need not be. Nil when
-	// the refresh failed before normalizing.
+	// deletion present — which the reported update need not be. It keeps
+	// the reported update's own relations where they were exact already,
+	// so neither may be written afterwards. Nil when the refresh failed
+	// before normalizing.
 	Update *catalog.Update
 	// UpdateSize is the size of the normalized source update.
 	UpdateSize int
 	// Wall is the end-to-end refresh time.
 	Wall time.Duration
-	// Eval holds the operator counters of the refresh's evaluations:
-	// normalization and every value read of the propagation.
+	// Eval holds the operator counters and records of the refresh's
+	// evaluations — normalization and every value read of the
+	// propagation — without plan trees.
 	Eval *algebra.EvalStats
 	// Spans traces each refreshed relation's propagation (delta sizes and
 	// wall time), in application order.
@@ -171,8 +182,10 @@ type DeltaConsumer interface {
 // the reported update, never from the sources (Theorem 4.1).
 type Maintainer struct {
 	comp      *core.Complement
-	targets   []core.Target      // prepared: Def simplified and interned
-	bases     []relation.AttrSet // the base relations each target reads
+	resolve   resolve
+	targets   []core.Target        // prepared: Def simplified and interned
+	bases     []relation.AttrSet   // the base relations each target reads
+	none      []*relation.Relation // per target, the empty relation of an unreached target's delta
 	contained map[*algebra.Diff]bool
 	consumers []DeltaConsumer
 }
@@ -182,12 +195,13 @@ type Maintainer struct {
 // of targets are one node) and its contained differences marked, once.
 func NewMaintainer(comp *core.Complement) *Maintainer {
 	db := comp.Database()
-	m := &Maintainer{comp: comp, contained: make(map[*algebra.Diff]bool)}
+	m := &Maintainer{comp: comp, resolve: newResolve(comp), contained: make(map[*algebra.Diff]bool)}
 	var seen []algebra.Expr
 	for _, tg := range comp.Targets() {
 		tg.Def = intern(algebra.Simplify(tg.Def, db), &seen)
 		markContained(tg.Def, db, m.contained)
 		m.targets, m.bases = append(m.targets, tg), append(m.bases, algebra.Bases(tg.Def))
+		m.none = append(m.none, relation.New(tg.Attrs.Sorted()...))
 	}
 	return m
 }
@@ -240,7 +254,7 @@ func (m *Maintainer) AddConsumer(c DeltaConsumer) {
 // warehouse untouched), and the returned stats carry the evaluation
 // counters and wall time.
 func (m *Maintainer) RefreshContext(ctx context.Context, w *warehouse.Warehouse, u *catalog.Update) (RefreshStats, error) {
-	ec := algebra.NewEvalContext(ctx)
+	ec := algebra.NewEvalContext(ctx).WithoutPlans()
 	start := time.Now()
 	stats, err := m.refresh(ctx, ec, w, u)
 	stats.Wall = time.Since(start)
@@ -276,16 +290,15 @@ type staged struct {
 // recording parent in ctx) annotated with the propagated delta sizes, what
 // propagation scanned and probed — the evaluation totals' advance over
 // *seen, moved along (a shared node counts for the first) — and the bytes
-// of pages the clone copied; a target the update does not reach gets an
-// empty delta. The warehouse is only read: the pre-state every other target
-// propagates against stays as it was.
-func stageTarget(ctx context.Context, w *warehouse.Warehouse, tg core.Target, reached bool, p *propagation, seen *algebra.EvalStats) (staged, error) {
+// of pages the clone copied; a target the update does not reach — none is
+// set — gets none as both sides of its delta. The warehouse is only read:
+// the pre-state every other target propagates against stays as it was.
+func stageTarget(ctx context.Context, w *warehouse.Warehouse, tg core.Target, none *relation.Relation, p *propagation, seen *algebra.EvalStats) (staged, error) {
 	r, ok := w.Relation(tg.Name)
 	if !ok {
 		return staged{}, fmt.Errorf("maintain: warehouse has no relation %q", tg.Name)
 	}
-	if !reached {
-		none := relation.New(r.Attrs()...)
+	if none != nil {
 		return staged{span: RefreshSpan{Target: tg.Name}, exact: Delta{Ins: none, Del: none}, post: r}, nil
 	}
 	_, sp := trace.StartSpan(ctx, "refresh.target")
@@ -323,7 +336,7 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	if w.Sealed() {
 		return stats, warehouse.ErrReadOnlyReplica
 	}
-	vst := NewVirtualStateCtx(m.comp, w, ec)
+	vst := &VirtualState{resolve: m.resolve, w: w, ec: ec}
 	nu, err := normalizeUpdate(u, vst, m.comp)
 	if err != nil {
 		return stats, cancelOr(ec, err)
@@ -336,14 +349,17 @@ func (m *Maintainer) refresh(ctx context.Context, ec *algebra.EvalContext, w *wa
 	// copies and leaves the warehouse bitwise unchanged, so a failed
 	// refresh can simply be retried with the same update.
 	commit := make([]staged, len(m.targets))
-	touched := relation.NewAttrSet(nu.Touched()...)
+	touched := nu.Touched()
 	p, seen := newPropagation(vst, nu, m.contained), ec.Stats()
 	for i, tg := range m.targets {
 		if err := ec.Err(); err != nil {
 			return stats, err
 		}
-		reached := !m.bases[i].Intersect(touched).IsEmpty()
-		if commit[i], err = stageTarget(ctx, w, tg, reached, p, &seen); err != nil {
+		none := m.none[i] // nil: the update reaches the target
+		if slices.ContainsFunc(touched, m.bases[i].Has) {
+			none = nil
+		}
+		if commit[i], err = stageTarget(ctx, w, tg, none, p, &seen); err != nil {
 			return stats, cancelOr(ec, err)
 		}
 	}
@@ -418,54 +434,58 @@ func (m *Maintainer) RefreshByRecompute(w *warehouse.Warehouse, u *catalog.Updat
 // (inserts already present are dropped, deletes of absent tuples are
 // dropped, insert+delete pairs become no-ops) without ever touching the
 // real sources. Membership of the updated tuples is all that matters, so
-// the pre-state is probed restrictedly — the cost is proportional to the
-// update, not to the database.
+// the pre-state is read once per touched base, restricted by the update's
+// tuples — the cost is proportional to the update, not to the database —
+// and a side of the update that is already exact is kept as it is.
 func normalizeUpdate(u *catalog.Update, vst *VirtualState, comp *core.Complement) (*catalog.Update, error) {
 	db := comp.Database()
 	out := catalog.NewUpdate()
 	for _, name := range u.Touched() {
-		sc, ok := db.Schema(name)
-		if !ok {
+		if _, ok := db.Schema(name); !ok {
 			return nil, fmt.Errorf("maintain: update references unknown relation %q: %w", name, algebra.ErrUnknownRelation)
 		}
 		ins, del := u.Inserts(name), u.Deletes(name)
-		probe := relation.New(sc.AttrNames()...)
-		if ins != nil {
-			probe.InsertAll(ins)
+		probe := ins
+		switch {
+		case ins.IsEmpty():
+			probe = del
+		case !del.IsEmpty():
+			var err error
+			if probe, err = relation.Union(ins, del); err != nil {
+				return nil, err
+			}
 		}
-		if del != nil {
-			probe.InsertAll(del)
+		if probe.IsEmpty() {
+			continue
 		}
 		cur, err := vst.RelationRestricted(name, probe)
 		if err != nil {
 			return nil, err
 		}
-		if ins != nil {
-			for t := range ins.All() {
-				if cur.ContainsAligned(t, ins) {
-					continue // already present (covers delete+re-insert too)
-				}
-				if del != nil && del.ContainsAligned(t, ins) {
-					continue // insert+delete of an absent tuple: no-op
-				}
-				if err := out.Insert(name, db, alignTuple(ins, probe, t)); err != nil {
-					return nil, err
-				}
-			}
+		// Inserts absent from the pre-state and not deleted as well; deletes
+		// present there and not re-inserted.
+		nIns, err := keep(ins, cur, false, del)
+		if err != nil {
+			return nil, err
 		}
-		if del != nil {
-			for t := range del.All() {
-				if !cur.ContainsAligned(t, del) {
-					continue // absent: nothing to delete
-				}
-				if ins != nil && ins.ContainsAligned(t, del) {
-					continue // delete+re-insert of a present tuple: no-op
-				}
-				if err := out.Delete(name, db, alignTuple(del, probe, t)); err != nil {
-					return nil, err
-				}
-			}
+		nDel, err := keep(del, cur, true, ins)
+		if err != nil {
+			return nil, err
 		}
+		out.Put(name, nIns, nDel)
 	}
 	return out, nil
+}
+
+// keep returns the tuples of r whose membership in cur is member and that
+// other (nil: none) does not hold: r itself when that is all of them.
+func keep(r, cur *relation.Relation, member bool, other *relation.Relation) (*relation.Relation, error) {
+	if r.IsEmpty() {
+		return nil, nil
+	}
+	r, err := relation.Keep(r, cur, member)
+	if err != nil || other.IsEmpty() {
+		return r, err
+	}
+	return relation.Keep(r, other, false)
 }

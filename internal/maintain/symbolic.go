@@ -243,7 +243,7 @@ func intersectExpr(a, b algebra.Expr) algebra.Expr {
 // translated program and a warehouse state this is a fully independent
 // evaluation path, used to cross-check the runtime propagation.
 func EvalMaintenance(m MaintenanceExprs, st algebra.State, u *catalog.Update, db *catalog.Database) (Delta, error) {
-	ext := newDeltaState(st, u)
+	ext := newDeltaState(st, u, newDeltaBases)
 	// A derived program may name a delta relation the update leaves empty.
 	for _, b := range db.Names() {
 		sc, _ := db.Schema(b)
@@ -271,17 +271,26 @@ type deltaState struct {
 	deltas map[string]*relation.Relation
 }
 
-func newDeltaState(base algebra.State, u *catalog.Update) deltaState {
+func newDeltaState(base algebra.State, u *catalog.Update, refs func(string) *deltaBases) deltaState {
 	d := deltaState{base: base, deltas: make(map[string]*relation.Relation)}
 	for _, b := range u.Touched() {
 		if r := u.Inserts(b); r != nil {
-			d.deltas[InsName(b)] = r
+			d.deltas[refs(b)[0].Name] = r
 		}
 		if r := u.Deletes(b); r != nil {
-			d.deltas[DelName(b)] = r
+			d.deltas[refs(b)[1].Name] = r
 		}
 	}
 	return d
+}
+
+// deltaBases are the references to a base relation's delta relations in
+// w + Δ: Δ⁺ under InsName, Δ⁻ under DelName. Expressions are never written,
+// so a maintainer makes them once per base.
+type deltaBases [2]*algebra.Base
+
+func newDeltaBases(base string) *deltaBases {
+	return &deltaBases{algebra.NewBase(InsName(base)), algebra.NewBase(DelName(base))}
 }
 
 // Relation implements algebra.State.

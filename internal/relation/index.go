@@ -101,13 +101,11 @@ func (ix *Index) dupPair() (int32, int32, bool) {
 	if !ix.chained() || ix.keys == ix.next.len() { // every chain is a singleton
 		return 0, 0, false
 	}
-	for _, pg := range ix.slots.eachPage() {
-		for _, v := range pg {
-			for a := v - 1; a >= 0; a = ix.after(a) {
-				for b := ix.after(a); b >= 0; b = ix.after(b) {
-					if ix.owner.rows.sameCols(int(a), int(b), ix.pos) {
-						return a, b, true
-					}
+	for s := range ix.slots.len() {
+		for a := ix.slots.at(s) - 1; a >= 0; a = ix.after(a) {
+			for b := ix.after(a); b >= 0; b = ix.after(b) {
+				if ix.owner.rows.sameCols(int(a), int(b), ix.pos) {
+					return a, b, true
 				}
 			}
 		}
@@ -121,7 +119,8 @@ func (ix *Index) dupPair() (int32, int32, bool) {
 // hashed here). It counts x's rows as walked and probed into s, and those
 // with a partner as hits.
 func (ix *Index) probe(x *Relation, kh *paged[uint64], s *OpStats, f func(i int, bi int32)) {
-	t, pos, hits := make(Tuple, len(x.attrs)), x.cols(ix.attrs), 0
+	var buf [8]Value
+	t, pos, hits := scratchTuple(&buf, len(x.attrs)), x.cols(ix.attrs), 0
 	for pi, pg := range x.rows.pages {
 		for k := range x.rows.rowsOn(pi) {
 			var h uint64

@@ -46,6 +46,22 @@ func Select(r *Relation, pred func(Row) bool) *Relation {
 	})
 }
 
+// Count returns the number of tuples of r satisfying pred.
+func Count(r *Relation, pred func(Row) bool) int {
+	n := 0
+	for pi, pg := range r.rows.pages {
+		for k := range r.rows.rowsOn(pi) {
+			if pred(Row{rel: r, pg: pg, k: k}) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// EmptyOf returns an empty relation over r's attributes.
+func EmptyOf(r *Relation) *Relation { return r.empty() }
+
 // BatchPred is a vectorized predicate: it appends to sel the batch-local
 // indexes of the rows of b that satisfy the predicate and returns the
 // extended slice. Implementations must not retain b or sel.
@@ -64,9 +80,9 @@ func SelectBatchStats(r *Relation, pred BatchPred, s *OpStats) *Relation {
 	sel := make([]int32, 0, min(r.Len(), BatchSize))
 	for b := range r.Batches() {
 		sel = pred(b, sel[:0])
-		hashes := r.set.hashes.page(b.start >> pageBits)
 		for _, k := range sel {
-			e.emit(hashes[k], int32(b.start)+k, 0)
+			i := int32(b.start) + k
+			e.emit(r.set.hashes.at(int(i)), i, 0)
 		}
 	}
 	s.walked(r.Len())
@@ -97,14 +113,18 @@ func ProjectStats(r *Relation, s *OpStats, attrs ...string) *Relation {
 		}
 		idx[i] = p
 	}
-	e := newEmitter(newPresized(attrs, r.Len()), source{rows: &r.rows, cols: idx}, source{})
+	e := newEmitter(newPresized(slices.Clone(attrs), r.Len()), source{rows: &r.rows, cols: idx}, source{})
 	// An open-addressed table of the rows emitted so far: hash, and 1 + the
-	// input row (0 marks an empty slot).
+	// input row (0 marks an empty slot); on the stack for a few rows.
 	type first struct {
 		h   uint64
 		row int32
 	}
-	table := make([]first, tableSizeFor(r.Len()))
+	var few [8]first
+	table := few[:]
+	if n := tableSizeFor(r.Len()); n > len(few) {
+		table = make([]first, n)
+	}
 	mask := uint64(len(table) - 1)
 	for pi, pg := range r.rows.pages {
 	rows:
@@ -140,7 +160,7 @@ func NaturalJoin(l, r *Relation) *Relation {
 // right-only column hash — nothing is re-hashed, and rows that probe
 // empty buckets allocate nothing.
 func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
-	shared := l.AttrSet().Intersect(r.AttrSet()).Sorted()
+	shared := SharedAttrs(l.attrs, r.attrs)
 	rOnly := make([]string, 0, len(r.attrs))
 	for _, a := range r.attrs {
 		if !l.HasAttr(a) {
@@ -168,13 +188,16 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 	if l.IsEmpty() || r.IsEmpty() {
 		return e.out
 	}
+	key := indexKey(shared)
+	if min(l.Len(), r.Len()) == 1 && max(l.Len(), r.Len()) <= tinyJoin && l.peekIndex(key) == nil && r.peekIndex(key) == nil {
+		return tinyJoinStats(e, l, r, shared, s)
+	}
 
 	// Pick the build side: an already-cached index wins outright;
 	// otherwise index the larger side so the scan runs over the smaller.
 	// On a stored relation the index is cached and follows its mutations,
 	// so queries and refreshes find it again; on a transient operator
 	// result it is the hash join's build phase and dies with it.
-	key := indexKey(shared)
 	build, probe := r, l
 	switch {
 	case r.peekIndex(key) != nil:
@@ -202,6 +225,46 @@ func NaturalJoinStats(l, r *Relation, s *OpStats) *Relation {
 		}
 	})
 	return e.done(s)
+}
+
+// tinyJoin is the most rows a join's input may have for the join to
+// compare it row by row with a one-row input — a delta tuple and the rows
+// it matched — rather than index it: building the index would read as many.
+const tinyJoin = 64
+
+// tinyJoinStats joins l and r, neither of them indexed on the shared
+// attributes, by comparing every pair of rows, into e; l is the probe side
+// of the counters.
+func tinyJoinStats(e *emitter, l, r *Relation, shared []string, s *OpStats) *Relation {
+	lPos, rPos, hits := l.cols(shared), r.cols(shared), 0
+	for li := range l.Len() {
+		hit := false
+		for ri := range r.Len() {
+			if l.rows.sameAs(li, lPos, &r.rows, ri, rPos) {
+				kh := l.rows.pages[li>>pageBits].hashCols(li&pageMask, lPos)
+				e.emit(l.set.hashes.at(li)+r.set.hashes.at(ri)-kh, int32(li), int32(ri))
+				hit = true
+			}
+		}
+		if hit {
+			hits++
+		}
+	}
+	s.walked(l.Len())
+	s.probes(l.Len(), hits)
+	return e.done(s)
+}
+
+// SharedAttrs returns the attributes both lists hold, sorted.
+func SharedAttrs(a, b []string) []string {
+	var out []string
+	for _, x := range a {
+		if slices.Contains(b, x) {
+			out = append(out, x)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // joinEmitter is the emitter of a join of l and r into out: l's columns,
@@ -262,12 +325,12 @@ func SemiJoinStats(r, probe *Relation, s *OpStats) *Relation {
 	for _, a := range probe.attrs {
 		p, ok := r.Pos(a)
 		if !ok {
-			return New(r.attrs...)
+			return r.empty()
 		}
 		rPos = append(rPos, p)
 	}
 	if r.IsEmpty() || probe.IsEmpty() {
-		return New(r.attrs...)
+		return r.empty()
 	}
 
 	// Full-width probe: r's membership table already answers exactly, so
@@ -321,9 +384,23 @@ func ProjectionSubset(r, o *Relation, attrs ...string) bool {
 	return st.IndexHits == int64(r.Len())
 }
 
+// SameAttrs reports whether l and r have equal attribute sets. Names are
+// distinct within a relation, so equal lengths and containment suffice.
+func SameAttrs(l, r *Relation) bool {
+	if len(l.attrs) != len(r.attrs) {
+		return false
+	}
+	for _, a := range l.attrs {
+		if !r.HasAttr(a) {
+			return false
+		}
+	}
+	return true
+}
+
 // sameAttrsOrErr validates union/difference compatibility.
 func sameAttrsOrErr(op string, l, r *Relation) error {
-	if !l.AttrSet().Equal(r.AttrSet()) {
+	if !SameAttrs(l, r) {
 		return fmt.Errorf("relation: %s requires equal attribute sets, got %v and %v: %w",
 			op, l.AttrSet(), r.AttrSet(), ErrSchemaMismatch)
 	}
@@ -336,14 +413,24 @@ func Union(l, r *Relation) (*Relation, error) {
 }
 
 // UnionStats is Union with operator counters (nil disables counting).
-// The clone shares l's pages and the merge reuses r's row hashes; only
-// the cells of genuinely new tuples are copied in.
+// A clone shares l's pages, or, for an l of less than a page, l's rows are
+// copied; the merge reuses r's row hashes, and only the cells of genuinely
+// new tuples are copied in.
 func UnionStats(l, r *Relation, s *OpStats) (*Relation, error) {
 	if err := sameAttrsOrErr("union", l, r); err != nil {
 		return nil, err
 	}
-	out := l.Clone()
-	out.InsertAll(r)
+	var out *Relation
+	if l.Len() >= pageLen { // sharing l's pages beats copying them
+		out = l.Clone()
+		out.InsertAll(r)
+	} else {
+		e := l.emitter(newPresized(l.attrs, l.Len()+r.Len()))
+		for i := range l.Len() {
+			e.emit(l.set.hashes.at(i), int32(i), 0)
+		}
+		out = filter(r, l, false, e.done(nil), nil)
+	}
 	s.scanned(l.Len() + r.Len())
 	s.emitted(out.Len())
 	return out, nil
@@ -364,6 +451,21 @@ func Intersect(l, r *Relation) (*Relation, error) {
 	return filterBy(l, r, true, "intersection", nil)
 }
 
+// Keep returns r ∩ o when member is set and r ∖ o otherwise, as Intersect
+// and Diff do, but r itself, not a copy, when that is all of r: a delta
+// that is already what the caller needs costs its probes and nothing else.
+// The caller must treat the result as shared with r.
+func Keep(r, o *Relation, member bool) (*Relation, error) {
+	if err := sameAttrsOrErr("keep", r, o); err != nil {
+		return nil, err
+	}
+	var buf [8]int
+	if members(r, o, alignment(r, o, &buf), &r.set.hashes, nil, func(_ int, held bool) bool { return held == member }) {
+		return r, nil
+	}
+	return filter(r, o, member, r.empty(), nil), nil
+}
+
 // filterBy is l ∩ r when member is set and l ∖ r otherwise.
 func filterBy(l, r *Relation, member bool, op string, s *OpStats) (*Relation, error) {
 	if err := sameAttrsOrErr(op, l, r); err != nil {
@@ -376,8 +478,9 @@ func filterBy(l, r *Relation, member bool, op string, s *OpStats) (*Relation, er
 // of x whose membership in y (of the same attribute set) is member: one
 // aligned probe of y's membership table per row.
 func filter(x, y *Relation, member bool, out *Relation, s *OpStats) *Relation {
-	e := newEmitter(out, source{rows: &x.rows, cols: alignment(x, out)}, source{})
-	members(x, y, alignment(x, y), &x.set.hashes, s, func(i int, held bool) bool {
+	var buf [8]int
+	e := newEmitter(out, source{rows: &x.rows, cols: alignment(x, out, nil)}, source{})
+	members(x, y, alignment(x, y, &buf), &x.set.hashes, s, func(i int, held bool) bool {
 		if held == member {
 			e.emit(x.set.hashes.at(i), int32(i), 0)
 		}
@@ -392,11 +495,11 @@ func filter(x, y *Relation, member bool, out *Relation, s *OpStats) *Relation {
 // counts x's rows as walked and probed into s, and the rows y holds as
 // hits.
 func members(x, y *Relation, pos []int, kh *paged[uint64], s *OpStats, f func(i int, held bool) bool) bool {
-	t, hits := make(Tuple, len(x.attrs)), 0
+	var buf [8]Value
+	t, hits := scratchTuple(&buf, len(x.attrs)), 0
 	for pi, pg := range x.rows.pages {
-		khs := kh.page(pi)
 		for k := range x.rows.rowsOn(pi) {
-			held := y.findAligned(khs[k], pg.readCols(k, t, pos), pos) >= 0
+			held := y.findAligned(kh.at(pi<<pageBits+k), pg.readCols(k, t, pos), pos) >= 0
 			if held {
 				hits++
 			}

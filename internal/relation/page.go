@@ -57,8 +57,17 @@ func (d *Dict) Len() int { return len(d.vals) }
 func (d *Dict) Value(c int32) string { return d.vals[c] }
 
 // code returns the code of s and whether the dictionary holds it. Only the
-// page's writer asks.
+// page's writer asks. A dictionary of a few strings is searched, not
+// indexed: the page of a delta or a probe holds one or two rows.
 func (d *Dict) code(s string) (int32, bool) {
+	if d.index == nil && len(d.vals) <= smallDict {
+		for c, v := range d.vals {
+			if v == s {
+				return int32(c), true
+			}
+		}
+		return 0, false
+	}
 	if d.index == nil {
 		d.index = make(map[string]int32, len(d.vals))
 		for c, v := range d.vals {
@@ -68,6 +77,9 @@ func (d *Dict) code(s string) (int32, bool) {
 	c, ok := d.index[s]
 	return c, ok
 }
+
+// smallDict is the most strings a dictionary searches without an index.
+const smallDict = 8
 
 // intern returns the code of s, adding s if the dictionary lacks it.
 func (d *Dict) intern(s string) int32 {
@@ -265,6 +277,29 @@ func (c *column) appendRun(k, end int, src *column, refs []int32, remap *[]int32
 	if c.kind == ColAny {
 		c.promote(Kind(src.kind), k)
 	}
+	c.appendNulls(k, src, refs)
+	switch c.kind { // a NULL row's payload slot holds the zero value in src as here
+	case ColBool:
+		c.bools = gather(c.bools, src.bools, refs, end)
+	case ColInt:
+		c.ints = gather(c.ints, src.ints, refs, end)
+	case ColFloat:
+		c.floats = gather(c.floats, src.floats, refs, end)
+	case ColString: // a NULL row's code, too, names a string of src's: no dictionary is left empty
+		c.codes = grow(c.codes, end-len(c.codes))
+		if len(refs) <= smallDict { // a few cells: no translation table
+			for _, r := range refs {
+				c.codes = append(c.codes, c.dict.intern(src.dict.vals[src.codes[r&pageMask]]))
+			}
+			return
+		}
+		c.appendCodes(src, refs, remap)
+	}
+}
+
+// appendNulls marks the rows refs of src that are NULL in the rows from k
+// on of the column.
+func (c *column) appendNulls(k int, src *column, refs []int32) {
 	if src.nulls != nil || c.nulls != nil {
 		for i, r := range refs {
 			if src.isNull(int(r & pageMask)) {
@@ -277,34 +312,30 @@ func (c *column) appendRun(k, end int, src *column, refs []int32, remap *[]int32
 			}
 		}
 	}
-	switch c.kind { // a NULL row's payload slot holds the zero value in src as here
-	case ColBool:
-		c.bools = gather(c.bools, src.bools, refs, end)
-	case ColInt:
-		c.ints = gather(c.ints, src.ints, refs, end)
-	case ColFloat:
-		c.floats = gather(c.floats, src.floats, refs, end)
-	case ColString: // a NULL row's code, too, names a string of src's: no dictionary is left empty
-		c.codes = grow(c.codes, end-len(c.codes))
-		if n := len(src.dict.vals); cap(*remap) < n {
-			*remap = make([]int32, n)
-		}
-		to := (*remap)[:len(src.dict.vals)] // to[code]: 1 + the column's code for src's code, once met
-		clear(to)
-		// src's strings are distinct: into an empty dictionary each one the
-		// run meets is new.
-		fresh := len(c.dict.vals) == 0
-		for _, r := range refs {
-			code := src.codes[r&pageMask]
-			if to[code] == 0 {
-				if s := src.dict.vals[code]; fresh {
-					to[code] = c.dict.add(s) + 1
-				} else {
-					to[code] = c.dict.intern(s) + 1
-				}
+}
+
+// appendCodes appends the codes of the strings of src's rows refs, looking
+// each source code up once: remap is the caller's scratch for the
+// translation table.
+func (c *column) appendCodes(src *column, refs []int32, remap *[]int32) {
+	if n := len(src.dict.vals); cap(*remap) < n {
+		*remap = make([]int32, n)
+	}
+	to := (*remap)[:len(src.dict.vals)] // to[code]: 1 + the column's code for src's code, once met
+	clear(to)
+	// src's strings are distinct: into an empty dictionary each one the
+	// run meets is new.
+	fresh := len(c.dict.vals) == 0
+	for _, r := range refs {
+		code := src.codes[r&pageMask]
+		if to[code] == 0 {
+			if s := src.dict.vals[code]; fresh {
+				to[code] = c.dict.add(s) + 1
+			} else {
+				to[code] = c.dict.intern(s) + 1
 			}
-			c.codes = append(c.codes, to[code]-1)
 		}
+		c.codes = append(c.codes, to[code]-1)
 	}
 }
 
@@ -320,10 +351,13 @@ func gather[T any](dst, src []T, refs []int32, end int) []T {
 
 // clone returns a copy of the column's first n rows whose vectors have
 // room for one more on a page that has it, and the bytes it copied.
-func (c *column) clone(n int) (column, int64) {
+func (c *column) clone(n int, ints *[]int64) (column, int64) {
 	room := min(n+1, pageLen)
-	cp := column{kind: c.kind, bools: head(c.bools, n, room), ints: head(c.ints, n, room),
+	cp := column{kind: c.kind, bools: head(c.bools, n, room),
 		floats: head(c.floats, n, room), codes: head(c.codes, n, room), any: head(c.any, n, room)}
+	if c.ints != nil { // from the page's block of them
+		cp.ints, *ints = append((*ints)[:0:room], c.ints[:n]...), (*ints)[room:]
+	}
 	bytes := int64(n) * cellBytes[c.kind]
 	if c.any == nil && c.kind == ColAny {
 		bytes = 0
@@ -394,10 +428,16 @@ func (pg rowPage) hashCols(k int, pos []int) uint64 {
 // clone returns a private copy of the page's first n rows, with room for
 // one more on a page that has it, and its size.
 func (pg rowPage) clone(n int) (rowPage, int64) {
-	cp, bytes := make(rowPage, len(pg)), int64(0)
+	cp, bytes, nInts := make(rowPage, len(pg)), int64(0), 0
+	for c := range pg {
+		if pg[c].ints != nil {
+			nInts++
+		}
+	}
+	ints := make([]int64, nInts*min(n+1, pageLen))
 	for c := range pg {
 		var b int64
-		cp[c], b = pg[c].clone(n)
+		cp[c], b = pg[c].clone(n, &ints)
 		bytes += b
 	}
 	return cp, bytes
@@ -487,6 +527,9 @@ func (e *emitter) flush() {
 	for off := 0; off < n; {
 		pg, k := out.rows.tail(len(out.attrs))
 		m := min(n-off, pageLen-k)
+		if k == 0 {
+			e.presize(pg, off, m)
+		}
 		if c := e.a.fill(pg, k, e.a.refs[off:off+m], 0); e.b.rows != nil {
 			e.b.fill(pg, k, e.b.refs[off:off+m], c)
 		}
@@ -497,6 +540,66 @@ func (e *emitter) flush() {
 		off += m
 	}
 	e.hashes, e.a.refs, e.b.refs = e.hashes[:0], e.a.refs[:0], e.b.refs[:0]
+}
+
+// presize gives the columns of the fresh page pg, about to take m rows
+// from the collected row off on, the layouts of the source page row off
+// comes from, with vectors carved from one block per kind: a page of a
+// delta allocates a vector per kind, not per column, and its string
+// columns — codes, dictionary and its few strings — one block together.
+func (e *emitter) presize(pg rowPage, off, m int) {
+	var n [ColString + 1]int
+	e.eachSourceCol(pg, off, func(_ *column, src *column) { n[src.kind]++ })
+	room := max(m, min(smallDict, pageLen)) // a few rows more fit without a copy
+	ints, floats, bools := make([]int64, n[ColInt]*room), make([]float64, n[ColFloat]*room), make([]bool, n[ColBool]*room)
+	var small []smallStrings
+	var codes []int32
+	var dicts []Dict
+	if room == smallDict {
+		small = make([]smallStrings, n[ColString])
+	} else {
+		codes, dicts = make([]int32, n[ColString]*room), make([]Dict, n[ColString])
+	}
+	e.eachSourceCol(pg, off, func(c *column, src *column) {
+		switch c.kind = src.kind; c.kind {
+		case ColBool:
+			c.bools, bools = bools[:0:room], bools[room:]
+		case ColInt:
+			c.ints, ints = ints[:0:room], ints[room:]
+		case ColFloat:
+			c.floats, floats = floats[:0:room], floats[room:]
+		case ColString:
+			if small != nil {
+				b := &small[0]
+				c.codes, c.dict, b.dict.vals, small = b.codes[:0], &b.dict, b.vals[:0], small[1:]
+			} else {
+				c.codes, c.dict, codes, dicts = codes[:0:room], &dicts[0], codes[room:], dicts[1:]
+			}
+		}
+	})
+}
+
+// smallStrings is a string column of a page of a few rows, in one block.
+type smallStrings struct {
+	dict  Dict
+	codes [smallDict]int32
+	vals  [smallDict]string
+}
+
+// eachSourceCol calls f with each column of pg and the source column the
+// collected row off takes its cell from.
+func (e *emitter) eachSourceCol(pg rowPage, off int, f func(c, src *column)) {
+	c := 0
+	for _, s := range [2]*source{&e.a, &e.b} {
+		if s.rows == nil {
+			break
+		}
+		spg := s.rows.pages[s.refs[off]>>pageBits]
+		for _, j := range s.cols {
+			f(&pg[c], &spg[j])
+			c++
+		}
+	}
 }
 
 // done flushes what is left, counts out's rows as emitted into s and
@@ -535,6 +638,18 @@ func (s *rowPages) sameCols(a, b int, pos []int) bool {
 	pa, pb := s.pages[a>>pageBits], s.pages[b>>pageBits]
 	for _, p := range pos {
 		if v := pa[p].value(a & pageMask); !pb[p].equals(b&pageMask, &v) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAs reports whether row i holds at the columns pos what row j of o
+// holds at the columns oPos.
+func (s *rowPages) sameAs(i int, pos []int, o *rowPages, j int, oPos []int) bool {
+	pg := s.pages[i>>pageBits]
+	for x, p := range pos {
+		if v := o.cell(j, oPos[x]); !pg[p].equals(i&pageMask, &v) {
 			return false
 		}
 	}
@@ -602,7 +717,7 @@ func (s *rowPages) dropLast() {
 		s.pages = s.pages[:pi]
 		return
 	}
-	if s.shared == nil || !s.shared[pi] {
+	if !s.shared(pi) {
 		for c := range s.pages[pi] {
 			s.pages[pi][c].truncate(s.rowsOn(pi))
 		}

@@ -24,6 +24,15 @@ var ErrSchemaMismatch = errors.New("schema mismatch")
 // ones it is handed (Insert).
 type Tuple []Value
 
+// scratchTuple returns a tuple of n values to fill and read again, in buf
+// when it is long enough.
+func scratchTuple(buf *[8]Value, n int) Tuple {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make(Tuple, n)
+}
+
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
@@ -81,13 +90,14 @@ type Relation struct {
 // New creates an empty relation over the given attribute names. It panics
 // on duplicate or empty names (programming errors, not data errors).
 func New(attrs ...string) *Relation {
-	return newPresized(attrs, 0)
+	return newPresized(slices.Clone(attrs), 0)
 }
 
 // newPresized creates an empty relation about to receive n rows: the page
-// tables are allocated up front.
+// tables are allocated up front. The relation keeps attrs, which the
+// caller must not write afterwards.
 func newPresized(attrs []string, n int) *Relation {
-	r, err := newChecked(attrs, n)
+	r, err := newOwning(attrs, n)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -95,9 +105,14 @@ func newPresized(attrs []string, n int) *Relation {
 }
 
 // newChecked is newPresized for attribute names that are data (the
-// decoder's): an empty or duplicate name is an error, not a panic.
+// decoder's): an empty or duplicate name is an error, not a panic, and
+// attrs stays the caller's.
 func newChecked(attrs []string, n int) (*Relation, error) {
-	r := &Relation{attrs: append([]string(nil), attrs...)}
+	return newOwning(slices.Clone(attrs), n)
+}
+
+func newOwning(attrs []string, n int) (*Relation, error) {
+	r := &Relation{attrs: attrs}
 	if n > 0 {
 		r.rows.pages = make([]rowPage, 0, (n+pageMask)>>pageBits)
 		r.set.hashes.reserve(n)
@@ -145,11 +160,17 @@ func (r *Relation) AttrSet() AttrSet { return NewAttrSet(r.attrs...) }
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return len(r.attrs) }
 
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return r.rows.len() }
+// Len returns the number of tuples; a nil relation has none.
+func (r *Relation) Len() int {
+	if r == nil {
+		return 0
+	}
+	return r.rows.len()
+}
 
-// IsEmpty reports whether the relation has no tuples.
-func (r *Relation) IsEmpty() bool { return r.rows.len() == 0 }
+// IsEmpty reports whether the relation has no tuples; a nil relation has
+// none.
+func (r *Relation) IsEmpty() bool { return r.Len() == 0 }
 
 // Pos returns the column index of the named attribute and whether it
 // exists. Relations have a handful of attributes: a scan beats a map.
@@ -243,7 +264,7 @@ func (r *Relation) InsertValues(vals ...Value) bool { return r.Insert(Tuple(vals
 // set) into r, aligning columns by name. It returns the number of tuples
 // actually added.
 func (r *Relation) InsertAll(o *Relation) int {
-	from, perm := r.rows.len(), alignment(o, r)
+	from, perm := r.rows.len(), alignment(o, r, nil)
 	e := newEmitter(r, source{rows: &o.rows, cols: perm}, source{})
 	// o is a set: its rows need checking against r's alone.
 	members(o, r, perm, &o.set.hashes, nil, func(i int, held bool) bool {
@@ -269,7 +290,41 @@ func (r *Relation) Contains(t Tuple) bool {
 // ContainsAligned reports whether r contains the tuple t that is laid out
 // in o's attribute order; o must have the same attribute set as r.
 func (r *Relation) ContainsAligned(t Tuple, o *Relation) bool {
-	return r.findAligned(t.hash64(), t, alignment(o, r)) >= 0
+	var buf [8]int
+	return r.findAligned(t.hash64(), t, alignment(o, r, &buf)) >= 0
+}
+
+// Apply deletes the tuples of del from r, then inserts those of ins, and
+// reports how many tuples left and how many arrived. del and ins have r's
+// attribute set in any column order, and either may be nil. Each tuple is
+// found by its stored hash and its cells are copied: applying a delta of
+// a few tuples costs what Delete and Insert cost for them.
+func (r *Relation) Apply(del, ins *Relation) (deleted, inserted int) {
+	var buf [8]Value
+	var pbuf [8]int
+	t := scratchTuple(&buf, len(r.attrs))
+	for k, d := range [2]*Relation{del, ins} {
+		if d == nil || d.IsEmpty() {
+			continue
+		}
+		perm := alignment(d, r, &pbuf)
+		for i := range d.Len() {
+			for c, p := range perm {
+				t[c] = d.rows.cell(i, p)
+			}
+			h := d.set.hashes.at(i)
+			switch j := r.findAligned(h, t, nil); {
+			case k == 0 && j >= 0:
+				r.deleteAt(j)
+				deleted++
+			case k == 1 && j < 0:
+				r.appendTuple(t, h)
+				r.noteInserted(r.rows.len() - 1)
+				inserted++
+			}
+		}
+	}
+	return deleted, inserted
 }
 
 // Delete removes a tuple and reports whether it was present. Deletion is
@@ -283,12 +338,17 @@ func (r *Relation) Delete(t Tuple) bool {
 	if i < 0 {
 		return false
 	}
+	r.deleteAt(i)
+	return true
+}
+
+// deleteAt removes row i.
+func (r *Relation) deleteAt(i int32) {
 	r.noteDeleted(i)
 	if last := r.rows.len() - 1; int(i) != last {
 		r.rows.move(last, int(i))
 	}
 	r.rows.dropLast()
-	return true
 }
 
 // All returns an iterator over every tuple, in storage order. Each tuple
@@ -616,10 +676,7 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r == nil || o == nil {
 		return r == o
 	}
-	if len(r.attrs) != len(o.attrs) || r.rows.len() != o.rows.len() {
-		return false
-	}
-	if !r.AttrSet().Equal(o.AttrSet()) {
+	if r.rows.len() != o.rows.len() || !SameAttrs(r, o) {
 		return false
 	}
 	return o.allIn(r)
@@ -628,16 +685,14 @@ func (r *Relation) Equal(o *Relation) bool {
 // allIn reports whether every tuple of r occurs in o, which must have the
 // same attribute set.
 func (r *Relation) allIn(o *Relation) bool {
-	return members(r, o, alignment(r, o), &r.set.hashes, nil, func(_ int, held bool) bool { return held })
+	var buf [8]int
+	return members(r, o, alignment(r, o, &buf), &r.set.hashes, nil, func(_ int, held bool) bool { return held })
 }
 
 // SubsetOf reports whether every tuple of r occurs in o (same attribute
 // set required; otherwise false).
 func (r *Relation) SubsetOf(o *Relation) bool {
-	if !r.AttrSet().Equal(o.AttrSet()) {
-		return false
-	}
-	return r.allIn(o)
+	return SameAttrs(r, o) && r.allIn(o)
 }
 
 // Fingerprint returns an order-independent canonical encoding of the
@@ -714,9 +769,20 @@ func (r *Relation) String() string {
 
 // alignment returns, for each column of dst, the column index in src
 // holding the same attribute. Both relations must have equal attribute
-// sets; it panics otherwise (operator-level code validates first).
-func alignment(src, dst *Relation) []int {
-	perm := make([]int, len(dst.attrs))
+// sets; it panics otherwise (operator-level code validates first). The
+// list is read only: relations with one column order share allCols'. It
+// is held in buf when buf is long enough, and its caller keeps it no
+// longer than buf; nil asks for a list of its own.
+func alignment(src, dst *Relation, buf *[8]int) []int {
+	if slices.Equal(src.attrs, dst.attrs) {
+		return allCols(len(dst.attrs))
+	}
+	var perm []int
+	if buf != nil && len(dst.attrs) <= len(buf) {
+		perm = buf[:len(dst.attrs)]
+	} else {
+		perm = make([]int, len(dst.attrs))
+	}
 	for i, a := range dst.attrs {
 		p, ok := src.Pos(a)
 		if !ok {
