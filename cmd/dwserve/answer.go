@@ -78,25 +78,43 @@ type queryPlan struct {
 
 	// carry is built on the text's first carry check, never in plan: a
 	// text that is only ever evaluated or reused pays nothing for it.
-	carryOnce sync.Once
-	carry     *carryPlan
+	carry atomic.Pointer[carryPlan]
 }
 
 // carryPlan returns the text's carry plan, building it on the first call.
 func (p *queryPlan) carryPlan(db *dwc.Database) *carryPlan {
-	p.carryOnce.Do(func() { p.carry = newCarryPlan(p.q, db) })
-	return p.carry
+	if cp := p.carry.Load(); cp != nil {
+		return cp
+	}
+	p.carry.CompareAndSwap(nil, newCarryPlan(p.q, db))
+	return p.carry.Load()
+}
+
+// built returns e's carry plan if one has been built, else nil.
+func (e queryEntry) built() *carryPlan {
+	if e.queryPlan == nil {
+		return nil
+	}
+	return e.carry.Load()
 }
 
 // queryCache is the one query-keyed map of the server, keyed by the raw q
 // parameter: the plans /query evaluates, and the answers it reuses at an
-// unchanged state and the ladder's LevelStale rung serves.
+// unchanged state and the ladder's LevelStale rung serves. The key sets of
+// the registered carry plans count against its byte cap beside the bodies.
 type queryCache struct {
 	mu      sync.Mutex
 	entries map[string]queryEntry
 	order   []string     // store order, for FIFO eviction
 	bytes   int          // the bodies' bytes
 	misses  atomic.Int64 // texts parsed and translated
+	plans   *carryRegistry
+}
+
+// newQueryCache returns an empty query cache whose carry plans register
+// with plans.
+func newQueryCache(plans *carryRegistry) *queryCache {
+	return &queryCache{entries: map[string]queryEntry{}, plans: plans}
 }
 
 // get returns the entry held for a query text.
@@ -108,23 +126,49 @@ func (c *queryCache) get(src string) (queryEntry, bool) {
 }
 
 // put stores the entry for a query text as the newest, evicting the oldest
-// until it fits both caps. A body larger than the byte cap is not kept; its
-// plan is.
-func (c *queryCache) put(src string, e queryEntry) {
+// until it fits both caps, unless the cache holds an answer for the text
+// from e's generation or a later one — a reader that loaded an older
+// version does not replace a newer answer — or e holds no answer and the
+// text is held already. A body larger than the byte cap is not
+// kept; its plan is. It returns the entry as stored, or the one it kept.
+func (c *queryCache) put(src string, e queryEntry) (queryEntry, bool) {
 	if len(e.body) > queryCacheBytes {
 		e.body = nil
 	}
+	var evicted []*carryPlan
+	defer func() {
+		for _, p := range evicted {
+			c.plans.unregister(p)
+		}
+	}()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[src]; ok {
-		c.drop(slices.Index(c.order, src))
+	if cur, ok := c.entries[src]; ok {
+		if e.body == nil || cur.body != nil && cur.gen >= e.gen {
+			return cur, false
+		}
+		e.queryPlan = cur.queryPlan // the text's one plan, whichever reader parsed it
+		c.remove(slices.Index(c.order, src))
+	} else if p := e.built(); p != nil && p.evicted.Load() { // the text comes back: its carry plan starts afresh
+		e.queryPlan = &queryPlan{q: e.q, qHat: e.qHat, query: e.query, translated: e.translated}
 	}
-	for len(c.order) >= queryCacheSize || c.bytes+len(e.body) > queryCacheBytes {
-		c.drop(0)
+	keys := int(c.plans.keyBytes.Load())
+	for len(c.order) > 0 && (len(c.order) >= queryCacheSize || c.bytes+len(e.body)+keys > queryCacheBytes) {
+		if p := c.entries[c.order[0]].built(); p != nil { // leaving the cache: unregistered once c.mu is released
+			keys -= int(p.keyBytes.Load())
+			p.evicted.Store(true)
+			evicted = append(evicted, p)
+		}
+		c.remove(0)
 	}
 	c.order = append(c.order, src)
 	c.entries[src] = e
 	c.bytes += len(e.body)
+	if p := e.built(); p != nil && e.body != nil {
+		p.budget.Store(e.cost)
+		p.entryGen.Store(e.gen)
+	}
+	return e, true
 }
 
 // restamp records that e, the entry held for src when it was read, holds
@@ -140,18 +184,30 @@ func (c *queryCache) restamp(src string, e queryEntry) {
 	}
 	c.bytes += len(e.body) - len(cur.body) // none, unless an evaluation replaced the body meanwhile
 	c.entries[src] = e
+	if p := e.built(); p != nil {
+		p.entryGen.Store(e.gen)
+	}
 }
 
-// drop evicts the i-th entry in store order. Caller holds c.mu.
-func (c *queryCache) drop(i int) {
+// remove takes the i-th entry in store order out of the cache. Caller holds
+// c.mu.
+func (c *queryCache) remove(i int) {
 	c.bytes -= len(c.entries[c.order[i]].body)
 	delete(c.entries, c.order[i])
 	c.order = slices.Delete(c.order, i, i+1)
 }
 
+// keyRoom returns the bytes a new registration's key sets may take.
+func (c *queryCache) keyRoom() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return queryCacheBytes - int64(c.bytes) - c.plans.keyBytes.Load()
+}
+
 // plan returns the entry for a query text, parsing and translating it on a
 // miss. Any version's warehouse translates it alike: they share the
-// complement. A text that fails is not cached.
+// complement. A text that fails is not cached; one two readers miss at once
+// keeps the first plan stored.
 func (c *queryCache) plan(src string, w *dwc.Warehouse) (queryEntry, error) {
 	if e, ok := c.get(src); ok {
 		return e, nil
@@ -165,8 +221,7 @@ func (c *queryCache) plan(src string, w *dwc.Warehouse) (queryEntry, error) {
 	if err != nil {
 		return queryEntry{}, err
 	}
-	e := queryEntry{queryPlan: &queryPlan{q: q, qHat: qHat, query: q.String(), translated: qHat.String()}}
-	c.put(src, e)
+	e, _ := c.put(src, queryEntry{queryPlan: &queryPlan{q: q, qHat: qHat, query: q.String(), translated: qHat.String()}})
 	return e, nil
 }
 

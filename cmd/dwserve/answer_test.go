@@ -23,7 +23,6 @@ import (
 	dwc "dwcomplement"
 	"dwcomplement/internal/admission"
 	"dwcomplement/internal/relation"
-	"dwcomplement/internal/workload"
 )
 
 // refValue and refRelation are the shapes the server handed encoding/json
@@ -408,25 +407,17 @@ func FuzzAppendJSONString(f *testing.F) {
 // s.handler(), for the four answer sizes of the process benchmark's pool on
 // the 100k-row Section-5 star schema BenchmarkQueryClasses evaluates. hit
 // repeats the request at one state, so it is served the stored answer.
-// miss alternates the published version between two pins of that state, so
-// every request evaluates, orders and encodes: what is left of it once
+// miss drops the stored answer before every request, so every request
+// evaluates, orders and encodes: what is left of it once
 // BenchmarkQueryClasses' share (the engine) is subtracted is the answer
-// path. A pin published with no recorded commit is a gap in the change
-// ring, so miss never carries. carried/k times the carry check alone
-// (carries) of each shape's stored answer across k churn commits
-// (starChurn), committed before the timer against a published state that
-// then stays fixed: carried/op says whether it carried, tested/op and
-// composed/op what it read.
+// path. after/k is a read whose stored answer is k churn commits
+// (starChurn) old, carried by the text's plan, which every one of those
+// commits tested: composed/op counts the logged tuples it composed. pass
+// is one churn commit's relevance pass with the carry plans of a 170-text
+// pool of the process benchmark's shapes registered (poolTexts):
+// tested/op, logged/op and key-set-hits/op are its counts.
 func BenchmarkAnswerPath(b *testing.B) {
-	spec, err := dwc.ParseSpec(workload.Section5Spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workload.FillSection5(spec.State, 100_000)
-	srv, err := newServer(spec, dwc.Theorem22(), serverConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv := newStar(b, 100_000)
 	h := srv.handler()
 	churn := starChurn{h: h, rows: 100_000}
 	shapes := []struct {
@@ -448,12 +439,6 @@ func BenchmarkAnswerPath(b *testing.B) {
 		}
 		return rec
 	}
-	// Two pins of the loaded state under two generations; the second is
-	// never recorded. The churn commits publish the generations after both.
-	pins := [2]*version{srv.cur.Load()}
-	other := *pins[0]
-	other.w, other.gen = srv.w.Pin(), pins[0].gen+1
-	pins[1] = &other
 	for _, c := range shapes {
 		req := request(c.q)
 		for _, mode := range []string{"hit", "miss"} {
@@ -464,12 +449,8 @@ func BenchmarkAnswerPath(b *testing.B) {
 					if i == 1 {
 						b.ResetTimer()
 					}
-					if mode == "miss" { // publish the other pin: the stored answer is this one's
-						next := pins[0]
-						if srv.cur.Load() == next {
-							next = pins[1]
-						}
-						srv.cur.Store(next)
+					if mode == "miss" {
+						srv.qcache.forget(c.q)
 					}
 					rec := serve(req)
 					if i == 0 {
@@ -486,14 +467,16 @@ func BenchmarkAnswerPath(b *testing.B) {
 				case mode == "hit" && reused < int64(b.N):
 					b.Fatalf("%s: %d answers reused in %d requests at one state", c.q, reused, b.N+1)
 				case mode == "miss" && reused != 0:
-					b.Fatalf("%s: %d answers reused across gaps", c.q, reused)
+					b.Fatalf("%s: %d answers reused with none stored", c.q, reused)
 				}
 			})
 		}
-		srv.cur.Store(pins[0])
 	}
-	srv.cur.Store(pins[1])
-	ctx := context.Background()
+	var texts []string
+	for _, c := range shapes {
+		texts = append(texts, c.q)
+	}
+	register(b, srv, &churn, texts)
 	for _, k := range []int{4, 40, 120} {
 		for _, c := range shapes {
 			serve(request(c.q)) // stored (evaluated or carried) at the published state
@@ -501,27 +484,61 @@ func BenchmarkAnswerPath(b *testing.B) {
 		for range k {
 			churn.commit(b)
 		}
-		v := srv.cur.Load()
 		for _, c := range shapes {
 			e, _ := srv.qcache.get(c.q)
-			b.Run(fmt.Sprintf("%s/carried/%d", c.name, k), func(b *testing.B) {
+			req := request(c.q)
+			b.Run(fmt.Sprintf("%s/after/%d", c.name, k), func(b *testing.B) {
 				b.ReportAllocs()
-				check := srv.carries(ctx, e, v) // builds the carry plan
-				b.ResetTimer()
+				carriedBefore := srv.carried.Load()
 				for range b.N {
-					check = srv.carries(ctx, e, v)
+					srv.qcache.restore(c.q, e)
+					serve(req)
 				}
 				b.StopTimer()
-				carriedOp := 0.0
-				if check.why == carried {
-					carriedOp = 1
+				if n := srv.carried.Load() - carriedBefore; n != int64(b.N) {
+					b.Fatalf("%s: %d of %d reads carried across %d commits", c.q, n, b.N, k)
 				}
-				b.ReportMetric(carriedOp, "carried/op")
-				b.ReportMetric(float64(check.tested), "tested/op")
-				b.ReportMetric(float64(check.composed), "composed/op")
+				b.ReportMetric(float64(srv.carries(context.Background(), e, srv.cur.Load()).composed), "composed/op")
 			})
 		}
 	}
+	register(b, srv, &churn, poolTexts(100_000))
+	ops, _ := churn.next()
+	u, err := dwc.ParseUpdateOps(srv.db, ops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("pass", func(b *testing.B) {
+		b.ReportAllocs()
+		before := srv.plans.snapshot()
+		for range b.N {
+			srv.plans.pass(srv.plans.gen+1, u)
+		}
+		b.StopTimer()
+		after, n := srv.plans.snapshot(), float64(b.N)
+		b.ReportMetric(float64(after.Registered), "plans")
+		b.ReportMetric(float64(after.Tested-before.Tested)/n, "tested/op")
+		b.ReportMetric(float64(after.Logged-before.Logged)/n, "logged/op")
+		b.ReportMetric(float64(after.KeySetHits-before.KeySetHits)/n, "key-set-hits/op")
+	})
+}
+
+// forget drops the answer stored for src, keeping its plan.
+func (c *queryCache) forget(src string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[src]
+	c.bytes -= len(e.body)
+	e.body = nil
+	c.entries[src] = e
+}
+
+// restore puts back e, an entry held for src earlier, in place.
+func (c *queryCache) restore(src string, e queryEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bytes += len(e.body) - len(c.entries[src].body)
+	c.entries[src] = e
 }
 
 // TestFailedEncodeIsLogged: a fixed-shape body that encoding/json refuses
@@ -578,7 +595,7 @@ func TestAppendAckMatchesEncodingJSON(t *testing.T) {
 // its place in the eviction order and the cache's byte count stay — and
 // never over an entry held at a later generation.
 func TestQueryCacheRestamp(t *testing.T) {
-	c := &queryCache{entries: map[string]queryEntry{}}
+	c := newQueryCache(&carryRegistry{})
 	for i, src := range []string{"a", "b", "c"} {
 		c.put(src, queryEntry{body: []byte(strings.Repeat("x", 10*(i+1))), gen: 3, version: "0/3"})
 	}
@@ -603,12 +620,66 @@ func TestQueryCacheRestamp(t *testing.T) {
 	}
 	// FIFO order survives: the oldest text, a, is still the first evicted.
 	for i := range queryCacheSize - 2 {
-		c.put(fmt.Sprintf("q%d", i), queryEntry{gen: 3})
+		c.put(fmt.Sprintf("q%d", i), queryEntry{body: []byte("z"), gen: 3})
 	}
 	if _, ok := c.get("a"); ok {
 		t.Fatal("the re-stamped entry outlived the entries stored after it")
 	}
 	if _, ok := c.get("b"); !ok {
 		t.Fatal("the second-oldest entry was evicted before the re-stamped oldest")
+	}
+}
+
+// TestQueryCachePutKeepsNewer: an answer evaluated by a reader that loaded
+// an older version does not replace the one stored from a later state, and
+// the reader counts as behind, not as a carry fallback. A newer answer
+// replaces an older one, and a plan-only entry replaces nothing.
+func TestQueryCachePutKeepsNewer(t *testing.T) {
+	c := newQueryCache(&carryRegistry{})
+	c.put("q", queryEntry{body: []byte("at 7"), gen: 7})
+	if _, ok := c.put("q", queryEntry{body: []byte("at 5"), gen: 5}); ok {
+		t.Fatal("an answer at gen 5 replaced the one at gen 7")
+	}
+	if _, ok := c.put("q", queryEntry{gen: 9}); ok {
+		t.Fatal("an entry without an answer replaced a stored one")
+	}
+	if got, _ := c.get("q"); got.gen != 7 || string(got.body) != "at 7" || c.bytes != 4 {
+		t.Fatalf("entry %q at gen %d, %d bytes held; want the answer at gen 7", got.body, got.gen, c.bytes)
+	}
+	if _, ok := c.put("q", queryEntry{body: []byte("at 8!"), gen: 8}); !ok {
+		t.Fatal("an answer at gen 8 did not replace the one at gen 7")
+	}
+	if got, _ := c.get("q"); got.gen != 8 || c.bytes != 5 || len(c.order) != 1 {
+		t.Fatalf("entry at gen %d, %d bytes, order %v; want gen 8, 5 bytes, one entry", got.gen, c.bytes, c.order)
+	}
+
+	srv, err := newServer(mustSpec(t, testSpec), dwc.Theorem22(), serverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.handler()
+	const q = "Sale join Emp"
+	old := srv.cur.Load()
+	postUpdateTo(t, h, "insert Emp('Zoe', 40)")
+	ask(t, h, q)       // stored at gen 1
+	srv.cur.Store(old) // a reader still on gen 0
+	rec := ask(t, h, q)
+	if rec.Header().Get("X-DW-Version") != old.stamp() {
+		t.Fatalf("answered at %s, want %s", rec.Header().Get("X-DW-Version"), old.stamp())
+	}
+	if e, _ := srv.qcache.get(q); e.gen != 1 {
+		t.Fatalf("the behind reader's answer replaced the stored one: entry at gen %d", e.gen)
+	}
+	var stats struct {
+		QueriesBehind  int64
+		CarryFallbacks map[string]int64
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.QueriesBehind != 1 || stats.CarryFallbacks["untracked"]+stats.CarryFallbacks["cost"]+stats.CarryFallbacks["changed"] != 0 {
+		t.Fatalf("/stats: %d behind, fallbacks %v; want 1 and none", stats.QueriesBehind, stats.CarryFallbacks)
 	}
 }

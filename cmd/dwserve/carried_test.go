@@ -28,8 +28,10 @@ import (
 // differences. Each also has the shapes the carry plan's relevance rule
 // must get right: a base read twice, once through ρ, under two σs; a
 // difference with a σ on both sides; an or; a σ over both sides of a join,
-// which cannot be pushed; and a union under a join under a projection,
-// which the plan distributes.
+// which cannot be pushed; a union under a join under a projection, which
+// the plan distributes; and a σ on the joined side alone, whose key set
+// restricts the other side's tuples until a change to its own side resets
+// the plan.
 var carriedSpecs = []struct {
 	spec    string
 	domain  int // values per attribute the update generator draws from
@@ -49,6 +51,7 @@ var carriedSpecs = []struct {
 		"sigma{age < 2 or clerk = 'v05'}(Emp)",
 		"sigma{age > 4 or item = 'v01'}(Sale join Emp)",
 		"pi{clerk, age}((pi{clerk}(Sale) union pi{clerk}(Emp)) join Emp)",
+		"sigma{age > 5}(Sale join Emp)",
 	}},
 	{workload.Section5Spec, 400, []string{
 		"sigma{qty > 200}(Order_paris)",
@@ -64,11 +67,14 @@ var carriedSpecs = []struct {
 		"sigma{qty > 390 or okey = 5}(Order_tokyo)",
 		"sigma{qty > 300 or nation = 'Japan'}(Order_tokyo join Customer)",
 		"pi{okey, brand}((Order_paris union Order_tokyo) join Part)",
+		"sigma{nation = 'France'}(Order_tokyo join Customer)",
 	}},
 }
 
-// carriedCounts tallies how a stream's answers were served.
-type carriedCounts struct{ evaluated, reused, carried, bootstraps int }
+// carriedCounts tallies how a stream's answers were served, the
+// follower's re-bootstraps, and the plans its commits reset because a key
+// set's side changed.
+type carriedCounts struct{ evaluated, reused, carried, bootstraps, keyResets int }
 
 // runCarriedStream drives a leader and a follower through one random stream
 // drawn from seed over carriedSpecs[spec]: constraint-respecting updates
@@ -154,7 +160,9 @@ func runCarriedStream(t *testing.T, seed int64, spec int) carriedCounts {
 			if err != nil {
 				t.Fatal(err)
 			}
+			resets := follower.plans.snapshot().Resets
 			follower.applyBatch(ctx, client, b)
+			n.keyResets += int(follower.plans.snapshot().Resets - resets)
 		case x < 13:
 			bootstrap()
 			n.bootstraps++
@@ -233,8 +241,9 @@ func FuzzCarriedAnswer(f *testing.F) {
 }
 
 // TestCarriedStreamsCoverPaths: over fixed seeds on both schemata, the
-// streams of FuzzCarriedAnswer serve answers all three ways and
-// re-bootstrap, so the fuzz checks each path rather than one.
+// streams of FuzzCarriedAnswer serve answers all three ways, re-bootstrap,
+// and change a dimension inside a key set, so the fuzz checks each path
+// rather than one.
 func TestCarriedStreamsCoverPaths(t *testing.T) {
 	for spec := range carriedSpecs {
 		var total carriedCounts
@@ -244,10 +253,11 @@ func TestCarriedStreamsCoverPaths(t *testing.T) {
 			total.reused += n.reused
 			total.carried += n.carried
 			total.bootstraps += n.bootstraps
+			total.keyResets += n.keyResets
 		}
 		t.Logf("spec %d: %+v", spec, total)
-		if total.evaluated == 0 || total.reused == 0 || total.carried == 0 || total.bootstraps == 0 {
-			t.Errorf("spec %d: %+v; the streams must evaluate, reuse, carry and re-bootstrap", spec, total)
+		if total.evaluated == 0 || total.reused == 0 || total.carried == 0 || total.bootstraps == 0 || total.keyResets == 0 {
+			t.Errorf("spec %d: %+v; the streams must evaluate, reuse, carry, re-bootstrap and reset a key set", spec, total)
 		}
 	}
 }

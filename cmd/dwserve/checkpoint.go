@@ -164,9 +164,9 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 		}
 		s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", jerr)
 	}
+	s.plans.pass(prev.gen+1, stats.Update) // before the generation is published: its readers find it tested
 	s.publish(func(v *version) {
 		v.w, v.gen = s.w.Pin(), v.gen+1
-		s.changes.record(v.gen, stats.Update)
 		v.marks = withEntry(v.marks, rec.Source, rec.Seq)
 		v.lsn = rec.LSN
 		if s.jw != nil && jerr == nil {

@@ -295,3 +295,84 @@ func TestConcurrentVersionOracle(t *testing.T) {
 		t.Errorf("%d answers reused, %d carried, %d evaluated for %d texts: the check needs all three", reused, carried, evaluated, len(queries))
 	}
 }
+
+// TestConcurrentCarryRegistration: readers build and register carry plans
+// while a writer commits, and each commit resets some of them — a new hire
+// past 40 changes the side σ{age > 40}(Emp) whose key set restricts Sale —
+// so the next reader registers the plan again beside the next commit.
+// Every answer must equal Q(d) at the state its X-DW-Version names, however
+// a registration, a reset and a commit's pass interleave.
+func TestConcurrentCarryRegistration(t *testing.T) {
+	const updates, readers = 60, 3
+	queries := []string{
+		"sigma{age > 40}(Sale join Emp)",
+		"pi{item}(sigma{age < 30}(Sale join Emp))",
+		"sigma{clerk = 'e-7'}(Sale)",
+		"pi{clerk}(Emp) minus pi{clerk}(Sale)",
+	}
+	// Update i hires e-i at 20+i and books a sale by the hire before: the
+	// sale reaches a key set's answer only once its seller is past 40.
+	spec := mustSpec(t, testSpec)
+	ops := make([]string, updates+1)
+	for i := 1; i <= updates; i++ {
+		ops[i] = fmt.Sprintf("insert Emp('e-%d', %d)", i, 20+i)
+		if i > 1 {
+			ops[i] += fmt.Sprintf("\ninsert Sale('item-%d', 'e-%d')", i, i-1)
+		}
+	}
+	want := make([][]string, updates+1)
+	model := spec.State.Clone()
+	for lsn := 0; lsn <= updates; lsn++ {
+		if lsn > 0 {
+			if err := mustOps(t, spec.DB, ops[lsn]).Apply(model); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range queries {
+			rows, err := dwc.EvalExpr(context.Background(), dwc.MustParseExpr(q), model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := appendRelation(nil, rows.Relation())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[lsn] = append(want[lsn], canonicalResult(t, b))
+		}
+	}
+
+	srv, ts := newDurableServer(t, t.TempDir(), 8)
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for rd := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := rd; !done.Load(); i++ {
+				qi := i % len(queries)
+				got, err := queryStamped(ts.URL, queries[qi])
+				if err != nil || got.status != http.StatusOK {
+					t.Errorf("%s: %+v, %v", queries[qi], got, err)
+					return
+				}
+				var epoch, lsn int
+				if _, err := fmt.Sscanf(got.version, "%d/%d", &epoch, &lsn); err != nil || lsn > updates {
+					t.Errorf("%s: X-DW-Version %q", queries[qi], got.version)
+					return
+				}
+				if res := canonicalResult(t, got.result); res != want[lsn][qi] {
+					t.Errorf("%s at version %s:\ngot  %s\nwant %s", queries[qi], got.version, res, want[lsn][qi])
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= updates; i++ {
+		postUpdate(t, ts.URL, ops[i])
+	}
+	done.Store(true)
+	wg.Wait()
+	if st := srv.plans.snapshot(); st.Resets == 0 || srv.carried.Load() == 0 {
+		t.Errorf("%+v, %d carried: the check needs plans reset and registered again, and answers carried", st, srv.carried.Load())
+	}
+}

@@ -264,9 +264,11 @@ func TestReuseFollowsTheState(t *testing.T) {
 // dw_queries_reused_total, observes dw_query_duration_seconds once — so its
 // _count stays dw_queries_total — is no stale answer, shows in /stats
 // queriesReused (a carried one in queriesCarried too), and marks its
-// request span answer=reused or answer=carried. A commit that reaches the
-// answer makes the next request evaluate, and /stats carryFallbacks says
-// why.
+// request span answer=reused or answer=carried. The first check after a
+// commit registers the text's carry plan and evaluates (untracked); a
+// commit that reaches the answer makes the next request evaluate; /stats
+// carryFallbacks says why, and carryPlans shows the registered plan, its
+// empty log and the tuples the commits tested and logged.
 func TestReuseLedger(t *testing.T) {
 	srv, ts := newOverloadServer(t, serverConfig{TraceSample: 1})
 	q := ts.URL + "/query?q=" + escape("Sale join Emp")
@@ -276,27 +278,35 @@ func TestReuseLedger(t *testing.T) {
 		traceID = resp.Header.Get("X-DW-Trace")
 	}
 	get(t, q+"&explain=1")
-	postUpdate(t, ts.URL, "insert Emp('Zoe', 40)") // no sale joins Zoe: the answer is carried
+	postUpdate(t, ts.URL, "insert Emp('Zoe', 40)") // the plan is not tracked yet: registered, and evaluated
+	get(t, q)
+	postUpdate(t, ts.URL, "insert Emp('Zed', 41)") // no sale joins Zed: the answer is carried
 	resp, _ := get(t, q)
 	carriedID := resp.Header.Get("X-DW-Trace")
 	postUpdate(t, ts.URL, "insert Sale('Radio', 'Zoe')") // joins Zoe: the answer changed
 	get(t, q)
 	_, metrics := getText(t, ts.URL+"/metrics")
-	for _, want := range []string{"dw_queries_total 6", "dw_queries_reused_total 3", "dw_query_duration_seconds_count 6", "dw_stale_answers_total 0"} {
+	for _, want := range []string{"dw_queries_total 7", "dw_queries_reused_total 3", "dw_query_duration_seconds_count 7", "dw_stale_answers_total 0"} {
 		if !strings.Contains(metrics, "\n"+want+"\n") {
 			t.Errorf("metrics lack %q", want)
 		}
 	}
 	var stats struct {
-		Queries, QueriesReused, QueriesCarried int64
-		CarryFallbacks                         map[string]int64
+		Queries, QueriesReused, QueriesCarried, QueriesBehind int64
+		CarryFallbacks                                        map[string]int64
+		CarryPlans                                            carryStats
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
-	if stats.Queries != 6 || stats.QueriesReused != 3 || stats.QueriesCarried != 1 {
-		t.Errorf("/stats: %d queries, %d reused, %d carried; want 6, 3 and 1", stats.Queries, stats.QueriesReused, stats.QueriesCarried)
+	if stats.Queries != 7 || stats.QueriesReused != 3 || stats.QueriesCarried != 1 || stats.QueriesBehind != 0 {
+		t.Errorf("/stats: %d queries, %d reused, %d carried, %d behind; want 7, 3, 1 and 0", stats.Queries, stats.QueriesReused, stats.QueriesCarried, stats.QueriesBehind)
 	}
-	if want := map[string]int64{"gap": 0, "cost": 0, "changed": 1}; !maps.Equal(stats.CarryFallbacks, want) {
+	if want := map[string]int64{"untracked": 1, "cost": 0, "changed": 1}; !maps.Equal(stats.CarryFallbacks, want) {
 		t.Errorf("/stats carryFallbacks %v, want %v", stats.CarryFallbacks, want)
+	}
+	// Zed and the sale were tested and logged; the sale's commit trimmed
+	// Zed, which the carried answer had seen.
+	if want := (carryStats{Registered: 1, LoggedTuples: 1, Tested: 2, Logged: 2}); stats.CarryPlans != want {
+		t.Errorf("/stats carryPlans %+v, want %+v", stats.CarryPlans, want)
 	}
 	for _, c := range []struct{ id, answer string }{{traceID, "reused"}, {carriedID, "carried"}} {
 		id, ok := trace.ParseTraceID(c.id)

@@ -369,6 +369,7 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 		return nil // promoted while the shipment was in flight
 	}
 	s.w.LoadState(ship.State)
+	s.plans.reset(s.cur.Load().gen + 1) // a state replaced with no update to test
 	s.publish(func(v *version) {
 		v.w, v.gen = s.w.Pin(), v.gen+1
 		v.marks = ship.Marks

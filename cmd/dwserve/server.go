@@ -167,13 +167,15 @@ type server struct {
 	// their state and served by the ladder's LevelStale rung.
 	adm    *admission.Controller
 	qcache *queryCache
-	// changes are the last commits' normalized updates, by generation:
-	// what carries reads to prove a stored answer still holds. carried
-	// counts the answers it carried forward (/stats queriesCarried),
-	// fellBack the checks that fell back to evaluation, by reason.
-	changes  changeRing
+	// plans are the registered carry plans, which every commit tests: what
+	// carries reads to prove a stored answer still holds. carried counts
+	// the answers it carried forward (/stats queriesCarried), fellBack the
+	// checks that fell back to evaluation, by reason, and behind the
+	// evaluations of readers whose version is older than the stored answer.
+	plans    carryRegistry
 	carried  atomic.Int64
 	fellBack [numFallbacks]atomic.Int64
+	behind   atomic.Int64
 
 	mInFlight   *obs.Gauge
 	mQueries    *obs.Counter
@@ -302,9 +304,9 @@ func newServer(spec *dwc.Spec, opts dwc.Options, cfg serverConfig) (*server, err
 		tracer:    trace.New(trace.Config{Rate: cfg.TraceSample, Capacity: cfg.TraceBuffer}),
 		mstats:    trace.NewMaintStats(0),
 		adm:       admission.New(cfg.Admission),
-		qcache:    &queryCache{entries: map[string]queryEntry{}},
 		mChanges:  map[string]*obs.Counter{},
 	}
+	s.qcache = newQueryCache(&s.plans)
 	if cfg.SnapshotDir != "" {
 		if err := snapshot.SweepTemps(cfg.SnapshotDir); err != nil {
 			return nil, fmt.Errorf("snapshot dir %s: %w", cfg.SnapshotDir, err)
@@ -833,15 +835,18 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	ectx, cancel := s.queryContext(req)
 	defer cancel()
 	if explain == 0 && e.body != nil {
-		why := s.carries(ectx, e, v).why
-		if why == carried {
+		switch why := s.carries(ectx, e, v).why; why {
+		case carried:
 			e.at, e.version, e.gen = time.Now(), v.stamp(), v.gen
 			s.qcache.restamp(src, e)
 			s.carried.Add(1)
 			s.writeReused(w, req, e.body, start, "carried")
 			return
+		case readBehind:
+			s.behind.Add(1)
+		default:
+			s.fellBack[why].Add(1)
 		}
-		s.fellBack[why].Add(1)
 	}
 	// The evaluation span (child of the request span) carries the query,
 	// its cardinality and the compact executed-plan signature, so a trace
@@ -895,9 +900,12 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	if explain == 0 {
 		// Plain answers are reused while v.gen is published, and are what
-		// the ladder's LevelStale rung serves.
+		// the ladder's LevelStale rung serves. Once a commit has run, the
+		// text's carry plan is registered, so the next commit is tested.
 		e.body, e.at, e.version, e.gen, e.cost = body, time.Now(), v.stamp(), v.gen, evalCost(stats)
-		s.qcache.put(src, e)
+		if e, stored := s.qcache.put(src, e); stored && v.gen > 0 {
+			s.track(ectx, e)
+		}
 	}
 	writeBody(w, http.StatusOK, body)
 }
@@ -963,16 +971,20 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	queryStats := s.queryStats
 	s.statsMu.Unlock()
 	fellBack := map[string]int64{}
-	for why := fellBackGap; why < numFallbacks; why++ {
+	for why := fellBackUntracked; why < numFallbacks; why++ {
 		fellBack[fallbackNames[why]] = s.fellBack[why].Load()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"queries":       s.mQueries.Value(),
 		"queriesReused": s.mReused.Value(),
-		// Of those, the answers carried forward from an earlier state; and
-		// the carry checks that fell back to evaluation, by reason.
+		// Of those, the answers carried forward from an earlier state; the
+		// carry checks that fell back to evaluation, by reason; the
+		// evaluations of readers behind the stored answer; and the carry
+		// plans every commit tests, with what they hold.
 		"queriesCarried": s.carried.Load(),
 		"carryFallbacks": fellBack,
+		"queriesBehind":  s.behind.Load(),
+		"carryPlans":     s.plans.snapshot(),
 		"queryStats":     queryStats,
 		"refreshes":      v.refreshes,
 		"refreshStats":   v.refreshStats,

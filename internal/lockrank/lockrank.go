@@ -34,6 +34,7 @@ const (
 	rankSourceDelivery
 	rankIntegrator
 	rankServer
+	rankCarryPlans
 	rankBootLedger
 	rankController
 	rankLink
@@ -65,6 +66,7 @@ type (
 	SourceDelivery struct{}
 	Integrator     struct{}
 	Server         struct{}
+	CarryPlans     struct{}
 	BootLedger     struct{}
 	Controller     struct{}
 	Link           struct{}
@@ -88,6 +90,7 @@ func (Source) class() (Rank, string)         { return rankSource, "source.Source
 func (SourceDelivery) class() (Rank, string) { return rankSourceDelivery, "source.Source.deliver" }
 func (Integrator) class() (Rank, string)     { return rankIntegrator, "source.Integrator.mu" }
 func (Server) class() (Rank, string)         { return rankServer, "dwserve.server.mu" }
+func (CarryPlans) class() (Rank, string)     { return rankCarryPlans, "dwserve.carryRegistry.mu" }
 func (BootLedger) class() (Rank, string)     { return rankBootLedger, "dwserve.bootLedger.mu" }
 func (Controller) class() (Rank, string)     { return rankController, "admission.Controller.mu" }
 func (Link) class() (Rank, string)           { return rankLink, "remote.Link.mu" }

@@ -91,6 +91,16 @@ func (b Batch) AppendKey(dst []byte, i int) []byte {
 	return dst
 }
 
+// AppendColsKey appends the canonical encoding of columns cols of
+// batch-local row i, in that order: AppendKey's, restricted to a
+// projection of the row.
+func (b Batch) AppendColsKey(dst []byte, i int, cols []int) []byte {
+	for _, c := range cols {
+		dst = b.pg[c].value(i).appendKey(dst)
+	}
+	return dst
+}
+
 // window returns the batch's rows of a payload, or nil where there is none.
 func window[T any](s []T, n int) []T {
 	if s == nil {

@@ -315,6 +315,10 @@ func (v Value) appendKey(b []byte) []byte {
 	}
 }
 
+// AppendKey appends the value's canonical encoding, the one rows are keyed
+// by (Batch.AppendKey).
+func (v Value) AppendKey(b []byte) []byte { return v.appendKey(b) }
+
 // hash64 returns a well-mixed 64-bit hash of the value, canonical under
 // Equal: numerically equal int/float values hash identically (mirroring
 // appendKey's collapse of Int(2) and Float(2)), -0.0 hashes as 0.0 and all
