@@ -596,11 +596,6 @@ type carryIndex struct {
 func (r *carryRegistry) pass(g uint64, u *dwc.Update) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.passLocked(g, u)
-}
-
-// passLocked is pass with r.mu held.
-func (r *carryRegistry) passLocked(g uint64, u *dwc.Update) {
 	r.gen = g
 	if u == nil {
 		return

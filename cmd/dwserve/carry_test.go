@@ -155,9 +155,8 @@ func TestCarryCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pass without its lock, whose rank check allocates in test binaries.
 	g := uint64(1 << 40)
-	pass := func() { g++; srv.plans.passLocked(g, u) }
+	pass := func() { g++; srv.plans.pass(g, u) }
 	if a := testing.AllocsPerRun(20, pass); a != 0 {
 		t.Errorf("a churn commit's pass with no plan registered: %.1f allocations", a)
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	dwc "dwcomplement"
@@ -17,14 +16,14 @@ import (
 
 // The commit path and the checkpoint behind it. Every applied update —
 // POST /update, a remote source's report, a record of the leader's
-// stream — goes through commit, which refreshes it while its journal
-// append runs, publishes the result, advances the watermarks, records the
-// refresh in every telemetry series and, every CheckpointEvery acks,
-// starts a checkpoint. The checkpoint does not run
-// on the commit path: under s.mu only the published version and the
-// journal offset it stands at are noted, and a goroutine writes the
-// snapshot from that version with no server lock held, then compacts the
-// journal to the records appended since.
+// stream — goes through commit, which writes its journal record, refreshes
+// it while the record's write-back runs, flushes the record, publishes the
+// result, advances the watermarks, records the refresh in every telemetry
+// series and, every CheckpointEvery acks, starts a checkpoint. The
+// checkpoint does not run on the commit path: under s.mu only the
+// published version and the journal offset it stands at are noted, and a
+// goroutine writes the snapshot from that version with no server lock
+// held, then compacts the journal to the records appended since.
 
 // backlogFactor bounds the journal: a commit that finds this many times
 // CheckpointEvery un-checkpointed records while a checkpoint is still in
@@ -85,14 +84,10 @@ func (s *server) drainCheckpoint() {
 	s.mu.Unlock()
 }
 
-// commit refreshes one update while its journal record — fixed before the
-// refresh starts, which Thm. 4.1 needs alone — is written and fsync'd, so
-// an ack waits for the slower of the two where they overlap. The frame is
-// claimed with one atomic by whichever goroutine comes first: a goroutine
-// spawned to append it, or, if that goroutine has not run by the time the
-// refresh is done (Go may start it only tens of microseconds after the
-// go statement), the caller itself, which then appends and fsyncs after
-// the refresh — and not at all if the refresh failed. Only when both
+// commit writes one update's journal record — fixed before the refresh
+// starts, which Thm. 4.1 needs alone — refreshes the update while the
+// record's write-back runs, then waits for the record's flush, so an ack
+// waits for the slower of the two where they overlap. Only when both
 // succeeded is the next version (state, watermarks, coordinates, refresh
 // aggregates) published in one step, then the replication log (the same
 // frame), every refresh series and the checkpoint trigger: no reader ever
@@ -101,30 +96,23 @@ func (s *server) drainCheckpoint() {
 // follower; emitted is the source's emission time in unix nanos, 0 if
 // none. Caller holds s.mu.
 //
-// A failed refresh withdraws the record if the spawned goroutine appended
-// it. A failed append of an update nobody can send again (the leader's own
-// HTTP API) is withdrawn too, puts the writer's warehouse back to the
-// published state and is returned: the caller must fail the ack. Reports
-// and stream records are re-fetchable — after a crash the client rewinds
-// to the checkpointed watermark and the sender's retained log refills the
-// hole — so there a failed append only degrades.
+// A failed refresh withdraws the record. A failed write or flush of an
+// update nobody can send again (the leader's own HTTP API) is withdrawn
+// too, puts the writer's warehouse back to the published state and is
+// returned: the caller must fail the ack. Reports and stream records are
+// re-fetchable — after a crash the client rewinds to the checkpointed
+// watermark and the sender's retained log refills the hole — so there a
+// failed append only degrades.
 func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) (dwc.RefreshStats, error) {
 	prev := s.cur.Load()
 	frame, err := journal.Frame(rec)
 	if err != nil {
 		return dwc.RefreshStats{}, err
 	}
-	var claimed atomic.Bool // the frame goes to the journal once, by whoever claims it first
-	appended := make(chan error, 1)
+	var jerr error
 	if s.jw != nil {
-		go func() {
-			_ = chaos.Point("commit.claim") // a test holds the goroutine here to claim second
-			if claimed.CompareAndSwap(false, true) {
-				appended <- s.jw.AppendFrame(ctx, frame)
-			}
-		}()
+		jerr = s.jw.Write(ctx, frame)
 	}
-	// journal.append runs beside the refresh span, under the caller's.
 	rctx, sp := trace.StartSpan(ctx, "refresh")
 	sp.SetAttr("source", rec.Source)
 	sp.SetAttrInt("seq", int64(rec.Seq))
@@ -133,25 +121,14 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 		sp.SetAttr("outcome", "error")
 	}
 	sp.End()
-	var jerr error
-	written := s.jw != nil // the record reached the journal, or its append failed there
-	switch {
-	case !written:
-	case claimed.CompareAndSwap(false, true): // the goroutine has not run: the frame is ours
-		if written = err == nil; written {
-			jerr = s.jw.AppendFrame(ctx, frame)
-		}
-	default:
-		jerr = <-appended
-	}
 	if err != nil {
-		if !written {
-			return stats, err
-		}
 		if werr := s.withdraw(ctx, rec); werr != nil {
 			return stats, fmt.Errorf("%v; its journal record could not be withdrawn, so a restart replays it unless that refresh fails too: %w", err, werr)
 		}
 		return stats, err
+	}
+	if s.jw != nil && jerr == nil {
+		jerr = s.jw.Flush(ctx)
 	}
 	if jerr != nil {
 		s.degraded.Store(true)

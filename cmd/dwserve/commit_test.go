@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -14,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dwcomplement/internal/chaos"
 	"dwcomplement/internal/trace"
@@ -56,130 +56,96 @@ func versionStamp(t *testing.T, ts *httptest.Server) string {
 	return resp.Header.Get("X-DW-Version")
 }
 
-// readWAL returns the journal's bytes in a -snapshot-dir.
+// readWAL returns the journal in a -snapshot-dir up to its records' end:
+// the magic and the frames before the first header of zeros. Only zeros
+// may follow, the headroom of an open journal.
 func readWAL(t *testing.T, dir string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(dir, "wal.dwj"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
-}
-
-// appendFirst makes the next commit's spawned goroutine claim its frame:
-// the refresh waits at refresh.apply until the append has reached
-// journal.sync. Arm either point before, not after: Arm starts a point
-// afresh.
-func appendFirst(t *testing.T) {
-	_, releaseRefresh := chaos.Hold("refresh.apply")
-	syncAt, releaseSync := chaos.Hold("journal.sync")
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-syncAt:
-		case <-stop:
-		}
-		releaseSync()
-		releaseRefresh()
-	}()
-	t.Cleanup(func() { close(stop); <-done })
-}
-
-// callerFirst makes the next commit's caller claim its frame: the spawned
-// goroutine waits at commit.claim until the test ends, or for 5 s — a
-// commit that waits for that goroutine then fails the test instead of
-// hanging it.
-func callerFirst(t *testing.T) {
-	_, release := chaos.Hold("commit.claim")
-	timer := time.AfterFunc(5*time.Second, release)
-	t.Cleanup(func() { timer.Stop(); release() })
+	end := 4 // the magic
+	for end+8 <= len(b) && bytes.Count(b[end:end+8], []byte{0}) != 8 {
+		end += 8 + int(binary.BigEndian.Uint32(b[end:]))
+	}
+	if end > len(b) || bytes.Count(b[end:], []byte{0}) != len(b)-end {
+		t.Fatalf("wal.dwj of %d bytes: records end at %d, and more than zeros follow", len(b), end)
+	}
+	return b[:end]
 }
 
 // TestCommitWithdrawsFailedRefresh: a refresh that fails — injected at
 // refresh.apply, or a request canceled before its deltas apply — is not
-// acknowledged, and leaves the journal byte for byte, the published
-// version and the replication log's tip as they were, whichever goroutine
-// claimed the record's frame: the one commit spawns appends it beside the
-// refresh and the failure withdraws it, while the caller, claiming it after
-// the failed refresh, writes nothing. Each order is forced once for the
-// injected failure; the canceled request takes whichever comes. The
-// withdrawals counted and logged are the appends that reached the fsync.
-// The retried update commits at the same coordinates, and a restart
-// replays exactly the acks. Every request is traced, so each commit takes
+// acknowledged, and leaves the journal's records byte for byte, the
+// published version and the replication log's tip as they were: its
+// record, written before the refresh, is withdrawn and never flushed.
+// Every withdrawal is counted and logged with its request id. The
+// retried update commits at the same coordinates, and a restart replays
+// exactly the acks. Every request is traced, so each commit takes
 // chaos's lock and the trace package's (tracer, store, spans) under the
-// server's, nestings the rank check holds to the table in this test binary.
+// server's, nestings the rank check holds to the table in this test
+// binary.
 func TestCommitWithdrawsFailedRefresh(t *testing.T) {
-	for _, c := range []struct {
-		name     string
-		order    func(*testing.T)
-		appended uint64 // appends of the injected failure's record that reach the fsync
-	}{
-		{"goroutine claims", appendFirst, 1},
-		{"caller claims", callerFirst, 0},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			chaos.Reset()
-			defer chaos.Reset()
-			dir := t.TempDir()
-			srv, ts := newDurableServer(t, dir, 1000)
-			var logs lockedBuffer
-			srv.log = slog.New(slog.NewTextHandler(&logs, nil))
-			srv.tracer = trace.New(trace.Config{Rate: 1})
-			postUpdate(t, ts.URL, "insert Sale('VCR', 'Paula')")
-			wal, stamp, tip := readWAL(t, dir), versionStamp(t, ts), srv.rlog.Tip()
+	chaos.Reset()
+	defer chaos.Reset()
+	dir := t.TempDir()
+	srv, ts := newDurableServer(t, dir, 1000)
+	var logs lockedBuffer
+	srv.log = slog.New(slog.NewTextHandler(&logs, nil))
+	srv.tracer = trace.New(trace.Config{Rate: 1})
+	postUpdate(t, ts.URL, "insert Sale('VCR', 'Paula')")
+	wal, stamp, tip := readWAL(t, dir), versionStamp(t, ts), srv.rlog.Tip()
 
-			countOnly("journal.sync")
-			chaos.Arm("refresh.apply", 1, nil)
-			c.order(t)
-			if code, err := post(ts.URL, "insert Sale('PC', 'Mary')"); err != nil || code/100 == 2 {
-				t.Fatalf("update with a failing refresh: status %d, err %v; want a failure", code, err)
-			}
-			chaos.Disarm("commit.claim")
-			if hits := chaos.Hits("journal.sync"); hits != c.appended {
-				t.Fatalf("%d appends of the failed update reached the fsync, want %d", hits, c.appended)
-			}
-			// A canceled request: 499, "unchanged".
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			rec := httptest.NewRecorder()
-			srv.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/update", strings.NewReader("insert Sale('PC', 'Mary')")).WithContext(ctx))
-			if rec.Code != statusClientClosedRequest {
-				t.Fatalf("canceled update: status %d, want %d (body %s)", rec.Code, statusClientClosedRequest, rec.Body)
-			}
-			appends := chaos.Hits("journal.sync")
-			if got := readWAL(t, dir); !bytes.Equal(got, wal) {
-				t.Errorf("journal after the failed updates: %d bytes, want the %d from before", len(got), len(wal))
-			}
-			if got := versionStamp(t, ts); got != stamp {
-				t.Errorf("X-DW-Version %q after the failed updates, want %q", got, stamp)
-			}
-			if got := srv.rlog.Tip(); got != tip {
-				t.Errorf("replication log tip %d after the failed updates, want %d", got, tip)
-			}
-			if _, body := getText(t, ts.URL+"/metrics"); !strings.Contains(body, fmt.Sprintf("dw_journal_withdrawn_total %d\n", appends)) {
-				t.Errorf("metrics lack dw_journal_withdrawn_total %d, the appends that reached the fsync:\n%s", appends, grepLines(body, "dw_journal_withdrawn"))
-			}
-			withdrawn := regexp.MustCompile(`level=WARN msg="journal record withdrawn: its commit failed" id=[0-9a-f]{16} source=http seq=2`)
-			if n := len(withdrawn.FindAllString(logs.String(), -1)); uint64(n) != appends {
-				t.Errorf("%d withdrawal log lines with a request id, want %d:\n%s", n, appends, logs.String())
-			}
-
-			chaos.Reset()
-			postUpdate(t, ts.URL, "insert Sale('PC', 'Mary')")
-			if _, lsn, seq := coords(srv); lsn != 2 || seq != 2 {
-				t.Fatalf("retried update committed at lsn %d seq %d, want 2/2", lsn, seq)
-			}
-			crash(t, srv, ts)
-			oracle := oracleAfter(t, srv, parseOps(t, "insert Sale('VCR', 'Paula')", "insert Sale('PC', 'Mary')"))
-			srv2, _ := newDurableServer(t, dir, 1000)
-			if srv2.replayed != 2 || srv2.withdrawnTail != nil {
-				t.Fatalf("restart replayed %d records (tail withdrawn: %v), want 2 and none", srv2.replayed, srv2.withdrawnTail)
-			}
-			assertOracle(t, srv2, oracle, "restart")
-		})
+	countOnly("journal.append", "journal.sync")
+	chaos.Arm("refresh.apply", 1, nil)
+	if code, err := post(ts.URL, "insert Sale('PC', 'Mary')"); err != nil || code/100 == 2 {
+		t.Fatalf("update with a failing refresh: status %d, err %v; want a failure", code, err)
 	}
+	if got := readWAL(t, dir); !bytes.Equal(got, wal) {
+		t.Errorf("journal after the failed refresh: %d bytes of records, want the %d from before", len(got), len(wal))
+	}
+	// A canceled request: 499, "unchanged".
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	srv.handler().ServeHTTP(rec, httptest.NewRequest("POST", "/update", strings.NewReader("insert Sale('PC', 'Mary')")).WithContext(ctx))
+	if rec.Code != statusClientClosedRequest {
+		t.Fatalf("canceled update: status %d, want %d (body %s)", rec.Code, statusClientClosedRequest, rec.Body)
+	}
+	written, flushed := chaos.Hits("journal.append"), chaos.Hits("journal.sync")
+	if written == 0 || flushed != 0 {
+		t.Errorf("the failed updates wrote %d records and flushed %d, want at least the injected failure's and none", written, flushed)
+	}
+	if got := readWAL(t, dir); !bytes.Equal(got, wal) {
+		t.Errorf("journal after the failed updates: %d bytes of records, want the %d from before", len(got), len(wal))
+	}
+	if got := versionStamp(t, ts); got != stamp {
+		t.Errorf("X-DW-Version %q after the failed updates, want %q", got, stamp)
+	}
+	if got := srv.rlog.Tip(); got != tip {
+		t.Errorf("replication log tip %d after the failed updates, want %d", got, tip)
+	}
+	if _, body := getText(t, ts.URL+"/metrics"); !strings.Contains(body, fmt.Sprintf("dw_journal_withdrawn_total %d\n", written)) {
+		t.Errorf("metrics lack dw_journal_withdrawn_total %d, the records written:\n%s", written, grepLines(body, "dw_journal_withdrawn"))
+	}
+	withdrawn := regexp.MustCompile(`level=WARN msg="journal record withdrawn: its commit failed" id=[0-9a-f]{16} source=http seq=2`)
+	if n := len(withdrawn.FindAllString(logs.String(), -1)); uint64(n) != written {
+		t.Errorf("%d withdrawal log lines with a request id, want %d:\n%s", n, written, logs.String())
+	}
+
+	chaos.Reset()
+	postUpdate(t, ts.URL, "insert Sale('PC', 'Mary')")
+	if _, lsn, seq := coords(srv); lsn != 2 || seq != 2 {
+		t.Fatalf("retried update committed at lsn %d seq %d, want 2/2", lsn, seq)
+	}
+	crash(t, srv, ts)
+	oracle := oracleAfter(t, srv, parseOps(t, "insert Sale('VCR', 'Paula')", "insert Sale('PC', 'Mary')"))
+	srv2, _ := newDurableServer(t, dir, 1000)
+	if srv2.replayed != 2 || srv2.withdrawnTail != nil {
+		t.Fatalf("restart replayed %d records (tail withdrawn: %v), want 2 and none", srv2.replayed, srv2.withdrawnTail)
+	}
+	assertOracle(t, srv2, oracle, "restart")
 }
 
 // TestWithdrawCrashRecovers: a crash between a durable append and its
@@ -203,7 +169,6 @@ func TestWithdrawCrashRecovers(t *testing.T) {
 
 	chaos.Arm("refresh.apply", 1, nil)
 	chaos.Arm("journal.withdraw", 1, nil)
-	appendFirst(t) // a caller claiming the frame after its failed refresh writes nothing to withdraw
 	if code, err := post(ts.URL, "insert Sale('never', 'Mary')"); err != nil || code != http.StatusInternalServerError {
 		t.Fatalf("update whose withdrawal crashes: status %d, err %v; want 500", code, err)
 	}

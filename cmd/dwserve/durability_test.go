@@ -71,6 +71,9 @@ func crash(t *testing.T, srv *server, ts *httptest.Server) {
 	if err := srv.jw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if fi, err := os.Stat(filepath.Join(srv.cfg.SnapshotDir, "wal.dwj")); err != nil || fi.Size() != int64(len(readWAL(t, srv.cfg.SnapshotDir))) {
+		t.Fatalf("wal.dwj after Close is more than its records (stat %v)", err)
+	}
 }
 
 // soldCount reads the Sold view's tuple count over HTTP.
@@ -154,7 +157,8 @@ func TestCheckpointCompaction(t *testing.T) {
 }
 
 // TestGracefulShutdownCheckpoints: shutdown writes a final checkpoint,
-// so the successor boots with nothing to replay.
+// so the successor boots with nothing to replay, and leaves wal.dwj the
+// magic alone: no records, and no headroom after them.
 func TestGracefulShutdownCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newDurableServer(t, dir, 1000)
@@ -170,6 +174,9 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 	ts.Close()
 	if err := srv.shutdown(); err != nil {
 		t.Fatal(err)
+	}
+	if wal, err := os.ReadFile(filepath.Join(dir, "wal.dwj")); err != nil || string(wal) != "DWJ4" {
+		t.Fatalf("wal.dwj after a graceful stop: %q (%v), want the magic alone", wal, err)
 	}
 	srv2, ts2 := newDurableServer(t, dir, 1000)
 	if srv2.replayed != 0 {

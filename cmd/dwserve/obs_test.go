@@ -1,16 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	dwc "dwcomplement"
+	"dwcomplement/internal/obs"
 	"dwcomplement/internal/workload"
 )
 
@@ -367,6 +371,52 @@ func assertRefreshTelemetry(t *testing.T, baseURL, changedRelation string) {
 		}
 		if !moved {
 			t.Errorf("%s did not move", series)
+		}
+	}
+}
+
+// TestRequestLogLineBytes: the access-log line logRequest writes is the
+// line s.log.Info writes for the same request, byte for byte, under the
+// text and the JSON handler (the time dropped, the one field that
+// differs), and nothing when the level hides Info.
+func TestRequestLogLineBytes(t *testing.T) {
+	noTime := func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}
+	rec := obs.NewStatusRecorder(httptest.NewRecorder())
+	rec.WriteHeader(http.StatusCreated)
+	rec.Write([]byte("a body of some bytes"))
+	elapsed := 1234567 * time.Nanosecond
+	for _, c := range []struct {
+		name  string
+		level slog.Level
+		json  bool
+	}{{"text", slog.LevelInfo, false}, {"json", slog.LevelDebug, true}, {"quiet", slog.LevelWarn, false}} {
+		var got, want bytes.Buffer
+		opts := &slog.HandlerOptions{Level: c.level, ReplaceAttr: noTime}
+		handler := func(w io.Writer) slog.Handler {
+			if c.json {
+				return slog.NewJSONHandler(w, opts)
+			}
+			return slog.NewTextHandler(w, opts)
+		}
+		srv := &server{log: slog.New(handler(&got))}
+		srv.logRequest("0123456789abcdef", "/update", rec, elapsed)
+		slog.New(handler(&want)).Info("request",
+			"id", "0123456789abcdef",
+			"route", "/update",
+			"status", rec.Status,
+			"bytes", rec.Bytes,
+			"durUs", elapsed.Microseconds(),
+		)
+		if got.String() != want.String() {
+			t.Errorf("%s: logRequest wrote\n%q\nslog.Logger.Info writes\n%q", c.name, got.String(), want.String())
+		}
+		if c.name == "quiet" && got.Len() != 0 {
+			t.Errorf("quiet: wrote %q below the handler's level", got.String())
 		}
 	}
 }

@@ -548,14 +548,27 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if rec.Err != nil {
 			s.log.Warn("response body failed", "id", id, "route", route, "status", rec.Status, "err", rec.Err)
 		}
-		s.log.Info("request",
-			"id", id,
-			"route", route,
-			"status", rec.Status,
-			"bytes", rec.Bytes,
-			"durUs", elapsed.Microseconds(),
-		)
+		s.logRequest(id, route, rec, elapsed)
 	}
+}
+
+// logRequest writes a request's access-log line: the bytes s.log.Info
+// writes, without the stack walk for a source position the handlers never
+// print, and without boxing the attributes.
+func (s *server) logRequest(id, route string, rec *obs.StatusRecorder, elapsed time.Duration) {
+	ctx, h := context.Background(), s.log.Handler()
+	if !h.Enabled(ctx, slog.LevelInfo) {
+		return
+	}
+	r := slog.NewRecord(time.Now(), slog.LevelInfo, "request", 0)
+	r.AddAttrs(
+		slog.String("id", id),
+		slog.String("route", route),
+		slog.Int("status", rec.Status),
+		slog.Int64("bytes", rec.Bytes),
+		slog.Int64("durUs", elapsed.Microseconds()),
+	)
+	_ = h.Handle(ctx, r)
 }
 
 // routeDef is one row of the routing table: the ServeMux pattern, the

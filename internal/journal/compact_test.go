@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -15,12 +16,16 @@ import (
 
 func TestMain(m *testing.M) { testmain.Run(m) }
 
+// seqRecord is the record appendSeqs appends for seq.
+func seqRecord(t *testing.T, seq uint64) Record {
+	return Record{Source: "sales", Seq: seq, Update: saleIns(t, testDB(t), fmt.Sprintf("item-%d", seq), "Mary")}
+}
+
 // appendSeqs appends one record per sequence number in [from, to].
 func appendSeqs(t *testing.T, w *Writer, from, to uint64) {
 	t.Helper()
-	db := testDB(t)
 	for i := from; i <= to; i++ {
-		if err := w.Append(Record{Source: "sales", Seq: i, Update: saleIns(t, db, fmt.Sprintf("item-%d", i), "Mary")}); err != nil {
+		if err := w.Append(seqRecord(t, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,6 +39,25 @@ func replaySeqs(t *testing.T, path string) (seqs []uint64, torn bool) {
 		t.Fatal(err)
 	}
 	return seqs, torn
+}
+
+// records returns the journal file at path up to its records' end: the
+// magic and the frames before the first header of zeros. Only zeros may
+// follow, the headroom of an open writer.
+func records(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(magic)
+	for end+8 <= len(b) && !bytes.Equal(b[end:end+8], zeros[:8]) {
+		end += 8 + int(binary.BigEndian.Uint32(b[end:]))
+	}
+	if end > len(b) || bytes.Count(b[end:], []byte{0}) != len(b)-end {
+		t.Fatalf("journal of %d bytes: records end at %d, and more than zeros follow", len(b), end)
+	}
+	return b[:end]
 }
 
 // TestDropPrefixKeepsSuffix: the records past the offset survive byte for
@@ -51,17 +75,11 @@ func TestDropPrefixKeepsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendSeqs(t, w, 4, 5)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := records(t, path)
 	if err := w.DropPrefix(cut); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := records(t, path)
 	if want := append(append([]byte(nil), magic[:]...), before[cut:]...); !bytes.Equal(after, want) {
 		t.Fatalf("compacted journal is %d bytes, want magic + the %d-byte suffix unchanged", len(after), len(before)-int(cut))
 	}
@@ -108,11 +126,7 @@ func TestDropPrefixEmptySuffixIsReset(t *testing.T) {
 	if err := w.DropPrefix(end); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, magic[:]) {
+	if data := records(t, path); !bytes.Equal(data, magic[:]) {
 		t.Fatalf("empty suffix left %d bytes, want the magic alone", len(data))
 	}
 	appendSeqs(t, w, 3, 3)
@@ -122,7 +136,7 @@ func TestDropPrefixEmptySuffixIsReset(t *testing.T) {
 }
 
 // TestDropPrefixTornTail: a compacted journal tolerates a torn tail as
-// any journal does — replay stops before it, Open truncates it.
+// any journal does — replay stops before it, Open zeroes it.
 func TestDropPrefixTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, err := Open(path)

@@ -24,11 +24,24 @@
 // values row by row; v2: magic "DWJL", gob payloads) is refused with
 // ErrOldFormat, by name and not as corruption.
 //
-// A torn tail — a record cut short by a crash mid-append — is detected
-// by the length prefix and tolerated: replay stops cleanly before it
-// and the next append truncates it away. A checksum mismatch or an
-// implausible length earlier in the file means real corruption and
-// fails replay with ErrCorrupt.
+// An open journal keeps a zero-filled headroom past its last record:
+// Open and DropPrefix write it and fsync it, an append that would outrun
+// it grows it by another headroom, and Close truncates it, so a journal
+// at rest is the layout above and nothing else. An append therefore
+// overwrites blocks the file already has, and the fdatasync that makes
+// it durable has no file size to commit. Writer.Write writes a frame and
+// starts its write-back; Writer.Flush waits for it. A caller that fixed
+// its record before its work starts writes it first and flushes after,
+// and an ack waits for the slower of the two instead of both.
+//
+// The records end at the file's end or at a frame header of zeros — no
+// record has one, since no payload is empty. A torn tail — a record cut
+// short by a crash mid-append — is a frame cut off by the file's end, or
+// one that fails its checksum with only zeros after it, the headroom it
+// was being written into: replay stops cleanly before it and Open zeroes
+// it, as it zeroes whatever else is left past the records. A checksum
+// mismatch with anything but zeros after it, or an implausible length,
+// means real corruption and fails replay with ErrCorrupt.
 //
 // A checkpoint makes a prefix of the journal redundant. Writer.DropPrefix
 // compacts the file to the records appended after the checkpoint's cut
@@ -46,6 +59,7 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -54,7 +68,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"dwcomplement/internal/algebra"
 	"dwcomplement/internal/catalog"
@@ -192,22 +205,33 @@ func Frame(rec Record) ([]byte, error) {
 	return b, nil
 }
 
+// headroom is the zero-filled space an open journal keeps allocated past
+// its last record: an append inside it changes no file size.
+const headroom = 64 << 10
+
+// zeros fills the headroom.
+var zeros [headroom]byte
+
 // Writer appends records to a journal file with write-ahead semantics:
-// Append returns only after the record (and everything before it) is
-// fsync'd, so a crash after Append cannot lose the record. Safe for
+// Append returns only after the record (and everything before it) is on
+// disk, so a crash after Append cannot lose the record. Write and Flush
+// are its two halves, for a caller with work to do in between. Safe for
 // concurrent use.
 type Writer struct {
 	mu   lockrank.Mutex[lockrank.Journal]
 	f    *os.File
 	path string
-	last int64 // bytes of the last record at the file's end that Withdraw may take back (0: none)
+	end  int64 // just past the last record: where the next one goes
+	size int64 // the file's size: end plus the zero-filled headroom
+	last int64 // bytes of the last record at end that Withdraw may take back (0: none)
 	err  error // why appends are refused: a Withdraw failed
 }
 
 // Open opens (or creates) the journal at path for appending. An
-// existing file keeps its records; a torn tail from a previous crash is
-// truncated away so new appends start on a clean record boundary.
-func Open(path string) (*Writer, error) {
+// existing file keeps its records; a torn tail from a previous crash,
+// and anything else past the records, is zeroed and the headroom made,
+// all fsync'd, so new appends start on a clean record boundary.
+func Open(path string) (w *Writer, err error) {
 	// A compaction cut short by a crash never reached its rename.
 	if err := os.Remove(path + compactSuffix); err != nil && !os.IsNotExist(err) {
 		return nil, err
@@ -216,59 +240,111 @@ func Open(path string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			w = nil
+		}
+	}()
 	end, last, err := scan(f, nil, nil)
 	if err != nil && !errors.Is(err, ErrTorn) {
-		f.Close()
 		return nil, err
 	}
-	if errors.Is(err, ErrTorn) {
-		if terr := f.Truncate(end); terr != nil {
-			f.Close()
-			return nil, terr
-		}
-	}
-	// Position at the clean boundary before writing anything (scan left
-	// the offset wherever reading stopped).
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
+	fi, err := f.Stat()
+	if err != nil {
 		return nil, err
 	}
+	w = &Writer{f: f, path: path, end: end, size: fi.Size(), last: last}
 	if end == 0 {
 		// Fresh (or empty) file: write the magic.
-		if _, err := f.Write(magic[:]); err != nil {
-			f.Close()
+		if _, err := f.WriteAt(magic[:], 0); err != nil {
 			return nil, err
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
+		w.end = int64(len(magic))
+		w.size = max(w.size, w.end)
 	}
-	return &Writer{f: f, path: path, last: last}, nil
+	if err := w.rezero(); err != nil {
+		return nil, err
+	}
+	if err := w.reserve(0); err != nil {
+		return nil, err
+	}
+	return w, f.Sync()
 }
 
-// Append journals one record: encode, frame, write, fsync. The chaos
-// points model a crash before the write ("journal.append") and between
-// write and sync ("journal.sync").
+// rezero overwrites with zeros every block past the records that is not
+// zero already: a torn record, or what a crash left behind it.
+func (w *Writer) rezero() error {
+	var buf [4 << 10]byte
+	for off := w.end; off < w.size; off += int64(len(buf)) {
+		b := buf[:min(int64(len(buf)), w.size-off)]
+		if _, err := w.f.ReadAt(b, off); err != nil {
+			return err
+		}
+		if !bytes.Equal(b, zeros[:len(b)]) {
+			if _, err := w.f.WriteAt(zeros[:len(b)], off); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// reserve grows the headroom so that n more bytes and a zero frame header
+// after them fit before the file's end: by another headroom past them.
+// The zeros reach the disk with the next sync.
+func (w *Writer) reserve(n int64) error {
+	need := w.end + n + 8
+	if need <= w.size {
+		return nil
+	}
+	size := w.end + n + headroom
+	if err := writeZeros(w.f, max(w.size, w.end+n), size); err != nil {
+		return err
+	}
+	w.size = size
+	return nil
+}
+
+// writeZeros writes zeros over [from, to) of f.
+func writeZeros(f *os.File, from, to int64) error {
+	for from < to {
+		n, err := f.WriteAt(zeros[:min(int64(len(zeros)), to-from)], from)
+		if err != nil {
+			return err
+		}
+		from += int64(n)
+	}
+	return nil
+}
+
+// Append journals one record: encode, frame, write, flush.
 func (w *Writer) Append(rec Record) error {
 	return w.AppendContext(context.Background(), rec)
 }
 
 // AppendContext is Append with lineage: when ctx carries a recording
-// trace span, the append runs under a "journal.append" child span
-// annotated with the framed record size and the fsync's share of the
-// wall time — the durability hop of a report's end-to-end trace.
+// trace span, the write runs under a "journal.append" child span
+// annotated with the framed record size and the flush under a
+// "journal.flush" one — the durability hop of a report's end-to-end
+// trace.
 func (w *Writer) AppendContext(ctx context.Context, rec Record) error {
 	frame, err := Frame(rec)
 	if err != nil {
 		return err
 	}
-	return w.AppendFrame(ctx, frame)
+	if err := w.Write(ctx, frame); err != nil {
+		return err
+	}
+	return w.Flush(ctx)
 }
 
-// AppendFrame is AppendContext for a record the caller framed with Frame,
-// to hand the same bytes on or to encode off the goroutine that waits.
-func (w *Writer) AppendFrame(ctx context.Context, frame []byte) error {
+// Write writes a frame made by Frame at the journal's end, into the
+// headroom, and starts its write-back; the record is durable once Flush
+// returns. The chaos point "journal.append" models a crash before the
+// write. A frame written and not wanted any more — its commit failed —
+// is taken back by Withdraw.
+func (w *Writer) Write(ctx context.Context, frame []byte) error {
 	_, sp := trace.StartSpan(ctx, "journal.append")
 	defer sp.End()
 	sp.SetAttrInt("bytes", int64(len(frame)))
@@ -284,31 +360,42 @@ func (w *Writer) AppendFrame(ctx context.Context, frame []byte) error {
 	if err := chaos.Point("journal.append"); err != nil {
 		return err
 	}
-	n, err := w.f.Write(frame)
-	w.last = int64(n) // a short write is withdrawn like a whole one
+	if err := w.reserve(int64(len(frame))); err != nil {
+		return err
+	}
+	n, err := w.f.WriteAt(frame, w.end)
+	w.end, w.last = w.end+int64(n), int64(n) // a short write is withdrawn like a whole one
 	if err != nil {
 		return err
+	}
+	startWriteBack(w.f, w.end-w.last, w.last)
+	return nil
+}
+
+// Flush returns once everything written is on disk: an fdatasync, which
+// inside the headroom has no file size to commit. The chaos point
+// "journal.sync" models a crash between a write and its flush.
+func (w *Writer) Flush(ctx context.Context) error {
+	_, sp := trace.StartSpan(ctx, "journal.flush")
+	defer sp.End()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return fmt.Errorf("journal: writer is closed")
 	}
 	if err := chaos.Point("journal.sync"); err != nil {
 		return err
 	}
-	var syncStart time.Time
-	if sp.Recording() {
-		syncStart = time.Now()
-	}
-	err = w.f.Sync()
-	if sp.Recording() {
-		sp.SetAttrInt("fsyncMicros", time.Since(syncStart).Microseconds())
-	}
-	return err
+	return datasync(w.f)
 }
 
-// Withdraw takes back the record of a commit that failed after its append
-// began: it truncates what the last append wrote (after Open, the file's
-// last record) and fsyncs. A DropPrefix since moves the record along; one
-// that dropped it leaves nothing to withdraw. A failed Withdraw refuses
-// every later append, so an unacknowledged record is only ever the
-// journal's last. The chaos point "journal.withdraw" models a crash first.
+// Withdraw takes back the record of a commit that failed after its write:
+// it zeroes what the last Write wrote (after Open, the file's last
+// record), which returns it to the headroom, and flushes. A DropPrefix
+// since moves the record along; one that dropped it leaves nothing to
+// withdraw. A failed Withdraw refuses every later append, so an
+// unacknowledged record is only ever the journal's last. The chaos point
+// "journal.withdraw" models a crash first.
 func (w *Writer) Withdraw() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -319,17 +406,17 @@ func (w *Writer) Withdraw() error {
 		return nil
 	}
 	err := chaos.Point("journal.withdraw")
-	var end int64
 	if err == nil {
-		end, err = w.f.Seek(0, io.SeekCurrent)
+		err = writeZeros(w.f, w.end-w.last, w.end)
 	}
 	if err == nil {
-		err = w.truncateLocked(end - w.last)
+		err = datasync(w.f)
 	}
 	if err != nil {
 		w.err = fmt.Errorf("journal: a withdraw failed, appends are refused: %w", err)
 		return w.err
 	}
+	w.end, w.last = w.end-w.last, 0
 	return nil
 }
 
@@ -344,23 +431,21 @@ func (w *Writer) Reset() error {
 	if w.f == nil {
 		return fmt.Errorf("journal: writer is closed")
 	}
-	return w.truncateLocked(int64(len(magic)))
+	return w.resetLocked()
 }
 
-// truncateLocked cuts the file to size bytes, which leaves no last record
-// to withdraw, and fsyncs.
-func (w *Writer) truncateLocked(size int64) error {
-	if err := w.f.Truncate(size); err != nil {
+// resetLocked cuts the file to its magic, which leaves no last record to
+// withdraw, makes the headroom again and fsyncs. The cut comes first, so
+// a crash in between leaves an empty journal, never half-zeroed records.
+func (w *Writer) resetLocked() error {
+	if err := w.f.Truncate(int64(len(magic))); err != nil {
 		return err
 	}
-	if _, err := w.f.Seek(size, io.SeekStart); err != nil {
+	w.end, w.size, w.last = int64(len(magic)), int64(len(magic)), 0
+	if err := w.reserve(0); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.last = 0
-	return nil
+	return w.f.Sync()
 }
 
 // Offset returns the journal's current end: the file offset just past
@@ -373,7 +458,7 @@ func (w *Writer) Offset() (int64, error) {
 	if w.f == nil {
 		return 0, fmt.Errorf("journal: writer is closed")
 	}
-	return w.f.Seek(0, io.SeekCurrent)
+	return w.end, nil
 }
 
 // compactSuffix names the temp file DropPrefix builds beside the
@@ -383,28 +468,24 @@ const compactSuffix = ".compact"
 // DropPrefix compacts the journal to the records appended after off (an
 // earlier Offset): a checkpoint cut at off covers everything before it.
 // The suffix is copied byte for byte behind a fresh magic into a temp
-// file, which is fsync'd and renamed over the journal's path; the
-// writer then continues on the new file. Appends wait on the writer's
-// lock for the swap, so none is lost or written twice, and a crash
-// leaves either the old complete journal or the new one. An empty
-// suffix is a plain Reset. Offsets taken before the call are void
-// after it. The chaos point "journal.compact" models a crash between
-// the temp file's fsync and the rename.
+// file, followed by a fresh headroom, which is fsync'd and renamed over
+// the journal's path; the writer then continues on the new file. Appends
+// wait on the writer's lock for the swap, so none is lost or written
+// twice, and a crash leaves either the old complete journal or the new
+// one. An empty suffix is a plain Reset. Offsets taken before the call
+// are void after it. The chaos point "journal.compact" models a crash
+// between the temp file's fsync and the rename.
 func (w *Writer) DropPrefix(off int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("journal: writer is closed")
 	}
-	end, err := w.f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return err
+	if off < int64(len(magic)) || off > w.end {
+		return fmt.Errorf("journal: drop prefix at %d outside [%d, %d]", off, len(magic), w.end)
 	}
-	if off < int64(len(magic)) || off > end {
-		return fmt.Errorf("journal: drop prefix at %d outside [%d, %d]", off, len(magic), end)
-	}
-	if off == end {
-		return w.truncateLocked(int64(len(magic)))
+	if off == w.end {
+		return w.resetLocked()
 	}
 	tmpPath := w.path + compactSuffix
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
@@ -421,9 +502,13 @@ func (w *Writer) DropPrefix(off int64) error {
 	if _, err := tmp.Write(magic[:]); err != nil {
 		return err
 	}
-	// SectionReader reads with ReadAt, leaving the append offset of w.f
-	// where it is should the compaction fail.
-	if _, err := io.Copy(tmp, io.NewSectionReader(w.f, off, end-off)); err != nil {
+	// SectionReader reads with ReadAt, leaving w.f as it is should the
+	// compaction fail.
+	if _, err := io.Copy(tmp, io.NewSectionReader(w.f, off, w.end-off)); err != nil {
+		return err
+	}
+	end := int64(len(magic)) + w.end - off
+	if err := writeZeros(tmp, end, end+headroom); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
@@ -444,21 +529,25 @@ func (w *Writer) DropPrefix(off int64) error {
 		d.Close()
 	}
 	w.f.Close() // read and fsync'd up to end; nothing of it is needed
-	w.f = tmp
+	w.f, w.end, w.size = tmp, end, end+headroom
 	return nil
 }
 
 // Path returns the journal's file path.
 func (w *Writer) Path() string { return w.path }
 
-// Close syncs and closes the journal file.
+// Close truncates the headroom, syncs and closes the journal file: the
+// file at rest holds the magic and the records, nothing after them.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
+	err := w.f.Truncate(w.end)
+	if err == nil {
+		err = w.f.Sync()
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
@@ -471,9 +560,13 @@ func (w *Writer) Close() error {
 // during a replication stream. The bytes before it are trustworthy —
 // recovery resumes from the last complete record, it never applies a
 // partial one. (Replay converts a torn tail into a (count, torn=true,
-// nil) result and Open truncates it away; StreamReader surfaces it to
+// nil) result and Open zeroes it; StreamReader surfaces it to
 // the follower, which resumes from its durable watermark.)
 var ErrTorn = errors.New("journal: torn record")
+
+// errChecksum is the ErrCorrupt of a frame present in full whose payload
+// fails its checksum: in a journal file, a torn tail if only zeros follow.
+var errChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 
 // readFrame reads one length-prefixed, checksummed frame and returns
 // its payload: io.EOF at a clean record boundary, ErrTorn when the
@@ -496,7 +589,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: record cut short", ErrTorn)
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return nil, errChecksum
 	}
 	return payload, nil
 }
@@ -578,6 +671,9 @@ func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (end, la
 	end = r.n
 	for {
 		payload, err := readFrame(r)
+		if errors.Is(err, errChecksum) && onlyZeros(r) {
+			err = ErrTorn // a frame torn inside the headroom
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return end, last, nil // clean end of journal
@@ -586,6 +682,11 @@ func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (end, la
 				return end, last, ErrTorn // cut short by a crash
 			}
 			return end, last, fmt.Errorf("%w at offset %d", err, end)
+		}
+		if len(payload) == 0 {
+			// Length 0 with the checksum of nothing: a header of zeros,
+			// where the headroom begins.
+			return end, last, nil
 		}
 		if fn != nil {
 			rec, err := decodeRecord(payload, db)
@@ -597,6 +698,20 @@ func scan(f io.ReadSeeker, db *catalog.Database, fn func(Record) error) (end, la
 			}
 		}
 		last, end = r.n-end, r.n
+	}
+}
+
+// onlyZeros reports whether r holds nothing but zeros up to its end.
+func onlyZeros(r io.Reader) bool {
+	var buf [4 << 10]byte
+	for {
+		n, err := r.Read(buf[:])
+		if !bytes.Equal(buf[:n], zeros[:n]) {
+			return false
+		}
+		if err != nil {
+			return errors.Is(err, io.EOF)
+		}
 	}
 }
 

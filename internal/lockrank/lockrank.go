@@ -158,7 +158,11 @@ func (m *Mutex[C]) lockChecked() {
 	heldMu.Unlock()
 	m.mu.Lock()
 	heldMu.Lock()
-	held[g] = append(held[g], holding{r, name, &m.mu})
+	hs, ok := held[g]
+	if !ok && len(spare) > 0 {
+		hs, spare = spare[len(spare)-1], spare[:len(spare)-1]
+	}
+	held[g] = append(hs, holding{r, name, &m.mu})
 	heldMu.Unlock()
 }
 
@@ -172,7 +176,12 @@ func Enable() { checking = true }
 var (
 	heldMu sync.Mutex
 	held   = map[uintptr][]holding{} // the ranked locks each goroutine holds, in order taken
+	spare  [][]holding               // emptied held slices, reused by the next goroutine to lock
 )
+
+// maxSpare bounds spare: as many goroutines as ever hold ranked locks at
+// once in a test binary lock without allocating.
+const maxSpare = 64
 
 type holding struct {
 	rank Rank
@@ -204,6 +213,9 @@ func drop(g uintptr, mu *sync.Mutex) bool {
 			hs = append(hs[:i], hs[i+1:]...)
 			if len(hs) == 0 {
 				delete(held, g)
+				if len(spare) < maxSpare {
+					spare = append(spare, hs)
+				}
 			} else {
 				held[g] = hs
 			}

@@ -83,6 +83,29 @@ func TestNoAllocsWhenOff(t *testing.T) {
 	}
 }
 
+// TestNoAllocsInSteadyState: with checking on, a goroutine that takes and
+// releases ranked locks again and again allocates nothing once it has
+// done so once — the emptied record of what it holds is kept for the
+// next Lock — so AllocsPerRun over ranked locks counts only the code
+// between them.
+func TestNoAllocsInSteadyState(t *testing.T) {
+	withChecking(t, func() {
+		var outer Mutex[Server]
+		var inner Mutex[Journal]
+		if n := testing.AllocsPerRun(1000, func() {
+			outer.Lock()
+			inner.Lock()
+			inner.Unlock()
+			outer.Unlock()
+		}); n != 0 {
+			t.Errorf("two nested ranked locks allocate %v times with checking on", n)
+		}
+	})
+	if len(spare) > maxSpare {
+		t.Errorf("%d spare records kept, the bound is %d", len(spare), maxSpare)
+	}
+}
+
 // TestGoroutineIdentity: both identities are stable within a goroutine and
 // differ between two live ones.
 func TestGoroutineIdentity(t *testing.T) {
