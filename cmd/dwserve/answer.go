@@ -166,7 +166,6 @@ func (c *queryCache) put(src string, e queryEntry) (queryEntry, bool) {
 	c.bytes += len(e.body)
 	if p := e.built(); p != nil && e.body != nil {
 		p.budget.Store(e.cost)
-		p.entryGen.Store(e.gen)
 	}
 	return e, true
 }
@@ -184,9 +183,6 @@ func (c *queryCache) restamp(src string, e queryEntry) {
 	}
 	c.bytes += len(e.body) - len(cur.body) // none, unless an evaluation replaced the body meanwhile
 	c.entries[src] = e
-	if p := e.built(); p != nil {
-		p.entryGen.Store(e.gen)
-	}
 }
 
 // remove takes the i-th entry in store order out of the cache. Caller holds

@@ -412,10 +412,10 @@ func FuzzAppendJSONString(f *testing.F) {
 // BenchmarkQueryClasses' share (the engine) is subtracted is the answer
 // path. after/k is a read whose stored answer is k churn commits
 // (starChurn) old, carried by the text's plan, which every one of those
-// commits tested: composed/op counts the logged tuples it composed. pass
-// is one churn commit's relevance pass with the carry plans of a 170-text
-// pool of the process benchmark's shapes registered (poolTexts):
-// tested/op, logged/op and key-set-hits/op are its counts.
+// commits tested and none reached. pass is one churn commit's relevance
+// pass with the carry plans of a 170-text pool of the process benchmark's
+// shapes registered (poolTexts): tested/op, reached/op and
+// key-set-hits/op are its counts.
 func BenchmarkAnswerPath(b *testing.B) {
 	srv := newStar(b, 100_000)
 	h := srv.handler()
@@ -498,7 +498,6 @@ func BenchmarkAnswerPath(b *testing.B) {
 				if n := srv.carried.Load() - carriedBefore; n != int64(b.N) {
 					b.Fatalf("%s: %d of %d reads carried across %d commits", c.q, n, b.N, k)
 				}
-				b.ReportMetric(float64(srv.carries(context.Background(), e, srv.cur.Load()).composed), "composed/op")
 			})
 		}
 	}
@@ -518,7 +517,7 @@ func BenchmarkAnswerPath(b *testing.B) {
 		after, n := srv.plans.snapshot(), float64(b.N)
 		b.ReportMetric(float64(after.Registered), "plans")
 		b.ReportMetric(float64(after.Tested-before.Tested)/n, "tested/op")
-		b.ReportMetric(float64(after.Logged-before.Logged)/n, "logged/op")
+		b.ReportMetric(float64(after.Reached-before.Reached)/n, "reached/op")
 		b.ReportMetric(float64(after.KeySetHits-before.KeySetHits)/n, "key-set-hits/op")
 	})
 }
@@ -679,7 +678,7 @@ func TestQueryCachePutKeepsNewer(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.QueriesBehind != 1 || stats.CarryFallbacks["untracked"]+stats.CarryFallbacks["cost"]+stats.CarryFallbacks["changed"] != 0 {
+	if stats.QueriesBehind != 1 || stats.CarryFallbacks["untracked"]+stats.CarryFallbacks["reached"] != 0 {
 		t.Fatalf("/stats: %d behind, fallbacks %v; want 1 and none", stats.QueriesBehind, stats.CarryFallbacks)
 	}
 }

@@ -28,10 +28,9 @@ import (
 // differences. Each also has the shapes the carry plan's relevance rule
 // must get right: a base read twice, once through ρ, under two σs; a
 // difference with a σ on both sides; an or; a σ over both sides of a join,
-// which cannot be pushed; a union under a join under a projection, which
-// the plan distributes; and a σ on the joined side alone, whose key set
-// restricts the other side's tuples until a change to its own side resets
-// the plan.
+// which cannot be pushed; a union under a join under a projection; and a σ
+// on the joined side alone, whose key set restricts the other side's
+// tuples until a change to its own side resets the plan.
 var carriedSpecs = []struct {
 	spec    string
 	domain  int // values per attribute the update generator draws from
@@ -71,10 +70,11 @@ var carriedSpecs = []struct {
 	}},
 }
 
-// carriedCounts tallies how a stream's answers were served, the
-// follower's re-bootstraps, and the plans its commits reset because a key
-// set's side changed.
-type carriedCounts struct{ evaluated, reused, carried, bootstraps, keyResets int }
+// carriedCounts tallies how a stream's answers were served, those of the
+// evaluated ones whose plan a commit had reached, the follower's
+// re-bootstraps, and the plans its commits reset because a key set's side
+// changed.
+type carriedCounts struct{ evaluated, reused, carried, reached, bootstraps, keyResets int }
 
 // runCarriedStream drives a leader and a follower through one random stream
 // drawn from seed over carriedSpecs[spec]: constraint-respecting updates
@@ -170,7 +170,7 @@ func runCarriedStream(t *testing.T, seed int64, spec int) carriedCounts {
 			if q == "" || rng.Intn(2) == 0 {
 				q = cs.queries[rng.Intn(len(cs.queries))]
 			}
-			reused, carried := follower.mReused.Value(), follower.carried.Load()
+			reused, carried, reached := follower.mReused.Value(), follower.carried.Load(), follower.fellBack[fellBackReached].Load()
 			rec := do(fh, "GET", "/query?q="+url.QueryEscape(q), "")
 			switch {
 			case follower.carried.Load() > carried:
@@ -179,6 +179,9 @@ func runCarriedStream(t *testing.T, seed int64, spec int) carriedCounts {
 				n.reused++
 			default:
 				n.evaluated++
+			}
+			if follower.fellBack[fellBackReached].Load() > reached {
+				n.reached++
 			}
 			checkFresh(t, follower, q, rec)
 		}
@@ -241,9 +244,9 @@ func FuzzCarriedAnswer(f *testing.F) {
 }
 
 // TestCarriedStreamsCoverPaths: over fixed seeds on both schemata, the
-// streams of FuzzCarriedAnswer serve answers all three ways, re-bootstrap,
-// and change a dimension inside a key set, so the fuzz checks each path
-// rather than one.
+// streams of FuzzCarriedAnswer serve answers all three ways, evaluate some
+// because a commit reached their plan, re-bootstrap, and change a dimension
+// inside a key set, so the fuzz checks each path rather than one.
 func TestCarriedStreamsCoverPaths(t *testing.T) {
 	for spec := range carriedSpecs {
 		var total carriedCounts
@@ -252,12 +255,13 @@ func TestCarriedStreamsCoverPaths(t *testing.T) {
 			total.evaluated += n.evaluated
 			total.reused += n.reused
 			total.carried += n.carried
+			total.reached += n.reached
 			total.bootstraps += n.bootstraps
 			total.keyResets += n.keyResets
 		}
 		t.Logf("spec %d: %+v", spec, total)
-		if total.evaluated == 0 || total.reused == 0 || total.carried == 0 || total.bootstraps == 0 || total.keyResets == 0 {
-			t.Errorf("spec %d: %+v; the streams must evaluate, reuse, carry, re-bootstrap and reset a key set", spec, total)
+		if total.evaluated == 0 || total.reused == 0 || total.carried == 0 || total.reached == 0 || total.bootstraps == 0 || total.keyResets == 0 {
+			t.Errorf("spec %d: %+v; the streams must evaluate, reuse, carry, fall back on a reached plan, re-bootstrap and reset a key set", spec, total)
 		}
 	}
 }

@@ -1,19 +1,19 @@
 package main
 
 // The carried-answer check (DESIGN §13): a stored answer Q(d), computed at
-// an earlier state generation, is served at the published one when the
-// commits since provably leave it unchanged — Theorem 4.1 applied to Q
-// over W⁻¹(w) instead of to a view. Relevance is decided once, at commit,
-// where the update is hot: every registered carry plan is tested against
-// the commit's normalized update, and only the tuples that can reach its
-// answer are logged. A read composes and propagates those alone, and never
-// pays more than the evaluation it replaces.
+// an earlier state generation, is served at the published one when no
+// commit since could reach it — the irrelevant-update test of Theorem 4.1's
+// maintenance, applied to Q over W⁻¹(w) instead of to a view. Relevance is
+// decided once, at commit, where the update is hot: every registered carry
+// plan is tested against the commit's normalized update, and the first
+// tuple that can reach its answer marks the plan reached at that
+// generation. A read compares two generations.
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -24,27 +24,23 @@ import (
 	"dwcomplement/internal/relation"
 )
 
-// The carry check's prices, in fixed units of ≈ 10 ns, so that a check and
-// the evaluation it replaces are charged alike and a verdict depends on its
-// inputs alone. Calibrated on BenchmarkAnswerPath (100k-row star, 2 vCPU):
-// a /query miss costs ≈ 6.5 µs whatever it reads (the point shape), and
-// ≈ 100 ns more per row it scans, probes or emits (the union shape; a
-// join's rows cost more, so its price is low). A vectorized σ reads a row
-// for ≈ 2 ns (scan/paris/miss: 168 µs for 101 k rows its scan read), so the
-// rows it reads are priced apart. A commit's pass tests a tuple against a
-// plan for ≈ 40 ns where it must look the tuple up in a key set, and for
-// less where a σ decides (pass: 20 tuple–plan tests and 4 index lookups in
-// ≈ 3 µs, most of it per plan, not per tuple). Composing a logged tuple
-// costs ≈ 250 ns (a union text carried across 40 churn commits, with every
-// order tuple composed), and the propagation reads a row for about what an
-// evaluation does.
+// The carry check's prices, in fixed units of ≈ 10 ns, so that a commit's
+// test of a plan is charged against the evaluation it would spare and a
+// verdict depends on its inputs alone. Calibrated on BenchmarkAnswerPath
+// (100k-row star, 2 vCPU): a /query miss costs ≈ 6.5 µs whatever it reads
+// (the point shape), and ≈ 100 ns more per row it scans, probes or emits
+// (the union shape; a join's rows cost more, so its price is low). A
+// vectorized σ reads a row for ≈ 2 ns (scan/paris/miss: 168 µs for 101 k
+// rows its scan read), so the rows it reads are priced apart. A commit's
+// pass tests a tuple against a plan for ≈ 40 ns where it must look the
+// tuple up in a key set, and for less where a σ decides (pass: 20
+// tuple–plan tests and 4 index lookups in ≈ 3 µs, most of it per plan, not
+// per tuple).
 const (
 	costEvalFixed = 650 // any evaluation, whatever it reads
 	costEvalRow   = 10  // per row an evaluation scans, probes or emits
 	costScanRows  = 5   // rows a vectorized σ reads per unit
 	costTest      = 4   // per tuple a commit tests against a plan
-	costCompose   = 25  // per logged tuple a read composes into the net
-	costRead      = 10  // per row the propagation scans
 )
 
 // keySetRows caps a key set: a side that selects more keys restricts
@@ -85,34 +81,32 @@ func scanRows(n *dwc.PlanNode) int64 {
 }
 
 // fallback says why a carry check did not carry: the text's plan was not
-// tested on every commit since the stored answer (never registered, or
-// registered later, overflowed or reset), the logged tuples would cost more
-// than the evaluation they replace, or Δ(Q) is not empty. /stats reports
-// the counts under these names. readBehind is no fallback: the reader's
-// version is older than the stored answer, which it neither carries nor
-// replaces.
+// tested on every commit since the stored answer (never registered,
+// registered later, or reset), or one of those commits reached it. /stats
+// reports the counts under these names. readBehind is no fallback: the
+// reader's version is older than the stored answer, which it neither
+// carries nor replaces.
 type fallback uint8
 
 const (
 	carried fallback = iota
 	fellBackUntracked
-	fellBackCost
-	fellBackChanged
+	fellBackReached
 	numFallbacks
 	readBehind = numFallbacks
 )
 
-var fallbackNames = [numFallbacks]string{"", "untracked", "cost", "changed"}
+var fallbackNames = [numFallbacks]string{"", "untracked", "reached"}
+
+// unregistered is a carry plan's since while no commit tests it.
+const unregistered = math.MaxUint64
 
 // carryPlan is what the carry checks of one query text share, built on its
-// first check. expr is Q optimized with ⋈ distributed over ∪, the
-// expression Δ(Q) is propagated over: a change to one branch of a union
-// under a join then reads through its own join alone. bases holds each base
-// Q reads with its relevance condition, sides the σ'd join sides whose key
-// sets restrict some of them. Once registered, every commit tests the plan and logs
-// the tuples that pass into log, which its readers read with no lock.
+// first check. bases holds each base Q reads with its relevance condition,
+// sides the σ'd join sides whose key sets restrict some of them. Once
+// registered, every commit tests the plan, and since says which commits
+// found nothing: every one after it. Its readers read it with no lock.
 type carryPlan struct {
-	expr  dwc.Expr
 	bases []carryBase
 	sides []carrySide
 
@@ -121,11 +115,11 @@ type carryPlan struct {
 	test    *carryTest
 	passGen uint64
 
-	log      atomic.Pointer[carryLog] // nil while unregistered
-	budget   atomic.Int64             // the stored answer's price, in carry units
-	entryGen atomic.Uint64            // the stored answer's generation: the log keeps no tuple at or below it
-	keyBytes atomic.Int64             // the bytes of the registration's key sets
-	evicted  atomic.Bool              // the text left the query cache: never registered again
+	since    atomic.Uint64 // the registration's generation or the last commit that reached the plan, whichever is later; unregistered while none tests it
+	from     atomic.Uint64 // the registration's generation
+	budget   atomic.Int64  // the stored answer's price, in carry units
+	keyBytes atomic.Int64  // the bytes of the registration's key sets
+	evicted  atomic.Bool   // the text left the query cache: never registered again
 }
 
 // carryBase is one base of a carry plan, over its schema's attribute order,
@@ -201,14 +195,11 @@ type carrySide struct {
 	bases []string // S's bases
 }
 
-// newCarryPlan builds the carry plan of q over db. A distributed plan that
-// would grow past 4× q's size stays undistributed.
+// newCarryPlan builds the carry plan of q over db, from q optimized: its σs
+// sit on the occurrences they restrict.
 func newCarryPlan(q dwc.Expr, db *dwc.Database) *carryPlan {
-	expr := algebra.Optimize(q, db)
-	if d := algebra.DistributeJoins(expr); algebra.Size(d) <= 4*algebra.Size(q) {
-		expr = d
-	}
-	p := &carryPlan{expr: expr}
+	p := &carryPlan{}
+	p.since.Store(unregistered)
 	conds := map[string]algebra.Cond{}
 	occurs := map[string]int{}
 	sides := map[string][]sideRef{}
@@ -278,7 +269,7 @@ func newCarryPlan(q dwc.Expr, db *dwc.Database) *carryPlan {
 			panic(fmt.Sprintf("carry plan: unknown node %T", e))
 		}
 	}
-	visit(expr, nil)
+	visit(algebra.Optimize(q, db), nil)
 	names := db.Names()
 	for _, name := range slices.Sorted(maps.Keys(conds)) {
 		sc, _ := db.Schema(name)
@@ -325,14 +316,13 @@ func orCond(a, b algebra.Cond) algebra.Cond {
 // reuse, so a pass allocates nothing. Only the committer runs it, under the
 // registry's lock.
 type carryTest struct {
-	preds   []relation.BatchPred // by plan base: its cond
-	refs    [][]sideRef          // by plan base: the key sets in use among its sides
-	sets    []keySet             // by plan side; nil keys: not in use
-	keyed   bool                 // some base has key sets in use
-	bytes   int64                // the sets' bytes
-	sel     []int32
-	key     []byte
-	pending []loggedTuple
+	preds []relation.BatchPred // by plan base: its cond
+	refs  [][]sideRef          // by plan base: the key sets in use among its sides
+	sets  []keySet             // by plan side; nil keys: not in use
+	keyed bool                 // some base has key sets in use
+	bytes int64                // the sets' bytes
+	sel   []int32
+	key   []byte
 }
 
 // keySet is π_X(S) for one side, by the canonical encoding of the X values.
@@ -404,21 +394,22 @@ func evalKeySet(ctx context.Context, w *dwc.Warehouse, sd carrySide) (keySet, bo
 	return ks, true
 }
 
-// relevant returns the rows of page b of base i that can reach the answer,
-// and how many passed its σs before the key sets were consulted.
-func (t *carryTest) relevant(i int, b relation.Batch) (sel []int32, passed int) {
+// first reports whether a row of page b of base i, among its first room,
+// can reach the answer, and how many rows the test looked at: up to and
+// including that row, else room or the whole page, whichever is fewer. A
+// row that passes the base's σs and fails a key set is a key-set hit.
+func (t *carryTest) first(i int, b relation.Batch, room int, st *carryStats) (found bool, looked int) {
 	t.sel = t.preds[i](b, t.sel[:0])
-	passed = len(t.sel)
-	if refs := t.refs[i]; len(refs) > 0 {
-		kept := t.sel[:0]
-		for _, k := range t.sel {
-			if t.inSets(b, int(k), refs) {
-				kept = append(kept, k)
-			}
+	for _, k := range t.sel {
+		if int(k) >= room {
+			break
 		}
-		t.sel = kept
+		if t.inSets(b, int(k), t.refs[i]) {
+			return true, int(k) + 1
+		}
+		st.KeySetHits++
 	}
-	return t.sel, passed
+	return false, min(room, b.Len())
 }
 
 // inSets reports whether row k's columns are in every referenced key set.
@@ -442,44 +433,23 @@ func (t *carryTest) touches(i int, r *relation.Relation) bool {
 	return false
 }
 
-// carryLog is what a registered plan's readers read: every commit after
-// from tested the plan, and items holds, in commit order, the tuples they
-// found relevant and the stored answer may not have seen yet. A log is
-// never written once published: a commit that logs publishes a new one,
-// which may extend the same backing array past every published length.
-type carryLog struct {
-	from  uint64
-	items []loggedTuple
-}
-
-// loggedTuple is a relevant tuple a commit changed: row k of a page of the
-// commit's update (never written again), inserted (+1) or deleted (−1)
-// from base by generation gen.
-type loggedTuple struct {
-	gen  uint64
-	row  relation.Batch
-	k    int32
-	base int16
-	sign int8
-}
-
 // passOutcome is what a commit's pass did to one plan.
 type passOutcome uint8
 
 const (
-	passKept     passOutcome = iota
-	passOverflow             // past the plan's budget: unregistered
-	passReset                // a key set's side changed: unregistered
+	passClean   passOutcome = iota
+	passReached             // a tuple can reach the answer, or the commit is past the plan's price
+	passReset               // a key set's side changed: unregistered
 )
 
-// commit runs the plan's test on the update generation g applies, whose
-// inserted and deleted tuples are touched[id] for each base. A key
-// set's side is tested first: a relevant change to it resets the plan, so
-// no tuple is tested against a key set that no longer holds. The tuples
-// that pass are logged, beside those of earlier commits the stored answer
-// has not seen. The plan overflows once the commit would test more tuples,
-// or the log hold more, than the stored answer's price pays for.
-func (p *carryPlan) commit(g uint64, touched [][2]*relation.Relation, st *carryStats) passOutcome {
+// commit runs the plan's test on a commit whose inserted and deleted
+// tuples are touched[id] for each base. A key set's side is tested first:
+// a relevant change to it resets the plan, so no tuple is tested against a
+// key set that no longer holds. The test stops at the first tuple that can
+// reach the answer, and once it has looked at as many tuples as the stored
+// answer's price pays for: a commit it cannot clear for that price
+// overflows, and is taken to reach the plan.
+func (p *carryPlan) commit(touched [][2]*relation.Relation, st *carryStats) passOutcome {
 	t := p.test
 	for si, sd := range p.sides {
 		if t.sets[si].keys == nil {
@@ -494,70 +464,47 @@ func (p *carryPlan) commit(g uint64, touched [][2]*relation.Relation, st *carryS
 			}
 		}
 	}
-	budget := max(p.budget.Load(), costEvalFixed)
-	tested := int64(0)
-	t.pending = t.pending[:0]
-	for i := range p.bases {
-		for side, r := range touched[p.bases[i].id] {
+	room := int(max(p.budget.Load(), costEvalFixed) / costTest)
+	for i, b := range p.bases {
+		for _, r := range touched[b.id] {
 			if r == nil {
 				continue
 			}
-			sign := int8(1 - 2*side) // inserted, deleted
 			for pi := range r.NumPages() {
 				pg := r.Page(pi)
-				if tested += int64(pg.Len()); costTest*tested > budget {
-					return passOverflow
-				}
-				sel, passed := t.relevant(i, pg)
-				st.Tested += int64(pg.Len())
-				st.KeySetHits += int64(passed - len(sel))
-				st.Logged += int64(len(sel))
-				for _, k := range sel {
-					t.pending = append(t.pending, loggedTuple{gen: g, row: pg, k: k, base: int16(i), sign: sign})
+				found, looked := t.first(i, pg, room, st)
+				st.Tested += int64(looked)
+				room -= looked
+				switch {
+				case found:
+					return passReached
+				case looked < pg.Len():
+					st.Overflows++
+					return passReached
 				}
 			}
 		}
 	}
-	if len(t.pending) == 0 {
-		return passKept
-	}
-	old := p.log.Load()
-	seen := p.entryGen.Load()
-	start := 0
-	for start < len(old.items) && old.items[start].gen <= seen {
-		start++
-	}
-	held := len(old.items) - start + len(t.pending)
-	if costCompose*int64(held) > budget {
-		return passOverflow
-	}
-	items := old.items
-	if start > 0 {
-		items = append(make([]loggedTuple, 0, held), old.items[start:]...)
-	}
-	p.log.Store(&carryLog{from: max(old.from, seen), items: append(items, t.pending...)})
-	st.LoggedTuples += int64(held - len(old.items))
-	return passKept
+	return passClean
 }
 
-// carryStats is what /stats reports of the registered plans: how many, the
-// tuples their logs hold, their key sets and the sets' bytes; the
-// registrations that overflowed or were reset (a key set's side changed, or
-// a follower bootstrap replaced the state); and, over the commits, the
-// tuple–plan pairs a plan's test ran on, those an equality index answered
-// by one lookup, the tuples logged and those kept out of a log by a key
-// set alone.
+// carryStats is what /stats reports of the registered plans: how many,
+// their key sets and the sets' bytes; the registrations reset (a key set's
+// side changed, or a follower bootstrap replaced the state); and, over the
+// commits, the commit–plan pairs that reached a plan and those of them that
+// overflowed its price, the tuple–plan pairs a plan's test looked at, those
+// an equality index answered by one lookup, and those a key set alone
+// found irrelevant.
 type carryStats struct {
-	Registered   int64 `json:"registered"`
-	LoggedTuples int64 `json:"loggedTuples"`
-	KeySets      int64 `json:"keySets"`
-	KeySetBytes  int64 `json:"keySetBytes"`
-	Overflows    int64 `json:"overflows"`
-	Resets       int64 `json:"resets"`
-	Tested       int64 `json:"tested"`
-	Indexed      int64 `json:"indexed"`
-	Logged       int64 `json:"logged"`
-	KeySetHits   int64 `json:"keySetHits"`
+	Registered  int64 `json:"registered"`
+	KeySets     int64 `json:"keySets"`
+	KeySetBytes int64 `json:"keySetBytes"`
+	Resets      int64 `json:"resets"`
+	Reached     int64 `json:"reached"`
+	Overflows   int64 `json:"overflows"`
+	Tested      int64 `json:"tested"`
+	Indexed     int64 `json:"indexed"`
+	KeySetHits  int64 `json:"keySetHits"`
 }
 
 // carryRegistry holds the registered carry plans by the bases they read,
@@ -640,10 +587,10 @@ func (r *carryRegistry) visit(p *carryPlan, g uint64) {
 		return
 	}
 	p.passGen = g
-	switch p.commit(g, r.touched, &r.stats) {
-	case passOverflow:
-		r.stats.Overflows++
-		r.drop = append(r.drop, p)
+	switch p.commit(r.touched, &r.stats) {
+	case passReached:
+		r.stats.Reached++
+		p.since.Store(g)
 	case passReset:
 		r.stats.Resets++
 		r.drop = append(r.drop, p)
@@ -681,7 +628,8 @@ func (r *carryRegistry) register(p *carryPlan, t *carryTest, at uint64) bool {
 	}
 	p.test = t
 	p.keyBytes.Store(t.bytes)
-	p.log.Store(&carryLog{from: r.gen})
+	p.from.Store(r.gen)
+	p.since.Store(r.gen)
 	r.plans = append(r.plans, p)
 	for _, b := range p.bases {
 		for len(r.names) <= b.id {
@@ -750,10 +698,9 @@ func (r *carryRegistry) unregisterLocked(p *carryPlan) {
 	}
 	r.stats.KeySetBytes -= t.bytes
 	r.keyBytes.Store(r.stats.KeySetBytes)
-	r.stats.LoggedTuples -= int64(len(p.log.Load().items))
 	p.test = nil
 	p.keyBytes.Store(0)
-	p.log.Store(nil)
+	p.since.Store(unregistered)
 }
 
 // deleteFrom returns plans without p.
@@ -776,120 +723,32 @@ func (r *carryRegistry) snapshot() carryStats {
 func (s *server) track(ctx context.Context, e queryEntry) {
 	p := e.carryPlan(s.comp.Database())
 	p.budget.CompareAndSwap(0, e.cost)
-	if p.log.Load() != nil {
+	if p.since.Load() != unregistered {
 		return
 	}
 	v := s.cur.Load()
 	s.plans.register(p, p.newTest(ctx, v.w, s.qcache.keyRoom()), v.gen)
 }
 
-// carryCheck is what one carry check found, and the logged tuples it
-// composed.
-type carryCheck struct {
-	why      fallback
-	composed int64
-}
-
 // carries checks whether e's stored answer, Q(d) at generation e.gen, is
-// also Q(d) at v, so it can be served without evaluating. The text's plan
-// must have been tested by every commit since e.gen, which its log's from
-// says (track registers it when an answer is stored). If no commit in (e.gen, v.gen] logged a tuple, Q(d) is
-// unchanged. Otherwise the logged tuples fold into one net update, exact
-// against e.gen's state on them, and its reverse — exact against v's, so
-// no older version is pinned — is propagated over the carry plan and
-// W⁻¹(v.w) (Theorem 4.1): an empty Δ(Q) proves Q(d) unchanged, since the
-// tuples left out reach no occurrence of their base. The composition and
-// the propagation's reads are charged against e.cost, and the check falls
-// back to evaluation once past it.
-func (s *server) carries(ctx context.Context, e queryEntry, v *version) carryCheck {
+// also Q(d) at v, so it can be served without evaluating: no commit in
+// (e.gen, v.gen] reached the text's plan, and each of them tested it (track
+// registers it when an answer is stored), which the plan's since says. A
+// commit's pass runs before the generation is published, so a reader that
+// loaded v finds since past every commit up to v.gen that reached the plan.
+func carries(e queryEntry, v *version) fallback {
 	if e.gen > v.gen {
-		return carryCheck{why: readBehind}
+		return readBehind
 	}
-	var lg *carryLog
 	p := e.built()
-	if p != nil {
-		lg = p.log.Load()
+	if p == nil {
+		return fellBackUntracked
 	}
-	if lg == nil || lg.from > e.gen {
-		return carryCheck{why: fellBackUntracked}
+	switch since := p.since.Load(); {
+	case since <= e.gen:
+		return carried
+	case since == unregistered || p.from.Load() > e.gen:
+		return fellBackUntracked
 	}
-	lo := 0
-	for lo < len(lg.items) && lg.items[lo].gen <= e.gen {
-		lo++
-	}
-	hi := lo
-	for hi < len(lg.items) && lg.items[hi].gen <= v.gen {
-		hi++
-	}
-	items := lg.items[lo:hi]
-	check := carryCheck{composed: int64(len(items))}
-	switch {
-	case costCompose*check.composed >= e.cost:
-		check.why = fellBackCost
-		return check
-	case len(items) == 0:
-		return check
-	}
-	rev, err := p.reverse(items, s.comp.Database())
-	switch {
-	case err != nil:
-		check.why = fellBackChanged
-		return check
-	case rev.IsEmpty():
-		return check
-	}
-	budget := dwc.Budget{Scanned: max((e.cost-costCompose*check.composed)/costRead, 1)}
-	d, err := dwc.AnswerDelta(dwc.WithBudget(ctx, budget), s.comp, v.w, p.expr, rev)
-	switch {
-	case err != nil: // over the budget, or out of the request's time
-		check.why = fellBackCost
-	case !d.IsEmpty():
-		check.why = fellBackChanged
-	}
-	return check
-}
-
-// netTuple is a logged tuple's net change since the stored answer: +1
-// inserted, −1 deleted. Every commit is exact against the state before it,
-// so a tuple's changes alternate and sum to −1, 0 or +1; at 0 — an insert
-// later deleted, a delete later re-inserted — it is not in the net.
-type netTuple struct {
-	loggedTuple
-	net int8
-}
-
-// reverse folds the logged tuples into their net change, keyed by base and
-// row, and returns its reverse: the update that takes the published state
-// back to the stored answer's on those tuples. Rows are built as tuples for
-// the net alone.
-func (p *carryPlan) reverse(items []loggedTuple, db *dwc.Database) (*dwc.Update, error) {
-	net := make(map[string]netTuple, len(items))
-	var key []byte
-	for _, it := range items {
-		key = it.row.AppendKey(binary.AppendUvarint(key[:0], uint64(it.base)), int(it.k))
-		n, ok := net[string(key)]
-		if !ok {
-			n.loggedTuple = it
-		}
-		n.net += it.sign
-		net[string(key)] = n
-	}
-	rev := dwc.NewUpdate()
-	for _, n := range net {
-		if n.net == 0 {
-			continue
-		}
-		op := rev.Insert
-		if n.net > 0 {
-			op = rev.Delete
-		}
-		t := make(relation.Tuple, n.row.NumCols())
-		for c := range t {
-			t[c] = n.row.Value(c, int(n.k))
-		}
-		if err := op(p.bases[n.base].name, db, t); err != nil {
-			return nil, err
-		}
-	}
-	return rev, nil
+	return fellBackReached
 }

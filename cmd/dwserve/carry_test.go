@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	dwc "dwcomplement"
-	"dwcomplement/internal/relation"
 	"dwcomplement/internal/workload"
 )
 
@@ -123,7 +121,7 @@ func register(tb testing.TB, srv *server, churn *starChurn, texts []string) {
 	churn.commit(tb)
 	for _, q := range texts {
 		ask(tb, h, q)
-		if e, _ := srv.qcache.get(q); e.built() == nil || e.built().log.Load() == nil {
+		if e, _ := srv.qcache.get(q); e.built() == nil || e.built().since.Load() == unregistered {
 			tb.Fatalf("%s: carry plan not registered", q)
 		}
 	}
@@ -132,12 +130,12 @@ func register(tb testing.TB, srv *server, churn *starChurn, texts []string) {
 // TestCarryCounts holds the commit-side relevance test to its counts,
 // which no machine changes. Across 40 churn commits the point and join
 // shapes, whose σs pin okey and ckey, are answered by one index lookup per
-// tuple, the scan tests every tuple of its base, and none logs. The union's
-// orders are bare occurrences joined with σ{brand}(Part), so their key set
-// keeps every churn tuple out of the log — each a key-set hit — where a σ
-// alone would log them all. Every shape then carries with nothing to
-// compose. A commit's pass allocates nothing, with no plan registered and
-// with the 170-text pool's.
+// tuple, the scan tests every tuple of its base, and none is reached. The
+// union's orders are bare occurrences joined with σ{brand}(Part), so their
+// key set finds every churn tuple irrelevant — each a key-set hit — where a
+// σ alone would let each one reach the plan. Every shape then carries. A
+// commit's pass allocates nothing: with no plan registered, when it reaches
+// every registered plan, and with the 170-text pool's.
 func TestCarryCounts(t *testing.T) {
 	srv := newStar(t, 4000)
 	churn := starChurn{h: srv.handler(), rows: 4000}
@@ -176,18 +174,33 @@ func TestCarryCounts(t *testing.T) {
 	}
 	after := srv.plans.snapshot()
 	tested, indexed := after.Tested-before.Tested, after.Indexed-before.Indexed
-	logged, hits := after.Logged-before.Logged, after.KeySetHits-before.KeySetHits
-	if tested != paris+both || indexed != 2*paris || logged != 0 || hits != both {
-		t.Errorf("40 churn commits: %d tested, %d indexed, %d logged, %d key-set hits; want %d, %d, 0 and %d",
-			tested, indexed, logged, hits, paris+both, 2*paris, both)
+	reached, hits := after.Reached-before.Reached, after.KeySetHits-before.KeySetHits
+	if tested != paris+both || indexed != 2*paris || reached != 0 || hits != both {
+		t.Errorf("40 churn commits: %d tested, %d indexed, %d reached, %d key-set hits; want %d, %d, 0 and %d",
+			tested, indexed, reached, hits, paris+both, 2*paris, both)
 	}
-	v, ctx := srv.cur.Load(), context.Background()
+	v := srv.cur.Load()
 	for _, c := range shapes {
-		e, _ := srv.qcache.get(c.q)
-		e.cost = math.MaxInt64 // the counts, not the pricing
-		if check := srv.carries(ctx, e, v); check.why != carried || check.composed != 0 {
-			t.Errorf("%s across 40 commits: %+v, want carried with nothing composed", c.q, check)
+		if e, _ := srv.qcache.get(c.q); carries(e, v) != carried {
+			t.Errorf("%s across 40 commits: not carried", c.q)
 		}
+	}
+
+	// Order 47 of customer 17, for part 141 of brand-007, with qty 50: a
+	// tuple every shape finds relevant, which the pass does not apply.
+	all, err := dwc.ParseUpdateOps(srv.db, "insert Order_paris(47, 17, 141, 'paris', 50)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := func() { g++; srv.plans.pass(g, all) }
+	before = srv.plans.snapshot()
+	reach()
+	if after := srv.plans.snapshot(); after.Reached-before.Reached != int64(len(shapes)) || after.Tested-before.Tested != int64(len(shapes)) {
+		t.Errorf("a commit reaching every shape: %d reached, %d tested; want %d of each",
+			after.Reached-before.Reached, after.Tested-before.Tested, len(shapes))
+	}
+	if a := testing.AllocsPerRun(20, reach); a != 0 {
+		t.Errorf("a commit's pass reaching every registered plan: %.1f allocations", a)
 	}
 
 	register(t, srv, &churn, poolTexts(4000))
@@ -197,9 +210,10 @@ func TestCarryCounts(t *testing.T) {
 }
 
 // TestCarryPassCapped: a commit of 1 000 tuples tests each registered plan
-// only as far as its stored answer's price pays for. The plans whose
-// price it exceeds overflow, and the pass tests no more tuples than the
-// plans' budgets allow.
+// only as far as its stored answer's price pays for. The plans whose price
+// it exceeds overflow — reached, and still registered — and the pass tests
+// no more tuples than the plans' prices allow. A commit of 1 000 tuples
+// that are each relevant to every plan tests one tuple per plan.
 func TestCarryPassCapped(t *testing.T) {
 	srv := newStar(t, 4000)
 	churn := starChurn{h: srv.handler(), rows: 4000}
@@ -210,115 +224,72 @@ func TestCarryPassCapped(t *testing.T) {
 			capped += max(p.budget.Load(), costEvalFixed) / costTest
 		}
 	}
-	var ops strings.Builder
-	for k := range 1000 {
-		fmt.Fprintf(&ops, "insert Order_paris(%d, 200, 200, 'paris', 1)\n", 9000+k)
+	orders := func(format string) string {
+		var ops strings.Builder
+		for k := range 1000 {
+			fmt.Fprintf(&ops, format, 9000+k)
+		}
+		return ops.String()
 	}
 	before := srv.plans.snapshot()
-	postUpdateTo(t, srv.handler(), ops.String())
+	postUpdateTo(t, srv.handler(), orders("insert Order_paris(%d, 200, 200, 'paris', 1)\n"))
 	after := srv.plans.snapshot()
 	if tested := after.Tested - before.Tested; tested > capped {
-		t.Errorf("a 1000-tuple commit tested %d tuples, past the plans' budgets of %d", tested, capped)
+		t.Errorf("a 1000-tuple commit tested %d tuples, past the plans' prices of %d", tested, capped)
 	}
-	if after.Overflows == before.Overflows {
-		t.Error("no plan overflowed on a 1000-tuple commit")
+	if after.Overflows == before.Overflows || after.Reached-before.Reached != after.Overflows-before.Overflows || after.Registered != before.Registered {
+		t.Errorf("a 1000-tuple commit no plan finds relevant: %+v before, %+v after; want overflows, each one reached, and no plan unregistered", before, after)
 	}
 	t.Logf("1000-tuple commit: %d tested (cap %d), %d overflows", after.Tested-before.Tested, capped, after.Overflows-before.Overflows)
-}
 
-// TestCarryNetComposes folds random exact update streams into a plan's net
-// with every tuple logged: its reverse takes the last state back to the
-// first, so an insert later deleted and a delete later re-inserted cancel,
-// and nothing else does.
-func TestCarryNetComposes(t *testing.T) {
-	spec := mustSpec(t, testSpec)
-	db := spec.DB
-	p := newCarryPlan(dwc.MustParseExpr("pi{clerk}(Sale) union pi{clerk}(Emp)"), db)
-	rng := rand.New(rand.NewSource(7))
-	tuple := func() (string, relation.Tuple) {
-		if rng.Intn(2) == 0 {
-			return "Sale", relation.Tuple{relation.String_(fmt.Sprint("item-", rng.Intn(4))), relation.String_(fmt.Sprint("c-", rng.Intn(3)))}
-		}
-		c := rng.Intn(3) // one age per clerk: the key holds
-		return "Emp", relation.Tuple{relation.String_(fmt.Sprint("c-", c)), relation.Int(int64(20 + c))}
+	srv = newStar(t, 4000)
+	churn = starChurn{h: srv.handler(), rows: 4000}
+	texts := []string{
+		"sigma{qty > 49}(Order_paris)",
+		"sigma{qty > 10}(Order_paris)",
+		"sigma{ckey = 17}(Order_paris join Customer)",
+		"sigma{brand = 'brand-007'}((Order_paris union Order_tokyo) join Part)",
 	}
-	for round := 0; round < 200; round++ {
-		first := spec.State.Clone()
-		cur := first.Clone()
-		var items []loggedTuple
-		for step := rng.Intn(6); step >= 0; step-- {
-			u := dwc.NewUpdate()
-			for k := rng.Intn(4); k >= 0; k-- {
-				name, tp := tuple()
-				if cur.MustRelation(name).Contains(tp) {
-					u.MustDelete(name, db, tp...)
-				} else {
-					u.MustInsert(name, db, tp...)
-				}
-			}
-			u = u.Normalize(cur)
-			if err := u.Apply(cur); err != nil {
-				t.Fatal(err)
-			}
-			for i, b := range p.bases {
-				for sign, r := range map[int8]*relation.Relation{+1: u.Inserts(b.name), -1: u.Deletes(b.name)} {
-					if r == nil {
-						continue
-					}
-					for pi := range r.NumPages() {
-						for k := range r.Page(pi).Len() {
-							items = append(items, loggedTuple{row: r.Page(pi), k: int32(k), base: int16(i), sign: sign})
-						}
-					}
-				}
-			}
-		}
-		rev, err := p.reverse(items, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := rev.Normalize(cur); n.Size() != rev.Size() {
-			t.Fatalf("round %d: reversed net not exact against the last state:\n%s", round, rev)
-		}
-		back := cur.Clone()
-		if err := rev.Apply(back); err != nil {
-			t.Fatal(err)
-		}
-		if back.Fingerprint() != first.Fingerprint() {
-			t.Fatalf("round %d: last state + reversed net ≠ first state\nnet\n%s", round, rev)
-		}
+	register(t, srv, &churn, texts)
+	before = srv.plans.snapshot()
+	postUpdateTo(t, srv.handler(), orders("insert Order_paris(%d, 17, 141, 'paris', 50)\n"))
+	after = srv.plans.snapshot()
+	if tested, reached := after.Tested-before.Tested, after.Reached-before.Reached; tested != int64(len(texts)) || reached != int64(len(texts)) {
+		t.Errorf("a 1000-tuple commit relevant to every plan: %d tested, %d reached; want %d of each", tested, reached, len(texts))
 	}
 }
 
 // TestScanCarryPricedAtScanRate: a scan's evaluation is priced at what its
-// vectorized σ reads a row for, not what a join's rows cost, so the log of
-// a scan text whose σ every churn row passes overflows once it holds more
-// tuples than the scan would read, and the next check falls back: the
-// plan is no longer tracked. A join's price would have let it run to the
-// end.
+// vectorized σ reads a row for, not what a join's rows cost, so a commit of
+// 1 000 tuples its σ rejects is past the scan text's price: the pass stops
+// testing it there and takes the commit to reach it, and the next check
+// falls back on a plan still registered. A join's price would have let the
+// pass clear them all.
 func TestScanCarryPricedAtScanRate(t *testing.T) {
 	srv := newStar(t, 4000)
-	const q = "sigma{qty < 2}(Order_paris)" // every churn row has qty 1
+	const q = "sigma{qty < 2}(Order_paris)"
 	churn := starChurn{h: srv.handler(), rows: 4000}
 	register(t, srv, &churn, []string{q})
 	e, _ := srv.qcache.get(q)
-	if join := int64(costEvalFixed + costEvalRow*2*2000); e.cost*10 > join {
-		t.Fatalf("the scan of 2000 rows is priced %d units, want below a tenth of the %d a join's rows would cost", e.cost, join)
+	if join := int64(costEvalFixed + costEvalRow*2*2000); e.cost*10 > join || costTest*1000 <= e.cost {
+		t.Fatalf("the scan of 2000 rows is priced %d units, want below a tenth of the %d a join's rows would cost, and below 1000 tests", e.cost, join)
 	}
-	for range 120 {
-		churn.commit(t)
+	var ops strings.Builder
+	for k := range 1000 {
+		fmt.Fprintf(&ops, "insert Order_paris(%d, 1, 1, 'paris', 50)\n", 9000+k)
 	}
-	if n := srv.plans.snapshot().Overflows; n != 1 {
-		t.Fatalf("%d overflows across 120 commits of relevant churn, want 1", n)
+	postUpdateTo(t, srv.handler(), ops.String())
+	if st := srv.plans.snapshot(); st.Overflows != 1 || st.Registered != 1 {
+		t.Fatalf("a 1000-tuple commit past the scan's price: %+v, want 1 overflow and the plan registered", st)
 	}
-	if check := srv.carries(context.Background(), e, srv.cur.Load()); check.why != fellBackUntracked {
-		t.Fatalf("carry check across 120 commits of relevant churn: %+v, want a fallback on an untracked plan", check)
+	if why := carries(e, srv.cur.Load()); why != fellBackReached {
+		t.Fatalf("carry check across a commit past the plan's price: %q, want reached", fallbackNames[why])
 	}
 }
 
 // TestCarryKeySetFollowsItsSide: a Part of the queried brand, inserted,
 // resets the union text's plan — its key set no longer holds — so an order
-// for that part, committed next, is not kept out of the log by the old key
+// for that part, committed next, is not found irrelevant by the old key
 // set: the answer that follows includes it.
 func TestCarryKeySetFollowsItsSide(t *testing.T) {
 	srv := newStar(t, 4000)
@@ -344,8 +315,9 @@ func TestCarryKeySetFollowsItsSide(t *testing.T) {
 
 // TestCarryTrackedFromRegistration: a plan is tracked from the last commit
 // that ran the pass when it registered, not from the version of the reader
-// that stored the answer. A commit published between the two was never
-// tested against it, so that answer does not carry past it.
+// that stored the answer, nor from the published one. A commit between
+// either and the registration was never tested against it, so that answer
+// does not carry past it.
 func TestCarryTrackedFromRegistration(t *testing.T) {
 	srv := newStar(t, 4000)
 	h := srv.handler()
@@ -357,33 +329,48 @@ func TestCarryTrackedFromRegistration(t *testing.T) {
 	e, _ := srv.qcache.get(q)
 	e.gen = read.gen
 	srv.track(context.Background(), e)
-	if check := srv.carries(context.Background(), e, srv.cur.Load()); check.why == carried {
+	if carries(e, srv.cur.Load()) == carried {
 		t.Fatal("an answer carried across a commit its plan was registered after")
+	}
+
+	// Nor from the published version: a commit whose pass has run, and
+	// whose generation is not yet published, never tested the plan either.
+	const q2 = "sigma{okey = 9002}(Order_paris)"
+	ask(t, h, q2)
+	e2, _ := srv.qcache.get(q2)
+	srv.plans.unregister(e2.built())
+	u, err := dwc.ParseUpdateOps(srv.db, "insert Order_paris(9002, 1, 1, 'paris', 1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.plans.pass(e2.gen+1, u) // the commit of e2.gen+1, unpublished
+	srv.track(context.Background(), e2)
+	if carries(e2, &version{gen: e2.gen + 1}) == carried {
+		t.Fatal("an answer carried across a commit whose pass ran before its plan registered")
 	}
 }
 
-// TestCarryLogTrimmedPastServedEntry: once the stored answer has moved past
-// a logged tuple, the next commit that logs trims it, and the log says it
-// covers only the commits after that answer. A reader still holding the
-// older answer then evaluates: the tuples left in the log — an insert and
-// its delete — would compose to nothing and carry it past the one it lacks.
-func TestCarryLogTrimmedPastServedEntry(t *testing.T) {
+// TestCarryReachedAcrossInsertAndDelete: an insert and its delete leave
+// Q(d) as it was, but each reaches the plan, so the stored answer is not
+// carried across them: the check falls back reached, and the read that
+// follows evaluates the same answer afresh.
+func TestCarryReachedAcrossInsertAndDelete(t *testing.T) {
 	srv := newStar(t, 4000)
 	h := srv.handler()
 	const q = "sigma{okey > 9000}(Order_paris)"
 	churn := starChurn{h: h, rows: 4000}
 	register(t, srv, &churn, []string{q})
 	postUpdateTo(t, h, "insert Order_paris(9001, 1, 1, 'paris', 1)")
-	slow, _ := srv.qcache.get(q) // a reader holds the answer without 9001
 	checkFresh(t, srv, q, ask(t, h, q))
+	stored, _ := srv.qcache.get(q)
 	postUpdateTo(t, h, "insert Order_paris(9002, 1, 1, 'paris', 1)")
 	postUpdateTo(t, h, "delete Order_paris(9002, 1, 1, 'paris', 1)")
-	v := srv.cur.Load()
-	if check := srv.carries(context.Background(), slow, v); check.why == carried {
-		t.Fatalf("an answer carried past a trimmed tuple: %+v", check)
+	if why := carries(stored, srv.cur.Load()); why != fellBackReached {
+		t.Fatalf("the stored answer across an insert and its delete: %q, want reached", fallbackNames[why])
 	}
-	cur, _ := srv.qcache.get(q)
-	if check := srv.carries(context.Background(), cur, v); check.why != carried || check.composed != 2 {
-		t.Fatalf("the stored answer across an insert and its delete: %+v, want carried with 2 composed", check)
+	reached := srv.fellBack[fellBackReached].Load()
+	checkFresh(t, srv, q, ask(t, h, q))
+	if n := srv.fellBack[fellBackReached].Load() - reached; n != 1 {
+		t.Fatalf("%d reads fell back reached, want 1", n)
 	}
 }

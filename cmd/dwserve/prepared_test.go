@@ -175,11 +175,11 @@ func TestQueryCacheCap(t *testing.T) {
 // it, a no-op update, a follower bootstrap, a promotion — the body served
 // is a fresh answerBody(EvalExpr(Q̂, v.w)) under the new X-DW-Version. The
 // promotion, which moves the stamp and not the state, is a reuse; the
-// update the answer does not see and the no-op are carried; the bootstrap
-// replaces the state with no recorded update, a gap, and evaluates.
-// explain=1 and explain=2 always evaluate.
+// update the answer does not see (a hire of 40, whom the σ rejects) and
+// the no-op are carried; the bootstrap replaces the state with no recorded
+// update, a gap, and evaluates. explain=1 and explain=2 always evaluate.
 func TestReuseFollowsTheState(t *testing.T) {
-	const q = "pi{item, age}(Sale join Emp)"
+	const q = "pi{item, age}(Sale join sigma{age < 40}(Emp))"
 	leader, lts := newReplicaNode(t)
 	fsrv, fts := newReplicaNode(t)
 	// check asks srv for q and holds the answer to Q̂ evaluated on the
@@ -267,11 +267,12 @@ func TestReuseFollowsTheState(t *testing.T) {
 // request span answer=reused or answer=carried. The first check after a
 // commit registers the text's carry plan and evaluates (untracked); a
 // commit that reaches the answer makes the next request evaluate; /stats
-// carryFallbacks says why, and carryPlans shows the registered plan, its
-// empty log and the tuples the commits tested and logged.
+// carryFallbacks says why, and carryPlans shows the registered plan, the
+// tuples the commits tested or found through its σs' index, and the commit
+// that reached it.
 func TestReuseLedger(t *testing.T) {
 	srv, ts := newOverloadServer(t, serverConfig{TraceSample: 1})
-	q := ts.URL + "/query?q=" + escape("Sale join Emp")
+	q := ts.URL + "/query?q=" + escape("sigma{clerk = 'Mary'}(Sale join Emp)")
 	var traceID string
 	for range 3 { // a miss, then two reuses
 		resp, _ := get(t, q)
@@ -280,10 +281,10 @@ func TestReuseLedger(t *testing.T) {
 	get(t, q+"&explain=1")
 	postUpdate(t, ts.URL, "insert Emp('Zoe', 40)") // the plan is not tracked yet: registered, and evaluated
 	get(t, q)
-	postUpdate(t, ts.URL, "insert Emp('Zed', 41)") // no sale joins Zed: the answer is carried
+	postUpdate(t, ts.URL, "insert Emp('Zed', 41)") // Zed is not Mary: the answer is carried
 	resp, _ := get(t, q)
 	carriedID := resp.Header.Get("X-DW-Trace")
-	postUpdate(t, ts.URL, "insert Sale('Radio', 'Zoe')") // joins Zoe: the answer changed
+	postUpdate(t, ts.URL, "insert Sale('Radio', 'Mary')") // Mary's sale: the answer changed
 	get(t, q)
 	_, metrics := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{"dw_queries_total 7", "dw_queries_reused_total 3", "dw_query_duration_seconds_count 7", "dw_stale_answers_total 0"} {
@@ -300,12 +301,12 @@ func TestReuseLedger(t *testing.T) {
 	if stats.Queries != 7 || stats.QueriesReused != 3 || stats.QueriesCarried != 1 || stats.QueriesBehind != 0 {
 		t.Errorf("/stats: %d queries, %d reused, %d carried, %d behind; want 7, 3, 1 and 0", stats.Queries, stats.QueriesReused, stats.QueriesCarried, stats.QueriesBehind)
 	}
-	if want := map[string]int64{"untracked": 1, "cost": 0, "changed": 1}; !maps.Equal(stats.CarryFallbacks, want) {
+	if want := map[string]int64{"untracked": 1, "reached": 1}; !maps.Equal(stats.CarryFallbacks, want) {
 		t.Errorf("/stats carryFallbacks %v, want %v", stats.CarryFallbacks, want)
 	}
-	// Zed and the sale were tested and logged; the sale's commit trimmed
-	// Zed, which the carried answer had seen.
-	if want := (carryStats{Registered: 1, LoggedTuples: 1, Tested: 2, Logged: 2}); stats.CarryPlans != want {
+	// Zed and the sale were each looked up in their base's index on clerk;
+	// only the sale found the plan there, and reached it.
+	if want := (carryStats{Registered: 1, Reached: 1, Tested: 1, Indexed: 2}); stats.CarryPlans != want {
 		t.Errorf("/stats carryPlans %+v, want %+v", stats.CarryPlans, want)
 	}
 	for _, c := range []struct{ id, answer string }{{traceID, "reused"}, {carriedID, "carried"}} {

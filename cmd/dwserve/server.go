@@ -843,12 +843,8 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		s.writeReused(w, req, e.body, start, "reused")
 		return
 	}
-	// The context adds the -query-timeout deadline and -query-budget row
-	// budget; both abort the evaluation at the next operator boundary.
-	ectx, cancel := s.queryContext(req)
-	defer cancel()
 	if explain == 0 && e.body != nil {
-		switch why := s.carries(ectx, e, v).why; why {
+		switch why := carries(e, v); why {
 		case carried:
 			e.at, e.version, e.gen = time.Now(), v.stamp(), v.gen
 			s.qcache.restamp(src, e)
@@ -861,6 +857,10 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request) {
 			s.fellBack[why].Add(1)
 		}
 	}
+	// The context adds the -query-timeout deadline and -query-budget row
+	// budget; both abort the evaluation at the next operator boundary.
+	ectx, cancel := s.queryContext(req)
+	defer cancel()
 	// The evaluation span (child of the request span) carries the query,
 	// its cardinality and the compact executed-plan signature, so a trace
 	// shows WHAT ran, not just how long it took.

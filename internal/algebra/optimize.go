@@ -2,8 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"dwcomplement/internal/relation"
 )
@@ -28,49 +26,6 @@ import (
 func Optimize(e Expr, res Resolver) Expr {
 	out := optimize(e, res)
 	return Simplify(out, res)
-}
-
-// DistributeJoins rewrites e with every join over a union split into a
-// union of joins, (L ∪ R) ⋈ E = (L ⋈ E) ∪ (R ⋈ E), all the way down, so
-// that a change to L propagates through L ⋈ E alone. A join over k unions
-// becomes 2^k joins: callers bound the result's Size.
-func DistributeJoins(e Expr) Expr {
-	switch n := e.(type) {
-	case *Join:
-		ins := make([]Expr, len(n.Inputs))
-		for i, in := range n.Inputs {
-			ins[i] = DistributeJoins(in)
-		}
-		return joinOver(ins)
-	case *Select:
-		return &Select{Input: DistributeJoins(n.Input), Cond: CloneCond(n.Cond)}
-	case *Project:
-		return &Project{Input: DistributeJoins(n.Input), Attrs: slices.Clone(n.Attrs)}
-	case *Union:
-		return &Union{L: DistributeJoins(n.L), R: DistributeJoins(n.R)}
-	case *Diff:
-		return &Diff{L: DistributeJoins(n.L), R: DistributeJoins(n.R)}
-	case *Rename:
-		return &Rename{Input: DistributeJoins(n.Input), Mapping: maps.Clone(n.Mapping)}
-	default:
-		return Clone(e)
-	}
-}
-
-// joinOver is the join of the distributed inputs with its first union
-// input, if any, split into one join per branch.
-func joinOver(ins []Expr) Expr {
-	for i, in := range ins {
-		if u, ok := in.(*Union); ok {
-			l, r := slices.Clone(ins), make([]Expr, len(ins))
-			for j, x := range ins {
-				r[j] = Clone(x)
-			}
-			l[i], r[i] = u.L, u.R
-			return &Union{L: joinOver(l), R: joinOver(r)}
-		}
-	}
-	return &Join{Inputs: ins}
 }
 
 func optimize(e Expr, res Resolver) Expr {

@@ -113,9 +113,6 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("Optimize changed semantics of %s:\nopt  %s\ngot  %v\nwant %v", e, opt, got, want)
 		}
-		if dist := DistributeJoins(opt); !mustEval(t, dist, st).Equal(want) {
-			t.Fatalf("DistributeJoins changed semantics of %s:\ndist %s", opt, dist)
-		}
 	}
 	if checked < 150 {
 		t.Fatalf("only %d expressions validated", checked)

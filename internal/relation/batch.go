@@ -81,19 +81,9 @@ func (b Batch) Codes(c int) []int32 { return window(b.pg[c].codes, b.n) }
 // for non-string layouts.
 func (b Batch) Dict(c int) *Dict { return b.pg[c].dict }
 
-// AppendKey appends to dst the canonical encoding of batch-local row i that
-// Tuple.key gives its tuple: two rows are Equal exactly when their keys
-// are, so the key can stand for the row in a map.
-func (b Batch) AppendKey(dst []byte, i int) []byte {
-	for c := range b.pg {
-		dst = b.pg[c].value(i).appendKey(dst)
-	}
-	return dst
-}
-
 // AppendColsKey appends the canonical encoding of columns cols of
-// batch-local row i, in that order: AppendKey's, restricted to a
-// projection of the row.
+// batch-local row i, in that order: the key Tuple.key gives the projected
+// row, so two rows agree on cols exactly when their keys are equal.
 func (b Batch) AppendColsKey(dst []byte, i int, cols []int) []byte {
 	for _, c := range cols {
 		dst = b.pg[c].value(i).appendKey(dst)

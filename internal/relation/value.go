@@ -316,7 +316,7 @@ func (v Value) appendKey(b []byte) []byte {
 }
 
 // AppendKey appends the value's canonical encoding, the one rows are keyed
-// by (Batch.AppendKey).
+// by (Batch.AppendColsKey).
 func (v Value) AppendKey(b []byte) []byte { return v.appendKey(b) }
 
 // hash64 returns a well-mixed 64-bit hash of the value, canonical under
