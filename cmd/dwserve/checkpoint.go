@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -84,6 +85,10 @@ func (s *server) drainCheckpoint() {
 	s.mu.Unlock()
 }
 
+// errUnjournaled marks a commit whose journal record could not be made
+// durable: nothing was published, and the update may be sent again.
+var errUnjournaled = errors.New("journal append failed, update withdrawn")
+
 // commit writes one update's journal record — fixed before the refresh
 // starts, which Thm. 4.1 needs alone — refreshes the update while the
 // record's write-back runs, then waits for the record's flush, so an ack
@@ -96,13 +101,12 @@ func (s *server) drainCheckpoint() {
 // follower; emitted is the source's emission time in unix nanos, 0 if
 // none. Caller holds s.mu.
 //
-// A failed refresh withdraws the record. A failed write or flush of an
-// update nobody can send again (the leader's own HTTP API) is withdrawn
-// too, puts the writer's warehouse back to the published state and is
-// returned: the caller must fail the ack. Reports and stream records are
-// re-fetchable — after a crash the client rewinds to the checkpointed
-// watermark and the sender's retained log refills the hole — so there a
-// failed append only degrades.
+// A failed refresh withdraws the record and is returned. A failed write
+// or flush is withdrawn too, degrades, puts the writer's warehouse back to
+// the published state and is returned wrapping errUnjournaled: the caller
+// fails the ack, or has the report or stream record sent again. Publishing
+// a state the journal does not hold would leave a hole in it that a
+// restart replays the source's later records over.
 func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) (dwc.RefreshStats, error) {
 	prev := s.cur.Load()
 	frame, err := journal.Frame(rec)
@@ -135,18 +139,15 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 		if s.withdraw(ctx, rec) != nil {
 			jerr = fmt.Errorf("%w (it may have reached the disk: do not retry blindly)", jerr)
 		}
-		if prev.role == roleLeader && rec.Source == httpSource {
-			s.w.LoadState(prev.w.State())
-			return stats, fmt.Errorf("journal append failed, update withdrawn: %w", jerr)
-		}
-		s.log.Error("journal append failed; record is re-fetchable", "source", rec.Source, "seq", rec.Seq, "err", jerr)
+		s.w.LoadState(prev.w.State())
+		return stats, fmt.Errorf("%w: %w", errUnjournaled, jerr)
 	}
 	s.plans.pass(prev.gen+1, stats.Update) // before the generation is published: its readers find it tested
 	s.publish(func(v *version) {
 		v.w, v.gen = s.w.Pin(), v.gen+1
 		v.marks = withEntry(v.marks, rec.Source, rec.Seq)
 		v.lsn = rec.LSN
-		if s.jw != nil && jerr == nil {
+		if s.jw != nil {
 			v.journalRecs++
 		}
 		v.refreshes++
@@ -209,8 +210,8 @@ func (s *server) commit(ctx context.Context, rec journal.Record, emitted int64) 
 	s.maybeCheckpointLocked()
 	// A failed checkpoint keeps the server degraded until one succeeds;
 	// acks in between are durable (the journal holds them) and do not
-	// clear the flag. Nor does an update the journal does not hold.
-	if jerr == nil && !s.ckptFailed {
+	// clear the flag.
+	if !s.ckptFailed {
 		s.degraded.Store(false)
 	}
 	s.lastGoodNano.Store(time.Now().UnixNano())

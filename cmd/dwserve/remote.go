@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,10 +45,13 @@ func (s *server) stopRemotes() {
 }
 
 // applyRemote is the delivery callback for remote source reports: dedup
-// by the per-source watermark (retries and rewinds all cause
-// benign redelivery), refresh, commit. A failed refresh rewinds the
-// client so the report is re-fetched later instead of being lost; the
-// warehouse serves stale in the meantime.
+// by the per-source watermark (retries and rewinds all cause benign
+// redelivery), refresh, commit. A report whose journal record could not
+// be made durable rewinds the client, so it is fetched again. A report
+// whose refresh fails is set aside: a refresh is a function of the state
+// and the update, so fetching it again would fail the same way. Its
+// watermark moves past it, with no journal record and no replication log
+// entry, and /stats lists it.
 func (s *server) applyRemote(n source.Notification) {
 	// Report delivery passes admission like everything else, but through
 	// Wait — the never-shed variant. Under overload it is only deferred
@@ -84,16 +88,24 @@ func (s *server) applyRemote(n source.Notification) {
 		return
 	}
 	// The record carries its replication coordinates so followers receive
-	// remote reports through the same stream as HTTP updates. A report is
-	// re-fetchable, so a failed journal append does not fail it.
+	// remote reports through the same stream as HTTP updates.
 	rec := journal.Record{Source: n.Source, Seq: n.Seq, Update: n.Update, Epoch: v.epoch, LSN: v.lsn + 1}
-	if _, err := s.commit(ctx, rec, n.EmittedUnixNano); err != nil {
+	_, err = s.commit(ctx, rec, n.EmittedUnixNano)
+	switch {
+	case err == nil:
+	case errors.Is(err, errUnjournaled):
 		sp.SetAttr("outcome", "error")
-		s.degraded.Store(true)
-		s.log.Error("remote refresh failed; serving stale", "source", n.Source, "seq", n.Seq, "err", err)
+		s.log.Error("remote report not journaled; fetching it again", "source", n.Source, "seq", n.Seq, "err", err)
 		if c := v.remotes[n.Source]; c != nil {
-			c.Rewind(n.Seq - 1)
+			c.Rewind(applied)
 		}
+	default:
+		sp.SetAttr("outcome", "set_aside")
+		s.log.Error("remote report set aside: its refresh fails", "source", n.Source, "seq", n.Seq, "err", err)
+		s.publish(func(v *version) {
+			v.marks = withEntry(v.marks, n.Source, n.Seq)
+			v.setAside = v.setAside.With(n, err)
+		})
 	}
 }
 

@@ -396,9 +396,10 @@ func (s *server) bootstrapFollower(ctx context.Context, c *replica.Client) error
 // applyBatch replays one stream batch through the maintenance path.
 // Exactly-once is the composition of two checks: records are consumed
 // in LSN order (resume cursor), and a record only refreshes when its
-// Seq is exactly its source's watermark + 1 — overlap from bootstrap
-// races, retries, torn streams and repoints is skipped, gaps abort the
-// batch so the stream is re-requested.
+// Seq is above its source's watermark — overlap from bootstrap races,
+// retries, torn streams and repoints is skipped, LSN gaps abort the
+// batch so the stream is re-requested. A source's Seq may skip: the
+// leader streams no record for a report it set aside.
 func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.Batch) {
 	actx, sp := s.tracer.Start(ctx, "replica.apply")
 	defer sp.End()
@@ -440,9 +441,9 @@ func (s *server) applyBatch(ctx context.Context, c *replica.Client, b *replica.B
 			continue
 		}
 		// Committed with the leader's coordinates, so recovery resumes the
-		// stream from the right LSN. A stream record is re-fetchable, so a
-		// failed journal append does not fail it. The refresh needs the
-		// writer's warehouse writable.
+		// stream from the right LSN. A record that fails, in its refresh or
+		// its journal append, is fetched again from the cursor. The refresh
+		// needs the writer's warehouse writable.
 		s.w.Unseal()
 		_, err := s.commit(actx, rec, 0)
 		s.w.Seal()

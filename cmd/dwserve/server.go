@@ -27,6 +27,7 @@ import (
 	"dwcomplement/internal/remote"
 	"dwcomplement/internal/replica"
 	"dwcomplement/internal/snapshot"
+	"dwcomplement/internal/source"
 	"dwcomplement/internal/trace"
 	"dwcomplement/internal/warehouse"
 )
@@ -226,8 +227,10 @@ type version struct {
 	role     string
 	follower *followerState
 	// remotes are the attached remote sources (dwsource processes consumed
-	// over the wire), by name.
-	remotes map[string]*remote.Client
+	// over the wire), by name; setAside records their reports whose
+	// refresh failed.
+	remotes  map[string]*remote.Client
+	setAside source.SetAsides
 
 	// Cumulative refresh telemetry, as GET /stats reports it.
 	refreshes    int
@@ -1016,6 +1019,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		// maintenance planner (ROADMAP "Parked").
 		"maintenance": s.mstats.Snapshot(),
 		"boot":        s.boot.stats(),
+		"setAside":    v.setAside,
 	})
 }
 

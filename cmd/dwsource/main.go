@@ -59,14 +59,13 @@ type sourceHandlerConfig struct {
 }
 
 // applyStatus maps a failed /apply to its HTTP status and whether the
-// response should carry Retry-After: overload conditions (the
-// integrator's pending buffer full, admission shed) are 429 and worth
+// response should carry Retry-After: an admission shed is 429 and worth
 // retrying; an oversized body is 413; anything else is the 422 a
 // malformed or foreign transaction deserves.
 func applyStatus(err error) (status int, retryAfter bool) {
 	var tooBig *http.MaxBytesError
 	switch {
-	case errors.Is(err, source.ErrBackpressure), errors.Is(err, admission.ErrShed):
+	case errors.Is(err, admission.ErrShed):
 		return http.StatusTooManyRequests, true
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge, false

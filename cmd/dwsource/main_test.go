@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -200,7 +199,7 @@ func TestApplyBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestApplyStatusMapping: overload conditions answer 429 + Retry-After
+// TestApplyStatusMapping: an admission shed answers 429 + Retry-After
 // (the transaction is retryable), oversized bodies 413, the rest 422.
 func TestApplyStatusMapping(t *testing.T) {
 	tests := []struct {
@@ -208,8 +207,6 @@ func TestApplyStatusMapping(t *testing.T) {
 		status int
 		retry  bool
 	}{
-		{source.ErrBackpressure, http.StatusTooManyRequests, true},
-		{fmt.Errorf("wrapped: %w", source.ErrBackpressure), http.StatusTooManyRequests, true},
 		{admission.ErrShed, http.StatusTooManyRequests, true},
 		{&http.MaxBytesError{Limit: 64}, http.StatusRequestEntityTooLarge, false},
 		{errors.New("foreign relation"), http.StatusUnprocessableEntity, false},

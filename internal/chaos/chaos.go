@@ -9,13 +9,16 @@
 //     disk. Hold parks a traversal instead, so a test can act while a
 //     background goroutine sits inside a durability step.
 //
-//   - FaultyChannel: a seedable wrapper around the source→integrator
-//     delivery function that drops, duplicates, delays, and reorders
-//     notifications with configured probabilities. Given the same seed
-//     and send sequence it produces the same schedule, so every soak
-//     failure is reproducible from its logged seed.
+//   - Network faults: FaultyTransport, an http.RoundTripper that drops
+//     requests, loses responses the server already handled (so the
+//     client fetches again and the consumer sees duplicates), answers
+//     5xx, delays, and truncates bodies with seeded probabilities;
+//     Partition cuts and heals hosts on a script; RunSpike drives load
+//     phases. Given the same seed and request sequence a transport rolls
+//     the same faults, so every soak failure is reproducible from its
+//     logged seed.
 //
-// The package deliberately imports nothing from the rest of the repo,
+// The package imports nothing from the rest of the repo but lockrank,
 // so every layer (journal, snapshot, maintain, source) can embed crash
 // points without import cycles.
 package chaos

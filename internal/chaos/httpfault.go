@@ -12,7 +12,7 @@ import (
 )
 
 // HTTPFaultConfig sets the misbehaviour probabilities of a
-// FaultyTransport — the HTTP mirror of FaultConfig. All probabilities
+// FaultyTransport. All probabilities
 // are in [0, 1] and at most one fault fires per request, rolled in the
 // order drop → lose-response → 5xx → delay → partial-body.
 type HTTPFaultConfig struct {

@@ -320,23 +320,14 @@ func writeZeros(f *os.File, from, to int64) error {
 
 // Append journals one record: encode, frame, write, flush.
 func (w *Writer) Append(rec Record) error {
-	return w.AppendContext(context.Background(), rec)
-}
-
-// AppendContext is Append with lineage: when ctx carries a recording
-// trace span, the write runs under a "journal.append" child span
-// annotated with the framed record size and the flush under a
-// "journal.flush" one — the durability hop of a report's end-to-end
-// trace.
-func (w *Writer) AppendContext(ctx context.Context, rec Record) error {
 	frame, err := Frame(rec)
 	if err != nil {
 		return err
 	}
-	if err := w.Write(ctx, frame); err != nil {
+	if err := w.Write(context.Background(), frame); err != nil {
 		return err
 	}
-	return w.Flush(ctx)
+	return w.Flush(context.Background())
 }
 
 // Write writes a frame made by Frame at the journal's end, into the

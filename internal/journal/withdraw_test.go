@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -127,7 +126,7 @@ func TestJournalWithdrawFailureRefusesAppends(t *testing.T) {
 		t.Fatalf("withdraw: %v, want the injected error", err)
 	}
 	db := testDB(t)
-	if err := w.AppendContext(context.Background(), Record{Source: "sales", Seq: 3, Update: saleIns(t, db, "x", "Mary")}); !errors.Is(err, boom) {
+	if err := w.Append(Record{Source: "sales", Seq: 3, Update: saleIns(t, db, "x", "Mary")}); !errors.Is(err, boom) {
 		t.Fatalf("append after a failed withdraw: %v, want a refusal naming it", err)
 	}
 	if err := w.Close(); err != nil {

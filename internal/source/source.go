@@ -155,8 +155,8 @@ func (s *Source) Apply(u *catalog.Update) (uint64, error) {
 // The report is delivered outside the source's lock, in sequence order:
 // apply takes the delivery lock before it releases mu, so the next
 // transaction applies and appends its report while this one's subscriber
-// runs — an in-process integrator journals and refreshes there — and
-// waits only to deliver.
+// runs — an in-process integrator refreshes there — and waits only to
+// deliver.
 func (s *Source) ApplyContext(ctx context.Context, u *catalog.Update) (uint64, error) {
 	for _, name := range u.Touched() {
 		if !s.Owns(name) {

@@ -34,6 +34,18 @@ func figure1Env(t *testing.T) (*Environment, workload.Scenario) {
 	return env, sc
 }
 
+// assertMarksAtSeq checks that every source's report reached the
+// integrator: its watermark equals the source's sequence number.
+func assertMarksAtSeq(t *testing.T, env *Environment) {
+	t.Helper()
+	marks := env.Integrator.Marks()
+	for _, s := range env.Sources {
+		if marks[s.Name()] != s.Seq() {
+			t.Fatalf("source %s: watermark %d, source seq %d", s.Name(), marks[s.Name()], s.Seq())
+		}
+	}
+}
+
 func TestFigure1EndToEnd(t *testing.T) {
 	env, sc := figure1Env(t)
 	sales, _ := env.Source("sales")
@@ -72,6 +84,7 @@ func TestFigure1EndToEnd(t *testing.T) {
 		t.Errorf("Sold after the paper's update = %v", sold)
 	}
 
+	assertMarksAtSeq(t, env)
 	// The whole run never queried a source.
 	if n := env.TotalQueryAttempts(); n != 0 {
 		t.Errorf("integrator issued %d source queries", n)
@@ -238,9 +251,7 @@ func TestConcurrentSources(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if !env.Integrator.Flush() {
-		t.Fatal("integrator left notifications pending")
-	}
+	assertMarksAtSeq(t, env)
 	combined, err := env.CombinedState()
 	if err != nil {
 		t.Fatal(err)
